@@ -17,19 +17,12 @@ fn main() {
     let seconds = arg_f64("--seconds", 20.0);
     let queriers = arg_f64("--queriers", 6.0) as usize;
 
-    // A real answering server on loopback (tokio), like the paper's
+    // A real answering server on loopback, like the paper's
     // authoritative host with the example.com wildcard zone.
-    let runtime = tokio::runtime::Builder::new_multi_thread()
-        .worker_threads(4)
-        .enable_all()
-        .build()
-        .unwrap();
     let mut catalog = dns_zone::Catalog::new();
     catalog.insert(wildcard_zone("example.com"));
     let engine = Arc::new(dns_server::ServerEngine::with_catalog(catalog));
-    let server = runtime
-        .block_on(dns_server::spawn(engine, dns_server::ServerConfig::default()))
-        .expect("bind server");
+    let server = dns_server::spawn(engine, dns_server::ServerConfig::default()).expect("bind server");
 
     // Continuous stream: nominal 0.1 ms inter-arrivals, replayed in
     // fast mode (no timers) — the generator saturates, as in the paper.

@@ -15,10 +15,10 @@
 //! The run doubles as the ISSUE's determinism gate: two telemetry-on
 //! runs must drain byte-identical event logs, the latency log must be
 //! byte-identical with telemetry on vs off, and the BTree queue backend
-//! must reproduce both. Exits nonzero if any gate fails. The full run
-//! also writes `results/fig_trace.txt`.
+//! must reproduce both. Exits nonzero if any gate fails. The full run's
+//! standard output is `results/fig_trace.txt` (the gate compares them).
 //!
-//! `cargo run --release -p ldp-bench --bin fig_trace [-- --seed 11 --smoke]`
+//! `cargo run --release -p ldp-bench --bin fig_trace [-- --seed 11 --smoke] > results/fig_trace.txt`
 
 use std::fmt::Write as _;
 use std::net::SocketAddr;
@@ -49,7 +49,7 @@ fn root_engine() -> Arc<ServerEngine> {
         RData::Soa(Soa {
             mname: n("a.root-servers.net"),
             rname: n("nstld.verisign-grs.com"),
-            serial: 2018_01_01,
+            serial: 20180101, // yyyymmdd
             refresh: 1800,
             retry: 900,
             expire: 604_800,
@@ -211,16 +211,6 @@ fn main() {
     }
 
     print!("{out}");
-    if !smoke {
-        if let Err(e) = std::fs::create_dir_all("results")
-            .and_then(|()| std::fs::write("results/fig_trace.txt", &out))
-        {
-            eprintln!("fig_trace: cannot write results/fig_trace.txt: {e}");
-            failed = true;
-        } else {
-            println!("\nwrote results/fig_trace.txt");
-        }
-    }
     if failed {
         std::process::exit(1);
     }

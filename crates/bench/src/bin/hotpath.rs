@@ -1,15 +1,10 @@
-//! Offline hot-path microbenchmarks: simulator event throughput (heap
+//! Hot-path microbenchmarks: simulator event throughput (heap
 //! vs. BTreeMap event queue on the identical workload), fast-mode
 //! replay throughput against a loopback UDP sink, and dns-wire
 //! encode/decode throughput. Writes `BENCH_hotpath.json` (hand-rolled
-//! JSON, no serde) so CI and the offline static-analysis gate can
-//! check the numbers without any dependency beyond the workspace.
+//! JSON) so the static-analysis gate can check the numbers.
 //!
 //! `cargo run --release -p ldp-bench --bin hotpath [-- <output.json>]`
-//!
-//! Unlike the figure binaries this one is deliberately buildable with
-//! bare rustc against the offline rlib chain: std + netsim +
-//! ldp-replay + dns-wire + ldp-trace only (no tokio, no criterion).
 
 use std::hint::black_box;
 use std::net::{IpAddr, SocketAddr, UdpSocket};
@@ -306,8 +301,8 @@ fn resolver_cache_throughput(iters: u64) -> (f64, f64, f64) {
 
     // Hit path: a warm unbounded store, cycling reads inside the TTL.
     let mut cache = ResolverCache::unbounded();
-    for i in 0..n_names {
-        cache.put_positive(&names[i], RecordType::A, answer(i), 0.0, FillInfo::default());
+    for (i, name) in names.iter().enumerate() {
+        cache.put_positive(name, RecordType::A, answer(i), 0.0, FillInfo::default());
     }
     let t0 = Instant::now();
     for i in 0..iters {
@@ -564,7 +559,7 @@ fn main() {
         "  hit {cache_hit_ps:>12.0} ops/s   delayed-hit {cache_delayed_ps:>12.0} ops/s   miss {cache_miss_ps:>12.0} ops/s"
     );
 
-    // Hand-rolled JSON: this binary must build with bare rustc offline.
+    // Hand-rolled JSON: the workspace has no serializer dependency.
     let json = format!(
         "{{\n  \"sim\": {{\n    \"events\": {heap_events},\n    \"heap_events_per_sec\": {heap_eps:.0},\n    \"btree_events_per_sec\": {btree_eps:.0},\n    \"heap_speedup\": {:.3},\n    \"raw_queue_heap_ops_per_sec\": {heap_raw:.0},\n    \"raw_queue_btree_ops_per_sec\": {btree_raw:.0},\n    \"raw_queue_heap_speedup\": {:.3},\n    \"telemetry_events_per_sec\": {tel_eps:.0},\n    \"telemetry_overhead_pct\": {telemetry_overhead_pct:.2},\n    \"sharded_events_per_sec_1\": {:.0},\n    \"sharded_events_per_sec_2\": {:.0},\n    \"sharded_events_per_sec_8\": {:.0}\n  }},\n  \"replay\": {{\n    \"queries\": {sent},\n    \"queries_per_sec\": {qps:.0},\n    \"guarded_queries_per_sec\": {guard_qps:.0},\n    \"guard_overhead_pct\": {guard_overhead_pct:.2},\n    \"errors\": {errors}\n  }},\n  \"guard\": {{\n    \"fuzzy_checkpoint_per_sec\": {fuzzy_cp_ps:.0}\n  }},\n  \"wire\": {{\n    \"message_bytes\": {msg_size},\n    \"encode_msgs_per_sec\": {enc_mps:.0},\n    \"decode_msgs_per_sec\": {dec_mps:.0},\n    \"encode_mb_per_sec\": {:.1},\n    \"decode_mb_per_sec\": {:.1}\n  }},\n  \"server\": {{\n    \"template_answers_per_sec\": {template_aps:.0},\n    \"general_answers_per_sec\": {general_aps:.0},\n    \"template_speedup\": {:.3}\n  }},\n  \"resolver\": {{\n    \"cache_hit_per_sec\": {cache_hit_ps:.0},\n    \"cache_delayed_hit_per_sec\": {cache_delayed_ps:.0},\n    \"cache_miss_per_sec\": {cache_miss_ps:.0}\n  }}\n}}\n",
         heap_eps / btree_eps,

@@ -32,8 +32,7 @@ use netsim::{
     Ctx, Host, PacketBytes, PathConfig, QueueKind, SimConfig, SimDuration, SimTime, Simulator,
     TcpEvent, Topology,
 };
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use ldp_rng::SplitMix64;
 use workloads::Zipf;
 
 use crate::agent;
@@ -158,7 +157,7 @@ impl DelayedConfig {
     /// seeded only by `seed`, independent of the simulator.
     pub fn ranks(&self) -> Vec<usize> {
         let zipf = Zipf::new(self.names, self.zipf_s);
-        let mut rng = StdRng::seed_from_u64(self.seed ^ 0x5eed_cafe);
+        let mut rng = SplitMix64::seed_from_u64(self.seed ^ 0x5eed_cafe);
         (0..self.queries).map(|_| zipf.sample(&mut rng)).collect()
     }
 }
@@ -309,7 +308,7 @@ fn study_zone(cfg: &DelayedConfig) -> Zone {
         RData::Soa(Soa {
             mname: "ns.study.".parse().expect("valid name"),
             rname: "ops.study.".parse().expect("valid name"),
-            serial: 2018_10_31,
+            serial: 20181031, // yyyymmdd
             refresh: 1800,
             retry: 900,
             expire: 604800,

@@ -356,7 +356,7 @@ fn root_zone(queries: usize) -> Zone {
         RData::Soa(Soa {
             mname: "a.root-servers.net.".parse().expect("valid name"),
             rname: "nstld.verisign-grs.com.".parse().expect("valid name"),
-            serial: 2018_10_31,
+            serial: 20181031, // yyyymmdd
             refresh: 1800,
             retry: 900,
             expire: 604800,
@@ -376,6 +376,8 @@ fn root_zone(queries: usize) -> Zone {
 /// one workload-construction path — same hosts, same driver-API call
 /// order — and any transcript divergence is the engine's fault, not
 /// the harness's.
+// One short-lived value per run; boxing it would buy nothing.
+#[allow(clippy::large_enum_variant)]
 enum AnySim {
     Single(Simulator),
     Sharded(ShardedSimulator),

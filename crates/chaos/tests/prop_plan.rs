@@ -1,76 +1,83 @@
 //! Property test: any `FaultPlan` survives a text round-trip exactly —
 //! `from_text(to_text(p)) == p`, including awkward f64 rates and
-//! extreme timestamps. Cargo-only (proptest is unavailable in the
-//! offline bare-rustc gate, which runs the deterministic unit tests in
-//! `plan.rs` instead).
+//! extreme timestamps — and the parser never panics.
 
 use ldp_chaos::plan::{FaultEvent, FaultPlan, PlannedFault};
+use ldp_rng::check::{check, Gen};
 use netsim::{SimDuration, SimTime};
-use proptest::prelude::*;
 
-fn arb_ip() -> impl Strategy<Value = std::net::IpAddr> {
-    prop_oneof![
-        any::<[u8; 4]>().prop_map(|o| std::net::IpAddr::from(o)),
-        any::<[u8; 16]>().prop_map(|o| std::net::IpAddr::from(o)),
-    ]
+fn arb_ip(g: &mut Gen) -> std::net::IpAddr {
+    if g.bool() {
+        g.array::<16>().into()
+    } else {
+        g.array::<4>().into()
+    }
 }
 
-fn arb_rate() -> impl Strategy<Value = f64> {
-    // Finite, non-NaN: NaN breaks equality (and makes no sense as a
-    // probability); the parser accepts whatever `{:?}` printed.
-    prop_oneof![
-        0.0f64..=1.0,
-        Just(0.1 + 0.2),
-        Just(f64::MIN_POSITIVE),
-        Just(1.0e-300),
-    ]
+/// Finite, non-NaN: NaN breaks equality (and makes no sense as a
+/// probability); the parser accepts whatever `{:?}` printed.
+fn arb_rate(g: &mut Gen) -> f64 {
+    match g.below(5) {
+        0 => 1.0,
+        1 => 0.1 + 0.2,
+        2 => f64::MIN_POSITIVE,
+        3 => 1.0e-300,
+        _ => g.f64(0.0, 1.0),
+    }
 }
 
-fn arb_event() -> impl Strategy<Value = FaultEvent> {
-    let t = any::<u64>().prop_map(SimTime::from_nanos);
-    let d = any::<u64>().prop_map(SimDuration::from_nanos);
-    prop_oneof![
-        (arb_ip(), arb_ip()).prop_map(|(src, dst)| FaultEvent::LinkDown { src, dst }),
-        (arb_ip(), arb_ip()).prop_map(|(src, dst)| FaultEvent::LinkUp { src, dst }),
-        (arb_rate(), t.clone()).prop_map(|(rate, until)| FaultEvent::LossBurst { rate, until }),
-        (d.clone(), d.clone(), t.clone())
-            .prop_map(|(extra, jitter, until)| FaultEvent::DelaySpike { extra, jitter, until }),
-        (arb_rate(), d.clone(), t.clone())
-            .prop_map(|(rate, window, until)| FaultEvent::Reorder { rate, window, until }),
-        (arb_rate(), t.clone()).prop_map(|(rate, until)| FaultEvent::Duplicate { rate, until }),
-        arb_ip().prop_map(|addr| FaultEvent::ServerCrash { addr }),
-        arb_ip().prop_map(|addr| FaultEvent::ServerRestart { addr }),
-        (arb_ip(), arb_rate(), t)
-            .prop_map(|(addr, factor, until)| FaultEvent::CpuThrottle { addr, factor, until }),
-    ]
+fn arb_time(g: &mut Gen) -> SimTime {
+    SimTime::from_nanos(g.u64())
 }
 
-fn arb_plan() -> impl Strategy<Value = FaultPlan> {
-    (
-        any::<u64>(),
-        proptest::collection::vec((any::<u64>().prop_map(SimTime::from_nanos), arb_event()), 0..24),
-    )
-        .prop_map(|(seed, faults)| FaultPlan {
-            seed,
-            faults: faults
-                .into_iter()
-                .map(|(at, fault)| PlannedFault { at, fault })
-                .collect(),
-        })
+fn arb_duration(g: &mut Gen) -> SimDuration {
+    SimDuration::from_nanos(g.u64())
 }
 
-proptest! {
-    #[test]
-    fn text_round_trip_is_exact(plan in arb_plan()) {
+fn arb_event(g: &mut Gen) -> FaultEvent {
+    match g.below(9) {
+        0 => FaultEvent::LinkDown { src: arb_ip(g), dst: arb_ip(g) },
+        1 => FaultEvent::LinkUp { src: arb_ip(g), dst: arb_ip(g) },
+        2 => FaultEvent::LossBurst { rate: arb_rate(g), until: arb_time(g) },
+        3 => FaultEvent::DelaySpike { extra: arb_duration(g), jitter: arb_duration(g), until: arb_time(g) },
+        4 => FaultEvent::Reorder { rate: arb_rate(g), window: arb_duration(g), until: arb_time(g) },
+        5 => FaultEvent::Duplicate { rate: arb_rate(g), until: arb_time(g) },
+        6 => FaultEvent::ServerCrash { addr: arb_ip(g) },
+        7 => FaultEvent::ServerRestart { addr: arb_ip(g) },
+        _ => FaultEvent::CpuThrottle { addr: arb_ip(g), factor: arb_rate(g), until: arb_time(g) },
+    }
+}
+
+fn arb_plan(g: &mut Gen) -> FaultPlan {
+    FaultPlan {
+        seed: g.u64(),
+        faults: g.vec(0..=23, |g| PlannedFault { at: arb_time(g), fault: arb_event(g) }),
+    }
+}
+
+#[test]
+fn text_round_trip_is_exact() {
+    check(256, |g| {
+        let plan = arb_plan(g);
         let text = plan.to_text();
         let back = FaultPlan::from_text(&text).expect("own output parses");
-        prop_assert_eq!(&plan, &back);
+        assert_eq!(plan, back);
         // Serialization is a fixed point: re-encoding changes nothing.
-        prop_assert_eq!(text, back.to_text());
-    }
+        assert_eq!(text, back.to_text());
+    });
+}
 
-    #[test]
-    fn parser_never_panics(text in "\\PC*") {
-        let _ = FaultPlan::from_text(&text);
-    }
+#[test]
+fn parser_never_panics() {
+    check(256, |g| {
+        let _ = FaultPlan::from_text(&g.printable(0..=120));
+    });
+    // Closer to the grammar: own output with one line mangled.
+    check(256, |g| {
+        let mut lines: Vec<String> = arb_plan(g).to_text().lines().map(String::from).collect();
+        let i = g.size(0..=lines.len() - 1);
+        let cut = g.size(0..=lines[i].len());
+        lines[i] = format!("{}{}", lines[i].get(..cut).unwrap_or(""), g.printable(0..=120));
+        let _ = FaultPlan::from_text(&lines.join("\n"));
+    });
 }

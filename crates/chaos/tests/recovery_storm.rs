@@ -17,8 +17,13 @@ use ldp_chaos::recovery::{
 use ldp_telemetry as tel;
 use netsim::QueueKind;
 
+/// The storm runs share the process-wide telemetry enable flag and
+/// flushed store, so the tests of this file run one at a time.
+static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 #[test]
 fn v1_quiescent_checkpoints_starve_under_the_storm() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let cfg = StormConfig::smoke(47, QueueKind::Heap);
     let killed = run_storm_killed_v1(&cfg);
     let (from, to) = cfg.storm_window();
@@ -41,6 +46,7 @@ fn v1_quiescent_checkpoints_starve_under_the_storm() {
 
 #[test]
 fn v2_fuzzy_cuts_commit_through_the_storm_with_live_state() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let cfg = StormConfig::smoke(47, QueueKind::Heap);
     let killed = run_storm_killed(&cfg);
     let (from, to) = cfg.storm_window();
@@ -64,6 +70,7 @@ fn v2_fuzzy_cuts_commit_through_the_storm_with_live_state() {
 
 #[test]
 fn storm_kill_resume_is_byte_identical_on_both_backends() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     for queue in [QueueKind::Heap, QueueKind::BTree] {
         let cfg = StormConfig::smoke(53, queue);
         let base = run_storm_baseline(&cfg);

@@ -222,8 +222,13 @@ mod tests {
     use super::*;
     use workloads::SyntheticTraceSpec;
 
+    /// The loopback sessions assert wall-clock timing and share the
+    /// process-wide telemetry flag, so they run one at a time.
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn fidelity_session_small_synthetic() {
+        let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         // 2 s of 10 ms inter-arrivals (syn-2-like, shortened).
         let trace = SyntheticTraceSpec::fixed_interarrival(0.01, 2.0).generate(1);
         let config = SessionConfig {
@@ -251,6 +256,7 @@ mod tests {
 
     #[test]
     fn session_report_includes_stage_breakdown_when_telemetry_on() {
+        let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         // Enable process-wide telemetry and leave it on (rings are
         // per-thread, so parallel tests are unaffected; disabling
         // mid-run would race a concurrent session).

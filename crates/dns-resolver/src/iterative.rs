@@ -12,7 +12,7 @@ use std::net::IpAddr;
 
 use dns_wire::{Message, Name, Question, RData, Rcode, Record, RecordType};
 
-use crate::cache::{Cache, CachedAnswer};
+use ldp_cache::{CachedAnswer, FillInfo, ResolverCache};
 
 /// Where iterative queries go: given a target server address and a
 /// query, produce its response (or `None` for timeout/unreachable).
@@ -71,8 +71,9 @@ impl std::error::Error for ResolveError {}
 pub struct IterativeResolver {
     /// Root server addresses (the hints file).
     pub root_hints: Vec<IpAddr>,
-    /// The shared answer cache.
-    pub cache: Cache,
+    /// The shared answer cache: unbounded, as zone construction's
+    /// one-time cold-cache walks need it.
+    pub cache: ResolverCache,
     /// Delegation cache: zone apex → nameserver addresses learned from
     /// referrals (the "infrastructure cache").
     pub delegations: HashMap<Name, Vec<IpAddr>>,
@@ -88,7 +89,7 @@ impl IterativeResolver {
     pub fn new(root_hints: Vec<IpAddr>) -> Self {
         IterativeResolver {
             root_hints,
-            cache: Cache::new(),
+            cache: ResolverCache::unbounded(),
             delegations: HashMap::new(),
             dnssec_ok: false,
             max_depth: 32,
@@ -233,7 +234,8 @@ impl IterativeResolver {
                     servers = addrs;
                 }
                 Classified::Negative(rcode, neg_ttl) => {
-                    self.cache.put_negative(qname, qtype, rcode, neg_ttl, now);
+                    self.cache
+                        .put_negative(qname, qtype, rcode, Some(neg_ttl), now, FillInfo::default());
                     return Ok(Resolution {
                         rcode,
                         answers,
@@ -264,7 +266,7 @@ impl IterativeResolver {
     fn cache_result(&mut self, qname: &Name, qtype: RecordType, res: &Resolution, now: f64) {
         if res.rcode == Rcode::NoError && !res.answers.is_empty() {
             self.cache
-                .put_positive(qname, qtype, res.answers.clone(), now);
+                .put_positive(qname, qtype, res.answers.clone(), now, FillInfo::default());
         }
     }
 }

@@ -9,11 +9,13 @@
 
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod iterative;
 pub mod sim_resolver;
 
-pub use cache::{Cache, CacheConfig, CachedAnswer, PolicyKind, PrefetchConfig};
+pub use ldp_cache::{
+    negative_ttl, CacheConfig, CacheStats, CachedAnswer, FillInfo, PolicyKind, PrefetchConfig,
+    PutOutcome, ResolverCache,
+};
 pub use iterative::{IterativeResolver, Resolution, ResolveError, Upstream};
 pub use sim_resolver::{
     AnswerClass, AnswerEvent, ResolverSnapshot, ResolverStats, SimResolver,

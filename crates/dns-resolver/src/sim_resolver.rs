@@ -29,8 +29,7 @@ use ldp_cache::{
 };
 use ldp_telemetry as tel;
 use netsim::{Ctx, Host, PacketBytes, SimDuration, TcpEvent};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use ldp_rng::SplitMix64;
 
 /// Interned per-attempt lifecycle marks for the resolver. The `a` key
 /// is the task id, so a whole resolution chain (stub → upstream
@@ -201,7 +200,7 @@ pub struct SimResolver {
     /// Live counters.
     pub stats: ResolverStats,
     /// Seeded RNG for backoff jitter (rule D3: no ambient randomness).
-    rng: StdRng,
+    rng: SplitMix64,
     /// Reusable encode buffer + compression interner for all sends.
     scratch: dns_wire::EncodeScratch,
     answer_log: Option<Arc<Mutex<Vec<AnswerEvent>>>>,
@@ -229,7 +228,7 @@ impl SimResolver {
             backoff_cap: None,
             rotate_servers: false,
             stats: ResolverStats::default(),
-            rng: StdRng::seed_from_u64(0x1d9_c0de),
+            rng: SplitMix64::seed_from_u64(0x1d9_c0de),
             scratch: dns_wire::EncodeScratch::new(),
             answer_log: None,
             stats_out: None,

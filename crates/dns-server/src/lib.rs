@@ -7,20 +7,20 @@
 //!
 //! - [`SimDnsServer`] — a [`netsim`] host, used by the deterministic
 //!   resource/latency experiments (§5.2);
-//! - [`tokio_server`] — real UDP/TCP sockets with idle-timeout
-//!   connection management, used by the replay fidelity and throughput
-//!   experiments (§4).
+//! - [`socket_server`] — real UDP/TCP sockets (blocking `std::net` and
+//!   threads) with idle-timeout connection management, used by the
+//!   replay fidelity and throughput experiments (§4).
 
 #![warn(missing_docs)]
 
 pub mod engine;
 pub mod rrl;
 pub mod sim_server;
+pub mod socket_server;
 pub mod template;
-pub mod tokio_server;
 
 pub use engine::ServerEngine;
 pub use rrl::{RateLimiter, RrlAction, RrlBank, RrlConfig, RrlStats};
 pub use template::TemplateTable;
 pub use sim_server::SimDnsServer;
-pub use tokio_server::{spawn, RunningServer, ServerConfig, ServerCounters};
+pub use socket_server::{spawn, RunningServer, ServerConfig, ServerCounters};

@@ -43,7 +43,7 @@ impl Default for RrlConfig {
 
 impl RrlConfig {
     /// Build the concrete limiter configuration from guard's policy
-    /// knobs ([`ldp_guard::OverloadConfig`]), so the sim and tokio
+    /// knobs ([`ldp_guard::OverloadConfig`]), so the sim and socket
     /// servers share one configuration surface. Returns `None` when
     /// the policy disables rate limiting (`responses_per_second` 0).
     ///

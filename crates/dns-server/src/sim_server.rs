@@ -75,7 +75,7 @@ impl SimDnsServer {
     }
 
     /// Enable response rate limiting from guard's policy knobs — the
-    /// shared configuration surface with the tokio server. A disabled
+    /// shared configuration surface with the socket server. A disabled
     /// policy (`responses_per_second` 0) leaves RRL off.
     pub fn with_overload(mut self, overload: &ldp_guard::OverloadConfig) -> Self {
         if let Some(cfg) = RrlConfig::from_overload(overload) {

@@ -29,8 +29,11 @@ use dns_zone::{lookup, View, ViewSet};
 /// DO set.
 #[derive(Debug)]
 pub struct TemplateTable {
-    views: Vec<BTreeMap<Name, BTreeMap<u16, [Vec<u8>; 3]>>>,
+    views: Vec<BTreeMap<Name, BTreeMap<u16, Variants>>>,
 }
+
+/// The three pre-encoded variants of one answer, by variant index.
+type Variants = [Vec<u8>; 3];
 
 impl TemplateTable {
     /// Pre-encode answers for every name/type pair present in any zone

@@ -3,8 +3,6 @@
 //! reassembles messages from arbitrary read chunks, which is what both
 //! the server's connection handler and the querier's response reader use.
 
-use bytes::{Buf, BytesMut};
-
 /// Prefix `msg` with its 16-bit length, as sent on a TCP stream.
 ///
 /// Panics if `msg` exceeds 65535 bytes (DNS messages cannot).
@@ -32,42 +30,50 @@ pub fn frame_into(msg: &[u8], out: &mut Vec<u8>) {
 /// Feed it raw bytes as they arrive; pop complete messages out.
 #[derive(Debug, Default)]
 pub struct FrameBuffer {
-    buf: BytesMut,
+    buf: Vec<u8>,
+    /// Read cursor: `buf[..start]` has already been popped.
+    start: usize,
 }
 
 impl FrameBuffer {
     /// Empty buffer.
     pub fn new() -> Self {
-        FrameBuffer { buf: BytesMut::new() }
+        FrameBuffer::default()
     }
 
     /// Append newly received bytes.
     pub fn extend(&mut self, data: &[u8]) {
+        // Compact before growing: once everything buffered has been
+        // popped (the common case between reads) the storage is reused
+        // from the front, so a long-lived connection never accumulates
+        // consumed bytes.
+        if self.start == self.buf.len() {
+            self.buf.clear();
+            self.start = 0;
+        } else if self.start >= self.buf.len() / 2 {
+            self.buf.drain(..self.start);
+            self.start = 0;
+        }
         self.buf.extend_from_slice(data);
     }
 
     /// Pop the next complete message, if one has fully arrived.
     pub fn next_message(&mut self) -> Option<Vec<u8>> {
-        if self.buf.len() < 2 {
-            return None;
-        }
-        let len = u16::from_be_bytes([self.buf[0], self.buf[1]]) as usize;
-        if self.buf.len() < 2 + len {
-            return None;
-        }
-        self.buf.advance(2);
-        let msg = self.buf.split_to(len);
-        Some(msg.to_vec())
+        let pending = self.buf.get(self.start..)?;
+        let (prefix, rest) = pending.split_first_chunk::<2>()?;
+        let msg = rest.get(..u16::from_be_bytes(*prefix) as usize)?.to_vec();
+        self.start += 2 + msg.len();
+        Some(msg)
     }
 
     /// Bytes buffered but not yet forming a complete message.
     pub fn pending_len(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.start
     }
 
     /// True if no partial data is buffered.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.pending_len() == 0
     }
 }
 
@@ -148,6 +154,25 @@ mod tests {
         assert!(fb.next_message().is_none());
         fb.extend(b"ab");
         assert_eq!(fb.next_message().unwrap(), b"ab");
+    }
+
+    #[test]
+    fn consumed_bytes_are_compacted_away() {
+        // A long-lived connection: storage must not grow with the
+        // number of messages that have passed through.
+        let mut fb = FrameBuffer::new();
+        let framed = frame(&[7u8; 100]);
+        for _ in 0..10_000 {
+            // One and a half frames per read keeps a partial tail
+            // buffered across every pop.
+            fb.extend(&framed);
+            fb.extend(&framed[..51]);
+            assert!(fb.next_message().is_some());
+            fb.extend(&framed[51..]);
+            assert!(fb.next_message().is_some());
+            assert!(fb.is_empty());
+        }
+        assert!(fb.buf.capacity() < 8 * framed.len(), "capacity {}", fb.buf.capacity());
     }
 
     #[test]

@@ -483,6 +483,7 @@ impl fmt::Display for Message {
 mod tests {
     use super::*;
     use crate::rdata::RData;
+    use ldp_rng::SplitMix64;
 
     fn n(s: &str) -> Name {
         s.parse().unwrap()
@@ -736,51 +737,36 @@ mod tests {
         }
     }
 
-    /// Deterministic splitmix-style generator for seeded message soup.
-    struct Rng(u64);
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-            z ^ (z >> 31)
-        }
-        fn below(&mut self, n: usize) -> usize {
-            (self.next() % n as u64) as usize
-        }
-    }
-
-    fn gen_message(rng: &mut Rng) -> Message {
+    fn gen_message(rng: &mut SplitMix64) -> Message {
         let names = [
             "com", "example.com", "www.example.com", "mail.example.com",
             "ns1.example.com", "a.b.c.example.com", "cdn.example.net",
             "very-long-label-padding-things-out.example.org",
         ];
-        let nm = |rng: &mut Rng| -> Name { names[rng.below(names.len())].parse().unwrap() };
-        let rec = |rng: &mut Rng| -> Record {
-            match rng.below(4) {
+        let nm = |rng: &mut SplitMix64| -> Name { names[rng.gen_range(0..names.len())].parse().unwrap() };
+        let rec = |rng: &mut SplitMix64| -> Record {
+            match rng.gen_range(0..4) {
                 0 => Record::new(nm(rng), 60, RData::A("192.0.2.7".parse().unwrap())),
                 1 => Record::new(nm(rng), 3600, RData::Ns(nm(rng))),
                 2 => Record::new(nm(rng), 30, RData::Txt(vec![b"padding-padding-padding".to_vec()])),
                 _ => Record::new(nm(rng), 300, RData::Cname(nm(rng))),
             }
         };
-        let mut m = Message::query(rng.next() as u16, nm(rng), RecordType::A).response_to();
-        m.flags.authoritative = rng.below(2) == 0;
-        for _ in 0..rng.below(5) {
+        let mut m = Message::query(rng.next_u64() as u16, nm(rng), RecordType::A).response_to();
+        m.flags.authoritative = rng.gen_range(0..2) == 0;
+        for _ in 0..rng.gen_range(0..5) {
             m.answers.push(rec(rng));
         }
-        for _ in 0..rng.below(4) {
+        for _ in 0..rng.gen_range(0..4) {
             m.authorities.push(rec(rng));
         }
-        for _ in 0..rng.below(4) {
+        for _ in 0..rng.gen_range(0..4) {
             m.additionals.push(rec(rng));
         }
-        if rng.below(2) == 0 {
+        if rng.gen_range(0..2) == 0 {
             m.edns = Some(Edns {
-                dnssec_ok: rng.below(2) == 0,
-                options: if rng.below(3) == 0 { vec![(10, vec![1, 2, 3, 4, 5, 6, 7, 8])] } else { Vec::new() },
+                dnssec_ok: rng.gen_range(0..2) == 0,
+                options: if rng.gen_range(0..3) == 0 { vec![(10, vec![1, 2, 3, 4, 5, 6, 7, 8])] } else { Vec::new() },
                 ..Default::default()
             });
         }
@@ -792,7 +778,7 @@ mod tests {
         // The overshoot regression: every limit, including those below
         // header+question+OPT (and below the header itself), must be
         // respected to the byte.
-        let mut rng = Rng(7);
+        let mut rng = SplitMix64::from_state(7);
         for _ in 0..40 {
             let m = gen_message(&mut rng);
             let full = m.encode().len();
@@ -808,7 +794,7 @@ mod tests {
     fn truncation_byte_identical_to_old_algorithm() {
         // Wherever the old drop-and-reencode loop produced a result that
         // fit, the offset-slicing path must reproduce it byte-for-byte.
-        let mut rng = Rng(99);
+        let mut rng = SplitMix64::from_state(99);
         for _ in 0..40 {
             let m = gen_message(&mut rng);
             let full = m.encode().len();
@@ -886,7 +872,7 @@ mod tests {
 
     #[test]
     fn tc_bit_set_on_every_truncated_variant() {
-        let mut rng = Rng(1234);
+        let mut rng = SplitMix64::from_state(1234);
         for _ in 0..20 {
             let m = gen_message(&mut rng);
             let full = m.encode().len();
@@ -903,7 +889,7 @@ mod tests {
 
     #[test]
     fn scratch_reuse_is_byte_identical_to_fresh_encodes() {
-        let mut rng = Rng(42);
+        let mut rng = SplitMix64::from_state(42);
         let mut scratch = crate::EncodeScratch::new();
         for _ in 0..60 {
             let m = gen_message(&mut rng);
@@ -912,7 +898,7 @@ mod tests {
             assert_eq!(reused, m.encode_into(&mut fresh));
             assert_eq!(reused, m.encode());
             assert_eq!(Message::decode(&reused).unwrap(), m);
-            let limit = 40 + (rng.next() as usize % 200);
+            let limit = 40 + (rng.next_u64() as usize % 200);
             let (a, tc_a) = m.encode_udp_into(limit, &mut scratch);
             let (a, tc_a) = (a.to_vec(), tc_a);
             let (b, tc_b) = m.encode_udp(limit);

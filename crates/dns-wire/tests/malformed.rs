@@ -2,6 +2,11 @@
 //! packet must produce `Err`, never a panic — a meta server replaying
 //! millions of real-trace queries will see every one of these shapes.
 
+// Test helpers sit outside #[test] fns, where clippy.toml's test
+// exemption does not reach; the crate-wide panic denies are for
+// production code.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use dns_wire::{Message, Name, RecordType, WireReader};
 
 /// A valid query to mutate.

@@ -8,8 +8,7 @@
 //! real key tags, valid NSEC chains — with deterministic pseudo-random
 //! payload bytes. Substitution documented in DESIGN.md §2.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use ldp_rng::SplitMix64;
 
 use dns_wire::{Name, RData, Record, RecordType, Rrsig};
 
@@ -99,7 +98,7 @@ pub struct SigningKey {
 }
 
 impl SigningKey {
-    fn generate(flags: u16, bits: u32, rng: &mut StdRng) -> Self {
+    fn generate(flags: u16, bits: u32, rng: &mut SplitMix64) -> Self {
         let public_key: Vec<u8> = (0..dnskey_len(bits)).map(|_| rng.gen()).collect();
         let tag = key_tag(flags, 3, 8, &public_key);
         SigningKey {
@@ -139,7 +138,7 @@ pub struct SignedZone {
 /// signers: the child holds authority; the parent serves only unsigned NS
 /// plus signed DS.
 pub fn sign_zone(zone: &Zone, config: SignConfig) -> SignedZone {
-    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut rng = SplitMix64::seed_from_u64(config.seed);
     let ksk = SigningKey::generate(257, config.ksk_bits, &mut rng);
     let mut zsks = vec![SigningKey::generate(256, config.zsk_bits, &mut rng)];
     if let Some(old_bits) = config.rollover_old_bits {
@@ -279,7 +278,7 @@ fn make_rrsig(
     expiration: u32,
     inception: u32,
     key: &SigningKey,
-    rng: &mut StdRng,
+    rng: &mut SplitMix64,
 ) -> Rrsig {
     Rrsig {
         type_covered: covered,

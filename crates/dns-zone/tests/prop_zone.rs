@@ -2,18 +2,20 @@
 //! arbitrary zones, lookup total-ness (never panics, always classifies),
 //! and signing invariants.
 
-use proptest::prelude::*;
-
 use dns_wire::{Name, Question, RData, Record, RecordType, Soa};
 use dns_zone::dnssec::{sign_zone, SignConfig};
 use dns_zone::{lookup, parse_zone, write_zone, AnswerKind, Zone};
+use ldp_rng::check::{check, Gen};
 
-fn arb_label() -> impl Strategy<Value = String> {
-    "[a-z][a-z0-9-]{0,8}[a-z0-9]".prop_map(|s| s)
+/// `[a-z][a-z0-9-]{0,8}[a-z0-9]`
+fn arb_label(g: &mut Gen) -> String {
+    g.string(&['a'..='z'], 1..=1)
+        + &g.string(&['a'..='z', '0'..='9', '-'..='-'], 0..=8)
+        + &g.string(&['a'..='z', '0'..='9'], 1..=1)
 }
 
-fn arb_rel_name() -> impl Strategy<Value = Vec<String>> {
-    proptest::collection::vec(arb_label(), 1..3)
+fn arb_rel_name(g: &mut Gen) -> Vec<String> {
+    g.vec(1..=2, arb_label)
 }
 
 #[derive(Debug, Clone)]
@@ -25,14 +27,16 @@ enum GenRecord {
     Delegation(Vec<String>),
 }
 
-fn arb_record() -> impl Strategy<Value = GenRecord> {
-    prop_oneof![
-        (arb_rel_name(), any::<[u8; 4]>()).prop_map(|(n, ip)| GenRecord::A(n, ip)),
-        (arb_rel_name(), "[a-z ]{0,20}").prop_map(|(n, t)| GenRecord::Txt(n, t)),
-        (arb_rel_name(), any::<u16>()).prop_map(|(n, p)| GenRecord::Mx(n, p)),
-        (arb_rel_name(), arb_rel_name()).prop_map(|(n, t)| GenRecord::Cname(n, t)),
-        arb_rel_name().prop_map(GenRecord::Delegation),
-    ]
+fn arb_record(g: &mut Gen) -> GenRecord {
+    let name = arb_rel_name(g);
+    match g.below(5) {
+        0 => GenRecord::A(name, g.array()),
+        // [a-z ]{0,20}
+        1 => GenRecord::Txt(name, g.string(&['a'..='z', ' '..=' '], 0..=20)),
+        2 => GenRecord::Mx(name, g.u16()),
+        3 => GenRecord::Cname(name, arb_rel_name(g)),
+        _ => GenRecord::Delegation(name),
+    }
 }
 
 /// Build a valid zone from generated records (skipping CNAME conflicts,
@@ -92,76 +96,79 @@ fn build_zone(records: Vec<GenRecord>) -> Zone {
     zone
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn master_file_round_trip(records in proptest::collection::vec(arb_record(), 0..20)) {
-        let zone = build_zone(records);
+#[test]
+fn master_file_round_trip() {
+    check(256, |g| {
+        let zone = build_zone(g.vec(0..=19, arb_record));
         let text = write_zone(&zone);
         let parsed = parse_zone(&text, zone.origin()).expect("writer output parses");
-        prop_assert_eq!(parsed, zone);
-    }
+        assert_eq!(parsed, zone);
+    });
+}
 
-    #[test]
-    fn lookup_total_and_classified(
-        records in proptest::collection::vec(arb_record(), 0..20),
-        qname in arb_rel_name(),
-        qtype in 1u16..60,
-    ) {
-        let zone = build_zone(records);
-        let name: Name = format!("{}.prop.example", qname.join(".")).parse().unwrap();
-        let q = Question::new(name, RecordType::from_u16(qtype));
+#[test]
+fn lookup_total_and_classified() {
+    check(256, |g| {
+        let zone = build_zone(g.vec(0..=19, arb_record));
+        let name: Name = format!("{}.prop.example", arb_rel_name(g).join(".")).parse().unwrap();
+        let q = Question::new(name, RecordType::from_u16(g.range(1..=59) as u16));
         let ans = lookup(&zone, &q);
         // Total: every query is classified, and the invariants of each
         // class hold.
         match ans.kind {
             AnswerKind::Answer | AnswerKind::CnameChain => {
-                prop_assert!(ans.authoritative);
+                assert!(ans.authoritative);
             }
             AnswerKind::Referral { .. } => {
-                prop_assert!(!ans.authoritative);
-                prop_assert!(ans.answers.is_empty());
-                prop_assert!(ans.authorities.iter().any(|r| r.rtype() == RecordType::NS));
+                assert!(!ans.authoritative);
+                assert!(ans.answers.is_empty());
+                assert!(ans.authorities.iter().any(|r| r.rtype() == RecordType::NS));
             }
             AnswerKind::NoData | AnswerKind::NxDomain => {
-                prop_assert!(ans.authorities.iter().any(|r| r.rtype() == RecordType::SOA),
-                    "negative answers carry SOA");
+                assert!(
+                    ans.authorities.iter().any(|r| r.rtype() == RecordType::SOA),
+                    "negative answers carry SOA"
+                );
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn out_of_zone_is_refused(qname in arb_rel_name()) {
+#[test]
+fn out_of_zone_is_refused() {
+    check(256, |g| {
         let zone = build_zone(vec![]);
-        let name: Name = format!("{}.other.example", qname.join(".")).parse().unwrap();
+        let name: Name = format!("{}.other.example", arb_rel_name(g).join(".")).parse().unwrap();
         let ans = lookup(&zone, &Question::new(name, RecordType::A));
-        prop_assert_eq!(ans.rcode, dns_wire::Rcode::Refused);
-    }
+        assert_eq!(ans.rcode, dns_wire::Rcode::Refused);
+    });
+}
 
-    #[test]
-    fn signing_preserves_unsigned_data(records in proptest::collection::vec(arb_record(), 0..12)) {
-        let zone = build_zone(records);
+#[test]
+fn signing_preserves_unsigned_data() {
+    check(256, |g| {
+        let zone = build_zone(g.vec(0..=11, arb_record));
         let signed = sign_zone(&zone, SignConfig::with_zsk_bits(1024));
         // Every original record is still present in the signed zone.
         for rec in zone.records() {
             let node = signed.zone.node(&rec.name);
-            prop_assert!(node.is_some(), "name {} survives signing", rec.name);
-            let node = node.unwrap();
-            let set = node.get(rec.rtype());
-            prop_assert!(set.is_some(), "rrset {}/{} survives", rec.name, rec.rtype());
-            prop_assert!(set.unwrap().rdatas.contains(&rec.rdata));
+            assert!(node.is_some(), "name {} survives signing", rec.name);
+            let set = node.unwrap().get(rec.rtype());
+            assert!(set.is_some(), "rrset {}/{} survives", rec.name, rec.rtype());
+            assert!(set.unwrap().rdatas.contains(&rec.rdata));
         }
         // And the signed zone is strictly bigger.
-        prop_assert!(signed.zone.record_count() > zone.record_count());
-    }
+        assert!(signed.zone.record_count() > zone.record_count());
+    });
+}
 
-    #[test]
-    fn signed_zone_round_trips_master_file(records in proptest::collection::vec(arb_record(), 0..8)) {
-        let zone = build_zone(records);
+#[test]
+fn signed_zone_round_trips_master_file() {
+    check(256, |g| {
+        let zone = build_zone(g.vec(0..=7, arb_record));
         let signed = sign_zone(&zone, SignConfig::with_zsk_bits(1024));
         let text = write_zone(&signed.zone);
         let parsed = parse_zone(&text, signed.zone.origin()).expect("signed zone parses");
-        prop_assert_eq!(parsed, signed.zone);
-    }
+        assert_eq!(parsed, signed.zone);
+    });
 }

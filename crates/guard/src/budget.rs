@@ -7,7 +7,7 @@
 //! constants. An exhausted budget is a *terminal* answer — callers
 //! must surface it (a `Dead` outcome, a `GiveUp` action), never spin.
 
-use crate::rng::SplitMix64;
+use ldp_rng::SplitMix64;
 
 /// A bounded, jittered retry allowance.
 ///
@@ -36,7 +36,7 @@ impl RetryBudget {
             base_us,
             cap_us: cap_us.max(base_us),
             prev_us: base_us,
-            rng: SplitMix64::new(seed),
+            rng: SplitMix64::from_state(seed),
         }
     }
 
@@ -49,7 +49,7 @@ impl RetryBudget {
         }
         self.used += 1;
         let hi = self.prev_us.saturating_mul(3).max(self.base_us + 1);
-        let delay = self.rng.uniform(self.base_us, hi).min(self.cap_us);
+        let delay = self.rng.gen_range(self.base_us..hi).min(self.cap_us);
         self.prev_us = delay.max(self.base_us);
         Some(delay)
     }

@@ -437,7 +437,7 @@ mod tests {
         assert!(cp.to_text().is_err(), "v1 cannot carry inflight entries");
     }
 
-    // -- malformed-document corpus (hand-written, offline) ------------
+    // -- malformed-document corpus (hand-written) ---------------------
 
     fn v2_doc(body: &str) -> String {
         format!("ldpguard checkpoint v2\nepoch 1\ntaken_ns 5\ncursor 4\n{body}")

@@ -6,7 +6,7 @@ use crate::supervisor::SupervisorConfig;
 /// Server-side overload response: token-bucket response rate limiting
 /// with a TC-fallback slip, consulted per view. These knobs build the
 /// `dns-server` rate limiter (`rrl::RrlConfig`) for each view of an
-/// engine; guard keeps only the policy numbers so the sim and tokio
+/// engine; guard keeps only the policy numbers so the sim and socket
 /// servers share one configuration surface.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverloadConfig {
@@ -89,6 +89,7 @@ impl Default for RetransmitConfig {
 /// supervision, dispatch admission control, send-path reconnect
 /// budgets, and the server-side overload response.
 #[derive(Debug, Clone, PartialEq)]
+#[derive(Default)]
 pub struct GuardConfig {
     /// Take a checkpoint after every `checkpoint_every` completed
     /// queries (at the next quiescent cut). `0` disables
@@ -104,17 +105,6 @@ pub struct GuardConfig {
     pub overload: OverloadConfig,
 }
 
-impl Default for GuardConfig {
-    fn default() -> Self {
-        GuardConfig {
-            checkpoint_every: 0,
-            supervisor: SupervisorConfig::default(),
-            admission: AdmissionConfig::default(),
-            reconnect: ReconnectConfig::default(),
-            overload: OverloadConfig::default(),
-        }
-    }
-}
 
 impl GuardConfig {
     /// A configuration with every protection off — the pre-guard

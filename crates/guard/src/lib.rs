@@ -28,13 +28,11 @@
 //!   slots with bounded restart budgets and re-dispatch of a dead
 //!   querier's unacknowledged trace span.
 //! - [`config`]: [`GuardConfig`] — every knob in one place.
-//! - [`rng`]: [`SplitMix64`] — the crate's own tiny seeded PRNG, so
-//!   guard stays dependency-free and deterministic (lint rule D3).
 //!
 //! Everything here is pure logic over explicit `now` parameters — no
-//! clocks, no threads, no I/O — so the whole crate unit-tests offline
-//! and behaves identically under the simulator's virtual time and the
-//! tokio engine's wall time.
+//! clocks, no threads, no I/O — so the whole crate unit-tests without
+//! sockets and behaves identically under the simulator's virtual time
+//! and the socket engine's wall time.
 
 #![warn(missing_docs)]
 
@@ -43,7 +41,6 @@ pub mod budget;
 pub mod checkpoint;
 pub mod config;
 pub mod inflight;
-pub mod rng;
 pub mod supervisor;
 
 pub use admission::{Admission, AdmissionConfig, AdmissionController};
@@ -51,5 +48,4 @@ pub use budget::{BudgetSnapshot, RetryBudget};
 pub use checkpoint::{Checkpoint, CheckpointParseError};
 pub use config::{GuardConfig, OverloadConfig, ReconnectConfig, RetransmitConfig};
 pub use inflight::{InflightEntry, InflightStatus};
-pub use rng::SplitMix64;
 pub use supervisor::{Supervisor, SupervisorAction, SupervisorConfig};

@@ -4,7 +4,7 @@
 //! The supervisor is a pure state machine over explicit `now`
 //! parameters — the replay engine feeds it heartbeats and sequence
 //! acknowledgements from its querier threads and polls it for
-//! actions; the same logic would drive tokio tasks or sim hosts. A
+//! actions; the same logic would drive sim hosts. A
 //! slot that stops heartbeating is scheduled for restart after a
 //! jittered backoff drawn from its [`RetryBudget`]; when the budget
 //! runs dry the slot is declared dead for good ([`SupervisorAction::GiveUp`])
@@ -124,7 +124,7 @@ impl Supervisor {
     /// heartbeat.
     pub fn ack(&mut self, slot: usize, seq: u64, now_us: u64) {
         if let Some(s) = self.slots.get_mut(slot) {
-            if s.acked_seq.map_or(true, |prev| seq > prev) {
+            if s.acked_seq.is_none_or(|prev| seq > prev) {
                 s.acked_seq = Some(seq);
             }
         }
@@ -137,7 +137,7 @@ impl Supervisor {
         if self
             .slots
             .get(slot)
-            .map_or(false, |s| s.state == SlotState::Alive)
+            .is_some_and(|s| s.state == SlotState::Alive)
         {
             self.begin_restart(slot, now_us);
         }
@@ -206,7 +206,7 @@ impl Supervisor {
     pub fn is_dead(&self, slot: usize) -> bool {
         self.slots
             .get(slot)
-            .map_or(false, |s| s.state == SlotState::Dead)
+            .is_some_and(|s| s.state == SlotState::Dead)
     }
 
     /// Number of supervised slots.

@@ -1,5 +1,6 @@
-// Fixture: the tainted twin of tokio_a.rs — same fn name, reads the
-// wall clock (allowed here: tokio_* files are real-clock modules).
+// Fixture: the tainted twin of replay/src/helper_a.rs — same fn name,
+// reads the wall clock (allowed here: socket_server.rs is a real-clock
+// module).
 // Ambiguity between the two candidates must widen D4's search, never
 // suppress it.
 

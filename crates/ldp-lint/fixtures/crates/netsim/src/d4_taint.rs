@@ -4,5 +4,5 @@
 // and reports the full taint chain.
 
 pub fn sim_step(now_us: u64) -> u64 {
-    crate::tokio_util::stamp_now() + now_us
+    crate::capture::stamp_now() + now_us
 }

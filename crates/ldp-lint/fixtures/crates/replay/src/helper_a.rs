@@ -1,4 +1,4 @@
-// Fixture: one of two same-named helpers (see tokio_b.rs). This one is
+// Fixture: one of two same-named helpers (see dns-server/src/socket_server.rs). This one is
 // clean; D4's conservative call resolution must still follow the
 // ambiguous call in d4_ambiguous.rs to BOTH candidates and report the
 // tainted one.

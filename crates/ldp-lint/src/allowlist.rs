@@ -154,8 +154,9 @@ D2 sim.rs
         assert!(Allowlist::parse("D1").is_err());
         assert!(Allowlist::parse("D9 some/path.rs").is_err());
         assert!(Allowlist::parse("D1 a.rs extra-token").is_err());
-        // The v2 rules are valid entries (ids come from the catalog).
-        assert!(Allowlist::parse("D4 a.rs\nC1 b.rs\nC2 c.rs").is_ok());
+        // Every catalog id is a valid entry; retired ids are not.
+        assert!(Allowlist::parse("D4 a.rs\nS1 b.rs").is_ok());
+        assert!(Allowlist::parse("P2 a.rs").is_err());
     }
 
     #[test]

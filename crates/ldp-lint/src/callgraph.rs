@@ -4,7 +4,7 @@
 //! deliberately conservative: a call whose receiver type cannot be
 //! determined fans out to **every** workspace method with that name, so
 //! ambiguity can widen a taint report but never suppress one. Calls
-//! that resolve into `std`/`core`/`tokio` (via `use` imports or inline
+//! that resolve into `std`/`core`/`alloc` (via `use` imports or inline
 //! paths) produce no edge — those callees are not workspace functions.
 
 use std::collections::BTreeMap;
@@ -21,7 +21,7 @@ pub struct CallGraph {
 }
 
 /// External path roots that never resolve to workspace functions.
-const EXTERNAL_ROOTS: &[&str] = &["std", "core", "alloc", "tokio"];
+const EXTERNAL_ROOTS: &[&str] = &["std", "core", "alloc"];
 
 /// Control keywords that look like call sites (`if (…)`, `while (…)`).
 fn is_call_keyword(t: &str) -> bool {
@@ -165,7 +165,7 @@ fn resolve_method(
             let via_field = i
                 .checked_sub(4)
                 .filter(|&p| toks[p + 1].text == "." && toks[p].text == "self")
-                .and_then(|_| caller.self_ty.as_ref())
+                .and(caller.self_ty.as_ref())
                 .and_then(|st| index.fields.get(&(st.clone(), r.clone())))
                 .map(|h| h.name.clone());
             via_field
@@ -238,7 +238,7 @@ fn resolve_path_call(
     }
     segs.reverse(); // now [a, b, Q]
     let Some(qualifier) = segs.last().cloned() else { return };
-    // External path (`std::thread::sleep`, `tokio::time::sleep`)?
+    // External path (`std::thread::sleep`)?
     if segs
         .first()
         .map(|r| EXTERNAL_ROOTS.contains(&r.as_str()))
@@ -455,11 +455,11 @@ mod tests {
     }
 
     #[test]
-    fn std_and_tokio_paths_produce_no_edges() {
+    fn std_paths_produce_no_edges() {
         let files = [file(
             "crates/netsim/src/sim.rs",
             "use std::thread::sleep as zzz;
-             pub fn f() { std::thread::sleep(d); tokio::time::sleep(d); zzz(d); }
+             pub fn f() { std::thread::sleep(d); core::hint::sleep(d); zzz(d); }
              pub fn sleep(d: u64) {}",
         )];
         let (idx, g) = graph_for(&files);
@@ -488,7 +488,7 @@ mod tests {
                 "pub fn run_sim() { stamp(); }",
             ),
             file(
-                "crates/replay/src/tokio_util.rs",
+                "crates/replay/src/capture.rs",
                 "pub fn stamp() -> u64 { Instant::now().elapsed().as_nanos() as u64 }",
             ),
         ];
@@ -499,7 +499,7 @@ mod tests {
         assert_eq!(diags[0].rule, "D4");
         assert_eq!(diags[0].path, "crates/netsim/src/sim.rs");
         assert!(diags[0].message.contains("run_sim"));
-        assert!(diags[0].message.contains("tokio_util.rs"));
+        assert!(diags[0].message.contains("capture.rs"));
     }
 
     #[test]
@@ -513,9 +513,9 @@ mod tests {
             // Two same-named free fns: one clean, one tainted. The
             // conservative resolver must keep both edges, so the taint
             // still surfaces.
-            file("crates/replay/src/tokio_a.rs", "pub fn helper_now() -> u64 { 0 }"),
+            file("crates/replay/src/helper_a.rs", "pub fn helper_now() -> u64 { 0 }"),
             file(
-                "crates/replay/src/tokio_b.rs",
+                "crates/dns-server/src/socket_server.rs",
                 "pub fn helper_now() -> u64 { Instant::now().elapsed().as_micros() as u64 }",
             ),
         ];

@@ -225,16 +225,12 @@ mod tests {
         assert_eq!(hit("D2", "netsim/src/d2_hash_iter.rs").line, 10);
         assert_eq!(hit("D3", "workloads/src/d3_thread_rng.rs").line, 4);
         assert_eq!(hit("P1", "dns-wire/src/p1_unwrap.rs").line, 5);
-        assert_eq!(hit("P2", "dns-server/src/p2_unwrap.rs").line, 5);
-        assert_eq!(hit("P2", "dns-server/src/p2_panic.rs").line, 7);
         assert_eq!(hit("A1", "dns-server/src/a1_unbounded.rs").line, 4);
         assert_eq!(hit("T1", "telemetry/src/t1_wall_clock.rs").line, 5);
         assert_eq!(hit("R1", "replay/src/r1_unbounded_retry.rs").line, 4);
         // v2 cross-file rules.
         assert_eq!(hit("D4", "netsim/src/d4_taint.rs").line, 6);
         assert_eq!(hit("D4", "netsim/src/d4_ambiguous.rs").line, 7);
-        assert_eq!(hit("C1", "dns-server/src/tokio_c1.rs").line, 5);
-        assert_eq!(hit("C2", "dns-server/src/tokio_c2.rs").line, 10);
         assert_eq!(hit("S1", "shard/src/s1_enqueue_remote.rs").line, 5);
         // exchange.rs is the sanctioned enqueue_remote call site.
         assert!(
@@ -244,14 +240,6 @@ mod tests {
                 .any(|d| d.rule == "S1" && d.path.ends_with("shard/src/exchange.rs")),
             "{:#?}",
             report.errors
-        );
-        // P2's indexing layer is warning-tier.
-        assert!(
-            report.warnings.iter().any(|d| d.rule == "P2"
-                && d.path.ends_with("dns-wire/src/p2_index.rs")
-                && d.line == 5),
-            "{:#?}",
-            report.warnings
         );
     }
 
@@ -305,19 +293,15 @@ mod tests {
              D4 netsim/src/d4_taint.rs\n\
              D4 netsim/src/d4_ambiguous.rs\n\
              P1 dns-wire/src/p1_unwrap.rs\n\
-             P2 dns-server/src/p2_unwrap.rs\n\
-             P2 dns-server/src/p2_panic.rs\n\
              A1 dns-server/src/a1_unbounded.rs\n\
              T1 telemetry/src/t1_wall_clock.rs\n\
              R1 replay/src/r1_unbounded_retry.rs\n\
-             C1 dns-server/src/tokio_c1.rs\n\
-             C2 dns-server/src/tokio_c2.rs\n\
              S1 shard/src/s1_enqueue_remote.rs\n",
         )
         .unwrap();
         let report = check(&fixture_root(), al).expect("fixture walk");
         assert!(report.errors.is_empty(), "{:#?}", report.errors);
-        assert!(report.suppressed >= 15);
+        assert!(report.suppressed >= 11);
         assert_eq!(report.exit_code(), 0);
     }
 

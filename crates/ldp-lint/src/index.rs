@@ -4,7 +4,7 @@
 //! cross-file rules need:
 //!
 //! * **fn definitions** — name, containing module path (derived from the
-//!   file path), `async`-ness, the impl type / trait they belong to,
+//!   file path), the impl type / trait they belong to,
 //!   parameter head types, and the token span of the body;
 //! * **struct/enum fields** — `(owner, field) → head type`;
 //! * **type aliases** — `type A = HashMap<…>` → `A → HashMap`;
@@ -55,8 +55,6 @@ pub struct FnDef {
     pub file: usize,
     /// 1-based line of the `fn` keyword.
     pub line: u32,
-    /// Declared with the `async` keyword.
-    pub is_async: bool,
     /// `Some(type)` when defined inside an `impl` block.
     pub self_ty: Option<String>,
     /// `Some(trait)` when defined inside `impl Trait for Type`.
@@ -517,20 +515,6 @@ fn collect_fns(
         if is_keyword(&name) {
             continue;
         }
-        // Modifier scan-back for `async` (pub/const/unsafe/extern "" …).
-        let mut is_async = false;
-        let mut k = i;
-        while k > 0 {
-            k -= 1;
-            match toks[k].text.as_str() {
-                "async" => {
-                    is_async = true;
-                }
-                "pub" | "const" | "unsafe" | "extern" | "\"\"" | "(" | ")" | "crate" | "super"
-                | "in" | "default" => {}
-                _ => break,
-            }
-        }
         // Innermost impl whose body contains this fn.
         let ctx = impls
             .iter()
@@ -578,7 +562,6 @@ fn collect_fns(
             module: module.to_string(),
             file: file_id,
             line: toks[i].line,
-            is_async,
             self_ty: ctx.map(|c| c.self_ty.clone()),
             trait_name: ctx.and_then(|c| c.trait_name.clone()),
             params,
@@ -739,7 +722,7 @@ mod tests {
     }
 
     #[test]
-    fn fn_defs_capture_async_impl_and_params() {
+    fn fn_defs_capture_impl_and_params() {
         let idx = build(&[file(
             "crates/netsim/src/sim.rs",
             r#"
@@ -747,7 +730,7 @@ mod tests {
             impl Ctx {
                 pub fn now(&self) -> SimTime { SimTime::ZERO }
             }
-            pub async fn drive(ctx: &mut Ctx, n: usize) {}
+            pub fn drive(ctx: &mut Ctx, n: usize) {}
             trait Clock { fn tick(&self); }
             impl Clock for Ctx { fn tick(&self) {} }
             "#,
@@ -755,11 +738,9 @@ mod tests {
         let now = &idx.fns[idx.by_name["now"][0]];
         assert_eq!(now.self_ty.as_deref(), Some("Ctx"));
         assert_eq!(now.trait_name, None);
-        assert!(!now.is_async);
         assert_eq!(now.params[0], ("self".into(), HeadTy { name: "Ctx".into(), is_trait_obj: false }));
 
         let drive = &idx.fns[idx.by_name["drive"][0]];
-        assert!(drive.is_async);
         assert_eq!(drive.self_ty, None);
         assert_eq!(drive.params[0].1.name, "Ctx");
         assert_eq!(drive.params[1].1.name, "usize");
@@ -801,9 +782,9 @@ mod tests {
     #[test]
     fn use_groups_and_import_paths() {
         let f = file(
-            "crates/dns-server/src/tokio_server.rs",
+            "crates/dns-server/src/socket_server.rs",
             "use std::net::{SocketAddr, TcpStream};
-             use tokio::net::{TcpListener, UdpSocket as Udp};",
+             use netsim::host::{HostId, PacketBytes as Bytes};",
         );
         let idx = build(&[f]);
         assert_eq!(
@@ -811,10 +792,10 @@ mod tests {
             &["std".to_string(), "net".into(), "TcpStream".into()]
         );
         assert_eq!(
-            idx.import_path(0, "Udp").unwrap(),
-            &["tokio".to_string(), "net".into(), "UdpSocket".into()]
+            idx.import_path(0, "Bytes").unwrap(),
+            &["netsim".to_string(), "host".into(), "PacketBytes".into()]
         );
-        assert_eq!(idx.import_path(0, "TcpListener").unwrap()[0], "tokio");
+        assert_eq!(idx.import_path(0, "HostId").unwrap()[0], "netsim");
     }
 
     #[test]
@@ -831,7 +812,7 @@ mod tests {
     #[test]
     fn wall_clock_reads_are_marked() {
         let idx = build(&[file(
-            "crates/replay/src/tokio_util.rs",
+            "crates/replay/src/capture.rs",
             "pub fn stamp() -> u64 { Instant::now().elapsed().as_nanos() as u64 }
              pub fn clean() -> u64 { 0 }",
         )]);

@@ -1,8 +1,7 @@
 //! Minimal JSON support for `--format json` and `report`.
 //!
-//! ldp-lint is dependency-free by construction (the offline gate builds
-//! it with a bare `rustc` invocation), so this module hand-rolls the
-//! two pieces the CLI needs:
+//! ldp-lint is dependency-free like the rest of the workspace, so this
+//! module hand-rolls the two pieces the CLI needs:
 //!
 //! * [`escape`] — string escaping for the writer side (the writer
 //!   itself is plain `format!` calls in the driver).

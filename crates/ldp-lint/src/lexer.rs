@@ -1,8 +1,7 @@
 //! A minimal Rust lexer for rule matching.
 //!
 //! `syn` is the obvious tool for a custom lint pass, but the workspace
-//! is buildable offline and this crate keeps the zero-dependency
-//! property of the toolchain scripts, so we lex by hand. The rules in
+//! is `std` only and builds with no network, so we lex by hand. The rules in
 //! [`crate::rules`] only need a comment/string-stripped token stream
 //! with line numbers and enough structure to skip `#[cfg(test)]`
 //! modules — all of which a few hundred lines of lexer provide.
@@ -373,8 +372,8 @@ mod tests {
     #[test]
     fn raw_identifiers_do_not_lex_as_keywords() {
         // `r#async` / `r#type` are ordinary identifiers; lexing them as
-        // the bare keyword would false-positive the C1 async-region
-        // detector (and any future keyword-anchored rule).
+        // the bare keyword would false-positive any keyword-anchored
+        // rule.
         let toks = texts("fn r#async(r#type: u32) { let r#fn = r#type; }");
         assert!(!toks.contains(&"async".to_string()), "{toks:?}");
         assert!(!toks.contains(&"type".to_string()), "{toks:?}");

@@ -11,14 +11,10 @@
 //! * **D4** no sim-path fn may *transitively* reach a wall-clock read
 //!   (call-graph taint; direct reads are D1/T1)
 //! * **P1** no panics in packet-decode / server hot paths
-//! * **P2** no unwrap/expect or panic!-family macros elsewhere in the
-//!   hot-path crates; slice indexing in P1 files is warning-tier
 //! * **A1** no unbounded channels in server/replay/proxy crates
 //! * **T1** no raw clock reads in crates/telemetry — use ClockSource
 //! * **R1** no unbounded retry loops in server/replay/proxy crates
-//! * **C1** no blocking calls (thread::sleep, sync std::fs/std::net,
-//!   `.wait()`) inside async code
-//! * **C2** no sync Mutex/RwLock guard held across `.await`
+//! * **S1** no cross-shard sends outside the shard crate's exchange
 //!
 //! Usage:
 //!
@@ -39,16 +35,13 @@
 //! validates it and prints per-rule counts (exit 2 on malformed input) —
 //! the CI gate uses it to prove the JSON side stays parseable.
 //!
-//! The crate is deliberately dependency-free (a hand-rolled lexer rather
-//! than `syn`) so the pass runs even on offline builders where the
-//! registry is unreachable: `rustc --edition 2021 crates/ldp-lint/src/main.rs`
-//! produces a working binary.
+//! The crate is dependency-free like the rest of the workspace: a
+//! hand-rolled lexer rather than `syn`.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 mod allowlist;
-mod async_rules;
 mod callgraph;
 mod driver;
 mod index;

@@ -7,12 +7,9 @@
 //! | D3   | no ambient randomness (`thread_rng`, `rand::random`, `from_entropy`) — all RNG is seeded |
 //! | D4   | no sim-path fn may *transitively* reach a wall-clock read through the call graph |
 //! | P1   | no `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!` in packet-decode and server hot paths |
-//! | P2   | no `unwrap`/`expect`/`panic!`-family macros in the remaining files of the hot-path crates; slice indexing in the P1 file set is a warning |
 //! | A1   | no unbounded channels in the server/replay/proxy crates |
 //! | T1   | no raw clock reads inside `crates/telemetry` — all time flows through `ClockSource` |
 //! | R1   | a loop that calls a retry/reconnect/backoff helper must reference a budget/cap identifier (server/replay/proxy crates) |
-//! | C1   | no blocking calls (`thread::sleep`, sync `std::fs`/`std::net` I/O, `.wait()`) inside async regions |
-//! | C2   | no sync `Mutex`/`RwLock` guard held across an `.await` point |
 //!
 //! Detection is token-based (see [`crate::lexer`]): comments, strings
 //! and `#[cfg(test)]` code never trigger a rule. Scoping is path-based
@@ -21,7 +18,7 @@
 //! is two-phase: phase 1 tokenizes every file and builds the workspace
 //! symbol index ([`crate::index`]) and call graph ([`crate::callgraph`]);
 //! phase 2 runs the per-file rules plus the cross-file rules (D2's
-//! cross-file layer, D4, C1, C2) over it.
+//! cross-file layer, D4) over it.
 
 use std::collections::BTreeSet;
 
@@ -58,7 +55,7 @@ pub struct Diagnostic {
 /// validation and the DESIGN.md §7 table all derive from.
 #[derive(Debug, Clone, Copy)]
 pub struct RuleInfo {
-    /// Rule id (`D1` … `C2`).
+    /// Rule id (`D1` … `S1`).
     pub id: &'static str,
     /// Worst severity the rule emits (`error` or `warning`).
     pub severity: &'static str,
@@ -74,7 +71,7 @@ pub const CATALOG: &[RuleInfo] = &[
         id: "D1",
         severity: "error",
         summary: "no Instant::now/SystemTime::now outside real-clock modules \
-                  (tokio_* files, capture.rs, crates/bench)",
+                  (socket_server.rs, capture.rs, crates/bench)",
         rationale: "Sim-path code that reads the wall clock produces transcripts that \
                     differ run to run; all time flows through the replay/netsim clock \
                     abstractions so virtual-time runs are bit-reproducible.",
@@ -83,7 +80,7 @@ pub const CATALOG: &[RuleInfo] = &[
         id: "D2",
         severity: "error",
         summary: "no order-dependent iteration over HashMap/HashSet in simulator paths \
-                  (crates/netsim/src, crates/chaos/src, crates/cache/src, sim_*.rs) — \
+                  (crates/netsim/src, crates/chaos/src, crates/cache/src, crates/rng/src, sim_*.rs) — \
                   resolved through type aliases and struct fields across files; any \
                   hash-collection mention there is a warning",
         rationale: "Hash iteration order is randomized per process; if it reaches event \
@@ -99,7 +96,7 @@ pub const CATALOG: &[RuleInfo] = &[
                   must flow from a seeded RNG",
         rationale: "Ambient entropy makes workload generation and chaos injection \
                     unrepeatable; every RNG is constructed from an explicit seed \
-                    (e.g. StdRng::seed_from_u64) so experiments can be replayed.",
+                    (ldp_rng::SplitMix64::seed_from_u64) so experiments can be replayed.",
     },
     RuleInfo {
         id: "D4",
@@ -107,7 +104,7 @@ pub const CATALOG: &[RuleInfo] = &[
         summary: "no sim-path fn may transitively reach Instant::now/SystemTime::now \
                   through the workspace call graph",
         rationale: "D1 sees only direct reads; a helper one hop away (often in a \
-                    real-clock-exempt tokio_* file) still leaks wall time into the \
+                    real-clock-exempt socket_server.rs) still leaks wall time into the \
                     simulation. The call graph is resolved by name through the symbol \
                     index and is conservative on ambiguity: an ambiguous callee widens \
                     the search, never suppresses a report. The diagnostic prints the \
@@ -125,22 +122,10 @@ pub const CATALOG: &[RuleInfo] = &[
                     the process down.",
     },
     RuleInfo {
-        id: "P2",
-        severity: "error",
-        summary: "no unwrap/expect or panic!-family macros in the remaining files of \
-                  the hot-path crates (dns-wire, dns-server, proxy, telemetry); slice \
-                  indexing `[…]` in the P1 file set is a warning",
-        rationale: "The offline stand-in for clippy's unwrap_used/expect_used/panic/\
-                    unreachable denies, which only run when cargo can reach the \
-                    registry. Indexing is a warning, not an error, mirroring the online \
-                    gate (clippy::indexing_slicing is not denied there): length-checked \
-                    index sites are pervasive in dns-wire and forcing get() everywhere \
-                    would churn correct code.",
-    },
-    RuleInfo {
         id: "A1",
         severity: "error",
-        summary: "no unbounded channels in dns-server/replay/proxy/guard crates",
+        summary: "no unbounded channels (`unbounded`, `unbounded_channel`, std `mpsc::channel`) \
+                  in dns-server/replay/proxy/guard crates",
         rationale: "The pre-load window (paper §2.6) depends on bounded stage-to-stage \
                     queues for backpressure; an unbounded channel turns overload into \
                     unbounded memory growth instead of a measurable stall.",
@@ -165,26 +150,6 @@ pub const CATALOG: &[RuleInfo] = &[
                     prevent.",
     },
     RuleInfo {
-        id: "C1",
-        severity: "error",
-        summary: "no blocking calls inside async regions: std::thread::sleep, \
-                  synchronous std::fs / std::net I/O, .wait()",
-        rationale: "A blocking call inside an async fn parks the executor thread; under \
-                    fleet-scale replay every task multiplexed onto that worker stalls \
-                    with it, skewing send timings. Names are resolved through the use \
-                    imports, so tokio::net/tokio::time equivalents never trip the rule.",
-    },
-    RuleInfo {
-        id: "C2",
-        severity: "error",
-        summary: "no sync Mutex/RwLock guard held across an .await point",
-        rationale: "A task suspended at .await while holding a std/parking_lot guard \
-                    can be resumed on another worker — or never — deadlocking every \
-                    thread that contends for the lock. tokio::sync::Mutex \
-                    (.lock().await) is async-aware and allowed; dropping the guard \
-                    before awaiting also satisfies the rule.",
-    },
-    RuleInfo {
         id: "S1",
         severity: "error",
         summary: "no direct Simulator::enqueue_remote calls in crates/shard/src \
@@ -207,15 +172,16 @@ pub fn rule_info(id: &str) -> Option<&'static RuleInfo> {
 pub struct FileScope {
     /// Test/bench/example/fixture code: no rules at all.
     pub exempt: bool,
-    /// Real-clock module (D1 does not apply): `tokio_*`, `capture.rs`,
-    /// bench binaries.
+    /// Real-clock module (D1 does not apply): `socket_server.rs`,
+    /// `capture.rs`, bench binaries.
     pub real_clock_ok: bool,
     /// Simulator-path file (D2 applies): `crates/netsim/src/**`,
     /// `crates/chaos/src/**` (fault injection runs inside the
     /// simulator's delivery path), `crates/cache/src/**` (the resolver
     /// cache's iteration order decides evictions and fan-out order),
     /// `crates/shard/src/**` (the sharded coordinator is simulator
-    /// infrastructure), `sim_*.rs` anywhere.
+    /// infrastructure), `crates/rng/src/**` (every seeded draw in a
+    /// simulation comes from it), `sim_*.rs` anywhere.
     pub sim_path: bool,
     /// Panic-safety hot path (P1 applies): `crates/dns-wire/src/**`,
     /// `crates/proxy/src/**`, `crates/cache/src/**` (every resolver
@@ -228,10 +194,6 @@ pub struct FileScope {
     /// `crates/replay/src/retransmit.rs` (called on every UDP
     /// dispatch).
     pub hot_path: bool,
-    /// Lighter panic discipline (P2: no `unwrap`/`expect`) for the rest
-    /// of the hot-path crates — dns-wire, dns-server, proxy, telemetry —
-    /// where P1 does not already apply.
-    pub panic_lite: bool,
     /// Channel/retry-discipline crate (A1 and R1 apply): dns-server,
     /// replay, proxy — the crates that dial, redial and resend — plus
     /// guard, which owns the retry budgets themselves.
@@ -256,7 +218,7 @@ pub fn classify(path: &str) -> FileScope {
         || in_dir("examples")
         || in_dir("fixtures")
         || in_dir("target");
-    let real_clock_ok = file.starts_with("tokio_")
+    let real_clock_ok = file == "socket_server.rs"
         || file == "capture.rs"
         || in_dir("crates/bench")
         || p.contains("crates/bench/");
@@ -264,6 +226,7 @@ pub fn classify(path: &str) -> FileScope {
     let sim_path = p.contains("crates/netsim/src/")
         || p.contains("crates/chaos/src/")
         || p.contains("crates/cache/src/")
+        || p.contains("crates/rng/src/")
         || shard_path
         || file.starts_with("sim_");
     let hot_path = p.contains("crates/dns-wire/src/")
@@ -282,18 +245,12 @@ pub fn classify(path: &str) -> FileScope {
         || p.contains("crates/proxy/")
         || p.contains("crates/guard/");
     let telemetry_path = p.contains("crates/telemetry/src/");
-    let panic_lite = !hot_path
-        && (p.contains("crates/dns-wire/src/")
-            || p.contains("crates/dns-server/src/")
-            || p.contains("crates/proxy/src/")
-            || telemetry_path);
 
     FileScope {
         exempt,
         real_clock_ok,
         sim_path,
         hot_path,
-        panic_lite,
         channel_scope,
         telemetry_path,
         shard_path,
@@ -332,7 +289,7 @@ pub fn analyze_source(path: &str, src: &str) -> Vec<Diagnostic> {
 
 /// Phase 1 + phase 2 over a set of files: build the symbol index and
 /// call graph, then run per-file rules and cross-file rules (D2's
-/// cross-file layer, D4, C1, C2).
+/// cross-file layer, D4).
 pub fn analyze_files(files: &[FileData]) -> Vec<Diagnostic> {
     let index = crate::index::build(files);
     let graph = crate::callgraph::build(files, &index);
@@ -356,10 +313,6 @@ pub fn analyze_files(files: &[FileData]) -> Vec<Diagnostic> {
         rule_d3(path, toks, &mut diags);
         if scope.hot_path {
             rule_p1(path, toks, &mut diags);
-            rule_p2_indexing(path, toks, &mut diags);
-        }
-        if scope.panic_lite {
-            rule_p2(path, toks, &mut diags);
         }
         if scope.channel_scope {
             rule_a1(path, toks, &mut diags);
@@ -368,8 +321,6 @@ pub fn analyze_files(files: &[FileData]) -> Vec<Diagnostic> {
         if scope.shard_path {
             rule_s1(path, toks, &mut diags);
         }
-        crate::async_rules::rule_c1(fid, fd, &index, &mut diags);
-        crate::async_rules::rule_c2(fd, &mut diags);
     }
     crate::callgraph::rule_d4(files, &index, &graph, &mut diags);
     diags.sort_by(|a, b| (a.path.as_str(), a.line, a.rule).cmp(&(b.path.as_str(), b.line, b.rule)));
@@ -880,99 +831,16 @@ fn rule_s1(path: &str, toks: &[Token], diags: &mut Vec<Diagnostic>) {
     }
 }
 
-/// P2 — `unwrap`/`expect` in the remaining files of the hot-path crates.
-///
-/// A grep-tier offline stand-in for the clippy `unwrap_used`/
-/// `expect_used` denies that only run when cargo can resolve the
-/// registry: dns-wire, dns-server, proxy and telemetry must stay
-/// panic-free in production code even where the stricter P1 scope
-/// (decode/server hot paths, which also bans `panic!`-family macros)
-/// does not apply.
-fn rule_p2(path: &str, toks: &[Token], diags: &mut Vec<Diagnostic>) {
-    for (i, t) in toks.iter().enumerate() {
-        if t.text == "."
-            && i + 2 < toks.len()
-            && toks[i + 2].text == "("
-            && (toks[i + 1].text == "unwrap" || toks[i + 1].text == "expect")
-        {
-            push(
-                diags,
-                "P2",
-                Severity::Error,
-                path,
-                toks[i + 1].line,
-                format!(
-                    "`.{}()` in a hot-path crate — handle the None/Err arm explicitly \
-                     (clippy denies this under cargo; this is the offline gate)",
-                    toks[i + 1].text
-                ),
-            );
-        }
-        // `panic!` / `unreachable!` / `todo!` / `unimplemented!` — the
-        // online gate denies clippy::panic and clippy::unreachable
-        // crate-wide in these crates, not just in the P1 hot-path set.
-        if i + 1 < toks.len()
-            && toks[i + 1].text == "!"
-            && matches!(t.text.as_str(), "panic" | "unreachable" | "todo" | "unimplemented")
-        {
-            push(
-                diags,
-                "P2",
-                Severity::Error,
-                path,
-                t.line,
-                format!(
-                    "`{}!` in a hot-path crate — return a typed error (clippy denies \
-                     panic/unreachable crate-wide under cargo; this is the offline gate)",
-                    t.text
-                ),
-            );
-        }
-    }
-}
-
-/// P2's indexing layer — slice/array indexing in the P1 hot-path file
-/// set. Out-of-bounds indexing panics, which in a packet-decode or
-/// per-query server path means one malformed packet takes down the
-/// worker. Warning-tier: it mirrors the online gate, where
-/// `clippy::indexing_slicing` is *not* denied, so existing uses fail
-/// soft while new code is steered toward `.get()`.
-fn rule_p2_indexing(path: &str, toks: &[Token], diags: &mut Vec<Diagnostic>) {
-    for (i, t) in toks.iter().enumerate() {
-        if t.text != "[" || i == 0 {
-            continue;
-        }
-        let prev = &toks[i - 1];
-        // An index expression follows a value: `name[`, `call(..)[`,
-        // `arr[0][`. Array-literal/type positions follow operators,
-        // keywords, or punctuation and are skipped.
-        let indexes_value = prev.text == ")"
-            || prev.text == "]"
-            || (prev.is_ident() && !crate::index::is_keyword(&prev.text) && prev.text != "_");
-        if !indexes_value {
-            continue;
-        }
-        // Empty index `[]` (e.g. `&[]`) or immediate close is not indexing.
-        if i + 1 < toks.len() && toks[i + 1].text == "]" {
-            continue;
-        }
-        push(
-            diags,
-            "P2",
-            Severity::Warning,
-            path,
-            t.line,
-            "slice/array indexing can panic on out-of-bounds — prefer .get()/\
-             split_first()/chunks() in decode hot paths (warning-tier: the online \
-             gate does not deny clippy::indexing_slicing)",
-        );
-    }
-}
-
 /// A1 — unbounded channels in server/replay/proxy crates.
 fn rule_a1(path: &str, toks: &[Token], diags: &mut Vec<Diagnostic>) {
-    for t in toks {
-        if t.text == "unbounded" || t.text == "unbounded_channel" {
+    for (i, t) in toks.iter().enumerate() {
+        // std's unbounded constructor is `mpsc::channel` (the bounded
+        // one is `sync_channel`).
+        let std_unbounded = t.text == "channel"
+            && i >= 2
+            && toks[i - 1].text == "::"
+            && toks[i - 2].text == "mpsc";
+        if t.text == "unbounded" || t.text == "unbounded_channel" || std_unbounded {
             push(
                 diags,
                 "A1",
@@ -1125,7 +993,7 @@ mod tests {
     fn d1_allows_real_clock_modules() {
         let src = "fn f() { let t = Instant::now(); }";
         assert!(errors("crates/replay/src/capture.rs", src).is_empty());
-        assert!(errors("crates/dns-server/src/tokio_server.rs", src).is_empty());
+        assert!(errors("crates/dns-server/src/socket_server.rs", src).is_empty());
         assert!(errors("crates/bench/src/bin/ablations.rs", src).is_empty());
     }
 
@@ -1279,84 +1147,9 @@ mod tests {
         assert!(errors("crates/dns-server/src/template.rs", src).iter().any(|d| d.rule == "P1"));
         // Outside the hot-path crates, unwrap is clippy's problem.
         assert!(errors("crates/metrics/src/histogram.rs", src).is_empty());
-        // Non-engine dns-server files get the lighter P2, not P1.
-        let rrl = errors("crates/dns-server/src/rrl.rs", src);
-        assert_eq!(rrl.len(), 1, "{rrl:?}");
-        assert_eq!(rrl[0].rule, "P2");
-    }
-
-    // ---- P2 ----
-
-    #[test]
-    fn p2_flags_unwrap_expect_in_hot_path_crates() {
-        let src = r#"
-            fn f(v: Option<u8>) -> u8 {
-                let a = v.unwrap();
-                let b = v.expect("set");
-                a + b
-            }
-        "#;
-        // (dns-wire/src and proxy/src are wholly P1 scope; P2 picks up
-        // the files of the other hot-path crates that P1 leaves out.)
-        for path in [
-            "crates/dns-server/src/rrl.rs",
-            "crates/telemetry/src/recorder.rs",
-        ] {
-            let ds = errors(path, src);
-            assert_eq!(ds.len(), 2, "{path}: {ds:?}");
-            assert!(ds.iter().all(|d| d.rule == "P2"), "{path}: {ds:?}");
-        }
-    }
-
-    #[test]
-    fn p2_flags_panic_family_macros_and_never_doubles_with_p1() {
-        // P2 now bans the panic!-family macros too (the online gate
-        // denies clippy::panic/clippy::unreachable crate-wide) …
-        let macros = r#"fn f(x: u8) { if x > 9 { panic!("boom") } else { todo!() } }"#;
-        let ds = errors("crates/dns-server/src/rrl.rs", macros);
-        assert_eq!(ds.len(), 2, "{ds:?}");
-        assert!(ds.iter().all(|d| d.rule == "P2"), "{ds:?}");
-        // … and a P1 file never also reports P2 for the same unwrap.
-        let src = "fn f(v: Option<u8>) -> u8 { v.unwrap() }";
-        let ds = errors("crates/dns-wire/src/name.rs", src);
-        assert_eq!(ds.len(), 1, "{ds:?}");
-        assert_eq!(ds[0].rule, "P1");
-    }
-
-    #[test]
-    fn p2_indexing_warns_in_hot_path_files_only() {
-        let src = r#"
-            fn f(b: &[u8]) -> u8 {
-                let arr = [0u8; 4];
-                b[0] + arr[1]
-            }
-        "#;
-        let warns = |p: &str| {
-            analyze_source(p, src)
-                .into_iter()
-                .filter(|d| d.severity == Severity::Warning)
-                .count()
-        };
-        // `b[0]` and `arr[1]` warn; the `&[u8]` slice type and the
-        // `[0u8; 4]` array literal do not.
-        assert_eq!(warns("crates/dns-wire/src/message.rs"), 2);
-        // Warning-tier, never error-tier.
-        assert!(errors("crates/dns-wire/src/message.rs", src).is_empty());
-        // panic-lite files are not in the indexing scope.
-        assert_eq!(warns("crates/dns-server/src/rrl.rs"), 0);
-    }
-
-    #[test]
-    fn p2_ignores_test_code_and_lookalike_methods() {
-        let src = r#"
-            fn f(v: Option<u8>) -> u8 { v.unwrap_or_else(|| 0) }
-            #[cfg(test)]
-            mod tests {
-                #[test]
-                fn t() { Some(1).unwrap(); }
-            }
-        "#;
-        assert!(errors("crates/telemetry/src/recorder.rs", src).is_empty());
+        // Non-engine dns-server files are clippy's too (the crate
+        // denies unwrap_used/expect_used/panic in its manifest).
+        assert!(errors("crates/dns-server/src/rrl.rs", src).is_empty());
     }
 
     // ---- T1 ----
@@ -1397,20 +1190,22 @@ mod tests {
     fn a1_flags_unbounded_channels() {
         let src = r#"
             fn f() {
-                let (tx, rx) = crossbeam::channel::unbounded::<u8>();
-                let (t2, r2) = tokio::sync::mpsc::unbounded_channel::<u8>();
+                let (tx, rx) = channel::unbounded::<u8>();
+                let (t2, r2) = mpsc::unbounded_channel::<u8>();
+                let (t3, r3) = std::sync::mpsc::channel::<u8>();
+                let (t4, r4) = std::sync::mpsc::sync_channel::<u8>(8);
             }
         "#;
         let ds = errors("crates/replay/src/engine.rs", src);
-        assert_eq!(ds.len(), 2, "{ds:?}");
+        assert_eq!(ds.len(), 3, "{ds:?}");
         assert!(ds.iter().all(|d| d.rule == "A1"));
     }
 
     #[test]
     fn a1_allows_bounded_and_other_crates() {
-        let bounded = "fn f() { let (tx, rx) = crossbeam::channel::bounded::<u8>(64); }";
+        let bounded = "fn f() { let (tx, rx) = channel::bounded::<u8>(64); }";
         assert!(errors("crates/replay/src/engine.rs", bounded).is_empty());
-        let unbounded = "fn f() { let (tx, rx) = crossbeam::channel::unbounded::<u8>(); }";
+        let unbounded = "fn f() { let (tx, rx) = channel::unbounded::<u8>(); }";
         assert!(errors("crates/workloads/src/broot.rs", unbounded).is_empty());
     }
 
@@ -1716,7 +1511,7 @@ mod tests {
         assert!(scope.hot_path && scope.channel_scope && !scope.exempt);
         let unbounded = r#"
             pub fn mk() {
-                let (tx, rx) = crossbeam::channel::unbounded();
+                let (tx, rx) = channel::unbounded();
                 let _ = (tx, rx);
             }
         "#;
@@ -1747,10 +1542,10 @@ mod tests {
         let mut dedup = ids.clone();
         dedup.dedup();
         assert_eq!(ids, dedup, "duplicate rule ids in CATALOG");
-        for id in ["D1", "D2", "D3", "D4", "P1", "P2", "A1", "T1", "R1", "C1", "C2", "S1"] {
+        for id in ["D1", "D2", "D3", "D4", "P1", "A1", "T1", "R1", "S1"] {
             assert!(rule_info(id).is_some(), "{id} missing from CATALOG");
         }
-        assert_eq!(CATALOG.len(), 12);
+        assert_eq!(CATALOG.len(), 9);
         assert!(rule_info("D9").is_none());
     }
 

@@ -133,9 +133,9 @@ mod tests {
 
     #[test]
     fn fate_constants() {
-        assert!(!PacketFate::DELIVER.drop);
         assert_eq!(PacketFate::default(), PacketFate::DELIVER);
-        assert!(PacketFate::DROP.drop);
+        assert_ne!(PacketFate::DROP, PacketFate::DELIVER);
+        assert_eq!(PacketFate { drop: false, ..PacketFate::DROP }, PacketFate::DELIVER);
         let d = PacketFate::delayed(SimDuration::from_millis(5));
         assert_eq!(d.extra_delay, SimDuration::from_millis(5));
         assert!(!d.drop);

@@ -140,8 +140,7 @@ impl<T> EventQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use ldp_rng::SplitMix64;
 
     fn t(ns: u64) -> SimTime {
         SimTime::from_nanos(ns)
@@ -222,7 +221,7 @@ mod tests {
     /// the heap and the BTreeMap baseline emit the identical sequence.
     #[test]
     fn heap_matches_btree_on_randomized_workload() {
-        let mut rng = StdRng::seed_from_u64(0x5eed_cafe);
+        let mut rng = SplitMix64::seed_from_u64(0x5eed_cafe);
         let mut heap = EventQueue::new(QueueKind::Heap);
         let mut btree = EventQueue::new(QueueKind::BTree);
         let mut heap_out = Vec::new();
@@ -240,7 +239,7 @@ mod tests {
             let lane = u64::from(rng.gen::<u32>() % 5);
             heap.push(at, lane, i, i);
             btree.push(at, lane, i, i);
-            if rng.gen::<u32>() % 3 == 0 {
+            if rng.gen::<u32>().is_multiple_of(3) {
                 let a = heap.pop();
                 let b = btree.pop();
                 assert_eq!(a, b);

@@ -23,8 +23,7 @@ use std::collections::BTreeMap;
 use std::net::{IpAddr, SocketAddr};
 
 use ldp_telemetry as tel;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use ldp_rng::SplitMix64;
 
 use crate::fault::{FaultInjector, WireKind};
 use crate::host::{Host, PacketBytes, TcpEvent};
@@ -492,9 +491,9 @@ pub struct Simulator {
     /// Per-host dial counters (low half of dialed `ConnId`s).
     dials: Vec<u64>,
     /// Per-lane RNG streams (index = local `HostId`); see [`stream_seed`].
-    host_rngs: Vec<StdRng>,
+    host_rngs: Vec<SplitMix64>,
     /// Driver-lane stream (external `inject_udp` loss draws).
-    driver_rng: StdRng,
+    driver_rng: SplitMix64,
     /// Driver-lane seq counter.
     driver_seq: u64,
     /// Lane currently attributing keys/draws (set per dispatch).
@@ -553,7 +552,7 @@ impl Simulator {
             seqs: Vec::new(),
             dials: Vec::new(),
             host_rngs: Vec::new(),
-            driver_rng: StdRng::seed_from_u64(stream_seed(config.seed, DRIVER_LANE)),
+            driver_rng: SplitMix64::seed_from_u64(stream_seed(config.seed, DRIVER_LANE)),
             driver_seq: 0,
             current: CurLane::Driver,
             commands: Vec::new(),
@@ -616,7 +615,7 @@ impl Simulator {
         self.seqs.push(0);
         self.dials.push(0);
         self.host_rngs
-            .push(StdRng::seed_from_u64(stream_seed(self.config.seed, lane)));
+            .push(SplitMix64::seed_from_u64(stream_seed(self.config.seed, lane)));
         self.dispatch_pending.push([0; 3]);
         id
     }
@@ -805,7 +804,7 @@ impl Simulator {
     /// executes a driver-side action (`inject_udp`, `crash_now`), then
     /// takes it back. This keeps driver-lane keys globally unique and
     /// the loss-draw sequence identical to the single-shard run.
-    pub fn swap_driver_stream(&mut self, seq: &mut u64, rng: &mut StdRng) {
+    pub fn swap_driver_stream(&mut self, seq: &mut u64, rng: &mut SplitMix64) {
         std::mem::swap(&mut self.driver_seq, seq);
         std::mem::swap(&mut self.driver_rng, rng);
     }
@@ -843,7 +842,7 @@ impl Simulator {
     }
 
     /// The RNG stream of the currently attributed lane.
-    fn lane_rng(&mut self) -> &mut StdRng {
+    fn lane_rng(&mut self) -> &mut SplitMix64 {
         match self.current {
             CurLane::Host(h) => &mut self.host_rngs[h],
             CurLane::Driver => &mut self.driver_rng,

@@ -39,7 +39,7 @@ impl Host for Chatter {
     fn on_udp(&mut self, ctx: &mut Ctx<'_>, from: SocketAddr, _to: SocketAddr, data: PacketBytes) {
         self.note(ctx, &format!("udp from={from} len={}", data.len()));
         // Echo once (queries have even length, echoes odd).
-        if data.len() % 2 == 0 {
+        if data.len().is_multiple_of(2) {
             let mut reply = data.to_vec();
             reply.push(0xAA);
             ctx.send_udp(self.me, from, reply);
@@ -109,10 +109,12 @@ fn run_once_with(seed: u64, queue: QueueKind) -> String {
     topo.set_pair(addrs[0], addrs[2], lossy);
     topo.set_from(addrs[3], lossy);
 
-    let mut config = SimConfig::default();
-    config.seed = seed;
-    config.time_wait = SimDuration::from_millis(50);
-    config.queue = queue;
+    let config = SimConfig {
+        seed,
+        time_wait: SimDuration::from_millis(50),
+        queue,
+        ..Default::default()
+    };
     let mut sim = Simulator::new(topo, config);
 
     let names = ["alpha", "bravo", "charlie", "delta"];

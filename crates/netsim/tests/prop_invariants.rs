@@ -6,8 +6,7 @@
 use std::net::SocketAddr;
 use std::sync::{Arc, Mutex};
 
-use proptest::prelude::*;
-
+use ldp_rng::check::{check, Gen};
 use netsim::{
     Ctx, Host, HostId, PacketBytes, PathConfig, SimConfig, SimDuration, SimTime, Simulator,
     TcpEvent, Topology,
@@ -85,12 +84,16 @@ impl Host for Echo {
     fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _t: u64) {}
 }
 
-fn arb_action() -> impl Strategy<Value = Action> {
-    prop_oneof![
-        (10u16..500).prop_map(Action::Udp),
-        any::<bool>().prop_map(|tls| Action::TcpQuery { tls }),
-        Just(Action::Close),
-    ]
+fn arb_action(g: &mut Gen) -> Action {
+    match g.below(3) {
+        0 => Action::Udp(g.range(10..=499) as u16),
+        1 => Action::TcpQuery { tls: g.bool() },
+        _ => Action::Close,
+    }
+}
+
+fn arb_scripts(g: &mut Gen, clients: usize, actions: usize) -> Vec<Vec<Action>> {
+    g.vec(1..=clients, |g| g.vec(1..=actions, arb_action))
 }
 
 fn run_world(
@@ -138,15 +141,11 @@ fn run_world(
     (stats, evs)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn conservation_and_drain(
-        scripts in proptest::collection::vec(
-            proptest::collection::vec(arb_action(), 1..8), 1..4),
-        rtt_ms in 1u64..50,
-    ) {
+#[test]
+fn conservation_and_drain() {
+    check(256, |g| {
+        let scripts = arb_scripts(g, 3, 7);
+        let rtt_ms = g.range(1..=49);
         // Long horizon: all idle timeouts (5 s) and TIME_WAITs (60 s)
         // expire before we look.
         let (stats, _) = run_world(1, &scripts, rtt_ms, 300.0);
@@ -155,50 +154,53 @@ proptest! {
         // and vice versa (no loss configured).
         let client_udp_tx: u64 = stats[1..].iter().map(|s| s.udp_tx).sum();
         let client_udp_rx: u64 = stats[1..].iter().map(|s| s.udp_rx).sum();
-        prop_assert_eq!(server.udp_rx, client_udp_tx);
-        prop_assert_eq!(server.udp_tx, client_udp_rx);
-        prop_assert_eq!(server.udp_tx, server.udp_rx, "echo answers everything");
+        assert_eq!(server.udp_rx, client_udp_tx);
+        assert_eq!(server.udp_tx, client_udp_rx);
+        assert_eq!(server.udp_tx, server.udp_rx, "echo answers everything");
         let client_tcp_tx: u64 = stats[1..].iter().map(|s| s.tcp_tx + s.tls_tx).sum();
-        prop_assert_eq!(server.tcp_rx + server.tls_rx, client_tcp_tx);
+        assert_eq!(server.tcp_rx + server.tls_rx, client_tcp_tx);
         // Drain: no connection state survives the horizon.
         for s in &stats {
-            prop_assert_eq!(s.established, 0, "all connections closed");
-            prop_assert_eq!(s.time_wait, 0, "all TIME_WAITs expired");
+            assert_eq!(s.established, 0, "all connections closed");
+            assert_eq!(s.time_wait, 0, "all TIME_WAITs expired");
         }
-    }
+    });
+}
 
-    #[test]
-    fn determinism(
-        scripts in proptest::collection::vec(
-            proptest::collection::vec(arb_action(), 1..6), 1..3),
-    ) {
+#[test]
+fn determinism() {
+    check(256, |g| {
+        let scripts = arb_scripts(g, 2, 5);
         let a = run_world(7, &scripts, 10, 200.0);
         let b = run_world(7, &scripts, 10, 200.0);
-        prop_assert_eq!(format!("{:?}", a.0), format!("{:?}", b.0));
-        prop_assert_eq!(a.1, b.1);
-    }
+        assert_eq!(format!("{:?}", a.0), format!("{:?}", b.0));
+        assert_eq!(a.1, b.1);
+    });
+}
 
-    #[test]
-    fn replies_scale_with_queries(
-        n_udp in 1u16..20,
-        rtt_ms in 1u64..40,
-    ) {
+#[test]
+fn replies_scale_with_queries() {
+    check(256, |g| {
+        let n_udp = g.range(1..=19);
+        let rtt_ms = g.range(1..=39);
         let script = vec![Action::Udp(100); n_udp as usize];
         let (stats, events) = run_world(3, &[script], rtt_ms, 100.0);
-        prop_assert_eq!(stats[0].udp_rx, n_udp as u64);
+        assert_eq!(stats[0].udp_rx, n_udp);
         let replies = events.iter().filter(|e| e.starts_with("udp_reply")).count();
-        prop_assert_eq!(replies, n_udp as usize);
-    }
+        assert_eq!(replies, n_udp as usize);
+    });
+}
 
-    #[test]
-    fn time_wait_only_on_closer_side(tls in any::<bool>()) {
+#[test]
+fn time_wait_only_on_closer_side() {
+    for tls in [false, true] {
         // One query then idle: the server (idle timeout 5 s) closes and
         // must be the only side holding TIME_WAIT.
         let script = vec![Action::TcpQuery { tls }];
         let (stats, _) = run_world(4, std::slice::from_ref(&script), 5, 8.0);
-        prop_assert_eq!(stats[0].time_wait, 1, "server closed → server TIME_WAITs");
-        prop_assert_eq!(stats[1].time_wait, 0);
-        prop_assert_eq!(stats[0].established, 0);
-        prop_assert_eq!(stats[1].established, 0);
+        assert_eq!(stats[0].time_wait, 1, "server closed → server TIME_WAITs");
+        assert_eq!(stats[1].time_wait, 0);
+        assert_eq!(stats[0].established, 0);
+        assert_eq!(stats[1].established, 0);
     }
 }

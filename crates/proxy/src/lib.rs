@@ -8,16 +8,13 @@
 //! (OQDA) — the meta server's split-horizon views key on exactly that —
 //! and the replies are rewritten back so the recursive never notices.
 //!
-//! Two deployments of the same algebra ([`rewrite`]):
-//! - [`SimProxy`] — a netsim host owning all public NS addresses;
-//! - [`tokio_proxy`] — a real-socket UDP forwarder for loopback testbeds.
+//! [`SimProxy`] deploys the [`rewrite`] algebra as a netsim host owning
+//! all public NS addresses.
 
 #![warn(missing_docs)]
 
 pub mod rewrite;
 pub mod sim_proxy;
-pub mod tokio_proxy;
 
 pub use rewrite::{rewrite_inbound, rewrite_outbound, Flow, FlowTable};
 pub use sim_proxy::{ProxyStats, SimProxy};
-pub use tokio_proxy::{spawn, ProxyCounters, RunningProxy};

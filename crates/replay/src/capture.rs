@@ -139,6 +139,7 @@ mod tests {
 
     #[test]
     fn captures_arrivals_in_order() {
+        let _serial = crate::wall_clock_test();
         let server = CaptureServer::start(2, None).unwrap();
         let addr = server.addr;
         let sock = UdpSocket::bind("127.0.0.1:0").unwrap();
@@ -162,6 +163,7 @@ mod tests {
 
     #[test]
     fn non_dns_noise_recorded_without_seq() {
+        let _serial = crate::wall_clock_test();
         let server = CaptureServer::start(1, None).unwrap();
         let addr = server.addr;
         let sock = UdpSocket::bind("127.0.0.1:0").unwrap();

@@ -11,10 +11,10 @@
 use std::collections::{HashMap, VecDeque};
 use std::net::{IpAddr, SocketAddr, TcpStream, UdpSocket};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel as bounded, Receiver, SyncSender as Sender};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use crossbeam::channel::{bounded, Receiver, Sender};
 use dns_wire::framing::frame_into;
 use dns_wire::{EncodeScratch, Transport};
 use ldp_guard::{Checkpoint, GuardConfig, RetryBudget, Supervisor};
@@ -609,11 +609,9 @@ fn querier_loop(
     const RECV_BATCH: usize = 64;
     let mut batch: Vec<QueryJob> = Vec::with_capacity(RECV_BATCH);
 
-    loop {
-        match rx.recv() {
-            Ok(job) => batch.push(job),
-            Err(_) => break, // channel closed and drained: done
-        }
+    // recv fails once the channel is closed and drained: done.
+    while let Ok(job) = rx.recv() {
+        batch.push(job);
         if cfg.fast_mode {
             while batch.len() < RECV_BATCH {
                 match rx.try_recv() {
@@ -768,6 +766,7 @@ mod tests {
 
     #[test]
     fn replays_every_query() {
+        let _serial = crate::wall_clock_test();
         let (_sink, addr) = sink_socket();
         let trace = mk_trace(200, 1000); // 1 ms apart
         let config = ReplayConfig {
@@ -788,6 +787,7 @@ mod tests {
 
     #[test]
     fn timed_replay_respects_deadlines() {
+        let _serial = crate::wall_clock_test();
         let (_sink, addr) = sink_socket();
         // 50 queries, 5 ms apart = 250 ms replay.
         let trace = mk_trace(50, 5000);
@@ -814,6 +814,7 @@ mod tests {
 
     #[test]
     fn fast_mode_is_fast() {
+        let _serial = crate::wall_clock_test();
         let (_sink, addr) = sink_socket();
         // Trace nominally lasts 10 s; fast mode must finish way sooner.
         let trace = mk_trace(1000, 10_000);
@@ -830,6 +831,7 @@ mod tests {
 
     #[test]
     fn speedup_halves_duration() {
+        let _serial = crate::wall_clock_test();
         let (_sink, addr) = sink_socket();
         let trace = mk_trace(20, 10_000); // 200 ms at 1x
         let config = ReplayConfig {
@@ -846,6 +848,7 @@ mod tests {
 
     #[test]
     fn same_source_seen_from_same_port() {
+        let _serial = crate::wall_clock_test();
         // Replay over UDP to a recording sink: all packets from the same
         // original source must arrive from one (addr, port) — the
         // same-socket emulation property.
@@ -898,6 +901,7 @@ mod tests {
 
     #[test]
     fn tcp_replay_reuses_connections() {
+        let _serial = crate::wall_clock_test();
         // A tiny TCP sink that counts connections and messages.
         use std::io::Read;
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
@@ -951,6 +955,7 @@ mod tests {
 
     #[test]
     fn large_trace_exceeding_channel_capacity_completes() {
+        let _serial = crate::wall_clock_test();
         // Regression: with the collector spawned after the controller,
         // traces bigger than record_tx + all stage channels (~100k)
         // deadlocked the distribution tree.
@@ -975,6 +980,7 @@ mod tests {
 
     #[test]
     fn virtual_clock_replay_never_waits_on_wall_time() {
+        let _serial = crate::wall_clock_test();
         // A timed (non-fast) replay of a trace nominally lasting 100
         // virtual seconds must complete immediately under a virtual
         // clock: every deadline is met by jumping the clock, proving
@@ -1141,6 +1147,7 @@ mod tests {
 
     #[test]
     fn reconnect_budget_exhaustion_is_bounded_not_a_spin_loop() {
+        let _serial = crate::wall_clock_test();
         // A port that refuses connections: bind, learn the port, drop
         // the listener.
         let refused = {
@@ -1169,6 +1176,7 @@ mod tests {
 
     #[test]
     fn hopelessly_late_queries_are_shed_not_stalled_behind() {
+        let _serial = crate::wall_clock_test();
         use crate::clock::VirtualClock;
         let (_sink, addr) = sink_socket();
         let trace = mk_trace(100, 1_000); // deadlines end ~149 ms in

@@ -42,8 +42,7 @@ use netsim::{
     stream_seed, FaultInjector, Host, HostStats, PacketBytes, RemoteUdp, SimConfig, SimDuration,
     SimTime, Simulator, Topology, DRIVER_LANE,
 };
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use ldp_rng::SplitMix64;
 
 use crate::exchange::Exchange;
 use crate::plan::ShardPlan;
@@ -138,7 +137,7 @@ pub struct ShardedSimulator {
     /// The one global driver-lane stream (keys for external timers and
     /// injections), lent to workers for driver-side actions.
     driver_seq: u64,
-    driver_rng: StdRng,
+    driver_rng: SplitMix64,
     /// Global host id → (shard, worker-local id).
     hosts: Vec<(u32, usize)>,
     /// Control id → worker-local id of the replica on each shard.
@@ -173,7 +172,7 @@ impl ShardedSimulator {
             lookahead,
             now: SimTime::ZERO,
             driver_seq: 0,
-            driver_rng: StdRng::seed_from_u64(stream_seed(config.seed, DRIVER_LANE)),
+            driver_rng: SplitMix64::seed_from_u64(stream_seed(config.seed, DRIVER_LANE)),
             hosts: Vec::new(),
             controls: Vec::new(),
             owner: BTreeMap::new(),

@@ -59,6 +59,8 @@ impl Host for Relay {
 
 /// Either simulator behind one driver API, so single and sharded runs
 /// execute the exact same call sequence.
+// One short-lived value per test run; boxing it would buy nothing.
+#[allow(clippy::large_enum_variant)]
 enum AnySim {
     Single(Simulator),
     Sharded(ShardedSimulator),
@@ -201,13 +203,13 @@ fn hash_injector() -> Box<dyn FaultInjector> {
 /// stats, then the per-phase event counts.
 fn scenario(mut sim: AnySim, faults: bool) -> String {
     let logs: Vec<Log> = (0..N).map(|_| Arc::new(Mutex::new(String::new()))).collect();
-    for i in 0..N {
+    for (i, log) in logs.iter().enumerate() {
         let host = sim.add_host(
             &[addr(i)],
             Box::new(Relay {
                 me: sock(i),
                 next: sock((i + 1) % N),
-                log: logs[i].clone(),
+                log: log.clone(),
             }),
         );
         assert_eq!(host, i);

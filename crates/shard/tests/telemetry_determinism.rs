@@ -75,6 +75,8 @@ fn mix(x: u64) -> u64 {
     z ^ (z >> 27)
 }
 
+// One short-lived value per test run; boxing it would buy nothing.
+#[allow(clippy::large_enum_variant)]
 enum AnySim {
     Single(Simulator),
     Sharded(ShardedSimulator),
@@ -99,7 +101,7 @@ fn run(mut sim: AnySim) -> String {
         Box::new(FnInjector(
             |now: SimTime, src: SocketAddr, _d: SocketAddr, _k: netsim::WireKind, n: usize| {
                 let mut fate = PacketFate::DELIVER;
-                if mix(now.as_nanos() ^ u64::from(src.port()) ^ n as u64) % 9 == 0 {
+                if mix(now.as_nanos() ^ u64::from(src.port()) ^ n as u64).is_multiple_of(9) {
                     fate.drop = true;
                 }
                 fate

@@ -21,8 +21,14 @@ const DUMP_MAGIC: &[u8; 8] = b"LDPTEL1\n";
 /// identical logs produce byte-identical dumps — the checkpoint-resume
 /// equivalence tests compare these directly, with no string rendering
 /// in the loop.
+///
+/// The table is the registry prefix up to the highest kind id the
+/// events reference (ids stay table positions), not the whole
+/// process-wide registry: a kind some other thread registers between
+/// two dumps of equal logs must not change the bytes.
 pub fn dump_binary(events: &[RawEvent]) -> Vec<u8> {
-    let kinds = registered_kinds();
+    let mut kinds = registered_kinds();
+    kinds.truncate(events.iter().map(|ev| ev.kind.0 as usize + 1).max().unwrap_or(0));
     let mut out = Vec::with_capacity(8 + 2 + kinds.len() * 16 + 8 + events.len() * 27);
     out.extend_from_slice(DUMP_MAGIC);
     out.extend_from_slice(&(kinds.len() as u16).to_le_bytes());
@@ -422,6 +428,20 @@ mod tests {
         assert_eq!(table[k2.0 as usize], "test.exp.bin2");
         // Equal logs dump to byte-identical buffers.
         assert_eq!(dump, dump_binary(&events));
+    }
+
+    #[test]
+    fn binary_dump_ignores_kinds_registered_between_dumps() {
+        // Regression: the dump used to embed the whole process-wide
+        // registry as of the call, so equal logs dumped differently
+        // whenever any thread registered a kind in between.
+        let k = register_kind("test.exp.stable");
+        let events = vec![ev(1, k, Op::Mark, 0, 0)];
+        let before = dump_binary(&events);
+        register_kind("test.exp.registered-between-dumps");
+        assert_eq!(before, dump_binary(&events));
+        assert_eq!(dump_kind_table(&before).unwrap().len(), k.0 as usize + 1);
+        assert_eq!(dump_kind_table(&dump_binary(&[])).unwrap().len(), 0);
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //! mutations (unique-prefix tagging for query/response matching, §4.2).
 
 use dns_wire::Transport;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use ldp_rng::SplitMix64;
 
 use crate::entry::TraceEntry;
 
@@ -74,7 +73,7 @@ impl Mutator {
                 }
             }
             Mutation::SetDnssecFraction(frac) => {
-                let mut rng = StdRng::seed_from_u64(self.seed);
+                let mut rng = SplitMix64::seed_from_u64(self.seed);
                 for e in trace.iter_mut() {
                     let on = rng.gen::<f64>() < *frac;
                     e.message.set_dnssec_ok(on);

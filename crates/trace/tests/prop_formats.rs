@@ -2,79 +2,72 @@
 //! trip the Figure 3 pipeline performs, and the decoders never panic on
 //! arbitrary bytes.
 
-use proptest::prelude::*;
-
 use dns_wire::{Name, RecordType, Transport};
+use ldp_rng::check::{check, Gen};
 use ldp_trace::{
     parse_binary, parse_pcap, parse_text, write_binary, write_pcap, write_text, Mutation, Mutator,
     TraceEntry,
 };
 use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4};
 
-fn arb_name() -> impl Strategy<Value = Name> {
-    proptest::collection::vec("[a-z0-9]{1,12}", 1..4).prop_map(|labels| {
-        Name::from_labels(labels.iter().map(|l| l.as_bytes())).expect("valid")
-    })
+/// One to three labels of `[a-z0-9]{1,12}`.
+fn arb_name(g: &mut Gen) -> Name {
+    let labels = g.vec(1..=3, |g| g.string(&['a'..='z', '0'..='9'], 1..=12));
+    Name::from_labels(labels.iter().map(|l| l.as_bytes())).expect("valid")
 }
 
-fn arb_v4_addr() -> impl Strategy<Value = SocketAddr> {
-    (any::<u32>(), 1024u16..65535).prop_map(|(ip, port)| {
-        SocketAddr::V4(SocketAddrV4::new(Ipv4Addr::from(ip), port))
-    })
+fn arb_v4_addr(g: &mut Gen) -> SocketAddr {
+    SocketAddr::V4(SocketAddrV4::new(Ipv4Addr::from(g.u32()), g.range(1024..=65534) as u16))
 }
 
-prop_compose! {
-    fn arb_entry()(
-        time_us in 0u64..10_000_000_000,
-        src in arb_v4_addr(),
-        dst in arb_v4_addr(),
-        id in any::<u16>(),
-        name in arb_name(),
-        qtype in 1u16..260,
-        transport in 0u8..3,
-        do_bit in any::<bool>(),
-        rd in any::<bool>(),
-    ) -> TraceEntry {
-        let mut e = TraceEntry::query(time_us, src, dst, id, name, RecordType::from_u16(qtype));
-        e.transport = match transport { 0 => Transport::Udp, 1 => Transport::Tcp, _ => Transport::Tls };
-        e.message.set_dnssec_ok(do_bit);
-        e.message.flags.recursion_desired = rd;
-        e
-    }
+fn arb_entry(g: &mut Gen) -> TraceEntry {
+    let time_us = g.range(0..=9_999_999_999);
+    let (src, dst, id) = (arb_v4_addr(g), arb_v4_addr(g), g.u16());
+    let qtype = RecordType::from_u16(g.range(1..=259) as u16);
+    let mut e = TraceEntry::query(time_us, src, dst, id, arb_name(g), qtype);
+    e.transport = *g.pick(&[Transport::Udp, Transport::Tcp, Transport::Tls]);
+    e.message.set_dnssec_ok(g.bool());
+    e.message.flags.recursion_desired = g.bool();
+    e
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn binary_round_trip(entries in proptest::collection::vec(arb_entry(), 0..20)) {
+#[test]
+fn binary_round_trip() {
+    check(256, |g| {
+        let entries = g.vec(0..=19, arb_entry);
         let bin = write_binary(&entries);
-        prop_assert_eq!(parse_binary(&bin).unwrap(), entries);
-    }
+        assert_eq!(parse_binary(&bin).unwrap(), entries);
+    });
+}
 
-    #[test]
-    fn text_round_trip_preserves_query_fields(entries in proptest::collection::vec(arb_entry(), 1..20)) {
+#[test]
+fn text_round_trip_preserves_query_fields() {
+    check(256, |g| {
+        let entries = g.vec(1..=19, arb_entry);
         let text = write_text(&entries);
         let back = parse_text(&text).unwrap();
-        prop_assert_eq!(back.len(), entries.len());
+        assert_eq!(back.len(), entries.len());
         for (a, b) in entries.iter().zip(&back) {
-            prop_assert_eq!(a.time_us, b.time_us);
-            prop_assert_eq!(a.src, b.src);
-            prop_assert_eq!(a.dst, b.dst);
-            prop_assert_eq!(a.transport, b.transport);
-            prop_assert_eq!(a.message.id, b.message.id);
-            prop_assert_eq!(a.message.question(), b.message.question());
-            prop_assert_eq!(a.message.dnssec_ok(), b.message.dnssec_ok());
-            prop_assert_eq!(a.message.flags.recursion_desired, b.message.flags.recursion_desired);
+            assert_eq!(a.time_us, b.time_us);
+            assert_eq!(a.src, b.src);
+            assert_eq!(a.dst, b.dst);
+            assert_eq!(a.transport, b.transport);
+            assert_eq!(a.message.id, b.message.id);
+            assert_eq!(a.message.question(), b.message.question());
+            assert_eq!(a.message.dnssec_ok(), b.message.dnssec_ok());
+            assert_eq!(a.message.flags.recursion_desired, b.message.flags.recursion_desired);
         }
-    }
+    });
+}
 
-    #[test]
-    fn pcap_round_trip_v4(entries in proptest::collection::vec(arb_entry(), 0..20)) {
+#[test]
+fn pcap_round_trip_v4() {
+    check(256, |g| {
+        let entries = g.vec(0..=19, arb_entry);
         let (pcap, skipped) = write_pcap(&entries);
-        prop_assert_eq!(skipped, 0, "all-v4 entries all written");
+        assert_eq!(skipped, 0, "all-v4 entries all written");
         let (back, bad) = parse_pcap(&pcap).unwrap();
-        prop_assert_eq!(bad, 0);
+        assert_eq!(bad, 0);
         // pcap is lossy about TLS (it is just TCP on the wire unless a
         // port is 853): normalize the expectation accordingly.
         let expected: Vec<TraceEntry> = entries
@@ -86,29 +79,56 @@ proptest! {
                 e
             })
             .collect();
-        prop_assert_eq!(back, expected);
-    }
+        assert_eq!(back, expected);
+    });
+}
 
-    #[test]
-    fn binary_parser_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let _ = parse_binary(&bytes);
+/// A valid serialization with a few bytes overwritten and the tail cut:
+/// gets past the magic number, which random bytes never do.
+fn corrupt(g: &mut Gen, mut bytes: Vec<u8>) -> Vec<u8> {
+    for _ in 0..g.size(1..=4) {
+        let i = g.size(0..=bytes.len() - 1);
+        bytes[i] = g.u8();
     }
+    bytes.truncate(g.size(0..=bytes.len()));
+    bytes
+}
 
-    #[test]
-    fn pcap_parser_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let _ = parse_pcap(&bytes);
-    }
+#[test]
+fn binary_parser_never_panics() {
+    check(256, |g| {
+        let _ = parse_binary(&g.bytes(0..=255));
+    });
+    check(256, |g| {
+        let valid = write_binary(&g.vec(1..=5, arb_entry));
+        let _ = parse_binary(&corrupt(g, valid));
+    });
+}
 
-    #[test]
-    fn text_parser_never_panics(s in "[ -~\n]{0,300}") {
-        let _ = parse_text(&s);
-    }
+#[test]
+fn pcap_parser_never_panics() {
+    check(256, |g| {
+        let _ = parse_pcap(&g.bytes(0..=255));
+    });
+    check(256, |g| {
+        let valid = write_pcap(&g.vec(1..=5, arb_entry)).0;
+        let _ = parse_pcap(&corrupt(g, valid));
+    });
+}
 
-    #[test]
-    fn mutator_preserves_count_and_order(
-        entries in proptest::collection::vec(arb_entry(), 1..30),
-        scale in 0.1f64..5.0,
-    ) {
+#[test]
+fn text_parser_never_panics() {
+    check(256, |g| {
+        // [ -~\n]{0,300}
+        let _ = parse_text(&g.string(&[' '..='~', '\n'..='\n'], 0..=300));
+    });
+}
+
+#[test]
+fn mutator_preserves_count_and_order() {
+    check(256, |g| {
+        let entries = g.vec(1..=29, arb_entry);
+        let scale = g.f64(0.1, 5.0);
         let mut sorted = entries.clone();
         sorted.sort_by_key(|e| e.time_us);
         let mut mutated = sorted.clone();
@@ -116,25 +136,26 @@ proptest! {
             Mutation::SetTransport(Transport::Tcp),
             Mutation::ScaleTime(scale),
             Mutation::UniquePrefix { tag: "p".into() },
-        ]).apply(&mut mutated);
-        prop_assert_eq!(mutated.len(), sorted.len());
+        ])
+        .apply(&mut mutated);
+        assert_eq!(mutated.len(), sorted.len());
         // Time order preserved under positive scaling.
-        prop_assert!(mutated.windows(2).all(|w| w[0].time_us <= w[1].time_us));
+        assert!(mutated.windows(2).all(|w| w[0].time_us <= w[1].time_us));
         // First timestamp anchored.
-        prop_assert_eq!(mutated[0].time_us, sorted[0].time_us);
+        assert_eq!(mutated[0].time_us, sorted[0].time_us);
         // Unique names.
         let names: std::collections::HashSet<String> =
             mutated.iter().map(|e| e.qname().unwrap().to_string()).collect();
-        prop_assert_eq!(names.len(), mutated.len());
-    }
+        assert_eq!(names.len(), mutated.len());
+    });
+}
 
-    #[test]
-    fn message_embedding_is_lossless_for_responses(
-        entry in arb_entry(),
-        answers in 0usize..4,
-    ) {
+#[test]
+fn message_embedding_is_lossless_for_responses() {
+    check(256, |g| {
         // Responses with answer bodies only survive the binary format.
-        let mut e = entry;
+        let mut e = arb_entry(g);
+        let answers = g.size(0..=3);
         let mut resp = e.message.response_to();
         for i in 0..answers {
             resp.answers.push(dns_wire::Record::new(
@@ -146,9 +167,9 @@ proptest! {
         e.message = resp;
         let bin = write_binary(std::slice::from_ref(&e));
         let back = parse_binary(&bin).unwrap();
-        prop_assert_eq!(&back[0], &e);
-        prop_assert_eq!(back[0].message.answers.len(), answers);
-    }
+        assert_eq!(back[0], e);
+        assert_eq!(back[0].message.answers.len(), answers);
+    });
 }
 
 /// Text round trip must also survive a full re-serialization cycle

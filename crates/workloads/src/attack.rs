@@ -14,8 +14,7 @@ use std::net::{IpAddr, Ipv4Addr, SocketAddr};
 
 use dns_wire::{RecordType, Transport};
 use ldp_trace::TraceEntry;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use ldp_rng::SplitMix64;
 
 /// The attack flavor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,7 +63,7 @@ impl Default for AttackSpec {
 impl AttackSpec {
     /// Generate the attack trace (time-ordered).
     pub fn generate(&self, seed: u64) -> Vec<TraceEntry> {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xa77ac4);
+        let mut rng = SplitMix64::seed_from_u64(seed ^ 0xa77ac4);
         let n = (self.rate * self.duration_secs) as usize;
         let mut out = Vec::with_capacity(n);
         let mut t = self.start_secs;

@@ -23,8 +23,7 @@ use std::net::{IpAddr, Ipv4Addr, SocketAddr};
 
 use dns_wire::{RecordType, Transport};
 use ldp_trace::TraceEntry;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use ldp_rng::SplitMix64;
 
 use crate::zipf::Zipf;
 
@@ -125,7 +124,7 @@ impl BRootSpec {
 
     /// Generate the trace (time-ordered).
     pub fn generate(&self, seed: u64) -> Vec<TraceEntry> {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = SplitMix64::seed_from_u64(seed);
         let zipf = Zipf::new(self.clients, self.zipf_s);
         let expected = (self.duration_secs * self.mean_rate) as usize;
         let mut out = Vec::with_capacity(expected + expected / 8);

@@ -8,8 +8,7 @@ use std::net::{IpAddr, Ipv4Addr, SocketAddr};
 
 use dns_wire::RecordType;
 use ldp_trace::TraceEntry;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use ldp_rng::SplitMix64;
 
 use crate::zipf::Zipf;
 
@@ -62,7 +61,7 @@ impl RecursiveSpec {
 
     /// Generate the stub-to-recursive query trace.
     pub fn generate(&self, seed: u64) -> Vec<TraceEntry> {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = SplitMix64::seed_from_u64(seed);
         let zone_zipf = Zipf::new(self.zones, self.zipf_s);
         let zones = self.zone_names();
         let hosts = Self::host_labels();

@@ -6,8 +6,7 @@ use std::net::{IpAddr, Ipv4Addr, SocketAddr};
 
 use dns_wire::RecordType;
 use ldp_trace::TraceEntry;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use ldp_rng::SplitMix64;
 
 /// Specification for a fixed-inter-arrival synthetic trace.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -60,7 +59,7 @@ impl SyntheticTraceSpec {
     /// after-the-fact"), all under `example.com` so a wildcard zone
     /// answers them.
     pub fn generate(&self, seed: u64) -> Vec<TraceEntry> {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = SplitMix64::seed_from_u64(seed);
         let n = self.query_count();
         let mut out = Vec::with_capacity(n);
         for i in 0..n {

@@ -3,7 +3,7 @@
 //! (paper Figure 15c: ~1 % of clients send ~75 % of queries, ~81 % send
 //! fewer than 10).
 
-use rand::Rng;
+use ldp_rng::SplitMix64;
 
 /// Zipf sampler with exponent `s` over `n` ranks, via precomputed
 /// cumulative weights and binary search (exact, O(log n) per sample).
@@ -42,7 +42,7 @@ impl Zipf {
     }
 
     /// Draw a rank in `0..n` (0 = most popular).
-    pub fn sample<R: Rng>(&self, rng: &mut R) -> usize {
+    pub fn sample(&self, rng: &mut SplitMix64) -> usize {
         let u: f64 = rng.gen();
         self.cumulative.partition_point(|&c| c < u)
     }
@@ -60,13 +60,11 @@ impl Zipf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn rank_zero_most_popular() {
         let z = Zipf::new(1000, 1.0);
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = SplitMix64::seed_from_u64(1);
         let mut counts = vec![0usize; 1000];
         for _ in 0..100_000 {
             counts[z.sample(&mut rng)] += 1;
@@ -78,7 +76,7 @@ mod tests {
     #[test]
     fn samples_in_range() {
         let z = Zipf::new(10, 1.2);
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = SplitMix64::seed_from_u64(2);
         for _ in 0..10_000 {
             assert!(z.sample(&mut rng) < 10);
         }
@@ -102,7 +100,7 @@ mod tests {
     #[test]
     fn single_rank() {
         let z = Zipf::new(1, 1.0);
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = SplitMix64::seed_from_u64(3);
         assert_eq!(z.sample(&mut rng), 0);
     }
 

@@ -16,19 +16,11 @@ use ldplayer::zone::Catalog;
 use ldplayer::workloads::SyntheticTraceSpec;
 
 fn main() {
-    let runtime = tokio::runtime::Builder::new_multi_thread()
-        .worker_threads(4)
-        .enable_all()
-        .build()
-        .expect("tokio runtime");
-
     // A real DNS server answering from a wildcard zone.
     let mut catalog = Catalog::new();
     catalog.insert(wildcard_zone("example.com"));
     let engine = Arc::new(ServerEngine::with_catalog(catalog));
-    let server = runtime.block_on(async {
-        spawn(engine, ServerConfig::default()).await.expect("bind server")
-    });
+    let server = spawn(engine, ServerConfig::default()).expect("bind server");
     println!("server on {}", server.udp_addr);
 
     // 200 k identical-shape queries, unique names, replayed flat out.

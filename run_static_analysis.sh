@@ -1,361 +1,83 @@
 #!/bin/sh
-# Static-analysis gate for the workspace: formatting, clippy, the
-# ldp-lint determinism/panic-safety pass (see DESIGN.md "Correctness
-# invariants"), the test suite, and a smoke run of the `hotpath`
-# microbench (which must produce BENCH_hotpath.json). Run before
-# sending a PR.
-#
-# Degrades gracefully offline: if cargo cannot reach a registry (no
-# lockfile, no vendored deps), the whole sim-path chain is built with
-# bare rustc against the stubs in offline/ — ldp-lint, the netsim,
-# replay, telemetry and chaos test suites, the hotpath bench and the
-# fig_outage / fig_trace smoke runs all still happen; only fmt, clippy
-# and the tokio-dependent crates are skipped.
+# The gate: formatting, clippy, the ldp-lint determinism/panic-safety
+# pass (DESIGN.md "Correctness invariants"), the whole test suite, the
+# hotpath microbench, the four deterministic studies compared against
+# their committed results/, and the end-to-end benchmark's self-check.
+# Everything is built by cargo from this checkout; every output goes
+# under target/, so a run leaves `git status` clean. Run before sending
+# a PR.
 set -u
 
 root=$(CDPATH= cd -- "$(dirname -- "$0")" && pwd)
 cd "$root" || exit 2
+bin=${CARGO_TARGET_DIR:-target}/release
+out=${CARGO_TARGET_DIR:-target}/gate
+mkdir -p "$out"
 fail=0
 
 note() { printf '== %s\n' "$*"; }
-
-cargo_works() {
-    # Offline containers can't resolve the registry; probe cheaply once.
-    cargo metadata --format-version 1 --offline >/dev/null 2>&1 ||
-        cargo metadata --format-version 1 >/dev/null 2>&1
+# step <title> <command...>: run it, record a failure, keep going.
+step() {
+    note "$1"
+    shift
+    "$@" || { note "FAILED: $*"; fail=1; }
 }
 
-if cargo_works; then
-    note "cargo fmt --check"
-    cargo fmt --all --check || fail=1
+step "cargo fmt --check" cargo fmt --all --check
+step "cargo clippy (denies unwrap/expect/panic in hot-path crates)" \
+    cargo clippy --workspace --all-targets -- -D warnings
+step "cargo build --release" cargo build --release --workspace -q
 
-    note "cargo clippy (denies unwrap/expect/panic in hot-path crates)"
-    cargo clippy --workspace --all-targets -- -D warnings || fail=1
+note "ldp-lint check (JSON mode; unused allowlist entries are fatal; 2 s budget)"
+t0=$(date +%s%N)
+"$bin/ldp-lint" check --deny-unused-allows --format json > "$out/lint.json" || fail=1
+ms=$(( ($(date +%s%N) - t0) / 1000000 ))
+[ "$ms" -le 2000 ] || { note "FAILED: ldp-lint took ${ms}ms"; fail=1; }
+# report re-parses the JSON (exit 2 on malformed output) and prints
+# per-rule violation counts.
+"$bin/ldp-lint" report "$out/lint.json" || fail=1
 
-    note "ldp-lint v2 check (JSON mode; unused allowlist entries are fatal)"
-    cargo build -q -p ldp-lint || fail=1
-    lint_json=${TMPDIR:-/tmp}/ldp-lint-report.json
-    lint_t0=$(date +%s%N)
-    ./target/debug/ldp-lint check --deny-unused-allows --format json > "$lint_json" || fail=1
-    lint_t1=$(date +%s%N)
-    lint_ms=$(( (lint_t1 - lint_t0) / 1000000 ))
-    note "ldp-lint wall time: ${lint_ms}ms (budget 2000ms)"
-    if [ "$lint_ms" -gt 2000 ]; then
-        note "FAILED: ldp-lint exceeded its 2s wall-time budget"
-        fail=1
-    fi
-    # report re-parses the JSON (exit 2 on malformed output) and prints
-    # per-rule violation counts.
-    cargo run -q -p ldp-lint -- report "$lint_json" || fail=1
+step "cargo test" cargo test --workspace -q
 
-    note "cargo test"
-    cargo test --workspace -q || fail=1
+step "hotpath microbench (telemetry and guard overhead budgets inside)" \
+    "$bin/hotpath" "$out/BENCH_hotpath.json"
 
-    note "hotpath microbench smoke run"
-    rm -f BENCH_hotpath.json
-    cargo run --release -q -p ldp-bench --bin hotpath -- BENCH_hotpath.json || fail=1
+# The studies are deterministic and self-gating (non-zero exit when a
+# determinism / resilience / dedup / recovery gate fails); their full
+# output must equal the committed figure byte for byte.
+study() {
+    note "$1 vs results/$1.txt"
+    "$bin/$@" > "$out/$1.txt" && cmp "$out/$1.txt" "results/$1.txt" ||
+        { note "FAILED: $* (stale results/$1.txt, or a gate inside it)"; fail=1; }
+}
+study fig_outage
+study fig_cache
+study fig_recovery --storm
+study fig_trace
 
-    note "fig_outage chaos smoke run (determinism + resilience gates)"
-    cargo run --release -q -p ldp-bench --bin fig_outage -- --smoke || fail=1
+step "benchmark self-check (smoke scale: outputs verified, no bounds)" \
+    sh benchmark/selfcheck.sh --quick
 
-    note "fig_trace telemetry smoke run (stage breakdown + determinism gates)"
-    cargo run --release -q -p ldp-bench --bin fig_trace -- --smoke || fail=1
+# Presence and ratio gates over the hotpath report.
+num() {
+    awk -F: -v key="\"$1\"" '$1 ~ key { gsub(/[ ,]/, "", $2); print int($2); exit }' \
+        "$out/BENCH_hotpath.json" 2>/dev/null
+}
+for key in encode_msgs_per_sec decode_msgs_per_sec template_answers_per_sec \
+    cache_hit_per_sec cache_delayed_hit_per_sec cache_miss_per_sec \
+    fuzzy_checkpoint_per_sec sharded_events_per_sec_1 sharded_events_per_sec_2 \
+    sharded_events_per_sec_8; do
+    v=$(num "$key")
+    [ -n "$v" ] || { note "FAILED: $key missing from BENCH_hotpath.json"; fail=1; }
+    eval "$key=\${v:-0}"
+    note "$key: ${v:-missing}"
+done
+# The scratch-reuse encoder must stay at least as fast as decode, and
+# a warm cache hit at least as fast as the full miss path.
+[ "$encode_msgs_per_sec" -ge "$decode_msgs_per_sec" ] ||
+    { note "FAILED: encode slower than decode"; fail=1; }
+[ "$cache_hit_per_sec" -ge "$cache_miss_per_sec" ] ||
+    { note "FAILED: cache hit slower than cache miss"; fail=1; }
 
-    note "fig_cache delayed-hits smoke run (determinism + dedup + eviction gates)"
-    cargo run --release -q -p ldp-bench --bin fig_cache -- --smoke || fail=1
-
-    note "fig_recovery smoke run (crash recovery + crash-storm fuzzy-cut gates)"
-    cargo run --release -q -p ldp-bench --bin fig_recovery -- --smoke --storm || fail=1
-else
-    note "cargo cannot resolve dependencies here; running the offline rustc chain"
-    bin=${TMPDIR:-/tmp}/ldp-lint-gate
-    rustc --edition 2021 -O -o "$bin" crates/ldp-lint/src/main.rs || exit 2
-    lint_json=${TMPDIR:-/tmp}/ldp-lint-report.json
-    lint_t0=$(date +%s%N)
-    "$bin" check --deny-unused-allows --format json > "$lint_json" || fail=1
-    lint_t1=$(date +%s%N)
-    lint_ms=$(( (lint_t1 - lint_t0) / 1000000 ))
-    note "ldp-lint wall time: ${lint_ms}ms (budget 2000ms)"
-    if [ "$lint_ms" -gt 2000 ]; then
-        note "FAILED: ldp-lint exceeded its 2s wall-time budget"
-        fail=1
-    fi
-    # report re-parses the JSON (exit 2 on malformed output) and prints
-    # per-rule violation counts.
-    "$bin" report "$lint_json" || fail=1
-
-    od=${TMPDIR:-/tmp}/ldp-offline
-    mkdir -p "$od"
-
-    note "offline: ldp-lint unit tests (lexer, index, call graph, rules, driver, json)"
-    rustc --edition 2021 --test -o "$od/ldp_lint_t" crates/ldp-lint/src/main.rs &&
-        "$od/ldp_lint_t" -q || fail=1
-    # -L lets rustc load transitive rlibs (a crate's own deps).
-    rc() { rustc --edition 2021 -O --out-dir "$od" -L "dependency=$od" "$@"; }
-    # Stub externs (offline/stubs/README): networked builds use the
-    # real crates; these only exist so bare rustc can link the chain.
-    RAND="--extern rand=$od/librand.rlib"
-    BYTES="--extern bytes=$od/libbytes.rlib"
-    XBEAM="--extern crossbeam=$od/libcrossbeam.rlib"
-    WIRE="--extern dns_wire=$od/libdns_wire.rlib"
-    TRACE="--extern ldp_trace=$od/libldp_trace.rlib"
-    NETSIM="--extern netsim=$od/libnetsim.rlib"
-    ZONE="--extern dns_zone=$od/libdns_zone.rlib"
-    SERVER="--extern dns_server=$od/libdns_server.rlib"
-    REPLAY="--extern ldp_replay=$od/libldp_replay.rlib"
-    RESOLVER="--extern dns_resolver=$od/libdns_resolver.rlib"
-    CACHE="--extern ldp_cache=$od/libldp_cache.rlib"
-    PROXY="--extern ldp_proxy=$od/libldp_proxy.rlib"
-    METRICS="--extern ldp_metrics=$od/libldp_metrics.rlib"
-    TELEM="--extern ldp_telemetry=$od/libldp_telemetry.rlib"
-    SHARD="--extern ldp_shard=$od/libldp_shard.rlib"
-    WORKLOADS="--extern workloads=$od/libworkloads.rlib"
-    ZC="--extern zone_construct=$od/libzone_construct.rlib"
-    CORE="--extern ldp_core=$od/libldp_core.rlib"
-    CHAOS="--extern ldp_chaos=$od/libldp_chaos.rlib"
-    GUARD="--extern ldp_guard=$od/libldp_guard.rlib"
-    BENCH="--extern ldp_bench=$od/libldp_bench.rlib"
-    LDP="--extern ldplayer=$od/libldplayer.rlib"
-
-    note "offline: dependency stubs (rand, bytes, crossbeam)"
-    rc --crate-type lib --crate-name rand offline/stubs/rand.rs || exit 2
-    rc --crate-type lib --crate-name bytes offline/stubs/bytes.rs || exit 2
-    rc --crate-type lib --crate-name crossbeam offline/stubs/crossbeam.rs || exit 2
-
-    note "offline: workspace rlibs (dns-wire, trace, metrics, telemetry, netsim, dns-zone, guard, dns-server, replay)"
-    rc --crate-type lib --crate-name dns_wire $BYTES crates/dns-wire/src/lib.rs || fail=1
-    rc --crate-type lib --crate-name ldp_cache $WIRE crates/cache/src/lib.rs || fail=1
-    rc --crate-type lib --crate-name ldp_trace $WIRE $RAND crates/trace/src/lib.rs || fail=1
-    rc --crate-type lib --crate-name ldp_metrics crates/metrics/src/lib.rs || fail=1
-    rc --crate-type lib --crate-name ldp_telemetry $METRICS crates/telemetry/src/lib.rs || fail=1
-    rc --crate-type lib --crate-name netsim $RAND $TELEM crates/netsim/src/lib.rs || fail=1
-    rc --crate-type lib --crate-name ldp_shard $NETSIM $RAND $TELEM \
-        crates/shard/src/lib.rs || fail=1
-    rc --crate-type lib --crate-name dns_zone $WIRE $RAND crates/dns-zone/src/lib.rs || fail=1
-    rc --crate-type lib --crate-name ldp_guard crates/guard/src/lib.rs || fail=1
-    rc --crate-type lib --crate-name dns_server $WIRE $ZONE $NETSIM $TELEM $GUARD \
-        offline/dns_server_offline.rs || fail=1
-    rc --crate-type lib --crate-name ldp_replay $XBEAM $WIRE $TRACE $NETSIM $TELEM $GUARD \
-        offline/replay_offline.rs || fail=1
-
-    note "offline: workspace rlibs (workloads, resolver, proxy, zone-construct, core, chaos)"
-    rc --crate-type lib --crate-name workloads $WIRE $TRACE $RAND \
-        crates/workloads/src/lib.rs || fail=1
-    rc --crate-type lib --crate-name dns_resolver $WIRE $ZONE $NETSIM $RAND $TELEM $CACHE \
-        crates/dns-resolver/src/lib.rs || fail=1
-    rc --crate-type lib --crate-name ldp_proxy $WIRE $NETSIM \
-        offline/proxy_offline.rs || fail=1
-    rc --crate-type lib --crate-name zone_construct $WIRE $ZONE $SERVER $RESOLVER $NETSIM $TRACE \
-        crates/zone-construct/src/lib.rs || fail=1
-    rc --crate-type lib --crate-name ldp_core \
-        $WIRE $ZONE $SERVER $RESOLVER $NETSIM $TRACE $ZC $PROXY $REPLAY $METRICS $WORKLOADS \
-        $TELEM $GUARD \
-        offline/core_offline.rs || fail=1
-    rc --crate-type lib --crate-name ldp_chaos $WIRE $ZONE $SERVER $RESOLVER $NETSIM $RAND \
-        $TRACE $REPLAY $TELEM $GUARD $SHARD $CACHE $WORKLOADS \
-        crates/chaos/src/lib.rs || fail=1
-
-    note "offline: dns-wire unit tests"
-    rc --test --crate-name dns_wire_t $BYTES crates/dns-wire/src/lib.rs &&
-        "$od/dns_wire_t" -q || fail=1
-
-    note "offline: ldp-cache unit tests (store, policies, outstanding, negative)"
-    rc --test --crate-name cache_t $WIRE crates/cache/src/lib.rs &&
-        "$od/cache_t" -q || fail=1
-
-    note "offline: guard unit tests (budget, checkpoint, admission, supervisor)"
-    rc --test --crate-name guard_t crates/guard/src/lib.rs &&
-        "$od/guard_t" -q || fail=1
-
-    note "offline: telemetry unit tests (recorder, clock, export)"
-    rc --test --crate-name telemetry_t $METRICS crates/telemetry/src/lib.rs &&
-        "$od/telemetry_t" -q || fail=1
-
-    note "offline: netsim unit tests (event queue, sim, slab, tcp model)"
-    rc --test --crate-name netsim_t $RAND $TELEM crates/netsim/src/lib.rs &&
-        "$od/netsim_t" -q || fail=1
-
-    note "offline: netsim determinism + tcp-model regression suites"
-    rc --test --crate-name determinism_t $NETSIM crates/netsim/tests/determinism.rs &&
-        "$od/determinism_t" -q || fail=1
-    rc --test --crate-name tcp_model_t $NETSIM crates/netsim/tests/tcp_model.rs &&
-        "$od/tcp_model_t" -q || fail=1
-
-    note "offline: ldp-shard unit + equivalence + telemetry-determinism suites"
-    rc --test --crate-name shard_t $NETSIM $RAND $TELEM crates/shard/src/lib.rs &&
-        "$od/shard_t" -q || fail=1
-    rc --test --crate-name shard_equiv_t $SHARD $NETSIM $RAND \
-        crates/shard/tests/equivalence.rs &&
-        "$od/shard_equiv_t" -q || fail=1
-    # Serial on purpose: the telemetry enable flag and flushed store
-    # are process-wide.
-    rc --test --crate-name shard_telem_t $SHARD $NETSIM $TELEM \
-        crates/shard/tests/telemetry_determinism.rs &&
-        "$od/shard_telem_t" -q --test-threads=1 || fail=1
-
-    note "offline: dns-server engine/template/rrl/sim_server suites"
-    rc --test --crate-name dns_server_t $WIRE $ZONE $NETSIM $TELEM $GUARD \
-        offline/dns_server_offline.rs &&
-        "$od/dns_server_t" -q || fail=1
-
-    note "offline: replay engine/clock/sticky/timing/sim_replay suites"
-    # Serial: the timed-replay tests assert wall-clock send fidelity and
-    # flake when CPU-heavy neighbors (fast-mode floods) run in parallel.
-    rc --test --crate-name replay_t $XBEAM $WIRE $TRACE $NETSIM $ZONE $SERVER $TELEM $GUARD \
-        offline/replay_offline.rs &&
-        "$od/replay_t" -q --test-threads=1 || fail=1
-
-    note "offline: resolver, proxy, emulation suites"
-    rc --test --crate-name resolver_t $WIRE $ZONE $NETSIM $RAND $SERVER $TELEM $CACHE \
-        crates/dns-resolver/src/lib.rs &&
-        "$od/resolver_t" -q || fail=1
-    rc --test --crate-name proxy_t $WIRE $NETSIM $ZONE $SERVER $RESOLVER \
-        offline/proxy_offline.rs &&
-        "$od/proxy_t" -q || fail=1
-    rc --test --crate-name core_t \
-        $WIRE $ZONE $SERVER $RESOLVER $NETSIM $TRACE $ZC $PROXY $REPLAY $METRICS $WORKLOADS \
-        $TELEM $GUARD \
-        offline/core_offline.rs &&
-        "$od/core_t" -q || fail=1
-
-    note "offline: chaos fault-injection suites (unit, determinism-under-faults, outage)"
-    # (prop_plan.rs is cargo-only: proptest is unavailable offline; the
-    # deterministic round-trip unit tests in plan.rs run here instead.)
-    rc --test --crate-name chaos_t $WIRE $ZONE $SERVER $RESOLVER $NETSIM $RAND \
-        $TRACE $REPLAY $TELEM $GUARD $SHARD $CACHE $WORKLOADS \
-        crates/chaos/src/lib.rs &&
-        "$od/chaos_t" -q || fail=1
-    rc --test --crate-name chaos_det_t $CHAOS $NETSIM crates/chaos/tests/determinism_faults.rs &&
-        "$od/chaos_det_t" -q || fail=1
-    rc --test --crate-name chaos_outage_t $CHAOS $NETSIM crates/chaos/tests/outage.rs &&
-        "$od/chaos_outage_t" -q || fail=1
-    rc --test --crate-name chaos_delayed_t $CHAOS $NETSIM $RESOLVER \
-        crates/chaos/tests/delayed_hits.rs &&
-        "$od/chaos_delayed_t" -q || fail=1
-    rc --test --crate-name chaos_telem_t $CHAOS $NETSIM $TELEM \
-        crates/chaos/tests/telemetry_determinism.rs &&
-        "$od/chaos_telem_t" -q || fail=1
-
-    note "offline: chaos shard-equivalence suite (outage matrix x shard counts)"
-    rc --test --crate-name chaos_shard_t $CHAOS $NETSIM crates/chaos/tests/shard_equivalence.rs &&
-        "$od/chaos_shard_t" -q || fail=1
-
-    note "offline: chaos crash-storm suite (v1 starvation + fuzzy-cut resume byte-identity)"
-    # Serial: telemetry enable flag and thread-local rings are shared
-    # process state across the storm runs.
-    rc --test --crate-name chaos_storm_t $CHAOS $NETSIM $TELEM $GUARD \
-        crates/chaos/tests/recovery_storm.rs &&
-        "$od/chaos_storm_t" -q --test-threads=1 || fail=1
-
-    note "offline: facade + sim-path integration suite (full_pipeline)"
-    rc --crate-type lib --crate-name ldplayer \
-        $WIRE $ZONE $SERVER $RESOLVER $NETSIM $TRACE $ZC $PROXY $REPLAY $METRICS $WORKLOADS $CORE $CHAOS $TELEM $GUARD $CACHE \
-        offline/ldplayer_offline.rs || fail=1
-    rc --test --crate-name full_pipeline_t $LDP tests/full_pipeline.rs &&
-        "$od/full_pipeline_t" -q || fail=1
-    # Type-check (not run) the sim-path example against the facade.
-    rc --crate-name hierarchy_emulation_ex $LDP examples/hierarchy_emulation.rs || fail=1
-
-    note "offline: hotpath microbench (includes telemetry + guard overhead gates)"
-    rc --crate-name hotpath $WIRE $TRACE $NETSIM $REPLAY $TELEM $GUARD $SERVER $ZONE $SHARD $CACHE \
-        crates/bench/src/bin/hotpath.rs || fail=1
-    rm -f BENCH_hotpath.json
-    "$od/hotpath" BENCH_hotpath.json || fail=1
-
-    note "offline: fig_outage chaos smoke run (determinism + resilience gates)"
-    rc --crate-type lib --crate-name ldp_bench $METRICS crates/bench/src/lib.rs || fail=1
-    rc --crate-name fig_outage $BENCH $CHAOS $NETSIM $METRICS \
-        crates/bench/src/bin/fig_outage.rs &&
-        "$od/fig_outage" --smoke || fail=1
-
-    note "offline: fig_cache delayed-hits smoke run (determinism + dedup + eviction gates)"
-    rc --crate-name fig_cache $BENCH $CHAOS $NETSIM $RESOLVER $TELEM $METRICS \
-        crates/bench/src/bin/fig_cache.rs &&
-        "$od/fig_cache" --smoke || fail=1
-
-    note "offline: fig_trace telemetry smoke run (stage breakdown + determinism gates)"
-    rc --crate-name fig_trace \
-        $BENCH $NETSIM $SERVER $REPLAY $ZONE $WIRE $WORKLOADS $TRACE $METRICS $TELEM \
-        crates/bench/src/bin/fig_trace.rs &&
-        "$od/fig_trace" --smoke || fail=1
-
-    note "offline: fig_recovery smoke run (crash recovery + crash-storm fuzzy-cut gates)"
-    rc --crate-name fig_recovery $BENCH $CHAOS $NETSIM $METRICS $GUARD $REPLAY $TELEM \
-        crates/bench/src/bin/fig_recovery.rs &&
-        "$od/fig_recovery" --smoke --storm || fail=1
-
-    note "SKIPPED: fmt, clippy, tokio-dependent crates (registry unreachable)"
-fi
-
-if [ -f BENCH_hotpath.json ]; then
-    note "BENCH_hotpath.json written"
-    # Encode-path gates: the scratch-reuse encode rewrite must keep
-    # encode at least as fast as decode, and the server template bench
-    # must be present in the report.
-    bench_num() {
-        awk -F: -v key="\"$1\"" '$1 ~ key { gsub(/[ ,]/, "", $2); print int($2); exit }' \
-            BENCH_hotpath.json
-    }
-    enc=$(bench_num encode_msgs_per_sec)
-    dec=$(bench_num decode_msgs_per_sec)
-    tpl=$(bench_num template_answers_per_sec)
-    if [ -z "$enc" ] || [ -z "$dec" ] || [ "$enc" -lt "$dec" ]; then
-        note "FAILED: wire.encode_msgs_per_sec (${enc:-missing}) < wire.decode_msgs_per_sec (${dec:-missing})"
-        fail=1
-    else
-        note "encode/decode gate: ${enc} >= ${dec} msgs/s"
-    fi
-    if [ -z "$tpl" ]; then
-        note "FAILED: server.template_answers_per_sec missing from BENCH_hotpath.json"
-        fail=1
-    else
-        note "server template bench: ${tpl} answers/s"
-    fi
-    # Resolver-cache gate: the three answer-path rates must be present,
-    # and the warm-hit path must not be slower than the full miss path
-    # (lookup + lead registration + insert + eviction).
-    chit=$(bench_num cache_hit_per_sec)
-    cdel=$(bench_num cache_delayed_hit_per_sec)
-    cmiss=$(bench_num cache_miss_per_sec)
-    if [ -z "$chit" ] || [ -z "$cdel" ] || [ -z "$cmiss" ]; then
-        note "FAILED: resolver.cache_{hit,delayed_hit,miss}_per_sec missing from BENCH_hotpath.json"
-        fail=1
-    elif [ "$chit" -lt "$cmiss" ]; then
-        note "FAILED: resolver.cache_hit_per_sec ($chit) < cache_miss_per_sec ($cmiss)"
-        fail=1
-    else
-        note "resolver cache bench: hit ${chit}, delayed-hit ${cdel}, miss ${cmiss} ops/s"
-    fi
-    # Guard gate: the v2 fuzzy-cut checkpoint serialization bench must
-    # be present (the binary itself enforces the ≤3% guard overhead
-    # budget before writing the report).
-    fuzzy=$(bench_num fuzzy_checkpoint_per_sec)
-    if [ -z "$fuzzy" ]; then
-        note "FAILED: guard.fuzzy_checkpoint_per_sec missing from BENCH_hotpath.json"
-        fail=1
-    else
-        note "guard fuzzy-checkpoint bench: ${fuzzy} round-trips/s"
-    fi
-    # Sharded-simulator gate: all three shard-count rates must be
-    # present (the hotpath binary itself asserts the sharded event
-    # counts equal the single-shard run before reporting them).
-    for n in 1 2 8; do
-        eps=$(bench_num "sharded_events_per_sec_$n")
-        if [ -z "$eps" ]; then
-            note "FAILED: sim.sharded_events_per_sec_$n missing from BENCH_hotpath.json"
-            fail=1
-        else
-            note "sharded sim bench (shards=$n): ${eps} events/s"
-        fi
-    done
-else
-    note "FAILED: hotpath bench produced no BENCH_hotpath.json"
-    fail=1
-fi
-
-if [ "$fail" -eq 0 ]; then
-    note "static analysis OK"
-else
-    note "static analysis FAILED"
-fi
+[ "$fail" -eq 0 ] && note "static analysis OK" || note "static analysis FAILED"
 exit "$fail"

@@ -272,16 +272,13 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         tcp_idle_timeout: std::time::Duration::from_secs(timeout),
         ..Default::default()
     };
-    let runtime = tokio::runtime::Runtime::new().map_err(|e| e.to_string())?;
-    runtime.block_on(async move {
-        let server = ldplayer::server::spawn(engine, config)
-            .await
-            .map_err(|e| format!("bind: {e}"))?;
-        println!("serving on udp/tcp {} (ctrl-c to stop)", server.udp_addr);
-        tokio::signal::ctrl_c().await.ok();
-        server.shutdown();
-        Ok::<(), String>(())
-    })
+    let server = ldplayer::server::spawn(engine, config).map_err(|e| format!("bind: {e}"))?;
+    println!("serving on udp/tcp {} (kill to stop)", server.udp_addr);
+    // The server runs on its own threads; this one has nothing left to
+    // do until the process is killed (park may wake spuriously).
+    loop {
+        std::thread::park();
+    }
 }
 
 fn cmd_generate(args: &[String]) -> Result<(), String> {

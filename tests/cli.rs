@@ -10,7 +10,8 @@ fn ldplayer() -> Command {
 }
 
 fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ldp-cli-test-{}", std::process::id()));
+    // Under target/, so a test run leaves nothing outside the checkout.
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("ldp-cli-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir.join(name)
 }

@@ -6,10 +6,15 @@ use ldplayer::core::{run_fidelity_session, SessionConfig};
 use ldplayer::replay::{replay, ReplayConfig};
 use ldplayer::workloads::{BRootSpec, SyntheticTraceSpec};
 
+/// These tests assert wall-clock timing over loopback; side by side on
+/// a small box they steal each other's CPU, so they run one at a time.
+static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 /// Figure 6/7-style validation: replayed arrival timing tracks the
 /// original trace within small error for a Poisson (B-Root-like) trace.
 #[test]
 fn broot_like_replay_timing_is_accurate() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let trace = BRootSpec {
         duration_secs: 4.0,
         mean_rate: 250.0,
@@ -34,6 +39,7 @@ fn broot_like_replay_timing_is_accurate() {
 /// Figure 8-style: per-second rates match within tight bounds.
 #[test]
 fn per_second_rates_track() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let trace = BRootSpec {
         duration_secs: 6.0,
         mean_rate: 400.0,
@@ -65,6 +71,7 @@ fn per_second_rates_track() {
 /// test mode — and the throughput exceeds the trace's nominal rate.
 #[test]
 fn fast_mode_exceeds_nominal_rate() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let sink = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
     let addr = sink.local_addr().unwrap();
     // Nominal: 100 q/s for 30 s. Fast mode must beat that wildly.
@@ -90,6 +97,7 @@ fn fast_mode_exceeds_nominal_rate() {
 /// queries (failure injection).
 #[test]
 fn emulation_survives_packet_loss() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     use ldplayer::core::{build_emulation, EmulationConfig};
     use ldplayer::netsim::{Ctx, Host, PacketBytes, PathConfig, SimDuration, SimTime, TcpEvent, Topology};
     use ldplayer::wire::{Message, Rcode, RecordType};
