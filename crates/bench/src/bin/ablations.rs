@@ -66,10 +66,14 @@ fn ablation_timing() {
     let ldp_errors = report.timing_errors_us(t0, 1.0);
     let ldp = Summary::of(&ldp_errors).unwrap();
 
-    println!("naive gap-sleep : median {:>9.1} µs  q3 {:>9.1} µs  max {:>10.1} µs (drift!)",
-        naive.median, naive.q3, naive.max);
-    println!("LDplayer ΔTᵢ    : median {:>9.1} µs  q3 {:>9.1} µs  max {:>10.1} µs",
-        ldp.median, ldp.q3, ldp.max);
+    println!(
+        "naive gap-sleep : median {:>9.1} µs  q3 {:>9.1} µs  max {:>10.1} µs (drift!)",
+        naive.median, naive.q3, naive.max
+    );
+    println!(
+        "LDplayer ΔTᵢ    : median {:>9.1} µs  q3 {:>9.1} µs  max {:>10.1} µs",
+        ldp.median, ldp.q3, ldp.max
+    );
     println!(
         "drift at end of {seconds}s trace: naive {:+.1} ms vs LDplayer {:+.1} ms\n",
         naive_errors_us.last().unwrap_or(&0.0) / 1e3,
@@ -113,7 +117,12 @@ fn ablation_connection_reuse() {
         let client_id = sim.add_host(&sources, Box::new(client));
         SimReplayClient::schedule(&mut sim, client_id, &trace, netsim::SimTime::ZERO);
         sim.run_until(netsim::SimTime::from_secs_f64(120.0));
-        let lat: Vec<f64> = log.lock().unwrap().iter().map(|r| r.latency() * 1e3).collect();
+        let lat: Vec<f64> = log
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|r| r.latency() * 1e3)
+            .collect();
         let s = Summary::of(&lat).unwrap();
         println!(
             "reuse={reuse:<5} median {:>7.1} ms  q3 {:>7.1} ms  (answers {}, server accepts {})",
@@ -163,7 +172,11 @@ fn ablation_distribution_levels() {
     let mut spec = SyntheticTraceSpec::fixed_interarrival(0.00001, 2.0);
     spec.client_pool = 500;
     let trace = spec.generate(3);
-    for (label, d, q) in [("one-level (1×6)", 1usize, 6usize), ("two-level (2×3)", 2, 3), ("two-level (3×2)", 3, 2)] {
+    for (label, d, q) in [
+        ("one-level (1×6)", 1usize, 6usize),
+        ("two-level (2×3)", 2, 3),
+        ("two-level (3×2)", 3, 2),
+    ] {
         let config = ReplayConfig {
             target_udp: target,
             target_tcp: target,

@@ -28,7 +28,9 @@ fn main() {
         ("syn-0 (1s)", 1.0),
     ] {
         // Keep at least 100 queries per trace, at most `seconds` long.
-        let dur = seconds.max(100.0 * ia).min(if ia >= 1.0 { 120.0 } else { seconds * 4.0 });
+        let dur = seconds
+            .max(100.0 * ia)
+            .min(if ia >= 1.0 { 120.0 } else { seconds * 4.0 });
         let mut spec = SyntheticTraceSpec::fixed_interarrival(ia, dur);
         spec.client_pool = 1000;
         syn_traces.push((name, spec.generate(6)));
@@ -42,20 +44,25 @@ fn main() {
     .generate(6);
 
     let mut fig7: Vec<(String, Vec<f64>, Vec<f64>)> = Vec::new();
-    for (name, trace) in syn_traces.iter().map(|(n, t)| (*n, t)).chain(std::iter::once(("B-Root", &broot))) {
+    for (name, trace) in syn_traces
+        .iter()
+        .map(|(n, t)| (*n, t))
+        .chain(std::iter::once(("B-Root", &broot)))
+    {
         let config = SessionConfig {
             answer_from: Some("example.com".into()),
             skip_secs: seconds * 0.1,
             ..Default::default()
         };
         let report = run_fidelity_session(trace, &config);
-        println!(
-            "{}",
-            boxplot_row(name, &report.error_summary, "ms")
-        );
+        println!("{}", boxplot_row(name, &report.error_summary, "ms"));
         println!(
             "{:28} min {:>9.3}ms  max {:>9.3}ms  matched {}/{}\n",
-            "", report.error_summary.min, report.error_summary.max, report.matched, trace.len()
+            "",
+            report.error_summary.min,
+            report.error_summary.max,
+            report.matched,
+            trace.len()
         );
         fig7.push((
             name.to_string(),

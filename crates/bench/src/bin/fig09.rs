@@ -22,7 +22,8 @@ fn main() {
     let mut catalog = dns_zone::Catalog::new();
     catalog.insert(wildcard_zone("example.com"));
     let engine = Arc::new(dns_server::ServerEngine::with_catalog(catalog));
-    let server = dns_server::spawn(engine, dns_server::ServerConfig::default()).expect("bind server");
+    let server =
+        dns_server::spawn(engine, dns_server::ServerConfig::default()).expect("bind server");
 
     // Continuous stream: nominal 0.1 ms inter-arrivals, replayed in
     // fast mode (no timers) — the generator saturates, as in the paper.
@@ -64,7 +65,12 @@ fn main() {
     println!("\n time(s)   rate (q/s)   bandwidth (Mb/s, ~86B frames)");
     for (i, c) in counts.iter().enumerate() {
         let qps = *c as f64 / 2.0;
-        println!("{:>7}   {:>10.0}   {:>10.1}", (i + 1) * 2, qps, qps * 86.0 * 8.0 / 1e6);
+        println!(
+            "{:>7}   {:>10.0}   {:>10.1}",
+            (i + 1) * 2,
+            qps,
+            qps * 86.0 * 8.0 / 1e6
+        );
     }
 
     let rate = report.total_sent as f64 / report.elapsed.as_secs_f64();

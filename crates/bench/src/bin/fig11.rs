@@ -54,7 +54,11 @@ fn main() {
             };
             let r = transport_experiment(engine.clone(), &trace, &config);
             let width = if transport.is_none() { 18 } else { 14 };
-            row.push_str(&format!("{:>width$.2}%", r.cpu_percent * scale, width = width - 1));
+            row.push_str(&format!(
+                "{:>width$.2}%",
+                r.cpu_percent * scale,
+                width = width - 1
+            ));
         }
         println!("{row}");
     }

@@ -36,7 +36,10 @@ fn main() {
     catalog.insert(synthetic_root_zone());
     let engine = Arc::new(ServerEngine::with_catalog(catalog));
 
-    for (figure, transport) in [("Figure 13 (TCP)", Transport::Tcp), ("Figure 14 (TLS)", Transport::Tls)] {
+    for (figure, transport) in [
+        ("Figure 13 (TCP)", Transport::Tcp),
+        ("Figure 14 (TLS)", Transport::Tls),
+    ] {
         println!("════ {figure} ════");
         println!(
             "{:<9} {:>12} {:>16} {:>14} {:>12} {:>12}",
@@ -90,8 +93,12 @@ fn main() {
     let r = transport_experiment(engine.clone(), &trace, &config);
     println!(
         "baseline (original trace, 3% TCP, 20s timeout): {:.2} GiB, {:.0} established",
-        r.memory_gib.steady_state_mean(spec.duration_secs * 0.5).unwrap_or(0.0),
-        r.established.steady_state_mean(spec.duration_secs * 0.5).unwrap_or(0.0),
+        r.memory_gib
+            .steady_state_mean(spec.duration_secs * 0.5)
+            .unwrap_or(0.0),
+        r.established
+            .steady_state_mean(spec.duration_secs * 0.5)
+            .unwrap_or(0.0),
     );
     println!("\npaper at full scale, 20s timeout: TCP ~15 GB / TLS ~18 GB; ~60k established,");
     println!("~120k TIME_WAIT (≈2× established); UDP-dominated baseline ~2 GB; memory and");

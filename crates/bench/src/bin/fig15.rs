@@ -28,7 +28,11 @@ fn main() {
     println!(
         "B-Root-17b-like: {} queries, {} distinct clients (scale {scale})\n",
         trace.len(),
-        trace.iter().map(|e| e.src.ip()).collect::<std::collections::HashSet<_>>().len()
+        trace
+            .iter()
+            .map(|e| e.src.ip())
+            .collect::<std::collections::HashSet<_>>()
+            .len()
     );
 
     let mut catalog = Catalog::new();
@@ -59,7 +63,10 @@ fn main() {
     // ── Figures 15a / 15b: latency vs RTT ──
     for (figure, filter) in [
         ("Figure 15a: all clients", None),
-        ("Figure 15b: non-busy clients (<250 queries)", Some(250usize)),
+        (
+            "Figure 15b: non-busy clients (<250 queries)",
+            Some(250usize),
+        ),
     ] {
         println!("── {figure} ──");
         for rtt_ms in [0u64, 20, 40, 80, 120, 160] {

@@ -21,7 +21,13 @@ use ldp_chaos::delayed::{run, DelayedConfig, DelayedOutcome, PolicyKind};
 use ldp_telemetry as tel;
 use netsim::{QueueKind, SimDuration, SimTime};
 
-fn cfg_for(capacity: usize, policy: PolicyKind, seed: u64, queue: QueueKind, smoke: bool) -> DelayedConfig {
+fn cfg_for(
+    capacity: usize,
+    policy: PolicyKind,
+    seed: u64,
+    queue: QueueKind,
+    smoke: bool,
+) -> DelayedConfig {
     if smoke {
         DelayedConfig::smoke(capacity, policy, seed, queue)
     } else {
@@ -82,7 +88,13 @@ fn main() {
     // enabled vs disabled (telemetry must be a pure observer).
     let heap_a = run(&shape);
     let heap_b = run(&shape);
-    let btree = run(&cfg_for(capacities[0], PolicyKind::Lru, seed, QueueKind::BTree, smoke));
+    let btree = run(&cfg_for(
+        capacities[0],
+        PolicyKind::Lru,
+        seed,
+        QueueKind::BTree,
+        smoke,
+    ));
     tel::set_enabled(true);
     let _ = tel::drain_all();
     let telem_on = run(&shape);
@@ -120,7 +132,13 @@ fn main() {
     // Eviction gate: a bounded run must actually evict, stay within
     // capacity, and do so identically on a rerun (deterministic
     // rank-based eviction, no ambient state).
-    let bounded = cfg_for(capacities[0], PolicyKind::DelayAware, seed, QueueKind::Heap, smoke);
+    let bounded = cfg_for(
+        capacities[0],
+        PolicyKind::DelayAware,
+        seed,
+        QueueKind::Heap,
+        smoke,
+    );
     let ev_a = run(&bounded);
     let ev_b = run(&bounded);
     let evict_ok = ev_a.snapshot.stats.evictions > 0
@@ -131,7 +149,11 @@ fn main() {
         capacities[0],
         bounded.policy.label(),
         ev_a.snapshot.stats.evictions,
-        if ev_a.transcript == ev_b.transcript { "byte-identical" } else { "MISMATCH" },
+        if ev_a.transcript == ev_b.transcript {
+            "byte-identical"
+        } else {
+            "MISMATCH"
+        },
         if evict_ok { "ok" } else { "FAIL" }
     );
     failed |= !evict_ok;
@@ -143,7 +165,13 @@ fn main() {
         "{:<28} {:>6} {:>12} {:>6} {:>9} {:>9} {:>10}",
         "capacity/policy", "hits", "delayed-hits", "miss", "servfail", "evicted", "answered"
     );
-    let baseline = run(&cfg_for(usize::MAX, PolicyKind::Lru, seed, QueueKind::Heap, smoke));
+    let baseline = run(&cfg_for(
+        usize::MAX,
+        PolicyKind::Lru,
+        seed,
+        QueueKind::Heap,
+        smoke,
+    ));
     println!("{}", split_row("inf/any", &baseline));
     failed |= baseline.ok_fraction() < 1.0;
     let mut grid = Vec::new();
@@ -191,7 +219,17 @@ fn main() {
         "{:<28} {:>6} {:>12} {:>6} {:>9} {:>9} {:>10}",
         "capacity/policy", "hits", "delayed-hits", "miss", "servfail", "evicted", "answered"
     );
-    println!("{}", split_row(&format!("{}/{} (outage)", cap_label(outage.capacity), outage.policy.label()), &out));
+    println!(
+        "{}",
+        split_row(
+            &format!(
+                "{}/{} (outage)",
+                cap_label(outage.capacity),
+                outage.policy.label()
+            ),
+            &out
+        )
+    );
     for class in [AnswerClass::Hit, AnswerClass::DelayedHit, AnswerClass::Miss] {
         let samples = out.latencies_secs(class);
         for row in cdf_rows(&format!("outage/{}", class.label()), &samples, "s") {

@@ -75,9 +75,17 @@ fn main() {
     let backend_ok = body(&heap_a.transcript) == body(&btree.transcript);
     println!(
         "determinism: same-seed rerun {} ({} transcript bytes), heap vs btree {}",
-        if rerun_ok { "byte-identical" } else { "MISMATCH" },
+        if rerun_ok {
+            "byte-identical"
+        } else {
+            "MISMATCH"
+        },
         heap_a.transcript.len(),
-        if backend_ok { "byte-identical" } else { "MISMATCH" },
+        if backend_ok {
+            "byte-identical"
+        } else {
+            "MISMATCH"
+        },
     );
     failed |= !rerun_ok || !backend_ok;
 
@@ -138,16 +146,16 @@ fn main() {
     println!(
         "gate: {:<26} degrades during the outage — {}",
         base_cfg.policy.label,
-        if degraded { "ok (faults are live)" } else { "FAIL (outage had no effect)" }
+        if degraded {
+            "ok (faults are live)"
+        } else {
+            "FAIL (outage had no effect)"
+        }
     );
     failed |= !degraded;
 
-    println!(
-        "\ntakeaway: a 3-of-13-letter outage plus 10% loss is survivable with plain"
-    );
-    println!(
-        "failover (next-NS on timeout/SERVFAIL); backoff+rotation additionally spreads"
-    );
+    println!("\ntakeaway: a 3-of-13-letter outage plus 10% loss is survivable with plain");
+    println!("failover (next-NS on timeout/SERVFAIL); backoff+rotation additionally spreads");
     println!("retry load and keeps during-outage tail latency bounded by the retry budget.");
 
     if failed {

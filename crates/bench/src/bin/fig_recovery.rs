@@ -95,9 +95,17 @@ fn main() {
     let backend_ok = body(&heap_a.transcript) == body(&btree_base.transcript);
     println!(
         "determinism: same-seed rerun {} ({} transcript bytes), heap vs btree {}",
-        if rerun_ok { "byte-identical" } else { "MISMATCH" },
+        if rerun_ok {
+            "byte-identical"
+        } else {
+            "MISMATCH"
+        },
         heap_a.transcript.len(),
-        if backend_ok { "byte-identical" } else { "MISMATCH" },
+        if backend_ok {
+            "byte-identical"
+        } else {
+            "MISMATCH"
+        },
     );
     failed |= !rerun_ok || !backend_ok;
 
@@ -112,9 +120,11 @@ fn main() {
             continue;
         };
         // The checkpoint also survives its text serialization.
-        let cp = match cp.to_text().map_err(|e| e.to_string()).and_then(|t| {
-            Checkpoint::from_text(&t).map_err(|e| e.to_string())
-        }) {
+        let cp = match cp
+            .to_text()
+            .map_err(|e| e.to_string())
+            .and_then(|t| Checkpoint::from_text(&t).map_err(|e| e.to_string()))
+        {
             Ok(c) => c,
             Err(e) => {
                 println!("gate: {queue:?} resume — FAIL (checkpoint round-trip: {e})");
@@ -206,8 +216,7 @@ fn main() {
             let answered_ok = base.outcome.records.len() == cfg.base.queries;
             let killed = run_storm_killed(&cfg);
             let in_storm = killed.stamps_in(from, to);
-            let commit_ok =
-                !in_storm.is_empty() && in_storm.iter().any(|s| s.inflight > 0);
+            let commit_ok = !in_storm.is_empty() && in_storm.iter().any(|s| s.inflight > 0);
             let Some(cp) = killed.outcome.checkpoint.clone() else {
                 println!("gate: {queue:?} storm resume — FAIL (no fuzzy cut committed)");
                 failed = true;
@@ -226,8 +235,7 @@ fn main() {
                 }
             };
             let resumed = run_storm_resumed(&cfg, &cp);
-            let transcript_ok =
-                body(&resumed.outcome.transcript) == body(&base.outcome.transcript);
+            let transcript_ok = body(&resumed.outcome.transcript) == body(&base.outcome.transcript);
             let spliced = spliced_q_events_fuzzy(&killed.outcome, &resumed.outcome);
             let mut base_events = base.outcome.q_events.clone();
             tel::canonical_order(&mut base_events);

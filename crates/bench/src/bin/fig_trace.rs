@@ -57,7 +57,11 @@ fn root_engine() -> Arc<ServerEngine> {
         }),
     ))
     .expect("SOA inserts into fresh zone");
-    for (tld, ns) in [("com", "a.gtld-servers.net"), ("net", "a.gtld-servers.net"), ("org", "a0.org.afilias-nst.info")] {
+    for (tld, ns) in [
+        ("com", "a.gtld-servers.net"),
+        ("net", "a.gtld-servers.net"),
+        ("org", "a0.org.afilias-nst.info"),
+    ] {
         z.insert(Record::new(n(tld), 172_800, RData::Ns(n(ns))))
             .expect("NS inserts into fresh zone");
     }
@@ -86,11 +90,18 @@ fn run_once(
             bandwidth_bps: None,
             loss: 0.0,
         }),
-        SimConfig { queue, ..SimConfig::default() },
+        SimConfig {
+            queue,
+            ..SimConfig::default()
+        },
     );
     sim.add_host(
         &[server_addr.ip()],
-        Box::new(SimDnsServer::new(root_engine(), server_addr, Some(SimDuration::from_secs(20)))),
+        Box::new(SimDnsServer::new(
+            root_engine(),
+            server_addr,
+            Some(SimDuration::from_secs(20)),
+        )),
     );
     let log: LatencyLog = Arc::new(Mutex::new(vec![]));
     let client = SimReplayClient::new(trace.to_vec(), server_addr, log.clone());
@@ -109,7 +120,11 @@ fn run_once(
             r.seq, r.sent_s, r.replied_s, r.response_bytes
         );
     }
-    let events = if telemetry { tel::drain_all() } else { Vec::new() };
+    let events = if telemetry {
+        tel::drain_all()
+    } else {
+        Vec::new()
+    };
     tel::set_enabled(false);
     (transcript, events)
 }
@@ -123,7 +138,10 @@ fn main() {
     let secs = arg_f64("--secs", if smoke { 20.0 } else { 60.0 });
     let mut failed = false;
 
-    let spec = BRootSpec { duration_secs: secs, ..BRootSpec::b_root_17a().scaled(scale) };
+    let spec = BRootSpec {
+        duration_secs: secs,
+        ..BRootSpec::b_root_17a().scaled(scale)
+    };
     let server_addr = spec.server;
     let trace = spec.generate(seed);
     let horizon = secs + 10.0;
@@ -153,10 +171,22 @@ fn main() {
     let _ = writeln!(
         out,
         "determinism: event logs rerun {} ({} events), latency on/off {}, heap vs btree {}",
-        if rerun_ok { "byte-identical" } else { "MISMATCH" },
+        if rerun_ok {
+            "byte-identical"
+        } else {
+            "MISMATCH"
+        },
         events.len(),
-        if onoff_ok { "byte-identical" } else { "MISMATCH" },
-        if backend_ok { "byte-identical" } else { "MISMATCH" },
+        if onoff_ok {
+            "byte-identical"
+        } else {
+            "MISMATCH"
+        },
+        if backend_ok {
+            "byte-identical"
+        } else {
+            "MISMATCH"
+        },
     );
     failed |= !rerun_ok || !onoff_ok || !backend_ok;
     if events.is_empty() {
@@ -187,7 +217,11 @@ fn main() {
                 }
             }
             None => {
-                let _ = writeln!(out, "  {label:<24} (no samples, unfinished={})", stage.unfinished);
+                let _ = writeln!(
+                    out,
+                    "  {label:<24} (no samples, unfinished={})",
+                    stage.unfinished
+                );
             }
         }
     }

@@ -161,7 +161,9 @@ fn replay_qps(queries: u64, guard: ldp_guard::GuardConfig) -> (u64, f64, u64) {
         .map(|i| {
             TraceEntry::query(
                 1_000_000 + i * 100,
-                format!("10.0.{}.{}:999", i % 4, 1 + i % 200).parse().expect("src"),
+                format!("10.0.{}.{}:999", i % 4, 1 + i % 200)
+                    .parse()
+                    .expect("src"),
                 "127.0.0.1:53".parse().expect("dst"),
                 i as u16,
                 format!("q{i}.example.com").parse().expect("qname"),
@@ -347,7 +349,11 @@ fn resolver_cache_throughput(iters: u64) -> (f64, f64, f64) {
         black_box(cache.put_positive(name, RecordType::A, answer(idx), 0.0, FillInfo::default()));
     }
     let miss_ps = iters as f64 / t0.elapsed().as_secs_f64();
-    assert_eq!(cache.stats().hits, 0, "cycling at 2× capacity must never hit");
+    assert_eq!(
+        cache.stats().hits,
+        0,
+        "cycling at 2× capacity must never hit"
+    );
 
     (hit_ps, delayed_ps, miss_ps)
 }
@@ -363,7 +369,12 @@ fn fuzzy_checkpoint_throughput() -> f64 {
     let records: Vec<String> = (0..2_000u64)
         .map(|i| {
             let sent = i as f64 * 0.05;
-            format!("{i} {:?} {:?} Udp 10.1.0.{} 120", sent, sent + 0.04, 1 + i % 4)
+            format!(
+                "{i} {:?} {:?} Udp 10.1.0.{} 120",
+                sent,
+                sent + 0.04,
+                1 + i % 4
+            )
         })
         .collect();
     let inflight: Vec<InflightEntry> = (0..256u64)
@@ -422,11 +433,17 @@ fn main() {
     println!("sim: 8 hosts × {ticks} ticks × 2 backends (best of 3)…");
     let (heap_events, heap_s) = best_of(3, || sim_run(QueueKind::Heap, ticks));
     let (btree_events, btree_s) = best_of(3, || sim_run(QueueKind::BTree, ticks));
-    assert_eq!(heap_events, btree_events, "backends processed identical event counts");
+    assert_eq!(
+        heap_events, btree_events,
+        "backends processed identical event counts"
+    );
     let heap_eps = heap_events as f64 / heap_s;
     let btree_eps = btree_events as f64 / btree_s;
     println!("  heap  {heap_eps:>12.0} events/s");
-    println!("  btree {btree_eps:>12.0} events/s   (speedup {:.2}×)", heap_eps / btree_eps);
+    println!(
+        "  btree {btree_eps:>12.0} events/s   (speedup {:.2}×)",
+        heap_eps / btree_eps
+    );
 
     // --- Telemetry: recording overhead on the identical sim workload
     // (ISSUE 4 acceptance criterion: ≤ 5% on sim events/s). Paired
@@ -449,7 +466,10 @@ fn main() {
             let (events, secs) = best_of(1, || sim_run(QueueKind::Heap, ticks));
             tel::set_enabled(false);
             let _ = tel::drain_all(); // discard the recorded marks
-            assert_eq!(events, heap_events, "telemetry must not change the event count");
+            assert_eq!(
+                events, heap_events,
+                "telemetry must not change the event count"
+            );
             if on_now {
                 on_min_s = on_min_s.min(secs);
             } else {
@@ -574,9 +594,7 @@ fn main() {
     std::fs::write(&out_path, &json).expect("write BENCH_hotpath.json");
     println!("wrote {out_path}");
     if !overhead_ok {
-        eprintln!(
-            "hotpath: telemetry overhead {telemetry_overhead_pct:.2}% exceeds the 5% budget"
-        );
+        eprintln!("hotpath: telemetry overhead {telemetry_overhead_pct:.2}% exceeds the 5% budget");
         std::process::exit(1);
     }
     if !guard_ok {

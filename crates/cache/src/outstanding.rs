@@ -89,8 +89,7 @@ impl<W> OutstandingTable<W> {
 
     /// True if a resolution for (name, qtype) is already in flight.
     pub fn contains(&self, name: &Name, qtype: RecordType) -> bool {
-        self.inflight
-            .contains_key(&(name.clone(), qtype.to_u16()))
+        self.inflight.contains_key(&(name.clone(), qtype.to_u16()))
     }
 
     /// Try to coalesce onto an in-flight resolution. Returns the
@@ -99,7 +98,13 @@ impl<W> OutstandingTable<W> {
     /// the caller is the lead miss and must launch the resolution and
     /// [`begin`](Self::begin) it. The waiter payload is returned back
     /// untouched on `None` so the caller keeps ownership.
-    pub fn join(&mut self, name: &Name, qtype: RecordType, waiter: W, now: f64) -> Result<usize, W> {
+    pub fn join(
+        &mut self,
+        name: &Name,
+        qtype: RecordType,
+        waiter: W,
+        now: f64,
+    ) -> Result<usize, W> {
         match self.inflight.get_mut(&Self::key(name, qtype)) {
             Some(f) => {
                 f.waiters.push(WaiterSlot {
@@ -209,7 +214,13 @@ mod tests {
         let arrived: Vec<_> = done.waiters.iter().map(|w| w.arrived).collect();
         assert_eq!(arrived, [1.0, 1.5, 2.0]);
         assert!(t.is_empty());
-        assert_eq!(t.stats(), OutstandingStats { leads: 1, coalesced: 2 });
+        assert_eq!(
+            t.stats(),
+            OutstandingStats {
+                leads: 1,
+                coalesced: 2
+            }
+        );
     }
 
     #[test]

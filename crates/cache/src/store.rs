@@ -520,7 +520,10 @@ mod tests {
             ..CacheConfig::default()
         });
         put(&mut c, "x.", 1, 0.0);
-        assert!(c.get(&n("x."), RecordType::A, 9.0).is_some(), "raised to 10s");
+        assert!(
+            c.get(&n("x."), RecordType::A, 9.0).is_some(),
+            "raised to 10s"
+        );
     }
 
     #[test]
@@ -552,9 +555,19 @@ mod tests {
             c.get(&n("no."), RecordType::A, 6.0),
             Some(CachedAnswer::Negative(Rcode::NxDomain))
         ));
-        assert!(c.get(&n("no."), RecordType::A, 8.0).is_none(), "SOA TTL governs");
+        assert!(
+            c.get(&n("no."), RecordType::A, 8.0).is_none(),
+            "SOA TTL governs"
+        );
         // No SOA: the named default (30 s) applies.
-        c.put_negative(&n("no2."), RecordType::A, Rcode::NxDomain, None, 0.0, FillInfo::default());
+        c.put_negative(
+            &n("no2."),
+            RecordType::A,
+            Rcode::NxDomain,
+            None,
+            0.0,
+            FillInfo::default(),
+        );
         assert!(c.get(&n("no2."), RecordType::A, 29.0).is_some());
         assert!(c.get(&n("no2."), RecordType::A, 31.0).is_none());
     }
@@ -571,7 +584,10 @@ mod tests {
             FillInfo::default(),
         );
         assert!(c.get(&n("no."), RecordType::A, 10_799.0).is_some());
-        assert!(c.get(&n("no."), RecordType::A, 10_801.0).is_none(), "capped at 3h");
+        assert!(
+            c.get(&n("no."), RecordType::A, 10_801.0).is_none(),
+            "capped at 3h"
+        );
     }
 
     #[test]
@@ -608,7 +624,10 @@ mod tests {
         // cold. is more recent than hot. but far less frequent.
         assert!(c.get(&n("cold."), RecordType::A, 8.0).is_some());
         put(&mut c, "new.", 600, 9.0);
-        assert!(c.get(&n("cold."), RecordType::A, 10.0).is_none(), "cold evicted");
+        assert!(
+            c.get(&n("cold."), RecordType::A, 10.0).is_none(),
+            "cold evicted"
+        );
         assert!(c.get(&n("hot."), RecordType::A, 10.0).is_some());
     }
 
@@ -638,8 +657,14 @@ mod tests {
             },
         );
         put(&mut c, "new.", 600, 2.0);
-        assert!(c.get(&n("slow."), RecordType::A, 3.0).is_some(), "expensive kept");
-        assert!(c.get(&n("fast."), RecordType::A, 3.0).is_none(), "cheap evicted");
+        assert!(
+            c.get(&n("slow."), RecordType::A, 3.0).is_some(),
+            "expensive kept"
+        );
+        assert!(
+            c.get(&n("fast."), RecordType::A, 3.0).is_none(),
+            "cheap evicted"
+        );
     }
 
     #[test]
@@ -657,7 +682,11 @@ mod tests {
                 .collect()
         };
         for kind in PolicyKind::ALL {
-            assert_eq!(run(kind), run(kind), "{kind:?} residency must be reproducible");
+            assert_eq!(
+                run(kind),
+                run(kind),
+                "{kind:?} residency must be reproducible"
+            );
         }
     }
 
@@ -704,8 +733,14 @@ mod tests {
         let mut c = ResolverCache::new(cfg);
         put(&mut c, "hot.", 100, 0.0);
         put(&mut c, "hot2.", 100, 0.0);
-        assert!(!c.prefetch_due(&n("hot."), RecordType::A, 50.0), "outside window");
-        assert!(c.prefetch_due(&n("hot."), RecordType::A, 85.0), "inside last 20%");
+        assert!(
+            !c.prefetch_due(&n("hot."), RecordType::A, 50.0),
+            "outside window"
+        );
+        assert!(
+            c.prefetch_due(&n("hot."), RecordType::A, 85.0),
+            "inside last 20%"
+        );
         assert!(
             !c.prefetch_due(&n("hot."), RecordType::A, 86.0),
             "armed: one refresh per generation"
@@ -734,8 +769,14 @@ mod tests {
         put(&mut c, "a.", 1000, 0.0);
         put(&mut c, "b.", 1000, 0.0);
         assert!(c.prefetch_due(&n("a."), RecordType::A, 1.0));
-        assert!(!c.prefetch_due(&n("b."), RecordType::A, 1.1), "bucket empty");
-        assert!(c.prefetch_due(&n("b."), RecordType::A, 3.0), "refilled at 1/s");
+        assert!(
+            !c.prefetch_due(&n("b."), RecordType::A, 1.1),
+            "bucket empty"
+        );
+        assert!(
+            c.prefetch_due(&n("b."), RecordType::A, 3.0),
+            "refilled at 1/s"
+        );
     }
 
     #[test]

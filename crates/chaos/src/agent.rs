@@ -45,7 +45,10 @@ impl Host for ChaosAgent {
     fn on_tcp_event(&mut self, _ctx: &mut Ctx<'_>, _event: TcpEvent) {}
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        let Some(action) = usize::try_from(token).ok().and_then(|i| self.actions.get(i)) else {
+        let Some(action) = usize::try_from(token)
+            .ok()
+            .and_then(|i| self.actions.get(i))
+        else {
             return;
         };
         match *action {
@@ -103,13 +106,19 @@ pub fn install(sim: &mut Simulator, plan: &FaultPlan, agent_addr: IpAddr) -> Hos
 /// [`crate::injector`]) and its own [`ChaosAgent`] replica armed with
 /// the same timers. A replica's crash command is a natural no-op on
 /// every shard but the target's owner, so exactly one shard acts.
-pub fn install_sharded(sim: &mut ShardedSimulator, plan: &FaultPlan, agent_addr: IpAddr) -> ControlId {
+pub fn install_sharded(
+    sim: &mut ShardedSimulator,
+    plan: &FaultPlan,
+    agent_addr: IpAddr,
+) -> ControlId {
     sim.set_fault_injectors(|_shard| Box::new(PlanInjector::new(plan)));
 
     let schedule = schedule_of(plan);
     let actions: Vec<Action> = schedule.iter().map(|(_, a)| *a).collect();
     let agent = sim.add_control_host(&[agent_addr], |_shard| {
-        Box::new(ChaosAgent { actions: actions.clone() })
+        Box::new(ChaosAgent {
+            actions: actions.clone(),
+        })
     });
     for (i, (at, _)) in schedule.iter().enumerate() {
         sim.schedule_control_timer(agent, *at, i as u64);
@@ -130,7 +139,13 @@ mod tests {
     #[test]
     fn crash_and_restart_fire_on_schedule() {
         let topo = Topology::uniform(PathConfig::with_rtt(SimDuration::from_millis(10)));
-        let mut sim = Simulator::new(topo, SimConfig { queue: QueueKind::Heap, ..SimConfig::default() });
+        let mut sim = Simulator::new(
+            topo,
+            SimConfig {
+                queue: QueueKind::Heap,
+                ..SimConfig::default()
+            },
+        );
 
         let mut catalog = dns_zone::catalog::Catalog::new();
         catalog.insert(dns_zone::zone::Zone::new(Name::root()));
@@ -146,8 +161,14 @@ mod tests {
         );
 
         let plan = FaultPlan::new(1)
-            .at(SimTime::from_secs_f64(1.0), FaultEvent::ServerCrash { addr: target })
-            .at(SimTime::from_secs_f64(2.0), FaultEvent::ServerRestart { addr: target });
+            .at(
+                SimTime::from_secs_f64(1.0),
+                FaultEvent::ServerCrash { addr: target },
+            )
+            .at(
+                SimTime::from_secs_f64(2.0),
+                FaultEvent::ServerRestart { addr: target },
+            );
         install(&mut sim, &plan, "10.255.0.1".parse().unwrap());
 
         assert!(!sim.host_is_down(target));
@@ -161,7 +182,10 @@ mod tests {
     fn out_of_range_token_is_ignored() {
         let topo = Topology::default();
         let mut sim = Simulator::new(topo, SimConfig::default());
-        let id = sim.add_host(&["10.255.0.1".parse().unwrap()], Box::new(ChaosAgent { actions: vec![] }));
+        let id = sim.add_host(
+            &["10.255.0.1".parse().unwrap()],
+            Box::new(ChaosAgent { actions: vec![] }),
+        );
         // A stray timer on an empty action table must be a no-op.
         sim.schedule_timer(id, SimTime::from_secs_f64(1.0), 42);
         sim.run();

@@ -28,11 +28,11 @@ use dns_wire::{Message, Name, RData, RecordType};
 use dns_zone::catalog::Catalog;
 use dns_zone::zone::Zone;
 use ldp_cache::{CacheConfig, PrefetchConfig};
+use ldp_rng::SplitMix64;
 use netsim::{
     Ctx, Host, PacketBytes, PathConfig, QueueKind, SimConfig, SimDuration, SimTime, Simulator,
     TcpEvent, Topology,
 };
-use ldp_rng::SplitMix64;
 use workloads::Zipf;
 
 use crate::agent;
@@ -164,7 +164,12 @@ impl DelayedConfig {
 
 /// Address of authoritative server `i` (0-based): `10.13.0.{i+1}`.
 pub fn server_addr(i: usize) -> IpAddr {
-    IpAddr::V4(std::net::Ipv4Addr::new(10, 13, 0, (i as u8).wrapping_add(1)))
+    IpAddr::V4(std::net::Ipv4Addr::new(
+        10,
+        13,
+        0,
+        (i as u8).wrapping_add(1),
+    ))
 }
 
 const RESOLVER_ADDR: &str = "10.1.0.1";
@@ -172,7 +177,9 @@ const STUB_ADDR: &str = "10.2.0.1";
 const AGENT_ADDR: &str = "10.255.0.1";
 
 fn rank_name(rank: usize) -> Name {
-    format!("n{rank}.study.").parse().expect("generated name is valid")
+    format!("n{rank}.study.")
+        .parse()
+        .expect("generated name is valid")
 }
 
 /// Outcome of one stub query.
@@ -231,7 +238,10 @@ impl DelayedOutcome {
 
     /// Queries served as `class`.
     pub fn count(&self, class: AnswerClass) -> usize {
-        self.records.iter().filter(|r| r.class == Some(class)).count()
+        self.records
+            .iter()
+            .filter(|r| r.class == Some(class))
+            .count()
     }
 
     /// Client-perceived latencies (seconds) of queries served as
@@ -483,7 +493,11 @@ mod tests {
         let cfg = DelayedConfig::smoke(usize::MAX, PolicyKind::Lru, 42, QueueKind::Heap);
         let out = run(&cfg);
         assert_eq!(out.records.len(), cfg.queries);
-        assert!(out.ok_fraction() >= 1.0, "all answered:\n{}", out.transcript);
+        assert!(
+            out.ok_fraction() >= 1.0,
+            "all answered:\n{}",
+            out.transcript
+        );
         // Heavy-tailed workload with 60s TTLs: most queries must be
         // cache hits, and some must have coalesced.
         assert!(out.count(AnswerClass::Hit) > out.count(AnswerClass::Miss));

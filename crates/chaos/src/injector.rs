@@ -116,14 +116,26 @@ impl PlanInjector {
                     self.links_down.remove(&(*src, *dst));
                 }
                 FaultEvent::LossBurst { rate, until } => self.loss = Some((*rate, *until)),
-                FaultEvent::DelaySpike { extra, jitter, until } => {
+                FaultEvent::DelaySpike {
+                    extra,
+                    jitter,
+                    until,
+                } => {
                     self.spike = Some((*extra, *jitter, *until));
                 }
-                FaultEvent::Reorder { rate, window, until } => {
+                FaultEvent::Reorder {
+                    rate,
+                    window,
+                    until,
+                } => {
                     self.reorder = Some((*rate, *window, *until));
                 }
                 FaultEvent::Duplicate { rate, until } => self.duplicate = Some((*rate, *until)),
-                FaultEvent::CpuThrottle { addr, factor, until } => {
+                FaultEvent::CpuThrottle {
+                    addr,
+                    factor,
+                    until,
+                } => {
                     self.throttle.insert(*addr, (*factor, *until));
                 }
                 // Crash/restart are host-level, not packet-level: the
@@ -239,14 +251,23 @@ mod tests {
         let plan = FaultPlan::new(1)
             .at(
                 SimTime::from_secs_f64(1.0),
-                FaultEvent::LinkDown { src: "10.0.0.1".parse().unwrap(), dst: "10.0.0.2".parse().unwrap() },
+                FaultEvent::LinkDown {
+                    src: "10.0.0.1".parse().unwrap(),
+                    dst: "10.0.0.2".parse().unwrap(),
+                },
             )
             .at(
                 SimTime::from_secs_f64(2.0),
-                FaultEvent::LinkUp { src: "10.0.0.1".parse().unwrap(), dst: "10.0.0.2".parse().unwrap() },
+                FaultEvent::LinkUp {
+                    src: "10.0.0.1".parse().unwrap(),
+                    dst: "10.0.0.2".parse().unwrap(),
+                },
             );
         let mut inj = PlanInjector::new(&plan);
-        assert!(!fate_at(&mut inj, 0.5, WireKind::Udp).drop, "before the cut");
+        assert!(
+            !fate_at(&mut inj, 0.5, WireKind::Udp).drop,
+            "before the cut"
+        );
         assert!(fate_at(&mut inj, 1.5, WireKind::Udp).drop, "during the cut");
         // Reverse direction unaffected.
         let rev = inj.fate(
@@ -264,13 +285,19 @@ mod tests {
     fn loss_burst_drops_udp_but_delays_tcp() {
         let plan = FaultPlan::new(7).at(
             SimTime::ZERO,
-            FaultEvent::LossBurst { rate: 1.0, until: SimTime::from_secs_f64(10.0) },
+            FaultEvent::LossBurst {
+                rate: 1.0,
+                until: SimTime::from_secs_f64(10.0),
+            },
         );
         let mut inj = PlanInjector::new(&plan);
         assert!(fate_at(&mut inj, 1.0, WireKind::Udp).drop);
         let tcp = fate_at(&mut inj, 1.0, WireKind::Tcp);
         assert!(!tcp.drop, "TCP loss is a delay penalty, not an abort");
-        assert_eq!(tcp.extra_delay, SimDuration::from_nanos(TCP_LOSS_PENALTY_NS));
+        assert_eq!(
+            tcp.extra_delay,
+            SimDuration::from_nanos(TCP_LOSS_PENALTY_NS)
+        );
         // Window expiry.
         assert!(!fate_at(&mut inj, 11.0, WireKind::Udp).drop);
     }
@@ -297,7 +324,10 @@ mod tests {
     fn duplicate_is_udp_only() {
         let plan = FaultPlan::new(5).at(
             SimTime::ZERO,
-            FaultEvent::Duplicate { rate: 1.0, until: SimTime::from_secs_f64(10.0) },
+            FaultEvent::Duplicate {
+                rate: 1.0,
+                until: SimTime::from_secs_f64(10.0),
+            },
         );
         let mut inj = PlanInjector::new(&plan);
         assert!(fate_at(&mut inj, 1.0, WireKind::Udp).duplicate.is_some());
@@ -331,7 +361,10 @@ mod tests {
     fn same_seed_same_draw_sequence() {
         let plan = FaultPlan::new(99).at(
             SimTime::ZERO,
-            FaultEvent::LossBurst { rate: 0.5, until: SimTime::from_secs_f64(100.0) },
+            FaultEvent::LossBurst {
+                rate: 0.5,
+                until: SimTime::from_secs_f64(100.0),
+            },
         );
         let run = || {
             let mut inj = PlanInjector::new(&plan);
@@ -347,7 +380,10 @@ mod tests {
         let mut plan = FaultPlan::new(1);
         plan.faults.push(PlannedFault {
             at: SimTime::from_secs_f64(2.0),
-            fault: FaultEvent::LossBurst { rate: 1.0, until: SimTime::from_secs_f64(3.0) },
+            fault: FaultEvent::LossBurst {
+                rate: 1.0,
+                until: SimTime::from_secs_f64(3.0),
+            },
         });
         plan.faults.push(PlannedFault {
             at: SimTime::from_secs_f64(1.0),

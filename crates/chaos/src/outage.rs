@@ -256,7 +256,12 @@ fn phase_of(cfg: &OutageConfig, sent: Option<SimTime>) -> Option<Phase> {
 
 /// Address of root letter `i` (0-based): `10.13.0.{i+1}`.
 pub fn letter_addr(i: usize) -> IpAddr {
-    IpAddr::V4(std::net::Ipv4Addr::new(10, 13, 0, (i as u8).wrapping_add(1)))
+    IpAddr::V4(std::net::Ipv4Addr::new(
+        10,
+        13,
+        0,
+        (i as u8).wrapping_add(1),
+    ))
 }
 
 const RESOLVER_ADDR: &str = "10.1.0.1";
@@ -430,10 +435,7 @@ impl AnySim {
 /// an equal `cfg` produce byte-identical transcripts regardless of the
 /// configured queue backend.
 pub fn run(cfg: &OutageConfig) -> OutageOutcome {
-    let mut sim = AnySim::Single(Simulator::new(
-        outage_topology(),
-        outage_sim_config(cfg),
-    ));
+    let mut sim = AnySim::Single(Simulator::new(outage_topology(), outage_sim_config(cfg)));
     run_on(cfg, &mut sim)
 }
 

@@ -134,7 +134,10 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// Empty plan with a seed.
     pub fn new(seed: u64) -> Self {
-        FaultPlan { seed, faults: Vec::new() }
+        FaultPlan {
+            seed,
+            faults: Vec::new(),
+        }
     }
 
     /// Chainable builder: schedule `fault` at `at`.
@@ -161,13 +164,21 @@ impl FaultPlan {
                 FaultEvent::LossBurst { rate, until } => {
                     format!("at {t} loss_burst {rate:?} until {}", until.as_nanos())
                 }
-                FaultEvent::DelaySpike { extra, jitter, until } => format!(
+                FaultEvent::DelaySpike {
+                    extra,
+                    jitter,
+                    until,
+                } => format!(
                     "at {t} delay_spike {} jitter {} until {}",
                     extra.as_nanos(),
                     jitter.as_nanos(),
                     until.as_nanos()
                 ),
-                FaultEvent::Reorder { rate, window, until } => format!(
+                FaultEvent::Reorder {
+                    rate,
+                    window,
+                    until,
+                } => format!(
                     "at {t} reorder {rate:?} window {} until {}",
                     window.as_nanos(),
                     until.as_nanos()
@@ -180,7 +191,11 @@ impl FaultPlan {
                 FaultEvent::QuerierCrash { addr, down_for } => {
                     format!("at {t} querier_crash {addr} down {}", down_for.as_nanos())
                 }
-                FaultEvent::CpuThrottle { addr, factor, until } => format!(
+                FaultEvent::CpuThrottle {
+                    addr,
+                    factor,
+                    until,
+                } => format!(
                     "at {t} cpu_throttle {addr} {factor:?} until {}",
                     until.as_nanos()
                 ),
@@ -194,7 +209,10 @@ impl FaultPlan {
     /// Parse the text format back into a plan. Blank lines and `#`
     /// comments are ignored.
     pub fn from_text(text: &str) -> Result<FaultPlan, PlanParseError> {
-        let err = |line: usize, msg: &str| PlanParseError { line, msg: msg.to_string() };
+        let err = |line: usize, msg: &str| PlanParseError {
+            line,
+            msg: msg.to_string(),
+        };
         let mut lines = text
             .lines()
             .enumerate()
@@ -247,11 +265,20 @@ impl FaultPlan {
                     .ok_or_else(|| err(ln, "truncated fault line"))
             };
             let fault = match toks[2] {
-                "link_down" => FaultEvent::LinkDown { src: ip(arg(3)?)?, dst: ip(arg(4)?)? },
-                "link_up" => FaultEvent::LinkUp { src: ip(arg(3)?)?, dst: ip(arg(4)?)? },
+                "link_down" => FaultEvent::LinkDown {
+                    src: ip(arg(3)?)?,
+                    dst: ip(arg(4)?)?,
+                },
+                "link_up" => FaultEvent::LinkUp {
+                    src: ip(arg(3)?)?,
+                    dst: ip(arg(4)?)?,
+                },
                 "loss_burst" => {
                     kw(4, "until")?;
-                    FaultEvent::LossBurst { rate: f64_of(arg(3)?)?, until: time(arg(5)?)? }
+                    FaultEvent::LossBurst {
+                        rate: f64_of(arg(3)?)?,
+                        until: time(arg(5)?)?,
+                    }
                 }
                 "delay_spike" => {
                     kw(4, "jitter")?;
@@ -273,13 +300,19 @@ impl FaultPlan {
                 }
                 "duplicate" => {
                     kw(4, "until")?;
-                    FaultEvent::Duplicate { rate: f64_of(arg(3)?)?, until: time(arg(5)?)? }
+                    FaultEvent::Duplicate {
+                        rate: f64_of(arg(3)?)?,
+                        until: time(arg(5)?)?,
+                    }
                 }
                 "server_crash" => FaultEvent::ServerCrash { addr: ip(arg(3)?)? },
                 "server_restart" => FaultEvent::ServerRestart { addr: ip(arg(3)?)? },
                 "querier_crash" => {
                     kw(4, "down")?;
-                    FaultEvent::QuerierCrash { addr: ip(arg(3)?)?, down_for: dur(arg(5)?)? }
+                    FaultEvent::QuerierCrash {
+                        addr: ip(arg(3)?)?,
+                        down_for: dur(arg(5)?)?,
+                    }
                 }
                 "cpu_throttle" => {
                     kw(5, "until")?;
@@ -322,11 +355,17 @@ mod tests {
         FaultPlan::new(42)
             .at(
                 SimTime::from_secs_f64(1.0),
-                FaultEvent::LinkDown { src: "10.0.0.1".parse().unwrap(), dst: "10.0.0.2".parse().unwrap() },
+                FaultEvent::LinkDown {
+                    src: "10.0.0.1".parse().unwrap(),
+                    dst: "10.0.0.2".parse().unwrap(),
+                },
             )
             .at(
                 SimTime::from_secs_f64(2.5),
-                FaultEvent::LossBurst { rate: 0.1, until: SimTime::from_secs_f64(5.0) },
+                FaultEvent::LossBurst {
+                    rate: 0.1,
+                    until: SimTime::from_secs_f64(5.0),
+                },
             )
             .at(
                 SimTime::from_millis(3100),
@@ -346,12 +385,22 @@ mod tests {
             )
             .at(
                 SimTime::from_millis(3300),
-                FaultEvent::Duplicate { rate: 0.05, until: SimTime::from_secs_f64(4.0) },
+                FaultEvent::Duplicate {
+                    rate: 0.05,
+                    until: SimTime::from_secs_f64(4.0),
+                },
             )
-            .at(SimTime::from_secs_f64(6.0), FaultEvent::ServerCrash { addr: "10.42.0.3".parse().unwrap() })
+            .at(
+                SimTime::from_secs_f64(6.0),
+                FaultEvent::ServerCrash {
+                    addr: "10.42.0.3".parse().unwrap(),
+                },
+            )
             .at(
                 SimTime::from_secs_f64(9.0),
-                FaultEvent::ServerRestart { addr: "10.42.0.3".parse().unwrap() },
+                FaultEvent::ServerRestart {
+                    addr: "10.42.0.3".parse().unwrap(),
+                },
             )
             .at(
                 SimTime::from_secs_f64(10.0),
@@ -403,8 +452,18 @@ mod tests {
     #[test]
     fn sorted_orders_by_time_stably() {
         let plan = FaultPlan::new(1)
-            .at(SimTime::from_secs_f64(2.0), FaultEvent::ServerCrash { addr: "10.0.0.1".parse().unwrap() })
-            .at(SimTime::from_secs_f64(1.0), FaultEvent::ServerCrash { addr: "10.0.0.2".parse().unwrap() })
+            .at(
+                SimTime::from_secs_f64(2.0),
+                FaultEvent::ServerCrash {
+                    addr: "10.0.0.1".parse().unwrap(),
+                },
+            )
+            .at(
+                SimTime::from_secs_f64(1.0),
+                FaultEvent::ServerCrash {
+                    addr: "10.0.0.2".parse().unwrap(),
+                },
+            )
             .sorted();
         assert!(plan.faults[0].at <= plan.faults[1].at);
     }
@@ -413,7 +472,10 @@ mod tests {
     fn exotic_f64s_round_trip() {
         let plan = FaultPlan::new(0).at(
             SimTime::ZERO,
-            FaultEvent::LossBurst { rate: 0.1 + 0.2, until: SimTime::from_nanos(u64::MAX) },
+            FaultEvent::LossBurst {
+                rate: 0.1 + 0.2,
+                until: SimTime::from_nanos(u64::MAX),
+            },
         );
         let back = FaultPlan::from_text(&plan.to_text()).expect("parses");
         assert_eq!(plan, back);

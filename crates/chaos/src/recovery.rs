@@ -148,7 +148,9 @@ fn mk_trace(cfg: &RecoveryConfig) -> Vec<TraceEntry> {
         .map(|i| {
             TraceEntry::query(
                 i * gap_us,
-                format!("10.1.0.{}:5000", 1 + i % SOURCES).parse().expect("valid addr"),
+                format!("10.1.0.{}:5000", 1 + i % SOURCES)
+                    .parse()
+                    .expect("valid addr"),
                 SERVER_ADDR.parse().expect("valid addr"),
                 (i % 65_536) as u16,
                 format!("q{i}.example").parse().expect("valid name"),
@@ -190,7 +192,11 @@ fn build_sim(cfg: &RecoveryConfig) -> Simulator {
     let topo = Topology::uniform(PathConfig::with_rtt(cfg.rtt));
     let mut sim = Simulator::new(
         topo,
-        SimConfig { seed: cfg.seed, queue: cfg.queue, ..SimConfig::default() },
+        SimConfig {
+            seed: cfg.seed,
+            queue: cfg.queue,
+            ..SimConfig::default()
+        },
     );
     let mut catalog = Catalog::new();
     catalog.insert(zone());
@@ -247,7 +253,12 @@ fn outcome(
         t.push_str(&record_line(r));
         t.push('\n');
     }
-    RecoveryOutcome { records, transcript: t, q_events, checkpoint }
+    RecoveryOutcome {
+        records,
+        transcript: t,
+        q_events,
+        checkpoint,
+    }
 }
 
 /// The baseline: a checkpointed replay left alone to completion.
@@ -258,8 +269,11 @@ pub fn run_uninterrupted(cfg: &RecoveryConfig) -> RecoveryOutcome {
     let mut sim = build_sim(cfg);
     let log: LatencyLog = Arc::new(Mutex::new(Vec::new()));
     let cp_out = Arc::new(Mutex::new(None));
-    let mut client =
-        SimReplayClient::new(trace.clone(), SERVER_ADDR.parse().expect("valid addr"), log.clone());
+    let mut client = SimReplayClient::new(
+        trace.clone(),
+        SERVER_ADDR.parse().expect("valid addr"),
+        log.clone(),
+    );
     client.checkpoint_every = cfg.checkpoint_every;
     client.checkpoint_out = Some(cp_out.clone());
     let srcs = client.source_addrs();
@@ -281,8 +295,11 @@ pub fn run_killed(cfg: &RecoveryConfig) -> RecoveryOutcome {
     let mut sim = build_sim(cfg);
     let log: LatencyLog = Arc::new(Mutex::new(Vec::new()));
     let cp_out = Arc::new(Mutex::new(None));
-    let mut client =
-        SimReplayClient::new(trace.clone(), SERVER_ADDR.parse().expect("valid addr"), log.clone());
+    let mut client = SimReplayClient::new(
+        trace.clone(),
+        SERVER_ADDR.parse().expect("valid addr"),
+        log.clone(),
+    );
     client.checkpoint_every = cfg.checkpoint_every;
     client.checkpoint_out = Some(cp_out.clone());
     let srcs = client.source_addrs();
@@ -335,14 +352,20 @@ pub fn run_querier_crash(cfg: &RecoveryConfig) -> RecoveryOutcome {
     let trace = mk_trace(cfg);
     let mut sim = build_sim(cfg);
     let log: LatencyLog = Arc::new(Mutex::new(Vec::new()));
-    let client =
-        SimReplayClient::new(trace.clone(), SERVER_ADDR.parse().expect("valid addr"), log.clone());
+    let client = SimReplayClient::new(
+        trace.clone(),
+        SERVER_ADDR.parse().expect("valid addr"),
+        log.clone(),
+    );
     let srcs = client.source_addrs();
     let client_id = sim.add_host(&srcs, Box::new(client));
     SimReplayClient::schedule(&mut sim, client_id, &trace, SimTime::ZERO);
     let plan = FaultPlan::new(cfg.seed).at(
         cfg.crash_at,
-        FaultEvent::QuerierCrash { addr: querier_addr(), down_for: cfg.down_for },
+        FaultEvent::QuerierCrash {
+            addr: querier_addr(),
+            down_for: cfg.down_for,
+        },
     );
     agent::install(&mut sim, &plan, AGENT_ADDR.parse().expect("valid ip"));
     sim.run_until(cfg.horizon());
@@ -354,10 +377,7 @@ pub fn run_querier_crash(cfg: &RecoveryConfig) -> RecoveryOutcome {
 /// cut every `q.*` event at or before `taken_ns` belongs to a
 /// checkpointed (completed) query, so this concatenation reconstructs
 /// exactly what an uninterrupted run would have drained.
-pub fn spliced_q_events(
-    killed: &RecoveryOutcome,
-    resumed: &RecoveryOutcome,
-) -> Vec<tel::RawEvent> {
+pub fn spliced_q_events(killed: &RecoveryOutcome, resumed: &RecoveryOutcome) -> Vec<tel::RawEvent> {
     let cut_ns = killed.checkpoint.as_ref().map_or(0, |c| c.taken_ns);
     let mut events: Vec<tel::RawEvent> = killed
         .q_events
@@ -459,7 +479,10 @@ impl StormConfig {
         FaultPlan::new(self.base.seed)
             .at(
                 self.storm_from,
-                FaultEvent::LossBurst { rate: self.loss_rate, until: self.storm_until },
+                FaultEvent::LossBurst {
+                    rate: self.loss_rate,
+                    until: self.storm_until,
+                },
             )
             .at(
                 self.storm_from,
@@ -532,7 +555,10 @@ fn run_storm(
             Err(e) => {
                 let mut out = outcome(&cfg.base, label, &log, Vec::new(), None);
                 out.transcript.push_str(&format!("resume-error {e}\n"));
-                return StormOutcome { outcome: out, stamps: Vec::new() };
+                return StormOutcome {
+                    outcome: out,
+                    stamps: Vec::new(),
+                };
             }
         },
     };
@@ -560,21 +586,36 @@ fn run_storm(
     sim.run_until(run_until);
     let cp = cp_out.lock().unwrap_or_else(|e| e.into_inner()).clone();
     let stamps = stamps.lock().unwrap_or_else(|e| e.into_inner()).clone();
-    StormOutcome { outcome: outcome(&cfg.base, label, &log, drain_q_events(), cp), stamps }
+    StormOutcome {
+        outcome: outcome(&cfg.base, label, &log, drain_q_events(), cp),
+        stamps,
+    }
 }
 
 /// The storm baseline: fuzzy-cut cadence, storm installed, left alone
 /// to completion. Retransmission outlasts the storm, so the whole
 /// trace is still answered.
 pub fn run_storm_baseline(cfg: &StormConfig) -> StormOutcome {
-    run_storm(cfg, "storm_baseline", CheckpointMech::Fuzzy, cfg.base.horizon(), None)
+    run_storm(
+        cfg,
+        "storm_baseline",
+        CheckpointMech::Fuzzy,
+        cfg.base.horizon(),
+        None,
+    )
 }
 
 /// The v2 killed run: fuzzy-cut cadence, abandoned mid-storm at
 /// `kill_at`. Its `checkpoint` is a fuzzy cut with live `inflight`
 /// state — what the resume starts from.
 pub fn run_storm_killed(cfg: &StormConfig) -> StormOutcome {
-    run_storm(cfg, "storm_killed", CheckpointMech::Fuzzy, cfg.base.kill_at, None)
+    run_storm(
+        cfg,
+        "storm_killed",
+        CheckpointMech::Fuzzy,
+        cfg.base.kill_at,
+        None,
+    )
 }
 
 /// The v1 starvation leg: same trace, same storm, same kill — but
@@ -582,7 +623,13 @@ pub fn run_storm_killed(cfg: &StormConfig) -> StormOutcome {
 /// [`StormConfig::storm_window`]: the delay spike keeps a later query
 /// on the wire at every completion, so the quiescent cut never comes.
 pub fn run_storm_killed_v1(cfg: &StormConfig) -> StormOutcome {
-    run_storm(cfg, "storm_killed_v1", CheckpointMech::Quiescent, cfg.base.kill_at, None)
+    run_storm(
+        cfg,
+        "storm_killed_v1",
+        CheckpointMech::Quiescent,
+        cfg.base.kill_at,
+        None,
+    )
 }
 
 /// The resumed run: rebuilt from a fuzzy cut in a fresh simulator with
@@ -591,7 +638,13 @@ pub fn run_storm_killed_v1(cfg: &StormConfig) -> StormOutcome {
 /// identical packet fates, so the final transcript is byte-identical
 /// to the baseline's.
 pub fn run_storm_resumed(cfg: &StormConfig, cp: &Checkpoint) -> StormOutcome {
-    run_storm(cfg, "storm_resumed", CheckpointMech::Fuzzy, cfg.base.horizon(), Some(cp))
+    run_storm(
+        cfg,
+        "storm_resumed",
+        CheckpointMech::Fuzzy,
+        cfg.base.horizon(),
+        Some(cp),
+    )
 }
 
 /// Telemetry of a fuzzy-cut lineage, in canonical order.
@@ -650,7 +703,10 @@ mod tests {
             let cfg = RecoveryConfig::smoke(23, queue);
             let base = run_uninterrupted(&cfg);
             let killed = run_killed(&cfg);
-            let cp = killed.checkpoint.clone().expect("a checkpoint before the kill");
+            let cp = killed
+                .checkpoint
+                .clone()
+                .expect("a checkpoint before the kill");
             assert!(
                 cp.cursor > 0 && (cp.cursor as usize) < cfg.queries,
                 "kill lands mid-run, cursor {}",

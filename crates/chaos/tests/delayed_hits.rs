@@ -40,9 +40,17 @@ fn delay_spike_burst_coalesces_to_one_upstream_query() {
         out.transcript
     );
     assert_eq!(out.records.len(), 8);
-    assert!(out.ok_fraction() >= 1.0, "all 8 answered:\n{}", out.transcript);
+    assert!(
+        out.ok_fraction() >= 1.0,
+        "all 8 answered:\n{}",
+        out.transcript
+    );
     assert_eq!(out.count(AnswerClass::Miss), 1, "exactly one lead miss");
-    assert_eq!(out.count(AnswerClass::DelayedHit), 7, "seven coalesced waiters");
+    assert_eq!(
+        out.count(AnswerClass::DelayedHit),
+        7,
+        "seven coalesced waiters"
+    );
     assert_eq!(out.snapshot.outstanding.leads, 1);
     assert_eq!(out.snapshot.outstanding.coalesced, 7);
     // The spike makes the wait substantial: every delayed hit waited a
@@ -52,9 +60,19 @@ fn delay_spike_burst_coalesces_to_one_upstream_query() {
         .first()
         .copied()
         .expect("the lead miss answered");
-    assert!(miss_latency > 0.4, "spiked resolution is slow: {miss_latency}");
-    for rec in out.records.iter().filter(|r| r.class == Some(AnswerClass::DelayedHit)) {
-        assert!(rec.waited_ns > 0, "a delayed hit waited on the in-flight fill");
+    assert!(
+        miss_latency > 0.4,
+        "spiked resolution is slow: {miss_latency}"
+    );
+    for rec in out
+        .records
+        .iter()
+        .filter(|r| r.class == Some(AnswerClass::DelayedHit))
+    {
+        assert!(
+            rec.waited_ns > 0,
+            "a delayed hit waited on the in-flight fill"
+        );
         assert!(
             rec.waited_ns as f64 / 1e9 <= miss_latency + 1e-9,
             "waiters never wait longer than the full resolution"
@@ -72,7 +90,10 @@ fn server_crash_burst_survives_via_aggregation() {
     );
     assert_eq!(out.count(AnswerClass::Miss), 1);
     assert_eq!(out.count(AnswerClass::DelayedHit), 7);
-    assert_eq!(out.snapshot.outstanding.leads, 1, "one lead through the outage");
+    assert_eq!(
+        out.snapshot.outstanding.leads, 1,
+        "one lead through the outage"
+    );
     // The answer can only arrive after the restart at t=3s; queries
     // went out at t=1s, so every latency reflects the outage wait.
     for lat in out

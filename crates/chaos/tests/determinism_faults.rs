@@ -16,8 +16,16 @@ fn same_seed_same_backend_is_byte_identical() {
 
 #[test]
 fn heap_and_btree_backends_are_byte_identical() {
-    let heap = run(&OutageConfig::smoke(RetryPolicy::full(), 0xfa117, QueueKind::Heap));
-    let btree = run(&OutageConfig::smoke(RetryPolicy::full(), 0xfa117, QueueKind::BTree));
+    let heap = run(&OutageConfig::smoke(
+        RetryPolicy::full(),
+        0xfa117,
+        QueueKind::Heap,
+    ));
+    let btree = run(&OutageConfig::smoke(
+        RetryPolicy::full(),
+        0xfa117,
+        QueueKind::BTree,
+    ));
     // The queue kind is printed in the header line; everything after it
     // (every event, every timestamp) must match exactly.
     let tail = |t: &str| t.lines().skip(2).collect::<Vec<_>>().join("\n");
@@ -30,8 +38,16 @@ fn heap_and_btree_backends_are_byte_identical() {
 
 #[test]
 fn different_seed_changes_the_run() {
-    let a = run(&OutageConfig::smoke(RetryPolicy::full(), 1, QueueKind::Heap));
-    let b = run(&OutageConfig::smoke(RetryPolicy::full(), 2, QueueKind::Heap));
+    let a = run(&OutageConfig::smoke(
+        RetryPolicy::full(),
+        1,
+        QueueKind::Heap,
+    ));
+    let b = run(&OutageConfig::smoke(
+        RetryPolicy::full(),
+        2,
+        QueueKind::Heap,
+    ));
     assert_ne!(
         a.transcript, b.transcript,
         "the loss draws must actually depend on the seed"

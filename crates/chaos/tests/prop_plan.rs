@@ -36,22 +36,49 @@ fn arb_duration(g: &mut Gen) -> SimDuration {
 
 fn arb_event(g: &mut Gen) -> FaultEvent {
     match g.below(9) {
-        0 => FaultEvent::LinkDown { src: arb_ip(g), dst: arb_ip(g) },
-        1 => FaultEvent::LinkUp { src: arb_ip(g), dst: arb_ip(g) },
-        2 => FaultEvent::LossBurst { rate: arb_rate(g), until: arb_time(g) },
-        3 => FaultEvent::DelaySpike { extra: arb_duration(g), jitter: arb_duration(g), until: arb_time(g) },
-        4 => FaultEvent::Reorder { rate: arb_rate(g), window: arb_duration(g), until: arb_time(g) },
-        5 => FaultEvent::Duplicate { rate: arb_rate(g), until: arb_time(g) },
+        0 => FaultEvent::LinkDown {
+            src: arb_ip(g),
+            dst: arb_ip(g),
+        },
+        1 => FaultEvent::LinkUp {
+            src: arb_ip(g),
+            dst: arb_ip(g),
+        },
+        2 => FaultEvent::LossBurst {
+            rate: arb_rate(g),
+            until: arb_time(g),
+        },
+        3 => FaultEvent::DelaySpike {
+            extra: arb_duration(g),
+            jitter: arb_duration(g),
+            until: arb_time(g),
+        },
+        4 => FaultEvent::Reorder {
+            rate: arb_rate(g),
+            window: arb_duration(g),
+            until: arb_time(g),
+        },
+        5 => FaultEvent::Duplicate {
+            rate: arb_rate(g),
+            until: arb_time(g),
+        },
         6 => FaultEvent::ServerCrash { addr: arb_ip(g) },
         7 => FaultEvent::ServerRestart { addr: arb_ip(g) },
-        _ => FaultEvent::CpuThrottle { addr: arb_ip(g), factor: arb_rate(g), until: arb_time(g) },
+        _ => FaultEvent::CpuThrottle {
+            addr: arb_ip(g),
+            factor: arb_rate(g),
+            until: arb_time(g),
+        },
     }
 }
 
 fn arb_plan(g: &mut Gen) -> FaultPlan {
     FaultPlan {
         seed: g.u64(),
-        faults: g.vec(0..=23, |g| PlannedFault { at: arb_time(g), fault: arb_event(g) }),
+        faults: g.vec(0..=23, |g| PlannedFault {
+            at: arb_time(g),
+            fault: arb_event(g),
+        }),
     }
 }
 
@@ -77,7 +104,11 @@ fn parser_never_panics() {
         let mut lines: Vec<String> = arb_plan(g).to_text().lines().map(String::from).collect();
         let i = g.size(0..=lines.len() - 1);
         let cut = g.size(0..=lines[i].len());
-        lines[i] = format!("{}{}", lines[i].get(..cut).unwrap_or(""), g.printable(0..=120));
+        lines[i] = format!(
+            "{}{}",
+            lines[i].get(..cut).unwrap_or(""),
+            g.printable(0..=120)
+        );
         let _ = FaultPlan::from_text(&lines.join("\n"));
     });
 }

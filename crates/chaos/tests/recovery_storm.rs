@@ -31,7 +31,10 @@ fn v1_quiescent_checkpoints_starve_under_the_storm() {
         !killed.stamps.is_empty(),
         "v1 must commit during the calm prefix — otherwise starvation proves nothing"
     );
-    assert!(killed.stamps.iter().all(|s| s.version == 1 && s.inflight == 0));
+    assert!(killed
+        .stamps
+        .iter()
+        .all(|s| s.version == 1 && s.inflight == 0));
     assert!(
         killed.stamps.iter().all(|s| s.taken_ns < from),
         "every v1 commit predates the storm: {:?}",
@@ -62,7 +65,10 @@ fn v2_fuzzy_cuts_commit_through_the_storm_with_live_state() {
     assert!(killed.stamps.iter().all(|s| s.taken_ns % cad == 0));
     let cp = killed.outcome.checkpoint.expect("a committed fuzzy cut");
     assert_eq!(cp.version, 2);
-    assert!(!cp.inflight.is_empty(), "the last cut before the kill is mid-storm");
+    assert!(
+        !cp.inflight.is_empty(),
+        "the last cut before the kill is mid-storm"
+    );
     // The carried state is exactly round-trippable.
     let text = cp.to_text().expect("serializes");
     assert_eq!(ldp_guard::Checkpoint::from_text(&text).expect("parses"), cp);
@@ -80,12 +86,24 @@ fn storm_kill_resume_is_byte_identical_on_both_backends() {
             "retransmission outlasts the storm on {queue:?}"
         );
         let killed = run_storm_killed(&cfg);
-        let cp = killed.outcome.checkpoint.clone().expect("a fuzzy cut before the kill");
+        let cp = killed
+            .outcome
+            .checkpoint
+            .clone()
+            .expect("a fuzzy cut before the kill");
         assert_eq!(cp.version, 2);
-        assert!(!cp.inflight.is_empty(), "kill landed mid-storm with live queries");
+        assert!(
+            !cp.inflight.is_empty(),
+            "kill landed mid-storm with live queries"
+        );
         let resumed = run_storm_resumed(&cfg, &cp);
         assert_eq!(
-            resumed.outcome.transcript.lines().skip(2).collect::<Vec<_>>(),
+            resumed
+                .outcome
+                .transcript
+                .lines()
+                .skip(2)
+                .collect::<Vec<_>>(),
             base.outcome.transcript.lines().skip(2).collect::<Vec<_>>(),
             "transcript bodies diverged on {queue:?}"
         );

@@ -52,7 +52,10 @@ fn sharded_runs_are_repeatable_and_seed_sensitive() {
     let cfg = OutageConfig::smoke(RetryPolicy::failover(), 7, QueueKind::BTree);
     let a = run_sharded(&cfg, 8);
     let b = run_sharded(&cfg, 8);
-    assert_eq!(a.transcript, b.transcript, "two sharded runs, one transcript");
+    assert_eq!(
+        a.transcript, b.transcript,
+        "two sharded runs, one transcript"
+    );
 
     let other = OutageConfig::smoke(RetryPolicy::failover(), 8, QueueKind::BTree);
     assert_ne!(

@@ -57,16 +57,29 @@ fn telemetry_is_a_pure_observer_of_the_outage() {
     let log_btree = drain_rendered();
     tel::set_enabled(false);
 
-    assert_eq!(off_heap, on1, "enabling telemetry changed the simulation transcript");
+    assert_eq!(
+        off_heap, on1,
+        "enabling telemetry changed the simulation transcript"
+    );
     assert_eq!(on1, on2, "same-seed telemetry-on runs diverged");
-    assert_eq!(off_btree, on_btree, "telemetry-on BTree transcript diverged");
-    assert_eq!(tail(&on1), tail(&on_btree), "queue backends diverged with telemetry on");
+    assert_eq!(
+        off_btree, on_btree,
+        "telemetry-on BTree transcript diverged"
+    );
+    assert_eq!(
+        tail(&on1),
+        tail(&on_btree),
+        "queue backends diverged with telemetry on"
+    );
 
     assert!(
         log1.lines().count() > 10,
         "an outage run should record a rich event log, got:\n{log1}"
     );
-    assert_eq!(log1, log2, "two telemetry-enabled runs drained different event logs");
+    assert_eq!(
+        log1, log2,
+        "two telemetry-enabled runs drained different event logs"
+    );
     // The BTree backend replays the identical event sequence, so its
     // drained log matches the heap runs too.
     assert_eq!(log1, log_btree, "event log differs across queue backends");

@@ -140,7 +140,13 @@ mod tests {
     }
 
     impl Host for StubDriver {
-        fn on_udp(&mut self, _ctx: &mut Ctx<'_>, _f: SocketAddr, _t: SocketAddr, data: PacketBytes) {
+        fn on_udp(
+            &mut self,
+            _ctx: &mut Ctx<'_>,
+            _f: SocketAddr,
+            _t: SocketAddr,
+            data: PacketBytes,
+        ) {
             if let Ok(m) = Message::decode(&data) {
                 self.responses.lock().unwrap().push(m);
             }
@@ -158,8 +164,7 @@ mod tests {
     /// resolve the same workload through it. (The paper's whole point.)
     #[test]
     fn constructed_hierarchy_replays_correctly() {
-        let zone_names: Vec<String> =
-            (0..6).map(|i| format!("zone{i}.ex{i}.com")).collect();
+        let zone_names: Vec<String> = (0..6).map(|i| format!("zone{i}.ex{i}.com")).collect();
         let mut internet = SimulatedInternet::new(&zone_names, &["www", "mail"]);
 
         // The queries the experiment will replay.
@@ -197,11 +202,8 @@ mod tests {
             }),
         );
         for (i, e) in trace.iter().enumerate() {
-            emu.sim.schedule_timer(
-                stub,
-                SimTime::from_nanos(e.time_us * 1000),
-                i as u64,
-            );
+            emu.sim
+                .schedule_timer(stub, SimTime::from_nanos(e.time_us * 1000), i as u64);
         }
         emu.sim.run_until(SimTime::from_secs_f64(30.0));
 

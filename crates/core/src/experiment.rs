@@ -70,10 +70,7 @@ pub fn dnssec_bandwidth(
         }
         per_second[bucket] += bytes.len() as u64 + 28; // + IP/UDP headers
     }
-    let mbps: Vec<f64> = per_second
-        .iter()
-        .map(|&b| b as f64 * 8.0 / 1e6)
-        .collect();
+    let mbps: Vec<f64> = per_second.iter().map(|&b| b as f64 * 8.0 / 1e6).collect();
     let summary = Summary::of(&mbps).expect("non-empty trace");
     DnssecBandwidth {
         zsk_bits,
@@ -288,8 +285,11 @@ pub fn synthetic_root_zone() -> Zone {
     ))
     .unwrap();
     for i in 0..13u8 {
-        let ns: Name = format!("{}.root-servers.net", (b'a' + i) as char).parse().unwrap();
-        z.insert(Record::new(Name::root(), 518400, RData::Ns(ns.clone()))).unwrap();
+        let ns: Name = format!("{}.root-servers.net", (b'a' + i) as char)
+            .parse()
+            .unwrap();
+        z.insert(Record::new(Name::root(), 518400, RData::Ns(ns.clone())))
+            .unwrap();
         z.insert(Record::new(
             ns,
             518400,
@@ -301,7 +301,8 @@ pub fn synthetic_root_zone() -> Zone {
         let origin: Name = tld.parse().unwrap();
         for k in 0..2u8 {
             let ns: Name = format!("ns{k}.nic.{tld}").parse().unwrap();
-            z.insert(Record::new(origin.clone(), 172800, RData::Ns(ns.clone()))).unwrap();
+            z.insert(Record::new(origin.clone(), 172800, RData::Ns(ns.clone())))
+                .unwrap();
             z.insert(Record::new(
                 ns,
                 172800,
@@ -467,7 +468,10 @@ mod tests {
         let m_tcp40 = tcp40.latency_summary_ms().unwrap().median;
         let m_udp80 = udp80.latency_summary_ms().unwrap().median;
         assert!((m_udp40 - 40.0).abs() < 3.0, "UDP ≈ 1 RTT: {m_udp40}");
-        assert!((m_udp80 - 80.0).abs() < 5.0, "UDP scales with RTT: {m_udp80}");
+        assert!(
+            (m_udp80 - 80.0).abs() < 5.0,
+            "UDP scales with RTT: {m_udp80}"
+        );
         assert!(m_tcp40 >= m_udp40, "TCP ≥ UDP: {m_tcp40} vs {m_udp40}");
         // Non-busy clients skew higher (fresh connections).
         let nb = tcp40.latency_summary_nonbusy_ms(5).unwrap();

@@ -237,7 +237,11 @@ mod tests {
         };
         let report = run_fidelity_session(&trace, &config);
         assert_eq!(report.sent, 200);
-        assert!(report.matched >= 195, "captured nearly all: {}", report.matched);
+        assert!(
+            report.matched >= 195,
+            "captured nearly all: {}",
+            report.matched
+        );
         // Replay fidelity: quartiles within a few ms on loopback (the
         // paper reports ±2.5 ms; CI noise gets slack).
         let s = &report.error_summary;
@@ -249,7 +253,10 @@ mod tests {
         // compare quantiles instead, as Figure 7 does visually.
         let replayed = ldp_metrics::Cdf::of(&report.replayed_interarrivals).unwrap();
         let med = replayed.value_at(0.5);
-        assert!((med - 0.01).abs() < 0.003, "replayed median inter-arrival {med}");
+        assert!(
+            (med - 0.01).abs() < 0.003,
+            "replayed median inter-arrival {med}"
+        );
         let spread = replayed.value_at(0.9) - replayed.value_at(0.1);
         assert!(spread < 0.01, "replayed inter-arrival spread {spread}");
     }

@@ -186,7 +186,8 @@ impl IterativeResolver {
                     if !has_final && qtype != RecordType::CNAME {
                         if let Some(target) = last_cname_target {
                             // Restart resolution at the CNAME target.
-                            let sub = self.resolve_inner(upstream, &target, qtype, now, depth + 1)?;
+                            let sub =
+                                self.resolve_inner(upstream, &target, qtype, now, depth + 1)?;
                             queries += sub.upstream_queries;
                             answers.extend(sub.answers);
                             let res = Resolution {
@@ -208,7 +209,11 @@ impl IterativeResolver {
                     self.cache_result(qname, qtype, &res, now);
                     return Ok(res);
                 }
-                Classified::Referral { zone, ns_names, glue } => {
+                Classified::Referral {
+                    zone,
+                    ns_names,
+                    glue,
+                } => {
                     // Remember the delegation.
                     let mut addrs: Vec<IpAddr> = Vec::new();
                     for ns in &ns_names {
@@ -218,8 +223,11 @@ impl IterativeResolver {
                     }
                     if addrs.is_empty() {
                         // Glue-less delegation: resolve a nameserver name.
-                        let ns = ns_names.first().ok_or(ResolveError::Lame("referral without NS"))?;
-                        let sub = self.resolve_inner(upstream, ns, RecordType::A, now, depth + 1)?;
+                        let ns = ns_names
+                            .first()
+                            .ok_or(ResolveError::Lame("referral without NS"))?;
+                        let sub =
+                            self.resolve_inner(upstream, ns, RecordType::A, now, depth + 1)?;
                         queries += sub.upstream_queries;
                         for r in &sub.answers {
                             if let RData::A(ip) = r.rdata {
@@ -234,8 +242,14 @@ impl IterativeResolver {
                     servers = addrs;
                 }
                 Classified::Negative(rcode, neg_ttl) => {
-                    self.cache
-                        .put_negative(qname, qtype, rcode, Some(neg_ttl), now, FillInfo::default());
+                    self.cache.put_negative(
+                        qname,
+                        qtype,
+                        rcode,
+                        Some(neg_ttl),
+                        now,
+                        FillInfo::default(),
+                    );
                     return Ok(Resolution {
                         rcode,
                         answers,
@@ -315,12 +329,22 @@ fn classify(resp: &Message, qname: &Name, qtype: RecordType) -> Classified {
         let mut glue: HashMap<Name, Vec<IpAddr>> = HashMap::new();
         for rec in &resp.additionals {
             match &rec.rdata {
-                RData::A(ip) => glue.entry(rec.name.clone()).or_default().push(IpAddr::V4(*ip)),
-                RData::Aaaa(ip) => glue.entry(rec.name.clone()).or_default().push(IpAddr::V6(*ip)),
+                RData::A(ip) => glue
+                    .entry(rec.name.clone())
+                    .or_default()
+                    .push(IpAddr::V4(*ip)),
+                RData::Aaaa(ip) => glue
+                    .entry(rec.name.clone())
+                    .or_default()
+                    .push(IpAddr::V6(*ip)),
                 _ => {}
             }
         }
-        return Classified::Referral { zone, ns_names, glue };
+        return Classified::Referral {
+            zone,
+            ns_names,
+            glue,
+        };
     }
     // NODATA.
     let neg_ttl = soa_min_ttl(resp).unwrap_or(60);
@@ -379,37 +403,121 @@ mod tests {
             let mut engines = Map::new();
             let mut root = Zone::new(Name::root());
             root.insert(soa(".")).unwrap();
-            root.insert(Record::new(Name::root(), 1, RData::Ns(n("a.root-servers.net")))).unwrap();
-            root.insert(Record::new(n("com"), 1, RData::Ns(n("a.gtld-servers.net")))).unwrap();
-            root.insert(Record::new(n("a.gtld-servers.net"), 1, RData::A("192.5.6.30".parse().unwrap()))).unwrap();
-            root.insert(Record::new(n("a.root-servers.net"), 1, RData::A("198.41.0.4".parse().unwrap()))).unwrap();
+            root.insert(Record::new(
+                Name::root(),
+                1,
+                RData::Ns(n("a.root-servers.net")),
+            ))
+            .unwrap();
+            root.insert(Record::new(n("com"), 1, RData::Ns(n("a.gtld-servers.net"))))
+                .unwrap();
+            root.insert(Record::new(
+                n("a.gtld-servers.net"),
+                1,
+                RData::A("192.5.6.30".parse().unwrap()),
+            ))
+            .unwrap();
+            root.insert(Record::new(
+                n("a.root-servers.net"),
+                1,
+                RData::A("198.41.0.4".parse().unwrap()),
+            ))
+            .unwrap();
 
             let mut com = Zone::new(n("com"));
             com.insert(soa("com")).unwrap();
-            com.insert(Record::new(n("com"), 1, RData::Ns(n("a.gtld-servers.net")))).unwrap();
-            com.insert(Record::new(n("google.com"), 1, RData::Ns(n("ns1.google.com")))).unwrap();
-            com.insert(Record::new(n("ns1.google.com"), 1, RData::A("216.239.32.10".parse().unwrap()))).unwrap();
+            com.insert(Record::new(n("com"), 1, RData::Ns(n("a.gtld-servers.net"))))
+                .unwrap();
+            com.insert(Record::new(
+                n("google.com"),
+                1,
+                RData::Ns(n("ns1.google.com")),
+            ))
+            .unwrap();
+            com.insert(Record::new(
+                n("ns1.google.com"),
+                1,
+                RData::A("216.239.32.10".parse().unwrap()),
+            ))
+            .unwrap();
             // A glue-less delegation: nameserver under another TLD-ish
             // name served by the root (keeps the test self-contained).
-            com.insert(Record::new(n("glueless.com"), 1, RData::Ns(n("ns.helper.com")))).unwrap();
-            com.insert(Record::new(n("helper.com"), 1, RData::Ns(n("ns-helper-host.com")))).unwrap();
-            com.insert(Record::new(n("ns-helper-host.com"), 1, RData::A("203.0.113.5".parse().unwrap()))).unwrap();
+            com.insert(Record::new(
+                n("glueless.com"),
+                1,
+                RData::Ns(n("ns.helper.com")),
+            ))
+            .unwrap();
+            com.insert(Record::new(
+                n("helper.com"),
+                1,
+                RData::Ns(n("ns-helper-host.com")),
+            ))
+            .unwrap();
+            com.insert(Record::new(
+                n("ns-helper-host.com"),
+                1,
+                RData::A("203.0.113.5".parse().unwrap()),
+            ))
+            .unwrap();
 
             let mut google = Zone::new(n("google.com"));
             google.insert(soa("google.com")).unwrap();
-            google.insert(Record::new(n("google.com"), 1, RData::Ns(n("ns1.google.com")))).unwrap();
-            google.insert(Record::new(n("www.google.com"), 300, RData::A("142.250.80.36".parse().unwrap()))).unwrap();
-            google.insert(Record::new(n("alias.google.com"), 300, RData::Cname(n("www.google.com")))).unwrap();
+            google
+                .insert(Record::new(
+                    n("google.com"),
+                    1,
+                    RData::Ns(n("ns1.google.com")),
+                ))
+                .unwrap();
+            google
+                .insert(Record::new(
+                    n("www.google.com"),
+                    300,
+                    RData::A("142.250.80.36".parse().unwrap()),
+                ))
+                .unwrap();
+            google
+                .insert(Record::new(
+                    n("alias.google.com"),
+                    300,
+                    RData::Cname(n("www.google.com")),
+                ))
+                .unwrap();
 
             let mut helper = Zone::new(n("helper.com"));
             helper.insert(soa("helper.com")).unwrap();
-            helper.insert(Record::new(n("helper.com"), 1, RData::Ns(n("ns-helper-host.com")))).unwrap();
-            helper.insert(Record::new(n("ns.helper.com"), 300, RData::A("203.0.113.9".parse().unwrap()))).unwrap();
+            helper
+                .insert(Record::new(
+                    n("helper.com"),
+                    1,
+                    RData::Ns(n("ns-helper-host.com")),
+                ))
+                .unwrap();
+            helper
+                .insert(Record::new(
+                    n("ns.helper.com"),
+                    300,
+                    RData::A("203.0.113.9".parse().unwrap()),
+                ))
+                .unwrap();
 
             let mut glueless = Zone::new(n("glueless.com"));
             glueless.insert(soa("glueless.com")).unwrap();
-            glueless.insert(Record::new(n("glueless.com"), 1, RData::Ns(n("ns.helper.com")))).unwrap();
-            glueless.insert(Record::new(n("www.glueless.com"), 300, RData::A("203.0.113.80".parse().unwrap()))).unwrap();
+            glueless
+                .insert(Record::new(
+                    n("glueless.com"),
+                    1,
+                    RData::Ns(n("ns.helper.com")),
+                ))
+                .unwrap();
+            glueless
+                .insert(Record::new(
+                    n("www.glueless.com"),
+                    300,
+                    RData::A("203.0.113.80".parse().unwrap()),
+                ))
+                .unwrap();
 
             let mk = |z: Zone| {
                 let mut c = Catalog::new();
@@ -421,7 +529,11 @@ mod tests {
             engines.insert(ip("216.239.32.10"), mk(google));
             engines.insert(ip("203.0.113.5"), mk(helper));
             engines.insert(ip("203.0.113.9"), mk(glueless));
-            FakeInternet { engines, queries: vec![], dead: vec![] }
+            FakeInternet {
+                engines,
+                queries: vec![],
+                dead: vec![],
+            }
         }
     }
 
@@ -429,7 +541,10 @@ mod tests {
         fn exchange(&mut self, server: IpAddr, query: &Message) -> Option<Message> {
             self.queries.push((
                 server,
-                query.question().map(|q| q.name.to_string()).unwrap_or_default(),
+                query
+                    .question()
+                    .map(|q| q.name.to_string())
+                    .unwrap_or_default(),
             ));
             if self.dead.contains(&server) {
                 return None;
@@ -443,20 +558,28 @@ mod tests {
     fn cold_cache_walks_root_tld_sld() {
         let mut net = FakeInternet::new();
         let mut r = IterativeResolver::new(vec![ip("198.41.0.4")]);
-        let res = r.resolve(&mut net, &n("www.google.com"), RecordType::A, 0.0).unwrap();
+        let res = r
+            .resolve(&mut net, &n("www.google.com"), RecordType::A, 0.0)
+            .unwrap();
         assert_eq!(res.rcode, Rcode::NoError);
         assert_eq!(res.answers.len(), 1);
         assert_eq!(res.upstream_queries, 3, "root → com → google.com");
         let path: Vec<IpAddr> = net.queries.iter().map(|(s, _)| *s).collect();
-        assert_eq!(path, vec![ip("198.41.0.4"), ip("192.5.6.30"), ip("216.239.32.10")]);
+        assert_eq!(
+            path,
+            vec![ip("198.41.0.4"), ip("192.5.6.30"), ip("216.239.32.10")]
+        );
     }
 
     #[test]
     fn warm_cache_answers_locally() {
         let mut net = FakeInternet::new();
         let mut r = IterativeResolver::new(vec![ip("198.41.0.4")]);
-        r.resolve(&mut net, &n("www.google.com"), RecordType::A, 0.0).unwrap();
-        let res = r.resolve(&mut net, &n("www.google.com"), RecordType::A, 1.0).unwrap();
+        r.resolve(&mut net, &n("www.google.com"), RecordType::A, 0.0)
+            .unwrap();
+        let res = r
+            .resolve(&mut net, &n("www.google.com"), RecordType::A, 1.0)
+            .unwrap();
         assert!(res.from_cache);
         assert_eq!(res.upstream_queries, 0);
     }
@@ -465,12 +588,19 @@ mod tests {
     fn delegation_cache_skips_upper_levels() {
         let mut net = FakeInternet::new();
         let mut r = IterativeResolver::new(vec![ip("198.41.0.4")]);
-        r.resolve(&mut net, &n("www.google.com"), RecordType::A, 0.0).unwrap();
+        r.resolve(&mut net, &n("www.google.com"), RecordType::A, 0.0)
+            .unwrap();
         net.queries.clear();
         // Different name, same zone: should go straight to ns1.google.com.
-        let res = r.resolve(&mut net, &n("alias.google.com"), RecordType::A, 1.0).unwrap();
+        let res = r
+            .resolve(&mut net, &n("alias.google.com"), RecordType::A, 1.0)
+            .unwrap();
         assert!(!res.from_cache);
-        assert_eq!(net.queries[0].0, ip("216.239.32.10"), "skipped root and com");
+        assert_eq!(
+            net.queries[0].0,
+            ip("216.239.32.10"),
+            "skipped root and com"
+        );
         // CNAME chased to the cached www answer.
         assert_eq!(res.answers.last().unwrap().rtype(), RecordType::A);
     }
@@ -479,9 +609,14 @@ mod tests {
     fn cname_chain_resolved() {
         let mut net = FakeInternet::new();
         let mut r = IterativeResolver::new(vec![ip("198.41.0.4")]);
-        let res = r.resolve(&mut net, &n("alias.google.com"), RecordType::A, 0.0).unwrap();
+        let res = r
+            .resolve(&mut net, &n("alias.google.com"), RecordType::A, 0.0)
+            .unwrap();
         assert_eq!(res.rcode, Rcode::NoError);
-        assert!(res.answers.iter().any(|rec| rec.rtype() == RecordType::CNAME));
+        assert!(res
+            .answers
+            .iter()
+            .any(|rec| rec.rtype() == RecordType::CNAME));
         assert!(res.answers.iter().any(|rec| rec.rtype() == RecordType::A));
     }
 
@@ -489,10 +624,14 @@ mod tests {
     fn nxdomain_from_authoritative() {
         let mut net = FakeInternet::new();
         let mut r = IterativeResolver::new(vec![ip("198.41.0.4")]);
-        let res = r.resolve(&mut net, &n("missing.google.com"), RecordType::A, 0.0).unwrap();
+        let res = r
+            .resolve(&mut net, &n("missing.google.com"), RecordType::A, 0.0)
+            .unwrap();
         assert_eq!(res.rcode, Rcode::NxDomain);
         // Negative answer is cached.
-        let res2 = r.resolve(&mut net, &n("missing.google.com"), RecordType::A, 1.0).unwrap();
+        let res2 = r
+            .resolve(&mut net, &n("missing.google.com"), RecordType::A, 1.0)
+            .unwrap();
         assert!(res2.from_cache);
         assert_eq!(res2.rcode, Rcode::NxDomain);
     }
@@ -501,9 +640,14 @@ mod tests {
     fn glueless_delegation_resolves_ns_first() {
         let mut net = FakeInternet::new();
         let mut r = IterativeResolver::new(vec![ip("198.41.0.4")]);
-        let res = r.resolve(&mut net, &n("www.glueless.com"), RecordType::A, 0.0).unwrap();
+        let res = r
+            .resolve(&mut net, &n("www.glueless.com"), RecordType::A, 0.0)
+            .unwrap();
         assert_eq!(res.rcode, Rcode::NoError);
-        assert_eq!(res.answers[0].rdata, RData::A("203.0.113.80".parse().unwrap()));
+        assert_eq!(
+            res.answers[0].rdata,
+            RData::A("203.0.113.80".parse().unwrap())
+        );
         // The NS name itself had to be resolved via helper.com.
         assert!(net.queries.iter().any(|(_, q)| q == "ns.helper.com."));
     }
@@ -513,7 +657,9 @@ mod tests {
         let mut net = FakeInternet::new();
         net.dead.push(ip("198.41.0.4"));
         let mut r = IterativeResolver::new(vec![ip("198.41.0.4")]);
-        let err = r.resolve(&mut net, &n("www.google.com"), RecordType::A, 0.0).unwrap_err();
+        let err = r
+            .resolve(&mut net, &n("www.google.com"), RecordType::A, 0.0)
+            .unwrap_err();
         assert_eq!(err, ResolveError::Unreachable);
     }
 
@@ -522,7 +668,9 @@ mod tests {
         let mut net = FakeInternet::new();
         net.dead.push(ip("9.9.9.9"));
         let mut r = IterativeResolver::new(vec![ip("9.9.9.9"), ip("198.41.0.4")]);
-        let res = r.resolve(&mut net, &n("www.google.com"), RecordType::A, 0.0).unwrap();
+        let res = r
+            .resolve(&mut net, &n("www.google.com"), RecordType::A, 0.0)
+            .unwrap();
         assert_eq!(res.rcode, Rcode::NoError);
         // One extra (failed) query against the dead hint.
         assert_eq!(res.upstream_queries, 4);
@@ -532,10 +680,13 @@ mod tests {
     fn cache_expiry_forces_requery() {
         let mut net = FakeInternet::new();
         let mut r = IterativeResolver::new(vec![ip("198.41.0.4")]);
-        r.resolve(&mut net, &n("www.google.com"), RecordType::A, 0.0).unwrap();
+        r.resolve(&mut net, &n("www.google.com"), RecordType::A, 0.0)
+            .unwrap();
         net.queries.clear();
         // TTL of the answer is 300; at t=400 it must re-resolve.
-        let res = r.resolve(&mut net, &n("www.google.com"), RecordType::A, 400.0).unwrap();
+        let res = r
+            .resolve(&mut net, &n("www.google.com"), RecordType::A, 400.0)
+            .unwrap();
         assert!(!res.from_cache);
         assert!(!net.queries.is_empty());
     }

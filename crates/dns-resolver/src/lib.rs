@@ -12,11 +12,9 @@
 pub mod iterative;
 pub mod sim_resolver;
 
+pub use iterative::{IterativeResolver, Resolution, ResolveError, Upstream};
 pub use ldp_cache::{
     negative_ttl, CacheConfig, CacheStats, CachedAnswer, FillInfo, PolicyKind, PrefetchConfig,
     PutOutcome, ResolverCache,
 };
-pub use iterative::{IterativeResolver, Resolution, ResolveError, Upstream};
-pub use sim_resolver::{
-    AnswerClass, AnswerEvent, ResolverSnapshot, ResolverStats, SimResolver,
-};
+pub use sim_resolver::{AnswerClass, AnswerEvent, ResolverSnapshot, ResolverStats, SimResolver};

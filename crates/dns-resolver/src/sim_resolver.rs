@@ -27,9 +27,9 @@ use ldp_cache::{
     negative_ttl, CacheConfig, CacheStats, CachedAnswer, FillInfo, OutstandingStats,
     OutstandingTable, ResolverCache,
 };
+use ldp_rng::SplitMix64;
 use ldp_telemetry as tel;
 use netsim::{Ctx, Host, PacketBytes, SimDuration, TcpEvent};
-use ldp_rng::SplitMix64;
 
 /// Interned per-attempt lifecycle marks for the resolver. The `a` key
 /// is the task id, so a whole resolution chain (stub → upstream
@@ -377,7 +377,12 @@ impl SimResolver {
             self.stats.cache_hits += 1;
             self.stats.stub_answers += 1;
             if tel::enabled() {
-                tel::mark_at(ctx.now().as_nanos(), rsv_kinds().cache_hit, self.next_task, 0);
+                tel::mark_at(
+                    ctx.now().as_nanos(),
+                    rsv_kinds().cache_hit,
+                    self.next_task,
+                    0,
+                );
             }
             let qid = query.id;
             let dnssec_ok = query.dnssec_ok();
@@ -405,7 +410,8 @@ impl SimResolver {
                 if tel::enabled() {
                     tel::mark_at(ctx.now().as_nanos(), rsv_kinds().prefetch, task_id, 0);
                 }
-                self.outstanding.begin_prefetch(&q.name, q.qtype, task_id, now);
+                self.outstanding
+                    .begin_prefetch(&q.name, q.qtype, task_id, now);
                 self.start_task(ctx, task_id, q.name, q.qtype, dnssec_ok, true);
             }
             self.publish_snapshot();
@@ -423,7 +429,8 @@ impl SimResolver {
                 let task_id = self.next_task;
                 self.next_task += 1;
                 let dnssec_ok = waiter.query.dnssec_ok();
-                self.outstanding.begin(&q.name, q.qtype, task_id, waiter, now);
+                self.outstanding
+                    .begin(&q.name, q.qtype, task_id, waiter, now);
                 self.start_task(ctx, task_id, q.name, q.qtype, dnssec_ok, false);
             }
         }
@@ -434,7 +441,10 @@ impl SimResolver {
         let Some(task) = self.tasks.get_mut(&task_id) else {
             return;
         };
-        let Some(&server) = task.servers.get(task.server_idx % task.servers.len().max(1)) else {
+        let Some(&server) = task
+            .servers
+            .get(task.server_idx % task.servers.len().max(1))
+        else {
             self.fail(ctx, task_id);
             return;
         };
@@ -449,9 +459,18 @@ impl SimResolver {
         self.upstream_map.insert(id, task_id);
         self.stats.upstream_queries += 1;
         if tel::enabled() {
-            tel::mark_at(ctx.now().as_nanos(), rsv_kinds().upstream, task_id, server_slot);
+            tel::mark_at(
+                ctx.now().as_nanos(),
+                rsv_kinds().upstream,
+                task_id,
+                server_slot,
+            );
         }
-        ctx.send_udp(self.addr, SocketAddr::new(server, 53), q.encode_into(&mut self.scratch));
+        ctx.send_udp(
+            self.addr,
+            SocketAddr::new(server, 53),
+            q.encode_into(&mut self.scratch),
+        );
         // Timer token encodes (task, attempt) so a stale timer from an
         // attempt that already completed is ignored.
         ctx.set_timer(attempt_timeout, (task_id << 16) | id as u64);
@@ -471,7 +490,11 @@ impl SimResolver {
         };
         if retry {
             if tel::enabled() {
-                let retries = self.tasks.get(&task_id).map(|t| t.retries as u64).unwrap_or(0);
+                let retries = self
+                    .tasks
+                    .get(&task_id)
+                    .map(|t| t.retries as u64)
+                    .unwrap_or(0);
                 tel::mark_at(ctx.now().as_nanos(), rsv_kinds().failover, task_id, retries);
             }
             let prev = self.tasks[&task_id].cur_timeout;
@@ -495,7 +518,12 @@ impl SimResolver {
         }
         self.stats.failures += 1;
         if tel::enabled() {
-            tel::mark_at(ctx.now().as_nanos(), rsv_kinds().servfail, task_id, task.retries as u64);
+            tel::mark_at(
+                ctx.now().as_nanos(),
+                rsv_kinds().servfail,
+                task_id,
+                task.retries as u64,
+            );
         }
         let waiters = self
             .outstanding
@@ -510,8 +538,17 @@ impl SimResolver {
             resp.rcode = Rcode::ServFail;
             self.stats.stub_answers += 1;
             let waited_ns = (((now - slot.arrived).max(0.0)) * 1e9) as u64;
-            self.log_answer(now_ns, slot.waiter.query.id, AnswerClass::ServFail, waited_ns);
-            ctx.send_udp(self.addr, slot.waiter.stub, resp.encode_into(&mut self.scratch));
+            self.log_answer(
+                now_ns,
+                slot.waiter.query.id,
+                AnswerClass::ServFail,
+                waited_ns,
+            );
+            ctx.send_udp(
+                self.addr,
+                slot.waiter.stub,
+                resp.encode_into(&mut self.scratch),
+            );
         }
         self.publish_snapshot();
     }
@@ -550,11 +587,21 @@ impl SimResolver {
         if out.evicted > 0 {
             self.stats.evictions += out.evicted as u64;
             if tel::enabled() {
-                tel::mark_at(ctx.now().as_nanos(), rsv_kinds().evict, task_id, out.evicted as u64);
+                tel::mark_at(
+                    ctx.now().as_nanos(),
+                    rsv_kinds().evict,
+                    task_id,
+                    out.evicted as u64,
+                );
             }
         }
         if tel::enabled() {
-            tel::mark_at(ctx.now().as_nanos(), rsv_kinds().answer, task_id, u64::from(rcode.to_u16()));
+            tel::mark_at(
+                ctx.now().as_nanos(),
+                rsv_kinds().answer,
+                task_id,
+                u64::from(rcode.to_u16()),
+            );
         }
         let now_ns = ctx.now().as_nanos();
         for (i, slot) in waiters.into_iter().enumerate() {
@@ -577,7 +624,11 @@ impl SimResolver {
                 tel::mark_at(now_ns, rsv_kinds().delayed_hit, task_id, waited_ns);
             }
             self.log_answer(now_ns, slot.waiter.query.id, class, waited_ns);
-            ctx.send_udp(self.addr, slot.waiter.stub, resp.encode_into(&mut self.scratch));
+            ctx.send_udp(
+                self.addr,
+                slot.waiter.stub,
+                resp.encode_into(&mut self.scratch),
+            );
         }
         self.publish_snapshot();
     }
@@ -830,8 +881,7 @@ mod tests {
             let ip: IpAddr = format!("10.0.0.{}", i + 1).parse().unwrap();
             hints.push(ip);
             if let Some(engine) = up {
-                let server =
-                    SimDnsServer::new(engine.clone(), SocketAddr::new(ip, 53), None);
+                let server = SimDnsServer::new(engine.clone(), SocketAddr::new(ip, 53), None);
                 server_ids.push(sim.add_host(&[ip], Box::new(server)));
             }
         }
@@ -901,7 +951,11 @@ mod tests {
         rig.sim.run();
         let got = rig.got.lock().expect("capture lock");
         assert_eq!(got.len(), 1);
-        assert_eq!(got[0].rcode, Rcode::NoError, "failover past the lame server");
+        assert_eq!(
+            got[0].rcode,
+            Rcode::NoError,
+            "failover past the lame server"
+        );
         assert!(!got[0].answers.is_empty());
     }
 
@@ -986,7 +1040,11 @@ mod tests {
         let classes: Vec<AnswerClass> = log.iter().map(|e| e.class).collect();
         assert_eq!(
             classes,
-            vec![AnswerClass::Miss, AnswerClass::DelayedHit, AnswerClass::DelayedHit]
+            vec![
+                AnswerClass::Miss,
+                AnswerClass::DelayedHit,
+                AnswerClass::DelayedHit
+            ]
         );
         // The lead waited longest; joiners arrived later so waited less
         // (or equally, with zero-latency links).
@@ -1004,9 +1062,18 @@ mod tests {
         // 300s — a re-ask at t=60s (past the old hardcoded 30s) must be
         // served from cache, not re-resolved.
         let sends = vec![
-            (SimTime::from_secs_f64(0.0), Message::query(20, name("missing.example."), RecordType::A)),
-            (SimTime::from_secs_f64(60.0), Message::query(21, name("missing.example."), RecordType::A)),
-            (SimTime::from_secs_f64(400.0), Message::query(22, name("missing.example."), RecordType::A)),
+            (
+                SimTime::from_secs_f64(0.0),
+                Message::query(20, name("missing.example."), RecordType::A),
+            ),
+            (
+                SimTime::from_secs_f64(60.0),
+                Message::query(21, name("missing.example."), RecordType::A),
+            ),
+            (
+                SimTime::from_secs_f64(400.0),
+                Message::query(22, name("missing.example."), RecordType::A),
+            ),
         ];
         let mut rig = scheduled_rig(&[Some(good_engine())], sends, |_| {});
         rig.sim.run();
@@ -1035,8 +1102,14 @@ mod tests {
         // refresh: 2 upstream queries total, yet both client answers
         // are {Miss, Hit} — the refresh is invisible to clients.
         let sends = vec![
-            (SimTime::from_secs_f64(0.0), Message::query(30, name("www.example."), RecordType::A)),
-            (SimTime::from_secs_f64(2000.0), Message::query(31, name("www.example."), RecordType::A)),
+            (
+                SimTime::from_secs_f64(0.0),
+                Message::query(30, name("www.example."), RecordType::A),
+            ),
+            (
+                SimTime::from_secs_f64(2000.0),
+                Message::query(31, name("www.example."), RecordType::A),
+            ),
         ];
         let mut rig = scheduled_rig(&[Some(good_engine())], sends, |r| {
             r.set_cache_config(CacheConfig {
@@ -1051,7 +1124,11 @@ mod tests {
         rig.sim.run();
         let got = rig.got.lock().expect("capture lock");
         assert_eq!(got.len(), 2, "clients see only their two answers");
-        assert_eq!(rig.sim.stats(rig.server_ids[0]).udp_rx, 2, "miss + prefetch");
+        assert_eq!(
+            rig.sim.stats(rig.server_ids[0]).udp_rx,
+            2,
+            "miss + prefetch"
+        );
         let snap = rig.snapshot.lock().expect("snapshot");
         assert_eq!(snap.stats.prefetches, 1);
         let log = rig.answers.lock().expect("answer log");
@@ -1064,9 +1141,18 @@ mod tests {
         // Capacity 1 LRU: www evicted by w2, so the re-ask of www goes
         // upstream again.
         let sends = vec![
-            (SimTime::from_secs_f64(0.0), Message::query(40, name("www.example."), RecordType::A)),
-            (SimTime::from_secs_f64(1.0), Message::query(41, name("w2.example."), RecordType::A)),
-            (SimTime::from_secs_f64(2.0), Message::query(42, name("www.example."), RecordType::A)),
+            (
+                SimTime::from_secs_f64(0.0),
+                Message::query(40, name("www.example."), RecordType::A),
+            ),
+            (
+                SimTime::from_secs_f64(1.0),
+                Message::query(41, name("w2.example."), RecordType::A),
+            ),
+            (
+                SimTime::from_secs_f64(2.0),
+                Message::query(42, name("www.example."), RecordType::A),
+            ),
         ];
         let mut rig = scheduled_rig(&[Some(good_engine())], sends, |r| {
             r.set_cache_config(CacheConfig::bounded(1, PolicyKind::Lru));

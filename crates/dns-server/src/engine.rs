@@ -170,7 +170,8 @@ impl ServerEngine {
                 // If at least the header parsed, send FORMERR.
                 if data.len() >= 12 {
                     let id = u16::from_be_bytes([data[0], data[1]]);
-                    let mut resp = Message::query(id, dns_wire::Name::root(), dns_wire::RecordType::A);
+                    let mut resp =
+                        Message::query(id, dns_wire::Name::root(), dns_wire::RecordType::A);
                     resp.questions.clear();
                     resp.flags.response = true;
                     resp.rcode = Rcode::FormErr;
@@ -244,21 +245,46 @@ mod tests {
     /// Root + com + google.com, each in its own view keyed by that
     /// level's nameserver address — the paper's §2.4 configuration.
     fn hierarchy_engine() -> ServerEngine {
-        let root = zone(".", vec![
-            Record::new(Name::root(), 518400, RData::Ns(n("a.root-servers.net"))),
-            Record::new(n("com"), 172800, RData::Ns(n("a.gtld-servers.net"))),
-            Record::new(n("a.gtld-servers.net"), 172800, RData::A("192.5.6.30".parse().unwrap())),
-            Record::new(n("a.root-servers.net"), 518400, RData::A("198.41.0.4".parse().unwrap())),
-        ]);
-        let com = zone("com", vec![
-            Record::new(n("com"), 172800, RData::Ns(n("a.gtld-servers.net"))),
-            Record::new(n("google.com"), 172800, RData::Ns(n("ns1.google.com"))),
-            Record::new(n("ns1.google.com"), 172800, RData::A("216.239.32.10".parse().unwrap())),
-        ]);
-        let google = zone("google.com", vec![
-            Record::new(n("google.com"), 300, RData::Ns(n("ns1.google.com"))),
-            Record::new(n("www.google.com"), 300, RData::A("142.250.80.36".parse().unwrap())),
-        ]);
+        let root = zone(
+            ".",
+            vec![
+                Record::new(Name::root(), 518400, RData::Ns(n("a.root-servers.net"))),
+                Record::new(n("com"), 172800, RData::Ns(n("a.gtld-servers.net"))),
+                Record::new(
+                    n("a.gtld-servers.net"),
+                    172800,
+                    RData::A("192.5.6.30".parse().unwrap()),
+                ),
+                Record::new(
+                    n("a.root-servers.net"),
+                    518400,
+                    RData::A("198.41.0.4".parse().unwrap()),
+                ),
+            ],
+        );
+        let com = zone(
+            "com",
+            vec![
+                Record::new(n("com"), 172800, RData::Ns(n("a.gtld-servers.net"))),
+                Record::new(n("google.com"), 172800, RData::Ns(n("ns1.google.com"))),
+                Record::new(
+                    n("ns1.google.com"),
+                    172800,
+                    RData::A("216.239.32.10".parse().unwrap()),
+                ),
+            ],
+        );
+        let google = zone(
+            "google.com",
+            vec![
+                Record::new(n("google.com"), 300, RData::Ns(n("ns1.google.com"))),
+                Record::new(
+                    n("www.google.com"),
+                    300,
+                    RData::A("142.250.80.36".parse().unwrap()),
+                ),
+            ],
+        );
         let mk_cat = |z: Zone| {
             let mut c = Catalog::new();
             c.insert(z);
@@ -318,7 +344,10 @@ mod tests {
     fn bad_edns_version_badvers() {
         let engine = hierarchy_engine();
         let mut q = Message::query(1, n("x.com"), RecordType::A);
-        q.edns = Some(dns_wire::Edns { version: 1, ..Default::default() });
+        q.edns = Some(dns_wire::Edns {
+            version: 1,
+            ..Default::default()
+        });
         assert_eq!(engine.answer(ip("198.41.0.4"), &q).rcode, Rcode::BadVers);
     }
 
@@ -372,7 +401,9 @@ mod tests {
     #[test]
     fn handle_udp_bytes_drops_short_garbage() {
         let engine = hierarchy_engine();
-        assert!(engine.handle_udp_bytes(ip("198.41.0.4"), &[1, 2, 3]).is_none());
+        assert!(engine
+            .handle_udp_bytes(ip("198.41.0.4"), &[1, 2, 3])
+            .is_none());
     }
 
     #[test]
@@ -386,20 +417,35 @@ mod tests {
         assert!(templated.templates().is_some_and(|t| !t.is_empty()));
         let sources = ["198.41.0.4", "192.5.6.30", "216.239.32.10", "8.8.8.8"];
         let qnames = [
-            "www.google.com", "google.com", "com", "ns1.google.com",
-            "a.gtld-servers.net", "nonexistent.google.com", ".",
+            "www.google.com",
+            "google.com",
+            "com",
+            "ns1.google.com",
+            "a.gtld-servers.net",
+            "nonexistent.google.com",
+            ".",
         ];
-        let qtypes = [RecordType::A, RecordType::NS, RecordType::SOA, RecordType::TXT];
+        let qtypes = [
+            RecordType::A,
+            RecordType::NS,
+            RecordType::SOA,
+            RecordType::TXT,
+        ];
         for src in sources {
             for qn in qnames {
                 for qt in qtypes {
-                    for (edns, do_bit, rd) in
-                        [(false, false, true), (true, false, false), (true, true, true)]
-                    {
+                    for (edns, do_bit, rd) in [
+                        (false, false, true),
+                        (true, false, false),
+                        (true, true, true),
+                    ] {
                         let mut q = Message::query(0x4242, n(qn), qt);
                         q.flags.recursion_desired = rd;
                         if edns {
-                            q.edns = Some(dns_wire::Edns { dnssec_ok: do_bit, ..Default::default() });
+                            q.edns = Some(dns_wire::Edns {
+                                dnssec_ok: do_bit,
+                                ..Default::default()
+                            });
                         }
                         assert_eq!(
                             templated.answer_udp(ip(src), &q),
@@ -432,7 +478,10 @@ mod tests {
         upd.opcode = Opcode::Update;
         assert!(t.find(view, &upd, 4096).is_none());
         let mut badvers = q.clone();
-        badvers.edns = Some(dns_wire::Edns { version: 1, ..Default::default() });
+        badvers.edns = Some(dns_wire::Edns {
+            version: 1,
+            ..Default::default()
+        });
         assert!(t.find(view, &badvers, 4096).is_none());
         assert!(t.find(None, &q, 4096).is_none());
     }
@@ -468,9 +517,14 @@ mod tests {
     #[test]
     fn single_catalog_engine_answers_everyone() {
         let mut cat = Catalog::new();
-        cat.insert(zone("example", vec![
-            Record::new(n("www.example"), 60, RData::A("1.2.3.4".parse().unwrap())),
-        ]));
+        cat.insert(zone(
+            "example",
+            vec![Record::new(
+                n("www.example"),
+                60,
+                RData::A("1.2.3.4".parse().unwrap()),
+            )],
+        ));
         let engine = ServerEngine::with_catalog(cat);
         for src in ["1.1.1.1", "9.9.9.9", "2001:db8::1"] {
             let q = Message::query(1, n("www.example"), RecordType::A);

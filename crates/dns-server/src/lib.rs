@@ -21,6 +21,6 @@ pub mod template;
 
 pub use engine::ServerEngine;
 pub use rrl::{RateLimiter, RrlAction, RrlBank, RrlConfig, RrlStats};
-pub use template::TemplateTable;
 pub use sim_server::SimDnsServer;
 pub use socket_server::{spawn, RunningServer, ServerConfig, ServerCounters};
+pub use template::TemplateTable;

@@ -131,7 +131,11 @@ impl RateLimiter {
             IpAddr::V6(v6) => {
                 let bits = u128::from(v6);
                 let len = self.config.ipv6_prefix_len.min(128) as u32;
-                let mask = if len == 0 { 0 } else { u128::MAX << (128 - len) };
+                let mask = if len == 0 {
+                    0
+                } else {
+                    u128::MAX << (128 - len)
+                };
                 // Distinguish from v4 space by setting a high marker bit.
                 (bits & mask) | (1u128 << 127)
             }
@@ -208,7 +212,9 @@ impl RrlBank {
     /// each built from `config`.
     pub fn new(config: RrlConfig, views: usize) -> Self {
         RrlBank {
-            limiters: (0..views.saturating_add(1)).map(|_| RateLimiter::new(config)).collect(),
+            limiters: (0..views.saturating_add(1))
+                .map(|_| RateLimiter::new(config))
+                .collect(),
         }
     }
 
@@ -325,7 +331,10 @@ mod tests {
     fn bursts_within_budget_pass() {
         let mut rrl = limiter(10, 2);
         for i in 0..20 {
-            assert_eq!(rrl.check(ip("192.0.2.1"), 1, i as f64 * 0.01), RrlAction::Send);
+            assert_eq!(
+                rrl.check(ip("192.0.2.1"), 1, i as f64 * 0.01),
+                RrlAction::Send
+            );
         }
         assert_eq!(rrl.stats.sent, 20);
         assert_eq!(rrl.stats.dropped, 0);
@@ -345,7 +354,10 @@ mod tests {
         assert!(sent <= 21, "sent {sent}");
         assert!(dropped > 400);
         // Slip every 2nd drop.
-        assert!((slipped as i64 - dropped as i64).abs() <= 1, "{slipped} vs {dropped}");
+        assert!(
+            (slipped as i64 - dropped as i64).abs() <= 1,
+            "{slipped} vs {dropped}"
+        );
     }
 
     #[test]
@@ -366,7 +378,11 @@ mod tests {
             // Same /24 → same bucket.
             assert_eq!(
                 rrl.check(ip(&format!("192.0.2.{i}")), 1, 0.0),
-                if i < 2 { RrlAction::Send } else { RrlAction::Drop },
+                if i < 2 {
+                    RrlAction::Send
+                } else {
+                    RrlAction::Drop
+                },
                 "same /24 shares budget"
             );
         }
@@ -426,7 +442,10 @@ mod tests {
             slip: 0,
         };
         let cfg = RrlConfig::from_overload(&fractional).unwrap();
-        assert_eq!(cfg.responses_per_second, 1, "fractional rates round up to 1");
+        assert_eq!(
+            cfg.responses_per_second, 1,
+            "fractional rates round up to 1"
+        );
         assert_eq!(cfg.window_secs, 1);
     }
 
@@ -446,38 +465,68 @@ mod tests {
 
     #[test]
     fn bank_keeps_per_view_budgets_independent() {
-        let cfg = RrlConfig { responses_per_second: 1, window_secs: 2, slip: 0, ..Default::default() };
+        let cfg = RrlConfig {
+            responses_per_second: 1,
+            window_secs: 2,
+            slip: 0,
+            ..Default::default()
+        };
         let mut bank = RrlBank::new(cfg, 2);
         let reply = encoded_reply("www.example", dns_wire::Rcode::NoError);
         // Exhaust view 0's bucket for this (client /24, answer) pair.
         for _ in 0..2 {
-            assert_eq!(bank.check_udp_reply(Some(0), ip("10.0.0.1"), &reply, 0.0), RrlAction::Send);
+            assert_eq!(
+                bank.check_udp_reply(Some(0), ip("10.0.0.1"), &reply, 0.0),
+                RrlAction::Send
+            );
         }
-        assert_eq!(bank.check_udp_reply(Some(0), ip("10.0.0.1"), &reply, 0.0), RrlAction::Drop);
+        assert_eq!(
+            bank.check_udp_reply(Some(0), ip("10.0.0.1"), &reply, 0.0),
+            RrlAction::Drop
+        );
         // Same client network + same answer through view 1: its own
         // bucket, so it still sends — the per-view property.
-        assert_eq!(bank.check_udp_reply(Some(1), ip("10.0.0.2"), &reply, 0.0), RrlAction::Send);
+        assert_eq!(
+            bank.check_udp_reply(Some(1), ip("10.0.0.2"), &reply, 0.0),
+            RrlAction::Send
+        );
         assert_eq!(bank.stats().sent, 3);
         assert_eq!(bank.stats().dropped, 1);
     }
 
     #[test]
     fn bank_routes_unmatched_clients_to_catch_all() {
-        let cfg = RrlConfig { responses_per_second: 1, window_secs: 1, slip: 0, ..Default::default() };
+        let cfg = RrlConfig {
+            responses_per_second: 1,
+            window_secs: 1,
+            slip: 0,
+            ..Default::default()
+        };
         let mut bank = RrlBank::new(cfg, 1);
         assert_eq!(bank.slot(Some(0)), 0);
         assert_eq!(bank.slot(None), 1, "no view = catch-all");
         assert_eq!(bank.slot(Some(9)), 1, "out of range = catch-all");
         let refused = encoded_reply("evil.invalid", dns_wire::Rcode::Refused);
-        assert_eq!(bank.check_udp_reply(None, ip("203.0.113.9"), &refused, 0.0), RrlAction::Send);
-        assert_eq!(bank.check_udp_reply(None, ip("203.0.113.9"), &refused, 0.0), RrlAction::Drop);
+        assert_eq!(
+            bank.check_udp_reply(None, ip("203.0.113.9"), &refused, 0.0),
+            RrlAction::Send
+        );
+        assert_eq!(
+            bank.check_udp_reply(None, ip("203.0.113.9"), &refused, 0.0),
+            RrlAction::Drop
+        );
         // The flood on the catch-all never touched view 0's budget.
         assert_eq!(bank.limiters()[0].stats, RrlStats::default());
     }
 
     #[test]
     fn bank_reset_clears_buckets_and_undecodable_replies_pass() {
-        let cfg = RrlConfig { responses_per_second: 1, window_secs: 1, slip: 0, ..Default::default() };
+        let cfg = RrlConfig {
+            responses_per_second: 1,
+            window_secs: 1,
+            slip: 0,
+            ..Default::default()
+        };
         let mut bank = RrlBank::new(cfg, 1);
         let reply = encoded_reply("www.example", dns_wire::Rcode::NoError);
         bank.check_udp_reply(Some(0), ip("10.0.0.1"), &reply, 0.0);
@@ -485,7 +534,10 @@ mod tests {
         bank.reset();
         assert_eq!(bank.limiters()[0].bucket_count(), 0);
         // Garbage bytes fail open.
-        assert_eq!(bank.check_udp_reply(Some(0), ip("10.0.0.1"), &[1, 2, 3], 0.0), RrlAction::Send);
+        assert_eq!(
+            bank.check_udp_reply(Some(0), ip("10.0.0.1"), &[1, 2, 3], 0.0),
+            RrlAction::Send
+        );
     }
 
     #[test]
@@ -493,8 +545,17 @@ mod tests {
         let a: dns_wire::Name = "x.example.com".parse().unwrap();
         let b: dns_wire::Name = "y.example.com".parse().unwrap();
         use dns_wire::Rcode;
-        assert_eq!(response_key(&a, Rcode::NoError), response_key(&a, Rcode::NoError));
-        assert_ne!(response_key(&a, Rcode::NoError), response_key(&b, Rcode::NoError));
-        assert_ne!(response_key(&a, Rcode::NoError), response_key(&a, Rcode::NxDomain));
+        assert_eq!(
+            response_key(&a, Rcode::NoError),
+            response_key(&a, Rcode::NoError)
+        );
+        assert_ne!(
+            response_key(&a, Rcode::NoError),
+            response_key(&b, Rcode::NoError)
+        );
+        assert_ne!(
+            response_key(&a, Rcode::NoError),
+            response_key(&a, Rcode::NxDomain)
+        );
     }
 }

@@ -54,7 +54,11 @@ pub struct SimDnsServer {
 
 impl SimDnsServer {
     /// New simulated server for `engine` listening at `addr`.
-    pub fn new(engine: Arc<ServerEngine>, addr: SocketAddr, idle_timeout: Option<SimDuration>) -> Self {
+    pub fn new(
+        engine: Arc<ServerEngine>,
+        addr: SocketAddr,
+        idle_timeout: Option<SimDuration>,
+    ) -> Self {
         SimDnsServer {
             engine,
             addr,
@@ -104,7 +108,12 @@ impl Host for SimDnsServer {
         self.queries_handled += 1;
         if tel::enabled() {
             let t = ctx.now().as_nanos();
-            tel::mark_at(t, srv_kinds().udp_query, self.queries_handled, reply.len() as u64);
+            tel::mark_at(
+                t,
+                srv_kinds().udp_query,
+                self.queries_handled,
+                reply.len() as u64,
+            );
         }
         if let Some(rrl) = &mut self.rrl {
             // The view that answered is the one whose budget this
@@ -162,7 +171,12 @@ impl Host for SimDnsServer {
                     self.queries_handled += 1;
                     if tel::enabled() {
                         let t = ctx.now().as_nanos();
-                        tel::mark_at(t, srv_kinds().tcp_query, self.queries_handled, reply.len() as u64);
+                        tel::mark_at(
+                            t,
+                            srv_kinds().tcp_query,
+                            self.queries_handled,
+                            reply.len() as u64,
+                        );
                     }
                     ctx.tcp_send(conn, frame(&reply));
                 }
@@ -218,8 +232,12 @@ mod tests {
             }),
         ))
         .unwrap();
-        z.insert(Record::new(n("www.example"), 60, RData::A("1.2.3.4".parse().unwrap())))
-            .unwrap();
+        z.insert(Record::new(
+            n("www.example"),
+            60,
+            RData::A("1.2.3.4".parse().unwrap()),
+        ))
+        .unwrap();
         let mut cat = Catalog::new();
         cat.insert(z);
         ServerEngine::with_catalog(cat)
@@ -240,8 +258,17 @@ mod tests {
     }
 
     impl Host for TestClient {
-        fn on_udp(&mut self, _ctx: &mut Ctx<'_>, _f: SocketAddr, _t: SocketAddr, data: PacketBytes) {
-            self.replies.lock().unwrap().push(Message::decode(&data).unwrap());
+        fn on_udp(
+            &mut self,
+            _ctx: &mut Ctx<'_>,
+            _f: SocketAddr,
+            _t: SocketAddr,
+            data: PacketBytes,
+        ) {
+            self.replies
+                .lock()
+                .unwrap()
+                .push(Message::decode(&data).unwrap());
         }
         fn on_tcp_event(&mut self, ctx: &mut Ctx<'_>, event: TcpEvent) {
             match event {
@@ -255,7 +282,10 @@ mod tests {
                     let mut fb = FrameBuffer::new();
                     fb.extend(&data);
                     while let Some(msg) = fb.next_message() {
-                        self.replies.lock().unwrap().push(Message::decode(&msg).unwrap());
+                        self.replies
+                            .lock()
+                            .unwrap()
+                            .push(Message::decode(&msg).unwrap());
                     }
                 }
                 _ => {}
@@ -280,7 +310,11 @@ mod tests {
         let replies: Replies = Arc::new(Mutex::new(vec![]));
         sim.add_host(
             &[server_addr.ip()],
-            Box::new(SimDnsServer::new(engine(), server_addr, Some(SimDuration::from_secs(20)))),
+            Box::new(SimDnsServer::new(
+                engine(),
+                server_addr,
+                Some(SimDuration::from_secs(20)),
+            )),
         );
         let client = sim.add_host(
             &["10.0.0.2".parse().unwrap()],
@@ -328,9 +362,13 @@ mod tests {
     fn crash_drops_connection_state() {
         let mut s = SimDnsServer::new(engine(), "10.0.0.1:53".parse().unwrap(), None)
             .with_rrl(RateLimiter::new(crate::rrl::RrlConfig::default()));
-        s.conns
-            .insert(ConnId(7), (FrameBuffer::new(), "10.0.0.2:5000".parse().unwrap()));
-        let reply = Message::query(1, n("www.example"), RecordType::A).response_to().encode();
+        s.conns.insert(
+            ConnId(7),
+            (FrameBuffer::new(), "10.0.0.2:5000".parse().unwrap()),
+        );
+        let reply = Message::query(1, n("www.example"), RecordType::A)
+            .response_to()
+            .encode();
         if let Some(rrl) = &mut s.rrl {
             rrl.check_udp_reply(Some(0), "10.0.0.2".parse().unwrap(), &reply, 0.0);
             assert_eq!(rrl.limiters()[0].bucket_count(), 1);
@@ -367,8 +405,12 @@ mod tests {
                 }),
             ))
             .unwrap();
-            z.insert(Record::new(n("www.example"), 60, RData::A("1.2.3.4".parse().unwrap())))
-                .unwrap();
+            z.insert(Record::new(
+                n("www.example"),
+                60,
+                RData::A("1.2.3.4".parse().unwrap()),
+            ))
+            .unwrap();
             let mut c = Catalog::new();
             c.insert(z);
             c
@@ -401,8 +443,11 @@ mod tests {
         let reply = {
             let q = Message::query(1, n("www.example"), RecordType::A);
             let mut r = q.response_to();
-            r.answers
-                .push(Record::new(n("www.example"), 60, RData::A("1.2.3.4".parse().unwrap())));
+            r.answers.push(Record::new(
+                n("www.example"),
+                60,
+                RData::A("1.2.3.4".parse().unwrap()),
+            ));
             r.encode()
         };
         let via = |bank: &mut crate::rrl::RrlBank, addr: &str| {
@@ -411,8 +456,16 @@ mod tests {
             bank.check_udp_reply(view, a, &reply, 0.0)
         };
         assert_eq!(via(bank, "10.0.0.1"), RrlAction::Send);
-        assert_eq!(via(bank, "10.0.0.1"), RrlAction::Drop, "view a's budget spent");
-        assert_eq!(via(bank, "10.0.0.2"), RrlAction::Send, "view rest unaffected");
+        assert_eq!(
+            via(bank, "10.0.0.1"),
+            RrlAction::Drop,
+            "view a's budget spent"
+        );
+        assert_eq!(
+            via(bank, "10.0.0.2"),
+            RrlAction::Send,
+            "view rest unaffected"
+        );
     }
 
     /// Raw-byte client: keeps replies unparsed so the equivalence test
@@ -424,7 +477,13 @@ mod tests {
     }
 
     impl Host for RawClient {
-        fn on_udp(&mut self, _ctx: &mut Ctx<'_>, _f: SocketAddr, _t: SocketAddr, data: PacketBytes) {
+        fn on_udp(
+            &mut self,
+            _ctx: &mut Ctx<'_>,
+            _f: SocketAddr,
+            _t: SocketAddr,
+            data: PacketBytes,
+        ) {
             self.replies.lock().unwrap().push(data.to_vec());
         }
         fn on_tcp_event(&mut self, _ctx: &mut Ctx<'_>, _event: TcpEvent) {}
@@ -446,7 +505,10 @@ mod tests {
     fn run_raw(queue: netsim::QueueKind, templates: bool) -> Vec<Vec<u8>> {
         let mut sim = Simulator::new(
             Topology::uniform(PathConfig::with_rtt(SimDuration::from_millis(10))),
-            SimConfig { queue, ..SimConfig::default() },
+            SimConfig {
+                queue,
+                ..SimConfig::default()
+            },
         );
         let server_addr: SocketAddr = "10.0.0.1:53".parse().unwrap();
         let engine = if templates {
@@ -509,7 +571,11 @@ mod tests {
         let replies: Replies = Arc::new(Mutex::new(vec![]));
         let server = sim.add_host(
             &[server_addr.ip()],
-            Box::new(SimDnsServer::new(engine(), server_addr, Some(SimDuration::from_secs(5)))),
+            Box::new(SimDnsServer::new(
+                engine(),
+                server_addr,
+                Some(SimDuration::from_secs(5)),
+            )),
         );
         let client = sim.add_host(
             &["10.0.0.2".parse().unwrap()],

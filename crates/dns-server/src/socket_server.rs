@@ -263,7 +263,10 @@ fn serve_tcp_conn(
     loop {
         // Wake at least every CONN_STOP_POLL to notice shutdown; the
         // idle timeout is the time since the last byte arrived.
-        let Some(left) = idle.checked_sub(last_activity.elapsed()).filter(|d| !d.is_zero()) else {
+        let Some(left) = idle
+            .checked_sub(last_activity.elapsed())
+            .filter(|d| !d.is_zero())
+        else {
             // Idle timeout: server-initiated close (the behaviour
             // whose cost §5.2 quantifies).
             counters.idle_closes.fetch_add(1, Ordering::Relaxed);
@@ -323,11 +326,19 @@ mod tests {
             }),
         ))
         .unwrap();
-        z.insert(Record::new(n("www.example"), 60, RData::A("5.6.7.8".parse().unwrap())))
-            .unwrap();
+        z.insert(Record::new(
+            n("www.example"),
+            60,
+            RData::A("5.6.7.8".parse().unwrap()),
+        ))
+        .unwrap();
         // Wildcard so synthetic unique names resolve.
-        z.insert(Record::new(n("*.example"), 60, RData::A("9.9.9.9".parse().unwrap())))
-            .unwrap();
+        z.insert(Record::new(
+            n("*.example"),
+            60,
+            RData::A("9.9.9.9".parse().unwrap()),
+        ))
+        .unwrap();
         let mut cat = Catalog::new();
         cat.insert(z);
         // Templates on: the loopback round-trips below exercise the
@@ -365,7 +376,9 @@ mod tests {
         let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         let server = spawn(engine(), ServerConfig::default()).unwrap();
         let mut stream = TcpStream::connect(server.tcp_addr).unwrap();
-        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
         // Two framed queries on one connection.
         for (id, name) in [(1u16, "www.example"), (2, "missing.other")] {
             let q = Message::query(id, n(name), RecordType::A);
@@ -400,7 +413,9 @@ mod tests {
         };
         let server = spawn(engine(), config).unwrap();
         let mut stream = TcpStream::connect(server.tcp_addr).unwrap();
-        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
         // Say nothing; the server should close us.
         let mut buf = [0u8; 16];
         let n = stream.read(&mut buf).expect("server closed within timeout");
@@ -473,7 +488,8 @@ mod tests {
         server.shutdown();
         // UDP workers have exited; queries go unanswered.
         let sock = client();
-        sock.set_read_timeout(Some(Duration::from_millis(300))).unwrap();
+        sock.set_read_timeout(Some(Duration::from_millis(300)))
+            .unwrap();
         let q = Message::query(1, n("www.example"), RecordType::A);
         sock.send_to(&q.encode(), server.udp_addr).unwrap();
         let mut buf = [0u8; 512];
@@ -481,10 +497,15 @@ mod tests {
         // And the accept thread is gone: the listener is closed, so a
         // new connection is refused (or, at worst, never served).
         if let Ok(mut stream) = TcpStream::connect(server.tcp_addr) {
-            stream.set_read_timeout(Some(Duration::from_millis(300))).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_millis(300)))
+                .unwrap();
             let q = Message::query(2, n("www.example"), RecordType::A);
             let _ = stream.write_all(&frame(&q.encode()));
-            assert!(!matches!(stream.read(&mut buf), Ok(n) if n > 0), "no TCP reply after shutdown");
+            assert!(
+                !matches!(stream.read(&mut buf), Ok(n) if n > 0),
+                "no TCP reply after shutdown"
+            );
         }
         assert_eq!(server.counters.tcp_accepts.load(Ordering::Relaxed), 0);
     }

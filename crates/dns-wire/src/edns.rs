@@ -188,7 +188,10 @@ mod tests {
     #[test]
     fn options_round_trip() {
         let e = Edns {
-            options: vec![(10, vec![1, 2, 3, 4, 5, 6, 7, 8]), (8, vec![0, 1, 24, 0, 1, 2, 3])],
+            options: vec![
+                (10, vec![1, 2, 3, 4, 5, 6, 7, 8]),
+                (8, vec![0, 1, 24, 0, 1, 2, 3]),
+            ],
             ..Default::default()
         };
         let rec = e.to_record();
@@ -201,7 +204,11 @@ mod tests {
         let variants = [
             Edns::default(),
             Edns::with_do(),
-            Edns { udp_payload: 1232, z: 0x1a2, ..Default::default() },
+            Edns {
+                udp_payload: 1232,
+                z: 0x1a2,
+                ..Default::default()
+            },
             Edns {
                 options: vec![(10, vec![1, 2, 3, 4, 5, 6, 7, 8]), (8, vec![0, 1, 24, 0])],
                 ..Default::default()

@@ -136,7 +136,9 @@ mod tests {
     #[test]
     fn base64_round_trip_bytes() {
         for len in 0..40usize {
-            let data: Vec<u8> = (0..len as u8).map(|i| i.wrapping_mul(37).wrapping_add(11)).collect();
+            let data: Vec<u8> = (0..len as u8)
+                .map(|i| i.wrapping_mul(37).wrapping_add(11))
+                .collect();
             assert_eq!(base64_decode(&base64_encode(&data)).unwrap(), data);
         }
     }

@@ -18,7 +18,10 @@ pub fn frame(msg: &[u8]) -> Vec<u8> {
 ///
 /// Panics if `msg` exceeds 65535 bytes (DNS messages cannot).
 pub fn frame_into(msg: &[u8], out: &mut Vec<u8>) {
-    assert!(msg.len() <= u16::MAX as usize, "DNS message too large to frame");
+    assert!(
+        msg.len() <= u16::MAX as usize,
+        "DNS message too large to frame"
+    );
     out.clear();
     out.reserve(2 + msg.len());
     out.extend_from_slice(&(msg.len() as u16).to_be_bytes());
@@ -172,7 +175,11 @@ mod tests {
             assert!(fb.next_message().is_some());
             assert!(fb.is_empty());
         }
-        assert!(fb.buf.capacity() < 8 * framed.len(), "capacity {}", fb.buf.capacity());
+        assert!(
+            fb.buf.capacity() < 8 * framed.len(),
+            "capacity {}",
+            fb.buf.capacity()
+        );
     }
 
     #[test]

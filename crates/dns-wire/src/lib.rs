@@ -26,9 +26,9 @@ pub mod framing;
 pub mod message;
 pub mod name;
 pub mod rdata;
+pub mod record;
 pub mod scratch;
 pub mod text;
-pub mod record;
 pub mod types;
 pub mod wire;
 
@@ -36,7 +36,7 @@ pub use edns::Edns;
 pub use message::{Flags, Message, Question};
 pub use name::{Name, NameError};
 pub use rdata::{RData, Rrsig, Soa};
-pub use scratch::EncodeScratch;
 pub use record::Record;
+pub use scratch::EncodeScratch;
 pub use types::{Opcode, Rcode, RecordClass, RecordType, Transport};
 pub use wire::{WireError, WireReader, WireWriter};

@@ -209,7 +209,11 @@ impl Message {
         limit: usize,
         scratch: &'a mut EncodeScratch,
     ) -> (&'a [u8], bool) {
-        let EncodeScratch { w, rec_ends, q_ends } = scratch;
+        let EncodeScratch {
+            w,
+            rec_ends,
+            q_ends,
+        } = scratch;
         w.reset();
         rec_ends.clear();
         q_ends.clear();
@@ -375,19 +379,23 @@ impl Message {
                 qclass: RecordClass::from_u16(r.get_u16()?),
             });
         }
-        let read_section = |count: usize, r: &mut WireReader<'_>| -> Result<Vec<Record>, WireError> {
-            let mut recs = Vec::with_capacity(count.min(64));
-            for _ in 0..count {
-                recs.push(Record::decode(r)?);
-            }
-            Ok(recs)
-        };
+        let read_section =
+            |count: usize, r: &mut WireReader<'_>| -> Result<Vec<Record>, WireError> {
+                let mut recs = Vec::with_capacity(count.min(64));
+                for _ in 0..count {
+                    recs.push(Record::decode(r)?);
+                }
+                Ok(recs)
+            };
         let answers = read_section(an, &mut r)?;
         let authorities = read_section(ns, &mut r)?;
         let mut additionals = read_section(ar, &mut r)?;
         // Lift OPT out of additionals.
         let mut edns = None;
-        if let Some(idx) = additionals.iter().position(|rec| rec.rtype() == RecordType::OPT) {
+        if let Some(idx) = additionals
+            .iter()
+            .position(|rec| rec.rtype() == RecordType::OPT)
+        {
             let opt = additionals.remove(idx);
             edns = Some(Edns::from_record(&opt)?);
             if additionals.iter().any(|rec| rec.rtype() == RecordType::OPT) {
@@ -713,13 +721,17 @@ mod tests {
     }
 
     fn ref_encode_udp(m: &Message, limit: usize) -> (Vec<u8>, bool) {
-        let full =
-            ref_encode_with_counts(m, m.answers.len(), m.authorities.len(), m.additionals.len(), false);
+        let full = ref_encode_with_counts(
+            m,
+            m.answers.len(),
+            m.authorities.len(),
+            m.additionals.len(),
+            false,
+        );
         if full.len() <= limit {
             return (full, false);
         }
-        let (mut an, mut ns, mut ar) =
-            (m.answers.len(), m.authorities.len(), m.additionals.len());
+        let (mut an, mut ns, mut ar) = (m.answers.len(), m.authorities.len(), m.additionals.len());
         loop {
             if ar > 0 {
                 ar -= 1;
@@ -739,16 +751,27 @@ mod tests {
 
     fn gen_message(rng: &mut SplitMix64) -> Message {
         let names = [
-            "com", "example.com", "www.example.com", "mail.example.com",
-            "ns1.example.com", "a.b.c.example.com", "cdn.example.net",
+            "com",
+            "example.com",
+            "www.example.com",
+            "mail.example.com",
+            "ns1.example.com",
+            "a.b.c.example.com",
+            "cdn.example.net",
             "very-long-label-padding-things-out.example.org",
         ];
-        let nm = |rng: &mut SplitMix64| -> Name { names[rng.gen_range(0..names.len())].parse().unwrap() };
+        let nm = |rng: &mut SplitMix64| -> Name {
+            names[rng.gen_range(0..names.len())].parse().unwrap()
+        };
         let rec = |rng: &mut SplitMix64| -> Record {
             match rng.gen_range(0..4) {
                 0 => Record::new(nm(rng), 60, RData::A("192.0.2.7".parse().unwrap())),
                 1 => Record::new(nm(rng), 3600, RData::Ns(nm(rng))),
-                2 => Record::new(nm(rng), 30, RData::Txt(vec![b"padding-padding-padding".to_vec()])),
+                2 => Record::new(
+                    nm(rng),
+                    30,
+                    RData::Txt(vec![b"padding-padding-padding".to_vec()]),
+                ),
                 _ => Record::new(nm(rng), 300, RData::Cname(nm(rng))),
             }
         };
@@ -766,7 +789,11 @@ mod tests {
         if rng.gen_range(0..2) == 0 {
             m.edns = Some(Edns {
                 dnssec_ok: rng.gen_range(0..2) == 0,
-                options: if rng.gen_range(0..3) == 0 { vec![(10, vec![1, 2, 3, 4, 5, 6, 7, 8])] } else { Vec::new() },
+                options: if rng.gen_range(0..3) == 0 {
+                    vec![(10, vec![1, 2, 3, 4, 5, 6, 7, 8])]
+                } else {
+                    Vec::new()
+                },
                 ..Default::default()
             });
         }
@@ -829,7 +856,12 @@ mod tests {
         let q_end = 12 + resp.questions[0].name.wire_len() + 4;
         let opt_len = 11; // root + type + class + ttl + rdlen, no options
         let (buf, tc) = resp.encode_udp(q_end + opt_len);
-        assert!(tc && buf.len() == q_end + opt_len, "{} vs {}", buf.len(), q_end + opt_len);
+        assert!(
+            tc && buf.len() == q_end + opt_len,
+            "{} vs {}",
+            buf.len(),
+            q_end + opt_len
+        );
         let d = Message::decode(&buf).unwrap();
         assert!(d.flags.truncated);
         assert_eq!(d.record_count(), 0);

@@ -106,9 +106,7 @@ impl Name {
     ///
     /// The iterator is double-ended and exact-size so wire encoding can
     /// walk suffixes right-to-left without materializing parent names.
-    pub fn labels(
-        &self,
-    ) -> impl DoubleEndedIterator<Item = &[u8]> + ExactSizeIterator + '_ {
+    pub fn labels(&self) -> impl DoubleEndedIterator<Item = &[u8]> + ExactSizeIterator + '_ {
         self.labels.iter().map(|l| &**l)
     }
 
@@ -405,8 +403,14 @@ mod tests {
 
     #[test]
     fn child_and_concat() {
-        assert_eq!(n("example.com").child(b"www").unwrap(), n("www.example.com"));
-        assert_eq!(n("www").concat(&n("example.com")).unwrap(), n("www.example.com"));
+        assert_eq!(
+            n("example.com").child(b"www").unwrap(),
+            n("www.example.com")
+        );
+        assert_eq!(
+            n("www").concat(&n("example.com")).unwrap(),
+            n("www.example.com")
+        );
         assert_eq!(Name::root().child(b"com").unwrap(), n("com"));
     }
 
@@ -481,8 +485,14 @@ mod tests {
         let numeric: Name = r"\065bc".parse().unwrap();
         assert_eq!(numeric.leftmost().unwrap(), b"abc");
 
-        assert!(matches!(r"a\300b".parse::<Name>(), Err(NameError::BadEscape)));
-        assert!(matches!(r"trailing\".parse::<Name>(), Err(NameError::BadEscape)));
+        assert!(matches!(
+            r"a\300b".parse::<Name>(),
+            Err(NameError::BadEscape)
+        ));
+        assert!(matches!(
+            r"trailing\".parse::<Name>(),
+            Err(NameError::BadEscape)
+        ));
     }
 
     #[test]

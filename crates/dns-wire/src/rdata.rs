@@ -194,7 +194,10 @@ impl RData {
                 w.put_u32(soa.expire);
                 w.put_u32(soa.minimum);
             }
-            RData::Mx { preference, exchange } => {
+            RData::Mx {
+                preference,
+                exchange,
+            } => {
                 w.put_u16(*preference);
                 w.put_name_uncompressed(exchange);
             }
@@ -204,19 +207,34 @@ impl RData {
                     w.put_bytes(s);
                 }
             }
-            RData::Srv { priority, weight, port, target } => {
+            RData::Srv {
+                priority,
+                weight,
+                port,
+                target,
+            } => {
                 w.put_u16(*priority);
                 w.put_u16(*weight);
                 w.put_u16(*port);
                 w.put_name_uncompressed(target);
             }
-            RData::Ds { key_tag, algorithm, digest_type, digest } => {
+            RData::Ds {
+                key_tag,
+                algorithm,
+                digest_type,
+                digest,
+            } => {
                 w.put_u16(*key_tag);
                 w.put_u8(*algorithm);
                 w.put_u8(*digest_type);
                 w.put_bytes(digest);
             }
-            RData::Dnskey { flags, protocol, algorithm, public_key } => {
+            RData::Dnskey {
+                flags,
+                protocol,
+                algorithm,
+                public_key,
+            } => {
                 w.put_u16(*flags);
                 w.put_u8(*protocol);
                 w.put_u8(*algorithm);
@@ -237,7 +255,12 @@ impl RData {
                 w.put_name_uncompressed(next);
                 encode_type_bitmap(types, w);
             }
-            RData::Tlsa { usage, selector, matching, data } => {
+            RData::Tlsa {
+                usage,
+                selector,
+                matching,
+                data,
+            } => {
                 w.put_u8(*usage);
                 w.put_u8(*selector);
                 w.put_u8(*matching);
@@ -318,7 +341,12 @@ impl RData {
                     return Err(WireError::BadRdataLength);
                 }
                 let digest = r.get_bytes(end - r.position())?.to_vec();
-                RData::Ds { key_tag, algorithm, digest_type, digest }
+                RData::Ds {
+                    key_tag,
+                    algorithm,
+                    digest_type,
+                    digest,
+                }
             }
             RecordType::DNSKEY => {
                 let flags = r.get_u16()?;
@@ -328,7 +356,12 @@ impl RData {
                     return Err(WireError::BadRdataLength);
                 }
                 let public_key = r.get_bytes(end - r.position())?.to_vec();
-                RData::Dnskey { flags, protocol, algorithm, public_key }
+                RData::Dnskey {
+                    flags,
+                    protocol,
+                    algorithm,
+                    public_key,
+                }
             }
             RecordType::RRSIG => {
                 let type_covered = RecordType::from_u16(r.get_u16()?);
@@ -374,7 +407,12 @@ impl RData {
                     return Err(WireError::BadRdataLength);
                 }
                 let data = r.get_bytes(end - r.position())?.to_vec();
-                RData::Tlsa { usage, selector, matching, data }
+                RData::Tlsa {
+                    usage,
+                    selector,
+                    matching,
+                    data,
+                }
             }
             RecordType::CAA => {
                 let flags = r.get_u8()?;
@@ -416,7 +454,8 @@ impl RData {
                     Ok(n)
                 }
             } else {
-                n.concat(origin).map_err(|e| format!("bad name {tok:?}: {e}"))
+                n.concat(origin)
+                    .map_err(|e| format!("bad name {tok:?}: {e}"))
             }
         }
         fn int<T: std::str::FromStr>(tok: &str) -> Result<T, String> {
@@ -437,22 +476,36 @@ impl RData {
             let hex: String = tokens[2..].concat();
             let data = hex_decode(&hex).ok_or("bad hex in generic rdata")?;
             if data.len() != len {
-                return Err(format!("generic rdata length {} != declared {len}", data.len()));
+                return Err(format!(
+                    "generic rdata length {} != declared {len}",
+                    data.len()
+                ));
             }
             return Ok(match RData::decode_from_generic(rtype, &data) {
                 Some(rd) => rd,
-                None => RData::Unknown { rtype: rtype.to_u16(), data },
+                None => RData::Unknown {
+                    rtype: rtype.to_u16(),
+                    data,
+                },
             });
         }
 
         Ok(match rtype {
             RecordType::A => {
                 need(tokens, 1)?;
-                RData::A(tokens[0].parse().map_err(|_| format!("bad IPv4 {:?}", tokens[0]))?)
+                RData::A(
+                    tokens[0]
+                        .parse()
+                        .map_err(|_| format!("bad IPv4 {:?}", tokens[0]))?,
+                )
             }
             RecordType::AAAA => {
                 need(tokens, 1)?;
-                RData::Aaaa(tokens[0].parse().map_err(|_| format!("bad IPv6 {:?}", tokens[0]))?)
+                RData::Aaaa(
+                    tokens[0]
+                        .parse()
+                        .map_err(|_| format!("bad IPv6 {:?}", tokens[0]))?,
+                )
             }
             RecordType::NS => {
                 need(tokens, 1)?;
@@ -523,8 +576,7 @@ impl RData {
                     flags: int(tokens[0])?,
                     protocol: int(tokens[1])?,
                     algorithm: int(tokens[2])?,
-                    public_key: base64_decode(&tokens[3..].concat())
-                        .ok_or("bad DNSKEY base64")?,
+                    public_key: base64_decode(&tokens[3..].concat()).ok_or("bad DNSKEY base64")?,
                 }
             }
             RecordType::RRSIG => {
@@ -539,8 +591,7 @@ impl RData {
                     inception: int(tokens[5])?,
                     key_tag: int(tokens[6])?,
                     signer_name: name_tok(tokens[7], origin)?,
-                    signature: base64_decode(&tokens[8..].concat())
-                        .ok_or("bad RRSIG base64")?,
+                    signature: base64_decode(&tokens[8..].concat()).ok_or("bad RRSIG base64")?,
                 })
             }
             RecordType::NSEC => {
@@ -600,7 +651,10 @@ impl fmt::Display for RData {
                 "{} {} {} {} {} {} {}",
                 s.mname, s.rname, s.serial, s.refresh, s.retry, s.expire, s.minimum
             ),
-            RData::Mx { preference, exchange } => write!(f, "{preference} {exchange}"),
+            RData::Mx {
+                preference,
+                exchange,
+            } => write!(f, "{preference} {exchange}"),
             RData::Txt(strings) => {
                 let mut first = true;
                 for s in strings {
@@ -612,14 +666,37 @@ impl fmt::Display for RData {
                 }
                 Ok(())
             }
-            RData::Srv { priority, weight, port, target } => {
+            RData::Srv {
+                priority,
+                weight,
+                port,
+                target,
+            } => {
                 write!(f, "{priority} {weight} {port} {target}")
             }
-            RData::Ds { key_tag, algorithm, digest_type, digest } => {
-                write!(f, "{key_tag} {algorithm} {digest_type} {}", hex_encode(digest))
+            RData::Ds {
+                key_tag,
+                algorithm,
+                digest_type,
+                digest,
+            } => {
+                write!(
+                    f,
+                    "{key_tag} {algorithm} {digest_type} {}",
+                    hex_encode(digest)
+                )
             }
-            RData::Dnskey { flags, protocol, algorithm, public_key } => {
-                write!(f, "{flags} {protocol} {algorithm} {}", base64_encode(public_key))
+            RData::Dnskey {
+                flags,
+                protocol,
+                algorithm,
+                public_key,
+            } => {
+                write!(
+                    f,
+                    "{flags} {protocol} {algorithm} {}",
+                    base64_encode(public_key)
+                )
             }
             RData::Rrsig(s) => write!(
                 f,
@@ -641,7 +718,12 @@ impl fmt::Display for RData {
                 }
                 Ok(())
             }
-            RData::Tlsa { usage, selector, matching, data } => {
+            RData::Tlsa {
+                usage,
+                selector,
+                matching,
+                data,
+            } => {
                 write!(f, "{usage} {selector} {matching} {}", hex_encode(data))
             }
             RData::Caa { flags, tag, value } => write!(
@@ -745,7 +827,10 @@ mod tests {
                 expire: 1209600,
                 minimum: 3600,
             }),
-            RData::Mx { preference: 10, exchange: n("mail.example.com") },
+            RData::Mx {
+                preference: 10,
+                exchange: n("mail.example.com"),
+            },
             RData::Txt(vec![b"v=spf1 -all".to_vec(), b"second".to_vec()]),
             RData::Srv {
                 priority: 0,
@@ -778,7 +863,12 @@ mod tests {
             }),
             RData::Nsec {
                 next: n("aaa"),
-                types: vec![RecordType::NS, RecordType::SOA, RecordType::RRSIG, RecordType::CAA],
+                types: vec![
+                    RecordType::NS,
+                    RecordType::SOA,
+                    RecordType::RRSIG,
+                    RecordType::CAA,
+                ],
             },
             RData::Tlsa {
                 usage: 3,
@@ -791,7 +881,10 @@ mod tests {
                 tag: b"issue".to_vec(),
                 value: b"ca.example.net".to_vec(),
             },
-            RData::Unknown { rtype: 99, data: vec![9, 8, 7] },
+            RData::Unknown {
+                rtype: 99,
+                data: vec![9, 8, 7],
+            },
         ]
     }
 
@@ -805,7 +898,11 @@ mod tests {
     #[test]
     fn presentation_round_trips_all_types() {
         for rd in samples() {
-            assert_eq!(presentation_round_trip(&rd), rd, "presentation round trip of {rd}");
+            assert_eq!(
+                presentation_round_trip(&rd),
+                rd,
+                "presentation round trip of {rd}"
+            );
         }
     }
 
@@ -872,18 +969,20 @@ mod tests {
             &Name::root(),
         )
         .unwrap();
-        assert_eq!(rd, RData::Unknown { rtype: 99, data: vec![9, 8, 7] });
+        assert_eq!(
+            rd,
+            RData::Unknown {
+                rtype: 99,
+                data: vec![9, 8, 7]
+            }
+        );
     }
 
     #[test]
     fn generic_syntax_decodes_known_types() {
         // \# form of an A record should come back structured.
-        let rd = RData::parse_presentation(
-            RecordType::A,
-            &["\\#", "4", "01020304"],
-            &Name::root(),
-        )
-        .unwrap();
+        let rd = RData::parse_presentation(RecordType::A, &["\\#", "4", "01020304"], &Name::root())
+            .unwrap();
         assert_eq!(rd, RData::A("1.2.3.4".parse().unwrap()));
     }
 
@@ -899,20 +998,12 @@ mod tests {
 
     #[test]
     fn relative_names_resolve_against_origin() {
-        let rd = RData::parse_presentation(
-            RecordType::NS,
-            &["ns1"],
-            &n("example.com"),
-        )
-        .unwrap();
+        let rd = RData::parse_presentation(RecordType::NS, &["ns1"], &n("example.com")).unwrap();
         assert_eq!(rd, RData::Ns(n("ns1.example.com")));
 
-        let rd = RData::parse_presentation(
-            RecordType::NS,
-            &["ns1.example.net."],
-            &n("example.com"),
-        )
-        .unwrap();
+        let rd =
+            RData::parse_presentation(RecordType::NS, &["ns1.example.net."], &n("example.com"))
+                .unwrap();
         assert_eq!(rd, RData::Ns(n("ns1.example.net")));
 
         let rd = RData::parse_presentation(RecordType::NS, &["@"], &n("example.com")).unwrap();

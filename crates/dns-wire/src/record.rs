@@ -103,7 +103,11 @@ mod tests {
 
     #[test]
     fn record_wire_round_trip() {
-        let rec = Record::new(n("www.example.com"), 3600, RData::A("10.0.0.1".parse().unwrap()));
+        let rec = Record::new(
+            n("www.example.com"),
+            3600,
+            RData::A("10.0.0.1".parse().unwrap()),
+        );
         let mut w = WireWriter::new();
         rec.encode(&mut w);
         let buf = w.into_bytes();
@@ -117,7 +121,10 @@ mod tests {
         let rec = Record::new(
             n("mail.example.com"),
             300,
-            RData::Mx { preference: 10, exchange: n("mx.example.com") },
+            RData::Mx {
+                preference: 10,
+                exchange: n("mx.example.com"),
+            },
         );
         let mut w = WireWriter::new_uncompressed();
         rec.encode(&mut w);

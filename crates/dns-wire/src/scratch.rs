@@ -89,8 +89,8 @@ impl CompressMap {
     /// clear when the interners outgrow [`MAX_INTERNED`] or the epoch
     /// counter wraps (a wrapped epoch could resurrect stale offsets).
     pub(crate) fn reset(&mut self) {
-        let overgrown = self.label_entries.len() > MAX_INTERNED
-            || self.suffix_count as usize > MAX_INTERNED;
+        let overgrown =
+            self.label_entries.len() > MAX_INTERNED || self.suffix_count as usize > MAX_INTERNED;
         self.epoch = self.epoch.wrapping_add(1);
         if overgrown || self.epoch == 0 {
             self.label_bytes.clear();
@@ -312,7 +312,10 @@ mod tests {
             assert_eq!(m.intern_label(label.as_bytes()), first_ids[i as usize]);
         }
         // Suffix table growth too: 500 distinct single-label suffixes.
-        let sids: Vec<u32> = first_ids.iter().map(|&l| m.intern_suffix(l, ROOT_SID)).collect();
+        let sids: Vec<u32> = first_ids
+            .iter()
+            .map(|&l| m.intern_suffix(l, ROOT_SID))
+            .collect();
         for (i, &l) in first_ids.iter().enumerate() {
             assert_eq!(m.intern_suffix(l, ROOT_SID), sids[i]);
         }

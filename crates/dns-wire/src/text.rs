@@ -110,14 +110,20 @@ mod tests {
     #[test]
     fn splits_on_whitespace() {
         assert_eq!(tokenize("a b\tc"), vec!["a", "b", "c"]);
-        assert_eq!(tokenize("  leading  and  trailing  "), vec!["leading", "and", "trailing"]);
+        assert_eq!(
+            tokenize("  leading  and  trailing  "),
+            vec!["leading", "and", "trailing"]
+        );
         assert!(tokenize("").is_empty());
         assert!(tokenize("   ").is_empty());
     }
 
     #[test]
     fn keeps_quoted_strings() {
-        assert_eq!(tokenize(r#"TXT "two words" bare"#), vec!["TXT", "\"two words\"", "bare"]);
+        assert_eq!(
+            tokenize(r#"TXT "two words" bare"#),
+            vec!["TXT", "\"two words\"", "bare"]
+        );
     }
 
     #[test]

@@ -466,7 +466,9 @@ mod tests {
 
     #[test]
     fn record_type_round_trip_known() {
-        for v in [1u16, 2, 5, 6, 12, 15, 16, 28, 33, 41, 43, 46, 47, 48, 50, 52, 251, 252, 255, 257] {
+        for v in [
+            1u16, 2, 5, 6, 12, 15, 16, 28, 33, 41, 43, 46, 47, 48, 50, 52, 251, 252, 255, 257,
+        ] {
             assert_eq!(RecordType::from_u16(v).to_u16(), v);
         }
     }
@@ -503,8 +505,14 @@ mod tests {
 
     #[test]
     fn record_type_mnemonic_case_insensitive() {
-        assert_eq!(RecordType::from_str_mnemonic("aaaa"), Some(RecordType::AAAA));
-        assert_eq!(RecordType::from_str_mnemonic("type300"), Some(RecordType::Unknown(300)));
+        assert_eq!(
+            RecordType::from_str_mnemonic("aaaa"),
+            Some(RecordType::AAAA)
+        );
+        assert_eq!(
+            RecordType::from_str_mnemonic("type300"),
+            Some(RecordType::Unknown(300))
+        );
         assert_eq!(RecordType::from_str_mnemonic("BOGUS"), None);
     }
 
@@ -514,7 +522,10 @@ mod tests {
             assert_eq!(RecordClass::from_u16(v).to_u16(), v);
         }
         assert_eq!(RecordClass::from_str_mnemonic("in"), Some(RecordClass::IN));
-        assert_eq!(RecordClass::from_str_mnemonic("CLASS17"), Some(RecordClass::Unknown(17)));
+        assert_eq!(
+            RecordClass::from_str_mnemonic("CLASS17"),
+            Some(RecordClass::Unknown(17))
+        );
     }
 
     #[test]

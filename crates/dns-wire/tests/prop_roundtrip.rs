@@ -40,11 +40,29 @@ fn arb_rdata(g: &mut Gen) -> RData {
             expire: g.u32(),
             minimum: g.u32(),
         }),
-        6 => RData::Mx { preference: g.u16(), exchange: arb_name(g) },
+        6 => RData::Mx {
+            preference: g.u16(),
+            exchange: arb_name(g),
+        },
         7 => RData::Txt(g.vec(1..=4, |g| g.bytes(0..=32))),
-        8 => RData::Srv { priority: g.u16(), weight: g.u16(), port: g.u16(), target: arb_name(g) },
-        9 => RData::Ds { key_tag: g.u16(), algorithm: g.u8(), digest_type: g.u8(), digest: g.bytes(1..=40) },
-        10 => RData::Dnskey { flags: g.u16(), protocol: 3, algorithm: g.u8(), public_key: g.bytes(1..=64) },
+        8 => RData::Srv {
+            priority: g.u16(),
+            weight: g.u16(),
+            port: g.u16(),
+            target: arb_name(g),
+        },
+        9 => RData::Ds {
+            key_tag: g.u16(),
+            algorithm: g.u8(),
+            digest_type: g.u8(),
+            digest: g.bytes(1..=40),
+        },
+        10 => RData::Dnskey {
+            flags: g.u16(),
+            protocol: 3,
+            algorithm: g.u8(),
+            public_key: g.bytes(1..=64),
+        },
         11 => {
             let next = arb_name(g);
             let mut types = g.vec(0..=8, |g| RecordType::from_u16(g.range(0..=1023) as u16));
@@ -53,7 +71,10 @@ fn arb_rdata(g: &mut Gen) -> RData {
             RData::Nsec { next, types }
         }
         // Type codes that are not structurally decoded.
-        _ => RData::Unknown { rtype: 20000 + g.range(0..=20) as u16, data: g.bytes(0..=32) },
+        _ => RData::Unknown {
+            rtype: 20000 + g.range(0..=20) as u16,
+            data: g.bytes(0..=32),
+        },
     }
 }
 
@@ -94,11 +115,17 @@ fn arb_message(g: &mut Gen) -> Message {
         },
         opcode: Opcode::Query,
         rcode: Rcode::from_u16(g.range(0..=11) as u16),
-        questions: vec![Question::new(arb_name(g), RecordType::from_u16(g.range(0..=299) as u16))],
+        questions: vec![Question::new(
+            arb_name(g),
+            RecordType::from_u16(g.range(0..=299) as u16),
+        )],
         answers: g.vec(0..=4, arb_record),
         authorities: g.vec(0..=3, arb_record),
         additionals: g.vec(0..=3, arb_record),
-        edns: g.option(|g| Edns { dnssec_ok: g.bool(), ..Default::default() }),
+        edns: g.option(|g| Edns {
+            dnssec_ok: g.bool(),
+            ..Default::default()
+        }),
     }
 }
 
@@ -163,7 +190,13 @@ fn ref_encode_with_counts(m: &Message, an: usize, ns: usize, ar: usize, tc: bool
 
 /// The old drop-and-reencode UDP truncation loop, verbatim.
 fn ref_encode_udp(m: &Message, limit: usize) -> (Vec<u8>, bool) {
-    let full = ref_encode_with_counts(m, m.answers.len(), m.authorities.len(), m.additionals.len(), false);
+    let full = ref_encode_with_counts(
+        m,
+        m.answers.len(),
+        m.authorities.len(),
+        m.additionals.len(),
+        false,
+    );
     if full.len() <= limit {
         return (full, false);
     }

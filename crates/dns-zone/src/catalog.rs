@@ -118,7 +118,10 @@ mod tests {
     #[test]
     fn longest_match_wins() {
         let c = catalog();
-        assert_eq!(c.find(&n("www.google.com")).unwrap().origin(), &n("google.com"));
+        assert_eq!(
+            c.find(&n("www.google.com")).unwrap().origin(),
+            &n("google.com")
+        );
         assert_eq!(c.find(&n("google.com")).unwrap().origin(), &n("google.com"));
         assert_eq!(c.find(&n("example.com")).unwrap().origin(), &n("com"));
         assert_eq!(c.find(&n("example.org")).unwrap().origin(), &Name::root());

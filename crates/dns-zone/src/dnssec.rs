@@ -148,10 +148,7 @@ pub fn sign_zone(zone: &Zone, config: SignConfig) -> SignedZone {
     let mut out = zone.clone();
     out.strip_dnssec();
     let origin = out.origin().clone();
-    let apex_ttl = out
-        .soa_rrset()
-        .map(|s| s.ttl)
-        .unwrap_or(3600);
+    let apex_ttl = out.soa_rrset().map(|s| s.ttl).unwrap_or(3600);
 
     // Publish DNSKEYs.
     for key in std::iter::once(&ksk).chain(zsks.iter()) {
@@ -189,8 +186,7 @@ pub fn sign_zone(zone: &Zone, config: SignConfig) -> SignedZone {
     for (pos, &i) in authoritative.iter().enumerate() {
         let (name, sets) = &snapshot[i];
         let is_apex = name == &origin;
-        let is_cut = !is_apex
-            && sets.iter().any(|(t, _)| *t == RecordType::NS);
+        let is_cut = !is_apex && sets.iter().any(|(t, _)| *t == RecordType::NS);
         let mut types_present: Vec<RecordType> = sets.iter().map(|(t, _)| *t).collect();
 
         for &(rtype, ttl) in sets {
@@ -203,7 +199,14 @@ pub fn sign_zone(zone: &Zone, config: SignConfig) -> SignedZone {
                     name.clone(),
                     ttl,
                     RData::Rrsig(make_rrsig(
-                        rtype, name, &origin, ttl, expiration, config.inception, zsk, &mut rng,
+                        rtype,
+                        name,
+                        &origin,
+                        ttl,
+                        expiration,
+                        config.inception,
+                        zsk,
+                        &mut rng,
                     )),
                 ));
             }
@@ -211,7 +214,9 @@ pub fn sign_zone(zone: &Zone, config: SignConfig) -> SignedZone {
 
         // NSEC: next authoritative name in canonical order, wrapping to
         // the apex.
-        let next = snapshot[authoritative[(pos + 1) % authoritative.len()]].0.clone();
+        let next = snapshot[authoritative[(pos + 1) % authoritative.len()]]
+            .0
+            .clone();
         types_present.push(RecordType::NSEC);
         types_present.push(RecordType::RRSIG);
         types_present.sort_by_key(|t| t.to_u16());
@@ -321,14 +326,23 @@ mod tests {
             }),
         ))
         .unwrap();
-        z.insert(rec("example", RData::Ns(n("ns1.example")))).unwrap();
-        z.insert(rec("ns1.example", RData::A("10.0.0.1".parse().unwrap()))).unwrap();
-        z.insert(rec("www.example", RData::A("10.0.0.2".parse().unwrap()))).unwrap();
+        z.insert(rec("example", RData::Ns(n("ns1.example"))))
+            .unwrap();
+        z.insert(rec("ns1.example", RData::A("10.0.0.1".parse().unwrap())))
+            .unwrap();
+        z.insert(rec("www.example", RData::A("10.0.0.2".parse().unwrap())))
+            .unwrap();
         // Delegation with DS.
-        z.insert(rec("child.example", RData::Ns(n("ns.child.example")))).unwrap();
+        z.insert(rec("child.example", RData::Ns(n("ns.child.example"))))
+            .unwrap();
         z.insert(rec(
             "child.example",
-            RData::Ds { key_tag: 1, algorithm: 8, digest_type: 2, digest: vec![0; 32] },
+            RData::Ds {
+                key_tag: 1,
+                algorithm: 8,
+                digest_type: 2,
+                digest: vec![0; 32],
+            },
         ))
         .unwrap();
         z
@@ -376,7 +390,10 @@ mod tests {
             .collect();
         assert!(covered.contains(&RecordType::DS), "DS must be signed");
         assert!(covered.contains(&RecordType::NSEC));
-        assert!(!covered.contains(&RecordType::NS), "cut NS must not be signed");
+        assert!(
+            !covered.contains(&RecordType::NS),
+            "cut NS must not be signed"
+        );
     }
 
     #[test]
@@ -422,7 +439,7 @@ mod tests {
         };
         assert_eq!(dnskeys(&normal), 2); // KSK + ZSK
         assert_eq!(dnskeys(&roll), 3); // KSK + 2 ZSK
-        // Double signatures on the leaf.
+                                       // Double signatures on the leaf.
         let count_sigs = |s: &SignedZone| {
             s.zone
                 .node(&n("www.example"))

@@ -117,7 +117,11 @@ pub fn lookup(zone: &Zone, question: &Question) -> Answer {
             NodeResult::Found => {
                 let additionals = glue_for(zone, &answers);
                 return Answer {
-                    kind: if chased { AnswerKind::CnameChain } else { AnswerKind::Answer },
+                    kind: if chased {
+                        AnswerKind::CnameChain
+                    } else {
+                        AnswerKind::Answer
+                    },
                     rcode: Rcode::NoError,
                     authoritative: true,
                     answers,
@@ -127,9 +131,7 @@ pub fn lookup(zone: &Zone, question: &Question) -> Answer {
             }
             NodeResult::Cname(target) => {
                 chased = true;
-                if !target.is_subdomain_of(zone.origin())
-                    || zone.find_zone_cut(&target).is_some()
-                {
+                if !target.is_subdomain_of(zone.origin()) || zone.find_zone_cut(&target).is_some() {
                     // Chain leaves our authority: return what we have.
                     return Answer {
                         kind: AnswerKind::CnameChain,
@@ -148,7 +150,13 @@ pub fn lookup(zone: &Zone, question: &Question) -> Answer {
             NodeResult::NxDomain => {
                 // RFC 2308: NXDOMAIN for the final name in a CNAME chain
                 // still reports NXDOMAIN alongside the partial answers.
-                return negative(zone, AnswerKind::NxDomain, Rcode::NxDomain, answers, &current);
+                return negative(
+                    zone,
+                    AnswerKind::NxDomain,
+                    Rcode::NxDomain,
+                    answers,
+                    &current,
+                );
             }
         }
     }
@@ -194,7 +202,11 @@ fn answer_at_name(
             if let Some(node) = zone.node(&wild) {
                 // Only the first hop synthesizes at the original qname;
                 // chained hops synthesize at the chased name.
-                let owner = if name == original_qname { original_qname } else { name };
+                let owner = if name == original_qname {
+                    original_qname
+                } else {
+                    name
+                };
                 return answer_at_node(zone, node, &wild, qtype, owner, answers);
             }
         }
@@ -222,7 +234,11 @@ fn answer_at_node(
         if let Some(sigs) = node.get(RecordType::RRSIG) {
             answers.extend(sigs.to_records_as(owner));
         }
-        return if any { NodeResult::Found } else { NodeResult::NoData };
+        return if any {
+            NodeResult::Found
+        } else {
+            NodeResult::NoData
+        };
     }
     if let Some(set) = node.get(qtype) {
         answers.extend(set.to_records_as(owner));
@@ -387,20 +403,67 @@ mod tests {
             }),
         ))
         .unwrap();
-        z.insert(rec("example.com", RData::Ns(n("ns1.example.com")))).unwrap();
-        z.insert(rec("ns1.example.com", RData::A("10.0.0.53".parse().unwrap()))).unwrap();
-        z.insert(rec("www.example.com", RData::A("10.0.0.1".parse().unwrap()))).unwrap();
-        z.insert(rec("www.example.com", RData::Aaaa("2001:db8::1".parse().unwrap()))).unwrap();
-        z.insert(rec("alias.example.com", RData::Cname(n("www.example.com")))).unwrap();
-        z.insert(rec("extalias.example.com", RData::Cname(n("cdn.example.net")))).unwrap();
-        z.insert(rec("chain1.example.com", RData::Cname(n("chain2.example.com")))).unwrap();
-        z.insert(rec("chain2.example.com", RData::Cname(n("www.example.com")))).unwrap();
-        z.insert(rec("loop1.example.com", RData::Cname(n("loop2.example.com")))).unwrap();
-        z.insert(rec("loop2.example.com", RData::Cname(n("loop1.example.com")))).unwrap();
-        z.insert(rec("*.wild.example.com", RData::A("10.9.9.9".parse().unwrap()))).unwrap();
-        z.insert(rec("sub.example.com", RData::Ns(n("ns.sub.example.com")))).unwrap();
-        z.insert(rec("ns.sub.example.com", RData::A("10.0.1.53".parse().unwrap()))).unwrap();
-        z.insert(rec("deep.under.example.com", RData::A("10.0.0.7".parse().unwrap()))).unwrap();
+        z.insert(rec("example.com", RData::Ns(n("ns1.example.com"))))
+            .unwrap();
+        z.insert(rec(
+            "ns1.example.com",
+            RData::A("10.0.0.53".parse().unwrap()),
+        ))
+        .unwrap();
+        z.insert(rec(
+            "www.example.com",
+            RData::A("10.0.0.1".parse().unwrap()),
+        ))
+        .unwrap();
+        z.insert(rec(
+            "www.example.com",
+            RData::Aaaa("2001:db8::1".parse().unwrap()),
+        ))
+        .unwrap();
+        z.insert(rec("alias.example.com", RData::Cname(n("www.example.com"))))
+            .unwrap();
+        z.insert(rec(
+            "extalias.example.com",
+            RData::Cname(n("cdn.example.net")),
+        ))
+        .unwrap();
+        z.insert(rec(
+            "chain1.example.com",
+            RData::Cname(n("chain2.example.com")),
+        ))
+        .unwrap();
+        z.insert(rec(
+            "chain2.example.com",
+            RData::Cname(n("www.example.com")),
+        ))
+        .unwrap();
+        z.insert(rec(
+            "loop1.example.com",
+            RData::Cname(n("loop2.example.com")),
+        ))
+        .unwrap();
+        z.insert(rec(
+            "loop2.example.com",
+            RData::Cname(n("loop1.example.com")),
+        ))
+        .unwrap();
+        z.insert(rec(
+            "*.wild.example.com",
+            RData::A("10.9.9.9".parse().unwrap()),
+        ))
+        .unwrap();
+        z.insert(rec("sub.example.com", RData::Ns(n("ns.sub.example.com"))))
+            .unwrap();
+        z.insert(rec(
+            "ns.sub.example.com",
+            RData::A("10.0.1.53".parse().unwrap()),
+        ))
+        .unwrap();
+        z.insert(rec(
+            "deep.under.example.com",
+            RData::A("10.0.0.7".parse().unwrap()),
+        ))
+        .unwrap();
         z
     }
 
@@ -440,7 +503,12 @@ mod tests {
     fn referral_below_cut() {
         let z = test_zone();
         let a = lookup(&z, &q("host.sub.example.com", RecordType::A));
-        assert_eq!(a.kind, AnswerKind::Referral { cut: n("sub.example.com") });
+        assert_eq!(
+            a.kind,
+            AnswerKind::Referral {
+                cut: n("sub.example.com")
+            }
+        );
         assert_eq!(a.rcode, Rcode::NoError);
         assert!(!a.authoritative, "referrals are not authoritative");
         assert!(a.answers.is_empty());
@@ -536,7 +604,11 @@ mod tests {
         let z = test_zone();
         // under.example.com exists only as part of deep.under.example.com.
         let a = lookup(&z, &q("under.example.com", RecordType::A));
-        assert_eq!(a.kind, AnswerKind::NoData, "ENT must be NODATA, not NXDOMAIN");
+        assert_eq!(
+            a.kind,
+            AnswerKind::NoData,
+            "ENT must be NODATA, not NXDOMAIN"
+        );
         assert_eq!(a.rcode, Rcode::NoError);
     }
 

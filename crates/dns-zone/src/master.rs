@@ -41,7 +41,10 @@ pub fn parse_records(text: &str, default_origin: &Name) -> Result<Vec<Record>, M
     let logical = join_parenthesized(text);
 
     for (lineno, line) in logical {
-        let err = |m: String| MasterError { line: lineno, message: m };
+        let err = |m: String| MasterError {
+            line: lineno,
+            message: m,
+        };
         let tokens_owned = tokenize(&line);
         if tokens_owned.is_empty() {
             continue;
@@ -54,13 +57,13 @@ pub fn parse_records(text: &str, default_origin: &Name) -> Result<Vec<Record>, M
                 let name = tokens
                     .get(1)
                     .ok_or_else(|| err("$ORIGIN needs a name".into()))?;
-                origin = name
-                    .parse()
-                    .map_err(|e| err(format!("bad $ORIGIN: {e}")))?;
+                origin = name.parse().map_err(|e| err(format!("bad $ORIGIN: {e}")))?;
                 continue;
             }
             "$TTL" => {
-                let t = tokens.get(1).ok_or_else(|| err("$TTL needs a value".into()))?;
+                let t = tokens
+                    .get(1)
+                    .ok_or_else(|| err("$TTL needs a value".into()))?;
                 default_ttl = parse_ttl(t).ok_or_else(|| err(format!("bad $TTL {t:?}")))?;
                 continue;
             }
@@ -91,7 +94,13 @@ pub fn parse_records(text: &str, default_origin: &Name) -> Result<Vec<Record>, M
         let mut seen_class = false;
         while idx < tokens.len() {
             let tok = tokens[idx];
-            if !seen_ttl && tok.chars().next().map(|c| c.is_ascii_digit()).unwrap_or(false) {
+            if !seen_ttl
+                && tok
+                    .chars()
+                    .next()
+                    .map(|c| c.is_ascii_digit())
+                    .unwrap_or(false)
+            {
                 if let Some(t) = parse_ttl(tok) {
                     // Distinguish TTL from a type mnemonic like TYPE123:
                     // bare integers/durations are TTLs.
@@ -332,7 +341,10 @@ mx      IN  MX  10 mail.example.net.
         // Absolute name untouched.
         assert_eq!(
             recs[7].rdata,
-            RData::Mx { preference: 10, exchange: n("mail.example.net") }
+            RData::Mx {
+                preference: 10,
+                exchange: n("mail.example.net")
+            }
         );
     }
 
@@ -415,11 +427,13 @@ $ORIGIN example.org.
 
     #[test]
     fn generic_rdata_syntax() {
-        let recs =
-            parse_records("x.example. 60 IN TYPE731 \\# 3 abcdef\n", &Name::root()).unwrap();
+        let recs = parse_records("x.example. 60 IN TYPE731 \\# 3 abcdef\n", &Name::root()).unwrap();
         assert_eq!(
             recs[0].rdata,
-            RData::Unknown { rtype: 731, data: vec![0xab, 0xcd, 0xef] }
+            RData::Unknown {
+                rtype: 731,
+                data: vec![0xab, 0xcd, 0xef]
+            }
         );
     }
 

@@ -191,20 +191,38 @@ mod tests {
 
     #[test]
     fn prefix_match() {
-        let m = ClientMatch::PrefixV4 { net: "10.1.0.0".parse().unwrap(), len: 16 };
+        let m = ClientMatch::PrefixV4 {
+            net: "10.1.0.0".parse().unwrap(),
+            len: 16,
+        };
         assert!(m.matches(ip("10.1.2.3")));
         assert!(!m.matches(ip("10.2.0.1")));
         assert!(!m.matches(ip("2001:db8::1")));
-        let all = ClientMatch::PrefixV4 { net: "0.0.0.0".parse().unwrap(), len: 0 };
+        let all = ClientMatch::PrefixV4 {
+            net: "0.0.0.0".parse().unwrap(),
+            len: 0,
+        };
         assert!(all.matches(ip("9.9.9.9")));
     }
 
     #[test]
     fn first_view_wins() {
         let mut set = ViewSet::new();
-        set.push(View::new("root", vec![ClientMatch::Exact(ip("198.41.0.4"))], cat(".")));
-        set.push(View::new("com", vec![ClientMatch::Exact(ip("192.5.6.30"))], cat("com")));
-        set.push(View::new("default", vec![ClientMatch::Any], cat("example.com")));
+        set.push(View::new(
+            "root",
+            vec![ClientMatch::Exact(ip("198.41.0.4"))],
+            cat("."),
+        ));
+        set.push(View::new(
+            "com",
+            vec![ClientMatch::Exact(ip("192.5.6.30"))],
+            cat("com"),
+        ));
+        set.push(View::new(
+            "default",
+            vec![ClientMatch::Any],
+            cat("example.com"),
+        ));
 
         assert_eq!(set.select(ip("198.41.0.4")).unwrap().name, "root");
         assert_eq!(set.select(ip("192.5.6.30")).unwrap().name, "com");
@@ -214,17 +232,35 @@ mod tests {
     #[test]
     fn select_index_agrees_with_select() {
         let mut set = ViewSet::new();
-        set.push(View::new("root", vec![ClientMatch::Exact(ip("198.41.0.4"))], cat(".")));
-        set.push(View::new("com", vec![ClientMatch::Exact(ip("192.5.6.30"))], cat("com")));
-        set.push(View::new("default", vec![ClientMatch::Any], cat("example.com")));
+        set.push(View::new(
+            "root",
+            vec![ClientMatch::Exact(ip("198.41.0.4"))],
+            cat("."),
+        ));
+        set.push(View::new(
+            "com",
+            vec![ClientMatch::Exact(ip("192.5.6.30"))],
+            cat("com"),
+        ));
+        set.push(View::new(
+            "default",
+            vec![ClientMatch::Any],
+            cat("example.com"),
+        ));
 
         assert_eq!(set.select_index(ip("198.41.0.4")), Some(0));
         assert_eq!(set.select_index(ip("192.5.6.30")), Some(1));
-        assert_eq!(set.select_index(ip("8.8.8.8")), Some(2), "Any matcher wins last");
+        assert_eq!(
+            set.select_index(ip("8.8.8.8")),
+            Some(2),
+            "Any matcher wins last"
+        );
         for addr in ["198.41.0.4", "192.5.6.30", "8.8.8.8"] {
             let a = addr.parse().unwrap();
             let by_ref = set.select(a).map(|v| v.name.clone());
-            let by_idx = set.select_index(a).map(|i| set.iter().nth(i).unwrap().name.clone());
+            let by_idx = set
+                .select_index(a)
+                .map(|i| set.iter().nth(i).unwrap().name.clone());
             assert_eq!(by_ref, by_idx);
         }
     }
@@ -232,14 +268,22 @@ mod tests {
     #[test]
     fn no_match_none() {
         let mut set = ViewSet::new();
-        set.push(View::new("root", vec![ClientMatch::Exact(ip("198.41.0.4"))], cat(".")));
+        set.push(View::new(
+            "root",
+            vec![ClientMatch::Exact(ip("198.41.0.4"))],
+            cat("."),
+        ));
         assert!(set.select(ip("1.1.1.1")).is_none());
     }
 
     #[test]
     fn hierarchy_builder() {
         let set = ViewSet::for_hierarchy(vec![
-            (Name::root(), vec![ip("198.41.0.4"), ip("199.9.14.201")], cat(".")),
+            (
+                Name::root(),
+                vec![ip("198.41.0.4"), ip("199.9.14.201")],
+                cat("."),
+            ),
             (n("com"), vec![ip("192.5.6.30")], cat("com")),
         ]);
         assert_eq!(set.len(), 2);
@@ -250,7 +294,13 @@ mod tests {
         // split-horizon hierarchy emulation.
         let root_view = set.select(ip("198.41.0.4")).unwrap();
         let com_view = set.select(ip("192.5.6.30")).unwrap();
-        assert_eq!(root_view.catalog.find(&n("x.com")).unwrap().origin(), &Name::root());
-        assert_eq!(com_view.catalog.find(&n("x.com")).unwrap().origin(), &n("com"));
+        assert_eq!(
+            root_view.catalog.find(&n("x.com")).unwrap().origin(),
+            &Name::root()
+        );
+        assert_eq!(
+            com_view.catalog.find(&n("x.com")).unwrap().origin(),
+            &n("com")
+        );
     }
 }

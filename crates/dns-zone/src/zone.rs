@@ -289,14 +289,32 @@ mod tests {
     fn example_zone() -> Zone {
         let mut z = Zone::new(n("example.com"));
         z.insert(soa_rec("example.com")).unwrap();
-        z.insert(rec("example.com", RData::Ns(n("ns1.example.com")))).unwrap();
-        z.insert(rec("ns1.example.com", RData::A("10.0.0.53".parse().unwrap()))).unwrap();
-        z.insert(rec("www.example.com", RData::A("10.0.0.1".parse().unwrap()))).unwrap();
+        z.insert(rec("example.com", RData::Ns(n("ns1.example.com"))))
+            .unwrap();
+        z.insert(rec(
+            "ns1.example.com",
+            RData::A("10.0.0.53".parse().unwrap()),
+        ))
+        .unwrap();
+        z.insert(rec(
+            "www.example.com",
+            RData::A("10.0.0.1".parse().unwrap()),
+        ))
+        .unwrap();
         // Delegation: sub.example.com is its own zone.
-        z.insert(rec("sub.example.com", RData::Ns(n("ns.sub.example.com")))).unwrap();
-        z.insert(rec("ns.sub.example.com", RData::A("10.0.1.53".parse().unwrap()))).unwrap();
+        z.insert(rec("sub.example.com", RData::Ns(n("ns.sub.example.com"))))
+            .unwrap();
+        z.insert(rec(
+            "ns.sub.example.com",
+            RData::A("10.0.1.53".parse().unwrap()),
+        ))
+        .unwrap();
         // Deep name creating an empty non-terminal at b.example.com.
-        z.insert(rec("a.b.example.com", RData::A("10.0.0.2".parse().unwrap()))).unwrap();
+        z.insert(rec(
+            "a.b.example.com",
+            RData::A("10.0.0.2".parse().unwrap()),
+        ))
+        .unwrap();
         z
     }
 
@@ -304,7 +322,10 @@ mod tests {
     fn insert_and_lookup() {
         let z = example_zone();
         assert!(z.validate().is_ok());
-        assert_eq!(z.node(&n("www.example.com")).unwrap().types(), vec![RecordType::A]);
+        assert_eq!(
+            z.node(&n("www.example.com")).unwrap().types(),
+            vec![RecordType::A]
+        );
         assert!(z.node(&n("nothere.example.com")).is_none());
         assert!(z.soa().is_some());
         assert_eq!(z.apex_ns().unwrap().len(), 1);
@@ -346,10 +367,19 @@ mod tests {
     #[test]
     fn closest_encloser_walks_up() {
         let z = example_zone();
-        assert_eq!(z.closest_encloser(&n("x.y.www.example.com")).unwrap(), n("www.example.com"));
-        assert_eq!(z.closest_encloser(&n("zzz.example.com")).unwrap(), n("example.com"));
+        assert_eq!(
+            z.closest_encloser(&n("x.y.www.example.com")).unwrap(),
+            n("www.example.com")
+        );
+        assert_eq!(
+            z.closest_encloser(&n("zzz.example.com")).unwrap(),
+            n("example.com")
+        );
         // Empty non-terminal is a valid encloser.
-        assert_eq!(z.closest_encloser(&n("x.b.example.com")).unwrap(), n("b.example.com"));
+        assert_eq!(
+            z.closest_encloser(&n("x.b.example.com")).unwrap(),
+            n("b.example.com")
+        );
     }
 
     #[test]
@@ -364,14 +394,19 @@ mod tests {
     fn cname_exclusivity() {
         let mut z = Zone::new(n("example.com"));
         z.insert(soa_rec("example.com")).unwrap();
-        z.insert(rec("alias.example.com", RData::Cname(n("www.example.com")))).unwrap();
+        z.insert(rec("alias.example.com", RData::Cname(n("www.example.com"))))
+            .unwrap();
         let err = z
-            .insert(rec("alias.example.com", RData::A("1.1.1.1".parse().unwrap())))
+            .insert(rec(
+                "alias.example.com",
+                RData::A("1.1.1.1".parse().unwrap()),
+            ))
             .unwrap_err();
         assert!(matches!(err, ZoneError::CnameAndOther(_)));
         // And the reverse order.
         let mut z2 = Zone::new(n("example.com"));
-        z2.insert(rec("x.example.com", RData::A("1.1.1.1".parse().unwrap()))).unwrap();
+        z2.insert(rec("x.example.com", RData::A("1.1.1.1".parse().unwrap())))
+            .unwrap();
         let err = z2
             .insert(rec("x.example.com", RData::Cname(n("y.example.com"))))
             .unwrap_err();
@@ -381,7 +416,8 @@ mod tests {
     #[test]
     fn multiple_cname_rejected() {
         let mut z = Zone::new(n("example.com"));
-        z.insert(rec("alias.example.com", RData::Cname(n("a.example.com")))).unwrap();
+        z.insert(rec("alias.example.com", RData::Cname(n("a.example.com"))))
+            .unwrap();
         let err = z
             .insert(rec("alias.example.com", RData::Cname(n("b.example.com"))))
             .unwrap_err();

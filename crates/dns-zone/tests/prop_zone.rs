@@ -58,8 +58,12 @@ fn build_zone(records: Vec<GenRecord>) -> Zone {
         }),
     ))
     .unwrap();
-    zone.insert(Record::new(origin.clone(), 3600, RData::Ns("ns1.prop.example".parse().unwrap())))
-        .unwrap();
+    zone.insert(Record::new(
+        origin.clone(),
+        3600,
+        RData::Ns("ns1.prop.example".parse().unwrap()),
+    ))
+    .unwrap();
     zone.insert(Record::new(
         "ns1.prop.example".parse().unwrap(),
         3600,
@@ -68,20 +72,23 @@ fn build_zone(records: Vec<GenRecord>) -> Zone {
     .unwrap();
 
     let full = |labels: &[String]| -> Name {
-        format!("{}.prop.example", labels.join(".")).parse().unwrap()
+        format!("{}.prop.example", labels.join("."))
+            .parse()
+            .unwrap()
     };
     for r in records {
         let _ = match r {
             GenRecord::A(n, ip) => zone.insert(Record::new(full(&n), 300, RData::A(ip.into()))),
-            GenRecord::Txt(n, t) => zone.insert(Record::new(
-                full(&n),
-                300,
-                RData::Txt(vec![t.into_bytes()]),
-            )),
+            GenRecord::Txt(n, t) => {
+                zone.insert(Record::new(full(&n), 300, RData::Txt(vec![t.into_bytes()])))
+            }
             GenRecord::Mx(n, p) => zone.insert(Record::new(
                 full(&n),
                 300,
-                RData::Mx { preference: p, exchange: "mx.prop.example".parse().unwrap() },
+                RData::Mx {
+                    preference: p,
+                    exchange: "mx.prop.example".parse().unwrap(),
+                },
             )),
             GenRecord::Cname(n, t) => {
                 zone.insert(Record::new(full(&n), 300, RData::Cname(full(&t))))
@@ -110,7 +117,9 @@ fn master_file_round_trip() {
 fn lookup_total_and_classified() {
     check(256, |g| {
         let zone = build_zone(g.vec(0..=19, arb_record));
-        let name: Name = format!("{}.prop.example", arb_rel_name(g).join(".")).parse().unwrap();
+        let name: Name = format!("{}.prop.example", arb_rel_name(g).join("."))
+            .parse()
+            .unwrap();
         let q = Question::new(name, RecordType::from_u16(g.range(1..=59) as u16));
         let ans = lookup(&zone, &q);
         // Total: every query is classified, and the invariants of each
@@ -138,7 +147,9 @@ fn lookup_total_and_classified() {
 fn out_of_zone_is_refused() {
     check(256, |g| {
         let zone = build_zone(vec![]);
-        let name: Name = format!("{}.other.example", arb_rel_name(g).join(".")).parse().unwrap();
+        let name: Name = format!("{}.other.example", arb_rel_name(g).join("."))
+            .parse()
+            .unwrap();
         let ans = lookup(&zone, &Question::new(name, RecordType::A));
         assert_eq!(ans.rcode, dns_wire::Rcode::Refused);
     });

@@ -223,9 +223,11 @@ mod tests {
         // window's queries and its parked queries in ascending seq
         // order. With a window of 2, the verdict sequence is pinned:
         // first two seqs admit, the third parks again.
-        let verdicts: Vec<Admission> =
-            [3u64, 5, 8].iter().map(|&s| ac.offer(s, 100, 70)).collect();
-        assert_eq!(verdicts, vec![Admission::Admit, Admission::Admit, Admission::Busy]);
+        let verdicts: Vec<Admission> = [3u64, 5, 8].iter().map(|&s| ac.offer(s, 100, 70)).collect();
+        assert_eq!(
+            verdicts,
+            vec![Admission::Admit, Admission::Admit, Admission::Busy]
+        );
         assert_eq!(ac.in_flight(), 2);
         assert_eq!(ac.shed_count(), 0);
     }

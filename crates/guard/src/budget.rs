@@ -156,7 +156,10 @@ mod tests {
         let mut b = RetryBudget::new(20, 100, 1_000_000, 3);
         let delays: Vec<u64> = std::iter::from_fn(|| b.next_delay_us()).collect();
         let distinct: std::collections::BTreeSet<u64> = delays.iter().copied().collect();
-        assert!(distinct.len() > 5, "decorrelated jitter should spread: {delays:?}");
+        assert!(
+            distinct.len() > 5,
+            "decorrelated jitter should spread: {delays:?}"
+        );
     }
 
     #[test]

@@ -110,7 +110,10 @@ impl Checkpoint {
     /// duplicated, a record contains a newline, or a v1 checkpoint
     /// carries in-flight entries (v1 cannot represent them).
     pub fn to_text(&self) -> Result<String, CheckpointParseError> {
-        let err = |msg: &str| CheckpointParseError { line: 0, msg: msg.to_string() };
+        let err = |msg: &str| CheckpointParseError {
+            line: 0,
+            msg: msg.to_string(),
+        };
         if self.version != 1 && self.version != 2 {
             return Err(err("unknown checkpoint version (expected 1 or 2)"));
         }
@@ -150,7 +153,10 @@ impl Checkpoint {
     /// keep their sections in order (`counter*`, `rec*`, `inflight*`);
     /// v1 documents keep the historical lenient counter/rec ordering.
     pub fn from_text(text: &str) -> Result<Checkpoint, CheckpointParseError> {
-        let err = |line: usize, msg: &str| CheckpointParseError { line, msg: msg.to_string() };
+        let err = |line: usize, msg: &str| CheckpointParseError {
+            line,
+            msg: msg.to_string(),
+        };
         if let Some(pos) = text.find('\r') {
             let ln = text[..pos].matches('\n').count() + 1;
             return Err(err(ln, "CRLF line endings are not supported (LF only)"));
@@ -214,7 +220,10 @@ impl Checkpoint {
                 cp.records.push(rest.to_string());
             } else if let Some(rest) = line.trim().strip_prefix("counter ") {
                 if version == 2 && section > 0 {
-                    return Err(err(ln, "`counter` lines must precede `rec` and `inflight` lines"));
+                    return Err(err(
+                        ln,
+                        "`counter` lines must precede `rec` and `inflight` lines",
+                    ));
                 }
                 let mut it = rest.split_whitespace();
                 let name = it.next().ok_or_else(|| err(ln, "counter needs a name"))?;
@@ -236,7 +245,10 @@ impl Checkpoint {
                 section = 2;
                 cp.inflight.push(InflightEntry::from_line(line.trim(), ln)?);
             } else if version == 2 {
-                return Err(err(ln, "expected `counter ...`, `rec ...`, or `inflight ...`"));
+                return Err(err(
+                    ln,
+                    "expected `counter ...`, `rec ...`, or `inflight ...`",
+                ));
             } else {
                 return Err(err(ln, "expected `counter ...` or `rec ...`"));
             }
@@ -298,7 +310,11 @@ mod tests {
                     sends: 2,
                     retx: 1,
                     status: InflightStatus::InFlight,
-                    budget: Some(BudgetSnapshot { used: 1, prev_us: 450, rng_state: 12345 }),
+                    budget: Some(BudgetSnapshot {
+                        used: 1,
+                        prev_us: 450,
+                        rng_state: 12345,
+                    }),
                 },
                 InflightEntry {
                     seq: 41,
@@ -421,7 +437,10 @@ mod tests {
             ..Checkpoint::default()
         };
         assert!(cp.to_text().is_err());
-        let cp = Checkpoint { version: 3, ..Checkpoint::default() };
+        let cp = Checkpoint {
+            version: 3,
+            ..Checkpoint::default()
+        };
         assert!(cp.to_text().is_err());
         let cp = Checkpoint {
             inflight: vec![InflightEntry {
@@ -461,7 +480,9 @@ mod tests {
             (v2_doc("rec q0 ok\ncounter sent 1\n"), 6),
             // counter after inflight
             (
-                v2_doc("inflight 3 deadline 1 sends 0 retx 0 status parked budget -\ncounter sent 1\n"),
+                v2_doc(
+                    "inflight 3 deadline 1 sends 0 retx 0 status parked budget -\ncounter sent 1\n",
+                ),
                 6,
             ),
             // rec after inflight
@@ -474,7 +495,8 @@ mod tests {
             assert_eq!(e.line, bad_line, "doc:\n{doc}");
         }
         // v1 keeps the historical lenient ordering (back-compat).
-        let v1 = "ldpguard checkpoint v1\nepoch 1\ntaken_ns 5\ncursor 4\nrec q0 ok\ncounter sent 1\n";
+        let v1 =
+            "ldpguard checkpoint v1\nepoch 1\ntaken_ns 5\ncursor 4\nrec q0 ok\ncounter sent 1\n";
         assert!(Checkpoint::from_text(v1).is_ok());
     }
 

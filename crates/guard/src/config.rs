@@ -55,7 +55,11 @@ pub struct ReconnectConfig {
 
 impl Default for ReconnectConfig {
     fn default() -> Self {
-        ReconnectConfig { max_attempts: 3, base_us: 200, cap_us: 5_000 }
+        ReconnectConfig {
+            max_attempts: 3,
+            base_us: 200,
+            cap_us: 5_000,
+        }
     }
 }
 
@@ -81,15 +85,18 @@ impl Default for RetransmitConfig {
     fn default() -> Self {
         // Base 200ms: ~5× the study RTT (40ms), so healthy paths never
         // retransmit; cap 1.5s bounds a chain to a few seconds.
-        RetransmitConfig { max_retx: 8, base_us: 200_000, cap_us: 1_500_000 }
+        RetransmitConfig {
+            max_retx: 8,
+            base_us: 200_000,
+            cap_us: 1_500_000,
+        }
     }
 }
 
 /// Every guard knob in one place: checkpoint cadence, querier
 /// supervision, dispatch admission control, send-path reconnect
 /// budgets, and the server-side overload response.
-#[derive(Debug, Clone, PartialEq)]
-#[derive(Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct GuardConfig {
     /// Take a checkpoint after every `checkpoint_every` completed
     /// queries (at the next quiescent cut). `0` disables
@@ -104,7 +111,6 @@ pub struct GuardConfig {
     /// Server-side overload response (per-view RRL).
     pub overload: OverloadConfig,
 }
-
 
 impl GuardConfig {
     /// A configuration with every protection off — the pre-guard

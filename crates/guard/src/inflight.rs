@@ -115,7 +115,10 @@ impl InflightEntry {
     /// included). `ln` is the 1-based line number used in errors.
     pub fn from_line(line: &str, ln: usize) -> Result<InflightEntry, CheckpointParseError> {
         fn err(ln: usize, msg: &str) -> CheckpointParseError {
-            CheckpointParseError { line: ln, msg: msg.to_string() }
+            CheckpointParseError {
+                line: ln,
+                msg: msg.to_string(),
+            }
         }
         fn num(
             it: &mut std::str::SplitWhitespace<'_>,
@@ -134,7 +137,10 @@ impl InflightEntry {
             if it.next() == Some(expected) {
                 Ok(())
             } else {
-                Err(err(ln, &format!("inflight line truncated: expected `{expected}`")))
+                Err(err(
+                    ln,
+                    &format!("inflight line truncated: expected `{expected}`"),
+                ))
             }
         }
         let mut it = line.split_whitespace();
@@ -160,18 +166,37 @@ impl InflightEntry {
             Some("-") => None,
             Some(used) => {
                 let used = used.parse::<u32>().map_err(|_| {
-                    err(ln, "expected `budget <used> <prev_us> <rng_state>` or `budget -`")
+                    err(
+                        ln,
+                        "expected `budget <used> <prev_us> <rng_state>` or `budget -`",
+                    )
                 })?;
                 let prev_us = num(&mut it, ln, "budget <prev_us>")?;
                 let rng_state = num(&mut it, ln, "budget <rng_state>")?;
-                Some(BudgetSnapshot { used, prev_us, rng_state })
+                Some(BudgetSnapshot {
+                    used,
+                    prev_us,
+                    rng_state,
+                })
             }
-            None => return Err(err(ln, "inflight line truncated: expected budget fields or `-`")),
+            None => {
+                return Err(err(
+                    ln,
+                    "inflight line truncated: expected budget fields or `-`",
+                ))
+            }
         };
         if it.next().is_some() {
             return Err(err(ln, "trailing tokens after inflight entry"));
         }
-        Ok(InflightEntry { seq, deadline_ns, sends, retx, status, budget })
+        Ok(InflightEntry {
+            seq,
+            deadline_ns,
+            sends,
+            retx,
+            status,
+            budget,
+        })
     }
 }
 
@@ -186,7 +211,11 @@ mod tests {
             sends: 3,
             retx: 2,
             status: InflightStatus::InFlight,
-            budget: Some(BudgetSnapshot { used: 2, prev_us: 450, rng_state: 0xdead_beef }),
+            budget: Some(BudgetSnapshot {
+                used: 2,
+                prev_us: 450,
+                rng_state: 0xdead_beef,
+            }),
         }
     }
 
@@ -202,7 +231,10 @@ mod tests {
                 status: InflightStatus::Parked,
                 budget: None,
             },
-            InflightEntry { status: InflightStatus::Retrying, ..sample() },
+            InflightEntry {
+                status: InflightStatus::Retrying,
+                ..sample()
+            },
         ] {
             let line = entry.to_line();
             let back = InflightEntry::from_line(&line, 1).expect("parses");
@@ -226,9 +258,25 @@ mod tests {
 
     #[test]
     fn malformed_fields_rejected() {
-        assert!(InflightEntry::from_line("inflight x deadline 1 sends 0 retx 0 status parked budget -", 1).is_err());
-        assert!(InflightEntry::from_line("inflight 1 deadline 1 sends 0 retx 0 status lost budget -", 1).is_err());
-        assert!(InflightEntry::from_line("inflight 1 deadline 1 sends 0 retx 0 status parked budget - extra", 1).is_err());
-        assert!(InflightEntry::from_line("inflight 1 deadline 1 sends 99999999999 retx 0 status parked budget -", 1).is_err());
+        assert!(InflightEntry::from_line(
+            "inflight x deadline 1 sends 0 retx 0 status parked budget -",
+            1
+        )
+        .is_err());
+        assert!(InflightEntry::from_line(
+            "inflight 1 deadline 1 sends 0 retx 0 status lost budget -",
+            1
+        )
+        .is_err());
+        assert!(InflightEntry::from_line(
+            "inflight 1 deadline 1 sends 0 retx 0 status parked budget - extra",
+            1
+        )
+        .is_err());
+        assert!(InflightEntry::from_line(
+            "inflight 1 deadline 1 sends 99999999999 retx 0 status parked budget -",
+            1
+        )
+        .is_err());
     }
 }

@@ -254,7 +254,10 @@ mod tests {
         let actions = sup.poll(2_000);
         assert_eq!(
             actions,
-            vec![SupervisorAction::Restart { slot: 0, redispatch_from: 0 }]
+            vec![SupervisorAction::Restart {
+                slot: 0,
+                redispatch_from: 0
+            }]
         );
         assert_eq!(sup.restarts(0), 1);
         // Restarted slot is alive again and stays quiet while beating.
@@ -271,7 +274,10 @@ mod tests {
         let actions = sup.poll(700 + 500);
         assert_eq!(
             actions,
-            vec![SupervisorAction::Restart { slot: 0, redispatch_from: 42 }]
+            vec![SupervisorAction::Restart {
+                slot: 0,
+                redispatch_from: 42
+            }]
         );
     }
 
@@ -306,7 +312,10 @@ mod tests {
         // once its backoff (≤ 500 µs) elapses.
         let actions = sup.poll(700);
         assert_eq!(actions.len(), 1);
-        assert!(matches!(actions[0], SupervisorAction::Restart { slot: 1, .. }));
+        assert!(matches!(
+            actions[0],
+            SupervisorAction::Restart { slot: 1, .. }
+        ));
         // Slot 0 was never touched.
         assert_eq!(sup.restarts(0), 0);
     }

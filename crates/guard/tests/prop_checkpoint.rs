@@ -12,7 +12,17 @@ use ldp_rng::check::{check, Gen};
 /// `[a-z][a-z0-9_.:-]{0,15}`.
 fn arb_counter_name(g: &mut Gen) -> String {
     let head = g.string(&['a'..='z'], 1..=1);
-    head + &g.string(&['a'..='z', '0'..='9', '_'..='_', '.'..='.', ':'..=':', '-'..='-'], 0..=15)
+    head + &g.string(
+        &[
+            'a'..='z',
+            '0'..='9',
+            '_'..='_',
+            '.'..='.',
+            ':'..=':',
+            '-'..='-',
+        ],
+        0..=15,
+    )
 }
 
 /// Unique-named counter list (duplicate names are a serialize error
@@ -37,14 +47,24 @@ fn arb_record(g: &mut Gen) -> String {
         4 => "inflight 3 deadline 4".to_string(),
         // [^\r\n]{0,40}
         _ => g.string(
-            &['\0'..='\t', '\u{b}'..='\u{c}', '\u{e}'..='~', '\u{80}'..='\u{24f}', '\u{1f600}'..='\u{1f64f}'],
+            &[
+                '\0'..='\t',
+                '\u{b}'..='\u{c}',
+                '\u{e}'..='~',
+                '\u{80}'..='\u{24f}',
+                '\u{1f600}'..='\u{1f64f}',
+            ],
             0..=40,
         ),
     }
 }
 
 fn arb_budget(g: &mut Gen) -> Option<BudgetSnapshot> {
-    g.option(|g| BudgetSnapshot { used: g.u32(), prev_us: g.u64(), rng_state: g.u64() })
+    g.option(|g| BudgetSnapshot {
+        used: g.u32(),
+        prev_us: g.u64(),
+        rng_state: g.u64(),
+    })
 }
 
 fn arb_inflight_entry(g: &mut Gen) -> InflightEntry {
@@ -53,7 +73,11 @@ fn arb_inflight_entry(g: &mut Gen) -> InflightEntry {
         deadline_ns: g.u64(),
         sends: g.u32(),
         retx: g.u32(),
-        status: *g.pick(&[InflightStatus::InFlight, InflightStatus::Parked, InflightStatus::Retrying]),
+        status: *g.pick(&[
+            InflightStatus::InFlight,
+            InflightStatus::Parked,
+            InflightStatus::Retrying,
+        ]),
         budget: arb_budget(g),
     }
 }
@@ -147,7 +171,11 @@ fn parser_never_panics() {
         let mut lines: Vec<String> = text.lines().map(String::from).collect();
         let i = g.size(0..=lines.len() - 1);
         let cut = g.size(0..=lines[i].len());
-        lines[i] = format!("{}{}", lines[i].get(..cut).unwrap_or(""), g.printable(0..=120));
+        lines[i] = format!(
+            "{}{}",
+            lines[i].get(..cut).unwrap_or(""),
+            g.printable(0..=120)
+        );
         let _ = Checkpoint::from_text(&lines.join("\n"));
     });
 }

@@ -76,10 +76,19 @@ impl Allowlist {
                     known.join(", ")
                 ));
             }
-            entries.push(AllowEntry { rule, path_suffix, reason, line: line_no });
+            entries.push(AllowEntry {
+                rule,
+                path_suffix,
+                reason,
+                line: line_no,
+            });
         }
         let used = vec![false; entries.len()];
-        Ok(Allowlist { entries, used, name: name.to_string() })
+        Ok(Allowlist {
+            entries,
+            used,
+            name: name.to_string(),
+        })
     }
 
     /// Display path of the file this allowlist was parsed from.

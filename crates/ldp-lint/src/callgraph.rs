@@ -154,7 +154,9 @@ fn resolve_method(
     name: &str,
     out: &mut Vec<usize>,
 ) {
-    let Some(candidates) = index.by_name.get(name) else { return };
+    let Some(candidates) = index.by_name.get(name) else {
+        return;
+    };
     // Receiver token sits before the `.`.
     let recv = i.checked_sub(2).map(|r| toks[r].text.as_str());
     let recv_ty: Option<String> = match recv {
@@ -168,15 +170,13 @@ fn resolve_method(
                 .and(caller.self_ty.as_ref())
                 .and_then(|st| index.fields.get(&(st.clone(), r.clone())))
                 .map(|h| h.name.clone());
-            via_field
-                .or_else(|| locals.get(&r).cloned())
-                .or_else(|| {
-                    caller
-                        .params
-                        .iter()
-                        .find(|(n, _)| *n == r)
-                        .map(|(_, h)| h.name.clone())
-                })
+            via_field.or_else(|| locals.get(&r).cloned()).or_else(|| {
+                caller
+                    .params
+                    .iter()
+                    .find(|(n, _)| *n == r)
+                    .map(|(_, h)| h.name.clone())
+            })
         }
         _ => None,
     };
@@ -228,7 +228,9 @@ fn resolve_path_call(
     name: &str,
     out: &mut Vec<usize>,
 ) {
-    let Some(candidates) = index.by_name.get(name) else { return };
+    let Some(candidates) = index.by_name.get(name) else {
+        return;
+    };
     // Walk the full path back: `a :: b :: Q :: name`.
     let mut segs: Vec<String> = Vec::new();
     let mut p = i;
@@ -237,7 +239,9 @@ fn resolve_path_call(
         p -= 2;
     }
     segs.reverse(); // now [a, b, Q]
-    let Some(qualifier) = segs.last().cloned() else { return };
+    let Some(qualifier) = segs.last().cloned() else {
+        return;
+    };
     // External path (`std::thread::sleep`)?
     if segs
         .first()
@@ -422,10 +426,16 @@ mod tests {
                  }
                  fn local_only() { }",
             ),
-            file("crates/netsim/src/util.rs", "pub fn helper() { leaf(); }\npub fn leaf() {}"),
+            file(
+                "crates/netsim/src/util.rs",
+                "pub fn helper() { leaf(); }\npub fn leaf() {}",
+            ),
         ];
         let (idx, g) = graph_for(&files);
-        assert!(edge(&idx, &g, "step", "helper"), "bare call to cross-file free fn");
+        assert!(
+            edge(&idx, &g, "step", "helper"),
+            "bare call to cross-file free fn"
+        );
         assert!(edge(&idx, &g, "step", "inner"), "self method call");
         assert!(edge(&idx, &g, "helper", "leaf"));
         assert!(!edge(&idx, &g, "step", "local_only"));
@@ -433,10 +443,9 @@ mod tests {
 
     #[test]
     fn typed_receivers_resolve_through_params_fields_and_locals() {
-        let files = [
-            file(
-                "crates/netsim/src/host.rs",
-                "pub struct Clocked { c: Ticker }
+        let files = [file(
+            "crates/netsim/src/host.rs",
+            "pub struct Clocked { c: Ticker }
                  pub struct Ticker;
                  impl Ticker { pub fn tick(&self) {} pub fn make() -> Ticker { Ticker } }
                  impl Clocked {
@@ -445,8 +454,7 @@ mod tests {
                  pub fn via_param(t: &Ticker) { t.tick(); }
                  pub fn via_local() { let t = Ticker::make(); t.tick(); }
                  pub fn via_ctor() { Ticker::make(); }",
-            ),
-        ];
+        )];
         let (idx, g) = graph_for(&files);
         assert!(edge(&idx, &g, "via_field", "tick"));
         assert!(edge(&idx, &g, "via_param", "tick"));
@@ -477,16 +485,16 @@ mod tests {
              pub fn now_ns() -> u64 { WALL.get_or_init(WallClockSource::new); 0 }",
         )];
         let (idx, g) = graph_for(&files);
-        assert!(edge(&idx, &g, "now_ns", "new"), "Type::fn reference counts as an edge");
+        assert!(
+            edge(&idx, &g, "now_ns", "new"),
+            "Type::fn reference counts as an edge"
+        );
     }
 
     #[test]
     fn d4_reports_transitive_taint_with_path() {
         let files = [
-            file(
-                "crates/netsim/src/sim.rs",
-                "pub fn run_sim() { stamp(); }",
-            ),
+            file("crates/netsim/src/sim.rs", "pub fn run_sim() { stamp(); }"),
             file(
                 "crates/replay/src/capture.rs",
                 "pub fn stamp() -> u64 { Instant::now().elapsed().as_nanos() as u64 }",
@@ -513,7 +521,10 @@ mod tests {
             // Two same-named free fns: one clean, one tainted. The
             // conservative resolver must keep both edges, so the taint
             // still surfaces.
-            file("crates/replay/src/helper_a.rs", "pub fn helper_now() -> u64 { 0 }"),
+            file(
+                "crates/replay/src/helper_a.rs",
+                "pub fn helper_now() -> u64 { 0 }",
+            ),
             file(
                 "crates/dns-server/src/socket_server.rs",
                 "pub fn helper_now() -> u64 { Instant::now().elapsed().as_micros() as u64 }",

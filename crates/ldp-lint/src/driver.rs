@@ -97,7 +97,15 @@ pub fn check(root: &Path, mut allowlist: Allowlist) -> std::io::Result<CheckRepo
     report.unused_allows = allowlist
         .unused()
         .iter()
-        .map(|e| format!("{} {} ({}:{})", e.rule, e.path_suffix, allowlist.name(), e.line))
+        .map(|e| {
+            format!(
+                "{} {} ({}:{})",
+                e.rule,
+                e.path_suffix,
+                allowlist.name(),
+                e.line
+            )
+        })
         .collect();
     Ok(report)
 }
@@ -169,7 +177,11 @@ pub fn print_report(report: &CheckReport) -> i32 {
     for u in &report.unused_allows {
         println!("warning[allowlist]: unused entry {u}");
     }
-    let verdict = if report.errors.is_empty() { "ok" } else { "FAIL" };
+    let verdict = if report.errors.is_empty() {
+        "ok"
+    } else {
+        "FAIL"
+    };
     println!(
         "ldp-lint: {} — {} files, {} error(s), {} warning(s), {} suppressed",
         verdict,
@@ -337,7 +349,10 @@ mod tests {
         for r in crate::rules::CATALOG {
             assert!(counts.get(r.id).is_some(), "missing {}", r.id);
         }
-        let d4 = counts.get("D4").and_then(|x| x.get("errors")).and_then(|x| x.as_num());
+        let d4 = counts
+            .get("D4")
+            .and_then(|x| x.get("errors"))
+            .and_then(|x| x.as_num());
         assert!(d4.unwrap_or(0.0) >= 2.0, "{doc}");
         // Error objects carry the full diagnostic shape.
         let first = &v.get("errors").unwrap().as_arr().unwrap()[0];

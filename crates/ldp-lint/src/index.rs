@@ -108,14 +108,16 @@ pub struct WorkspaceIndex {
 pub const HASH_TYPES: &[&str] = &["HashMap", "HashSet"];
 
 /// Smart pointers / cells the head-type extraction sees through.
-const WRAPPERS: &[&str] = &["Arc", "Rc", "Box", "Cell", "RefCell", "Mutex", "RwLock", "Option", "Pin"];
+const WRAPPERS: &[&str] = &[
+    "Arc", "Rc", "Box", "Cell", "RefCell", "Mutex", "RwLock", "Option", "Pin",
+];
 
 /// Reserved words that can never be a call target or head type.
 const KEYWORDS: &[&str] = &[
-    "as", "async", "await", "break", "const", "continue", "crate", "dyn", "else", "enum",
-    "extern", "false", "fn", "for", "if", "impl", "in", "let", "loop", "match", "mod", "move",
-    "mut", "pub", "ref", "return", "self", "Self", "static", "struct", "super", "trait", "true",
-    "type", "unsafe", "use", "where", "while",
+    "as", "async", "await", "break", "const", "continue", "crate", "dyn", "else", "enum", "extern",
+    "false", "fn", "for", "if", "impl", "in", "let", "loop", "match", "mod", "move", "mut", "pub",
+    "ref", "return", "self", "Self", "static", "struct", "super", "trait", "true", "type",
+    "unsafe", "use", "where", "while",
 ];
 
 /// Is `t` a language keyword?
@@ -388,14 +390,14 @@ pub fn head_type(toks: &[Token]) -> Option<HeadTy> {
                     j += 2;
                 }
                 // See through wrapper generics: `Arc<dyn Clock>` → Clock.
-                if WRAPPERS.contains(&name.as_str())
-                    && j < toks.len()
-                    && toks[j].text == "<"
-                {
+                if WRAPPERS.contains(&name.as_str()) && j < toks.len() && toks[j].text == "<" {
                     i = j + 1;
                     continue;
                 }
-                return Some(HeadTy { name, is_trait_obj: trait_obj });
+                return Some(HeadTy {
+                    name,
+                    is_trait_obj: trait_obj,
+                });
             }
             _ => return None,
         }
@@ -428,7 +430,9 @@ fn collect_impl_ranges(toks: &[Token]) -> Vec<ImplRange> {
         if j >= toks.len() || toks[j].text != "{" {
             continue;
         }
-        let Some(close) = match_brace(toks, j) else { continue };
+        let Some(close) = match_brace(toks, j) else {
+            continue;
+        };
         // Split the header on `for`: `impl Trait for Type` / `impl Type`.
         let header = &toks[i + 1..j];
         let for_pos = top_level_for(header);
@@ -436,9 +440,15 @@ fn collect_impl_ranges(toks: &[Token]) -> Vec<ImplRange> {
             Some(p) => (Some(&header[..p]), &header[p + 1..]),
             None => (None, header),
         };
-        let Some(self_ty) = last_type_name(type_part) else { continue };
+        let Some(self_ty) = last_type_name(type_part) else {
+            continue;
+        };
         let trait_name = trait_part.and_then(last_type_name);
-        out.push(ImplRange { body: (j, close), self_ty, trait_name });
+        out.push(ImplRange {
+            body: (j, close),
+            self_ty,
+            trait_name,
+        });
     }
     out
 }
@@ -538,7 +548,9 @@ fn collect_fns(
         if j >= toks.len() || toks[j].text != "(" {
             continue;
         }
-        let Some(close_paren) = match_paren(toks, j) else { continue };
+        let Some(close_paren) = match_paren(toks, j) else {
+            continue;
+        };
         let params = parse_params(&toks[j + 1..close_paren], ctx.map(|c| c.self_ty.as_str()));
         // Body `{` (or `;` for a bodyless declaration).
         let mut b = close_paren + 1;
@@ -602,7 +614,13 @@ fn parse_params(toks: &[Token], self_ty: Option<&str>) -> Vec<(String, HeadTy)> 
         // `self` / `&self` / `&mut self` / `self: Arc<Self>`.
         if let Some(st) = self_ty {
             if span.iter().any(|t| t.text == "self") && !span.iter().any(|t| t.text == ":") {
-                out.push(("self".into(), HeadTy { name: st.to_string(), is_trait_obj: false }));
+                out.push((
+                    "self".into(),
+                    HeadTy {
+                        name: st.to_string(),
+                        is_trait_obj: false,
+                    },
+                ));
                 return;
             }
         }
@@ -619,7 +637,10 @@ fn parse_params(toks: &[Token], self_ty: Option<&str>) -> Vec<(String, HeadTy)> 
                     if let Some(st) = self_ty {
                         out.push((
                             "self".into(),
-                            HeadTy { name: st.to_string(), is_trait_obj: false },
+                            HeadTy {
+                                name: st.to_string(),
+                                is_trait_obj: false,
+                            },
                         ));
                         return;
                     }
@@ -738,7 +759,16 @@ mod tests {
         let now = &idx.fns[idx.by_name["now"][0]];
         assert_eq!(now.self_ty.as_deref(), Some("Ctx"));
         assert_eq!(now.trait_name, None);
-        assert_eq!(now.params[0], ("self".into(), HeadTy { name: "Ctx".into(), is_trait_obj: false }));
+        assert_eq!(
+            now.params[0],
+            (
+                "self".into(),
+                HeadTy {
+                    name: "Ctx".into(),
+                    is_trait_obj: false
+                }
+            )
+        );
 
         let drive = &idx.fns[idx.by_name["drive"][0]];
         assert_eq!(drive.self_ty, None);

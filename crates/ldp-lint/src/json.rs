@@ -280,7 +280,10 @@ mod tests {
     fn parses_nested_documents() {
         let v = parse(r#"{"a": [1, -2.5, "s\n"], "b": {"c": true, "d": null}}"#).unwrap();
         assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 3);
-        assert_eq!(v.get("a").unwrap().as_arr().unwrap()[2].as_str(), Some("s\n"));
+        assert_eq!(
+            v.get("a").unwrap().as_arr().unwrap()[2].as_str(),
+            Some("s\n")
+        );
         assert_eq!(v.get("b").unwrap().get("c"), Some(&Value::Bool(true)));
         assert_eq!(v.get("b").unwrap().get("d"), Some(&Value::Null));
         assert_eq!(parse("[]").unwrap(), Value::Arr(vec![]));

@@ -21,7 +21,10 @@ pub struct Token {
 
 impl Token {
     fn new(line: u32, text: impl Into<String>) -> Self {
-        Token { line, text: text.into() }
+        Token {
+            line,
+            text: text.into(),
+        }
     }
 
     /// True if this token is an identifier (or keyword).
@@ -177,15 +180,15 @@ pub fn tokenize(src: &str) -> Vec<Token> {
             }
             c if (c as char).is_alphabetic() || c == b'_' => {
                 let start = i;
-                while i < b.len() && (b[i].is_ascii_alphanumeric() || b[i] == b'_' || b[i] >= 0x80) {
+                while i < b.len() && (b[i].is_ascii_alphanumeric() || b[i] == b'_' || b[i] >= 0x80)
+                {
                     i += 1;
                 }
                 out.push(Token::new(line, &src[start..i]));
             }
             b'0'..=b'9' => {
                 let start = i;
-                while i < b.len()
-                    && (b[i].is_ascii_alphanumeric() || b[i] == b'_' || b[i] == b'.')
+                while i < b.len() && (b[i].is_ascii_alphanumeric() || b[i] == b'_' || b[i] == b'.')
                 {
                     // Stop a `1..=9` range from being eaten as one number.
                     if b[i] == b'.' && i + 1 < b.len() && b[i + 1] == b'.' {
@@ -289,7 +292,11 @@ pub fn test_code_mask(tokens: &[Token]) -> Vec<bool> {
                     "[" => depth += 1,
                     "]" => depth -= 1,
                     // `test`, unless negated as in `#[cfg(not(test))]`.
-                    "test" if !(j >= 2 && tokens[j - 1].text == "(" && tokens[j - 2].text == "not") => {
+                    "test"
+                        if !(j >= 2
+                            && tokens[j - 1].text == "("
+                            && tokens[j - 2].text == "not") =>
+                    {
                         has_test = true
                     }
                     _ => {}
@@ -394,9 +401,7 @@ mod tests {
         // nesting count alone decides where the comment ends. A lexer
         // that enters "string mode" on the inner quote would swallow the
         // closing `*/` and mis-lex everything after it.
-        let toks = texts(
-            "/* outer /* inner \" */ still \"comment' */ let after = Instant::now;",
-        );
+        let toks = texts("/* outer /* inner \" */ still \"comment' */ let after = Instant::now;");
         assert!(toks.contains(&"after".to_string()), "{toks:?}");
         assert!(toks.contains(&"Instant".to_string()), "{toks:?}");
         assert!(!toks.contains(&"outer".to_string()));

@@ -157,7 +157,11 @@ fn cmd_check(args: &[String]) -> ExitCode {
                     println!(
                         "ldp-lint: FAIL — {} unused allowlist entr{} (--deny-unused-allows)",
                         report.unused_allows.len(),
-                        if report.unused_allows.len() == 1 { "y" } else { "ies" }
+                        if report.unused_allows.len() == 1 {
+                            "y"
+                        } else {
+                            "ies"
+                        }
                     );
                 }
                 code = 1;
@@ -203,7 +207,10 @@ fn cmd_explain(args: &[String]) -> ExitCode {
         }
         None => {
             let known: Vec<&str> = rules::CATALOG.iter().map(|r| r.id).collect();
-            eprintln!("ldp-lint: unknown rule {id:?} (known: {})", known.join(", "));
+            eprintln!(
+                "ldp-lint: unknown rule {id:?} (known: {})",
+                known.join(", ")
+            );
             ExitCode::from(2)
         }
     }

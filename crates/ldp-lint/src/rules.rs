@@ -273,7 +273,11 @@ pub fn file_data(path: &str, src: &str) -> Option<FileData> {
         .filter(|(_, m)| !m)
         .map(|(t, _)| t)
         .collect();
-    Some(FileData { path: path.to_string(), scope, tokens })
+    Some(FileData {
+        path: path.to_string(),
+        scope,
+        tokens,
+    })
 }
 
 /// Run every applicable rule over one file's source (single-file view:
@@ -348,9 +352,7 @@ fn push(
 fn rule_d1(path: &str, toks: &[Token], diags: &mut Vec<Diagnostic>) {
     for w in toks.windows(3) {
         let clock = w[0].text.as_str();
-        if (clock == "Instant" || clock == "SystemTime")
-            && w[1].text == "::"
-            && w[2].text == "now"
+        if (clock == "Instant" || clock == "SystemTime") && w[1].text == "::" && w[2].text == "now"
         {
             push(
                 diags,
@@ -374,9 +376,7 @@ fn rule_d1(path: &str, toks: &[Token], diags: &mut Vec<Diagnostic>) {
 fn rule_t1(path: &str, toks: &[Token], diags: &mut Vec<Diagnostic>) {
     for w in toks.windows(3) {
         let clock = w[0].text.as_str();
-        if (clock == "Instant" || clock == "SystemTime")
-            && w[1].text == "::"
-            && w[2].text == "now"
+        if (clock == "Instant" || clock == "SystemTime") && w[1].text == "::" && w[2].text == "now"
         {
             push(
                 diags,
@@ -589,12 +589,7 @@ fn for_loop_receiver(toks: &[Token], for_idx: usize) -> Option<usize> {
 ///   another struct's field.
 /// * `name.iter()` with `name: SomeAlias` — the alias chased through
 ///   `use` renames and workspace `type` aliases down to its head type.
-fn rule_d2_cross(
-    fid: usize,
-    fd: &FileData,
-    index: &WorkspaceIndex,
-    diags: &mut Vec<Diagnostic>,
-) {
+fn rule_d2_cross(fid: usize, fd: &FileData, index: &WorkspaceIndex, diags: &mut Vec<Diagnostic>) {
     let toks = fd.tokens.as_slice();
     let path = fd.path.as_str();
     let local_hash = collect_hash_decls(toks);
@@ -652,7 +647,9 @@ fn rule_d2_cross(
             };
             field_is_hash(owner_ty.as_deref(), name)
         } else {
-            ident_type(recv, name).map(|t| head_is_hash(&t)).unwrap_or(false)
+            ident_type(recv, name)
+                .map(|t| head_is_hash(&t))
+                .unwrap_or(false)
         }
     };
 
@@ -787,7 +784,10 @@ fn rule_p1(path: &str, toks: &[Token], diags: &mut Vec<Diagnostic>) {
         // `panic!(` / `unreachable!(` / `todo!(` / `unimplemented!(`
         if i + 1 < toks.len()
             && toks[i + 1].text == "!"
-            && matches!(t.text.as_str(), "panic" | "unreachable" | "todo" | "unimplemented")
+            && matches!(
+                t.text.as_str(),
+                "panic" | "unreachable" | "todo" | "unimplemented"
+            )
         {
             push(
                 diags,
@@ -795,7 +795,10 @@ fn rule_p1(path: &str, toks: &[Token], diags: &mut Vec<Diagnostic>) {
                 Severity::Error,
                 path,
                 t.line,
-                format!("`{}!` in a packet-decode/server hot path — return a typed error", t.text),
+                format!(
+                    "`{}!` in a packet-decode/server hot path — return a typed error",
+                    t.text
+                ),
             );
         }
     }
@@ -836,10 +839,8 @@ fn rule_a1(path: &str, toks: &[Token], diags: &mut Vec<Diagnostic>) {
     for (i, t) in toks.iter().enumerate() {
         // std's unbounded constructor is `mpsc::channel` (the bounded
         // one is `sync_channel`).
-        let std_unbounded = t.text == "channel"
-            && i >= 2
-            && toks[i - 1].text == "::"
-            && toks[i - 2].text == "mpsc";
+        let std_unbounded =
+            t.text == "channel" && i >= 2 && toks[i - 1].text == "::" && toks[i - 2].text == "mpsc";
         if t.text == "unbounded" || t.text == "unbounded_channel" || std_unbounded {
             push(
                 diags,
@@ -861,8 +862,16 @@ fn rule_a1(path: &str, toks: &[Token], diags: &mut Vec<Diagnostic>) {
 const R1_RETRY_MARKERS: &[&str] = &["retry", "retrans", "reconnect", "backoff", "redial"];
 
 /// Identifier substrings that prove the enclosing loop is bounded.
-const R1_BOUND_MARKERS: &[&str] =
-    &["budget", "attempt", "deadline", "limit", "cap", "remaining", "tries", "max_"];
+const R1_BOUND_MARKERS: &[&str] = &[
+    "budget",
+    "attempt",
+    "deadline",
+    "limit",
+    "cap",
+    "remaining",
+    "tries",
+    "max_",
+];
 
 /// R1 — unbounded retry loops in the dial/redial crates.
 ///
@@ -1139,12 +1148,20 @@ mod tests {
     #[test]
     fn p1_scope_is_hot_paths_only() {
         let src = "fn f(v: Option<u8>) -> u8 { v.unwrap() }";
-        assert!(errors("crates/dns-wire/src/name.rs", src).iter().any(|d| d.rule == "P1"));
-        assert!(errors("crates/proxy/src/rewrite.rs", src).iter().any(|d| d.rule == "P1"));
-        assert!(errors("crates/dns-server/src/engine.rs", src).iter().any(|d| d.rule == "P1"));
+        assert!(errors("crates/dns-wire/src/name.rs", src)
+            .iter()
+            .any(|d| d.rule == "P1"));
+        assert!(errors("crates/proxy/src/rewrite.rs", src)
+            .iter()
+            .any(|d| d.rule == "P1"));
+        assert!(errors("crates/dns-server/src/engine.rs", src)
+            .iter()
+            .any(|d| d.rule == "P1"));
         // The template fast path serves precompiled bytes per query:
         // it is P1 scope like the engine that calls into it.
-        assert!(errors("crates/dns-server/src/template.rs", src).iter().any(|d| d.rule == "P1"));
+        assert!(errors("crates/dns-server/src/template.rs", src)
+            .iter()
+            .any(|d| d.rule == "P1"));
         // Outside the hot-path crates, unwrap is clippy's problem.
         assert!(errors("crates/metrics/src/histogram.rs", src).is_empty());
         // Non-engine dns-server files are clippy's too (the crate
@@ -1168,7 +1185,9 @@ mod tests {
     fn t1_scope_is_telemetry_src_only() {
         let src = "fn f() { let t = Instant::now(); }";
         // Elsewhere the same read is D1 (or allowed in real-clock files).
-        assert!(errors("crates/netsim/src/sim.rs", src).iter().all(|d| d.rule == "D1"));
+        assert!(errors("crates/netsim/src/sim.rs", src)
+            .iter()
+            .all(|d| d.rule == "D1"));
         assert!(analyze_source("crates/telemetry/tests/smoke.rs", src).is_empty());
     }
 
@@ -1308,7 +1327,10 @@ mod tests {
     }
 
     fn multi_errors(files: &[(&str, &str)]) -> Vec<Diagnostic> {
-        multi(files).into_iter().filter(|d| d.severity == Severity::Error).collect()
+        multi(files)
+            .into_iter()
+            .filter(|d| d.severity == Severity::Error)
+            .collect()
     }
 
     #[test]
@@ -1428,7 +1450,10 @@ mod tests {
             ("crates/netsim/src/table.rs", table),
             ("crates/netsim/src/user.rs", user),
         ]);
-        assert!(errs.iter().all(|d| !d.path.ends_with("user.rs")), "{errs:?}");
+        assert!(
+            errs.iter().all(|d| !d.path.ends_with("user.rs")),
+            "{errs:?}"
+        );
     }
 
     #[test]
@@ -1467,7 +1492,9 @@ mod tests {
         assert!(errors("crates/shard/src/exchange.rs", src).is_empty());
         // Outside the shard crate the rule does not apply at all —
         // netsim itself defines and may use enqueue_remote.
-        assert!(errors("crates/netsim/src/sim.rs", src).iter().all(|d| d.rule != "S1"));
+        assert!(errors("crates/netsim/src/sim.rs", src)
+            .iter()
+            .all(|d| d.rule != "S1"));
     }
 
     #[test]
@@ -1479,9 +1506,13 @@ mod tests {
             pub struct W { pub owners: HashMap<u64, u32> }
             impl W { pub fn f(&self) { for x in self.owners.values() { let _ = x; } } }
         "#;
-        assert!(errors("crates/shard/src/sim.rs", hash).iter().any(|d| d.rule == "D2"));
+        assert!(errors("crates/shard/src/sim.rs", hash)
+            .iter()
+            .any(|d| d.rule == "D2"));
         let panicky = "pub fn f(x: Option<u32>) -> u32 { x.unwrap() }";
-        assert!(errors("crates/shard/src/plan.rs", panicky).iter().any(|d| d.rule == "P1"));
+        assert!(errors("crates/shard/src/plan.rs", panicky)
+            .iter()
+            .any(|d| d.rule == "P1"));
     }
 
     #[test]
@@ -1493,9 +1524,13 @@ mod tests {
             pub struct C { pub entries: HashMap<u64, u32> }
             impl C { pub fn f(&self) { for x in self.entries.values() { let _ = x; } } }
         "#;
-        assert!(errors("crates/cache/src/store.rs", hash).iter().any(|d| d.rule == "D2"));
+        assert!(errors("crates/cache/src/store.rs", hash)
+            .iter()
+            .any(|d| d.rule == "D2"));
         let panicky = "pub fn f(x: Option<u32>) -> u32 { x.unwrap() }";
-        assert!(errors("crates/cache/src/policy.rs", panicky).iter().any(|d| d.rule == "P1"));
+        assert!(errors("crates/cache/src/policy.rs", panicky)
+            .iter()
+            .any(|d| d.rule == "P1"));
         let scope = classify("crates/cache/src/outstanding.rs");
         assert!(scope.sim_path && scope.hot_path && !scope.exempt);
     }
@@ -1506,7 +1541,9 @@ mod tests {
         // so P1 (panic discipline) covers the guard crate; it owns the
         // retry budgets, so A1/R1 (channel/retry discipline) do too.
         let panicky = "pub fn f(x: Option<u32>) -> u32 { x.unwrap() }";
-        assert!(errors("crates/guard/src/checkpoint.rs", panicky).iter().any(|d| d.rule == "P1"));
+        assert!(errors("crates/guard/src/checkpoint.rs", panicky)
+            .iter()
+            .any(|d| d.rule == "P1"));
         let scope = classify("crates/guard/src/inflight.rs");
         assert!(scope.hot_path && scope.channel_scope && !scope.exempt);
         let unbounded = r#"
@@ -1515,7 +1552,9 @@ mod tests {
                 let _ = (tx, rx);
             }
         "#;
-        assert!(errors("crates/guard/src/supervisor.rs", unbounded).iter().any(|d| d.rule == "A1"));
+        assert!(errors("crates/guard/src/supervisor.rs", unbounded)
+            .iter()
+            .any(|d| d.rule == "A1"));
     }
 
     #[test]
@@ -1523,9 +1562,9 @@ mod tests {
         // Called on every UDP dispatch: P1 applies, on top of the
         // replay crate's existing A1/R1 channel scope.
         let panicky = "pub fn f(x: Option<u32>) -> u32 { x.expect(\"boom\") }";
-        assert!(
-            errors("crates/replay/src/retransmit.rs", panicky).iter().any(|d| d.rule == "P1")
-        );
+        assert!(errors("crates/replay/src/retransmit.rs", panicky)
+            .iter()
+            .any(|d| d.rule == "P1"));
         let scope = classify("crates/replay/src/retransmit.rs");
         assert!(scope.hot_path && scope.channel_scope);
         // The rest of the replay crate keeps its previous scoping.
@@ -1556,6 +1595,8 @@ mod tests {
         let src = "fn f() { Instant::now(); Some(1).unwrap(); }";
         assert!(analyze_source("crates/netsim/tests/determinism.rs", src).is_empty());
         assert!(analyze_source("examples/quickstart.rs", src).is_empty());
-        assert!(analyze_source("crates/ldp-lint/fixtures/crates/netsim/src/bad.rs", src).is_empty());
+        assert!(
+            analyze_source("crates/ldp-lint/fixtures/crates/netsim/src/bad.rs", src).is_empty()
+        );
     }
 }

@@ -135,7 +135,13 @@ mod tests {
     fn fate_constants() {
         assert_eq!(PacketFate::default(), PacketFate::DELIVER);
         assert_ne!(PacketFate::DROP, PacketFate::DELIVER);
-        assert_eq!(PacketFate { drop: false, ..PacketFate::DROP }, PacketFate::DELIVER);
+        assert_eq!(
+            PacketFate {
+                drop: false,
+                ..PacketFate::DROP
+            },
+            PacketFate::DELIVER
+        );
         let d = PacketFate::delayed(SimDuration::from_millis(5));
         assert_eq!(d.extra_delay, SimDuration::from_millis(5));
         assert!(!d.drop);

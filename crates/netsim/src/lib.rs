@@ -58,7 +58,13 @@ mod tests {
     }
 
     impl Host for Echo {
-        fn on_udp(&mut self, ctx: &mut Ctx<'_>, from: SocketAddr, to: SocketAddr, data: PacketBytes) {
+        fn on_udp(
+            &mut self,
+            ctx: &mut Ctx<'_>,
+            from: SocketAddr,
+            to: SocketAddr,
+            data: PacketBytes,
+        ) {
             self.log
                 .lock()
                 .unwrap()
@@ -78,10 +84,10 @@ mod tests {
                     }
                 }
                 TcpEvent::Data { conn, data } => {
-                    self.log
-                        .lock()
-                        .unwrap()
-                        .push((ctx.now().as_secs_f64(), format!("data {} bytes", data.len())));
+                    self.log.lock().unwrap().push((
+                        ctx.now().as_secs_f64(),
+                        format!("data {} bytes", data.len()),
+                    ));
                     ctx.tcp_send(conn, data);
                 }
                 TcpEvent::Closed { .. } => {
@@ -108,11 +114,17 @@ mod tests {
     }
 
     impl Host for Client {
-        fn on_udp(&mut self, ctx: &mut Ctx<'_>, _from: SocketAddr, _to: SocketAddr, data: PacketBytes) {
-            self.log
-                .lock()
-                .unwrap()
-                .push((ctx.now().as_secs_f64(), format!("reply {} bytes", data.len())));
+        fn on_udp(
+            &mut self,
+            ctx: &mut Ctx<'_>,
+            _from: SocketAddr,
+            _to: SocketAddr,
+            data: PacketBytes,
+        ) {
+            self.log.lock().unwrap().push((
+                ctx.now().as_secs_f64(),
+                format!("reply {} bytes", data.len()),
+            ));
         }
 
         fn on_tcp_event(&mut self, ctx: &mut Ctx<'_>, event: TcpEvent) {
@@ -125,10 +137,10 @@ mod tests {
                     ctx.tcp_send(conn, vec![1; 30]);
                 }
                 TcpEvent::Data { conn, data } => {
-                    self.log
-                        .lock()
-                        .unwrap()
-                        .push((ctx.now().as_secs_f64(), format!("reply {} bytes", data.len())));
+                    self.log.lock().unwrap().push((
+                        ctx.now().as_secs_f64(),
+                        format!("reply {} bytes", data.len()),
+                    ));
                     if self.close_after_reply {
                         ctx.tcp_close(conn);
                     }
@@ -172,7 +184,10 @@ mod tests {
         let clog: Log = Arc::new(Mutex::new(vec![]));
         let server = sim.add_host(
             &["10.0.0.1".parse().unwrap()],
-            Box::new(Echo { log: slog.clone(), idle_override: None }),
+            Box::new(Echo {
+                log: slog.clone(),
+                idle_override: None,
+            }),
         );
         let client = sim.add_host(
             &["10.0.0.2".parse().unwrap()],
@@ -211,7 +226,10 @@ mod tests {
         let (mut sim, _slog, clog, server, _) = build("tcp", 20, false);
         sim.run_until(SimTime::from_secs_f64(1.0));
         let c = clog.lock().unwrap();
-        let reply = c.iter().find(|(_, m)| m.starts_with("reply")).expect("got reply");
+        let reply = c
+            .iter()
+            .find(|(_, m)| m.starts_with("reply"))
+            .expect("got reply");
         assert!(
             (reply.0 - 0.040).abs() < 1e-6,
             "TCP reply at {} (expected 2 RTT = 40 ms)",
@@ -228,7 +246,10 @@ mod tests {
         let (mut sim, _slog, clog, server, _) = build("tls", 20, false);
         sim.run_until(SimTime::from_secs_f64(1.0));
         let c = clog.lock().unwrap();
-        let reply = c.iter().find(|(_, m)| m.starts_with("reply")).expect("got reply");
+        let reply = c
+            .iter()
+            .find(|(_, m)| m.starts_with("reply"))
+            .expect("got reply");
         assert!(
             (reply.0 - 0.080).abs() < 1e-6,
             "TLS reply at {} (expected 4 RTT = 80 ms)",
@@ -281,7 +302,10 @@ mod tests {
         let clog: Log = Arc::new(Mutex::new(vec![]));
         sim.add_host(
             &["10.0.0.1".parse().unwrap()],
-            Box::new(Echo { log: slog, idle_override: None }),
+            Box::new(Echo {
+                log: slog,
+                idle_override: None,
+            }),
         );
         let client = sim.add_host(
             &["10.0.0.2".parse().unwrap()],
@@ -312,10 +336,22 @@ mod tests {
         assert_eq!(sim.stats(server).time_wait, 0);
 
         sim.run_until(SimTime::from_secs_f64(30.0));
-        assert_eq!(sim.stats(server).established, 0, "server closed the idle conn");
+        assert_eq!(
+            sim.stats(server).established,
+            0,
+            "server closed the idle conn"
+        );
         assert_eq!(sim.stats(client).established, 0);
-        assert_eq!(sim.stats(server).time_wait, 1, "server (closer) in TIME_WAIT");
-        assert_eq!(sim.stats(client).time_wait, 0, "passive side has no TIME_WAIT");
+        assert_eq!(
+            sim.stats(server).time_wait,
+            1,
+            "server (closer) in TIME_WAIT"
+        );
+        assert_eq!(
+            sim.stats(client).time_wait,
+            0,
+            "passive side has no TIME_WAIT"
+        );
 
         // TIME_WAIT expires after 60 s.
         sim.run_until(SimTime::from_secs_f64(100.0));
@@ -344,7 +380,10 @@ mod tests {
         let log: Log = Arc::new(Mutex::new(vec![]));
         sim.add_host(
             &["10.0.0.1".parse().unwrap()],
-            Box::new(Echo { log: log.clone(), idle_override: None }),
+            Box::new(Echo {
+                log: log.clone(),
+                idle_override: None,
+            }),
         );
         sim.inject_udp(sa("10.0.0.9:1000"), sa("10.0.0.1:53"), vec![0; 10]);
         sim.run();
@@ -397,7 +436,11 @@ mod tests {
         );
         sim.run();
         let c = clog.lock().unwrap();
-        assert!((c[0].0 - 0.100).abs() < 1e-9, "overridden RTT, reply at {}", c[0].0);
+        assert!(
+            (c[0].0 - 0.100).abs() < 1e-9,
+            "overridden RTT, reply at {}",
+            c[0].0
+        );
     }
 
     #[test]

@@ -100,7 +100,12 @@ impl<T> EventQueue<T> {
     /// Schedule `item` under the explicit key `(at, lane, seq)`.
     pub fn push(&mut self, at: SimTime, lane: u64, seq: u64, item: T) {
         match &mut self.inner {
-            Inner::Heap(h) => h.push(Slot { at, lane, seq, item }),
+            Inner::Heap(h) => h.push(Slot {
+                at,
+                lane,
+                seq,
+                item,
+            }),
             Inner::BTree(m) => {
                 m.insert((at, lane, seq), item);
             }
@@ -211,7 +216,12 @@ mod tests {
             let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, i)| i)).collect();
             assert_eq!(
                 order,
-                vec!["earlier-time", "mid-lane-early-seq", "mid-lane", "later-lane"]
+                vec![
+                    "earlier-time",
+                    "mid-lane-early-seq",
+                    "mid-lane",
+                    "later-lane"
+                ]
             );
         }
     }

@@ -45,9 +45,7 @@ impl MemoryModel {
     /// whether established connections carry TLS sessions.
     pub fn bytes(&self, stats: &HostStats, tls: bool) -> u64 {
         let per_conn = self.tcp_conn_bytes + if tls { self.tls_extra_bytes } else { 0 };
-        self.base_bytes
-            + stats.established * per_conn
-            + stats.time_wait * self.time_wait_bytes
+        self.base_bytes + stats.established * per_conn + stats.time_wait * self.time_wait_bytes
     }
 
     /// Same, in GiB for reporting.
@@ -156,8 +154,14 @@ mod tests {
     #[test]
     fn memory_linear_in_connections() {
         let m = MemoryModel::default();
-        let s1 = HostStats { established: 10_000, ..Default::default() };
-        let s2 = HostStats { established: 20_000, ..Default::default() };
+        let s1 = HostStats {
+            established: 10_000,
+            ..Default::default()
+        };
+        let s2 = HostStats {
+            established: 20_000,
+            ..Default::default()
+        };
         let d1 = m.bytes(&s1, false) - m.base_bytes;
         let d2 = m.bytes(&s2, false) - m.base_bytes;
         assert_eq!(d2, 2 * d1);
@@ -168,8 +172,15 @@ mod tests {
         // The paper's counter-intuitive observation, preserved by the
         // calibrated model.
         let m = CpuModel::default();
-        let udp = HostStats { udp_rx: 1_000_000, ..Default::default() };
-        let tcp = HostStats { tcp_rx: 1_000_000, tcp_accepts: 10_000, ..Default::default() };
+        let udp = HostStats {
+            udp_rx: 1_000_000,
+            ..Default::default()
+        };
+        let tcp = HostStats {
+            tcp_rx: 1_000_000,
+            tcp_accepts: 10_000,
+            ..Default::default()
+        };
         assert!(m.cost_seconds(&udp) > m.cost_seconds(&tcp));
     }
 
@@ -209,10 +220,19 @@ mod tests {
     #[test]
     fn cpu_percent_delta() {
         let m = CpuModel::default();
-        let start = HostStats { udp_rx: 100, ..Default::default() };
-        let end = HostStats { udp_rx: 200, ..Default::default() };
+        let start = HostStats {
+            udp_rx: 100,
+            ..Default::default()
+        };
+        let end = HostStats {
+            udp_rx: 200,
+            ..Default::default()
+        };
         let p1 = m.percent_delta(&start, &end, 1.0);
-        let whole = HostStats { udp_rx: 100, ..Default::default() };
+        let whole = HostStats {
+            udp_rx: 100,
+            ..Default::default()
+        };
         assert!((p1 - m.percent(&whole, 1.0)).abs() < 1e-12);
     }
 

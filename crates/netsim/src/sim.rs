@@ -22,8 +22,8 @@
 use std::collections::BTreeMap;
 use std::net::{IpAddr, SocketAddr};
 
-use ldp_telemetry as tel;
 use ldp_rng::SplitMix64;
+use ldp_telemetry as tel;
 
 use crate::fault::{FaultInjector, WireKind};
 use crate::host::{Host, PacketBytes, TcpEvent};
@@ -281,19 +281,32 @@ enum Event {
     Deliver(Packet),
     /// `epoch` is the host's crash generation at arm time: a timer from
     /// before a crash never fires after the restart.
-    HostTimer { host: HostId, token: u64, epoch: u64 },
-    ConnTimer { conn: ConnId, kind: ConnTimer },
+    HostTimer {
+        host: HostId,
+        token: u64,
+        epoch: u64,
+    },
+    ConnTimer {
+        conn: ConnId,
+        kind: ConnTimer,
+    },
     /// Deferred abortive kill (fault injection / crash): processed as
     /// its own event so a drop decided mid-delivery never invalidates
     /// connection state the current dispatch still holds.
-    KillConn { conn: ConnId },
+    KillConn {
+        conn: ConnId,
+    },
     /// A dial to a dead or unlistened address failing back to the
     /// client one RTT later (the RST / ICMP-unreachable a real stack
     /// would surface), delivered as `TcpEvent::Closed` so dialers can
     /// run reconnect/backoff logic instead of waiting on a half-open
     /// connection forever. `epoch` guards against the dialer itself
     /// having crashed in the meantime.
-    ConnRefused { conn: ConnId, host: HostId, epoch: u64 },
+    ConnRefused {
+        conn: ConnId,
+        host: HostId,
+        epoch: u64,
+    },
 }
 
 /// Actions queued by host callbacks, applied when the callback returns.
@@ -410,7 +423,8 @@ impl<'a> Ctx<'a> {
     /// Override the idle timeout of a connection (typically the server
     /// on `Incoming`; `None` disables).
     pub fn tcp_set_idle_timeout(&mut self, conn: ConnId, timeout: Option<SimDuration>) {
-        self.commands.push(Command::SetIdleTimeout { conn, timeout });
+        self.commands
+            .push(Command::SetIdleTimeout { conn, timeout });
     }
 
     /// Arrange `on_timer(token)` on this host after `delay`.
@@ -587,7 +601,10 @@ impl Simulator {
 
     /// Whether the host owning `addr` is currently crashed.
     pub fn host_is_down(&self, addr: IpAddr) -> bool {
-        self.addr_map.get(&addr).map(|&h| self.down[h]).unwrap_or(false)
+        self.addr_map
+            .get(&addr)
+            .map(|&h| self.down[h])
+            .unwrap_or(false)
     }
 
     /// Register a host owning `addrs`. Panics if an address is taken.
@@ -601,7 +618,12 @@ impl Simulator {
     /// Register a host under an explicit global `lane` (used by
     /// `ldp-shard`, where a worker holds a subset of hosts but lanes
     /// must stay the global host ids). Panics if an address is taken.
-    pub fn add_host_with_lane(&mut self, addrs: &[IpAddr], host: Box<dyn Host>, lane: u64) -> HostId {
+    pub fn add_host_with_lane(
+        &mut self,
+        addrs: &[IpAddr],
+        host: Box<dyn Host>,
+        lane: u64,
+    ) -> HostId {
         let id = self.hosts.len();
         for addr in addrs {
             let prev = self.addr_map.insert(*addr, id);
@@ -614,8 +636,10 @@ impl Simulator {
         self.lanes.push(lane);
         self.seqs.push(0);
         self.dials.push(0);
-        self.host_rngs
-            .push(SplitMix64::seed_from_u64(stream_seed(self.config.seed, lane)));
+        self.host_rngs.push(SplitMix64::seed_from_u64(stream_seed(
+            self.config.seed,
+            lane,
+        )));
         self.dispatch_pending.push([0; 3]);
         id
     }
@@ -677,8 +701,12 @@ impl Simulator {
         let epoch = self.epochs[host];
         let seq = self.driver_seq;
         self.driver_seq += 1;
-        self.queue
-            .push(at, DRIVER_LANE, seq, Event::HostTimer { host, token, epoch });
+        self.queue.push(
+            at,
+            DRIVER_LANE,
+            seq,
+            Event::HostTimer { host, token, epoch },
+        );
     }
 
     /// Schedule a host timer under an explicit driver-lane `seq` (the
@@ -686,8 +714,12 @@ impl Simulator {
     /// each timer to the shard holding the host).
     pub fn schedule_timer_keyed(&mut self, host: HostId, at: SimTime, token: u64, seq: u64) {
         let epoch = self.epochs[host];
-        self.queue
-            .push(at, DRIVER_LANE, seq, Event::HostTimer { host, token, epoch });
+        self.queue.push(
+            at,
+            DRIVER_LANE,
+            seq,
+            Event::HostTimer { host, token, epoch },
+        );
     }
 
     /// Inject a UDP datagram from outside (used by drivers).
@@ -1023,7 +1055,14 @@ impl Simulator {
                         });
                     }
                     let (lane, seq) = self.next_key();
-                    self.outbox.push(RemoteUdp { at, lane, seq, src: from, dst: to, data });
+                    self.outbox.push(RemoteUdp {
+                        at,
+                        lane,
+                        seq,
+                        src: from,
+                        dst: to,
+                        data,
+                    });
                     return;
                 }
                 if let Some(gap) = fate.duplicate {
@@ -1077,7 +1116,14 @@ impl Simulator {
                         let path = self.topology.path(from.ip(), to.ip());
                         let at = self.now + path.one_way(40) + path.one_way(40);
                         let epoch = self.epochs[from_host];
-                        self.push_event(at, Event::ConnRefused { conn, host: from_host, epoch });
+                        self.push_event(
+                            at,
+                            Event::ConnRefused {
+                                conn,
+                                host: from_host,
+                                epoch,
+                            },
+                        );
                         return;
                     }
                 };
@@ -1114,7 +1160,13 @@ impl Simulator {
                     c.idle_timeout = timeout;
                     if let Some(t) = timeout {
                         let at = self.now + t;
-                        self.push_event(at, Event::ConnTimer { conn, kind: ConnTimer::IdleCheck });
+                        self.push_event(
+                            at,
+                            Event::ConnTimer {
+                                conn,
+                                kind: ConnTimer::IdleCheck,
+                            },
+                        );
                     }
                 }
             }
@@ -1135,10 +1187,11 @@ impl Simulator {
     /// before.
     fn send_segment(&mut self, conn: ConnId, from: SocketAddr, to: SocketAddr, kind: SegKind) {
         let path = self.topology.path(from.ip(), to.ip());
-        let size = 40 + match &kind {
-            SegKind::Data { bytes } => bytes.len(),
-            _ => 0,
-        };
+        let size = 40
+            + match &kind {
+                SegKind::Data { bytes } => bytes.len(),
+                _ => 0,
+            };
         let fate = match &mut self.injector {
             Some(inj) => inj.fate(self.now, from, to, WireKind::Tcp, size - 40),
             None => crate::fault::PacketFate::DELIVER,
@@ -1193,7 +1246,13 @@ impl Simulator {
         }
     }
 
-    fn deliver_segment(&mut self, conn_id: ConnId, src: SocketAddr, dst: SocketAddr, kind: SegKind) {
+    fn deliver_segment(
+        &mut self,
+        conn_id: ConnId,
+        src: SocketAddr,
+        dst: SocketAddr,
+        kind: SegKind,
+    ) {
         let Some(conn) = self.conns.get_mut(&conn_id.0) else {
             return; // connection already gone (e.g. late segment)
         };
@@ -1254,13 +1313,22 @@ impl Simulator {
                     let at = self.now + self.config.delayed_ack;
                     self.push_event(
                         at,
-                        Event::ConnTimer { conn: conn_id, kind: ConnTimer::DelayedAck { dir } },
+                        Event::ConnTimer {
+                            conn: conn_id,
+                            kind: ConnTimer::DelayedAck { dir },
+                        },
                     );
                 }
                 self.stats[host].tcp_rx += u64::from(!tls);
                 self.stats[host].tls_rx += u64::from(tls);
                 self.with_host(host, |h, ctx| {
-                    h.on_tcp_event(ctx, TcpEvent::Data { conn: conn_id, data: bytes })
+                    h.on_tcp_event(
+                        ctx,
+                        TcpEvent::Data {
+                            conn: conn_id,
+                            data: bytes,
+                        },
+                    )
                 });
             }
             SegKind::Ack => {
@@ -1302,7 +1370,10 @@ impl Simulator {
                     let at = self.now + self.config.time_wait;
                     self.push_event(
                         at,
-                        Event::ConnTimer { conn: conn_id, kind: ConnTimer::TimeWaitDone },
+                        Event::ConnTimer {
+                            conn: conn_id,
+                            kind: ConnTimer::TimeWaitDone,
+                        },
                     );
                     self.with_host(host, |h, ctx| {
                         h.on_tcp_event(ctx, TcpEvent::Closed { conn: conn_id })
@@ -1334,14 +1405,25 @@ impl Simulator {
         self.stats[host].established += 1;
         if tel::enabled() {
             let t = self.now.as_nanos();
-            tel::mark_at(t, self.kinds.tcp_established, conn_id.0, u64::from(client_side));
+            tel::mark_at(
+                t,
+                self.kinds.tcp_established,
+                conn_id.0,
+                u64::from(client_side),
+            );
         }
         if !client_side {
             self.stats[host].tcp_accepts += u64::from(!tls);
             self.stats[host].tls_accepts += u64::from(tls);
             if let Some(t) = self.conns.get(&conn_id.0).and_then(|c| c.idle_timeout) {
                 let at = self.now + t;
-                self.push_event(at, Event::ConnTimer { conn: conn_id, kind: ConnTimer::IdleCheck });
+                self.push_event(
+                    at,
+                    Event::ConnTimer {
+                        conn: conn_id,
+                        kind: ConnTimer::IdleCheck,
+                    },
+                );
             }
         }
         // Data the client queued while the handshake was in flight goes
@@ -1352,7 +1434,12 @@ impl Simulator {
         let event = if client_side {
             TcpEvent::Connected { conn: conn_id }
         } else {
-            TcpEvent::Incoming { conn: conn_id, peer, local, tls }
+            TcpEvent::Incoming {
+                conn: conn_id,
+                peer,
+                local,
+                tls,
+            }
         };
         self.with_host(host, |h, ctx| h.on_tcp_event(ctx, event));
         // A close requested while the handshake was in flight happens
@@ -1522,7 +1609,13 @@ impl Simulator {
                     // armed before establishment used to be dropped
                     // here, silently disabling the idle timeout.
                     let at = conn.last_activity + timeout;
-                    self.push_event(at, Event::ConnTimer { conn: conn_id, kind });
+                    self.push_event(
+                        at,
+                        Event::ConnTimer {
+                            conn: conn_id,
+                            kind,
+                        },
+                    );
                 }
             }
             ConnTimer::TimeWaitDone => {
@@ -1566,8 +1659,8 @@ impl Simulator {
         // TimeWaitDone event will find the conn gone and never decrement
         // the counter — do it here.
         if let Some(closer) = conn.closer {
-            let closer_side = usize::from(closer == conn.server_host
-                && conn.client_host != conn.server_host);
+            let closer_side =
+                usize::from(closer == conn.server_host && conn.client_host != conn.server_host);
             if conn.state == ConnState::Closed && conn.side_closed[closer_side] {
                 self.stats[closer].time_wait = self.stats[closer].time_wait.saturating_sub(1);
             }

@@ -41,7 +41,11 @@ fn split(id: u64) -> (u32, usize) {
 impl<T> Slab<T> {
     /// An empty slab.
     pub fn new() -> Self {
-        Slab { entries: Vec::new(), free: Vec::new(), live: 0 }
+        Slab {
+            entries: Vec::new(),
+            free: Vec::new(),
+            live: 0,
+        }
     }
 
     /// Number of filled entries (reserved-but-unfilled slots excluded).

@@ -159,8 +159,14 @@ mod tests {
         let t = SimTime::from_millis(10) + SimDuration::from_millis(5);
         assert_eq!(t, SimTime::from_millis(15));
         assert_eq!(t - SimTime::from_millis(10), SimDuration::from_millis(5));
-        assert_eq!(SimDuration::from_millis(20).half(), SimDuration::from_millis(10));
-        assert_eq!(SimDuration::from_millis(3).times(4), SimDuration::from_millis(12));
+        assert_eq!(
+            SimDuration::from_millis(20).half(),
+            SimDuration::from_millis(10)
+        );
+        assert_eq!(
+            SimDuration::from_millis(3).times(4),
+            SimDuration::from_millis(12)
+        );
     }
 
     #[test]

@@ -162,7 +162,10 @@ mod tests {
     #[test]
     fn lookup_precedence() {
         let mut topo = Topology::uniform(PathConfig::with_rtt(SimDuration::from_millis(1)));
-        topo.set_from(ip("10.0.0.1"), PathConfig::with_rtt(SimDuration::from_millis(20)));
+        topo.set_from(
+            ip("10.0.0.1"),
+            PathConfig::with_rtt(SimDuration::from_millis(20)),
+        );
         topo.set_pair(
             ip("10.0.0.1"),
             ip("10.0.0.9"),
@@ -191,7 +194,13 @@ mod tests {
             ip("2.2.2.2"),
             PathConfig::with_rtt(SimDuration::from_millis(40)),
         );
-        assert_eq!(topo.path(ip("1.1.1.1"), ip("2.2.2.2")).rtt, SimDuration::from_millis(40));
-        assert_eq!(topo.path(ip("2.2.2.2"), ip("1.1.1.1")).rtt, SimDuration::from_millis(40));
+        assert_eq!(
+            topo.path(ip("1.1.1.1"), ip("2.2.2.2")).rtt,
+            SimDuration::from_millis(40)
+        );
+        assert_eq!(
+            topo.path(ip("2.2.2.2"), ip("1.1.1.1")).rtt,
+            SimDuration::from_millis(40)
+        );
     }
 }

@@ -98,10 +98,7 @@ fn run_once_with(seed: u64, queue: QueueKind) -> String {
     let addrs: Vec<IpAddr> = (1..=4u8)
         .map(|i| format!("10.0.0.{i}").parse().expect("addr"))
         .collect();
-    let socks: Vec<SocketAddr> = addrs
-        .iter()
-        .map(|ip| SocketAddr::new(*ip, 5300))
-        .collect();
+    let socks: Vec<SocketAddr> = addrs.iter().map(|ip| SocketAddr::new(*ip, 5300)).collect();
 
     // Lossy asymmetric paths so RNG draws shape the run.
     let mut lossy = PathConfig::with_rtt(SimDuration::from_millis(5));

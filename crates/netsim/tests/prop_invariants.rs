@@ -15,9 +15,9 @@ use netsim::{
 /// A scripted client: at each timer token i, performs action[i].
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Action {
-    Udp(u16),              // send a datagram of this size
+    Udp(u16),               // send a datagram of this size
     TcpQuery { tls: bool }, // open (or reuse) a connection, send 30 bytes
-    Close,                 // close the current connection if any
+    Close,                  // close the current connection if any
 }
 
 struct ScriptClient {
@@ -30,7 +30,10 @@ struct ScriptClient {
 
 impl Host for ScriptClient {
     fn on_udp(&mut self, _ctx: &mut Ctx<'_>, _f: SocketAddr, _t: SocketAddr, d: PacketBytes) {
-        self.events.lock().unwrap().push(format!("udp_reply {}", d.len()));
+        self.events
+            .lock()
+            .unwrap()
+            .push(format!("udp_reply {}", d.len()));
     }
     fn on_tcp_event(&mut self, _ctx: &mut Ctx<'_>, event: TcpEvent) {
         match event {

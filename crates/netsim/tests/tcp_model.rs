@@ -28,7 +28,10 @@ impl Host for Recorder {
         match event {
             TcpEvent::Incoming { .. } => self.log.lock().unwrap().push("incoming".into()),
             TcpEvent::Data { data, .. } => {
-                self.log.lock().unwrap().push(format!("data {}", data.len()));
+                self.log
+                    .lock()
+                    .unwrap()
+                    .push(format!("data {}", data.len()));
             }
             TcpEvent::Closed { .. } => self.log.lock().unwrap().push("closed".into()),
             TcpEvent::Connected { .. } => {}
@@ -98,14 +101,21 @@ fn idle_timeout_set_during_handshake_still_fires() {
     sim.run_until(SimTime::from_secs_f64(10.0));
 
     let c = clog.lock().unwrap();
-    assert!(c.contains(&"connected".into()), "handshake completed: {c:?}");
+    assert!(
+        c.contains(&"connected".into()),
+        "handshake completed: {c:?}"
+    );
     assert!(
         c.contains(&"closed".into()),
         "idle timeout armed mid-handshake never fired: {c:?}"
     );
     assert_eq!(sim.stats(server).established, 0, "server side closed");
     assert_eq!(sim.stats(client).established, 0, "client side closed");
-    assert_eq!(sim.stats(server).time_wait, 1, "idle close initiated by the server");
+    assert_eq!(
+        sim.stats(server).time_wait,
+        1,
+        "idle close initiated by the server"
+    );
 }
 
 /// Close immediately after a Nagle-buffered write: the buffered write
@@ -167,7 +177,10 @@ fn close_after_send_delivers_nagle_buffered_data() {
         "buffered write lost or reordered: {s:?}"
     );
     // The data arrived before the close, not after.
-    let close_at = s.iter().position(|m| m == "closed").expect("server saw close");
+    let close_at = s
+        .iter()
+        .position(|m| m == "closed")
+        .expect("server saw close");
     let last_data = s.iter().rposition(|m| m.starts_with("data")).unwrap();
     assert!(last_data < close_at, "FIN overtook buffered data: {s:?}");
 }
@@ -217,7 +230,10 @@ fn close_while_connecting_delivers_queued_write() {
         s.contains(&"data 80".into()),
         "write queued before close was discarded: {s:?}"
     );
-    assert!(s.contains(&"closed".into()), "connection never closed: {s:?}");
+    assert!(
+        s.contains(&"closed".into()),
+        "connection never closed: {s:?}"
+    );
     assert_eq!(sim.stats(server).established, 0);
     assert_eq!(sim.stats(client).time_wait, 1, "client initiated the close");
 }
@@ -248,7 +264,11 @@ fn dial_to_dead_address_is_refused() {
         fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
             // Token 0: dial the (crashed) server. Token 1: dial an
             // address with no listener at all.
-            let to = if token == 0 { self.server } else { sa("10.0.0.99:53") };
+            let to = if token == 0 {
+                self.server
+            } else {
+                sa("10.0.0.99:53")
+            };
             ctx.tcp_connect(self.me, to, false);
         }
     }
@@ -284,5 +304,8 @@ fn dial_to_dead_address_is_refused() {
         vec!["closed@0.100".to_string(), "closed@0.100".to_string()],
         "both dials must be refused after exactly one RTT"
     );
-    assert!(slog.lock().unwrap().is_empty(), "the dead server heard nothing");
+    assert!(
+        slog.lock().unwrap().is_empty(),
+        "the dead server heard nothing"
+    );
 }

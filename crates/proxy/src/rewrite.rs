@@ -92,7 +92,11 @@ impl FlowTable {
 ///
 /// New source = OQDA's IP with the proxy's flow port; new destination =
 /// the meta server.
-pub fn rewrite_outbound(oqda: SocketAddr, flow_port: u16, meta: SocketAddr) -> (SocketAddr, SocketAddr) {
+pub fn rewrite_outbound(
+    oqda: SocketAddr,
+    flow_port: u16,
+    meta: SocketAddr,
+) -> (SocketAddr, SocketAddr) {
     (SocketAddr::new(oqda.ip(), flow_port), meta)
 }
 
@@ -125,7 +129,11 @@ mod tests {
             oqda: sa("192.5.6.30:53"),
         };
         let (src, dst) = rewrite_inbound(flow);
-        assert_eq!(src, sa("192.5.6.30:53"), "reply appears to come from the real NS");
+        assert_eq!(
+            src,
+            sa("192.5.6.30:53"),
+            "reply appears to come from the real NS"
+        );
         assert_eq!(dst, sa("10.2.0.1:5501"));
     }
 

@@ -125,21 +125,60 @@ mod tests {
     fn meta_engine() -> Arc<ServerEngine> {
         let mut root = Zone::new(Name::root());
         root.insert(soa(".")).unwrap();
-        root.insert(Record::new(Name::root(), 1, RData::Ns(n("a.root-servers.net")))).unwrap();
-        root.insert(Record::new(n("com"), 1, RData::Ns(n("a.gtld-servers.net")))).unwrap();
-        root.insert(Record::new(n("a.gtld-servers.net"), 1, RData::A("192.5.6.30".parse().unwrap()))).unwrap();
-        root.insert(Record::new(n("a.root-servers.net"), 1, RData::A("198.41.0.4".parse().unwrap()))).unwrap();
+        root.insert(Record::new(
+            Name::root(),
+            1,
+            RData::Ns(n("a.root-servers.net")),
+        ))
+        .unwrap();
+        root.insert(Record::new(n("com"), 1, RData::Ns(n("a.gtld-servers.net"))))
+            .unwrap();
+        root.insert(Record::new(
+            n("a.gtld-servers.net"),
+            1,
+            RData::A("192.5.6.30".parse().unwrap()),
+        ))
+        .unwrap();
+        root.insert(Record::new(
+            n("a.root-servers.net"),
+            1,
+            RData::A("198.41.0.4".parse().unwrap()),
+        ))
+        .unwrap();
 
         let mut com = Zone::new(n("com"));
         com.insert(soa("com")).unwrap();
-        com.insert(Record::new(n("com"), 1, RData::Ns(n("a.gtld-servers.net")))).unwrap();
-        com.insert(Record::new(n("google.com"), 1, RData::Ns(n("ns1.google.com")))).unwrap();
-        com.insert(Record::new(n("ns1.google.com"), 1, RData::A("216.239.32.10".parse().unwrap()))).unwrap();
+        com.insert(Record::new(n("com"), 1, RData::Ns(n("a.gtld-servers.net"))))
+            .unwrap();
+        com.insert(Record::new(
+            n("google.com"),
+            1,
+            RData::Ns(n("ns1.google.com")),
+        ))
+        .unwrap();
+        com.insert(Record::new(
+            n("ns1.google.com"),
+            1,
+            RData::A("216.239.32.10".parse().unwrap()),
+        ))
+        .unwrap();
 
         let mut google = Zone::new(n("google.com"));
         google.insert(soa("google.com")).unwrap();
-        google.insert(Record::new(n("google.com"), 1, RData::Ns(n("ns1.google.com")))).unwrap();
-        google.insert(Record::new(n("www.google.com"), 300, RData::A("142.250.80.36".parse().unwrap()))).unwrap();
+        google
+            .insert(Record::new(
+                n("google.com"),
+                1,
+                RData::Ns(n("ns1.google.com")),
+            ))
+            .unwrap();
+        google
+            .insert(Record::new(
+                n("www.google.com"),
+                300,
+                RData::A("142.250.80.36".parse().unwrap()),
+            ))
+            .unwrap();
 
         let mk = |z: Zone| {
             let mut c = Catalog::new();
@@ -163,8 +202,17 @@ mod tests {
     }
 
     impl Host for Stub {
-        fn on_udp(&mut self, _ctx: &mut Ctx<'_>, _f: SocketAddr, _t: SocketAddr, data: PacketBytes) {
-            self.replies.lock().unwrap().push(Message::decode(&data).unwrap());
+        fn on_udp(
+            &mut self,
+            _ctx: &mut Ctx<'_>,
+            _f: SocketAddr,
+            _t: SocketAddr,
+            data: PacketBytes,
+        ) {
+            self.replies
+                .lock()
+                .unwrap()
+                .push(Message::decode(&data).unwrap());
         }
         fn on_tcp_event(&mut self, _ctx: &mut Ctx<'_>, _e: TcpEvent) {}
         fn on_timer(&mut self, ctx: &mut Ctx<'_>, _t: u64) {
@@ -220,7 +268,10 @@ mod tests {
         let resp = &replies[0];
         assert_eq!(resp.id, 77);
         assert_eq!(resp.rcode, Rcode::NoError);
-        assert_eq!(resp.answers.last().unwrap().rdata, RData::A("142.250.80.36".parse().unwrap()));
+        assert_eq!(
+            resp.answers.last().unwrap().rdata,
+            RData::A("142.250.80.36".parse().unwrap())
+        );
         assert!(resp.flags.recursion_available);
     }
 
@@ -233,14 +284,20 @@ mod tests {
         );
         let meta_addr: SocketAddr = "10.9.0.1:53".parse().unwrap();
         let resolver_addr: SocketAddr = "10.2.0.1:53".parse().unwrap();
-        sim.add_host(&[meta_addr.ip()], Box::new(SimDnsServer::new(meta_engine(), meta_addr, None)));
+        sim.add_host(
+            &[meta_addr.ip()],
+            Box::new(SimDnsServer::new(meta_engine(), meta_addr, None)),
+        );
         let proxy_id = sim.add_host(
             &[ip("198.41.0.4"), ip("192.5.6.30"), ip("216.239.32.10")],
             Box::new(SimProxy::new(meta_addr)),
         );
         sim.add_host(
             &[resolver_addr.ip()],
-            Box::new(dns_resolver::SimResolver::new(resolver_addr, vec![ip("198.41.0.4")])),
+            Box::new(dns_resolver::SimResolver::new(
+                resolver_addr,
+                vec![ip("198.41.0.4")],
+            )),
         );
         let replies = Arc::new(Mutex::new(vec![]));
         let stub = sim.add_host(
@@ -264,7 +321,10 @@ mod tests {
         let _ = host;
         let stats = sim.stats(proxy_id);
         // 3 queries captured + 3 replies returned = 6 rx; 6 tx.
-        assert_eq!(stats.udp_rx, 6, "3 iterative queries + 3 replies pass the proxy");
+        assert_eq!(
+            stats.udp_rx, 6,
+            "3 iterative queries + 3 replies pass the proxy"
+        );
         assert_eq!(stats.udp_tx, 6);
         assert_eq!(replies.lock().unwrap().len(), 1);
     }

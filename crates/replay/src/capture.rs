@@ -50,7 +50,10 @@ impl CaptureServer {
     /// Bind and start receiving on `workers` threads. If `engine` is
     /// given, every parsed query is answered (so replays against a real
     /// responding server can be captured too).
-    pub fn start(workers: usize, engine: Option<Arc<ServerEngine>>) -> std::io::Result<CaptureServer> {
+    pub fn start(
+        workers: usize,
+        engine: Option<Arc<ServerEngine>>,
+    ) -> std::io::Result<CaptureServer> {
         let sock = UdpSocket::bind("127.0.0.1:0")?;
         let addr = sock.local_addr()?;
         let arrivals = Arc::new(Mutex::new(Vec::new()));
@@ -76,9 +79,14 @@ impl CaptureServer {
                                 let label = q.name.leftmost()?;
                                 parse_tag_seq(label)
                             });
-                            local.push(Arrival { seq, recv_us, bytes: len });
+                            local.push(Arrival {
+                                seq,
+                                recv_us,
+                                bytes: len,
+                            });
                             if let Some(engine) = &engine {
-                                if let Some(reply) = engine.handle_udp_bytes(peer.ip(), &buf[..len]) {
+                                if let Some(reply) = engine.handle_udp_bytes(peer.ip(), &buf[..len])
+                                {
                                     let _ = sock.send_to(&reply, peer);
                                 }
                             }

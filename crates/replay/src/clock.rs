@@ -37,7 +37,9 @@ pub struct WallClock {
 impl WallClock {
     /// A wall clock whose origin is the moment of the call.
     pub fn start() -> Self {
-        WallClock { origin: Instant::now() }
+        WallClock {
+            origin: Instant::now(),
+        }
     }
 }
 

@@ -261,7 +261,9 @@ pub fn replay_with_clock(
             let clock = clock.clone();
             let idx = d * n_q + q;
             handles.push(std::thread::spawn(move || {
-                querier_loop(idx, rx, cfg, tracker, clock, origin_us, errors, shed, record_tx)
+                querier_loop(
+                    idx, rx, cfg, tracker, clock, origin_us, errors, shed, record_tx,
+                )
             }));
             txs.push(tx);
         }
@@ -288,7 +290,16 @@ pub fn replay_with_clock(
         let errors = errors.clone();
         let slot_base = d * n_q;
         handles.push(std::thread::spawn(move || {
-            distribute(rx, &txs, window, slot_base, &supervisor, &clock, &redispatched, &errors);
+            distribute(
+                rx,
+                &txs,
+                window,
+                slot_base,
+                &supervisor,
+                &clock,
+                &redispatched,
+                &errors,
+            );
             // Closing txs (drop) ends the queriers.
         }));
         dist_txs.push(tx);
@@ -558,7 +569,11 @@ fn send_framed<W: std::io::Write>(w: &mut W, framed: &[u8]) -> SendOutcome {
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 stalls += 1;
                 if stalls > STALL_LIMIT {
-                    return if written == 0 { SendOutcome::Stalled } else { SendOutcome::Dead };
+                    return if written == 0 {
+                        SendOutcome::Stalled
+                    } else {
+                        SendOutcome::Dead
+                    };
                 }
                 if stalls <= STALL_YIELDS {
                     std::thread::yield_now();
@@ -826,7 +841,11 @@ mod tests {
         };
         let report = replay(&trace, &config);
         assert_eq!(report.total_sent, 1000);
-        assert!(report.elapsed < Duration::from_secs(2), "elapsed {:?}", report.elapsed);
+        assert!(
+            report.elapsed < Duration::from_secs(2),
+            "elapsed {:?}",
+            report.elapsed
+        );
     }
 
     #[test]
@@ -842,7 +861,11 @@ mod tests {
             ..Default::default()
         };
         let report = replay(&trace, &config);
-        assert!(report.elapsed < Duration::from_millis(190), "elapsed {:?}", report.elapsed);
+        assert!(
+            report.elapsed < Duration::from_millis(190),
+            "elapsed {:?}",
+            report.elapsed
+        );
         assert_eq!(report.total_sent, 20);
     }
 
@@ -853,7 +876,8 @@ mod tests {
         // original source must arrive from one (addr, port) — the
         // same-socket emulation property.
         let sink = UdpSocket::bind("127.0.0.1:0").unwrap();
-        sink.set_read_timeout(Some(Duration::from_millis(500))).unwrap();
+        sink.set_read_timeout(Some(Duration::from_millis(500)))
+            .unwrap();
         let addr = sink.local_addr().unwrap();
         let mut trace = mk_trace(40, 100);
         // Two sources only.
@@ -1009,7 +1033,11 @@ mod tests {
             wall.elapsed()
         );
         // The report's elapsed time is virtual: ≥ the 99 s span.
-        assert!(report.elapsed >= Duration::from_secs(99), "virtual elapsed {:?}", report.elapsed);
+        assert!(
+            report.elapsed >= Duration::from_secs(99),
+            "virtual elapsed {:?}",
+            report.elapsed
+        );
     }
 
     /// Mock writer scripted with per-call results, for send_framed.
@@ -1023,7 +1051,11 @@ mod tests {
         /// `script` is in call order; once exhausted, writes succeed.
         fn new(mut script: Vec<std::io::Result<usize>>) -> Self {
             script.reverse();
-            MockWriter { script, calls: 0, written: Vec::new() }
+            MockWriter {
+                script,
+                calls: 0,
+                written: Vec::new(),
+            }
         }
     }
 
@@ -1118,7 +1150,10 @@ mod tests {
                 Ok(())
             }
         }
-        assert_eq!(send_framed(&mut AlwaysBlock, b"\x00\x01x"), SendOutcome::Stalled);
+        assert_eq!(
+            send_framed(&mut AlwaysBlock, b"\x00\x01x"),
+            SendOutcome::Stalled
+        );
     }
 
     #[test]
@@ -1194,7 +1229,11 @@ mod tests {
         let report = replay_with_clock(&trace, &config, clock);
         assert_eq!(report.total_sent, 0, "nothing sendable");
         assert_eq!(report.errors, 0, "shed is not an error");
-        assert_eq!(report.shed, (0..100).collect::<Vec<_>>(), "every seq recorded");
+        assert_eq!(
+            report.shed,
+            (0..100).collect::<Vec<_>>(),
+            "every seq recorded"
+        );
     }
 
     #[test]
@@ -1224,14 +1263,26 @@ mod tests {
         let redispatched = AtomicU64::new(0);
         let errors = AtomicU64::new(0);
         let txs = [tx0, tx1];
-        distribute(ctl_rx, &txs, 64, 0, &supervisor, &clock, &redispatched, &errors);
+        distribute(
+            ctl_rx,
+            &txs,
+            64,
+            0,
+            &supervisor,
+            &clock,
+            &redispatched,
+            &errors,
+        );
         drop(txs);
         let mut got: Vec<u64> = rx1.iter().map(|j| j.seq).collect();
         got.sort_unstable();
         got.dedup(); // failover is at-least-once
         assert_eq!(got, (0..20).collect::<Vec<_>>(), "child 1 saw every job");
         assert_eq!(errors.load(Ordering::Relaxed), 0, "no jobs lost");
-        assert!(redispatched.load(Ordering::Relaxed) >= 1, "failed jobs re-dispatched");
+        assert!(
+            redispatched.load(Ordering::Relaxed) >= 1,
+            "failed jobs re-dispatched"
+        );
         // Slot 0 was reported dead: a poll far in the future yields its
         // (budgeted) restart.
         let actions = supervisor.lock().unwrap().poll(10_000_000);

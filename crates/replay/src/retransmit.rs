@@ -64,7 +64,12 @@ impl RetransmitState {
         self.budgets
             .entry(seq)
             .or_insert_with(|| {
-                RetryBudget::new(cfg.max_retx, cfg.base_us, cfg.cap_us, derive_seed(seed, seq))
+                RetryBudget::new(
+                    cfg.max_retx,
+                    cfg.base_us,
+                    cfg.cap_us,
+                    derive_seed(seed, seq),
+                )
             })
             .next_delay_us()
     }
@@ -122,7 +127,11 @@ mod tests {
     use super::*;
 
     fn cfg() -> RetransmitConfig {
-        RetransmitConfig { max_retx: 3, base_us: 1_000, cap_us: 8_000 }
+        RetransmitConfig {
+            max_retx: 3,
+            base_us: 1_000,
+            cap_us: 8_000,
+        }
     }
 
     #[test]

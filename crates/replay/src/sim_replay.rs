@@ -150,7 +150,14 @@ fn record_from_line(line: &str) -> Option<LatencyRecord> {
     if it.next().is_some() {
         return None;
     }
-    Some(LatencyRecord { seq, sent_s, replied_s, transport, source, response_bytes })
+    Some(LatencyRecord {
+        seq,
+        sent_s,
+        replied_s,
+        transport,
+        source,
+        response_bytes,
+    })
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -471,7 +478,11 @@ impl SimReplayClient {
         self.retx_state.note_send(idx as u64);
         if tel::enabled() {
             let k = q_kinds();
-            let kind = if first_sent_s.is_some() { k.retx } else { k.send };
+            let kind = if first_sent_s.is_some() {
+                k.retx
+            } else {
+                k.send
+            };
             tel::mark_at(ctx.now().as_nanos(), kind, idx as u64, payload.len() as u64);
         }
         match transport {
@@ -482,8 +493,9 @@ impl SimReplayClient {
                 // deterministic budget; exhaustion is terminal (the
                 // query stays pending, carried by any fuzzy cut).
                 if let Some(cfg) = self.udp_retransmit {
-                    if let Some(d) =
-                        self.retx_state.next_delay_us(idx as u64, &cfg, self.retx_seed)
+                    if let Some(d) = self
+                        .retx_state
+                        .next_delay_us(idx as u64, &cfg, self.retx_seed)
                     {
                         ctx.set_timer(
                             netsim::SimDuration::from_micros(d),
@@ -569,7 +581,13 @@ impl SimReplayClient {
             return;
         };
         self.epoch += 1;
-        let records: Vec<String> = self.log.lock().unwrap().iter().map(record_to_line).collect();
+        let records: Vec<String> = self
+            .log
+            .lock()
+            .unwrap()
+            .iter()
+            .map(record_to_line)
+            .collect();
         let cursor = {
             let mut c = 0u64;
             while self.completed.contains(&c) {
@@ -623,7 +641,13 @@ impl SimReplayClient {
             return;
         };
         self.epoch += 1;
-        let records: Vec<String> = self.log.lock().unwrap().iter().map(record_to_line).collect();
+        let records: Vec<String> = self
+            .log
+            .lock()
+            .unwrap()
+            .iter()
+            .map(record_to_line)
+            .collect();
         let outstanding = self.outstanding_seqs();
         let cursor = {
             let mut c = 0u64;
@@ -724,7 +748,12 @@ impl Host for SimReplayClient {
         };
         if let Some(p) = self.pending_udp.remove(&(to.ip(), msg.id)) {
             if tel::enabled() {
-                tel::mark_at(ctx.now().as_nanos(), q_kinds().response, p.seq, data.len() as u64);
+                tel::mark_at(
+                    ctx.now().as_nanos(),
+                    q_kinds().response,
+                    p.seq,
+                    data.len() as u64,
+                );
             }
             self.complete(p, ctx.now().as_secs_f64(), ctx.now().as_nanos(), data.len());
         }
@@ -919,7 +948,12 @@ impl Host for SimReplayClient {
             }
         }
         if tel::enabled() {
-            tel::mark_at(now_ns, g_kinds().restarted, due.len() as u64, future.len() as u64);
+            tel::mark_at(
+                now_ns,
+                g_kinds().restarted,
+                due.len() as u64,
+                future.len() as u64,
+            );
         }
         for i in due {
             self.try_admit(ctx, i);
@@ -959,8 +993,12 @@ mod tests {
             }),
         ))
         .unwrap();
-        z.insert(Record::new(n("*.example"), 60, RData::A("9.9.9.9".parse().unwrap())))
-            .unwrap();
+        z.insert(Record::new(
+            n("*.example"),
+            60,
+            RData::A("9.9.9.9".parse().unwrap()),
+        ))
+        .unwrap();
         let mut cat = Catalog::new();
         cat.insert(z);
         Arc::new(ServerEngine::with_catalog(cat))
@@ -1025,7 +1063,11 @@ mod tests {
         let (log, stats, _) = run(trace, None, 40, 20, 10.0);
         assert_eq!(log.len(), 20);
         for r in &log {
-            assert!((r.latency() - 0.040).abs() < 0.002, "latency {}", r.latency());
+            assert!(
+                (r.latency() - 0.040).abs() < 0.002,
+                "latency {}",
+                r.latency()
+            );
         }
         assert_eq!(stats.udp_rx, 20);
     }
@@ -1036,8 +1078,16 @@ mod tests {
         let (mut log, stats, _) = run(trace, Some(Transport::Tcp), 20, 20, 10.0);
         log.sort_by_key(|r| r.seq);
         assert_eq!(log.len(), 3);
-        assert!((log[0].latency() - 0.040).abs() < 0.002, "fresh conn: 2 RTT, got {}", log[0].latency());
-        assert!((log[1].latency() - 0.020).abs() < 0.002, "reused conn: 1 RTT, got {}", log[1].latency());
+        assert!(
+            (log[0].latency() - 0.040).abs() < 0.002,
+            "fresh conn: 2 RTT, got {}",
+            log[0].latency()
+        );
+        assert!(
+            (log[1].latency() - 0.020).abs() < 0.002,
+            "reused conn: 1 RTT, got {}",
+            log[1].latency()
+        );
         assert!((log[2].latency() - 0.020).abs() < 0.002);
         assert_eq!(stats.tcp_accepts, 1, "single reused connection");
     }
@@ -1049,8 +1099,15 @@ mod tests {
         let trace = mk_trace(2, 200_000, 1);
         let (mut log, stats, _) = run(trace, Some(Transport::Tls), 20, 20, 10.0);
         log.sort_by_key(|r| r.seq);
-        assert!((log[0].latency() - 0.080).abs() < 0.002, "TLS fresh: 4 RTT, got {}", log[0].latency());
-        assert!((log[1].latency() - 0.020).abs() < 0.002, "TLS reused: 1 RTT");
+        assert!(
+            (log[0].latency() - 0.080).abs() < 0.002,
+            "TLS fresh: 4 RTT, got {}",
+            log[0].latency()
+        );
+        assert!(
+            (log[1].latency() - 0.020).abs() < 0.002,
+            "TLS reused: 1 RTT"
+        );
         assert_eq!(stats.tls_accepts, 1);
     }
 
@@ -1111,7 +1168,11 @@ mod tests {
         let server_addr: SocketAddr = "10.9.0.1:53".parse().unwrap();
         sim.add_host(
             &[server_addr.ip()],
-            Box::new(SimDnsServer::new(engine(), server_addr, Some(SimDuration::from_secs(30)))),
+            Box::new(SimDnsServer::new(
+                engine(),
+                server_addr,
+                Some(SimDuration::from_secs(30)),
+            )),
         );
         let log: LatencyLog = Arc::new(Mutex::new(vec![]));
         let mut client = SimReplayClient::new(trace.clone(), server_addr, log.clone());
@@ -1133,7 +1194,11 @@ mod tests {
     #[test]
     fn reconnect_with_backoff_recovers_query_lost_to_a_crash() {
         let log = run_crash(Some(SimDuration::from_millis(100)));
-        assert_eq!(log.len(), 2, "both queries answered despite the crash: {log:?}");
+        assert_eq!(
+            log.len(),
+            2,
+            "both queries answered despite the crash: {log:?}"
+        );
         assert!((log[0].latency() - 0.080).abs() < 0.002, "q0 unaffected");
         // q1 was sent at 0.5 s, orphaned by the crash, redialed through
         // the outage and answered after the restart — its latency
@@ -1143,7 +1208,11 @@ mod tests {
             "recovered latency spans the outage, got {}",
             log[1].latency()
         );
-        assert!(log[1].latency() < 2.0, "recovery is prompt, got {}", log[1].latency());
+        assert!(
+            log[1].latency() < 2.0,
+            "recovery is prompt, got {}",
+            log[1].latency()
+        );
     }
 
     #[test]
@@ -1171,12 +1240,19 @@ mod tests {
                 bandwidth_bps: None,
                 loss: 0.0,
             }),
-            SimConfig { queue, ..SimConfig::default() },
+            SimConfig {
+                queue,
+                ..SimConfig::default()
+            },
         );
         let server_addr: SocketAddr = "10.9.0.1:53".parse().unwrap();
         sim.add_host(
             &[server_addr.ip()],
-            Box::new(SimDnsServer::new(engine(), server_addr, Some(SimDuration::from_secs(30)))),
+            Box::new(SimDnsServer::new(
+                engine(),
+                server_addr,
+                Some(SimDuration::from_secs(30)),
+            )),
         );
         let log: LatencyLog = Arc::new(Mutex::new(vec![]));
         let cp_out = Arc::new(Mutex::new(None));
@@ -1208,7 +1284,11 @@ mod tests {
             // with the process.
             let (_, cp) = checkpointed_run(queue, Some(0.62));
             let cp = cp.expect("a checkpoint committed before the kill");
-            assert!(cp.cursor >= 5 && cp.cursor < 40, "mid-run cut, got {}", cp.cursor);
+            assert!(
+                cp.cursor >= 5 && cp.cursor < 40,
+                "mid-run cut, got {}",
+                cp.cursor
+            );
             // The checkpoint survives serialization.
             let cp = Checkpoint::from_text(&cp.to_text().unwrap()).unwrap();
 
@@ -1219,7 +1299,10 @@ mod tests {
                     bandwidth_bps: None,
                     loss: 0.0,
                 }),
-                SimConfig { queue, ..SimConfig::default() },
+                SimConfig {
+                    queue,
+                    ..SimConfig::default()
+                },
             );
             let server_addr: SocketAddr = "10.9.0.1:53".parse().unwrap();
             sim.add_host(
@@ -1264,7 +1347,11 @@ mod tests {
         let server_addr: SocketAddr = "10.9.0.1:53".parse().unwrap();
         sim.add_host(
             &[server_addr.ip()],
-            Box::new(SimDnsServer::new(engine(), server_addr, Some(SimDuration::from_secs(30)))),
+            Box::new(SimDnsServer::new(
+                engine(),
+                server_addr,
+                Some(SimDuration::from_secs(30)),
+            )),
         );
         let log: LatencyLog = Arc::new(Mutex::new(vec![]));
         let shed_out = Arc::new(Mutex::new(Vec::new()));
@@ -1283,7 +1370,11 @@ mod tests {
         let mut shed = shed_out.lock().unwrap().clone();
         shed.sort_unstable();
         assert_eq!(answered, 1, "only the admitted query is answered");
-        assert_eq!(shed, (1..10).collect::<Vec<u64>>(), "the other nine are shed on record");
+        assert_eq!(
+            shed,
+            (1..10).collect::<Vec<u64>>(),
+            "the other nine are shed on record"
+        );
     }
 
     /// Power-cycle the *querier* mid-replay: the crash loses in-flight
@@ -1305,7 +1396,11 @@ mod tests {
         let server_addr: SocketAddr = "10.9.0.1:53".parse().unwrap();
         sim.add_host(
             &[server_addr.ip()],
-            Box::new(SimDnsServer::new(engine(), server_addr, Some(SimDuration::from_secs(30)))),
+            Box::new(SimDnsServer::new(
+                engine(),
+                server_addr,
+                Some(SimDuration::from_secs(30)),
+            )),
         );
         let log: LatencyLog = Arc::new(Mutex::new(vec![]));
         let client = SimReplayClient::new(trace.clone(), server_addr, log.clone());
@@ -1323,7 +1418,11 @@ mod tests {
         let mut seqs: Vec<u64> = log.lock().unwrap().iter().map(|r| r.seq).collect();
         seqs.sort_unstable();
         seqs.dedup();
-        assert_eq!(seqs, (0..20).collect::<Vec<u64>>(), "every query answered despite the crash");
+        assert_eq!(
+            seqs,
+            (0..20).collect::<Vec<u64>>(),
+            "every query answered despite the crash"
+        );
     }
 
     /// Sustained random loss with UDP retransmission enabled: every
@@ -1343,7 +1442,11 @@ mod tests {
         let server_addr: SocketAddr = "10.9.0.1:53".parse().unwrap();
         sim.add_host(
             &[server_addr.ip()],
-            Box::new(SimDnsServer::new(engine(), server_addr, Some(SimDuration::from_secs(30)))),
+            Box::new(SimDnsServer::new(
+                engine(),
+                server_addr,
+                Some(SimDuration::from_secs(30)),
+            )),
         );
         let log: LatencyLog = Arc::new(Mutex::new(vec![]));
         let mut client = SimReplayClient::new(trace.clone(), server_addr, log.clone());
@@ -1387,7 +1490,11 @@ mod tests {
         let server_addr: SocketAddr = "10.9.0.1:53".parse().unwrap();
         sim.add_host(
             &[server_addr.ip()],
-            Box::new(SimDnsServer::new(engine(), server_addr, Some(SimDuration::from_secs(30)))),
+            Box::new(SimDnsServer::new(
+                engine(),
+                server_addr,
+                Some(SimDuration::from_secs(30)),
+            )),
         );
         let log: LatencyLog = Arc::new(Mutex::new(vec![]));
         let cp_out = Arc::new(Mutex::new(None));
@@ -1407,8 +1514,14 @@ mod tests {
         assert!(!stamps.is_empty(), "cadence commits happened");
         assert!(stamps.iter().all(|s| s.version == 2));
         // Grid anchoring: every commit instant is a multiple of 25 ms.
-        assert!(stamps.iter().all(|s| s.taken_ns % 25_000_000 == 0), "{stamps:?}");
-        assert!(stamps.iter().any(|s| s.inflight > 0), "some cut caught a query mid-flight");
+        assert!(
+            stamps.iter().all(|s| s.taken_ns % 25_000_000 == 0),
+            "{stamps:?}"
+        );
+        assert!(
+            stamps.iter().any(|s| s.inflight > 0),
+            "some cut caught a query mid-flight"
+        );
 
         let cp = cp_out.lock().unwrap().clone().expect("a committed cut");
         assert_eq!(cp.version, 2);
@@ -1416,7 +1529,10 @@ mod tests {
         assert_eq!(cp.inflight.len(), 1, "{:?}", cp.inflight);
         let e = cp.inflight[0];
         assert_eq!(e.seq, 10);
-        assert_eq!(e.deadline_ns, 500_000_000, "original send deadline, not the cut");
+        assert_eq!(
+            e.deadline_ns, 500_000_000,
+            "original send deadline, not the cut"
+        );
         assert_eq!((e.sends, e.retx), (1, 0));
         assert_eq!(e.status, InflightStatus::InFlight);
         // Committed counters cover completed work only: 10 completed
@@ -1448,7 +1564,11 @@ mod tests {
         let server_addr: SocketAddr = "10.9.0.1:53".parse().unwrap();
         sim.add_host(
             &[server_addr.ip()],
-            Box::new(SimDnsServer::new(engine(), server_addr, Some(SimDuration::from_secs(30)))),
+            Box::new(SimDnsServer::new(
+                engine(),
+                server_addr,
+                Some(SimDuration::from_secs(30)),
+            )),
         );
         let log: LatencyLog = Arc::new(Mutex::new(vec![]));
         let mut client = SimReplayClient::new(trace.clone(), server_addr, log.clone());

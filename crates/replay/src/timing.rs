@@ -66,7 +66,12 @@ impl TimingTracker {
 /// The same computation in seconds (the simulator's native unit), for
 /// simulator-driven replays: returns the send time given the trace
 /// time, trace origin and replay origin.
-pub fn virtual_deadline(trace_us: u64, trace_start_us: u64, replay_start_s: f64, speed: f64) -> f64 {
+pub fn virtual_deadline(
+    trace_us: u64,
+    trace_start_us: u64,
+    replay_start_s: f64,
+    speed: f64,
+) -> f64 {
     replay_start_s + (trace_us.saturating_sub(trace_start_us)) as f64 / 1e6 / speed
 }
 
@@ -166,7 +171,10 @@ mod tests {
             .map(|i| i * 10_000)
             .filter(|&t| tr.delay_from(t, resume_now_us).is_none())
             .count();
-        assert_eq!(due, 50, "only deadlines strictly before the resume point are overdue");
+        assert_eq!(
+            due, 50,
+            "only deadlines strictly before the resume point are overdue"
+        );
     }
 
     #[test]
@@ -178,6 +186,10 @@ mod tests {
         let correct = TimingTracker::start(0, 0);
         let wrong = TimingTracker::start(300_000, 500_000);
         assert_eq!(correct.deadline_us(600_000), 600_000);
-        assert_eq!(wrong.deadline_us(600_000), 800_000, "drifted by the 200 ms outage");
+        assert_eq!(
+            wrong.deadline_us(600_000),
+            800_000,
+            "drifted by the 200 ms outage"
+        );
     }
 }

@@ -113,7 +113,11 @@ impl Gen {
     /// length being drawn up front, so cutting an element's run of
     /// draws out of a choice sequence leaves a shorter, well-formed
     /// vector — which is what lets the shrinker drop elements.
-    pub fn vec<T>(&mut self, len: RangeInclusive<usize>, mut f: impl FnMut(&mut Gen) -> T) -> Vec<T> {
+    pub fn vec<T>(
+        &mut self,
+        len: RangeInclusive<usize>,
+        mut f: impl FnMut(&mut Gen) -> T,
+    ) -> Vec<T> {
         let (lo, hi) = len.into_inner();
         let mut out = Vec::new();
         // P(one more | i so far) = (hi - i) / (hi - i + 1) makes the
@@ -136,7 +140,11 @@ impl Gen {
 
     /// A string of characters from the union of `classes` (a regex
     /// character class spelled out), length drawn from `len`.
-    pub fn string(&mut self, classes: &[RangeInclusive<char>], len: RangeInclusive<usize>) -> String {
+    pub fn string(
+        &mut self,
+        classes: &[RangeInclusive<char>],
+        len: RangeInclusive<usize>,
+    ) -> String {
         let bounds = |c: &RangeInclusive<char>| {
             let (first, last) = c.clone().into_inner();
             (first as u32, last as u32 - first as u32 + 1)
@@ -160,7 +168,15 @@ impl Gen {
     /// Printable text of any script (regex `\\PC`): ASCII, Latin, CJK,
     /// emoji — what a text parser must survive.
     pub fn printable(&mut self, len: RangeInclusive<usize>) -> String {
-        self.string(&[' '..='~', '\u{a0}'..='\u{24f}', '\u{4e00}'..='\u{4e3f}', '\u{1f600}'..='\u{1f64f}'], len)
+        self.string(
+            &[
+                ' '..='~',
+                '\u{a0}'..='\u{24f}',
+                '\u{4e00}'..='\u{4e3f}',
+                '\u{1f600}'..='\u{1f64f}',
+            ],
+            len,
+        )
     }
 }
 
@@ -168,7 +184,9 @@ impl Gen {
 /// if it panicked.
 fn fails(choices: &[u64], prop: &impl Fn(&mut Gen)) -> Option<Vec<u64>> {
     let mut g = Gen::new(0, Some(choices));
-    catch_unwind(AssertUnwindSafe(|| prop(&mut g))).is_err().then_some(g.taken)
+    catch_unwind(AssertUnwindSafe(|| prop(&mut g)))
+        .is_err()
+        .then_some(g.taken)
 }
 
 /// Shorter, then lexicographically smaller: a well-founded order, so
@@ -276,11 +294,16 @@ mod tests {
         };
         let failing = (0..).find_map(|seed| {
             let mut g = Gen::new(seed, None);
-            catch_unwind(AssertUnwindSafe(|| prop(&mut g))).is_err().then_some(g.taken)
+            catch_unwind(AssertUnwindSafe(|| prop(&mut g)))
+                .is_err()
+                .then_some(g.taken)
         });
         let minimal = shrink(failing.unwrap(), &prop);
         assert_eq!(minimal, vec![1, 100, 0], "one more, the element, no more");
-        assert!(fails(&minimal, &prop).is_some(), "replay reproduces the failure");
+        assert!(
+            fails(&minimal, &prop).is_some(),
+            "replay reproduces the failure"
+        );
     }
 
     #[test]

@@ -26,7 +26,9 @@ impl SplitMix64 {
     /// A generator for `seed`. The seed is whitened first, so small
     /// consecutive seeds start far apart in the state space.
     pub fn seed_from_u64(seed: u64) -> Self {
-        SplitMix64 { state: seed ^ 0xA076_1D64_78BD_642F }
+        SplitMix64 {
+            state: seed ^ 0xA076_1D64_78BD_642F,
+        }
     }
 
     /// A generator resumed at a stream position previously returned by
@@ -144,7 +146,11 @@ mod tests {
         assert_eq!(raw.next_u64(), 0xE220_A839_7B1D_CDAF);
         assert_eq!(raw.next_u64(), 0x6E78_9E6A_A1B9_65F4);
         let mut seeded = SplitMix64::seed_from_u64(0xA076_1D64_78BD_642F);
-        assert_eq!(seeded.next_u64(), 0xE220_A839_7B1D_CDAF, "seed whitening is an xor");
+        assert_eq!(
+            seeded.next_u64(),
+            0xE220_A839_7B1D_CDAF,
+            "seed whitening is an xor"
+        );
     }
 
     #[test]

@@ -58,11 +58,7 @@ impl Exchange {
     /// Earliest pending arrival across all mailboxes (a lower bound on
     /// work the owning shards have not seen yet).
     pub fn next_arrival(&self) -> Option<SimTime> {
-        self.inboxes
-            .iter()
-            .flatten()
-            .map(|r| r.at)
-            .min()
+        self.inboxes.iter().flatten().map(|r| r.at).min()
     }
 
     /// Take everything pending for one shard.

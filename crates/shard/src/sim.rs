@@ -37,12 +37,12 @@ use std::collections::BTreeMap;
 use std::net::{IpAddr, SocketAddr};
 use std::sync::mpsc::{Receiver, Sender};
 
+use ldp_rng::SplitMix64;
 use ldp_telemetry as tel;
 use netsim::{
     stream_seed, FaultInjector, Host, HostStats, PacketBytes, RemoteUdp, SimConfig, SimDuration,
     SimTime, Simulator, Topology, DRIVER_LANE,
 };
-use ldp_rng::SplitMix64;
 
 use crate::exchange::Exchange;
 use crate::plan::ShardPlan;
@@ -84,9 +84,13 @@ fn worker_loop(shard: usize, sim: &mut Simulator, rx: &Receiver<WorkerCmd>, tx: 
                     (count, sim.take_outbox(), sim.next_event_time())
                 }));
                 let reply = match ran {
-                    Ok((count, outbox, next)) => {
-                        Reply { shard, count, outbox, next, panic: None }
-                    }
+                    Ok((count, outbox, next)) => Reply {
+                        shard,
+                        count,
+                        outbox,
+                        next,
+                        panic: None,
+                    },
                     Err(payload) => Reply {
                         shard,
                         count: 0,
@@ -270,7 +274,11 @@ impl ShardedSimulator {
     /// through the exchange immediately.
     pub fn inject_udp(&mut self, from: SocketAddr, to: SocketAddr, data: impl Into<PacketBytes>) {
         self.refresh_views();
-        let shard = match self.owner.get(&from.ip()).or_else(|| self.owner.get(&to.ip())) {
+        let shard = match self
+            .owner
+            .get(&from.ip())
+            .or_else(|| self.owner.get(&to.ip()))
+        {
             Some(&s) => s,
             None => 0,
         };
@@ -352,7 +360,10 @@ impl ShardedSimulator {
             return;
         }
         self.views_dirty = false;
-        debug_assert!(self.exchange.is_empty(), "exchange drains before view changes");
+        debug_assert!(
+            self.exchange.is_empty(),
+            "exchange drains before view changes"
+        );
         for (i, w) in self.workers.iter_mut().enumerate() {
             w.set_shard_view(self.owner.clone(), i as u32);
         }
@@ -378,8 +389,11 @@ impl ShardedSimulator {
     fn drive(&mut self, deadline: Option<SimTime>) -> u64 {
         self.refresh_views();
         let lookahead = self.lookahead;
-        let mut nexts: Vec<Option<SimTime>> =
-            self.workers.iter().map(Simulator::next_event_time).collect();
+        let mut nexts: Vec<Option<SimTime>> = self
+            .workers
+            .iter()
+            .map(Simulator::next_event_time)
+            .collect();
         let workers = &mut self.workers;
         let exchange = &mut self.exchange;
         let mut total: u64 = 0;
@@ -423,7 +437,9 @@ impl ShardedSimulator {
                     }
                 }
                 for _ in 0..cmd_txs.len() {
-                    let Ok(reply) = reply_rx.recv() else { break 'rounds };
+                    let Ok(reply) = reply_rx.recv() else {
+                        break 'rounds;
+                    };
                     total += reply.count;
                     exchange.route(reply.outbox, end);
                     nexts[reply.shard] = reply.next;

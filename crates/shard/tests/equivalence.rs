@@ -202,7 +202,9 @@ fn hash_injector() -> Box<dyn FaultInjector> {
 /// transcript: per-host logs in global host order, then per-host
 /// stats, then the per-phase event counts.
 fn scenario(mut sim: AnySim, faults: bool) -> String {
-    let logs: Vec<Log> = (0..N).map(|_| Arc::new(Mutex::new(String::new()))).collect();
+    let logs: Vec<Log> = (0..N)
+        .map(|_| Arc::new(Mutex::new(String::new())))
+        .collect();
     for (i, log) in logs.iter().enumerate() {
         let host = sim.add_host(
             &[addr(i)],
@@ -232,7 +234,11 @@ fn scenario(mut sim: AnySim, faults: bool) -> String {
     // From an unregistered source straight into the ring, and into the
     // void (the unroutable delivery must still count, once, somewhere).
     sim.inject_udp("192.0.2.1:9999".parse().expect("ip"), sock(6), vec![1u8; 9]);
-    sim.inject_udp(sock(1), "198.51.100.7:53".parse().expect("ip"), vec![2u8; 5]);
+    sim.inject_udp(
+        sock(1),
+        "198.51.100.7:53".parse().expect("ip"),
+        vec![2u8; 5],
+    );
 
     let c1 = sim.run_until(SimTime::from_millis(40));
 
@@ -277,8 +283,15 @@ fn sharded(queue: QueueKind, shards: u32, faults: bool) -> String {
 #[test]
 fn lossless_matrix_heap_btree_x_1_2_8() {
     let reference = single(QueueKind::Heap, false);
-    assert!(reference.contains("rx"), "workload produced traffic:\n{reference}");
-    assert_eq!(single(QueueKind::BTree, false), reference, "single BTree != single Heap");
+    assert!(
+        reference.contains("rx"),
+        "workload produced traffic:\n{reference}"
+    );
+    assert_eq!(
+        single(QueueKind::BTree, false),
+        reference,
+        "single BTree != single Heap"
+    );
     for queue in [QueueKind::Heap, QueueKind::BTree] {
         for shards in [1, 2, 8] {
             let got = sharded(queue, shards, false);
@@ -295,7 +308,10 @@ fn faulty_lossy_matrix_heap_btree_x_1_2_8() {
     // Base loss (per-lane RNG streams) + hash-injector drops, delay
     // spikes and duplicates — all draws must be placement-invariant.
     let reference = single(QueueKind::Heap, true);
-    assert!(reference.contains("rx"), "lossy workload still delivers:\n{reference}");
+    assert!(
+        reference.contains("rx"),
+        "lossy workload still delivers:\n{reference}"
+    );
     assert_ne!(
         reference,
         single(QueueKind::Heap, false),
@@ -370,7 +386,9 @@ impl Host for TcpDialer {
 
 fn tcp_scenario(mut sim: AnySim) -> String {
     let log: Log = Arc::new(Mutex::new(String::new()));
-    let ring: Vec<Log> = (0..2).map(|_| Arc::new(Mutex::new(String::new()))).collect();
+    let ring: Vec<Log> = (0..2)
+        .map(|_| Arc::new(Mutex::new(String::new())))
+        .collect();
     // Hosts 0 and 1: the TCP pair (round-robin lands both on distinct
     // shards at >1 shards, hence the pins in `tcp_sharded`).
     sim.add_host(&[addr(0)], Box::new(TcpEcho { log: log.clone() }));
@@ -418,7 +436,10 @@ fn pinned_tcp_pair_matches_single_shard() {
         topology(0.0),
         config(QueueKind::Heap),
     )));
-    assert!(reference.contains("reply"), "TCP exchange happened:\n{reference}");
+    assert!(
+        reference.contains("reply"),
+        "TCP exchange happened:\n{reference}"
+    );
     for shards in [2u32, 8] {
         let mut plan = ShardPlan::round_robin(shards);
         plan.pin(1, 0); // co-locate the dialer with the echo server

@@ -31,7 +31,12 @@ struct Relay {
 impl Host for Relay {
     fn on_udp(&mut self, ctx: &mut Ctx<'_>, from: SocketAddr, _to: SocketAddr, data: PacketBytes) {
         if let Ok(mut log) = self.log.lock() {
-            log.push_str(&format!("{} rx {} {}B\n", ctx.now().as_nanos(), from, data.len()));
+            log.push_str(&format!(
+                "{} rx {} {}B\n",
+                ctx.now().as_nanos(),
+                from,
+                data.len()
+            ));
         }
         if data.len() > 1 {
             ctx.send_udp(self.me, self.next, vec![0u8; data.len() - 1]);
@@ -85,7 +90,9 @@ enum AnySim {
 /// Drive the workload; return the host transcript. Telemetry events
 /// accumulate in the process-wide rings for the caller to drain.
 fn run(mut sim: AnySim) -> String {
-    let logs: Vec<Log> = (0..N).map(|_| Arc::new(Mutex::new(String::new()))).collect();
+    let logs: Vec<Log> = (0..N)
+        .map(|_| Arc::new(Mutex::new(String::new())))
+        .collect();
     for (i, log) in logs.iter().enumerate() {
         let relay = Box::new(Relay {
             me: sock(i),
@@ -148,7 +155,10 @@ fn canonical_drain_identical_across_shard_counts_and_on_off() {
     tel::set_enabled(false);
     let quiet = run(AnySim::Single(Simulator::new(topology(), config())));
     assert!(quiet.contains("rx"), "workload delivered traffic");
-    assert!(tel::drain_all().is_empty(), "disabled recording stays silent");
+    assert!(
+        tel::drain_all().is_empty(),
+        "disabled recording stays silent"
+    );
 
     // Phase 1: single-shard with telemetry on.
     tel::set_enabled(true);
@@ -168,7 +178,10 @@ fn canonical_drain_identical_across_shard_counts_and_on_off() {
         )));
         tel::set_enabled(false);
         let events = drain_canonical();
-        assert_eq!(got, quiet, "sharded({shards}) transcript drifted under telemetry");
+        assert_eq!(
+            got, quiet,
+            "sharded({shards}) transcript drifted under telemetry"
+        );
         assert_eq!(
             events.len(),
             reference.len(),

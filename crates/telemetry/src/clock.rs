@@ -35,7 +35,9 @@ pub struct WallClockSource {
 impl WallClockSource {
     /// A wall clock whose origin is "now".
     pub fn new() -> Self {
-        WallClockSource { origin: Instant::now() }
+        WallClockSource {
+            origin: Instant::now(),
+        }
     }
 }
 

@@ -76,7 +76,10 @@ pub fn register_kind(name: &'static str) -> KindId {
 /// Resolve a kind's name (drain time only).
 pub fn kind_name(kind: KindId) -> &'static str {
     let table = KINDS.lock().unwrap_or_else(|e| e.into_inner());
-    table.get(kind.0 as usize).copied().unwrap_or("<unregistered>")
+    table
+        .get(kind.0 as usize)
+        .copied()
+        .unwrap_or("<unregistered>")
 }
 
 /// Snapshot of all registered kinds, in id order.

@@ -28,7 +28,13 @@ const DUMP_MAGIC: &[u8; 8] = b"LDPTEL1\n";
 /// two dumps of equal logs must not change the bytes.
 pub fn dump_binary(events: &[RawEvent]) -> Vec<u8> {
     let mut kinds = registered_kinds();
-    kinds.truncate(events.iter().map(|ev| ev.kind.0 as usize + 1).max().unwrap_or(0));
+    kinds.truncate(
+        events
+            .iter()
+            .map(|ev| ev.kind.0 as usize + 1)
+            .max()
+            .unwrap_or(0),
+    );
     let mut out = Vec::with_capacity(8 + 2 + kinds.len() * 16 + 8 + events.len() * 27);
     out.extend_from_slice(DUMP_MAGIC);
     out.extend_from_slice(&(kinds.len() as u16).to_le_bytes());
@@ -71,10 +77,19 @@ pub fn load_binary(bytes: &[u8]) -> Result<Vec<RawEvent>, String> {
             None => return Err(format!("event {i}: truncated")),
         };
         at += 1;
-        events.push(RawEvent { t_ns, a, b, kind, op });
+        events.push(RawEvent {
+            t_ns,
+            a,
+            b,
+            kind,
+            op,
+        });
     }
     if at != bytes.len() {
-        return Err(format!("{} trailing bytes after the last event", bytes.len() - at));
+        return Err(format!(
+            "{} trailing bytes after the last event",
+            bytes.len() - at
+        ));
     }
     Ok(events)
 }
@@ -155,7 +170,11 @@ pub fn diff_logs(a: &[RawEvent], b: &[RawEvent]) -> Option<String> {
         }
     }
     if a.len() != b.len() {
-        return Some(format!("length mismatch: {} vs {} events", a.len(), b.len()));
+        return Some(format!(
+            "length mismatch: {} vs {} events",
+            a.len(),
+            b.len()
+        ));
     }
     None
 }
@@ -203,7 +222,9 @@ pub fn count_by_kind(events: &[RawEvent]) -> Vec<(&'static str, u64, u64)> {
         slot.0 += 1;
         slot.1 = slot.1.wrapping_add(ev.b);
     }
-    agg.into_iter().map(|(k, (n, b))| (kind_name(k), n, b)).collect()
+    agg.into_iter()
+        .map(|(k, (n, b))| (kind_name(k), n, b))
+        .collect()
 }
 
 /// Latency samples for one lifecycle stage (`from` → `to`).
@@ -268,7 +289,9 @@ pub fn stage_breakdown(events: &[RawEvent], chain: &[KindId]) -> StageBreakdown 
             continue;
         }
         if let Some(pos) = chain.iter().position(|k| *k == ev.kind) {
-            let slots = per_key.entry(ev.a).or_insert_with(|| vec![None; chain.len()]);
+            let slots = per_key
+                .entry(ev.a)
+                .or_insert_with(|| vec![None; chain.len()]);
             if slots[pos].is_none() {
                 slots[pos] = Some(ev.t_ns);
             }
@@ -276,7 +299,12 @@ pub fn stage_breakdown(events: &[RawEvent], chain: &[KindId]) -> StageBreakdown 
     }
     let mut stages: Vec<StageStat> = chain
         .windows(2)
-        .map(|w| StageStat { from: w[0], to: w[1], samples_secs: Vec::new(), unfinished: 0 })
+        .map(|w| StageStat {
+            from: w[0],
+            to: w[1],
+            samples_secs: Vec::new(),
+            unfinished: 0,
+        })
         .collect();
     for slots in per_key.values() {
         for (i, stage) in stages.iter_mut().enumerate() {
@@ -338,7 +366,13 @@ mod tests {
     use crate::event::register_kind;
 
     fn ev(t_ns: u64, kind: KindId, op: Op, a: u64, b: u64) -> RawEvent {
-        RawEvent { t_ns, a, b, kind, op }
+        RawEvent {
+            t_ns,
+            a,
+            b,
+            kind,
+            op,
+        }
     }
 
     #[test]
@@ -449,7 +483,10 @@ mod tests {
         let k = register_kind("test.exp.bin3");
         let dump = dump_binary(&[ev(7, k, Op::Mark, 0, 0)]);
         assert!(load_binary(b"nonsense").is_err(), "bad magic");
-        assert!(load_binary(&dump[..dump.len() - 1]).is_err(), "truncated event");
+        assert!(
+            load_binary(&dump[..dump.len() - 1]).is_err(),
+            "truncated event"
+        );
         let mut extended = dump.clone();
         extended.push(0);
         assert!(load_binary(&extended).is_err(), "trailing bytes");

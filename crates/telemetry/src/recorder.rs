@@ -22,7 +22,11 @@ const SHIFT_MASK: u32 = 0x3f;
 pub fn set_enabled(on: bool) {
     let mut cur = CONFIG.load(Ordering::Relaxed);
     loop {
-        let next = if on { cur | ENABLED_BIT } else { cur & !ENABLED_BIT };
+        let next = if on {
+            cur | ENABLED_BIT
+        } else {
+            cur & !ENABLED_BIT
+        };
         match CONFIG.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
             Ok(_) => return,
             Err(now) => cur = now,
@@ -103,7 +107,11 @@ impl Recorder {
     /// Const-constructible so the thread-local needs no lazy-init
     /// branch on every record; the ring allocates on first push.
     const fn new() -> Self {
-        Recorder { ring: Vec::new(), head: 0, ord: usize::MAX }
+        Recorder {
+            ring: Vec::new(),
+            head: 0,
+            ord: usize::MAX,
+        }
     }
 
     #[inline]
@@ -138,7 +146,10 @@ impl Drop for Recorder {
         // Thread exit: park the ring so `drain_flushed`/`drain_all`
         // still sees this thread's events (replay querier threads).
         if !self.ring.is_empty() {
-            let log = ThreadLog { ord: self.ord, events: self.take() };
+            let log = ThreadLog {
+                ord: self.ord,
+                events: self.take(),
+            };
             if let Ok(mut flushed) = FLUSHED.lock() {
                 flushed.push(log);
             }
@@ -169,7 +180,13 @@ pub fn record_at(t_ns: u64, kind: KindId, op: Op, a: u64, b: u64) {
     if !admitted(a) {
         return;
     }
-    push_event(RawEvent { t_ns, a, b, kind, op });
+    push_event(RawEvent {
+        t_ns,
+        a,
+        b,
+        kind,
+        op,
+    });
 }
 
 /// Record an event stamped by the process-wide [`clock`].
@@ -178,7 +195,13 @@ pub fn record_now(kind: KindId, op: Op, a: u64, b: u64) {
     if !admitted(a) {
         return;
     }
-    push_event(RawEvent { t_ns: clock::now_ns(), a, b, kind, op });
+    push_event(RawEvent {
+        t_ns: clock::now_ns(),
+        a,
+        b,
+        kind,
+        op,
+    });
 }
 
 /// Lifecycle mark at an explicit time.
@@ -260,7 +283,10 @@ pub fn flush_thread() {
     let _ = RECORDER.try_with(|r| {
         if let Ok(mut rec) = r.try_borrow_mut() {
             if !rec.ring.is_empty() {
-                let log = ThreadLog { ord: rec.ord, events: rec.take() };
+                let log = ThreadLog {
+                    ord: rec.ord,
+                    events: rec.take(),
+                };
                 if let Ok(mut flushed) = FLUSHED.lock() {
                     flushed.push(log);
                 }
@@ -325,10 +351,15 @@ mod tests {
         span_enter_at(30, k1, 2);
         span_exit_at(40, k1, 2);
         set_enabled(false);
-        let evs: Vec<RawEvent> =
-            drain_local().into_iter().filter(|e| e.kind == k1 || e.kind == k2).collect();
+        let evs: Vec<RawEvent> = drain_local()
+            .into_iter()
+            .filter(|e| e.kind == k1 || e.kind == k2)
+            .collect();
         assert_eq!(evs.len(), 4);
-        assert_eq!((evs[0].t_ns, evs[0].a, evs[0].b, evs[0].op), (10, 1, 100, Op::Mark));
+        assert_eq!(
+            (evs[0].t_ns, evs[0].a, evs[0].b, evs[0].op),
+            (10, 1, 100, Op::Mark)
+        );
         assert_eq!((evs[1].kind, evs[1].op, evs[1].b), (k2, Op::Counter, 5));
         assert_eq!(evs[2].op, Op::SpanEnter);
         assert_eq!(evs[3].op, Op::SpanExit);

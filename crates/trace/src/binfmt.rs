@@ -319,7 +319,10 @@ mod tests {
         let mut buf = write_binary(&[sample(1)]);
         // transport byte is at: 2 + 8 + 1 + (4+2)*2 = 23.
         buf[23] = 9;
-        assert!(matches!(parse_binary(&buf), Err(BinError::Invalid("transport"))));
+        assert!(matches!(
+            parse_binary(&buf),
+            Err(BinError::Invalid("transport"))
+        ));
     }
 
     #[test]

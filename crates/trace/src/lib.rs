@@ -75,11 +75,16 @@ mod tests {
         // edit in text stage: all TCP.
         let edited = text.replace(" UDP ", " TCP ");
         let mutated = parse_text(&edited).unwrap();
-        assert!(mutated.iter().all(|e| e.transport == dns_wire::Transport::Tcp));
+        assert!(mutated
+            .iter()
+            .all(|e| e.transport == dns_wire::Transport::Tcp));
 
         // entries → binary → entries.
         let bin = write_binary(&mutated);
         let from_bin = parse_binary(&bin).unwrap();
-        mutated.iter().zip(&from_bin).for_each(|(a, b)| assert_eq!(a, b));
+        mutated
+            .iter()
+            .zip(&from_bin)
+            .for_each(|(a, b)| assert_eq!(a, b));
     }
 }

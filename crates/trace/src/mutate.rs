@@ -172,7 +172,11 @@ mod tests {
         assert_eq!(names.len(), 5);
         assert!(t[0].qname().unwrap().to_string().starts_with("ldp0."));
         // Original name preserved as suffix.
-        assert!(t[3].qname().unwrap().to_string().ends_with("q3.example.com."));
+        assert!(t[3]
+            .qname()
+            .unwrap()
+            .to_string()
+            .ends_with("q3.example.com."));
     }
 
     #[test]

@@ -270,7 +270,9 @@ mod tests {
     fn sample(i: u64, tcp: bool) -> TraceEntry {
         let mut e = TraceEntry::query(
             1_461_234_567_000_000 + i * 1000,
-            format!("192.168.0.{}:53{}", 1 + i % 200, i % 10).parse().unwrap(),
+            format!("192.168.0.{}:53{}", 1 + i % 200, i % 10)
+                .parse()
+                .unwrap(),
             "198.41.0.4:53".parse().unwrap(),
             i as u16,
             format!("q{i}.example.com").parse().unwrap(),

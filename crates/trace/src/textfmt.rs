@@ -42,7 +42,11 @@ impl std::error::Error for TextError {}
 pub fn to_line(entry: &TraceEntry) -> String {
     let m = &entry.message;
     let (qname, qtype, qclass) = match m.question() {
-        Some(q) => (q.name.to_string(), q.qtype.to_string(), q.qclass.to_string()),
+        Some(q) => (
+            q.name.to_string(),
+            q.qtype.to_string(),
+            q.qclass.to_string(),
+        ),
         None => (".".to_string(), "A".to_string(), "IN".to_string()),
     };
     let mut flags = String::new();
@@ -82,7 +86,9 @@ pub fn to_line(entry: &TraceEntry) -> String {
 /// Render a whole trace.
 pub fn write_text(entries: &[TraceEntry]) -> String {
     let mut out = String::with_capacity(entries.len() * 64);
-    out.push_str("# time_us src_ip src_port dst_ip dst_port proto id qr qname qtype qclass flags do\n");
+    out.push_str(
+        "# time_us src_ip src_port dst_ip dst_port proto id qr qname qtype qclass flags do\n",
+    );
     for e in entries {
         out.push_str(&to_line(e));
         out.push('\n');
@@ -92,19 +98,34 @@ pub fn write_text(entries: &[TraceEntry]) -> String {
 
 /// Parse one text line back into an entry.
 pub fn from_line(line: &str, lineno: usize) -> Result<TraceEntry, TextError> {
-    let err = |m: String| TextError { line: lineno, message: m };
+    let err = |m: String| TextError {
+        line: lineno,
+        message: m,
+    };
     let f: Vec<&str> = line.split_whitespace().collect();
     if f.len() < 13 {
         return Err(err(format!("expected 13 fields, got {}", f.len())));
     }
-    let time_us: u64 = f[0].parse().map_err(|_| err(format!("bad time {:?}", f[0])))?;
-    let src_ip: IpAddr = f[1].parse().map_err(|_| err(format!("bad src ip {:?}", f[1])))?;
-    let src_port: u16 = f[2].parse().map_err(|_| err(format!("bad src port {:?}", f[2])))?;
-    let dst_ip: IpAddr = f[3].parse().map_err(|_| err(format!("bad dst ip {:?}", f[3])))?;
-    let dst_port: u16 = f[4].parse().map_err(|_| err(format!("bad dst port {:?}", f[4])))?;
+    let time_us: u64 = f[0]
+        .parse()
+        .map_err(|_| err(format!("bad time {:?}", f[0])))?;
+    let src_ip: IpAddr = f[1]
+        .parse()
+        .map_err(|_| err(format!("bad src ip {:?}", f[1])))?;
+    let src_port: u16 = f[2]
+        .parse()
+        .map_err(|_| err(format!("bad src port {:?}", f[2])))?;
+    let dst_ip: IpAddr = f[3]
+        .parse()
+        .map_err(|_| err(format!("bad dst ip {:?}", f[3])))?;
+    let dst_port: u16 = f[4]
+        .parse()
+        .map_err(|_| err(format!("bad dst port {:?}", f[4])))?;
     let transport =
         Transport::from_mnemonic(f[5]).ok_or_else(|| err(format!("bad proto {:?}", f[5])))?;
-    let id: u16 = f[6].parse().map_err(|_| err(format!("bad id {:?}", f[6])))?;
+    let id: u16 = f[6]
+        .parse()
+        .map_err(|_| err(format!("bad id {:?}", f[6])))?;
     let qr = f[7] == "1";
     let qname: Name = f[8].parse().map_err(|e| err(format!("bad qname: {e}")))?;
     let qtype =

@@ -17,7 +17,10 @@ fn arb_name(g: &mut Gen) -> Name {
 }
 
 fn arb_v4_addr(g: &mut Gen) -> SocketAddr {
-    SocketAddr::V4(SocketAddrV4::new(Ipv4Addr::from(g.u32()), g.range(1024..=65534) as u16))
+    SocketAddr::V4(SocketAddrV4::new(
+        Ipv4Addr::from(g.u32()),
+        g.range(1024..=65534) as u16,
+    ))
 }
 
 fn arb_entry(g: &mut Gen) -> TraceEntry {
@@ -55,7 +58,10 @@ fn text_round_trip_preserves_query_fields() {
             assert_eq!(a.message.id, b.message.id);
             assert_eq!(a.message.question(), b.message.question());
             assert_eq!(a.message.dnssec_ok(), b.message.dnssec_ok());
-            assert_eq!(a.message.flags.recursion_desired, b.message.flags.recursion_desired);
+            assert_eq!(
+                a.message.flags.recursion_desired,
+                b.message.flags.recursion_desired
+            );
         }
     });
 }
@@ -144,8 +150,10 @@ fn mutator_preserves_count_and_order() {
         // First timestamp anchored.
         assert_eq!(mutated[0].time_us, sorted[0].time_us);
         // Unique names.
-        let names: std::collections::HashSet<String> =
-            mutated.iter().map(|e| e.qname().unwrap().to_string()).collect();
+        let names: std::collections::HashSet<String> = mutated
+            .iter()
+            .map(|e| e.qname().unwrap().to_string())
+            .collect();
         assert_eq!(names.len(), mutated.len());
     });
 }

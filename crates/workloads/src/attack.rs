@@ -13,8 +13,8 @@
 use std::net::{IpAddr, Ipv4Addr, SocketAddr};
 
 use dns_wire::{RecordType, Transport};
-use ldp_trace::TraceEntry;
 use ldp_rng::SplitMix64;
+use ldp_trace::TraceEntry;
 
 /// The attack flavor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -201,8 +201,16 @@ mod tests {
     #[test]
     fn deterministic() {
         let spec = AttackSpec::default();
-        let a = AttackSpec { duration_secs: 1.0, ..spec.clone() }.generate(9);
-        let b = AttackSpec { duration_secs: 1.0, ..spec }.generate(9);
+        let a = AttackSpec {
+            duration_secs: 1.0,
+            ..spec.clone()
+        }
+        .generate(9);
+        let b = AttackSpec {
+            duration_secs: 1.0,
+            ..spec
+        }
+        .generate(9);
         assert_eq!(a, b);
     }
 }

@@ -22,8 +22,8 @@
 use std::net::{IpAddr, Ipv4Addr, SocketAddr};
 
 use dns_wire::{RecordType, Transport};
-use ldp_trace::TraceEntry;
 use ldp_rng::SplitMix64;
+use ldp_trace::TraceEntry;
 
 use crate::zipf::Zipf;
 
@@ -250,8 +250,8 @@ mod tests {
     #[test]
     fn tcp_fraction_matches() {
         let t = small();
-        let frac = t.iter().filter(|e| e.transport == Transport::Tcp).count() as f64
-            / t.len() as f64;
+        let frac =
+            t.iter().filter(|e| e.transport == Transport::Tcp).count() as f64 / t.len() as f64;
         assert!((frac - 0.03).abs() < 0.01, "TCP fraction {frac}");
     }
 

@@ -7,8 +7,8 @@
 use std::net::{IpAddr, Ipv4Addr, SocketAddr};
 
 use dns_wire::RecordType;
-use ldp_trace::TraceEntry;
 use ldp_rng::SplitMix64;
+use ldp_trace::TraceEntry;
 
 use crate::zipf::Zipf;
 
@@ -138,9 +138,15 @@ mod tests {
         };
         let mut counts: std::collections::HashMap<String, usize> = Default::default();
         for e in &t {
-            *counts.entry(zone_of(&e.qname().unwrap().to_string())).or_default() += 1;
+            *counts
+                .entry(zone_of(&e.qname().unwrap().to_string()))
+                .or_default() += 1;
         }
-        assert!(counts.len() > spec.zones / 2, "most zones touched: {}", counts.len());
+        assert!(
+            counts.len() > spec.zones / 2,
+            "most zones touched: {}",
+            counts.len()
+        );
         let max = counts.values().max().unwrap();
         let mean = t.len() / counts.len();
         assert!(*max > 3 * mean, "popular zones dominate");
@@ -161,12 +167,19 @@ mod tests {
     fn rate_matches() {
         let (_, t) = quick();
         let stats = TraceStats::compute(&t).unwrap();
-        assert!((stats.mean_rate - 20.0).abs() < 3.0, "rate {}", stats.mean_rate);
+        assert!(
+            (stats.mean_rate - 20.0).abs() < 3.0,
+            "rate {}",
+            stats.mean_rate
+        );
     }
 
     #[test]
     fn deterministic() {
-        let spec = RecursiveSpec { duration_secs: 60.0, ..RecursiveSpec::rec_17() };
+        let spec = RecursiveSpec {
+            duration_secs: 60.0,
+            ..RecursiveSpec::rec_17()
+        };
         assert_eq!(spec.generate(5), spec.generate(5));
     }
 }

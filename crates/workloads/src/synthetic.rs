@@ -5,8 +5,8 @@
 use std::net::{IpAddr, Ipv4Addr, SocketAddr};
 
 use dns_wire::RecordType;
-use ldp_trace::TraceEntry;
 use ldp_rng::SplitMix64;
+use ldp_trace::TraceEntry;
 
 /// Specification for a fixed-inter-arrival synthetic trace.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -459,8 +459,7 @@ mod tests {
         // reported as unresolved (and would fail in replay, §2.3).
         let trace = trace_for(&["www.alpha.com", "www.beta.net"]);
         let mut dead = |_server: std::net::IpAddr, _q: &Message| -> Option<Message> { None };
-        let (unresolved, resolved) =
-            harvest(&trace, &mut dead, vec!["198.0.0.1".parse().unwrap()]);
+        let (unresolved, resolved) = harvest(&trace, &mut dead, vec!["198.0.0.1".parse().unwrap()]);
         assert_eq!(resolved, 0);
         assert_eq!(unresolved.len(), 2);
     }
@@ -482,13 +481,29 @@ mod tests {
         let q = Message::query(1, n("x.example.com"), RecordType::TXT);
         let mut r1 = q.response_to();
         r1.flags.authoritative = true;
-        r1.answers.push(Record::new(n("x.example.com"), 60, RData::Txt(vec![b"first".to_vec()])));
+        r1.answers.push(Record::new(
+            n("x.example.com"),
+            60,
+            RData::Txt(vec![b"first".to_vec()]),
+        ));
         let mut r2 = q.response_to();
         r2.flags.authoritative = true;
-        r2.answers.push(Record::new(n("x.example.com"), 60, RData::Txt(vec![b"second".to_vec()])));
+        r2.answers.push(Record::new(
+            n("x.example.com"),
+            60,
+            RData::Txt(vec![b"second".to_vec()]),
+        ));
         let cap = vec![
-            CapturedExchange { server: "198.0.0.1".parse().unwrap(), query: q.clone(), response: r1 },
-            CapturedExchange { server: "198.0.0.1".parse().unwrap(), query: q, response: r2 },
+            CapturedExchange {
+                server: "198.0.0.1".parse().unwrap(),
+                query: q.clone(),
+                response: r1,
+            },
+            CapturedExchange {
+                server: "198.0.0.1".parse().unwrap(),
+                query: q,
+                response: r2,
+            },
         ];
         let h = construct(&cap, vec![]);
         assert_eq!(h.conflicts, 1);
@@ -502,7 +517,11 @@ mod tests {
                     .unwrap_or(false)
             })
             .expect("a zone holds the TXT");
-        let set = zone.node(&n("x.example.com")).unwrap().get(RecordType::TXT).unwrap();
+        let set = zone
+            .node(&n("x.example.com"))
+            .unwrap()
+            .get(RecordType::TXT)
+            .unwrap();
         assert_eq!(set.rdatas, vec![RData::Txt(vec![b"first".to_vec()])]);
     }
 }

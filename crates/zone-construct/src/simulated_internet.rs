@@ -48,7 +48,9 @@ fn soa_for(origin: &Name) -> Record {
         origin.clone(),
         86400,
         RData::Soa(Soa {
-            mname: format!("ns1.{origin}").parse().unwrap_or_else(|_| origin.clone()),
+            mname: format!("ns1.{origin}")
+                .parse()
+                .unwrap_or_else(|_| origin.clone()),
             rname: "hostmaster.invalid.".parse().unwrap(),
             serial: 20181031,
             refresh: 1800,
@@ -97,12 +99,24 @@ impl SimulatedInternet {
         // Root zone: delegations for each TLD.
         let mut root = Zone::new(Name::root());
         root.insert(soa_for(&Name::root())).unwrap();
-        root.insert(Record::new(Name::root(), 518400, RData::Ns("a.root-servers.net.".parse().unwrap()))).unwrap();
-        root.insert(Record::new("a.root-servers.net.".parse().unwrap(), 518400, ip_rdata(root_addr))).unwrap();
+        root.insert(Record::new(
+            Name::root(),
+            518400,
+            RData::Ns("a.root-servers.net.".parse().unwrap()),
+        ))
+        .unwrap();
+        root.insert(Record::new(
+            "a.root-servers.net.".parse().unwrap(),
+            518400,
+            ip_rdata(root_addr),
+        ))
+        .unwrap();
         for tld in &tlds {
             let ns_name: Name = format!("ns.{tld}").parse().unwrap();
-            root.insert(Record::new(tld.clone(), 172800, RData::Ns(ns_name.clone()))).unwrap();
-            root.insert(Record::new(ns_name, 172800, ip_rdata(tld_addrs[tld]))).unwrap();
+            root.insert(Record::new(tld.clone(), 172800, RData::Ns(ns_name.clone())))
+                .unwrap();
+            root.insert(Record::new(ns_name, 172800, ip_rdata(tld_addrs[tld])))
+                .unwrap();
         }
         let mut cat = Catalog::new();
         cat.insert(root);
@@ -113,12 +127,16 @@ impl SimulatedInternet {
             let mut zone = Zone::new(tld.clone());
             zone.insert(soa_for(tld)).unwrap();
             let tld_ns: Name = format!("ns.{tld}").parse().unwrap();
-            zone.insert(Record::new(tld.clone(), 172800, RData::Ns(tld_ns.clone()))).unwrap();
-            zone.insert(Record::new(tld_ns, 172800, ip_rdata(tld_addrs[tld]))).unwrap();
+            zone.insert(Record::new(tld.clone(), 172800, RData::Ns(tld_ns.clone())))
+                .unwrap();
+            zone.insert(Record::new(tld_ns, 172800, ip_rdata(tld_addrs[tld])))
+                .unwrap();
             for sld in sld_names.iter().filter(|s| s.is_proper_subdomain_of(tld)) {
                 let ns_name: Name = format!("ns1.{sld}").parse().unwrap();
-                zone.insert(Record::new(sld.clone(), 172800, RData::Ns(ns_name.clone()))).unwrap();
-                zone.insert(Record::new(ns_name, 172800, ip_rdata(sld_addrs[sld]))).unwrap();
+                zone.insert(Record::new(sld.clone(), 172800, RData::Ns(ns_name.clone())))
+                    .unwrap();
+                zone.insert(Record::new(ns_name, 172800, ip_rdata(sld_addrs[sld])))
+                    .unwrap();
             }
             let mut cat = Catalog::new();
             cat.insert(zone);
@@ -130,12 +148,15 @@ impl SimulatedInternet {
             let mut zone = Zone::new(sld.clone());
             zone.insert(soa_for(sld)).unwrap();
             let ns_name: Name = format!("ns1.{sld}").parse().unwrap();
-            zone.insert(Record::new(sld.clone(), 3600, RData::Ns(ns_name.clone()))).unwrap();
-            zone.insert(Record::new(ns_name, 3600, ip_rdata(sld_addrs[sld]))).unwrap();
+            zone.insert(Record::new(sld.clone(), 3600, RData::Ns(ns_name.clone())))
+                .unwrap();
+            zone.insert(Record::new(ns_name, 3600, ip_rdata(sld_addrs[sld])))
+                .unwrap();
             for (hi, host) in hosts.iter().enumerate() {
                 let hname: Name = format!("{host}.{sld}").parse().unwrap();
                 let addr = Ipv4Addr::new(203, (zi % 250) as u8, (hi % 250) as u8, 10);
-                zone.insert(Record::new(hname, 300, RData::A(addr))).unwrap();
+                zone.insert(Record::new(hname, 300, RData::A(addr)))
+                    .unwrap();
             }
             let mut cat = Catalog::new();
             cat.insert(zone);
@@ -206,7 +227,12 @@ mod tests {
         let hints = net.root_addrs.clone();
         let mut resolver = IterativeResolver::new(hints);
         let res = resolver
-            .resolve(&mut net, &"www.zone0.ex0.com".parse().unwrap(), RecordType::A, 0.0)
+            .resolve(
+                &mut net,
+                &"www.zone0.ex0.com".parse().unwrap(),
+                RecordType::A,
+                0.0,
+            )
             .unwrap();
         assert_eq!(res.rcode, Rcode::NoError);
         assert_eq!(res.upstream_queries, 3, "root → tld → sld");
@@ -223,7 +249,12 @@ mod tests {
         let hints = net.root_addrs.clone();
         let mut resolver = IterativeResolver::new(hints);
         let res = resolver
-            .resolve(&mut net, &"nope.zone0.ex0.com".parse().unwrap(), RecordType::A, 0.0)
+            .resolve(
+                &mut net,
+                &"nope.zone0.ex0.com".parse().unwrap(),
+                RecordType::A,
+                0.0,
+            )
             .unwrap();
         assert_eq!(res.rcode, Rcode::NxDomain);
     }

@@ -12,8 +12,8 @@ use std::time::Duration;
 use ldplayer::core::wildcard_zone;
 use ldplayer::replay::{replay, ReplayConfig};
 use ldplayer::server::{spawn, ServerConfig, ServerEngine};
-use ldplayer::zone::Catalog;
 use ldplayer::workloads::SyntheticTraceSpec;
+use ldplayer::zone::Catalog;
 
 fn main() {
     // A real DNS server answering from a wildcard zone.

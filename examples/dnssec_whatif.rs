@@ -18,7 +18,11 @@ fn main() {
     };
     let trace = spec.generate(16);
     let root = synthetic_root_zone();
-    println!("trace: {} queries over {}s", trace.len(), spec.duration_secs);
+    println!(
+        "trace: {} queries over {}s",
+        trace.len(),
+        spec.duration_secs
+    );
     println!("\n{:<34} {:>12}", "configuration", "median Mb/s");
 
     let mut results = Vec::new();
@@ -29,7 +33,11 @@ fn main() {
             (2048, true, "2048-bit ZSK rollover"),
         ] {
             let r = dnssec_bandwidth(&root, &trace, bits, rollover, do_frac);
-            println!("{:<34} {:>12.3}", format!("{label}, {klabel}"), r.summary.median);
+            println!(
+                "{:<34} {:>12.3}",
+                format!("{label}, {klabel}"),
+                r.summary.median
+            );
             results.push(((do_frac, bits, rollover), r.summary.median));
         }
     }

@@ -50,7 +50,11 @@ fn main() {
         ..RecursiveSpec::rec_17()
     };
     let trace = spec.generate(2018);
-    println!("workload: {} stub queries over {} zones", trace.len(), spec.zones);
+    println!(
+        "workload: {} stub queries over {} zones",
+        trace.len(),
+        spec.zones
+    );
 
     // 2. One-time zone construction against the simulated Internet.
     let mut internet = SimulatedInternet::new(&spec.zone_names(), RecursiveSpec::host_labels());
@@ -91,10 +95,14 @@ fn main() {
         emu.sim
             .schedule_timer(stub, SimTime::from_micros(e.time_us - t0), i as u64);
     }
-    emu.sim.run_until(SimTime::from_secs_f64(spec.duration_secs + 30.0));
+    emu.sim
+        .run_until(SimTime::from_secs_f64(spec.duration_secs + 30.0));
 
     let responses = responses.lock().unwrap();
-    let ok = responses.iter().filter(|r| r.rcode == Rcode::NoError && !r.answers.is_empty()).count();
+    let ok = responses
+        .iter()
+        .filter(|r| r.rcode == Rcode::NoError && !r.answers.is_empty())
+        .count();
     let meta = emu.sim.stats(emu.meta_server);
     println!(
         "replayed: {}/{} stub queries answered positively",

@@ -11,8 +11,8 @@ use ldplayer::metrics::Summary;
 use ldplayer::server::ServerEngine;
 use ldplayer::trace::TraceStats;
 use ldplayer::wire::Transport;
-use ldplayer::zone::Catalog;
 use ldplayer::workloads::SyntheticTraceSpec;
+use ldplayer::zone::Catalog;
 
 fn main() {
     // 1. A synthetic trace: 10 seconds of queries at 1 ms inter-arrival

@@ -12,8 +12,8 @@ use ldplayer::core::{synthetic_root_zone, transport_experiment, TransportExperim
 use ldplayer::netsim::SimDuration;
 use ldplayer::server::ServerEngine;
 use ldplayer::wire::Transport;
-use ldplayer::zone::Catalog;
 use ldplayer::workloads::BRootSpec;
+use ldplayer::zone::Catalog;
 
 fn main() {
     // B-Root-17a shape scaled ~400×: same client-load skew, DO and TCP
@@ -40,7 +40,10 @@ fn main() {
         ("all TCP", Some(Transport::Tcp)),
         ("all TLS", Some(Transport::Tls)),
     ];
-    println!("\n{:<20} {:>9} {:>12} {:>11} {:>8} {:>12}", "scenario", "mem GiB", "established", "TIME_WAIT", "cpu %", "median ms");
+    println!(
+        "\n{:<20} {:>9} {:>12} {:>11} {:>8} {:>12}",
+        "scenario", "mem GiB", "established", "TIME_WAIT", "cpu %", "median ms"
+    );
     for (name, transport) in scenarios {
         let config = TransportExperiment {
             transport,

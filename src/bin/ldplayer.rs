@@ -82,8 +82,7 @@ fn load_trace(path: &str) -> Result<Vec<TraceEntry>, String> {
     let data = std::fs::read(path).map_err(|e| format!("read {path}: {e}"))?;
     match extension(path) {
         "pcap" => {
-            let (entries, skipped) =
-                parse_pcap(&data).map_err(|e| format!("parse {path}: {e}"))?;
+            let (entries, skipped) = parse_pcap(&data).map_err(|e| format!("parse {path}: {e}"))?;
             if skipped > 0 {
                 eprintln!("note: skipped {skipped} non-DNS packets");
             }
@@ -94,7 +93,9 @@ fn load_trace(path: &str) -> Result<Vec<TraceEntry>, String> {
             parse_text(&text).map_err(|e| format!("parse {path}: {e}"))
         }
         "bin" => parse_binary(&data).map_err(|e| format!("parse {path}: {e}")),
-        other => Err(format!("unknown trace extension .{other} (want .pcap/.txt/.bin)")),
+        other => Err(format!(
+            "unknown trace extension .{other} (want .pcap/.txt/.bin)"
+        )),
     }
 }
 
@@ -127,8 +128,14 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     let trace = load_trace(path)?;
     let stats = TraceStats::compute(&trace).ok_or("empty trace")?;
     println!("{}", stats.render_row(path));
-    let tcp = trace.iter().filter(|e| e.transport == Transport::Tcp).count();
-    let tls = trace.iter().filter(|e| e.transport == Transport::Tls).count();
+    let tcp = trace
+        .iter()
+        .filter(|e| e.transport == Transport::Tcp)
+        .count();
+    let tls = trace
+        .iter()
+        .filter(|e| e.transport == Transport::Tls)
+        .count();
     let do_bit = trace.iter().filter(|e| e.message.dnssec_ok()).count();
     let queries = trace.iter().filter(|e| e.is_query()).count();
     println!(
@@ -174,7 +181,9 @@ fn cmd_mutate(args: &[String]) -> Result<(), String> {
         mutations.push(Mutation::ScaleTime(f));
     }
     if let Some(tag) = flag_value(args, "--tag") {
-        mutations.push(Mutation::UniquePrefix { tag: tag.to_string() });
+        mutations.push(Mutation::UniquePrefix {
+            tag: tag.to_string(),
+        });
     }
     if has_flag(args, "--queries-only") {
         mutations.push(Mutation::QueriesOnly);
@@ -250,7 +259,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         .parse()
         .map_err(|e| format!("bad --origin: {e}"))?;
     let text = std::fs::read_to_string(zone_path).map_err(|e| format!("read {zone_path}: {e}"))?;
-    let zone = ldplayer::zone::parse_zone(&text, &origin).map_err(|e| format!("{zone_path}: {e}"))?;
+    let zone =
+        ldplayer::zone::parse_zone(&text, &origin).map_err(|e| format!("{zone_path}: {e}"))?;
     zone.validate().map_err(|e| format!("{zone_path}: {e}"))?;
     println!(
         "loaded zone {} ({} records)",

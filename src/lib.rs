@@ -54,10 +54,10 @@
 
 pub use dns_resolver as resolver;
 pub use dns_server as server;
-pub use ldp_cache as cache;
-pub use ldp_chaos as chaos;
 pub use dns_wire as wire;
 pub use dns_zone as zone;
+pub use ldp_cache as cache;
+pub use ldp_chaos as chaos;
 pub use ldp_core as core;
 pub use ldp_metrics as metrics;
 pub use ldp_proxy as proxy;

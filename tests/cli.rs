@@ -11,7 +11,8 @@ fn ldplayer() -> Command {
 
 fn tmp(name: &str) -> PathBuf {
     // Under target/, so a test run leaves nothing outside the checkout.
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("ldp-cli-test-{}", std::process::id()));
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("ldp-cli-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir.join(name)
 }
@@ -36,8 +37,15 @@ fn generate_stats_convert_mutate_pipeline() {
 
     // generate
     let out = run_ok(ldplayer().args([
-        "generate", "--kind", "syn", "--seconds", "2", "--interarrival", "0.01",
-        "--out", bin.to_str().unwrap(),
+        "generate",
+        "--kind",
+        "syn",
+        "--seconds",
+        "2",
+        "--interarrival",
+        "0.01",
+        "--out",
+        bin.to_str().unwrap(),
     ]));
     assert!(out.contains("200 rec"), "stats row: {out}");
 
@@ -56,8 +64,12 @@ fn generate_stats_convert_mutate_pipeline() {
 
     // mutate: all TCP + DO.
     run_ok(ldplayer().args([
-        "mutate", bin.to_str().unwrap(), mutated.to_str().unwrap(),
-        "--all-tcp", "--do-fraction", "1.0",
+        "mutate",
+        bin.to_str().unwrap(),
+        mutated.to_str().unwrap(),
+        "--all-tcp",
+        "--do-fraction",
+        "1.0",
     ]));
     let out = run_ok(ldplayer().args(["stats", mutated.to_str().unwrap()]));
     assert!(out.contains("100.0% TCP"), "{out}");
@@ -71,17 +83,31 @@ fn replay_fast_against_sink() {
     let bin = tmp("t2.bin");
     let udp = tmp("t2-udp.bin");
     run_ok(ldplayer().args([
-        "generate", "--kind", "broot", "--seconds", "2", "--rate", "500",
-        "--clients", "100", "--out", bin.to_str().unwrap(),
+        "generate",
+        "--kind",
+        "broot",
+        "--seconds",
+        "2",
+        "--rate",
+        "500",
+        "--clients",
+        "100",
+        "--out",
+        bin.to_str().unwrap(),
     ]));
     // The generated trace has ~3% TCP; the sink is UDP-only, so force
     // UDP first (also exercises mutate).
     run_ok(ldplayer().args([
-        "mutate", bin.to_str().unwrap(), udp.to_str().unwrap(), "--all-udp",
+        "mutate",
+        bin.to_str().unwrap(),
+        udp.to_str().unwrap(),
+        "--all-udp",
     ]));
     let out = run_ok(ldplayer().args([
-        "replay", udp.to_str().unwrap(),
-        "--target", &target.to_string(),
+        "replay",
+        udp.to_str().unwrap(),
+        "--target",
+        &target.to_string(),
         "--fast",
     ]));
     assert!(out.contains("sent"), "{out}");
@@ -94,7 +120,10 @@ fn bad_usage_fails_cleanly() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command"));
 
-    let out = ldplayer().args(["stats", "/nonexistent/file.bin"]).output().unwrap();
+    let out = ldplayer()
+        .args(["stats", "/nonexistent/file.bin"])
+        .output()
+        .unwrap();
     assert!(!out.status.success());
 
     let out = ldplayer()

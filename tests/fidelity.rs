@@ -28,12 +28,25 @@ fn broot_like_replay_timing_is_accurate() {
         ..Default::default()
     };
     let report = run_fidelity_session(&trace, &config);
-    assert!(report.matched as f64 >= trace.len() as f64 * 0.98, "matched {}", report.matched);
+    assert!(
+        report.matched as f64 >= trace.len() as f64 * 0.98,
+        "matched {}",
+        report.matched
+    );
     let s = &report.error_summary;
     // Quartiles well inside ±10 ms (paper: ±2.5 ms on dedicated hosts).
-    assert!(s.q1 > -10.0 && s.q3 < 10.0, "quartiles ({}, {})", s.q1, s.q3);
+    assert!(
+        s.q1 > -10.0 && s.q3 < 10.0,
+        "quartiles ({}, {})",
+        s.q1,
+        s.q3
+    );
     // Inter-arrival distributions close in KS for a continuous process.
-    assert!(report.interarrival_ks() < 0.25, "KS {}", report.interarrival_ks());
+    assert!(
+        report.interarrival_ks() < 0.25,
+        "KS {}",
+        report.interarrival_ks()
+    );
 }
 
 /// Figure 8-style: per-second rates match within tight bounds.
@@ -99,7 +112,9 @@ fn fast_mode_exceeds_nominal_rate() {
 fn emulation_survives_packet_loss() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     use ldplayer::core::{build_emulation, EmulationConfig};
-    use ldplayer::netsim::{Ctx, Host, PacketBytes, PathConfig, SimDuration, SimTime, TcpEvent, Topology};
+    use ldplayer::netsim::{
+        Ctx, Host, PacketBytes, PathConfig, SimDuration, SimTime, TcpEvent, Topology,
+    };
     use ldplayer::wire::{Message, Rcode, RecordType};
     use ldplayer::workloads::RecursiveSpec;
     use ldplayer::zone_construct::{build_from_trace, SimulatedInternet};

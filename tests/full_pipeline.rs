@@ -116,7 +116,11 @@ fn emulated_hierarchy_matches_ground_truth() {
             .map(|r| r.rdata.clone())
             .collect();
         got.sort_by_key(|r| format!("{r}"));
-        assert_eq!(&got, truth.get(&key).expect("truth entry"), "answers for {key} match");
+        assert_eq!(
+            &got,
+            truth.get(&key).expect("truth entry"),
+            "answers for {key} match"
+        );
         compared += 1;
     }
     assert!(compared > 100, "compared a meaningful number of answers");
@@ -156,7 +160,10 @@ fn views_differ_by_source_address() {
 
     let root_addr = hierarchy.zone_servers[&ldplayer::wire::Name::root()][0];
     let from_root = engine.answer(root_addr, &query);
-    assert!(from_root.answers.is_empty(), "root view refers, never answers");
+    assert!(
+        from_root.answers.is_empty(),
+        "root view refers, never answers"
+    );
     assert!(!from_root.authorities.is_empty());
 
     // The SLD's own server view answers authoritatively.

@@ -11,8 +11,8 @@ use ldplayer::netsim::SimDuration;
 use ldplayer::server::ServerEngine;
 use ldplayer::trace::{parse_binary, write_binary, Mutation, Mutator};
 use ldplayer::wire::Transport;
-use ldplayer::zone::Catalog;
 use ldplayer::workloads::BRootSpec;
+use ldplayer::zone::Catalog;
 
 fn trace() -> Vec<ldplayer::trace::TraceEntry> {
     BRootSpec {
@@ -82,14 +82,27 @@ fn transport_matrix_shape() {
 
     // Memory ordering: UDP < TCP < TLS (Figures 13a/14a).
     let mem = |r: &ldplayer::core::TransportResult| r.memory_gib.max_value().unwrap();
-    assert!(mem(&udp) < mem(&tcp), "UDP {} < TCP {}", mem(&udp), mem(&tcp));
-    assert!(mem(&tcp) < mem(&tls), "TCP {} < TLS {}", mem(&tcp), mem(&tls));
+    assert!(
+        mem(&udp) < mem(&tcp),
+        "UDP {} < TCP {}",
+        mem(&udp),
+        mem(&tcp)
+    );
+    assert!(
+        mem(&tcp) < mem(&tls),
+        "TCP {} < TLS {}",
+        mem(&tcp),
+        mem(&tls)
+    );
     // Mixed trace sits between UDP and all-TCP.
     assert!(mem(&mix) <= mem(&tcp));
 
     // CPU: TCP cheapest (NIC offload), TLS and the UDP-heavy mix higher
     // (Figure 11's surprising ordering).
-    assert!(tcp.cpu_percent < mix.cpu_percent, "all-TCP beats the UDP mix");
+    assert!(
+        tcp.cpu_percent < mix.cpu_percent,
+        "all-TCP beats the UDP mix"
+    );
     assert!(tcp.cpu_percent < tls.cpu_percent);
 
     // TIME_WAIT exceeds established at steady state (Figures 13b/13c:
