@@ -101,14 +101,7 @@ fn parser_never_panics() {
     });
     // Closer to the grammar: own output with one line mangled.
     check(256, |g| {
-        let mut lines: Vec<String> = arb_plan(g).to_text().lines().map(String::from).collect();
-        let i = g.size(0..=lines.len() - 1);
-        let cut = g.size(0..=lines[i].len());
-        lines[i] = format!(
-            "{}{}",
-            lines[i].get(..cut).unwrap_or(""),
-            g.printable(0..=120)
-        );
-        let _ = FaultPlan::from_text(&lines.join("\n"));
+        let text = arb_plan(g).to_text();
+        let _ = FaultPlan::from_text(&g.corrupt_line(&text));
     });
 }

@@ -143,11 +143,16 @@ pub fn spawn(engine: Arc<ServerEngine>, config: ServerConfig) -> std::io::Result
     let rrl: Option<Arc<Mutex<RrlBank>>> = RrlConfig::from_overload(&config.overload)
         .map(|cfg| Arc::new(Mutex::new(RrlBank::new(cfg, engine.views().len()))));
     let epoch = Instant::now();
+    // Every fallible step comes before the first thread starts, so an
+    // error never leaves half a server running.
+    let worker_socks = (0..config.udp_workers.max(1))
+        .map(|_| udp.try_clone())
+        .collect::<std::io::Result<Vec<_>>>()?;
     let mut threads = Vec::new();
 
-    for _ in 0..config.udp_workers.max(1) {
+    for sock in worker_socks {
         let worker = UdpWorker {
-            sock: udp.try_clone()?,
+            sock,
             engine: engine.clone(),
             counters: counters.clone(),
             rrl: rrl.clone(),
@@ -257,27 +262,22 @@ fn serve_tcp_conn(
     stop: &AtomicBool,
 ) -> std::io::Result<()> {
     stream.set_nodelay(true)?;
+    // Wake at least every CONN_STOP_POLL to notice shutdown; the idle
+    // timeout is the time since the last byte arrived, checked at each
+    // wake-up (so a close is at most one poll period late).
+    stream.set_read_timeout(Some(idle.min(CONN_STOP_POLL).max(Duration::from_millis(1))))?;
     let mut fb = FrameBuffer::new();
     let mut buf = vec![0u8; 16 * 1024];
     let mut last_activity = Instant::now();
-    loop {
-        // Wake at least every CONN_STOP_POLL to notice shutdown; the
-        // idle timeout is the time since the last byte arrived.
-        let Some(left) = idle
-            .checked_sub(last_activity.elapsed())
-            .filter(|d| !d.is_zero())
-        else {
-            // Idle timeout: server-initiated close (the behaviour
-            // whose cost §5.2 quantifies).
-            counters.idle_closes.fetch_add(1, Ordering::Relaxed);
-            return Ok(());
-        };
-        stream.set_read_timeout(Some(left.min(CONN_STOP_POLL)))?;
+    while !stop.load(Ordering::Relaxed) {
         let n = match stream.read(&mut buf) {
             Ok(0) => return Ok(()), // peer closed
             Ok(n) => n,
             Err(e) if timed_out(&e) => {
-                if stop.load(Ordering::Relaxed) {
+                if last_activity.elapsed() >= idle {
+                    // Idle timeout: server-initiated close (the
+                    // behaviour whose cost §5.2 quantifies).
+                    counters.idle_closes.fetch_add(1, Ordering::Relaxed);
                     return Ok(());
                 }
                 continue;
@@ -293,6 +293,7 @@ fn serve_tcp_conn(
             }
         }
     }
+    Ok(())
 }
 
 #[cfg(test)]

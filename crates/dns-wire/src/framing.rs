@@ -46,14 +46,11 @@ impl FrameBuffer {
 
     /// Append newly received bytes.
     pub fn extend(&mut self, data: &[u8]) {
-        // Compact before growing: once everything buffered has been
-        // popped (the common case between reads) the storage is reused
-        // from the front, so a long-lived connection never accumulates
-        // consumed bytes.
-        if self.start == self.buf.len() {
-            self.buf.clear();
-            self.start = 0;
-        } else if self.start >= self.buf.len() / 2 {
+        // Compact before growing, once at least half the storage is
+        // already-popped bytes (all of it, in the common case between
+        // reads): a long-lived connection never accumulates consumed
+        // bytes, and each byte is moved at most once.
+        if self.start >= self.buf.len() / 2 {
             self.buf.drain(..self.start);
             self.start = 0;
         }

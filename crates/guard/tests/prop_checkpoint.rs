@@ -168,14 +168,6 @@ fn parser_never_panics() {
     });
     check(256, |g| {
         let text = arb_v2_checkpoint(g).to_text().expect("serializes");
-        let mut lines: Vec<String> = text.lines().map(String::from).collect();
-        let i = g.size(0..=lines.len() - 1);
-        let cut = g.size(0..=lines[i].len());
-        lines[i] = format!(
-            "{}{}",
-            lines[i].get(..cut).unwrap_or(""),
-            g.printable(0..=120)
-        );
-        let _ = Checkpoint::from_text(&lines.join("\n"));
+        let _ = Checkpoint::from_text(&g.corrupt_line(&text));
     });
 }

@@ -5,8 +5,9 @@
 //! `cases` seeds; every primitive draw is recorded as one `u64` choice,
 //! so a failing case *is* its choice sequence. Shrinking works on that
 //! sequence alone — truncate it, cut runs out of it, zero, halve and
-//! decrement entries — and replays the property on each candidate (draws past the end of a
-//! replayed sequence yield 0, the smallest value of every generator).
+//! decrement entries — and replays the property on each candidate
+//! (draws past the end of a replayed sequence yield 0, the smallest
+//! value of every generator).
 //! No per-type shrinkers exist: smaller choices mean shorter vectors
 //! and smaller numbers because every generator below is monotone in its
 //! draws. The harness prints the seed and the minimal sequence, then
@@ -165,7 +166,36 @@ impl Gen {
         .collect()
     }
 
-    /// Printable text of any script (regex `\\PC`): ASCII, Latin, CJK,
+    /// `bytes` with a few positions overwritten and the tail cut: a
+    /// hostile input that still gets past a parser's magic number and
+    /// framing, which purely random bytes never do.
+    pub fn corrupt(&mut self, mut bytes: Vec<u8>) -> Vec<u8> {
+        for _ in 0..self.size(1..=4) {
+            if let Some(b) = bytes.len().checked_sub(1).map(|last| self.size(0..=last)) {
+                bytes[b] = self.u8();
+            }
+        }
+        bytes.truncate(self.size(0..=bytes.len()));
+        bytes
+    }
+
+    /// `text` with one line cut short and continued with printable
+    /// junk: reaches the per-line parsers of a line-based format.
+    pub fn corrupt_line(&mut self, text: &str) -> String {
+        let mut lines: Vec<String> = text.lines().map(String::from).collect();
+        if let Some(last) = lines.len().checked_sub(1) {
+            let line = &mut lines[self.size(0..=last)];
+            let cut = self.size(0..=line.len());
+            *line = format!(
+                "{}{}",
+                line.get(..cut).unwrap_or(""),
+                self.printable(0..=40)
+            );
+        }
+        lines.join("\n")
+    }
+
+    /// Printable text of any script (regex `\PC`): ASCII, Latin, CJK,
     /// emoji — what a text parser must survive.
     pub fn printable(&mut self, len: RangeInclusive<usize>) -> String {
         self.string(

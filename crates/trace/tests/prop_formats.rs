@@ -89,17 +89,6 @@ fn pcap_round_trip_v4() {
     });
 }
 
-/// A valid serialization with a few bytes overwritten and the tail cut:
-/// gets past the magic number, which random bytes never do.
-fn corrupt(g: &mut Gen, mut bytes: Vec<u8>) -> Vec<u8> {
-    for _ in 0..g.size(1..=4) {
-        let i = g.size(0..=bytes.len() - 1);
-        bytes[i] = g.u8();
-    }
-    bytes.truncate(g.size(0..=bytes.len()));
-    bytes
-}
-
 #[test]
 fn binary_parser_never_panics() {
     check(256, |g| {
@@ -107,7 +96,7 @@ fn binary_parser_never_panics() {
     });
     check(256, |g| {
         let valid = write_binary(&g.vec(1..=5, arb_entry));
-        let _ = parse_binary(&corrupt(g, valid));
+        let _ = parse_binary(&g.corrupt(valid));
     });
 }
 
@@ -118,7 +107,7 @@ fn pcap_parser_never_panics() {
     });
     check(256, |g| {
         let valid = write_pcap(&g.vec(1..=5, arb_entry)).0;
-        let _ = parse_pcap(&corrupt(g, valid));
+        let _ = parse_pcap(&g.corrupt(valid));
     });
 }
 
