@@ -8,36 +8,24 @@
 //! through an outage.
 //!
 //! The run doubles as a regression gate: it first proves same-seed runs
-//! are byte-identical (rerun, Heap vs BTree backend, telemetry on vs
-//! off), that a cold-name burst coalesces onto exactly one upstream
-//! query, and that bounded eviction is deterministic; it exits nonzero
-//! if any check fails.
+//! are byte-identical (rerun, telemetry on vs off), that a cold-name
+//! burst coalesces onto exactly one upstream query, and that bounded
+//! eviction is deterministic; it exits nonzero if any check fails.
 //!
 //! `cargo run --release -p ldp-bench --bin fig_cache [-- --seed 11 --smoke]`
 
 use dns_resolver::sim_resolver::AnswerClass;
-use ldp_bench::{arg_f64, arg_flag, cdf_rows};
+use ldp_bench::{arg_flag, arg_u64, cdf_rows};
 use ldp_chaos::delayed::{run, DelayedConfig, DelayedOutcome, PolicyKind};
 use ldp_telemetry as tel;
-use netsim::{QueueKind, SimDuration, SimTime};
+use netsim::{SimDuration, SimTime};
 
-fn cfg_for(
-    capacity: usize,
-    policy: PolicyKind,
-    seed: u64,
-    queue: QueueKind,
-    smoke: bool,
-) -> DelayedConfig {
+fn cfg_for(capacity: usize, policy: PolicyKind, seed: u64, smoke: bool) -> DelayedConfig {
     if smoke {
-        DelayedConfig::smoke(capacity, policy, seed, queue)
+        DelayedConfig::smoke(capacity, policy, seed)
     } else {
-        DelayedConfig::standard(capacity, policy, seed, queue)
+        DelayedConfig::standard(capacity, policy, seed)
     }
-}
-
-/// Transcript minus its 2-line header (which names the queue backend).
-fn body(transcript: &str) -> String {
-    transcript.lines().skip(2).collect::<Vec<_>>().join("\n")
 }
 
 fn cap_label(capacity: usize) -> String {
@@ -62,12 +50,12 @@ fn split_row(label: &str, out: &DelayedOutcome) -> String {
 }
 
 fn main() {
-    let seed = arg_f64("--seed", 11.0) as u64;
+    let seed = arg_u64("--seed", 11);
     let smoke = arg_flag("--smoke");
     let mut failed = false;
 
     let capacities: [usize; 2] = if smoke { [24, 96] } else { [64, 256] };
-    let shape = cfg_for(capacities[0], PolicyKind::Lru, seed, QueueKind::Heap, smoke);
+    let shape = cfg_for(capacities[0], PolicyKind::Lru, seed, smoke);
     println!(
         "delayed-hits caching study: {} names (zipf s={}), {} queries at {} ms spacing,",
         shape.names,
@@ -84,38 +72,36 @@ fn main() {
     );
 
     // Determinism gate: same seed → byte-identical transcripts on a
-    // rerun, across both event-queue backends, and with telemetry
-    // enabled vs disabled (telemetry must be a pure observer).
-    let heap_a = run(&shape);
-    let heap_b = run(&shape);
-    let btree = run(&cfg_for(
-        capacities[0],
-        PolicyKind::Lru,
-        seed,
-        QueueKind::BTree,
-        smoke,
-    ));
+    // rerun and with telemetry enabled vs disabled (telemetry must be
+    // a pure observer).
+    let first = run(&shape);
+    let rerun_ok = first.transcript == run(&shape).transcript;
     tel::set_enabled(true);
     let _ = tel::drain_all();
     let telem_on = run(&shape);
     let _ = tel::drain_all();
     tel::set_enabled(false);
-    let rerun_ok = heap_a.transcript == heap_b.transcript;
-    let backend_ok = body(&heap_a.transcript) == body(&btree.transcript);
-    let telem_ok = heap_a.transcript == telem_on.transcript;
+    let telem_ok = first.transcript == telem_on.transcript;
     println!(
-        "determinism: same-seed rerun {} ({} transcript bytes), heap vs btree {}, telemetry on/off {}",
-        if rerun_ok { "byte-identical" } else { "MISMATCH" },
-        heap_a.transcript.len(),
-        if backend_ok { "byte-identical" } else { "MISMATCH" },
-        if telem_ok { "byte-identical" } else { "MISMATCH" },
+        "determinism: same-seed rerun {} ({} transcript bytes), telemetry on/off {}",
+        if rerun_ok {
+            "byte-identical"
+        } else {
+            "MISMATCH"
+        },
+        first.transcript.len(),
+        if telem_ok {
+            "byte-identical"
+        } else {
+            "MISMATCH"
+        },
     );
-    failed |= !rerun_ok || !backend_ok || !telem_ok;
+    failed |= !rerun_ok || !telem_ok;
 
     // Dedup gate: a cold-name burst of 8 concurrent stubs must reach
     // the upstream exactly once and come back as 1 miss + 7 delayed
     // hits.
-    let burst = run(&DelayedConfig::burst(8, seed, QueueKind::Heap));
+    let burst = run(&DelayedConfig::burst(8, seed));
     let dedup_ok = burst.upstream_rx == 1
         && burst.count(AnswerClass::Miss) == 1
         && burst.count(AnswerClass::DelayedHit) == 7
@@ -132,13 +118,7 @@ fn main() {
     // Eviction gate: a bounded run must actually evict, stay within
     // capacity, and do so identically on a rerun (deterministic
     // rank-based eviction, no ambient state).
-    let bounded = cfg_for(
-        capacities[0],
-        PolicyKind::DelayAware,
-        seed,
-        QueueKind::Heap,
-        smoke,
-    );
+    let bounded = cfg_for(capacities[0], PolicyKind::DelayAware, seed, smoke);
     let ev_a = run(&bounded);
     let ev_b = run(&bounded);
     let evict_ok = ev_a.snapshot.stats.evictions > 0
@@ -165,19 +145,13 @@ fn main() {
         "{:<28} {:>6} {:>12} {:>6} {:>9} {:>9} {:>10}",
         "capacity/policy", "hits", "delayed-hits", "miss", "servfail", "evicted", "answered"
     );
-    let baseline = run(&cfg_for(
-        usize::MAX,
-        PolicyKind::Lru,
-        seed,
-        QueueKind::Heap,
-        smoke,
-    ));
+    let baseline = run(&cfg_for(usize::MAX, PolicyKind::Lru, seed, smoke));
     println!("{}", split_row("inf/any", &baseline));
     failed |= baseline.ok_fraction() < 1.0;
     let mut grid = Vec::new();
     for &cap in &capacities {
         for policy in PolicyKind::ALL {
-            let cfg = cfg_for(cap, policy, seed, QueueKind::Heap, smoke);
+            let cfg = cfg_for(cap, policy, seed, smoke);
             let out = run(&cfg);
             let label = format!("{}/{}", cap_label(cap), policy.label());
             println!("{}", split_row(&label, &out));
@@ -202,7 +176,7 @@ fn main() {
     // waiters on ONE retrying resolution instead of hammering the dead
     // upstreams, and the retry budget outlasts the outage — so the
     // study still answers everything, just slower.
-    let mut outage = cfg_for(capacities[1], PolicyKind::Lru, seed, QueueKind::Heap, smoke);
+    let mut outage = cfg_for(capacities[1], PolicyKind::Lru, seed, smoke);
     let span = outage.query_gap.times(outage.queries as u64).as_secs_f64();
     outage.crash = Some((
         SimTime::from_secs_f64(1.0 + span * 0.2),

@@ -8,31 +8,25 @@
 //! outage window).
 //!
 //! The run doubles as a regression gate: it first proves two same-seed
-//! runs are byte-identical across both event-queue backends, then
-//! asserts the failover policies answer ≥ 99 % of queries through the
-//! outage, and exits nonzero if either check fails.
+//! runs are byte-identical, then asserts the failover policies answer
+//! ≥ 99 % of queries through the outage, and exits nonzero if either
+//! check fails.
 //!
 //! `cargo run --release -p ldp-bench --bin fig_outage [-- --seed 11 --smoke]`
 
-use ldp_bench::{arg_f64, arg_flag, cdf_rows};
+use ldp_bench::{arg_flag, arg_u64, cdf_rows};
 use ldp_chaos::outage::{run, OutageConfig, OutageOutcome, Phase, RetryPolicy};
-use netsim::QueueKind;
 
 /// Answered-fraction floor for the failover policies (ISSUE 3
 /// acceptance criterion).
 const OK_FLOOR: f64 = 0.99;
 
-fn cfg_for(policy: RetryPolicy, seed: u64, queue: QueueKind, smoke: bool) -> OutageConfig {
+fn cfg_for(policy: RetryPolicy, seed: u64, smoke: bool) -> OutageConfig {
     if smoke {
-        OutageConfig::smoke(policy, seed, queue)
+        OutageConfig::smoke(policy, seed)
     } else {
-        OutageConfig::standard(policy, seed, queue)
+        OutageConfig::standard(policy, seed)
     }
-}
-
-/// Transcript minus its header line (which names the queue backend).
-fn body(transcript: &str) -> String {
-    transcript.lines().skip(2).collect::<Vec<_>>().join("\n")
 }
 
 fn phase_cell(out: &OutageOutcome, cfg: &OutageConfig, phase: Phase) -> String {
@@ -44,11 +38,11 @@ fn phase_cell(out: &OutageOutcome, cfg: &OutageConfig, phase: Phase) -> String {
 }
 
 fn main() {
-    let seed = arg_f64("--seed", 11.0) as u64;
+    let seed = arg_u64("--seed", 11);
     let smoke = arg_flag("--smoke");
     let mut failed = false;
 
-    let shape = cfg_for(RetryPolicy::full(), seed, QueueKind::Heap, smoke);
+    let shape = cfg_for(RetryPolicy::full(), seed, smoke);
     println!(
         "root-letter outage study: {} letters, {} crash over [{}s,{}s) with {:.0}% loss,",
         shape.letters,
@@ -66,28 +60,19 @@ fn main() {
         if smoke { " (smoke)" } else { "" }
     );
 
-    // Determinism gate: same seed → byte-identical transcripts, on one
-    // backend and across both.
-    let heap_a = run(&shape);
-    let heap_b = run(&shape);
-    let btree = run(&cfg_for(RetryPolicy::full(), seed, QueueKind::BTree, smoke));
-    let rerun_ok = heap_a.transcript == heap_b.transcript;
-    let backend_ok = body(&heap_a.transcript) == body(&btree.transcript);
+    // Determinism gate: same seed → byte-identical transcripts.
+    let first = run(&shape);
+    let rerun_ok = first.transcript == run(&shape).transcript;
     println!(
-        "determinism: same-seed rerun {} ({} transcript bytes), heap vs btree {}",
+        "determinism: same-seed rerun {} ({} transcript bytes)",
         if rerun_ok {
             "byte-identical"
         } else {
             "MISMATCH"
         },
-        heap_a.transcript.len(),
-        if backend_ok {
-            "byte-identical"
-        } else {
-            "MISMATCH"
-        },
+        first.transcript.len(),
     );
-    failed |= !rerun_ok || !backend_ok;
+    failed |= !rerun_ok;
 
     let policies = [
         RetryPolicy::no_failover(),
@@ -100,7 +85,7 @@ fn main() {
     );
     let mut outcomes = Vec::new();
     for policy in policies {
-        let cfg = cfg_for(policy, seed, QueueKind::Heap, smoke);
+        let cfg = cfg_for(policy, seed, smoke);
         let out = run(&cfg);
         println!(
             "{:<26} {:>12} {:>12} {:>12} {:>9.1}%",

@@ -7,8 +7,7 @@
 //!    resumed transcript body AND the drained per-query telemetry
 //!    (killed-run prefix up to the quiescent cut + resumed remainder,
 //!    compared via the binary dump — no string rendering) must be
-//!    byte-identical to an uninterrupted same-seed run, on both
-//!    event-queue backends.
+//!    byte-identical to an uninterrupted same-seed run.
 //! 2. **Querier crash.** A `QuerierCrash` fault power-cycles the
 //!    querier host mid-replay; `on_restart` re-dispatches the dead
 //!    span. Gate: ≥ 99 % of the trace still answered, and at least one
@@ -22,55 +21,151 @@
 //!    commits in the storm window but at least one calm-prefix commit;
 //!    v2 commits in the window with `inflight > 0`; resume from the
 //!    mid-storm fuzzy cut is transcript- AND telemetry-byte-identical
-//!    to the uninterrupted storm baseline, on both backends.
+//!    to the uninterrupted storm baseline.
 //!
 //! Exits nonzero if any gate fails.
 //!
 //! `cargo run --release -p ldp-bench --bin fig_recovery [-- --seed 11 --smoke --storm]`
 
-use ldp_bench::{arg_f64, arg_flag};
+use ldp_bench::{arg_flag, arg_u64};
 use ldp_chaos::recovery::{
     run_killed, run_querier_crash, run_resumed, run_storm_baseline, run_storm_killed,
     run_storm_killed_v1, run_storm_resumed, run_uninterrupted, spliced_q_events,
-    spliced_q_events_fuzzy, RecoveryConfig, StormConfig,
+    spliced_q_events_fuzzy, RecoveryConfig, RecoveryOutcome, StormConfig,
 };
 use ldp_guard::Checkpoint;
 use ldp_telemetry as tel;
-use netsim::QueueKind;
 
 /// Answered-fraction floor for the querier-crash run (ISSUE 5
 /// acceptance criterion).
 const OK_FLOOR: f64 = 0.99;
 
-fn cfg_for(seed: u64, queue: QueueKind, smoke: bool) -> RecoveryConfig {
+fn cfg_for(seed: u64, smoke: bool) -> RecoveryConfig {
     if smoke {
-        RecoveryConfig::smoke(seed, queue)
+        RecoveryConfig::smoke(seed)
     } else {
-        RecoveryConfig::standard(seed, queue)
+        RecoveryConfig::standard(seed)
     }
 }
 
-/// Transcript minus its two header lines (which name the mode and the
-/// queue backend).
+/// Transcript minus its two header lines (which name the mode).
 fn body(transcript: &str) -> String {
     transcript.lines().skip(2).collect::<Vec<_>>().join("\n")
 }
 
-fn storm_cfg_for(seed: u64, queue: QueueKind, smoke: bool) -> StormConfig {
+fn storm_cfg_for(seed: u64, smoke: bool) -> StormConfig {
     if smoke {
-        StormConfig::smoke(seed, queue)
+        StormConfig::smoke(seed)
     } else {
-        StormConfig::standard(seed, queue)
+        StormConfig::standard(seed)
     }
 }
 
+/// A checkpoint as it comes back from its text serialization.
+fn round_trip(cp: &Checkpoint) -> Result<Checkpoint, String> {
+    let text = cp.to_text().map_err(|e| e.to_string())?;
+    Checkpoint::from_text(&text).map_err(|e| e.to_string())
+}
+
+/// The checkpoint/resume gate: kill, resume from the last committed
+/// checkpoint, compare transcript and telemetry with the uninterrupted
+/// run `base`. Returns whether the gate passed.
+fn resume_gate(cfg: &RecoveryConfig, base: &RecoveryOutcome) -> bool {
+    let killed = run_killed(cfg);
+    let Some(cp) = &killed.checkpoint else {
+        println!("gate: Heap resume — FAIL (no checkpoint committed before the kill)");
+        return false;
+    };
+    let cp = match round_trip(cp) {
+        Ok(c) => c,
+        Err(e) => {
+            println!("gate: Heap resume — FAIL (checkpoint round-trip: {e})");
+            return false;
+        }
+    };
+    let resumed = run_resumed(cfg, &cp);
+    let transcript_ok = body(&resumed.transcript) == body(&base.transcript);
+    let spliced = spliced_q_events(&killed, &resumed);
+    let tel_diff = tel::diff_logs(&spliced, &base.q_events);
+    let dump_ok = tel::dump_binary(&spliced) == tel::dump_binary(&base.q_events);
+    println!(
+        "gate: Heap resume from cursor {} ({} checkpointed records) — transcript {}, telemetry {} ({} events)",
+        cp.cursor,
+        cp.records.len(),
+        if transcript_ok { "byte-identical" } else { "MISMATCH" },
+        if tel_diff.is_none() && dump_ok { "byte-identical" } else { "MISMATCH" },
+        base.q_events.len(),
+    );
+    if let Some(ref d) = tel_diff {
+        println!("  telemetry divergence: {d}");
+    }
+    transcript_ok && tel_diff.is_none() && dump_ok
+}
+
+/// The v2 storm gates: commit-through-storm plus kill/resume
+/// byte-identity against the uninterrupted storm baseline. Returns
+/// whether they passed.
+fn storm_gate(cfg: &StormConfig) -> bool {
+    let (from, to) = cfg.storm_window();
+    let base = run_storm_baseline(cfg);
+    let answered_ok = base.outcome.records.len() == cfg.base.queries;
+    let killed = run_storm_killed(cfg);
+    let in_storm = killed.stamps_in(from, to);
+    let commit_ok = !in_storm.is_empty() && in_storm.iter().any(|s| s.inflight > 0);
+    let Some(cp) = &killed.outcome.checkpoint else {
+        println!("gate: Heap storm resume — FAIL (no fuzzy cut committed)");
+        return false;
+    };
+    let cp = match round_trip(cp) {
+        Ok(c) => c,
+        Err(e) => {
+            println!("gate: Heap storm resume — FAIL (v2 round-trip: {e})");
+            return false;
+        }
+    };
+    let resumed = run_storm_resumed(cfg, &cp);
+    let transcript_ok = body(&resumed.outcome.transcript) == body(&base.outcome.transcript);
+    let spliced = spliced_q_events_fuzzy(&killed.outcome, &resumed.outcome);
+    let mut base_events = base.outcome.q_events.clone();
+    tel::canonical_order(&mut base_events);
+    let tel_diff = tel::diff_logs(&spliced, &base_events);
+    let dump_ok = tel::dump_binary(&spliced) == tel::dump_binary(&base_events);
+    println!(
+        "gate: Heap storm — {} v2 commits in window ({} with live state) {}, baseline answered {}/{} {}",
+        in_storm.len(),
+        in_storm.iter().filter(|s| s.inflight > 0).count(),
+        if commit_ok { "ok" } else { "FAIL" },
+        base.outcome.records.len(),
+        cfg.base.queries,
+        if answered_ok { "ok" } else { "FAIL" },
+    );
+    println!(
+        "gate: Heap storm resume from epoch {} ({} records, {} inflight at the cut) — transcript {}, telemetry {} ({} events)",
+        cp.epoch,
+        cp.records.len(),
+        cp.inflight.len(),
+        if transcript_ok { "byte-identical" } else { "MISMATCH" },
+        if tel_diff.is_none() && dump_ok { "byte-identical" } else { "MISMATCH" },
+        base_events.len(),
+    );
+    if let Some(ref d) = tel_diff {
+        println!("  telemetry divergence: {d}");
+    }
+    answered_ok
+        && commit_ok
+        && !cp.inflight.is_empty()
+        && transcript_ok
+        && tel_diff.is_none()
+        && dump_ok
+}
+
 fn main() {
-    let seed = arg_f64("--seed", 11.0) as u64;
+    let seed = arg_u64("--seed", 11);
     let smoke = arg_flag("--smoke");
     let storm = arg_flag("--storm");
     let mut failed = false;
 
-    let shape = cfg_for(seed, QueueKind::Heap, smoke);
+    let shape = cfg_for(seed, smoke);
     println!(
         "recovery study: {} queries at {} ms spacing over a {} ms-RTT path,",
         shape.queries,
@@ -86,81 +181,30 @@ fn main() {
         if smoke { " (smoke)" } else { "" }
     );
 
-    // Determinism gate: same seed → byte-identical transcripts, on one
-    // backend and across both.
-    let heap_a = run_uninterrupted(&shape);
-    let heap_b = run_uninterrupted(&shape);
-    let btree_base = run_uninterrupted(&cfg_for(seed, QueueKind::BTree, smoke));
-    let rerun_ok = heap_a.transcript == heap_b.transcript;
-    let backend_ok = body(&heap_a.transcript) == body(&btree_base.transcript);
+    // Determinism gate: same seed → byte-identical transcripts.
+    let first = run_uninterrupted(&shape);
+    let rerun_ok = first.transcript == run_uninterrupted(&shape).transcript;
     println!(
-        "determinism: same-seed rerun {} ({} transcript bytes), heap vs btree {}",
+        "determinism: same-seed rerun {} ({} transcript bytes)",
         if rerun_ok {
             "byte-identical"
         } else {
             "MISMATCH"
         },
-        heap_a.transcript.len(),
-        if backend_ok {
-            "byte-identical"
-        } else {
-            "MISMATCH"
-        },
+        first.transcript.len(),
     );
-    failed |= !rerun_ok || !backend_ok;
+    failed |= !rerun_ok;
 
-    // Checkpoint/resume gate, per backend.
-    for queue in [QueueKind::Heap, QueueKind::BTree] {
-        let cfg = cfg_for(seed, queue, smoke);
-        let base = run_uninterrupted(&cfg);
-        let killed = run_killed(&cfg);
-        let Some(cp) = killed.checkpoint.clone() else {
-            println!("gate: {queue:?} resume — FAIL (no checkpoint committed before the kill)");
-            failed = true;
-            continue;
-        };
-        // The checkpoint also survives its text serialization.
-        let cp = match cp
-            .to_text()
-            .map_err(|e| e.to_string())
-            .and_then(|t| Checkpoint::from_text(&t).map_err(|e| e.to_string()))
-        {
-            Ok(c) => c,
-            Err(e) => {
-                println!("gate: {queue:?} resume — FAIL (checkpoint round-trip: {e})");
-                failed = true;
-                continue;
-            }
-        };
-        let resumed = run_resumed(&cfg, &cp);
-        let transcript_ok = body(&resumed.transcript) == body(&base.transcript);
-        let spliced = spliced_q_events(&killed, &resumed);
-        let tel_diff = tel::diff_logs(&spliced, &base.q_events);
-        let dump_ok = tel::dump_binary(&spliced) == tel::dump_binary(&base.q_events);
-        println!(
-            "gate: {:?} resume from cursor {} ({} checkpointed records) — transcript {}, telemetry {} ({} events)",
-            queue,
-            cp.cursor,
-            cp.records.len(),
-            if transcript_ok { "byte-identical" } else { "MISMATCH" },
-            if tel_diff.is_none() && dump_ok { "byte-identical" } else { "MISMATCH" },
-            base.q_events.len(),
-        );
-        if let Some(ref d) = tel_diff {
-            println!("  telemetry divergence: {d}");
-        }
-        failed |= !transcript_ok || tel_diff.is_some() || !dump_ok;
-    }
+    failed |= !resume_gate(&shape, &first);
 
     // Querier-crash gate.
-    let crash_cfg = cfg_for(seed, QueueKind::Heap, smoke);
-    let crashed = run_querier_crash(&crash_cfg);
-    let frac = crashed.answered_fraction(&crash_cfg);
+    let crashed = run_querier_crash(&shape);
+    let frac = crashed.answered_fraction(&shape);
     let frac_ok = frac >= OK_FLOOR;
     // The fault must be live: some query whose deadline fell in the
     // down window was re-dispatched after the restart, i.e. sent well
     // past its trace schedule.
-    let gap_s = crash_cfg.query_gap.as_nanos() as f64 / 1e9;
+    let gap_s = shape.query_gap.as_nanos() as f64 / 1e9;
     let redispatched = crashed
         .records
         .iter()
@@ -178,7 +222,7 @@ fn main() {
     failed |= !frac_ok || !live_ok;
 
     if storm {
-        let shape = storm_cfg_for(seed, QueueKind::Heap, smoke);
+        let shape = storm_cfg_for(seed, smoke);
         let (from, to) = shape.storm_window();
         println!(
             "\ncrash storm: {:.0}% loss + {} ms (+{} ms jitter) delay from {:.2}s to {:.2}s,",
@@ -208,69 +252,7 @@ fn main() {
         );
         failed |= !starve_ok;
 
-        // The v2 legs: commit-through-storm plus kill/resume
-        // byte-identity, per backend.
-        for queue in [QueueKind::Heap, QueueKind::BTree] {
-            let cfg = storm_cfg_for(seed, queue, smoke);
-            let base = run_storm_baseline(&cfg);
-            let answered_ok = base.outcome.records.len() == cfg.base.queries;
-            let killed = run_storm_killed(&cfg);
-            let in_storm = killed.stamps_in(from, to);
-            let commit_ok = !in_storm.is_empty() && in_storm.iter().any(|s| s.inflight > 0);
-            let Some(cp) = killed.outcome.checkpoint.clone() else {
-                println!("gate: {queue:?} storm resume — FAIL (no fuzzy cut committed)");
-                failed = true;
-                continue;
-            };
-            let cp = match cp
-                .to_text()
-                .map_err(|e| e.to_string())
-                .and_then(|t| Checkpoint::from_text(&t).map_err(|e| e.to_string()))
-            {
-                Ok(c) => c,
-                Err(e) => {
-                    println!("gate: {queue:?} storm resume — FAIL (v2 round-trip: {e})");
-                    failed = true;
-                    continue;
-                }
-            };
-            let resumed = run_storm_resumed(&cfg, &cp);
-            let transcript_ok = body(&resumed.outcome.transcript) == body(&base.outcome.transcript);
-            let spliced = spliced_q_events_fuzzy(&killed.outcome, &resumed.outcome);
-            let mut base_events = base.outcome.q_events.clone();
-            tel::canonical_order(&mut base_events);
-            let tel_diff = tel::diff_logs(&spliced, &base_events);
-            let dump_ok = tel::dump_binary(&spliced) == tel::dump_binary(&base_events);
-            println!(
-                "gate: {:?} storm — {} v2 commits in window ({} with live state) {}, baseline answered {}/{} {}",
-                queue,
-                in_storm.len(),
-                in_storm.iter().filter(|s| s.inflight > 0).count(),
-                if commit_ok { "ok" } else { "FAIL" },
-                base.outcome.records.len(),
-                cfg.base.queries,
-                if answered_ok { "ok" } else { "FAIL" },
-            );
-            println!(
-                "gate: {:?} storm resume from epoch {} ({} records, {} inflight at the cut) — transcript {}, telemetry {} ({} events)",
-                queue,
-                cp.epoch,
-                cp.records.len(),
-                cp.inflight.len(),
-                if transcript_ok { "byte-identical" } else { "MISMATCH" },
-                if tel_diff.is_none() && dump_ok { "byte-identical" } else { "MISMATCH" },
-                base_events.len(),
-            );
-            if let Some(ref d) = tel_diff {
-                println!("  telemetry divergence: {d}");
-            }
-            failed |= !answered_ok
-                || !commit_ok
-                || cp.inflight.is_empty()
-                || !transcript_ok
-                || tel_diff.is_some()
-                || !dump_ok;
-        }
+        failed |= !storm_gate(&shape);
     }
 
     println!("\ntakeaway: quiescent-cut checkpoints make a killed replay resumable with a");

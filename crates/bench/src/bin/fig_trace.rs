@@ -13,10 +13,10 @@
 //! * a timeline excerpt.
 //!
 //! The run doubles as the ISSUE's determinism gate: two telemetry-on
-//! runs must drain byte-identical event logs, the latency log must be
-//! byte-identical with telemetry on vs off, and the BTree queue backend
-//! must reproduce both. Exits nonzero if any gate fails. The full run's
-//! standard output is `results/fig_trace.txt` (the gate compares them).
+//! runs must drain byte-identical event logs, and the latency log must
+//! be byte-identical with telemetry on vs off. Exits nonzero if any
+//! gate fails. The full run's standard output is
+//! `results/fig_trace.txt` (the gate compares them).
 //!
 //! `cargo run --release -p ldp-bench --bin fig_trace [-- --seed 11 --smoke] > results/fig_trace.txt`
 
@@ -27,11 +27,11 @@ use std::sync::{Arc, Mutex};
 use dns_server::{ServerEngine, SimDnsServer};
 use dns_wire::{Name, RData, Record, Soa};
 use dns_zone::{Catalog, Zone};
-use ldp_bench::{arg_f64, arg_flag, cdf_rows};
+use ldp_bench::{arg_f64, arg_flag, arg_u64, cdf_rows};
 use ldp_replay::{LatencyLog, SimReplayClient};
 use ldp_telemetry as tel;
 use ldp_trace::TraceEntry;
-use netsim::{PathConfig, QueueKind, SimConfig, SimDuration, SimTime, Simulator, Topology};
+use netsim::{PathConfig, SimConfig, SimDuration, SimTime, Simulator, Topology};
 use workloads::broot::BRootSpec;
 
 fn n(s: &str) -> Name {
@@ -77,7 +77,6 @@ fn run_once(
     trace: &[TraceEntry],
     server_addr: SocketAddr,
     horizon_s: f64,
-    queue: QueueKind,
     telemetry: bool,
 ) -> (String, Vec<tel::RawEvent>) {
     tel::set_enabled(false);
@@ -90,10 +89,7 @@ fn run_once(
             bandwidth_bps: None,
             loss: 0.0,
         }),
-        SimConfig {
-            queue,
-            ..SimConfig::default()
-        },
+        SimConfig::default(),
     );
     sim.add_host(
         &[server_addr.ip()],
@@ -130,7 +126,7 @@ fn run_once(
 }
 
 fn main() {
-    let seed = arg_f64("--seed", 11.0) as u64;
+    let seed = arg_u64("--seed", 11);
     let smoke = arg_flag("--smoke");
     // Scale keeps the full event stream inside one ring buffer
     // (~3 k queries × ~14 events ≈ 41 k of 64 Ki slots).
@@ -158,19 +154,17 @@ fn main() {
     tel::clock::use_virtual_clock();
 
     // Determinism gates (ISSUE 4 acceptance criteria).
-    let (lat_on_a, events) = run_once(&trace, server_addr, horizon, QueueKind::Heap, true);
-    let (lat_on_b, events_b) = run_once(&trace, server_addr, horizon, QueueKind::Heap, true);
-    let (lat_off, _) = run_once(&trace, server_addr, horizon, QueueKind::Heap, false);
-    let (lat_btree, events_btree) = run_once(&trace, server_addr, horizon, QueueKind::BTree, true);
+    let (lat_on_a, events) = run_once(&trace, server_addr, horizon, true);
+    let (lat_on_b, events_b) = run_once(&trace, server_addr, horizon, true);
+    let (lat_off, _) = run_once(&trace, server_addr, horizon, false);
     tel::clock::use_zero_clock();
 
     let log_a = tel::render_timeline(&events);
     let rerun_ok = log_a == tel::render_timeline(&events_b);
     let onoff_ok = lat_on_a == lat_off && lat_on_a == lat_on_b;
-    let backend_ok = lat_on_a == lat_btree && log_a == tel::render_timeline(&events_btree);
     let _ = writeln!(
         out,
-        "determinism: event logs rerun {} ({} events), latency on/off {}, heap vs btree {}",
+        "determinism: event logs rerun {} ({} events), latency on/off {}",
         if rerun_ok {
             "byte-identical"
         } else {
@@ -182,13 +176,8 @@ fn main() {
         } else {
             "MISMATCH"
         },
-        if backend_ok {
-            "byte-identical"
-        } else {
-            "MISMATCH"
-        },
     );
-    failed |= !rerun_ok || !onoff_ok || !backend_ok;
+    failed |= !rerun_ok || !onoff_ok;
     if events.is_empty() {
         let _ = writeln!(out, "gate: FAIL — telemetry-enabled run drained no events");
         failed = true;

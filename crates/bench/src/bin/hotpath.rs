@@ -1,8 +1,8 @@
-//! Hot-path microbenchmarks: simulator event throughput (heap
-//! vs. BTreeMap event queue on the identical workload), fast-mode
-//! replay throughput against a loopback UDP sink, and dns-wire
-//! encode/decode throughput. Writes `BENCH_hotpath.json` (hand-rolled
-//! JSON) so the static-analysis gate can check the numbers.
+//! Hot-path microbenchmarks: simulator event throughput (single and
+//! sharded, on the identical workload), fast-mode replay throughput
+//! against a loopback UDP sink, and dns-wire encode/decode throughput.
+//! Writes `BENCH_hotpath.json` (hand-rolled JSON) so the
+//! static-analysis gate can check the numbers.
 //!
 //! `cargo run --release -p ldp-bench --bin hotpath [-- <output.json>]`
 
@@ -18,8 +18,8 @@ use ldp_shard::{ShardPlan, ShardedSimulator};
 use ldp_telemetry as tel;
 use ldp_trace::TraceEntry;
 use netsim::{
-    Ctx, EventQueue, Host, PacketBytes, PathConfig, QueueKind, SimConfig, SimDuration, SimTime,
-    Simulator, TcpEvent, Topology,
+    Ctx, EventQueue, Host, PacketBytes, PathConfig, SimConfig, SimDuration, SimTime, Simulator,
+    TcpEvent, Topology,
 };
 
 /// Best wall-clock seconds out of `runs` attempts of `f` (noise floor).
@@ -67,31 +67,30 @@ fn sim_topology() -> Topology {
     })
 }
 
-/// One full simulator run on the given queue backend; returns events
-/// processed. 8 hosts × `ticks` re-armed 20 µs timers × 2-peer bursts
-/// over a 2 ms RTT keeps ~1.5k events resident for the whole run.
-fn sim_run(queue: QueueKind, ticks: u64) -> u64 {
-    let config = SimConfig {
-        queue,
-        ..Default::default()
-    };
-    let mut sim = Simulator::new(sim_topology(), config);
+/// The workload of both simulator benches: 8 hosts × `ticks` re-armed
+/// 20 µs timers × 2-peer bursts, which over a 2 ms RTT keeps ~1.5k
+/// events resident for the whole run.
+fn blaster_ring(ticks: u64) -> Vec<Blaster> {
     let payload: PacketBytes = vec![0u8; 64].into();
     let n_hosts = 8usize;
     let socks: Vec<SocketAddr> = (0..n_hosts)
         .map(|i| format!("10.9.0.{}:5300", i + 1).parse().expect("addr"))
         .collect();
-    for i in 0..n_hosts {
-        let peers = vec![socks[(i + 1) % n_hosts], socks[(i + 3) % n_hosts]];
-        let id = sim.add_host(
-            &[socks[i].ip()],
-            Box::new(Blaster {
-                me: socks[i],
-                peers,
-                payload: payload.clone(),
-                ticks,
-            }),
-        );
+    (0..n_hosts)
+        .map(|i| Blaster {
+            me: socks[i],
+            peers: vec![socks[(i + 1) % n_hosts], socks[(i + 3) % n_hosts]],
+            payload: payload.clone(),
+            ticks,
+        })
+        .collect()
+}
+
+/// One full simulator run of the ring; returns events processed.
+fn sim_run(ticks: u64) -> u64 {
+    let mut sim = Simulator::new(sim_topology(), SimConfig::default());
+    for (i, host) in blaster_ring(ticks).into_iter().enumerate() {
+        let id = sim.add_host(&[host.me.ip()], Box::new(host));
         sim.schedule_timer(id, SimTime::from_micros(i as u64), 0);
     }
     sim.run_until(SimTime::from_secs_f64(3600.0))
@@ -103,36 +102,19 @@ fn sim_run(queue: QueueKind, ticks: u64) -> u64 {
 /// single-shard count — the equivalence smoke the static-analysis
 /// gate relies on.
 fn sharded_sim_run(shards: u32, ticks: u64) -> u64 {
-    let config = SimConfig {
-        queue: QueueKind::Heap,
-        ..Default::default()
-    };
-    let mut sim = ShardedSimulator::new(sim_topology(), config, ShardPlan::round_robin(shards));
-    let payload: PacketBytes = vec![0u8; 64].into();
-    let n_hosts = 8usize;
-    let socks: Vec<SocketAddr> = (0..n_hosts)
-        .map(|i| format!("10.9.0.{}:5300", i + 1).parse().expect("addr"))
-        .collect();
-    for i in 0..n_hosts {
-        let peers = vec![socks[(i + 1) % n_hosts], socks[(i + 3) % n_hosts]];
-        let id = sim.add_host(
-            &[socks[i].ip()],
-            Box::new(Blaster {
-                me: socks[i],
-                peers,
-                payload: payload.clone(),
-                ticks,
-            }),
-        );
+    let plan = ShardPlan::round_robin(shards);
+    let mut sim = ShardedSimulator::new(sim_topology(), SimConfig::default(), plan);
+    for (i, host) in blaster_ring(ticks).into_iter().enumerate() {
+        let id = sim.add_host(&[host.me.ip()], Box::new(host));
         sim.schedule_timer(id, SimTime::from_micros(i as u64), 0);
     }
     sim.run_until(SimTime::from_secs_f64(3600.0))
 }
 
 /// Raw queue ops/sec: push/pop cycles on the bare [`EventQueue`], the
-/// isolated data-structure comparison behind the sim-level numbers.
-fn queue_raw(kind: QueueKind, ops: u64) -> u64 {
-    let mut q: EventQueue<u64> = EventQueue::new(kind);
+/// isolated data-structure cost behind the sim-level numbers.
+fn queue_raw(ops: u64) -> u64 {
+    let mut q: EventQueue<u64> = EventQueue::default();
     // Keep ~4096 entries resident; interleave pushes and pops with a
     // mildly non-monotonic time pattern (like real timer re-arming).
     let mut now = 0u64;
@@ -428,22 +410,12 @@ fn main() {
         .nth(1)
         .unwrap_or_else(|| "BENCH_hotpath.json".to_string());
 
-    // --- Simulator: heap vs. BTreeMap on the identical workload. ---
+    // --- Simulator: event throughput on the Blaster ring. ---
     let ticks = 20_000u64;
-    println!("sim: 8 hosts × {ticks} ticks × 2 backends (best of 3)…");
-    let (heap_events, heap_s) = best_of(3, || sim_run(QueueKind::Heap, ticks));
-    let (btree_events, btree_s) = best_of(3, || sim_run(QueueKind::BTree, ticks));
-    assert_eq!(
-        heap_events, btree_events,
-        "backends processed identical event counts"
-    );
+    println!("sim: 8 hosts × {ticks} ticks (best of 3)…");
+    let (heap_events, heap_s) = best_of(3, || sim_run(ticks));
     let heap_eps = heap_events as f64 / heap_s;
-    let btree_eps = btree_events as f64 / btree_s;
-    println!("  heap  {heap_eps:>12.0} events/s");
-    println!(
-        "  btree {btree_eps:>12.0} events/s   (speedup {:.2}×)",
-        heap_eps / btree_eps
-    );
+    println!("  {heap_eps:>12.0} events/s");
 
     // --- Telemetry: recording overhead on the identical sim workload
     // (ISSUE 4 acceptance criterion: ≤ 5% on sim events/s). Paired
@@ -463,7 +435,7 @@ fn main() {
     for round in 0..8 {
         for on_now in [round % 2 == 0, round % 2 != 0] {
             tel::set_enabled(on_now);
-            let (events, secs) = best_of(1, || sim_run(QueueKind::Heap, ticks));
+            let (events, secs) = best_of(1, || sim_run(ticks));
             tel::set_enabled(false);
             let _ = tel::drain_all(); // discard the recorded marks
             assert_eq!(
@@ -486,12 +458,9 @@ fn main() {
     );
 
     let ops = 2_000_000u64;
-    let (heap_ops, heap_raw_s) = best_of(3, || queue_raw(QueueKind::Heap, ops));
-    let (btree_ops, btree_raw_s) = best_of(3, || queue_raw(QueueKind::BTree, ops));
+    let (heap_ops, heap_raw_s) = best_of(3, || queue_raw(ops));
     let heap_raw = heap_ops as f64 / heap_raw_s;
-    let btree_raw = btree_ops as f64 / btree_raw_s;
-    println!("  raw queue: heap {heap_raw:>12.0} ops/s, btree {btree_raw:>12.0} ops/s");
-    assert_eq!(heap_ops, btree_ops);
+    println!("  raw queue: {heap_raw:>12.0} ops/s");
 
     // --- Sharded simulator: the identical workload on 1/2/8 worker
     // shards. The event-count equality is the cheap equivalence smoke
@@ -581,9 +550,7 @@ fn main() {
 
     // Hand-rolled JSON: the workspace has no serializer dependency.
     let json = format!(
-        "{{\n  \"sim\": {{\n    \"events\": {heap_events},\n    \"heap_events_per_sec\": {heap_eps:.0},\n    \"btree_events_per_sec\": {btree_eps:.0},\n    \"heap_speedup\": {:.3},\n    \"raw_queue_heap_ops_per_sec\": {heap_raw:.0},\n    \"raw_queue_btree_ops_per_sec\": {btree_raw:.0},\n    \"raw_queue_heap_speedup\": {:.3},\n    \"telemetry_events_per_sec\": {tel_eps:.0},\n    \"telemetry_overhead_pct\": {telemetry_overhead_pct:.2},\n    \"sharded_events_per_sec_1\": {:.0},\n    \"sharded_events_per_sec_2\": {:.0},\n    \"sharded_events_per_sec_8\": {:.0}\n  }},\n  \"replay\": {{\n    \"queries\": {sent},\n    \"queries_per_sec\": {qps:.0},\n    \"guarded_queries_per_sec\": {guard_qps:.0},\n    \"guard_overhead_pct\": {guard_overhead_pct:.2},\n    \"errors\": {errors}\n  }},\n  \"guard\": {{\n    \"fuzzy_checkpoint_per_sec\": {fuzzy_cp_ps:.0}\n  }},\n  \"wire\": {{\n    \"message_bytes\": {msg_size},\n    \"encode_msgs_per_sec\": {enc_mps:.0},\n    \"decode_msgs_per_sec\": {dec_mps:.0},\n    \"encode_mb_per_sec\": {:.1},\n    \"decode_mb_per_sec\": {:.1}\n  }},\n  \"server\": {{\n    \"template_answers_per_sec\": {template_aps:.0},\n    \"general_answers_per_sec\": {general_aps:.0},\n    \"template_speedup\": {:.3}\n  }},\n  \"resolver\": {{\n    \"cache_hit_per_sec\": {cache_hit_ps:.0},\n    \"cache_delayed_hit_per_sec\": {cache_delayed_ps:.0},\n    \"cache_miss_per_sec\": {cache_miss_ps:.0}\n  }}\n}}\n",
-        heap_eps / btree_eps,
-        heap_raw / btree_raw,
+        "{{\n  \"sim\": {{\n    \"events\": {heap_events},\n    \"heap_events_per_sec\": {heap_eps:.0},\n    \"raw_queue_heap_ops_per_sec\": {heap_raw:.0},\n    \"telemetry_events_per_sec\": {tel_eps:.0},\n    \"telemetry_overhead_pct\": {telemetry_overhead_pct:.2},\n    \"sharded_events_per_sec_1\": {:.0},\n    \"sharded_events_per_sec_2\": {:.0},\n    \"sharded_events_per_sec_8\": {:.0}\n  }},\n  \"replay\": {{\n    \"queries\": {sent},\n    \"queries_per_sec\": {qps:.0},\n    \"guarded_queries_per_sec\": {guard_qps:.0},\n    \"guard_overhead_pct\": {guard_overhead_pct:.2},\n    \"errors\": {errors}\n  }},\n  \"guard\": {{\n    \"fuzzy_checkpoint_per_sec\": {fuzzy_cp_ps:.0}\n  }},\n  \"wire\": {{\n    \"message_bytes\": {msg_size},\n    \"encode_msgs_per_sec\": {enc_mps:.0},\n    \"decode_msgs_per_sec\": {dec_mps:.0},\n    \"encode_mb_per_sec\": {:.1},\n    \"decode_mb_per_sec\": {:.1}\n  }},\n  \"server\": {{\n    \"template_answers_per_sec\": {template_aps:.0},\n    \"general_answers_per_sec\": {general_aps:.0},\n    \"template_speedup\": {:.3}\n  }},\n  \"resolver\": {{\n    \"cache_hit_per_sec\": {cache_hit_ps:.0},\n    \"cache_delayed_hit_per_sec\": {cache_delayed_ps:.0},\n    \"cache_miss_per_sec\": {cache_miss_ps:.0}\n  }}\n}}\n",
         sharded_eps[0],
         sharded_eps[1],
         sharded_eps[2],

@@ -22,6 +22,28 @@ pub fn arg_f64(name: &str, default: f64) -> f64 {
         .unwrap_or(default)
 }
 
+/// The value that followed an integer flag on the command line
+/// (`None`: the flag was the last argument) as a `u64`, or why not.
+fn parse_u64(value: Option<&str>) -> Result<u64, String> {
+    let v = value.ok_or("needs a value")?;
+    v.parse()
+        .map_err(|e| format!("{v:?} is not an unsigned 64-bit integer ({e})"))
+}
+
+/// `--seed S` style integer flags from argv. Unlike [`arg_f64`], a
+/// malformed value is fatal (exit status 2): a run that prints "seed S"
+/// must have run seed S.
+pub fn arg_u64(name: &str, default: u64) -> u64 {
+    let args: Vec<String> = std::env::args().collect();
+    let Some(i) = args.iter().position(|a| a == name) else {
+        return default;
+    };
+    parse_u64(args.get(i + 1).map(String::as_str)).unwrap_or_else(|e| {
+        eprintln!("error: {name} {e}");
+        std::process::exit(2)
+    })
+}
+
 /// True if `--flag` is present.
 pub fn arg_flag(name: &str) -> bool {
     std::env::args().any(|a| a == name)
@@ -54,6 +76,20 @@ pub fn cdf_rows(label: &str, samples: &[f64], unit: &str) -> Vec<String> {
 
 #[cfg(test)]
 mod tests {
+    #[test]
+    fn parse_u64_rejects_what_the_f64_route_accepted() {
+        use super::parse_u64;
+        assert_eq!(parse_u64(Some("42")), Ok(42));
+        // Above 2^53: exact, where `as u64` on an `f64` rounded to ...992.
+        assert_eq!(
+            parse_u64(Some("9007199254740993")),
+            Ok(9_007_199_254_740_993)
+        );
+        assert!(parse_u64(Some("x")).is_err(), "was: silently seed 11");
+        assert!(parse_u64(Some("-3")).is_err(), "was: silently seed 0");
+        assert!(parse_u64(None).is_err(), "--seed as the last argument");
+    }
+
     #[test]
     fn boxplot_row_formats() {
         let s = ldp_metrics::Summary::of(&[1.0, 2.0, 3.0, 4.0, 5.0]).unwrap();

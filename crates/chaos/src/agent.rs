@@ -130,7 +130,7 @@ pub fn install_sharded(
 mod tests {
     use super::*;
     use dns_wire::name::Name;
-    use netsim::{PathConfig, QueueKind, SimConfig, SimDuration, SimTime, Topology};
+    use netsim::{PathConfig, SimConfig, SimDuration, SimTime, Topology};
 
     fn root_ip(i: u8) -> IpAddr {
         format!("10.13.0.{}", i + 1).parse().unwrap()
@@ -139,13 +139,7 @@ mod tests {
     #[test]
     fn crash_and_restart_fire_on_schedule() {
         let topo = Topology::uniform(PathConfig::with_rtt(SimDuration::from_millis(10)));
-        let mut sim = Simulator::new(
-            topo,
-            SimConfig {
-                queue: QueueKind::Heap,
-                ..SimConfig::default()
-            },
-        );
+        let mut sim = Simulator::new(topo, SimConfig::default());
 
         let mut catalog = dns_zone::catalog::Catalog::new();
         catalog.insert(dns_zone::zone::Zone::new(Name::root()));

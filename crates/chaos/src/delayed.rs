@@ -30,8 +30,8 @@ use dns_zone::zone::Zone;
 use ldp_cache::{CacheConfig, PrefetchConfig};
 use ldp_rng::SplitMix64;
 use netsim::{
-    Ctx, Host, PacketBytes, PathConfig, QueueKind, SimConfig, SimDuration, SimTime, Simulator,
-    TcpEvent, Topology,
+    Ctx, Host, PacketBytes, PathConfig, SimConfig, SimDuration, SimTime, Simulator, TcpEvent,
+    Topology,
 };
 use workloads::Zipf;
 
@@ -74,15 +74,13 @@ pub struct DelayedConfig {
     pub crash: Option<(SimTime, SimTime)>,
     /// Seed for the simulator, the fault plan and the workload.
     pub seed: u64,
-    /// Event-queue backend under test.
-    pub queue: QueueKind,
 }
 
 impl DelayedConfig {
     /// The standard study shape: 400 names, 1500 queries at 5 ms
     /// spacing under a strong Zipf skew, 60 s record TTLs, every 7th
     /// rank nonexistent, 4 upstream servers, no faults.
-    pub fn standard(capacity: usize, policy: PolicyKind, seed: u64, queue: QueueKind) -> Self {
+    pub fn standard(capacity: usize, policy: PolicyKind, seed: u64) -> Self {
         DelayedConfig {
             names: 400,
             queries: 1500,
@@ -97,16 +95,15 @@ impl DelayedConfig {
             delay_spike: None,
             crash: None,
             seed,
-            queue,
         }
     }
 
     /// A smaller, faster variant for smoke tests and CI gates.
-    pub fn smoke(capacity: usize, policy: PolicyKind, seed: u64, queue: QueueKind) -> Self {
+    pub fn smoke(capacity: usize, policy: PolicyKind, seed: u64) -> Self {
         DelayedConfig {
             names: 120,
             queries: 300,
-            ..DelayedConfig::standard(capacity, policy, seed, queue)
+            ..DelayedConfig::standard(capacity, policy, seed)
         }
     }
 
@@ -114,13 +111,13 @@ impl DelayedConfig {
     /// so every one of them lands while the first resolution is in
     /// flight — the pure aggregation scenario the dedup invariant and
     /// the chaos tests pin down.
-    pub fn burst(stubs: usize, seed: u64, queue: QueueKind) -> Self {
+    pub fn burst(stubs: usize, seed: u64) -> Self {
         DelayedConfig {
             names: 1,
             queries: stubs,
             query_gap: SimDuration::from_nanos(0),
             nx_every: 0,
-            ..DelayedConfig::standard(usize::MAX, PolicyKind::Lru, seed, queue)
+            ..DelayedConfig::standard(usize::MAX, PolicyKind::Lru, seed)
         }
     }
 
@@ -212,7 +209,7 @@ impl QueryRecord {
 
 /// The result of [`run`]: per-query records, the resolver's final
 /// counters, and a deterministic transcript (byte-identical for equal
-/// seeds and configs, whatever the queue backend).
+/// seeds and configs).
 #[derive(Debug, Clone)]
 pub struct DelayedOutcome {
     /// Per-query outcomes, indexed by query number.
@@ -340,14 +337,12 @@ fn study_zone(cfg: &DelayedConfig) -> Zone {
 /// Run the delayed-hits study once and return its outcome.
 ///
 /// Everything inside is virtual-time and plan-seeded, so two calls with
-/// an equal `cfg` produce byte-identical transcripts regardless of the
-/// configured queue backend.
+/// an equal `cfg` produce byte-identical transcripts.
 pub fn run(cfg: &DelayedConfig) -> DelayedOutcome {
     let mut sim = Simulator::new(
         Topology::uniform(PathConfig::with_rtt(SimDuration::from_millis(40))),
         SimConfig {
             seed: cfg.seed,
-            queue: cfg.queue,
             ..SimConfig::default()
         },
     );
@@ -437,12 +432,11 @@ pub fn run(cfg: &DelayedConfig) -> DelayedOutcome {
     let mut t = String::new();
     t.push_str("fig_cache v1\n");
     t.push_str(&format!(
-        "policy={} capacity={} prefetch={} seed={} queue={:?} names={} queries={} ttl={}s nx_every={} spike={:?} crash={:?}\n",
+        "policy={} capacity={} prefetch={} seed={} names={} queries={} ttl={}s nx_every={} spike={:?} crash={:?}\n",
         cfg.policy.label(),
         if cfg.capacity == usize::MAX { "inf".to_string() } else { cfg.capacity.to_string() },
         u8::from(cfg.prefetch),
         cfg.seed,
-        cfg.queue,
         cfg.names,
         cfg.queries,
         cfg.record_ttl,
@@ -490,7 +484,7 @@ mod tests {
 
     #[test]
     fn quiet_run_answers_everything() {
-        let cfg = DelayedConfig::smoke(usize::MAX, PolicyKind::Lru, 42, QueueKind::Heap);
+        let cfg = DelayedConfig::smoke(usize::MAX, PolicyKind::Lru, 42);
         let out = run(&cfg);
         assert_eq!(out.records.len(), cfg.queries);
         assert!(
@@ -510,7 +504,7 @@ mod tests {
 
     #[test]
     fn burst_coalesces_onto_one_upstream_query() {
-        let out = run(&DelayedConfig::burst(8, 7, QueueKind::Heap));
+        let out = run(&DelayedConfig::burst(8, 7));
         assert_eq!(out.records.len(), 8);
         assert!(out.ok_fraction() >= 1.0);
         assert_eq!(out.upstream_rx, 1, "dedup invariant:\n{}", out.transcript);
@@ -520,7 +514,7 @@ mod tests {
 
     #[test]
     fn same_seed_transcripts_are_byte_identical() {
-        let cfg = DelayedConfig::smoke(64, PolicyKind::DelayAware, 11, QueueKind::Heap);
+        let cfg = DelayedConfig::smoke(64, PolicyKind::DelayAware, 11);
         let a = run(&cfg);
         let b = run(&cfg);
         assert_eq!(a.transcript, b.transcript);
@@ -528,7 +522,7 @@ mod tests {
 
     #[test]
     fn bounded_cache_evicts_and_still_answers() {
-        let cfg = DelayedConfig::smoke(16, PolicyKind::Lru, 3, QueueKind::Heap);
+        let cfg = DelayedConfig::smoke(16, PolicyKind::Lru, 3);
         let out = run(&cfg);
         assert!(out.ok_fraction() >= 1.0);
         assert!(out.snapshot.stats.evictions > 0, "capacity 16 must evict");
@@ -537,7 +531,7 @@ mod tests {
 
     #[test]
     fn nonexistent_ranks_are_negative_cached() {
-        let cfg = DelayedConfig::smoke(usize::MAX, PolicyKind::Lru, 5, QueueKind::Heap);
+        let cfg = DelayedConfig::smoke(usize::MAX, PolicyKind::Lru, 5);
         let out = run(&cfg);
         // Some queries hit nonexistent ranks and still count as ok
         // (NXDOMAIN expected); repeats within the 30s SOA MINIMUM are

@@ -21,8 +21,8 @@ use dns_zone::catalog::Catalog;
 use dns_zone::zone::Zone;
 use ldp_shard::{ShardPlan, ShardedSimulator};
 use netsim::{
-    Ctx, Host, HostStats, PacketBytes, PathConfig, QueueKind, SimConfig, SimDuration, SimTime,
-    Simulator, TcpEvent, Topology,
+    Ctx, Host, HostStats, PacketBytes, PathConfig, SimConfig, SimDuration, SimTime, Simulator,
+    TcpEvent, Topology,
 };
 
 use crate::agent;
@@ -98,8 +98,6 @@ pub struct OutageConfig {
     pub loss_rate: f64,
     /// Seed for both the simulator and the fault plan.
     pub seed: u64,
-    /// Event-queue backend under test.
-    pub queue: QueueKind,
     /// The resolver retry policy under study.
     pub policy: RetryPolicy,
     /// Stub attempts per query (first send + retries).
@@ -114,7 +112,7 @@ impl OutageConfig {
     /// 10% loss burst. The 8 s window deliberately outlasts the stub's
     /// full retry span (4 attempts × 2.5 s), so a policy that never
     /// fails over cannot be rescued by stub persistence alone.
-    pub fn standard(policy: RetryPolicy, seed: u64, queue: QueueKind) -> Self {
+    pub fn standard(policy: RetryPolicy, seed: u64) -> Self {
         OutageConfig {
             letters: 13,
             crashed: 3,
@@ -124,7 +122,6 @@ impl OutageConfig {
             outage_end: SimTime::from_secs_f64(13.0),
             loss_rate: 0.10,
             seed,
-            queue,
             policy,
             stub_attempts: 4,
             stub_retry_gap: SimDuration::from_millis(2_500),
@@ -132,10 +129,10 @@ impl OutageConfig {
     }
 
     /// A smaller, faster variant for smoke tests and CI gates.
-    pub fn smoke(policy: RetryPolicy, seed: u64, queue: QueueKind) -> Self {
+    pub fn smoke(policy: RetryPolicy, seed: u64) -> Self {
         OutageConfig {
             queries: 120,
-            ..OutageConfig::standard(policy, seed, queue)
+            ..OutageConfig::standard(policy, seed)
         }
     }
 
@@ -196,8 +193,7 @@ impl QueryRecord {
 }
 
 /// The result of [`run`]: per-query records plus a deterministic
-/// transcript (byte-identical for equal seeds and configs, whatever the
-/// queue backend).
+/// transcript (byte-identical for equal seeds and configs).
 #[derive(Debug, Clone)]
 pub struct OutageOutcome {
     /// Per-query outcomes, indexed by query number.
@@ -432,8 +428,7 @@ impl AnySim {
 /// Run the outage study once and return its outcome.
 ///
 /// Everything inside is virtual-time and plan-seeded, so two calls with
-/// an equal `cfg` produce byte-identical transcripts regardless of the
-/// configured queue backend.
+/// an equal `cfg` produce byte-identical transcripts.
 pub fn run(cfg: &OutageConfig) -> OutageOutcome {
     let mut sim = AnySim::Single(Simulator::new(outage_topology(), outage_sim_config(cfg)));
     run_on(cfg, &mut sim)
@@ -442,7 +437,7 @@ pub fn run(cfg: &OutageConfig) -> OutageOutcome {
 /// [`run`] on a [`ShardedSimulator`] with `shards` round-robin worker
 /// shards. Produces a transcript byte-identical to [`run`]'s for the
 /// same config — the shard-equivalence property the integration tests
-/// pin down across queue backends and shard counts.
+/// pin down across shard counts.
 pub fn run_sharded(cfg: &OutageConfig, shards: u32) -> OutageOutcome {
     let mut sim = AnySim::Sharded(ShardedSimulator::new(
         outage_topology(),
@@ -460,7 +455,6 @@ fn outage_topology() -> Topology {
 fn outage_sim_config(cfg: &OutageConfig) -> SimConfig {
     SimConfig {
         seed: cfg.seed,
-        queue: cfg.queue,
         ..SimConfig::default()
     }
 }
@@ -514,8 +508,8 @@ fn run_on(cfg: &OutageConfig, sim: &mut AnySim) -> OutageOutcome {
     let mut t = String::new();
     t.push_str("fig_outage v1\n");
     t.push_str(&format!(
-        "policy={} seed={} queue={:?} letters={} crashed={} loss={:?}\n",
-        cfg.policy.label, cfg.seed, cfg.queue, cfg.letters, cfg.crashed, cfg.loss_rate
+        "policy={} seed={} letters={} crashed={} loss={:?}\n",
+        cfg.policy.label, cfg.seed, cfg.letters, cfg.crashed, cfg.loss_rate
     ));
     t.push_str(&format!(
         "outage=[{},{})ns queries={} gap={}ns events={}\n",
@@ -565,7 +559,7 @@ mod tests {
     fn quiet_run_answers_everything_quickly() {
         // No faults at all: shrink the config and clear the plan by
         // setting the outage after the run ends with zero loss.
-        let mut cfg = OutageConfig::smoke(RetryPolicy::failover(), 42, QueueKind::Heap);
+        let mut cfg = OutageConfig::smoke(RetryPolicy::failover(), 42);
         cfg.queries = 40;
         cfg.loss_rate = 0.0;
         cfg.crashed = 0;
@@ -581,7 +575,7 @@ mod tests {
 
     #[test]
     fn phases_partition_queries() {
-        let cfg = OutageConfig::smoke(RetryPolicy::full(), 7, QueueKind::Heap);
+        let cfg = OutageConfig::smoke(RetryPolicy::full(), 7);
         let out = run(&cfg);
         let total = out.sent_in_phase(&cfg, Phase::Before)
             + out.sent_in_phase(&cfg, Phase::During)

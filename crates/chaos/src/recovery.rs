@@ -35,7 +35,7 @@ use ldp_guard::{Checkpoint, RetransmitConfig};
 use ldp_replay::sim_replay::{CheckpointStamp, LatencyLog, LatencyRecord, SimReplayClient};
 use ldp_telemetry as tel;
 use ldp_trace::TraceEntry;
-use netsim::{PathConfig, QueueKind, SimConfig, SimDuration, SimTime, Simulator, Topology};
+use netsim::{PathConfig, SimConfig, SimDuration, SimTime, Simulator, Topology};
 
 use crate::agent;
 use crate::plan::{FaultEvent, FaultPlan};
@@ -61,8 +61,6 @@ pub struct RecoveryConfig {
     pub down_for: SimDuration,
     /// Simulator seed.
     pub seed: u64,
-    /// Event-queue backend under test.
-    pub queue: QueueKind,
 }
 
 impl RecoveryConfig {
@@ -70,7 +68,7 @@ impl RecoveryConfig {
     /// 40 ms-RTT path, checkpoint every 20 completions, killed at
     /// 8.31 s (mid-trace, between cuts), querier down for 400 ms from
     /// t = 5 s.
-    pub fn standard(seed: u64, queue: QueueKind) -> Self {
+    pub fn standard(seed: u64) -> Self {
         RecoveryConfig {
             queries: 400,
             query_gap: SimDuration::from_millis(50),
@@ -80,18 +78,17 @@ impl RecoveryConfig {
             crash_at: SimTime::from_secs_f64(5.0),
             down_for: SimDuration::from_millis(400),
             seed,
-            queue,
         }
     }
 
     /// A smaller, faster variant for smoke tests and CI gates.
-    pub fn smoke(seed: u64, queue: QueueKind) -> Self {
+    pub fn smoke(seed: u64) -> Self {
         RecoveryConfig {
             queries: 160,
             kill_at: SimTime::from_secs_f64(3.11),
             crash_at: SimTime::from_secs_f64(2.0),
             down_for: SimDuration::from_millis(300),
-            ..RecoveryConfig::standard(seed, queue)
+            ..RecoveryConfig::standard(seed)
         }
     }
 
@@ -194,7 +191,6 @@ fn build_sim(cfg: &RecoveryConfig) -> Simulator {
         topo,
         SimConfig {
             seed: cfg.seed,
-            queue: cfg.queue,
             ..SimConfig::default()
         },
     );
@@ -241,10 +237,9 @@ fn outcome(
     let mut t = String::new();
     t.push_str("fig_recovery v1\n");
     t.push_str(&format!(
-        "mode={} seed={} queue={:?} queries={} gap={}ns rtt={}ns\n",
+        "mode={} seed={} queries={} gap={}ns rtt={}ns\n",
         label,
         cfg.seed,
-        cfg.queue,
         cfg.queries,
         cfg.query_gap.as_nanos(),
         cfg.rtt.as_nanos()
@@ -437,11 +432,11 @@ impl StormConfig {
     /// The standard storm: calm until 1.52 s, then 40% loss plus a
     /// 150 ms (+30 ms jitter) delay spike until 6.5 s; killed at
     /// 4.11 s, mid-storm; fuzzy cuts every 250 ms.
-    pub fn standard(seed: u64, queue: QueueKind) -> Self {
+    pub fn standard(seed: u64) -> Self {
         StormConfig {
             base: RecoveryConfig {
                 kill_at: SimTime::from_secs_f64(4.11),
-                ..RecoveryConfig::standard(seed, queue)
+                ..RecoveryConfig::standard(seed)
             },
             storm_from: SimTime::from_secs_f64(1.52),
             storm_until: SimTime::from_secs_f64(6.5),
@@ -459,14 +454,14 @@ impl StormConfig {
     }
 
     /// A smaller, faster variant for smoke tests and CI gates.
-    pub fn smoke(seed: u64, queue: QueueKind) -> Self {
+    pub fn smoke(seed: u64) -> Self {
         StormConfig {
             base: RecoveryConfig {
                 kill_at: SimTime::from_secs_f64(3.37),
-                ..RecoveryConfig::smoke(seed, queue)
+                ..RecoveryConfig::smoke(seed)
             },
             storm_until: SimTime::from_secs_f64(4.5),
-            ..StormConfig::standard(seed, queue)
+            ..StormConfig::standard(seed)
         }
     }
 
@@ -689,7 +684,7 @@ mod tests {
 
     #[test]
     fn uninterrupted_smoke_answers_everything_and_checkpoints() {
-        let cfg = RecoveryConfig::smoke(11, QueueKind::Heap);
+        let cfg = RecoveryConfig::smoke(11);
         let out = run_uninterrupted(&cfg);
         assert_eq!(out.records.len(), cfg.queries);
         assert!((out.answered_fraction(&cfg) - 1.0).abs() < 1e-12);
@@ -699,39 +694,37 @@ mod tests {
 
     #[test]
     fn kill_resume_matches_uninterrupted_transcript_and_telemetry() {
-        for queue in [QueueKind::Heap, QueueKind::BTree] {
-            let cfg = RecoveryConfig::smoke(23, queue);
-            let base = run_uninterrupted(&cfg);
-            let killed = run_killed(&cfg);
-            let cp = killed
-                .checkpoint
-                .clone()
-                .expect("a checkpoint before the kill");
-            assert!(
-                cp.cursor > 0 && (cp.cursor as usize) < cfg.queries,
-                "kill lands mid-run, cursor {}",
-                cp.cursor
-            );
-            let resumed = run_resumed(&cfg, &cp);
-            assert_eq!(
-                resumed.transcript.lines().skip(2).collect::<Vec<_>>(),
-                base.transcript.lines().skip(2).collect::<Vec<_>>(),
-                "transcript bodies diverged on {queue:?}"
-            );
-            let spliced = spliced_q_events(&killed, &resumed);
-            assert_eq!(
-                tel::diff_logs(&spliced, &base.q_events),
-                None,
-                "telemetry diverged on {queue:?}"
-            );
-            // And the binary dumps are byte-identical.
-            assert_eq!(tel::dump_binary(&spliced), tel::dump_binary(&base.q_events));
-        }
+        let cfg = RecoveryConfig::smoke(23);
+        let base = run_uninterrupted(&cfg);
+        let killed = run_killed(&cfg);
+        let cp = killed
+            .checkpoint
+            .clone()
+            .expect("a checkpoint before the kill");
+        assert!(
+            cp.cursor > 0 && (cp.cursor as usize) < cfg.queries,
+            "kill lands mid-run, cursor {}",
+            cp.cursor
+        );
+        let resumed = run_resumed(&cfg, &cp);
+        assert_eq!(
+            resumed.transcript.lines().skip(2).collect::<Vec<_>>(),
+            base.transcript.lines().skip(2).collect::<Vec<_>>(),
+            "transcript bodies diverged"
+        );
+        let spliced = spliced_q_events(&killed, &resumed);
+        assert_eq!(
+            tel::diff_logs(&spliced, &base.q_events),
+            None,
+            "telemetry diverged"
+        );
+        // And the binary dumps are byte-identical.
+        assert_eq!(tel::dump_binary(&spliced), tel::dump_binary(&base.q_events));
     }
 
     #[test]
     fn querier_crash_still_answers_nearly_everything() {
-        let cfg = RecoveryConfig::smoke(31, QueueKind::Heap);
+        let cfg = RecoveryConfig::smoke(31);
         let out = run_querier_crash(&cfg);
         assert!(
             out.answered_fraction(&cfg) >= 0.99,

@@ -2,17 +2,17 @@
 //! while a fault plan stretches or severs the upstream path, N stubs
 //! asking the same cold name must produce exactly one upstream query,
 //! N answers, and deterministic per-waiter latencies — byte-identical
-//! across both event-queue backends.
+//! across same-seed reruns.
 
 use dns_resolver::sim_resolver::AnswerClass;
 use ldp_chaos::delayed::{run, DelayedConfig};
-use netsim::{QueueKind, SimDuration, SimTime};
+use netsim::{SimDuration, SimTime};
 
 /// A burst of 8 same-name queries under a delay spike covering the
 /// whole resolution: the spike stretches the in-flight window, so all
 /// the aggregation happens while the upstream answer is crawling back.
-fn spiked_burst(queue: QueueKind) -> DelayedConfig {
-    let mut cfg = DelayedConfig::burst(8, 21, queue);
+fn spiked_burst() -> DelayedConfig {
+    let mut cfg = DelayedConfig::burst(8, 21);
     cfg.delay_spike = Some((
         SimTime::from_secs_f64(0.5),
         SimTime::from_secs_f64(3.0),
@@ -25,15 +25,15 @@ fn spiked_burst(queue: QueueKind) -> DelayedConfig {
 /// server is down when the queries arrive and restarts two seconds
 /// later, so the one in-flight resolution must survive retries until
 /// the restart and then fan out to every waiter.
-fn crashed_burst(queue: QueueKind) -> DelayedConfig {
-    let mut cfg = DelayedConfig::burst(8, 22, queue);
+fn crashed_burst() -> DelayedConfig {
+    let mut cfg = DelayedConfig::burst(8, 22);
     cfg.crash = Some((SimTime::from_secs_f64(0.5), SimTime::from_secs_f64(3.0)));
     cfg
 }
 
 #[test]
 fn delay_spike_burst_coalesces_to_one_upstream_query() {
-    let out = run(&spiked_burst(QueueKind::Heap));
+    let out = run(&spiked_burst());
     assert_eq!(
         out.upstream_rx, 1,
         "8 concurrent stubs, 1 upstream query:\n{}",
@@ -82,7 +82,7 @@ fn delay_spike_burst_coalesces_to_one_upstream_query() {
 
 #[test]
 fn server_crash_burst_survives_via_aggregation() {
-    let out = run(&crashed_burst(QueueKind::Heap));
+    let out = run(&crashed_burst());
     assert!(
         out.ok_fraction() >= 1.0,
         "all 8 answered after the restart:\n{}",
@@ -105,31 +105,16 @@ fn server_crash_burst_survives_via_aggregation() {
     }
 }
 
-/// The transcript minus its 2-line header (the header names the queue
-/// backend, which legitimately differs across backends).
-fn body(transcript: &str) -> String {
-    transcript.lines().skip(2).collect::<Vec<_>>().join("\n")
-}
-
 #[test]
-fn burst_transcripts_are_byte_identical_across_queue_backends() {
+fn burst_transcripts_are_byte_identical_across_reruns() {
     for make in [spiked_burst, crashed_burst] {
-        let heap = run(&make(QueueKind::Heap));
-        let btree = run(&make(QueueKind::BTree));
-        assert_eq!(
-            body(&heap.transcript),
-            body(&btree.transcript),
-            "Heap and BTree backends must agree byte-for-byte"
-        );
-        // And reruns of the same backend are stable in full.
-        let again = run(&make(QueueKind::Heap));
-        assert_eq!(heap.transcript, again.transcript);
+        assert_eq!(run(&make()).transcript, run(&make()).transcript);
     }
 }
 
 #[test]
 fn per_waiter_latencies_are_deterministic_and_monotone() {
-    let out = run(&spiked_burst(QueueKind::Heap));
+    let out = run(&spiked_burst());
     // Stub timers all fire at t=1s but arrive at the resolver in query
     // order; each later waiter waits no longer than an earlier one.
     let mut waits: Vec<u64> = out

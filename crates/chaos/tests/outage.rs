@@ -5,11 +5,10 @@
 //! no-failover policy demonstrably degrades during the same outage.
 
 use ldp_chaos::outage::{run, OutageConfig, Phase, RetryPolicy};
-use netsim::QueueKind;
 
 #[test]
 fn failover_policy_survives_the_outage() {
-    let cfg = OutageConfig::standard(RetryPolicy::failover(), 11, QueueKind::Heap);
+    let cfg = OutageConfig::standard(RetryPolicy::failover(), 11);
     let out = run(&cfg);
     assert!(
         out.ok_fraction() >= 0.99,
@@ -21,7 +20,7 @@ fn failover_policy_survives_the_outage() {
 
 #[test]
 fn full_policy_survives_the_outage() {
-    let cfg = OutageConfig::standard(RetryPolicy::full(), 11, QueueKind::Heap);
+    let cfg = OutageConfig::standard(RetryPolicy::full(), 11);
     let out = run(&cfg);
     assert!(
         out.ok_fraction() >= 0.99,
@@ -32,7 +31,7 @@ fn full_policy_survives_the_outage() {
 
 #[test]
 fn no_failover_policy_degrades_during_the_outage() {
-    let cfg = OutageConfig::standard(RetryPolicy::no_failover(), 11, QueueKind::Heap);
+    let cfg = OutageConfig::standard(RetryPolicy::no_failover(), 11);
     let out = run(&cfg);
     let sent = out.sent_in_phase(&cfg, Phase::During);
     let ok = out.ok_in_phase(&cfg, Phase::During);

@@ -8,14 +8,13 @@
 //! fuzzy cadence keeps committing regardless, carrying per-query
 //! in-flight state, and a resume from a mid-storm fuzzy cut replays a
 //! transcript and telemetry stream byte-identical to an uninterrupted
-//! same-seed run, on both event-queue backends.
+//! same-seed run.
 
 use ldp_chaos::recovery::{
     run_storm_baseline, run_storm_killed, run_storm_killed_v1, run_storm_resumed,
     spliced_q_events_fuzzy, StormConfig,
 };
 use ldp_telemetry as tel;
-use netsim::QueueKind;
 
 /// The storm runs share the process-wide telemetry enable flag and
 /// flushed store, so the tests of this file run one at a time.
@@ -24,7 +23,7 @@ static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
 #[test]
 fn v1_quiescent_checkpoints_starve_under_the_storm() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let cfg = StormConfig::smoke(47, QueueKind::Heap);
+    let cfg = StormConfig::smoke(47);
     let killed = run_storm_killed_v1(&cfg);
     let (from, to) = cfg.storm_window();
     assert!(
@@ -50,7 +49,7 @@ fn v1_quiescent_checkpoints_starve_under_the_storm() {
 #[test]
 fn v2_fuzzy_cuts_commit_through_the_storm_with_live_state() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let cfg = StormConfig::smoke(47, QueueKind::Heap);
+    let cfg = StormConfig::smoke(47);
     let killed = run_storm_killed(&cfg);
     let (from, to) = cfg.storm_window();
     let in_storm = killed.stamps_in(from, to);
@@ -75,46 +74,44 @@ fn v2_fuzzy_cuts_commit_through_the_storm_with_live_state() {
 }
 
 #[test]
-fn storm_kill_resume_is_byte_identical_on_both_backends() {
+fn storm_kill_resume_is_byte_identical() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    for queue in [QueueKind::Heap, QueueKind::BTree] {
-        let cfg = StormConfig::smoke(53, queue);
-        let base = run_storm_baseline(&cfg);
-        assert_eq!(
-            base.outcome.records.len(),
-            cfg.base.queries,
-            "retransmission outlasts the storm on {queue:?}"
-        );
-        let killed = run_storm_killed(&cfg);
-        let cp = killed
+    let cfg = StormConfig::smoke(53);
+    let base = run_storm_baseline(&cfg);
+    assert_eq!(
+        base.outcome.records.len(),
+        cfg.base.queries,
+        "retransmission outlasts the storm"
+    );
+    let killed = run_storm_killed(&cfg);
+    let cp = killed
+        .outcome
+        .checkpoint
+        .clone()
+        .expect("a fuzzy cut before the kill");
+    assert_eq!(cp.version, 2);
+    assert!(
+        !cp.inflight.is_empty(),
+        "kill landed mid-storm with live queries"
+    );
+    let resumed = run_storm_resumed(&cfg, &cp);
+    assert_eq!(
+        resumed
             .outcome
-            .checkpoint
-            .clone()
-            .expect("a fuzzy cut before the kill");
-        assert_eq!(cp.version, 2);
-        assert!(
-            !cp.inflight.is_empty(),
-            "kill landed mid-storm with live queries"
-        );
-        let resumed = run_storm_resumed(&cfg, &cp);
-        assert_eq!(
-            resumed
-                .outcome
-                .transcript
-                .lines()
-                .skip(2)
-                .collect::<Vec<_>>(),
-            base.outcome.transcript.lines().skip(2).collect::<Vec<_>>(),
-            "transcript bodies diverged on {queue:?}"
-        );
-        let spliced = spliced_q_events_fuzzy(&killed.outcome, &resumed.outcome);
-        let mut base_events = base.outcome.q_events.clone();
-        tel::canonical_order(&mut base_events);
-        assert_eq!(
-            tel::diff_logs(&spliced, &base_events),
-            None,
-            "telemetry diverged on {queue:?}"
-        );
-        assert_eq!(tel::dump_binary(&spliced), tel::dump_binary(&base_events));
-    }
+            .transcript
+            .lines()
+            .skip(2)
+            .collect::<Vec<_>>(),
+        base.outcome.transcript.lines().skip(2).collect::<Vec<_>>(),
+        "transcript bodies diverged"
+    );
+    let spliced = spliced_q_events_fuzzy(&killed.outcome, &resumed.outcome);
+    let mut base_events = base.outcome.q_events.clone();
+    tel::canonical_order(&mut base_events);
+    assert_eq!(
+        tel::diff_logs(&spliced, &base_events),
+        None,
+        "telemetry diverged"
+    );
+    assert_eq!(tel::dump_binary(&spliced), tel::dump_binary(&base_events));
 }

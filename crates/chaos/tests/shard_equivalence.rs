@@ -1,31 +1,28 @@
 //! Shard-equivalence for chaos experiments (ISSUE 8, satellite 3): the
 //! root-letter outage study — loss burst, crashes, restarts, retrying
 //! stubs — produces **byte-identical** transcripts on a
-//! [`ldp_shard::ShardedSimulator`] for any shard count, on either
-//! event-queue backend. The fault plan replicates cleanly because the
-//! [`ldp_chaos::PlanInjector`]'s draws are stateless (a hash of packet
-//! identity, not a stream position) and the per-shard agent replicas
-//! fire identical timers with crash commands no-oping off-shard.
+//! [`ldp_shard::ShardedSimulator`] for any shard count. The fault plan
+//! replicates cleanly because the [`ldp_chaos::PlanInjector`]'s draws
+//! are stateless (a hash of packet identity, not a stream position) and
+//! the per-shard agent replicas fire identical timers with crash
+//! commands no-oping off-shard.
 
 use ldp_chaos::outage::{run, run_sharded, OutageConfig, Phase, RetryPolicy};
-use netsim::QueueKind;
 
-/// The full matrix: {Heap, BTree} × {1, 2, 8} shards, each against the
-/// single-shard run on the same backend, full-transcript equality.
+/// {1, 2, 8} shards, each against the single-shard run: full-transcript
+/// equality.
 #[test]
-fn outage_matrix_heap_btree_x_1_2_8() {
-    for queue in [QueueKind::Heap, QueueKind::BTree] {
-        let cfg = OutageConfig::smoke(RetryPolicy::full(), 0xC0FFEE, queue);
-        let single = run(&cfg);
-        // Sanity: this workload exercises the faults, not a quiet run.
-        assert!(single.ok_fraction() < 1.0 || single.records.iter().any(|r| r.attempts > 1));
-        for shards in [1u32, 2, 8] {
-            let sharded = run_sharded(&cfg, shards);
-            assert_eq!(
-                sharded.transcript, single.transcript,
-                "sharded({shards}) transcript drifted from single-shard on {queue:?}"
-            );
-        }
+fn outage_matrix_1_2_8() {
+    let cfg = OutageConfig::smoke(RetryPolicy::full(), 0xC0FFEE);
+    let single = run(&cfg);
+    // Sanity: this workload exercises the faults, not a quiet run.
+    assert!(single.ok_fraction() < 1.0 || single.records.iter().any(|r| r.attempts > 1));
+    for shards in [1u32, 2, 8] {
+        let sharded = run_sharded(&cfg, shards);
+        assert_eq!(
+            sharded.transcript, single.transcript,
+            "sharded({shards}) transcript drifted from single-shard"
+        );
     }
 }
 
@@ -33,7 +30,7 @@ fn outage_matrix_heap_btree_x_1_2_8() {
 /// give-up records rather than mostly-recovered queries.
 #[test]
 fn no_failover_policy_matches_under_sharding() {
-    let cfg = OutageConfig::smoke(RetryPolicy::no_failover(), 0xFA117, QueueKind::Heap);
+    let cfg = OutageConfig::smoke(RetryPolicy::no_failover(), 0xFA117);
     let single = run(&cfg);
     let sharded = run_sharded(&cfg, 4);
     assert_eq!(sharded.transcript, single.transcript);
@@ -49,7 +46,7 @@ fn no_failover_policy_matches_under_sharding() {
 /// config are byte-identical, and the seed still matters.
 #[test]
 fn sharded_runs_are_repeatable_and_seed_sensitive() {
-    let cfg = OutageConfig::smoke(RetryPolicy::failover(), 7, QueueKind::BTree);
+    let cfg = OutageConfig::smoke(RetryPolicy::failover(), 7);
     let a = run_sharded(&cfg, 8);
     let b = run_sharded(&cfg, 8);
     assert_eq!(
@@ -57,7 +54,7 @@ fn sharded_runs_are_repeatable_and_seed_sensitive() {
         "two sharded runs, one transcript"
     );
 
-    let other = OutageConfig::smoke(RetryPolicy::failover(), 8, QueueKind::BTree);
+    let other = OutageConfig::smoke(RetryPolicy::failover(), 8);
     assert_ne!(
         run_sharded(&other, 8).transcript,
         a.transcript,

@@ -502,13 +502,10 @@ mod tests {
         }
     }
 
-    fn run_raw(queue: netsim::QueueKind, templates: bool) -> Vec<Vec<u8>> {
+    fn run_raw(templates: bool) -> Vec<Vec<u8>> {
         let mut sim = Simulator::new(
             Topology::uniform(PathConfig::with_rtt(SimDuration::from_millis(10))),
-            SimConfig {
-                queue,
-                ..SimConfig::default()
-            },
+            SimConfig::default(),
         );
         let server_addr: SocketAddr = "10.0.0.1:53".parse().unwrap();
         let engine = if templates {
@@ -541,24 +538,12 @@ mod tests {
 
     /// The ISSUE 7 acceptance property, end to end over the simulated
     /// transport: templated answers are byte-identical to the general
-    /// path, under both event-queue backends.
+    /// path.
     #[test]
-    fn templated_answers_byte_identical_across_queue_backends() {
-        use netsim::QueueKind;
-
-        let baseline = run_raw(QueueKind::Heap, false);
+    fn templated_answers_byte_identical_to_general_path() {
+        let baseline = run_raw(false);
         assert_eq!(baseline.len(), 4, "all four queries answered");
-        for (queue, templates) in [
-            (QueueKind::Heap, true),
-            (QueueKind::BTree, false),
-            (QueueKind::BTree, true),
-        ] {
-            assert_eq!(
-                run_raw(queue, templates),
-                baseline,
-                "queue={queue:?} templates={templates}"
-            );
-        }
+        assert_eq!(run_raw(true), baseline);
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //! models ([`resources`]).
 //!
 //! Determinism: same inputs → byte-identical event order (the queue
-//! breaks time ties by insertion sequence, and all randomness comes from
-//! one seeded RNG), which is what makes replay experiments repeatable —
-//! design requirement "repeatability" in paper §2.1.
+//! breaks time ties by `(lane, seq)`, and all randomness comes from
+//! per-lane streams of one seed), which is what makes replay
+//! experiments repeatable — design requirement "repeatability" in
+//! paper §2.1.
 
 #![warn(missing_docs)]
 

@@ -6,10 +6,9 @@
 //!
 //! Hot-path invariants (see DESIGN.md "Performance invariants"):
 //! the event queue is a binary heap over `(time, lane, seq)` —
-//! a strict total order, so event ordering is byte-identical to the
-//! old `BTreeMap` queue and never depends on heap layout; packet
-//! payloads are shared [`PacketBytes`] buffers that are never copied
-//! between send and delivery.
+//! a strict total order, so event ordering never depends on heap
+//! layout; packet payloads are shared [`PacketBytes`] buffers that are
+//! never copied between send and delivery.
 //!
 //! Sharding invariants (see DESIGN.md §10 "Sharded DES"): every event
 //! key, random draw, and connection id is attributed to a *lane* — the
@@ -27,7 +26,7 @@ use ldp_telemetry as tel;
 
 use crate::fault::{FaultInjector, WireKind};
 use crate::host::{Host, PacketBytes, TcpEvent};
-use crate::queue::{EventQueue, QueueKind};
+use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
 
@@ -117,11 +116,6 @@ pub struct SimConfig {
     /// draws never depend on another host's activity or on shard
     /// placement.
     pub seed: u64,
-    /// Event-queue backend. [`QueueKind::Heap`] is the production
-    /// default; [`QueueKind::BTree`] is the measured baseline kept for
-    /// benchmarking and equivalence tests — both yield the identical
-    /// event order.
-    pub queue: QueueKind,
 }
 
 impl Default for SimConfig {
@@ -132,7 +126,6 @@ impl Default for SimConfig {
             default_idle_timeout: Some(SimDuration::from_secs(20)),
             default_nagle: false,
             seed: 0xd15ea5e,
-            queue: QueueKind::Heap,
         }
     }
 }
@@ -555,7 +548,7 @@ impl Simulator {
     pub fn new(topology: Topology, config: SimConfig) -> Self {
         Simulator {
             now: SimTime::ZERO,
-            queue: EventQueue::new(config.queue),
+            queue: EventQueue::default(),
             hosts: Vec::new(),
             addr_map: BTreeMap::new(),
             topology,

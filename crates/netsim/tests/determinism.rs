@@ -12,8 +12,8 @@ use std::net::{IpAddr, SocketAddr};
 use std::sync::{Arc, Mutex};
 
 use netsim::{
-    Ctx, Host, PacketBytes, PathConfig, QueueKind, SimConfig, SimDuration, SimTime, Simulator,
-    TcpEvent, Topology,
+    Ctx, Host, PacketBytes, PathConfig, SimConfig, SimDuration, SimTime, Simulator, TcpEvent,
+    Topology,
 };
 
 type Log = Arc<Mutex<String>>;
@@ -88,10 +88,6 @@ impl Host for Chatter {
 
 /// Run the scenario once and return the full event transcript.
 fn run_once(seed: u64) -> String {
-    run_once_with(seed, QueueKind::Heap)
-}
-
-fn run_once_with(seed: u64, queue: QueueKind) -> String {
     let mut topo = Topology::uniform(PathConfig::with_rtt(SimDuration::from_millis(2)));
     let log: Log = Arc::new(Mutex::new(String::new()));
 
@@ -109,7 +105,6 @@ fn run_once_with(seed: u64, queue: QueueKind) -> String {
     let config = SimConfig {
         seed,
         time_wait: SimDuration::from_millis(50),
-        queue,
         ..Default::default()
     };
     let mut sim = Simulator::new(topo, config);
@@ -141,28 +136,17 @@ fn run_once_with(seed: u64, queue: QueueKind) -> String {
     transcript
 }
 
+/// Each seed in the sweep shapes a different loss/timer history.
 #[test]
 fn same_seed_runs_are_byte_identical() {
-    let a = run_once(42);
-    let b = run_once(42);
-    assert!(!a.is_empty());
-    assert_eq!(a.as_bytes(), b.as_bytes(), "same-seed runs diverged");
-}
-
-/// The heap queue must replay the exact event order of the BTreeMap
-/// baseline: same seed, both backends, byte-identical transcripts — for
-/// every seed in a small randomized sweep (each seed shapes a different
-/// loss/timer history).
-#[test]
-fn heap_queue_matches_btree_baseline() {
     for seed in [1u64, 7, 42, 1337, 0xdead_beef] {
-        let heap = run_once_with(seed, QueueKind::Heap);
-        let btree = run_once_with(seed, QueueKind::BTree);
-        assert!(!heap.is_empty());
+        let a = run_once(seed);
+        let b = run_once(seed);
+        assert!(!a.is_empty());
         assert_eq!(
-            heap.as_bytes(),
-            btree.as_bytes(),
-            "queue backends diverged at seed {seed}"
+            a.as_bytes(),
+            b.as_bytes(),
+            "same-seed runs diverged at seed {seed}"
         );
     }
 }

@@ -1226,10 +1226,7 @@ mod tests {
     /// committed checkpoint). When `kill_at_s` is set the simulator is
     /// abandoned at that virtual time — the moral equivalent of
     /// `kill -9` on the replay process.
-    fn checkpointed_run(
-        queue: netsim::QueueKind,
-        kill_at_s: Option<f64>,
-    ) -> (Vec<String>, Option<Checkpoint>) {
+    fn checkpointed_run(kill_at_s: Option<f64>) -> (Vec<String>, Option<Checkpoint>) {
         // Gap (50 ms) > RTT (40 ms): each query completes before the
         // next is sent, so every completion is a quiescent cut and
         // checkpoints actually commit.
@@ -1240,10 +1237,7 @@ mod tests {
                 bandwidth_bps: None,
                 loss: 0.0,
             }),
-            SimConfig {
-                queue,
-                ..SimConfig::default()
-            },
+            SimConfig::default(),
         );
         let server_addr: SocketAddr = "10.9.0.1:53".parse().unwrap();
         sim.add_host(
@@ -1271,62 +1265,52 @@ mod tests {
     /// The tentpole guarantee: kill a checkpointed run mid-replay,
     /// resume from the last committed checkpoint in a fresh simulator,
     /// and the full transcript (checkpointed prefix + resumed
-    /// remainder) is byte-identical to an uninterrupted same-seed run —
-    /// on both event-queue backends.
+    /// remainder) is byte-identical to an uninterrupted same-seed run.
     #[test]
     fn kill_and_resume_replays_a_byte_identical_transcript() {
-        for queue in [netsim::QueueKind::Heap, netsim::QueueKind::BTree] {
-            let (uninterrupted, _) = checkpointed_run(queue, None);
-            assert_eq!(uninterrupted.len(), 40);
+        let (uninterrupted, _) = checkpointed_run(None);
+        assert_eq!(uninterrupted.len(), 40);
 
-            // Kill at 0.62 s: 12 queries are done, the checkpoint
-            // holds the first 10, and everything after the cut is lost
-            // with the process.
-            let (_, cp) = checkpointed_run(queue, Some(0.62));
-            let cp = cp.expect("a checkpoint committed before the kill");
-            assert!(
-                cp.cursor >= 5 && cp.cursor < 40,
-                "mid-run cut, got {}",
-                cp.cursor
-            );
-            // The checkpoint survives serialization.
-            let cp = Checkpoint::from_text(&cp.to_text().unwrap()).unwrap();
+        // Kill at 0.62 s: 12 queries are done, the checkpoint
+        // holds the first 10, and everything after the cut is lost
+        // with the process.
+        let (_, cp) = checkpointed_run(Some(0.62));
+        let cp = cp.expect("a checkpoint committed before the kill");
+        assert!(
+            cp.cursor >= 5 && cp.cursor < 40,
+            "mid-run cut, got {}",
+            cp.cursor
+        );
+        // The checkpoint survives serialization.
+        let cp = Checkpoint::from_text(&cp.to_text().unwrap()).unwrap();
 
-            let trace = mk_trace(40, 50_000, 4);
-            let mut sim = Simulator::new(
-                Topology::uniform(PathConfig {
-                    rtt: SimDuration::from_millis(40),
-                    bandwidth_bps: None,
-                    loss: 0.0,
-                }),
-                SimConfig {
-                    queue,
-                    ..SimConfig::default()
-                },
-            );
-            let server_addr: SocketAddr = "10.9.0.1:53".parse().unwrap();
-            sim.add_host(
-                &[server_addr.ip()],
-                Box::new(SimDnsServer::new(
-                    engine(),
-                    server_addr,
-                    Some(SimDuration::from_secs(30)),
-                )),
-            );
-            let log: LatencyLog = Arc::new(Mutex::new(vec![]));
-            let client =
-                SimReplayClient::resume(trace.clone(), server_addr, log.clone(), &cp).unwrap();
-            let srcs = client.source_addrs();
-            let client_id = sim.add_host(&srcs, Box::new(client));
-            SimReplayClient::schedule_resume(&mut sim, client_id, &trace, SimTime::ZERO, &cp);
-            sim.run_until(SimTime::from_secs_f64(30.0));
+        let trace = mk_trace(40, 50_000, 4);
+        let mut sim = Simulator::new(
+            Topology::uniform(PathConfig {
+                rtt: SimDuration::from_millis(40),
+                bandwidth_bps: None,
+                loss: 0.0,
+            }),
+            SimConfig::default(),
+        );
+        let server_addr: SocketAddr = "10.9.0.1:53".parse().unwrap();
+        sim.add_host(
+            &[server_addr.ip()],
+            Box::new(SimDnsServer::new(
+                engine(),
+                server_addr,
+                Some(SimDuration::from_secs(30)),
+            )),
+        );
+        let log: LatencyLog = Arc::new(Mutex::new(vec![]));
+        let client = SimReplayClient::resume(trace.clone(), server_addr, log.clone(), &cp).unwrap();
+        let srcs = client.source_addrs();
+        let client_id = sim.add_host(&srcs, Box::new(client));
+        SimReplayClient::schedule_resume(&mut sim, client_id, &trace, SimTime::ZERO, &cp);
+        sim.run_until(SimTime::from_secs_f64(30.0));
 
-            let resumed: Vec<String> = log.lock().unwrap().iter().map(record_to_line).collect();
-            assert_eq!(
-                resumed, uninterrupted,
-                "resumed transcript diverged on {queue:?} backend"
-            );
-        }
+        let resumed: Vec<String> = log.lock().unwrap().iter().map(record_to_line).collect();
+        assert_eq!(resumed, uninterrupted, "resumed transcript diverged");
     }
 
     /// A one-slot admission window under a burst: the first query is

@@ -7,8 +7,8 @@
 //! travel through a deterministic exchange carrying their exact
 //! single-shard event keys, so the merged transcript — and the
 //! canonically ordered telemetry drain — are **byte-identical** to the
-//! single-shard run for the same seed, for any shard count, on either
-//! queue backend (DESIGN.md §10).
+//! single-shard run for the same seed, for any shard count
+//! (DESIGN.md §10).
 //!
 //! ```
 //! use ldp_shard::{ShardPlan, ShardedSimulator};

@@ -22,7 +22,7 @@
 //! The merged transcript (host observations) and the canonically
 //! ordered telemetry drain are therefore byte-identical to the
 //! single-shard run for the same seed — the property the equivalence
-//! suite locks in across `{Heap, BTree} × {1, 2, 8}` shards.
+//! suite locks in across `{1, 2, 8}` shards.
 //!
 //! ## What doesn't shard
 //!

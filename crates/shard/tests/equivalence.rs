@@ -2,7 +2,7 @@
 //! same seed and workload, a [`ShardedSimulator`] over 1, 2 or 8
 //! shards produces a **byte-identical** merged transcript — per-host
 //! observation logs, per-host stats and the global event count — to a
-//! plain single-shard [`Simulator`], on both queue backends.
+//! plain single-shard [`Simulator`].
 //!
 //! The workload is a UDP relay ring with staggered and colliding
 //! timers (exercising time-tie lane ordering), base path loss
@@ -16,8 +16,8 @@ use std::sync::{Arc, Mutex};
 
 use ldp_shard::{ShardPlan, ShardedSimulator};
 use netsim::{
-    Ctx, FaultInjector, FnInjector, Host, PacketBytes, PacketFate, PathConfig, QueueKind,
-    SimConfig, SimDuration, SimTime, Simulator, TcpEvent, Topology, WireKind,
+    Ctx, FaultInjector, FnInjector, Host, PacketBytes, PacketFate, PathConfig, SimConfig,
+    SimDuration, SimTime, Simulator, TcpEvent, Topology, WireKind,
 };
 
 type Log = Arc<Mutex<String>>;
@@ -164,10 +164,9 @@ fn topology(loss: f64) -> Topology {
     topo
 }
 
-fn config(queue: QueueKind) -> SimConfig {
+fn config() -> SimConfig {
     SimConfig {
         seed: 0xBADC0FFEE,
-        queue,
         ..SimConfig::default()
     }
 }
@@ -266,73 +265,63 @@ fn scenario(mut sim: AnySim, faults: bool) -> String {
     out
 }
 
-fn single(queue: QueueKind, faults: bool) -> String {
-    let sim = Simulator::new(topology(if faults { 0.2 } else { 0.0 }), config(queue));
+fn single(faults: bool) -> String {
+    let sim = Simulator::new(topology(if faults { 0.2 } else { 0.0 }), config());
     scenario(AnySim::Single(sim), faults)
 }
 
-fn sharded(queue: QueueKind, shards: u32, faults: bool) -> String {
+fn sharded(shards: u32, faults: bool) -> String {
     let sim = ShardedSimulator::new(
         topology(if faults { 0.2 } else { 0.0 }),
-        config(queue),
+        config(),
         ShardPlan::round_robin(shards),
     );
     scenario(AnySim::Sharded(sim), faults)
 }
 
 #[test]
-fn lossless_matrix_heap_btree_x_1_2_8() {
-    let reference = single(QueueKind::Heap, false);
+fn lossless_matrix_1_2_8() {
+    let reference = single(false);
     assert!(
         reference.contains("rx"),
         "workload produced traffic:\n{reference}"
     );
-    assert_eq!(
-        single(QueueKind::BTree, false),
-        reference,
-        "single BTree != single Heap"
-    );
-    for queue in [QueueKind::Heap, QueueKind::BTree] {
-        for shards in [1, 2, 8] {
-            let got = sharded(queue, shards, false);
-            assert_eq!(
-                got, reference,
-                "sharded({queue:?}, {shards}) transcript differs from single-shard"
-            );
-        }
+    for shards in [1, 2, 8] {
+        let got = sharded(shards, false);
+        assert_eq!(
+            got, reference,
+            "sharded({shards}) transcript differs from single-shard"
+        );
     }
 }
 
 #[test]
-fn faulty_lossy_matrix_heap_btree_x_1_2_8() {
+fn faulty_lossy_matrix_1_2_8() {
     // Base loss (per-lane RNG streams) + hash-injector drops, delay
     // spikes and duplicates — all draws must be placement-invariant.
-    let reference = single(QueueKind::Heap, true);
+    let reference = single(true);
     assert!(
         reference.contains("rx"),
         "lossy workload still delivers:\n{reference}"
     );
     assert_ne!(
         reference,
-        single(QueueKind::Heap, false),
+        single(false),
         "faults visibly change the transcript"
     );
-    assert_eq!(single(QueueKind::BTree, true), reference);
-    for queue in [QueueKind::Heap, QueueKind::BTree] {
-        for shards in [1, 2, 8] {
-            let got = sharded(queue, shards, true);
-            assert_eq!(
-                got, reference,
-                "sharded({queue:?}, {shards}) transcript differs under faults"
-            );
-        }
+    for shards in [1, 2, 8] {
+        let got = sharded(shards, true);
+        assert_eq!(
+            got, reference,
+            "sharded({shards}) transcript differs under faults"
+        );
     }
 }
 
 #[test]
 fn sharded_runs_are_repeatable() {
-    let a = sharded(QueueKind::Heap, 8, true);
-    let b = sharded(QueueKind::Heap, 8, true);
+    let a = sharded(8, true);
+    let b = sharded(8, true);
     assert_eq!(a, b, "same seed, same shard count => identical bytes");
 }
 
@@ -432,10 +421,7 @@ fn tcp_scenario(mut sim: AnySim) -> String {
 
 #[test]
 fn pinned_tcp_pair_matches_single_shard() {
-    let reference = tcp_scenario(AnySim::Single(Simulator::new(
-        topology(0.0),
-        config(QueueKind::Heap),
-    )));
+    let reference = tcp_scenario(AnySim::Single(Simulator::new(topology(0.0), config())));
     assert!(
         reference.contains("reply"),
         "TCP exchange happened:\n{reference}"
@@ -443,7 +429,7 @@ fn pinned_tcp_pair_matches_single_shard() {
     for shards in [2u32, 8] {
         let mut plan = ShardPlan::round_robin(shards);
         plan.pin(1, 0); // co-locate the dialer with the echo server
-        let sim = ShardedSimulator::new(topology(0.0), config(QueueKind::Heap), plan);
+        let sim = ShardedSimulator::new(topology(0.0), config(), plan);
         assert_eq!(
             tcp_scenario(AnySim::Sharded(sim)),
             reference,
@@ -456,11 +442,7 @@ fn pinned_tcp_pair_matches_single_shard() {
 #[should_panic(expected = "cross-shard TCP is unsupported")]
 fn cross_shard_tcp_dial_is_rejected() {
     let log: Log = Arc::new(Mutex::new(String::new()));
-    let mut sim = ShardedSimulator::new(
-        topology(0.0),
-        config(QueueKind::Heap),
-        ShardPlan::round_robin(2),
-    );
+    let mut sim = ShardedSimulator::new(topology(0.0), config(), ShardPlan::round_robin(2));
     sim.add_host(&[addr(0)], Box::new(TcpEcho { log: log.clone() }));
     sim.add_host(
         &[addr(1)],
@@ -479,7 +461,7 @@ fn zero_latency_topology_is_rejected() {
     let caught = std::panic::catch_unwind(|| {
         ShardedSimulator::new(
             Topology::uniform(PathConfig::with_rtt(SimDuration::ZERO)),
-            config(QueueKind::Heap),
+            config(),
             ShardPlan::round_robin(2),
         )
     });

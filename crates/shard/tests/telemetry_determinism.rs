@@ -16,8 +16,8 @@ use std::sync::{Arc, Mutex};
 use ldp_shard::{ShardPlan, ShardedSimulator};
 use ldp_telemetry as tel;
 use netsim::{
-    Ctx, FnInjector, Host, PacketBytes, PacketFate, PathConfig, QueueKind, SimConfig, SimDuration,
-    SimTime, Simulator, TcpEvent, Topology,
+    Ctx, FnInjector, Host, PacketBytes, PacketFate, PathConfig, SimConfig, SimDuration, SimTime,
+    Simulator, TcpEvent, Topology,
 };
 
 type Log = Arc<Mutex<String>>;
@@ -69,7 +69,6 @@ fn topology() -> Topology {
 fn config() -> SimConfig {
     SimConfig {
         seed: 0x5EED5,
-        queue: QueueKind::Heap,
         ..SimConfig::default()
     }
 }

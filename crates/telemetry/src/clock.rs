@@ -152,14 +152,20 @@ pub fn now_ns() -> u64 {
 mod tests {
     use super::*;
 
+    /// The installed clock is process-wide: tests that install one run
+    /// one at a time.
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn zero_clock_is_the_default_and_reads_zero() {
+        let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         use_zero_clock();
         assert_eq!(now_ns(), 0);
     }
 
     #[test]
     fn virtual_clock_tracks_published_time() {
+        let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         publish_virtual_now(42_000);
         assert_eq!(VirtualClockSource.now_ns(), 42_000);
         use_virtual_clock();
@@ -179,6 +185,7 @@ mod tests {
 
     #[test]
     fn custom_clock_is_read_through_the_trait() {
+        let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         install_clock(Arc::new(FixedClockSource(7_700)));
         assert_eq!(now_ns(), 7_700);
         use_zero_clock();
