@@ -15,7 +15,7 @@
 //! `cargo run --release -p ldp-bench --bin fig_cache [-- --seed 11 --smoke]`
 
 use dns_resolver::sim_resolver::AnswerClass;
-use ldp_bench::{arg_flag, arg_u64, cdf_rows};
+use ldp_bench::{arg_flag, arg_u64, cdf_rows, identical, ok_fail};
 use ldp_chaos::delayed::{run, DelayedConfig, DelayedOutcome, PolicyKind};
 use ldp_telemetry as tel;
 use netsim::{SimDuration, SimTime};
@@ -84,17 +84,9 @@ fn main() {
     let telem_ok = first.transcript == telem_on.transcript;
     println!(
         "determinism: same-seed rerun {} ({} transcript bytes), telemetry on/off {}",
-        if rerun_ok {
-            "byte-identical"
-        } else {
-            "MISMATCH"
-        },
+        identical(rerun_ok),
         first.transcript.len(),
-        if telem_ok {
-            "byte-identical"
-        } else {
-            "MISMATCH"
-        },
+        identical(telem_ok),
     );
     failed |= !rerun_ok || !telem_ok;
 
@@ -111,7 +103,7 @@ fn main() {
         burst.upstream_rx,
         burst.count(AnswerClass::Miss),
         burst.count(AnswerClass::DelayedHit),
-        if dedup_ok { "ok" } else { "FAIL" }
+        ok_fail(dedup_ok)
     );
     failed |= !dedup_ok;
 
@@ -129,12 +121,8 @@ fn main() {
         capacities[0],
         bounded.policy.label(),
         ev_a.snapshot.stats.evictions,
-        if ev_a.transcript == ev_b.transcript {
-            "byte-identical"
-        } else {
-            "MISMATCH"
-        },
-        if evict_ok { "ok" } else { "FAIL" }
+        identical(ev_a.transcript == ev_b.transcript),
+        ok_fail(evict_ok)
     );
     failed |= !evict_ok;
 
@@ -215,7 +203,7 @@ fn main() {
         "gate: outage leg answered {:>6.2}% with {} delayed hits — {}",
         out.ok_fraction() * 100.0,
         out.count(AnswerClass::DelayedHit),
-        if outage_ok { "ok" } else { "FAIL" }
+        ok_fail(outage_ok)
     );
     failed |= !outage_ok;
 

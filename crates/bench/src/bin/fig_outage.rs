@@ -14,7 +14,7 @@
 //!
 //! `cargo run --release -p ldp-bench --bin fig_outage [-- --seed 11 --smoke]`
 
-use ldp_bench::{arg_flag, arg_u64, cdf_rows};
+use ldp_bench::{arg_flag, arg_u64, cdf_rows, identical, ok_fail};
 use ldp_chaos::outage::{run, OutageConfig, OutageOutcome, Phase, RetryPolicy};
 
 /// Answered-fraction floor for the failover policies (ISSUE 3
@@ -65,11 +65,7 @@ fn main() {
     let rerun_ok = first.transcript == run(&shape).transcript;
     println!(
         "determinism: same-seed rerun {} ({} transcript bytes)",
-        if rerun_ok {
-            "byte-identical"
-        } else {
-            "MISMATCH"
-        },
+        identical(rerun_ok),
         first.transcript.len(),
     );
     failed |= !rerun_ok;
@@ -121,7 +117,7 @@ fn main() {
             cfg.policy.label,
             frac * 100.0,
             OK_FLOOR * 100.0,
-            if ok { "ok" } else { "FAIL" }
+            ok_fail(ok)
         );
         failed |= !ok;
     }

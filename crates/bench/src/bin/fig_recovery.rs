@@ -27,7 +27,7 @@
 //!
 //! `cargo run --release -p ldp-bench --bin fig_recovery [-- --seed 11 --smoke --storm]`
 
-use ldp_bench::{arg_flag, arg_u64};
+use ldp_bench::{arg_flag, arg_u64, identical, ok_fail};
 use ldp_chaos::recovery::{
     run_killed, run_querier_crash, run_resumed, run_storm_baseline, run_storm_killed,
     run_storm_killed_v1, run_storm_resumed, run_uninterrupted, spliced_q_events,
@@ -67,39 +67,49 @@ fn round_trip(cp: &Checkpoint) -> Result<Checkpoint, String> {
     Checkpoint::from_text(&text).map_err(|e| e.to_string())
 }
 
-/// The checkpoint/resume gate: kill, resume from the last committed
-/// checkpoint, compare transcript and telemetry with the uninterrupted
-/// run `base`. Returns whether the gate passed.
-fn resume_gate(cfg: &RecoveryConfig, base: &RecoveryOutcome) -> bool {
-    let killed = run_killed(cfg);
-    let Some(cp) = &killed.checkpoint else {
-        println!("gate: Heap resume — FAIL (no checkpoint committed before the kill)");
-        return false;
-    };
-    let cp = match round_trip(cp) {
-        Ok(c) => c,
-        Err(e) => {
-            println!("gate: Heap resume — FAIL (checkpoint round-trip: {e})");
-            return false;
+/// The kill/resume gate both studies share: take the killed run's last
+/// committed checkpoint through its text form, `resume` from it, and
+/// compare the lineage — resumed transcript body, and the killed and
+/// resumed runs' telemetry joined by `splice` — with the uninterrupted
+/// baseline, byte for byte. `cut` describes the checkpoint in the
+/// verdict line. Returns the checkpoint if the gate passed.
+fn resume_gate(
+    what: &str,
+    base_transcript: &str,
+    base_events: &[tel::RawEvent],
+    killed: &RecoveryOutcome,
+    resume: impl FnOnce(&Checkpoint) -> RecoveryOutcome,
+    splice: fn(&RecoveryOutcome, &RecoveryOutcome) -> Vec<tel::RawEvent>,
+    cut: fn(&Checkpoint) -> String,
+) -> Option<Checkpoint> {
+    let cp = killed
+        .checkpoint
+        .as_ref()
+        .ok_or_else(|| "no checkpoint committed before the kill".to_string())
+        .and_then(|cp| round_trip(cp).map_err(|e| format!("checkpoint round-trip: {e}")));
+    let cp = match cp {
+        Ok(cp) => cp,
+        Err(why) => {
+            println!("gate: {what} — FAIL ({why})");
+            return None;
         }
     };
-    let resumed = run_resumed(cfg, &cp);
-    let transcript_ok = body(&resumed.transcript) == body(&base.transcript);
-    let spliced = spliced_q_events(&killed, &resumed);
-    let tel_diff = tel::diff_logs(&spliced, &base.q_events);
-    let dump_ok = tel::dump_binary(&spliced) == tel::dump_binary(&base.q_events);
+    let resumed = resume(&cp);
+    let transcript_ok = body(&resumed.transcript) == body(base_transcript);
+    let spliced = splice(killed, &resumed);
+    let tel_diff = tel::diff_logs(&spliced, base_events);
+    let tel_ok = tel_diff.is_none() && tel::dump_binary(&spliced) == tel::dump_binary(base_events);
     println!(
-        "gate: Heap resume from cursor {} ({} checkpointed records) — transcript {}, telemetry {} ({} events)",
-        cp.cursor,
-        cp.records.len(),
-        if transcript_ok { "byte-identical" } else { "MISMATCH" },
-        if tel_diff.is_none() && dump_ok { "byte-identical" } else { "MISMATCH" },
-        base.q_events.len(),
+        "gate: {what} from {} — transcript {}, telemetry {} ({} events)",
+        cut(&cp),
+        identical(transcript_ok),
+        identical(tel_ok),
+        base_events.len(),
     );
-    if let Some(ref d) = tel_diff {
+    if let Some(d) = &tel_diff {
         println!("  telemetry divergence: {d}");
     }
-    transcript_ok && tel_diff.is_none() && dump_ok
+    (transcript_ok && tel_ok).then_some(cp)
 }
 
 /// The v2 storm gates: commit-through-storm plus kill/resume
@@ -112,51 +122,37 @@ fn storm_gate(cfg: &StormConfig) -> bool {
     let killed = run_storm_killed(cfg);
     let in_storm = killed.stamps_in(from, to);
     let commit_ok = !in_storm.is_empty() && in_storm.iter().any(|s| s.inflight > 0);
-    let Some(cp) = &killed.outcome.checkpoint else {
-        println!("gate: Heap storm resume — FAIL (no fuzzy cut committed)");
-        return false;
-    };
-    let cp = match round_trip(cp) {
-        Ok(c) => c,
-        Err(e) => {
-            println!("gate: Heap storm resume — FAIL (v2 round-trip: {e})");
-            return false;
-        }
-    };
-    let resumed = run_storm_resumed(cfg, &cp);
-    let transcript_ok = body(&resumed.outcome.transcript) == body(&base.outcome.transcript);
-    let spliced = spliced_q_events_fuzzy(&killed.outcome, &resumed.outcome);
-    let mut base_events = base.outcome.q_events.clone();
-    tel::canonical_order(&mut base_events);
-    let tel_diff = tel::diff_logs(&spliced, &base_events);
-    let dump_ok = tel::dump_binary(&spliced) == tel::dump_binary(&base_events);
     println!(
-        "gate: Heap storm — {} v2 commits in window ({} with live state) {}, baseline answered {}/{} {}",
+        "gate: storm — {} v2 commits in window ({} with live state) {}, baseline answered {}/{} {}",
         in_storm.len(),
         in_storm.iter().filter(|s| s.inflight > 0).count(),
-        if commit_ok { "ok" } else { "FAIL" },
+        ok_fail(commit_ok),
         base.outcome.records.len(),
         cfg.base.queries,
-        if answered_ok { "ok" } else { "FAIL" },
+        ok_fail(answered_ok),
     );
-    println!(
-        "gate: Heap storm resume from epoch {} ({} records, {} inflight at the cut) — transcript {}, telemetry {} ({} events)",
-        cp.epoch,
-        cp.records.len(),
-        cp.inflight.len(),
-        if transcript_ok { "byte-identical" } else { "MISMATCH" },
-        if tel_diff.is_none() && dump_ok { "byte-identical" } else { "MISMATCH" },
-        base_events.len(),
-    );
-    if let Some(ref d) = tel_diff {
-        println!("  telemetry divergence: {d}");
-    }
-    answered_ok
-        && commit_ok
-        && !cp.inflight.is_empty()
-        && transcript_ok
-        && tel_diff.is_none()
-        && dump_ok
+    // Re-execution emits old-timestamped events after newer ones, so a
+    // fuzzy lineage compares in canonical order, not drain order.
+    let mut base_events = base.outcome.q_events.clone();
+    tel::canonical_order(&mut base_events);
+    let resumed_mid_storm = resume_gate(
+        "storm resume",
+        &base.outcome.transcript,
+        &base_events,
+        &killed.outcome,
+        |cp| run_storm_resumed(cfg, cp).outcome,
+        spliced_q_events_fuzzy,
+        |cp| {
+            format!(
+                "epoch {} ({} records, {} inflight at the cut)",
+                cp.epoch,
+                cp.records.len(),
+                cp.inflight.len()
+            )
+        },
+    )
+    .is_some_and(|cp| !cp.inflight.is_empty());
+    answered_ok && commit_ok && resumed_mid_storm
 }
 
 fn main() {
@@ -186,16 +182,27 @@ fn main() {
     let rerun_ok = first.transcript == run_uninterrupted(&shape).transcript;
     println!(
         "determinism: same-seed rerun {} ({} transcript bytes)",
-        if rerun_ok {
-            "byte-identical"
-        } else {
-            "MISMATCH"
-        },
+        identical(rerun_ok),
         first.transcript.len(),
     );
     failed |= !rerun_ok;
 
-    failed |= !resume_gate(&shape, &first);
+    let resumed = resume_gate(
+        "resume",
+        &first.transcript,
+        &first.q_events,
+        &run_killed(&shape),
+        |cp| run_resumed(&shape, cp),
+        spliced_q_events,
+        |cp| {
+            format!(
+                "cursor {} ({} checkpointed records)",
+                cp.cursor,
+                cp.records.len()
+            )
+        },
+    );
+    failed |= resumed.is_none();
 
     // Querier-crash gate.
     let crashed = run_querier_crash(&shape);
@@ -215,7 +222,7 @@ fn main() {
         "gate: querier crash — answered {:.2}% (floor {:.0}%) {}, {} re-dispatched after restart {}",
         frac * 100.0,
         OK_FLOOR * 100.0,
-        if frac_ok { "ok" } else { "FAIL" },
+        ok_fail(frac_ok),
         redispatched,
         if live_ok { "ok" } else { "FAIL (crash was a no-op)" },
     );

@@ -27,7 +27,7 @@ use std::sync::{Arc, Mutex};
 use dns_server::{ServerEngine, SimDnsServer};
 use dns_wire::{Name, RData, Record, Soa};
 use dns_zone::{Catalog, Zone};
-use ldp_bench::{arg_f64, arg_flag, arg_u64, cdf_rows};
+use ldp_bench::{arg_f64, arg_flag, arg_u64, cdf_rows, identical};
 use ldp_replay::{LatencyLog, SimReplayClient};
 use ldp_telemetry as tel;
 use ldp_trace::TraceEntry;
@@ -165,17 +165,9 @@ fn main() {
     let _ = writeln!(
         out,
         "determinism: event logs rerun {} ({} events), latency on/off {}",
-        if rerun_ok {
-            "byte-identical"
-        } else {
-            "MISMATCH"
-        },
+        identical(rerun_ok),
         events.len(),
-        if onoff_ok {
-            "byte-identical"
-        } else {
-            "MISMATCH"
-        },
+        identical(onoff_ok),
     );
     failed |= !rerun_ok || !onoff_ok;
     if events.is_empty() {

@@ -454,7 +454,7 @@ fn main() {
     let overhead_ok = telemetry_overhead_pct <= 5.0;
     println!(
         "  enabled {tel_eps:>12.0} events/s — overhead {telemetry_overhead_pct:.2}% (budget 5%) — {}",
-        if overhead_ok { "ok" } else { "FAIL" }
+        ldp_bench::ok_fail(overhead_ok)
     );
 
     let ops = 2_000_000u64;
@@ -519,7 +519,7 @@ fn main() {
     let guard_ok = guard_overhead_pct <= 3.0;
     println!(
         "  guarded {guard_qps:>12.0} q/s — overhead {guard_overhead_pct:.2}% (budget 3%) — {}",
-        if guard_ok { "ok" } else { "FAIL" }
+        ldp_bench::ok_fail(guard_ok)
     );
 
     // --- Guard: v2 fuzzy-cut checkpoint serialization round-trips. ---

@@ -12,14 +12,31 @@
 
 #![warn(missing_docs)]
 
-/// Parse `--scale N` (and `--seconds S`) style flags from argv.
-pub fn arg_f64(name: &str, default: f64) -> f64 {
+/// The value that followed `name` on the command line, parsed — or
+/// `default` if the flag is absent. A flag that is present but
+/// malformed is fatal (exit status 2): a run whose banner prints
+/// "seed S" or "scale N" must have run seed S at scale N.
+fn arg_or<T>(name: &str, default: T, parse: fn(Option<&str>) -> Result<T, String>) -> T {
     let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    let Some(i) = args.iter().position(|a| a == name) else {
+        return default;
+    };
+    parse(args.get(i + 1).map(String::as_str)).unwrap_or_else(|e| {
+        eprintln!("error: {name} {e}");
+        std::process::exit(2)
+    })
+}
+
+/// The value that followed a numeric flag on the command line (`None`:
+/// the flag was the last argument) as a finite, non-negative `f64`, or
+/// why not. Every such flag is a scale, a duration, a rate or a count.
+fn parse_f64(value: Option<&str>) -> Result<f64, String> {
+    let v = value.ok_or("needs a value")?;
+    match v.parse::<f64>() {
+        Ok(x) if x.is_finite() && x >= 0.0 => Ok(x),
+        Ok(_) => Err(format!("{v:?} is not a finite, non-negative number")),
+        Err(e) => Err(format!("{v:?} is not a number ({e})")),
+    }
 }
 
 /// The value that followed an integer flag on the command line
@@ -30,23 +47,39 @@ fn parse_u64(value: Option<&str>) -> Result<u64, String> {
         .map_err(|e| format!("{v:?} is not an unsigned 64-bit integer ({e})"))
 }
 
-/// `--seed S` style integer flags from argv. Unlike [`arg_f64`], a
-/// malformed value is fatal (exit status 2): a run that prints "seed S"
-/// must have run seed S.
+/// `--scale N` / `--seconds S` style flags from argv; a malformed,
+/// negative or non-finite value is fatal (exit status 2).
+pub fn arg_f64(name: &str, default: f64) -> f64 {
+    arg_or(name, default, parse_f64)
+}
+
+/// `--seed S` style integer flags from argv; a malformed value is fatal
+/// (exit status 2).
 pub fn arg_u64(name: &str, default: u64) -> u64 {
-    let args: Vec<String> = std::env::args().collect();
-    let Some(i) = args.iter().position(|a| a == name) else {
-        return default;
-    };
-    parse_u64(args.get(i + 1).map(String::as_str)).unwrap_or_else(|e| {
-        eprintln!("error: {name} {e}");
-        std::process::exit(2)
-    })
+    arg_or(name, default, parse_u64)
 }
 
 /// True if `--flag` is present.
 pub fn arg_flag(name: &str) -> bool {
     std::env::args().any(|a| a == name)
+}
+
+/// The verdict word of a byte-identity gate.
+pub fn identical(ok: bool) -> &'static str {
+    if ok {
+        "byte-identical"
+    } else {
+        "MISMATCH"
+    }
+}
+
+/// The verdict word of a pass/fail gate.
+pub fn ok_fail(ok: bool) -> &'static str {
+    if ok {
+        "ok"
+    } else {
+        "FAIL"
+    }
 }
 
 /// Render a boxplot-style row: label + med/quartiles/p5/p95.
@@ -78,7 +111,7 @@ pub fn cdf_rows(label: &str, samples: &[f64], unit: &str) -> Vec<String> {
 mod tests {
     #[test]
     fn parse_u64_rejects_what_the_f64_route_accepted() {
-        use super::parse_u64;
+        use super::{parse_f64, parse_u64};
         assert_eq!(parse_u64(Some("42")), Ok(42));
         // Above 2^53: exact, where `as u64` on an `f64` rounded to ...992.
         assert_eq!(
@@ -88,6 +121,19 @@ mod tests {
         assert!(parse_u64(Some("x")).is_err(), "was: silently seed 11");
         assert!(parse_u64(Some("-3")).is_err(), "was: silently seed 0");
         assert!(parse_u64(None).is_err(), "--seed as the last argument");
+
+        assert_eq!(parse_f64(Some("800")), Ok(800.0));
+        assert_eq!(parse_f64(Some("0.5")), Ok(0.5));
+        assert_eq!(parse_f64(Some("0")), Ok(0.0));
+        assert!(parse_f64(Some("x")).is_err(), "was: silently the default");
+        assert!(parse_f64(Some("")).is_err());
+        assert!(
+            parse_f64(Some("-3")).is_err(),
+            "a negative scale or duration"
+        );
+        assert!(parse_f64(Some("NaN")).is_err());
+        assert!(parse_f64(Some("inf")).is_err());
+        assert!(parse_f64(None).is_err(), "--scale as the last argument");
     }
 
     #[test]

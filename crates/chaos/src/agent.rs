@@ -11,8 +11,7 @@
 
 use std::net::IpAddr;
 
-use ldp_shard::{ControlId, ShardedSimulator};
-use netsim::{Ctx, Host, HostId, PacketBytes, SimTime, Simulator, TcpEvent};
+use netsim::{Ctx, Host, PacketBytes, SimDriver, SimTime, TcpEvent};
 
 use crate::injector::PlanInjector;
 use crate::plan::{FaultEvent, FaultPlan};
@@ -78,39 +77,23 @@ fn schedule_of(plan: &FaultPlan) -> Vec<(SimTime, Action)> {
     schedule
 }
 
-/// Wire a [`FaultPlan`] into `sim`: installs a [`PlanInjector`] for the
-/// packet-level faults and a [`ChaosAgent`] (registered at
-/// `agent_addr`) whose timers deliver the plan's crash/restart events.
+/// Wire a [`FaultPlan`] into `sim` — a plain [`netsim::Simulator`] or
+/// an `ldp-shard` `ShardedSimulator`, through the one [`SimDriver`]
+/// API: installs a [`PlanInjector`] for the packet-level faults and a
+/// [`ChaosAgent`] (registered at `agent_addr`) whose timers deliver
+/// the plan's crash/restart events.
 ///
-/// The agent is a *control host* — its timer dispatches are excluded
-/// from the event count, exactly as the per-shard agent replicas of
-/// [`install_sharded`] are, so single-shard and sharded transcripts
-/// agree byte-for-byte.
+/// On a sharded run every shard gets its own injector replica (safe
+/// because its draws are stateless — see [`crate::injector`]) and its
+/// own agent replica armed with the same timers; a replica's crash
+/// command is a natural no-op on every shard but the target's owner,
+/// so exactly one shard acts. The agent is a *control host* — its
+/// timer dispatches are excluded from the event count on both engines
+/// — so single-shard and sharded transcripts agree byte-for-byte.
 ///
-/// Returns the agent's [`HostId`]. `agent_addr` must be an address not
-/// used by any workload host.
-pub fn install(sim: &mut Simulator, plan: &FaultPlan, agent_addr: IpAddr) -> HostId {
-    sim.set_fault_injector(Box::new(PlanInjector::new(plan)));
-
-    let schedule = schedule_of(plan);
-    let actions: Vec<Action> = schedule.iter().map(|(_, a)| *a).collect();
-    let agent = sim.add_control_host(&[agent_addr], Box::new(ChaosAgent { actions }));
-    for (i, (at, _)) in schedule.iter().enumerate() {
-        sim.schedule_timer(agent, *at, i as u64);
-    }
-    agent
-}
-
-/// [`install`] for a [`ShardedSimulator`]: every shard gets its own
-/// [`PlanInjector`] replica (safe because its draws are stateless — see
-/// [`crate::injector`]) and its own [`ChaosAgent`] replica armed with
-/// the same timers. A replica's crash command is a natural no-op on
-/// every shard but the target's owner, so exactly one shard acts.
-pub fn install_sharded(
-    sim: &mut ShardedSimulator,
-    plan: &FaultPlan,
-    agent_addr: IpAddr,
-) -> ControlId {
+/// Returns the agent's control-host id. `agent_addr` must be an
+/// address not used by any workload host.
+pub fn install<S: SimDriver>(sim: &mut S, plan: &FaultPlan, agent_addr: IpAddr) -> usize {
     sim.set_fault_injectors(|_shard| Box::new(PlanInjector::new(plan)));
 
     let schedule = schedule_of(plan);
@@ -129,30 +112,15 @@ pub fn install_sharded(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dns_wire::name::Name;
-    use netsim::{PathConfig, SimConfig, SimDuration, SimTime, Topology};
-
-    fn root_ip(i: u8) -> IpAddr {
-        format!("10.13.0.{}", i + 1).parse().unwrap()
-    }
+    use crate::scenario;
+    use netsim::{SimConfig, SimDuration, SimTime, Simulator, Topology};
 
     #[test]
     fn crash_and_restart_fire_on_schedule() {
-        let topo = Topology::uniform(PathConfig::with_rtt(SimDuration::from_millis(10)));
-        let mut sim = Simulator::new(topo, SimConfig::default());
-
-        let mut catalog = dns_zone::catalog::Catalog::new();
-        catalog.insert(dns_zone::zone::Zone::new(Name::root()));
-        let engine = std::sync::Arc::new(dns_server::engine::ServerEngine::with_catalog(catalog));
-        let target = root_ip(0);
-        sim.add_host(
-            &[target],
-            Box::new(dns_server::sim_server::SimDnsServer::new(
-                engine,
-                std::net::SocketAddr::new(target, 53),
-                None,
-            )),
-        );
+        let mut sim = scenario::simulator(SimDuration::from_millis(10), 0);
+        let target = scenario::server_addr(0);
+        let zone = dns_zone::zone::Zone::new(dns_wire::name::Name::root());
+        scenario::server_farm(&mut sim, zone, &[target]);
 
         let plan = FaultPlan::new(1)
             .at(
@@ -163,7 +131,7 @@ mod tests {
                 SimTime::from_secs_f64(2.0),
                 FaultEvent::ServerRestart { addr: target },
             );
-        install(&mut sim, &plan, "10.255.0.1".parse().unwrap());
+        install(&mut sim, &plan, scenario::AGENT);
 
         assert!(!sim.host_is_down(target));
         sim.run_until(SimTime::from_secs_f64(1.5));
@@ -176,10 +144,7 @@ mod tests {
     fn out_of_range_token_is_ignored() {
         let topo = Topology::default();
         let mut sim = Simulator::new(topo, SimConfig::default());
-        let id = sim.add_host(
-            &["10.255.0.1".parse().unwrap()],
-            Box::new(ChaosAgent { actions: vec![] }),
-        );
+        let id = sim.add_host(&[scenario::AGENT], Box::new(ChaosAgent { actions: vec![] }));
         // A stray timer on an empty action table must be a no-op.
         sim.schedule_timer(id, SimTime::from_secs_f64(1.0), 42);
         sim.run();

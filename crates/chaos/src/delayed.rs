@@ -16,27 +16,16 @@
 //! drive this module, so the experiment that produces the figure is
 //! exactly the code the test suite pins down.
 
-use std::net::{IpAddr, SocketAddr};
 use std::sync::{Arc, Mutex};
 
-use dns_resolver::sim_resolver::{AnswerClass, AnswerEvent, ResolverSnapshot, SimResolver};
-use dns_server::engine::ServerEngine;
-use dns_server::sim_server::SimDnsServer;
-use dns_wire::rdata::Soa;
-use dns_wire::record::Record;
-use dns_wire::{Message, Name, RData, RecordType};
-use dns_zone::catalog::Catalog;
-use dns_zone::zone::Zone;
+use dns_resolver::sim_resolver::{AnswerClass, AnswerEvent, ResolverSnapshot};
 use ldp_cache::{CacheConfig, PrefetchConfig};
 use ldp_rng::SplitMix64;
-use netsim::{
-    Ctx, Host, PacketBytes, PathConfig, SimConfig, SimDuration, SimTime, Simulator, TcpEvent,
-    Topology,
-};
+use netsim::{SimDriver, SimDuration, SimTime};
 use workloads::Zipf;
 
-use crate::agent;
 use crate::plan::{FaultEvent, FaultPlan};
+use crate::scenario::{self, ns_or_dash, server_addr, StubSwarm};
 
 pub use ldp_cache::PolicyKind;
 
@@ -159,21 +148,7 @@ impl DelayedConfig {
     }
 }
 
-/// Address of authoritative server `i` (0-based): `10.13.0.{i+1}`.
-pub fn server_addr(i: usize) -> IpAddr {
-    IpAddr::V4(std::net::Ipv4Addr::new(
-        10,
-        13,
-        0,
-        (i as u8).wrapping_add(1),
-    ))
-}
-
-const RESOLVER_ADDR: &str = "10.1.0.1";
-const STUB_ADDR: &str = "10.2.0.1";
-const AGENT_ADDR: &str = "10.255.0.1";
-
-fn rank_name(rank: usize) -> Name {
+fn rank_name(rank: usize) -> dns_wire::Name {
     format!("n{rank}.study.")
         .parse()
         .expect("generated name is valid")
@@ -252,118 +227,43 @@ impl DelayedOutcome {
     }
 }
 
-/// The stub swarm: sends query `i` (id `i`, name by Zipf rank) when its
-/// timer fires and records when each answer lands. No retries — the
-/// study measures the resolver's behavior, not stub persistence.
-struct StubSwarm {
-    addr: SocketAddr,
-    resolver: SocketAddr,
-    queries: Vec<(usize, Name, bool)>,
-    records: Arc<Mutex<Vec<QueryRecord>>>,
-}
-
-impl Host for StubSwarm {
-    fn on_udp(&mut self, ctx: &mut Ctx<'_>, _from: SocketAddr, _to: SocketAddr, data: PacketBytes) {
-        let Ok(msg) = Message::decode(&data) else {
-            return;
-        };
-        let i = msg.id as usize;
-        let Some(&(_, _, nx)) = self.queries.get(i) else {
-            return;
-        };
-        let Ok(mut records) = self.records.lock() else {
-            return;
-        };
-        let Some(rec) = records.get_mut(i) else {
-            return;
-        };
-        if rec.done.is_some() {
-            return; // duplicate or late answer
-        }
-        rec.done = Some(ctx.now());
-        rec.ok = if nx {
-            msg.rcode == dns_wire::Rcode::NxDomain
-        } else {
-            msg.rcode == dns_wire::Rcode::NoError && !msg.answers.is_empty()
-        };
-    }
-
-    fn on_tcp_event(&mut self, _ctx: &mut Ctx<'_>, _event: TcpEvent) {}
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        let i = token as usize;
-        let Some((_, name, _)) = self.queries.get(i) else {
-            return;
-        };
-        let q = Message::query(i as u16, name.clone(), RecordType::A);
-        if let Ok(mut records) = self.records.lock() {
-            if let Some(rec) = records.get_mut(i) {
-                rec.sent = Some(ctx.now());
-            }
-        }
-        ctx.send_udp(self.addr, self.resolver, q.encode());
-    }
-}
-
-/// Build the study zone: an SOA at the apex (MINIMUM drives the
-/// negative TTLs, RFC 2308) plus one A record per existing rank.
-fn study_zone(cfg: &DelayedConfig) -> Zone {
-    let mut zone = Zone::new("study.".parse().expect("valid name"));
-    let soa = Record::new(
-        "study.".parse().expect("valid name"),
-        3600,
-        RData::Soa(Soa {
-            mname: "ns.study.".parse().expect("valid name"),
-            rname: "ops.study.".parse().expect("valid name"),
-            serial: 20181031, // yyyymmdd
-            refresh: 1800,
-            retry: 900,
-            expire: 604800,
-            minimum: 30,
-        }),
-    );
-    zone.insert(soa).expect("apex SOA inserts");
-    for rank in 0..cfg.names {
-        if cfg.is_nx(rank) {
-            continue;
-        }
-        let ip = std::net::Ipv4Addr::new(192, 0, 2, (rank % 250) as u8 + 1);
-        let rec = Record::new(rank_name(rank), cfg.record_ttl, RData::A(ip));
-        zone.insert(rec).expect("rank name is in-zone");
-    }
-    zone
-}
-
 /// Run the delayed-hits study once and return its outcome.
 ///
 /// Everything inside is virtual-time and plan-seeded, so two calls with
 /// an equal `cfg` produce byte-identical transcripts.
 pub fn run(cfg: &DelayedConfig) -> DelayedOutcome {
-    let mut sim = Simulator::new(
-        Topology::uniform(PathConfig::with_rtt(SimDuration::from_millis(40))),
-        SimConfig {
-            seed: cfg.seed,
-            ..SimConfig::default()
-        },
-    );
+    run_on(cfg, &mut scenario::simulator(scenario::wan_rtt(), cfg.seed))
+}
 
-    // The authoritative servers all serve one shared study-zone engine.
-    let mut catalog = Catalog::new();
-    catalog.insert(study_zone(cfg));
-    let engine = Arc::new(ServerEngine::with_catalog(catalog));
-    let mut server_ids = Vec::with_capacity(cfg.servers);
-    for i in 0..cfg.servers {
-        let addr = server_addr(i);
-        let server = SimDnsServer::new(engine.clone(), SocketAddr::new(addr, 53), None);
-        server_ids.push(sim.add_host(&[addr], Box::new(server)));
-    }
+/// [`run`] on a [`ldp_shard::ShardedSimulator`] with `shards`
+/// round-robin worker shards; the transcript is byte-identical to
+/// [`run`]'s for the same config.
+pub fn run_sharded(cfg: &DelayedConfig, shards: u32) -> DelayedOutcome {
+    let mut sim = scenario::sharded_simulator(scenario::wan_rtt(), cfg.seed, shards);
+    run_on(cfg, &mut sim)
+}
+
+fn run_on<S: SimDriver>(cfg: &DelayedConfig, sim: &mut S) -> DelayedOutcome {
+    // The authoritative servers all serve one study zone: an SOA at the
+    // apex (MINIMUM 30 s drives the negative TTLs, RFC 2308) plus one A
+    // record per existing rank.
+    let study_zone = scenario::soa_zone(
+        "study.",
+        3600,
+        "ns.study.",
+        "ops.study.",
+        20181031, // yyyymmdd
+        30,
+        (0..cfg.names)
+            .filter(|&rank| !cfg.is_nx(rank))
+            .map(|rank| scenario::a_record(rank_name(rank), cfg.record_ttl, rank)),
+    );
+    let server_addrs = scenario::server_addrs(cfg.servers);
+    let server_ids = scenario::server_farm(sim, study_zone, &server_addrs);
 
     // The recursive resolver under the cache configuration being
     // studied.
-    let resolver_addr: SocketAddr = SocketAddr::new(RESOLVER_ADDR.parse().expect("valid ip"), 53);
-    let hints: Vec<IpAddr> = (0..cfg.servers).map(server_addr).collect();
-    let mut resolver = SimResolver::new(resolver_addr, hints);
-    resolver.timeout = SimDuration::from_secs(2);
+    let mut resolver = scenario::resolver(server_addrs);
     resolver.max_retries = 6;
     resolver.set_cache_config(CacheConfig {
         capacity: cfg.capacity,
@@ -375,53 +275,48 @@ pub fn run(cfg: &DelayedConfig) -> DelayedOutcome {
     let snapshot = Arc::new(Mutex::new(ResolverSnapshot::default()));
     resolver.set_answer_log(Arc::clone(&answers));
     resolver.set_stats_out(Arc::clone(&snapshot));
-    let resolver_id = sim.add_host(&[resolver_addr.ip()], Box::new(resolver));
+    let resolver_id = sim.add_host(&[scenario::RESOLVER.ip()], Box::new(resolver));
 
-    // The stub swarm, one pre-armed timer per query.
+    // The stub swarm, one pre-armed timer per query, no retries — the
+    // study measures the resolver's behavior, not stub persistence.
     let ranks = cfg.ranks();
-    let queries: Vec<(usize, Name, bool)> = ranks
-        .iter()
-        .map(|&r| (r, rank_name(r), cfg.is_nx(r)))
-        .collect();
-    let records = Arc::new(Mutex::new(
+    let (stub_id, stub_records) = StubSwarm::spawn(
+        sim,
         ranks
             .iter()
-            .map(|&r| QueryRecord {
-                rank: r,
-                ..QueryRecord::default()
-            })
-            .collect::<Vec<_>>(),
-    ));
-    let stub_addr: SocketAddr = SocketAddr::new(STUB_ADDR.parse().expect("valid ip"), 5353);
-    let stub = StubSwarm {
-        addr: stub_addr,
-        resolver: resolver_addr,
-        queries,
-        records: Arc::clone(&records),
-    };
-    let stub_id = sim.add_host(&[stub_addr.ip()], Box::new(stub));
-    let first_query_at = SimTime::from_secs_f64(1.0);
-    for i in 0..cfg.queries {
-        let at = first_query_at + cfg.query_gap.times(i as u64);
-        sim.schedule_timer(stub_id, at, i as u64);
-    }
+            .map(|&r| (rank_name(r), cfg.is_nx(r)))
+            .collect(),
+        1,
+        SimDuration::ZERO,
+        SimTime::from_secs_f64(1.0),
+        cfg.query_gap,
+    );
 
     // Wire in the fault plan (delay shaping + crash/restart agent).
-    sim_install(&mut sim, cfg);
+    scenario::install_plan(sim, &cfg.plan());
 
     let events = sim.run();
 
     // Merge the resolver's answer log (class + wait per qid) into the
     // stub-side records.
-    let mut records = records.lock().expect("stub swarm does not panic").clone();
-    {
-        let log = answers.lock().expect("answer log lock");
-        for ev in log.iter() {
-            if let Some(rec) = records.get_mut(ev.qid as usize) {
-                if rec.class.is_none() {
-                    rec.class = Some(ev.class);
-                    rec.waited_ns = ev.waited_ns;
-                }
+    let mut records: Vec<QueryRecord> = stub_records
+        .lock()
+        .expect("stub swarm does not panic")
+        .iter()
+        .zip(&ranks)
+        .map(|(stub, &rank)| QueryRecord {
+            rank,
+            sent: stub.first_sent,
+            done: stub.done,
+            ok: stub.ok,
+            ..QueryRecord::default()
+        })
+        .collect();
+    for ev in answers.lock().expect("answer log lock").iter() {
+        if let Some(rec) = records.get_mut(ev.qid as usize) {
+            if rec.class.is_none() {
+                rec.class = Some(ev.class);
+                rec.waited_ns = ev.waited_ns;
             }
         }
     }
@@ -445,14 +340,12 @@ pub fn run(cfg: &DelayedConfig) -> DelayedOutcome {
         cfg.crash.map(|(a, b)| (a.as_nanos(), b.as_nanos())),
     ));
     for (i, rec) in records.iter().enumerate() {
-        let sent = rec.sent.map(|s| s.as_nanos().to_string());
-        let done = rec.done.map(|d| d.as_nanos().to_string());
         t.push_str(&format!(
             "q{} rank={} sent={} done={} class={} waited={} {}\n",
             i,
             rec.rank,
-            sent.as_deref().unwrap_or("-"),
-            done.as_deref().unwrap_or("-"),
+            ns_or_dash(rec.sent),
+            ns_or_dash(rec.done),
             rec.class.map(AnswerClass::label).unwrap_or("-"),
             rec.waited_ns,
             if rec.ok { "ok" } else { "fail" }
@@ -468,13 +361,6 @@ pub fn run(cfg: &DelayedConfig) -> DelayedOutcome {
         snapshot,
         upstream_rx,
         transcript: t,
-    }
-}
-
-fn sim_install(sim: &mut Simulator, cfg: &DelayedConfig) {
-    let plan = cfg.plan();
-    if !plan.faults.is_empty() {
-        agent::install(sim, &plan, AGENT_ADDR.parse().expect("valid ip"));
     }
 }
 
@@ -510,14 +396,6 @@ mod tests {
         assert_eq!(out.upstream_rx, 1, "dedup invariant:\n{}", out.transcript);
         assert_eq!(out.count(AnswerClass::Miss), 1);
         assert_eq!(out.count(AnswerClass::DelayedHit), 7);
-    }
-
-    #[test]
-    fn same_seed_transcripts_are_byte_identical() {
-        let cfg = DelayedConfig::smoke(64, PolicyKind::DelayAware, 11);
-        let a = run(&cfg);
-        let b = run(&cfg);
-        assert_eq!(a.transcript, b.transcript);
     }
 
     #[test]

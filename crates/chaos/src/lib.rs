@@ -8,26 +8,36 @@
 //! loss bursts, delay spikes, duplication, CPU throttles, and server
 //! crash/restart events, executed inside the simulator with all
 //! randomness drawn statelessly from the plan's seed. Same seed, same
-//! plan → byte-identical simulator transcripts across both event-queue
-//! backends *and any shard count* (the plan replicates cleanly onto
+//! plan → byte-identical simulator transcripts on the plain simulator
+//! *and at any shard count* (the plan replicates cleanly onto
 //! `ldp-shard` workers), so every failure experiment is exactly
 //! reproducible.
 //!
 //! The pieces:
+//! - [`scenario`]: the one testbed the studies below are
+//!   parameterisations of — address plan, SOA-plus-records zone
+//!   builder, shared-engine server farm, uniform-RTT seeded simulator
+//!   (plain or sharded), the [`scenario::StubSwarm`] host, the query
+//!   schedule and the install-iff-non-empty plan rule — generic over
+//!   [`netsim::SimDriver`], so a study written on it runs on either
+//!   engine,
 //! - [`plan`]: the declarative [`FaultPlan`] (+ a line-based text
 //!   format that round-trips exactly),
 //! - [`injector`]: [`PlanInjector`], the packet-level executor wired
 //!   into `netsim`'s delivery path,
-//! - [`agent`]: [`ChaosAgent`] and [`agent::install`], delivering the
+//! - [`agent`]: [`ChaosAgent`] and [`agent::install`], the one generic
+//!   function that wires a plan into either simulator and delivers the
 //!   host-level crash/restart events on schedule,
 //! - [`outage`]: the root-letter outage study (the `fig_outage`
-//!   scenario) built on all of the above,
+//!   scenario): resolver retry policies under a loss burst plus letter
+//!   crashes,
 //! - [`delayed`]: the delayed-hits caching study (the `fig_cache`
 //!   scenario): a Zipf stub workload against an `ldp-cache`-backed
 //!   resolver, with optional delay spikes and upstream crashes,
 //! - [`recovery`]: the crash-recovery study (the `fig_recovery`
-//!   scenario): kill-and-resume from a checkpoint, and querier
-//!   power-cycles via [`plan::FaultEvent::QuerierCrash`].
+//!   scenario): eight legs of one replay-leg runner — kill-and-resume
+//!   from a checkpoint, querier power-cycles via
+//!   [`plan::FaultEvent::QuerierCrash`], and the crash storm.
 
 #![warn(missing_docs)]
 
@@ -37,8 +47,9 @@ pub mod injector;
 pub mod outage;
 pub mod plan;
 pub mod recovery;
+pub mod scenario;
 
-pub use agent::{install, install_sharded, ChaosAgent};
+pub use agent::{install, ChaosAgent};
 pub use delayed::{DelayedConfig, DelayedOutcome};
 pub use injector::PlanInjector;
 pub use plan::{FaultEvent, FaultPlan, PlanParseError, PlannedFault};

@@ -9,26 +9,13 @@
 //! tests drive this module, so the experiment that produces the
 //! figures is exactly the code the test suite pins down.
 
-use std::net::{IpAddr, SocketAddr};
-use std::sync::{Arc, Mutex};
+use netsim::{SimDriver, SimDuration, SimTime};
 
-use dns_server::engine::ServerEngine;
-use dns_server::sim_server::SimDnsServer;
-use dns_wire::rdata::Soa;
-use dns_wire::record::Record;
-use dns_wire::{Message, Name, RData, Rcode, RecordType};
-use dns_zone::catalog::Catalog;
-use dns_zone::zone::Zone;
-use ldp_shard::{ShardPlan, ShardedSimulator};
-use netsim::{
-    Ctx, Host, HostStats, PacketBytes, PathConfig, SimConfig, SimDuration, SimTime, Simulator,
-    TcpEvent, Topology,
-};
-
-use crate::agent;
 use crate::plan::{FaultEvent, FaultPlan};
+use crate::scenario::{self, ns_or_dash, server_addr, StubSwarm};
 
-use dns_resolver::sim_resolver::SimResolver;
+/// Outcome of one stub query — the shared stub swarm's record.
+pub use crate::scenario::StubRecord as QueryRecord;
 
 /// How the resolver handles a failed upstream attempt — the independent
 /// variable of the outage study.
@@ -147,7 +134,7 @@ impl OutageConfig {
             },
         );
         for i in 0..self.crashed.min(self.letters) {
-            let addr = letter_addr(i);
+            let addr = server_addr(i);
             plan = plan
                 .at(self.outage_start, FaultEvent::ServerCrash { addr })
                 .at(self.outage_end, FaultEvent::ServerRestart { addr });
@@ -165,31 +152,6 @@ pub enum Phase {
     During,
     /// Sent after the window closed.
     After,
-}
-
-/// Outcome of one stub query.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct QueryRecord {
-    /// When the first attempt went out.
-    pub first_sent: Option<SimTime>,
-    /// When a final answer (positive or giving-up SERVFAIL) arrived.
-    pub done: Option<SimTime>,
-    /// Whether the final answer was a usable positive answer.
-    pub ok: bool,
-    /// Stub attempts used.
-    pub attempts: u32,
-    /// SERVFAIL responses seen along the way.
-    pub servfails: u32,
-}
-
-impl QueryRecord {
-    /// Answer latency from first send, when answered OK.
-    pub fn latency(&self) -> Option<SimDuration> {
-        match (self.first_sent, self.done, self.ok) {
-            (Some(s), Some(d), true) if d >= s => Some(d - s),
-            _ => None,
-        }
-    }
 }
 
 /// The result of [`run`]: per-query records plus a deterministic
@@ -250,179 +212,8 @@ fn phase_of(cfg: &OutageConfig, sent: Option<SimTime>) -> Option<Phase> {
     })
 }
 
-/// Address of root letter `i` (0-based): `10.13.0.{i+1}`.
-pub fn letter_addr(i: usize) -> IpAddr {
-    IpAddr::V4(std::net::Ipv4Addr::new(
-        10,
-        13,
-        0,
-        (i as u8).wrapping_add(1),
-    ))
-}
-
-const RESOLVER_ADDR: &str = "10.1.0.1";
-const STUB_ADDR: &str = "10.2.0.1";
-const AGENT_ADDR: &str = "10.255.0.1";
-
-fn qname(i: usize) -> Name {
+fn qname(i: usize) -> dns_wire::Name {
     format!("q{i}.").parse().expect("generated name is valid")
-}
-
-/// The stub swarm: sends query `i` at its scheduled time, retries
-/// unanswered queries every `retry_gap` up to `max_attempts`, and
-/// records outcomes.
-struct StubSwarm {
-    addr: SocketAddr,
-    resolver: SocketAddr,
-    records: Arc<Mutex<Vec<QueryRecord>>>,
-    max_attempts: u32,
-    retry_gap: SimDuration,
-}
-
-impl StubSwarm {
-    fn send_query(&self, ctx: &mut Ctx<'_>, i: usize) {
-        let q = Message::query(i as u16, qname(i), RecordType::A);
-        ctx.send_udp(self.addr, self.resolver, q.encode());
-    }
-}
-
-impl Host for StubSwarm {
-    fn on_udp(&mut self, ctx: &mut Ctx<'_>, _from: SocketAddr, _to: SocketAddr, data: PacketBytes) {
-        let Ok(msg) = Message::decode(&data) else {
-            return;
-        };
-        let i = msg.id as usize;
-        let Ok(mut records) = self.records.lock() else {
-            return;
-        };
-        let Some(rec) = records.get_mut(i) else {
-            return;
-        };
-        if rec.done.is_some() {
-            return; // duplicate or late answer
-        }
-        if msg.rcode == Rcode::NoError && !msg.answers.is_empty() {
-            rec.done = Some(ctx.now());
-            rec.ok = true;
-        } else {
-            rec.servfails += 1;
-            if rec.attempts >= self.max_attempts {
-                // Out of retries: record the failure as final.
-                rec.done = Some(ctx.now());
-                rec.ok = false;
-            }
-            // Otherwise leave the query open — the standing retry timer
-            // resends it (possibly served from the resolver's cache if
-            // only the answer leg was lost).
-        }
-    }
-
-    fn on_tcp_event(&mut self, _ctx: &mut Ctx<'_>, _event: TcpEvent) {}
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        let i = token as usize;
-        let (send, rearm) = {
-            let Ok(mut records) = self.records.lock() else {
-                return;
-            };
-            let Some(rec) = records.get_mut(i) else {
-                return;
-            };
-            if rec.done.is_some() || rec.attempts >= self.max_attempts {
-                (false, false)
-            } else {
-                rec.attempts += 1;
-                if rec.first_sent.is_none() {
-                    rec.first_sent = Some(ctx.now());
-                }
-                (true, rec.attempts < self.max_attempts)
-            }
-        };
-        if send {
-            self.send_query(ctx, i);
-        }
-        if rearm {
-            ctx.set_timer(self.retry_gap, token);
-        }
-    }
-}
-
-/// Build the root zone the letters serve: an SOA at the apex plus one
-/// A record per query name, so every query has a real answer.
-fn root_zone(queries: usize) -> Zone {
-    let mut zone = Zone::new(Name::root());
-    let soa = Record::new(
-        Name::root(),
-        86400,
-        RData::Soa(Soa {
-            mname: "a.root-servers.net.".parse().expect("valid name"),
-            rname: "nstld.verisign-grs.com.".parse().expect("valid name"),
-            serial: 20181031, // yyyymmdd
-            refresh: 1800,
-            retry: 900,
-            expire: 604800,
-            minimum: 86400,
-        }),
-    );
-    zone.insert(soa).expect("apex SOA inserts");
-    for i in 0..queries {
-        let ip = std::net::Ipv4Addr::new(192, 0, 2, (i % 250) as u8 + 1);
-        let rec = Record::new(qname(i), 3600, RData::A(ip));
-        zone.insert(rec).expect("query name is in-zone");
-    }
-    zone
-}
-
-/// Either simulator front-end, so [`run`] and [`run_sharded`] drive
-/// one workload-construction path — same hosts, same driver-API call
-/// order — and any transcript divergence is the engine's fault, not
-/// the harness's.
-// One short-lived value per run; boxing it would buy nothing.
-#[allow(clippy::large_enum_variant)]
-enum AnySim {
-    Single(Simulator),
-    Sharded(ShardedSimulator),
-}
-
-impl AnySim {
-    fn add_host(&mut self, addrs: &[IpAddr], host: Box<dyn Host>) -> usize {
-        match self {
-            AnySim::Single(s) => s.add_host(addrs, host),
-            AnySim::Sharded(s) => s.add_host(addrs, host),
-        }
-    }
-
-    fn schedule_timer(&mut self, host: usize, at: SimTime, token: u64) {
-        match self {
-            AnySim::Single(s) => s.schedule_timer(host, at, token),
-            AnySim::Sharded(s) => s.schedule_timer(host, at, token),
-        }
-    }
-
-    fn install(&mut self, plan: &FaultPlan, agent_addr: IpAddr) {
-        match self {
-            AnySim::Single(s) => {
-                agent::install(s, plan, agent_addr);
-            }
-            AnySim::Sharded(s) => {
-                agent::install_sharded(s, plan, agent_addr);
-            }
-        }
-    }
-
-    fn run(&mut self) -> u64 {
-        match self {
-            AnySim::Single(s) => s.run(),
-            AnySim::Sharded(s) => s.run(),
-        }
-    }
-
-    fn stats(&self, host: usize) -> HostStats {
-        match self {
-            AnySim::Single(s) => s.stats(host),
-            AnySim::Sharded(s) => s.stats(host),
-        }
-    }
 }
 
 /// Run the outage study once and return its outcome.
@@ -430,81 +221,57 @@ impl AnySim {
 /// Everything inside is virtual-time and plan-seeded, so two calls with
 /// an equal `cfg` produce byte-identical transcripts.
 pub fn run(cfg: &OutageConfig) -> OutageOutcome {
-    let mut sim = AnySim::Single(Simulator::new(outage_topology(), outage_sim_config(cfg)));
-    run_on(cfg, &mut sim)
+    run_on(cfg, &mut scenario::simulator(scenario::wan_rtt(), cfg.seed))
 }
 
-/// [`run`] on a [`ShardedSimulator`] with `shards` round-robin worker
-/// shards. Produces a transcript byte-identical to [`run`]'s for the
-/// same config — the shard-equivalence property the integration tests
-/// pin down across shard counts.
+/// [`run`] on a [`ldp_shard::ShardedSimulator`] with `shards`
+/// round-robin worker shards. Produces a transcript byte-identical to
+/// [`run`]'s for the same config — the shard-equivalence property the
+/// integration tests pin down across shard counts.
 pub fn run_sharded(cfg: &OutageConfig, shards: u32) -> OutageOutcome {
-    let mut sim = AnySim::Sharded(ShardedSimulator::new(
-        outage_topology(),
-        outage_sim_config(cfg),
-        ShardPlan::round_robin(shards),
-    ));
+    let mut sim = scenario::sharded_simulator(scenario::wan_rtt(), cfg.seed, shards);
     run_on(cfg, &mut sim)
 }
 
-/// A WAN-ish star: every path 40 ms RTT at the default link rate.
-fn outage_topology() -> Topology {
-    Topology::uniform(PathConfig::with_rtt(SimDuration::from_millis(40)))
-}
-
-fn outage_sim_config(cfg: &OutageConfig) -> SimConfig {
-    SimConfig {
-        seed: cfg.seed,
-        ..SimConfig::default()
-    }
-}
-
-fn run_on(cfg: &OutageConfig, sim: &mut AnySim) -> OutageOutcome {
-    // The 13 letters all serve one shared root-zone engine.
-    let mut catalog = Catalog::new();
-    catalog.insert(root_zone(cfg.queries));
-    let engine = Arc::new(ServerEngine::with_catalog(catalog));
-    let mut letters = Vec::with_capacity(cfg.letters);
-    for i in 0..cfg.letters {
-        let addr = letter_addr(i);
-        let server = SimDnsServer::new(engine.clone(), SocketAddr::new(addr, 53), None);
-        letters.push(sim.add_host(&[addr], Box::new(server)));
-    }
+fn run_on<S: SimDriver>(cfg: &OutageConfig, sim: &mut S) -> OutageOutcome {
+    // The letters all serve one root zone: an SOA at the apex plus one
+    // A record per query name, so every query has a real answer.
+    let root_zone = scenario::soa_zone(
+        ".",
+        86400,
+        "a.root-servers.net.",
+        "nstld.verisign-grs.com.",
+        20181031, // yyyymmdd
+        86400,
+        (0..cfg.queries).map(|i| scenario::a_record(qname(i), 3600, i)),
+    );
+    let letter_addrs = scenario::server_addrs(cfg.letters);
+    let letters = scenario::server_farm(sim, root_zone, &letter_addrs);
 
     // The recursive resolver, configured per the policy under study.
-    let resolver_addr: SocketAddr = SocketAddr::new(RESOLVER_ADDR.parse().expect("valid ip"), 53);
-    let hints: Vec<IpAddr> = (0..cfg.letters).map(letter_addr).collect();
-    let mut resolver = SimResolver::new(resolver_addr, hints);
-    resolver.timeout = SimDuration::from_secs(2);
+    let mut resolver = scenario::resolver(letter_addrs);
     resolver.max_retries = cfg.policy.max_retries;
     resolver.backoff_cap = cfg.policy.backoff_cap;
     resolver.rotate_servers = cfg.policy.rotate_servers;
-    let resolver_id = sim.add_host(&[resolver_addr.ip()], Box::new(resolver));
+    let resolver_id = sim.add_host(&[scenario::RESOLVER.ip()], Box::new(resolver));
 
     // The stub swarm, with one pre-armed timer per query.
-    let records = Arc::new(Mutex::new(vec![QueryRecord::default(); cfg.queries]));
-    let stub_addr: SocketAddr = SocketAddr::new(STUB_ADDR.parse().expect("valid ip"), 5353);
-    let stub = StubSwarm {
-        addr: stub_addr,
-        resolver: resolver_addr,
-        records: Arc::clone(&records),
-        max_attempts: cfg.stub_attempts,
-        retry_gap: cfg.stub_retry_gap,
-    };
-    let stub_id = sim.add_host(&[stub_addr.ip()], Box::new(stub));
-    let first_query_at = SimTime::from_secs_f64(1.0);
-    for i in 0..cfg.queries {
-        let at = first_query_at + cfg.query_gap.times(i as u64);
-        sim.schedule_timer(stub_id, at, i as u64);
-    }
+    let (stub_id, records) = StubSwarm::spawn(
+        sim,
+        (0..cfg.queries).map(|i| (qname(i), false)).collect(),
+        cfg.stub_attempts,
+        cfg.stub_retry_gap,
+        SimTime::from_secs_f64(1.0),
+        cfg.query_gap,
+    );
 
     // Wire in the fault plan (packet shaping + crash/restart agent).
-    sim.install(&cfg.plan(), AGENT_ADDR.parse().expect("valid ip"));
+    scenario::install_plan(sim, &cfg.plan());
 
     let events = sim.run();
 
     // Deterministic transcript: config, per-query outcomes, counters.
-    let records = records.lock().expect("stub swarm does not panic");
+    let records = records.lock().expect("stub swarm does not panic").clone();
     let mut t = String::new();
     t.push_str("fig_outage v1\n");
     t.push_str(&format!(
@@ -520,8 +287,6 @@ fn run_on(cfg: &OutageConfig, sim: &mut AnySim) -> OutageOutcome {
         events
     ));
     for (i, rec) in records.iter().enumerate() {
-        let sent = rec.first_sent.map(|s| s.as_nanos().to_string());
-        let done = rec.done.map(|d| d.as_nanos().to_string());
         let state = if rec.ok {
             "ok"
         } else if rec.done.is_some() {
@@ -532,8 +297,8 @@ fn run_on(cfg: &OutageConfig, sim: &mut AnySim) -> OutageOutcome {
         t.push_str(&format!(
             "q{} sent={} done={} attempts={} servfails={} {}\n",
             i,
-            sent.as_deref().unwrap_or("-"),
-            done.as_deref().unwrap_or("-"),
+            ns_or_dash(rec.first_sent),
+            ns_or_dash(rec.done),
             rec.attempts,
             rec.servfails,
             state
@@ -546,7 +311,7 @@ fn run_on(cfg: &OutageConfig, sim: &mut AnySim) -> OutageOutcome {
     }
 
     OutageOutcome {
-        records: records.clone(),
+        records,
         transcript: t,
     }
 }

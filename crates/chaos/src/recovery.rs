@@ -24,21 +24,16 @@
 use std::net::{IpAddr, SocketAddr};
 use std::sync::{Arc, Mutex};
 
-use dns_server::engine::ServerEngine;
-use dns_server::sim_server::SimDnsServer;
-use dns_wire::rdata::Soa;
 use dns_wire::record::Record;
-use dns_wire::{Name, RData, RecordType};
-use dns_zone::catalog::Catalog;
-use dns_zone::zone::Zone;
+use dns_wire::{RData, RecordType};
 use ldp_guard::{Checkpoint, RetransmitConfig};
 use ldp_replay::sim_replay::{CheckpointStamp, LatencyLog, LatencyRecord, SimReplayClient};
 use ldp_telemetry as tel;
 use ldp_trace::TraceEntry;
-use netsim::{PathConfig, SimConfig, SimDuration, SimTime, Simulator, Topology};
+use netsim::{SimDuration, SimTime};
 
-use crate::agent;
 use crate::plan::{FaultEvent, FaultPlan};
+use crate::scenario;
 
 /// Parameters of one recovery run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -130,7 +125,6 @@ impl RecoveryOutcome {
 }
 
 const SERVER_ADDR: &str = "10.9.0.1:53";
-const AGENT_ADDR: &str = "10.255.0.1";
 /// First source octet base: sources are `10.1.0.{1..=4}`.
 const SOURCES: u64 = 4;
 
@@ -155,54 +149,6 @@ fn mk_trace(cfg: &RecoveryConfig) -> Vec<TraceEntry> {
             )
         })
         .collect()
-}
-
-/// The zone the server answers from: an apex SOA plus a wildcard A so
-/// every `q{i}.example` query has a real answer.
-fn zone() -> Zone {
-    let apex: Name = "example".parse().expect("valid name");
-    let mut z = Zone::new(apex.clone());
-    z.insert(Record::new(
-        apex,
-        3600,
-        RData::Soa(Soa {
-            mname: "ns1.example.".parse().expect("valid name"),
-            rname: "hostmaster.example.".parse().expect("valid name"),
-            serial: 1,
-            refresh: 1800,
-            retry: 900,
-            expire: 604_800,
-            minimum: 3600,
-        }),
-    ))
-    .expect("apex SOA inserts");
-    z.insert(Record::new(
-        "*.example".parse().expect("valid name"),
-        3600,
-        RData::A("192.0.2.53".parse().expect("valid ip")),
-    ))
-    .expect("wildcard inserts");
-    z
-}
-
-fn build_sim(cfg: &RecoveryConfig) -> Simulator {
-    let topo = Topology::uniform(PathConfig::with_rtt(cfg.rtt));
-    let mut sim = Simulator::new(
-        topo,
-        SimConfig {
-            seed: cfg.seed,
-            ..SimConfig::default()
-        },
-    );
-    let mut catalog = Catalog::new();
-    catalog.insert(zone());
-    let engine = Arc::new(ServerEngine::with_catalog(catalog));
-    let server_addr: SocketAddr = SERVER_ADDR.parse().expect("valid addr");
-    sim.add_host(
-        &[server_addr.ip()],
-        Box::new(SimDnsServer::new(engine, server_addr, None)),
-    );
-    sim
 }
 
 /// Serialize a record exactly as the checkpoint `rec` lines do —
@@ -256,27 +202,132 @@ fn outcome(
     }
 }
 
-/// The baseline: a checkpointed replay left alone to completion.
-pub fn run_uninterrupted(cfg: &RecoveryConfig) -> RecoveryOutcome {
+/// Which checkpoint mechanism a leg's client runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum CheckpointMech {
+    /// v1: quiescent cuts after every this many completions.
+    Quiescent(u64),
+    /// v2: fuzzy cuts on the absolute grid of this cadence.
+    Fuzzy(SimDuration),
+}
+
+/// One replay leg: what distinguishes the eight runs of this module.
+struct Leg<'a> {
+    /// The transcript header's `mode=`.
+    label: &'a str,
+    checkpoints: Option<CheckpointMech>,
+    /// Faults to install (none: no agent, no injector).
+    plan: FaultPlan,
+    /// UDP retransmission policy and its run-level jitter seed.
+    retransmit: Option<(RetransmitConfig, u64)>,
+    /// The kill instant for abandoned runs, the horizon for complete
+    /// ones.
+    run_until: SimTime,
+    /// Rebuild the client from this checkpoint first.
+    resume_from: Option<&'a Checkpoint>,
+}
+
+/// Run one leg in a fresh simulator: server, then client, then (iff
+/// the plan has faults) the chaos agent. That host add order is part
+/// of the replayed shape: a killed run and its resumed continuation
+/// must match, or host ids — and with them the deterministic event
+/// order — would drift.
+fn run_leg(cfg: &RecoveryConfig, leg: Leg<'_>) -> StormOutcome {
     tel::set_enabled(true);
     let _ = tel::drain_local(); // clear residue from earlier runs
     let trace = mk_trace(cfg);
-    let mut sim = build_sim(cfg);
-    let log: LatencyLog = Arc::new(Mutex::new(Vec::new()));
-    let cp_out = Arc::new(Mutex::new(None));
-    let mut client = SimReplayClient::new(
-        trace.clone(),
-        SERVER_ADDR.parse().expect("valid addr"),
-        log.clone(),
+    let server: SocketAddr = SERVER_ADDR.parse().expect("valid addr");
+    let mut sim = scenario::simulator(cfg.rtt, cfg.seed);
+    // An apex SOA plus a wildcard A, so every `q{i}.example` query has
+    // a real answer.
+    let zone = scenario::soa_zone(
+        "example",
+        3600,
+        "ns1.example.",
+        "hostmaster.example.",
+        1,
+        3600,
+        [Record::new(
+            "*.example".parse().expect("valid name"),
+            3600,
+            RData::A("192.0.2.53".parse().expect("valid ip")),
+        )],
     );
-    client.checkpoint_every = cfg.checkpoint_every;
+    scenario::server_farm(&mut sim, zone, &[server.ip()]);
+
+    let log: LatencyLog = Arc::new(Mutex::new(Vec::new()));
+    // The lineage's last committed checkpoint: a resumed run stands on
+    // the one it resumed from until it commits its own.
+    let cp_out = Arc::new(Mutex::new(leg.resume_from.cloned()));
+    let stamps = Arc::new(Mutex::new(Vec::new()));
+    let mut client = match leg.resume_from {
+        None => SimReplayClient::new(trace.clone(), server, log.clone()),
+        Some(cp) => match SimReplayClient::resume(trace.clone(), server, log.clone(), cp) {
+            Ok(c) => c,
+            Err(e) => {
+                // A corrupt checkpoint yields an empty outcome whose
+                // gates all fail loudly rather than a panic mid-study.
+                let mut out = outcome(cfg, leg.label, &log, Vec::new(), None);
+                out.transcript.push_str(&format!("resume-error {e}\n"));
+                return StormOutcome {
+                    outcome: out,
+                    stamps: Vec::new(),
+                };
+            }
+        },
+    };
+    match leg.checkpoints {
+        Some(CheckpointMech::Quiescent(every)) => client.checkpoint_every = every,
+        Some(CheckpointMech::Fuzzy(cadence)) => client.checkpoint_cadence = Some(cadence),
+        None => {}
+    }
+    if let Some((retransmit, seed)) = leg.retransmit {
+        client.udp_retransmit = Some(retransmit);
+        client.retx_seed = seed;
+    }
     client.checkpoint_out = Some(cp_out.clone());
+    client.checkpoint_stamps = Some(stamps.clone());
     let srcs = client.source_addrs();
     let client_id = sim.add_host(&srcs, Box::new(client));
-    SimReplayClient::schedule(&mut sim, client_id, &trace, SimTime::ZERO);
-    sim.run_until(cfg.horizon());
+    match leg.resume_from {
+        None => SimReplayClient::schedule(&mut sim, client_id, &trace, SimTime::ZERO),
+        Some(cp) => {
+            SimReplayClient::schedule_resume(&mut sim, client_id, &trace, SimTime::ZERO, cp)
+        }
+    }
+    scenario::install_plan(&mut sim, &leg.plan);
+    sim.run_until(leg.run_until);
     let cp = cp_out.lock().unwrap_or_else(|e| e.into_inner()).clone();
-    outcome(cfg, "uninterrupted", &log, drain_q_events(), cp)
+    let stamps = stamps.lock().unwrap_or_else(|e| e.into_inner()).clone();
+    StormOutcome {
+        outcome: outcome(cfg, leg.label, &log, drain_q_events(), cp),
+        stamps,
+    }
+}
+
+/// A calm-weather leg: no faults, no retransmission.
+fn run_calm(
+    cfg: &RecoveryConfig,
+    label: &str,
+    checkpoints: Option<CheckpointMech>,
+    run_until: SimTime,
+    resume_from: Option<&Checkpoint>,
+) -> RecoveryOutcome {
+    let leg = Leg {
+        label,
+        checkpoints,
+        plan: FaultPlan::new(cfg.seed),
+        retransmit: None,
+        run_until,
+        resume_from,
+    };
+    run_leg(cfg, leg).outcome
+}
+
+/// The baseline: a checkpointed replay left alone to completion.
+pub fn run_uninterrupted(cfg: &RecoveryConfig) -> RecoveryOutcome {
+    let mech = CheckpointMech::Quiescent(cfg.checkpoint_every);
+    run_calm(cfg, "uninterrupted", Some(mech), cfg.horizon(), None)
 }
 
 /// The killed run: identical to the baseline until `kill_at`, where
@@ -284,25 +335,8 @@ pub fn run_uninterrupted(cfg: &RecoveryConfig) -> RecoveryOutcome {
 /// its `checkpoint` is what a resume starts from, and its `q_events`
 /// up to the checkpoint's cut are the surviving telemetry prefix.
 pub fn run_killed(cfg: &RecoveryConfig) -> RecoveryOutcome {
-    tel::set_enabled(true);
-    let _ = tel::drain_local();
-    let trace = mk_trace(cfg);
-    let mut sim = build_sim(cfg);
-    let log: LatencyLog = Arc::new(Mutex::new(Vec::new()));
-    let cp_out = Arc::new(Mutex::new(None));
-    let mut client = SimReplayClient::new(
-        trace.clone(),
-        SERVER_ADDR.parse().expect("valid addr"),
-        log.clone(),
-    );
-    client.checkpoint_every = cfg.checkpoint_every;
-    client.checkpoint_out = Some(cp_out.clone());
-    let srcs = client.source_addrs();
-    let client_id = sim.add_host(&srcs, Box::new(client));
-    SimReplayClient::schedule(&mut sim, client_id, &trace, SimTime::ZERO);
-    sim.run_until(cfg.kill_at);
-    let cp = cp_out.lock().unwrap_or_else(|e| e.into_inner()).clone();
-    outcome(cfg, "killed", &log, drain_q_events(), cp)
+    let mech = CheckpointMech::Quiescent(cfg.checkpoint_every);
+    run_calm(cfg, "killed", Some(mech), cfg.kill_at, None)
 }
 
 /// The resumed run: a fresh simulator rebuilt from `cp`. The returned
@@ -311,60 +345,28 @@ pub fn run_killed(cfg: &RecoveryConfig) -> RecoveryOutcome {
 /// part — concatenate with the killed run's pre-cut prefix to compare
 /// against the baseline.
 pub fn run_resumed(cfg: &RecoveryConfig, cp: &Checkpoint) -> RecoveryOutcome {
-    tel::set_enabled(true);
-    let _ = tel::drain_local();
-    let trace = mk_trace(cfg);
-    let mut sim = build_sim(cfg);
-    let log: LatencyLog = Arc::new(Mutex::new(Vec::new()));
-    let client = match SimReplayClient::resume(
-        trace.clone(),
-        SERVER_ADDR.parse().expect("valid addr"),
-        log.clone(),
-        cp,
-    ) {
-        Ok(c) => c,
-        Err(e) => {
-            // A corrupt checkpoint yields an empty outcome whose gates
-            // all fail loudly rather than a panic mid-study.
-            let mut out = outcome(cfg, "resumed", &log, Vec::new(), None);
-            out.transcript.push_str(&format!("resume-error {e}\n"));
-            return out;
-        }
-    };
-    let srcs = client.source_addrs();
-    let client_id = sim.add_host(&srcs, Box::new(client));
-    SimReplayClient::schedule_resume(&mut sim, client_id, &trace, SimTime::ZERO, cp);
-    sim.run_until(cfg.horizon());
-    outcome(cfg, "resumed", &log, drain_q_events(), Some(cp.clone()))
+    run_calm(cfg, "resumed", None, cfg.horizon(), Some(cp))
 }
 
 /// The querier-crash run: a [`FaultEvent::QuerierCrash`] power-cycles
 /// the querier host at `crash_at` for `down_for`; `on_restart`
 /// re-dispatches the overdue span and re-arms the rest.
 pub fn run_querier_crash(cfg: &RecoveryConfig) -> RecoveryOutcome {
-    tel::set_enabled(true);
-    let _ = tel::drain_local();
-    let trace = mk_trace(cfg);
-    let mut sim = build_sim(cfg);
-    let log: LatencyLog = Arc::new(Mutex::new(Vec::new()));
-    let client = SimReplayClient::new(
-        trace.clone(),
-        SERVER_ADDR.parse().expect("valid addr"),
-        log.clone(),
-    );
-    let srcs = client.source_addrs();
-    let client_id = sim.add_host(&srcs, Box::new(client));
-    SimReplayClient::schedule(&mut sim, client_id, &trace, SimTime::ZERO);
-    let plan = FaultPlan::new(cfg.seed).at(
-        cfg.crash_at,
-        FaultEvent::QuerierCrash {
-            addr: querier_addr(),
-            down_for: cfg.down_for,
-        },
-    );
-    agent::install(&mut sim, &plan, AGENT_ADDR.parse().expect("valid ip"));
-    sim.run_until(cfg.horizon());
-    outcome(cfg, "querier_crash", &log, drain_q_events(), None)
+    let leg = Leg {
+        label: "querier_crash",
+        checkpoints: None,
+        plan: FaultPlan::new(cfg.seed).at(
+            cfg.crash_at,
+            FaultEvent::QuerierCrash {
+                addr: querier_addr(),
+                down_for: cfg.down_for,
+            },
+        ),
+        retransmit: None,
+        run_until: cfg.horizon(),
+        resume_from: None,
+    };
+    run_leg(cfg, leg).outcome
 }
 
 /// Telemetry of an interrupted lineage: the killed run's events at or
@@ -516,18 +518,9 @@ impl StormOutcome {
     }
 }
 
-/// Which checkpoint mechanism a storm run uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CheckpointMech {
-    /// v1: quiescent cuts after every `checkpoint_every` completions.
-    Quiescent,
-    /// v2: fuzzy cuts on the absolute cadence grid.
-    Fuzzy,
-}
-
-/// One storm run. `run_until` is the kill instant for abandoned runs
-/// or the horizon for complete ones; `resume_from` rebuilds the client
-/// from a fuzzy cut first.
+/// One storm leg: the storm installed, retransmission on. `run_until`
+/// is the kill instant for abandoned runs or the horizon for complete
+/// ones; `resume_from` rebuilds the client from a fuzzy cut first.
 fn run_storm(
     cfg: &StormConfig,
     label: &str,
@@ -535,56 +528,15 @@ fn run_storm(
     run_until: SimTime,
     resume_from: Option<&Checkpoint>,
 ) -> StormOutcome {
-    tel::set_enabled(true);
-    let _ = tel::drain_local();
-    let trace = mk_trace(&cfg.base);
-    let mut sim = build_sim(&cfg.base);
-    let log: LatencyLog = Arc::new(Mutex::new(Vec::new()));
-    let cp_out = Arc::new(Mutex::new(None));
-    let stamps = Arc::new(Mutex::new(Vec::new()));
-    let server: SocketAddr = SERVER_ADDR.parse().expect("valid addr");
-    let mut client = match resume_from {
-        None => SimReplayClient::new(trace.clone(), server, log.clone()),
-        Some(cp) => match SimReplayClient::resume(trace.clone(), server, log.clone(), cp) {
-            Ok(c) => c,
-            Err(e) => {
-                let mut out = outcome(&cfg.base, label, &log, Vec::new(), None);
-                out.transcript.push_str(&format!("resume-error {e}\n"));
-                return StormOutcome {
-                    outcome: out,
-                    stamps: Vec::new(),
-                };
-            }
-        },
+    let leg = Leg {
+        label,
+        checkpoints: Some(mech),
+        plan: cfg.plan(),
+        retransmit: Some((cfg.retransmit, cfg.retx_seed)),
+        run_until,
+        resume_from,
     };
-    match mech {
-        CheckpointMech::Quiescent => client.checkpoint_every = cfg.base.checkpoint_every,
-        CheckpointMech::Fuzzy => client.checkpoint_cadence = Some(cfg.cadence),
-    }
-    client.udp_retransmit = Some(cfg.retransmit);
-    client.retx_seed = cfg.retx_seed;
-    client.checkpoint_out = Some(cp_out.clone());
-    client.checkpoint_stamps = Some(stamps.clone());
-    let srcs = client.source_addrs();
-    let client_id = sim.add_host(&srcs, Box::new(client));
-    match resume_from {
-        None => SimReplayClient::schedule(&mut sim, client_id, &trace, SimTime::ZERO),
-        Some(cp) => {
-            SimReplayClient::schedule_resume(&mut sim, client_id, &trace, SimTime::ZERO, cp)
-        }
-    }
-    // Host add order (server, client, agent) is part of the replayed
-    // shape: all four runs must match or host ids — and with them the
-    // deterministic event order — would drift.
-    let plan = cfg.plan();
-    agent::install(&mut sim, &plan, AGENT_ADDR.parse().expect("valid ip"));
-    sim.run_until(run_until);
-    let cp = cp_out.lock().unwrap_or_else(|e| e.into_inner()).clone();
-    let stamps = stamps.lock().unwrap_or_else(|e| e.into_inner()).clone();
-    StormOutcome {
-        outcome: outcome(&cfg.base, label, &log, drain_q_events(), cp),
-        stamps,
-    }
+    run_leg(&cfg.base, leg)
 }
 
 /// The storm baseline: fuzzy-cut cadence, storm installed, left alone
@@ -594,7 +546,7 @@ pub fn run_storm_baseline(cfg: &StormConfig) -> StormOutcome {
     run_storm(
         cfg,
         "storm_baseline",
-        CheckpointMech::Fuzzy,
+        CheckpointMech::Fuzzy(cfg.cadence),
         cfg.base.horizon(),
         None,
     )
@@ -607,7 +559,7 @@ pub fn run_storm_killed(cfg: &StormConfig) -> StormOutcome {
     run_storm(
         cfg,
         "storm_killed",
-        CheckpointMech::Fuzzy,
+        CheckpointMech::Fuzzy(cfg.cadence),
         cfg.base.kill_at,
         None,
     )
@@ -621,7 +573,7 @@ pub fn run_storm_killed_v1(cfg: &StormConfig) -> StormOutcome {
     run_storm(
         cfg,
         "storm_killed_v1",
-        CheckpointMech::Quiescent,
+        CheckpointMech::Quiescent(cfg.base.checkpoint_every),
         cfg.base.kill_at,
         None,
     )
@@ -636,7 +588,7 @@ pub fn run_storm_resumed(cfg: &StormConfig, cp: &Checkpoint) -> StormOutcome {
     run_storm(
         cfg,
         "storm_resumed",
-        CheckpointMech::Fuzzy,
+        CheckpointMech::Fuzzy(cfg.cadence),
         cfg.base.horizon(),
         Some(cp),
     )

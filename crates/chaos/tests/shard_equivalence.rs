@@ -1,13 +1,16 @@
 //! Shard-equivalence for chaos experiments (ISSUE 8, satellite 3): the
 //! root-letter outage study — loss burst, crashes, restarts, retrying
-//! stubs — produces **byte-identical** transcripts on a
+//! stubs — and the delayed-hits study — delay spike, upstream crash,
+//! in-flight aggregation — produce **byte-identical** transcripts on a
 //! [`ldp_shard::ShardedSimulator`] for any shard count. The fault plan
 //! replicates cleanly because the [`ldp_chaos::PlanInjector`]'s draws
 //! are stateless (a hash of packet identity, not a stream position) and
 //! the per-shard agent replicas fire identical timers with crash
 //! commands no-oping off-shard.
 
+use ldp_chaos::delayed::{self, DelayedConfig, PolicyKind};
 use ldp_chaos::outage::{run, run_sharded, OutageConfig, Phase, RetryPolicy};
+use netsim::{SimDuration, SimTime};
 
 /// {1, 2, 8} shards, each against the single-shard run: full-transcript
 /// equality.
@@ -60,4 +63,30 @@ fn sharded_runs_are_repeatable_and_seed_sensitive() {
         a.transcript,
         "the stateless draws must still depend on the plan seed"
     );
+}
+
+/// The delayed-hits study under sharding: a smoke run whose upstreams
+/// crash (with a delay spike) over the middle of the run, and the
+/// 8-stub cold-name burst whose timers all fire at one instant.
+#[test]
+fn delayed_matrix_1_2_8() {
+    let mut faulty = DelayedConfig::smoke(24, PolicyKind::DelayAware, 0xC0FFEE);
+    let window = (SimTime::from_secs_f64(1.3), SimTime::from_secs_f64(2.2));
+    faulty.crash = Some(window);
+    faulty.delay_spike = Some((window.0, window.1, SimDuration::from_millis(100)));
+    for cfg in [faulty, DelayedConfig::burst(8, 7)] {
+        let single = delayed::run(&cfg);
+        assert!(single.ok_fraction() >= 1.0, "the workload still answers");
+        for shards in [1u32, 2, 8] {
+            assert_eq!(
+                delayed::run_sharded(&cfg, shards).transcript,
+                single.transcript,
+                "delayed sharded({shards}) transcript drifted from single-shard"
+            );
+        }
+    }
+    // The crash window must actually have bitten for the first leg to
+    // mean anything: some upstream queries died at a crashed server.
+    let out = delayed::run(&faulty);
+    assert!(out.snapshot.stats.upstream_queries > out.upstream_rx);
 }

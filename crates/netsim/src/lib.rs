@@ -17,6 +17,7 @@
 
 #![warn(missing_docs)]
 
+pub mod driver;
 pub mod fault;
 pub mod host;
 pub mod queue;
@@ -26,6 +27,7 @@ pub mod slab;
 pub mod time;
 pub mod topology;
 
+pub use driver::SimDriver;
 pub use fault::{FaultInjector, FnInjector, PacketFate, WireKind};
 pub use host::{Host, PacketBytes, TcpEvent};
 pub use queue::{EventQueue, QueueKind};

@@ -40,8 +40,8 @@ use std::sync::mpsc::{Receiver, Sender};
 use ldp_rng::SplitMix64;
 use ldp_telemetry as tel;
 use netsim::{
-    stream_seed, FaultInjector, Host, HostStats, PacketBytes, RemoteUdp, SimConfig, SimDuration,
-    SimTime, Simulator, Topology, DRIVER_LANE,
+    stream_seed, FaultInjector, Host, HostStats, PacketBytes, RemoteUdp, SimConfig, SimDriver,
+    SimDuration, SimTime, Simulator, Topology, DRIVER_LANE,
 };
 
 use crate::exchange::Exchange;
@@ -484,5 +484,59 @@ impl ShardedSimulator {
             }
         }
         total
+    }
+}
+
+// The driver API shared with the plain `Simulator`: pure delegation to
+// the inherent methods above (which `ShardedSimulator::name` paths
+// resolve to), so a scenario generic over `S: SimDriver` drives both
+// engines through one call sequence.
+impl SimDriver for ShardedSimulator {
+    fn add_host(&mut self, addrs: &[IpAddr], host: Box<dyn Host>) -> usize {
+        ShardedSimulator::add_host(self, addrs, host)
+    }
+
+    fn add_control_host(
+        &mut self,
+        addrs: &[IpAddr],
+        make: impl FnMut(u32) -> Box<dyn Host>,
+    ) -> usize {
+        ShardedSimulator::add_control_host(self, addrs, make)
+    }
+
+    fn set_fault_injectors(&mut self, make: impl FnMut(u32) -> Box<dyn FaultInjector>) {
+        ShardedSimulator::set_fault_injectors(self, make);
+    }
+
+    fn schedule_timer(&mut self, host: usize, at: SimTime, token: u64) {
+        ShardedSimulator::schedule_timer(self, host, at, token);
+    }
+
+    fn schedule_control_timer(&mut self, ctrl: usize, at: SimTime, token: u64) {
+        ShardedSimulator::schedule_control_timer(self, ctrl, at, token);
+    }
+
+    fn inject_udp(&mut self, from: SocketAddr, to: SocketAddr, data: impl Into<PacketBytes>) {
+        ShardedSimulator::inject_udp(self, from, to, data);
+    }
+
+    fn crash_now(&mut self, addr: IpAddr) {
+        ShardedSimulator::crash_now(self, addr);
+    }
+
+    fn restart_now(&mut self, addr: IpAddr) {
+        ShardedSimulator::restart_now(self, addr);
+    }
+
+    fn run(&mut self) -> u64 {
+        ShardedSimulator::run(self)
+    }
+
+    fn run_until(&mut self, deadline: SimTime) -> u64 {
+        ShardedSimulator::run_until(self, deadline)
+    }
+
+    fn stats(&self, host: usize) -> HostStats {
+        ShardedSimulator::stats(self, host)
     }
 }

@@ -17,7 +17,7 @@ use std::sync::{Arc, Mutex};
 use ldp_shard::{ShardPlan, ShardedSimulator};
 use netsim::{
     Ctx, FaultInjector, FnInjector, Host, PacketBytes, PacketFate, PathConfig, SimConfig,
-    SimDuration, SimTime, Simulator, TcpEvent, Topology, WireKind,
+    SimDriver, SimDuration, SimTime, Simulator, TcpEvent, Topology, WireKind,
 };
 
 type Log = Arc<Mutex<String>>;
@@ -54,74 +54,6 @@ impl Host for Relay {
             log.push_str(&format!("{} timer {}\n", ctx.now().as_nanos(), token));
         }
         ctx.send_udp(self.me, self.next, vec![0u8; 4 + token as usize]);
-    }
-}
-
-/// Either simulator behind one driver API, so single and sharded runs
-/// execute the exact same call sequence.
-// One short-lived value per test run; boxing it would buy nothing.
-#[allow(clippy::large_enum_variant)]
-enum AnySim {
-    Single(Simulator),
-    Sharded(ShardedSimulator),
-}
-
-impl AnySim {
-    fn add_host(&mut self, addrs: &[IpAddr], host: Box<dyn Host>) -> usize {
-        match self {
-            AnySim::Single(s) => s.add_host(addrs, host),
-            AnySim::Sharded(s) => s.add_host(addrs, host),
-        }
-    }
-
-    fn set_injector(&mut self, make: impl FnMut(u32) -> Box<dyn FaultInjector>) {
-        let mut make = make;
-        match self {
-            AnySim::Single(s) => s.set_fault_injector(make(0)),
-            AnySim::Sharded(s) => s.set_fault_injectors(make),
-        }
-    }
-
-    fn schedule_timer(&mut self, host: usize, at: SimTime, token: u64) {
-        match self {
-            AnySim::Single(s) => s.schedule_timer(host, at, token),
-            AnySim::Sharded(s) => s.schedule_timer(host, at, token),
-        }
-    }
-
-    fn inject_udp(&mut self, from: SocketAddr, to: SocketAddr, data: Vec<u8>) {
-        match self {
-            AnySim::Single(s) => s.inject_udp(from, to, data),
-            AnySim::Sharded(s) => s.inject_udp(from, to, data),
-        }
-    }
-
-    fn crash_now(&mut self, addr: IpAddr) {
-        match self {
-            AnySim::Single(s) => s.crash_now(addr),
-            AnySim::Sharded(s) => s.crash_now(addr),
-        }
-    }
-
-    fn restart_now(&mut self, addr: IpAddr) {
-        match self {
-            AnySim::Single(s) => s.restart_now(addr),
-            AnySim::Sharded(s) => s.restart_now(addr),
-        }
-    }
-
-    fn run_until(&mut self, deadline: SimTime) -> u64 {
-        match self {
-            AnySim::Single(s) => s.run_until(deadline),
-            AnySim::Sharded(s) => s.run_until(deadline),
-        }
-    }
-
-    fn stats_line(&self, host: usize) -> String {
-        match self {
-            AnySim::Single(s) => format!("{:?}", s.stats(host)),
-            AnySim::Sharded(s) => format!("{:?}", s.stats(host)),
-        }
     }
 }
 
@@ -197,10 +129,11 @@ fn hash_injector() -> Box<dyn FaultInjector> {
     ))
 }
 
-/// Run the full scenario on one simulator and return the merged
-/// transcript: per-host logs in global host order, then per-host
-/// stats, then the per-phase event counts.
-fn scenario(mut sim: AnySim, faults: bool) -> String {
+/// Run the full scenario on either simulator — one driver call
+/// sequence through [`SimDriver`] — and return the merged transcript:
+/// per-host logs in global host order, then per-host stats, then the
+/// per-phase event counts.
+fn scenario(mut sim: impl SimDriver, faults: bool) -> String {
     let logs: Vec<Log> = (0..N)
         .map(|_| Arc::new(Mutex::new(String::new())))
         .collect();
@@ -216,7 +149,7 @@ fn scenario(mut sim: AnySim, faults: bool) -> String {
         assert_eq!(host, i);
     }
     if faults {
-        sim.set_injector(|_shard| hash_injector());
+        sim.set_fault_injectors(|_shard| hash_injector());
     }
 
     // Staggered seeds plus deliberate collisions: every host fires at
@@ -259,7 +192,7 @@ fn scenario(mut sim: AnySim, faults: bool) -> String {
         }
     }
     for i in 0..N {
-        out.push_str(&format!("stats {i}: {}\n", sim.stats_line(i)));
+        out.push_str(&format!("stats {i}: {:?}\n", sim.stats(i)));
     }
     out.push_str(&format!("counts: {c1} {c2} {c3}\n"));
     out
@@ -267,7 +200,7 @@ fn scenario(mut sim: AnySim, faults: bool) -> String {
 
 fn single(faults: bool) -> String {
     let sim = Simulator::new(topology(if faults { 0.2 } else { 0.0 }), config());
-    scenario(AnySim::Single(sim), faults)
+    scenario(sim, faults)
 }
 
 fn sharded(shards: u32, faults: bool) -> String {
@@ -276,7 +209,7 @@ fn sharded(shards: u32, faults: bool) -> String {
         config(),
         ShardPlan::round_robin(shards),
     );
-    scenario(AnySim::Sharded(sim), faults)
+    scenario(sim, faults)
 }
 
 #[test]
@@ -373,7 +306,7 @@ impl Host for TcpDialer {
     }
 }
 
-fn tcp_scenario(mut sim: AnySim) -> String {
+fn tcp_scenario(mut sim: impl SimDriver) -> String {
     let log: Log = Arc::new(Mutex::new(String::new()));
     let ring: Vec<Log> = (0..2)
         .map(|_| Arc::new(Mutex::new(String::new())))
@@ -413,7 +346,7 @@ fn tcp_scenario(mut sim: AnySim) -> String {
         }
     }
     for i in 0..4 {
-        out.push_str(&format!("stats {i}: {}\n", sim.stats_line(i)));
+        out.push_str(&format!("stats {i}: {:?}\n", sim.stats(i)));
     }
     out.push_str(&format!("count: {count}\n"));
     out
@@ -421,7 +354,7 @@ fn tcp_scenario(mut sim: AnySim) -> String {
 
 #[test]
 fn pinned_tcp_pair_matches_single_shard() {
-    let reference = tcp_scenario(AnySim::Single(Simulator::new(topology(0.0), config())));
+    let reference = tcp_scenario(Simulator::new(topology(0.0), config()));
     assert!(
         reference.contains("reply"),
         "TCP exchange happened:\n{reference}"
@@ -431,7 +364,7 @@ fn pinned_tcp_pair_matches_single_shard() {
         plan.pin(1, 0); // co-locate the dialer with the echo server
         let sim = ShardedSimulator::new(topology(0.0), config(), plan);
         assert_eq!(
-            tcp_scenario(AnySim::Sharded(sim)),
+            tcp_scenario(sim),
             reference,
             "pinned TCP + cross-shard UDP differs at {shards} shards"
         );

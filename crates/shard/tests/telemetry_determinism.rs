@@ -16,8 +16,8 @@ use std::sync::{Arc, Mutex};
 use ldp_shard::{ShardPlan, ShardedSimulator};
 use ldp_telemetry as tel;
 use netsim::{
-    Ctx, FnInjector, Host, PacketBytes, PacketFate, PathConfig, SimConfig, SimDuration, SimTime,
-    Simulator, TcpEvent, Topology,
+    Ctx, FnInjector, Host, PacketBytes, PacketFate, PathConfig, SimConfig, SimDriver, SimDuration,
+    SimTime, Simulator, TcpEvent, Topology,
 };
 
 type Log = Arc<Mutex<String>>;
@@ -79,16 +79,10 @@ fn mix(x: u64) -> u64 {
     z ^ (z >> 27)
 }
 
-// One short-lived value per test run; boxing it would buy nothing.
-#[allow(clippy::large_enum_variant)]
-enum AnySim {
-    Single(Simulator),
-    Sharded(ShardedSimulator),
-}
-
-/// Drive the workload; return the host transcript. Telemetry events
-/// accumulate in the process-wide rings for the caller to drain.
-fn run(mut sim: AnySim) -> String {
+/// Drive the workload on either simulator; return the host
+/// transcript. Telemetry events accumulate in the process-wide rings
+/// for the caller to drain.
+fn run(mut sim: impl SimDriver) -> String {
     let logs: Vec<Log> = (0..N)
         .map(|_| Arc::new(Mutex::new(String::new())))
         .collect();
@@ -98,12 +92,9 @@ fn run(mut sim: AnySim) -> String {
             next: sock((i + 1) % N),
             log: log.clone(),
         });
-        match &mut sim {
-            AnySim::Single(s) => s.add_host(&[addr(i)], relay),
-            AnySim::Sharded(s) => s.add_host(&[addr(i)], relay),
-        };
+        sim.add_host(&[addr(i)], relay);
     }
-    let inject = |_shard: u32| -> Box<dyn netsim::FaultInjector> {
+    sim.set_fault_injectors(|_shard| {
         Box::new(FnInjector(
             |now: SimTime, src: SocketAddr, _d: SocketAddr, _k: netsim::WireKind, n: usize| {
                 let mut fate = PacketFate::DELIVER;
@@ -113,25 +104,12 @@ fn run(mut sim: AnySim) -> String {
                 fate
             },
         ))
-    };
-    match &mut sim {
-        AnySim::Single(s) => {
-            s.set_fault_injector(inject(0));
-            for i in 0..N {
-                s.schedule_timer(i, SimTime::from_millis(2), 40);
-            }
-            s.schedule_timer(0, SimTime::from_millis(3), 90);
-            s.run_until(SimTime::from_millis(600));
-        }
-        AnySim::Sharded(s) => {
-            s.set_fault_injectors(inject);
-            for i in 0..N {
-                s.schedule_timer(i, SimTime::from_millis(2), 40);
-            }
-            s.schedule_timer(0, SimTime::from_millis(3), 90);
-            s.run_until(SimTime::from_millis(600));
-        }
+    });
+    for i in 0..N {
+        sim.schedule_timer(i, SimTime::from_millis(2), 40);
     }
+    sim.schedule_timer(0, SimTime::from_millis(3), 90);
+    sim.run_until(SimTime::from_millis(600));
     let mut out = String::new();
     for log in &logs {
         if let Ok(log) = log.lock() {
@@ -152,7 +130,7 @@ fn canonical_drain_identical_across_shard_counts_and_on_off() {
     // Phase 0: telemetry off — the reference transcript.
     let _ = tel::drain_all(); // clear leftovers from other tests
     tel::set_enabled(false);
-    let quiet = run(AnySim::Single(Simulator::new(topology(), config())));
+    let quiet = run(Simulator::new(topology(), config()));
     assert!(quiet.contains("rx"), "workload delivered traffic");
     assert!(
         tel::drain_all().is_empty(),
@@ -161,7 +139,7 @@ fn canonical_drain_identical_across_shard_counts_and_on_off() {
 
     // Phase 1: single-shard with telemetry on.
     tel::set_enabled(true);
-    let single = run(AnySim::Single(Simulator::new(topology(), config())));
+    let single = run(Simulator::new(topology(), config()));
     tel::set_enabled(false);
     let reference = drain_canonical();
     assert_eq!(single, quiet, "recording must not perturb the transcript");
@@ -170,11 +148,11 @@ fn canonical_drain_identical_across_shard_counts_and_on_off() {
     // Phase 2: sharded runs, every shard count.
     for shards in [1u32, 2, 8] {
         tel::set_enabled(true);
-        let got = run(AnySim::Sharded(ShardedSimulator::new(
+        let got = run(ShardedSimulator::new(
             topology(),
             config(),
             ShardPlan::round_robin(shards),
-        )));
+        ));
         tel::set_enabled(false);
         let events = drain_canonical();
         assert_eq!(
