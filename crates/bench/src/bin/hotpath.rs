@@ -261,6 +261,107 @@ fn server_throughput(iters: u64) -> (f64, f64) {
     (template_aps, general_aps)
 }
 
+/// NXDOMAIN answers/sec through the general `answer_udp` path over an
+/// unsigned zone of `names` names. One half of a scaling pair: the
+/// gate compares a small and a large zone from the same process, and a
+/// per-query walk over the zone shows up as a ratio near
+/// small/large, whatever the machine is doing.
+fn nxdomain_throughput(names: usize, iters: u64) -> f64 {
+    let engine = server_engine(names);
+    let src: IpAddr = "10.2.0.1".parse().expect("src");
+    let queries: Vec<Message> = (0..64)
+        .map(|i| {
+            let qname = format!("missing{i}.bench.example");
+            Message::query(i as u16, qname.parse().expect("qname"), RecordType::A)
+        })
+        .collect();
+    let (bytes, _) = engine.answer_udp(src, &queries[0]);
+    let rcode = Message::decode(&bytes).expect("decodes").rcode;
+    assert_eq!(
+        rcode,
+        dns_wire::Rcode::NxDomain,
+        "the row measures NXDOMAIN"
+    );
+    let (_, secs) = best_of(3, || {
+        for i in 0..iters {
+            let q = &queries[(i as usize) % queries.len()];
+            black_box(engine.answer_udp(src, black_box(q)));
+        }
+        iters
+    });
+    iters as f64 / secs
+}
+
+/// `ViewSet::select` calls/sec over `views` exact-address views, the
+/// shape hierarchy emulation builds, probing the address of the last
+/// one — the worst case for a first-match scan.
+fn view_select_throughput(views: usize, iters: u64) -> f64 {
+    use dns_zone::{ClientMatch, View, ViewSet};
+    let addr = |i: usize| IpAddr::from([10, 8, (i / 256) as u8, (i % 256) as u8]);
+    let mut set = ViewSet::new();
+    for i in 0..views {
+        let matchers = vec![ClientMatch::Exact(addr(i))];
+        set.push(View::new(format!("v{i}"), matchers, Catalog::new()));
+    }
+    let probe = addr(views - 1);
+    assert_eq!(set.select_index(probe), Some(views - 1));
+    let (_, secs) = best_of(3, || {
+        for _ in 0..iters {
+            black_box(set.select(black_box(probe)));
+        }
+        iters
+    });
+    iters as f64 / secs
+}
+
+/// Queries/sec completed by a `SimReplayClient` against one
+/// `SimDnsServer` on a plain `Simulator` with about `in_flight`
+/// queries outstanding at any moment: a fixed 10 µs query gap under
+/// an RTT of `in_flight` gaps. Work per completion that grows with the
+/// pending tables shows up in the small/large pair.
+fn sim_complete_throughput(in_flight: u64) -> f64 {
+    use ldp_replay::{LatencyLog, SimReplayClient};
+    use std::sync::{Arc, Mutex};
+    let queries = 100_000u64;
+    let gap_us = 10u64;
+    let server_addr: SocketAddr = "10.9.0.1:53".parse().expect("server");
+    let engine = Arc::new(server_engine(64));
+    let trace: Vec<TraceEntry> = (0..queries)
+        .map(|i| {
+            TraceEntry::query(
+                i * gap_us,
+                format!("10.1.{}.{}:5000", i % 4, 1 + i % 200)
+                    .parse()
+                    .expect("src"),
+                server_addr,
+                i as u16,
+                format!("h{}.bench.example", i % 64).parse().expect("qname"),
+                RecordType::A,
+            )
+        })
+        .collect();
+    let (_, secs) = best_of(3, || {
+        let topology = Topology::uniform(PathConfig {
+            rtt: SimDuration::from_micros(in_flight * gap_us),
+            bandwidth_bps: None,
+            loss: 0.0,
+        });
+        let mut sim = Simulator::new(topology, SimConfig::default());
+        let server = dns_server::SimDnsServer::new(engine.clone(), server_addr, None);
+        sim.add_host(&[server_addr.ip()], Box::new(server));
+        let log: LatencyLog = Arc::new(Mutex::new(Vec::with_capacity(trace.len())));
+        let client = SimReplayClient::new(trace.clone(), server_addr, log.clone());
+        let sources = client.source_addrs();
+        let client_id = sim.add_host(&sources, Box::new(client));
+        SimReplayClient::schedule(&mut sim, client_id, &trace, SimTime::ZERO);
+        sim.run();
+        let answered = log.lock().expect("log").len() as u64;
+        assert_eq!(answered, queries, "every query completes");
+        answered
+    });
+    queries as f64 / secs
+}
+
 /// Resolver-cache ops/sec on the three answer paths the delayed-hits
 /// study classifies: plain hits (`get` on a warm store), delayed hits
 /// (joining an in-flight resolution in the outstanding table), and full
@@ -541,6 +642,27 @@ fn main() {
         template_aps / general_aps
     );
 
+    // --- Scaling pairs: the same per-query step over a small and a
+    // large table. The gate checks the ratio of each pair, which is
+    // taken inside this one process and so is free of the machine
+    // noise the absolute rates carry.
+    println!("scaling: NXDOMAIN over 100 / 20000 names, select over 16 / 4096 views, replay with 16 / 32768 in flight…");
+    let nx = [100usize, 20_000].map(|names| nxdomain_throughput(names, iters));
+    println!(
+        "  nxdomain     {:>12.0} ans/s   {:>12.0} ans/s",
+        nx[0], nx[1]
+    );
+    let select = [16usize, 4096].map(|views| view_select_throughput(views, 10 * iters));
+    println!(
+        "  view select  {:>12.0} sel/s   {:>12.0} sel/s",
+        select[0], select[1]
+    );
+    let complete = [16u64, 32_768].map(sim_complete_throughput);
+    println!(
+        "  sim complete {:>12.0} q/s     {:>12.0} q/s",
+        complete[0], complete[1]
+    );
+
     // --- Resolver cache: hit / delayed-hit / miss path ops/sec. ---
     println!("resolver cache: {iters} ops × 3 answer paths…");
     let (cache_hit_ps, cache_delayed_ps, cache_miss_ps) = resolver_cache_throughput(iters);
@@ -550,13 +672,19 @@ fn main() {
 
     // Hand-rolled JSON: the workspace has no serializer dependency.
     let json = format!(
-        "{{\n  \"sim\": {{\n    \"events\": {heap_events},\n    \"heap_events_per_sec\": {heap_eps:.0},\n    \"raw_queue_heap_ops_per_sec\": {heap_raw:.0},\n    \"telemetry_events_per_sec\": {tel_eps:.0},\n    \"telemetry_overhead_pct\": {telemetry_overhead_pct:.2},\n    \"sharded_events_per_sec_1\": {:.0},\n    \"sharded_events_per_sec_2\": {:.0},\n    \"sharded_events_per_sec_8\": {:.0}\n  }},\n  \"replay\": {{\n    \"queries\": {sent},\n    \"queries_per_sec\": {qps:.0},\n    \"guarded_queries_per_sec\": {guard_qps:.0},\n    \"guard_overhead_pct\": {guard_overhead_pct:.2},\n    \"errors\": {errors}\n  }},\n  \"guard\": {{\n    \"fuzzy_checkpoint_per_sec\": {fuzzy_cp_ps:.0}\n  }},\n  \"wire\": {{\n    \"message_bytes\": {msg_size},\n    \"encode_msgs_per_sec\": {enc_mps:.0},\n    \"decode_msgs_per_sec\": {dec_mps:.0},\n    \"encode_mb_per_sec\": {:.1},\n    \"decode_mb_per_sec\": {:.1}\n  }},\n  \"server\": {{\n    \"template_answers_per_sec\": {template_aps:.0},\n    \"general_answers_per_sec\": {general_aps:.0},\n    \"template_speedup\": {:.3}\n  }},\n  \"resolver\": {{\n    \"cache_hit_per_sec\": {cache_hit_ps:.0},\n    \"cache_delayed_hit_per_sec\": {cache_delayed_ps:.0},\n    \"cache_miss_per_sec\": {cache_miss_ps:.0}\n  }}\n}}\n",
+        "{{\n  \"sim\": {{\n    \"events\": {heap_events},\n    \"heap_events_per_sec\": {heap_eps:.0},\n    \"raw_queue_heap_ops_per_sec\": {heap_raw:.0},\n    \"telemetry_events_per_sec\": {tel_eps:.0},\n    \"telemetry_overhead_pct\": {telemetry_overhead_pct:.2},\n    \"sharded_events_per_sec_1\": {:.0},\n    \"sharded_events_per_sec_2\": {:.0},\n    \"sharded_events_per_sec_8\": {:.0}\n  }},\n  \"replay\": {{\n    \"queries\": {sent},\n    \"queries_per_sec\": {qps:.0},\n    \"guarded_queries_per_sec\": {guard_qps:.0},\n    \"guard_overhead_pct\": {guard_overhead_pct:.2},\n    \"errors\": {errors},\n    \"sim_complete_per_sec_16\": {:.0},\n    \"sim_complete_per_sec_32768\": {:.0}\n  }},\n  \"guard\": {{\n    \"fuzzy_checkpoint_per_sec\": {fuzzy_cp_ps:.0}\n  }},\n  \"wire\": {{\n    \"message_bytes\": {msg_size},\n    \"encode_msgs_per_sec\": {enc_mps:.0},\n    \"decode_msgs_per_sec\": {dec_mps:.0},\n    \"encode_mb_per_sec\": {:.1},\n    \"decode_mb_per_sec\": {:.1}\n  }},\n  \"server\": {{\n    \"template_answers_per_sec\": {template_aps:.0},\n    \"general_answers_per_sec\": {general_aps:.0},\n    \"template_speedup\": {:.3},\n    \"nxdomain_answers_per_sec_100\": {:.0},\n    \"nxdomain_answers_per_sec_20000\": {:.0}\n  }},\n  \"zone\": {{\n    \"view_select_per_sec_16\": {:.0},\n    \"view_select_per_sec_4096\": {:.0}\n  }},\n  \"resolver\": {{\n    \"cache_hit_per_sec\": {cache_hit_ps:.0},\n    \"cache_delayed_hit_per_sec\": {cache_delayed_ps:.0},\n    \"cache_miss_per_sec\": {cache_miss_ps:.0}\n  }}\n}}\n",
         sharded_eps[0],
         sharded_eps[1],
         sharded_eps[2],
+        complete[0],
+        complete[1],
         enc_mps * msg_size as f64 / 1e6,
         dec_mps * msg_size as f64 / 1e6,
         template_aps / general_aps,
+        nx[0],
+        nx[1],
+        select[0],
+        select[1],
     );
     std::fs::write(&out_path, &json).expect("write BENCH_hotpath.json");
     println!("wrote {out_path}");

@@ -10,11 +10,11 @@ use std::net::IpAddr;
 use std::sync::Arc;
 
 use dns_wire::edns::{CLASSIC_UDP_LIMIT, DEFAULT_UDP_PAYLOAD};
-use dns_wire::{Message, Opcode, Rcode};
+use dns_wire::{peek_id, Message, Opcode, Rcode};
 use dns_zone::{Catalog, ClientMatch, View, ViewSet};
 use ldp_telemetry as tel;
 
-use crate::template::{view_answer, TemplateTable};
+use crate::template::{error_response, view_answer, TemplateTable};
 
 /// Interned span kinds for the engine's processing stages
 /// (parse → lookup → encode), shared by every transport front-end.
@@ -90,27 +90,19 @@ impl ServerEngine {
     /// servers may drop, which the transport layer can emulate).
     pub fn answer(&self, src: IpAddr, query: &Message) -> Message {
         let _lookup_span = tel::span(stages().lookup, u64::from(query.id));
-        let mut base = query.response_to();
-
         if query.opcode != Opcode::Query {
-            base.rcode = Rcode::NotImp;
-            return base;
+            return error_response(query, Rcode::NotImp);
         }
         if query.question().is_none() {
-            base.rcode = Rcode::FormErr;
-            return base;
+            return error_response(query, Rcode::FormErr);
         }
-        if let Some(edns) = &query.edns {
-            if edns.version != 0 {
-                base.rcode = Rcode::BadVers;
-                return base;
-            }
+        if query.edns.as_ref().is_some_and(|e| e.version != 0) {
+            return error_response(query, Rcode::BadVers);
         }
-        let Some(view) = self.views.select(src) else {
-            base.rcode = Rcode::Refused;
-            return base;
-        };
-        view_answer(view, query)
+        match self.views.select(src) {
+            Some(view) => view_answer(view, query),
+            None => error_response(query, Rcode::Refused),
+        }
     }
 
     /// The effective UDP payload limit for `query` (RFC 6891
@@ -161,24 +153,19 @@ impl ServerEngine {
     /// readable header).
     pub fn handle_udp_bytes(&self, src: IpAddr, data: &[u8]) -> Option<Vec<u8>> {
         let parsed = {
-            let _parse_span = tel::span(stages().parse, raw_query_id(data));
+            let _parse_span = tel::span(stages().parse, parse_span_key(data));
             Message::decode(data)
         };
         match parsed {
             Ok(query) => Some(self.answer_udp(src, &query).0),
             Err(_) => {
                 // If at least the header parsed, send FORMERR.
-                if data.len() >= 12 {
-                    let id = u16::from_be_bytes([data[0], data[1]]);
-                    let mut resp =
-                        Message::query(id, dns_wire::Name::root(), dns_wire::RecordType::A);
-                    resp.questions.clear();
-                    resp.flags.response = true;
-                    resp.rcode = Rcode::FormErr;
-                    Some(resp.encode())
-                } else {
-                    None
-                }
+                let id = peek_id(data)?;
+                let mut resp = Message::query(id, dns_wire::Name::root(), dns_wire::RecordType::A);
+                resp.questions.clear();
+                resp.flags.response = true;
+                resp.rcode = Rcode::FormErr;
+                Some(resp.encode())
             }
         }
     }
@@ -187,23 +174,20 @@ impl ServerEngine {
     /// prefix), returning the response body.
     pub fn handle_stream_bytes(&self, src: IpAddr, data: &[u8]) -> Option<Vec<u8>> {
         let query = {
-            let _parse_span = tel::span(stages().parse, raw_query_id(data));
+            let _parse_span = tel::span(stages().parse, parse_span_key(data));
             Message::decode(data).ok()?
         };
         Some(self.answer_stream(src, &query))
     }
 }
 
-/// The DNS message id straight from the wire header (0 if the packet
-/// is too short to carry one). Read before decoding so the parse span
-/// shares the lifecycle key the lookup/encode spans use — that is what
-/// lets `ldp_telemetry::stage_breakdown` pair the three stages per
-/// query.
-fn raw_query_id(data: &[u8]) -> u64 {
-    match data {
-        [hi, lo, ..] if data.len() >= 12 => u64::from(u16::from_be_bytes([*hi, *lo])),
-        _ => 0,
-    }
+/// The parse span's key: the message id straight from the wire header
+/// (0 if the packet is too short to carry one). Read before decoding so
+/// the parse span shares the lifecycle key the lookup/encode spans use —
+/// that is what lets `ldp_telemetry::stage_breakdown` pair the three
+/// stages per query.
+fn parse_span_key(data: &[u8]) -> u64 {
+    peek_id(data).map_or(0, u64::from)
 }
 
 #[cfg(test)]

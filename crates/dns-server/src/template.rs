@@ -139,16 +139,23 @@ impl TemplateTable {
 }
 
 /// The engine's post-view-selection answer logic, shared with template
-/// compilation so both produce identical responses.
+/// compilation so both produce identical responses. An answer is
+/// rendered by [`dns_zone::Answer::into_message`], which builds the one
+/// response message of the success path; the error paths build theirs
+/// only when taken.
 pub(crate) fn view_answer(view: &View, query: &Message) -> Message {
-    let mut base = query.response_to();
     let Some(question) = query.question() else {
-        base.rcode = Rcode::FormErr;
-        return base;
+        return error_response(query, Rcode::FormErr);
     };
-    let Some(zone) = view.catalog.find(&question.name) else {
-        base.rcode = Rcode::Refused;
-        return base;
-    };
-    lookup(zone, question).into_message(query)
+    match view.catalog.find(&question.name) {
+        Some(zone) => lookup(zone, question).into_message(query),
+        None => error_response(query, Rcode::Refused),
+    }
+}
+
+/// An empty response to `query` carrying `rcode`.
+pub(crate) fn error_response(query: &Message, rcode: Rcode) -> Message {
+    let mut resp = query.response_to();
+    resp.rcode = rcode;
+    resp
 }

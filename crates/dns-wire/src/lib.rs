@@ -33,7 +33,7 @@ pub mod types;
 pub mod wire;
 
 pub use edns::Edns;
-pub use message::{Flags, Message, Question};
+pub use message::{peek_id, Flags, Message, Question};
 pub use name::{Name, NameError};
 pub use rdata::{RData, Rrsig, Soa};
 pub use record::Record;

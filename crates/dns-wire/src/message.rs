@@ -425,6 +425,18 @@ impl Message {
     }
 }
 
+/// The transaction id of the message in `buf`, read from the 12-byte
+/// header alone: `None` when `buf` is shorter than a header, otherwise
+/// the big-endian id whatever the rest of the bytes hold. Matching a
+/// response to its query needs nothing else, so the replay client and
+/// the server's parse span use this instead of [`Message::decode`].
+pub fn peek_id(buf: &[u8]) -> Option<u16> {
+    match buf {
+        [hi, lo, ..] if buf.len() >= 12 => Some(u16::from_be_bytes([*hi, *lo])),
+        _ => None,
+    }
+}
+
 impl fmt::Display for Message {
     /// dig-style multi-line rendering, for debugging and logs.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -517,6 +529,23 @@ mod tests {
             RData::A("192.0.2.53".parse().unwrap()),
         ));
         resp
+    }
+
+    #[test]
+    fn peek_id_reads_the_header_only() {
+        let resp = sample_response();
+        let buf = resp.encode();
+        assert_eq!(peek_id(&buf), Some(0x1234));
+        // A full header is enough, and the body is never looked at.
+        assert_eq!(peek_id(&buf[..12]), Some(0x1234));
+        let mut garbled = buf.clone();
+        garbled[4] = 0xff; // QDCOUNT no body can satisfy
+        assert!(Message::decode(&garbled).is_err());
+        assert_eq!(peek_id(&garbled), Some(0x1234));
+        // Anything shorter than a header carries no id.
+        assert_eq!(peek_id(&buf[..11]), None);
+        assert_eq!(peek_id(&[0x12, 0x34]), None);
+        assert_eq!(peek_id(&[]), None);
     }
 
     #[test]

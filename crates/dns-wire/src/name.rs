@@ -147,7 +147,10 @@ impl Name {
     ///
     /// Every name is a subdomain of the root.
     pub fn is_subdomain_of(&self, other: &Name) -> bool {
-        self.strip_suffix(other).is_some()
+        self.labels
+            .len()
+            .checked_sub(other.labels.len())
+            .is_some_and(|split| self.labels[split..] == other.labels[..])
     }
 
     /// True if `self` is a *proper* subdomain (strictly below `other`).

@@ -46,15 +46,15 @@ impl Catalog {
 
     /// The closest enclosing zone for `qname` (longest matching origin).
     pub fn find(&self, qname: &Name) -> Option<&Arc<Zone>> {
-        let mut cur = qname.clone();
+        if let Some(z) = self.zones.get(qname) {
+            return Some(z);
+        }
+        let mut cur = qname.parent()?;
         loop {
             if let Some(z) = self.zones.get(&cur) {
                 return Some(z);
             }
-            match cur.parent() {
-                Some(p) => cur = p,
-                None => return None,
-            }
+            cur = cur.parent()?;
         }
     }
 

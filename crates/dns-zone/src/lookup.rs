@@ -54,11 +54,18 @@ impl Answer {
         let mut resp = query.response_to();
         resp.rcode = self.rcode;
         resp.flags.authoritative = self.authoritative;
-        let strip = !query.dnssec_ok();
-        let keep = |r: &Record| !strip || !r.rtype().is_dnssec();
-        resp.answers = self.answers.into_iter().filter(|r| keep(r)).collect();
-        resp.authorities = self.authorities.into_iter().filter(|r| keep(r)).collect();
-        resp.additionals = self.additionals.into_iter().filter(|r| keep(r)).collect();
+        resp.answers = self.answers;
+        resp.authorities = self.authorities;
+        resp.additionals = self.additionals;
+        if !query.dnssec_ok() {
+            for section in [
+                &mut resp.answers,
+                &mut resp.authorities,
+                &mut resp.additionals,
+            ] {
+                section.retain(|r| !r.rtype().is_dnssec());
+            }
+        }
         resp
     }
 }
@@ -308,28 +315,15 @@ fn negative(
             }
         }
     }
-    // NSEC denial of existence: the covering NSEC is the one owned by
-    // the last zone name canonically ≤ qname that carries an NSEC RRset.
-    let covering = zone
-        .names()
-        .filter(|name| name.canonical_cmp(qname) != std::cmp::Ordering::Greater)
-        .filter(|name| {
-            zone.node(name)
-                .map(|node| node.get(RecordType::NSEC).is_some())
-                .unwrap_or(false)
-        })
-        .last()
-        .cloned();
-    if let Some(holder) = covering {
-        if let Some(node) = zone.node(&holder) {
-            if let Some(nsec) = node.get(RecordType::NSEC) {
-                authorities.extend(nsec.to_records());
-                if let Some(sigs) = node.get(RecordType::RRSIG) {
-                    for rec in sigs.to_records() {
-                        if let RData::Rrsig(ref s) = rec.rdata {
-                            if s.type_covered == RecordType::NSEC {
-                                authorities.push(rec);
-                            }
+    // NSEC denial of existence (skipped outright by an unsigned zone).
+    if let Some((_, node)) = zone.covering_nsec(qname) {
+        if let Some(nsec) = node.get(RecordType::NSEC) {
+            authorities.extend(nsec.to_records());
+            if let Some(sigs) = node.get(RecordType::RRSIG) {
+                for rec in sigs.to_records() {
+                    if let RData::Rrsig(ref s) = rec.rdata {
+                        if s.type_covered == RecordType::NSEC {
+                            authorities.push(rec);
                         }
                     }
                 }
@@ -634,6 +628,351 @@ mod tests {
         let a = lookup(&z, &q("example.com", RecordType::SOA));
         assert_eq!(a.kind, AnswerKind::Answer);
         assert_eq!(a.answers[0].rtype(), RecordType::SOA);
+    }
+
+    /// `lookup` as it was when every question about the zone was a
+    /// scan: the same control flow over `zone::reference`'s linear
+    /// primitives and the `names().filter(..).last()` NSEC search.
+    mod reference {
+        use super::super::*;
+        use crate::zone::reference as linear;
+
+        pub fn lookup(zone: &Zone, question: &Question) -> Answer {
+            let plain = |kind, rcode, authoritative, answers, authorities, additionals| Answer {
+                kind,
+                rcode,
+                authoritative,
+                answers,
+                authorities,
+                additionals,
+            };
+            if !question.name.is_subdomain_of(zone.origin()) {
+                let kind = AnswerKind::NxDomain;
+                return plain(kind, Rcode::Refused, false, vec![], vec![], vec![]);
+            }
+            if let Some((cut, ns)) = linear::find_zone_cut(zone, &question.name) {
+                let cut = cut.clone();
+                let mut authorities = ns.to_records();
+                if let Some(node) = zone.node(&cut) {
+                    if let Some(ds) = node.get(RecordType::DS) {
+                        authorities.extend(ds.to_records());
+                    }
+                    if let Some(sig) = node.get(RecordType::RRSIG) {
+                        authorities.extend(sig.to_records());
+                    }
+                }
+                let additionals = glue_for(zone, &authorities);
+                let kind = AnswerKind::Referral { cut };
+                return plain(
+                    kind,
+                    Rcode::NoError,
+                    false,
+                    vec![],
+                    authorities,
+                    additionals,
+                );
+            }
+            let mut answers: Vec<Record> = Vec::new();
+            let mut current = question.name.clone();
+            let mut chased = false;
+            for _ in 0..MAX_CNAME_HOPS {
+                match answer_at_name(zone, &current, question.qtype, &question.name, &mut answers) {
+                    NodeResult::Found => {
+                        let additionals = glue_for(zone, &answers);
+                        let kind = if chased {
+                            AnswerKind::CnameChain
+                        } else {
+                            AnswerKind::Answer
+                        };
+                        return plain(kind, Rcode::NoError, true, answers, vec![], additionals);
+                    }
+                    NodeResult::Cname(target) => {
+                        chased = true;
+                        if !target.is_subdomain_of(zone.origin())
+                            || linear::find_zone_cut(zone, &target).is_some()
+                        {
+                            let kind = AnswerKind::CnameChain;
+                            return plain(kind, Rcode::NoError, true, answers, vec![], vec![]);
+                        }
+                        current = target;
+                    }
+                    NodeResult::NoData => {
+                        return negative(
+                            zone,
+                            AnswerKind::NoData,
+                            Rcode::NoError,
+                            answers,
+                            &current,
+                        );
+                    }
+                    NodeResult::NxDomain => {
+                        let kind = AnswerKind::NxDomain;
+                        return negative(zone, kind, Rcode::NxDomain, answers, &current);
+                    }
+                }
+            }
+            plain(
+                AnswerKind::CnameChain,
+                Rcode::NoError,
+                true,
+                answers,
+                vec![],
+                vec![],
+            )
+        }
+
+        fn answer_at_name(
+            zone: &Zone,
+            name: &Name,
+            qtype: RecordType,
+            original_qname: &Name,
+            answers: &mut Vec<Record>,
+        ) -> NodeResult {
+            if let Some(node) = zone.node(name) {
+                return answer_at_node(zone, node, name, qtype, name, answers);
+            }
+            if linear::has_names_below(zone, name) {
+                return NodeResult::NoData;
+            }
+            if let Some(encloser) = linear::closest_encloser(zone, name) {
+                if let Ok(wild) = encloser.child(b"*") {
+                    if let Some(node) = zone.node(&wild) {
+                        let owner = if name == original_qname {
+                            original_qname
+                        } else {
+                            name
+                        };
+                        return answer_at_node(zone, node, &wild, qtype, owner, answers);
+                    }
+                }
+            }
+            NodeResult::NxDomain
+        }
+
+        fn negative(
+            zone: &Zone,
+            kind: AnswerKind,
+            rcode: Rcode,
+            answers: Vec<Record>,
+            qname: &Name,
+        ) -> Answer {
+            let covered_by = |sigs: &crate::RRset, covered: RecordType| {
+                sigs.to_records().into_iter().filter(
+                    move |rec| matches!(&rec.rdata, RData::Rrsig(s) if s.type_covered == covered),
+                )
+            };
+            let mut authorities = Vec::new();
+            if let Some(soa) = zone.soa_rrset() {
+                let neg_ttl = zone
+                    .soa()
+                    .map(|s| s.minimum.min(soa.ttl))
+                    .unwrap_or(soa.ttl);
+                for mut rec in soa.to_records() {
+                    rec.ttl = neg_ttl;
+                    authorities.push(rec);
+                }
+                if let Some(sigs) = zone
+                    .node(zone.origin())
+                    .and_then(|apex| apex.get(RecordType::RRSIG))
+                {
+                    authorities.extend(covered_by(sigs, RecordType::SOA));
+                }
+            }
+            if let Some((_, node)) = linear::covering_nsec(zone, qname) {
+                if let Some(nsec) = node.get(RecordType::NSEC) {
+                    authorities.extend(nsec.to_records());
+                    if let Some(sigs) = node.get(RecordType::RRSIG) {
+                        authorities.extend(covered_by(sigs, RecordType::NSEC));
+                    }
+                }
+            }
+            Answer {
+                kind,
+                rcode,
+                authoritative: true,
+                answers,
+                authorities,
+                additionals: vec![],
+            }
+        }
+    }
+
+    use ldp_rng::check::Gen;
+
+    const ORIGINS: [&str; 3] = [".", "z", "y.z"];
+    /// A small alphabet, so generated names collide, nest and wildcard.
+    const LABELS: [&str; 5] = ["a", "b", "c", "d", "*"];
+
+    /// `depth` generated labels in front of `base`.
+    fn gen_name_under(g: &mut Gen, base: &Name, depth: usize) -> Name {
+        (0..depth).fold(base.clone(), |name, _| {
+            name.child(g.pick(&LABELS).as_bytes()).unwrap()
+        })
+    }
+
+    fn gen_zone(g: &mut Gen) -> Zone {
+        let origin = n(g.pick::<&str>(&ORIGINS));
+        let mut zone = Zone::new(origin.clone());
+        // Inserts that break CNAME exclusivity are refused; the zone
+        // simply goes without that record.
+        let mut add = |name: &Name, rd: RData| {
+            let _ = zone.insert(Record::new(name.clone(), 3600, rd));
+        };
+        if g.below(8) != 0 {
+            add(
+                &origin,
+                RData::Soa(Soa {
+                    mname: n("ns.z"),
+                    rname: n("admin.z"),
+                    serial: 1,
+                    refresh: 1,
+                    retry: 1,
+                    expire: 1,
+                    minimum: g.range(0..=7200) as u32,
+                }),
+            );
+        }
+        if g.bool() {
+            add(&origin, RData::Ns(origin.child(b"a").unwrap()));
+        }
+        let owners = g.vec(0..=10, |g| {
+            let depth = g.size(1..=3);
+            gen_name_under(g, &origin, depth)
+        });
+        for owner in &owners {
+            match g.below(8) {
+                // A delegation, with glue below the cut, without, or
+                // with an out-of-zone nameserver.
+                0 | 1 => {
+                    let target = match g.below(3) {
+                        0 => n("ns.elsewhere"),
+                        glued => {
+                            let target = owner.child(b"ns").unwrap();
+                            if glued == 1 {
+                                add(&target, RData::A("10.0.0.53".parse().unwrap()));
+                            }
+                            target
+                        }
+                    };
+                    add(owner, RData::Ns(target));
+                }
+                2 => {
+                    let target = match g.bool() {
+                        true => g.pick(&owners).clone(),
+                        false => n("cdn.elsewhere"),
+                    };
+                    add(owner, RData::Cname(target));
+                }
+                3 => add(
+                    owner,
+                    RData::Mx {
+                        preference: 10,
+                        exchange: g.pick(&owners).clone(),
+                    },
+                ),
+                _ => add(owner, RData::A("10.0.0.1".parse().unwrap())),
+            }
+        }
+        // NSEC on no name, on every name, or on a sparse subset.
+        let nsec_one_in = *g.pick(&[0, 1, 3]);
+        let names: Vec<Name> = zone.names().cloned().collect();
+        for name in &names {
+            if nsec_one_in != 0 && g.below(nsec_one_in) == 0 {
+                let _ = zone.insert(Record::new(
+                    name.clone(),
+                    60,
+                    RData::Nsec {
+                        next: origin.clone(),
+                        types: vec![RecordType::A, RecordType::NSEC],
+                    },
+                ));
+            }
+        }
+        zone
+    }
+
+    /// Names that hit every branch: present, below and at a cut, empty
+    /// non-terminals, missing names before the first and after the last
+    /// zone name, out of zone.
+    fn gen_qname(g: &mut Gen, zone: &Zone) -> Name {
+        let names: Vec<&Name> = zone.names().collect();
+        let some_name = |g: &mut Gen| match names.is_empty() {
+            true => zone.origin().clone(),
+            false => (*g.pick(&names)).clone(),
+        };
+        match g.below(6) {
+            0 => some_name(g),
+            1 => {
+                let parent = some_name(g);
+                gen_name_under(g, &parent, 1)
+            }
+            2 => some_name(g).parent().unwrap_or_else(Name::root),
+            3 => {
+                let depth = g.size(1..=4);
+                gen_name_under(g, zone.origin(), depth)
+            }
+            4 => {
+                let edge: &[u8] = if g.bool() { b"0" } else { b"zz" };
+                let base = if g.bool() {
+                    zone.origin().clone()
+                } else {
+                    some_name(g)
+                };
+                base.child(edge).unwrap()
+            }
+            _ => n(g.pick::<&str>(&["q.other", "z", "."])),
+        }
+    }
+
+    /// Generated zones × generated names: the probing primitives and the
+    /// `lookup` built on them agree with the linear reference, field by
+    /// field.
+    #[test]
+    fn lookup_matches_the_linear_reference_on_generated_zones() {
+        use crate::zone::reference as linear;
+        ldp_rng::check::check(256, |g| {
+            let zone = gen_zone(g);
+            for _ in 0..g.size(1..=12) {
+                let name = gen_qname(g, &zone);
+                assert_eq!(
+                    zone.has_names_below(&name),
+                    linear::has_names_below(&zone, &name),
+                    "has_names_below({name})"
+                );
+                assert_eq!(
+                    zone.closest_encloser(&name),
+                    linear::closest_encloser(&zone, &name),
+                    "closest_encloser({name})"
+                );
+                assert_eq!(
+                    zone.find_zone_cut(&name),
+                    linear::find_zone_cut(&zone, &name),
+                    "find_zone_cut({name})"
+                );
+                assert_eq!(
+                    zone.covering_nsec(&name),
+                    linear::covering_nsec(&zone, &name),
+                    "covering_nsec({name})"
+                );
+                let qtype = *g.pick(&[
+                    RecordType::A,
+                    RecordType::NS,
+                    RecordType::CNAME,
+                    RecordType::MX,
+                    RecordType::NSEC,
+                    RecordType::ANY,
+                ]);
+                let question = Question::new(name, qtype);
+                let got = lookup(&zone, &question);
+                let want = reference::lookup(&zone, &question);
+                assert_eq!(got.kind, want.kind, "{question}");
+                assert_eq!(got.rcode, want.rcode, "{question}");
+                assert_eq!(got.authoritative, want.authoritative, "{question}");
+                assert_eq!(got.answers, want.answers, "{question}");
+                assert_eq!(got.authorities, want.authorities, "{question}");
+                assert_eq!(got.additionals, want.additionals, "{question}");
+            }
+        });
     }
 
     #[test]

@@ -6,7 +6,16 @@
 //!
 //! This mirrors BIND's `view { match-clients { ... }; }` mechanism that
 //! the paper relies on.
+//!
+//! Selection does not scan the views. Hierarchy emulation makes one
+//! view per zone (thousands), nearly all matched by [`ClientMatch::Exact`]
+//! addresses, so a [`ViewSet`] indexes, as views are pushed, the first
+//! view each exact address selects, and lists apart the few views that
+//! carry a prefix or match-all. A lookup is one map probe plus a walk
+//! of that short list, cut off at the exact hit; the lower index of the
+//! two wins, which is first-match-wins.
 
+use std::collections::BTreeMap;
 use std::net::IpAddr;
 
 use dns_wire::Name;
@@ -81,6 +90,10 @@ impl View {
 #[derive(Debug, Clone, Default)]
 pub struct ViewSet {
     views: Vec<View>,
+    /// The first view each [`ClientMatch::Exact`] address selects.
+    exact: BTreeMap<IpAddr, usize>,
+    /// Views with at least one matcher that is not `Exact`, ascending.
+    inexact: Vec<usize>,
 }
 
 impl ViewSet {
@@ -91,12 +104,25 @@ impl ViewSet {
 
     /// Append a view (later = lower priority).
     pub fn push(&mut self, view: View) {
+        let index = self.views.len();
+        let mut inexact = false;
+        for m in &view.match_clients {
+            match m {
+                ClientMatch::Exact(addr) => {
+                    self.exact.entry(*addr).or_insert(index);
+                }
+                ClientMatch::PrefixV4 { .. } | ClientMatch::Any => inexact = true,
+            }
+        }
+        if inexact {
+            self.inexact.push(index);
+        }
         self.views.push(view);
     }
 
     /// Select the view for a query from `addr`.
     pub fn select(&self, addr: IpAddr) -> Option<&View> {
-        self.views.iter().find(|v| v.matches(addr))
+        self.views.get(self.select_index(addr)?)
     }
 
     /// Select the *index* of the view for a query from `addr` (same
@@ -104,7 +130,16 @@ impl ViewSet {
     /// resources held outside the set — e.g. the server's response
     /// rate limiters — are keyed by this index.
     pub fn select_index(&self, addr: IpAddr) -> Option<usize> {
-        self.views.iter().position(|v| v.matches(addr))
+        let exact = self.exact.get(&addr).copied();
+        // An inexact view wins only from in front of the exact hit, so
+        // the walk stops there; the lower index of the two is returned.
+        let limit = exact.unwrap_or(usize::MAX);
+        self.inexact
+            .iter()
+            .copied()
+            .take_while(|&i| i < limit)
+            .find(|&i| self.views[i].matches(addr))
+            .or(exact)
     }
 
     /// Number of views.
@@ -263,6 +298,58 @@ mod tests {
                 .map(|i| set.iter().nth(i).unwrap().name.clone());
             assert_eq!(by_ref, by_idx);
         }
+    }
+
+    /// The first-match scan the index replaced, kept as its oracle.
+    fn linear_select_index(set: &ViewSet, addr: IpAddr) -> Option<usize> {
+        set.iter().position(|v| v.matches(addr))
+    }
+
+    /// Generated view sets — exact addresses drawn from a pool small
+    /// enough that views share them, v4 prefixes of every length, a
+    /// match-all in the middle — select the view the linear scan does,
+    /// for v4 and v6 probes.
+    #[test]
+    fn select_matches_the_linear_scan_on_generated_view_sets() {
+        let pool: Vec<IpAddr> = [
+            "10.0.0.1",
+            "10.0.0.2",
+            "10.0.1.1",
+            "10.1.0.1",
+            "128.0.0.1",
+            "192.168.0.1",
+            "::1",
+            "2001:db8::1",
+        ]
+        .map(ip)
+        .to_vec();
+        ldp_rng::check::check(256, |g| {
+            let mut set = ViewSet::new();
+            for i in 0..g.size(0..=12) {
+                let matchers = g.vec(0..=3, |g| match g.below(8) {
+                    0 => ClientMatch::Any,
+                    1 | 2 => ClientMatch::PrefixV4 {
+                        net: match g.pick(&pool) {
+                            IpAddr::V4(v4) => *v4,
+                            IpAddr::V6(_) => g.u32().into(),
+                        },
+                        len: g.range(0..=32) as u8,
+                    },
+                    _ => ClientMatch::Exact(*g.pick(&pool)),
+                });
+                set.push(View::new(format!("v{i}"), matchers, Catalog::new()));
+            }
+            let random_v4 = IpAddr::V4(g.u32().into());
+            for probe in pool.iter().copied().chain([random_v4]) {
+                let want = linear_select_index(&set, probe);
+                assert_eq!(set.select_index(probe), want, "{probe} in {set:?}");
+                let selected = set.select(probe).map(|v| v.name.as_str());
+                let wanted = want
+                    .and_then(|i| set.iter().nth(i))
+                    .map(|v| v.name.as_str());
+                assert_eq!(selected, wanted, "{probe}");
+            }
+        });
     }
 
     #[test]

@@ -1,7 +1,17 @@
 //! The zone: an origin plus a canonical-ordered tree of nodes, each
 //! holding RRsets, with delegation (zone cut) awareness.
+//!
+//! Canonical order (RFC 4034 §6.1) is what keeps every per-query
+//! question about the tree a probe, not a scan. The subdomains of a
+//! name are the run of nodes directly after it, so "does anything
+//! exist below this name" reads one successor. The NSEC that denies a
+//! name is owned by the last NSEC holder at or before it, so the search
+//! is a reverse range walk from the name — one step in a signed zone,
+//! and not taken at all in an unsigned one, which the zone knows from a
+//! count of its NSEC-holding nodes.
 
 use std::collections::BTreeMap;
+use std::ops::Bound;
 
 use dns_wire::{Name, RData, Record, RecordType, Soa};
 
@@ -72,11 +82,19 @@ impl Node {
 /// An authoritative zone: origin name and the node tree.
 ///
 /// Nodes are kept in canonical DNS order ([`Name`]'s `Ord`), which makes
-/// closest-encloser walks and NSEC chains straightforward.
+/// closest-encloser walks and NSEC chains straightforward (module docs):
+/// [`Zone::has_names_below`], [`Zone::closest_encloser`],
+/// [`Zone::covering_nsec`] and [`Zone::find_zone_cut`] are each a
+/// bounded number of `BTreeMap` probes, never a walk of the zone.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Zone {
     origin: Name,
     nodes: BTreeMap<Name, Node>,
+    /// How many nodes hold an NSEC RRset. A function of `nodes` (kept
+    /// by `insert` and `strip_dnssec`), so the derived `PartialEq` is
+    /// still equality of contents; zero lets an unsigned zone skip the
+    /// covering-NSEC search altogether.
+    nsec_nodes: usize,
 }
 
 impl Zone {
@@ -85,6 +103,7 @@ impl Zone {
         Zone {
             origin,
             nodes: BTreeMap::new(),
+            nsec_nodes: 0,
         }
     }
 
@@ -118,6 +137,9 @@ impl Zone {
             }
         } else if !rtype.is_dnssec() && node.get(RecordType::CNAME).is_some() {
             return Err(ZoneError::CnameAndOther(rec.name.to_string()));
+        }
+        if rtype == RecordType::NSEC && node.get(RecordType::NSEC).is_none() {
+            self.nsec_nodes += 1;
         }
         node.rrsets
             .entry(rtype.to_u16())
@@ -170,22 +192,25 @@ impl Zone {
         if !qname.is_subdomain_of(&self.origin) {
             return None;
         }
-        // Candidate ancestor names from just-below-apex down to qname.
-        let mut ancestors: Vec<Name> = Vec::new();
-        let mut cur = qname.clone();
-        while cur.label_count() > self.origin.label_count() {
-            ancestors.push(cur.clone());
-            cur = cur.parent()?;
+        // `qname`'s proper ancestors strictly below the apex, nearest
+        // first: built once, one `parent()` per level.
+        let depth = qname.label_count() - self.origin.label_count();
+        if depth == 0 {
+            return None;
         }
-        for anc in ancestors.iter().rev() {
-            if let Some(node) = self.nodes.get(anc) {
-                if node.has_ns() {
-                    let (name, _) = self.nodes.get_key_value(anc).expect("just found");
-                    return Some((name, node.get(RecordType::NS).expect("has_ns")));
-                }
-            }
+        let mut ancestors: Vec<Name> = Vec::with_capacity(depth - 1);
+        for _ in 1..depth {
+            ancestors.push(ancestors.last().unwrap_or(qname).parent()?);
         }
-        None
+        // Probed from the apex down: the highest cut shadows the rest.
+        ancestors
+            .iter()
+            .rev()
+            .chain(std::iter::once(qname))
+            .find_map(|name| {
+                let (name, node) = self.nodes.get_key_value(name)?;
+                Some((name, node.get(RecordType::NS)?))
+            })
     }
 
     /// Find the closest encloser: the longest existing ancestor name of
@@ -209,10 +234,29 @@ impl Zone {
     /// Whether any node exists strictly below `name` (an "empty
     /// non-terminal" check: `b.example` has no records but exists when
     /// `a.b.example` does).
+    ///
+    /// Canonical order keeps a name's subdomains contiguous and directly
+    /// after it, so the node that follows `name` decides the answer.
     pub fn has_names_below(&self, name: &Name) -> bool {
         self.nodes
-            .range(name.clone()..)
-            .any(|(n, _)| n != name && n.is_subdomain_of(name))
+            .range::<Name, _>((Bound::Excluded(name), Bound::Unbounded))
+            .next()
+            .is_some_and(|(next, _)| next.is_subdomain_of(name))
+    }
+
+    /// The node that carries the NSEC covering `qname`, with its owner
+    /// name: the last zone name canonically ≤ `qname` that holds an
+    /// NSEC RRset (RFC 4034 §4). `None` in an unsigned zone, without
+    /// looking at a single node; in a signed zone the reverse walk
+    /// stops at the first predecessor, since every name owns an NSEC.
+    pub fn covering_nsec(&self, qname: &Name) -> Option<(&Name, &Node)> {
+        if self.nsec_nodes == 0 {
+            return None;
+        }
+        self.nodes
+            .range::<Name, _>(..=qname)
+            .rev()
+            .find(|(_, node)| node.get(RecordType::NSEC).is_some())
     }
 
     /// Iterate all nodes in canonical order.
@@ -251,11 +295,70 @@ impl Zone {
             });
         }
         self.nodes.retain(|_, node| !node.rrsets.is_empty());
+        self.nsec_nodes = 0;
     }
 
     /// Names in canonical order (for NSEC chain construction).
     pub fn names(&self) -> impl Iterator<Item = &Name> {
         self.nodes.keys()
+    }
+}
+
+/// The linear implementations the probes above replaced, kept as the
+/// oracle for the generated-zone property in `lookup.rs`.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    pub fn find_zone_cut<'z>(zone: &'z Zone, qname: &Name) -> Option<(&'z Name, &'z RRset)> {
+        if !qname.is_subdomain_of(&zone.origin) {
+            return None;
+        }
+        let mut ancestors: Vec<Name> = Vec::new();
+        let mut cur = qname.clone();
+        while cur.label_count() > zone.origin.label_count() {
+            ancestors.push(cur.clone());
+            cur = cur.parent()?;
+        }
+        for anc in ancestors.iter().rev() {
+            if let Some((name, node)) = zone.nodes.get_key_value(anc) {
+                if let Some(ns) = node.get(RecordType::NS) {
+                    return Some((name, ns));
+                }
+            }
+        }
+        None
+    }
+
+    pub fn closest_encloser(zone: &Zone, qname: &Name) -> Option<Name> {
+        let mut cur = qname.parent()?;
+        loop {
+            if zone.nodes.contains_key(&cur) || has_names_below(zone, &cur) {
+                return Some(cur);
+            }
+            if cur == zone.origin {
+                return None;
+            }
+            cur = cur.parent()?;
+        }
+    }
+
+    pub fn has_names_below(zone: &Zone, name: &Name) -> bool {
+        zone.nodes
+            .range(name.clone()..)
+            .any(|(n, _)| n != name && n.is_subdomain_of(name))
+    }
+
+    pub fn covering_nsec<'z>(zone: &'z Zone, qname: &Name) -> Option<(&'z Name, &'z Node)> {
+        zone.names()
+            .filter(|name| name.canonical_cmp(qname) != std::cmp::Ordering::Greater)
+            .filter(|name| {
+                zone.node(name)
+                    .map(|node| node.get(RecordType::NSEC).is_some())
+                    .unwrap_or(false)
+            })
+            .last()
+            .and_then(|name| zone.nodes.get_key_value(name))
     }
 }
 
@@ -388,6 +491,55 @@ mod tests {
         assert!(z.node(&n("b.example.com")).is_none());
         assert!(z.has_names_below(&n("b.example.com")));
         assert!(!z.has_names_below(&n("www.example.com")));
+    }
+
+    fn nsec_rec(name: &str, next: &str) -> Record {
+        rec(
+            name,
+            RData::Nsec {
+                next: n(next),
+                types: vec![RecordType::A],
+            },
+        )
+    }
+
+    #[test]
+    fn covering_nsec_is_the_last_holder_at_or_before_the_name() {
+        let mut z = example_zone();
+        assert!(z.covering_nsec(&n("zzz.example.com")).is_none(), "unsigned");
+        z.insert(nsec_rec("example.com", "ns1.example.com"))
+            .unwrap();
+        z.insert(nsec_rec("ns1.example.com", "www.example.com"))
+            .unwrap();
+        let holder = |q: &str| z.covering_nsec(&n(q)).map(|(name, _)| name.clone());
+        // Sparse chain: names between holders fall back to the holder
+        // before them, an owner covers itself, nothing precedes the apex.
+        assert_eq!(holder("example.com"), Some(n("example.com")));
+        assert_eq!(holder("a.b.example.com"), Some(n("example.com")));
+        assert_eq!(holder("ns1.example.com"), Some(n("ns1.example.com")));
+        assert_eq!(holder("zzz.example.com"), Some(n("ns1.example.com")));
+        assert_eq!(holder("com"), None);
+    }
+
+    #[test]
+    fn nsec_count_follows_the_contents() {
+        let mut signed = example_zone();
+        signed
+            .insert(nsec_rec("example.com", "www.example.com"))
+            .unwrap();
+        // A second NSEC record at the same owner is the same node.
+        signed
+            .insert(nsec_rec("example.com", "ns1.example.com"))
+            .unwrap();
+        signed
+            .insert(nsec_rec("www.example.com", "example.com"))
+            .unwrap();
+        assert_eq!(signed.nsec_nodes, 2);
+        assert_ne!(signed, example_zone());
+        signed.strip_dnssec();
+        assert_eq!(signed.nsec_nodes, 0);
+        assert_eq!(signed, example_zone(), "equality is equality of contents");
+        assert!(signed.covering_nsec(&n("zzz.example.com")).is_none());
     }
 
     #[test]

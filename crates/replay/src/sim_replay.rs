@@ -8,7 +8,7 @@ use std::net::{IpAddr, SocketAddr};
 use std::sync::{Arc, Mutex};
 
 use dns_wire::framing::{frame, FrameBuffer};
-use dns_wire::{EncodeScratch, Message, Transport};
+use dns_wire::{peek_id, EncodeScratch, Transport};
 use ldp_guard::{
     Admission, AdmissionController, Checkpoint, InflightEntry, InflightStatus, RetransmitConfig,
 };
@@ -160,6 +160,13 @@ fn record_from_line(line: &str) -> Option<LatencyRecord> {
     })
 }
 
+/// The `pending_udp` key of a trace entry. A function of the entry
+/// alone, so a resend lands on the slot of the first send and the
+/// retransmit timer finds it without a search.
+fn udp_key(entry: &TraceEntry) -> (IpAddr, u16) {
+    (entry.src.ip(), entry.message.id)
+}
+
 #[derive(Debug, Clone, Copy)]
 struct Pending {
     seq: u64,
@@ -170,6 +177,19 @@ struct Pending {
 
 /// The simulated replay client: owns all original source addresses and
 /// replays the trace with same-source socket/connection reuse.
+///
+/// A response is matched to its query on the 12-byte header alone
+/// ([`dns_wire::peek_id`]) plus the address or connection it arrived on,
+/// as the paper's querier does (§2.6): a reply whose id matches
+/// completes the query even when its body would not decode, and
+/// anything shorter than a header is ignored.
+///
+/// Sending, matching, retransmitting and completing a query never
+/// iterate a pending table (only a checkpoint commit does). A query has
+/// at most one pending entry and its key is known: UDP resends
+/// re-insert under the same `(source, id)`, and a TCP query is only
+/// re-sent after the `Closed` sweep took its entry out, so completion
+/// removes exactly the entry the reply was matched to.
 pub struct SimReplayClient {
     trace: Vec<TraceEntry>,
     server: SocketAddr,
@@ -207,6 +227,10 @@ pub struct SimReplayClient {
     pub retries: u64,
     /// Seqs answered — this run plus any resumed-from checkpoint.
     completed: BTreeSet<u64>,
+    /// The first seq not in `completed`, as of the last checkpoint
+    /// commit. `completed` only grows, so the walk that finds it
+    /// continues where the previous commit stopped.
+    cursor: u64,
     /// Dispatch-side admission window (`None` = unguarded dispatch).
     pub admission: Option<AdmissionController>,
     /// Seqs parked by a `Busy` admission verdict, awaiting re-offer.
@@ -278,6 +302,7 @@ impl SimReplayClient {
             connects: 0,
             retries: 0,
             completed: BTreeSet::new(),
+            cursor: 0,
             admission: None,
             parked: BTreeSet::new(),
             shed_out: None,
@@ -464,6 +489,7 @@ impl SimReplayClient {
         let transport = self.transport_override.unwrap_or(entry.transport);
         let src = entry.src;
         let id = entry.message.id;
+        let udp_key = udp_key(entry);
         // Encoded into the reusable scratch, then one copy straight
         // into the refcounted packet buffer the simulator shares.
         let payload: PacketBytes = entry.message.encode_into(&mut self.scratch).into();
@@ -487,7 +513,7 @@ impl SimReplayClient {
         }
         match transport {
             Transport::Udp => {
-                self.pending_udp.insert((src.ip(), id), pending);
+                self.pending_udp.insert(udp_key, pending);
                 ctx.send_udp(src, self.server, payload);
                 // Arm the next retransmit from this query's own
                 // deterministic budget; exhaustion is terminal (the
@@ -532,12 +558,11 @@ impl SimReplayClient {
 
     fn complete(&mut self, pending: Pending, now_s: f64, now_ns: u64, bytes: usize) {
         // An answer — possibly to an earlier attempt — cancels any
-        // retry chain and stray duplicate pendings for this query.
+        // retry chain. The caller took `pending`, the query's only
+        // entry, out of its table.
         let seq = pending.seq;
         self.retrying.remove(&seq);
         self.retx_state.complete(seq);
-        self.pending_tcp.retain(|_, p| p.seq != seq);
-        self.pending_udp.retain(|_, p| p.seq != seq);
         if tel::enabled() {
             tel::mark_at((now_s * 1e9) as u64, q_kinds().matched, seq, bytes as u64);
         }
@@ -588,13 +613,7 @@ impl SimReplayClient {
             .iter()
             .map(record_to_line)
             .collect();
-        let cursor = {
-            let mut c = 0u64;
-            while self.completed.contains(&c) {
-                c += 1;
-            }
-            c
-        };
+        let cursor = self.advance_cursor();
         let shed = self.admission.as_ref().map_or(0, |a| a.shed_count());
         let cp = Checkpoint {
             version: 1,
@@ -613,6 +632,14 @@ impl SimReplayClient {
         };
         self.stamp(1, taken_ns, 0);
         *out.lock().unwrap() = Some(cp);
+    }
+
+    /// The first seq not yet completed: the v1 checkpoint cursor.
+    fn advance_cursor(&mut self) -> u64 {
+        while self.completed.contains(&self.cursor) {
+            self.cursor += 1;
+        }
+        self.cursor
     }
 
     /// Seqs dispatched-or-parked but not completed — the set a fuzzy
@@ -649,13 +676,14 @@ impl SimReplayClient {
             .map(record_to_line)
             .collect();
         let outstanding = self.outstanding_seqs();
-        let cursor = {
-            let mut c = 0u64;
-            while self.completed.contains(&c) || outstanding.contains(&c) {
-                c += 1;
-            }
-            c
-        };
+        // A fuzzy cut's cursor also passes over outstanding queries
+        // (its `inflight` lines carry them), which may yet be shed, so
+        // this part of the walk is redone from the first uncompleted
+        // seq at every cut: the in-flight window, not the trace.
+        let mut cursor = self.advance_cursor();
+        while self.completed.contains(&cursor) || outstanding.contains(&cursor) {
+            cursor += 1;
+        }
         let (live_sends, live_retx) = self.retx_state.live_totals();
         let shed = self.admission.as_ref().map_or(0, |a| a.shed_count());
         let t0 = self.trace.first().map_or(0, |e| e.time_us);
@@ -703,6 +731,13 @@ impl SimReplayClient {
         *out.lock().unwrap() = Some(cp);
     }
 
+    /// Keys of the queries pending on `conn`: one contiguous key range.
+    fn pending_on(&self, conn: ConnId) -> impl Iterator<Item = (ConnId, u16)> + '_ {
+        self.pending_tcp
+            .range((conn, 0)..=(conn, u16::MAX))
+            .map(|(key, _)| *key)
+    }
+
     /// Record one commit into the stamp history, if a collector is
     /// attached.
     fn stamp(&self, version: u8, taken_ns: u64, inflight: usize) {
@@ -743,10 +778,10 @@ impl SimReplayClient {
 
 impl Host for SimReplayClient {
     fn on_udp(&mut self, ctx: &mut Ctx<'_>, _from: SocketAddr, to: SocketAddr, data: PacketBytes) {
-        let Ok(msg) = Message::decode(&data) else {
+        let Some(id) = peek_id(&data) else {
             return;
         };
-        if let Some(p) = self.pending_udp.remove(&(to.ip(), msg.id)) {
+        if let Some(p) = self.pending_udp.remove(&(to.ip(), id)) {
             if tel::enabled() {
                 tel::mark_at(
                     ctx.now().as_nanos(),
@@ -768,8 +803,8 @@ impl Host for SimReplayClient {
                 fb.extend(&data);
                 let mut done = Vec::new();
                 while let Some(body) = fb.next_message() {
-                    if let Ok(msg) = Message::decode(&body) {
-                        if let Some(p) = self.pending_tcp.remove(&(conn, msg.id)) {
+                    if let Some(id) = peek_id(&body) {
+                        if let Some(p) = self.pending_tcp.remove(&(conn, id)) {
                             done.push((p, body.len()));
                         }
                     }
@@ -786,10 +821,7 @@ impl Host for SimReplayClient {
                 // No-reuse ablation: close as soon as the (single)
                 // outstanding query on this throwaway connection is
                 // answered.
-                if !self.reuse_connections
-                    && any_done
-                    && !self.pending_tcp.keys().any(|(c, _)| *c == conn)
-                {
+                if !self.reuse_connections && any_done && self.pending_on(conn).next().is_none() {
                     ctx.tcp_close(conn);
                     self.frame_bufs.remove(&conn);
                 }
@@ -804,12 +836,7 @@ impl Host for SimReplayClient {
                 self.frame_bufs.remove(&conn);
                 // Queries that died with the connection are resent with
                 // exponential backoff rather than silently lost.
-                let orphans: Vec<(ConnId, u16)> = self
-                    .pending_tcp
-                    .keys()
-                    .filter(|(c, _)| *c == conn)
-                    .copied()
-                    .collect();
+                let orphans: Vec<(ConnId, u16)> = self.pending_on(conn).collect();
                 for key in orphans {
                     let Some(p) = self.pending_tcp.remove(&key) else {
                         continue;
@@ -862,15 +889,23 @@ impl Host for SimReplayClient {
             if self.completed.contains(&seq) {
                 return;
             }
-            let Some(p) = self.pending_udp.values().find(|p| p.seq == seq).copied() else {
+            let idx = seq as usize;
+            let Some(entry) = self.trace.get(idx) else {
                 return;
             };
-            let idx = seq as usize;
-            if idx < self.trace.len() {
-                self.retries += 1;
-                self.retx_state.note_retx(seq);
-                self.dispatch(ctx, idx, Some(p.sent_s));
-            }
+            // A later query with the same source and id may have taken
+            // the slot over.
+            let Some(sent_s) = self
+                .pending_udp
+                .get(&udp_key(entry))
+                .filter(|p| p.seq == seq)
+                .map(|p| p.sent_s)
+            else {
+                return;
+            };
+            self.retries += 1;
+            self.retx_state.note_retx(seq);
+            self.dispatch(ctx, idx, Some(sent_s));
             return;
         }
         if token == CP_TOKEN_BIT {
@@ -1220,6 +1255,202 @@ mod tests {
         let log = run_crash(None);
         assert_eq!(log.len(), 1, "only the pre-crash query completes: {log:?}");
         assert_eq!(log[0].seq, 0);
+    }
+
+    /// The client behind a shared handle, so a test can look at its
+    /// tables after the simulator has taken ownership of the host.
+    struct Shared(Arc<Mutex<SimReplayClient>>);
+
+    impl Host for Shared {
+        fn on_udp(&mut self, ctx: &mut Ctx<'_>, from: SocketAddr, to: SocketAddr, d: PacketBytes) {
+            self.0.lock().unwrap().on_udp(ctx, from, to, d);
+        }
+        fn on_tcp_event(&mut self, ctx: &mut Ctx<'_>, event: TcpEvent) {
+            self.0.lock().unwrap().on_tcp_event(ctx, event);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+            self.0.lock().unwrap().on_timer(ctx, token);
+        }
+        fn on_crash(&mut self) {
+            self.0.lock().unwrap().on_crash();
+        }
+        fn on_restart(&mut self, ctx: &mut Ctx<'_>) {
+            self.0.lock().unwrap().on_restart(ctx);
+        }
+    }
+
+    /// A server that answers a query with whatever bytes the test makes
+    /// of its id — datagrams over UDP, frame bodies over TCP — after
+    /// ignoring its first `ignore` datagrams.
+    struct Scripted {
+        ignore: u32,
+        replies: fn(u16) -> Vec<Vec<u8>>,
+        frames: BTreeMap<ConnId, FrameBuffer>,
+    }
+
+    impl Scripted {
+        fn new(ignore: u32, replies: fn(u16) -> Vec<Vec<u8>>) -> Self {
+            Scripted {
+                ignore,
+                replies,
+                frames: BTreeMap::new(),
+            }
+        }
+    }
+
+    impl Host for Scripted {
+        fn on_udp(&mut self, ctx: &mut Ctx<'_>, from: SocketAddr, to: SocketAddr, d: PacketBytes) {
+            if self.ignore > 0 {
+                self.ignore -= 1;
+                return;
+            }
+            for reply in (self.replies)(peek_id(&d).unwrap()) {
+                ctx.send_udp(to, from, reply);
+            }
+        }
+        fn on_tcp_event(&mut self, ctx: &mut Ctx<'_>, event: TcpEvent) {
+            if let TcpEvent::Data { conn, data } = event {
+                let fb = self.frames.entry(conn).or_default();
+                fb.extend(&data);
+                while let Some(query) = fb.next_message() {
+                    for reply in (self.replies)(peek_id(&query).unwrap()) {
+                        ctx.tcp_send(conn, frame(&reply));
+                    }
+                }
+            }
+        }
+        fn on_timer(&mut self, _: &mut Ctx<'_>, _: u64) {}
+    }
+
+    /// Replay `trace` against `server` over a 40 ms RTT for 10 s and
+    /// hand back the client with its log.
+    fn run_against(
+        server: Box<dyn Host>,
+        trace: Vec<TraceEntry>,
+        configure: impl FnOnce(&mut SimReplayClient),
+        drive: impl FnOnce(&mut Simulator),
+    ) -> (Arc<Mutex<SimReplayClient>>, Vec<LatencyRecord>) {
+        let mut sim = Simulator::new(
+            Topology::uniform(PathConfig {
+                rtt: SimDuration::from_millis(40),
+                bandwidth_bps: None,
+                loss: 0.0,
+            }),
+            SimConfig::default(),
+        );
+        let server_addr: SocketAddr = "10.9.0.1:53".parse().unwrap();
+        sim.add_host(&[server_addr.ip()], server);
+        let log: LatencyLog = Arc::new(Mutex::new(vec![]));
+        let mut client = SimReplayClient::new(trace.clone(), server_addr, log.clone());
+        configure(&mut client);
+        let srcs = client.source_addrs();
+        let client = Arc::new(Mutex::new(client));
+        let client_id = sim.add_host(&srcs, Box::new(Shared(client.clone())));
+        SimReplayClient::schedule(&mut sim, client_id, &trace, SimTime::ZERO);
+        drive(&mut sim);
+        sim.run_until(SimTime::from_secs_f64(10.0));
+        let out = log.lock().unwrap().clone();
+        (client, out)
+    }
+
+    /// A header that promises 65 535 questions over a two-byte body:
+    /// the id reads, the message does not decode.
+    fn undecodable_reply(id: u16) -> Vec<u8> {
+        let [hi, lo] = id.to_be_bytes();
+        let bytes = vec![hi, lo, 0x80, 0, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0xde, 0xad];
+        assert!(dns_wire::Message::decode(&bytes).is_err());
+        bytes
+    }
+
+    /// UDP replies are matched on the header alone: a datagram shorter
+    /// than a header is ignored even though it starts with the id, and
+    /// a reply whose body does not decode completes the query.
+    #[test]
+    fn udp_reply_is_matched_on_its_header_alone() {
+        let server = Scripted::new(0, |id| {
+            let runt = undecodable_reply(id)[..11].to_vec();
+            vec![runt, undecodable_reply(id)]
+        });
+        let (client, log) = run_against(Box::new(server), mk_trace(3, 50_000, 1), |_| {}, |_| {});
+        assert_eq!(log.len(), 3, "{log:?}");
+        assert!(log.iter().all(|r| r.response_bytes == 14), "{log:?}");
+        assert!(client.lock().unwrap().quiescent());
+    }
+
+    /// The same over TCP: a frame whose body does not decode completes
+    /// the query its id names on that connection.
+    #[test]
+    fn tcp_frame_is_matched_on_its_header_alone() {
+        let server = Scripted::new(0, |id| vec![undecodable_reply(id)]);
+        let (client, log) = run_against(
+            Box::new(server),
+            mk_trace(3, 50_000, 1),
+            |c| c.transport_override = Some(Transport::Tcp),
+            |_| {},
+        );
+        assert_eq!(log.len(), 3, "{log:?}");
+        assert!(log.iter().all(|r| r.response_bytes == 14), "{log:?}");
+        assert!(client.lock().unwrap().quiescent());
+    }
+
+    /// The pending tables hold at most one entry per query, under a key
+    /// the query itself names. UDP: the first send is lost, the
+    /// retransmit is answered twice — one completion, the duplicate
+    /// finds nothing, both tables end empty.
+    #[test]
+    fn retransmitted_udp_query_completes_once_and_leaves_no_pending() {
+        let server = Scripted::new(1, |id| vec![undecodable_reply(id), undecodable_reply(id)]);
+        let (client, log) = run_against(
+            Box::new(server),
+            mk_trace(1, 0, 1),
+            |c| {
+                c.udp_retransmit = Some(RetransmitConfig {
+                    max_retx: 3,
+                    base_us: 100_000,
+                    cap_us: 400_000,
+                });
+            },
+            |_| {},
+        );
+        assert_eq!(log.len(), 1, "answered once: {log:?}");
+        assert!(log[0].latency() > 0.1, "spans the lost first send");
+        let client = client.lock().unwrap();
+        assert_eq!((client.sent, client.retries), (2, 1));
+        assert!(client.pending_udp.is_empty() && client.pending_tcp.is_empty());
+        assert!(client.quiescent());
+    }
+
+    /// TCP: a query whose connection died is re-sent on a fresh one and
+    /// completes exactly once; nothing of either attempt stays behind.
+    #[test]
+    fn tcp_query_resent_after_its_connection_died_completes_once() {
+        let server_ip: IpAddr = "10.9.0.1".parse().unwrap();
+        let server = SimDnsServer::new(
+            engine(),
+            SocketAddr::new(server_ip, 53),
+            Some(SimDuration::from_secs(30)),
+        );
+        // As in `run_crash`: q1 (sent at 0.5 s) is in flight when the
+        // server dies at 0.52 s; it is back at 0.70 s.
+        let (client, mut log) = run_against(
+            Box::new(server),
+            mk_trace(2, 500_000, 1),
+            |c| c.transport_override = Some(Transport::Tcp),
+            |sim| {
+                sim.run_until(SimTime::from_secs_f64(0.52));
+                sim.crash_now(server_ip);
+                sim.run_until(SimTime::from_secs_f64(0.70));
+                sim.restart_now(server_ip);
+            },
+        );
+        log.sort_by_key(|r| r.seq);
+        let seqs: Vec<u64> = log.iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, vec![0, 1], "each query answered exactly once");
+        let client = client.lock().unwrap();
+        assert!(client.retries >= 1, "q1 was re-sent");
+        assert!(client.pending_udp.is_empty() && client.pending_tcp.is_empty());
+        assert!(client.retrying.is_empty());
+        assert!(client.quiescent());
     }
 
     /// One full checkpointed run: returns (transcript lines, last
