@@ -190,6 +190,36 @@ fn wire_throughput(iters: u64) -> (f64, f64, usize) {
     (iters as f64 / enc_s, iters as f64 / dec_s, size)
 }
 
+/// `Name` on its own: ordering compares between zone-shaped names (the
+/// step a `BTreeMap` probe repeats) and decodes of a compressed name.
+fn name_throughput(iters: u64) -> (f64, f64) {
+    let names: Vec<dns_wire::Name> = (0..1024)
+        .map(|i| format!("w{i}.example{}.com", i % 37).parse().expect("name"))
+        .collect();
+    let t0 = Instant::now();
+    let mut less = 0u64;
+    for i in 0..iters as usize {
+        let (a, b) = (&names[i % names.len()], &names[(i * 7 + 1) % names.len()]);
+        less += u64::from(black_box(a) < black_box(b));
+    }
+    black_box(less);
+    let cmp_s = t0.elapsed().as_secs_f64();
+
+    let mut w = dns_wire::WireWriter::new();
+    w.put_name(&names[0]);
+    let second = w.len();
+    w.put_name(&names[37]);
+    let wire = w.into_bytes();
+    let t0 = Instant::now();
+    for _ in 0..iters {
+        let mut r = dns_wire::WireReader::new(black_box(&wire));
+        r.seek(second);
+        black_box(r.get_name().expect("decodes"));
+    }
+    let dec_s = t0.elapsed().as_secs_f64();
+    (iters as f64 / cmp_s, iters as f64 / dec_s)
+}
+
 /// An authoritative engine over one zone of `names` A records — the
 /// serve-side counterpart of [`wire_throughput`]'s message.
 fn server_engine(names: usize) -> ServerEngine {
@@ -634,6 +664,9 @@ fn main() {
     let (enc_mps, dec_mps, msg_size) = wire_throughput(iters);
     println!("  encode {enc_mps:>12.0} msg/s   decode {dec_mps:>12.0} msg/s   ({msg_size} B msg)");
 
+    let (name_cmp_ps, name_dec_ps) = name_throughput(10 * iters);
+    println!("  name cmp {name_cmp_ps:>10.0} /s   name decode {name_dec_ps:>10.0} /s");
+
     // --- Server: templated vs general answer_udp throughput. ---
     println!("server: {iters} answer_udp iterations × 2 paths…");
     let (template_aps, general_aps) = server_throughput(iters);
@@ -672,7 +705,7 @@ fn main() {
 
     // Hand-rolled JSON: the workspace has no serializer dependency.
     let json = format!(
-        "{{\n  \"sim\": {{\n    \"events\": {heap_events},\n    \"heap_events_per_sec\": {heap_eps:.0},\n    \"raw_queue_heap_ops_per_sec\": {heap_raw:.0},\n    \"telemetry_events_per_sec\": {tel_eps:.0},\n    \"telemetry_overhead_pct\": {telemetry_overhead_pct:.2},\n    \"sharded_events_per_sec_1\": {:.0},\n    \"sharded_events_per_sec_2\": {:.0},\n    \"sharded_events_per_sec_8\": {:.0}\n  }},\n  \"replay\": {{\n    \"queries\": {sent},\n    \"queries_per_sec\": {qps:.0},\n    \"guarded_queries_per_sec\": {guard_qps:.0},\n    \"guard_overhead_pct\": {guard_overhead_pct:.2},\n    \"errors\": {errors},\n    \"sim_complete_per_sec_16\": {:.0},\n    \"sim_complete_per_sec_32768\": {:.0}\n  }},\n  \"guard\": {{\n    \"fuzzy_checkpoint_per_sec\": {fuzzy_cp_ps:.0}\n  }},\n  \"wire\": {{\n    \"message_bytes\": {msg_size},\n    \"encode_msgs_per_sec\": {enc_mps:.0},\n    \"decode_msgs_per_sec\": {dec_mps:.0},\n    \"encode_mb_per_sec\": {:.1},\n    \"decode_mb_per_sec\": {:.1}\n  }},\n  \"server\": {{\n    \"template_answers_per_sec\": {template_aps:.0},\n    \"general_answers_per_sec\": {general_aps:.0},\n    \"template_speedup\": {:.3},\n    \"nxdomain_answers_per_sec_100\": {:.0},\n    \"nxdomain_answers_per_sec_20000\": {:.0}\n  }},\n  \"zone\": {{\n    \"view_select_per_sec_16\": {:.0},\n    \"view_select_per_sec_4096\": {:.0}\n  }},\n  \"resolver\": {{\n    \"cache_hit_per_sec\": {cache_hit_ps:.0},\n    \"cache_delayed_hit_per_sec\": {cache_delayed_ps:.0},\n    \"cache_miss_per_sec\": {cache_miss_ps:.0}\n  }}\n}}\n",
+        "{{\n  \"sim\": {{\n    \"events\": {heap_events},\n    \"heap_events_per_sec\": {heap_eps:.0},\n    \"raw_queue_heap_ops_per_sec\": {heap_raw:.0},\n    \"telemetry_events_per_sec\": {tel_eps:.0},\n    \"telemetry_overhead_pct\": {telemetry_overhead_pct:.2},\n    \"sharded_events_per_sec_1\": {:.0},\n    \"sharded_events_per_sec_2\": {:.0},\n    \"sharded_events_per_sec_8\": {:.0}\n  }},\n  \"replay\": {{\n    \"queries\": {sent},\n    \"queries_per_sec\": {qps:.0},\n    \"guarded_queries_per_sec\": {guard_qps:.0},\n    \"guard_overhead_pct\": {guard_overhead_pct:.2},\n    \"errors\": {errors},\n    \"sim_complete_per_sec_16\": {:.0},\n    \"sim_complete_per_sec_32768\": {:.0}\n  }},\n  \"guard\": {{\n    \"fuzzy_checkpoint_per_sec\": {fuzzy_cp_ps:.0}\n  }},\n  \"wire\": {{\n    \"message_bytes\": {msg_size},\n    \"encode_msgs_per_sec\": {enc_mps:.0},\n    \"decode_msgs_per_sec\": {dec_mps:.0},\n    \"encode_mb_per_sec\": {:.1},\n    \"decode_mb_per_sec\": {:.1},\n    \"name_cmp_per_sec\": {name_cmp_ps:.0},\n    \"name_decode_per_sec\": {name_dec_ps:.0}\n  }},\n  \"server\": {{\n    \"template_answers_per_sec\": {template_aps:.0},\n    \"general_answers_per_sec\": {general_aps:.0},\n    \"template_speedup\": {:.3},\n    \"nxdomain_answers_per_sec_100\": {:.0},\n    \"nxdomain_answers_per_sec_20000\": {:.0}\n  }},\n  \"zone\": {{\n    \"view_select_per_sec_16\": {:.0},\n    \"view_select_per_sec_4096\": {:.0}\n  }},\n  \"resolver\": {{\n    \"cache_hit_per_sec\": {cache_hit_ps:.0},\n    \"cache_delayed_hit_per_sec\": {cache_delayed_ps:.0},\n    \"cache_miss_per_sec\": {cache_miss_ps:.0}\n  }}\n}}\n",
         sharded_eps[0],
         sharded_eps[1],
         sharded_eps[2],

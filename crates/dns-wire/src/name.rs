@@ -11,6 +11,7 @@ use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::str::FromStr;
+use std::sync::Arc;
 
 /// Maximum total length of a name on the wire (RFC 1035 §2.3.4).
 pub const MAX_NAME_LEN: usize = 255;
@@ -43,10 +44,21 @@ impl fmt::Display for NameError {
 
 impl std::error::Error for NameError {}
 
-/// A fully-qualified domain name, stored as lowercase labels.
+/// The canonical bytes of the longest legal name: 127 one-octet labels
+/// of three bytes each (RFC 1035 §2.3.4 leaves no room for more).
+const MAX_CANONICAL_LEN: usize = 3 * (MAX_NAME_LEN / 2);
+
+/// A fully-qualified domain name, stored lowercase.
 ///
 /// The root name has zero labels. Names compare and hash
 /// case-insensitively by construction.
+///
+/// The labels sit in one shared buffer in *canonical* order — TLD
+/// first — each as `len, octets, len`, so the buffer can be walked from
+/// either end and an ancestor is a prefix of it. A name is a view of
+/// that buffer: [`Clone`] bumps a reference count, [`Name::parent`]
+/// shortens the view, `Ord` walks both buffers forwards once, and
+/// `Eq`/`Hash` read the viewed bytes. Nothing allocates per label.
 ///
 /// ```
 /// use dns_wire::name::Name;
@@ -55,16 +67,120 @@ impl std::error::Error for NameError {}
 /// assert_eq!(n.label_count(), 3);
 /// assert!(n.is_subdomain_of(&"example.com".parse().unwrap()));
 /// ```
-#[derive(Debug, Clone, Eq)]
+#[derive(Clone)]
 pub struct Name {
-    /// Labels in query order: `www`, `example`, `com`.
-    labels: Vec<Box<[u8]>>,
+    /// The shared canonical buffer; `None` for a root built from nothing.
+    buf: Option<Arc<[u8]>>,
+    /// How much of `buf` this name views: a whole number of labels.
+    len: u16,
+    /// Labels in the view.
+    count: u8,
+}
+
+/// Assembles a name on the stack from labels arriving in query order
+/// and allocates once, in [`NameBuilder::finish`], after every limit
+/// has been checked. Shared by [`Name::from_labels`] and the wire
+/// decoder.
+pub(crate) struct NameBuilder {
+    /// Canonical bytes, filled from the back: each label lands in
+    /// front of the one before it.
+    buf: [u8; MAX_CANONICAL_LEN],
+    start: usize,
+    count: u8,
+    wire_len: usize,
+}
+
+impl NameBuilder {
+    pub(crate) fn new() -> Self {
+        NameBuilder {
+            buf: [0; MAX_CANONICAL_LEN],
+            start: MAX_CANONICAL_LEN,
+            count: 0,
+            wire_len: 1,
+        }
+    }
+
+    /// Wire length of the labels pushed so far, root octet included.
+    pub(crate) fn wire_len(&self) -> usize {
+        self.wire_len
+    }
+
+    /// Add the next label to the right, lowercased. Once the name is
+    /// over 255 octets only the length is tracked; `finish` reports it.
+    pub(crate) fn push(&mut self, label: &[u8]) -> Result<(), NameError> {
+        if label.is_empty() {
+            return Err(NameError::EmptyLabel);
+        }
+        if label.len() > MAX_LABEL_LEN {
+            return Err(NameError::LabelTooLong(label.len()));
+        }
+        if let Some(slot) = self.reserve(label.len() + 2, 1) {
+            slot[0] = label.len() as u8;
+            slot[label.len() + 1] = label.len() as u8;
+            for (dst, src) in slot[1..].iter_mut().zip(label) {
+                *dst = src.to_ascii_lowercase();
+            }
+        }
+        Ok(())
+    }
+
+    /// Add all of `name`'s labels to the right.
+    fn push_name(&mut self, name: &Name) {
+        if let Some(slot) = self.reserve(name.as_bytes().len(), name.count) {
+            slot.copy_from_slice(name.as_bytes());
+        }
+    }
+
+    /// Room for `len` more canonical bytes holding `count` labels, in
+    /// front of what is already there; `None` once the name is too long.
+    fn reserve(&mut self, len: usize, count: u8) -> Option<&mut [u8]> {
+        self.wire_len += len - usize::from(count);
+        if self.wire_len > MAX_NAME_LEN {
+            return None;
+        }
+        let end = self.start;
+        self.start -= len;
+        self.count += count;
+        Some(&mut self.buf[self.start..end])
+    }
+
+    pub(crate) fn finish(&self) -> Result<Name, NameError> {
+        if self.wire_len > MAX_NAME_LEN {
+            return Err(NameError::NameTooLong(self.wire_len));
+        }
+        Ok(Name::from_canonical(&self.buf[self.start..], self.count))
+    }
 }
 
 impl Name {
     /// The root name (zero labels).
     pub fn root() -> Self {
-        Name { labels: Vec::new() }
+        Name {
+            buf: None,
+            len: 0,
+            count: 0,
+        }
+    }
+
+    /// A name owning a copy of `bytes`, which hold `count` labels in
+    /// the canonical layout and respect the length limits.
+    fn from_canonical(bytes: &[u8], count: u8) -> Name {
+        if bytes.is_empty() {
+            return Name::root();
+        }
+        Name {
+            buf: Some(Arc::from(bytes)),
+            len: bytes.len() as u16,
+            count,
+        }
+    }
+
+    /// The viewed canonical bytes.
+    fn as_bytes(&self) -> &[u8] {
+        match &self.buf {
+            Some(buf) => &buf[..usize::from(self.len)],
+            None => &[],
+        }
     }
 
     /// Build from raw label byte strings. Labels are lowercased.
@@ -73,33 +189,21 @@ impl Name {
         I: IntoIterator<Item = L>,
         L: AsRef<[u8]>,
     {
-        let mut out: Vec<Box<[u8]>> = Vec::new();
+        let mut builder = NameBuilder::new();
         for l in labels {
-            let l = l.as_ref();
-            if l.is_empty() {
-                return Err(NameError::EmptyLabel);
-            }
-            if l.len() > MAX_LABEL_LEN {
-                return Err(NameError::LabelTooLong(l.len()));
-            }
-            out.push(l.to_ascii_lowercase().into_boxed_slice());
+            builder.push(l.as_ref())?;
         }
-        let name = Name { labels: out };
-        let wl = name.wire_len();
-        if wl > MAX_NAME_LEN {
-            return Err(NameError::NameTooLong(wl));
-        }
-        Ok(name)
+        builder.finish()
     }
 
     /// True if this is the root name.
     pub fn is_root(&self) -> bool {
-        self.labels.is_empty()
+        self.count == 0
     }
 
     /// Number of labels (root = 0).
     pub fn label_count(&self) -> usize {
-        self.labels.len()
+        usize::from(self.count)
     }
 
     /// Iterate labels from leftmost (host) to rightmost (TLD).
@@ -107,102 +211,85 @@ impl Name {
     /// The iterator is double-ended and exact-size so wire encoding can
     /// walk suffixes right-to-left without materializing parent names.
     pub fn labels(&self) -> impl DoubleEndedIterator<Item = &[u8]> + ExactSizeIterator + '_ {
-        self.labels.iter().map(|l| &**l)
+        Labels {
+            rest: self.as_bytes(),
+            remaining: self.label_count(),
+        }
     }
 
     /// The length of this name in uncompressed wire form, including the
     /// terminating root octet.
     pub fn wire_len(&self) -> usize {
-        1 + self.labels.iter().map(|l| 1 + l.len()).sum::<usize>()
+        // Each label spends one octet more here than on the wire.
+        1 + usize::from(self.len) - usize::from(self.count)
     }
 
     /// The parent name (one label removed from the left), or `None` for
     /// the root.
     pub fn parent(&self) -> Option<Name> {
-        if self.labels.is_empty() {
-            None
-        } else {
-            Some(Name {
-                labels: self.labels[1..].to_vec(),
-            })
-        }
+        let leftmost = self.leftmost()?;
+        Some(Name {
+            buf: self.buf.clone(),
+            len: self.len - (leftmost.len() as u16 + 2),
+            count: self.count - 1,
+        })
     }
 
-    /// Strip `suffix` from this name; returns the remaining left labels.
-    ///
-    /// `www.example.com`.strip_suffix(`example.com`) → `Some([www])`.
-    pub fn strip_suffix(&self, suffix: &Name) -> Option<Vec<&[u8]>> {
-        if suffix.labels.len() > self.labels.len() {
+    /// The ancestor that keeps the rightmost `labels` labels (the name
+    /// itself when that is all of them), or `None` if there are fewer.
+    pub fn ancestor(&self, labels: usize) -> Option<Name> {
+        if labels > self.label_count() {
             return None;
         }
-        let split = self.labels.len() - suffix.labels.len();
-        if self.labels[split..] == suffix.labels[..] {
-            Some(self.labels[..split].iter().map(|l| &**l).collect())
-        } else {
-            None
-        }
+        let bytes = self.as_bytes();
+        let len = (0..labels).fold(0, |at, _| at + usize::from(bytes[at]) + 2);
+        Some(Name {
+            buf: self.buf.clone(),
+            len: len as u16,
+            count: labels as u8,
+        })
     }
 
     /// True if `self` is a subdomain of `other` (proper or equal).
     ///
     /// Every name is a subdomain of the root.
     pub fn is_subdomain_of(&self, other: &Name) -> bool {
-        self.labels
-            .len()
-            .checked_sub(other.labels.len())
-            .is_some_and(|split| self.labels[split..] == other.labels[..])
+        // Both buffers parse into the same labels for as long as they
+        // agree, so a byte prefix always ends on a label boundary.
+        self.as_bytes().starts_with(other.as_bytes())
     }
 
     /// True if `self` is a *proper* subdomain (strictly below `other`).
     pub fn is_proper_subdomain_of(&self, other: &Name) -> bool {
-        self.labels.len() > other.labels.len() && self.is_subdomain_of(other)
+        self.count > other.count && self.is_subdomain_of(other)
     }
 
     /// Prepend a label, producing `label.self`.
     pub fn child(&self, label: &[u8]) -> Result<Name, NameError> {
-        if label.is_empty() {
-            return Err(NameError::EmptyLabel);
-        }
-        if label.len() > MAX_LABEL_LEN {
-            return Err(NameError::LabelTooLong(label.len()));
-        }
-        let mut labels = Vec::with_capacity(self.labels.len() + 1);
-        labels.push(label.to_ascii_lowercase().into_boxed_slice());
-        labels.extend(self.labels.iter().cloned());
-        let n = Name { labels };
-        let wl = n.wire_len();
-        if wl > MAX_NAME_LEN {
-            return Err(NameError::NameTooLong(wl));
-        }
-        Ok(n)
+        let mut builder = NameBuilder::new();
+        builder.push(label)?;
+        builder.push_name(self);
+        builder.finish()
     }
 
     /// Concatenate: `self` + `suffix` (e.g. relative name + origin).
     pub fn concat(&self, suffix: &Name) -> Result<Name, NameError> {
-        let mut labels = self.labels.clone();
-        labels.extend(suffix.labels.iter().cloned());
-        let n = Name { labels };
-        let wl = n.wire_len();
-        if wl > MAX_NAME_LEN {
-            return Err(NameError::NameTooLong(wl));
-        }
-        Ok(n)
+        let mut builder = NameBuilder::new();
+        builder.push_name(self);
+        builder.push_name(suffix);
+        builder.finish()
     }
 
     /// The leftmost label, if any.
     pub fn leftmost(&self) -> Option<&[u8]> {
-        self.labels.first().map(|l| &**l)
+        self.labels().next()
     }
 
     /// Replace the leftmost label with `*` (for wildcard synthesis).
     pub fn to_wildcard(&self) -> Option<Name> {
         // Swapping a label for the one-byte `*` can only shrink the
         // name, so this construction never exceeds the wire limits.
-        self.parent().map(|p| {
-            let mut labels = vec![b"*".to_vec().into_boxed_slice()];
-            labels.extend(p.labels.iter().cloned());
-            Name { labels }
-        })
+        self.parent()?.child(b"*").ok()
     }
 
     /// True if the leftmost label is `*`.
@@ -215,14 +302,13 @@ impl Name {
     /// absent labels sorting first. This ordering groups a zone's names
     /// hierarchically and is what NSEC chains use.
     pub fn canonical_cmp(&self, other: &Name) -> Ordering {
-        let a = &self.labels;
-        let b = &other.labels;
-        let n = a.len().min(b.len());
-        for i in 1..=n {
-            let la = &a[a.len() - i];
-            let lb = &b[b.len() - i];
-            match la.cmp(lb) {
-                Ordering::Equal => continue,
+        // The rightmost label comes first in both buffers, so this is
+        // one forward walk; equal labels keep the two in step.
+        let (mut a, mut b) = (self.as_bytes(), other.as_bytes());
+        while let (Some((&la, ra)), Some((&lb, rb))) = (a.split_first(), b.split_first()) {
+            let (la, lb) = (usize::from(la), usize::from(lb));
+            match ra[..la].cmp(&rb[..lb]) {
+                Ordering::Equal => (a, b) = (&ra[la + 1..], &rb[lb + 1..]),
                 ord => return ord,
             }
         }
@@ -245,17 +331,58 @@ impl Name {
     }
 }
 
-impl PartialEq for Name {
-    fn eq(&self, other: &Self) -> bool {
-        self.labels == other.labels
+/// [`Name::labels`]: query order reads the canonical bytes from the
+/// back, so `next` peels the last label and `next_back` the first.
+struct Labels<'a> {
+    rest: &'a [u8],
+    remaining: usize,
+}
+
+impl<'a> Iterator for Labels<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        let (&len, rest) = self.rest.split_last()?;
+        let (rest, label) = rest.split_at(rest.len() - usize::from(len));
+        self.rest = &rest[..rest.len() - 1];
+        self.remaining -= 1;
+        Some(label)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
     }
 }
 
+impl DoubleEndedIterator for Labels<'_> {
+    fn next_back(&mut self) -> Option<Self::Item> {
+        let (&len, rest) = self.rest.split_first()?;
+        let (label, rest) = rest.split_at(usize::from(len));
+        self.rest = &rest[1..];
+        self.remaining -= 1;
+        Some(label)
+    }
+}
+
+impl ExactSizeIterator for Labels<'_> {}
+
+impl fmt::Debug for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Name({self})")
+    }
+}
+
+impl PartialEq for Name {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for Name {}
+
 impl Hash for Name {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        for l in &self.labels {
-            l.hash(state);
-        }
+        self.as_bytes().hash(state);
     }
 }
 
@@ -274,10 +401,10 @@ impl Ord for Name {
 impl fmt::Display for Name {
     /// Presentation format with trailing dot; the root prints as `"."`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.labels.is_empty() {
+        if self.is_root() {
             return write!(f, ".");
         }
-        for label in &self.labels {
+        for label in self.labels() {
             Name::fmt_label(label, f)?;
             write!(f, ".")?;
         }
@@ -291,60 +418,233 @@ impl FromStr for Name {
     /// Parse presentation format. A trailing dot is optional — all names
     /// are treated as fully qualified. Supports `\ddd` and `\X` escapes.
     fn from_str(s: &str) -> Result<Self, NameError> {
-        if s == "." || s.is_empty() {
-            return Ok(Name::root());
-        }
-        let bytes = s.as_bytes();
-        let mut labels: Vec<Vec<u8>> = Vec::new();
-        let mut cur: Vec<u8> = Vec::new();
-        let mut i = 0;
-        while i < bytes.len() {
-            match bytes[i] {
-                b'\\' => {
-                    // Escape: \ddd (three digits) or \X (literal char).
-                    if i + 3 < bytes.len()
-                        && bytes[i + 1].is_ascii_digit()
-                        && bytes[i + 2].is_ascii_digit()
-                        && bytes[i + 3].is_ascii_digit()
-                    {
-                        let d = (bytes[i + 1] - b'0') as u16 * 100
-                            + (bytes[i + 2] - b'0') as u16 * 10
-                            + (bytes[i + 3] - b'0') as u16;
-                        if d > 255 {
-                            return Err(NameError::BadEscape);
-                        }
-                        cur.push(d as u8);
-                        i += 4;
-                    } else if i + 1 < bytes.len() {
-                        cur.push(bytes[i + 1]);
-                        i += 2;
-                    } else {
+        Name::from_labels(presentation_labels(s)?)
+    }
+}
+
+/// Split presentation format into raw labels, resolving escapes; `"."`
+/// and `""` are the root.
+fn presentation_labels(s: &str) -> Result<Vec<Vec<u8>>, NameError> {
+    let mut labels: Vec<Vec<u8>> = Vec::new();
+    if s == "." {
+        return Ok(labels);
+    }
+    let bytes = s.as_bytes();
+    let mut cur: Vec<u8> = Vec::new();
+    let mut i = 0;
+    while i < bytes.len() {
+        match bytes[i] {
+            b'\\' => {
+                // Escape: \ddd (three digits) or \X (literal char).
+                if i + 3 < bytes.len()
+                    && bytes[i + 1].is_ascii_digit()
+                    && bytes[i + 2].is_ascii_digit()
+                    && bytes[i + 3].is_ascii_digit()
+                {
+                    let d = (bytes[i + 1] - b'0') as u16 * 100
+                        + (bytes[i + 2] - b'0') as u16 * 10
+                        + (bytes[i + 3] - b'0') as u16;
+                    if d > 255 {
                         return Err(NameError::BadEscape);
                     }
+                    cur.push(d as u8);
+                    i += 4;
+                } else if i + 1 < bytes.len() {
+                    cur.push(bytes[i + 1]);
+                    i += 2;
+                } else {
+                    return Err(NameError::BadEscape);
                 }
-                b'.' => {
-                    if cur.is_empty() {
-                        return Err(NameError::EmptyLabel);
+            }
+            b'.' => {
+                if cur.is_empty() {
+                    return Err(NameError::EmptyLabel);
+                }
+                labels.push(std::mem::take(&mut cur));
+                i += 1;
+            }
+            b => {
+                cur.push(b);
+                i += 1;
+            }
+        }
+    }
+    if !cur.is_empty() {
+        labels.push(cur);
+    }
+    Ok(labels)
+}
+
+/// `Name` as it was before the one-buffer layout: a vector of boxed
+/// lowercase labels in query order, every operation spelled out label
+/// by label. Kept as the oracle for the property in the test module
+/// (and for nothing else).
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{presentation_labels, NameError, MAX_LABEL_LEN, MAX_NAME_LEN};
+    use std::cmp::Ordering;
+    use std::fmt;
+
+    #[derive(Debug, Clone, PartialEq, Eq, Hash)]
+    pub struct Name {
+        /// Labels in query order: `www`, `example`, `com`.
+        pub labels: Vec<Box<[u8]>>,
+    }
+
+    impl Name {
+        fn checked(labels: Vec<Box<[u8]>>) -> Result<Self, NameError> {
+            let name = Name { labels };
+            match name.wire_len() {
+                wl if wl > MAX_NAME_LEN => Err(NameError::NameTooLong(wl)),
+                _ => Ok(name),
+            }
+        }
+
+        pub fn from_labels<I, L>(labels: I) -> Result<Self, NameError>
+        where
+            I: IntoIterator<Item = L>,
+            L: AsRef<[u8]>,
+        {
+            let mut out: Vec<Box<[u8]>> = Vec::new();
+            for l in labels {
+                let l = l.as_ref();
+                if l.is_empty() {
+                    return Err(NameError::EmptyLabel);
+                }
+                if l.len() > MAX_LABEL_LEN {
+                    return Err(NameError::LabelTooLong(l.len()));
+                }
+                out.push(l.to_ascii_lowercase().into_boxed_slice());
+            }
+            Name::checked(out)
+        }
+
+        pub fn parse(s: &str) -> Result<Self, NameError> {
+            Name::from_labels(presentation_labels(s)?)
+        }
+
+        /// The decoder `WireReader::get_name` replaced, on the name
+        /// starting at `pos`: the name and where the cursor ends up.
+        pub fn decode(buf: &[u8], mut pos: usize) -> Option<(Self, usize)> {
+            let mut labels: Vec<Vec<u8>> = Vec::new();
+            let mut after = None;
+            let mut hops = 0usize;
+            let mut total_len = 1usize;
+            loop {
+                let len = *buf.get(pos)?;
+                match len & 0xc0 {
+                    0x00 if len == 0 => {
+                        let name = Name::from_labels(labels).ok()?;
+                        return Some((name, after.unwrap_or(pos + 1)));
                     }
-                    labels.push(std::mem::take(&mut cur));
-                    i += 1;
-                }
-                b => {
-                    cur.push(b);
-                    i += 1;
+                    0x00 => {
+                        let l = len as usize;
+                        total_len += 1 + l;
+                        if total_len > MAX_NAME_LEN {
+                            return None;
+                        }
+                        labels.push(buf.get(pos + 1..pos + 1 + l)?.to_vec());
+                        pos += 1 + l;
+                    }
+                    0xc0 => {
+                        let target = (((len & 0x3f) as usize) << 8) | *buf.get(pos + 1)? as usize;
+                        hops += 1;
+                        if target >= pos || hops > 64 {
+                            return None;
+                        }
+                        after.get_or_insert(pos + 2);
+                        pos = target;
+                    }
+                    _ => return None,
                 }
             }
         }
-        if !cur.is_empty() {
-            labels.push(cur);
+
+        pub fn wire_len(&self) -> usize {
+            1 + self.labels.iter().map(|l| 1 + l.len()).sum::<usize>()
         }
-        Name::from_labels(labels)
+
+        pub fn parent(&self) -> Option<Name> {
+            let (_, rest) = self.labels.split_first()?;
+            Some(Name {
+                labels: rest.to_vec(),
+            })
+        }
+
+        pub fn is_subdomain_of(&self, other: &Name) -> bool {
+            self.labels
+                .len()
+                .checked_sub(other.labels.len())
+                .is_some_and(|split| self.labels[split..] == other.labels[..])
+        }
+
+        pub fn is_proper_subdomain_of(&self, other: &Name) -> bool {
+            self.labels.len() > other.labels.len() && self.is_subdomain_of(other)
+        }
+
+        pub fn child(&self, label: &[u8]) -> Result<Name, NameError> {
+            if label.is_empty() {
+                return Err(NameError::EmptyLabel);
+            }
+            if label.len() > MAX_LABEL_LEN {
+                return Err(NameError::LabelTooLong(label.len()));
+            }
+            let mut labels = vec![label.to_ascii_lowercase().into_boxed_slice()];
+            labels.extend(self.labels.iter().cloned());
+            Name::checked(labels)
+        }
+
+        pub fn concat(&self, suffix: &Name) -> Result<Name, NameError> {
+            let mut labels = self.labels.clone();
+            labels.extend(suffix.labels.iter().cloned());
+            Name::checked(labels)
+        }
+
+        pub fn to_wildcard(&self) -> Option<Name> {
+            self.parent().map(|p| {
+                let mut labels = vec![b"*".to_vec().into_boxed_slice()];
+                labels.extend(p.labels.iter().cloned());
+                Name { labels }
+            })
+        }
+
+        pub fn canonical_cmp(&self, other: &Name) -> Ordering {
+            let a = &self.labels;
+            let b = &other.labels;
+            let n = a.len().min(b.len());
+            for i in 1..=n {
+                let la = &a[a.len() - i];
+                let lb = &b[b.len() - i];
+                match la.cmp(lb) {
+                    Ordering::Equal => continue,
+                    ord => return ord,
+                }
+            }
+            a.len().cmp(&b.len())
+        }
+    }
+
+    impl fmt::Display for Name {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            if self.labels.is_empty() {
+                return write!(f, ".");
+            }
+            for label in &self.labels {
+                super::Name::fmt_label(label, f)?;
+                write!(f, ".")?;
+            }
+            Ok(())
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::reference::Name as Old;
     use super::*;
+    use crate::wire::{WireReader, WireWriter};
+    use ldp_rng::check::{check, Gen};
+    use std::collections::hash_map::DefaultHasher;
 
     fn n(s: &str) -> Name {
         s.parse().unwrap()
@@ -395,16 +695,6 @@ mod tests {
     }
 
     #[test]
-    fn strip_suffix() {
-        let full = n("mail.google.com");
-        let left = full.strip_suffix(&n("google.com")).unwrap();
-        assert_eq!(left, vec![b"mail".as_slice()]);
-        let g = n("google.com");
-        assert!(g.strip_suffix(&n("example.com")).is_none());
-        assert_eq!(g.strip_suffix(&n("google.com")).unwrap().len(), 0);
-    }
-
-    #[test]
     fn child_and_concat() {
         assert_eq!(
             n("example.com").child(b"www").unwrap(),
@@ -426,18 +716,22 @@ mod tests {
         assert!(Name::root().to_wildcard().is_none());
     }
 
+    /// The example ordering of RFC 4034 §6.1, in full.
+    const RFC4034_ORDER: [&str; 9] = [
+        "example",
+        "a.example",
+        "yljkjljk.a.example",
+        "Z.a.example",
+        "zABC.a.EXAMPLE",
+        "z.example",
+        r"\001.z.example",
+        "*.z.example",
+        r"\200.z.example",
+    ];
+
     #[test]
     fn canonical_ordering_rfc4034() {
-        // Example ordering from RFC 4034 §6.1 (subset).
-        let ordered = [
-            "example",
-            "a.example",
-            "yljkjljk.a.example",
-            "z.a.example",
-            "zabc.a.example",
-            "z.example",
-        ];
-        for w in ordered.windows(2) {
+        for w in RFC4034_ORDER.windows(2) {
             assert_eq!(
                 n(w[0]).canonical_cmp(&n(w[1])),
                 Ordering::Less,
@@ -510,5 +804,215 @@ mod tests {
     fn wire_len() {
         assert_eq!(n("com").wire_len(), 5); // 1+3 + root
         assert_eq!(n("example.com").wire_len(), 13);
+    }
+
+    /// Octets that matter to some code path: both cases of a letter,
+    /// the presentation-format specials, the wildcard, NUL and 0xFF.
+    const OCTETS: &[u8] = b"aAbzZ09-.*\\\"@ \x00\x01\x7f\xc8\xff";
+
+    fn gen_label(g: &mut Gen) -> Vec<u8> {
+        let len = match g.below(8) {
+            0 => 63,
+            1 => g.size(1..=63),
+            _ => g.size(1..=3),
+        };
+        (0..len)
+            .map(|_| match g.below(8) {
+                0 => g.u8(),
+                _ => *g.pick(OCTETS),
+            })
+            .collect()
+    }
+
+    /// A label list in query order: short names over a small alphabet
+    /// (so they collide and nest), names sharing a suffix from `pool`,
+    /// the root, and names at and just past the 255-octet limit.
+    fn gen_labels(g: &mut Gen, pool: &[Vec<Vec<u8>>]) -> Vec<Vec<u8>> {
+        match g.below(8) {
+            0 => vec![],
+            1 => {
+                // 3 × 63 + 61 fills 255 octets exactly; 62 overflows.
+                let last = *g.pick(&[60, 61, 62]);
+                let mut labels = vec![vec![b'x'; 63]; 3];
+                labels.insert(0, vec![b'Y'; last]);
+                labels
+            }
+            2 => vec![vec![b'k']; *g.pick(&[126, 127, 128])],
+            3 | 4 if !pool.is_empty() => {
+                let mut labels = g.vec(0..=3, gen_label);
+                let suffix = g.pick(pool);
+                labels.extend_from_slice(&suffix[g.size(0..=suffix.len())..]);
+                labels
+            }
+            _ => g.vec(0..=5, gen_label),
+        }
+    }
+
+    /// Both implementations built from the same labels; `None` when
+    /// both refuse them (with the same error).
+    fn build(labels: &[Vec<u8>]) -> Option<(Name, Old)> {
+        let (new, old) = (Name::from_labels(labels), Old::from_labels(labels));
+        assert_eq!(new.as_ref().err(), old.as_ref().err(), "{labels:?}");
+        Some((new.ok()?, old.ok()?))
+    }
+
+    fn hash_of(name: &Name) -> u64 {
+        let mut h = DefaultHasher::new();
+        name.hash(&mut h);
+        h.finish()
+    }
+
+    /// Every observation of one name agrees with the reference.
+    fn assert_same(new: &Name, old: &Old) {
+        let labels: Vec<&[u8]> = old.labels.iter().map(|l| &**l).collect();
+        assert_eq!(new.labels().collect::<Vec<_>>(), labels);
+        let mut reversed = labels.clone();
+        reversed.reverse();
+        assert_eq!(new.labels().rev().collect::<Vec<_>>(), reversed);
+        assert_eq!(new.labels().len(), labels.len());
+        assert_eq!(new.label_count(), labels.len());
+        assert_eq!(new.is_root(), labels.is_empty());
+        assert_eq!(new.wire_len(), old.wire_len());
+        assert_eq!(new.leftmost(), labels.first().copied());
+        assert_eq!(new.is_wildcard(), labels.first() == Some(&&b"*"[..]));
+        assert_eq!(new.to_string(), old.to_string());
+        // A view and a freshly built copy of it are the same name.
+        let fresh = Name::from_labels(&labels).unwrap();
+        assert_eq!(*new, fresh);
+        assert_eq!(hash_of(new), hash_of(&fresh));
+        assert_eq!(new.cmp(&fresh), Ordering::Equal);
+    }
+
+    fn assert_same_result(new: Result<Name, NameError>, old: Result<Old, NameError>) {
+        match (new, old) {
+            (Ok(new), Ok(old)) => assert_same(&new, &old),
+            (new, old) => assert_eq!(new.err(), old.err()),
+        }
+    }
+
+    #[test]
+    fn matches_the_label_vector_reference_on_generated_names() {
+        check(256, |g| {
+            let mut pool: Vec<Vec<Vec<u8>>> = RFC4034_ORDER
+                .iter()
+                .map(|s| presentation_labels(s).unwrap())
+                .collect();
+            let mut names: Vec<(Name, Old)> = Vec::new();
+            for _ in 0..g.size(2..=8) {
+                let labels = gen_labels(g, &pool);
+                if let Some(pair) = build(&labels) {
+                    names.push(pair);
+                    pool.push(labels);
+                }
+            }
+            for (new, old) in &names {
+                assert_same(new, old);
+                // Labels taken from both ends at once meet in the middle.
+                let mut it = new.labels();
+                let (mut front, mut back) = (0, old.labels.len());
+                while front < back {
+                    assert_eq!(it.len(), back - front);
+                    if g.bool() {
+                        assert_eq!(it.next(), Some(&*old.labels[front]));
+                        front += 1;
+                    } else {
+                        back -= 1;
+                        assert_eq!(it.next_back(), Some(&*old.labels[back]));
+                    }
+                }
+                assert_eq!((it.next(), it.next_back()), (None, None));
+                // The parent chain, and each ancestor reached directly.
+                let (mut np, mut op) = (new.clone(), old.clone());
+                loop {
+                    let kept = op.labels.len();
+                    assert_same(&new.ancestor(kept).unwrap(), &op);
+                    assert!(new.is_subdomain_of(&np));
+                    let (n, o) = (np.parent(), op.parent());
+                    assert_eq!(n.is_some(), o.is_some(), "parent of {op}");
+                    let (Some(n), Some(o)) = (n, o) else {
+                        break;
+                    };
+                    assert_same(&n, &o);
+                    (np, op) = (n, o);
+                }
+                assert_eq!(new.ancestor(old.labels.len() + 1), None);
+                match (new.to_wildcard(), old.to_wildcard()) {
+                    (Some(n), Some(o)) => assert_same(&n, &o),
+                    (n, o) => assert_eq!(n.is_none(), o.is_none()),
+                }
+                let label = gen_label(g);
+                assert_same_result(new.child(&label), old.child(&label));
+                // Presentation format round-trips, whatever the case.
+                let text = old.to_string();
+                assert_same(&text.parse().unwrap(), old);
+                assert_same(&text.to_ascii_uppercase().parse().unwrap(), old);
+            }
+            for (a, old_a) in &names {
+                for (b, old_b) in &names {
+                    assert_eq!(a.cmp(b), old_a.canonical_cmp(old_b), "{a} cmp {b}");
+                    assert_eq!(a == b, old_a == old_b, "{a} == {b}");
+                    if a == b {
+                        assert_eq!(hash_of(a), hash_of(b), "{a}");
+                    }
+                    assert_eq!(
+                        a.is_subdomain_of(b),
+                        old_a.is_subdomain_of(old_b),
+                        "{a} under {b}"
+                    );
+                    assert_eq!(
+                        a.is_proper_subdomain_of(b),
+                        old_a.is_proper_subdomain_of(old_b),
+                        "{a} properly under {b}"
+                    );
+                    assert_same_result(a.concat(b), old_a.concat(old_b));
+                }
+            }
+            // Wire form: a compressing and a plain writer, then the raw
+            // mixed-case labels as a sender would put them.
+            let mut compressed = WireWriter::new();
+            let mut plain = WireWriter::new_uncompressed();
+            let mut raw = Vec::new();
+            for (new, _) in &names {
+                compressed.put_name(new);
+                plain.put_name(new);
+            }
+            for labels in &pool[RFC4034_ORDER.len()..] {
+                for label in labels {
+                    raw.push(label.len() as u8);
+                    raw.extend_from_slice(label);
+                }
+                raw.push(0);
+            }
+            assert_eq!(
+                plain.len(),
+                names.iter().map(|(n, _)| n.wire_len()).sum::<usize>()
+            );
+            for buf in [compressed.into_bytes(), plain.into_bytes(), raw] {
+                let mut r = WireReader::new(&buf);
+                for (_, old) in &names {
+                    let (want, after) = Old::decode(&buf, r.position()).unwrap();
+                    assert_eq!(want, *old);
+                    assert_same(&r.get_name().unwrap(), old);
+                    assert_eq!(r.position(), after);
+                }
+                assert_eq!(r.remaining(), 0);
+            }
+        });
+    }
+
+    #[test]
+    fn rfc4034_example_sorts_like_the_reference() {
+        let mut new: Vec<Name> = RFC4034_ORDER.iter().rev().map(|s| n(s)).collect();
+        let mut old: Vec<Old> = RFC4034_ORDER
+            .iter()
+            .rev()
+            .map(|s| Old::parse(s).unwrap())
+            .collect();
+        new.sort();
+        old.sort_by(Old::canonical_cmp);
+        for ((new, old), text) in new.iter().zip(&old).zip(RFC4034_ORDER) {
+            assert_same(new, old);
+            assert_eq!(*new, n(text));
+        }
     }
 }

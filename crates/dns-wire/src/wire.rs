@@ -4,7 +4,7 @@
 //! (with RFC 1035 §4.1.4 compression). [`WireReader`] is a bounds-checked
 //! cursor that follows compression pointers with loop protection.
 
-use crate::name::Name;
+use crate::name::{Name, NameBuilder, MAX_NAME_LEN};
 use crate::scratch::{CompressMap, ROOT_SID};
 
 /// Errors produced while decoding wire data.
@@ -280,12 +280,14 @@ impl<'a> WireReader<'a> {
     ///
     /// The cursor advances past the name's in-place representation; the
     /// targets of compression pointers are visited without moving it.
+    /// The labels are gathered, case-folded, on the stack and the name
+    /// is allocated once, after the terminator: a name that breaks a
+    /// limit is rejected without touching the heap.
     pub fn get_name(&mut self) -> Result<Name, WireError> {
-        let mut labels: Vec<Vec<u8>> = Vec::new();
+        let mut name = NameBuilder::new();
         let mut pos = self.pos;
         let mut jumped = false;
         let mut hops = 0usize;
-        let mut total_len = 1usize; // terminating root octet
         loop {
             let len = *self.buf.get(pos).ok_or(WireError::Truncated)?;
             match len & 0xc0 {
@@ -294,18 +296,17 @@ impl<'a> WireReader<'a> {
                         if !jumped {
                             self.pos = pos + 1;
                         }
-                        return Name::from_labels(labels).map_err(|_| WireError::BadName);
+                        return name.finish().map_err(|_| WireError::BadName);
                     }
                     let l = len as usize;
                     let label = self
                         .buf
                         .get(pos + 1..pos + 1 + l)
                         .ok_or(WireError::Truncated)?;
-                    total_len += 1 + l;
-                    if total_len > crate::name::MAX_NAME_LEN {
+                    name.push(label).map_err(|_| WireError::BadName)?;
+                    if name.wire_len() > MAX_NAME_LEN {
                         return Err(WireError::BadName);
                     }
-                    labels.push(label.to_vec());
                     pos += 1 + l;
                 }
                 0xc0 => {

@@ -94,14 +94,14 @@ pub fn lookup(zone: &Zone, question: &Question) -> Answer {
     // everything below it.
     if let Some((cut, ns)) = zone.find_zone_cut(&question.name) {
         let cut = cut.clone();
-        let mut authorities = ns.to_records();
+        let mut authorities: Vec<Record> = ns.records().collect();
         // DS at the cut proves (un)signed delegation when present.
         if let Some(node) = zone.node(&cut) {
             if let Some(ds) = node.get(RecordType::DS) {
-                authorities.extend(ds.to_records());
+                authorities.extend(ds.records());
             }
             if let Some(sig) = node.get(RecordType::RRSIG) {
-                authorities.extend(sig.to_records());
+                authorities.extend(sig.records());
             }
         }
         let additionals = glue_for(zone, &authorities);
@@ -235,11 +235,11 @@ fn answer_at_node(
             if set.rtype == RecordType::RRSIG {
                 continue; // covered below per-set
             }
-            answers.extend(set.to_records_as(owner));
+            answers.extend(set.records_as(owner));
             any = true;
         }
         if let Some(sigs) = node.get(RecordType::RRSIG) {
-            answers.extend(sigs.to_records_as(owner));
+            answers.extend(sigs.records_as(owner));
         }
         return if any {
             NodeResult::Found
@@ -248,13 +248,13 @@ fn answer_at_node(
         };
     }
     if let Some(set) = node.get(qtype) {
-        answers.extend(set.to_records_as(owner));
+        answers.extend(set.records_as(owner));
         append_covering_rrsig(node, qtype, owner, answers);
         return NodeResult::Found;
     }
     if qtype != RecordType::CNAME {
         if let Some(cname) = node.get(RecordType::CNAME) {
-            answers.extend(cname.to_records_as(owner));
+            answers.extend(cname.records_as(owner));
             append_covering_rrsig(node, RecordType::CNAME, owner, answers);
             if let Some(RData::Cname(target)) = cname.rdatas.first() {
                 return NodeResult::Cname(target.clone());
@@ -272,13 +272,14 @@ fn append_covering_rrsig(
     answers: &mut Vec<Record>,
 ) {
     if let Some(sigs) = node.get(RecordType::RRSIG) {
-        for rec in sigs.to_records_as(owner) {
-            if let RData::Rrsig(ref s) = rec.rdata {
-                if s.type_covered == covered {
-                    answers.push(rec);
-                }
-            }
-        }
+        // Chosen before they are copied: a signature is the one RDATA
+        // whose clone allocates.
+        answers.extend(
+            sigs.rdatas
+                .iter()
+                .filter(|rd| matches!(rd, RData::Rrsig(s) if s.type_covered == covered))
+                .map(|rd| Record::new(owner.clone(), sigs.ttl, rd.clone())),
+        );
     }
 }
 
@@ -298,36 +299,19 @@ fn negative(
             .soa()
             .map(|s| s.minimum.min(soa.ttl))
             .unwrap_or(soa.ttl);
-        for mut rec in soa.to_records() {
-            rec.ttl = neg_ttl;
-            authorities.push(rec);
-        }
+        authorities.extend(soa.records().map(|rec| Record {
+            ttl: neg_ttl,
+            ..rec
+        }));
         if let Some(apex) = zone.node(zone.origin()) {
-            // SOA's covering RRSIG.
-            if let Some(sigs) = apex.get(RecordType::RRSIG) {
-                for rec in sigs.to_records() {
-                    if let RData::Rrsig(ref s) = rec.rdata {
-                        if s.type_covered == RecordType::SOA {
-                            authorities.push(rec);
-                        }
-                    }
-                }
-            }
+            append_covering_rrsig(apex, RecordType::SOA, zone.origin(), &mut authorities);
         }
     }
     // NSEC denial of existence (skipped outright by an unsigned zone).
-    if let Some((_, node)) = zone.covering_nsec(qname) {
+    if let Some((owner, node)) = zone.covering_nsec(qname) {
         if let Some(nsec) = node.get(RecordType::NSEC) {
-            authorities.extend(nsec.to_records());
-            if let Some(sigs) = node.get(RecordType::RRSIG) {
-                for rec in sigs.to_records() {
-                    if let RData::Rrsig(ref s) = rec.rdata {
-                        if s.type_covered == RecordType::NSEC {
-                            authorities.push(rec);
-                        }
-                    }
-                }
-            }
+            authorities.extend(nsec.records());
+            append_covering_rrsig(node, RecordType::NSEC, owner, &mut authorities);
         }
     }
     Answer {
@@ -343,6 +327,8 @@ fn negative(
 /// Glue: A/AAAA records for every NS/MX/SRV target that lives in-zone.
 fn glue_for(zone: &Zone, records: &[Record]) -> Vec<Record> {
     let mut glue = Vec::new();
+    // A target named twice contributes its addresses once.
+    let mut seen: Vec<&Name> = Vec::new();
     for rec in records {
         let target = match &rec.rdata {
             RData::Ns(t) => t,
@@ -350,14 +336,14 @@ fn glue_for(zone: &Zone, records: &[Record]) -> Vec<Record> {
             RData::Srv { target, .. } => target,
             _ => continue,
         };
+        if seen.contains(&target) {
+            continue;
+        }
+        seen.push(target);
         if let Some(node) = zone.node(target) {
             for ty in [RecordType::A, RecordType::AAAA] {
                 if let Some(set) = node.get(ty) {
-                    for g in set.to_records() {
-                        if !glue.contains(&g) {
-                            glue.push(g);
-                        }
-                    }
+                    glue.extend(set.records());
                 }
             }
         }
@@ -721,6 +707,34 @@ mod tests {
             )
         }
 
+        /// Glue deduplicated record against record, every target
+        /// visited as often as it is named.
+        fn glue_for(zone: &Zone, records: &[Record]) -> Vec<Record> {
+            let mut glue = Vec::new();
+            for rec in records {
+                let target = match &rec.rdata {
+                    RData::Ns(t) => t,
+                    RData::Mx { exchange, .. } => exchange,
+                    RData::Srv { target, .. } => target,
+                    _ => continue,
+                };
+                let Some(node) = zone.node(target) else {
+                    continue;
+                };
+                for set in [RecordType::A, RecordType::AAAA]
+                    .into_iter()
+                    .filter_map(|ty| node.get(ty))
+                {
+                    for g in set.to_records() {
+                        if !glue.contains(&g) {
+                            glue.push(g);
+                        }
+                    }
+                }
+            }
+            glue
+        }
+
         fn answer_at_name(
             zone: &Zone,
             name: &Name,
@@ -863,13 +877,20 @@ mod tests {
                     };
                     add(owner, RData::Cname(target));
                 }
-                3 => add(
-                    owner,
-                    RData::Mx {
-                        preference: 10,
-                        exchange: g.pick(&owners).clone(),
-                    },
-                ),
+                // One exchange, named by one MX or by two.
+                3 => {
+                    let exchange = g.pick(&owners).clone();
+                    for preference in [10, 20].into_iter().take(g.size(1..=2)) {
+                        let exchange = exchange.clone();
+                        add(
+                            owner,
+                            RData::Mx {
+                                preference,
+                                exchange,
+                            },
+                        );
+                    }
+                }
                 _ => add(owner, RData::A("10.0.0.1".parse().unwrap())),
             }
         }
@@ -962,17 +983,26 @@ mod tests {
                     RecordType::NSEC,
                     RecordType::ANY,
                 ]);
-                let question = Question::new(name, qtype);
-                let got = lookup(&zone, &question);
-                let want = reference::lookup(&zone, &question);
-                assert_eq!(got.kind, want.kind, "{question}");
-                assert_eq!(got.rcode, want.rcode, "{question}");
-                assert_eq!(got.authoritative, want.authoritative, "{question}");
-                assert_eq!(got.answers, want.answers, "{question}");
-                assert_eq!(got.authorities, want.authorities, "{question}");
-                assert_eq!(got.additionals, want.additionals, "{question}");
+                same_answer(&zone, &Question::new(name, qtype));
+            }
+            // Every RRset that names glue targets, asked for outright.
+            for name in zone.names() {
+                for qtype in [RecordType::NS, RecordType::MX] {
+                    same_answer(&zone, &Question::new(name.clone(), qtype));
+                }
             }
         });
+    }
+
+    fn same_answer(zone: &Zone, question: &Question) {
+        let got = lookup(zone, question);
+        let want = reference::lookup(zone, question);
+        assert_eq!(got.kind, want.kind, "{question}");
+        assert_eq!(got.rcode, want.rcode, "{question}");
+        assert_eq!(got.authoritative, want.authoritative, "{question}");
+        assert_eq!(got.answers, want.answers, "{question}");
+        assert_eq!(got.authorities, want.authorities, "{question}");
+        assert_eq!(got.additionals, want.additionals, "{question}");
     }
 
     #[test]

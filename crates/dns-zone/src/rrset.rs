@@ -61,26 +61,33 @@ impl RRset {
         self.rdatas.is_empty()
     }
 
-    /// Materialize the RRset as wire records.
-    pub fn to_records(&self) -> Vec<Record> {
+    /// The members as wire records, built one at a time.
+    pub fn records(&self) -> impl ExactSizeIterator<Item = Record> + '_ {
+        self.records_as(&self.name)
+    }
+
+    /// The members under a different owner name (wildcard synthesis).
+    pub fn records_as<'a>(&'a self, owner: &'a Name) -> impl ExactSizeIterator<Item = Record> + 'a {
         self.rdatas
             .iter()
-            .map(|rd| Record::new(self.name.clone(), self.ttl, rd.clone()))
-            .collect()
+            .map(move |rd| Record::new(owner.clone(), self.ttl, rd.clone()))
+    }
+
+    /// Materialize the RRset as wire records.
+    pub fn to_records(&self) -> Vec<Record> {
+        self.records().collect()
     }
 
     /// Materialize with a different owner name (wildcard synthesis).
     pub fn to_records_as(&self, owner: &Name) -> Vec<Record> {
-        self.rdatas
-            .iter()
-            .map(|rd| Record::new(owner.clone(), self.ttl, rd.clone()))
-            .collect()
+        self.records_as(owner).collect()
     }
 
     /// The total wire size of all members, uncompressed (used by the
     /// bandwidth accounting in the DNSSEC experiment).
     pub fn wire_len(&self) -> usize {
-        self.to_records().iter().map(|r| r.wire_len()).sum()
+        let fixed = self.name.wire_len() + 10;
+        self.rdatas.iter().map(|rd| fixed + rd.wire_len()).sum()
     }
 }
 

@@ -192,25 +192,12 @@ impl Zone {
         if !qname.is_subdomain_of(&self.origin) {
             return None;
         }
-        // `qname`'s proper ancestors strictly below the apex, nearest
-        // first: built once, one `parent()` per level.
-        let depth = qname.label_count() - self.origin.label_count();
-        if depth == 0 {
-            return None;
-        }
-        let mut ancestors: Vec<Name> = Vec::with_capacity(depth - 1);
-        for _ in 1..depth {
-            ancestors.push(ancestors.last().unwrap_or(qname).parent()?);
-        }
-        // Probed from the apex down: the highest cut shadows the rest.
-        ancestors
-            .iter()
-            .rev()
-            .chain(std::iter::once(qname))
-            .find_map(|name| {
-                let (name, node) = self.nodes.get_key_value(name)?;
-                Some((name, node.get(RecordType::NS)?))
-            })
+        // Probed from just below the apex down to `qname`: the highest
+        // cut shadows the rest. Each ancestor is a view of `qname`.
+        (self.origin.label_count() + 1..=qname.label_count()).find_map(|labels| {
+            let (name, node) = self.nodes.get_key_value(&qname.ancestor(labels)?)?;
+            Some((name, node.get(RecordType::NS)?))
+        })
     }
 
     /// Find the closest encloser: the longest existing ancestor name of
