@@ -100,13 +100,10 @@ impl NameBuilder {
         }
     }
 
-    /// Wire length of the labels pushed so far, root octet included.
-    pub(crate) fn wire_len(&self) -> usize {
-        self.wire_len
-    }
-
-    /// Add the next label to the right, lowercased. Once the name is
-    /// over 255 octets only the length is tracked; `finish` reports it.
+    /// Add the next label to the right, lowercased. A label that takes
+    /// the name over 255 octets is `NameTooLong` with the length so far;
+    /// the builder keeps counting, so a caller that goes on pushing
+    /// gets the total from `finish`.
     pub(crate) fn push(&mut self, label: &[u8]) -> Result<(), NameError> {
         if label.is_empty() {
             return Err(NameError::EmptyLabel);
@@ -114,14 +111,17 @@ impl NameBuilder {
         if label.len() > MAX_LABEL_LEN {
             return Err(NameError::LabelTooLong(label.len()));
         }
-        if let Some(slot) = self.reserve(label.len() + 2, 1) {
-            slot[0] = label.len() as u8;
-            slot[label.len() + 1] = label.len() as u8;
-            for (dst, src) in slot[1..].iter_mut().zip(label) {
-                *dst = src.to_ascii_lowercase();
+        match self.reserve(label.len() + 2, 1) {
+            Some(slot) => {
+                slot[0] = label.len() as u8;
+                slot[label.len() + 1] = label.len() as u8;
+                for (dst, src) in slot[1..].iter_mut().zip(label) {
+                    *dst = src.to_ascii_lowercase();
+                }
+                Ok(())
             }
+            None => Err(NameError::NameTooLong(self.wire_len)),
         }
-        Ok(())
     }
 
     /// Add all of `name`'s labels to the right.
@@ -191,7 +191,12 @@ impl Name {
     {
         let mut builder = NameBuilder::new();
         for l in labels {
-            builder.push(l.as_ref())?;
+            // A bad label further on outranks the length, which
+            // `finish` reports in full.
+            match builder.push(l.as_ref()) {
+                Err(NameError::NameTooLong(_)) => {}
+                pushed => pushed?,
+            }
         }
         builder.finish()
     }
@@ -831,10 +836,15 @@ mod tests {
         match g.below(8) {
             0 => vec![],
             1 => {
-                // 3 × 63 + 61 fills 255 octets exactly; 62 overflows.
+                // 3 × 63 + 61 fills 255 octets exactly; 62 overflows, and
+                // what follows an overflow still counts: more length, or
+                // a bad label, which outranks it.
                 let last = *g.pick(&[60, 61, 62]);
                 let mut labels = vec![vec![b'x'; 63]; 3];
                 labels.insert(0, vec![b'Y'; last]);
+                if last == 62 {
+                    labels.extend(g.vec(0..=2, |g| vec![b'z'; *g.pick(&[0, 1, 64])]));
+                }
                 labels
             }
             2 => vec![vec![b'k']; *g.pick(&[126, 127, 128])],

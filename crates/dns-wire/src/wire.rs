@@ -4,7 +4,7 @@
 //! (with RFC 1035 §4.1.4 compression). [`WireReader`] is a bounds-checked
 //! cursor that follows compression pointers with loop protection.
 
-use crate::name::{Name, NameBuilder, MAX_NAME_LEN};
+use crate::name::{Name, NameBuilder};
 use crate::scratch::{CompressMap, ROOT_SID};
 
 /// Errors produced while decoding wire data.
@@ -304,9 +304,6 @@ impl<'a> WireReader<'a> {
                         .get(pos + 1..pos + 1 + l)
                         .ok_or(WireError::Truncated)?;
                     name.push(label).map_err(|_| WireError::BadName)?;
-                    if name.wire_len() > MAX_NAME_LEN {
-                        return Err(WireError::BadName);
-                    }
                     pos += 1 + l;
                 }
                 0xc0 => {

@@ -88,13 +88,10 @@ for key in encode_msgs_per_sec decode_msgs_per_sec name_cmp_per_sec name_decode_
     eval "$key=\${v:-0}"
     note "$key: ${v:-missing}"
 done
-# The scratch-reuse encoder must not fall behind decode (the encoder it
-# replaced ran 3.4x slower than decode), and a warm cache hit must stay
-# at least as fast as the full miss path. Decode of a query is two
-# allocations since the one-buffer `Name` and reads within 15-25 % of
-# encode, so the check is a ratio with room for a busy neighbour.
-[ $(( encode_msgs_per_sec * 2 )) -ge "$decode_msgs_per_sec" ] ||
-    { note "FAILED: encode at less than half of decode"; fail=1; }
+# The scratch-reuse encoder must stay at least as fast as decode, and
+# a warm cache hit at least as fast as the full miss path.
+[ "$encode_msgs_per_sec" -ge "$decode_msgs_per_sec" ] ||
+    { note "FAILED: encode slower than decode"; fail=1; }
 [ "$cache_hit_per_sec" -ge "$cache_miss_per_sec" ] ||
     { note "FAILED: cache hit slower than cache miss"; fail=1; }
 
