@@ -30,7 +30,7 @@ use ldp_guard::{Checkpoint, RetransmitConfig};
 use ldp_replay::sim_replay::{CheckpointStamp, LatencyLog, LatencyRecord, SimReplayClient};
 use ldp_telemetry as tel;
 use ldp_trace::TraceEntry;
-use netsim::{SimDuration, SimTime};
+use netsim::{SimDriver, SimDuration, SimTime};
 
 use crate::plan::{FaultEvent, FaultPlan};
 use crate::scenario;
@@ -233,11 +233,14 @@ struct Leg<'a> {
 /// must match, or host ids — and with them the deterministic event
 /// order — would drift.
 fn run_leg(cfg: &RecoveryConfig, leg: Leg<'_>) -> StormOutcome {
+    run_leg_on(cfg, leg, &mut scenario::simulator(cfg.rtt, cfg.seed))
+}
+
+fn run_leg_on<S: SimDriver>(cfg: &RecoveryConfig, leg: Leg<'_>, sim: &mut S) -> StormOutcome {
     tel::set_enabled(true);
     let _ = tel::drain_local(); // clear residue from earlier runs
     let trace = mk_trace(cfg);
     let server: SocketAddr = SERVER_ADDR.parse().expect("valid addr");
-    let mut sim = scenario::simulator(cfg.rtt, cfg.seed);
     // An apex SOA plus a wildcard A, so every `q{i}.example` query has
     // a real answer.
     let zone = scenario::soa_zone(
@@ -253,7 +256,7 @@ fn run_leg(cfg: &RecoveryConfig, leg: Leg<'_>) -> StormOutcome {
             RData::A("192.0.2.53".parse().expect("valid ip")),
         )],
     );
-    scenario::server_farm(&mut sim, zone, &[server.ip()]);
+    scenario::server_farm(sim, zone, &[server.ip()]);
 
     let log: LatencyLog = Arc::new(Mutex::new(Vec::new()));
     // The lineage's last committed checkpoint: a resumed run stands on
@@ -290,12 +293,10 @@ fn run_leg(cfg: &RecoveryConfig, leg: Leg<'_>) -> StormOutcome {
     let srcs = client.source_addrs();
     let client_id = sim.add_host(&srcs, Box::new(client));
     match leg.resume_from {
-        None => SimReplayClient::schedule(&mut sim, client_id, &trace, SimTime::ZERO),
-        Some(cp) => {
-            SimReplayClient::schedule_resume(&mut sim, client_id, &trace, SimTime::ZERO, cp)
-        }
+        None => SimReplayClient::schedule(sim, client_id, &trace, SimTime::ZERO),
+        Some(cp) => SimReplayClient::schedule_resume(sim, client_id, &trace, SimTime::ZERO, cp),
     }
-    scenario::install_plan(&mut sim, &leg.plan);
+    scenario::install_plan(sim, &leg.plan);
     sim.run_until(leg.run_until);
     let cp = cp_out.lock().unwrap_or_else(|e| e.into_inner()).clone();
     let stamps = stamps.lock().unwrap_or_else(|e| e.into_inner()).clone();
@@ -306,6 +307,23 @@ fn run_leg(cfg: &RecoveryConfig, leg: Leg<'_>) -> StormOutcome {
 }
 
 /// A calm-weather leg: no faults, no retransmission.
+fn calm<'a>(
+    cfg: &RecoveryConfig,
+    label: &'a str,
+    checkpoints: Option<CheckpointMech>,
+    run_until: SimTime,
+    resume_from: Option<&'a Checkpoint>,
+) -> Leg<'a> {
+    Leg {
+        label,
+        checkpoints,
+        plan: FaultPlan::new(cfg.seed),
+        retransmit: None,
+        run_until,
+        resume_from,
+    }
+}
+
 fn run_calm(
     cfg: &RecoveryConfig,
     label: &str,
@@ -313,15 +331,7 @@ fn run_calm(
     run_until: SimTime,
     resume_from: Option<&Checkpoint>,
 ) -> RecoveryOutcome {
-    let leg = Leg {
-        label,
-        checkpoints,
-        plan: FaultPlan::new(cfg.seed),
-        retransmit: None,
-        run_until,
-        resume_from,
-    };
-    run_leg(cfg, leg).outcome
+    run_leg(cfg, calm(cfg, label, checkpoints, run_until, resume_from)).outcome
 }
 
 /// The baseline: a checkpointed replay left alone to completion.
@@ -346,6 +356,25 @@ pub fn run_killed(cfg: &RecoveryConfig) -> RecoveryOutcome {
 /// against the baseline.
 pub fn run_resumed(cfg: &RecoveryConfig, cp: &Checkpoint) -> RecoveryOutcome {
     run_calm(cfg, "resumed", None, cfg.horizon(), Some(cp))
+}
+
+/// [`run_killed`] then [`run_resumed`] from its last checkpoint, each
+/// on a [`ldp_shard::ShardedSimulator`] with `shards` round-robin
+/// worker shards: the resumed transcript, byte-identical to the plain
+/// pair's. (Telemetry is per-thread, so `q_events` only holds what the
+/// calling thread's shard saw.) `None` when the kill came before the
+/// first checkpoint.
+pub fn run_killed_and_resumed_sharded(
+    cfg: &RecoveryConfig,
+    shards: u32,
+) -> Option<RecoveryOutcome> {
+    let mech = CheckpointMech::Quiescent(cfg.checkpoint_every);
+    let mut sim = scenario::sharded_simulator(cfg.rtt, cfg.seed, shards);
+    let leg = calm(cfg, "killed", Some(mech), cfg.kill_at, None);
+    let cp = run_leg_on(cfg, leg, &mut sim).outcome.checkpoint?;
+    let mut sim = scenario::sharded_simulator(cfg.rtt, cfg.seed, shards);
+    let leg = calm(cfg, "resumed", None, cfg.horizon(), Some(&cp));
+    Some(run_leg_on(cfg, leg, &mut sim).outcome)
 }
 
 /// The querier-crash run: a [`FaultEvent::QuerierCrash`] power-cycles

@@ -10,6 +10,7 @@
 
 use ldp_chaos::delayed::{self, DelayedConfig, PolicyKind};
 use ldp_chaos::outage::{run, run_sharded, OutageConfig, Phase, RetryPolicy};
+use ldp_chaos::recovery::{self, RecoveryConfig};
 use netsim::{SimDuration, SimTime};
 
 /// {1, 2, 8} shards, each against the single-shard run: full-transcript
@@ -89,4 +90,23 @@ fn delayed_matrix_1_2_8() {
     // mean anything: some upstream queries died at a crashed server.
     let out = delayed::run(&faulty);
     assert!(out.snapshot.stats.upstream_queries > out.upstream_rx);
+}
+
+/// The recovery study's calm kill → resume pair under sharding: the
+/// replay client is scheduled and re-armed through the driver trait, so
+/// a killed run and its resumed continuation on two shards replay the
+/// transcript of the plain pair — and of the uninterrupted run.
+#[test]
+fn recovery_kill_resume_matches_under_sharding() {
+    let cfg = RecoveryConfig::smoke(23);
+    let cp = recovery::run_killed(&cfg).checkpoint.expect("a cut");
+    let plain = recovery::run_resumed(&cfg, &cp);
+    assert_eq!(plain.records.len(), cfg.queries);
+    let sharded = recovery::run_killed_and_resumed_sharded(&cfg, 2).expect("a cut");
+    assert_eq!(sharded.transcript, plain.transcript);
+    let body = |t: &str| t.lines().skip(2).map(str::to_owned).collect::<Vec<_>>();
+    assert_eq!(
+        body(&sharded.transcript),
+        body(&recovery::run_uninterrupted(&cfg).transcript)
+    );
 }

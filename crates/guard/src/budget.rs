@@ -1,7 +1,7 @@
 //! Bounded retries with capped decorrelated-jitter backoff.
 //!
-//! Every retry loop in the replay stack (querier reconnects,
-//! supervisor restarts, resolver failover escalation) shares this one
+//! Every retry loop in the replay stack (querier reconnects, UDP
+//! retransmits, resolver failover escalation) shares this one
 //! type, so "how many times and how fast do we hammer a struggling
 //! peer" is a single auditable policy rather than per-call-site
 //! constants. An exhausted budget is a *terminal* answer — callers

@@ -1,7 +1,27 @@
 //! One struct for every overload-and-recovery knob.
 
 use crate::admission::AdmissionConfig;
-use crate::supervisor::SupervisorConfig;
+
+/// Querier-slot supervision in the socket engine: a distributor marks
+/// a querier whose channel closed dead and fails its work over to the
+/// surviving siblings.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SupervisorConfig {
+    /// `0` turns the retained-window re-dispatch off: a dead querier's
+    /// unsent jobs are lost and only new ones fail over.
+    pub max_restarts: u32,
+    /// Seed for the per-querier reconnect jitter streams.
+    pub seed: u64,
+}
+
+impl Default for SupervisorConfig {
+    fn default() -> Self {
+        SupervisorConfig {
+            max_restarts: 3,
+            seed: 0x6a2d_5eed,
+        }
+    }
+}
 
 /// Server-side overload response: token-bucket response rate limiting
 /// with a TC-fallback slip, consulted per view. These knobs build the
@@ -102,7 +122,7 @@ pub struct GuardConfig {
     /// queries (at the next quiescent cut). `0` disables
     /// checkpointing.
     pub checkpoint_every: u64,
-    /// Querier-slot supervision (heartbeats, restart budgets).
+    /// Querier-slot supervision (failover re-dispatch, jitter seed).
     pub supervisor: SupervisorConfig,
     /// Dispatch-side admission control (in-flight window, shedding).
     pub admission: AdmissionConfig,

@@ -24,9 +24,6 @@
 //! - [`admission`]: [`AdmissionController`] — a bounded in-flight
 //!   window with deadline-aware shedding that records dropped seqs
 //!   instead of stalling the replay clock.
-//! - [`supervisor`]: [`Supervisor`] — heartbeat-monitored querier
-//!   slots with bounded restart budgets and re-dispatch of a dead
-//!   querier's unacknowledged trace span.
 //! - [`config`]: [`GuardConfig`] — every knob in one place.
 //!
 //! Everything here is pure logic over explicit `now` parameters — no
@@ -41,11 +38,11 @@ pub mod budget;
 pub mod checkpoint;
 pub mod config;
 pub mod inflight;
-pub mod supervisor;
 
 pub use admission::{Admission, AdmissionConfig, AdmissionController};
 pub use budget::{BudgetSnapshot, RetryBudget};
 pub use checkpoint::{Checkpoint, CheckpointParseError};
-pub use config::{GuardConfig, OverloadConfig, ReconnectConfig, RetransmitConfig};
+pub use config::{
+    GuardConfig, OverloadConfig, ReconnectConfig, RetransmitConfig, SupervisorConfig,
+};
 pub use inflight::{InflightEntry, InflightStatus};
-pub use supervisor::{Supervisor, SupervisorAction, SupervisorConfig};

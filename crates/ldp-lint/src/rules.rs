@@ -116,7 +116,7 @@ pub const CATALOG: &[RuleInfo] = &[
         summary: "no unwrap/expect/panic!/unreachable!/todo!/unimplemented! in hot \
                   paths (crates/dns-wire/src, crates/proxy/src, crates/guard/src, \
                   dns-server/src/engine.rs, dns-server/src/template.rs, \
-                  replay/src/retransmit.rs)",
+                  replay/src/core.rs)",
         rationale: "A malformed packet must never panic the server: decode and dispatch \
                     paths return typed errors so a fuzzer (or the internet) cannot take \
                     the process down.",
@@ -181,7 +181,9 @@ pub struct FileScope {
     /// cache's iteration order decides evictions and fan-out order),
     /// `crates/shard/src/**` (the sharded coordinator is simulator
     /// infrastructure), `crates/rng/src/**` (every seeded draw in a
-    /// simulation comes from it), `sim_*.rs` anywhere.
+    /// simulation comes from it), `crates/replay/src/core.rs` (its
+    /// iteration order is the order of a checkpoint's `inflight`
+    /// lines), `sim_*.rs` anywhere.
     pub sim_path: bool,
     /// Panic-safety hot path (P1 applies): `crates/dns-wire/src/**`,
     /// `crates/proxy/src/**`, `crates/cache/src/**` (every resolver
@@ -191,8 +193,8 @@ pub struct FileScope {
     /// `crates/guard/src/**` (checkpoint parse/serialize runs on the
     /// replay host's dispatch thread — a malformed document must
     /// return an error, never panic mid-replay), and
-    /// `crates/replay/src/retransmit.rs` (called on every UDP
-    /// dispatch).
+    /// `crates/replay/src/core.rs` (called on every dispatch and
+    /// every answer).
     pub hot_path: bool,
     /// Channel/retry-discipline crate (A1 and R1 apply): dns-server,
     /// replay, proxy — the crates that dial, redial and resend — plus
@@ -223,11 +225,13 @@ pub fn classify(path: &str) -> FileScope {
         || in_dir("crates/bench")
         || p.contains("crates/bench/");
     let shard_path = p.contains("crates/shard/src/");
+    let is_replay_core = p.ends_with("crates/replay/src/core.rs");
     let sim_path = p.contains("crates/netsim/src/")
         || p.contains("crates/chaos/src/")
         || p.contains("crates/cache/src/")
         || p.contains("crates/rng/src/")
         || shard_path
+        || is_replay_core
         || file.starts_with("sim_");
     let hot_path = p.contains("crates/dns-wire/src/")
         || p.contains("crates/proxy/src/")
@@ -238,8 +242,7 @@ pub fn classify(path: &str) -> FileScope {
         || p == "crates/dns-server/src/engine.rs"
         || p.ends_with("crates/dns-server/src/template.rs")
         || p == "crates/dns-server/src/template.rs"
-        || p.ends_with("crates/replay/src/retransmit.rs")
-        || p == "crates/replay/src/retransmit.rs";
+        || is_replay_core;
     let channel_scope = p.contains("crates/dns-server/")
         || p.contains("crates/replay/")
         || p.contains("crates/proxy/")
@@ -1552,24 +1555,29 @@ mod tests {
                 let _ = (tx, rx);
             }
         "#;
-        assert!(errors("crates/guard/src/supervisor.rs", unbounded)
+        assert!(errors("crates/guard/src/config.rs", unbounded)
             .iter()
             .any(|d| d.rule == "A1"));
     }
 
     #[test]
-    fn replay_retransmit_is_hot_path_scope() {
-        // Called on every UDP dispatch: P1 applies, on top of the
-        // replay crate's existing A1/R1 channel scope.
+    fn replay_core_is_hot_path_and_sim_scope() {
+        // Called on every dispatch and every answer: P1 applies, on
+        // top of the replay crate's existing A1/R1 channel scope; and
+        // its iteration order reaches checkpoints, so D2 does too.
         let panicky = "pub fn f(x: Option<u32>) -> u32 { x.expect(\"boom\") }";
-        assert!(errors("crates/replay/src/retransmit.rs", panicky)
+        assert!(errors("crates/replay/src/core.rs", panicky)
             .iter()
             .any(|d| d.rule == "P1"));
-        let scope = classify("crates/replay/src/retransmit.rs");
-        assert!(scope.hot_path && scope.channel_scope);
+        let hashed = "use std::collections::HashMap; pub fn f(m: &HashMap<u64, u64>) -> u64 { m.values().sum() }";
+        assert!(errors("crates/replay/src/core.rs", hashed)
+            .iter()
+            .any(|d| d.rule == "D2"));
+        let scope = classify("crates/replay/src/core.rs");
+        assert!(scope.hot_path && scope.channel_scope && scope.sim_path);
         // The rest of the replay crate keeps its previous scoping.
         let engine = classify("crates/replay/src/engine.rs");
-        assert!(!engine.hot_path && engine.channel_scope);
+        assert!(!engine.hot_path && !engine.sim_path && engine.channel_scope);
     }
 
     // ---- rule catalog ----

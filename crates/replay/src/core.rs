@@ -1,0 +1,1142 @@
+//! The replay core: what a replay *is*, whichever wire it sits on.
+//!
+//! The paper's querier is one algorithm — schedule at the trace
+//! deadline, send, match, account, recover (§2.6, §3). This module owns
+//! its state: the schedule ([`TimingTracker`]), one table of live
+//! queries, one done-set with its monotone cursor, the running sums the
+//! live queries contribute to the run counters, the checkpoint epoch,
+//! and the one [`ReplayCore::cut`] that writes a checkpoint. The
+//! drivers — [`crate::sim_replay`] on the simulator, [`crate::engine`]
+//! on sockets and threads — own the wire: sockets, connections, timer
+//! tokens, pending tables keyed by what a reply carries. A driver tells
+//! the core what happened and acts on the verdicts and delays it
+//! returns.
+//!
+//! Like `ldp-guard`, everything here is pure logic over explicit `now`
+//! arguments: no clock, no simulator, no socket, no thread.
+//!
+//! A live query's entry exists from its first offer to its completion
+//! and is the single source of its status. An entry whose query nothing
+//! in this run will move again (given up, displaced from its pending
+//! slot, lost to a crash) stays in the table — a cut still carries it,
+//! so a resumed run re-executes it — but no longer counts against
+//! [`ReplayCore::quiescent`].
+
+use std::collections::{BTreeMap, BTreeSet};
+
+use ldp_guard::{Checkpoint, InflightEntry, InflightStatus, RetransmitConfig, RetryBudget};
+
+use crate::timing::TimingTracker;
+
+/// One query between its first offer and its completion. The table
+/// allocates a node per handful of entries, so the entry holds what
+/// every query has; what only a recovering one has is boxed.
+#[derive(Debug)]
+struct Live {
+    status: InflightStatus,
+    /// The driver holds a timer or a pending slot for this query.
+    waiting: bool,
+    /// Sends so far.
+    sends: u32,
+    /// When the current lifecycle's first send left (ns); a crash
+    /// starts a new lifecycle.
+    first_sent_ns: u64,
+    recovery: Option<Box<Recovery>>,
+}
+
+/// What a query that was re-sent, orphaned, or armed for retransmit
+/// carries on top.
+#[derive(Debug, Default)]
+struct Recovery {
+    /// How many of the sends were retries or retransmits.
+    retx: u32,
+    /// Reconnect attempts spent by the connection-death retry chain.
+    reconnects: u32,
+    /// The UDP retransmit chain, once armed.
+    budget: Option<RetryBudget>,
+}
+
+impl Live {
+    fn new(status: InflightStatus) -> Self {
+        Live {
+            status,
+            waiting: false,
+            sends: 0,
+            first_sent_ns: 0,
+            recovery: None,
+        }
+    }
+
+    fn recovery(&mut self) -> &mut Recovery {
+        self.recovery.get_or_insert_with(Box::default)
+    }
+
+    fn retx(&self) -> u32 {
+        self.recovery.as_ref().map_or(0, |r| r.retx)
+    }
+
+    /// Nothing in this run will move the query again: its retry chain
+    /// is over and the driver holds nothing for it.
+    fn abandon(&mut self, waiting: &mut usize) {
+        self.status = InflightStatus::InFlight;
+        if let Some(r) = &mut self.recovery {
+            r.reconnects = 0;
+        }
+        self.set_waiting(false, waiting);
+    }
+
+    fn set_waiting(&mut self, on: bool, waiting: &mut usize) {
+        *waiting = *waiting + usize::from(on) - usize::from(self.waiting);
+        self.waiting = on;
+    }
+}
+
+/// The retransmit-budget seed of one query: the run-level seed mixed
+/// with the seq, so per-query jitter streams are decorrelated but a
+/// resumed run that re-executes the query re-draws the identical chain.
+fn derive_seed(seed: u64, seq: u64) -> u64 {
+    seed ^ seq.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+}
+
+/// Transport-agnostic replay state: schedule, live queries, done-set,
+/// counters' live share, epoch and checkpoint writer.
+#[derive(Debug)]
+pub struct ReplayCore {
+    tracker: TimingTracker,
+    /// Offered-or-sent, uncompleted queries by seq. Iteration order is
+    /// the order of a checkpoint's `inflight` lines.
+    live: BTreeMap<u64, Live>,
+    /// Live entries with `waiting` set.
+    waiting: usize,
+    /// What the live entries contribute to the run's `sent` and
+    /// `retries` counters — the part a cut carries instead of commits.
+    live_sends: u64,
+    live_retx: u64,
+    /// The first seq not completed: everything below it is done — by
+    /// this run, or by the one it resumed from.
+    cursor: u64,
+    /// Seqs completed ahead of the cursor.
+    done: BTreeSet<u64>,
+    /// Completions since [`ReplayCore::cut_due`] last said yes.
+    since_cut: u64,
+    epoch: u32,
+}
+
+impl ReplayCore {
+    /// A fresh run on `tracker`'s schedule.
+    pub fn new(tracker: TimingTracker) -> Self {
+        ReplayCore {
+            tracker,
+            live: BTreeMap::new(),
+            waiting: 0,
+            live_sends: 0,
+            live_retx: 0,
+            cursor: 0,
+            done: BTreeSet::new(),
+            since_cut: 0,
+            epoch: 0,
+        }
+    }
+
+    /// Continue a checkpoint's lineage: its `epoch`, with every seq
+    /// below `cursor` and every seq in `done` already completed.
+    pub fn resume(
+        tracker: TimingTracker,
+        epoch: u32,
+        cursor: u64,
+        done: impl IntoIterator<Item = u64>,
+    ) -> Self {
+        let mut core = ReplayCore::new(tracker);
+        core.epoch = epoch;
+        core.cursor = cursor;
+        for seq in done {
+            core.mark_done(seq);
+        }
+        core
+    }
+
+    /// Record `seq` as completed, keeping the cursor on the first seq
+    /// that is not.
+    fn mark_done(&mut self, seq: u64) {
+        if seq > self.cursor {
+            self.done.insert(seq);
+        } else if seq == self.cursor {
+            self.cursor += 1;
+            while self.done.remove(&self.cursor) {
+                self.cursor += 1;
+            }
+        }
+    }
+
+    /// The schedule: the one place a trace timestamp becomes a deadline.
+    pub fn tracker(&self) -> &TimingTracker {
+        &self.tracker
+    }
+
+    /// Whether `seq` has been answered (in this run or the one resumed
+    /// from).
+    pub fn is_done(&self, seq: u64) -> bool {
+        seq < self.cursor || self.done.contains(&seq)
+    }
+
+    /// Where `seq` stands, if it is live.
+    pub fn status(&self, seq: u64) -> Option<InflightStatus> {
+        self.live.get(&seq).map(|e| e.status)
+    }
+
+    /// Admission said `Busy`: `seq` waits for a re-offer.
+    pub fn park(&mut self, seq: u64) {
+        let e = self
+            .live
+            .entry(seq)
+            .or_insert_with(|| Live::new(InflightStatus::Parked));
+        e.status = InflightStatus::Parked;
+        e.set_waiting(true, &mut self.waiting);
+    }
+
+    /// Admission shed `seq`. A query that never left is forgotten; one
+    /// that did (before a crash) stays carried.
+    pub fn shed(&mut self, seq: u64) {
+        if let Some(e) = self.live.get_mut(&seq) {
+            e.abandon(&mut self.waiting);
+            if e.sends == 0 {
+                self.live.remove(&seq);
+            }
+        }
+    }
+
+    /// One send of `seq` left at `now_ns`. `resend` marks a retry or
+    /// retransmit within the current lifecycle; anything else starts
+    /// the lifecycle the logged latency spans from.
+    pub fn note_send(&mut self, seq: u64, now_ns: u64, resend: bool) {
+        let e = self
+            .live
+            .entry(seq)
+            .or_insert_with(|| Live::new(InflightStatus::InFlight));
+        if e.status == InflightStatus::Parked {
+            e.status = InflightStatus::InFlight;
+        }
+        e.set_waiting(true, &mut self.waiting);
+        if resend {
+            e.recovery().retx += 1;
+            self.live_retx += 1;
+        } else {
+            e.first_sent_ns = now_ns;
+        }
+        e.sends += 1;
+        self.live_sends += 1;
+    }
+
+    /// The delay (µs) before `seq`'s next UDP retransmit, drawn from
+    /// its own budget (armed from `(seed, seq)` on first use). `None`
+    /// once the budget is exhausted — terminally — or `seq` is not
+    /// live.
+    pub fn next_retx_delay_us(
+        &mut self,
+        seq: u64,
+        cfg: &RetransmitConfig,
+        seed: u64,
+    ) -> Option<u64> {
+        self.live
+            .get_mut(&seq)?
+            .recovery()
+            .budget
+            .get_or_insert_with(|| {
+                RetryBudget::new(
+                    cfg.max_retx,
+                    cfg.base_us,
+                    cfg.cap_us,
+                    derive_seed(seed, seq),
+                )
+            })
+            .next_delay_us()
+    }
+
+    /// The connection under `seq` died. `Some(n)`: this is its `n`-th
+    /// reconnect attempt (1-based) and the driver re-sends it after the
+    /// backoff for `n`. `None`: `max_reconnects` is spent and the query
+    /// is given up.
+    pub fn orphan(&mut self, seq: u64, max_reconnects: u32) -> Option<u32> {
+        let e = self.live.get_mut(&seq)?;
+        let spent = e.recovery.as_ref().map_or(0, |r| r.reconnects);
+        if spent >= max_reconnects {
+            e.abandon(&mut self.waiting);
+            return None;
+        }
+        e.status = InflightStatus::Retrying;
+        e.recovery().reconnects = spent + 1;
+        Some(spent + 1)
+    }
+
+    /// The driver no longer holds anything for `seq` (a later query
+    /// took its pending slot over).
+    pub fn abandon(&mut self, seq: u64) {
+        if let Some(e) = self.live.get_mut(&seq) {
+            e.abandon(&mut self.waiting);
+        }
+    }
+
+    /// `seq` was answered (or, for a fire-and-forget driver, sent).
+    /// Returns when its current lifecycle's first send left, if it was
+    /// live.
+    pub fn complete(&mut self, seq: u64) -> Option<u64> {
+        self.mark_done(seq);
+        self.since_cut += 1;
+        let mut e = self.live.remove(&seq)?;
+        e.set_waiting(false, &mut self.waiting);
+        self.live_sends -= u64::from(e.sends);
+        self.live_retx -= u64::from(e.retx());
+        Some(e.first_sent_ns)
+    }
+
+    /// The process died: timers, pending slots, parked offers and retry
+    /// chains are gone. Queries that were sent keep their send counts
+    /// (those packets really left) and stay carried until a restart
+    /// re-dispatches them; queries that never left are forgotten.
+    pub fn crash(&mut self) {
+        for e in self.live.values_mut() {
+            e.abandon(&mut self.waiting);
+            if let Some(r) = &mut e.recovery {
+                r.budget = None;
+            }
+        }
+        self.live.retain(|_, e| e.sends > 0);
+    }
+
+    /// Nothing parked, on the wire, or in a retry chain: every event at
+    /// or before now belongs to a completed (or abandoned) query.
+    pub fn quiescent(&self) -> bool {
+        self.waiting == 0
+    }
+
+    /// The quiescent checkpoint policy: true once `every` completions
+    /// have accumulated and the run is quiescent, which restarts the
+    /// count. `every == 0` never cuts.
+    pub fn cut_due(&mut self, every: u64) -> bool {
+        if every == 0 || self.since_cut < every || !self.quiescent() {
+            return false;
+        }
+        self.since_cut = 0;
+        true
+    }
+
+    /// Write the checkpoint of this instant, whatever is live.
+    ///
+    /// `counters` are the driver's run totals; `sent` and `retries` are
+    /// committed down to completed work (the live queries' share rides
+    /// on their `inflight` lines instead, so a resumed run that
+    /// re-executes them counts them exactly once). `deadline_ns` maps a
+    /// live seq to its original send deadline. A quiescent cut is this
+    /// call made when nothing is live.
+    pub fn cut(
+        &mut self,
+        taken_ns: u64,
+        counters: &[(&str, u64)],
+        records: Vec<String>,
+        deadline_ns: impl Fn(u64) -> u64,
+    ) -> Checkpoint {
+        self.epoch += 1;
+        // The written cursor also passes over live queries (their
+        // `inflight` lines carry them), which may yet be shed, so this
+        // walk is redone at every cut: the in-flight window, not the
+        // trace.
+        let mut cursor = self.cursor;
+        while self.done.contains(&cursor) || self.live.contains_key(&cursor) {
+            cursor += 1;
+        }
+        let counters = counters
+            .iter()
+            .map(|&(name, total)| {
+                let live = match name {
+                    "sent" => self.live_sends,
+                    "retries" => self.live_retx,
+                    _ => 0,
+                };
+                (name.to_string(), total.saturating_sub(live))
+            })
+            .collect();
+        let inflight = self
+            .live
+            .iter()
+            .map(|(&seq, e)| InflightEntry {
+                seq,
+                deadline_ns: deadline_ns(seq),
+                sends: e.sends,
+                retx: e.retx(),
+                status: e.status,
+                budget: e
+                    .recovery
+                    .as_ref()
+                    .and_then(|r| r.budget.as_ref())
+                    .map(RetryBudget::snapshot),
+            })
+            .collect();
+        Checkpoint {
+            version: 2,
+            epoch: self.epoch,
+            taken_ns,
+            cursor,
+            counters,
+            records,
+            inflight,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::reference::{Effect, RefClient, Verdict};
+    use super::*;
+    use ldp_rng::check::{check, Gen};
+
+    fn tracker() -> TimingTracker {
+        TimingTracker::start(0, 0)
+    }
+
+    fn cfg() -> RetransmitConfig {
+        RetransmitConfig {
+            max_retx: 3,
+            base_us: 1_000,
+            cap_us: 8_000,
+        }
+    }
+
+    #[test]
+    fn per_seq_chains_are_independent_and_reproducible() {
+        let mut a = ReplayCore::new(tracker());
+        let mut b = ReplayCore::new(tracker());
+        for core in [&mut a, &mut b] {
+            core.note_send(7, 0, false);
+            core.note_send(8, 0, false);
+        }
+        // Interleave draws differently across seqs: per-seq streams
+        // must not care.
+        let a7: Vec<_> = (0..3)
+            .map(|_| a.next_retx_delay_us(7, &cfg(), 99))
+            .collect();
+        let _ = a.next_retx_delay_us(8, &cfg(), 99);
+        let _ = b.next_retx_delay_us(8, &cfg(), 99);
+        let b7: Vec<_> = (0..3)
+            .map(|_| b.next_retx_delay_us(7, &cfg(), 99))
+            .collect();
+        assert_eq!(a7, b7);
+        assert!(a7.iter().all(Option::is_some));
+        assert_eq!(
+            a.next_retx_delay_us(7, &cfg(), 99),
+            None,
+            "budget exhausted"
+        );
+        assert_eq!(a.next_retx_delay_us(9, &cfg(), 99), None, "not live");
+    }
+
+    #[test]
+    fn live_sums_track_uncompleted_queries_only() {
+        let mut core = ReplayCore::new(tracker());
+        core.note_send(1, 0, false);
+        core.note_send(2, 0, false);
+        core.note_send(2, 5, true);
+        let totals = [("sent", 3), ("retries", 1)];
+        let cp = core.cut(9, &totals, Vec::new(), |_| 0);
+        assert_eq!(
+            (cp.counter("sent"), cp.counter("retries")),
+            (Some(0), Some(0))
+        );
+        let carried: Vec<_> = cp
+            .inflight
+            .iter()
+            .map(|e| (e.seq, e.sends, e.retx))
+            .collect();
+        assert_eq!(carried, vec![(1, 1, 0), (2, 2, 1)]);
+        assert_eq!(core.complete(2), Some(0), "spans from the first send");
+        let cp = core.cut(9, &totals, Vec::new(), |_| 0);
+        assert_eq!(
+            (cp.counter("sent"), cp.counter("retries")),
+            (Some(2), Some(1))
+        );
+        assert_eq!(cp.inflight.len(), 1);
+    }
+
+    #[test]
+    fn crash_drops_budgets_but_keeps_accounting() {
+        let mut core = ReplayCore::new(tracker());
+        core.note_send(5, 0, false);
+        core.park(6);
+        let first = core.next_retx_delay_us(5, &cfg(), 42);
+        assert!(first.is_some());
+        core.crash();
+        assert!(core.quiescent(), "nothing is waiting after a crash");
+        let cp = core.cut(1, &[("sent", 1)], Vec::new(), |_| 0);
+        assert_eq!(cp.inflight.len(), 1, "the parked offer is forgotten");
+        let e = cp.inflight[0];
+        assert_eq!((e.seq, e.sends, e.budget), (5, 1, None), "sends survive");
+        // A fresh chain after restart re-draws from the seed.
+        assert_eq!(core.next_retx_delay_us(5, &cfg(), 42), first);
+    }
+
+    #[test]
+    fn resumed_cursor_and_done_set_decide_what_is_done() {
+        let mut core = ReplayCore::resume(tracker(), 4, 3, [5, 3]);
+        assert!(core.is_done(2) && core.is_done(3) && core.is_done(5));
+        assert!(!core.is_done(4) && !core.is_done(6));
+        core.complete(4);
+        let cp = core.cut(0, &[], Vec::new(), |_| 0);
+        assert_eq!((cp.version, cp.epoch, cp.cursor), (2, 5, 6));
+    }
+
+    /// The wire key a seq is pending under: a few keys, so later
+    /// queries do take earlier ones' slots over.
+    pub(super) const KEYS: u64 = 5;
+
+    pub(super) fn is_tcp(seq: u64) -> bool {
+        seq.is_multiple_of(3)
+    }
+
+    pub(super) fn deadline_ns(seq: u64) -> u64 {
+        1_000 * seq
+    }
+
+    /// What `sim_replay.rs` does around the core, minus the simulator:
+    /// the pending table, the run counters and the policy check.
+    struct CoreClient {
+        core: ReplayCore,
+        pending: BTreeMap<u64, u64>,
+        sent: u64,
+        retries: u64,
+        shed: u64,
+        restarts: u64,
+        records: Vec<String>,
+        checkpoint_every: u64,
+        udp_retransmit: Option<RetransmitConfig>,
+        retx_seed: u64,
+        reconnect: bool,
+        max_reconnects: u32,
+    }
+
+    impl CoreClient {
+        fn try_admit(&mut self, seq: u64, verdict: Verdict, now: u64, out: &mut Vec<Effect>) {
+            if self.core.is_done(seq) {
+                return;
+            }
+            match verdict {
+                Verdict::Admit => self.dispatch(seq, false, now, out),
+                Verdict::Busy => {
+                    self.core.park(seq);
+                    out.push(Effect::AdmitTimer(seq));
+                }
+                Verdict::Shed => {
+                    self.core.shed(seq);
+                    self.shed += 1;
+                }
+            }
+        }
+
+        fn dispatch(&mut self, seq: u64, resend: bool, now: u64, out: &mut Vec<Effect>) {
+            self.sent += 1;
+            self.core.note_send(seq, now, resend);
+            if let Some(earlier) = self.pending.insert(seq % KEYS, seq) {
+                if earlier != seq {
+                    self.core.abandon(earlier);
+                }
+            }
+            if !is_tcp(seq) {
+                if let Some(cfg) = self.udp_retransmit {
+                    if let Some(d) = self.core.next_retx_delay_us(seq, &cfg, self.retx_seed) {
+                        out.push(Effect::RetxTimer(seq, d));
+                    }
+                }
+            }
+        }
+
+        fn admit_timer(&mut self, seq: u64, verdict: Verdict, now: u64, out: &mut Vec<Effect>) {
+            if self.core.status(seq) == Some(InflightStatus::Parked) {
+                self.try_admit(seq, verdict, now, out);
+            }
+        }
+
+        fn retx_timer(&mut self, seq: u64, now: u64, out: &mut Vec<Effect>) {
+            if self.pending.get(&(seq % KEYS)) == Some(&seq) {
+                self.retries += 1;
+                self.dispatch(seq, true, now, out);
+            }
+        }
+
+        fn retry_timer(&mut self, seq: u64, now: u64, out: &mut Vec<Effect>) {
+            if self.core.status(seq) == Some(InflightStatus::Retrying) {
+                self.retries += 1;
+                self.dispatch(seq, true, now, out);
+            }
+        }
+
+        fn closed(&mut self, seq: u64, out: &mut Vec<Effect>) {
+            if self.pending.get(&(seq % KEYS)) != Some(&seq) {
+                return;
+            }
+            self.pending.remove(&(seq % KEYS));
+            let budget = if self.reconnect {
+                self.max_reconnects
+            } else {
+                0
+            };
+            if let Some(n) = self.core.orphan(seq, budget) {
+                out.push(Effect::RetryTimer(seq, n));
+            }
+        }
+
+        fn reply(&mut self, key: u64, now: u64, out: &mut Vec<Effect>) {
+            let Some(seq) = self.pending.remove(&key) else {
+                return;
+            };
+            let first_sent = self.core.complete(seq).expect("a pending query is live");
+            out.push(Effect::Completed(seq, first_sent));
+            self.records.push(seq.to_string());
+            if self.core.cut_due(self.checkpoint_every) {
+                out.push(Effect::PolicyCut(self.cut(now)));
+            }
+        }
+
+        fn crash(&mut self) {
+            self.pending.clear();
+            self.core.crash();
+        }
+
+        fn cut(&mut self, taken_ns: u64) -> Checkpoint {
+            let counters = [
+                ("sent", self.sent),
+                ("retries", self.retries),
+                ("shed", self.shed),
+                ("restarts", self.restarts),
+            ];
+            self.core
+                .cut(taken_ns, &counters, self.records.clone(), deadline_ns)
+        }
+    }
+
+    fn verdict(g: &mut Gen) -> Verdict {
+        *g.pick(&[Verdict::Admit, Verdict::Admit, Verdict::Busy, Verdict::Shed])
+    }
+
+    /// Every armed timer of one kind, as the simulator would hold them.
+    fn take(g: &mut Gen, armed: &mut Vec<u64>) -> Option<u64> {
+        if armed.is_empty() {
+            return None;
+        }
+        Some(armed.swap_remove(g.size(0..=armed.len() - 1)))
+    }
+
+    /// Generated event sequences — trace and admission timers with
+    /// arbitrary verdicts, UDP retransmit and TCP retry timers,
+    /// connection deaths, replies by wire key, querier crashes and
+    /// restarts, cuts at random steps — driven through the core (as
+    /// `sim_replay.rs` drives it) and through the bookkeeping it
+    /// replaced: same timers armed, same completions, same policy cuts,
+    /// same `quiescent()`, same counters, and the same checkpoint at
+    /// every cut.
+    #[test]
+    fn core_matches_the_bookkeeping_it_replaced() {
+        check(512, |g| {
+            let n = g.range(1..=10);
+            let checkpoint_every = g.range(0..=3);
+            let udp_retransmit = g.bool().then(|| RetransmitConfig {
+                max_retx: g.range(0..=3) as u32,
+                base_us: 1_000,
+                cap_us: 8_000,
+            });
+            let retx_seed = g.u64();
+            let reconnect = g.below(4) != 0;
+            let max_reconnects = g.range(0..=2) as u32;
+            let mut new = CoreClient {
+                core: ReplayCore::new(tracker()),
+                pending: BTreeMap::new(),
+                sent: 0,
+                retries: 0,
+                shed: 0,
+                restarts: 0,
+                records: Vec::new(),
+                checkpoint_every,
+                udp_retransmit,
+                retx_seed,
+                reconnect,
+                max_reconnects,
+            };
+            let mut old = RefClient::new(
+                checkpoint_every,
+                udp_retransmit,
+                retx_seed,
+                reconnect,
+                max_reconnects,
+            );
+            // Armed timers by kind; a crash drops them all.
+            let mut trace: Vec<u64> = (0..n).collect();
+            let (mut admit, mut retx, mut retry) = (Vec::new(), Vec::new(), Vec::new());
+            for step in 0..g.size(0..=60) {
+                let now = 10 * (step as u64 + 1);
+                let (mut a, mut b) = (Vec::new(), Vec::new());
+                match g.below(10) {
+                    0 | 1 => {
+                        if let Some(seq) = take(g, &mut trace) {
+                            let v = verdict(g);
+                            new.try_admit(seq, v, now, &mut a);
+                            old.try_admit(seq, v, now, &mut b);
+                        }
+                    }
+                    2 => {
+                        if let Some(seq) = take(g, &mut admit) {
+                            let v = verdict(g);
+                            new.admit_timer(seq, v, now, &mut a);
+                            old.admit_timer(seq, v, now, &mut b);
+                        }
+                    }
+                    3 => {
+                        if let Some(seq) = take(g, &mut retx) {
+                            new.retx_timer(seq, now, &mut a);
+                            old.retx_timer(seq, now, &mut b);
+                        }
+                    }
+                    4 => {
+                        if let Some(seq) = take(g, &mut retry) {
+                            new.retry_timer(seq, now, &mut a);
+                            old.retry_timer(seq, now, &mut b);
+                        }
+                    }
+                    5 => {
+                        let seq = 3 * g.below(n.div_ceil(3));
+                        new.closed(seq, &mut a);
+                        old.closed(seq, &mut b);
+                    }
+                    6 | 7 => {
+                        let key = g.below(KEYS);
+                        new.reply(key, now, &mut a);
+                        old.reply(key, now, &mut b);
+                    }
+                    8 => {
+                        new.crash();
+                        old.crash();
+                        for timers in [&mut trace, &mut admit, &mut retx, &mut retry] {
+                            timers.clear();
+                        }
+                        // The restart: overdue seqs are re-offered in
+                        // order, the rest get fresh trace timers.
+                        new.restarts += 1;
+                        old.restarts += 1;
+                        for seq in 0..n {
+                            assert_eq!(new.core.is_done(seq), old.is_done(seq));
+                            if old.is_done(seq) {
+                                continue;
+                            }
+                            if g.bool() {
+                                let v = verdict(g);
+                                new.try_admit(seq, v, now, &mut a);
+                                old.try_admit(seq, v, now, &mut b);
+                            } else {
+                                trace.push(seq);
+                            }
+                        }
+                    }
+                    _ => {
+                        assert_eq!(new.cut(now), old.take_fuzzy_checkpoint(now));
+                    }
+                }
+                assert_eq!(a, b, "step {step}: effects");
+                for effect in a {
+                    match effect {
+                        Effect::AdmitTimer(seq) => admit.push(seq),
+                        Effect::RetxTimer(seq, _) => retx.push(seq),
+                        Effect::RetryTimer(seq, _) => retry.push(seq),
+                        Effect::Completed(..) | Effect::PolicyCut(_) => {}
+                    }
+                }
+                assert_eq!(new.core.quiescent(), old.quiescent(), "step {step}");
+                assert_eq!((new.sent, new.retries), (old.sent, old.retries));
+                assert_eq!(new.pending, old.pending_seqs(), "step {step}: pending");
+            }
+            assert_eq!(new.cut(u64::MAX), old.take_fuzzy_checkpoint(u64::MAX));
+        });
+    }
+}
+
+/// The bookkeeping [`ReplayCore`] replaced, kept as its oracle: the
+/// sim client's six seq-keyed collections and cursor (`completed`,
+/// `parked`, `retrying`, and `RetransmitState`'s `budgets` / `sends` /
+/// `retx`) beside its pending table, the status derived at cut time,
+/// the five-way `outstanding_seqs` union, and both checkpoint writers —
+/// the bodies as they stood, minus the simulator.
+#[cfg(test)]
+mod reference {
+    use std::collections::{BTreeMap, BTreeSet};
+
+    use ldp_guard::{
+        BudgetSnapshot, Checkpoint, InflightEntry, InflightStatus, RetransmitConfig, RetryBudget,
+    };
+
+    fn derive_seed(seed: u64, seq: u64) -> u64 {
+        seed ^ seq.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+    }
+
+    /// Live per-query retransmission state: budgets plus send/retry
+    /// counts, keyed by seq, maintained from first dispatch to
+    /// completion.
+    #[derive(Debug, Default, Clone)]
+    struct RetransmitState {
+        budgets: BTreeMap<u64, RetryBudget>,
+        sends: BTreeMap<u64, u32>,
+        retx: BTreeMap<u64, u32>,
+    }
+
+    impl RetransmitState {
+        fn note_send(&mut self, seq: u64) {
+            *self.sends.entry(seq).or_insert(0) += 1;
+        }
+
+        fn note_retx(&mut self, seq: u64) {
+            *self.retx.entry(seq).or_insert(0) += 1;
+        }
+
+        fn next_delay_us(&mut self, seq: u64, cfg: &RetransmitConfig, seed: u64) -> Option<u64> {
+            self.budgets
+                .entry(seq)
+                .or_insert_with(|| {
+                    RetryBudget::new(
+                        cfg.max_retx,
+                        cfg.base_us,
+                        cfg.cap_us,
+                        derive_seed(seed, seq),
+                    )
+                })
+                .next_delay_us()
+        }
+
+        fn budget_snapshot(&self, seq: u64) -> Option<BudgetSnapshot> {
+            self.budgets.get(&seq).map(RetryBudget::snapshot)
+        }
+
+        fn sends_of(&self, seq: u64) -> u32 {
+            self.sends.get(&seq).copied().unwrap_or(0)
+        }
+
+        fn retx_of(&self, seq: u64) -> u32 {
+            self.retx.get(&seq).copied().unwrap_or(0)
+        }
+
+        fn complete(&mut self, seq: u64) {
+            self.budgets.remove(&seq);
+            self.sends.remove(&seq);
+            self.retx.remove(&seq);
+        }
+
+        fn drop_budgets(&mut self) {
+            self.budgets.clear();
+        }
+
+        fn live_seqs(&self) -> impl Iterator<Item = u64> + '_ {
+            self.sends.keys().copied()
+        }
+
+        fn live_totals(&self) -> (u64, u64) {
+            let sends = self.sends.values().map(|&v| u64::from(v)).sum();
+            let retx = self.retx.values().map(|&v| u64::from(v)).sum();
+            (sends, retx)
+        }
+    }
+
+    /// An admission verdict, chosen by the test.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum Verdict {
+        Admit,
+        Busy,
+        Shed,
+    }
+
+    /// What a client does that the rest of the simulation can see.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum Effect {
+        /// Armed the re-offer timer of a parked seq.
+        AdmitTimer(u64),
+        /// Armed a UDP retransmit timer (seq, delay µs).
+        RetxTimer(u64, u64),
+        /// Armed a TCP retry timer (seq, attempt).
+        RetryTimer(u64, u32),
+        /// Logged a completion (seq, first-send time).
+        Completed(u64, u64),
+        /// The `checkpoint_every` policy committed this document.
+        PolicyCut(Checkpoint),
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    struct Pending {
+        seq: u64,
+        sent_ns: u64,
+    }
+
+    #[derive(Debug, Clone)]
+    pub struct RefClient {
+        /// In-flight queries by wire key.
+        pending: BTreeMap<u64, Pending>,
+        reconnect: bool,
+        max_reconnects: u32,
+        /// Live retry chains: seq → (original send time, attempts so far).
+        retrying: BTreeMap<u64, (u64, u32)>,
+        records: Vec<String>,
+        pub sent: u64,
+        pub retries: u64,
+        completed: BTreeSet<u64>,
+        cursor: u64,
+        parked: BTreeSet<u64>,
+        shed: u64,
+        checkpoint_every: u64,
+        udp_retransmit: Option<RetransmitConfig>,
+        retx_seed: u64,
+        retx_state: RetransmitState,
+        completed_since_cp: u64,
+        epoch: u32,
+        pub restarts: u64,
+    }
+
+    impl RefClient {
+        pub fn new(
+            checkpoint_every: u64,
+            udp_retransmit: Option<RetransmitConfig>,
+            retx_seed: u64,
+            reconnect: bool,
+            max_reconnects: u32,
+        ) -> Self {
+            RefClient {
+                pending: BTreeMap::new(),
+                reconnect,
+                max_reconnects,
+                retrying: BTreeMap::new(),
+                records: Vec::new(),
+                sent: 0,
+                retries: 0,
+                completed: BTreeSet::new(),
+                cursor: 0,
+                parked: BTreeSet::new(),
+                shed: 0,
+                checkpoint_every,
+                udp_retransmit,
+                retx_seed,
+                retx_state: RetransmitState::default(),
+                completed_since_cp: 0,
+                epoch: 0,
+                restarts: 0,
+            }
+        }
+
+        pub fn is_done(&self, seq: u64) -> bool {
+            self.completed.contains(&seq)
+        }
+
+        pub fn pending_seqs(&self) -> BTreeMap<u64, u64> {
+            self.pending.iter().map(|(&k, p)| (k, p.seq)).collect()
+        }
+
+        pub fn try_admit(&mut self, seq: u64, verdict: Verdict, now: u64, out: &mut Vec<Effect>) {
+            if self.completed.contains(&seq) {
+                return;
+            }
+            match verdict {
+                Verdict::Admit => {
+                    self.parked.remove(&seq);
+                    self.dispatch(seq, None, now, out);
+                }
+                Verdict::Busy => {
+                    self.parked.insert(seq);
+                    out.push(Effect::AdmitTimer(seq));
+                }
+                Verdict::Shed => {
+                    self.parked.remove(&seq);
+                    self.shed += 1;
+                }
+            }
+        }
+
+        fn dispatch(&mut self, seq: u64, first_sent: Option<u64>, now: u64, out: &mut Vec<Effect>) {
+            let pending = Pending {
+                seq,
+                sent_ns: first_sent.unwrap_or(now),
+            };
+            self.sent += 1;
+            self.retx_state.note_send(seq);
+            self.pending.insert(seq % super::tests::KEYS, pending);
+            if !super::tests::is_tcp(seq) {
+                if let Some(cfg) = self.udp_retransmit {
+                    if let Some(d) = self.retx_state.next_delay_us(seq, &cfg, self.retx_seed) {
+                        out.push(Effect::RetxTimer(seq, d));
+                    }
+                }
+            }
+        }
+
+        pub fn admit_timer(&mut self, seq: u64, verdict: Verdict, now: u64, out: &mut Vec<Effect>) {
+            if self.parked.remove(&seq) {
+                self.try_admit(seq, verdict, now, out);
+            }
+        }
+
+        pub fn retx_timer(&mut self, seq: u64, now: u64, out: &mut Vec<Effect>) {
+            if self.completed.contains(&seq) {
+                return;
+            }
+            let Some(sent_ns) = self
+                .pending
+                .get(&(seq % super::tests::KEYS))
+                .filter(|p| p.seq == seq)
+                .map(|p| p.sent_ns)
+            else {
+                return;
+            };
+            self.retries += 1;
+            self.retx_state.note_retx(seq);
+            self.dispatch(seq, Some(sent_ns), now, out);
+        }
+
+        pub fn retry_timer(&mut self, seq: u64, now: u64, out: &mut Vec<Effect>) {
+            let Some(&(sent_ns, _)) = self.retrying.get(&seq) else {
+                return;
+            };
+            self.retries += 1;
+            self.retx_state.note_retx(seq);
+            self.dispatch(seq, Some(sent_ns), now, out);
+        }
+
+        /// The connection `seq` is pending on died.
+        pub fn closed(&mut self, seq: u64, out: &mut Vec<Effect>) {
+            let key = seq % super::tests::KEYS;
+            if self.pending.get(&key).is_none_or(|p| p.seq != seq) {
+                return;
+            }
+            let Some(p) = self.pending.remove(&key) else {
+                return;
+            };
+            if !self.reconnect {
+                return; // recovery disabled: the query is lost
+            }
+            let chain = self.retrying.entry(p.seq).or_insert((p.sent_ns, 0));
+            if chain.1 >= self.max_reconnects {
+                // Budget exhausted: give up on this query.
+                self.retrying.remove(&p.seq);
+                return;
+            }
+            chain.1 += 1;
+            out.push(Effect::RetryTimer(p.seq, chain.1));
+        }
+
+        /// A reply arrived for wire key `key`.
+        pub fn reply(&mut self, key: u64, now: u64, out: &mut Vec<Effect>) {
+            let Some(p) = self.pending.remove(&key) else {
+                return;
+            };
+            let seq = p.seq;
+            self.retrying.remove(&seq);
+            self.retx_state.complete(seq);
+            out.push(Effect::Completed(seq, p.sent_ns));
+            self.records.push(seq.to_string());
+            self.completed.insert(seq);
+            self.parked.remove(&seq);
+            if self.checkpoint_every > 0 {
+                self.completed_since_cp += 1;
+                if self.completed_since_cp >= self.checkpoint_every && self.quiescent() {
+                    self.completed_since_cp = 0;
+                    // What the one writer must say of this instant is
+                    // the fuzzy body; where nothing is carried, the
+                    // quiescent body says the same in the older format.
+                    let fuzzy = self.clone().take_fuzzy_checkpoint(now);
+                    let v1 = self.take_checkpoint(now);
+                    assert_eq!((v1.epoch, &v1.records), (fuzzy.epoch, &fuzzy.records));
+                    if fuzzy.inflight.is_empty() {
+                        assert_eq!(Checkpoint { version: 2, ..v1 }, fuzzy);
+                    }
+                    out.push(Effect::PolicyCut(fuzzy));
+                }
+            }
+        }
+
+        pub fn quiescent(&self) -> bool {
+            self.pending.is_empty() && self.retrying.is_empty() && self.parked.is_empty()
+        }
+
+        fn take_checkpoint(&mut self, taken_ns: u64) -> Checkpoint {
+            self.epoch += 1;
+            let cursor = self.advance_cursor();
+            Checkpoint {
+                version: 1,
+                epoch: self.epoch,
+                taken_ns,
+                cursor,
+                counters: vec![
+                    ("sent".into(), self.sent),
+                    ("retries".into(), self.retries),
+                    ("shed".into(), self.shed),
+                    ("restarts".into(), self.restarts),
+                ],
+                records: self.records.clone(),
+                inflight: Vec::new(),
+            }
+        }
+
+        fn advance_cursor(&mut self) -> u64 {
+            while self.completed.contains(&self.cursor) {
+                self.cursor += 1;
+            }
+            self.cursor
+        }
+
+        fn outstanding_seqs(&self) -> BTreeSet<u64> {
+            let mut out: BTreeSet<u64> = self.retx_state.live_seqs().collect();
+            out.extend(self.parked.iter().copied());
+            out.extend(self.retrying.keys().copied());
+            out.extend(self.pending.values().map(|p| p.seq));
+            out
+        }
+
+        pub fn take_fuzzy_checkpoint(&mut self, taken_ns: u64) -> Checkpoint {
+            self.epoch += 1;
+            let outstanding = self.outstanding_seqs();
+            let mut cursor = self.advance_cursor();
+            while self.completed.contains(&cursor) || outstanding.contains(&cursor) {
+                cursor += 1;
+            }
+            let (live_sends, live_retx) = self.retx_state.live_totals();
+            let inflight: Vec<InflightEntry> = outstanding
+                .iter()
+                .map(|&seq| {
+                    let status = if self.parked.contains(&seq) {
+                        InflightStatus::Parked
+                    } else if self.retrying.contains_key(&seq) {
+                        InflightStatus::Retrying
+                    } else {
+                        InflightStatus::InFlight
+                    };
+                    InflightEntry {
+                        seq,
+                        deadline_ns: super::tests::deadline_ns(seq),
+                        sends: self.retx_state.sends_of(seq),
+                        retx: self.retx_state.retx_of(seq),
+                        status,
+                        budget: self.retx_state.budget_snapshot(seq),
+                    }
+                })
+                .collect();
+            Checkpoint {
+                version: 2,
+                epoch: self.epoch,
+                taken_ns,
+                cursor,
+                counters: vec![
+                    ("sent".into(), self.sent.saturating_sub(live_sends)),
+                    ("retries".into(), self.retries.saturating_sub(live_retx)),
+                    ("shed".into(), self.shed),
+                    ("restarts".into(), self.restarts),
+                ],
+                records: self.records.clone(),
+                inflight,
+            }
+        }
+
+        pub fn crash(&mut self) {
+            self.pending.clear();
+            self.retrying.clear();
+            self.parked.clear();
+            self.retx_state.drop_budgets();
+        }
+    }
+}

@@ -17,11 +17,12 @@ use std::time::Duration;
 
 use dns_wire::framing::frame_into;
 use dns_wire::{EncodeScratch, Transport};
-use ldp_guard::{Checkpoint, GuardConfig, RetryBudget, Supervisor};
+use ldp_guard::{Checkpoint, GuardConfig, RetryBudget};
 use ldp_telemetry as tel;
 use ldp_trace::TraceEntry;
 
 use crate::clock::{ReplayClock, WallClock};
+use crate::core::ReplayCore;
 use crate::sticky::StickyRouter;
 use crate::timing::TimingTracker;
 
@@ -30,7 +31,7 @@ use crate::timing::TimingTracker;
 /// the paper's Figure 6 quantity, accounted at the source instead of
 /// reconstructed from the report afterwards. `replay.shed` marks a
 /// query dropped by deadline-aware load shedding; `replay.restarted`
-/// marks a querier slot declared dead and its span re-dispatched.
+/// marks a querier slot found dead and its span re-dispatched.
 struct ReplayKinds {
     sent: tel::KindId,
     error: tel::KindId,
@@ -79,7 +80,7 @@ pub struct ReplayConfig {
     /// Warm-up offset before the first query is due.
     pub warmup: Duration,
     /// Overload-and-recovery knobs (shedding, reconnect budgets,
-    /// supervision, checkpoint cadence).
+    /// failover, checkpoint cadence).
     pub guard: GuardConfig,
     /// Where the collector publishes checkpoints when
     /// `guard.checkpoint_every > 0`: the latest one replaces its
@@ -187,7 +188,8 @@ pub struct ReplayReport {
     pub shed: Vec<u64>,
     /// Jobs re-dispatched to surviving queriers after a slot died.
     pub redispatched: u64,
-    /// Querier slots declared dead (restart budget exhausted).
+    /// Querier slots whose thread died mid-run (their distributor
+    /// found the channel closed), ascending.
     pub dead_queriers: Vec<usize>,
     /// First trace seq of this run (> 0 when resumed from a
     /// checkpoint; everything below it was sent by the killed run).
@@ -241,13 +243,6 @@ pub fn replay_with_clock(
     // Build querier threads.
     let n_d = config.distributors.max(1);
     let n_q = config.queriers_per_distributor.max(1);
-    // One supervised slot per querier; distributors report observed
-    // deaths (a closed channel) into it, skipping the heartbeat wait.
-    let supervisor = Arc::new(Mutex::new(Supervisor::new(
-        config.guard.supervisor,
-        n_d * n_q,
-        clock.now_us(),
-    )));
     let mut querier_txs: Vec<Vec<Sender<QueryJob>>> = Vec::with_capacity(n_d);
     let mut handles = Vec::new();
     for d in 0..n_d {
@@ -281,26 +276,17 @@ pub fn replay_with_clock(
         0
     };
     let mut dist_txs: Vec<Sender<QueryJob>> = Vec::with_capacity(n_d);
+    let mut dist_handles = Vec::with_capacity(n_d);
     for (d, txs) in querier_txs.iter().enumerate() {
         let (tx, rx): (Sender<QueryJob>, Receiver<QueryJob>) = bounded(config.channel_capacity);
         let txs = txs.clone();
-        let supervisor = supervisor.clone();
         let clock = clock.clone();
         let redispatched = redispatched.clone();
         let errors = errors.clone();
         let slot_base = d * n_q;
-        handles.push(std::thread::spawn(move || {
-            distribute(
-                rx,
-                &txs,
-                window,
-                slot_base,
-                &supervisor,
-                &clock,
-                &redispatched,
-                &errors,
-            );
-            // Closing txs (drop) ends the queriers.
+        dist_handles.push(std::thread::spawn(move || {
+            // Returning drops txs, which ends the queriers.
+            distribute(rx, &txs, window, slot_base, &clock, &redispatched, &errors)
         }));
         dist_txs.push(tx);
     }
@@ -313,54 +299,39 @@ pub fn replay_with_clock(
     // trace larger than the combined channel capacity would fill
     // record_tx and deadlock the whole tree. It doubles as the
     // checkpointer: it is the only thread that sees completions, so
-    // the contiguous-prefix cursor lives here.
+    // the replay core — here a done-set, its contiguous cursor and the
+    // checkpoint writer; a sent query is a completed one — lives here.
     let start_seq = config.resume_from.as_ref().map_or(0, |c| c.cursor);
     let cp_every = config.guard.checkpoint_every;
     let cp_out = config.checkpoint_out.clone();
-    let cp_epoch = config.resume_from.as_ref().map_or(0, |c| c.epoch);
+    let mut core = match &config.resume_from {
+        Some(cp) => ReplayCore::resume(tracker, cp.epoch, cp.cursor, []),
+        None => ReplayCore::new(tracker),
+    };
     let collector = {
         let clock = clock.clone();
         let errors = errors.clone();
         std::thread::spawn(move || {
             let mut sent = Vec::new();
-            let mut next_contig = start_seq;
-            let mut out_of_order = std::collections::BTreeSet::new();
-            let mut since_cp = 0u64;
-            let mut epoch = cp_epoch;
             for rec in record_rx.iter() {
-                if cp_every > 0 {
-                    if rec.seq == next_contig {
-                        next_contig += 1;
-                        while out_of_order.remove(&next_contig) {
-                            next_contig += 1;
-                        }
-                    } else if rec.seq > next_contig {
-                        out_of_order.insert(rec.seq);
-                    }
-                    since_cp += 1;
-                    if since_cp >= cp_every {
-                        since_cp = 0;
-                        epoch += 1;
-                        if let Some(out) = &cp_out {
-                            let cp = Checkpoint {
-                                version: 1,
-                                epoch,
-                                taken_ns: clock.now_us().saturating_mul(1_000),
-                                cursor: next_contig,
-                                counters: vec![
-                                    ("sent".into(), sent.len() as u64 + 1),
-                                    ("errors".into(), errors.load(Ordering::Relaxed)),
-                                ],
-                                records: Vec::new(),
-                                inflight: Vec::new(),
-                            };
-                            if let Ok(mut slot) = out.lock() {
-                                *slot = Some(cp);
-                            }
+                sent.push(rec);
+                if cp_every == 0 {
+                    continue;
+                }
+                core.complete(rec.seq);
+                if core.cut_due(cp_every) {
+                    let counters = [
+                        ("sent", sent.len() as u64),
+                        ("errors", errors.load(Ordering::Relaxed)),
+                    ];
+                    let taken_ns = clock.now_us().saturating_mul(1_000);
+                    let cp = core.cut(taken_ns, &counters, Vec::new(), |_| 0);
+                    if let Some(out) = &cp_out {
+                        if let Ok(mut slot) = out.lock() {
+                            *slot = Some(cp);
                         }
                     }
                 }
-                sent.push(rec);
             }
             sent
         })
@@ -395,17 +366,19 @@ pub fn replay_with_clock(
     let distinct_sources = controller_router.sources();
     drop(dist_txs);
 
+    // A querier that panicked is reported by its distributor below.
     for h in handles {
         let _ = h.join();
     }
+    let mut dead_queriers: Vec<usize> = dist_handles
+        .into_iter()
+        .flat_map(|h| h.join().expect("distributor joins"))
+        .collect();
+    dead_queriers.sort_unstable();
     let sent = collector.join().expect("collector joins");
     let total_sent = sent.len() as u64;
     let mut shed = std::mem::take(&mut *shed.lock().expect("shed lock"));
     shed.sort_unstable();
-    let dead_queriers = {
-        let sup = supervisor.lock().expect("supervisor lock");
-        (0..sup.len()).filter(|&i| sup.is_dead(i)).collect()
-    };
     ReplayReport {
         sent,
         total_sent,
@@ -420,25 +393,24 @@ pub fn replay_with_clock(
 }
 
 /// One distributor's routing loop: sticky-route jobs from the
-/// controller to the querier channels in `txs`. A send to a closed
-/// channel (the querier thread died) marks that child dead, reports it
-/// to the supervisor, and re-dispatches the failed job plus the
-/// child's retained window — its last `window` jobs, an upper bound on
-/// what it had received but not yet sent — to surviving siblings.
+/// controller to the querier channels in `txs`. This is the engine's
+/// whole supervision: a send to a closed channel (the querier thread
+/// died) marks that child dead for the rest of the run and
+/// re-dispatches the failed job plus the child's retained window — its
+/// last `window` jobs, an upper bound on what it had received but not
+/// yet sent — to surviving siblings. Returns the slots found dead.
 /// Delivery is at-least-once across a failover: a job the dead querier
 /// already sent may be retained and sent again by its sibling, which
 /// replay tolerates (duplicate queries happen in real traces too).
-#[allow(clippy::too_many_arguments)]
 fn distribute(
     rx: Receiver<QueryJob>,
     txs: &[Sender<QueryJob>],
     window: usize,
     slot_base: usize,
-    supervisor: &Mutex<Supervisor>,
     clock: &Arc<dyn ReplayClock>,
     redispatched: &AtomicU64,
     errors: &AtomicU64,
-) {
+) -> Vec<usize> {
     let mut router = StickyRouter::new(txs.len());
     let mut alive = vec![true; txs.len()];
     // Per-child retained window, oldest first.
@@ -477,9 +449,6 @@ fn distribute(
                 Err(dead) => {
                     alive[child] = false;
                     let slot = slot_base + child;
-                    if let Ok(mut sup) = supervisor.lock() {
-                        sup.note_dead(slot, clock.now_us());
-                    }
                     let orphans = std::mem::take(&mut recent[child]);
                     let n_orphans = orphans.len();
                     if tel::enabled() {
@@ -501,6 +470,10 @@ fn distribute(
             }
         }
     }
+    (0..txs.len())
+        .filter(|&c| !alive[c])
+        .map(|c| slot_base + c)
+        .collect()
 }
 
 /// How a non-blocking framed send ended.
@@ -1236,11 +1209,127 @@ mod tests {
         );
     }
 
+    /// A clock whose first sleeper for one deadline dies: the querier
+    /// thread that owns that query panics mid-run.
+    struct PoisonedClock {
+        inner: crate::clock::VirtualClock,
+        poison_us: u64,
+        spent: std::sync::atomic::AtomicBool,
+    }
+
+    impl ReplayClock for PoisonedClock {
+        fn now_us(&self) -> u64 {
+            self.inner.now_us()
+        }
+        fn sleep_until_us(&self, deadline_us: u64) {
+            if deadline_us == self.poison_us && !self.spent.swap(true, Ordering::SeqCst) {
+                panic!("querier killed by the test");
+            }
+            self.inner.sleep_until_us(deadline_us);
+        }
+    }
+
+    #[test]
+    fn replay_reports_the_querier_that_died() {
+        let _serial = crate::wall_clock_test();
+        let (_sink, addr) = sink_socket();
+        // Two sources, so the one distributor's two queriers each own
+        // one: slot 0 gets the even seqs, and dies on seq 0.
+        let mut trace = mk_trace(40, 1_000);
+        for (i, e) in trace.iter_mut().enumerate() {
+            e.src = format!("10.0.0.{}:999", 1 + i % 2).parse().unwrap();
+        }
+        let config = ReplayConfig {
+            target_udp: addr,
+            target_tcp: addr,
+            distributors: 1,
+            queriers_per_distributor: 2,
+            // One buffered job: the distributor is blocked on the dead
+            // querier's channel when it closes, whatever the timing.
+            channel_capacity: 1,
+            guard: GuardConfig {
+                admission: ldp_guard::AdmissionConfig {
+                    max_in_flight: 0,
+                    max_lateness_us: 0,
+                },
+                ..GuardConfig::default()
+            },
+            ..Default::default()
+        };
+        let clock = PoisonedClock {
+            inner: crate::clock::VirtualClock::new(),
+            poison_us: config.warmup.as_micros() as u64,
+            spent: false.into(),
+        };
+        let report = replay_with_clock(&trace, &config, Arc::new(clock));
+        assert_eq!(report.dead_queriers, vec![0], "slot 0 died, slot 1 did not");
+        assert!(report.redispatched >= 1, "its retained window moved over");
+        // Seq 0 died with its querier (unless it was still in the
+        // retained window); everything after it was sent, by slot 1
+        // once slot 0 was gone.
+        let mut seqs: Vec<u64> = report.sent.iter().map(|r| r.seq).collect();
+        seqs.sort_unstable();
+        seqs.dedup(); // failover is at-least-once
+        seqs.retain(|&s| s != 0);
+        assert_eq!(seqs, (1..40).collect::<Vec<_>>());
+        assert!(report.sent.iter().all(|r| r.querier == 1));
+    }
+
+    #[test]
+    fn resume_from_a_published_checkpoint_sends_exactly_the_remainder() {
+        let _serial = crate::wall_clock_test();
+        use crate::clock::VirtualClock;
+        let (_sink, addr) = sink_socket();
+        let trace = mk_trace(100, 1_000);
+        let cp_out = Arc::new(Mutex::new(None));
+        let mut config = ReplayConfig {
+            target_udp: addr,
+            target_tcp: addr,
+            guard: GuardConfig {
+                checkpoint_every: 40,
+                ..GuardConfig::disabled()
+            },
+            checkpoint_out: Some(cp_out.clone()),
+            ..Default::default()
+        };
+        let first = replay_with_clock(&trace, &config, Arc::new(VirtualClock::new()));
+        assert_eq!((first.total_sent, first.resumed_from), (100, 0));
+
+        // Cuts after the 40th and the 80th record; the second stands.
+        let published = cp_out.lock().unwrap().take().expect("a checkpoint");
+        let text = published.to_text().expect("serializes");
+        let cp = Checkpoint::from_text(&text).expect("parses back");
+        assert_eq!(cp, published);
+        assert_eq!((cp.version, cp.epoch, cp.counter("sent")), (2, 2, Some(80)));
+        assert!(cp.inflight.is_empty() && cp.records.is_empty());
+        // The cursor is the contiguous prefix of those 80 records
+        // (short, when a querier's thread ran late).
+        assert!(cp.cursor <= 80, "cursor {}", cp.cursor);
+        let mut early: Vec<u64> = first.sent[..80].iter().map(|r| r.seq).collect();
+        early.sort_unstable();
+        assert!((0..cp.cursor).all(|s| early.binary_search(&s).is_ok()));
+
+        config.guard.checkpoint_every = 5;
+        config.resume_from = Some(cp.clone());
+        let second = replay_with_clock(&trace, &config, Arc::new(VirtualClock::new()));
+        assert_eq!(second.resumed_from, cp.cursor);
+        let mut seqs: Vec<u64> = second.sent.iter().map(|r| r.seq).collect();
+        seqs.sort_unstable();
+        assert_eq!(seqs, (cp.cursor..100).collect::<Vec<_>>());
+        // The resumed run continues the lineage.
+        let last = cp_out
+            .lock()
+            .unwrap()
+            .take()
+            .expect("the resumed run cut too");
+        assert!(last.epoch > cp.epoch && last.cursor > cp.cursor, "{last:?}");
+    }
+
     #[test]
     fn distributor_fails_over_to_surviving_querier() {
         // Two querier channels; child 0's receiver is dropped (the
         // querier "crashed"). Every job must still arrive, via child 1,
-        // and the death must reach the supervisor.
+        // and the death must be reported.
         let (tx0, rx0) = bounded::<QueryJob>(64);
         let (tx1, rx1) = bounded::<QueryJob>(64);
         drop(rx0);
@@ -1258,21 +1347,11 @@ mod tests {
                 .unwrap();
         }
         drop(ctl_tx);
-        let supervisor = Mutex::new(Supervisor::new(Default::default(), 2, 0));
         let clock: Arc<dyn ReplayClock> = Arc::new(crate::clock::VirtualClock::new());
         let redispatched = AtomicU64::new(0);
         let errors = AtomicU64::new(0);
         let txs = [tx0, tx1];
-        distribute(
-            ctl_rx,
-            &txs,
-            64,
-            0,
-            &supervisor,
-            &clock,
-            &redispatched,
-            &errors,
-        );
+        let dead = distribute(ctl_rx, &txs, 64, 0, &clock, &redispatched, &errors);
         drop(txs);
         let mut got: Vec<u64> = rx1.iter().map(|j| j.seq).collect();
         got.sort_unstable();
@@ -1283,14 +1362,6 @@ mod tests {
             redispatched.load(Ordering::Relaxed) >= 1,
             "failed jobs re-dispatched"
         );
-        // Slot 0 was reported dead: a poll far in the future yields its
-        // (budgeted) restart.
-        let actions = supervisor.lock().unwrap().poll(10_000_000);
-        assert!(
-            actions
-                .iter()
-                .any(|a| matches!(a, ldp_guard::SupervisorAction::Restart { slot: 0, .. })),
-            "supervisor learned of the death: {actions:?}"
-        );
+        assert_eq!(dead, vec![0], "slot 0 was reported dead, slot 1 was not");
     }
 }

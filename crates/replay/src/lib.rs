@@ -7,7 +7,9 @@
 //! each query is sent at ΔTᵢ = Δt̄ᵢ − Δtᵢ, re-anchored continuously so
 //! pipeline delay never accumulates — or immediately in fast mode.
 //!
-//! Two drivers share the timing and routing logic:
+//! One [`core`] — the schedule, the per-query state table, the
+//! done-set with its cursor, and the checkpoint writer — under two
+//! drivers that own the wire:
 //! - [`engine`] — real sockets and threads (replay fidelity and
 //!   throughput experiments, paper §4);
 //! - [`sim_replay`] — a simulator host with per-source connection reuse
@@ -17,8 +19,8 @@
 
 pub mod capture;
 pub mod clock;
+pub mod core;
 pub mod engine;
-pub mod retransmit;
 pub mod sim_replay;
 pub mod sticky;
 pub mod timing;
@@ -33,10 +35,10 @@ pub(crate) fn wall_clock_test() -> std::sync::MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+pub use crate::core::ReplayCore;
 pub use capture::{parse_tag_seq, Arrival, CaptureServer};
 pub use clock::{ReplayClock, VirtualClock, WallClock};
 pub use engine::{replay, replay_with_clock, ReplayConfig, ReplayReport, SentRecord};
-pub use retransmit::RetransmitState;
 pub use sim_replay::{CheckpointStamp, LatencyLog, LatencyRecord, SimReplayClient};
 pub use sticky::StickyRouter;
-pub use timing::{virtual_deadline, TimingTracker};
+pub use timing::TimingTracker;

@@ -9,14 +9,13 @@ use std::sync::{Arc, Mutex};
 
 use dns_wire::framing::{frame, FrameBuffer};
 use dns_wire::{peek_id, EncodeScratch, Transport};
-use ldp_guard::{
-    Admission, AdmissionController, Checkpoint, InflightEntry, InflightStatus, RetransmitConfig,
-};
+use ldp_guard::{Admission, AdmissionController, Checkpoint, InflightStatus, RetransmitConfig};
 use ldp_telemetry as tel;
 use ldp_trace::TraceEntry;
-use netsim::{ConnId, Ctx, Host, HostId, PacketBytes, SimTime, Simulator, TcpEvent};
+use netsim::{ConnId, Ctx, Host, HostId, PacketBytes, SimDriver, SimDuration, SimTime, TcpEvent};
 
-use crate::retransmit::RetransmitState;
+use crate::core::ReplayCore;
+use crate::timing::TimingTracker;
 
 /// Interned per-query lifecycle marks (enqueue → send → retx →
 /// response → match), keyed by the trace sequence number so sampling
@@ -90,17 +89,19 @@ pub type LatencyLog = Arc<Mutex<Vec<LatencyRecord>>>;
 /// [`SimReplayClient::checkpoint_stamps`] at commit time. The document
 /// itself replaces its predecessor in `checkpoint_out`; the stamps
 /// keep the whole commit history, which is what the crash-storm study
-/// gates on ("v1 commits nothing during the storm, v2 keeps
-/// committing").
+/// gates on ("quiescent cuts commit nothing during the storm, cadence
+/// cuts keep committing").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointStamp {
-    /// Checkpoint format version committed (1 = quiescent, 2 = fuzzy).
+    /// Which mechanism committed: 1 = a quiescent cut
+    /// (`checkpoint_every`), 2 = a fuzzy cut (`checkpoint_cadence`).
+    /// The document is the same format either way.
     pub version: u8,
     /// Checkpoint ordinal.
     pub epoch: u32,
     /// Virtual commit time (ns).
     pub taken_ns: u64,
-    /// Outstanding queries carried (always 0 for v1).
+    /// Outstanding queries carried.
     pub inflight: usize,
 }
 
@@ -167,16 +168,26 @@ fn udp_key(entry: &TraceEntry) -> (IpAddr, u16) {
     (entry.src.ip(), entry.message.id)
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Pending {
-    seq: u64,
-    sent_s: f64,
-    transport: Transport,
-    source: IpAddr,
+/// The schedule of `trace`: offsets from its first entry, which is due
+/// at the replay origin.
+fn tracker_of(trace: &[TraceEntry]) -> TimingTracker {
+    TimingTracker::start(trace.first().map_or(0, |e| e.time_us), 0)
+}
+
+/// The absolute virtual deadline of `entry` in a replay whose first
+/// entry is due at `origin`.
+fn deadline(tracker: &TimingTracker, origin: SimTime, entry: &TraceEntry) -> SimTime {
+    origin + SimDuration::from_micros(tracker.deadline_us(entry.time_us))
 }
 
 /// The simulated replay client: owns all original source addresses and
 /// replays the trace with same-source socket/connection reuse.
+///
+/// This is the netsim driver of [`ReplayCore`]: the core holds every
+/// query's state, the done-set and the checkpoint writer; the client
+/// holds the wire — `Host` callbacks, timer tokens, connections, frame
+/// buffers and the two pending tables that map what a reply carries
+/// back to a trace seq.
 ///
 /// A response is matched to its query on the 12-byte header alone
 /// ([`dns_wire::peek_id`]) plus the address or connection it arrived on,
@@ -185,11 +196,12 @@ struct Pending {
 /// anything shorter than a header is ignored.
 ///
 /// Sending, matching, retransmitting and completing a query never
-/// iterate a pending table (only a checkpoint commit does). A query has
-/// at most one pending entry and its key is known: UDP resends
-/// re-insert under the same `(source, id)`, and a TCP query is only
-/// re-sent after the `Closed` sweep took its entry out, so completion
-/// removes exactly the entry the reply was matched to.
+/// iterate a pending table (only a checkpoint commit walks the live
+/// queries). A query has at most one pending entry and its key is
+/// known: UDP resends re-insert under the same `(source, id)`, and a
+/// TCP query is only re-sent after the `Closed` sweep took its entry
+/// out, so completion removes exactly the entry the reply was matched
+/// to.
 pub struct SimReplayClient {
     trace: Vec<TraceEntry>,
     server: SocketAddr,
@@ -204,9 +216,10 @@ pub struct SimReplayClient {
     conns: BTreeMap<IpAddr, ConnId>,
     conn_sources: BTreeMap<ConnId, IpAddr>,
     frame_bufs: BTreeMap<ConnId, FrameBuffer>,
-    /// In-flight queries by (source, DNS id).
-    pending_udp: BTreeMap<(IpAddr, u16), Pending>,
-    pending_tcp: BTreeMap<(ConnId, u16), Pending>,
+    /// The trace seq in flight under each (source, DNS id).
+    pending_udp: BTreeMap<(IpAddr, u16), u64>,
+    /// The trace seq in flight under each (connection, DNS id).
+    pending_tcp: BTreeMap<(ConnId, u16), u64>,
     /// Reconnect-with-backoff for queries orphaned when their
     /// connection dies (server crash, fault-injected kill, refusal):
     /// base delay before the first resend, doubling per attempt.
@@ -215,9 +228,8 @@ pub struct SimReplayClient {
     pub reconnect_backoff: Option<netsim::SimDuration>,
     /// Resend budget per query across connection deaths.
     pub max_reconnects: u32,
-    /// Live retry chains: seq → (original send time, attempts so far).
-    retrying: BTreeMap<u64, (f64, u32)>,
-    /// Queries queued on a connection still handshaking.
+    /// Where every completed query/response pair is pushed, in
+    /// completion order; shared with whoever built the client.
     log: LatencyLog,
     /// Queries sent.
     pub sent: u64,
@@ -225,16 +237,10 @@ pub struct SimReplayClient {
     pub connects: u64,
     /// Queries resent after their connection died.
     pub retries: u64,
-    /// Seqs answered — this run plus any resumed-from checkpoint.
-    completed: BTreeSet<u64>,
-    /// The first seq not in `completed`, as of the last checkpoint
-    /// commit. `completed` only grows, so the walk that finds it
-    /// continues where the previous commit stopped.
-    cursor: u64,
+    /// Schedule, per-query state, done-set and checkpoint writer.
+    core: ReplayCore,
     /// Dispatch-side admission window (`None` = unguarded dispatch).
     pub admission: Option<AdmissionController>,
-    /// Seqs parked by a `Busy` admission verdict, awaiting re-offer.
-    parked: BTreeSet<u64>,
     /// Mirror of the shed seqs for callers that need them after the
     /// client has been moved into the simulator.
     pub shed_out: Option<Arc<Mutex<Vec<u64>>>>,
@@ -242,7 +248,7 @@ pub struct SimReplayClient {
     /// next quiescent cut (no query in flight, retrying, or parked).
     /// `0` disables checkpointing.
     pub checkpoint_every: u64,
-    /// Commit a v2 fuzzy-cut checkpoint every this much virtual time,
+    /// Commit a fuzzy-cut checkpoint every this much virtual time,
     /// on an absolute grid anchored at [`SimReplayClient::origin`]
     /// (ticks at `origin + k·cadence`), regardless of what is in
     /// flight — the storm-proof alternative to `checkpoint_every`'s
@@ -256,20 +262,16 @@ pub struct SimReplayClient {
     pub udp_retransmit: Option<RetransmitConfig>,
     /// Run-level seed for the per-query retransmit jitter streams.
     pub retx_seed: u64,
-    /// Live per-query send/retry bookkeeping and retransmit budgets.
-    retx_state: RetransmitState,
     /// Whether the cadence tick chain is currently armed (re-armed
     /// lazily after construction and after a querier crash).
     cadence_armed: bool,
     /// Latest committed checkpoint; each cut replaces its predecessor
     /// (a resume only ever wants the newest one).
     pub checkpoint_out: Option<Arc<Mutex<Option<Checkpoint>>>>,
-    /// Commit count per checkpoint mechanism, for studies that gate on
-    /// "v1 starves under a storm, v2 does not": (quiescent commits,
-    /// fuzzy commits) with their virtual commit times (ns).
+    /// Every commit either mechanism made, in commit order, for
+    /// studies that gate on "quiescent cuts starve under a storm,
+    /// cadence cuts do not".
     pub checkpoint_stamps: Option<Arc<Mutex<Vec<CheckpointStamp>>>>,
-    completed_since_cp: u64,
-    epoch: u32,
     /// Virtual-time origin of the schedule — set this to the `start`
     /// passed to [`SimReplayClient::schedule`]. Admission deadlines and
     /// post-crash re-arms are computed from it.
@@ -284,6 +286,7 @@ impl SimReplayClient {
     /// New client replaying `trace` against `server`, logging latencies
     /// into `log`.
     pub fn new(trace: Vec<TraceEntry>, server: SocketAddr, log: LatencyLog) -> Self {
+        let core = ReplayCore::new(tracker_of(&trace));
         SimReplayClient {
             trace,
             server,
@@ -296,26 +299,20 @@ impl SimReplayClient {
             pending_tcp: BTreeMap::new(),
             reconnect_backoff: Some(netsim::SimDuration::from_millis(100)),
             max_reconnects: 3,
-            retrying: BTreeMap::new(),
             log,
             sent: 0,
             connects: 0,
             retries: 0,
-            completed: BTreeSet::new(),
-            cursor: 0,
+            core,
             admission: None,
-            parked: BTreeSet::new(),
             shed_out: None,
             checkpoint_every: 0,
             checkpoint_cadence: None,
             udp_retransmit: None,
             retx_seed: 0,
-            retx_state: RetransmitState::new(),
             cadence_armed: false,
             checkpoint_out: None,
             checkpoint_stamps: None,
-            completed_since_cp: 0,
-            epoch: 0,
             origin: SimTime::ZERO,
             restarts: 0,
             scratch: EncodeScratch::new(),
@@ -331,32 +328,34 @@ impl SimReplayClient {
     /// the resumed transcript is byte-identical to an uninterrupted
     /// same-seed run.
     ///
-    /// Works for both versions. A v2 fuzzy cut's counters are
-    /// *committed* values and its outstanding queries are re-executed
-    /// from their original deadlines (carried on `inflight` lines), so
-    /// their sends/retries are re-counted by the resumed run itself —
-    /// no special handling needed here beyond seeding the same
-    /// `retx_seed`/`udp_retransmit` policy the original run used.
+    /// The checkpoint's counters are *committed* values and its
+    /// outstanding queries are re-executed from their original
+    /// deadlines (carried on `inflight` lines), so their sends/retries
+    /// are re-counted by the resumed run itself — no special handling
+    /// needed here beyond seeding the same `retx_seed`/`udp_retransmit`
+    /// policy the original run used.
     pub fn resume(
         trace: Vec<TraceEntry>,
         server: SocketAddr,
         log: LatencyLog,
         cp: &Checkpoint,
     ) -> Result<Self, String> {
-        let mut client = SimReplayClient::new(trace, server, log);
         let mut seeded = Vec::with_capacity(cp.records.len());
         for (i, line) in cp.records.iter().enumerate() {
             let r = record_from_line(line)
                 .ok_or_else(|| format!("checkpoint record {i} unparseable: {line:?}"))?;
-            client.completed.insert(r.seq);
             seeded.push(r);
         }
+        let mut client = SimReplayClient::new(trace, server, log);
+        // The cursor restarts at 0: a fuzzy cut's cursor passed over
+        // carried queries, which this run has yet to answer.
+        let done = seeded.iter().map(|r| r.seq);
+        client.core = ReplayCore::resume(*client.core.tracker(), cp.epoch, 0, done);
         client.log.lock().unwrap().extend(seeded);
         client.sent = cp.counter("sent").unwrap_or(0);
         client.connects = cp.counter("connects").unwrap_or(0);
         client.retries = cp.counter("retries").unwrap_or(0);
         client.restarts = cp.counter("restarts").unwrap_or(0) as u32;
-        client.epoch = cp.epoch;
         Ok(client)
     }
 
@@ -370,14 +369,10 @@ impl SimReplayClient {
 
     /// Schedule one timer per trace entry, offset so the first query
     /// fires at `start`.
-    pub fn schedule(sim: &mut Simulator, host: HostId, trace: &[TraceEntry], start: SimTime) {
-        let Some(first) = trace.first() else {
-            return;
-        };
-        let t0 = first.time_us;
+    pub fn schedule(sim: &mut impl SimDriver, host: HostId, trace: &[TraceEntry], start: SimTime) {
+        let tracker = tracker_of(trace);
         for (i, e) in trace.iter().enumerate() {
-            let at = start + netsim::SimDuration::from_micros(e.time_us - t0);
-            sim.schedule_timer(host, at, i as u64);
+            sim.schedule_timer(host, deadline(&tracker, start, e), i as u64);
         }
     }
 
@@ -387,16 +382,16 @@ impl SimReplayClient {
     /// every one of them is in its future), which is what makes the
     /// resumed transcript byte-identical to an uninterrupted run.
     ///
-    /// For a v2 fuzzy cut the checkpoint's `inflight` lines are
-    /// authoritative: each carried query is re-armed at the deadline
-    /// the checkpoint recorded for it (its *original* send instant —
-    /// re-execution, not continuation: the fresh simulator re-runs the
-    /// query's full lifecycle, and because every packet fate and
-    /// jitter draw is a pure function of seed and virtual time, the
-    /// re-run is bit-identical to the original). `start` must be the
-    /// same origin the killed run used.
+    /// The checkpoint's `inflight` lines are authoritative: each
+    /// carried query is re-armed at the deadline the checkpoint
+    /// recorded for it (its *original* send instant — re-execution,
+    /// not continuation: the fresh simulator re-runs the query's full
+    /// lifecycle, and because every packet fate and jitter draw is a
+    /// pure function of seed and virtual time, the re-run is
+    /// bit-identical to the original). `start` must be the same origin
+    /// the killed run used.
     pub fn schedule_resume(
-        sim: &mut Simulator,
+        sim: &mut impl SimDriver,
         host: HostId,
         trace: &[TraceEntry],
         start: SimTime,
@@ -409,21 +404,15 @@ impl SimReplayClient {
             .collect();
         let carried: BTreeMap<u64, u64> =
             cp.inflight.iter().map(|e| (e.seq, e.deadline_ns)).collect();
-        let Some(first) = trace.first() else {
-            return;
-        };
-        let t0 = first.time_us;
-        let start_ns = start.as_nanos();
+        let tracker = tracker_of(trace);
         let mut rearmed = 0u64;
         for (i, e) in trace.iter().enumerate() {
             if done.contains(&(i as u64)) {
                 continue;
             }
             let at = match carried.get(&(i as u64)) {
-                Some(&deadline_ns) => {
-                    start + netsim::SimDuration::from_nanos(deadline_ns.saturating_sub(start_ns))
-                }
-                None => start + netsim::SimDuration::from_micros(e.time_us - t0),
+                Some(&deadline_ns) => SimTime::from_nanos(deadline_ns.max(start.as_nanos())),
+                None => deadline(&tracker, start, e),
             };
             sim.schedule_timer(host, at, i as u64);
             rearmed += 1;
@@ -433,39 +422,31 @@ impl SimReplayClient {
         }
     }
 
-    /// The trace deadline of entry `idx` in absolute virtual µs.
-    fn deadline_us(&self, idx: usize) -> u64 {
-        let t0 = self.trace.first().map_or(0, |e| e.time_us);
-        self.origin.as_nanos() / 1_000 + (self.trace[idx].time_us - t0)
-    }
-
     /// Offer entry `idx` to the admission window and act on the
     /// verdict: dispatch, park for a later re-offer, or shed.
     fn try_admit(&mut self, ctx: &mut Ctx<'_>, idx: usize) {
         let seq = idx as u64;
-        if self.completed.contains(&seq) {
+        if self.core.is_done(seq) {
             return; // answered before a crash/resume boundary
         }
-        let deadline_us = self.deadline_us(idx);
-        let now_us = ctx.now().as_nanos() / 1_000;
         let Some(adm) = &mut self.admission else {
-            self.send_entry(ctx, idx);
+            self.dispatch(ctx, idx, false);
             return;
         };
+        let entry = &self.trace[idx];
+        let deadline_us = deadline(self.core.tracker(), self.origin, entry).as_nanos() / 1_000;
+        let now_us = ctx.now().as_nanos() / 1_000;
         match adm.offer(seq, deadline_us, now_us) {
-            Admission::Admit => {
-                self.parked.remove(&seq);
-                self.send_entry(ctx, idx);
-            }
+            Admission::Admit => self.dispatch(ctx, idx, false),
             Admission::Busy => {
-                self.parked.insert(seq);
+                self.core.park(seq);
                 ctx.set_timer(
                     netsim::SimDuration::from_micros(ADMIT_POLL_US),
                     ADMIT_TOKEN_BIT | seq,
                 );
             }
             Admission::Shed => {
-                self.parked.remove(&seq);
+                self.core.shed(seq);
                 if tel::enabled() {
                     let late = now_us.saturating_sub(deadline_us);
                     tel::mark_at(ctx.now().as_nanos(), g_kinds().shed, seq, late);
@@ -477,14 +458,19 @@ impl SimReplayClient {
         }
     }
 
-    fn send_entry(&mut self, ctx: &mut Ctx<'_>, idx: usize) {
-        self.dispatch(ctx, idx, None);
+    /// A later query with the same wire key took `earlier`'s pending
+    /// slot over: no reply can be matched to it any more.
+    fn displaced(&mut self, earlier: Option<u64>, seq: u64) {
+        if let Some(earlier) = earlier.filter(|&e| e != seq) {
+            self.core.abandon(earlier);
+        }
     }
 
-    /// Send trace entry `idx`. `first_sent_s` is set on resends so the
-    /// logged latency spans from the *original* send — a recovered
-    /// query pays for the outage it lived through.
-    fn dispatch(&mut self, ctx: &mut Ctx<'_>, idx: usize, first_sent_s: Option<f64>) {
+    /// Send trace entry `idx`. `resend` marks a retry or retransmit:
+    /// the logged latency still spans from the *original* send — a
+    /// recovered query pays for the outage it lived through.
+    fn dispatch(&mut self, ctx: &mut Ctx<'_>, idx: usize, resend: bool) {
+        let seq = idx as u64;
         let entry = &self.trace[idx];
         let transport = self.transport_override.unwrap_or(entry.transport);
         let src = entry.src;
@@ -493,40 +479,25 @@ impl SimReplayClient {
         // Encoded into the reusable scratch, then one copy straight
         // into the refcounted packet buffer the simulator shares.
         let payload: PacketBytes = entry.message.encode_into(&mut self.scratch).into();
-        let now_s = ctx.now().as_secs_f64();
-        let pending = Pending {
-            seq: idx as u64,
-            sent_s: first_sent_s.unwrap_or(now_s),
-            transport,
-            source: src.ip(),
-        };
+        let now_ns = ctx.now().as_nanos();
         self.sent += 1;
-        self.retx_state.note_send(idx as u64);
+        self.core.note_send(seq, now_ns, resend);
         if tel::enabled() {
             let k = q_kinds();
-            let kind = if first_sent_s.is_some() {
-                k.retx
-            } else {
-                k.send
-            };
-            tel::mark_at(ctx.now().as_nanos(), kind, idx as u64, payload.len() as u64);
+            let kind = if resend { k.retx } else { k.send };
+            tel::mark_at(now_ns, kind, seq, payload.len() as u64);
         }
         match transport {
             Transport::Udp => {
-                self.pending_udp.insert(udp_key, pending);
+                let earlier = self.pending_udp.insert(udp_key, seq);
+                self.displaced(earlier, seq);
                 ctx.send_udp(src, self.server, payload);
                 // Arm the next retransmit from this query's own
                 // deterministic budget; exhaustion is terminal (the
                 // query stays pending, carried by any fuzzy cut).
                 if let Some(cfg) = self.udp_retransmit {
-                    if let Some(d) = self
-                        .retx_state
-                        .next_delay_us(idx as u64, &cfg, self.retx_seed)
-                    {
-                        ctx.set_timer(
-                            netsim::SimDuration::from_micros(d),
-                            RETX_TOKEN_BIT | idx as u64,
-                        );
+                    if let Some(d) = self.core.next_retx_delay_us(seq, &cfg, self.retx_seed) {
+                        ctx.set_timer(netsim::SimDuration::from_micros(d), RETX_TOKEN_BIT | seq);
                     }
                 }
             }
@@ -550,124 +521,52 @@ impl SimReplayClient {
                         c
                     }
                 };
-                self.pending_tcp.insert((conn, id), pending);
+                let earlier = self.pending_tcp.insert((conn, id), seq);
+                self.displaced(earlier, seq);
                 ctx.tcp_send(conn, frame(&payload));
             }
         }
     }
 
-    fn complete(&mut self, pending: Pending, now_s: f64, now_ns: u64, bytes: usize) {
-        // An answer — possibly to an earlier attempt — cancels any
-        // retry chain. The caller took `pending`, the query's only
-        // entry, out of its table.
-        let seq = pending.seq;
-        self.retrying.remove(&seq);
-        self.retx_state.complete(seq);
+    /// A `bytes`-long reply matched to `seq` arrived at `now`; the
+    /// caller took the query's only pending entry out of its table.
+    fn complete(&mut self, seq: u64, now: SimTime, bytes: usize) {
+        // A pending entry without a live query cannot exist.
+        let Some(first_sent_ns) = self.core.complete(seq) else {
+            return;
+        };
+        let now_s = now.as_secs_f64();
         if tel::enabled() {
-            tel::mark_at((now_s * 1e9) as u64, q_kinds().matched, seq, bytes as u64);
+            let k = q_kinds();
+            tel::mark_at(now.as_nanos(), k.response, seq, bytes as u64);
+            tel::mark_at((now_s * 1e9) as u64, k.matched, seq, bytes as u64);
         }
+        let entry = &self.trace[seq as usize];
         self.log.lock().unwrap().push(LatencyRecord {
-            seq: pending.seq,
-            sent_s: pending.sent_s,
+            seq,
+            sent_s: SimTime::from_nanos(first_sent_ns).as_secs_f64(),
             replied_s: now_s,
-            transport: pending.transport,
-            source: pending.source,
+            transport: self.transport_override.unwrap_or(entry.transport),
+            source: entry.src.ip(),
             response_bytes: bytes,
         });
-        self.completed.insert(seq);
-        self.parked.remove(&seq);
         if let Some(adm) = &mut self.admission {
             adm.complete();
         }
-        if self.checkpoint_every > 0 {
-            self.completed_since_cp += 1;
-            if self.completed_since_cp >= self.checkpoint_every && self.quiescent() {
-                self.completed_since_cp = 0;
-                self.take_checkpoint(now_ns);
-            }
+        if self.core.cut_due(self.checkpoint_every) {
+            self.commit(now.as_nanos(), 1);
         }
     }
 
-    /// A quiescent cut: nothing in flight, retrying, or parked, so
-    /// every telemetry event at or before "now" belongs to a completed
-    /// query and the checkpointed log is a clean prefix.
-    fn quiescent(&self) -> bool {
-        self.pending_udp.is_empty()
-            && self.pending_tcp.is_empty()
-            && self.retrying.is_empty()
-            && self.parked.is_empty()
-    }
-
-    /// Commit a v1 checkpoint of the current progress into
-    /// `checkpoint_out`, replacing the previous one. Only called at a
-    /// quiescent cut, so there is no in-flight state to carry.
-    fn take_checkpoint(&mut self, taken_ns: u64) {
-        let Some(out) = self.checkpoint_out.clone() else {
-            return;
-        };
-        self.epoch += 1;
-        let records: Vec<String> = self
-            .log
-            .lock()
-            .unwrap()
-            .iter()
-            .map(record_to_line)
-            .collect();
-        let cursor = self.advance_cursor();
-        let shed = self.admission.as_ref().map_or(0, |a| a.shed_count());
-        let cp = Checkpoint {
-            version: 1,
-            epoch: self.epoch,
-            taken_ns,
-            cursor,
-            counters: vec![
-                ("sent".into(), self.sent),
-                ("connects".into(), self.connects),
-                ("retries".into(), self.retries),
-                ("shed".into(), shed),
-                ("restarts".into(), self.restarts as u64),
-            ],
-            records,
-            inflight: Vec::new(),
-        };
-        self.stamp(1, taken_ns, 0);
-        *out.lock().unwrap() = Some(cp);
-    }
-
-    /// The first seq not yet completed: the v1 checkpoint cursor.
-    fn advance_cursor(&mut self) -> u64 {
-        while self.completed.contains(&self.cursor) {
-            self.cursor += 1;
-        }
-        self.cursor
-    }
-
-    /// Seqs dispatched-or-parked but not completed — the set a fuzzy
-    /// cut must carry. Union of the live bookkeeping, the parked set,
-    /// the TCP retry chains, and (belt and braces) anything still
-    /// pending.
-    fn outstanding_seqs(&self) -> BTreeSet<u64> {
-        let mut out: BTreeSet<u64> = self.retx_state.live_seqs().collect();
-        out.extend(self.parked.iter().copied());
-        out.extend(self.retrying.keys().copied());
-        out.extend(self.pending_udp.values().map(|p| p.seq));
-        out.extend(self.pending_tcp.values().map(|p| p.seq));
-        out
-    }
-
-    /// Commit a v2 fuzzy-cut checkpoint at virtual instant `taken_ns`,
-    /// whatever is in flight. Counters are committed down to completed
-    /// work (live contributions are subtracted and carried per-query
-    /// on the `inflight` lines instead), so a resumed run that
-    /// re-executes the outstanding queries re-counts them exactly
-    /// once. `connects` is carried as-is: connection reuse makes
+    /// Commit the checkpoint of virtual instant `taken_ns` into
+    /// `checkpoint_out`, replacing the previous one, whatever is in
+    /// flight. `connects` is carried as-is: connection reuse makes
     /// per-query attribution ill-defined, so TCP-heavy runs should
     /// compare transcripts, not the connects counter, across a resume.
-    fn take_fuzzy_checkpoint(&mut self, taken_ns: u64) {
+    fn commit(&mut self, taken_ns: u64, mechanism: u8) {
         let Some(out) = self.checkpoint_out.clone() else {
             return;
         };
-        self.epoch += 1;
         let records: Vec<String> = self
             .log
             .lock()
@@ -675,59 +574,28 @@ impl SimReplayClient {
             .iter()
             .map(record_to_line)
             .collect();
-        let outstanding = self.outstanding_seqs();
-        // A fuzzy cut's cursor also passes over outstanding queries
-        // (its `inflight` lines carry them), which may yet be shed, so
-        // this part of the walk is redone from the first uncompleted
-        // seq at every cut: the in-flight window, not the trace.
-        let mut cursor = self.advance_cursor();
-        while self.completed.contains(&cursor) || outstanding.contains(&cursor) {
-            cursor += 1;
-        }
-        let (live_sends, live_retx) = self.retx_state.live_totals();
         let shed = self.admission.as_ref().map_or(0, |a| a.shed_count());
-        let t0 = self.trace.first().map_or(0, |e| e.time_us);
-        let origin_ns = self.origin.as_nanos();
-        let inflight: Vec<InflightEntry> = outstanding
-            .iter()
-            .map(|&seq| {
-                let deadline_ns = self
-                    .trace
-                    .get(seq as usize)
-                    .map_or(0, |e| origin_ns + (e.time_us - t0).saturating_mul(1_000));
-                let status = if self.parked.contains(&seq) {
-                    InflightStatus::Parked
-                } else if self.retrying.contains_key(&seq) {
-                    InflightStatus::Retrying
-                } else {
-                    InflightStatus::InFlight
-                };
-                InflightEntry {
-                    seq,
-                    deadline_ns,
-                    sends: self.retx_state.sends_of(seq),
-                    retx: self.retx_state.retx_of(seq),
-                    status,
-                    budget: self.retx_state.budget_snapshot(seq),
-                }
-            })
-            .collect();
-        let cp = Checkpoint {
-            version: 2,
-            epoch: self.epoch,
-            taken_ns,
-            cursor,
-            counters: vec![
-                ("sent".into(), self.sent.saturating_sub(live_sends)),
-                ("connects".into(), self.connects),
-                ("retries".into(), self.retries.saturating_sub(live_retx)),
-                ("shed".into(), shed),
-                ("restarts".into(), self.restarts as u64),
-            ],
-            records,
-            inflight,
-        };
-        self.stamp(2, taken_ns, cp.inflight.len());
+        let counters = [
+            ("sent", self.sent),
+            ("connects", self.connects),
+            ("retries", self.retries),
+            ("shed", shed),
+            ("restarts", self.restarts as u64),
+        ];
+        let (tracker, origin, trace) = (*self.core.tracker(), self.origin, &self.trace);
+        let cp = self.core.cut(taken_ns, &counters, records, |seq| {
+            trace
+                .get(seq as usize)
+                .map_or(0, |e| deadline(&tracker, origin, e).as_nanos())
+        });
+        if let Some(stamps) = &self.checkpoint_stamps {
+            stamps.lock().unwrap().push(CheckpointStamp {
+                version: mechanism,
+                epoch: cp.epoch,
+                taken_ns,
+                inflight: cp.inflight.len(),
+            });
+        }
         *out.lock().unwrap() = Some(cp);
     }
 
@@ -736,19 +604,6 @@ impl SimReplayClient {
         self.pending_tcp
             .range((conn, 0)..=(conn, u16::MAX))
             .map(|(key, _)| *key)
-    }
-
-    /// Record one commit into the stamp history, if a collector is
-    /// attached.
-    fn stamp(&self, version: u8, taken_ns: u64, inflight: usize) {
-        if let Some(stamps) = &self.checkpoint_stamps {
-            stamps.lock().unwrap().push(CheckpointStamp {
-                version,
-                epoch: self.epoch,
-                taken_ns,
-                inflight,
-            });
-        }
     }
 
     /// Arm the cadence tick chain (once) at the next absolute grid
@@ -781,16 +636,8 @@ impl Host for SimReplayClient {
         let Some(id) = peek_id(&data) else {
             return;
         };
-        if let Some(p) = self.pending_udp.remove(&(to.ip(), id)) {
-            if tel::enabled() {
-                tel::mark_at(
-                    ctx.now().as_nanos(),
-                    q_kinds().response,
-                    p.seq,
-                    data.len() as u64,
-                );
-            }
-            self.complete(p, ctx.now().as_secs_f64(), ctx.now().as_nanos(), data.len());
+        if let Some(seq) = self.pending_udp.remove(&(to.ip(), id)) {
+            self.complete(seq, ctx.now(), data.len());
         }
     }
 
@@ -804,19 +651,14 @@ impl Host for SimReplayClient {
                 let mut done = Vec::new();
                 while let Some(body) = fb.next_message() {
                     if let Some(id) = peek_id(&body) {
-                        if let Some(p) = self.pending_tcp.remove(&(conn, id)) {
-                            done.push((p, body.len()));
+                        if let Some(seq) = self.pending_tcp.remove(&(conn, id)) {
+                            done.push((seq, body.len()));
                         }
                     }
                 }
-                let now = ctx.now().as_secs_f64();
-                let now_ns = ctx.now().as_nanos();
                 let any_done = !done.is_empty();
-                for (p, bytes) in done {
-                    if tel::enabled() {
-                        tel::mark_at(now_ns, q_kinds().response, p.seq, bytes as u64);
-                    }
-                    self.complete(p, now, now_ns, bytes);
+                for (seq, bytes) in done {
+                    self.complete(seq, ctx.now(), bytes);
                 }
                 // No-reuse ablation: close as soon as the (single)
                 // outstanding query on this throwaway connection is
@@ -835,24 +677,19 @@ impl Host for SimReplayClient {
                 }
                 self.frame_bufs.remove(&conn);
                 // Queries that died with the connection are resent with
-                // exponential backoff rather than silently lost.
+                // exponential backoff rather than silently lost; with
+                // recovery disabled there is no budget to resend on.
+                let budget = self.reconnect_backoff.map_or(0, |_| self.max_reconnects);
                 let orphans: Vec<(ConnId, u16)> = self.pending_on(conn).collect();
                 for key in orphans {
-                    let Some(p) = self.pending_tcp.remove(&key) else {
+                    let Some(seq) = self.pending_tcp.remove(&key) else {
                         continue;
                     };
-                    let Some(base) = self.reconnect_backoff else {
-                        continue; // recovery disabled: the query is lost
-                    };
-                    let chain = self.retrying.entry(p.seq).or_insert((p.sent_s, 0));
-                    if chain.1 >= self.max_reconnects {
-                        // Budget exhausted: give up on this query.
-                        self.retrying.remove(&p.seq);
-                        continue;
+                    let attempt = self.core.orphan(seq, budget);
+                    if let (Some(base), Some(n)) = (self.reconnect_backoff, attempt) {
+                        let delay = base.times(1u64 << (n - 1).min(16));
+                        ctx.set_timer(delay, RETRY_TOKEN_BIT | seq);
                     }
-                    chain.1 += 1;
-                    let delay = base.times(1u64 << (chain.1 - 1).min(16));
-                    ctx.set_timer(delay, RETRY_TOKEN_BIT | p.seq);
                 }
             }
             TcpEvent::Connected { .. } | TcpEvent::Incoming { .. } => {}
@@ -869,61 +706,43 @@ impl Host for SimReplayClient {
             let seq = token & !RETRY_TOKEN_BIT;
             // The chain may have been cancelled by a late answer on an
             // earlier attempt — only resend while it is still live.
-            let Some(&(sent_s, _)) = self.retrying.get(&seq) else {
-                return;
-            };
-            let idx = seq as usize;
-            if idx < self.trace.len() {
+            if self.core.status(seq) == Some(InflightStatus::Retrying) {
                 self.retries += 1;
-                self.retx_state.note_retx(seq);
-                self.dispatch(ctx, idx, Some(sent_s));
+                self.dispatch(ctx, seq as usize, true);
             }
             return;
         }
         if token & RETX_TOKEN_BIT != 0 {
             // A UDP retransmit came due. Only resend while the query
-            // is still unanswered and actually on the wire (the
-            // pending entry holds the original send time the logged
-            // latency must span from).
+            // is still on the wire: an answer took its pending entry
+            // out, and a later query with the same source and id may
+            // have taken the slot over.
             let seq = token & !RETX_TOKEN_BIT;
-            if self.completed.contains(&seq) {
-                return;
-            }
             let idx = seq as usize;
             let Some(entry) = self.trace.get(idx) else {
                 return;
             };
-            // A later query with the same source and id may have taken
-            // the slot over.
-            let Some(sent_s) = self
-                .pending_udp
-                .get(&udp_key(entry))
-                .filter(|p| p.seq == seq)
-                .map(|p| p.sent_s)
-            else {
-                return;
-            };
-            self.retries += 1;
-            self.retx_state.note_retx(seq);
-            self.dispatch(ctx, idx, Some(sent_s));
+            if self.pending_udp.get(&udp_key(entry)) == Some(&seq) {
+                self.retries += 1;
+                self.dispatch(ctx, idx, true);
+            }
             return;
         }
         if token == CP_TOKEN_BIT {
             // Fuzzy-cut cadence tick: commit whatever is in flight and
             // re-arm the next grid instant.
             if let Some(cadence) = self.checkpoint_cadence {
-                self.take_fuzzy_checkpoint(ctx.now().as_nanos());
+                self.commit(ctx.now().as_nanos(), 2);
                 ctx.set_timer(cadence, CP_TOKEN_BIT);
             }
             return;
         }
         if token & ADMIT_TOKEN_BIT != 0 {
             // Re-offer a parked query. The park may have been lifted by
-            // a crash (cleared state) or an answer in the meantime.
+            // a crash (cleared state) in the meantime.
             let seq = token & !ADMIT_TOKEN_BIT;
-            let idx = seq as usize;
-            if self.parked.remove(&seq) && idx < self.trace.len() {
-                self.try_admit(ctx, idx);
+            if self.core.status(seq) == Some(InflightStatus::Parked) {
+                self.try_admit(ctx, seq as usize);
             }
             return;
         }
@@ -938,20 +757,16 @@ impl Host for SimReplayClient {
 
     fn on_crash(&mut self) {
         // Power-off: sockets, connections, frame buffers, in-flight
-        // queries, retry chains and parked offers all die with the
-        // process. The trace, the completed set and the shared log are
+        // queries, retry chains, parked offers and the cadence tick all
+        // die with the process. The trace, the done-set, the send
+        // accounting (those packets really left) and the shared log are
         // the durable state a restart rebuilds from.
         self.conns.clear();
         self.conn_sources.clear();
         self.frame_bufs.clear();
         self.pending_udp.clear();
         self.pending_tcp.clear();
-        self.retrying.clear();
-        self.parked.clear();
-        // Retransmit chains and the cadence tick died with the timer
-        // epoch; the send/retry accounting survives (those packets
-        // really left before the crash).
-        self.retx_state.drop_budgets();
+        self.core.crash();
         self.cadence_armed = false;
         if let Some(adm) = &mut self.admission {
             adm.reset_in_flight();
@@ -967,15 +782,13 @@ impl Host for SimReplayClient {
         self.restarts += 1;
         self.maybe_arm_cadence(ctx);
         let now_ns = ctx.now().as_nanos();
-        let t0 = self.trace.first().map_or(0, |e| e.time_us);
-        let origin_ns = self.origin.as_nanos();
         let mut due = Vec::new();
         let mut future = Vec::new();
-        for (i, e) in self.trace.iter().enumerate() {
-            if self.completed.contains(&(i as u64)) {
+        for i in 0..self.trace.len() {
+            if self.core.is_done(i as u64) {
                 continue;
             }
-            let at_ns = origin_ns + (e.time_us - t0).saturating_mul(1_000);
+            let at_ns = deadline(self.core.tracker(), self.origin, &self.trace[i]).as_nanos();
             if at_ns <= now_ns {
                 due.push(i);
             } else {
@@ -1006,7 +819,7 @@ mod tests {
     use dns_wire::{Name, RData, Record, RecordType, Soa};
     use dns_zone::{Catalog, Zone};
     use ldp_trace::{Mutation, Mutator};
-    use netsim::{PathConfig, SimConfig, SimDuration, Topology};
+    use netsim::{PathConfig, SimConfig, Simulator, Topology};
 
     fn n(s: &str) -> Name {
         s.parse().unwrap()
@@ -1060,7 +873,7 @@ mod tests {
         rtt_ms: u64,
         idle_secs: u64,
         horizon_s: f64,
-    ) -> (Vec<LatencyRecord>, netsim::HostStats, u64) {
+    ) -> (Vec<LatencyRecord>, netsim::HostStats) {
         let mut sim = Simulator::new(
             Topology::uniform(PathConfig {
                 rtt: SimDuration::from_millis(rtt_ms),
@@ -1082,20 +895,18 @@ mod tests {
         let mut client = SimReplayClient::new(trace.clone(), server_addr, log.clone());
         client.transport_override = transport;
         let srcs = client.source_addrs();
-        let connects_probe = Arc::new(Mutex::new(0u64));
-        let _ = connects_probe;
         let client_id = sim.add_host(&srcs, Box::new(client));
         SimReplayClient::schedule(&mut sim, client_id, &trace, SimTime::ZERO);
         sim.run_until(SimTime::from_secs_f64(horizon_s));
         let stats = sim.stats(server_id);
         let out = log.lock().unwrap().clone();
-        (out, stats, 0)
+        (out, stats)
     }
 
     #[test]
     fn udp_latency_is_one_rtt() {
         let trace = mk_trace(20, 10_000, 5);
-        let (log, stats, _) = run(trace, None, 40, 20, 10.0);
+        let (log, stats) = run(trace, None, 40, 20, 10.0);
         assert_eq!(log.len(), 20);
         for r in &log {
             assert!(
@@ -1110,7 +921,7 @@ mod tests {
     #[test]
     fn tcp_first_query_two_rtt_then_one() {
         let trace = mk_trace(3, 50_000, 1); // one source, 50 ms apart
-        let (mut log, stats, _) = run(trace, Some(Transport::Tcp), 20, 20, 10.0);
+        let (mut log, stats) = run(trace, Some(Transport::Tcp), 20, 20, 10.0);
         log.sort_by_key(|r| r.seq);
         assert_eq!(log.len(), 3);
         assert!(
@@ -1132,7 +943,7 @@ mod tests {
         // 200 ms apart so the second query lands after the 3-RTT
         // connection setup (60 ms) has fully completed.
         let trace = mk_trace(2, 200_000, 1);
-        let (mut log, stats, _) = run(trace, Some(Transport::Tls), 20, 20, 10.0);
+        let (mut log, stats) = run(trace, Some(Transport::Tls), 20, 20, 10.0);
         log.sort_by_key(|r| r.seq);
         assert!(
             (log[0].latency() - 0.080).abs() < 0.002,
@@ -1151,7 +962,7 @@ mod tests {
         // Two queries 10 s apart with a 5 s server idle timeout: the
         // second query pays the handshake again.
         let trace = mk_trace(2, 10_000_000, 1);
-        let (mut log, stats, _) = run(trace, Some(Transport::Tcp), 20, 5, 60.0);
+        let (mut log, stats) = run(trace, Some(Transport::Tcp), 20, 5, 60.0);
         log.sort_by_key(|r| r.seq);
         assert_eq!(log.len(), 2);
         assert!((log[0].latency() - 0.040).abs() < 0.002);
@@ -1169,7 +980,7 @@ mod tests {
         // replay — the §5.2 what-if pipeline in miniature.
         let mut trace = mk_trace(10, 20_000, 3);
         Mutator::new(vec![Mutation::SetTransport(Transport::Tls)]).apply(&mut trace);
-        let (log, stats, _) = run(trace, None, 10, 20, 10.0);
+        let (log, stats) = run(trace, None, 10, 20, 10.0);
         assert_eq!(log.len(), 10);
         assert_eq!(stats.tls_rx, 10);
         assert_eq!(stats.udp_rx, 0);
@@ -1179,7 +990,7 @@ mod tests {
     #[test]
     fn per_source_connections_are_separate() {
         let trace = mk_trace(8, 10_000, 4);
-        let (log, stats, _) = run(trace, Some(Transport::Tcp), 5, 20, 10.0);
+        let (log, stats) = run(trace, Some(Transport::Tcp), 5, 20, 10.0);
         assert_eq!(log.len(), 8);
         assert_eq!(stats.tcp_accepts, 4, "one connection per source");
     }
@@ -1374,7 +1185,7 @@ mod tests {
         let (client, log) = run_against(Box::new(server), mk_trace(3, 50_000, 1), |_| {}, |_| {});
         assert_eq!(log.len(), 3, "{log:?}");
         assert!(log.iter().all(|r| r.response_bytes == 14), "{log:?}");
-        assert!(client.lock().unwrap().quiescent());
+        assert!(client.lock().unwrap().core.quiescent());
     }
 
     /// The same over TCP: a frame whose body does not decode completes
@@ -1390,7 +1201,7 @@ mod tests {
         );
         assert_eq!(log.len(), 3, "{log:?}");
         assert!(log.iter().all(|r| r.response_bytes == 14), "{log:?}");
-        assert!(client.lock().unwrap().quiescent());
+        assert!(client.lock().unwrap().core.quiescent());
     }
 
     /// The pending tables hold at most one entry per query, under a key
@@ -1417,7 +1228,7 @@ mod tests {
         let client = client.lock().unwrap();
         assert_eq!((client.sent, client.retries), (2, 1));
         assert!(client.pending_udp.is_empty() && client.pending_tcp.is_empty());
-        assert!(client.quiescent());
+        assert!(client.core.quiescent());
     }
 
     /// TCP: a query whose connection died is re-sent on a fresh one and
@@ -1449,8 +1260,8 @@ mod tests {
         let client = client.lock().unwrap();
         assert!(client.retries >= 1, "q1 was re-sent");
         assert!(client.pending_udp.is_empty() && client.pending_tcp.is_empty());
-        assert!(client.retrying.is_empty());
-        assert!(client.quiescent());
+        assert_eq!(client.core.status(1), None, "no retry chain left");
+        assert!(client.core.quiescent());
     }
 
     /// One full checkpointed run: returns (transcript lines, last

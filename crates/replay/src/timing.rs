@@ -63,18 +63,6 @@ impl TimingTracker {
     }
 }
 
-/// The same computation in seconds (the simulator's native unit), for
-/// simulator-driven replays: returns the send time given the trace
-/// time, trace origin and replay origin.
-pub fn virtual_deadline(
-    trace_us: u64,
-    trace_start_us: u64,
-    replay_start_s: f64,
-    speed: f64,
-) -> f64 {
-    replay_start_s + (trace_us.saturating_sub(trace_start_us)) as f64 / 1e6 / speed
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,14 +115,6 @@ mod tests {
         let tr = TimingTracker::start(7_000_000, 100_000);
         assert_eq!(tr.deadline_us(7_000_000), 100_000);
         assert_eq!(tr.deadline_us(7_250_000), 350_000);
-    }
-
-    #[test]
-    fn virtual_deadline_matches() {
-        let d = virtual_deadline(2_500_000, 500_000, 100.0, 1.0);
-        assert!((d - 102.0).abs() < 1e-9);
-        let d = virtual_deadline(2_500_000, 500_000, 100.0, 2.0);
-        assert!((d - 101.0).abs() < 1e-9);
     }
 
     #[test]
