@@ -12,21 +12,13 @@
 //! burst coalesces onto exactly one upstream query, and that bounded
 //! eviction is deterministic; it exits nonzero if any check fails.
 //!
-//! `cargo run --release -p ldp-bench --bin fig_cache [-- --seed 11 --smoke]`
+//! `cargo run --release -p ldp-bench --bin fig_cache [-- --seed 11]`
 
 use dns_resolver::sim_resolver::AnswerClass;
-use ldp_bench::{arg_flag, arg_u64, cdf_rows, identical, ok_fail};
+use ldp_bench::{arg_u64, cdf_rows, identical, ok_fail, reject_unknown_flags};
 use ldp_chaos::delayed::{run, DelayedConfig, DelayedOutcome, PolicyKind};
 use ldp_telemetry as tel;
 use netsim::{SimDuration, SimTime};
-
-fn cfg_for(capacity: usize, policy: PolicyKind, seed: u64, smoke: bool) -> DelayedConfig {
-    if smoke {
-        DelayedConfig::smoke(capacity, policy, seed)
-    } else {
-        DelayedConfig::standard(capacity, policy, seed)
-    }
-}
 
 fn cap_label(capacity: usize) -> String {
     if capacity == usize::MAX {
@@ -50,12 +42,12 @@ fn split_row(label: &str, out: &DelayedOutcome) -> String {
 }
 
 fn main() {
+    reject_unknown_flags(&["--seed"]);
     let seed = arg_u64("--seed", 11);
-    let smoke = arg_flag("--smoke");
     let mut failed = false;
 
-    let capacities: [usize; 2] = if smoke { [24, 96] } else { [64, 256] };
-    let shape = cfg_for(capacities[0], PolicyKind::Lru, seed, smoke);
+    let capacities: [usize; 2] = [64, 256];
+    let shape = DelayedConfig::standard(capacities[0], PolicyKind::Lru, seed);
     println!(
         "delayed-hits caching study: {} names (zipf s={}), {} queries at {} ms spacing,",
         shape.names,
@@ -64,11 +56,8 @@ fn main() {
         shape.query_gap.as_nanos() / 1_000_000
     );
     println!(
-        "record TTL {}s, every {}th rank NXDOMAIN, {} upstream servers, seed {seed}{}\n",
-        shape.record_ttl,
-        shape.nx_every,
-        shape.servers,
-        if smoke { " (smoke)" } else { "" }
+        "record TTL {}s, every {}th rank NXDOMAIN, {} upstream servers, seed {seed}\n",
+        shape.record_ttl, shape.nx_every, shape.servers
     );
 
     // Determinism gate: same seed → byte-identical transcripts on a
@@ -110,7 +99,7 @@ fn main() {
     // Eviction gate: a bounded run must actually evict, stay within
     // capacity, and do so identically on a rerun (deterministic
     // rank-based eviction, no ambient state).
-    let bounded = cfg_for(capacities[0], PolicyKind::DelayAware, seed, smoke);
+    let bounded = DelayedConfig::standard(capacities[0], PolicyKind::DelayAware, seed);
     let ev_a = run(&bounded);
     let ev_b = run(&bounded);
     let evict_ok = ev_a.snapshot.stats.evictions > 0
@@ -133,13 +122,13 @@ fn main() {
         "{:<28} {:>6} {:>12} {:>6} {:>9} {:>9} {:>10}",
         "capacity/policy", "hits", "delayed-hits", "miss", "servfail", "evicted", "answered"
     );
-    let baseline = run(&cfg_for(usize::MAX, PolicyKind::Lru, seed, smoke));
+    let baseline = run(&DelayedConfig::standard(usize::MAX, PolicyKind::Lru, seed));
     println!("{}", split_row("inf/any", &baseline));
     failed |= baseline.ok_fraction() < 1.0;
     let mut grid = Vec::new();
     for &cap in &capacities {
         for policy in PolicyKind::ALL {
-            let cfg = cfg_for(cap, policy, seed, smoke);
+            let cfg = DelayedConfig::standard(cap, policy, seed);
             let out = run(&cfg);
             let label = format!("{}/{}", cap_label(cap), policy.label());
             println!("{}", split_row(&label, &out));
@@ -164,7 +153,7 @@ fn main() {
     // waiters on ONE retrying resolution instead of hammering the dead
     // upstreams, and the retry budget outlasts the outage — so the
     // study still answers everything, just slower.
-    let mut outage = cfg_for(capacities[1], PolicyKind::Lru, seed, smoke);
+    let mut outage = DelayedConfig::standard(capacities[1], PolicyKind::Lru, seed);
     let span = outage.query_gap.times(outage.queries as u64).as_secs_f64();
     outage.crash = Some((
         SimTime::from_secs_f64(1.0 + span * 0.2),

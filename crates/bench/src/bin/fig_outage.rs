@@ -12,22 +12,14 @@
 //! ≥ 99 % of queries through the outage, and exits nonzero if either
 //! check fails.
 //!
-//! `cargo run --release -p ldp-bench --bin fig_outage [-- --seed 11 --smoke]`
+//! `cargo run --release -p ldp-bench --bin fig_outage [-- --seed 11]`
 
-use ldp_bench::{arg_flag, arg_u64, cdf_rows, identical, ok_fail};
+use ldp_bench::{arg_u64, cdf_rows, identical, ok_fail, reject_unknown_flags};
 use ldp_chaos::outage::{run, OutageConfig, OutageOutcome, Phase, RetryPolicy};
 
 /// Answered-fraction floor for the failover policies (ISSUE 3
 /// acceptance criterion).
 const OK_FLOOR: f64 = 0.99;
-
-fn cfg_for(policy: RetryPolicy, seed: u64, smoke: bool) -> OutageConfig {
-    if smoke {
-        OutageConfig::smoke(policy, seed)
-    } else {
-        OutageConfig::standard(policy, seed)
-    }
-}
 
 fn phase_cell(out: &OutageOutcome, cfg: &OutageConfig, phase: Phase) -> String {
     format!(
@@ -38,11 +30,11 @@ fn phase_cell(out: &OutageOutcome, cfg: &OutageConfig, phase: Phase) -> String {
 }
 
 fn main() {
+    reject_unknown_flags(&["--seed"]);
     let seed = arg_u64("--seed", 11);
-    let smoke = arg_flag("--smoke");
     let mut failed = false;
 
-    let shape = cfg_for(RetryPolicy::full(), seed, smoke);
+    let shape = OutageConfig::standard(RetryPolicy::full(), seed);
     println!(
         "root-letter outage study: {} letters, {} crash over [{}s,{}s) with {:.0}% loss,",
         shape.letters,
@@ -52,12 +44,11 @@ fn main() {
         shape.loss_rate * 100.0
     );
     println!(
-        "{} stub queries at {} ms spacing, stub retries {}×{} ms, seed {seed}{}\n",
+        "{} stub queries at {} ms spacing, stub retries {}×{} ms, seed {seed}\n",
         shape.queries,
         shape.query_gap.as_nanos() / 1_000_000,
         shape.stub_attempts,
-        shape.stub_retry_gap.as_nanos() / 1_000_000,
-        if smoke { " (smoke)" } else { "" }
+        shape.stub_retry_gap.as_nanos() / 1_000_000
     );
 
     // Determinism gate: same seed → byte-identical transcripts.
@@ -81,7 +72,7 @@ fn main() {
     );
     let mut outcomes = Vec::new();
     for policy in policies {
-        let cfg = cfg_for(policy, seed, smoke);
+        let cfg = OutageConfig::standard(policy, seed);
         let out = run(&cfg);
         println!(
             "{:<26} {:>12} {:>12} {:>12} {:>9.1}%",

@@ -25,9 +25,9 @@
 //!
 //! Exits nonzero if any gate fails.
 //!
-//! `cargo run --release -p ldp-bench --bin fig_recovery [-- --seed 11 --smoke --storm]`
+//! `cargo run --release -p ldp-bench --bin fig_recovery [-- --seed 11 --storm]`
 
-use ldp_bench::{arg_flag, arg_u64, identical, ok_fail};
+use ldp_bench::{arg_flag, arg_u64, identical, ok_fail, reject_unknown_flags};
 use ldp_chaos::recovery::{
     run_killed, run_querier_crash, run_resumed, run_storm_baseline, run_storm_killed,
     run_storm_killed_v1, run_storm_resumed, run_uninterrupted, spliced_q_events,
@@ -40,25 +40,9 @@ use ldp_telemetry as tel;
 /// acceptance criterion).
 const OK_FLOOR: f64 = 0.99;
 
-fn cfg_for(seed: u64, smoke: bool) -> RecoveryConfig {
-    if smoke {
-        RecoveryConfig::smoke(seed)
-    } else {
-        RecoveryConfig::standard(seed)
-    }
-}
-
 /// Transcript minus its two header lines (which name the mode).
 fn body(transcript: &str) -> String {
     transcript.lines().skip(2).collect::<Vec<_>>().join("\n")
-}
-
-fn storm_cfg_for(seed: u64, smoke: bool) -> StormConfig {
-    if smoke {
-        StormConfig::smoke(seed)
-    } else {
-        StormConfig::standard(seed)
-    }
 }
 
 /// A checkpoint as it comes back from its text serialization.
@@ -156,12 +140,12 @@ fn storm_gate(cfg: &StormConfig) -> bool {
 }
 
 fn main() {
+    reject_unknown_flags(&["--seed", "--storm"]);
     let seed = arg_u64("--seed", 11);
-    let smoke = arg_flag("--smoke");
     let storm = arg_flag("--storm");
     let mut failed = false;
 
-    let shape = cfg_for(seed, smoke);
+    let shape = RecoveryConfig::standard(seed);
     println!(
         "recovery study: {} queries at {} ms spacing over a {} ms-RTT path,",
         shape.queries,
@@ -169,12 +153,11 @@ fn main() {
         shape.rtt.as_nanos() / 1_000_000
     );
     println!(
-        "checkpoint every {} completions, kill at {:.2}s, querier down {} ms from {:.1}s, seed {seed}{}\n",
+        "checkpoint every {} completions, kill at {:.2}s, querier down {} ms from {:.1}s, seed {seed}\n",
         shape.checkpoint_every,
         shape.kill_at.as_secs_f64(),
         shape.down_for.as_nanos() / 1_000_000,
-        shape.crash_at.as_secs_f64(),
-        if smoke { " (smoke)" } else { "" }
+        shape.crash_at.as_secs_f64()
     );
 
     // Determinism gate: same seed → byte-identical transcripts.
@@ -229,7 +212,7 @@ fn main() {
     failed |= !frac_ok || !live_ok;
 
     if storm {
-        let shape = storm_cfg_for(seed, smoke);
+        let shape = StormConfig::standard(seed);
         let (from, to) = shape.storm_window();
         println!(
             "\ncrash storm: {:.0}% loss + {} ms (+{} ms jitter) delay from {:.2}s to {:.2}s,",

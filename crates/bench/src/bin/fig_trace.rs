@@ -18,7 +18,7 @@
 //! gate fails. The full run's standard output is
 //! `results/fig_trace.txt` (the gate compares them).
 //!
-//! `cargo run --release -p ldp-bench --bin fig_trace [-- --seed 11 --smoke] > results/fig_trace.txt`
+//! `cargo run --release -p ldp-bench --bin fig_trace [-- --seed 11] > results/fig_trace.txt`
 
 use std::fmt::Write as _;
 use std::net::SocketAddr;
@@ -27,7 +27,7 @@ use std::sync::{Arc, Mutex};
 use dns_server::{ServerEngine, SimDnsServer};
 use dns_wire::{Name, RData, Record, Soa};
 use dns_zone::{Catalog, Zone};
-use ldp_bench::{arg_f64, arg_flag, arg_u64, cdf_rows, identical};
+use ldp_bench::{arg_f64, arg_u64, cdf_rows, identical, reject_unknown_flags};
 use ldp_replay::{LatencyLog, SimReplayClient};
 use ldp_telemetry as tel;
 use ldp_trace::TraceEntry;
@@ -126,12 +126,12 @@ fn run_once(
 }
 
 fn main() {
+    reject_unknown_flags(&["--seed", "--scale", "--secs"]);
     let seed = arg_u64("--seed", 11);
-    let smoke = arg_flag("--smoke");
     // Scale keeps the full event stream inside one ring buffer
     // (~3 k queries × ~14 events ≈ 41 k of 64 Ki slots).
-    let scale = arg_f64("--scale", if smoke { 8000.0 } else { 800.0 });
-    let secs = arg_f64("--secs", if smoke { 20.0 } else { 60.0 });
+    let scale = arg_f64("--scale", 800.0);
+    let secs = arg_f64("--secs", 60.0);
     let mut failed = false;
 
     let spec = BRootSpec {
@@ -144,9 +144,8 @@ fn main() {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "fig_trace: B-Root-17a/{scale:.0} replay, {} queries over {secs:.0}s, seed {seed}{}",
-        trace.len(),
-        if smoke { " (smoke)" } else { "" }
+        "fig_trace: B-Root-17a/{scale:.0} replay, {} queries over {secs:.0}s, seed {seed}",
+        trace.len()
     );
 
     // Timestamps recorded through spans follow the simulator's

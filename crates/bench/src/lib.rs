@@ -64,6 +64,20 @@ pub fn arg_flag(name: &str) -> bool {
     std::env::args().any(|a| a == name)
 }
 
+/// Exit with status 2 if argv holds a `--flag` that is not in `known`:
+/// a mistyped or retired flag must not run the default study under
+/// another name.
+pub fn reject_unknown_flags(known: &[&str]) {
+    let unknown = |a: &String| a.starts_with("--") && !known.contains(&a.as_str());
+    if let Some(bad) = std::env::args().skip(1).find(unknown) {
+        eprintln!(
+            "error: unknown argument {bad:?} (known: {})",
+            known.join(", ")
+        );
+        std::process::exit(2)
+    }
+}
+
 /// The verdict word of a byte-identity gate.
 pub fn identical(ok: bool) -> &'static str {
     if ok {

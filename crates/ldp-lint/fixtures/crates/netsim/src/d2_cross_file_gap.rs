@@ -1,11 +1,11 @@
-// Fixture: the once-pinned D2 cross-file gap, now CLOSED by the v2
-// workspace symbol index. The hash collection is declared in ANOTHER
-// file (`table.rs` holds `pub struct Table { pub m: EventMap }`, with
-// `EventMap` a type alias for `HashMap<u64, u32>`); this file only
-// iterates it. Phase-1 indexing resolves `t.m` through the `Table`
-// field and the alias, so the `.values()` call below IS flagged as a
-// D2 error even though no `HashMap`/`HashSet` token appears in this
-// file. driver.rs asserts the detection (rule D2, line 13).
+// Fixture: the iterating side of the D2 cross-file pair. The hash
+// collection is declared in ANOTHER file (`table.rs` holds `pub struct
+// Table { pub m: EventMap }`, with `EventMap` an alias for
+// `HashMap<u64, u32>`); this file iterates it in hash order without a
+// `HashMap`/`HashSet` token of its own, so nothing is reported HERE.
+// The pair is caught where the type is named: `table.rs` is a sim-path
+// file too, and D2 reports its lines 8 and 10. driver.rs asserts both
+// halves.
 
 use crate::table::Table;
 

@@ -1,4 +1,4 @@
-// Fixture: trips D2 — order-dependent HashMap iteration in a sim path.
+// Fixture: trips D2 — a HashMap named (and iterated) in a sim path.
 use std::collections::HashMap;
 
 pub struct EventTable {

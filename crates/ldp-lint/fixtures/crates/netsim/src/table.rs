@@ -1,9 +1,9 @@
-// Fixture: the declaring side of the D2 cross-file detection pair.
+// Fixture: the declaring side of the D2 cross-file pair.
 // `d2_cross_file_gap.rs` iterates `Table::m` without any hash token of
-// its own; the v2 symbol index resolves the field through the
-// `EventMap` alias declared here. This file itself only *declares* the
-// hash (keyed access is fine), so it draws the D2 type warning but no
-// error.
+// its own. This file names the type, in a `use` and in the alias, and
+// D2 reports both lines even though everything here is keyed access:
+// the map is one `.values()` away, in whichever file, from a transcript
+// that differs per process.
 
 use std::collections::HashMap;
 

@@ -1,7 +1,7 @@
-// Fixture: a real-clock helper (capture.rs may read the wall clock,
-// so no D1 here). D4's taint analysis marks `stamp_now` as a
-// wall-clock reader; sim-path code that transitively reaches it is the
-// thing being tested (see netsim/src/d4_taint.rs).
+// Fixture: a real-clock helper (crates/replay/src/capture.rs may read
+// the wall clock, so no D1 here). Sim-path code that names this module
+// as a path segment is the thing being tested (see
+// netsim/src/d4_taint.rs).
 
 pub fn stamp_now() -> u64 {
     let t = std::time::Instant::now();

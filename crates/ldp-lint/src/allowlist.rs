@@ -10,8 +10,8 @@
 //!
 //! An entry is `RULE path-suffix [-- reason]`. The path matches when the
 //! diagnostic's workspace-relative path *ends with* the suffix, so both
-//! `crates/foo/src/bar.rs` and `foo/src/bar.rs` work. Entries that match
-//! nothing are reported as warnings so the allowlist can never silently
+//! `crates/foo/src/bar.rs` and `foo/src/bar.rs` work. An entry that
+//! matches nothing fails the run, so the allowlist can never silently
 //! rot.
 
 use crate::rules::Diagnostic;
@@ -128,12 +128,9 @@ impl Allowlist {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rules::Severity;
-
     fn diag(rule: &'static str, path: &str) -> Diagnostic {
         Diagnostic {
             rule,
-            severity: Severity::Error,
             path: path.to_string(),
             line: 1,
             message: String::new(),
