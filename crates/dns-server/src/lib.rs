@@ -10,17 +10,22 @@
 //! - [`socket_server`] — real UDP/TCP sockets (blocking `std::net` and
 //!   threads) with idle-timeout connection management, used by the
 //!   replay fidelity and throughput experiments (§4).
+//!
+//! Both answer through [`ServerEngine::answer_into`] in an
+//! [`AnswerScratch`] they own, one per receive loop.
 
 #![warn(missing_docs)]
 
 pub mod engine;
 pub mod rrl;
+pub mod scratch;
 pub mod sim_server;
 pub mod socket_server;
 pub mod template;
 
 pub use engine::ServerEngine;
 pub use rrl::{RateLimiter, RrlAction, RrlBank, RrlConfig, RrlStats};
+pub use scratch::AnswerScratch;
 pub use sim_server::SimDnsServer;
 pub use socket_server::{spawn, RunningServer, ServerConfig, ServerCounters};
 pub use template::TemplateTable;

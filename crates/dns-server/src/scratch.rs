@@ -1,0 +1,63 @@
+//! One scratch per receive path: [`AnswerScratch`] holds everything an
+//! answer is built from and in — the decoded query, `lookup`'s sections,
+//! the response under assembly and the encoder state — so a server that
+//! keeps one refills it per query instead of building and dropping each
+//! piece. It is the read-side twin of [`EncodeScratch`], which it holds.
+//!
+//! Nothing in it carries over from one query to the next but capacity:
+//! each stage overwrites every field of its part (`Message::decode_into`,
+//! `lookup_into`, `Answer::render_into`, `Message::response_into`) and
+//! the engine's tests answer generated query sequences through one
+//! long-lived scratch and through a fresh one, byte for byte.
+
+use dns_wire::{EncodeScratch, Message};
+use dns_zone::Answer;
+
+/// Reusable state for [`crate::ServerEngine::answer_into`]. Owned by
+/// whoever owns the receive loop (one per simulated server, per UDP
+/// worker, per TCP connection thread); the engine itself stays shared
+/// and immutable.
+#[derive(Debug, Default)]
+pub struct AnswerScratch {
+    /// The query as last decoded.
+    pub(crate) query: Message,
+    /// Whether that decode succeeded, i.e. `query` is a whole message.
+    pub(crate) parsed: bool,
+    pub(crate) assembly: Assembly,
+}
+
+/// The part of the scratch an already decoded query is answered in.
+#[derive(Debug, Default)]
+pub(crate) struct Assembly {
+    /// `lookup_into`'s target; trades section storage with `response`.
+    pub(crate) answer: Answer,
+    /// The response message under assembly.
+    pub(crate) response: Message,
+    pub(crate) encode: EncodeScratch,
+    /// Replies that are copied rather than encoded: a patched template,
+    /// the bare FORMERR header.
+    pub(crate) raw: Vec<u8>,
+}
+
+impl AnswerScratch {
+    /// An empty scratch; the first few answers size its buffers.
+    pub fn new() -> Self {
+        AnswerScratch::default()
+    }
+
+    /// The RRL "slip" reply to the query last answered through this
+    /// scratch: its header and question echoed with TC=1 and no records,
+    /// so a real client retries over TCP. `None` if that query did not
+    /// parse (its FORMERR is not worth slipping).
+    pub fn slip_reply(&mut self) -> Option<&[u8]> {
+        if !self.parsed {
+            return None;
+        }
+        let Assembly {
+            response, encode, ..
+        } = &mut self.assembly;
+        self.query.response_into(response);
+        response.flags.truncated = true;
+        Some(response.encode_into(encode))
+    }
+}

@@ -7,12 +7,14 @@ use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::sync::Arc;
 
-use dns_wire::framing::{frame, FrameBuffer};
+use dns_wire::framing::{frame_into, FrameBuffer};
+use dns_wire::Transport;
 use ldp_telemetry as tel;
 use netsim::{ConnId, Ctx, Host, PacketBytes, SimDuration, TcpEvent};
 
 use crate::engine::ServerEngine;
 use crate::rrl::{RateLimiter, RrlAction, RrlBank, RrlConfig};
+use crate::scratch::AnswerScratch;
 
 /// Interned lifecycle marks for the simulated server. These are
 /// stamped with the simulator's own `ctx.now()`, so they are exact
@@ -50,6 +52,11 @@ pub struct SimDnsServer {
     pub rrl: Option<RrlBank>,
     /// Total queries answered (all transports).
     pub queries_handled: u64,
+    /// Every answer is built here and sent from here: the host is one
+    /// receive path, so one scratch serves UDP and all connections.
+    scratch: AnswerScratch,
+    /// One stream reply with its length prefix, on its way to `tcp_send`.
+    framed: Vec<u8>,
 }
 
 impl SimDnsServer {
@@ -66,6 +73,8 @@ impl SimDnsServer {
             conns: BTreeMap::new(),
             rrl: None,
             queries_handled: 0,
+            scratch: AnswerScratch::new(),
+            framed: Vec::new(),
         }
     }
 
@@ -102,7 +111,9 @@ impl SimDnsServer {
 
 impl Host for SimDnsServer {
     fn on_udp(&mut self, ctx: &mut Ctx<'_>, from: SocketAddr, to: SocketAddr, data: PacketBytes) {
-        let Some(reply) = self.engine.handle_udp_bytes(from.ip(), &data) else {
+        let engine = &self.engine;
+        let Some(reply) = engine.answer_into(from.ip(), &data, Transport::Udp, &mut self.scratch)
+        else {
             return;
         };
         self.queries_handled += 1;
@@ -121,7 +132,7 @@ impl Host for SimDnsServer {
             // bucketing — lives in `RrlBank::check_udp_reply`).
             let view = self.engine.views().select_index(from.ip());
             let slot = rrl.slot(view) as u64;
-            let verdict = rrl.check_udp_reply(view, from.ip(), &reply, ctx.now().as_secs_f64());
+            let verdict = rrl.check_udp_reply(view, from.ip(), reply, ctx.now().as_secs_f64());
             match verdict {
                 RrlAction::Send => ctx.send_udp(to, from, reply),
                 RrlAction::Drop => {
@@ -137,10 +148,8 @@ impl Host for SimDnsServer {
                     }
                     // Minimal truncated response: the client may retry
                     // over TCP (which RRL does not limit).
-                    if let Ok(query) = dns_wire::Message::decode(&data) {
-                        let mut tc = query.response_to();
-                        tc.flags.truncated = true;
-                        ctx.send_udp(to, from, tc.encode());
+                    if let Some(tc) = self.scratch.slip_reply() {
+                        ctx.send_udp(to, from, tc);
                     }
                 }
             }
@@ -159,15 +168,16 @@ impl Host for SimDnsServer {
                 let Some((buf, peer)) = self.conns.get_mut(&conn) else {
                     return;
                 };
-                let peer = *peer;
+                let (peer, engine) = (*peer, &self.engine);
                 buf.extend(&data);
-                let mut replies = Vec::new();
-                while let Some(msg) = buf.next_message() {
-                    if let Some(reply) = self.engine.handle_stream_bytes(peer.ip(), &msg) {
-                        replies.push(reply);
-                    }
-                }
-                for reply in replies {
+                // Each message is answered where it lies in the frame
+                // buffer and sent before the next is looked at.
+                while let Some(msg) = buf.next_frame() {
+                    let Some(reply) =
+                        engine.answer_into(peer.ip(), msg, Transport::Tcp, &mut self.scratch)
+                    else {
+                        continue;
+                    };
                     self.queries_handled += 1;
                     if tel::enabled() {
                         let t = ctx.now().as_nanos();
@@ -178,7 +188,8 @@ impl Host for SimDnsServer {
                             reply.len() as u64,
                         );
                     }
-                    ctx.tcp_send(conn, frame(&reply));
+                    frame_into(reply, &mut self.framed);
+                    ctx.tcp_send(conn, self.framed.as_slice());
                 }
             }
             TcpEvent::Closed { conn } => {
@@ -207,6 +218,7 @@ impl Host for SimDnsServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dns_wire::framing::frame;
     use dns_wire::{Message, Name, RData, Rcode, Record, RecordType, Soa};
     use dns_zone::{Catalog, Zone};
     use netsim::{PathConfig, SimConfig, SimTime, Simulator, Topology};

@@ -6,12 +6,13 @@
 //! workers over reused sockets, no async runtime).
 //!
 //! This path backs the replay-fidelity and throughput experiments
-//! (paper §4): queries arrive over loopback at up to ~100 k q/s with no
-//! per-query allocation beyond the response buffer. Build the engine
-//! with [`ServerEngine::with_templates`] to serve precompiled answers
-//! on the UDP path (see [`crate::template`]); the workers call
-//! `handle_udp_bytes`, which routes template hits and general-path
-//! answers identically over either transport.
+//! (paper §4): queries arrive over loopback at up to ~100 k q/s, and
+//! each UDP worker and TCP connection thread answers in an
+//! [`AnswerScratch`] of its own, so a query costs its qname and nothing
+//! else. Build the engine with [`ServerEngine::with_templates`] to serve
+//! precompiled answers on the UDP path (see [`crate::template`]); the
+//! workers call [`ServerEngine::answer_into`], which routes template
+//! hits and general-path answers identically.
 //!
 //! Limit, stated once: a thread per TCP connection serves loopback
 //! testbeds — hundreds to low thousands of concurrent connections. The
@@ -25,10 +26,12 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use dns_wire::framing::{frame, FrameBuffer};
+use dns_wire::framing::{frame_into, FrameBuffer};
+use dns_wire::Transport;
 
 use crate::engine::ServerEngine;
 use crate::rrl::{RrlAction, RrlBank, RrlConfig};
+use crate::scratch::AnswerScratch;
 
 /// How often a blocked UDP worker wakes to look at the stop flag.
 const STOP_POLL: Duration = Duration::from_millis(20);
@@ -210,19 +213,22 @@ struct UdpWorker {
 impl UdpWorker {
     fn run(self) {
         let mut buf = vec![0u8; 65535];
+        let mut scratch = AnswerScratch::new();
         while !self.stop.load(Ordering::Relaxed) {
             let (len, peer) = match self.sock.recv_from(&mut buf) {
                 Ok(got) => got,
                 Err(e) if timed_out(&e) => continue,
                 Err(_) => break,
             };
-            let Some(reply) = self.engine.handle_udp_bytes(peer.ip(), &buf[..len]) else {
+            let (engine, query) = (&self.engine, &buf[..len]);
+            let Some(reply) = engine.answer_into(peer.ip(), query, Transport::Udp, &mut scratch)
+            else {
                 continue;
             };
             self.counters.udp_queries.fetch_add(1, Ordering::Relaxed);
-            match self.rrl_verdict(peer, &reply) {
+            match self.rrl_verdict(peer, reply) {
                 RrlAction::Send => {
-                    let _ = self.sock.send_to(&reply, peer);
+                    let _ = self.sock.send_to(reply, peer);
                 }
                 RrlAction::Drop => {
                     self.counters.rrl_dropped.fetch_add(1, Ordering::Relaxed);
@@ -231,10 +237,8 @@ impl UdpWorker {
                     self.counters.rrl_slipped.fetch_add(1, Ordering::Relaxed);
                     // Minimal truncated reply: the client may retry
                     // over TCP, which RRL does not limit.
-                    if let Ok(query) = dns_wire::Message::decode(&buf[..len]) {
-                        let mut tc = query.response_to();
-                        tc.flags.truncated = true;
-                        let _ = self.sock.send_to(&tc.encode(), peer);
+                    if let Some(tc) = scratch.slip_reply() {
+                        let _ = self.sock.send_to(tc, peer);
                     }
                 }
             }
@@ -268,6 +272,8 @@ fn serve_tcp_conn(
     stream.set_read_timeout(Some(idle.min(CONN_STOP_POLL).max(Duration::from_millis(1))))?;
     let mut fb = FrameBuffer::new();
     let mut buf = vec![0u8; 16 * 1024];
+    let mut scratch = AnswerScratch::new();
+    let mut framed = Vec::new();
     let mut last_activity = Instant::now();
     while !stop.load(Ordering::Relaxed) {
         let n = match stream.read(&mut buf) {
@@ -286,10 +292,11 @@ fn serve_tcp_conn(
         };
         last_activity = Instant::now();
         fb.extend(&buf[..n]);
-        while let Some(msg) = fb.next_message() {
-            if let Some(reply) = engine.handle_stream_bytes(peer.ip(), &msg) {
+        while let Some(msg) = fb.next_frame() {
+            if let Some(reply) = engine.answer_into(peer.ip(), msg, Transport::Tcp, &mut scratch) {
                 counters.tcp_queries.fetch_add(1, Ordering::Relaxed);
-                stream.write_all(&frame(&reply))?;
+                frame_into(reply, &mut framed);
+                stream.write_all(&framed)?;
             }
         }
     }
@@ -299,6 +306,7 @@ fn serve_tcp_conn(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dns_wire::framing::frame;
     use dns_wire::{Message, Name, RData, Rcode, Record, RecordType, Soa};
     use dns_zone::{Catalog, Zone};
 

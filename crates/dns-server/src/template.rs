@@ -19,12 +19,14 @@
 use std::collections::BTreeMap;
 
 use dns_wire::{Edns, Message, Name, Opcode, Rcode, RecordClass, RecordType};
-use dns_zone::{lookup, View, ViewSet};
+use dns_zone::{lookup_into, View, ViewSet};
+
+use crate::scratch::Assembly;
 
 /// Pre-encoded wire answers per view, keyed by qname then qtype.
 ///
 /// Values are full responses encoded with transaction id 0 and RD
-/// clear; [`TemplateTable::patch`] specializes them per query. Variant
+/// clear; [`TemplateTable::patch_into`] specializes them per query. Variant
 /// index: 0 = query without EDNS, 1 = EDNS with DO clear, 2 = EDNS with
 /// DO set.
 #[derive(Debug)]
@@ -43,6 +45,7 @@ impl TemplateTable {
     /// construction.
     pub fn build(views: &ViewSet) -> Self {
         let mut per_view = Vec::with_capacity(views.len());
+        let mut work = Assembly::default();
         for view in views.iter() {
             let mut map: BTreeMap<Name, BTreeMap<u16, [Vec<u8>; 3]>> = BTreeMap::new();
             for zone in view.catalog.iter() {
@@ -54,7 +57,7 @@ impl TemplateTable {
                         }
                         by_type
                             .entry(rtype.to_u16())
-                            .or_insert_with(|| Self::render_variants(view, name, rtype));
+                            .or_insert_with(|| Self::render_variants(view, name, rtype, &mut work));
                     }
                 }
             }
@@ -63,22 +66,31 @@ impl TemplateTable {
         TemplateTable { views: per_view }
     }
 
-    fn render_variants(view: &View, name: &Name, rtype: RecordType) -> [Vec<u8>; 3] {
-        [
-            Self::render(view, name, rtype, None),
-            Self::render(view, name, rtype, Some(false)),
-            Self::render(view, name, rtype, Some(true)),
-        ]
+    fn render_variants(
+        view: &View,
+        name: &Name,
+        rtype: RecordType,
+        work: &mut Assembly,
+    ) -> [Vec<u8>; 3] {
+        [None, Some(false), Some(true)]
+            .map(|edns_do| Self::render(view, name, rtype, edns_do, work))
     }
 
     /// Answer one probe query through the general path and keep the
     /// wire bytes (no size limit: oversized answers are rejected
     /// against the real limit at serve time).
-    fn render(view: &View, name: &Name, rtype: RecordType, edns_do: Option<bool>) -> Vec<u8> {
+    fn render(
+        view: &View,
+        name: &Name,
+        rtype: RecordType,
+        edns_do: Option<bool>,
+        work: &mut Assembly,
+    ) -> Vec<u8> {
         let mut probe = Message::query(0, name.clone(), rtype);
         probe.flags.recursion_desired = false;
         probe.edns = edns_do.map(|d| if d { Edns::with_do() } else { Edns::default() });
-        view_answer(view, &probe).encode()
+        view_answer_into(view, &probe, work);
+        work.response.encode_into(&mut work.encode).to_vec()
     }
 
     /// Number of (view, name, type) template entries.
@@ -122,10 +134,12 @@ impl TemplateTable {
         (bytes.len() <= limit).then_some(bytes)
     }
 
-    /// Specialize a template for one query: copy the bytes, patch the
-    /// transaction id (bytes 0-1) and the RD bit (byte 2, bit 0).
-    pub fn patch(template: &[u8], query: &Message) -> Vec<u8> {
-        let mut out = template.to_vec();
+    /// Specialize a template for one query: copy the bytes over `out`,
+    /// patch the transaction id (bytes 0-1) and the RD bit (byte 2,
+    /// bit 0).
+    pub fn patch_into(template: &[u8], query: &Message, out: &mut Vec<u8>) {
+        out.clear();
+        out.extend_from_slice(template);
         if let Some(id) = out.get_mut(0..2) {
             id.copy_from_slice(&query.id.to_be_bytes());
         }
@@ -134,28 +148,32 @@ impl TemplateTable {
                 *b |= 0x01;
             }
         }
-        out
     }
 }
 
 /// The engine's post-view-selection answer logic, shared with template
-/// compilation so both produce identical responses. An answer is
-/// rendered by [`dns_zone::Answer::into_message`], which builds the one
-/// response message of the success path; the error paths build theirs
-/// only when taken.
-pub(crate) fn view_answer(view: &View, query: &Message) -> Message {
+/// compilation so both produce identical responses: the response to
+/// `query` from `view`, left in `assembly.response`.
+pub(crate) fn view_answer_into(view: &View, query: &Message, assembly: &mut Assembly) {
+    let Assembly {
+        answer,
+        response: resp,
+        ..
+    } = assembly;
     let Some(question) = query.question() else {
-        return error_response(query, Rcode::FormErr);
+        return error_into(query, Rcode::FormErr, resp);
     };
     match view.catalog.find(&question.name) {
-        Some(zone) => lookup(zone, question).into_message(query),
-        None => error_response(query, Rcode::Refused),
+        Some(zone) => {
+            lookup_into(zone, question, answer);
+            answer.render_into(query, resp);
+        }
+        None => error_into(query, Rcode::Refused, resp),
     }
 }
 
-/// An empty response to `query` carrying `rcode`.
-pub(crate) fn error_response(query: &Message, rcode: Rcode) -> Message {
-    let mut resp = query.response_to();
+/// An empty response to `query` carrying `rcode`, written over `resp`.
+pub(crate) fn error_into(query: &Message, rcode: Rcode, resp: &mut Message) {
+    query.response_into(resp);
     resp.rcode = rcode;
-    resp
 }

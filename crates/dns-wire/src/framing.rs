@@ -59,11 +59,19 @@ impl FrameBuffer {
 
     /// Pop the next complete message, if one has fully arrived.
     pub fn next_message(&mut self) -> Option<Vec<u8>> {
+        self.next_frame().map(<[u8]>::to_vec)
+    }
+
+    /// [`FrameBuffer::next_message`] without the copy: the popped body
+    /// is a view of the buffer, good until the next `extend`.
+    pub fn next_frame(&mut self) -> Option<&[u8]> {
         let pending = self.buf.get(self.start..)?;
         let (prefix, rest) = pending.split_first_chunk::<2>()?;
-        let msg = rest.get(..u16::from_be_bytes(*prefix) as usize)?.to_vec();
-        self.start += 2 + msg.len();
-        Some(msg)
+        let len = u16::from_be_bytes(*prefix) as usize;
+        rest.get(..len)?;
+        let body = self.start + 2;
+        self.start = body + len;
+        self.buf.get(body..body + len)
     }
 
     /// Bytes buffered but not yet forming a complete message.

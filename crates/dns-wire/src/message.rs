@@ -84,6 +84,23 @@ pub struct Message {
     pub edns: Option<Edns>,
 }
 
+impl Default for Message {
+    /// An empty query: id 0, no flags, no sections, no EDNS.
+    fn default() -> Self {
+        Message {
+            id: 0,
+            flags: Flags::default(),
+            opcode: Opcode::Query,
+            rcode: Rcode::NoError,
+            questions: Vec::new(),
+            answers: Vec::new(),
+            authorities: Vec::new(),
+            additionals: Vec::new(),
+            edns: None,
+        }
+    }
+}
+
 impl Message {
     /// A fresh query message for `name`/`qtype` with RD set.
     pub fn query(id: u16, name: Name, qtype: RecordType) -> Self {
@@ -106,25 +123,35 @@ impl Message {
     /// Start a response to this query: copies ID, question, opcode, RD,
     /// and sets QR.
     pub fn response_to(&self) -> Message {
-        Message {
-            id: self.id,
-            flags: Flags {
-                response: true,
-                recursion_desired: self.flags.recursion_desired,
-                ..Default::default()
-            },
-            opcode: self.opcode,
-            rcode: Rcode::NoError,
-            questions: self.questions.clone(),
-            answers: Vec::new(),
-            authorities: Vec::new(),
-            additionals: Vec::new(),
-            edns: self.edns.as_ref().map(|e| Edns {
-                udp_payload: crate::edns::DEFAULT_UDP_PAYLOAD,
-                dnssec_ok: e.dnssec_ok,
-                ..Default::default()
-            }),
-        }
+        let mut resp = Message::default();
+        self.response_into(&mut resp);
+        resp
+    }
+
+    /// [`Message::response_to`] written over `resp`, whatever it held:
+    /// every field is set and the section `Vec`s keep their storage.
+    pub fn response_into(&self, resp: &mut Message) {
+        resp.id = self.id;
+        resp.flags = Flags {
+            response: true,
+            recursion_desired: self.flags.recursion_desired,
+            ..Default::default()
+        };
+        resp.opcode = self.opcode;
+        resp.rcode = Rcode::NoError;
+        // Not `clone_from`: `reserve_exact` sizes a fresh `Vec` as
+        // `clone` would, and leaves a warm one alone.
+        resp.questions.clear();
+        resp.questions.reserve_exact(self.questions.len());
+        resp.questions.extend(self.questions.iter().cloned());
+        resp.answers.clear();
+        resp.authorities.clear();
+        resp.additionals.clear();
+        resp.edns = self.edns.as_ref().map(|e| Edns {
+            udp_payload: crate::edns::DEFAULT_UDP_PAYLOAD,
+            dnssec_ok: e.dnssec_ok,
+            ..Default::default()
+        });
     }
 
     /// The first (usually only) question.
@@ -353,10 +380,21 @@ impl Message {
 
     /// Decode a full message from `buf`.
     pub fn decode(buf: &[u8]) -> Result<Message, WireError> {
+        let mut msg = Message::default();
+        msg.decode_into(buf)?;
+        Ok(msg)
+    }
+
+    /// Decode `buf` over this message, whatever it held: every field is
+    /// overwritten and the section `Vec`s are refilled in place, so a
+    /// message that is decoded into again and again stops allocating
+    /// for its sections. On `Err` the contents are unspecified (some
+    /// prefix of `buf`), and the next `decode_into` starts over.
+    pub fn decode_into(&mut self, buf: &[u8]) -> Result<(), WireError> {
         let mut r = WireReader::new(buf);
-        let id = r.get_u16()?;
+        self.id = r.get_u16()?;
         let f = r.get_u16()?;
-        let flags = Flags {
+        self.flags = Flags {
             response: f & 0x8000 != 0,
             authoritative: f & 0x0400 != 0,
             truncated: f & 0x0200 != 0,
@@ -365,58 +403,56 @@ impl Message {
             authentic_data: f & 0x0020 != 0,
             checking_disabled: f & 0x0010 != 0,
         };
-        let opcode = Opcode::from_u8((f >> 11) as u8 & 0x0f);
+        self.opcode = Opcode::from_u8((f >> 11) as u8 & 0x0f);
         let rcode_low = (f & 0x0f) as u8;
         let qd = r.get_u16()? as usize;
         let an = r.get_u16()? as usize;
         let ns = r.get_u16()? as usize;
         let ar = r.get_u16()? as usize;
-        let mut questions = Vec::with_capacity(qd.min(16));
+        // `reserve_exact`: a fresh message gets the capacity
+        // `with_capacity` would give it, a warm one keeps what it has.
+        self.questions.clear();
+        self.questions.reserve_exact(qd.min(16));
         for _ in 0..qd {
-            questions.push(Question {
+            self.questions.push(Question {
                 name: r.get_name()?,
                 qtype: RecordType::from_u16(r.get_u16()?),
                 qclass: RecordClass::from_u16(r.get_u16()?),
             });
         }
-        let read_section =
-            |count: usize, r: &mut WireReader<'_>| -> Result<Vec<Record>, WireError> {
-                let mut recs = Vec::with_capacity(count.min(64));
-                for _ in 0..count {
-                    recs.push(Record::decode(r)?);
-                }
-                Ok(recs)
-            };
-        let answers = read_section(an, &mut r)?;
-        let authorities = read_section(ns, &mut r)?;
-        let mut additionals = read_section(ar, &mut r)?;
+        let mut read_section = |count: usize, recs: &mut Vec<Record>| -> Result<(), WireError> {
+            recs.clear();
+            recs.reserve_exact(count.min(64));
+            for _ in 0..count {
+                recs.push(Record::decode(&mut r)?);
+            }
+            Ok(())
+        };
+        read_section(an, &mut self.answers)?;
+        read_section(ns, &mut self.authorities)?;
+        read_section(ar, &mut self.additionals)?;
         // Lift OPT out of additionals.
-        let mut edns = None;
-        if let Some(idx) = additionals
+        self.edns = None;
+        if let Some(idx) = self
+            .additionals
             .iter()
             .position(|rec| rec.rtype() == RecordType::OPT)
         {
-            let opt = additionals.remove(idx);
-            edns = Some(Edns::from_record(&opt)?);
-            if additionals.iter().any(|rec| rec.rtype() == RecordType::OPT) {
+            let opt = self.additionals.remove(idx);
+            self.edns = Some(Edns::from_record(&opt)?);
+            if self
+                .additionals
+                .iter()
+                .any(|rec| rec.rtype() == RecordType::OPT)
+            {
                 return Err(WireError::Invalid("multiple OPT records"));
             }
         }
-        let rcode = Rcode::from_parts(
+        self.rcode = Rcode::from_parts(
             rcode_low,
-            edns.as_ref().map(|e| e.ext_rcode_high).unwrap_or(0),
+            self.edns.as_ref().map(|e| e.ext_rcode_high).unwrap_or(0),
         );
-        Ok(Message {
-            id,
-            flags,
-            opcode,
-            rcode,
-            questions,
-            answers,
-            authorities,
-            additionals,
-            edns,
-        })
+        Ok(())
     }
 
     /// Total records in answer+authority+additional (not counting OPT).

@@ -327,6 +327,30 @@ fn scratch_encode_matches_wrapper() {
     });
 }
 
+/// `decode_into` over a message that already holds another decode —
+/// whole, or cut off wherever a hostile packet stopped it — gives what
+/// `decode` gives on a fresh one, `Ok` and `Err` alike: nothing of the
+/// earlier packets survives (not an `edns`, not an additional record,
+/// not an extended `rcode`).
+#[test]
+fn decode_into_a_dirty_message_matches_a_fresh_decode() {
+    check(256, |g| {
+        let mut reused = Message::default();
+        for _ in 0..g.size(2..=6) {
+            let mut msg = arb_message(g);
+            if msg.edns.is_some() && g.bool() {
+                msg.rcode = Rcode::BadVers; // extended bits live in the OPT
+            }
+            let wire = match g.below(3) {
+                0 => g.corrupt(msg.encode()),
+                _ => msg.encode(),
+            };
+            let again = reused.decode_into(&wire).map(|()| reused.clone());
+            assert_eq!(again, Message::decode(&wire));
+        }
+    });
+}
+
 #[test]
 fn decoder_never_panics() {
     check(256, |g| {

@@ -20,7 +20,7 @@ pub mod zone;
 
 pub use catalog::Catalog;
 pub use dnssec::{sign_zone, SignConfig, SignedZone};
-pub use lookup::{lookup, Answer, AnswerKind};
+pub use lookup::{lookup, lookup_into, Answer, AnswerKind};
 pub use master::{parse_records, parse_zone, write_zone, MasterError};
 pub use rrset::RRset;
 pub use view::{ClientMatch, View, ViewSet};

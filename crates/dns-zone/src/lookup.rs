@@ -47,16 +47,40 @@ pub struct Answer {
     pub additionals: Vec<Record>,
 }
 
+impl Default for Answer {
+    /// An empty answer for [`lookup_into`] to fill.
+    fn default() -> Self {
+        Answer {
+            kind: AnswerKind::Answer,
+            rcode: Rcode::NoError,
+            authoritative: false,
+            answers: vec![],
+            authorities: vec![],
+            additionals: vec![],
+        }
+    }
+}
+
 impl Answer {
     /// Render into a response message for `query`, including DNSSEC
     /// records only when the query set the DO bit.
-    pub fn into_message(self, query: &Message) -> Message {
-        let mut resp = query.response_to();
+    pub fn into_message(mut self, query: &Message) -> Message {
+        let mut resp = Message::default();
+        self.render_into(query, &mut resp);
+        resp
+    }
+
+    /// [`Answer::into_message`] written over `resp`, whatever it held.
+    /// The sections change hands by swap, so this answer is left
+    /// holding `resp`'s old storage for the next [`lookup_into`] and
+    /// neither side allocates once both are warm.
+    pub fn render_into(&mut self, query: &Message, resp: &mut Message) {
+        query.response_into(resp);
         resp.rcode = self.rcode;
         resp.flags.authoritative = self.authoritative;
-        resp.answers = self.answers;
-        resp.authorities = self.authorities;
-        resp.additionals = self.additionals;
+        std::mem::swap(&mut resp.answers, &mut self.answers);
+        std::mem::swap(&mut resp.authorities, &mut self.authorities);
+        std::mem::swap(&mut resp.additionals, &mut self.additionals);
         if !query.dnssec_ok() {
             for section in [
                 &mut resp.answers,
@@ -66,7 +90,12 @@ impl Answer {
                 section.retain(|r| !r.rtype().is_dnssec());
             }
         }
-        resp
+    }
+
+    fn head(&mut self, kind: AnswerKind, rcode: Rcode, authoritative: bool) {
+        self.kind = kind;
+        self.rcode = rcode;
+        self.authoritative = authoritative;
     }
 }
 
@@ -79,103 +108,77 @@ const MAX_CNAME_HOPS: usize = 8;
 /// [`crate::catalog::Catalog`] picks it); qnames outside the zone yield
 /// REFUSED.
 pub fn lookup(zone: &Zone, question: &Question) -> Answer {
+    let mut answer = Answer::default();
+    lookup_into(zone, question, &mut answer);
+    answer
+}
+
+/// [`lookup`] written over `out`, whatever it held: every field is set
+/// and the three sections are refilled in place, so an `Answer` that is
+/// looked up into again and again stops allocating for them.
+pub fn lookup_into(zone: &Zone, question: &Question, out: &mut Answer) {
+    out.answers.clear();
+    out.authorities.clear();
+    out.additionals.clear();
     if !question.name.is_subdomain_of(zone.origin()) {
-        return Answer {
-            kind: AnswerKind::NxDomain,
-            rcode: Rcode::Refused,
-            authoritative: false,
-            answers: vec![],
-            authorities: vec![],
-            additionals: vec![],
-        };
+        return out.head(AnswerKind::NxDomain, Rcode::Refused, false);
     }
 
     // Referral check first: a cut between apex and qname shadows
     // everything below it.
     if let Some((cut, ns)) = zone.find_zone_cut(&question.name) {
-        let cut = cut.clone();
-        let mut authorities: Vec<Record> = ns.records().collect();
+        out.authorities.extend(ns.records());
         // DS at the cut proves (un)signed delegation when present.
-        if let Some(node) = zone.node(&cut) {
+        if let Some(node) = zone.node(cut) {
             if let Some(ds) = node.get(RecordType::DS) {
-                authorities.extend(ds.records());
+                out.authorities.extend(ds.records());
             }
             if let Some(sig) = node.get(RecordType::RRSIG) {
-                authorities.extend(sig.records());
+                out.authorities.extend(sig.records());
             }
         }
-        let additionals = glue_for(zone, &authorities);
-        return Answer {
-            kind: AnswerKind::Referral { cut },
-            rcode: Rcode::NoError,
-            authoritative: false,
-            answers: vec![],
-            authorities,
-            additionals,
-        };
+        glue_for(zone, &out.authorities, &mut out.additionals);
+        let cut = cut.clone();
+        return out.head(AnswerKind::Referral { cut }, Rcode::NoError, false);
     }
 
-    let mut answers: Vec<Record> = Vec::new();
     let mut current = question.name.clone();
     let mut chased = false;
 
     for _ in 0..MAX_CNAME_HOPS {
-        match answer_at_name(zone, &current, question.qtype, &question.name, &mut answers) {
+        let answers = &mut out.answers;
+        match answer_at_name(zone, &current, question.qtype, &question.name, answers) {
             NodeResult::Found => {
-                let additionals = glue_for(zone, &answers);
-                return Answer {
-                    kind: if chased {
-                        AnswerKind::CnameChain
-                    } else {
-                        AnswerKind::Answer
-                    },
-                    rcode: Rcode::NoError,
-                    authoritative: true,
-                    answers,
-                    authorities: vec![],
-                    additionals,
+                glue_for(zone, &out.answers, &mut out.additionals);
+                let kind = if chased {
+                    AnswerKind::CnameChain
+                } else {
+                    AnswerKind::Answer
                 };
+                return out.head(kind, Rcode::NoError, true);
             }
             NodeResult::Cname(target) => {
                 chased = true;
                 if !target.is_subdomain_of(zone.origin()) || zone.find_zone_cut(&target).is_some() {
                     // Chain leaves our authority: return what we have.
-                    return Answer {
-                        kind: AnswerKind::CnameChain,
-                        rcode: Rcode::NoError,
-                        authoritative: true,
-                        answers,
-                        authorities: vec![],
-                        additionals: vec![],
-                    };
+                    break;
                 }
                 current = target;
             }
             NodeResult::NoData => {
-                return negative(zone, AnswerKind::NoData, Rcode::NoError, answers, &current);
+                negative(zone, &current, &mut out.authorities);
+                return out.head(AnswerKind::NoData, Rcode::NoError, true);
             }
             NodeResult::NxDomain => {
                 // RFC 2308: NXDOMAIN for the final name in a CNAME chain
                 // still reports NXDOMAIN alongside the partial answers.
-                return negative(
-                    zone,
-                    AnswerKind::NxDomain,
-                    Rcode::NxDomain,
-                    answers,
-                    &current,
-                );
+                negative(zone, &current, &mut out.authorities);
+                return out.head(AnswerKind::NxDomain, Rcode::NxDomain, true);
             }
         }
     }
-    // CNAME loop: serve what was accumulated.
-    Answer {
-        kind: AnswerKind::CnameChain,
-        rcode: Rcode::NoError,
-        authoritative: true,
-        answers,
-        authorities: vec![],
-        additionals: vec![],
-    }
+    // Left the zone, or a CNAME loop: serve what was accumulated.
+    out.head(AnswerKind::CnameChain, Rcode::NoError, true)
 }
 
 enum NodeResult {
@@ -197,34 +200,31 @@ fn answer_at_name(
     answers: &mut Vec<Record>,
 ) -> NodeResult {
     if let Some(node) = zone.node(name) {
-        return answer_at_node(zone, node, name, qtype, name, answers);
+        return answer_at_node(node, qtype, name, answers);
     }
     // Empty non-terminal: the name "exists" but holds no data.
     if zone.has_names_below(name) {
         return NodeResult::NoData;
     }
     // Wildcard: *.closest-encloser, with the original qname as owner.
-    if let Some(encloser) = zone.closest_encloser(name) {
-        if let Ok(wild) = encloser.child(b"*") {
-            if let Some(node) = zone.node(&wild) {
-                // Only the first hop synthesizes at the original qname;
-                // chained hops synthesize at the chased name.
-                let owner = if name == original_qname {
-                    original_qname
-                } else {
-                    name
-                };
-                return answer_at_node(zone, node, &wild, qtype, owner, answers);
-            }
-        }
+    if let Some(node) = zone
+        .closest_encloser(name)
+        .and_then(|encloser| zone.wildcard_below(&encloser))
+    {
+        // Only the first hop synthesizes at the original qname;
+        // chained hops synthesize at the chased name.
+        let owner = if name == original_qname {
+            original_qname
+        } else {
+            name
+        };
+        return answer_at_node(node, qtype, owner, answers);
     }
     NodeResult::NxDomain
 }
 
 fn answer_at_node(
-    _zone: &Zone,
     node: &crate::zone::Node,
-    _node_name: &Name,
     qtype: RecordType,
     owner: &Name,
     answers: &mut Vec<Record>,
@@ -283,16 +283,9 @@ fn append_covering_rrsig(
     }
 }
 
-/// Build a negative (NoData/NXDOMAIN) answer with SOA (+NSEC when
-/// present) in the authority section.
-fn negative(
-    zone: &Zone,
-    kind: AnswerKind,
-    rcode: Rcode,
-    answers: Vec<Record>,
-    qname: &Name,
-) -> Answer {
-    let mut authorities = Vec::new();
+/// The authority section of a negative (NoData/NXDOMAIN) answer about
+/// `qname`: SOA, plus NSEC when present.
+fn negative(zone: &Zone, qname: &Name, authorities: &mut Vec<Record>) {
     if let Some(soa) = zone.soa_rrset() {
         // Negative TTL is min(SOA TTL, SOA.minimum) per RFC 2308.
         let neg_ttl = zone
@@ -304,42 +297,41 @@ fn negative(
             ..rec
         }));
         if let Some(apex) = zone.node(zone.origin()) {
-            append_covering_rrsig(apex, RecordType::SOA, zone.origin(), &mut authorities);
+            append_covering_rrsig(apex, RecordType::SOA, zone.origin(), authorities);
         }
     }
     // NSEC denial of existence (skipped outright by an unsigned zone).
     if let Some((owner, node)) = zone.covering_nsec(qname) {
         if let Some(nsec) = node.get(RecordType::NSEC) {
             authorities.extend(nsec.records());
-            append_covering_rrsig(node, RecordType::NSEC, owner, &mut authorities);
+            append_covering_rrsig(node, RecordType::NSEC, owner, authorities);
         }
-    }
-    Answer {
-        kind,
-        rcode,
-        authoritative: true,
-        answers,
-        authorities,
-        additionals: vec![],
     }
 }
 
-/// Glue: A/AAAA records for every NS/MX/SRV target that lives in-zone.
-fn glue_for(zone: &Zone, records: &[Record]) -> Vec<Record> {
-    let mut glue = Vec::new();
-    // A target named twice contributes its addresses once.
-    let mut seen: Vec<&Name> = Vec::new();
-    for rec in records {
-        let target = match &rec.rdata {
-            RData::Ns(t) => t,
-            RData::Mx { exchange, .. } => exchange,
-            RData::Srv { target, .. } => target,
-            _ => continue,
+/// The name an NS, MX or SRV record points at.
+fn glue_target(rec: &Record) -> Option<&Name> {
+    match &rec.rdata {
+        RData::Ns(t) => Some(t),
+        RData::Mx { exchange, .. } => Some(exchange),
+        RData::Srv { target, .. } => Some(target),
+        _ => None,
+    }
+}
+
+/// Glue: A/AAAA records for every NS/MX/SRV target that lives in-zone,
+/// appended to `glue`.
+fn glue_for(zone: &Zone, records: &[Record], glue: &mut Vec<Record>) {
+    for (i, rec) in records.iter().enumerate() {
+        let Some(target) = glue_target(rec) else {
+            continue;
         };
-        if seen.contains(&target) {
+        // A target named twice contributes its addresses once: the
+        // records before this one are the list of targets seen.
+        let mut earlier = records.iter().take(i);
+        if earlier.any(|r| glue_target(r) == Some(target)) {
             continue;
         }
-        seen.push(target);
         if let Some(node) = zone.node(target) {
             for ty in [RecordType::A, RecordType::AAAA] {
                 if let Some(set) = node.get(ty) {
@@ -348,7 +340,6 @@ fn glue_for(zone: &Zone, records: &[Record]) -> Vec<Record> {
             }
         }
     }
-    glue
 }
 
 #[cfg(test)]
@@ -743,7 +734,7 @@ mod tests {
             answers: &mut Vec<Record>,
         ) -> NodeResult {
             if let Some(node) = zone.node(name) {
-                return answer_at_node(zone, node, name, qtype, name, answers);
+                return answer_at_node(node, qtype, name, answers);
             }
             if linear::has_names_below(zone, name) {
                 return NodeResult::NoData;
@@ -756,7 +747,7 @@ mod tests {
                         } else {
                             name
                         };
-                        return answer_at_node(zone, node, &wild, qtype, owner, answers);
+                        return answer_at_node(node, qtype, owner, answers);
                     }
                 }
             }
@@ -975,6 +966,11 @@ mod tests {
                     linear::covering_nsec(&zone, &name),
                     "covering_nsec({name})"
                 );
+                assert_eq!(
+                    zone.wildcard_below(&name),
+                    linear::wildcard_below(&zone, &name),
+                    "wildcard_below({name})"
+                );
                 let qtype = *g.pick(&[
                     RecordType::A,
                     RecordType::NS,
@@ -990,6 +986,28 @@ mod tests {
                 for qtype in [RecordType::NS, RecordType::MX] {
                     same_answer(&zone, &Question::new(name.clone(), qtype));
                 }
+            }
+        });
+    }
+
+    /// One `Answer` looked up into over and over holds what a fresh
+    /// `lookup` returns, whatever the previous question left in it.
+    #[test]
+    fn lookup_into_a_dirty_answer_matches_a_fresh_lookup() {
+        ldp_rng::check::check(128, |g| {
+            let zone = gen_zone(g);
+            let mut reused = Answer::default();
+            for _ in 0..g.size(2..=12) {
+                let qtype = *g.pick(&[RecordType::A, RecordType::NS, RecordType::MX]);
+                let question = Question::new(gen_qname(g, &zone), qtype);
+                lookup_into(&zone, &question, &mut reused);
+                let fresh = lookup(&zone, &question);
+                assert_eq!(reused.kind, fresh.kind, "{question}");
+                assert_eq!(reused.rcode, fresh.rcode, "{question}");
+                assert_eq!(reused.authoritative, fresh.authoritative, "{question}");
+                assert_eq!(reused.answers, fresh.answers, "{question}");
+                assert_eq!(reused.authorities, fresh.authorities, "{question}");
+                assert_eq!(reused.additionals, fresh.additionals, "{question}");
             }
         });
     }

@@ -95,6 +95,11 @@ pub struct Zone {
     /// still equality of contents; zero lets an unsigned zone skip the
     /// covering-NSEC search altogether.
     nsec_nodes: usize,
+    /// Each name with a `*` child, mapped to that child's owner name.
+    /// A function of `nodes` like `nsec_nodes`, kept by the same two
+    /// methods: the wildcard probe is a lookup by the closest encloser,
+    /// and a zone without wildcards answers it from the empty map.
+    wildcards: BTreeMap<Name, Name>,
 }
 
 impl Zone {
@@ -104,6 +109,7 @@ impl Zone {
             origin,
             nodes: BTreeMap::new(),
             nsec_nodes: 0,
+            wildcards: BTreeMap::new(),
         }
     }
 
@@ -140,6 +146,12 @@ impl Zone {
         }
         if rtype == RecordType::NSEC && node.get(RecordType::NSEC).is_none() {
             self.nsec_nodes += 1;
+        }
+        if rec.name.is_wildcard() {
+            if let Some(parent) = rec.name.parent() {
+                let wild = || rec.name.clone();
+                self.wildcards.entry(parent).or_insert_with(wild);
+            }
         }
         node.rrsets
             .entry(rtype.to_u16())
@@ -218,6 +230,12 @@ impl Zone {
         }
     }
 
+    /// The wildcard node directly below `encloser` (`*.encloser`), if
+    /// the zone has one.
+    pub fn wildcard_below(&self, encloser: &Name) -> Option<&Node> {
+        self.nodes.get(self.wildcards.get(encloser)?)
+    }
+
     /// Whether any node exists strictly below `name` (an "empty
     /// non-terminal" check: `b.example` has no records but exists when
     /// `a.b.example` does).
@@ -283,6 +301,8 @@ impl Zone {
         }
         self.nodes.retain(|_, node| !node.rrsets.is_empty());
         self.nsec_nodes = 0;
+        let nodes = &self.nodes;
+        self.wildcards.retain(|_, wild| nodes.contains_key(wild));
     }
 
     /// Names in canonical order (for NSEC chain construction).
@@ -334,6 +354,11 @@ pub(crate) mod reference {
         zone.nodes
             .range(name.clone()..)
             .any(|(n, _)| n != name && n.is_subdomain_of(name))
+    }
+
+    /// The wildcard probe as it was: build `*.encloser`, look it up.
+    pub fn wildcard_below<'z>(zone: &'z Zone, encloser: &Name) -> Option<&'z Node> {
+        zone.node(&encloser.child(b"*").ok()?)
     }
 
     pub fn covering_nsec<'z>(zone: &'z Zone, qname: &Name) -> Option<(&'z Name, &'z Node)> {
@@ -588,5 +613,39 @@ mod tests {
         z.strip_dnssec();
         assert_eq!(z.record_count(), before - 1);
         assert!(z.soa().is_some());
+    }
+
+    #[test]
+    fn wildcard_index_follows_insert_and_strip() {
+        let mut z = example_zone();
+        assert!(z.wildcards.is_empty());
+        z.insert(rec(
+            "*.w.example.com",
+            RData::A("10.0.0.9".parse().unwrap()),
+        ))
+        .unwrap();
+        let unsigned = z.clone();
+        // A `*` node that exists only to carry a denial.
+        z.insert(rec(
+            "*.signed.example.com",
+            RData::Nsec {
+                next: n("example.com"),
+                types: vec![RecordType::NSEC],
+            },
+        ))
+        .unwrap();
+        let enclosers = ["w.example.com", "signed.example.com", "example.com"].map(n);
+        let same_as_probe = |z: &Zone| {
+            for name in &enclosers {
+                assert_eq!(z.wildcard_below(name), reference::wildcard_below(z, name));
+            }
+        };
+        same_as_probe(&z);
+        assert!(z.wildcard_below(&enclosers[1]).is_some());
+        z.strip_dnssec();
+        same_as_probe(&z);
+        assert!(z.wildcard_below(&enclosers[0]).is_some());
+        assert!(z.wildcard_below(&enclosers[1]).is_none(), "node stripped");
+        assert_eq!(z, unsigned, "the index is a function of the nodes");
     }
 }

@@ -95,8 +95,8 @@ pub const CATALOG: &[RuleInfo] = &[
         id: "P1",
         summary: "no unwrap/expect/panic!/unreachable!/todo!/unimplemented! in hot \
                   paths (crates/dns-wire/src, crates/proxy/src, crates/guard/src, \
-                  dns-server/src/engine.rs, dns-server/src/template.rs, \
-                  replay/src/core.rs)",
+                  dns-server/src/{engine,template,scratch,sim_server}.rs, \
+                  dns-zone/src/{lookup,zone,catalog,view}.rs, replay/src/core.rs)",
         rationale: "A malformed packet must never panic the server: decode and dispatch \
                     paths return typed errors so a fuzzer (or the internet) cannot take \
                     the process down.",
@@ -165,7 +165,9 @@ pub struct FileScope {
     /// Panic-safety hot path (P1 applies): `crates/dns-wire/src/**`,
     /// `crates/proxy/src/**`, `crates/cache/src/**` (every resolver
     /// query crosses the cache), `crates/dns-server/src/engine.rs`,
-    /// `crates/dns-server/src/template.rs`, `crates/shard/src/**` (a
+    /// `template.rs`, `scratch.rs` and `sim_server.rs` there and
+    /// `crates/dns-zone/src/{lookup,zone,catalog,view}.rs` (every
+    /// authoritative query crosses them), `crates/shard/src/**` (a
     /// worker-thread panic aborts the whole windowed drive),
     /// `crates/guard/src/**` (checkpoint parse/serialize runs on the
     /// replay host's dispatch thread — a malformed document must
@@ -216,8 +218,12 @@ pub fn classify(path: &str) -> FileScope {
         || p.contains("crates/cache/src/")
         || p.contains("crates/guard/src/")
         || shard_path
-        || p.ends_with("crates/dns-server/src/engine.rs")
-        || p.ends_with("crates/dns-server/src/template.rs")
+        || ["engine", "template", "scratch", "sim_server"]
+            .iter()
+            .any(|f| p.ends_with(&format!("crates/dns-server/src/{f}.rs")))
+        || ["lookup", "zone", "catalog", "view"]
+            .iter()
+            .any(|f| p.ends_with(&format!("crates/dns-zone/src/{f}.rs")))
         || is_replay_core;
     let channel_scope = p.contains("crates/dns-server/")
         || p.contains("crates/replay/")
@@ -904,19 +910,30 @@ mod tests {
         assert!(analyze_source("crates/proxy/src/rewrite.rs", src)
             .iter()
             .any(|d| d.rule == "P1"));
-        assert!(analyze_source("crates/dns-server/src/engine.rs", src)
-            .iter()
-            .any(|d| d.rule == "P1"));
-        // The template fast path serves precompiled bytes per query:
-        // it is P1 scope like the engine that calls into it.
-        assert!(analyze_source("crates/dns-server/src/template.rs", src)
-            .iter()
-            .any(|d| d.rule == "P1"));
+        // Everything an authoritative query crosses on its way through
+        // the simulated server: the engine, the template fast path and
+        // the scratch it answers in, the netsim host around them, and
+        // the zone structures the lookup walks.
+        for path in [
+            "crates/dns-server/src/engine.rs",
+            "crates/dns-server/src/template.rs",
+            "crates/dns-server/src/scratch.rs",
+            "crates/dns-server/src/sim_server.rs",
+            "crates/dns-zone/src/lookup.rs",
+            "crates/dns-zone/src/zone.rs",
+            "crates/dns-zone/src/catalog.rs",
+            "crates/dns-zone/src/view.rs",
+        ] {
+            let ds = analyze_source(path, src);
+            assert!(ds.iter().any(|d| d.rule == "P1"), "{path}");
+        }
         // Outside the hot-path crates, unwrap is clippy's problem.
         assert!(analyze_source("crates/metrics/src/histogram.rs", src).is_empty());
-        // Non-engine dns-server files are clippy's too (the crate
-        // denies unwrap_used/expect_used/panic in its manifest).
+        // So are the other dns-server and dns-zone files (dns-server
+        // denies unwrap_used/expect_used/panic in its manifest; master
+        // files and signing run at load time).
         assert!(analyze_source("crates/dns-server/src/rrl.rs", src).is_empty());
+        assert!(analyze_source("crates/dns-zone/src/master.rs", src).is_empty());
     }
 
     // ---- T1 ----
