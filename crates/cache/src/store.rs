@@ -14,7 +14,7 @@
 //! back to the owning key through a side map. Hits, inserts and
 //! evictions are all O(log n); there is no O(capacity) scan anywhere.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{btree_map, BTreeMap, BTreeSet};
 
 use dns_wire::{Name, Rcode, Record, RecordType};
 
@@ -195,11 +195,29 @@ impl ResolverCache {
     /// evicted lazily; hits refresh the entry's recency/frequency
     /// bookkeeping (and thus its eviction rank).
     pub fn get(&mut self, name: &Name, qtype: RecordType, now: f64) -> Option<CachedAnswer> {
+        self.lookup(name, qtype, now)
+            .map(|(answer, _)| answer.clone())
+    }
+
+    /// [`get`](Self::get) without the copy, for a caller that only
+    /// reads the answer: the entry is handed out borrowed. The flag
+    /// says, from the same walk of the map, whether the entry is inside
+    /// its prefetch window and not yet refreshed — whether
+    /// [`prefetch_due`](Self::prefetch_due) is worth asking.
+    pub fn lookup(
+        &mut self,
+        name: &Name,
+        qtype: RecordType,
+        now: f64,
+    ) -> Option<(&CachedAnswer, bool)> {
         let t = qtype.to_u16();
-        let mut hit = None;
-        let mut found_expired = false;
-        if let Some(e) = self.entries.get_mut(name).and_then(|m| m.get_mut(&t)) {
-            if e.expires > now {
+        // The name's slot as a handle, not a borrow: the borrow a hit
+        // returns keeps `entries` borrowed on every path out of here,
+        // and the handle can still drop an expired entry, and the name
+        // with its last type, on the path that returns nothing.
+        if let btree_map::Entry::Occupied(mut types) = self.entries.entry(name.clone()) {
+            if types.get().get(&t).is_some_and(|e| e.expires > now) {
+                let e = types.into_mut().get_mut(&t)?;
                 self.seq += 1;
                 e.meta.last_access_seq = self.seq;
                 e.meta.requests = e.meta.requests.saturating_add(1);
@@ -207,25 +225,24 @@ impl ResolverCache {
                 self.by_rank.remove(&(e.rank, e.slot));
                 self.by_rank.insert((new_rank, e.slot));
                 e.rank = new_rank;
-                hit = Some(e.answer.clone());
-            } else {
-                found_expired = true;
-            }
-        }
-        if found_expired {
-            self.remove_key(name, t);
-            self.stats.expired += 1;
-        }
-        match hit {
-            Some(answer) => {
                 self.stats.hits += 1;
-                Some(answer)
+                let in_window = self.config.prefetch.is_some_and(|pf| {
+                    !e.meta.prefetch_armed && e.expires - now <= pf.trigger_fraction * e.ttl as f64
+                });
+                return Some((&e.answer, in_window));
             }
-            None => {
-                self.stats.misses += 1;
-                None
+            if let Some(e) = types.get_mut().remove(&t) {
+                if types.get().is_empty() {
+                    types.remove();
+                }
+                self.by_rank.remove(&(e.rank, e.slot));
+                self.slot_key.remove(&e.slot);
+                self.count = self.count.saturating_sub(1);
+                self.stats.expired += 1;
             }
         }
+        self.stats.misses += 1;
+        None
     }
 
     /// Insert a positive answer; the effective TTL is the minimum
@@ -777,6 +794,75 @@ mod tests {
             c.prefetch_due(&n("b."), RecordType::A, 3.0),
             "refilled at 1/s"
         );
+    }
+
+    /// The adaptor and the borrowing core are one cache: over a
+    /// generated script of fills, lookups and clock steps, `lookup`
+    /// (and `prefetch_due` only when it says so) gives what `get` then
+    /// `prefetch_due` give — answer, prefetch verdict, counters, lazy
+    /// expiry, and the eviction order the next fills will follow.
+    #[test]
+    fn lookup_is_get_without_the_copy() {
+        ldp_rng::check::check(256, |g| {
+            let config = CacheConfig {
+                capacity: *g.pick(&[0, 1, 2, 3, usize::MAX]),
+                policy: *g.pick(&PolicyKind::ALL),
+                prefetch: g.option(|g| PrefetchConfig {
+                    trigger_fraction: g.f64(0.0, 1.0),
+                    rate_per_sec: g.f64(0.0, 2.0),
+                    burst: g.f64(0.0, 3.0),
+                }),
+                ..CacheConfig::default()
+            };
+            let (mut old, mut new) = (ResolverCache::new(config), ResolverCache::new(config));
+            let mut now = 0.0;
+            for _ in 0..g.size(1..=48) {
+                if g.bool() {
+                    now += g.f64(0.0, 40.0);
+                }
+                let name = *g.pick(&["a.", "b.", "c.x.", "d.x."]);
+                let qtype = *g.pick(&[RecordType::A, RecordType::AAAA]);
+                let fill = FillInfo {
+                    latency: g.f64(0.0, 2.0),
+                    requests: g.range(1..=5),
+                };
+                match g.below(5) {
+                    0 => {
+                        let ttl = *g.pick(&[0, 5, 30, 60, 0x8000_0001]);
+                        let records = g.vec(0..=2, |_| a_rec(name, ttl));
+                        let out = old.put_positive(&n(name), qtype, records.clone(), now, fill);
+                        assert_eq!(new.put_positive(&n(name), qtype, records, now, fill), out);
+                    }
+                    1 => {
+                        let ttl = g.option(|g| *g.pick(&[0, 7, 50]));
+                        let out =
+                            old.put_negative(&n(name), qtype, Rcode::NxDomain, ttl, now, fill);
+                        let got =
+                            new.put_negative(&n(name), qtype, Rcode::NxDomain, ttl, now, fill);
+                        assert_eq!(got, out);
+                    }
+                    _ => {
+                        // The caller's sequence before the core, and
+                        // with it: `prefetch_due` asked on every hit,
+                        // or only when the hit says it is worth it.
+                        let want = old
+                            .get(&n(name), qtype, now)
+                            .map(|answer| (answer, old.prefetch_due(&n(name), qtype, now)));
+                        let got = new
+                            .lookup(&n(name), qtype, now)
+                            .map(|(answer, in_window)| (answer.clone(), in_window));
+                        let got = got.map(|(answer, in_window)| {
+                            (answer, in_window && new.prefetch_due(&n(name), qtype, now))
+                        });
+                        assert_eq!(got, want);
+                    }
+                }
+                assert_eq!(new.stats(), old.stats());
+                assert_eq!(new.len(), old.len());
+                assert_eq!(new.by_rank, old.by_rank);
+                assert_eq!(new.slot_key, old.slot_key);
+            }
+        });
     }
 
     #[test]

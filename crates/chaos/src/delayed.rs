@@ -352,7 +352,28 @@ fn run_on<S: SimDriver>(cfg: &DelayedConfig, sim: &mut S) -> DelayedOutcome {
         ));
     }
     t.push_str(&format!("events={} upstream_rx={}\n", events, upstream_rx));
-    t.push_str(&format!("resolver {:?}\n", snapshot));
+    // The resolver line field by field, as `{:?}` printed the snapshot
+    // when `fig_cache v1` was committed: a counter `ResolverStats` has
+    // gained since (`mismatched_responses`, which no upstream of this
+    // study can move) does not reword a committed transcript.
+    let s = &snapshot.stats;
+    t.push_str(&format!(
+        "resolver ResolverSnapshot {{ stats: ResolverStats {{ stub_queries: {}, \
+         stub_answers: {}, upstream_queries: {}, cache_hits: {}, delayed_hits: {}, \
+         evictions: {}, prefetches: {}, failures: {} }}, cache: {:?}, outstanding: {:?}, \
+         cache_len: {} }}\n",
+        s.stub_queries,
+        s.stub_answers,
+        s.upstream_queries,
+        s.cache_hits,
+        s.delayed_hits,
+        s.evictions,
+        s.prefetches,
+        s.failures,
+        snapshot.cache,
+        snapshot.outstanding,
+        snapshot.cache_len,
+    ));
     t.push_str(&format!("stub {:?}\n", sim.stats(stub_id)));
     t.push_str(&format!("resolver_host {:?}\n", sim.stats(resolver_id)));
 

@@ -22,10 +22,10 @@ use std::collections::BTreeMap;
 use std::net::{IpAddr, SocketAddr};
 use std::sync::{Arc, Mutex};
 
-use dns_wire::{Message, Name, RData, Rcode, RecordType};
+use dns_wire::{EncodeScratch, Message, Name, RData, Rcode, Record, RecordType};
 use ldp_cache::{
     negative_ttl, CacheConfig, CacheStats, CachedAnswer, FillInfo, OutstandingStats,
-    OutstandingTable, ResolverCache,
+    OutstandingTable, ResolverCache, WaiterSlot,
 };
 use ldp_rng::SplitMix64;
 use ldp_telemetry as tel;
@@ -64,13 +64,55 @@ fn rsv_kinds() -> &'static RsvKinds {
     })
 }
 
-/// A client parked on an in-flight resolution: enough to answer it when
-/// the upstream walk completes (each waiter keeps its own query so the
-/// fan-out responds with the right DNS id and flags per client).
+/// A client parked on an in-flight resolution: where to send its
+/// answer, and the reply as [`Message::response_to`] starts it from the
+/// query — id, opcode, RD, the questions, the DO bit: all a reply
+/// copies — built when the client parks, because the inbound message it
+/// arrived in is refilled by the next packet. A waiter never sees a
+/// later query's id, flags or question.
 #[derive(Debug, Clone)]
 struct Waiter {
     stub: SocketAddr,
-    query: Message,
+    reply: Message,
+}
+
+/// One scratch per receive path (DESIGN §7), the resolver's: the packet
+/// being handled and the packet being built, refilled per packet rather
+/// than built and dropped. Nothing carries over from one packet to the
+/// next but capacity — `decode_into`, `response_into` and `query_into`
+/// each overwrite every field of their message — and the tests run
+/// generated traffic through one long-lived scratch and through a
+/// fresh one per packet, byte for byte.
+#[derive(Debug, Default)]
+struct ResolveScratch {
+    /// The packet being handled: a stub query or an upstream response.
+    inbound: Message,
+    /// The packet being built: a stub reply or an upstream query.
+    outbound: Message,
+    encode: EncodeScratch,
+    /// Glue addresses of the referral being handled.
+    glue: Vec<IpAddr>,
+}
+
+impl ResolveScratch {
+    /// The one place a stub reply is built: the response to the stub
+    /// query in `inbound` — or to a parked one, restarted from the
+    /// reply its waiter kept (`response_into` of a response is that
+    /// response) — with RA, rcode and the answer section set, encoded.
+    fn stub_reply(
+        &mut self,
+        parked: Option<&Message>,
+        recursion_available: bool,
+        rcode: Rcode,
+        answers: &[Record],
+    ) -> &[u8] {
+        let resp = &mut self.outbound;
+        parked.unwrap_or(&self.inbound).response_into(resp);
+        resp.flags.recursion_available = recursion_available;
+        resp.rcode = rcode;
+        resp.answers.extend_from_slice(answers);
+        resp.encode_into(&mut self.encode)
+    }
 }
 
 /// Per-resolution state machine.
@@ -84,9 +126,11 @@ struct Task {
     dnssec_ok: bool,
     /// A prefetch refresh: launched with no waiting client.
     prefetch: bool,
-    servers: Vec<IpAddr>,
+    /// The server set being asked, shared with `delegations` (or the
+    /// root hints) it was read from.
+    servers: Arc<[IpAddr]>,
     server_idx: usize,
-    answers: Vec<dns_wire::Record>,
+    answers: Vec<Record>,
     cname_hops: usize,
     retries: usize,
     outstanding: Option<u16>,
@@ -94,8 +138,18 @@ struct Task {
     cur_timeout: SimDuration,
 }
 
+/// First-server index for a task over an `n`-long server list: spread
+/// by task id when the resolver rotates, else the first listed.
+fn start_idx(rotate: bool, task_id: u64, n: usize) -> usize {
+    if rotate && n > 0 {
+        (task_id as usize) % n
+    } else {
+        0
+    }
+}
+
 /// Counters for the resolver host.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResolverStats {
     /// Stub queries received.
     pub stub_queries: u64,
@@ -114,6 +168,9 @@ pub struct ResolverStats {
     pub prefetches: u64,
     /// Resolutions that failed (SERVFAIL to the stub).
     pub failures: u64,
+    /// Upstream responses ignored because they carried the id of an
+    /// outstanding attempt but not its question.
+    pub mismatched_responses: u64,
 }
 
 /// How a stub query was ultimately answered.
@@ -159,7 +216,7 @@ pub struct AnswerEvent {
 /// A point-in-time copy of the resolver's counters, published through
 /// [`SimResolver::set_stats_out`] so experiment drivers can read them
 /// after the simulation consumed the host.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ResolverSnapshot {
     /// Host counters.
     pub stats: ResolverStats,
@@ -174,10 +231,12 @@ pub struct ResolverSnapshot {
 /// The simulated recursive resolver host.
 pub struct SimResolver {
     addr: SocketAddr,
-    root_hints: Vec<IpAddr>,
+    root_hints: Arc<[IpAddr]>,
     cache: ResolverCache,
     outstanding: OutstandingTable<Waiter>,
-    delegations: BTreeMap<Name, Vec<IpAddr>>,
+    /// Zone → its nameservers' glue addresses, one shared set per
+    /// referral; tasks aimed at a zone hold the same `Arc`.
+    delegations: BTreeMap<Name, Arc<[IpAddr]>>,
     tasks: BTreeMap<u64, Task>,
     upstream_map: BTreeMap<u16, u64>,
     next_task: u64,
@@ -201,10 +260,45 @@ pub struct SimResolver {
     pub stats: ResolverStats,
     /// Seeded RNG for backoff jitter (rule D3: no ambient randomness).
     rng: SplitMix64,
-    /// Reusable encode buffer + compression interner for all sends.
-    scratch: dns_wire::EncodeScratch,
+    /// Every packet is decoded into, and every packet built in, this.
+    scratch: ResolveScratch,
     answer_log: Option<Arc<Mutex<Vec<AnswerEvent>>>>,
     stats_out: Option<Arc<Mutex<ResolverSnapshot>>>,
+}
+
+/// The closest enclosing zone's servers known for `qname`, else the
+/// root hints.
+fn best_servers(
+    delegations: &BTreeMap<Name, Arc<[IpAddr]>>,
+    root_hints: &Arc<[IpAddr]>,
+    qname: &Name,
+) -> Arc<[IpAddr]> {
+    let mut cur = Some(qname.clone());
+    while let Some(name) = cur {
+        if let Some(addrs) = delegations.get(&name) {
+            return addrs.clone();
+        }
+        cur = name.parent();
+    }
+    root_hints.clone()
+}
+
+/// A task's timeout for its next attempt: decorrelated jitter over
+/// `prev` when backoff is on (`cap`), else the fixed `base`.
+fn next_timeout(
+    base: SimDuration,
+    cap: Option<SimDuration>,
+    rng: &mut SplitMix64,
+    prev: SimDuration,
+) -> SimDuration {
+    let Some(cap) = cap else {
+        return base;
+    };
+    let base = base.as_nanos();
+    let hi = prev.as_nanos().saturating_mul(3).max(base + 1);
+    let span = (hi - base) as f64;
+    let drawn = base + (rng.gen::<f64>() * span) as u64;
+    SimDuration::from_nanos(drawn.min(cap.as_nanos()))
 }
 
 impl SimResolver {
@@ -215,7 +309,7 @@ impl SimResolver {
     pub fn new(addr: SocketAddr, root_hints: Vec<IpAddr>) -> Self {
         SimResolver {
             addr,
-            root_hints,
+            root_hints: root_hints.into(),
             cache: ResolverCache::unbounded(),
             outstanding: OutstandingTable::new(),
             delegations: BTreeMap::new(),
@@ -229,7 +323,7 @@ impl SimResolver {
             rotate_servers: false,
             stats: ResolverStats::default(),
             rng: SplitMix64::seed_from_u64(0x1d9_c0de),
-            scratch: dns_wire::EncodeScratch::new(),
+            scratch: ResolveScratch::default(),
             answer_log: None,
             stats_out: None,
         }
@@ -267,7 +361,9 @@ impl SimResolver {
         }
     }
 
-    fn log_answer(&self, at_ns: u64, qid: u16, class: AnswerClass, waited_ns: u64) {
+    /// Count and log one answer sent to a stub.
+    fn answered(&mut self, at_ns: u64, qid: u16, class: AnswerClass, waited_ns: u64) {
+        self.stats.stub_answers += 1;
         if let Some(log) = &self.answer_log {
             if let Ok(mut v) = log.lock() {
                 v.push(AnswerEvent {
@@ -278,28 +374,6 @@ impl SimResolver {
                 });
             }
         }
-    }
-
-    /// First-server index for a task over an `n`-long server list.
-    fn start_idx(&self, task_id: u64, n: usize) -> usize {
-        if self.rotate_servers && n > 0 {
-            (task_id as usize) % n
-        } else {
-            0
-        }
-    }
-
-    /// Grow a task's timeout for its next attempt (decorrelated
-    /// jitter), or keep it fixed when backoff is disabled.
-    fn next_timeout(&mut self, prev: SimDuration) -> SimDuration {
-        let Some(cap) = self.backoff_cap else {
-            return self.timeout;
-        };
-        let base = self.timeout.as_nanos();
-        let hi = prev.as_nanos().saturating_mul(3).max(base + 1);
-        let span = (hi - base) as f64;
-        let drawn = base + (self.rng.gen::<f64>() * span) as u64;
-        SimDuration::from_nanos(drawn.min(cap.as_nanos()))
     }
 
     /// The resolver's service address.
@@ -315,17 +389,6 @@ impl SimResolver {
         self.next_id
     }
 
-    fn best_servers(&self, qname: &Name) -> Vec<IpAddr> {
-        let mut cur = Some(qname.clone());
-        while let Some(name) = cur {
-            if let Some(addrs) = self.delegations.get(&name) {
-                return addrs.clone();
-            }
-            cur = name.parent();
-        }
-        self.root_hints.clone()
-    }
-
     /// Create the per-resolution task for `key_name`/`qtype` and launch
     /// its first upstream attempt. The caller has already registered
     /// the key in the outstanding table.
@@ -338,16 +401,15 @@ impl SimResolver {
         dnssec_ok: bool,
         prefetch: bool,
     ) {
-        let servers = self.best_servers(&key_name);
-        let server_idx = self.start_idx(task_id, servers.len());
+        let servers = best_servers(&self.delegations, &self.root_hints, &key_name);
         let task = Task {
             qname: key_name.clone(),
             key_name,
             qtype,
             dnssec_ok,
             prefetch,
+            server_idx: start_idx(self.rotate_servers, task_id, servers.len()),
             servers,
-            server_idx,
             answers: vec![],
             cname_hops: 0,
             retries: 0,
@@ -358,24 +420,26 @@ impl SimResolver {
         self.send_upstream(ctx, task_id);
     }
 
-    fn handle_stub_query(&mut self, ctx: &mut Ctx<'_>, from: SocketAddr, query: Message) {
+    /// The stub query in `scratch.inbound`, from `from`.
+    fn handle_stub_query(&mut self, ctx: &mut Ctx<'_>, from: SocketAddr) {
         self.stats.stub_queries += 1;
         if tel::enabled() {
             // `next_task` is the id this query gets if it misses the
             // cache, tying the stub mark to the rest of its chain.
             tel::mark_at(ctx.now().as_nanos(), rsv_kinds().stub, self.next_task, 0);
         }
-        let Some(q) = query.question().cloned() else {
-            let mut resp = query.response_to();
-            resp.rcode = Rcode::FormErr;
-            ctx.send_udp(self.addr, from, resp.encode_into(&mut self.scratch));
+        let query = &self.scratch.inbound;
+        let Some(q) = query.question() else {
+            let reply = self.scratch.stub_reply(None, false, Rcode::FormErr, &[]);
+            ctx.send_udp(self.addr, from, reply);
             return;
         };
+        let (qname, qtype) = (q.name.clone(), q.qtype);
+        let (qid, dnssec_ok) = (query.id, query.dnssec_ok());
         let now = ctx.now().as_secs_f64();
-        // Cache hit answers immediately.
-        if let Some(hit) = self.cache.get(&q.name, q.qtype, now) {
+        // Cache hit answers immediately, from the entry where it lies.
+        if let Some((hit, in_prefetch_window)) = self.cache.lookup(&qname, qtype, now) {
             self.stats.cache_hits += 1;
-            self.stats.stub_answers += 1;
             if tel::enabled() {
                 tel::mark_at(
                     ctx.now().as_nanos(),
@@ -384,25 +448,19 @@ impl SimResolver {
                     0,
                 );
             }
-            let qid = query.id;
-            let dnssec_ok = query.dnssec_ok();
-            let mut resp = query.response_to();
-            resp.flags.recursion_available = true;
-            match hit {
-                CachedAnswer::Positive(records) => {
-                    resp.answers = records;
-                }
-                CachedAnswer::Negative(rcode) => {
-                    resp.rcode = rcode;
-                }
-            }
-            ctx.send_udp(self.addr, from, resp.encode_into(&mut self.scratch));
-            self.log_answer(ctx.now().as_nanos(), qid, AnswerClass::Hit, 0);
+            let (rcode, answers) = match hit {
+                CachedAnswer::Positive(records) => (Rcode::NoError, records.as_slice()),
+                CachedAnswer::Negative(rcode) => (*rcode, &[][..]),
+            };
+            let reply = self.scratch.stub_reply(None, true, rcode, answers);
+            ctx.send_udp(self.addr, from, reply);
+            self.answered(ctx.now().as_nanos(), qid, AnswerClass::Hit, 0);
             // Hot-name refresh: if this entry is inside its prefetch
             // window and the budget allows, resolve it again in the
             // background before it expires.
-            if self.cache.prefetch_due(&q.name, q.qtype, now)
-                && !self.outstanding.contains(&q.name, q.qtype)
+            if in_prefetch_window
+                && self.cache.prefetch_due(&qname, qtype, now)
+                && !self.outstanding.contains(&qname, qtype)
             {
                 let task_id = self.next_task;
                 self.next_task += 1;
@@ -410,17 +468,19 @@ impl SimResolver {
                 if tel::enabled() {
                     tel::mark_at(ctx.now().as_nanos(), rsv_kinds().prefetch, task_id, 0);
                 }
-                self.outstanding
-                    .begin_prefetch(&q.name, q.qtype, task_id, now);
-                self.start_task(ctx, task_id, q.name, q.qtype, dnssec_ok, true);
+                self.outstanding.begin_prefetch(&qname, qtype, task_id, now);
+                self.start_task(ctx, task_id, qname, qtype, dnssec_ok, true);
             }
             self.publish_snapshot();
             return;
         }
         // Miss: coalesce onto an in-flight resolution for the same key,
         // or become the lead and launch one.
-        let waiter = Waiter { stub: from, query };
-        match self.outstanding.join(&q.name, q.qtype, waiter, now) {
+        let waiter = Waiter {
+            stub: from,
+            reply: query.response_to(),
+        };
+        match self.outstanding.join(&qname, qtype, waiter, now) {
             Ok(_pos) => {
                 // Delayed hit: the answer fans out on completion.
                 self.stats.delayed_hits += 1;
@@ -428,10 +488,8 @@ impl SimResolver {
             Err(waiter) => {
                 let task_id = self.next_task;
                 self.next_task += 1;
-                let dnssec_ok = waiter.query.dnssec_ok();
-                self.outstanding
-                    .begin(&q.name, q.qtype, task_id, waiter, now);
-                self.start_task(ctx, task_id, q.name, q.qtype, dnssec_ok, false);
+                self.outstanding.begin(&qname, qtype, task_id, waiter, now);
+                self.start_task(ctx, task_id, qname, qtype, dnssec_ok, false);
             }
         }
     }
@@ -441,21 +499,19 @@ impl SimResolver {
         let Some(task) = self.tasks.get_mut(&task_id) else {
             return;
         };
-        let Some(&server) = task
-            .servers
-            .get(task.server_idx % task.servers.len().max(1))
-        else {
+        let server_slot = task.server_idx % task.servers.len().max(1);
+        let Some(&server) = task.servers.get(server_slot) else {
             self.fail(ctx, task_id);
             return;
         };
-        let mut q = Message::query(id, task.qname.clone(), task.qtype);
-        q.flags.recursion_desired = false;
+        let query = &mut self.scratch.outbound;
+        query.query_into(id, task.qname.clone(), task.qtype);
+        query.flags.recursion_desired = false;
         if task.dnssec_ok {
-            q.set_dnssec_ok(true);
+            query.set_dnssec_ok(true);
         }
         task.outstanding = Some(id);
         let attempt_timeout = task.cur_timeout;
-        let server_slot = (task.server_idx % task.servers.len().max(1)) as u64;
         self.upstream_map.insert(id, task_id);
         self.stats.upstream_queries += 1;
         if tel::enabled() {
@@ -463,13 +519,13 @@ impl SimResolver {
                 ctx.now().as_nanos(),
                 rsv_kinds().upstream,
                 task_id,
-                server_slot,
+                server_slot as u64,
             );
         }
         ctx.send_udp(
             self.addr,
             SocketAddr::new(server, 53),
-            q.encode_into(&mut self.scratch),
+            query.encode_into(&mut self.scratch.encode),
         );
         // Timer token encodes (task, attempt) so a stale timer from an
         // attempt that already completed is ignored.
@@ -480,42 +536,76 @@ impl SimResolver {
     /// next listed nameserver with a (possibly backed-off) timeout, or
     /// give up with SERVFAIL once the retry budget is spent.
     fn failover(&mut self, ctx: &mut Ctx<'_>, task_id: u64) {
-        let retry = match self.tasks.get_mut(&task_id) {
-            Some(task) => {
-                task.retries += 1;
-                task.server_idx += 1;
-                task.retries <= self.max_retries
-            }
-            None => return,
+        let Some(task) = self.tasks.get_mut(&task_id) else {
+            return;
         };
-        if retry {
-            if tel::enabled() {
-                let retries = self
-                    .tasks
-                    .get(&task_id)
-                    .map(|t| t.retries as u64)
-                    .unwrap_or(0);
-                tel::mark_at(ctx.now().as_nanos(), rsv_kinds().failover, task_id, retries);
-            }
-            let prev = self.tasks[&task_id].cur_timeout;
-            let next = self.next_timeout(prev);
-            if let Some(task) = self.tasks.get_mut(&task_id) {
-                task.cur_timeout = next;
-            }
-            self.send_upstream(ctx, task_id);
-        } else {
+        task.retries += 1;
+        task.server_idx += 1;
+        if task.retries > self.max_retries {
             self.fail(ctx, task_id);
+            return;
         }
+        if tel::enabled() {
+            let retries = task.retries as u64;
+            tel::mark_at(ctx.now().as_nanos(), rsv_kinds().failover, task_id, retries);
+        }
+        let (base, cap) = (self.timeout, self.backoff_cap);
+        task.cur_timeout = next_timeout(base, cap, &mut self.rng, task.cur_timeout);
+        self.send_upstream(ctx, task_id);
+    }
+
+    /// Answer everyone parked on a resolution that just ended, lead
+    /// first. The lead of a client-launched task is the miss, charged
+    /// the full resolution latency; everyone else (including anyone who
+    /// joined a prefetch refresh) coalesced mid-flight and is a
+    /// *delayed hit*, charged exactly the residual wait from its own
+    /// arrival (counted in `delayed_hits` at join time). A failed
+    /// resolution answers them all SERVFAIL.
+    fn fan_out(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        task_id: u64,
+        prefetch: bool,
+        waiters: &[WaiterSlot<Waiter>],
+        rcode: Rcode,
+        answers: &[Record],
+    ) {
+        let now = ctx.now().as_secs_f64();
+        let now_ns = ctx.now().as_nanos();
+        for (i, slot) in waiters.iter().enumerate() {
+            let waited_ns = (((now - slot.arrived).max(0.0)) * 1e9) as u64;
+            let class = if rcode == Rcode::ServFail {
+                AnswerClass::ServFail
+            } else if i == 0 && !prefetch {
+                AnswerClass::Miss
+            } else {
+                AnswerClass::DelayedHit
+            };
+            if class == AnswerClass::DelayedHit && tel::enabled() {
+                tel::mark_at(now_ns, rsv_kinds().delayed_hit, task_id, waited_ns);
+            }
+            let reply = self
+                .scratch
+                .stub_reply(Some(&slot.waiter.reply), true, rcode, answers);
+            ctx.send_udp(self.addr, slot.waiter.stub, reply);
+            self.answered(now_ns, slot.waiter.reply.id, class, waited_ns);
+        }
+    }
+
+    /// Take a task that is over, and its attempt's id, off the books.
+    fn retire(&mut self, task_id: u64) -> Option<Task> {
+        let task = self.tasks.remove(&task_id)?;
+        if let Some(id) = task.outstanding {
+            self.upstream_map.remove(&id);
+        }
+        Some(task)
     }
 
     /// The resolution failed: SERVFAIL everyone waiting on it.
     fn fail(&mut self, ctx: &mut Ctx<'_>, task_id: u64) {
-        let Some(task) = self.tasks.remove(&task_id) else {
+        let Some(task) = self.retire(task_id) else {
             return;
         };
-        if let Some(id) = task.outstanding {
-            self.upstream_map.remove(&id);
-        }
         self.stats.failures += 1;
         if tel::enabled() {
             tel::mark_at(
@@ -530,41 +620,18 @@ impl SimResolver {
             .complete(&task.key_name, task.qtype)
             .map(|c| c.waiters)
             .unwrap_or_default();
-        let now = ctx.now().as_secs_f64();
-        let now_ns = ctx.now().as_nanos();
-        for slot in waiters {
-            let mut resp = slot.waiter.query.response_to();
-            resp.flags.recursion_available = true;
-            resp.rcode = Rcode::ServFail;
-            self.stats.stub_answers += 1;
-            let waited_ns = (((now - slot.arrived).max(0.0)) * 1e9) as u64;
-            self.log_answer(
-                now_ns,
-                slot.waiter.query.id,
-                AnswerClass::ServFail,
-                waited_ns,
-            );
-            ctx.send_udp(
-                self.addr,
-                slot.waiter.stub,
-                resp.encode_into(&mut self.scratch),
-            );
-        }
+        self.fan_out(ctx, task_id, task.prefetch, &waiters, Rcode::ServFail, &[]);
         self.publish_snapshot();
     }
 
-    /// The resolution completed: fill the cache (positive, or negative
-    /// with the SOA-derived TTL) and fan the answer out to every
-    /// waiter. The lead miss is charged the full resolution latency;
-    /// coalesced waiters are *delayed hits*, each charged exactly the
-    /// residual wait from its own arrival.
+    /// The resolution completed: fan the answer out to every waiter,
+    /// then fill the cache with it (positive, or negative with the
+    /// SOA-derived TTL) — the cache takes the task's records, nobody
+    /// gets a copy.
     fn finish(&mut self, ctx: &mut Ctx<'_>, task_id: u64, rcode: Rcode, neg_ttl: Option<u32>) {
-        let Some(task) = self.tasks.remove(&task_id) else {
+        let Some(task) = self.retire(task_id) else {
             return;
         };
-        if let Some(id) = task.outstanding {
-            self.upstream_map.remove(&id);
-        }
         let now = ctx.now().as_secs_f64();
         let done = self.outstanding.complete(&task.key_name, task.qtype);
         let (started, waiters) = match done {
@@ -575,9 +642,18 @@ impl SimResolver {
             latency: (now - started).max(0.0),
             requests: (waiters.len() as u64).max(1),
         };
+        if tel::enabled() {
+            tel::mark_at(
+                ctx.now().as_nanos(),
+                rsv_kinds().answer,
+                task_id,
+                u64::from(rcode.to_u16()),
+            );
+        }
+        self.fan_out(ctx, task_id, task.prefetch, &waiters, rcode, &task.answers);
         let out = if rcode == Rcode::NoError && !task.answers.is_empty() {
             self.cache
-                .put_positive(&task.key_name, task.qtype, task.answers.clone(), now, fill)
+                .put_positive(&task.key_name, task.qtype, task.answers, now, fill)
         } else if rcode == Rcode::NxDomain || task.answers.is_empty() {
             self.cache
                 .put_negative(&task.key_name, task.qtype, rcode, neg_ttl, now, fill)
@@ -595,55 +671,30 @@ impl SimResolver {
                 );
             }
         }
-        if tel::enabled() {
-            tel::mark_at(
-                ctx.now().as_nanos(),
-                rsv_kinds().answer,
-                task_id,
-                u64::from(rcode.to_u16()),
-            );
-        }
-        let now_ns = ctx.now().as_nanos();
-        for (i, slot) in waiters.into_iter().enumerate() {
-            let mut resp = slot.waiter.query.response_to();
-            resp.flags.recursion_available = true;
-            resp.rcode = rcode;
-            resp.answers = task.answers.clone();
-            self.stats.stub_answers += 1;
-            let waited_ns = (((now - slot.arrived).max(0.0)) * 1e9) as u64;
-            // The lead of a client-launched task is the miss; everyone
-            // else (including anyone who joined a prefetch refresh)
-            // coalesced mid-flight and is a delayed hit.
-            let class = if i == 0 && !task.prefetch {
-                AnswerClass::Miss
-            } else {
-                AnswerClass::DelayedHit
-            };
-            // (delayed_hits was already counted at join time.)
-            if class == AnswerClass::DelayedHit && tel::enabled() {
-                tel::mark_at(now_ns, rsv_kinds().delayed_hit, task_id, waited_ns);
-            }
-            self.log_answer(now_ns, slot.waiter.query.id, class, waited_ns);
-            ctx.send_udp(
-                self.addr,
-                slot.waiter.stub,
-                resp.encode_into(&mut self.scratch),
-            );
-        }
         self.publish_snapshot();
     }
 
-    fn handle_upstream_response(&mut self, ctx: &mut Ctx<'_>, resp: Message) {
+    /// The upstream response in `scratch.inbound`.
+    fn handle_upstream_response(&mut self, ctx: &mut Ctx<'_>) {
+        let (resp, glue) = (&mut self.scratch.inbound, &mut self.scratch.glue);
         let Some(&task_id) = self.upstream_map.get(&resp.id) else {
             return; // late or unknown response
         };
+        let Some(task) = self.tasks.get_mut(&task_id) else {
+            return;
+        };
+        if task.outstanding != Some(resp.id) {
+            return;
+        }
+        // The id is 16 bits and wraps (and can be guessed): an answer
+        // is this attempt's only if it is to the question it asked.
+        // Anything else is dropped here and the attempt times out.
+        if resp
+            .question()
+            .is_none_or(|q| q.name != task.qname || q.qtype != task.qtype)
         {
-            let Some(task) = self.tasks.get(&task_id) else {
-                return;
-            };
-            if task.outstanding != Some(resp.id) {
-                return;
-            }
+            self.stats.mismatched_responses += 1;
+            return;
         }
         self.upstream_map.remove(&resp.id);
 
@@ -659,20 +710,20 @@ impl SimResolver {
             // about the others (lame delegation, overload, partial
             // outage): fail over to the next listed nameserver rather
             // than giving up — same path as a timeout.
-            if let Some(task) = self.tasks.get_mut(&task_id) {
-                task.outstanding = None;
-            }
+            task.outstanding = None;
             self.failover(ctx, task_id);
             return;
         }
         if !resp.answers.is_empty() {
-            let task = self.tasks.get_mut(&task_id).expect("task exists");
-            task.answers.extend(resp.answers.iter().cloned());
             let has_final = resp.answers.iter().any(|r| r.rtype() == task.qtype);
             let cname_target = resp.answers.iter().rev().find_map(|r| match &r.rdata {
                 RData::Cname(t) => Some(t.clone()),
                 _ => None,
             });
+            // Moved, not cloned, and sized to fit: the cache keeps this
+            // `Vec` for the entry's lifetime.
+            task.answers.reserve_exact(resp.answers.len());
+            task.answers.append(&mut resp.answers);
             if !has_final && task.qtype != RecordType::CNAME {
                 if let Some(target) = cname_target {
                     task.cname_hops += 1;
@@ -680,12 +731,10 @@ impl SimResolver {
                         self.fail(ctx, task_id);
                         return;
                     }
+                    let servers = best_servers(&self.delegations, &self.root_hints, &target);
                     task.qname = target;
-                    let servers = self.best_servers(&self.tasks[&task_id].qname);
-                    let idx = self.start_idx(task_id, servers.len());
-                    let task = self.tasks.get_mut(&task_id).expect("task exists");
+                    task.server_idx = start_idx(self.rotate_servers, task_id, servers.len());
                     task.servers = servers;
-                    task.server_idx = idx;
                     self.send_upstream(ctx, task_id);
                     return;
                 }
@@ -694,34 +743,28 @@ impl SimResolver {
             return;
         }
         // Referral?
-        let ns_owner = resp
+        let ns = resp
             .authorities
             .iter()
-            .find(|r| r.rtype() == RecordType::NS)
-            .map(|r| r.name.clone());
-        if let Some(zone) = ns_owner {
-            if !resp.flags.authoritative {
-                let mut addrs: Vec<IpAddr> = Vec::new();
-                for rec in &resp.additionals {
-                    match &rec.rdata {
-                        RData::A(ip) => addrs.push(IpAddr::V4(*ip)),
-                        RData::Aaaa(ip) => addrs.push(IpAddr::V6(*ip)),
-                        _ => {}
-                    }
-                }
-                if addrs.is_empty() {
-                    // Glue-less: unsupported on this host (see module doc).
-                    self.fail(ctx, task_id);
-                    return;
-                }
-                self.delegations.insert(zone, addrs.clone());
-                let idx = self.start_idx(task_id, addrs.len());
-                let task = self.tasks.get_mut(&task_id).expect("task exists");
-                task.servers = addrs;
-                task.server_idx = idx;
-                self.send_upstream(ctx, task_id);
+            .find(|r| r.rtype() == RecordType::NS);
+        if let (Some(ns), false) = (ns, resp.flags.authoritative) {
+            glue.clear();
+            glue.extend(resp.additionals.iter().filter_map(|rec| match &rec.rdata {
+                RData::A(ip) => Some(IpAddr::V4(*ip)),
+                RData::Aaaa(ip) => Some(IpAddr::V6(*ip)),
+                _ => None,
+            }));
+            if glue.is_empty() {
+                // Glue-less: unsupported on this host (see module doc).
+                self.fail(ctx, task_id);
                 return;
             }
+            let servers: Arc<[IpAddr]> = Arc::from(glue.as_slice());
+            self.delegations.insert(ns.name.clone(), servers.clone());
+            task.server_idx = start_idx(self.rotate_servers, task_id, servers.len());
+            task.servers = servers;
+            self.send_upstream(ctx, task_id);
+            return;
         }
         // NODATA: also negatively cacheable per RFC 2308, SOA-derived.
         let neg_ttl = negative_ttl(&resp.authorities);
@@ -731,13 +774,13 @@ impl SimResolver {
 
 impl Host for SimResolver {
     fn on_udp(&mut self, ctx: &mut Ctx<'_>, from: SocketAddr, _to: SocketAddr, data: PacketBytes) {
-        let Ok(msg) = Message::decode(&data) else {
+        if self.scratch.inbound.decode_into(&data).is_err() {
             return;
-        };
-        if msg.flags.response {
-            self.handle_upstream_response(ctx, msg);
+        }
+        if self.scratch.inbound.flags.response {
+            self.handle_upstream_response(ctx);
         } else {
-            self.handle_stub_query(ctx, from, msg);
+            self.handle_stub_query(ctx, from);
         }
     }
 
@@ -772,11 +815,16 @@ mod tests {
     use dns_server::engine::ServerEngine;
     use dns_server::sim_server::SimDnsServer;
     use dns_wire::record::Record;
-    use dns_wire::Soa;
+    use dns_wire::{Edns, Opcode, Question, Soa};
     use dns_zone::catalog::Catalog;
     use dns_zone::zone::Zone;
     use ldp_cache::{PolicyKind, PrefetchConfig};
+    use ldp_rng::check::Gen;
     use netsim::{SimConfig, SimTime, Simulator, Topology};
+
+    /// Every datagram the resolver sent, as (destination, bytes), in
+    /// the order the destinations received them.
+    type WireLog = Arc<Mutex<Vec<(SocketAddr, Vec<u8>)>>>;
 
     /// A stub that records every response it receives and can send
     /// pre-scheduled queries when its timers fire (token = index into
@@ -786,6 +834,7 @@ mod tests {
         resolver: SocketAddr,
         sends: Vec<Message>,
         got: Arc<Mutex<Vec<Message>>>,
+        wire: WireLog,
     }
 
     impl Host for CaptureStub {
@@ -793,9 +842,13 @@ mod tests {
             &mut self,
             _ctx: &mut Ctx<'_>,
             _from: SocketAddr,
-            _to: SocketAddr,
+            to: SocketAddr,
             data: PacketBytes,
         ) {
+            self.wire
+                .lock()
+                .expect("wire log")
+                .push((to, data.to_vec()));
             if let Ok(msg) = Message::decode(&data) {
                 self.got.lock().expect("capture lock").push(msg);
             }
@@ -806,6 +859,55 @@ mod tests {
                 ctx.send_udp(self.addr, self.resolver, q.encode());
             }
         }
+    }
+
+    /// The other side of the reuse property: a resolver handed a fresh
+    /// scratch before every packet and timer.
+    struct FreshScratch(SimResolver);
+
+    impl Host for FreshScratch {
+        fn on_udp(
+            &mut self,
+            ctx: &mut Ctx<'_>,
+            from: SocketAddr,
+            to: SocketAddr,
+            data: PacketBytes,
+        ) {
+            self.0.scratch = ResolveScratch::default();
+            self.0.on_udp(ctx, from, to, data);
+        }
+        fn on_tcp_event(&mut self, _ctx: &mut Ctx<'_>, _event: TcpEvent) {}
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+            self.0.scratch = ResolveScratch::default();
+            self.0.on_timer(ctx, token);
+        }
+    }
+
+    /// An upstream address: logs what the resolver sent it, then lets
+    /// its server (if it is not a dead address) answer.
+    struct Tap {
+        server: Option<Box<dyn Host>>,
+        wire: WireLog,
+    }
+
+    impl Host for Tap {
+        fn on_udp(
+            &mut self,
+            ctx: &mut Ctx<'_>,
+            from: SocketAddr,
+            to: SocketAddr,
+            data: PacketBytes,
+        ) {
+            self.wire
+                .lock()
+                .expect("wire log")
+                .push((to, data.to_vec()));
+            if let Some(server) = &mut self.server {
+                server.on_udp(ctx, from, to, data);
+            }
+        }
+        fn on_tcp_event(&mut self, _ctx: &mut Ctx<'_>, _event: TcpEvent) {}
+        fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _token: u64) {}
     }
 
     fn name(s: &str) -> Name {
@@ -857,6 +959,7 @@ mod tests {
     struct Rig {
         sim: Simulator,
         got: Arc<Mutex<Vec<Message>>>,
+        wire: WireLog,
         answers: Arc<Mutex<Vec<AnswerEvent>>>,
         snapshot: Arc<Mutex<ResolverSnapshot>>,
         stub_addr: SocketAddr,
@@ -874,15 +977,42 @@ mod tests {
         sends: Vec<(SimTime, Message)>,
         tune: impl FnOnce(&mut SimResolver),
     ) -> Rig {
+        let hosts = upstreams.iter().enumerate().map(serve).collect();
+        rig_of_hosts(hosts, sends, false, tune)
+    }
+
+    /// The host at the `i`th hinted address: a server, or nobody.
+    fn serve((i, up): (usize, &Option<Arc<ServerEngine>>)) -> Option<Box<dyn Host>> {
+        let engine = up.as_ref()?.clone();
+        let server = SimDnsServer::new(engine, SocketAddr::new(upstream_ip(i), 53), None);
+        Some(Box::new(server))
+    }
+
+    /// The `i`th hinted upstream address.
+    fn upstream_ip(i: usize) -> IpAddr {
+        format!("10.0.0.{}", i + 1).parse().unwrap()
+    }
+
+    /// [`scheduled_rig`] over any upstream hosts, the resolver as it is
+    /// or as [`FreshScratch`].
+    fn rig_of_hosts(
+        upstreams: Vec<Option<Box<dyn Host>>>,
+        sends: Vec<(SimTime, Message)>,
+        fresh_scratch: bool,
+        tune: impl FnOnce(&mut SimResolver),
+    ) -> Rig {
         let mut sim = Simulator::new(Topology::default(), SimConfig::default());
         let mut hints = Vec::new();
         let mut server_ids = Vec::new();
-        for (i, up) in upstreams.iter().enumerate() {
-            let ip: IpAddr = format!("10.0.0.{}", i + 1).parse().unwrap();
+        let wire = WireLog::default();
+        for (i, server) in upstreams.into_iter().enumerate() {
+            let ip = upstream_ip(i);
             hints.push(ip);
-            if let Some(engine) = up {
-                let server = SimDnsServer::new(engine.clone(), SocketAddr::new(ip, 53), None);
-                server_ids.push(sim.add_host(&[ip], Box::new(server)));
+            let live = server.is_some();
+            let wire = Arc::clone(&wire);
+            let id = sim.add_host(&[ip], Box::new(Tap { server, wire }));
+            if live {
+                server_ids.push(id);
             }
         }
         let resolver_addr: SocketAddr = "10.1.0.1:53".parse().unwrap();
@@ -892,7 +1022,12 @@ mod tests {
         resolver.set_answer_log(Arc::clone(&answers));
         resolver.set_stats_out(Arc::clone(&snapshot));
         tune(&mut resolver);
-        sim.add_host(&[resolver_addr.ip()], Box::new(resolver));
+        let resolver: Box<dyn Host> = if fresh_scratch {
+            Box::new(FreshScratch(resolver))
+        } else {
+            Box::new(resolver)
+        };
+        sim.add_host(&[resolver_addr.ip()], resolver);
         let got = Arc::new(Mutex::new(Vec::new()));
         let stub_addr: SocketAddr = "10.2.0.1:5353".parse().unwrap();
         let stub = CaptureStub {
@@ -900,6 +1035,7 @@ mod tests {
             resolver: resolver_addr,
             sends: sends.iter().map(|(_, m)| m.clone()).collect(),
             got: Arc::clone(&got),
+            wire: Arc::clone(&wire),
         };
         let stub_id = sim.add_host(&[stub_addr.ip()], Box::new(stub));
         for (i, (at, _)) in sends.iter().enumerate() {
@@ -908,6 +1044,7 @@ mod tests {
         Rig {
             sim,
             got,
+            wire,
             answers,
             snapshot,
             stub_addr,
@@ -991,12 +1128,11 @@ mod tests {
     fn backoff_draws_stay_within_bounds_and_grow() {
         let mut r = SimResolver::new("10.1.0.1:53".parse().unwrap(), vec![]);
         let cap = SimDuration::from_secs(8);
-        r.backoff_cap = Some(cap);
         let base = r.timeout;
         let mut prev = base;
         let mut grew = false;
         for _ in 0..64 {
-            let next = r.next_timeout(prev);
+            let next = next_timeout(base, Some(cap), &mut r.rng, prev);
             assert!(next >= base, "never below the base timeout");
             assert!(next <= cap, "never above the cap");
             if next > prev {
@@ -1011,8 +1147,9 @@ mod tests {
     fn fixed_timeout_without_backoff() {
         let mut r = SimResolver::new("10.1.0.1:53".parse().unwrap(), vec![]);
         let base = r.timeout;
-        assert_eq!(r.next_timeout(base), base);
-        assert_eq!(r.next_timeout(SimDuration::from_secs(30)), base);
+        assert_eq!(next_timeout(base, None, &mut r.rng, base), base);
+        let long = SimDuration::from_secs(30);
+        assert_eq!(next_timeout(base, None, &mut r.rng, long), base);
     }
 
     #[test]
@@ -1162,5 +1299,235 @@ mod tests {
         let snap = rig.snapshot.lock().expect("snapshot");
         assert_eq!(snap.stats.evictions, 2);
         assert_eq!(snap.cache_len, 1);
+    }
+
+    /// An upstream that answers every query at once, with the query's
+    /// id, about another name.
+    struct Forger {
+        addr: SocketAddr,
+        forged: Name,
+    }
+
+    impl Host for Forger {
+        fn on_udp(
+            &mut self,
+            ctx: &mut Ctx<'_>,
+            from: SocketAddr,
+            _to: SocketAddr,
+            data: PacketBytes,
+        ) {
+            let Ok(query) = Message::decode(&data) else {
+                return;
+            };
+            let mut resp = query.response_to();
+            resp.flags.authoritative = true;
+            resp.questions[0].name = self.forged.clone();
+            let addr = RData::A("203.0.113.66".parse().unwrap());
+            resp.answers
+                .push(Record::new(self.forged.clone(), 3600, addr));
+            ctx.send_udp(self.addr, from, resp.encode());
+        }
+        fn on_tcp_event(&mut self, _ctx: &mut Ctx<'_>, _event: TcpEvent) {}
+        fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _token: u64) {}
+    }
+
+    #[test]
+    fn a_response_to_another_question_is_not_this_attempts_answer() {
+        // The only upstream forges: right id, wrong qname. Nothing of
+        // it may reach the stub or the cache — each attempt times out
+        // as if unanswered — so a later query for the forged name
+        // itself is a miss, which this upstream then answers in
+        // earnest.
+        let ask_at = |secs: f64, id: u16, qname: &str| {
+            let at = SimTime::from_secs_f64(secs);
+            (at, Message::query(id, name(qname), RecordType::A))
+        };
+        let sends = vec![
+            ask_at(0.0, 50, "www.example."),
+            ask_at(30.0, 51, "evil.example."),
+        ];
+        let forger = Forger {
+            addr: SocketAddr::new(upstream_ip(0), 53),
+            forged: name("evil.example."),
+        };
+        let hosts: Vec<Option<Box<dyn Host>>> = vec![Some(Box::new(forger))];
+        let mut rig = rig_of_hosts(hosts, sends, false, |r| r.max_retries = 2);
+        rig.sim.run();
+        let got = rig.got.lock().expect("capture lock");
+        assert_eq!(got.len(), 2);
+        assert_eq!(got[0].rcode, Rcode::ServFail);
+        assert!(got[0].answers.is_empty(), "forged record reached the stub");
+        assert_eq!(got[1].rcode, Rcode::NoError);
+        let log = rig.answers.lock().expect("answer log");
+        let classes: Vec<AnswerClass> = log.iter().map(|e| e.class).collect();
+        assert_eq!(classes, vec![AnswerClass::ServFail, AnswerClass::Miss]);
+        let snap = rig.snapshot.lock().expect("snapshot");
+        assert_eq!(
+            snap.stats.upstream_queries,
+            3 + 1,
+            "three attempts, then one"
+        );
+        assert_eq!(snap.stats.mismatched_responses, 3);
+        assert_eq!(
+            snap.cache.inserts, 1,
+            "only the answer to the question asked"
+        );
+    }
+
+    /// The stub-facing mix: names that hit, miss, coalesce, chase a
+    /// CNAME across a zone cut, do not exist, exist without the type,
+    /// or hang off a glue-less delegation; with and without EDNS and
+    /// DO; and now and then no question, two questions, or an opcode
+    /// that is not a query.
+    fn gen_stub_query(g: &mut Gen) -> Message {
+        let qname = *g.pick(&[
+            "www.example.",
+            "www.example.",
+            "short.example.",
+            "alias.example.",
+            "www.sub.example.",
+            "missing.example.",
+            "x.gl.example.",
+        ]);
+        let qtype = *g.pick(&[RecordType::A, RecordType::A, RecordType::AAAA]);
+        let mut q = Message::query(g.u16(), name(qname), qtype);
+        q.flags.recursion_desired = g.bool();
+        q.edns = match g.below(4) {
+            0 | 1 => None,
+            2 => Some(Edns::default()),
+            _ => Some(Edns::with_do()),
+        };
+        match g.below(12) {
+            0 => q.questions.clear(),
+            1 => q
+                .questions
+                .push(Question::new(name("w2.example."), RecordType::A)),
+            2 => q.opcode = Opcode::Notify,
+            _ => {}
+        }
+        q
+    }
+
+    /// `example.` on one server — a short-lived name, a CNAME into the
+    /// delegated `sub.example.`, a glue-less delegation — and
+    /// `sub.example.` on another, at the glue address `sub_ip`.
+    fn hierarchy(sub_ip: std::net::Ipv4Addr) -> [Arc<ServerEngine>; 2] {
+        let a = |owner: &str, ttl: u32, ip: &str| {
+            Record::new(name(owner), ttl, RData::A(ip.parse().unwrap()))
+        };
+        let engine = |apex: &str, records: Vec<Record>| {
+            let mut zone = Zone::new(name(apex));
+            zone.insert(soa_rec(apex, 300)).unwrap();
+            for record in records {
+                zone.insert(record).unwrap();
+            }
+            let mut catalog = Catalog::new();
+            catalog.insert(zone);
+            Arc::new(ServerEngine::with_catalog(catalog))
+        };
+        let ns =
+            |owner: &str, target: &str| Record::new(name(owner), 3600, RData::Ns(name(target)));
+        let parent = engine(
+            "example.",
+            vec![
+                a("www.example.", 3600, "192.0.2.1"),
+                a("short.example.", 5, "192.0.2.5"),
+                Record::new(
+                    name("alias.example."),
+                    60,
+                    RData::Cname(name("www.sub.example.")),
+                ),
+                ns("sub.example.", "ns.sub.example."),
+                Record::new(name("ns.sub.example."), 3600, RData::A(sub_ip)),
+                ns("gl.example.", "ns.elsewhere."),
+            ],
+        );
+        let child = engine(
+            "sub.example.",
+            vec![
+                ns("sub.example.", "ns.sub.example."),
+                Record::new(name("ns.sub.example."), 3600, RData::A(sub_ip)),
+                a("www.sub.example.", 30, "192.0.2.9"),
+            ],
+        );
+        [parent, child]
+    }
+
+    /// The reuse property: generated stub traffic — hits, lead misses,
+    /// coalesced waiters, negative answers, a CNAME chased across a
+    /// referral, SERVFAIL fan-out, FORMERR — over dead, lame and good
+    /// upstreams, through a resolver that keeps its scratch and through
+    /// one handed a fresh scratch before every packet and timer: every
+    /// datagram the resolver sends (stub replies and upstream queries)
+    /// equal byte for byte, and the counters equal.
+    #[test]
+    fn one_long_lived_resolver_scratch_answers_like_a_fresh_one() {
+        ldp_rng::check::check(96, |g| {
+            // Hints: maybe a dead and a lame address, then the parent
+            // zone's server and the delegated zone's.
+            let mut upstreams = Vec::new();
+            if g.below(3) == 0 {
+                upstreams.push(None);
+            }
+            if g.below(3) == 0 {
+                upstreams.push(Some(lame_engine()));
+            }
+            let sub_ip = std::net::Ipv4Addr::new(10, 0, 0, upstreams.len() as u8 + 2);
+            upstreams.extend(hierarchy(sub_ip).map(Some));
+            let mut at = 0.0;
+            let sends: Vec<(SimTime, Message)> = g.vec(1..=24, |g| {
+                at += *g.pick(&[0.0, 0.0, 0.000_1, 0.3, 4.0, 70.0]);
+                (SimTime::from_secs_f64(at), gen_stub_query(g))
+            });
+            let max_retries = g.size(0..=3);
+            let rotate_servers = g.bool();
+            let backoff = g.bool();
+            let cache = CacheConfig {
+                capacity: *g.pick(&[2, usize::MAX]),
+                prefetch: g.option(|_| PrefetchConfig {
+                    trigger_fraction: 0.9,
+                    ..PrefetchConfig::default()
+                }),
+                ..CacheConfig::default()
+            };
+            let run = |fresh_scratch: bool| {
+                let hosts = upstreams.iter().enumerate().map(serve).collect();
+                let mut rig = rig_of_hosts(hosts, sends.clone(), fresh_scratch, |r| {
+                    r.max_retries = max_retries;
+                    r.rotate_servers = rotate_servers;
+                    r.backoff_cap = backoff.then(|| SimDuration::from_secs(5));
+                    r.set_cache_config(cache);
+                });
+                rig.sim.run();
+                let wire = std::mem::take(&mut *rig.wire.lock().expect("wire log"));
+                let snapshot = *rig.snapshot.lock().expect("snapshot");
+                (wire, snapshot)
+            };
+            let (wire, snapshot) = run(false);
+            let (want_wire, want_snapshot) = run(true);
+            assert_eq!(wire.len(), want_wire.len());
+            for (got, want) in wire.iter().zip(&want_wire) {
+                assert_eq!(got, want, "{:?}", Message::decode(&want.1));
+            }
+            assert_eq!(snapshot, want_snapshot);
+        });
+    }
+
+    /// A waiter keeps the reply its query starts, and the fan-out
+    /// restarts the outbound message from that: over whatever the
+    /// outbound message held, the result is the response the query
+    /// itself starts.
+    #[test]
+    fn a_parked_reply_restarts_the_response_its_query_would() {
+        ldp_rng::check::check(256, |g| {
+            let query = gen_stub_query(g);
+            let mut want = gen_stub_query(g);
+            want.rcode = *g.pick(&[Rcode::NoError, Rcode::ServFail, Rcode::NxDomain]);
+            want.answers = g.vec(0..=2, |_| soa_rec("example.", 60));
+            let mut got = want.clone();
+            query.response_into(&mut want);
+            query.response_to().response_into(&mut got);
+            assert_eq!(got, want);
+        });
     }
 }

@@ -104,20 +104,29 @@ impl Default for Message {
 impl Message {
     /// A fresh query message for `name`/`qtype` with RD set.
     pub fn query(id: u16, name: Name, qtype: RecordType) -> Self {
-        Message {
-            id,
-            flags: Flags {
-                recursion_desired: true,
-                ..Default::default()
-            },
-            opcode: Opcode::Query,
-            rcode: Rcode::NoError,
-            questions: vec![Question::new(name, qtype)],
-            answers: Vec::new(),
-            authorities: Vec::new(),
-            additionals: Vec::new(),
-            edns: None,
-        }
+        let mut query = Message::default();
+        query.query_into(id, name, qtype);
+        query
+    }
+
+    /// [`Message::query`] written over `self`, whatever it held: every
+    /// field is set and the section `Vec`s keep their storage.
+    pub fn query_into(&mut self, id: u16, name: Name, qtype: RecordType) {
+        self.id = id;
+        self.flags = Flags {
+            recursion_desired: true,
+            ..Default::default()
+        };
+        self.opcode = Opcode::Query;
+        self.rcode = Rcode::NoError;
+        self.questions.clear();
+        // Sized as `vec![question]` when fresh, left alone when warm.
+        self.questions.reserve_exact(1);
+        self.questions.push(Question::new(name, qtype));
+        self.answers.clear();
+        self.authorities.clear();
+        self.additionals.clear();
+        self.edns = None;
     }
 
     /// Start a response to this query: copies ID, question, opcode, RD,

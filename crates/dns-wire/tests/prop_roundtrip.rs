@@ -351,6 +351,18 @@ fn decode_into_a_dirty_message_matches_a_fresh_decode() {
     });
 }
 
+/// `query_into` over a message that holds anything at all is
+/// `Message::query`: no section, `edns`, flag or `rcode` survives.
+#[test]
+fn query_into_a_dirty_message_matches_a_fresh_query() {
+    check(256, |g| {
+        let mut reused = arb_message(g);
+        let (id, name) = (g.u16(), arb_name(g));
+        reused.query_into(id, name.clone(), RecordType::AAAA);
+        assert_eq!(reused, Message::query(id, name, RecordType::AAAA));
+    });
+}
+
 #[test]
 fn decoder_never_panics() {
     check(256, |g| {

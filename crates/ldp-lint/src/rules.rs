@@ -96,7 +96,8 @@ pub const CATALOG: &[RuleInfo] = &[
         summary: "no unwrap/expect/panic!/unreachable!/todo!/unimplemented! in hot \
                   paths (crates/dns-wire/src, crates/proxy/src, crates/guard/src, \
                   dns-server/src/{engine,template,scratch,sim_server}.rs, \
-                  dns-zone/src/{lookup,zone,catalog,view}.rs, replay/src/core.rs)",
+                  dns-zone/src/{lookup,zone,catalog,view}.rs, replay/src/core.rs, \
+                  dns-resolver/src/sim_resolver.rs)",
         rationale: "A malformed packet must never panic the server: decode and dispatch \
                     paths return typed errors so a fuzzer (or the internet) cannot take \
                     the process down.",
@@ -171,9 +172,11 @@ pub struct FileScope {
     /// worker-thread panic aborts the whole windowed drive),
     /// `crates/guard/src/**` (checkpoint parse/serialize runs on the
     /// replay host's dispatch thread — a malformed document must
-    /// return an error, never panic mid-replay), and
+    /// return an error, never panic mid-replay),
     /// `crates/replay/src/core.rs` (called on every dispatch and
-    /// every answer).
+    /// every answer), and `crates/dns-resolver/src/sim_resolver.rs`
+    /// (every stub query and every upstream response of the recursive
+    /// experiments; what the upstream sends is outside input).
     pub hot_path: bool,
     /// Channel/retry-discipline crate (A1 and R1 apply): dns-server,
     /// replay, proxy — the crates that dial, redial and resend — plus
@@ -224,6 +227,7 @@ pub fn classify(path: &str) -> FileScope {
         || ["lookup", "zone", "catalog", "view"]
             .iter()
             .any(|f| p.ends_with(&format!("crates/dns-zone/src/{f}.rs")))
+        || p.ends_with("crates/dns-resolver/src/sim_resolver.rs")
         || is_replay_core;
     let channel_scope = p.contains("crates/dns-server/")
         || p.contains("crates/replay/")
@@ -1188,6 +1192,23 @@ mod tests {
         // The rest of the replay crate keeps its previous scoping.
         let engine = classify("crates/replay/src/engine.rs");
         assert!(!engine.hot_path && !engine.sim_path && engine.channel_scope);
+    }
+
+    #[test]
+    fn sim_resolver_is_hot_path_and_sim_scope() {
+        // Every stub query and upstream response of a recursive
+        // experiment crosses it, and what an upstream sends is outside
+        // input: P1 applies. The synchronous resolver next to it (zone
+        // construction, one-time) keeps its previous scoping.
+        let panicky = "pub fn f(x: Option<u32>) -> u32 { x.expect(\"task exists\") }";
+        assert!(
+            analyze_source("crates/dns-resolver/src/sim_resolver.rs", panicky)
+                .iter()
+                .any(|d| d.rule == "P1")
+        );
+        let scope = classify("crates/dns-resolver/src/sim_resolver.rs");
+        assert!(scope.hot_path && scope.sim_path && !scope.channel_scope);
+        assert!(!classify("crates/dns-resolver/src/iterative.rs").hot_path);
     }
 
     // ---- rule catalog ----

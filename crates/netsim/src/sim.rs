@@ -942,7 +942,7 @@ impl Simulator {
             }
         }
         match event {
-            Event::Deliver(pkt) => self.deliver(pkt),
+            Event::Deliver(pkt) => self.deliver(pkt, lane_host),
             Event::HostTimer { host, token, epoch } => {
                 // A crashed host loses its timers; a timer armed before
                 // the crash is stale forever (epoch mismatch).
@@ -1220,10 +1220,12 @@ impl Simulator {
         );
     }
 
-    fn deliver(&mut self, pkt: Packet) {
+    /// `lane_host` is [`Self::event_lane_host`] of this delivery: for a
+    /// datagram, the owner of its destination address.
+    fn deliver(&mut self, pkt: Packet, lane_host: Option<HostId>) {
         match pkt.payload {
             Payload::Udp(data) => {
-                let Some(&host) = self.addr_map.get(&pkt.dst.ip()) else {
+                let Some(host) = lane_host else {
                     return; // unroutable: dropped (the paper's TUN capture
                             // exists precisely because such packets die)
                 };

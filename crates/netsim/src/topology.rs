@@ -46,13 +46,26 @@ impl PathConfig {
     pub fn one_way(&self, bytes: usize) -> SimDuration {
         let prop = self.rtt.half();
         match self.bandwidth_bps {
-            Some(bps) if bps > 0 => {
-                let tx_ns = (bytes as u128 * 8 * 1_000_000_000 / bps as u128) as u64;
-                prop + SimDuration::from_nanos(tx_ns)
-            }
+            Some(bps) if bps > 0 => prop + SimDuration::from_nanos(tx_ns(bytes, bps)),
             _ => prop,
         }
     }
+}
+
+/// Nanoseconds to serialize `bytes` at `bps` bits per second, rounded
+/// down: in `u64` whenever `bytes × 8e9` fits (every packet a simulated
+/// link carries), else [`tx_ns_wide`].
+fn tx_ns(bytes: usize, bps: u64) -> u64 {
+    match (bytes as u64).checked_mul(8_000_000_000) {
+        Some(bit_ns) => bit_ns / bps,
+        None => tx_ns_wide(bytes, bps),
+    }
+}
+
+/// [`tx_ns`] in `u128`: the fallback, and the reference the tests hold
+/// the `u64` form to.
+fn tx_ns_wide(bytes: usize, bps: u64) -> u64 {
+    (bytes as u128 * 8 * 1_000_000_000 / bps as u128) as u64
 }
 
 /// The topology: a default path plus per-(src,dst) overrides. Lookups
@@ -147,6 +160,22 @@ mod tests {
         assert_eq!(cfg.one_way(1000), SimDuration::from_millis(6));
         // Zero-size packet: pure propagation.
         assert_eq!(cfg.one_way(0), SimDuration::from_millis(5));
+    }
+
+    #[test]
+    fn serialization_in_u64_equals_the_u128_form_to_the_nanosecond() {
+        ldp_rng::check::check(256, |g| {
+            // Sizes and rates over their whole ranges, with the small
+            // ends (packets, modem to 100 Gb/s links) drawn as often
+            // as the huge ones.
+            let bytes = (g.u64() >> g.below(64)) as usize;
+            let bps = (g.u64() >> g.below(64)).max(1);
+            assert_eq!(
+                tx_ns(bytes, bps),
+                tx_ns_wide(bytes, bps),
+                "{bytes} B at {bps} b/s"
+            );
+        });
     }
 
     #[test]
