@@ -1,18 +1,21 @@
-//! Synchronous iterative resolution: walk the hierarchy from the root
-//! hints, following referrals, chasing CNAMEs and resolving glue-less
-//! nameservers — the algorithm a cold-cache recursive performs for each
-//! query (paper §2.3/§2.4).
+//! Synchronous iterative resolution: the blocking driver of the
+//! resolution core (`core.rs`, which says what each response means —
+//! referral, CNAME restart, glue-less nameserver, negative answer,
+//! loop). It walks the hierarchy from the root hints the way a
+//! cold-cache recursive does for each query (paper §2.3/§2.4).
 //!
 //! The transport is abstracted behind [`Upstream`], so the same logic
 //! resolves against the in-process simulated Internet (zone
 //! construction), a set of `ServerEngine`s, or anything else.
 
-use std::collections::HashMap;
 use std::net::IpAddr;
 
-use dns_wire::{Message, Name, Question, RData, Rcode, Record, RecordType};
+use dns_wire::{Message, Name, Rcode, Record, RecordType};
 
 use ldp_cache::{CachedAnswer, FillInfo, ResolverCache};
+
+pub use crate::core::ResolveError;
+use crate::core::{ResolveCore, Step, Walk};
 
 /// Where iterative queries go: given a target server address and a
 /// query, produce its response (or `None` for timeout/unreachable).
@@ -44,43 +47,13 @@ pub struct Resolution {
     pub from_cache: bool,
 }
 
-/// Errors during resolution.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ResolveError {
-    /// No upstream server answered.
-    Unreachable,
-    /// Referral loop / depth exceeded.
-    TooDeep,
-    /// A response was malformed for its context.
-    Lame(&'static str),
-}
-
-impl std::fmt::Display for ResolveError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ResolveError::Unreachable => write!(f, "no upstream server answered"),
-            ResolveError::TooDeep => write!(f, "resolution exceeded depth limit"),
-            ResolveError::Lame(what) => write!(f, "lame response: {what}"),
-        }
-    }
-}
-
-impl std::error::Error for ResolveError {}
-
-/// An iterative resolver with cache and root hints.
+/// An iterative resolver with cache and root hints: the blocking driver
+/// of the resolution core.
 pub struct IterativeResolver {
-    /// Root server addresses (the hints file).
-    pub root_hints: Vec<IpAddr>,
     /// The shared answer cache: unbounded, as zone construction's
     /// one-time cold-cache walks need it.
     pub cache: ResolverCache,
-    /// Delegation cache: zone apex → nameserver addresses learned from
-    /// referrals (the "infrastructure cache").
-    pub delegations: HashMap<Name, Vec<IpAddr>>,
-    /// Set the DO bit on upstream queries.
-    pub dnssec_ok: bool,
-    /// Maximum referral-chain steps per query.
-    pub max_depth: usize,
+    core: ResolveCore,
     next_id: u16,
 }
 
@@ -88,18 +61,17 @@ impl IterativeResolver {
     /// New resolver with the given root hints.
     pub fn new(root_hints: Vec<IpAddr>) -> Self {
         IterativeResolver {
-            root_hints,
             cache: ResolverCache::unbounded(),
-            delegations: HashMap::new(),
-            dnssec_ok: false,
-            max_depth: 32,
+            core: ResolveCore::new(root_hints),
             next_id: 1,
         }
     }
 
-    fn fresh_id(&mut self) -> u16 {
-        self.next_id = self.next_id.wrapping_add(1);
-        self.next_id
+    /// Forget every answer and delegation: the next walk starts cold,
+    /// at the root hints.
+    pub fn clear(&mut self) {
+        self.cache.clear();
+        self.core.clear();
     }
 
     /// Resolve `qname`/`qtype` at time `now` via `upstream`.
@@ -110,146 +82,59 @@ impl IterativeResolver {
         qtype: RecordType,
         now: f64,
     ) -> Result<Resolution, ResolveError> {
-        self.resolve_inner(upstream, qname, qtype, now, 0)
+        self.run(upstream, Walk::new(qname.clone(), qtype), now)
     }
 
-    fn resolve_inner<U: Upstream>(
+    /// Answer `walk`'s question from the cache, or walk it: ask each
+    /// server of the set the core names, in order, until one's response
+    /// moves the walk on; recurse only for a nameserver's address.
+    fn run<U: Upstream>(
         &mut self,
         upstream: &mut U,
-        qname: &Name,
-        qtype: RecordType,
+        mut walk: Walk,
         now: f64,
-        depth: usize,
     ) -> Result<Resolution, ResolveError> {
-        if depth > 4 {
-            return Err(ResolveError::TooDeep);
-        }
-        // Cache check.
-        if let Some(hit) = self.cache.get(qname, qtype, now) {
-            return Ok(match hit {
-                CachedAnswer::Positive(answers) => Resolution {
-                    rcode: Rcode::NoError,
-                    answers,
-                    upstream_queries: 0,
-                    from_cache: true,
-                },
-                CachedAnswer::Negative(rcode) => Resolution {
-                    rcode,
-                    answers: vec![],
-                    upstream_queries: 0,
-                    from_cache: true,
-                },
+        let key = walk.qname.clone();
+        if let Some(hit) = self.cache.get(&key, walk.qtype, now) {
+            let (rcode, answers) = match hit {
+                CachedAnswer::Positive(answers) => (Rcode::NoError, answers),
+                CachedAnswer::Negative(rcode) => (rcode, vec![]),
+            };
+            return Ok(Resolution {
+                rcode,
+                answers,
+                upstream_queries: 0,
+                from_cache: true,
             });
         }
-
-        // Start from the deepest cached delegation enclosing qname.
-        let mut servers = self.best_servers(qname);
-        let mut queries = 0usize;
-        let mut answers: Vec<Record> = Vec::new();
-        let mut current_name = qname.clone();
-        let mut steps = 0usize;
-
+        let mut glue = Vec::new();
+        let mut queries = 0;
+        let mut servers = self.core.best_servers(&key);
+        let mut next = 0;
         loop {
-            steps += 1;
-            if steps > self.max_depth {
-                return Err(ResolveError::TooDeep);
-            }
-            let mut q = Message::query(self.fresh_id(), current_name.clone(), qtype);
-            q.flags.recursion_desired = false;
-            if self.dnssec_ok {
-                q.set_dnssec_ok(true);
-            }
-
-            // Try servers in order until one answers.
-            let mut response = None;
-            for &server in &servers {
-                queries += 1;
-                if let Some(r) = upstream.exchange(server, &q) {
-                    response = Some(r);
-                    break;
-                }
-            }
-            let Some(resp) = response else {
-                return Err(ResolveError::Unreachable);
+            let server = *servers.get(next).ok_or(ResolveError::Unreachable)?;
+            next += 1;
+            queries += 1;
+            self.next_id = self.next_id.wrapping_add(1);
+            let mut query = Message::query(self.next_id, walk.qname.clone(), walk.qtype);
+            query.flags.recursion_desired = false;
+            let step = match upstream.exchange(server, &query) {
+                Some(mut resp) => self.core.step(&mut walk, &mut resp, &mut glue),
+                None => Step::NextServer,
             };
-
-            match classify(&resp, &current_name, qtype) {
-                Classified::Answer(mut recs) => {
-                    // Chase a trailing CNAME if the chain didn't reach
-                    // the target type.
-                    let last_cname_target = recs.iter().rev().find_map(|r| match &r.rdata {
-                        RData::Cname(t) => Some(t.clone()),
-                        _ => None,
-                    });
-                    let has_final = recs.iter().any(|r| r.rtype() == qtype);
-                    answers.append(&mut recs);
-                    if !has_final && qtype != RecordType::CNAME {
-                        if let Some(target) = last_cname_target {
-                            // Restart resolution at the CNAME target.
-                            let sub =
-                                self.resolve_inner(upstream, &target, qtype, now, depth + 1)?;
-                            queries += sub.upstream_queries;
-                            answers.extend(sub.answers);
-                            let res = Resolution {
-                                rcode: sub.rcode,
-                                answers,
-                                upstream_queries: queries,
-                                from_cache: false,
-                            };
-                            self.cache_result(qname, qtype, &res, now);
-                            return Ok(res);
-                        }
-                    }
-                    let res = Resolution {
-                        rcode: Rcode::NoError,
-                        answers,
-                        upstream_queries: queries,
-                        from_cache: false,
-                    };
-                    self.cache_result(qname, qtype, &res, now);
-                    return Ok(res);
+            match step {
+                Step::Ask(set) => (servers, next) = (set, 0),
+                Step::NextServer | Step::Stray => {}
+                Step::ResolveNs { zone, ns } => {
+                    let found = self.run(upstream, walk.for_nameserver(ns), now)?;
+                    queries += found.upstream_queries;
+                    servers = self.core.ns_resolved(zone, &found.answers)?;
+                    next = 0;
                 }
-                Classified::Referral {
-                    zone,
-                    ns_names,
-                    glue,
-                } => {
-                    // Remember the delegation.
-                    let mut addrs: Vec<IpAddr> = Vec::new();
-                    for ns in &ns_names {
-                        if let Some(ips) = glue.get(ns) {
-                            addrs.extend(ips.iter().copied());
-                        }
-                    }
-                    if addrs.is_empty() {
-                        // Glue-less delegation: resolve a nameserver name.
-                        let ns = ns_names
-                            .first()
-                            .ok_or(ResolveError::Lame("referral without NS"))?;
-                        let sub =
-                            self.resolve_inner(upstream, ns, RecordType::A, now, depth + 1)?;
-                        queries += sub.upstream_queries;
-                        for r in &sub.answers {
-                            if let RData::A(ip) = r.rdata {
-                                addrs.push(IpAddr::V4(ip));
-                            }
-                        }
-                        if addrs.is_empty() {
-                            return Err(ResolveError::Lame("unresolvable NS"));
-                        }
-                    }
-                    self.delegations.insert(zone, addrs.clone());
-                    servers = addrs;
-                }
-                Classified::Negative(rcode, neg_ttl) => {
-                    self.cache.put_negative(
-                        qname,
-                        qtype,
-                        rcode,
-                        Some(neg_ttl),
-                        now,
-                        FillInfo::default(),
-                    );
+                Step::Done { rcode, neg_ttl } => {
+                    let answers = walk.answers.clone();
+                    let fill = FillInfo::default();
+                    walk.into_cache(&mut self.cache, &key, rcode, neg_ttl, now, fill);
                     return Ok(Resolution {
                         rcode,
                         answers,
@@ -257,114 +142,19 @@ impl IterativeResolver {
                         from_cache: false,
                     });
                 }
-                Classified::Broken(what) => return Err(ResolveError::Lame(what)),
-            }
-            // After a referral we re-ask the same question.
-            current_name = qname.clone();
-        }
-    }
-
-    /// The deepest known delegation enclosing `qname`, falling back to
-    /// the root hints.
-    fn best_servers(&self, qname: &Name) -> Vec<IpAddr> {
-        let mut cur = Some(qname.clone());
-        while let Some(name) = cur {
-            if let Some(addrs) = self.delegations.get(&name) {
-                return addrs.clone();
-            }
-            cur = name.parent();
-        }
-        self.root_hints.clone()
-    }
-
-    fn cache_result(&mut self, qname: &Name, qtype: RecordType, res: &Resolution, now: f64) {
-        if res.rcode == Rcode::NoError && !res.answers.is_empty() {
-            self.cache
-                .put_positive(qname, qtype, res.answers.clone(), now, FillInfo::default());
-        }
-    }
-}
-
-enum Classified {
-    Answer(Vec<Record>),
-    Referral {
-        zone: Name,
-        ns_names: Vec<Name>,
-        glue: HashMap<Name, Vec<IpAddr>>,
-    },
-    Negative(Rcode, u32),
-    Broken(&'static str),
-}
-
-/// Classify an authoritative response per the iterative algorithm.
-fn classify(resp: &Message, qname: &Name, qtype: RecordType) -> Classified {
-    let _ = Question::new(qname.clone(), qtype);
-    match resp.rcode {
-        Rcode::NoError => {}
-        Rcode::NxDomain => {
-            let neg_ttl = soa_min_ttl(resp).unwrap_or(60);
-            return Classified::Negative(Rcode::NxDomain, neg_ttl);
-        }
-        _ => return Classified::Broken("error rcode"),
-    }
-    if !resp.answers.is_empty() {
-        return Classified::Answer(resp.answers.clone());
-    }
-    // Referral: NS in authority, not authoritative.
-    let ns_names: Vec<Name> = resp
-        .authorities
-        .iter()
-        .filter_map(|r| match &r.rdata {
-            RData::Ns(n) => Some(n.clone()),
-            _ => None,
-        })
-        .collect();
-    if !ns_names.is_empty() && !resp.flags.authoritative {
-        let zone = resp
-            .authorities
-            .iter()
-            .find(|r| r.rtype() == RecordType::NS)
-            .map(|r| r.name.clone())
-            .expect("just found NS");
-        let mut glue: HashMap<Name, Vec<IpAddr>> = HashMap::new();
-        for rec in &resp.additionals {
-            match &rec.rdata {
-                RData::A(ip) => glue
-                    .entry(rec.name.clone())
-                    .or_default()
-                    .push(IpAddr::V4(*ip)),
-                RData::Aaaa(ip) => glue
-                    .entry(rec.name.clone())
-                    .or_default()
-                    .push(IpAddr::V6(*ip)),
-                _ => {}
+                Step::Fail(why) => return Err(why),
             }
         }
-        return Classified::Referral {
-            zone,
-            ns_names,
-            glue,
-        };
     }
-    // NODATA.
-    let neg_ttl = soa_min_ttl(resp).unwrap_or(60);
-    Classified::Negative(Rcode::NoError, neg_ttl)
-}
-
-fn soa_min_ttl(resp: &Message) -> Option<u32> {
-    resp.authorities.iter().find_map(|r| match &r.rdata {
-        RData::Soa(soa) => Some(soa.minimum.min(r.ttl)),
-        _ => None,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dns_server::ServerEngine;
-    use dns_wire::Soa;
+    use dns_wire::{RData, Soa};
     use dns_zone::{Catalog, Zone};
-    use std::collections::HashMap as Map;
+    use std::collections::BTreeMap as Map;
 
     fn n(s: &str) -> Name {
         s.parse().unwrap()
@@ -689,5 +479,47 @@ mod tests {
             .unwrap();
         assert!(!res.from_cache);
         assert!(!net.queries.is_empty());
+    }
+
+    #[test]
+    fn a_referral_loop_is_too_deep_not_a_hang() {
+        // The only upstream refers every query to itself.
+        let mut asked = 0;
+        let mut refer_to_self = |server: IpAddr, query: &Message| {
+            asked += 1;
+            // Dead after a hundred: a walk that does not stop by
+            // itself fails this test instead of hanging it.
+            let (IpAddr::V4(me), true) = (server, asked <= 100) else {
+                return None;
+            };
+            let mut resp = query.response_to();
+            let ns = RData::Ns(n("ns.loop.example"));
+            resp.authorities
+                .push(Record::new(n("loop.example"), 60, ns));
+            resp.additionals
+                .push(Record::new(n("ns.loop.example"), 60, RData::A(me)));
+            Some(resp)
+        };
+        let mut r = IterativeResolver::new(vec![ip("198.41.0.4")]);
+        let err = r
+            .resolve(&mut refer_to_self, &n("x.loop.example"), RecordType::A, 0.0)
+            .unwrap_err();
+        assert_eq!(err, ResolveError::TooDeep);
+        assert_eq!(asked, 33, "the hint, then 32 referrals");
+    }
+
+    #[test]
+    fn an_error_rcode_moves_on_to_the_next_server() {
+        // A first hint that refuses everything is one bad server, not a
+        // failed resolution.
+        let mut net = FakeInternet::new();
+        let lame = ServerEngine::with_catalog(Catalog::new());
+        net.engines.insert(ip("9.9.9.9"), lame);
+        let mut r = IterativeResolver::new(vec![ip("9.9.9.9"), ip("198.41.0.4")]);
+        let res = r
+            .resolve(&mut net, &n("www.google.com"), RecordType::A, 0.0)
+            .unwrap();
+        assert_eq!(res.rcode, Rcode::NoError);
+        assert_eq!(res.upstream_queries, 4);
     }
 }

@@ -12,24 +12,28 @@
 //! SOA per RFC 2308; and hot names can be refreshed before expiry
 //! (rate-budgeted prefetch).
 //!
-//! Referrals must carry glue (our zone constructor always emits glue for
-//! in-zone nameservers); glue-less referrals answer SERVFAIL, a
-//! documented simplification of this host (the synchronous
-//! [`crate::IterativeResolver`] handles glue-less chains and is what
-//! zone construction uses).
+//! What a response means is the resolution core's to say
+//! (`core.rs`, shared with [`crate::IterativeResolver`]); this driver
+//! adds what only it has: timers, server rotation, backoff, the
+//! outstanding table, the packet scratch, telemetry marks and the
+//! answer log. A referral without glue parks the task on a child task
+//! for the nameserver's address, through the same outstanding table, so
+//! concurrent lookups of one nameserver coalesce like stub queries do.
 
 use std::collections::BTreeMap;
 use std::net::{IpAddr, SocketAddr};
 use std::sync::{Arc, Mutex};
 
-use dns_wire::{EncodeScratch, Message, Name, RData, Rcode, Record, RecordType};
+use dns_wire::{EncodeScratch, Message, Name, Rcode, Record, RecordType};
 use ldp_cache::{
-    negative_ttl, CacheConfig, CacheStats, CachedAnswer, FillInfo, OutstandingStats,
-    OutstandingTable, ResolverCache, WaiterSlot,
+    CacheConfig, CacheStats, CachedAnswer, FillInfo, OutstandingStats, OutstandingTable,
+    ResolverCache, WaiterSlot,
 };
 use ldp_rng::SplitMix64;
 use ldp_telemetry as tel;
 use netsim::{Ctx, Host, PacketBytes, SimDuration, TcpEvent};
+
+use crate::core::{ResolveCore, ResolveError, Step, Walk, MAX_NS_DEPTH};
 
 /// Interned per-attempt lifecycle marks for the resolver. The `a` key
 /// is the task id, so a whole resolution chain (stub → upstream
@@ -64,16 +68,19 @@ fn rsv_kinds() -> &'static RsvKinds {
     })
 }
 
-/// A client parked on an in-flight resolution: where to send its
-/// answer, and the reply as [`Message::response_to`] starts it from the
-/// query — id, opcode, RD, the questions, the DO bit: all a reply
-/// copies — built when the client parks, because the inbound message it
-/// arrived in is refilled by the next packet. A waiter never sees a
-/// later query's id, flags or question.
+/// Who is parked on an in-flight resolution.
 #[derive(Debug, Clone)]
-struct Waiter {
-    stub: SocketAddr,
-    reply: Message,
+enum Waiter {
+    /// A client: where to send its answer, and the reply as
+    /// [`Message::response_to`] starts it from the query — id, opcode,
+    /// RD, the questions, the DO bit: all a reply copies — built when
+    /// the client parks, because the inbound message it arrived in is
+    /// refilled by the next packet. A waiter never sees a later query's
+    /// id, flags or question.
+    Stub { stub: SocketAddr, reply: Message },
+    /// A task whose referral to `zone` came without glue: the
+    /// resolution's A records are that zone's servers.
+    Parent { task: u64, zone: Name },
 }
 
 /// One scratch per receive path (DESIGN §7), the resolver's: the packet
@@ -115,27 +122,37 @@ impl ResolveScratch {
     }
 }
 
-/// Per-resolution state machine.
+/// Per-resolution state machine: the core's walk plus the attempt in
+/// flight.
 #[derive(Debug)]
 struct Task {
     /// The cache/aggregation key: the clients' original question.
     key_name: Name,
-    qname: Name,
-    qtype: RecordType,
+    walk: Walk,
     /// DO bit of the lead query, propagated upstream.
     dnssec_ok: bool,
     /// A prefetch refresh: launched with no waiting client.
     prefetch: bool,
-    /// The server set being asked, shared with `delegations` (or the
-    /// root hints) it was read from.
+    /// The server set being asked, shared with the core's delegation
+    /// table (or the root hints) it was read from.
     servers: Arc<[IpAddr]>,
     server_idx: usize,
-    answers: Vec<Record>,
-    cname_hops: usize,
-    retries: usize,
-    outstanding: Option<u16>,
+    retries: u32,
+    waiting: Waiting,
     /// Timeout for the current attempt (grows under backoff).
     cur_timeout: SimDuration,
+}
+
+/// What a task is waiting for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Waiting {
+    /// Nothing: it is being advanced right now.
+    Nothing,
+    /// The reply to the upstream query with this id, or its timer.
+    Attempt(u16),
+    /// The answer of this task, a nameserver's address: no attempt of
+    /// its own is outstanding meanwhile.
+    Lookup(u64),
 }
 
 /// First-server index for a task over an `n`-long server list: spread
@@ -231,12 +248,9 @@ pub struct ResolverSnapshot {
 /// The simulated recursive resolver host.
 pub struct SimResolver {
     addr: SocketAddr,
-    root_hints: Arc<[IpAddr]>,
+    core: ResolveCore,
     cache: ResolverCache,
     outstanding: OutstandingTable<Waiter>,
-    /// Zone → its nameservers' glue addresses, one shared set per
-    /// referral; tasks aimed at a zone hold the same `Arc`.
-    delegations: BTreeMap<Name, Arc<[IpAddr]>>,
     tasks: BTreeMap<u64, Task>,
     upstream_map: BTreeMap<u16, u64>,
     next_task: u64,
@@ -266,23 +280,6 @@ pub struct SimResolver {
     stats_out: Option<Arc<Mutex<ResolverSnapshot>>>,
 }
 
-/// The closest enclosing zone's servers known for `qname`, else the
-/// root hints.
-fn best_servers(
-    delegations: &BTreeMap<Name, Arc<[IpAddr]>>,
-    root_hints: &Arc<[IpAddr]>,
-    qname: &Name,
-) -> Arc<[IpAddr]> {
-    let mut cur = Some(qname.clone());
-    while let Some(name) = cur {
-        if let Some(addrs) = delegations.get(&name) {
-            return addrs.clone();
-        }
-        cur = name.parent();
-    }
-    root_hints.clone()
-}
-
 /// A task's timeout for its next attempt: decorrelated jitter over
 /// `prev` when backoff is on (`cap`), else the fixed `base`.
 fn next_timeout(
@@ -309,10 +306,9 @@ impl SimResolver {
     pub fn new(addr: SocketAddr, root_hints: Vec<IpAddr>) -> Self {
         SimResolver {
             addr,
-            root_hints: root_hints.into(),
+            core: ResolveCore::new(root_hints),
             cache: ResolverCache::unbounded(),
             outstanding: OutstandingTable::new(),
-            delegations: BTreeMap::new(),
             tasks: BTreeMap::new(),
             upstream_map: BTreeMap::new(),
             next_task: 0,
@@ -389,31 +385,28 @@ impl SimResolver {
         self.next_id
     }
 
-    /// Create the per-resolution task for `key_name`/`qtype` and launch
-    /// its first upstream attempt. The caller has already registered
-    /// the key in the outstanding table.
-    fn start_task(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        task_id: u64,
-        key_name: Name,
-        qtype: RecordType,
-        dnssec_ok: bool,
-        prefetch: bool,
-    ) {
-        let servers = best_servers(&self.delegations, &self.root_hints, &key_name);
+    /// Launch the resolution of `walk`'s question as task `next_task`:
+    /// in the outstanding table with `lead` waiting on it — nobody, for
+    /// a prefetch refresh — and its first upstream attempt sent.
+    fn start_task(&mut self, ctx: &mut Ctx<'_>, walk: Walk, dnssec_ok: bool, lead: Option<Waiter>) {
+        let task_id = self.next_task;
+        self.next_task += 1;
+        let (name, qtype, now) = (&walk.qname, walk.qtype, ctx.now().as_secs_f64());
+        let prefetch = lead.is_none();
+        match lead {
+            Some(lead) => self.outstanding.begin(name, qtype, task_id, lead, now),
+            None => self.outstanding.begin_prefetch(name, qtype, task_id, now),
+        }
+        let servers = self.core.best_servers(&walk.qname);
         let task = Task {
-            qname: key_name.clone(),
-            key_name,
-            qtype,
+            key_name: walk.qname.clone(),
+            walk,
             dnssec_ok,
             prefetch,
             server_idx: start_idx(self.rotate_servers, task_id, servers.len()),
             servers,
-            answers: vec![],
-            cname_hops: 0,
             retries: 0,
-            outstanding: None,
+            waiting: Waiting::Nothing,
             cur_timeout: self.timeout,
         };
         self.tasks.insert(task_id, task);
@@ -462,35 +455,26 @@ impl SimResolver {
                 && self.cache.prefetch_due(&qname, qtype, now)
                 && !self.outstanding.contains(&qname, qtype)
             {
-                let task_id = self.next_task;
-                self.next_task += 1;
                 self.stats.prefetches += 1;
                 if tel::enabled() {
-                    tel::mark_at(ctx.now().as_nanos(), rsv_kinds().prefetch, task_id, 0);
+                    let t = ctx.now().as_nanos();
+                    tel::mark_at(t, rsv_kinds().prefetch, self.next_task, 0);
                 }
-                self.outstanding.begin_prefetch(&qname, qtype, task_id, now);
-                self.start_task(ctx, task_id, qname, qtype, dnssec_ok, true);
+                self.start_task(ctx, Walk::new(qname, qtype), dnssec_ok, None);
             }
             self.publish_snapshot();
             return;
         }
         // Miss: coalesce onto an in-flight resolution for the same key,
         // or become the lead and launch one.
-        let waiter = Waiter {
+        let waiter = Waiter::Stub {
             stub: from,
             reply: query.response_to(),
         };
         match self.outstanding.join(&qname, qtype, waiter, now) {
-            Ok(_pos) => {
-                // Delayed hit: the answer fans out on completion.
-                self.stats.delayed_hits += 1;
-            }
-            Err(waiter) => {
-                let task_id = self.next_task;
-                self.next_task += 1;
-                self.outstanding.begin(&qname, qtype, task_id, waiter, now);
-                self.start_task(ctx, task_id, qname, qtype, dnssec_ok, false);
-            }
+            // Delayed hit: the answer fans out on completion.
+            Ok(_pos) => self.stats.delayed_hits += 1,
+            Err(lead) => self.start_task(ctx, Walk::new(qname, qtype), dnssec_ok, Some(lead)),
         }
     }
 
@@ -505,12 +489,12 @@ impl SimResolver {
             return;
         };
         let query = &mut self.scratch.outbound;
-        query.query_into(id, task.qname.clone(), task.qtype);
+        query.query_into(id, task.walk.qname.clone(), task.walk.qtype);
         query.flags.recursion_desired = false;
         if task.dnssec_ok {
             query.set_dnssec_ok(true);
         }
-        task.outstanding = Some(id);
+        task.waiting = Waiting::Attempt(id);
         let attempt_timeout = task.cur_timeout;
         self.upstream_map.insert(id, task_id);
         self.stats.upstream_queries += 1;
@@ -541,12 +525,12 @@ impl SimResolver {
         };
         task.retries += 1;
         task.server_idx += 1;
-        if task.retries > self.max_retries {
+        if task.retries as usize > self.max_retries {
             self.fail(ctx, task_id);
             return;
         }
         if tel::enabled() {
-            let retries = task.retries as u64;
+            let retries = u64::from(task.retries);
             tel::mark_at(ctx.now().as_nanos(), rsv_kinds().failover, task_id, retries);
         }
         let (base, cap) = (self.timeout, self.backoff_cap);
@@ -560,7 +544,8 @@ impl SimResolver {
     /// joined a prefetch refresh) coalesced mid-flight and is a
     /// *delayed hit*, charged exactly the residual wait from its own
     /// arrival (counted in `delayed_hits` at join time). A failed
-    /// resolution answers them all SERVFAIL.
+    /// resolution answers them all SERVFAIL. A parked task goes on with
+    /// the addresses in `answers`, or fails with the resolution.
     fn fan_out(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -573,6 +558,14 @@ impl SimResolver {
         let now = ctx.now().as_secs_f64();
         let now_ns = ctx.now().as_nanos();
         for (i, slot) in waiters.iter().enumerate() {
+            let (stub, reply) = match &slot.waiter {
+                Waiter::Stub { stub, reply } => (*stub, reply),
+                Waiter::Parent { task, zone } => {
+                    let found = self.core.ns_resolved(zone.clone(), answers);
+                    self.ask(ctx, *task, found);
+                    continue;
+                }
+            };
             let waited_ns = (((now - slot.arrived).max(0.0)) * 1e9) as u64;
             let class = if rcode == Rcode::ServFail {
                 AnswerClass::ServFail
@@ -584,18 +577,16 @@ impl SimResolver {
             if class == AnswerClass::DelayedHit && tel::enabled() {
                 tel::mark_at(now_ns, rsv_kinds().delayed_hit, task_id, waited_ns);
             }
-            let reply = self
-                .scratch
-                .stub_reply(Some(&slot.waiter.reply), true, rcode, answers);
-            ctx.send_udp(self.addr, slot.waiter.stub, reply);
-            self.answered(now_ns, slot.waiter.reply.id, class, waited_ns);
+            let bytes = self.scratch.stub_reply(Some(reply), true, rcode, answers);
+            ctx.send_udp(self.addr, stub, bytes);
+            self.answered(now_ns, reply.id, class, waited_ns);
         }
     }
 
     /// Take a task that is over, and its attempt's id, off the books.
     fn retire(&mut self, task_id: u64) -> Option<Task> {
         let task = self.tasks.remove(&task_id)?;
-        if let Some(id) = task.outstanding {
+        if let Waiting::Attempt(id) = task.waiting {
             self.upstream_map.remove(&id);
         }
         Some(task)
@@ -612,12 +603,12 @@ impl SimResolver {
                 ctx.now().as_nanos(),
                 rsv_kinds().servfail,
                 task_id,
-                task.retries as u64,
+                u64::from(task.retries),
             );
         }
         let waiters = self
             .outstanding
-            .complete(&task.key_name, task.qtype)
+            .complete(&task.key_name, task.walk.qtype)
             .map(|c| c.waiters)
             .unwrap_or_default();
         self.fan_out(ctx, task_id, task.prefetch, &waiters, Rcode::ServFail, &[]);
@@ -625,15 +616,14 @@ impl SimResolver {
     }
 
     /// The resolution completed: fan the answer out to every waiter,
-    /// then fill the cache with it (positive, or negative with the
-    /// SOA-derived TTL) — the cache takes the task's records, nobody
-    /// gets a copy.
+    /// then fill the cache with it — the cache takes the walk's records,
+    /// nobody gets a copy.
     fn finish(&mut self, ctx: &mut Ctx<'_>, task_id: u64, rcode: Rcode, neg_ttl: Option<u32>) {
         let Some(task) = self.retire(task_id) else {
             return;
         };
         let now = ctx.now().as_secs_f64();
-        let done = self.outstanding.complete(&task.key_name, task.qtype);
+        let done = self.outstanding.complete(&task.key_name, task.walk.qtype);
         let (started, waiters) = match done {
             Some(c) => (c.started, c.waiters),
             None => (now, Vec::new()),
@@ -650,16 +640,17 @@ impl SimResolver {
                 u64::from(rcode.to_u16()),
             );
         }
-        self.fan_out(ctx, task_id, task.prefetch, &waiters, rcode, &task.answers);
-        let out = if rcode == Rcode::NoError && !task.answers.is_empty() {
-            self.cache
-                .put_positive(&task.key_name, task.qtype, task.answers, now, fill)
-        } else if rcode == Rcode::NxDomain || task.answers.is_empty() {
-            self.cache
-                .put_negative(&task.key_name, task.qtype, rcode, neg_ttl, now, fill)
-        } else {
-            Default::default()
-        };
+        self.fan_out(
+            ctx,
+            task_id,
+            task.prefetch,
+            &waiters,
+            rcode,
+            &task.walk.answers,
+        );
+        let out = task
+            .walk
+            .into_cache(&mut self.cache, &task.key_name, rcode, neg_ttl, now, fill);
         if out.evicted > 0 {
             self.stats.evictions += out.evicted as u64;
             if tel::enabled() {
@@ -674,7 +665,71 @@ impl SimResolver {
         self.publish_snapshot();
     }
 
-    /// The upstream response in `scratch.inbound`.
+    /// Send `task_id`'s current question to the servers found for it;
+    /// SERVFAIL if none were. (A parked task gone before its lookup
+    /// ended is nobody's to resume.)
+    fn ask(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        task_id: u64,
+        servers: Result<Arc<[IpAddr]>, ResolveError>,
+    ) {
+        let (Some(task), Ok(servers)) = (self.tasks.get_mut(&task_id), servers) else {
+            return self.fail(ctx, task_id);
+        };
+        task.server_idx = start_idx(self.rotate_servers, task_id, servers.len());
+        task.servers = servers;
+        self.send_upstream(ctx, task_id);
+    }
+
+    /// Whether parking `parent` on task `on` would have it wait on
+    /// itself — `on` is `parent`, or parked on it however indirectly —
+    /// or chain parked tasks deeper than lookups may nest.
+    fn nests_too_deep(&self, mut on: u64, parent: u64) -> bool {
+        for _ in 0..MAX_NS_DEPTH {
+            if on == parent {
+                return true;
+            }
+            match self.tasks.get(&on).map(|t| t.waiting) {
+                Some(Waiting::Lookup(next)) => on = next,
+                _ => return false,
+            }
+        }
+        true
+    }
+
+    /// `parent`'s referral to `zone` named `ns` without glue: take the
+    /// address from the cache, or park the parent on the resolution of
+    /// it — the one in flight, or a child task.
+    fn resolve_ns(&mut self, ctx: &mut Ctx<'_>, parent: u64, zone: Name, ns: Name) {
+        let now = ctx.now().as_secs_f64();
+        if let Some((hit, _)) = self.cache.lookup(&ns, RecordType::A, now) {
+            let answers = match hit {
+                CachedAnswer::Positive(records) => records.as_slice(),
+                CachedAnswer::Negative(_) => &[],
+            };
+            let found = self.core.ns_resolved(zone, answers);
+            return self.ask(ctx, parent, found);
+        }
+        let inflight = self.outstanding.token_of(&ns, RecordType::A);
+        if inflight.is_some_and(|on| self.nests_too_deep(on, parent)) {
+            return self.fail(ctx, parent);
+        }
+        let Some(task) = self.tasks.get_mut(&parent) else {
+            return;
+        };
+        // The one in flight, else the id `start_task` hands out next.
+        let child = inflight.unwrap_or(self.next_task);
+        task.waiting = Waiting::Lookup(child);
+        let (walk, dnssec_ok) = (task.walk.for_nameserver(ns.clone()), task.dnssec_ok);
+        let waiter = Waiter::Parent { task: parent, zone };
+        if let Err(lead) = self.outstanding.join(&ns, RecordType::A, waiter, now) {
+            self.start_task(ctx, walk, dnssec_ok, Some(lead));
+        }
+    }
+
+    /// The upstream response in `scratch.inbound`: the core says what
+    /// it means for the task whose attempt it answers.
     fn handle_upstream_response(&mut self, ctx: &mut Ctx<'_>) {
         let (resp, glue) = (&mut self.scratch.inbound, &mut self.scratch.glue);
         let Some(&task_id) = self.upstream_map.get(&resp.id) else {
@@ -683,92 +738,24 @@ impl SimResolver {
         let Some(task) = self.tasks.get_mut(&task_id) else {
             return;
         };
-        if task.outstanding != Some(resp.id) {
+        if task.waiting != Waiting::Attempt(resp.id) {
             return;
         }
-        // The id is 16 bits and wraps (and can be guessed): an answer
-        // is this attempt's only if it is to the question it asked.
-        // Anything else is dropped here and the attempt times out.
-        if resp
-            .question()
-            .is_none_or(|q| q.name != task.qname || q.qtype != task.qtype)
-        {
-            self.stats.mismatched_responses += 1;
-            return;
+        let step = self.core.step(&mut task.walk, resp, glue);
+        if !matches!(step, Step::Stray) {
+            self.upstream_map.remove(&resp.id);
+            task.waiting = Waiting::Nothing;
         }
-        self.upstream_map.remove(&resp.id);
-
-        // Classify: answer / referral / negative.
-        if resp.rcode == Rcode::NxDomain {
-            // RFC 2308: negative TTL from the authority-section SOA.
-            let neg_ttl = negative_ttl(&resp.authorities);
-            self.finish(ctx, task_id, Rcode::NxDomain, neg_ttl);
-            return;
+        match step {
+            // Dropped here; the attempt times out.
+            Step::Stray => self.stats.mismatched_responses += 1,
+            Step::Ask(servers) => self.ask(ctx, task_id, Ok(servers)),
+            // Same path as a timeout.
+            Step::NextServer => self.failover(ctx, task_id),
+            Step::ResolveNs { zone, ns } => self.resolve_ns(ctx, task_id, zone, ns),
+            Step::Done { rcode, neg_ttl } => self.finish(ctx, task_id, rcode, neg_ttl),
+            Step::Fail(_) => self.fail(ctx, task_id),
         }
-        if resp.rcode != Rcode::NoError {
-            // SERVFAIL/REFUSED/FormErr from one server says nothing
-            // about the others (lame delegation, overload, partial
-            // outage): fail over to the next listed nameserver rather
-            // than giving up — same path as a timeout.
-            task.outstanding = None;
-            self.failover(ctx, task_id);
-            return;
-        }
-        if !resp.answers.is_empty() {
-            let has_final = resp.answers.iter().any(|r| r.rtype() == task.qtype);
-            let cname_target = resp.answers.iter().rev().find_map(|r| match &r.rdata {
-                RData::Cname(t) => Some(t.clone()),
-                _ => None,
-            });
-            // Moved, not cloned, and sized to fit: the cache keeps this
-            // `Vec` for the entry's lifetime.
-            task.answers.reserve_exact(resp.answers.len());
-            task.answers.append(&mut resp.answers);
-            if !has_final && task.qtype != RecordType::CNAME {
-                if let Some(target) = cname_target {
-                    task.cname_hops += 1;
-                    if task.cname_hops > 8 {
-                        self.fail(ctx, task_id);
-                        return;
-                    }
-                    let servers = best_servers(&self.delegations, &self.root_hints, &target);
-                    task.qname = target;
-                    task.server_idx = start_idx(self.rotate_servers, task_id, servers.len());
-                    task.servers = servers;
-                    self.send_upstream(ctx, task_id);
-                    return;
-                }
-            }
-            self.finish(ctx, task_id, Rcode::NoError, None);
-            return;
-        }
-        // Referral?
-        let ns = resp
-            .authorities
-            .iter()
-            .find(|r| r.rtype() == RecordType::NS);
-        if let (Some(ns), false) = (ns, resp.flags.authoritative) {
-            glue.clear();
-            glue.extend(resp.additionals.iter().filter_map(|rec| match &rec.rdata {
-                RData::A(ip) => Some(IpAddr::V4(*ip)),
-                RData::Aaaa(ip) => Some(IpAddr::V6(*ip)),
-                _ => None,
-            }));
-            if glue.is_empty() {
-                // Glue-less: unsupported on this host (see module doc).
-                self.fail(ctx, task_id);
-                return;
-            }
-            let servers: Arc<[IpAddr]> = Arc::from(glue.as_slice());
-            self.delegations.insert(ns.name.clone(), servers.clone());
-            task.server_idx = start_idx(self.rotate_servers, task_id, servers.len());
-            task.servers = servers;
-            self.send_upstream(ctx, task_id);
-            return;
-        }
-        // NODATA: also negatively cacheable per RFC 2308, SOA-derived.
-        let neg_ttl = negative_ttl(&resp.authorities);
-        self.finish(ctx, task_id, Rcode::NoError, neg_ttl);
     }
 }
 
@@ -793,9 +780,9 @@ impl Host for SimResolver {
         let task_id = token >> 16;
         let attempt_id = (token & 0xffff) as u16;
         match self.tasks.get_mut(&task_id) {
-            Some(task) if task.outstanding == Some(attempt_id) => {
+            Some(task) if task.waiting == Waiting::Attempt(attempt_id) => {
                 // That exact attempt timed out.
-                task.outstanding = None;
+                task.waiting = Waiting::Nothing;
                 self.upstream_map.remove(&attempt_id);
                 if tel::enabled() {
                     let t = ctx.now().as_nanos();
@@ -812,10 +799,12 @@ impl Host for SimResolver {
 mod tests {
     use super::*;
 
+    use crate::core::testnet::{gen_case, Asked};
+    use crate::{IterativeResolver, Upstream};
     use dns_server::engine::ServerEngine;
     use dns_server::sim_server::SimDnsServer;
     use dns_wire::record::Record;
-    use dns_wire::{Edns, Opcode, Question, Soa};
+    use dns_wire::{Edns, Opcode, Question, RData, Soa};
     use dns_zone::catalog::Catalog;
     use dns_zone::zone::Zone;
     use ldp_cache::{PolicyKind, PrefetchConfig};
@@ -861,11 +850,50 @@ mod tests {
         }
     }
 
-    /// The other side of the reuse property: a resolver handed a fresh
-    /// scratch before every packet and timer.
-    struct FreshScratch(SimResolver);
+    /// What the resolver under test holds after its latest event, and
+    /// the one thing a test does to it from outside.
+    #[derive(Debug, Default, Clone, Copy, PartialEq)]
+    struct Books {
+        tasks: usize,
+        upstream_map: usize,
+        outstanding: usize,
+        /// Fail any task parked on a nameserver lookup before the next
+        /// packet is handled.
+        kill_parked: bool,
+    }
 
-    impl Host for FreshScratch {
+    /// The resolver under test, its books published after every event;
+    /// with `fresh_scratch`, the other side of the reuse property: a
+    /// resolver handed a fresh scratch before every packet and timer.
+    struct Probe {
+        resolver: SimResolver,
+        fresh_scratch: bool,
+        books: Arc<Mutex<Books>>,
+    }
+
+    impl Probe {
+        fn before(&mut self, ctx: &mut Ctx<'_>) {
+            if self.fresh_scratch {
+                self.resolver.scratch = ResolveScratch::default();
+            }
+            let parked =
+                |(id, t): (&u64, &Task)| matches!(t.waiting, Waiting::Lookup(_)).then_some(*id);
+            if self.books.lock().expect("books").kill_parked {
+                if let Some(id) = self.resolver.tasks.iter().find_map(parked) {
+                    self.resolver.fail(ctx, id);
+                }
+            }
+        }
+
+        fn after(&mut self) {
+            let mut books = self.books.lock().expect("books");
+            books.tasks = self.resolver.tasks.len();
+            books.upstream_map = self.resolver.upstream_map.len();
+            books.outstanding = self.resolver.outstanding.len();
+        }
+    }
+
+    impl Host for Probe {
         fn on_udp(
             &mut self,
             ctx: &mut Ctx<'_>,
@@ -873,14 +901,39 @@ mod tests {
             to: SocketAddr,
             data: PacketBytes,
         ) {
-            self.0.scratch = ResolveScratch::default();
-            self.0.on_udp(ctx, from, to, data);
+            self.before(ctx);
+            self.resolver.on_udp(ctx, from, to, data);
+            self.after();
         }
         fn on_tcp_event(&mut self, _ctx: &mut Ctx<'_>, _event: TcpEvent) {}
         fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-            self.0.scratch = ResolveScratch::default();
-            self.0.on_timer(ctx, token);
+            self.before(ctx);
+            self.resolver.on_timer(ctx, token);
+            self.after();
         }
+    }
+
+    /// An upstream address answered by any [`Upstream`]: a closure, or
+    /// the generated net of the differential properties.
+    struct Answering<U>(U);
+
+    impl<U: Upstream + Send> Host for Answering<U> {
+        fn on_udp(
+            &mut self,
+            ctx: &mut Ctx<'_>,
+            from: SocketAddr,
+            to: SocketAddr,
+            data: PacketBytes,
+        ) {
+            let reply = Message::decode(&data)
+                .ok()
+                .and_then(|query| self.0.exchange(to.ip(), &query));
+            if let Some(reply) = reply {
+                ctx.send_udp(to, from, reply.encode());
+            }
+        }
+        fn on_tcp_event(&mut self, _ctx: &mut Ctx<'_>, _event: TcpEvent) {}
+        fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _token: u64) {}
     }
 
     /// An upstream address: logs what the resolver sent it, then lets
@@ -962,6 +1015,7 @@ mod tests {
         wire: WireLog,
         answers: Arc<Mutex<Vec<AnswerEvent>>>,
         snapshot: Arc<Mutex<ResolverSnapshot>>,
+        books: Arc<Mutex<Books>>,
         stub_addr: SocketAddr,
         resolver_addr: SocketAddr,
         server_ids: Vec<netsim::HostId>,
@@ -993,8 +1047,8 @@ mod tests {
         format!("10.0.0.{}", i + 1).parse().unwrap()
     }
 
-    /// [`scheduled_rig`] over any upstream hosts, the resolver as it is
-    /// or as [`FreshScratch`].
+    /// [`scheduled_rig`] over any upstream hosts, the resolver keeping
+    /// its scratch or handed a fresh one per event ([`Probe`]).
     fn rig_of_hosts(
         upstreams: Vec<Option<Box<dyn Host>>>,
         sends: Vec<(SimTime, Message)>,
@@ -1022,12 +1076,13 @@ mod tests {
         resolver.set_answer_log(Arc::clone(&answers));
         resolver.set_stats_out(Arc::clone(&snapshot));
         tune(&mut resolver);
-        let resolver: Box<dyn Host> = if fresh_scratch {
-            Box::new(FreshScratch(resolver))
-        } else {
-            Box::new(resolver)
+        let books = Arc::new(Mutex::new(Books::default()));
+        let probe = Probe {
+            resolver,
+            fresh_scratch,
+            books: Arc::clone(&books),
         };
-        sim.add_host(&[resolver_addr.ip()], resolver);
+        sim.add_host(&[resolver_addr.ip()], Box::new(probe));
         let got = Arc::new(Mutex::new(Vec::new()));
         let stub_addr: SocketAddr = "10.2.0.1:5353".parse().unwrap();
         let stub = CaptureStub {
@@ -1047,6 +1102,7 @@ mod tests {
             wire,
             answers,
             snapshot,
+            books,
             stub_addr,
             resolver_addr,
             server_ids,
@@ -1415,18 +1471,7 @@ mod tests {
         let a = |owner: &str, ttl: u32, ip: &str| {
             Record::new(name(owner), ttl, RData::A(ip.parse().unwrap()))
         };
-        let engine = |apex: &str, records: Vec<Record>| {
-            let mut zone = Zone::new(name(apex));
-            zone.insert(soa_rec(apex, 300)).unwrap();
-            for record in records {
-                zone.insert(record).unwrap();
-            }
-            let mut catalog = Catalog::new();
-            catalog.insert(zone);
-            Arc::new(ServerEngine::with_catalog(catalog))
-        };
-        let ns =
-            |owner: &str, target: &str| Record::new(name(owner), 3600, RData::Ns(name(target)));
+        let (engine, ns) = (|apex, records| engine_of(vec![(apex, records)]), ns_rec);
         let parent = engine(
             "example.",
             vec![
@@ -1528,6 +1573,352 @@ mod tests {
             query.response_into(&mut want);
             query.response_to().response_into(&mut got);
             assert_eq!(got, want);
+        });
+    }
+
+    fn engine_of(zones: Vec<(&str, Vec<Record>)>) -> Arc<ServerEngine> {
+        let mut catalog = Catalog::new();
+        for (apex, records) in zones {
+            let mut zone = Zone::new(name(apex));
+            zone.insert(soa_rec(apex, 300)).unwrap();
+            for record in records {
+                zone.insert(record).unwrap();
+            }
+            catalog.insert(zone);
+        }
+        Arc::new(ServerEngine::with_catalog(catalog))
+    }
+
+    fn a_rec(owner: &str, ip: IpAddr) -> Record {
+        let IpAddr::V4(ip) = ip else {
+            panic!("{ip}");
+        };
+        Record::new(name(owner), 3600, RData::A(ip))
+    }
+
+    fn ns_rec(owner: &str, target: &str) -> Record {
+        Record::new(name(owner), 3600, RData::Ns(name(target)))
+    }
+
+    /// At the first hint, `example.` — which delegates `gl.example.` to
+    /// `ns.elsewhere.` without glue — and, when `resolvable`,
+    /// `elsewhere.` with that host's address: the second hint, where
+    /// `gl.example.` is served.
+    fn glueless_upstreams(resolvable: bool) -> Vec<Option<Arc<ServerEngine>>> {
+        let mut zones = vec![("example.", vec![ns_rec("gl.example.", "ns.elsewhere.")])];
+        if resolvable {
+            zones.push(("elsewhere.", vec![a_rec("ns.elsewhere.", upstream_ip(1))]));
+        }
+        let child = vec![
+            ns_rec("gl.example.", "ns.elsewhere."),
+            a_rec("x.gl.example.", "192.0.2.7".parse().unwrap()),
+            a_rec("y.gl.example.", "192.0.2.8".parse().unwrap()),
+        ];
+        vec![
+            Some(engine_of(zones)),
+            Some(engine_of(vec![("gl.example.", child)])),
+        ]
+    }
+
+    /// The upstream queries on the wire, as (server, qname).
+    fn upstream_questions(rig: &Rig) -> Vec<(IpAddr, Name)> {
+        let wire = rig.wire.lock().expect("wire log");
+        let asked = wire
+            .iter()
+            .filter(|(to, _)| to.port() == 53)
+            .map(|(to, bytes)| {
+                let query = Message::decode(bytes).unwrap();
+                (to.ip(), query.questions[0].name.clone())
+            });
+        asked.collect()
+    }
+
+    fn books_are_empty(rig: &Rig) {
+        let books = *rig.books.lock().expect("books");
+        let empty = Books {
+            kill_parked: books.kill_parked,
+            ..Books::default()
+        };
+        assert_eq!(books, empty, "a task, attempt or in-flight key left behind");
+    }
+
+    #[test]
+    fn a_glueless_delegation_resolves_through_a_child_task() {
+        let mut rig = rig(&glueless_upstreams(true), |_| {});
+        ask(&mut rig, 60, "x.gl.example.");
+        rig.sim.run();
+        let got = rig.got.lock().expect("capture lock");
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].rcode, Rcode::NoError);
+        assert_eq!(
+            got[0].answers[0].rdata,
+            RData::A("192.0.2.7".parse().unwrap())
+        );
+        let parent_then_ns_then_child = vec![
+            (upstream_ip(0), name("x.gl.example.")),
+            (upstream_ip(0), name("ns.elsewhere.")),
+            (upstream_ip(1), name("x.gl.example.")),
+        ];
+        assert_eq!(upstream_questions(&rig), parent_then_ns_then_child);
+        let snap = rig.snapshot.lock().expect("snapshot");
+        assert_eq!(
+            snap.cache.inserts, 2,
+            "the nameserver's address, the answer"
+        );
+        assert_eq!(snap.stats.failures, 0);
+        books_are_empty(&rig);
+    }
+
+    #[test]
+    fn parents_needing_one_nameserver_share_one_lookup() {
+        let mut rig = rig(&glueless_upstreams(true), |_| {});
+        ask(&mut rig, 61, "x.gl.example.");
+        ask(&mut rig, 62, "y.gl.example.");
+        rig.sim.run();
+        let got = rig.got.lock().expect("capture lock");
+        assert_eq!(got.len(), 2);
+        for m in got.iter() {
+            assert_eq!(m.rcode, Rcode::NoError);
+            assert_eq!(m.answers.len(), 1);
+        }
+        let asked = upstream_questions(&rig);
+        let for_ns = asked.iter().filter(|(_, q)| *q == name("ns.elsewhere."));
+        assert_eq!(for_ns.count(), 1, "{asked:?}");
+        assert_eq!(asked.len(), 5);
+        let snap = rig.snapshot.lock().expect("snapshot");
+        assert_eq!(snap.outstanding.coalesced, 1, "the second parent joined");
+        assert_eq!(snap.stats.delayed_hits, 0, "no stub did");
+        books_are_empty(&rig);
+    }
+
+    #[test]
+    fn a_failed_nameserver_lookup_servfails_everyone_parked_on_it() {
+        // Nobody serves `elsewhere.`: both hints refuse the lookup.
+        let mut rig = rig(&glueless_upstreams(false), |r| r.max_retries = 2);
+        ask(&mut rig, 63, "x.gl.example.");
+        ask(&mut rig, 64, "y.gl.example.");
+        ask(&mut rig, 65, "x.gl.example.");
+        rig.sim.run();
+        let got = rig.got.lock().expect("capture lock");
+        let mut ids: Vec<u16> = got.iter().map(|m| m.id).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, [63, 64, 65]);
+        for m in got.iter() {
+            assert_eq!(m.rcode, Rcode::ServFail);
+        }
+        let snap = rig.snapshot.lock().expect("snapshot");
+        assert_eq!(snap.stats.failures, 3, "the lookup and both parents");
+        assert_eq!(snap.cache.inserts, 0);
+        books_are_empty(&rig);
+    }
+
+    #[test]
+    fn a_parent_gone_before_its_lookup_returns_leaves_nothing_behind() {
+        let mut rig = rig(&glueless_upstreams(true), |_| {});
+        rig.books.lock().expect("books").kill_parked = true;
+        ask(&mut rig, 66, "x.gl.example.");
+        rig.sim.run();
+        let got = rig.got.lock().expect("capture lock");
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].rcode, Rcode::ServFail, "the killed parent's stub");
+        let snap = rig.snapshot.lock().expect("snapshot");
+        assert_eq!(
+            snap.stats.upstream_queries, 2,
+            "nobody asked the child zone"
+        );
+        assert_eq!(
+            snap.cache.inserts, 1,
+            "the lookup still ended, in the cache"
+        );
+        books_are_empty(&rig);
+    }
+
+    #[test]
+    fn a_referral_loop_ends_in_servfail() {
+        // The only upstream refers every query to itself.
+        let refer_to_self = |_server: IpAddr, query: &Message| {
+            let mut resp = query.response_to();
+            let ns = ns_rec("loop.example.", "ns.loop.example.");
+            resp.authorities.push(ns);
+            resp.additionals
+                .push(a_rec("ns.loop.example.", upstream_ip(0)));
+            Some(resp)
+        };
+        let hosts: Vec<Option<Box<dyn Host>>> = vec![Some(Box::new(Answering(refer_to_self)))];
+        let mut rig = rig_of_hosts(hosts, Vec::new(), false, |_| {});
+        ask(&mut rig, 67, "x.loop.example.");
+        // Not `run()`: a walk that never ends must fail this, not hang it.
+        rig.sim.run_until(SimTime::from_secs_f64(10.0));
+        let got = rig.got.lock().expect("capture lock");
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].rcode, Rcode::ServFail);
+        let snap = rig.snapshot.lock().expect("snapshot");
+        assert_eq!(
+            snap.stats.upstream_queries, 33,
+            "the hint, then 32 referrals"
+        );
+        books_are_empty(&rig);
+    }
+
+    #[test]
+    fn only_an_ns_targets_address_is_glue() {
+        // The parent's referral to `sub.example.` carries, ahead of the
+        // glue, an address for a name that is nobody's nameserver: the
+        // third address, where nothing may arrive.
+        let [parent, child] = hierarchy("10.0.0.2".parse().unwrap());
+        let stray_first = move |_server: IpAddr, query: &Message| {
+            let mut resp = parent.answer(query_src(), query);
+            if !resp.flags.authoritative && !resp.additionals.is_empty() {
+                let stray = a_rec("evil.invalid.", upstream_ip(2));
+                resp.additionals.insert(0, stray);
+            }
+            Some(resp)
+        };
+        let hosts: Vec<Option<Box<dyn Host>>> = vec![
+            Some(Box::new(Answering(stray_first))),
+            serve((1, &Some(child))),
+            None,
+        ];
+        let mut rig = rig_of_hosts(hosts, Vec::new(), false, |_| {});
+        ask(&mut rig, 68, "www.sub.example.");
+        rig.sim.run();
+        let got = rig.got.lock().expect("capture lock");
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].rcode, Rcode::NoError);
+        let parent_then_child = vec![
+            (upstream_ip(0), name("www.sub.example.")),
+            (upstream_ip(1), name("www.sub.example.")),
+        ];
+        assert_eq!(upstream_questions(&rig), parent_then_child);
+    }
+
+    fn query_src() -> IpAddr {
+        "10.1.0.1".parse().unwrap()
+    }
+
+    /// A stub's reply with the upstream questions it took.
+    type Answered = (Message, Vec<Asked>);
+
+    /// A stub that puts its questions one at a time, the next when the
+    /// last is answered, and keeps each reply with the upstream
+    /// questions the net logged for it.
+    struct AskInTurn {
+        addr: SocketAddr,
+        resolver: SocketAddr,
+        questions: Vec<(Name, RecordType)>,
+        asked: Arc<Mutex<Vec<Asked>>>,
+        got: Arc<Mutex<Vec<Answered>>>,
+    }
+
+    impl AskInTurn {
+        fn put(&self, ctx: &mut Ctx<'_>, i: usize) {
+            if let Some((qname, qtype)) = self.questions.get(i) {
+                let query = Message::query(i as u16 + 1, qname.clone(), *qtype);
+                ctx.send_udp(self.addr, self.resolver, query.encode());
+            }
+        }
+    }
+
+    impl Host for AskInTurn {
+        fn on_udp(
+            &mut self,
+            ctx: &mut Ctx<'_>,
+            _from: SocketAddr,
+            _to: SocketAddr,
+            data: PacketBytes,
+        ) {
+            let reply = Message::decode(&data).unwrap();
+            let asked = std::mem::take(&mut *self.asked.lock().expect("asked"));
+            let mut got = self.got.lock().expect("got");
+            got.push((reply, asked));
+            self.put(ctx, got.len());
+        }
+        fn on_tcp_event(&mut self, _ctx: &mut Ctx<'_>, _event: TcpEvent) {}
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
+            self.put(ctx, 0);
+        }
+    }
+
+    /// Property (1), driver ≡ driver: over generated hierarchies, each
+    /// with its questions put in turn to resolvers that stay warm, the
+    /// blocking loop and this host on a loss-free simulator (retries
+    /// enough to visit every server) reach the same rcode and answer
+    /// records through the same upstream questions. A resolution that
+    /// fails fails in both — SERVFAIL here, an error there — after the
+    /// same questions for as long as both ask: this host then keeps
+    /// cycling a server set until its retries are spent where the loop
+    /// stops after one pass, and it sees that a nameserver lookup waits
+    /// on itself where the loop recurses to its depth bound.
+    #[test]
+    fn both_drivers_walk_alike() {
+        ldp_rng::check::check(256, |g| {
+            let mut case = gen_case(g, false);
+            let cache = CacheConfig {
+                neg_ttl_default: 3600,
+                ..CacheConfig::default()
+            };
+            let mut blocking = IterativeResolver::new(case.net.hints.clone());
+            blocking.cache = ResolverCache::new(cache);
+            let want: Vec<_> = (case.questions.iter())
+                .map(|(qname, qtype)| {
+                    let res = blocking.resolve(&mut case.net, qname, *qtype, 0.0);
+                    (res, std::mem::take(&mut case.net.asked))
+                })
+                .collect();
+
+            // One host at every upstream address; it logs into `asked`.
+            case.net.cap = usize::MAX;
+            let (hints, legit, addrs) = (
+                case.net.hints.clone(),
+                case.net.legit.clone(),
+                case.net.addrs(),
+            );
+            let asked = Arc::new(Mutex::new(Vec::new()));
+            let log = Arc::clone(&asked);
+            let mut net = case.net;
+            let logging = move |server: IpAddr, query: &Message| {
+                let reply = net.exchange(server, query);
+                log.lock().expect("asked").append(&mut net.asked);
+                reply
+            };
+            let mut sim = Simulator::new(Topology::default(), SimConfig::default());
+            sim.add_host(&addrs, Box::new(Answering(logging)));
+            let resolver_addr: SocketAddr = "10.1.0.1:53".parse().unwrap();
+            let mut resolver = SimResolver::new(resolver_addr, hints);
+            resolver.set_cache_config(cache);
+            resolver.timeout = SimDuration::from_millis(5);
+            resolver.max_retries = 200;
+            sim.add_host(&[resolver_addr.ip()], Box::new(resolver));
+            let got = Arc::new(Mutex::new(Vec::new()));
+            let stub = AskInTurn {
+                addr: "10.2.0.1:5353".parse().unwrap(),
+                resolver: resolver_addr,
+                questions: case.questions.clone(),
+                asked,
+                got: Arc::clone(&got),
+            };
+            let stub = sim.add_host(&["10.2.0.1".parse().unwrap()], Box::new(stub));
+            sim.schedule_timer(stub, SimTime::ZERO, 0);
+            sim.run_until(SimTime::from_secs_f64(600.0));
+
+            let got = got.lock().expect("got");
+            assert_eq!(got.len(), want.len(), "a question never answered");
+            for ((reply, asked), (res, want_asked)) in got.iter().zip(&want) {
+                for (server, ..) in asked {
+                    assert!(legit.contains(server), "asked {server}");
+                }
+                match res {
+                    Ok(res) => {
+                        assert_eq!((reply.rcode, &reply.answers), (res.rcode, &res.answers));
+                        assert_eq!(asked, want_asked);
+                    }
+                    Err(why) => {
+                        assert_eq!(reply.rcode, Rcode::ServFail, "{why}");
+                        let both = asked.len().min(want_asked.len());
+                        assert_eq!(asked[..both], want_asked[..both], "{why}");
+                    }
+                }
+            }
         });
     }
 }

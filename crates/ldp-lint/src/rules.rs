@@ -97,7 +97,7 @@ pub const CATALOG: &[RuleInfo] = &[
                   paths (crates/dns-wire/src, crates/proxy/src, crates/guard/src, \
                   dns-server/src/{engine,template,scratch,sim_server}.rs, \
                   dns-zone/src/{lookup,zone,catalog,view}.rs, replay/src/core.rs, \
-                  dns-resolver/src/sim_resolver.rs)",
+                  dns-resolver/src/{core,sim_resolver}.rs)",
         rationale: "A malformed packet must never panic the server: decode and dispatch \
                     paths return typed errors so a fuzzer (or the internet) cannot take \
                     the process down.",
@@ -175,8 +175,9 @@ pub struct FileScope {
     /// return an error, never panic mid-replay),
     /// `crates/replay/src/core.rs` (called on every dispatch and
     /// every answer), and `crates/dns-resolver/src/sim_resolver.rs`
-    /// (every stub query and every upstream response of the recursive
-    /// experiments; what the upstream sends is outside input).
+    /// with the resolution core under it, `core.rs` (every stub query
+    /// and every upstream response of the recursive experiments; what
+    /// the upstream sends is outside input).
     pub hot_path: bool,
     /// Channel/retry-discipline crate (A1 and R1 apply): dns-server,
     /// replay, proxy — the crates that dial, redial and resend — plus
@@ -209,12 +210,15 @@ pub fn classify(path: &str) -> FileScope {
         || in_dir("crates/bench");
     let shard_path = p.contains("crates/shard/src/");
     let is_replay_core = p.ends_with("crates/replay/src/core.rs");
+    // The resolution core runs under the sim resolver: its scopes.
+    let is_resolve_core = p.ends_with("crates/dns-resolver/src/core.rs");
     let sim_path = p.contains("crates/netsim/src/")
         || p.contains("crates/chaos/src/")
         || p.contains("crates/cache/src/")
         || p.contains("crates/rng/src/")
         || shard_path
         || is_replay_core
+        || is_resolve_core
         || file.starts_with("sim_");
     let hot_path = p.contains("crates/dns-wire/src/")
         || p.contains("crates/proxy/src/")
@@ -228,6 +232,7 @@ pub fn classify(path: &str) -> FileScope {
             .iter()
             .any(|f| p.ends_with(&format!("crates/dns-zone/src/{f}.rs")))
         || p.ends_with("crates/dns-resolver/src/sim_resolver.rs")
+        || is_resolve_core
         || is_replay_core;
     let channel_scope = p.contains("crates/dns-server/")
         || p.contains("crates/replay/")
@@ -1209,6 +1214,23 @@ mod tests {
         let scope = classify("crates/dns-resolver/src/sim_resolver.rs");
         assert!(scope.hot_path && scope.sim_path && !scope.channel_scope);
         assert!(!classify("crates/dns-resolver/src/iterative.rs").hot_path);
+    }
+
+    #[test]
+    fn resolve_core_shares_the_sim_resolvers_scopes() {
+        // `SimResolver` hands every upstream response to the core's
+        // step and keeps its delegation table there: P1 and D2 follow.
+        let core = "crates/dns-resolver/src/core.rs";
+        let src = "use std::collections::HashMap;\n\
+                   pub fn f(x: Option<u32>) -> u32 { x.unwrap() }";
+        let rules: Vec<_> = analyze_source(core, src).iter().map(|d| d.rule).collect();
+        assert!(rules.contains(&"P1") && rules.contains(&"D2"), "{rules:?}");
+        let scope = classify(core);
+        assert!(scope.hot_path && scope.sim_path && !scope.channel_scope);
+        // The old walk kept under `#[cfg(test)]` as the reference is
+        // test code: its `HashMap`s are not the core's.
+        let reference = "#[cfg(test)]\nmod reference { use std::collections::HashMap; }";
+        assert!(analyze_source(core, reference).is_empty());
     }
 
     // ---- rule catalog ----

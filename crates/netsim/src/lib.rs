@@ -23,7 +23,6 @@ pub mod host;
 pub mod queue;
 pub mod resources;
 pub mod sim;
-pub mod slab;
 pub mod time;
 pub mod topology;
 
@@ -36,7 +35,6 @@ pub use sim::{
     stream_seed, ConnId, Ctx, HostId, HostStats, RemoteUdp, SimConfig, Simulator,
     CONTROL_LANE_BASE, DRIVER_LANE,
 };
-pub use slab::Slab;
 pub use time::{SimDuration, SimTime};
 pub use topology::{PathConfig, Topology};
 

@@ -83,8 +83,7 @@ pub fn harvest<U: Upstream>(
         }
         // Cold cache per unique query: the paper resolves against a
         // recursive with cold cache so every level is exercised.
-        resolver.cache.clear();
-        resolver.delegations.clear();
+        resolver.clear();
         match resolver.resolve(internet, &q.name, q.qtype, 0.0) {
             Ok(_) => resolved += 1,
             Err(_) => unresolved.push(q.name.clone()),

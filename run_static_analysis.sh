@@ -30,7 +30,15 @@ step "cargo build --release" cargo build --release --workspace -q
 
 step "ldp-lint" "$bin/ldp-lint" check
 
-step "cargo test" cargo test --workspace -q
+# The full output is kept, so a one-off failure leaves its name behind;
+# through a file and not a pipe into `tee`, so the status is cargo's.
+tested() {
+    cargo test --workspace -q > "$out/test.log" 2>&1
+    status=$?
+    cat "$out/test.log"
+    return "$status"
+}
+step "cargo test (output in $out/test.log)" tested
 
 step "hotpath microbench (telemetry and guard overhead budgets inside)" \
     "$bin/hotpath" "$out/BENCH_hotpath.json"
