@@ -1,11 +1,12 @@
 //! `fig_recovery`: the crash-recovery study — ldp-guard's two recovery
 //! paths made runnable and self-gating.
 //!
-//! 1. **Checkpoint/resume.** A checkpointed replay is killed mid-run
-//!    (the simulator is abandoned, as `kill -9` would) and rebuilt in
-//!    a fresh simulator from the last committed checkpoint. Gates: the
-//!    resumed transcript body AND the drained per-query telemetry
-//!    (killed-run prefix up to the quiescent cut + resumed remainder,
+//! 1. **Checkpoint/resume.** A replay checkpointing on its cadence is
+//!    killed mid-run (the simulator is abandoned, as `kill -9` would)
+//!    and rebuilt in a fresh simulator from the last committed
+//!    checkpoint. Gates: the resumed transcript body AND the drained
+//!    per-query telemetry (the killed run's events of checkpointed
+//!    queries + everything the resumed run drained, in canonical order,
 //!    compared via the binary dump — no string rendering) must be
 //!    byte-identical to an uninterrupted same-seed run.
 //! 2. **Querier crash.** A `QuerierCrash` fault power-cycles the
@@ -13,25 +14,22 @@
 //!    span. Gate: ≥ 99 % of the trace still answered, and at least one
 //!    query demonstrably re-dispatched after the restart (so the fault
 //!    is live, not a no-op).
-//! 3. **Crash storm** (`--storm`). A sustained loss-plus-delay storm
-//!    makes the client permanently non-quiescent, so v1's quiescent
-//!    checkpointing commits *nothing* from the storm's onset to the
-//!    kill (the `v1-starvation` row) while the v2 fuzzy-cut cadence
-//!    keeps committing with live in-flight state. Gates: zero v1
-//!    commits in the storm window but at least one calm-prefix commit;
-//!    v2 commits in the window with `inflight > 0`; resume from the
-//!    mid-storm fuzzy cut is transcript- AND telemetry-byte-identical
-//!    to the uninterrupted storm baseline.
+//! 3. **Crash storm.** A sustained loss-plus-delay storm keeps queries
+//!    on the wire at every instant; the cadence keeps committing, each
+//!    cut carrying the live queries. Gates: commits inside the storm
+//!    window with `inflight > 0`; resume from the mid-storm cut is
+//!    transcript- AND telemetry-byte-identical to the uninterrupted
+//!    storm baseline.
 //!
 //! Exits nonzero if any gate fails.
 //!
-//! `cargo run --release -p ldp-bench --bin fig_recovery [-- --seed 11 --storm]`
+//! `cargo run --release -p ldp-bench --bin fig_recovery [-- --seed 11]`
 
-use ldp_bench::{arg_flag, arg_u64, identical, ok_fail, reject_unknown_flags};
+use ldp_bench::{arg_u64, identical, ok_fail, reject_unknown_flags};
 use ldp_chaos::recovery::{
     run_killed, run_querier_crash, run_resumed, run_storm_baseline, run_storm_killed,
-    run_storm_killed_v1, run_storm_resumed, run_uninterrupted, spliced_q_events,
-    spliced_q_events_fuzzy, RecoveryConfig, RecoveryOutcome, StormConfig,
+    run_storm_resumed, run_uninterrupted, spliced_q_events, RecoveryConfig, RecoveryOutcome,
+    StormConfig,
 };
 use ldp_guard::Checkpoint;
 use ldp_telemetry as tel;
@@ -54,17 +52,15 @@ fn round_trip(cp: &Checkpoint) -> Result<Checkpoint, String> {
 /// The kill/resume gate both studies share: take the killed run's last
 /// committed checkpoint through its text form, `resume` from it, and
 /// compare the lineage — resumed transcript body, and the killed and
-/// resumed runs' telemetry joined by `splice` — with the uninterrupted
-/// baseline, byte for byte. `cut` describes the checkpoint in the
-/// verdict line. Returns the checkpoint if the gate passed.
+/// resumed runs' telemetry spliced — with the uninterrupted baseline,
+/// byte for byte. Re-execution emits old-timestamped events after
+/// newer ones, so both sides compare in canonical order, not drain
+/// order. Returns the checkpoint if the gate passed.
 fn resume_gate(
     what: &str,
-    base_transcript: &str,
-    base_events: &[tel::RawEvent],
+    base: &RecoveryOutcome,
     killed: &RecoveryOutcome,
     resume: impl FnOnce(&Checkpoint) -> RecoveryOutcome,
-    splice: fn(&RecoveryOutcome, &RecoveryOutcome) -> Vec<tel::RawEvent>,
-    cut: fn(&Checkpoint) -> String,
 ) -> Option<Checkpoint> {
     let cp = killed
         .checkpoint
@@ -79,13 +75,17 @@ fn resume_gate(
         }
     };
     let resumed = resume(&cp);
-    let transcript_ok = body(&resumed.transcript) == body(base_transcript);
-    let spliced = splice(killed, &resumed);
-    let tel_diff = tel::diff_logs(&spliced, base_events);
-    let tel_ok = tel_diff.is_none() && tel::dump_binary(&spliced) == tel::dump_binary(base_events);
+    let transcript_ok = body(&resumed.transcript) == body(&base.transcript);
+    let spliced = spliced_q_events(killed, &resumed);
+    let mut base_events = base.q_events.clone();
+    tel::canonical_order(&mut base_events);
+    let tel_diff = tel::diff_logs(&spliced, &base_events);
+    let tel_ok = tel_diff.is_none() && tel::dump_binary(&spliced) == tel::dump_binary(&base_events);
     println!(
-        "gate: {what} from {} — transcript {}, telemetry {} ({} events)",
-        cut(&cp),
+        "gate: {what} from epoch {} ({} records, {} inflight at the cut) — transcript {}, telemetry {} ({} events)",
+        cp.epoch,
+        cp.records.len(),
+        cp.inflight.len(),
         identical(transcript_ok),
         identical(tel_ok),
         base_events.len(),
@@ -96,7 +96,7 @@ fn resume_gate(
     (transcript_ok && tel_ok).then_some(cp)
 }
 
-/// The v2 storm gates: commit-through-storm plus kill/resume
+/// The storm gates: commit-through-storm plus kill/resume
 /// byte-identity against the uninterrupted storm baseline. Returns
 /// whether they passed.
 fn storm_gate(cfg: &StormConfig) -> bool {
@@ -107,7 +107,7 @@ fn storm_gate(cfg: &StormConfig) -> bool {
     let in_storm = killed.stamps_in(from, to);
     let commit_ok = !in_storm.is_empty() && in_storm.iter().any(|s| s.inflight > 0);
     println!(
-        "gate: storm — {} v2 commits in window ({} with live state) {}, baseline answered {}/{} {}",
+        "gate: storm — {} commits in window ({} with live state) {}, baseline answered {}/{} {}",
         in_storm.len(),
         in_storm.iter().filter(|s| s.inflight > 0).count(),
         ok_fail(commit_ok),
@@ -115,34 +115,16 @@ fn storm_gate(cfg: &StormConfig) -> bool {
         cfg.base.queries,
         ok_fail(answered_ok),
     );
-    // Re-execution emits old-timestamped events after newer ones, so a
-    // fuzzy lineage compares in canonical order, not drain order.
-    let mut base_events = base.outcome.q_events.clone();
-    tel::canonical_order(&mut base_events);
-    let resumed_mid_storm = resume_gate(
-        "storm resume",
-        &base.outcome.transcript,
-        &base_events,
-        &killed.outcome,
-        |cp| run_storm_resumed(cfg, cp).outcome,
-        spliced_q_events_fuzzy,
-        |cp| {
-            format!(
-                "epoch {} ({} records, {} inflight at the cut)",
-                cp.epoch,
-                cp.records.len(),
-                cp.inflight.len()
-            )
-        },
-    )
+    let resumed_mid_storm = resume_gate("storm resume", &base.outcome, &killed.outcome, |cp| {
+        run_storm_resumed(cfg, cp).outcome
+    })
     .is_some_and(|cp| !cp.inflight.is_empty());
     answered_ok && commit_ok && resumed_mid_storm
 }
 
 fn main() {
-    reject_unknown_flags(&["--seed", "--storm"]);
+    reject_unknown_flags(&["--seed"]);
     let seed = arg_u64("--seed", 11);
-    let storm = arg_flag("--storm");
     let mut failed = false;
 
     let shape = RecoveryConfig::standard(seed);
@@ -153,8 +135,8 @@ fn main() {
         shape.rtt.as_nanos() / 1_000_000
     );
     println!(
-        "checkpoint every {} completions, kill at {:.2}s, querier down {} ms from {:.1}s, seed {seed}\n",
-        shape.checkpoint_every,
+        "a checkpoint every {} ms, kill at {:.2}s, querier down {} ms from {:.1}s, seed {seed}\n",
+        shape.cadence.as_nanos() / 1_000_000,
         shape.kill_at.as_secs_f64(),
         shape.down_for.as_nanos() / 1_000_000,
         shape.crash_at.as_secs_f64()
@@ -170,21 +152,9 @@ fn main() {
     );
     failed |= !rerun_ok;
 
-    let resumed = resume_gate(
-        "resume",
-        &first.transcript,
-        &first.q_events,
-        &run_killed(&shape),
-        |cp| run_resumed(&shape, cp),
-        spliced_q_events,
-        |cp| {
-            format!(
-                "cursor {} ({} checkpointed records)",
-                cp.cursor,
-                cp.records.len()
-            )
-        },
-    );
+    let resumed = resume_gate("resume", &first, &run_killed(&shape), |cp| {
+        run_resumed(&shape, cp)
+    });
     failed |= resumed.is_none();
 
     // Querier-crash gate.
@@ -211,48 +181,28 @@ fn main() {
     );
     failed |= !frac_ok || !live_ok;
 
-    if storm {
-        let shape = StormConfig::standard(seed);
-        let (from, to) = shape.storm_window();
-        println!(
-            "\ncrash storm: {:.0}% loss + {} ms (+{} ms jitter) delay from {:.2}s to {:.2}s,",
-            shape.loss_rate * 100.0,
-            shape.extra_delay.as_nanos() / 1_000_000,
-            shape.delay_jitter.as_nanos() / 1_000_000,
-            shape.storm_from.as_secs_f64(),
-            shape.storm_until.as_secs_f64(),
-        );
-        println!(
-            "kill at {:.2}s (mid-storm), v2 cadence {} ms, retransmit budget {} at {} ms base",
-            shape.base.kill_at.as_secs_f64(),
-            shape.cadence.as_nanos() / 1_000_000,
-            shape.retransmit.max_retx,
-            shape.retransmit.base_us / 1_000,
-        );
+    let storm = StormConfig::standard(seed);
+    println!(
+        "\ncrash storm: {:.0}% loss + {} ms (+{} ms jitter) delay from {:.2}s to {:.2}s,",
+        storm.loss_rate * 100.0,
+        storm.extra_delay.as_nanos() / 1_000_000,
+        storm.delay_jitter.as_nanos() / 1_000_000,
+        storm.storm_from.as_secs_f64(),
+        storm.storm_until.as_secs_f64(),
+    );
+    println!(
+        "kill at {:.2}s (mid-storm), retransmit budget {} at {} ms base",
+        storm.base.kill_at.as_secs_f64(),
+        storm.retransmit.max_retx,
+        storm.retransmit.base_us / 1_000,
+    );
+    failed |= !storm_gate(&storm);
 
-        // The starvation row: v1 quiescent checkpointing under the
-        // same storm and kill commits nothing once the storm starts.
-        let v1 = run_storm_killed_v1(&shape);
-        let v1_calm = v1.stamps.iter().filter(|s| s.taken_ns < from).count();
-        let v1_storm = v1.stamps_in(from, to).len();
-        let starve_ok = v1_calm > 0 && v1_storm == 0;
-        println!(
-            "v1-starvation: {v1_calm} calm-prefix commits, {v1_storm} commits in the storm window {}",
-            if starve_ok { "(starved, as designed)" } else { "FAIL" },
-        );
-        failed |= !starve_ok;
-
-        failed |= !storm_gate(&shape);
-    }
-
-    println!("\ntakeaway: quiescent-cut checkpoints make a killed replay resumable with a");
-    println!("byte-identical virtual-time transcript, and on_restart re-dispatch bounds a");
-    println!("querier power-cycle to the queries whose deadlines fell inside the outage.");
-    if storm {
-        println!("under a sustained storm only the v2 fuzzy cut keeps committing: it carries");
-        println!("per-query in-flight state, so resume re-executes the live queries and still");
-        println!("reproduces the uninterrupted run byte-for-byte.");
-    }
+    println!("\ntakeaway: a checkpoint cut on the cadence makes a killed replay resumable with");
+    println!("a byte-identical virtual-time transcript — under a sustained storm too: the cut");
+    println!("carries per-query in-flight state, so resume re-executes the live queries — and");
+    println!("on_restart re-dispatch bounds a querier power-cycle to the queries whose");
+    println!("deadlines fell inside the outage.");
 
     if failed {
         std::process::exit(1);

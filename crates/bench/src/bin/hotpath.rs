@@ -136,7 +136,7 @@ fn queue_raw(ops: u64) -> u64 {
     ops * 2
 }
 
-fn replay_qps(queries: u64, guard: ldp_guard::GuardConfig) -> (u64, f64, u64) {
+fn replay_qps(queries: u64) -> (u64, f64, u64) {
     let sink = UdpSocket::bind("127.0.0.1:0").expect("bind sink");
     let addr = sink.local_addr().expect("sink addr");
     let trace: Vec<TraceEntry> = (0..queries)
@@ -157,7 +157,6 @@ fn replay_qps(queries: u64, guard: ldp_guard::GuardConfig) -> (u64, f64, u64) {
         target_udp: addr,
         target_tcp: addr,
         fast_mode: true,
-        guard,
         ..Default::default()
     };
     let t0 = Instant::now();
@@ -471,71 +470,6 @@ fn resolver_cache_throughput(iters: u64) -> (f64, f64, f64) {
     (hit_ps, delayed_ps, miss_ps)
 }
 
-/// v2 fuzzy-cut checkpoint document round-trips (`to_text` +
-/// `from_text`) per second on a representative mid-storm cut: 2 000
-/// committed records and 256 `inflight` lines (mixed statuses, half
-/// with budget snapshots). The cadence commits one of these per tick
-/// on the replay host's thread, so serialization cost bounds how fine
-/// a cadence a storm run can afford.
-fn fuzzy_checkpoint_throughput() -> f64 {
-    use ldp_guard::{BudgetSnapshot, Checkpoint, InflightEntry, InflightStatus};
-    let records: Vec<String> = (0..2_000u64)
-        .map(|i| {
-            let sent = i as f64 * 0.05;
-            format!(
-                "{i} {:?} {:?} Udp 10.1.0.{} 120",
-                sent,
-                sent + 0.04,
-                1 + i % 4
-            )
-        })
-        .collect();
-    let inflight: Vec<InflightEntry> = (0..256u64)
-        .map(|i| InflightEntry {
-            seq: 2_000 + i,
-            deadline_ns: 100_000_000_000 + i * 50_000_000,
-            sends: 1 + (i % 3) as u32,
-            retx: (i % 3) as u32,
-            status: match i % 3 {
-                0 => InflightStatus::InFlight,
-                1 => InflightStatus::Parked,
-                _ => InflightStatus::Retrying,
-            },
-            budget: (i % 2 == 0).then(|| BudgetSnapshot {
-                used: (i % 8) as u32,
-                prev_us: 200_000 + i,
-                rng_state: i.wrapping_mul(0x9e37_79b9_7f4a_7c15),
-            }),
-        })
-        .collect();
-    let cp = Checkpoint {
-        version: 2,
-        epoch: 13,
-        taken_ns: 3_250_000_000,
-        cursor: 1_987,
-        counters: vec![
-            ("sent".into(), 2_117),
-            ("connects".into(), 12),
-            ("retries".into(), 117),
-            ("shed".into(), 0),
-            ("restarts".into(), 1),
-        ],
-        records,
-        inflight,
-    };
-    let rounds = 200u64;
-    let (_, secs) = best_of(3, || {
-        for _ in 0..rounds {
-            let text = cp.to_text().expect("serializes");
-            let back = Checkpoint::from_text(&text).expect("parses");
-            assert_eq!(back.inflight.len(), cp.inflight.len());
-            black_box(back);
-        }
-        rounds
-    });
-    rounds as f64 / secs
-}
-
 fn main() {
     let out_path = std::env::args()
         .nth(1)
@@ -613,50 +547,10 @@ fn main() {
     // --- Replay: fast-mode UDP throughput to a loopback sink. ---
     let queries = 40_000u64;
     println!("replay: {queries} fast-mode queries…");
-    let (sent, replay_s, errors) = replay_qps(queries, ldp_guard::GuardConfig::default());
+    let (sent, replay_s, errors) = replay_qps(queries);
     let qps = sent as f64 / replay_s;
     println!("  {sent} sent in {replay_s:.3} s = {qps:.0} q/s ({errors} errors)");
     assert_eq!(sent, queries, "every query sent");
-
-    // --- Guard: overload-protection overhead on fast-mode replay q/s
-    // (ISSUE 5 acceptance criterion: ≤ 3%). The default GuardConfig
-    // arms supervision (so the distributor retains a redispatch window
-    // of job clones) and admission bookkeeping; disabled() turns all
-    // of it off. Same interleaved-pairs / minimum-per-side protocol as
-    // the telemetry gate above, for the same noise-immunity reasons.
-    println!("guard: default vs disabled fast-mode replay (6 interleaved runs per side)…");
-    let mut guard_off_min_s = f64::MAX;
-    let mut guard_on_min_s = f64::MAX;
-    for round in 0..6 {
-        for on_now in [round % 2 == 0, round % 2 != 0] {
-            let cfg = if on_now {
-                ldp_guard::GuardConfig::default()
-            } else {
-                ldp_guard::GuardConfig::disabled()
-            };
-            let (sent, secs, errs) = replay_qps(queries, cfg);
-            assert_eq!(sent, queries, "guard must not change the sent count");
-            assert_eq!(errs, 0, "guard must not introduce send errors");
-            if on_now {
-                guard_on_min_s = guard_on_min_s.min(secs);
-            } else {
-                guard_off_min_s = guard_off_min_s.min(secs);
-            }
-        }
-    }
-    let guard_qps = queries as f64 / guard_on_min_s;
-    let guard_overhead_pct =
-        ((guard_on_min_s - guard_off_min_s) / guard_off_min_s * 100.0).max(0.0);
-    let guard_ok = guard_overhead_pct <= 3.0;
-    println!(
-        "  guarded {guard_qps:>12.0} q/s — overhead {guard_overhead_pct:.2}% (budget 3%) — {}",
-        ldp_bench::ok_fail(guard_ok)
-    );
-
-    // --- Guard: v2 fuzzy-cut checkpoint serialization round-trips. ---
-    println!("guard: v2 fuzzy-cut checkpoint round-trips (2000 records + 256 inflight)…");
-    let fuzzy_cp_ps = fuzzy_checkpoint_throughput();
-    println!("  {fuzzy_cp_ps:>12.0} round-trips/s");
 
     // --- Wire: encode/decode round-trip throughput. ---
     let iters = 200_000u64;
@@ -705,7 +599,7 @@ fn main() {
 
     // Hand-rolled JSON: the workspace has no serializer dependency.
     let json = format!(
-        "{{\n  \"sim\": {{\n    \"events\": {heap_events},\n    \"heap_events_per_sec\": {heap_eps:.0},\n    \"raw_queue_heap_ops_per_sec\": {heap_raw:.0},\n    \"telemetry_events_per_sec\": {tel_eps:.0},\n    \"telemetry_overhead_pct\": {telemetry_overhead_pct:.2},\n    \"sharded_events_per_sec_1\": {:.0},\n    \"sharded_events_per_sec_2\": {:.0},\n    \"sharded_events_per_sec_8\": {:.0}\n  }},\n  \"replay\": {{\n    \"queries\": {sent},\n    \"queries_per_sec\": {qps:.0},\n    \"guarded_queries_per_sec\": {guard_qps:.0},\n    \"guard_overhead_pct\": {guard_overhead_pct:.2},\n    \"errors\": {errors},\n    \"sim_complete_per_sec_16\": {:.0},\n    \"sim_complete_per_sec_32768\": {:.0}\n  }},\n  \"guard\": {{\n    \"fuzzy_checkpoint_per_sec\": {fuzzy_cp_ps:.0}\n  }},\n  \"wire\": {{\n    \"message_bytes\": {msg_size},\n    \"encode_msgs_per_sec\": {enc_mps:.0},\n    \"decode_msgs_per_sec\": {dec_mps:.0},\n    \"encode_mb_per_sec\": {:.1},\n    \"decode_mb_per_sec\": {:.1},\n    \"name_cmp_per_sec\": {name_cmp_ps:.0},\n    \"name_decode_per_sec\": {name_dec_ps:.0}\n  }},\n  \"server\": {{\n    \"template_answers_per_sec\": {template_aps:.0},\n    \"general_answers_per_sec\": {general_aps:.0},\n    \"template_speedup\": {:.3},\n    \"nxdomain_answers_per_sec_100\": {:.0},\n    \"nxdomain_answers_per_sec_20000\": {:.0}\n  }},\n  \"zone\": {{\n    \"view_select_per_sec_16\": {:.0},\n    \"view_select_per_sec_4096\": {:.0}\n  }},\n  \"resolver\": {{\n    \"cache_hit_per_sec\": {cache_hit_ps:.0},\n    \"cache_delayed_hit_per_sec\": {cache_delayed_ps:.0},\n    \"cache_miss_per_sec\": {cache_miss_ps:.0}\n  }}\n}}\n",
+        "{{\n  \"sim\": {{\n    \"events\": {heap_events},\n    \"heap_events_per_sec\": {heap_eps:.0},\n    \"raw_queue_heap_ops_per_sec\": {heap_raw:.0},\n    \"telemetry_events_per_sec\": {tel_eps:.0},\n    \"telemetry_overhead_pct\": {telemetry_overhead_pct:.2},\n    \"sharded_events_per_sec_1\": {:.0},\n    \"sharded_events_per_sec_2\": {:.0},\n    \"sharded_events_per_sec_8\": {:.0}\n  }},\n  \"replay\": {{\n    \"queries\": {sent},\n    \"queries_per_sec\": {qps:.0},\n    \"errors\": {errors},\n    \"sim_complete_per_sec_16\": {:.0},\n    \"sim_complete_per_sec_32768\": {:.0}\n  }},\n  \"wire\": {{\n    \"message_bytes\": {msg_size},\n    \"encode_msgs_per_sec\": {enc_mps:.0},\n    \"decode_msgs_per_sec\": {dec_mps:.0},\n    \"encode_mb_per_sec\": {:.1},\n    \"decode_mb_per_sec\": {:.1},\n    \"name_cmp_per_sec\": {name_cmp_ps:.0},\n    \"name_decode_per_sec\": {name_dec_ps:.0}\n  }},\n  \"server\": {{\n    \"template_answers_per_sec\": {template_aps:.0},\n    \"general_answers_per_sec\": {general_aps:.0},\n    \"template_speedup\": {:.3},\n    \"nxdomain_answers_per_sec_100\": {:.0},\n    \"nxdomain_answers_per_sec_20000\": {:.0}\n  }},\n  \"zone\": {{\n    \"view_select_per_sec_16\": {:.0},\n    \"view_select_per_sec_4096\": {:.0}\n  }},\n  \"resolver\": {{\n    \"cache_hit_per_sec\": {cache_hit_ps:.0},\n    \"cache_delayed_hit_per_sec\": {cache_delayed_ps:.0},\n    \"cache_miss_per_sec\": {cache_miss_ps:.0}\n  }}\n}}\n",
         sharded_eps[0],
         sharded_eps[1],
         sharded_eps[2],
@@ -723,10 +617,6 @@ fn main() {
     println!("wrote {out_path}");
     if !overhead_ok {
         eprintln!("hotpath: telemetry overhead {telemetry_overhead_pct:.2}% exceeds the 5% budget");
-        std::process::exit(1);
-    }
-    if !guard_ok {
-        eprintln!("hotpath: guard overhead {guard_overhead_pct:.2}% exceeds the 3% budget");
         std::process::exit(1);
     }
 }

@@ -3,13 +3,15 @@
 //! survives — the `fig_recovery` scenario.
 //!
 //! Three runs share one trace, one zone, and one seeded simulator
-//! shape:
+//! shape, in calm weather and again under a loss-plus-delay storm
+//! ([`StormConfig`]); every run checkpoints on the one cadence:
 //!
 //! 1. **Uninterrupted** — the baseline: a checkpointed replay left
 //!    alone to completion.
 //! 2. **Killed and resumed** — the replay is abandoned at `kill_at`
 //!    (the moral equivalent of `kill -9`), then rebuilt in a *fresh*
-//!    simulator from the last committed checkpoint. The resumed
+//!    simulator from the last committed checkpoint, whose carried
+//!    queries re-execute from their original deadlines. The resumed
 //!    transcript — checkpointed prefix plus replayed remainder — must
 //!    be byte-identical to the baseline's, and so must the drained
 //!    per-query telemetry.
@@ -40,14 +42,12 @@ use crate::scenario;
 pub struct RecoveryConfig {
     /// Trace length (one unique name per query).
     pub queries: usize,
-    /// Spacing between consecutive queries. Must exceed the RTT so the
-    /// replay reaches quiescent cuts and checkpoints actually commit.
+    /// Spacing between consecutive queries.
     pub query_gap: SimDuration,
     /// Uniform path RTT.
     pub rtt: SimDuration,
-    /// Checkpoint after every this many completions (at the next
-    /// quiescent cut).
-    pub checkpoint_every: u64,
+    /// Checkpoint cadence (absolute grid, anchored at the origin).
+    pub cadence: SimDuration,
     /// Where the killed run is abandoned (virtual time).
     pub kill_at: SimTime,
     /// When the querier power-cycles in the crash study.
@@ -60,15 +60,14 @@ pub struct RecoveryConfig {
 
 impl RecoveryConfig {
     /// The standard study shape: 400 queries at 50 ms spacing over a
-    /// 40 ms-RTT path, checkpoint every 20 completions, killed at
-    /// 8.31 s (mid-trace, between cuts), querier down for 400 ms from
-    /// t = 5 s.
+    /// 40 ms-RTT path, a checkpoint every 250 ms, killed at 8.31 s
+    /// (mid-trace, between cuts), querier down for 400 ms from t = 5 s.
     pub fn standard(seed: u64) -> Self {
         RecoveryConfig {
             queries: 400,
             query_gap: SimDuration::from_millis(50),
             rtt: SimDuration::from_millis(40),
-            checkpoint_every: 20,
+            cadence: SimDuration::from_millis(250),
             kill_at: SimTime::from_secs_f64(8.31),
             crash_at: SimTime::from_secs_f64(5.0),
             down_for: SimDuration::from_millis(400),
@@ -202,20 +201,11 @@ fn outcome(
     }
 }
 
-/// Which checkpoint mechanism a leg's client runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CheckpointMech {
-    /// v1: quiescent cuts after every this many completions.
-    Quiescent(u64),
-    /// v2: fuzzy cuts on the absolute grid of this cadence.
-    Fuzzy(SimDuration),
-}
-
-/// One replay leg: what distinguishes the eight runs of this module.
-struct Leg<'a> {
+/// One replay leg: what distinguishes the runs of this module, but for
+/// the checkpoint a resumed one is rebuilt from.
+struct Leg {
     /// The transcript header's `mode=`.
-    label: &'a str,
-    checkpoints: Option<CheckpointMech>,
+    label: &'static str,
     /// Faults to install (none: no agent, no injector).
     plan: FaultPlan,
     /// UDP retransmission policy and its run-level jitter seed.
@@ -223,20 +213,25 @@ struct Leg<'a> {
     /// The kill instant for abandoned runs, the horizon for complete
     /// ones.
     run_until: SimTime,
-    /// Rebuild the client from this checkpoint first.
-    resume_from: Option<&'a Checkpoint>,
 }
 
-/// Run one leg in a fresh simulator: server, then client, then (iff
+/// Run one leg in a fresh simulator, the client rebuilt from
+/// `resume_from` if given: server, then client, then (iff
 /// the plan has faults) the chaos agent. That host add order is part
 /// of the replayed shape: a killed run and its resumed continuation
 /// must match, or host ids — and with them the deterministic event
 /// order — would drift.
-fn run_leg(cfg: &RecoveryConfig, leg: Leg<'_>) -> StormOutcome {
-    run_leg_on(cfg, leg, &mut scenario::simulator(cfg.rtt, cfg.seed))
+fn run_leg(cfg: &RecoveryConfig, leg: Leg, resume_from: Option<&Checkpoint>) -> StormOutcome {
+    let mut sim = scenario::simulator(cfg.rtt, cfg.seed);
+    run_leg_on(cfg, leg, resume_from, &mut sim)
 }
 
-fn run_leg_on<S: SimDriver>(cfg: &RecoveryConfig, leg: Leg<'_>, sim: &mut S) -> StormOutcome {
+fn run_leg_on<S: SimDriver>(
+    cfg: &RecoveryConfig,
+    leg: Leg,
+    resume_from: Option<&Checkpoint>,
+    sim: &mut S,
+) -> StormOutcome {
     tel::set_enabled(true);
     let _ = tel::drain_local(); // clear residue from earlier runs
     let trace = mk_trace(cfg);
@@ -261,9 +256,9 @@ fn run_leg_on<S: SimDriver>(cfg: &RecoveryConfig, leg: Leg<'_>, sim: &mut S) -> 
     let log: LatencyLog = Arc::new(Mutex::new(Vec::new()));
     // The lineage's last committed checkpoint: a resumed run stands on
     // the one it resumed from until it commits its own.
-    let cp_out = Arc::new(Mutex::new(leg.resume_from.cloned()));
+    let cp_out = Arc::new(Mutex::new(resume_from.cloned()));
     let stamps = Arc::new(Mutex::new(Vec::new()));
-    let mut client = match leg.resume_from {
+    let mut client = match resume_from {
         None => SimReplayClient::new(trace.clone(), server, log.clone()),
         Some(cp) => match SimReplayClient::resume(trace.clone(), server, log.clone(), cp) {
             Ok(c) => c,
@@ -279,11 +274,7 @@ fn run_leg_on<S: SimDriver>(cfg: &RecoveryConfig, leg: Leg<'_>, sim: &mut S) -> 
             }
         },
     };
-    match leg.checkpoints {
-        Some(CheckpointMech::Quiescent(every)) => client.checkpoint_every = every,
-        Some(CheckpointMech::Fuzzy(cadence)) => client.checkpoint_cadence = Some(cadence),
-        None => {}
-    }
+    client.checkpoint_cadence = Some(cfg.cadence);
     if let Some((retransmit, seed)) = leg.retransmit {
         client.udp_retransmit = Some(retransmit);
         client.retx_seed = seed;
@@ -292,7 +283,7 @@ fn run_leg_on<S: SimDriver>(cfg: &RecoveryConfig, leg: Leg<'_>, sim: &mut S) -> 
     client.checkpoint_stamps = Some(stamps.clone());
     let srcs = client.source_addrs();
     let client_id = sim.add_host(&srcs, Box::new(client));
-    match leg.resume_from {
+    match resume_from {
         None => SimReplayClient::schedule(sim, client_id, &trace, SimTime::ZERO),
         Some(cp) => SimReplayClient::schedule_resume(sim, client_id, &trace, SimTime::ZERO, cp),
     }
@@ -307,74 +298,60 @@ fn run_leg_on<S: SimDriver>(cfg: &RecoveryConfig, leg: Leg<'_>, sim: &mut S) -> 
 }
 
 /// A calm-weather leg: no faults, no retransmission.
-fn calm<'a>(
-    cfg: &RecoveryConfig,
-    label: &'a str,
-    checkpoints: Option<CheckpointMech>,
-    run_until: SimTime,
-    resume_from: Option<&'a Checkpoint>,
-) -> Leg<'a> {
+fn calm(cfg: &RecoveryConfig, label: &'static str, run_until: SimTime) -> Leg {
     Leg {
         label,
-        checkpoints,
         plan: FaultPlan::new(cfg.seed),
         retransmit: None,
         run_until,
-        resume_from,
     }
-}
-
-fn run_calm(
-    cfg: &RecoveryConfig,
-    label: &str,
-    checkpoints: Option<CheckpointMech>,
-    run_until: SimTime,
-    resume_from: Option<&Checkpoint>,
-) -> RecoveryOutcome {
-    run_leg(cfg, calm(cfg, label, checkpoints, run_until, resume_from)).outcome
 }
 
 /// The baseline: a checkpointed replay left alone to completion.
 pub fn run_uninterrupted(cfg: &RecoveryConfig) -> RecoveryOutcome {
-    let mech = CheckpointMech::Quiescent(cfg.checkpoint_every);
-    run_calm(cfg, "uninterrupted", Some(mech), cfg.horizon(), None)
+    run_leg(cfg, calm(cfg, "uninterrupted", cfg.horizon()), None).outcome
 }
 
 /// The killed run: identical to the baseline until `kill_at`, where
 /// the simulator is simply abandoned. Returns the partial outcome —
-/// its `checkpoint` is what a resume starts from, and its `q_events`
-/// up to the checkpoint's cut are the surviving telemetry prefix.
+/// its `checkpoint` is what a resume starts from.
 pub fn run_killed(cfg: &RecoveryConfig) -> RecoveryOutcome {
-    let mech = CheckpointMech::Quiescent(cfg.checkpoint_every);
-    run_calm(cfg, "killed", Some(mech), cfg.kill_at, None)
+    run_leg(cfg, calm(cfg, "killed", cfg.kill_at), None).outcome
 }
 
 /// The resumed run: a fresh simulator rebuilt from `cp`. The returned
 /// `records`/`transcript` cover the *whole* trace (checkpointed prefix
 /// plus replayed remainder); `q_events` cover only the post-resume
-/// part — concatenate with the killed run's pre-cut prefix to compare
-/// against the baseline.
+/// part — [`spliced_q_events`] joins them with the killed run's.
 pub fn run_resumed(cfg: &RecoveryConfig, cp: &Checkpoint) -> RecoveryOutcome {
-    run_calm(cfg, "resumed", None, cfg.horizon(), Some(cp))
+    run_leg(cfg, calm(cfg, "resumed", cfg.horizon()), Some(cp)).outcome
 }
 
-/// [`run_killed`] then [`run_resumed`] from its last checkpoint, each
-/// on a [`ldp_shard::ShardedSimulator`] with `shards` round-robin
-/// worker shards: the resumed transcript, byte-identical to the plain
-/// pair's. (Telemetry is per-thread, so `q_events` only holds what the
-/// calling thread's shard saw.) `None` when the kill came before the
-/// first checkpoint.
+/// A kill → resume pair, each leg on a [`ldp_shard::ShardedSimulator`]
+/// with `shards` round-robin worker shards. (Telemetry is per-thread,
+/// so `q_events` only holds what the calling thread's shard saw.)
+/// `None` when the kill came before the first checkpoint.
+fn killed_and_resumed_sharded(
+    cfg: &RecoveryConfig,
+    shards: u32,
+    killed: Leg,
+    resumed: Leg,
+) -> Option<RecoveryOutcome> {
+    let mut sim = scenario::sharded_simulator(cfg.rtt, cfg.seed, shards);
+    let cp = run_leg_on(cfg, killed, None, &mut sim).outcome.checkpoint?;
+    let mut sim = scenario::sharded_simulator(cfg.rtt, cfg.seed, shards);
+    Some(run_leg_on(cfg, resumed, Some(&cp), &mut sim).outcome)
+}
+
+/// [`run_killed`] then [`run_resumed`] from its last checkpoint on
+/// `shards` shards: the resumed transcript, byte-identical to the plain
+/// pair's.
 pub fn run_killed_and_resumed_sharded(
     cfg: &RecoveryConfig,
     shards: u32,
 ) -> Option<RecoveryOutcome> {
-    let mech = CheckpointMech::Quiescent(cfg.checkpoint_every);
-    let mut sim = scenario::sharded_simulator(cfg.rtt, cfg.seed, shards);
-    let leg = calm(cfg, "killed", Some(mech), cfg.kill_at, None);
-    let cp = run_leg_on(cfg, leg, &mut sim).outcome.checkpoint?;
-    let mut sim = scenario::sharded_simulator(cfg.rtt, cfg.seed, shards);
-    let leg = calm(cfg, "resumed", None, cfg.horizon(), Some(&cp));
-    Some(run_leg_on(cfg, leg, &mut sim).outcome)
+    let killed = calm(cfg, "killed", cfg.kill_at);
+    killed_and_resumed_sharded(cfg, shards, killed, calm(cfg, "resumed", cfg.horizon()))
 }
 
 /// The querier-crash run: a [`FaultEvent::QuerierCrash`] power-cycles
@@ -383,7 +360,6 @@ pub fn run_killed_and_resumed_sharded(
 pub fn run_querier_crash(cfg: &RecoveryConfig) -> RecoveryOutcome {
     let leg = Leg {
         label: "querier_crash",
-        checkpoints: None,
         plan: FaultPlan::new(cfg.seed).at(
             cfg.crash_at,
             FaultEvent::QuerierCrash {
@@ -393,65 +369,42 @@ pub fn run_querier_crash(cfg: &RecoveryConfig) -> RecoveryOutcome {
         ),
         retransmit: None,
         run_until: cfg.horizon(),
-        resume_from: None,
     };
-    run_leg(cfg, leg).outcome
-}
-
-/// Telemetry of an interrupted lineage: the killed run's events at or
-/// before the checkpoint cut, then the resumed run's. At a quiescent
-/// cut every `q.*` event at or before `taken_ns` belongs to a
-/// checkpointed (completed) query, so this concatenation reconstructs
-/// exactly what an uninterrupted run would have drained.
-pub fn spliced_q_events(killed: &RecoveryOutcome, resumed: &RecoveryOutcome) -> Vec<tel::RawEvent> {
-    let cut_ns = killed.checkpoint.as_ref().map_or(0, |c| c.taken_ns);
-    let mut events: Vec<tel::RawEvent> = killed
-        .q_events
-        .iter()
-        .filter(|ev| ev.t_ns <= cut_ns)
-        .copied()
-        .collect();
-    events.extend(resumed.q_events.iter().copied());
-    events
+    run_leg(cfg, leg, None).outcome
 }
 
 // ---------------------------------------------------------------------
-// The crash-storm study (fuzzy-cut checkpoints v2)
+// The crash-storm study
 // ---------------------------------------------------------------------
 
-/// Parameters of the crash-storm study: a calm prefix long enough for
-/// v1's quiescent checkpointing to commit at least once, then a
-/// sustained loss-plus-delay storm that outlasts the kill.
+/// Parameters of the crash-storm study: a calm prefix, then a sustained
+/// loss-plus-delay storm that outlasts the kill.
 ///
 /// The storm's `extra_delay` exceeds the query gap, so from its onset
-/// every completion happens with later queries already on the wire —
-/// [`SimReplayClient`]'s quiescent cut is *provably* never reached and
-/// v1 commits nothing for the storm's entire duration. The v2 cadence
-/// keeps committing fuzzy cuts regardless, which is the whole point.
+/// every completion happens with later queries already on the wire: no
+/// instant of the storm is free of live queries, and every cut the
+/// cadence commits there carries some.
 ///
 /// The study runs with admission disabled: a resumed run's admission
 /// window starts emptier than the original's was at the same instant,
-/// so verdicts (and thus transcripts) could diverge. Fuzzy-cut resume
-/// guarantees byte-identity only for unguarded dispatch.
+/// so verdicts (and thus transcripts) could diverge. Resume guarantees
+/// byte-identity only for unguarded dispatch.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StormConfig {
-    /// The underlying trace/sim shape. `checkpoint_every` drives the
-    /// v1 (starvation) leg; the v2 legs use `cadence` instead.
+    /// The underlying trace/sim shape and checkpoint cadence.
     pub base: RecoveryConfig,
     /// Storm onset (virtual). Placed mid-gap, after the calm prefix.
     pub storm_from: SimTime,
     /// Storm end. Must exceed `base.kill_at`: the kill lands inside
-    /// the storm, which is what starves v1 of a usable checkpoint.
+    /// the storm.
     pub storm_until: SimTime,
     /// Per-packet drop probability during the storm.
     pub loss_rate: f64,
     /// Fixed extra one-way delay during the storm. Keep it above
-    /// `base.query_gap` or the v1-starvation guarantee evaporates.
+    /// `base.query_gap` so that every storm cut carries live queries.
     pub extra_delay: SimDuration,
     /// Jitter bound on top of `extra_delay`.
     pub delay_jitter: SimDuration,
-    /// v2 fuzzy-cut cadence (absolute grid, anchored at the origin).
-    pub cadence: SimDuration,
     /// UDP retransmission policy — generous enough that every query
     /// lost to the storm still has budget left when it ends.
     pub retransmit: RetransmitConfig,
@@ -462,7 +415,7 @@ pub struct StormConfig {
 impl StormConfig {
     /// The standard storm: calm until 1.52 s, then 40% loss plus a
     /// 150 ms (+30 ms jitter) delay spike until 6.5 s; killed at
-    /// 4.11 s, mid-storm; fuzzy cuts every 250 ms.
+    /// 4.11 s, mid-storm.
     pub fn standard(seed: u64) -> Self {
         StormConfig {
             base: RecoveryConfig {
@@ -474,7 +427,6 @@ impl StormConfig {
             loss_rate: 0.4,
             extra_delay: SimDuration::from_millis(150),
             delay_jitter: SimDuration::from_millis(30),
-            cadence: SimDuration::from_millis(250),
             retransmit: RetransmitConfig {
                 max_retx: 12,
                 base_us: 200_000,
@@ -496,11 +448,11 @@ impl StormConfig {
         }
     }
 
-    /// The fault plan all four runs install: one sustained loss burst
-    /// plus one delay spike, both spanning `[storm_from, storm_until]`.
-    /// Packet fates are pure functions of `(plan seed, virtual time,
-    /// endpoints, payload)`, so a resumed run re-executing an in-flight
-    /// query re-draws the identical fates.
+    /// The fault plan every storm run installs: one sustained loss
+    /// burst plus one delay spike, both spanning `[storm_from,
+    /// storm_until]`. Packet fates are pure functions of `(plan seed,
+    /// virtual time, endpoints, payload)`, so a resumed run
+    /// re-executing an in-flight query re-draws the identical fates.
     pub fn plan(&self) -> FaultPlan {
         FaultPlan::new(self.base.seed)
             .at(
@@ -520,10 +472,20 @@ impl StormConfig {
             )
     }
 
-    /// The `[storm onset, kill]` window (ns) the starvation gate
-    /// counts checkpoint commits in.
+    /// The `[storm onset, kill]` window (ns) the commit gate counts
+    /// checkpoint commits in.
     pub fn storm_window(&self) -> (u64, u64) {
         (self.storm_from.as_nanos(), self.base.kill_at.as_nanos())
+    }
+
+    /// One storm leg: the storm installed, retransmission on.
+    fn leg(&self, label: &'static str, run_until: SimTime) -> Leg {
+        Leg {
+            label,
+            plan: self.plan(),
+            retransmit: Some((self.retransmit, self.retx_seed)),
+            run_until,
+        }
     }
 }
 
@@ -547,97 +509,55 @@ impl StormOutcome {
     }
 }
 
-/// One storm leg: the storm installed, retransmission on. `run_until`
-/// is the kill instant for abandoned runs or the horizon for complete
-/// ones; `resume_from` rebuilds the client from a fuzzy cut first.
-fn run_storm(
-    cfg: &StormConfig,
-    label: &str,
-    mech: CheckpointMech,
-    run_until: SimTime,
-    resume_from: Option<&Checkpoint>,
-) -> StormOutcome {
-    let leg = Leg {
-        label,
-        checkpoints: Some(mech),
-        plan: cfg.plan(),
-        retransmit: Some((cfg.retransmit, cfg.retx_seed)),
-        run_until,
-        resume_from,
-    };
-    run_leg(&cfg.base, leg)
-}
-
-/// The storm baseline: fuzzy-cut cadence, storm installed, left alone
-/// to completion. Retransmission outlasts the storm, so the whole
-/// trace is still answered.
+/// The storm baseline: storm installed, left alone to completion.
+/// Retransmission outlasts the storm, so the whole trace is still
+/// answered.
 pub fn run_storm_baseline(cfg: &StormConfig) -> StormOutcome {
-    run_storm(
-        cfg,
-        "storm_baseline",
-        CheckpointMech::Fuzzy(cfg.cadence),
-        cfg.base.horizon(),
-        None,
-    )
+    let leg = cfg.leg("storm_baseline", cfg.base.horizon());
+    run_leg(&cfg.base, leg, None)
 }
 
-/// The v2 killed run: fuzzy-cut cadence, abandoned mid-storm at
-/// `kill_at`. Its `checkpoint` is a fuzzy cut with live `inflight`
-/// state — what the resume starts from.
+/// The killed storm run: abandoned mid-storm at `kill_at`. Its
+/// `checkpoint` is a cut with live `inflight` state — what the resume
+/// starts from.
 pub fn run_storm_killed(cfg: &StormConfig) -> StormOutcome {
-    run_storm(
-        cfg,
-        "storm_killed",
-        CheckpointMech::Fuzzy(cfg.cadence),
-        cfg.base.kill_at,
-        None,
-    )
+    run_leg(&cfg.base, cfg.leg("storm_killed", cfg.base.kill_at), None)
 }
 
-/// The v1 starvation leg: same trace, same storm, same kill — but
-/// quiescent checkpointing. Expect zero commits inside
-/// [`StormConfig::storm_window`]: the delay spike keeps a later query
-/// on the wire at every completion, so the quiescent cut never comes.
-pub fn run_storm_killed_v1(cfg: &StormConfig) -> StormOutcome {
-    run_storm(
-        cfg,
-        "storm_killed_v1",
-        CheckpointMech::Quiescent(cfg.base.checkpoint_every),
-        cfg.base.kill_at,
-        None,
-    )
-}
-
-/// The resumed run: rebuilt from a fuzzy cut in a fresh simulator with
+/// The resumed storm run: rebuilt from `cp` in a fresh simulator with
 /// the same storm installed. Carried queries are re-armed at their
 /// original deadlines and re-execute their full lifecycles under
 /// identical packet fates, so the final transcript is byte-identical
 /// to the baseline's.
 pub fn run_storm_resumed(cfg: &StormConfig, cp: &Checkpoint) -> StormOutcome {
-    run_storm(
-        cfg,
-        "storm_resumed",
-        CheckpointMech::Fuzzy(cfg.cadence),
-        cfg.base.horizon(),
-        Some(cp),
-    )
+    let leg = cfg.leg("storm_resumed", cfg.base.horizon());
+    run_leg(&cfg.base, leg, Some(cp))
 }
 
-/// Telemetry of a fuzzy-cut lineage, in canonical order.
+/// [`run_storm_killed`] then [`run_storm_resumed`] from its last
+/// checkpoint on `shards` shards: the resumed transcript, its body
+/// byte-identical to the plain pair's and the storm baseline's.
+pub fn run_storm_killed_and_resumed_sharded(
+    cfg: &StormConfig,
+    shards: u32,
+) -> Option<RecoveryOutcome> {
+    let killed = cfg.leg("storm_killed", cfg.base.kill_at);
+    let resumed = cfg.leg("storm_resumed", cfg.base.horizon());
+    killed_and_resumed_sharded(&cfg.base, shards, killed, resumed)
+}
+
+/// Telemetry of an interrupted lineage, in canonical order.
 ///
-/// Unlike a quiescent cut, events before the cut are *not* all owned
-/// by completed queries: the killed run's pre-cut events for queries
-/// the checkpoint carries in flight will be re-emitted (at their
-/// original virtual times) by the resumed run's re-execution. So the
-/// splice keeps the killed run's events only for queries the cut had
-/// completed, appends everything the resumed run drained, and sorts
-/// both sides' unions into [`tel::canonical_order`] — re-execution
-/// emits old-timestamped events after newer ones, so raw drain order
-/// is not comparable. Compare against a baseline sorted the same way.
-pub fn spliced_q_events_fuzzy(
-    killed: &RecoveryOutcome,
-    resumed: &RecoveryOutcome,
-) -> Vec<tel::RawEvent> {
+/// Events before the cut are *not* all owned by completed queries: the
+/// killed run's pre-cut events for queries the checkpoint carries in
+/// flight will be re-emitted (at their original virtual times) by the
+/// resumed run's re-execution. So the splice keeps the killed run's
+/// events only for queries the cut had completed, appends everything
+/// the resumed run drained, and sorts both sides' unions into
+/// [`tel::canonical_order`] — re-execution emits old-timestamped
+/// events after newer ones, so raw drain order is not comparable.
+/// Compare against a baseline sorted the same way.
+pub fn spliced_q_events(killed: &RecoveryOutcome, resumed: &RecoveryOutcome) -> Vec<tel::RawEvent> {
     let Some(cp) = &killed.checkpoint else {
         let mut events = resumed.q_events.clone();
         tel::canonical_order(&mut events);
@@ -670,7 +590,7 @@ mod tests {
         assert_eq!(out.records.len(), cfg.queries);
         assert!((out.answered_fraction(&cfg) - 1.0).abs() < 1e-12);
         let cp = out.checkpoint.expect("checkpoints committed");
-        assert!(cp.cursor >= cfg.checkpoint_every, "cursor {}", cp.cursor);
+        assert_eq!(cp.cursor as usize, cfg.queries, "cursor {}", cp.cursor);
     }
 
     #[test]
@@ -694,13 +614,15 @@ mod tests {
             "transcript bodies diverged"
         );
         let spliced = spliced_q_events(&killed, &resumed);
+        let mut base_events = base.q_events;
+        tel::canonical_order(&mut base_events);
         assert_eq!(
-            tel::diff_logs(&spliced, &base.q_events),
+            tel::diff_logs(&spliced, &base_events),
             None,
             "telemetry diverged"
         );
         // And the binary dumps are byte-identical.
-        assert_eq!(tel::dump_binary(&spliced), tel::dump_binary(&base.q_events));
+        assert_eq!(tel::dump_binary(&spliced), tel::dump_binary(&base_events));
     }
 
     #[test]

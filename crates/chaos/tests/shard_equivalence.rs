@@ -10,7 +10,7 @@
 
 use ldp_chaos::delayed::{self, DelayedConfig, PolicyKind};
 use ldp_chaos::outage::{run, run_sharded, OutageConfig, Phase, RetryPolicy};
-use ldp_chaos::recovery::{self, RecoveryConfig};
+use ldp_chaos::recovery::{self, RecoveryConfig, StormConfig};
 use netsim::{SimDuration, SimTime};
 
 /// {1, 2, 8} shards, each against the single-shard run: full-transcript
@@ -108,5 +108,27 @@ fn recovery_kill_resume_matches_under_sharding() {
     assert_eq!(
         body(&sharded.transcript),
         body(&recovery::run_uninterrupted(&cfg).transcript)
+    );
+}
+
+/// The storm kill → resume pair under sharding: the fault plan
+/// replicates per shard and the cut carries live queries, yet the pair
+/// on two shards resumes to the transcript body of the plain pair — and
+/// of the uninterrupted storm baseline. (Transcripts only: telemetry is
+/// per-thread.)
+#[test]
+fn storm_kill_resume_matches_under_sharding() {
+    let cfg = StormConfig::smoke(53);
+    let cp = recovery::run_storm_killed(&cfg).outcome.checkpoint;
+    let cp = cp.expect("a cut");
+    assert!(!cp.inflight.is_empty(), "the kill lands mid-storm");
+    let plain = recovery::run_storm_resumed(&cfg, &cp).outcome;
+    assert_eq!(plain.records.len(), cfg.base.queries);
+    let sharded = recovery::run_storm_killed_and_resumed_sharded(&cfg, 2).expect("a cut");
+    let body = |t: &str| t.lines().skip(2).map(str::to_owned).collect::<Vec<_>>();
+    assert_eq!(body(&sharded.transcript), body(&plain.transcript));
+    assert_eq!(
+        body(&sharded.transcript),
+        body(&recovery::run_storm_baseline(&cfg).outcome.transcript)
     );
 }

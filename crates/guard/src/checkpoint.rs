@@ -1,24 +1,16 @@
-//! The versioned replay checkpoint: progress a killed run can resume
-//! from.
+//! The replay checkpoint: progress a killed run can resume from.
 //!
-//! **v1 — quiescent cut.** A v1 checkpoint is taken at a virtual-time
-//! instant with no queries in flight, so it fully determines the
-//! remaining run: the trace cursor says which queries are still owed,
-//! the completed records are carried verbatim, and the counters seed
-//! the resumed client's state. Its weakness is the commit condition
-//! itself: under sustained loss a quiescent cut never forms, so a kill
-//! mid-storm discards everything since the last lull.
-//!
-//! **v2 — fuzzy cut.** A v2 checkpoint commits at *any* virtual
-//! instant, on a fixed cadence, by additionally carrying one
-//! [`InflightEntry`] per outstanding query (see [`crate::inflight`]):
-//! its seq, original virtual send deadline, elapsed send/retransmit
-//! counts, a [`RetryBudget`](crate::RetryBudget) snapshot, and its
-//! admission status. Counters in a v2 document are *committed* values
-//! — completed work only — and the in-flight contributions ride on
-//! the `inflight` lines, so a resumed run that re-executes the
-//! outstanding queries from their original deadlines reconstructs the
-//! uninterrupted run's totals, transcript, and telemetry exactly.
+//! A checkpoint commits at *any* virtual instant, on a fixed cadence,
+//! whatever is in flight (a "fuzzy cut"): besides the completed
+//! records it carries one [`InflightEntry`] per outstanding query (see
+//! [`crate::inflight`]) — its seq, original virtual send deadline,
+//! elapsed send/retransmit counts, a
+//! [`RetryBudget`](crate::RetryBudget) snapshot, and its admission
+//! status. Counters are *committed* values — completed work only — and
+//! the in-flight contributions ride on the `inflight` lines, so a
+//! resumed run that re-executes the outstanding queries from their
+//! original deadlines reconstructs the uninterrupted run's totals,
+//! transcript, and telemetry exactly.
 //!
 //! Like `ldp-chaos`'s fault plans, checkpoints are data, not code: a
 //! line-based text format with an exact round-trip, safe to store next
@@ -36,28 +28,25 @@
 //! inflight 41 deadline 1450000000 sends 2 retx 1 status inflight budget 1 450 12345
 //! ```
 //!
-//! A v2 document's sections are strictly ordered (`counter*`, `rec*`,
-//! `inflight*`); v1 documents keep their historical lenient ordering
-//! for back-compat, and parse into a [`Checkpoint`] with an empty
-//! in-flight set — a v1 quiescent cut *is* a fuzzy cut with nothing in
-//! flight, so upgrade reads are free.
+//! The sections are strictly ordered (`counter*`, `rec*`, `inflight*`).
+//! `v2` is the only format: any other header is a parse error at its
+//! line.
 
 use std::fmt;
 
 use crate::inflight::InflightEntry;
 
+/// The first line of every document.
+const HEADER: &str = "ldpguard checkpoint v2";
+
 /// One resumable snapshot of replay progress.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Checkpoint {
-    /// Format version this checkpoint serializes as: 1 (quiescent
-    /// cut, no in-flight state) or 2 (fuzzy cut).
-    pub version: u8,
     /// Checkpoint ordinal within the run (1 = first cut).
     pub epoch: u32,
     /// Virtual time of the cut, nanoseconds since simulation start.
-    /// In a v1 document every uncompleted query's deadline is strictly
-    /// later; in a v2 document in-flight deadlines may be earlier (the
-    /// query was already dispatched when the cut committed).
+    /// In-flight deadlines may be earlier (the query was already
+    /// dispatched when the cut committed).
     pub taken_ns: u64,
     /// Next trace sequence number to dispatch: seqs `< cursor` are
     /// accounted for (completed, recorded as shed, or carried on an
@@ -65,31 +54,17 @@ pub struct Checkpoint {
     pub cursor: u64,
     /// Named monotonic counters (sent, connects, retries, shed, ...)
     /// in serialization order. Names must be whitespace-free and
-    /// unique. In a v2 document these are *committed* values: work
-    /// belonging to completed queries only.
+    /// unique. These are *committed* values: work belonging to
+    /// completed queries only.
     pub counters: Vec<(String, u64)>,
     /// Completed per-query transcript lines, carried verbatim (they
     /// must not contain newlines). On resume these seed the output so
     /// the final transcript equals an uninterrupted run's.
     pub records: Vec<String>,
-    /// Outstanding queries at the cut (v2 only; empty in v1). Sorted
-    /// by seq at serialization time by convention, but the parser
-    /// preserves whatever order the document carries.
+    /// Outstanding queries at the cut. Sorted by seq at serialization
+    /// time by convention, but the parser preserves whatever order the
+    /// document carries.
     pub inflight: Vec<InflightEntry>,
-}
-
-impl Default for Checkpoint {
-    fn default() -> Self {
-        Checkpoint {
-            version: 1,
-            epoch: 0,
-            taken_ns: 0,
-            cursor: 0,
-            counters: Vec::new(),
-            records: Vec::new(),
-            inflight: Vec::new(),
-        }
-    }
 }
 
 impl Checkpoint {
@@ -105,22 +80,15 @@ impl Checkpoint {
 
     /// Serialize to the line-based text format (see module docs).
     ///
-    /// Returns `Err` (rather than emitting a corrupt document) if the
-    /// version is unknown, a counter name contains whitespace or is
-    /// duplicated, a record contains a newline, or a v1 checkpoint
-    /// carries in-flight entries (v1 cannot represent them).
+    /// Returns `Err` (rather than emitting a corrupt document) if a
+    /// counter name contains whitespace or is duplicated, or a record
+    /// contains a newline.
     pub fn to_text(&self) -> Result<String, CheckpointParseError> {
         let err = |msg: &str| CheckpointParseError {
             line: 0,
             msg: msg.to_string(),
         };
-        if self.version != 1 && self.version != 2 {
-            return Err(err("unknown checkpoint version (expected 1 or 2)"));
-        }
-        if self.version == 1 && !self.inflight.is_empty() {
-            return Err(err("v1 checkpoints cannot carry inflight entries"));
-        }
-        let mut out = format!("ldpguard checkpoint v{}\n", self.version);
+        let mut out = format!("{HEADER}\n");
         out.push_str(&format!("epoch {}\n", self.epoch));
         out.push_str(&format!("taken_ns {}\n", self.taken_ns));
         out.push_str(&format!("cursor {}\n", self.cursor));
@@ -146,12 +114,11 @@ impl Checkpoint {
         Ok(out)
     }
 
-    /// Parse the text format back (either version). Blank lines and
-    /// `#` comments are ignored (record payloads are taken verbatim
-    /// after `rec `, so a record can itself start with `#` only via
-    /// the keyword line). CRLF input is rejected. v2 documents must
-    /// keep their sections in order (`counter*`, `rec*`, `inflight*`);
-    /// v1 documents keep the historical lenient counter/rec ordering.
+    /// Parse the text format back. Blank lines and `#` comments are
+    /// ignored (record payloads are taken verbatim after `rec `, so a
+    /// record can itself start with `#` only via the keyword line).
+    /// CRLF input is rejected, and the sections must keep their order
+    /// (`counter*`, `rec*`, `inflight*`).
     pub fn from_text(text: &str) -> Result<Checkpoint, CheckpointParseError> {
         let err = |line: usize, msg: &str| CheckpointParseError {
             line,
@@ -171,16 +138,9 @@ impl Checkpoint {
             });
 
         let (ln, header) = lines.next().ok_or_else(|| err(0, "empty checkpoint"))?;
-        let version = match header.trim() {
-            "ldpguard checkpoint v1" => 1u8,
-            "ldpguard checkpoint v2" => 2u8,
-            _ => {
-                return Err(err(
-                    ln,
-                    "expected header `ldpguard checkpoint v1` or `ldpguard checkpoint v2`",
-                ))
-            }
-        };
+        if header.trim() != HEADER {
+            return Err(err(ln, &format!("expected header `{HEADER}`")));
+        }
         // Track the last line number consumed so "ran out of input"
         // errors point at the end of the document instead of line 0.
         let mut last_ln = ln;
@@ -201,7 +161,6 @@ impl Checkpoint {
         let (_, cursor) = field("cursor")?;
 
         let mut cp = Checkpoint {
-            version,
             epoch,
             taken_ns,
             cursor,
@@ -209,17 +168,17 @@ impl Checkpoint {
             records: Vec::new(),
             inflight: Vec::new(),
         };
-        // Section progression for v2: counter(0) -> rec(1) -> inflight(2).
+        // Section progression: counter(0) -> rec(1) -> inflight(2).
         let mut section = 0u8;
         for (ln, line) in lines {
             if let Some(rest) = line.strip_prefix("rec ") {
-                if version == 2 && section > 1 {
+                if section > 1 {
                     return Err(err(ln, "`rec` lines must precede `inflight` lines"));
                 }
-                section = section.max(1);
+                section = 1;
                 cp.records.push(rest.to_string());
             } else if let Some(rest) = line.trim().strip_prefix("counter ") {
-                if version == 2 && section > 0 {
+                if section > 0 {
                     return Err(err(
                         ln,
                         "`counter` lines must precede `rec` and `inflight` lines",
@@ -239,18 +198,13 @@ impl Checkpoint {
                 }
                 cp.counters.push((name.to_string(), v));
             } else if line.trim().starts_with("inflight ") || line.trim() == "inflight" {
-                if version == 1 {
-                    return Err(err(ln, "v1 documents cannot carry `inflight` lines"));
-                }
                 section = 2;
                 cp.inflight.push(InflightEntry::from_line(line.trim(), ln)?);
-            } else if version == 2 {
+            } else {
                 return Err(err(
                     ln,
                     "expected `counter ...`, `rec ...`, or `inflight ...`",
                 ));
-            } else {
-                return Err(err(ln, "expected `counter ...` or `rec ...`"));
             }
         }
         Ok(cp)
@@ -281,9 +235,20 @@ mod tests {
     use crate::budget::BudgetSnapshot;
     use crate::inflight::InflightStatus;
 
+    fn empty() -> Checkpoint {
+        Checkpoint {
+            epoch: 0,
+            taken_ns: 0,
+            cursor: 0,
+            counters: Vec::new(),
+            records: Vec::new(),
+            inflight: Vec::new(),
+        }
+    }
+
+    /// A cut with nothing in flight.
     fn sample() -> Checkpoint {
         Checkpoint {
-            version: 1,
             epoch: 2,
             taken_ns: 1_500_000_000,
             cursor: 42,
@@ -300,9 +265,8 @@ mod tests {
         }
     }
 
-    fn sample_v2() -> Checkpoint {
+    fn sample_inflight() -> Checkpoint {
         Checkpoint {
-            version: 2,
             inflight: vec![
                 InflightEntry {
                     seq: 40,
@@ -331,26 +295,12 @@ mod tests {
 
     #[test]
     fn text_round_trips_exactly() {
-        for cp in [sample(), sample_v2()] {
+        for cp in [sample(), sample_inflight()] {
             let text = cp.to_text().expect("serializes");
             let back = Checkpoint::from_text(&text).expect("parses");
             assert_eq!(cp, back);
             assert_eq!(text, back.to_text().expect("re-serializes"));
         }
-    }
-
-    #[test]
-    fn v1_reads_as_empty_inflight_upgrade() {
-        // A v1 quiescent cut is a fuzzy cut with nothing in flight:
-        // reading it and re-writing as v2 is lossless.
-        let text = sample().to_text().expect("ok");
-        let mut up = Checkpoint::from_text(&text).expect("parses");
-        assert_eq!(up.version, 1);
-        assert!(up.inflight.is_empty());
-        up.version = 2;
-        let v2_text = up.to_text().expect("serializes as v2");
-        let back = Checkpoint::from_text(&v2_text).expect("parses as v2");
-        assert_eq!(back, up);
     }
 
     #[test]
@@ -364,7 +314,7 @@ mod tests {
     fn records_survive_verbatim_including_spaces() {
         let cp = Checkpoint {
             records: vec!["  leading and   internal spaces # not a comment".to_string()],
-            ..Checkpoint::default()
+            ..empty()
         };
         let back = Checkpoint::from_text(&cp.to_text().expect("ok")).expect("parses");
         assert_eq!(back.records, cp.records);
@@ -372,7 +322,7 @@ mod tests {
 
     #[test]
     fn comments_and_blanks_ignored() {
-        let text = "ldpguard checkpoint v1\n# note\nepoch 1\n\ntaken_ns 5\ncursor 0\n";
+        let text = "ldpguard checkpoint v2\n# note\nepoch 1\n\ntaken_ns 5\ncursor 0\n";
         let cp = Checkpoint::from_text(text).expect("parses");
         assert_eq!(cp.epoch, 1);
         assert_eq!(cp.taken_ns, 5);
@@ -382,18 +332,15 @@ mod tests {
     fn parse_errors_carry_line_numbers() {
         assert!(Checkpoint::from_text("").is_err());
         assert!(Checkpoint::from_text("ldpguard checkpoint v3\n").is_err());
-        let e = Checkpoint::from_text(
-            "ldpguard checkpoint v1\nepoch 1\ntaken_ns 5\ncursor 0\nbogus line\n",
-        )
-        .expect_err("unknown keyword");
+        let e = Checkpoint::from_text(&doc("bogus line\n")).expect_err("unknown keyword");
         assert_eq!(e.line, 5);
-        let e = Checkpoint::from_text("ldpguard checkpoint v1\nepoch x\n").expect_err("bad epoch");
+        let e = Checkpoint::from_text("ldpguard checkpoint v2\nepoch x\n").expect_err("bad epoch");
         assert_eq!(e.line, 2);
     }
 
     #[test]
     fn epoch_overflow_error_names_the_epoch_line() {
-        let e = Checkpoint::from_text("ldpguard checkpoint v1\n# pad\nepoch 5000000000\n")
+        let e = Checkpoint::from_text("ldpguard checkpoint v2\n# pad\nepoch 5000000000\n")
             .expect_err("epoch exceeds u32");
         assert_eq!(e.line, 3);
         assert!(e.msg.contains("epoch exceeds u32"), "{}", e.msg);
@@ -401,26 +348,25 @@ mod tests {
 
     #[test]
     fn missing_field_error_points_at_end_of_input() {
-        let e = Checkpoint::from_text("ldpguard checkpoint v1\nepoch 1\ntaken_ns 5\n")
+        let e = Checkpoint::from_text("ldpguard checkpoint v2\nepoch 1\ntaken_ns 5\n")
             .expect_err("missing cursor");
         assert_eq!(e.line, 3, "points at the last line seen, not 0");
         assert!(e.msg.contains("cursor"), "{}", e.msg);
-        let e = Checkpoint::from_text("ldpguard checkpoint v1\n").expect_err("missing epoch");
+        let e = Checkpoint::from_text("ldpguard checkpoint v2\n").expect_err("missing epoch");
         assert_eq!(e.line, 1);
     }
 
     #[test]
     fn duplicate_counters_rejected_with_line_number() {
-        let text = "ldpguard checkpoint v1\nepoch 1\ntaken_ns 5\ncursor 0\n\
-                    counter sent 3\ncounter connects 1\ncounter sent 9\n";
-        let e = Checkpoint::from_text(text).expect_err("duplicate counter");
+        let text = doc("counter sent 3\ncounter connects 1\ncounter sent 9\n");
+        let e = Checkpoint::from_text(&text).expect_err("duplicate counter");
         assert_eq!(e.line, 7);
         assert!(e.msg.contains("duplicate counter `sent`"), "{}", e.msg);
         // Serialization refuses to create such a document in the
         // first place.
         let cp = Checkpoint {
             counters: vec![("sent".to_string(), 1), ("sent".to_string(), 2)],
-            ..Checkpoint::default()
+            ..empty()
         };
         assert!(cp.to_text().is_err());
     }
@@ -429,36 +375,19 @@ mod tests {
     fn serialization_rejects_malformed_fields() {
         let cp = Checkpoint {
             counters: vec![("two words".to_string(), 1)],
-            ..Checkpoint::default()
+            ..empty()
         };
         assert!(cp.to_text().is_err());
         let cp = Checkpoint {
             records: vec!["line\nbreak".to_string()],
-            ..Checkpoint::default()
+            ..empty()
         };
         assert!(cp.to_text().is_err());
-        let cp = Checkpoint {
-            version: 3,
-            ..Checkpoint::default()
-        };
-        assert!(cp.to_text().is_err());
-        let cp = Checkpoint {
-            inflight: vec![InflightEntry {
-                seq: 0,
-                deadline_ns: 0,
-                sends: 0,
-                retx: 0,
-                status: InflightStatus::Parked,
-                budget: None,
-            }],
-            ..Checkpoint::default()
-        };
-        assert!(cp.to_text().is_err(), "v1 cannot carry inflight entries");
     }
 
     // -- malformed-document corpus (hand-written) ---------------------
 
-    fn v2_doc(body: &str) -> String {
+    fn doc(body: &str) -> String {
         format!("ldpguard checkpoint v2\nepoch 1\ntaken_ns 5\ncursor 4\n{body}")
     }
 
@@ -467,7 +396,7 @@ mod tests {
         let full = "inflight 3 deadline 100 sends 1 retx 0 status inflight budget 1 450 99";
         let tokens: Vec<&str> = full.split_whitespace().collect();
         for n in 1..tokens.len() {
-            let doc = v2_doc(&format!("{}\n", tokens[..n].join(" ")));
+            let doc = doc(&format!("{}\n", tokens[..n].join(" ")));
             let e = Checkpoint::from_text(&doc).expect_err("truncated inflight");
             assert_eq!(e.line, 5, "prefix {:?}", tokens[..n].join(" "));
         }
@@ -477,27 +406,23 @@ mod tests {
     fn corpus_interleaved_sections() {
         for (doc, bad_line) in [
             // counter after rec
-            (v2_doc("rec q0 ok\ncounter sent 1\n"), 6),
+            (doc("rec q0 ok\ncounter sent 1\n"), 6),
             // counter after inflight
             (
-                v2_doc(
+                doc(
                     "inflight 3 deadline 1 sends 0 retx 0 status parked budget -\ncounter sent 1\n",
                 ),
                 6,
             ),
             // rec after inflight
             (
-                v2_doc("inflight 3 deadline 1 sends 0 retx 0 status parked budget -\nrec q0 ok\n"),
+                doc("inflight 3 deadline 1 sends 0 retx 0 status parked budget -\nrec q0 ok\n"),
                 6,
             ),
         ] {
             let e = Checkpoint::from_text(&doc).expect_err("interleaved sections");
             assert_eq!(e.line, bad_line, "doc:\n{doc}");
         }
-        // v1 keeps the historical lenient ordering (back-compat).
-        let v1 =
-            "ldpguard checkpoint v1\nepoch 1\ntaken_ns 5\ncursor 4\nrec q0 ok\ncounter sent 1\n";
-        assert!(Checkpoint::from_text(v1).is_ok());
     }
 
     #[test]
@@ -511,11 +436,20 @@ mod tests {
         assert!(e.msg.contains("CRLF"), "{}", e.msg);
     }
 
+    /// `v2` is the only format there is: the header nothing has written
+    /// since the cadence cut replaced the quiescent one is refused
+    /// where it stands, with or without `inflight` lines under it.
     #[test]
     fn corpus_v1_rejects_inflight_lines() {
-        let doc = "ldpguard checkpoint v1\nepoch 1\ntaken_ns 5\ncursor 4\n\
-                   inflight 3 deadline 1 sends 0 retx 0 status parked budget -\n";
-        let e = Checkpoint::from_text(doc).expect_err("inflight in v1");
-        assert_eq!(e.line, 5);
+        for body in [
+            "",
+            "inflight 3 deadline 1 sends 0 retx 0 status parked budget -\n",
+        ] {
+            let header = HEADER.replace("v2", "v1");
+            let doc = format!("{header}\nepoch 1\ntaken_ns 5\ncursor 4\n{body}");
+            let e = Checkpoint::from_text(&doc).expect_err("an older header");
+            assert_eq!(e.line, 1);
+            assert!(e.msg.contains("ldpguard checkpoint v2"), "{}", e.msg);
+        }
     }
 }

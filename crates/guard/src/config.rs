@@ -1,5 +1,7 @@
 //! One struct for every overload-and-recovery knob.
 
+use std::time::Duration;
+
 use crate::admission::AdmissionConfig;
 
 /// Querier-slot supervision in the socket engine: a distributor marks
@@ -88,7 +90,7 @@ impl Default for ReconnectConfig {
 /// deterministic and checkpointable per query). Unlike the TCP
 /// reconnect chain — which rides connection-death events — UDP loss is
 /// silent, so retransmits are timer-driven from dispatch. Exhaustion
-/// is terminal: the query stays pending (and is carried on a v2
+/// is terminal: the query stays pending (and is carried on a
 /// checkpoint `inflight` line) but is never sent again.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetransmitConfig {
@@ -118,10 +120,10 @@ impl Default for RetransmitConfig {
 /// budgets, and the server-side overload response.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct GuardConfig {
-    /// Take a checkpoint after every `checkpoint_every` completed
-    /// queries (at the next quiescent cut). `0` disables
+    /// Commit a checkpoint every this much replay-clock time, on the
+    /// grid `k·cadence` from the clock's origin. `None` disables
     /// checkpointing.
-    pub checkpoint_every: u64,
+    pub checkpoint_cadence: Option<Duration>,
     /// Querier-slot supervision (failover re-dispatch, jitter seed).
     pub supervisor: SupervisorConfig,
     /// Dispatch-side admission control (in-flight window, shedding).
@@ -139,7 +141,7 @@ impl GuardConfig {
     /// uncapped loop, which is the bug the budget fixes.)
     pub fn disabled() -> Self {
         GuardConfig {
-            checkpoint_every: 0,
+            checkpoint_cadence: None,
             supervisor: SupervisorConfig {
                 max_restarts: 0,
                 ..SupervisorConfig::default()
@@ -164,7 +166,7 @@ mod tests {
     #[test]
     fn default_leaves_checkpointing_and_rrl_off() {
         let g = GuardConfig::default();
-        assert_eq!(g.checkpoint_every, 0);
+        assert_eq!(g.checkpoint_cadence, None);
         assert!(!g.overload.enabled());
         assert!(g.admission.max_in_flight > 0, "admission has a sane bound");
     }
@@ -172,7 +174,7 @@ mod tests {
     #[test]
     fn disabled_turns_everything_off() {
         let g = GuardConfig::disabled();
-        assert_eq!(g.checkpoint_every, 0);
+        assert_eq!(g.checkpoint_cadence, None);
         assert_eq!(g.supervisor.max_restarts, 0);
         assert_eq!(g.admission.max_in_flight, 0);
         assert!(!g.overload.enabled());

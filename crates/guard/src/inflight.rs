@@ -1,11 +1,10 @@
-//! Per-query in-flight state for fuzzy-cut (v2) checkpoints.
+//! Per-query in-flight state for checkpoints.
 //!
-//! A v1 checkpoint only commits at a quiescent cut, so it never needs
-//! to describe an outstanding query. A v2 "fuzzy cut" commits at *any*
-//! virtual instant — storms included — by carrying one [`InflightEntry`]
-//! per query that has been dispatched (or parked by admission) but not
-//! yet completed. Each entry pins everything a resumed run needs to
-//! re-execute that query deterministically:
+//! A checkpoint commits at *any* virtual instant — storms included —
+//! by carrying one [`InflightEntry`] per query that has been
+//! dispatched (or parked by admission) but not yet completed. Each
+//! entry pins everything a resumed run needs to re-execute that query
+//! deterministically:
 //!
 //! - `seq` and the query's *original* virtual send deadline, so the
 //!   resumed simulator re-arms it at the exact instant the first run
@@ -19,7 +18,7 @@
 //! - the admission status (in flight / parked / retrying), so parked
 //!   queries re-enter admission instead of being silently dropped.
 //!
-//! The line grammar (one line per entry, inside a v2 document):
+//! The line grammar (one line per entry):
 //!
 //! ```text
 //! inflight <seq> deadline <ns> sends <n> retx <n> status <s> budget <used> <prev_us> <rng_state>
@@ -68,7 +67,7 @@ impl InflightStatus {
     }
 }
 
-/// One outstanding query carried by a v2 fuzzy-cut checkpoint.
+/// One outstanding query carried by a checkpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InflightEntry {
     /// Trace sequence number of the query.

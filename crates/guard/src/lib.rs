@@ -10,14 +10,13 @@
 //!   capped decorrelated-jitter backoff, shared by every reconnect /
 //!   restart loop in the workspace (lint rule R1 enforces that no
 //!   retry loop runs without one).
-//! - [`checkpoint`]: [`Checkpoint`] — a compact, versioned,
-//!   line-based snapshot of replay progress (trace cursor, completed
-//!   records, counters, virtual-time epoch) with an exact text
-//!   round-trip, so a killed run resumes from the last cut and
-//!   replays a byte-identical virtual-time transcript. v1 commits at
-//!   quiescent cuts only; v2 ("fuzzy cut") commits at any instant by
-//!   carrying per-query in-flight state.
-//! - [`inflight`]: [`InflightEntry`] — the per-query state a v2
+//! - [`checkpoint`]: [`Checkpoint`] — a compact line-based snapshot
+//!   of replay progress (trace cursor, completed records, counters,
+//!   virtual-time epoch) with an exact text round-trip, so a killed
+//!   run resumes from the last cut and replays a byte-identical
+//!   virtual-time transcript. A cut commits at any instant by carrying
+//!   per-query in-flight state.
+//! - [`inflight`]: [`InflightEntry`] — the per-query state a
 //!   checkpoint carries for each outstanding query (original send
 //!   deadline, elapsed retransmits, retry-budget snapshot, admission
 //!   status).

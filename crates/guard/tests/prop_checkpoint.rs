@@ -1,8 +1,7 @@
 //! Property tests: any well-formed `Checkpoint` survives a text
-//! round-trip exactly — `from_text(to_text(cp)) == cp` — for both the
-//! v1 quiescent format and the v2 fuzzy-cut format with arbitrary
-//! in-flight entries, and the serializer is a fixed point (re-encoding
-//! the parse changes nothing).
+//! round-trip exactly — `from_text(to_text(cp)) == cp` — with
+//! arbitrary in-flight entries, and the serializer is a fixed point
+//! (re-encoding the parse changes nothing).
 
 use ldp_guard::{BudgetSnapshot, Checkpoint, InflightEntry, InflightStatus};
 use ldp_rng::check::{check, Gen};
@@ -82,11 +81,10 @@ fn arb_inflight_entry(g: &mut Gen) -> InflightEntry {
     }
 }
 
-/// A v2 fuzzy-cut checkpoint: counters, records, and in-flight entries
-/// all populated with arbitrary (but serializable) values.
-fn arb_v2_checkpoint(g: &mut Gen) -> Checkpoint {
+/// A checkpoint with counters, records, and in-flight entries all
+/// populated with arbitrary (but serializable) values.
+fn arb_checkpoint(g: &mut Gen) -> Checkpoint {
     Checkpoint {
-        version: 2,
         epoch: g.u32(),
         taken_ns: g.u64(),
         cursor: g.u64(),
@@ -96,52 +94,15 @@ fn arb_v2_checkpoint(g: &mut Gen) -> Checkpoint {
     }
 }
 
-/// A v1 quiescent checkpoint: same shape, no in-flight section (v1
-/// cannot represent one — `to_text` refuses).
-fn arb_v1_checkpoint(g: &mut Gen) -> Checkpoint {
-    let mut cp = arb_v2_checkpoint(g);
-    cp.version = 1;
-    cp.inflight.clear();
-    cp
-}
-
 #[test]
 fn v2_text_round_trip_is_exact() {
     check(256, |g| {
-        let cp = arb_v2_checkpoint(g);
-        let text = cp.to_text().expect("well-formed v2 serializes");
+        let cp = arb_checkpoint(g);
+        let text = cp.to_text().expect("well-formed checkpoint serializes");
         let back = Checkpoint::from_text(&text).expect("own output parses");
         assert_eq!(cp, back);
         // Serialization is a fixed point: re-encoding changes nothing.
         assert_eq!(text, back.to_text().expect("re-serializes"));
-    });
-}
-
-#[test]
-fn v1_text_round_trip_is_exact() {
-    check(256, |g| {
-        let cp = arb_v1_checkpoint(g);
-        let text = cp.to_text().expect("well-formed v1 serializes");
-        let back = Checkpoint::from_text(&text).expect("own output parses");
-        assert_eq!(cp, back);
-        assert_eq!(text, back.to_text().expect("re-serializes"));
-    });
-}
-
-/// Upgrade read: a v2-aware parser reading any v1 document yields
-/// `version == 1` and an empty in-flight section — old checkpoints
-/// stay readable and are never misread as carrying live state.
-#[test]
-fn v1_documents_upgrade_read_with_empty_inflight() {
-    check(256, |g| {
-        let cp = arb_v1_checkpoint(g);
-        let text = cp.to_text().expect("well-formed v1 serializes");
-        let back = Checkpoint::from_text(&text).expect("v1 parses under the v2 parser");
-        assert_eq!(back.version, 1);
-        assert!(back.inflight.is_empty());
-        assert_eq!(back.epoch, cp.epoch);
-        assert_eq!(back.cursor, cp.cursor);
-        assert_eq!(back.records, cp.records);
     });
 }
 
@@ -167,7 +128,7 @@ fn parser_never_panics() {
         let _ = Checkpoint::from_text(&g.printable(0..=120));
     });
     check(256, |g| {
-        let text = arb_v2_checkpoint(g).to_text().expect("serializes");
+        let text = arb_checkpoint(g).to_text().expect("serializes");
         let _ = Checkpoint::from_text(&g.corrupt_line(&text));
     });
 }

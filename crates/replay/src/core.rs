@@ -5,7 +5,9 @@
 //! its state: the schedule ([`TimingTracker`]), one table of live
 //! queries, one done-set with its monotone cursor, the running sums the
 //! live queries contribute to the run counters, the checkpoint epoch,
-//! and the one [`ReplayCore::cut`] that writes a checkpoint. The
+//! the cadence grid checkpoints commit on
+//! ([`ReplayCore::next_tick_ns`]) and the one [`ReplayCore::cut`] that
+//! writes a checkpoint. The
 //! drivers — [`crate::sim_replay`] on the simulator, [`crate::engine`]
 //! on sockets and threads — own the wire: sockets, connections, timer
 //! tokens, pending tables keyed by what a reply carries. A driver tells
@@ -18,9 +20,8 @@
 //! A live query's entry exists from its first offer to its completion
 //! and is the single source of its status. An entry whose query nothing
 //! in this run will move again (given up, displaced from its pending
-//! slot, lost to a crash) stays in the table — a cut still carries it,
-//! so a resumed run re-executes it — but no longer counts against
-//! [`ReplayCore::quiescent`].
+//! slot, lost to a crash) stays in the table: a cut still carries it,
+//! so a resumed run re-executes it.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -34,8 +35,6 @@ use crate::timing::TimingTracker;
 #[derive(Debug)]
 struct Live {
     status: InflightStatus,
-    /// The driver holds a timer or a pending slot for this query.
-    waiting: bool,
     /// Sends so far.
     sends: u32,
     /// When the current lifecycle's first send left (ns); a crash
@@ -60,7 +59,6 @@ impl Live {
     fn new(status: InflightStatus) -> Self {
         Live {
             status,
-            waiting: false,
             sends: 0,
             first_sent_ns: 0,
             recovery: None,
@@ -77,17 +75,11 @@ impl Live {
 
     /// Nothing in this run will move the query again: its retry chain
     /// is over and the driver holds nothing for it.
-    fn abandon(&mut self, waiting: &mut usize) {
+    fn abandon(&mut self) {
         self.status = InflightStatus::InFlight;
         if let Some(r) = &mut self.recovery {
             r.reconnects = 0;
         }
-        self.set_waiting(false, waiting);
-    }
-
-    fn set_waiting(&mut self, on: bool, waiting: &mut usize) {
-        *waiting = *waiting + usize::from(on) - usize::from(self.waiting);
-        self.waiting = on;
     }
 }
 
@@ -106,8 +98,6 @@ pub struct ReplayCore {
     /// Offered-or-sent, uncompleted queries by seq. Iteration order is
     /// the order of a checkpoint's `inflight` lines.
     live: BTreeMap<u64, Live>,
-    /// Live entries with `waiting` set.
-    waiting: usize,
     /// What the live entries contribute to the run's `sent` and
     /// `retries` counters — the part a cut carries instead of commits.
     live_sends: u64,
@@ -117,8 +107,6 @@ pub struct ReplayCore {
     cursor: u64,
     /// Seqs completed ahead of the cursor.
     done: BTreeSet<u64>,
-    /// Completions since [`ReplayCore::cut_due`] last said yes.
-    since_cut: u64,
     epoch: u32,
 }
 
@@ -128,12 +116,10 @@ impl ReplayCore {
         ReplayCore {
             tracker,
             live: BTreeMap::new(),
-            waiting: 0,
             live_sends: 0,
             live_retx: 0,
             cursor: 0,
             done: BTreeSet::new(),
-            since_cut: 0,
             epoch: 0,
         }
     }
@@ -186,19 +172,17 @@ impl ReplayCore {
 
     /// Admission said `Busy`: `seq` waits for a re-offer.
     pub fn park(&mut self, seq: u64) {
-        let e = self
-            .live
+        self.live
             .entry(seq)
-            .or_insert_with(|| Live::new(InflightStatus::Parked));
-        e.status = InflightStatus::Parked;
-        e.set_waiting(true, &mut self.waiting);
+            .or_insert_with(|| Live::new(InflightStatus::Parked))
+            .status = InflightStatus::Parked;
     }
 
     /// Admission shed `seq`. A query that never left is forgotten; one
     /// that did (before a crash) stays carried.
     pub fn shed(&mut self, seq: u64) {
         if let Some(e) = self.live.get_mut(&seq) {
-            e.abandon(&mut self.waiting);
+            e.abandon();
             if e.sends == 0 {
                 self.live.remove(&seq);
             }
@@ -216,7 +200,6 @@ impl ReplayCore {
         if e.status == InflightStatus::Parked {
             e.status = InflightStatus::InFlight;
         }
-        e.set_waiting(true, &mut self.waiting);
         if resend {
             e.recovery().retx += 1;
             self.live_retx += 1;
@@ -260,7 +243,7 @@ impl ReplayCore {
         let e = self.live.get_mut(&seq)?;
         let spent = e.recovery.as_ref().map_or(0, |r| r.reconnects);
         if spent >= max_reconnects {
-            e.abandon(&mut self.waiting);
+            e.abandon();
             return None;
         }
         e.status = InflightStatus::Retrying;
@@ -272,7 +255,7 @@ impl ReplayCore {
     /// took its pending slot over).
     pub fn abandon(&mut self, seq: u64) {
         if let Some(e) = self.live.get_mut(&seq) {
-            e.abandon(&mut self.waiting);
+            e.abandon();
         }
     }
 
@@ -281,9 +264,7 @@ impl ReplayCore {
     /// live.
     pub fn complete(&mut self, seq: u64) -> Option<u64> {
         self.mark_done(seq);
-        self.since_cut += 1;
-        let mut e = self.live.remove(&seq)?;
-        e.set_waiting(false, &mut self.waiting);
+        let e = self.live.remove(&seq)?;
         self.live_sends -= u64::from(e.sends);
         self.live_retx -= u64::from(e.retx());
         Some(e.first_sent_ns)
@@ -295,7 +276,7 @@ impl ReplayCore {
     /// re-dispatches them; queries that never left are forgotten.
     pub fn crash(&mut self) {
         for e in self.live.values_mut() {
-            e.abandon(&mut self.waiting);
+            e.abandon();
             if let Some(r) = &mut e.recovery {
                 r.budget = None;
             }
@@ -303,36 +284,31 @@ impl ReplayCore {
         self.live.retain(|_, e| e.sends > 0);
     }
 
-    /// Nothing parked, on the wire, or in a retry chain: every event at
-    /// or before now belongs to a completed (or abandoned) query.
-    pub fn quiescent(&self) -> bool {
-        self.waiting == 0
+    /// The checkpoint policy: a cut commits at every instant of the
+    /// grid `origin + k·cadence`, whatever is live. This is the first
+    /// such instant (k ≥ 1) strictly after `now_ns`. Anchoring ticks to
+    /// the grid, not to when a driver happened to arm them, makes an
+    /// original run and its resumed continuation commit at the same
+    /// instants.
+    pub fn next_tick_ns(origin_ns: u64, cadence_ns: u64, now_ns: u64) -> u64 {
+        let cadence_ns = cadence_ns.max(1);
+        let k = now_ns.saturating_sub(origin_ns) / cadence_ns + 1;
+        origin_ns.saturating_add(k.saturating_mul(cadence_ns))
     }
 
-    /// The quiescent checkpoint policy: true once `every` completions
-    /// have accumulated and the run is quiescent, which restarts the
-    /// count. `every == 0` never cuts.
-    pub fn cut_due(&mut self, every: u64) -> bool {
-        if every == 0 || self.since_cut < every || !self.quiescent() {
-            return false;
-        }
-        self.since_cut = 0;
-        true
-    }
-
-    /// Write the checkpoint of this instant, whatever is live.
+    /// Write the checkpoint of this instant, whatever is live, but for
+    /// its `records`: the completed queries' lines are the driver's to
+    /// carry over from its previous commit and extend.
     ///
     /// `counters` are the driver's run totals; `sent` and `retries` are
     /// committed down to completed work (the live queries' share rides
     /// on their `inflight` lines instead, so a resumed run that
     /// re-executes them counts them exactly once). `deadline_ns` maps a
-    /// live seq to its original send deadline. A quiescent cut is this
-    /// call made when nothing is live.
+    /// live seq to its original send deadline.
     pub fn cut(
         &mut self,
         taken_ns: u64,
         counters: &[(&str, u64)],
-        records: Vec<String>,
         deadline_ns: impl Fn(u64) -> u64,
     ) -> Checkpoint {
         self.epoch += 1;
@@ -372,12 +348,11 @@ impl ReplayCore {
             })
             .collect();
         Checkpoint {
-            version: 2,
             epoch: self.epoch,
             taken_ns,
             cursor,
             counters,
-            records,
+            records: Vec::new(),
             inflight,
         }
     }
@@ -436,7 +411,7 @@ mod tests {
         core.note_send(2, 0, false);
         core.note_send(2, 5, true);
         let totals = [("sent", 3), ("retries", 1)];
-        let cp = core.cut(9, &totals, Vec::new(), |_| 0);
+        let cp = core.cut(9, &totals, |_| 0);
         assert_eq!(
             (cp.counter("sent"), cp.counter("retries")),
             (Some(0), Some(0))
@@ -448,7 +423,7 @@ mod tests {
             .collect();
         assert_eq!(carried, vec![(1, 1, 0), (2, 2, 1)]);
         assert_eq!(core.complete(2), Some(0), "spans from the first send");
-        let cp = core.cut(9, &totals, Vec::new(), |_| 0);
+        let cp = core.cut(9, &totals, |_| 0);
         assert_eq!(
             (cp.counter("sent"), cp.counter("retries")),
             (Some(2), Some(1))
@@ -464,8 +439,7 @@ mod tests {
         let first = core.next_retx_delay_us(5, &cfg(), 42);
         assert!(first.is_some());
         core.crash();
-        assert!(core.quiescent(), "nothing is waiting after a crash");
-        let cp = core.cut(1, &[("sent", 1)], Vec::new(), |_| 0);
+        let cp = core.cut(1, &[("sent", 1)], |_| 0);
         assert_eq!(cp.inflight.len(), 1, "the parked offer is forgotten");
         let e = cp.inflight[0];
         assert_eq!((e.seq, e.sends, e.budget), (5, 1, None), "sends survive");
@@ -479,8 +453,20 @@ mod tests {
         assert!(core.is_done(2) && core.is_done(3) && core.is_done(5));
         assert!(!core.is_done(4) && !core.is_done(6));
         core.complete(4);
-        let cp = core.cut(0, &[], Vec::new(), |_| 0);
-        assert_eq!((cp.version, cp.epoch, cp.cursor), (2, 5, 6));
+        let cp = core.cut(0, &[], |_| 0);
+        assert_eq!((cp.epoch, cp.cursor), (5, 6));
+    }
+
+    #[test]
+    fn ticks_sit_on_the_grid_strictly_after_now() {
+        let next = ReplayCore::next_tick_ns;
+        assert_eq!(next(0, 250, 0), 250, "k starts at 1");
+        assert_eq!(next(0, 250, 249), 250);
+        assert_eq!(next(0, 250, 250), 500, "strictly after a tick");
+        assert_eq!(next(100, 250, 7), 350, "before the origin: its first tick");
+        assert_eq!(next(100, 250, 1_000), 1_100, "anchored, not drifting");
+        assert_eq!(next(0, 0, 5), 6, "a zero cadence cannot stall the grid");
+        assert_eq!(next(0, u64::MAX, u64::MAX), u64::MAX, "saturates");
     }
 
     /// The wire key a seq is pending under: a few keys, so later
@@ -496,7 +482,8 @@ mod tests {
     }
 
     /// What `sim_replay.rs` does around the core, minus the simulator:
-    /// the pending table, the run counters and the policy check.
+    /// the pending table, the run counters and the log a commit
+    /// carries.
     struct CoreClient {
         core: ReplayCore,
         pending: BTreeMap<u64, u64>,
@@ -505,7 +492,6 @@ mod tests {
         shed: u64,
         restarts: u64,
         records: Vec<String>,
-        checkpoint_every: u64,
         udp_retransmit: Option<RetransmitConfig>,
         retx_seed: u64,
         reconnect: bool,
@@ -582,16 +568,13 @@ mod tests {
             }
         }
 
-        fn reply(&mut self, key: u64, now: u64, out: &mut Vec<Effect>) {
+        fn reply(&mut self, key: u64, out: &mut Vec<Effect>) {
             let Some(seq) = self.pending.remove(&key) else {
                 return;
             };
             let first_sent = self.core.complete(seq).expect("a pending query is live");
             out.push(Effect::Completed(seq, first_sent));
             self.records.push(seq.to_string());
-            if self.core.cut_due(self.checkpoint_every) {
-                out.push(Effect::PolicyCut(self.cut(now)));
-            }
         }
 
         fn crash(&mut self) {
@@ -606,8 +589,10 @@ mod tests {
                 ("shed", self.shed),
                 ("restarts", self.restarts),
             ];
-            self.core
-                .cut(taken_ns, &counters, self.records.clone(), deadline_ns)
+            Checkpoint {
+                records: self.records.clone(),
+                ..self.core.cut(taken_ns, &counters, deadline_ns)
+            }
         }
     }
 
@@ -628,14 +613,12 @@ mod tests {
     /// connection deaths, replies by wire key, querier crashes and
     /// restarts, cuts at random steps — driven through the core (as
     /// `sim_replay.rs` drives it) and through the bookkeeping it
-    /// replaced: same timers armed, same completions, same policy cuts,
-    /// same `quiescent()`, same counters, and the same checkpoint at
-    /// every cut.
+    /// replaced: same timers armed, same completions, same counters,
+    /// and the same checkpoint at every cut.
     #[test]
     fn core_matches_the_bookkeeping_it_replaced() {
         check(512, |g| {
             let n = g.range(1..=10);
-            let checkpoint_every = g.range(0..=3);
             let udp_retransmit = g.bool().then(|| RetransmitConfig {
                 max_retx: g.range(0..=3) as u32,
                 base_us: 1_000,
@@ -652,19 +635,12 @@ mod tests {
                 shed: 0,
                 restarts: 0,
                 records: Vec::new(),
-                checkpoint_every,
                 udp_retransmit,
                 retx_seed,
                 reconnect,
                 max_reconnects,
             };
-            let mut old = RefClient::new(
-                checkpoint_every,
-                udp_retransmit,
-                retx_seed,
-                reconnect,
-                max_reconnects,
-            );
+            let mut old = RefClient::new(udp_retransmit, retx_seed, reconnect, max_reconnects);
             // Armed timers by kind; a crash drops them all.
             let mut trace: Vec<u64> = (0..n).collect();
             let (mut admit, mut retx, mut retry) = (Vec::new(), Vec::new(), Vec::new());
@@ -705,8 +681,8 @@ mod tests {
                     }
                     6 | 7 => {
                         let key = g.below(KEYS);
-                        new.reply(key, now, &mut a);
-                        old.reply(key, now, &mut b);
+                        new.reply(key, &mut a);
+                        old.reply(key, &mut b);
                     }
                     8 => {
                         new.crash();
@@ -742,10 +718,9 @@ mod tests {
                         Effect::AdmitTimer(seq) => admit.push(seq),
                         Effect::RetxTimer(seq, _) => retx.push(seq),
                         Effect::RetryTimer(seq, _) => retry.push(seq),
-                        Effect::Completed(..) | Effect::PolicyCut(_) => {}
+                        Effect::Completed(..) => {}
                     }
                 }
-                assert_eq!(new.core.quiescent(), old.quiescent(), "step {step}");
                 assert_eq!((new.sent, new.retries), (old.sent, old.retries));
                 assert_eq!(new.pending, old.pending_seqs(), "step {step}: pending");
             }
@@ -758,7 +733,7 @@ mod tests {
 /// sim client's six seq-keyed collections and cursor (`completed`,
 /// `parked`, `retrying`, and `RetransmitState`'s `budgets` / `sends` /
 /// `retx`) beside its pending table, the status derived at cut time,
-/// the five-way `outstanding_seqs` union, and both checkpoint writers —
+/// the five-way `outstanding_seqs` union, and the checkpoint writer —
 /// the bodies as they stood, minus the simulator.
 #[cfg(test)]
 mod reference {
@@ -857,8 +832,6 @@ mod reference {
         RetryTimer(u64, u32),
         /// Logged a completion (seq, first-send time).
         Completed(u64, u64),
-        /// The `checkpoint_every` policy committed this document.
-        PolicyCut(Checkpoint),
     }
 
     #[derive(Debug, Clone, Copy)]
@@ -882,18 +855,15 @@ mod reference {
         cursor: u64,
         parked: BTreeSet<u64>,
         shed: u64,
-        checkpoint_every: u64,
         udp_retransmit: Option<RetransmitConfig>,
         retx_seed: u64,
         retx_state: RetransmitState,
-        completed_since_cp: u64,
         epoch: u32,
         pub restarts: u64,
     }
 
     impl RefClient {
         pub fn new(
-            checkpoint_every: u64,
             udp_retransmit: Option<RetransmitConfig>,
             retx_seed: u64,
             reconnect: bool,
@@ -911,11 +881,9 @@ mod reference {
                 cursor: 0,
                 parked: BTreeSet::new(),
                 shed: 0,
-                checkpoint_every,
                 udp_retransmit,
                 retx_seed,
                 retx_state: RetransmitState::default(),
-                completed_since_cp: 0,
                 epoch: 0,
                 restarts: 0,
             }
@@ -1021,7 +989,7 @@ mod reference {
         }
 
         /// A reply arrived for wire key `key`.
-        pub fn reply(&mut self, key: u64, now: u64, out: &mut Vec<Effect>) {
+        pub fn reply(&mut self, key: u64, out: &mut Vec<Effect>) {
             let Some(p) = self.pending.remove(&key) else {
                 return;
             };
@@ -1032,45 +1000,6 @@ mod reference {
             self.records.push(seq.to_string());
             self.completed.insert(seq);
             self.parked.remove(&seq);
-            if self.checkpoint_every > 0 {
-                self.completed_since_cp += 1;
-                if self.completed_since_cp >= self.checkpoint_every && self.quiescent() {
-                    self.completed_since_cp = 0;
-                    // What the one writer must say of this instant is
-                    // the fuzzy body; where nothing is carried, the
-                    // quiescent body says the same in the older format.
-                    let fuzzy = self.clone().take_fuzzy_checkpoint(now);
-                    let v1 = self.take_checkpoint(now);
-                    assert_eq!((v1.epoch, &v1.records), (fuzzy.epoch, &fuzzy.records));
-                    if fuzzy.inflight.is_empty() {
-                        assert_eq!(Checkpoint { version: 2, ..v1 }, fuzzy);
-                    }
-                    out.push(Effect::PolicyCut(fuzzy));
-                }
-            }
-        }
-
-        pub fn quiescent(&self) -> bool {
-            self.pending.is_empty() && self.retrying.is_empty() && self.parked.is_empty()
-        }
-
-        fn take_checkpoint(&mut self, taken_ns: u64) -> Checkpoint {
-            self.epoch += 1;
-            let cursor = self.advance_cursor();
-            Checkpoint {
-                version: 1,
-                epoch: self.epoch,
-                taken_ns,
-                cursor,
-                counters: vec![
-                    ("sent".into(), self.sent),
-                    ("retries".into(), self.retries),
-                    ("shed".into(), self.shed),
-                    ("restarts".into(), self.restarts),
-                ],
-                records: self.records.clone(),
-                inflight: Vec::new(),
-            }
         }
 
         fn advance_cursor(&mut self) -> u64 {
@@ -1117,7 +1046,6 @@ mod reference {
                 })
                 .collect();
             Checkpoint {
-                version: 2,
                 epoch: self.epoch,
                 taken_ns,
                 cursor,

@@ -83,7 +83,7 @@ pub struct ReplayConfig {
     /// failover, checkpoint cadence).
     pub guard: GuardConfig,
     /// Where the collector publishes checkpoints when
-    /// `guard.checkpoint_every > 0`: the latest one replaces its
+    /// `guard.checkpoint_cadence` is set: the latest one replaces its
     /// predecessor under the mutex (a resume only ever wants the
     /// newest cut).
     pub checkpoint_out: Option<Arc<Mutex<Option<Checkpoint>>>>,
@@ -302,7 +302,14 @@ pub fn replay_with_clock(
     // the replay core — here a done-set, its contiguous cursor and the
     // checkpoint writer; a sent query is a completed one — lives here.
     let start_seq = config.resume_from.as_ref().map_or(0, |c| c.cursor);
-    let cp_every = config.guard.checkpoint_every;
+    // A sent query is done and nothing is carried, so a checkpoint
+    // can only change at a completion: that is where the collector
+    // asks whether a tick of the cadence grid has passed on the clock.
+    let cadence_ns = config
+        .guard
+        .checkpoint_cadence
+        .map(|d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
+    let mut next_tick_ns = cadence_ns.map_or(0, |c| ReplayCore::next_tick_ns(0, c, 0));
     let cp_out = config.checkpoint_out.clone();
     let mut core = match &config.resume_from {
         Some(cp) => ReplayCore::resume(tracker, cp.epoch, cp.cursor, []),
@@ -315,21 +322,23 @@ pub fn replay_with_clock(
             let mut sent = Vec::new();
             for rec in record_rx.iter() {
                 sent.push(rec);
-                if cp_every == 0 {
+                let Some(cadence_ns) = cadence_ns else {
+                    continue;
+                };
+                core.complete(rec.seq);
+                let now_ns = clock.now_us().saturating_mul(1_000);
+                if now_ns < next_tick_ns {
                     continue;
                 }
-                core.complete(rec.seq);
-                if core.cut_due(cp_every) {
-                    let counters = [
-                        ("sent", sent.len() as u64),
-                        ("errors", errors.load(Ordering::Relaxed)),
-                    ];
-                    let taken_ns = clock.now_us().saturating_mul(1_000);
-                    let cp = core.cut(taken_ns, &counters, Vec::new(), |_| 0);
-                    if let Some(out) = &cp_out {
-                        if let Ok(mut slot) = out.lock() {
-                            *slot = Some(cp);
-                        }
+                next_tick_ns = ReplayCore::next_tick_ns(0, cadence_ns, now_ns);
+                let counters = [
+                    ("sent", sent.len() as u64),
+                    ("errors", errors.load(Ordering::Relaxed)),
+                ];
+                let cp = core.cut(now_ns, &counters, |_| 0);
+                if let Some(out) = &cp_out {
+                    if let Ok(mut slot) = out.lock() {
+                        *slot = Some(cp);
                     }
                 }
             }
@@ -1280,13 +1289,19 @@ mod tests {
         let _serial = crate::wall_clock_test();
         use crate::clock::VirtualClock;
         let (_sink, addr) = sink_socket();
+        // Deadlines 50 ms (the warm-up) to 149 ms; ticks at 60, 120 and
+        // 180 ms. A record reaches the collector after its deadline, so
+        // the 30 due from 120 ms on are all seen with the second tick
+        // passed: some cut is made, and the last one no later than the
+        // 71st record — the standing checkpoint is mid-run however the
+        // threads interleave.
         let trace = mk_trace(100, 1_000);
         let cp_out = Arc::new(Mutex::new(None));
         let mut config = ReplayConfig {
             target_udp: addr,
             target_tcp: addr,
             guard: GuardConfig {
-                checkpoint_every: 40,
+                checkpoint_cadence: Some(Duration::from_millis(60)),
                 ..GuardConfig::disabled()
             },
             checkpoint_out: Some(cp_out.clone()),
@@ -1295,21 +1310,20 @@ mod tests {
         let first = replay_with_clock(&trace, &config, Arc::new(VirtualClock::new()));
         assert_eq!((first.total_sent, first.resumed_from), (100, 0));
 
-        // Cuts after the 40th and the 80th record; the second stands.
         let published = cp_out.lock().unwrap().take().expect("a checkpoint");
         let text = published.to_text().expect("serializes");
         let cp = Checkpoint::from_text(&text).expect("parses back");
         assert_eq!(cp, published);
-        assert_eq!((cp.version, cp.epoch, cp.counter("sent")), (2, 2, Some(80)));
         assert!(cp.inflight.is_empty() && cp.records.is_empty());
-        // The cursor is the contiguous prefix of those 80 records
-        // (short, when a querier's thread ran late).
-        assert!(cp.cursor <= 80, "cursor {}", cp.cursor);
-        let mut early: Vec<u64> = first.sent[..80].iter().map(|r| r.seq).collect();
+        let sent = cp.counter("sent").expect("a sent counter") as usize;
+        assert!((1..=71).contains(&sent), "cut at record {sent}");
+        // The cursor is the contiguous prefix of the records seen by
+        // then (short, when a querier's thread ran late).
+        assert!(cp.cursor <= sent as u64, "cursor {}", cp.cursor);
+        let mut early: Vec<u64> = first.sent[..sent].iter().map(|r| r.seq).collect();
         early.sort_unstable();
         assert!((0..cp.cursor).all(|s| early.binary_search(&s).is_ok()));
 
-        config.guard.checkpoint_every = 5;
         config.resume_from = Some(cp.clone());
         let second = replay_with_clock(&trace, &config, Arc::new(VirtualClock::new()));
         assert_eq!(second.resumed_from, cp.cursor);
@@ -1322,7 +1336,10 @@ mod tests {
             .unwrap()
             .take()
             .expect("the resumed run cut too");
-        assert!(last.epoch > cp.epoch && last.cursor > cp.cursor, "{last:?}");
+        assert!(
+            last.epoch > cp.epoch && last.cursor >= cp.cursor,
+            "{last:?}"
+        );
     }
 
     #[test]

@@ -9,7 +9,10 @@ use std::sync::{Arc, Mutex};
 
 use dns_wire::framing::{frame, FrameBuffer};
 use dns_wire::{peek_id, EncodeScratch, Transport};
-use ldp_guard::{Admission, AdmissionController, Checkpoint, InflightStatus, RetransmitConfig};
+use ldp_guard::{
+    Admission, AdmissionController, Checkpoint, CheckpointParseError, InflightStatus,
+    RetransmitConfig,
+};
 use ldp_telemetry as tel;
 use ldp_trace::TraceEntry;
 use netsim::{ConnId, Ctx, Host, HostId, PacketBytes, SimDriver, SimDuration, SimTime, TcpEvent};
@@ -89,14 +92,10 @@ pub type LatencyLog = Arc<Mutex<Vec<LatencyRecord>>>;
 /// [`SimReplayClient::checkpoint_stamps`] at commit time. The document
 /// itself replaces its predecessor in `checkpoint_out`; the stamps
 /// keep the whole commit history, which is what the crash-storm study
-/// gates on ("quiescent cuts commit nothing during the storm, cadence
-/// cuts keep committing").
+/// gates on ("cuts keep committing through the storm, with live
+/// state").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointStamp {
-    /// Which mechanism committed: 1 = a quiescent cut
-    /// (`checkpoint_every`), 2 = a fuzzy cut (`checkpoint_cadence`).
-    /// The document is the same format either way.
-    pub version: u8,
     /// Checkpoint ordinal.
     pub epoch: u32,
     /// Virtual commit time (ns).
@@ -117,8 +116,8 @@ const ADMIT_TOKEN_BIT: u64 = 1 << 62;
 /// Timer-token namespace for UDP retransmits (low bits carry the seq).
 const RETX_TOKEN_BIT: u64 = 1 << 61;
 
-/// Timer token for the fuzzy-checkpoint cadence tick (no seq payload:
-/// the chain is a single self-re-arming timer).
+/// Timer token for the checkpoint cadence tick (no seq payload: the
+/// chain is a single self-re-arming timer).
 const CP_TOKEN_BIT: u64 = 1 << 60;
 
 /// Poll gap between admission re-offers of a parked query (µs, virtual).
@@ -128,16 +127,23 @@ const ADMIT_POLL_US: u64 = 1_000;
 /// prints the shortest f64 representation that round-trips exactly, so
 /// a resumed log is byte-identical to the uninterrupted one.
 fn record_to_line(r: &LatencyRecord) -> String {
+    #[cfg(test)]
+    tests::LINES_SERIALISED.with(|n| n.set(n.get() + 1));
     format!(
         "{} {:?} {:?} {:?} {} {}",
         r.seq, r.sent_s, r.replied_s, r.transport, r.source, r.response_bytes
     )
 }
 
+/// The seq a checkpoint `rec` line leads with.
+fn record_seq(line: &str) -> Option<u64> {
+    line.split_ascii_whitespace().next()?.parse().ok()
+}
+
 /// Parse a checkpoint `rec` line written by [`record_to_line`].
 fn record_from_line(line: &str) -> Option<LatencyRecord> {
-    let mut it = line.split_ascii_whitespace();
-    let seq = it.next()?.parse().ok()?;
+    let seq = record_seq(line)?;
+    let mut it = line.split_ascii_whitespace().skip(1);
     let sent_s = it.next()?.parse().ok()?;
     let replied_s = it.next()?.parse().ok()?;
     let transport = match it.next()? {
@@ -244,16 +250,10 @@ pub struct SimReplayClient {
     /// Mirror of the shed seqs for callers that need them after the
     /// client has been moved into the simulator.
     pub shed_out: Option<Arc<Mutex<Vec<u64>>>>,
-    /// Take a checkpoint after every this many completions, at the
-    /// next quiescent cut (no query in flight, retrying, or parked).
-    /// `0` disables checkpointing.
-    pub checkpoint_every: u64,
-    /// Commit a fuzzy-cut checkpoint every this much virtual time,
-    /// on an absolute grid anchored at [`SimReplayClient::origin`]
-    /// (ticks at `origin + k·cadence`), regardless of what is in
-    /// flight — the storm-proof alternative to `checkpoint_every`'s
-    /// quiescent cuts. `None` disables cadence checkpointing. Use one
-    /// mechanism or the other: both write into `checkpoint_out`.
+    /// Commit a checkpoint every this much virtual time, on an
+    /// absolute grid anchored at [`SimReplayClient::origin`] (ticks at
+    /// `origin + k·cadence`), whatever is in flight. `None` disables
+    /// checkpointing.
     pub checkpoint_cadence: Option<netsim::SimDuration>,
     /// UDP retransmission policy (`None` = no retransmits: a lost UDP
     /// query is lost, the historical behavior). Each query draws its
@@ -265,12 +265,14 @@ pub struct SimReplayClient {
     /// Whether the cadence tick chain is currently armed (re-armed
     /// lazily after construction and after a querier crash).
     cadence_armed: bool,
-    /// Latest committed checkpoint; each cut replaces its predecessor
-    /// (a resume only ever wants the newest one).
+    /// Latest committed checkpoint (a resume only ever wants the
+    /// newest one). A commit takes the document out of the slot,
+    /// brings it up to date — its `records` extended by what completed
+    /// since, everything else replaced — and puts it back; an empty
+    /// slot gets the whole log once.
     pub checkpoint_out: Option<Arc<Mutex<Option<Checkpoint>>>>,
-    /// Every commit either mechanism made, in commit order, for
-    /// studies that gate on "quiescent cuts starve under a storm,
-    /// cadence cuts do not".
+    /// Every commit made, in commit order, for studies that gate on
+    /// cuts committing through a storm.
     pub checkpoint_stamps: Option<Arc<Mutex<Vec<CheckpointStamp>>>>,
     /// Virtual-time origin of the schedule — set this to the `start`
     /// passed to [`SimReplayClient::schedule`]. Admission deadlines and
@@ -306,7 +308,6 @@ impl SimReplayClient {
             core,
             admission: None,
             shed_out: None,
-            checkpoint_every: 0,
             checkpoint_cadence: None,
             udp_retransmit: None,
             retx_seed: 0,
@@ -334,28 +335,69 @@ impl SimReplayClient {
     /// are re-counted by the resumed run itself — no special handling
     /// needed here beyond seeding the same `retx_seed`/`udp_retransmit`
     /// policy the original run used.
+    ///
+    /// A checkpoint is text from outside the program, so what it says
+    /// of the trace is checked against the trace: a cursor, record or
+    /// in-flight seq outside it, a seq recorded twice or both recorded
+    /// and in flight, and a counter its field cannot hold are errors
+    /// naming the line (as [`Checkpoint::to_text`] numbers them).
     pub fn resume(
         trace: Vec<TraceEntry>,
         server: SocketAddr,
         log: LatencyLog,
         cp: &Checkpoint,
     ) -> Result<Self, String> {
+        let err = |line: usize, msg: String| CheckpointParseError { line, msg }.to_string();
+        let queries = trace.len() as u64;
+        if cp.cursor > queries {
+            let msg = format!("cursor {} is past the trace's {queries} queries", cp.cursor);
+            return Err(err(4, msg));
+        }
+        // Header, epoch, taken_ns and cursor take four lines; then the
+        // counters, the records and the in-flight entries.
+        let first_rec = 5 + cp.counters.len();
         let mut seeded = Vec::with_capacity(cp.records.len());
-        for (i, line) in cp.records.iter().enumerate() {
-            let r = record_from_line(line)
-                .ok_or_else(|| format!("checkpoint record {i} unparseable: {line:?}"))?;
+        let mut done = BTreeSet::new();
+        for (i, text) in cp.records.iter().enumerate() {
+            let r = record_from_line(text)
+                .ok_or_else(|| err(first_rec + i, format!("unparseable record {text:?}")))?;
+            if r.seq >= queries {
+                let msg = format!("record of seq {}, outside the {queries}-query trace", r.seq);
+                return Err(err(first_rec + i, msg));
+            }
+            if !done.insert(r.seq) {
+                return Err(err(
+                    first_rec + i,
+                    format!("seq {} is recorded twice", r.seq),
+                ));
+            }
             seeded.push(r);
         }
+        let first_inflight = first_rec + cp.records.len();
+        for (i, e) in cp.inflight.iter().enumerate() {
+            if e.seq >= queries {
+                let msg = format!("seq {} in flight, outside the {queries}-query trace", e.seq);
+                return Err(err(first_inflight + i, msg));
+            }
+            if done.contains(&e.seq) {
+                let msg = format!("seq {} is both recorded and in flight", e.seq);
+                return Err(err(first_inflight + i, msg));
+            }
+        }
+        let restarts = match cp.counters.iter().position(|(name, _)| name == "restarts") {
+            None => 0,
+            Some(at) => u32::try_from(cp.counters[at].1)
+                .map_err(|_| err(5 + at, "restarts exceeds u32".to_string()))?,
+        };
         let mut client = SimReplayClient::new(trace, server, log);
-        // The cursor restarts at 0: a fuzzy cut's cursor passed over
-        // carried queries, which this run has yet to answer.
-        let done = seeded.iter().map(|r| r.seq);
+        // The cursor restarts at 0: a cut's cursor passed over carried
+        // queries, which this run has yet to answer.
         client.core = ReplayCore::resume(*client.core.tracker(), cp.epoch, 0, done);
         client.log.lock().unwrap().extend(seeded);
         client.sent = cp.counter("sent").unwrap_or(0);
         client.connects = cp.counter("connects").unwrap_or(0);
         client.retries = cp.counter("retries").unwrap_or(0);
-        client.restarts = cp.counter("restarts").unwrap_or(0) as u32;
+        client.restarts = restarts;
         Ok(client)
     }
 
@@ -389,7 +431,8 @@ impl SimReplayClient {
     /// lifecycle, and because every packet fate and jitter draw is a
     /// pure function of seed and virtual time, the re-run is
     /// bit-identical to the original). `start` must be the same origin
-    /// the killed run used.
+    /// the killed run used, and `cp` a checkpoint
+    /// [`SimReplayClient::resume`] accepted.
     pub fn schedule_resume(
         sim: &mut impl SimDriver,
         host: HostId,
@@ -397,11 +440,7 @@ impl SimReplayClient {
         start: SimTime,
         cp: &Checkpoint,
     ) {
-        let done: BTreeSet<u64> = cp
-            .records
-            .iter()
-            .filter_map(|l| record_from_line(l).map(|r| r.seq))
-            .collect();
+        let done: BTreeSet<u64> = cp.records.iter().filter_map(|l| record_seq(l)).collect();
         let carried: BTreeMap<u64, u64> =
             cp.inflight.iter().map(|e| (e.seq, e.deadline_ns)).collect();
         let tracker = tracker_of(trace);
@@ -494,7 +533,7 @@ impl SimReplayClient {
                 ctx.send_udp(src, self.server, payload);
                 // Arm the next retransmit from this query's own
                 // deterministic budget; exhaustion is terminal (the
-                // query stays pending, carried by any fuzzy cut).
+                // query stays pending, carried by any cut).
                 if let Some(cfg) = self.udp_retransmit {
                     if let Some(d) = self.core.next_retx_delay_us(seq, &cfg, self.retx_seed) {
                         ctx.set_timer(netsim::SimDuration::from_micros(d), RETX_TOKEN_BIT | seq);
@@ -553,27 +592,19 @@ impl SimReplayClient {
         if let Some(adm) = &mut self.admission {
             adm.complete();
         }
-        if self.core.cut_due(self.checkpoint_every) {
-            self.commit(now.as_nanos(), 1);
-        }
     }
 
     /// Commit the checkpoint of virtual instant `taken_ns` into
-    /// `checkpoint_out`, replacing the previous one, whatever is in
-    /// flight. `connects` is carried as-is: connection reuse makes
-    /// per-query attribution ill-defined, so TCP-heavy runs should
-    /// compare transcripts, not the connects counter, across a resume.
-    fn commit(&mut self, taken_ns: u64, mechanism: u8) {
-        let Some(out) = self.checkpoint_out.clone() else {
+    /// `checkpoint_out`, whatever is in flight. The cost is what
+    /// changed since the previous commit: only the records completed
+    /// since are serialised. `connects` is carried as-is: connection
+    /// reuse makes per-query attribution ill-defined, so TCP-heavy runs
+    /// should compare transcripts, not the connects counter, across a
+    /// resume.
+    fn commit(&mut self, taken_ns: u64) {
+        let Some(out) = &self.checkpoint_out else {
             return;
         };
-        let records: Vec<String> = self
-            .log
-            .lock()
-            .unwrap()
-            .iter()
-            .map(record_to_line)
-            .collect();
         let shed = self.admission.as_ref().map_or(0, |a| a.shed_count());
         let counters = [
             ("sent", self.sent),
@@ -583,20 +614,38 @@ impl SimReplayClient {
             ("restarts", self.restarts as u64),
         ];
         let (tracker, origin, trace) = (*self.core.tracker(), self.origin, &self.trace);
-        let cp = self.core.cut(taken_ns, &counters, records, |seq| {
+        let cut = self.core.cut(taken_ns, &counters, |seq| {
             trace
                 .get(seq as usize)
                 .map_or(0, |e| deadline(&tracker, origin, e).as_nanos())
         });
         if let Some(stamps) = &self.checkpoint_stamps {
             stamps.lock().unwrap().push(CheckpointStamp {
-                version: mechanism,
-                epoch: cp.epoch,
+                epoch: cut.epoch,
                 taken_ns,
-                inflight: cp.inflight.len(),
+                inflight: cut.inflight.len(),
             });
         }
-        *out.lock().unwrap() = Some(cp);
+        let mut slot = out.lock().unwrap();
+        let log = self.log.lock().unwrap();
+        // The slot's document holds the log's first `records.len()`
+        // lines (this lineage's previous commit, or the checkpoint the
+        // run resumed from); a taken or foreign slot starts over.
+        let mut records = slot.take().map_or_else(Vec::new, |cp| cp.records);
+        if records.len() > log.len() {
+            records.clear();
+        }
+        records.extend(log[records.len()..].iter().map(record_to_line));
+        #[cfg(test)]
+        let from_scratch = reference::commit(&log, &cut);
+        let cp = Checkpoint { records, ..cut };
+        #[cfg(test)]
+        assert_eq!(
+            cp.to_text(),
+            from_scratch.to_text(),
+            "an incremental commit is the from-scratch one, byte for byte"
+        );
+        *slot = Some(cp);
     }
 
     /// Keys of the queries pending on `conn`: one contiguous key range.
@@ -606,26 +655,16 @@ impl SimReplayClient {
             .map(|(key, _)| *key)
     }
 
-    /// Arm the cadence tick chain (once) at the next absolute grid
-    /// instant `origin + k·cadence` strictly after now. Grid
-    /// anchoring — rather than "cadence from when we happened to
-    /// arm" — makes an original run and its resumed continuation
-    /// commit at the same virtual instants.
-    fn maybe_arm_cadence(&mut self, ctx: &mut Ctx<'_>) {
+    /// Arm the cadence tick at the core's next grid instant after now.
+    fn arm_cadence(&mut self, ctx: &mut Ctx<'_>) {
         let Some(cadence) = self.checkpoint_cadence else {
             return;
         };
-        if self.cadence_armed {
-            return;
-        }
         self.cadence_armed = true;
-        let cad_ns = cadence.as_nanos().max(1);
         let now_ns = ctx.now().as_nanos();
-        let elapsed = now_ns.saturating_sub(self.origin.as_nanos());
-        let k = elapsed / cad_ns + 1;
-        let at_ns = self.origin.as_nanos() + k.saturating_mul(cad_ns);
+        let at_ns = ReplayCore::next_tick_ns(self.origin.as_nanos(), cadence.as_nanos(), now_ns);
         ctx.set_timer(
-            netsim::SimDuration::from_nanos(at_ns.saturating_sub(now_ns)),
+            netsim::SimDuration::from_nanos(at_ns - now_ns),
             CP_TOKEN_BIT,
         );
     }
@@ -701,7 +740,9 @@ impl Host for SimReplayClient {
         // construction (or after a crash): every run starts with a
         // trace timer, so the chain is in place before any query
         // completes.
-        self.maybe_arm_cadence(ctx);
+        if !self.cadence_armed {
+            self.arm_cadence(ctx);
+        }
         if token & RETRY_TOKEN_BIT != 0 {
             let seq = token & !RETRY_TOKEN_BIT;
             // The chain may have been cancelled by a late answer on an
@@ -729,12 +770,10 @@ impl Host for SimReplayClient {
             return;
         }
         if token == CP_TOKEN_BIT {
-            // Fuzzy-cut cadence tick: commit whatever is in flight and
-            // re-arm the next grid instant.
-            if let Some(cadence) = self.checkpoint_cadence {
-                self.commit(ctx.now().as_nanos(), 2);
-                ctx.set_timer(cadence, CP_TOKEN_BIT);
-            }
+            // Cadence tick: commit whatever is in flight and re-arm the
+            // next grid instant.
+            self.commit(ctx.now().as_nanos());
+            self.arm_cadence(ctx);
             return;
         }
         if token & ADMIT_TOKEN_BIT != 0 {
@@ -780,7 +819,7 @@ impl Host for SimReplayClient {
         // original absolute times, already-due ones are re-dispatched
         // now — the dead querier's unacknowledged span.
         self.restarts += 1;
-        self.maybe_arm_cadence(ctx);
+        self.arm_cadence(ctx);
         let now_ns = ctx.now().as_nanos();
         let mut due = Vec::new();
         let mut future = Vec::new();
@@ -815,11 +854,18 @@ impl Host for SimReplayClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
     use dns_server::{ServerEngine, SimDnsServer};
     use dns_wire::{Name, RData, Record, RecordType, Soa};
     use dns_zone::{Catalog, Zone};
     use ldp_trace::{Mutation, Mutator};
     use netsim::{PathConfig, SimConfig, Simulator, Topology};
+
+    thread_local! {
+        /// Lines [`record_to_line`] has serialised on this thread.
+        pub(super) static LINES_SERIALISED: Cell<u64> = const { Cell::new(0) };
+    }
 
     fn n(s: &str) -> Name {
         s.parse().unwrap()
@@ -1164,6 +1210,12 @@ mod tests {
         (client, out)
     }
 
+    /// No query of an `n`-query trace is parked, on the wire or in a
+    /// retry chain.
+    fn nothing_live(client: &SimReplayClient, n: u64) -> bool {
+        (0..n).all(|seq| client.core.status(seq).is_none())
+    }
+
     /// A header that promises 65 535 questions over a two-byte body:
     /// the id reads, the message does not decode.
     fn undecodable_reply(id: u16) -> Vec<u8> {
@@ -1185,7 +1237,7 @@ mod tests {
         let (client, log) = run_against(Box::new(server), mk_trace(3, 50_000, 1), |_| {}, |_| {});
         assert_eq!(log.len(), 3, "{log:?}");
         assert!(log.iter().all(|r| r.response_bytes == 14), "{log:?}");
-        assert!(client.lock().unwrap().core.quiescent());
+        assert!(nothing_live(&client.lock().unwrap(), 3));
     }
 
     /// The same over TCP: a frame whose body does not decode completes
@@ -1201,7 +1253,7 @@ mod tests {
         );
         assert_eq!(log.len(), 3, "{log:?}");
         assert!(log.iter().all(|r| r.response_bytes == 14), "{log:?}");
-        assert!(client.lock().unwrap().core.quiescent());
+        assert!(nothing_live(&client.lock().unwrap(), 3));
     }
 
     /// The pending tables hold at most one entry per query, under a key
@@ -1228,7 +1280,7 @@ mod tests {
         let client = client.lock().unwrap();
         assert_eq!((client.sent, client.retries), (2, 1));
         assert!(client.pending_udp.is_empty() && client.pending_tcp.is_empty());
-        assert!(client.core.quiescent());
+        assert!(nothing_live(&client, 1));
     }
 
     /// TCP: a query whose connection died is re-sent on a fresh one and
@@ -1260,8 +1312,7 @@ mod tests {
         let client = client.lock().unwrap();
         assert!(client.retries >= 1, "q1 was re-sent");
         assert!(client.pending_udp.is_empty() && client.pending_tcp.is_empty());
-        assert_eq!(client.core.status(1), None, "no retry chain left");
-        assert!(client.core.quiescent());
+        assert!(nothing_live(&client, 2), "no retry chain left");
     }
 
     /// One full checkpointed run: returns (transcript lines, last
@@ -1269,31 +1320,12 @@ mod tests {
     /// abandoned at that virtual time — the moral equivalent of
     /// `kill -9` on the replay process.
     fn checkpointed_run(kill_at_s: Option<f64>) -> (Vec<String>, Option<Checkpoint>) {
-        // Gap (50 ms) > RTT (40 ms): each query completes before the
-        // next is sent, so every completion is a quiescent cut and
-        // checkpoints actually commit.
         let trace = mk_trace(40, 50_000, 4);
-        let mut sim = Simulator::new(
-            Topology::uniform(PathConfig {
-                rtt: SimDuration::from_millis(40),
-                bandwidth_bps: None,
-                loss: 0.0,
-            }),
-            SimConfig::default(),
-        );
-        let server_addr: SocketAddr = "10.9.0.1:53".parse().unwrap();
-        sim.add_host(
-            &[server_addr.ip()],
-            Box::new(SimDnsServer::new(
-                engine(),
-                server_addr,
-                Some(SimDuration::from_secs(30)),
-            )),
-        );
+        let (mut sim, server_addr) = sim_with_server(SimDuration::from_millis(40));
         let log: LatencyLog = Arc::new(Mutex::new(vec![]));
         let cp_out = Arc::new(Mutex::new(None));
         let mut client = SimReplayClient::new(trace.clone(), server_addr, log.clone());
-        client.checkpoint_every = 5;
+        client.checkpoint_cadence = Some(SimDuration::from_millis(250));
         client.checkpoint_out = Some(cp_out.clone());
         let srcs = client.source_addrs();
         let client_id = sim.add_host(&srcs, Box::new(client));
@@ -1313,9 +1345,9 @@ mod tests {
         let (uninterrupted, _) = checkpointed_run(None);
         assert_eq!(uninterrupted.len(), 40);
 
-        // Kill at 0.62 s: 12 queries are done, the checkpoint
-        // holds the first 10, and everything after the cut is lost
-        // with the process.
+        // Kill at 0.62 s: 12 queries are done, the checkpoint of the
+        // 0.5 s tick holds the first 10, and everything after the cut
+        // is lost with the process.
         let (_, cp) = checkpointed_run(Some(0.62));
         let cp = cp.expect("a checkpoint committed before the kill");
         assert!(
@@ -1327,23 +1359,7 @@ mod tests {
         let cp = Checkpoint::from_text(&cp.to_text().unwrap()).unwrap();
 
         let trace = mk_trace(40, 50_000, 4);
-        let mut sim = Simulator::new(
-            Topology::uniform(PathConfig {
-                rtt: SimDuration::from_millis(40),
-                bandwidth_bps: None,
-                loss: 0.0,
-            }),
-            SimConfig::default(),
-        );
-        let server_addr: SocketAddr = "10.9.0.1:53".parse().unwrap();
-        sim.add_host(
-            &[server_addr.ip()],
-            Box::new(SimDnsServer::new(
-                engine(),
-                server_addr,
-                Some(SimDuration::from_secs(30)),
-            )),
-        );
+        let (mut sim, server_addr) = sim_with_server(SimDuration::from_millis(40));
         let log: LatencyLog = Arc::new(Mutex::new(vec![]));
         let client = SimReplayClient::resume(trace.clone(), server_addr, log.clone(), &cp).unwrap();
         let srcs = client.source_addrs();
@@ -1497,31 +1513,15 @@ mod tests {
         assert!(out.iter().all(|r| r.latency() >= 0.039));
     }
 
-    /// Fuzzy cadence cuts commit on the absolute grid with queries in
-    /// flight, counters committed down to completed work, and the v2
-    /// document round-trips through its text form.
+    /// Cadence cuts commit on the absolute grid with queries in flight,
+    /// counters committed down to completed work, and the document
+    /// round-trips through its text form.
     #[test]
     fn fuzzy_cadence_commits_with_inflight_state() {
         // Gap 50 ms, RTT 40 ms, cadence 25 ms: every odd grid tick
         // lands while a query is on the wire.
         let trace = mk_trace(40, 50_000, 4);
-        let mut sim = Simulator::new(
-            Topology::uniform(PathConfig {
-                rtt: SimDuration::from_millis(40),
-                bandwidth_bps: None,
-                loss: 0.0,
-            }),
-            SimConfig::default(),
-        );
-        let server_addr: SocketAddr = "10.9.0.1:53".parse().unwrap();
-        sim.add_host(
-            &[server_addr.ip()],
-            Box::new(SimDnsServer::new(
-                engine(),
-                server_addr,
-                Some(SimDuration::from_secs(30)),
-            )),
-        );
+        let (mut sim, server_addr) = sim_with_server(SimDuration::from_millis(40));
         let log: LatencyLog = Arc::new(Mutex::new(vec![]));
         let cp_out = Arc::new(Mutex::new(None));
         let stamps = Arc::new(Mutex::new(Vec::new()));
@@ -1538,7 +1538,6 @@ mod tests {
 
         let stamps = stamps.lock().unwrap().clone();
         assert!(!stamps.is_empty(), "cadence commits happened");
-        assert!(stamps.iter().all(|s| s.version == 2));
         // Grid anchoring: every commit instant is a multiple of 25 ms.
         assert!(
             stamps.iter().all(|s| s.taken_ns % 25_000_000 == 0),
@@ -1550,7 +1549,6 @@ mod tests {
         );
 
         let cp = cp_out.lock().unwrap().clone().expect("a committed cut");
-        assert_eq!(cp.version, 2);
         assert_eq!(cp.taken_ns, 525_000_000);
         assert_eq!(cp.inflight.len(), 1, "{:?}", cp.inflight);
         let e = cp.inflight[0];
@@ -1569,6 +1567,265 @@ mod tests {
         // Exact text round-trip of a document with in-flight state.
         let text = cp.to_text().expect("serializes");
         assert_eq!(Checkpoint::from_text(&text).expect("parses"), cp);
+    }
+
+    /// A fresh simulator with the wildcard server behind a uniform
+    /// `rtt` path.
+    fn sim_with_server(rtt: SimDuration) -> (Simulator, SocketAddr) {
+        let mut sim = Simulator::new(
+            Topology::uniform(PathConfig {
+                rtt,
+                bandwidth_bps: None,
+                loss: 0.0,
+            }),
+            SimConfig::default(),
+        );
+        let server_addr: SocketAddr = "10.9.0.1:53".parse().unwrap();
+        let server = SimDnsServer::new(engine(), server_addr, Some(SimDuration::from_secs(30)));
+        sim.add_host(&[server_addr.ip()], Box::new(server));
+        (sim, server_addr)
+    }
+
+    /// A checkpoint is text from outside the program: `resume` refuses
+    /// one that disagrees with the trace, naming the line.
+    #[test]
+    fn resume_rejects_a_checkpoint_that_disagrees_with_the_trace() {
+        let trace = mk_trace(4, 50_000, 1);
+        let rec = |seq: u64| format!("{seq} 0.0 0.04 Udp 10.1.0.1 45");
+        // Lines: header, epoch, taken_ns, cursor (4), the two counters
+        // (5, 6), the two records (7, 8), the in-flight entry (9).
+        let good = Checkpoint {
+            epoch: 1,
+            taken_ns: 100_000_000,
+            cursor: 3,
+            counters: vec![("sent".into(), 2), ("restarts".into(), 0)],
+            records: vec![rec(0), rec(1)],
+            inflight: vec![ldp_guard::InflightEntry {
+                seq: 2,
+                deadline_ns: 100_000_000,
+                sends: 1,
+                retx: 0,
+                status: InflightStatus::InFlight,
+                budget: None,
+            }],
+        };
+        let resume = |cp: &Checkpoint| {
+            let server = "10.9.0.1:53".parse().unwrap();
+            SimReplayClient::resume(trace.clone(), server, LatencyLog::default(), cp).err()
+        };
+        assert_eq!(resume(&good), None);
+        type Damage = fn(&mut Checkpoint);
+        let cases: [(Damage, usize, &str); 7] = [
+            (|cp| cp.cursor = 5, 4, "past the trace"),
+            (|cp| cp.counters[1].1 = 1 << 32, 6, "restarts exceeds u32"),
+            (
+                |cp| cp.records[0] = "0 0.0 0.04 Udp".into(),
+                7,
+                "unparseable",
+            ),
+            (
+                |cp| cp.records[1] = cp.records[1].replacen('1', "4", 1),
+                8,
+                "outside",
+            ),
+            (
+                |cp| cp.records[1] = cp.records[0].clone(),
+                8,
+                "recorded twice",
+            ),
+            (|cp| cp.inflight[0].seq = 4, 9, "outside"),
+            (
+                |cp| cp.inflight[0].seq = 1,
+                9,
+                "both recorded and in flight",
+            ),
+        ];
+        for (damage, line, what) in cases {
+            let mut cp = good.clone();
+            damage(&mut cp);
+            let e = resume(&cp).unwrap_or_else(|| panic!("accepted: {what}"));
+            assert!(
+                e.starts_with(&format!("checkpoint line {line}: ")) && e.contains(what),
+                "{what}: {e}"
+            );
+            // The line it names is that line of the document.
+            let text = cp.to_text().unwrap();
+            let named = text.lines().nth(line - 1).unwrap();
+            assert_ne!(Some(named), good.to_text().unwrap().lines().nth(line - 1));
+        }
+    }
+
+    /// Commit cost is what changed: over a guarded run of 2,400
+    /// completions and ten cadence ticks, commit *k* serialises exactly
+    /// the records completed since commit *k − 1* — flat in the run's
+    /// length, where re-serialising the log grew with it.
+    #[test]
+    fn a_commit_serialises_only_what_completed_since_the_last_one() {
+        // Replies land 40.5 ms after whole milliseconds: never on the
+        // 250 ms grid, so which side of a tick a completion falls on
+        // is not a matter of event order.
+        let (mut sim, server_addr) = sim_with_server(SimDuration::from_micros(40_500));
+        let trace = mk_trace(2_400, 1_000, 16);
+        let log = LatencyLog::default();
+        let mut client = SimReplayClient::new(trace.clone(), server_addr, log.clone());
+        client.admission = Some(AdmissionController::new(Default::default()));
+        client.udp_retransmit = Some(RetransmitConfig::default());
+        client.checkpoint_cadence = Some(SimDuration::from_millis(250));
+        client.checkpoint_out = Some(Arc::new(Mutex::new(None)));
+        let srcs = client.source_addrs();
+        let client_id = sim.add_host(&srcs, Box::new(client));
+        SimReplayClient::schedule(&mut sim, client_id, &trace, SimTime::ZERO);
+
+        LINES_SERIALISED.with(|n| n.set(0));
+        let mut serialised = Vec::new();
+        for tick in 1..=10u64 {
+            sim.run_until(SimTime::from_micros(tick * 250_000));
+            serialised.push(LINES_SERIALISED.with(|n| n.replace(0)));
+        }
+        let log = log.lock().unwrap();
+        assert_eq!(log.len(), 2_400);
+        let completed: Vec<u64> = (1..=10u32)
+            .map(|tick| {
+                let (from, to) = (f64::from(tick - 1) * 0.25, f64::from(tick) * 0.25);
+                let since = |r: &&LatencyRecord| from < r.replied_s && r.replied_s <= to;
+                log.iter().filter(since).count() as u64
+            })
+            .collect();
+        assert_eq!(serialised, completed);
+        assert_eq!(completed.iter().sum::<u64>(), 2_400);
+        assert!(completed[1..9].iter().all(|&n| n == 250), "{completed:?}");
+    }
+
+    /// What one generated run is made of.
+    struct Shape {
+        trace: Vec<TraceEntry>,
+        cadence: SimDuration,
+        /// Per-packet drop probability, in thousandths.
+        loss: u64,
+        retransmit: Option<RetransmitConfig>,
+        admission: Option<ldp_guard::AdmissionConfig>,
+        /// The querier's power cycle: down at, up at.
+        crash: Option<(SimTime, SimTime)>,
+    }
+
+    /// Run `shape` until `until` — from the start, or resumed from a
+    /// checkpoint (which then also stands in the slot, as the previous
+    /// commit of the lineage) — and return the transcript and the last
+    /// commit. Every commit on the way is compared with
+    /// `reference::commit` inside `SimReplayClient::commit`.
+    fn run_shape(
+        shape: &Shape,
+        resume_from: Option<&Checkpoint>,
+        until: SimTime,
+    ) -> (Vec<String>, Option<Checkpoint>) {
+        let (mut sim, server_addr) = sim_with_server(SimDuration::from_millis(40));
+        // Packet fates are a function of the packet, not of a stream
+        // position, so a resumed run re-draws the fates of the queries
+        // it re-executes.
+        let loss = shape.loss;
+        sim.set_fault_injector(Box::new(netsim::FnInjector(
+            move |now: SimTime, src: SocketAddr, dst: SocketAddr, _, bytes: usize| {
+                let packet = now.as_nanos() ^ u64::from(src.port()) << 48 ^ (bytes as u64) << 32;
+                let mut draw = ldp_rng::SplitMix64::seed_from_u64(packet ^ u64::from(dst.port()));
+                if draw.next_u64() % 1_000 < loss {
+                    netsim::PacketFate::DROP
+                } else {
+                    netsim::PacketFate::DELIVER
+                }
+            },
+        )));
+        let log = LatencyLog::default();
+        let cp_out = Arc::new(Mutex::new(resume_from.cloned()));
+        let mut client = match resume_from {
+            None => SimReplayClient::new(shape.trace.clone(), server_addr, log.clone()),
+            Some(cp) => {
+                SimReplayClient::resume(shape.trace.clone(), server_addr, log.clone(), cp).unwrap()
+            }
+        };
+        client.checkpoint_cadence = Some(shape.cadence);
+        client.checkpoint_out = Some(cp_out.clone());
+        client.udp_retransmit = shape.retransmit;
+        client.retx_seed = 7;
+        client.admission = shape.admission.map(AdmissionController::new);
+        let srcs = client.source_addrs();
+        let client_id = sim.add_host(&srcs, Box::new(client));
+        match resume_from {
+            None => SimReplayClient::schedule(&mut sim, client_id, &shape.trace, SimTime::ZERO),
+            Some(cp) => SimReplayClient::schedule_resume(
+                &mut sim,
+                client_id,
+                &shape.trace,
+                SimTime::ZERO,
+                cp,
+            ),
+        }
+        if let Some((down, up)) = shape.crash {
+            if down <= until {
+                sim.run_until(down);
+                sim.crash_now(srcs[0]);
+            }
+            if up <= until {
+                sim.run_until(up);
+                sim.restart_now(srcs[0]);
+            }
+        }
+        sim.run_until(until);
+        let lines = log.lock().unwrap().iter().map(record_to_line).collect();
+        let cp = cp_out.lock().unwrap().clone();
+        (lines, cp)
+    }
+
+    /// The tentpole's oracle: over generated runs — loss, UDP
+    /// retransmission, admission parking and shedding, a querier power
+    /// cycle, a kill and resume anywhere — every commit's document is
+    /// the from-scratch one byte for byte (checked at each tick, inside
+    /// `commit`), no seq is ever logged twice, and without admission
+    /// (a resumed window starts emptier than the original's was, so
+    /// verdicts may differ) the resumed lineage ends with the
+    /// uninterrupted run's transcript.
+    #[test]
+    fn incremental_commits_are_the_full_rebuild_and_resume_to_the_same_transcript() {
+        ldp_rng::check::check(256, |g| {
+            let gap_us = *g.pick(&[2_000, 10_000, 50_000]);
+            let trace = mk_trace(g.range(5..=40), gap_us, 3);
+            let span_us = gap_us * trace.len() as u64;
+            let shape = Shape {
+                cadence: SimDuration::from_millis(*g.pick(&[25, 70, 250])),
+                loss: *g.pick(&[0, 0, 200, 400]),
+                retransmit: g.bool().then_some(RetransmitConfig {
+                    max_retx: 6,
+                    base_us: 100_000,
+                    cap_us: 400_000,
+                }),
+                admission: g.option(|g| ldp_guard::AdmissionConfig {
+                    max_in_flight: g.size(1..=3),
+                    max_lateness_us: *g.pick(&[5_000, 60_000_000]),
+                }),
+                crash: g.option(|g| {
+                    let down = g.range(0..=span_us);
+                    let up = down + g.range(1_000..=300_000);
+                    (SimTime::from_micros(down), SimTime::from_micros(up))
+                }),
+                trace,
+            };
+            let horizon = SimTime::from_micros(span_us + 4_000_000);
+            let kill_at = SimTime::from_micros(g.range(0..=span_us + 500_000));
+
+            let (uninterrupted, last) = run_shape(&shape, None, horizon);
+            assert!(last.is_some(), "the cadence commits");
+            let (_, cp) = run_shape(&shape, None, kill_at);
+            let Some(cp) = cp else {
+                return; // killed before the first tick
+            };
+            let cp = Checkpoint::from_text(&cp.to_text().unwrap()).unwrap();
+            let (resumed, _) = run_shape(&shape, Some(&cp), horizon);
+            let mut seqs: Vec<u64> = resumed.iter().filter_map(|l| record_seq(l)).collect();
+            seqs.sort_unstable();
+            assert!(seqs.windows(2).all(|w| w[0] != w[1]), "a seq twice");
+            if shape.admission.is_none() {
+                assert_eq!(resumed, uninterrupted, "resumed transcript diverged");
+            }
+        });
     }
 
     /// Satellite: after a querier crash, parked queries re-enter
@@ -1614,5 +1871,27 @@ mod tests {
 
         let order: Vec<u64> = log.lock().unwrap().iter().map(|r| r.seq).collect();
         assert_eq!(order, vec![0, 1, 2, 3], "deterministic seq-order re-entry");
+    }
+}
+
+/// The commit the incremental one replaced, kept as its oracle: every
+/// cut re-serialised the whole latency log into a fresh document.
+#[cfg(test)]
+mod reference {
+    use super::{Checkpoint, LatencyRecord};
+
+    fn record_to_line(r: &LatencyRecord) -> String {
+        format!(
+            "{} {:?} {:?} {:?} {} {}",
+            r.seq, r.sent_s, r.replied_s, r.transport, r.source, r.response_bytes
+        )
+    }
+
+    /// What the old commit put in the slot for the core's `cut`.
+    pub fn commit(log: &[LatencyRecord], cut: &Checkpoint) -> Checkpoint {
+        Checkpoint {
+            records: log.iter().map(record_to_line).collect(),
+            ..cut.clone()
+        }
     }
 }

@@ -40,7 +40,7 @@ tested() {
 }
 step "cargo test (output in $out/test.log)" tested
 
-step "hotpath microbench (telemetry and guard overhead budgets inside)" \
+step "hotpath microbench (telemetry overhead budget inside)" \
     "$bin/hotpath" "$out/BENCH_hotpath.json"
 
 # The studies are deterministic and self-gating (non-zero exit when a
@@ -53,7 +53,7 @@ study() {
 }
 study fig_outage
 study fig_cache
-study fig_recovery --storm
+study fig_recovery
 study fig_trace
 
 step "benchmark self-check (smoke scale: outputs verified, no bounds)" \
@@ -67,7 +67,7 @@ num() {
 for key in encode_msgs_per_sec decode_msgs_per_sec name_cmp_per_sec name_decode_per_sec \
     template_answers_per_sec \
     cache_hit_per_sec cache_delayed_hit_per_sec cache_miss_per_sec \
-    fuzzy_checkpoint_per_sec sharded_events_per_sec_1 sharded_events_per_sec_2 \
+    sharded_events_per_sec_1 sharded_events_per_sec_2 \
     sharded_events_per_sec_8 nxdomain_answers_per_sec_100 nxdomain_answers_per_sec_20000 \
     view_select_per_sec_16 view_select_per_sec_4096 sim_complete_per_sec_16 \
     sim_complete_per_sec_32768; do
