@@ -27,7 +27,7 @@ use std::sync::{Arc, Mutex};
 use dns_server::{ServerEngine, SimDnsServer};
 use dns_wire::{Name, RData, Record, Soa};
 use dns_zone::{Catalog, Zone};
-use ldp_bench::{arg_f64, arg_u64, cdf_rows, identical, reject_unknown_flags};
+use ldp_bench::{arg_f64, arg_u64, cdf_rows, identical, ok_fail, reject_unknown_flags};
 use ldp_replay::{LatencyLog, SimReplayClient};
 use ldp_telemetry as tel;
 use ldp_trace::TraceEntry;
@@ -173,6 +173,19 @@ fn main() {
         let _ = writeln!(out, "gate: FAIL — telemetry-enabled run drained no events");
         failed = true;
     }
+    // The telemetry budget, as a count: a UDP query records 11 events
+    // (four lifecycle marks, three server spans, one transport mark).
+    // What recording them costs in time is `telemetry.on_overhead_pct`
+    // in `benchmark/`, reported and not gated.
+    const EVENTS_PER_QUERY_CEILING: usize = 12;
+    let budget_ok = events.len() <= EVENTS_PER_QUERY_CEILING * trace.len();
+    let _ = writeln!(
+        out,
+        "gate: {:.2} recorded events per replayed query (ceiling {EVENTS_PER_QUERY_CEILING}) — {}",
+        events.len() as f64 / trace.len() as f64,
+        ok_fail(budget_ok)
+    );
+    failed |= !budget_ok;
 
     // Per-query lifecycle breakdown.
     let chain = [

@@ -1,0 +1,184 @@
+//! The scan gate: no per-query step may iterate a whole table
+//! (DESIGN.md §7). Three steps — an NXDOMAIN answer, a view selection,
+//! a sim-replay completion — each run over a small and a large table
+//! in this one process, so machine noise cancels in the ratio. A tree
+//! probe costs about 3× more over the large table (log 4096 / log 16;
+//! measured ratios 0.25–0.8), a scan 200× or more (the pre-PR-15 code:
+//! 0.002, 0.004, 0.03), so the large-table rate must stay above a tenth
+//! of the small-table one. Prints one line per pair and exits 1 if any
+//! falls below; no absolute rate is judged and nothing is written.
+//!
+//! `cargo run --release -p ldp-bench --bin scan_gate`
+
+use std::hint::black_box;
+use std::net::{IpAddr, SocketAddr};
+use std::sync::{Arc, Mutex};
+use std::time::Instant;
+
+use dns_server::{ServerEngine, SimDnsServer};
+use dns_wire::{Message, Name, RData, Rcode, Record, RecordType, Soa};
+use dns_zone::{Catalog, ClientMatch, View, ViewSet, Zone};
+use ldp_replay::{LatencyLog, SimReplayClient};
+use ldp_trace::TraceEntry;
+use netsim::{PathConfig, SimConfig, SimDuration, SimTime, Simulator, Topology};
+
+/// Steps per second over the fastest of three passes of `steps` steps.
+fn rate(steps: u64, mut pass: impl FnMut()) -> f64 {
+    let fastest = (0..3)
+        .map(|_| {
+            let t0 = Instant::now();
+            pass();
+            t0.elapsed().as_secs_f64()
+        })
+        .fold(f64::MAX, f64::min);
+    steps as f64 / fastest
+}
+
+/// An authoritative engine over one unsigned zone of `names` A records.
+fn server_engine(names: usize) -> ServerEngine {
+    let origin: Name = "bench.example".parse().expect("origin");
+    let mut zone = Zone::new(origin.clone());
+    zone.insert(Record::new(
+        origin,
+        3600,
+        RData::Soa(Soa {
+            mname: "ns1.bench.example".parse().expect("mname"),
+            rname: "admin.bench.example".parse().expect("rname"),
+            serial: 1,
+            refresh: 1,
+            retry: 1,
+            expire: 1,
+            minimum: 60,
+        }),
+    ))
+    .expect("soa");
+    for i in 0..names {
+        zone.insert(Record::new(
+            format!("h{i}.bench.example").parse().expect("name"),
+            60,
+            RData::A(format!("10.1.{}.{}", i / 256, i % 256).parse().expect("a")),
+        ))
+        .expect("record");
+    }
+    let mut cat = Catalog::new();
+    cat.insert(zone);
+    ServerEngine::with_catalog(cat)
+}
+
+/// NXDOMAIN answers/sec through `answer_udp` over a zone of `names`
+/// names: a walk over the zone on the negative-answer path shows here.
+fn nxdomain_rate(names: usize) -> f64 {
+    let engine = server_engine(names);
+    let src: IpAddr = "10.2.0.1".parse().expect("src");
+    let queries: Vec<Message> = (0..64)
+        .map(|i| {
+            let qname = format!("missing{i}.bench.example");
+            Message::query(i as u16, qname.parse().expect("qname"), RecordType::A)
+        })
+        .collect();
+    let (bytes, _) = engine.answer_udp(src, &queries[0]);
+    let rcode = Message::decode(&bytes).expect("decodes").rcode;
+    assert_eq!(rcode, Rcode::NxDomain, "the row measures NXDOMAIN");
+    // A pass of ≈ 50 ms on the tree; under a zone walk, ten minutes
+    // for the run, where 200 k steps made it a hundred.
+    let steps = 20_000;
+    rate(steps, || {
+        for i in 0..steps as usize {
+            let q = &queries[i % queries.len()];
+            black_box(engine.answer_udp(src, black_box(q)));
+        }
+    })
+}
+
+/// `ViewSet::select` calls/sec over `views` exact-address views, the
+/// shape hierarchy emulation builds, probing the address of the last
+/// one — the worst case for a first-match scan.
+fn view_select_rate(views: usize) -> f64 {
+    let addr = |i: usize| IpAddr::from([10, 8, (i / 256) as u8, (i % 256) as u8]);
+    let mut set = ViewSet::new();
+    for i in 0..views {
+        let matchers = vec![ClientMatch::Exact(addr(i))];
+        set.push(View::new(format!("v{i}"), matchers, Catalog::new()));
+    }
+    let probe = addr(views - 1);
+    assert_eq!(set.select_index(probe), Some(views - 1));
+    let steps = 2_000_000;
+    rate(steps, || {
+        for _ in 0..steps {
+            black_box(set.select(black_box(probe)));
+        }
+    })
+}
+
+/// Queries/sec completed by a `SimReplayClient` against one
+/// `SimDnsServer` with about `in_flight` queries outstanding at any
+/// moment: a fixed 10 µs query gap under an RTT of `in_flight` gaps.
+/// Work per completion that grows with the pending tables shows here.
+fn sim_complete_rate(in_flight: usize) -> f64 {
+    let queries = 100_000u64;
+    let gap_us = 10u64;
+    let server_addr: SocketAddr = "10.9.0.1:53".parse().expect("server");
+    let engine = Arc::new(server_engine(64));
+    let trace: Vec<TraceEntry> = (0..queries)
+        .map(|i| {
+            TraceEntry::query(
+                i * gap_us,
+                format!("10.1.{}.{}:5000", i % 4, 1 + i % 200)
+                    .parse()
+                    .expect("src"),
+                server_addr,
+                i as u16,
+                format!("h{}.bench.example", i % 64).parse().expect("qname"),
+                RecordType::A,
+            )
+        })
+        .collect();
+    rate(queries, || {
+        let topology = Topology::uniform(PathConfig {
+            rtt: SimDuration::from_micros(in_flight as u64 * gap_us),
+            bandwidth_bps: None,
+            loss: 0.0,
+        });
+        let mut sim = Simulator::new(topology, SimConfig::default());
+        let server = SimDnsServer::new(engine.clone(), server_addr, None);
+        sim.add_host(&[server_addr.ip()], Box::new(server));
+        let log: LatencyLog = Arc::new(Mutex::new(Vec::with_capacity(trace.len())));
+        let client = SimReplayClient::new(trace.clone(), server_addr, log.clone());
+        let sources = client.source_addrs();
+        let client_id = sim.add_host(&sources, Box::new(client));
+        SimReplayClient::schedule(&mut sim, client_id, &trace, SimTime::ZERO);
+        sim.run();
+        let answered = log.lock().expect("log").len() as u64;
+        assert_eq!(answered, queries, "every query completes");
+    })
+}
+
+fn main() {
+    let pairs = [
+        (
+            "NXDOMAIN answer, 100 / 20000 names",
+            [100, 20_000].map(nxdomain_rate),
+        ),
+        (
+            "view selection, 16 / 4096 views",
+            [16, 4096].map(view_select_rate),
+        ),
+        (
+            "sim replay completion, 16 / 32768 in flight",
+            [16, 32_768].map(sim_complete_rate),
+        ),
+    ];
+    let mut all_ok = true;
+    for (step, [small, large]) in pairs {
+        let ok = large * 10.0 >= small;
+        all_ok &= ok;
+        println!(
+            "gate: {step}: {small:.0} /s, {large:.0} /s, ratio {:.3} (>= 0.1: else a scan) — {}",
+            large / small,
+            ldp_bench::ok_fail(ok)
+        );
+    }
+    if !all_ok {
+        std::process::exit(1);
+    }
+}

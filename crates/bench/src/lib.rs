@@ -59,11 +59,6 @@ pub fn arg_u64(name: &str, default: u64) -> u64 {
     arg_or(name, default, parse_u64)
 }
 
-/// True if `--flag` is present.
-pub fn arg_flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
-}
-
 /// Exit with status 2 if argv holds a `--flag` that is not in `known`:
 /// a mistyped or retired flag must not run the default study under
 /// another name.

@@ -186,11 +186,6 @@ impl ResolverCache {
         &self.config
     }
 
-    /// The active policy's label.
-    pub fn policy_label(&self) -> &'static str {
-        self.policy.label()
-    }
-
     /// Look up a question at time `now`. Expired entries miss and are
     /// evicted lazily; hits refresh the entry's recency/frequency
     /// bookkeeping (and thus its eviction rank).

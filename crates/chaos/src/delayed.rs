@@ -135,7 +135,7 @@ impl DelayedConfig {
     }
 
     /// True if Zipf rank `r` has no record in the zone (NXDOMAIN).
-    pub fn is_nx(&self, rank: usize) -> bool {
+    fn is_nx(&self, rank: usize) -> bool {
         self.nx_every > 0 && rank % self.nx_every == self.nx_every - 1
     }
 
@@ -174,7 +174,7 @@ pub struct QueryRecord {
 
 impl QueryRecord {
     /// Client-perceived latency (seconds), when answered.
-    pub fn latency_secs(&self) -> Option<f64> {
+    fn latency_secs(&self) -> Option<f64> {
         match (self.sent, self.done) {
             (Some(s), Some(d)) if d >= s => Some((d - s).as_secs_f64()),
             _ => None,

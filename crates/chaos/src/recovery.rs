@@ -128,7 +128,7 @@ const SERVER_ADDR: &str = "10.9.0.1:53";
 const SOURCES: u64 = 4;
 
 /// The querier's crash-target address (its first trace source).
-pub fn querier_addr() -> IpAddr {
+fn querier_addr() -> IpAddr {
     "10.1.0.1".parse().expect("valid ip")
 }
 

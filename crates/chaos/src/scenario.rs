@@ -38,7 +38,7 @@ use crate::plan::FaultPlan;
 /// The recursive resolver's address.
 pub const RESOLVER: SocketAddr = SocketAddr::new(IpAddr::V4(Ipv4Addr::new(10, 1, 0, 1)), 53);
 /// The stub swarm's address.
-pub const STUB: SocketAddr = SocketAddr::new(IpAddr::V4(Ipv4Addr::new(10, 2, 0, 1)), 5353);
+const STUB: SocketAddr = SocketAddr::new(IpAddr::V4(Ipv4Addr::new(10, 2, 0, 1)), 5353);
 /// The chaos agent's address; no workload host may use it.
 pub const AGENT: IpAddr = IpAddr::V4(Ipv4Addr::new(10, 255, 0, 1));
 
@@ -184,10 +184,10 @@ impl StubRecord {
 
 /// The stub swarm's shared per-query record table, indexed by query
 /// number.
-pub type StubRecords = Arc<Mutex<Vec<StubRecord>>>;
+type StubRecords = Arc<Mutex<Vec<StubRecord>>>;
 
 /// The stub swarm: timer token `i` sends query `i` (message id `i`,
-/// type A) from [`STUB`] to [`RESOLVER`], resends it every `retry_gap`
+/// type A) from `STUB` to [`RESOLVER`], resends it every `retry_gap`
 /// while unanswered up to `max_attempts` sends, and records the
 /// outcome. An unusable reply leaves the query open for the standing
 /// retry timer — possibly served from the resolver's cache if only the
@@ -205,7 +205,7 @@ pub struct StubSwarm {
 
 impl StubSwarm {
     /// Add a swarm asking `queries` = `(qname, expect_nxdomain)` per
-    /// query to `sim` at [`STUB`], with one pre-armed timer per query:
+    /// query to `sim` at `STUB`, with one pre-armed timer per query:
     /// query `i` first goes out at `first_at + i·gap`. Returns the
     /// swarm's host id and the record table it fills in.
     ///

@@ -8,15 +8,13 @@
 
 use std::cell::Cell;
 use std::net::IpAddr;
-use std::sync::Arc;
 
 use dns_wire::edns::{CLASSIC_UDP_LIMIT, DEFAULT_UDP_PAYLOAD};
 use dns_wire::{peek_id, Message, Opcode, Rcode, Transport};
-use dns_zone::{Catalog, ClientMatch, View, ViewSet};
+use dns_zone::{lookup_into, Catalog, ClientMatch, View, ViewSet};
 use ldp_telemetry as tel;
 
 use crate::scratch::{AnswerScratch, Assembly};
-use crate::template::{error_into, view_answer_into, TemplateTable};
 
 /// Interned span kinds for the engine's processing stages
 /// (parse → lookup → encode), shared by every transport front-end.
@@ -44,9 +42,6 @@ pub struct ServerEngine {
     views: ViewSet,
     /// Maximum UDP payload this server is willing to send with EDNS.
     pub max_udp_payload: u16,
-    /// Precompiled wire answers (see [`TemplateTable`]); `None` until
-    /// [`ServerEngine::with_templates`] opts in.
-    templates: Option<Arc<TemplateTable>>,
 }
 
 impl ServerEngine {
@@ -55,23 +50,7 @@ impl ServerEngine {
         ServerEngine {
             views,
             max_udp_payload: DEFAULT_UDP_PAYLOAD,
-            templates: None,
         }
-    }
-
-    /// Precompile response templates for every (view, qname, qtype) in
-    /// the loaded zones. `answer_udp` then serves template hits as a
-    /// memcpy plus header patching, falling back to the general path
-    /// for everything a template cannot express (unknown names, non-IN
-    /// classes, BADVERS, answers that need truncation, REFUSED views).
-    pub fn with_templates(mut self) -> Self {
-        self.templates = Some(Arc::new(TemplateTable::build(&self.views)));
-        self
-    }
-
-    /// The precompiled template table, if enabled.
-    pub fn templates(&self) -> Option<&TemplateTable> {
-        self.templates.as_deref()
     }
 
     /// Engine serving one catalog to every client (single-zone
@@ -99,11 +78,6 @@ impl ServerEngine {
     /// readable. A stream has no size limit, and an unparseable body
     /// yields `None` either way (drop — real servers cannot reply
     /// without a readable header).
-    ///
-    /// With [`ServerEngine::with_templates`] enabled, a UDP template
-    /// hit skips response assembly and encoding entirely; the lookup
-    /// and encode telemetry spans still bracket the table probe and the
-    /// copy+patch so `stage_breakdown` keeps attributing the time.
     pub fn answer_into<'s>(
         &self,
         src: IpAddr,
@@ -144,24 +118,11 @@ impl ServerEngine {
         transport: Transport,
         assembly: &'a mut Assembly,
     ) -> (&'a [u8], bool) {
-        let stream = transport.is_connection_oriented();
-        let limit = if stream {
+        let limit = if transport.is_connection_oriented() {
             usize::MAX
         } else {
             self.udp_limit(query)
         };
-        if let Some(templates) = self.templates.as_ref().filter(|_| !stream) {
-            let hit = {
-                let _lookup_span = tel::span(stages().lookup, u64::from(query.id));
-                let view = self.views.select_index(src);
-                templates.find(view, query, limit)
-            };
-            if let Some(bytes) = hit {
-                let _encode_span = tel::span(stages().encode, u64::from(query.id));
-                TemplateTable::patch_into(bytes, query, &mut assembly.raw);
-                return (&assembly.raw, false);
-            }
-        }
         self.assemble(src, query, assembly);
         let _encode_span = tel::span(stages().encode, u64::from(query.id));
         let Assembly {
@@ -176,18 +137,29 @@ impl ServerEngine {
     /// layer can emulate).
     fn assemble(&self, src: IpAddr, query: &Message, assembly: &mut Assembly) {
         let _lookup_span = tel::span(stages().lookup, u64::from(query.id));
+        let Assembly {
+            answer, response, ..
+        } = assembly;
         let refuse = if query.opcode != Opcode::Query {
             Rcode::NotImp
-        } else if query.question().is_none() {
-            Rcode::FormErr
-        } else if query.edns.as_ref().is_some_and(|e| e.version != 0) {
-            Rcode::BadVers
-        } else if let Some(view) = self.views.select(src) {
-            return view_answer_into(view, query, assembly);
+        } else if let Some(question) = query.question() {
+            if query.edns.as_ref().is_some_and(|e| e.version != 0) {
+                Rcode::BadVers
+            } else if let Some(zone) = self
+                .views
+                .select(src)
+                .and_then(|view| view.catalog.find(&question.name))
+            {
+                lookup_into(zone, question, answer);
+                return answer.render_into(query, response);
+            } else {
+                Rcode::Refused
+            }
         } else {
-            Rcode::Refused
+            Rcode::FormErr
         };
-        error_into(query, refuse, &mut assembly.response)
+        query.response_into(response);
+        response.rcode = refuse;
     }
 
     /// The effective UDP payload limit for `query` (RFC 6891
@@ -218,15 +190,6 @@ impl ServerEngine {
         })
     }
 
-    /// Answer and serialize for a stream transport (no size limit).
-    pub fn answer_stream(&self, src: IpAddr, query: &Message) -> Vec<u8> {
-        with_thread_scratch(|scratch| {
-            self.respond(src, query, Transport::Tcp, &mut scratch.assembly)
-                .0
-                .to_vec()
-        })
-    }
-
     /// Handle raw UDP bytes: [`ServerEngine::answer_into`] for callers
     /// that hold no scratch.
     pub fn handle_udp_bytes(&self, src: IpAddr, data: &[u8]) -> Option<Vec<u8>> {
@@ -235,19 +198,10 @@ impl ServerEngine {
                 .map(<[u8]>::to_vec)
         })
     }
-
-    /// Handle one raw stream-framed message body (without the 2-byte
-    /// prefix), returning the response body.
-    pub fn handle_stream_bytes(&self, src: IpAddr, data: &[u8]) -> Option<Vec<u8>> {
-        with_thread_scratch(|scratch| {
-            self.answer_into(src, data, Transport::Tcp, scratch)
-                .map(<[u8]>::to_vec)
-        })
-    }
 }
 
 /// Run `f` on this thread's scratch, for the entry points whose callers
-/// hold none (`benchmark/`, `hotpath`, the capture server). The scratch
+/// hold none (`benchmark/`, `scan_gate`, the capture server). The scratch
 /// is taken out for the call and put back after it, so a re-entrant
 /// call or a thread being torn down finds nothing and works on a fresh
 /// one instead of panicking.
@@ -449,8 +403,9 @@ mod tests {
         assert!(bytes.len() > 512);
 
         // Stream transport never truncates.
-        let body = engine.answer_stream(ip("1.1.1.1"), &q);
-        assert!(!Message::decode(&body).unwrap().flags.truncated);
+        let mut scratch = AnswerScratch::new();
+        let body = engine.answer_into(ip("1.1.1.1"), &q.encode(), Transport::Tcp, &mut scratch);
+        assert!(!Message::decode(body.unwrap()).unwrap().flags.truncated);
     }
 
     /// Twenty bytes with a readable header (id 0xabcd) and a QDCOUNT no
@@ -480,7 +435,9 @@ mod tests {
         old.rcode = Rcode::FormErr;
         assert_eq!(resp, old.encode());
         // A stream peer gets nothing for the same bytes.
-        assert_eq!(engine.handle_stream_bytes(ip("198.41.0.4"), &garbage), None);
+        let mut scratch = AnswerScratch::new();
+        let body = engine.answer_into(ip("198.41.0.4"), &garbage, Transport::Tcp, &mut scratch);
+        assert_eq!(body, None);
     }
 
     #[test]
@@ -489,114 +446,6 @@ mod tests {
         assert!(engine
             .handle_udp_bytes(ip("198.41.0.4"), &[1, 2, 3])
             .is_none());
-    }
-
-    #[test]
-    fn template_answers_byte_identical_to_general_path() {
-        // The acceptance property: for every query shape a template can
-        // serve, the precompiled bytes must equal the general
-        // lookup+encode path exactly — including misses, which must
-        // fall back and therefore trivially agree.
-        let general = hierarchy_engine();
-        let templated = hierarchy_engine().with_templates();
-        assert!(templated.templates().is_some_and(|t| !t.is_empty()));
-        let sources = ["198.41.0.4", "192.5.6.30", "216.239.32.10", "8.8.8.8"];
-        let qnames = [
-            "www.google.com",
-            "google.com",
-            "com",
-            "ns1.google.com",
-            "a.gtld-servers.net",
-            "nonexistent.google.com",
-            ".",
-        ];
-        let qtypes = [
-            RecordType::A,
-            RecordType::NS,
-            RecordType::SOA,
-            RecordType::TXT,
-        ];
-        for src in sources {
-            for qn in qnames {
-                for qt in qtypes {
-                    for (edns, do_bit, rd) in [
-                        (false, false, true),
-                        (true, false, false),
-                        (true, true, true),
-                    ] {
-                        let mut q = Message::query(0x4242, n(qn), qt);
-                        q.flags.recursion_desired = rd;
-                        if edns {
-                            q.edns = Some(dns_wire::Edns {
-                                dnssec_ok: do_bit,
-                                ..Default::default()
-                            });
-                        }
-                        assert_eq!(
-                            templated.answer_udp(ip(src), &q),
-                            general.answer_udp(ip(src), &q),
-                            "src={src} qn={qn} qt={qt:?} edns={edns} do={do_bit} rd={rd}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn template_fallback_conditions() {
-        let engine = hierarchy_engine().with_templates();
-        let t = engine.templates().unwrap();
-        let view = engine.views().select_index(ip("216.239.32.10"));
-        let q = Message::query(7, n("www.google.com"), RecordType::A);
-        assert!(t.find(view, &q, 4096).is_some(), "known name must hit");
-        // Unknown name: general path answers NXDOMAIN.
-        let missing = Message::query(7, n("zzz.google.com"), RecordType::A);
-        assert!(t.find(view, &missing, 4096).is_none());
-        // Limit below the template: truncation belongs to the general path.
-        assert!(t.find(view, &q, 20).is_none());
-        // Non-IN class, non-Query opcode, BADVERS, no view: all general.
-        let mut chaos = q.clone();
-        chaos.questions[0].qclass = dns_wire::RecordClass::CH;
-        assert!(t.find(view, &chaos, 4096).is_none());
-        let mut upd = q.clone();
-        upd.opcode = Opcode::Update;
-        assert!(t.find(view, &upd, 4096).is_none());
-        let mut badvers = q.clone();
-        badvers.edns = Some(dns_wire::Edns {
-            version: 1,
-            ..Default::default()
-        });
-        assert!(t.find(view, &badvers, 4096).is_none());
-        assert!(t.find(None, &q, 4096).is_none());
-    }
-
-    #[test]
-    fn template_truncation_falls_back_to_general_path() {
-        // Oversized answers must leave the template path and come back
-        // truncated with TC, byte-identical to a template-less engine.
-        let mut recs = vec![Record::new(n("example"), 60, RData::Ns(n("ns1.example")))];
-        for i in 0..40 {
-            recs.push(Record::new(
-                n("big.example"),
-                60,
-                RData::Txt(vec![format!("padding padding padding {i}").into_bytes()]),
-            ));
-        }
-        let mk = |recs: Vec<Record>| {
-            let mut cat = Catalog::new();
-            cat.insert(zone("example", recs));
-            ServerEngine::with_catalog(cat)
-        };
-        let general = mk(recs.clone());
-        let templated = mk(recs).with_templates();
-        let q = Message::query(9, n("big.example"), RecordType::TXT);
-        let (bytes_t, tc_t) = templated.answer_udp(ip("1.1.1.1"), &q);
-        let (bytes_g, tc_g) = general.answer_udp(ip("1.1.1.1"), &q);
-        assert!(tc_t && tc_g);
-        assert!(bytes_t.len() <= 512);
-        assert_eq!(bytes_t, bytes_g);
-        assert!(Message::decode(&bytes_t).unwrap().flags.truncated);
     }
 
     #[test]
@@ -628,7 +477,7 @@ mod tests {
 
     #[test]
     fn slip_reply_bytes_are_what_they_were() {
-        let engine = hierarchy_engine().with_templates();
+        let engine = hierarchy_engine();
         let mut scratch = AnswerScratch::new();
         let mut plain = Message::query(7, n("nonexistent.google.com"), RecordType::A);
         plain.flags.recursion_desired = false;
@@ -638,8 +487,8 @@ mod tests {
             dnssec_ok: true,
             ..Default::default()
         });
-        // General path (NXDOMAIN), then a template hit: either way the
-        // query is in the scratch.
+        // An NXDOMAIN, then an answer: either way the query is in the
+        // scratch.
         for query in [plain, with_do] {
             let wire = query.encode();
             let src = ip("216.239.32.10");
@@ -757,12 +606,7 @@ mod tests {
             cat.insert(gen_view_zone(g));
             views.push(View::new(name, vec![ClientMatch::Exact(ip(addr))], cat));
         }
-        let engine = ServerEngine::with_views(views);
-        if g.bool() {
-            engine.with_templates()
-        } else {
-            engine
-        }
+        ServerEngine::with_views(views)
     }
 
     /// One datagram of the mix: plain, EDNS with and without DO, a
@@ -816,7 +660,7 @@ mod tests {
     /// The reuse property: a random interleaving of queries answered
     /// through one long-lived scratch gives, byte for byte, what a
     /// fresh scratch gives for each — reply, truncation and slip reply,
-    /// over UDP and over a stream, general path and template hits.
+    /// over UDP and over a stream.
     #[test]
     fn one_long_lived_scratch_answers_like_a_fresh_one() {
         ldp_rng::check::check(192, |g| {
@@ -841,7 +685,8 @@ mod tests {
                 let udp = (udp.0.to_vec(), udp.1);
                 assert_eq!(engine.answer_udp(src, &query), udp);
                 let response = engine.answer(src, &query);
-                assert_eq!(engine.answer_stream(src, &query), response.encode());
+                let stream = engine.respond(src, &query, Transport::Tcp, &mut one_shot.assembly);
+                assert_eq!(stream.0, response.encode());
             }
         });
     }

@@ -21,11 +21,9 @@ pub mod rrl;
 pub mod scratch;
 pub mod sim_server;
 pub mod socket_server;
-pub mod template;
 
 pub use engine::ServerEngine;
 pub use rrl::{RateLimiter, RrlAction, RrlBank, RrlConfig, RrlStats};
 pub use scratch::AnswerScratch;
 pub use sim_server::SimDnsServer;
 pub use socket_server::{spawn, RunningServer, ServerConfig, ServerCounters};
-pub use template::TemplateTable;

@@ -105,6 +105,8 @@ struct Bucket {
 pub struct RateLimiter {
     config: RrlConfig,
     buckets: HashMap<(u128, u64), Bucket>,
+    /// When idle buckets were last swept out.
+    swept: f64,
     /// Live counters.
     pub stats: RrlStats,
 }
@@ -115,6 +117,7 @@ impl RateLimiter {
         RateLimiter {
             config,
             buckets: HashMap::new(),
+            swept: f64::NEG_INFINITY,
             stats: RrlStats::default(),
         }
     }
@@ -147,7 +150,16 @@ impl RateLimiter {
     /// identical answers) at time `now`; returns what to do with it.
     pub fn check(&mut self, client: IpAddr, response_key: u64, now: f64) -> RrlAction {
         let rate = self.config.responses_per_second as f64;
-        let depth = rate * self.config.window_secs as f64;
+        let window = self.config.window_secs as f64;
+        let depth = rate * window;
+        // Once per window, forget buckets idle for a window: such a
+        // bucket has refilled to full depth, so all that goes with it is
+        // its slip parity — and a flood of fresh keys holds at most two
+        // windows' worth of buckets instead of one per query.
+        if now - self.swept >= window {
+            self.buckets.retain(|_, b| now - b.last < window);
+            self.swept = now;
+        }
         let key = (self.prefix(client), response_key);
         let bucket = self.buckets.entry(key).or_insert(Bucket {
             tokens: depth,
@@ -171,11 +183,6 @@ impl RateLimiter {
             self.stats.dropped += 1;
             RrlAction::Drop
         }
-    }
-
-    /// Drop buckets idle since before `cutoff` (housekeeping).
-    pub fn evict_idle(&mut self, cutoff: f64) {
-        self.buckets.retain(|_, b| b.last >= cutoff);
     }
 
     /// Forget all buckets (a process restart starts from scratch);
@@ -275,13 +282,6 @@ impl RrlBank {
         }
     }
 
-    /// Drop buckets idle since before `cutoff`, bank-wide.
-    pub fn evict_idle(&mut self, cutoff: f64) {
-        for l in &mut self.limiters {
-            l.evict_idle(cutoff);
-        }
-    }
-
     /// Counters summed across every view's limiter.
     pub fn stats(&self) -> RrlStats {
         let mut total = RrlStats::default();
@@ -302,7 +302,7 @@ impl RrlBank {
 
 /// A stable response key for RRL grouping: identical (qname, rcode)
 /// pairs share a bucket, as BIND does.
-pub fn response_key(qname: &dns_wire::Name, rcode: dns_wire::Rcode) -> u64 {
+fn response_key(qname: &dns_wire::Name, rcode: dns_wire::Rcode) -> u64 {
     use std::hash::{Hash, Hasher};
     let mut h = std::collections::hash_map::DefaultHasher::new();
     qname.hash(&mut h);
@@ -411,13 +411,35 @@ mod tests {
 
     #[test]
     fn eviction_reclaims_buckets() {
-        let mut rrl = limiter(10, 0);
-        for i in 0..100u32 {
-            rrl.check(ip(&format!("10.{}.{}.1", i / 256, i % 256)), i as u64, 0.0);
+        // A random-name flood: 100 fresh keys a second for 12 windows
+        // of 2 s. Without the sweep in `check` the count is the number
+        // of queries sent (2400).
+        let (per_sec, window) = (100usize, 2usize);
+        let mut rrl = limiter(10, 2);
+        let mut never_swept = limiter(10, 2);
+        never_swept.swept = f64::INFINITY;
+        // Beside the flood, a compliant client: a burst of the full
+        // depth (20), then idle for more than a window, so the sweep
+        // forgets its bucket between any two bursts.
+        let mut verdicts = [Vec::new(), Vec::new()];
+        for i in 0..per_sec * window * 12 {
+            let now = i as f64 / per_sec as f64;
+            let flooder = ip(&format!("10.{}.{}.1", i / 256, i % 256));
+            for (rrl, verdicts) in [&mut rrl, &mut never_swept].into_iter().zip(&mut verdicts) {
+                rrl.check(flooder, i as u64, now);
+                if i % (per_sec * 5) == 0 {
+                    verdicts.extend((0..20).map(|_| rrl.check(ip("192.0.2.1"), 1, now)));
+                }
+            }
+            assert!(
+                rrl.bucket_count() <= per_sec * window * 2,
+                "{} buckets at {now} s",
+                rrl.bucket_count()
+            );
         }
-        assert_eq!(rrl.bucket_count(), 100);
-        rrl.evict_idle(1.0);
-        assert_eq!(rrl.bucket_count(), 0);
+        assert_eq!(never_swept.bucket_count(), per_sec * window * 12 + 1);
+        assert_eq!(verdicts[0], verdicts[1]);
+        assert_eq!(verdicts[0], [RrlAction::Send; 100]);
     }
 
     #[test]

@@ -34,8 +34,8 @@ pub(crate) struct Assembly {
     /// The response message under assembly.
     pub(crate) response: Message,
     pub(crate) encode: EncodeScratch,
-    /// Replies that are copied rather than encoded: a patched template,
-    /// the bare FORMERR header.
+    /// The one reply that is written rather than encoded: the bare
+    /// FORMERR header.
     pub(crate) raw: Vec<u8>,
 }
 

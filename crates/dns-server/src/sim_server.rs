@@ -102,11 +102,6 @@ impl SimDnsServer {
     pub fn addr(&self) -> SocketAddr {
         self.addr
     }
-
-    /// Currently tracked (open) incoming connections.
-    pub fn open_connections(&self) -> usize {
-        self.conns.len()
-    }
 }
 
 impl Host for SimDnsServer {
@@ -228,7 +223,7 @@ mod tests {
         s.parse().unwrap()
     }
 
-    fn engine_inner() -> ServerEngine {
+    fn engine() -> Arc<ServerEngine> {
         let mut z = Zone::new(n("example"));
         z.insert(Record::new(
             n("example"),
@@ -252,11 +247,7 @@ mod tests {
         .unwrap();
         let mut cat = Catalog::new();
         cat.insert(z);
-        ServerEngine::with_catalog(cat)
-    }
-
-    fn engine() -> Arc<ServerEngine> {
-        Arc::new(engine_inner())
+        Arc::new(ServerEngine::with_catalog(cat))
     }
 
     type Replies = Arc<Mutex<Vec<Message>>>;
@@ -386,7 +377,7 @@ mod tests {
             assert_eq!(rrl.limiters()[0].bucket_count(), 1);
         }
         netsim::Host::on_crash(&mut s);
-        assert_eq!(s.open_connections(), 0, "conns do not survive a power-off");
+        assert_eq!(s.conns.len(), 0, "conns do not survive a power-off");
         let bank = s.rrl.as_ref().unwrap();
         assert!(
             bank.limiters().iter().all(|l| l.bucket_count() == 0),
@@ -480,8 +471,19 @@ mod tests {
         );
     }
 
-    /// Raw-byte client: keeps replies unparsed so the equivalence test
-    /// below compares the exact wire output, not a decoded view of it.
+    /// Plain with RD, EDNS with DO, an NXDOMAIN and the apex SOA.
+    fn raw_queries() -> Vec<Vec<u8>> {
+        let mut q1 = Message::query(1, n("www.example"), RecordType::A);
+        q1.flags.recursion_desired = true;
+        let mut q2 = Message::query(2, n("www.example"), RecordType::A);
+        q2.edns = Some(dns_wire::Edns::with_do());
+        let q3 = Message::query(3, n("missing.example"), RecordType::A);
+        let q4 = Message::query(4, n("example"), RecordType::SOA);
+        [q1, q2, q3, q4].iter().map(Message::encode).collect()
+    }
+
+    /// Raw-byte client: keeps replies unparsed so the test below
+    /// compares the exact wire output, not a decoded view of it.
     struct RawClient {
         me: SocketAddr,
         server: SocketAddr,
@@ -500,62 +502,50 @@ mod tests {
         }
         fn on_tcp_event(&mut self, _ctx: &mut Ctx<'_>, _event: TcpEvent) {}
         fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
-            // One query per template variant plus a guaranteed miss:
-            // plain, EDNS DO=1, NXDOMAIN (general path), zone apex SOA.
-            let mut q1 = Message::query(1, n("www.example"), RecordType::A);
-            q1.flags.recursion_desired = true;
-            let mut q2 = Message::query(2, n("www.example"), RecordType::A);
-            q2.edns = Some(dns_wire::Edns::with_do());
-            let q3 = Message::query(3, n("missing.example"), RecordType::A);
-            let q4 = Message::query(4, n("example"), RecordType::SOA);
-            for q in [&q1, &q2, &q3, &q4] {
-                ctx.send_udp(self.me, self.server, q.encode());
+            for q in raw_queries() {
+                ctx.send_udp(self.me, self.server, q);
             }
         }
     }
 
-    fn run_raw(templates: bool) -> Vec<Vec<u8>> {
+    /// The simulated transport adds nothing to and takes nothing from
+    /// what the engine answers: every query is answered, with the
+    /// engine's bytes.
+    #[test]
+    fn udp_replies_are_the_engines_bytes() {
         let mut sim = Simulator::new(
             Topology::uniform(PathConfig::with_rtt(SimDuration::from_millis(10))),
             SimConfig::default(),
         );
         let server_addr: SocketAddr = "10.0.0.1:53".parse().unwrap();
-        let engine = if templates {
-            Arc::new(engine_inner().with_templates())
-        } else {
-            engine()
-        };
+        let me: SocketAddr = "10.0.0.2:5000".parse().unwrap();
         let replies = Arc::new(Mutex::new(vec![]));
         sim.add_host(
             &[server_addr.ip()],
-            Box::new(SimDnsServer::new(engine, server_addr, None)),
+            Box::new(SimDnsServer::new(engine(), server_addr, None)),
         );
         let client = sim.add_host(
-            &["10.0.0.2".parse().unwrap()],
+            &[me.ip()],
             Box::new(RawClient {
-                me: "10.0.0.2:5000".parse().unwrap(),
+                me,
                 server: server_addr,
                 replies: replies.clone(),
             }),
         );
         sim.schedule_timer(client, SimTime::ZERO, 0);
         sim.run_until(SimTime::from_secs_f64(5.0));
-        let mut out = replies.lock().unwrap().clone();
         // Replies share one path so arrival order is send order, but the
         // comparison should not depend on that: sort by transaction id
         // (the leading two bytes).
-        out.sort();
-        out
-    }
-
-    /// The ISSUE 7 acceptance property, end to end over the simulated
-    /// transport: templated answers are byte-identical to the general
-    /// path.
-    #[test]
-    fn templated_answers_byte_identical_to_general_path() {
-        let baseline = run_raw(false);
-        assert_eq!(baseline.len(), 4, "all four queries answered");
-        assert_eq!(run_raw(true), baseline);
+        let mut got = replies.lock().unwrap().clone();
+        got.sort();
+        let engine = engine();
+        let want: Vec<Vec<u8>> = raw_queries()
+            .iter()
+            .filter_map(|q| engine.handle_udp_bytes(me.ip(), q))
+            .collect();
+        assert_eq!(want.len(), 4, "all four queries answered");
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -9,10 +9,7 @@
 //! (paper §4): queries arrive over loopback at up to ~100 k q/s, and
 //! each UDP worker and TCP connection thread answers in an
 //! [`AnswerScratch`] of its own, so a query costs its qname and nothing
-//! else. Build the engine with [`ServerEngine::with_templates`] to serve
-//! precompiled answers on the UDP path (see [`crate::template`]); the
-//! workers call [`ServerEngine::answer_into`], which routes template
-//! hits and general-path answers identically.
+//! else.
 //!
 //! Limit, stated once: a thread per TCP connection serves loopback
 //! testbeds — hundreds to low thousands of concurrent connections. The
@@ -350,10 +347,7 @@ mod tests {
         .unwrap();
         let mut cat = Catalog::new();
         cat.insert(z);
-        // Templates on: the loopback round-trips below exercise the
-        // precompiled fast path over real sockets (wildcard and
-        // missing-name queries still take the general path).
-        Arc::new(ServerEngine::with_catalog(cat).with_templates())
+        Arc::new(ServerEngine::with_catalog(cat))
     }
 
     /// A client socket that gives up after 5 s instead of hanging the

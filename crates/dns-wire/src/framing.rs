@@ -75,7 +75,7 @@ impl FrameBuffer {
     }
 
     /// Bytes buffered but not yet forming a complete message.
-    pub fn pending_len(&self) -> usize {
+    fn pending_len(&self) -> usize {
         self.buf.len() - self.start
     }
 

@@ -14,9 +14,9 @@ use std::str::FromStr;
 use std::sync::Arc;
 
 /// Maximum total length of a name on the wire (RFC 1035 §2.3.4).
-pub const MAX_NAME_LEN: usize = 255;
+const MAX_NAME_LEN: usize = 255;
 /// Maximum length of a single label.
-pub const MAX_LABEL_LEN: usize = 63;
+const MAX_LABEL_LEN: usize = 63;
 
 /// Errors constructing or parsing a [`Name`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -288,13 +288,6 @@ impl Name {
     /// The leftmost label, if any.
     pub fn leftmost(&self) -> Option<&[u8]> {
         self.labels().next()
-    }
-
-    /// Replace the leftmost label with `*` (for wildcard synthesis).
-    pub fn to_wildcard(&self) -> Option<Name> {
-        // Swapping a label for the one-byte `*` can only shrink the
-        // name, so this construction never exceeds the wire limits.
-        self.parent()?.child(b"*").ok()
     }
 
     /// True if the leftmost label is `*`.
@@ -605,14 +598,6 @@ pub(crate) mod reference {
             Name::checked(labels)
         }
 
-        pub fn to_wildcard(&self) -> Option<Name> {
-            self.parent().map(|p| {
-                let mut labels = vec![b"*".to_vec().into_boxed_slice()];
-                labels.extend(p.labels.iter().cloned());
-                Name { labels }
-            })
-        }
-
         pub fn canonical_cmp(&self, other: &Name) -> Ordering {
             let a = &self.labels;
             let b = &other.labels;
@@ -714,11 +699,9 @@ mod tests {
 
     #[test]
     fn wildcard() {
-        let w = n("www.example.com").to_wildcard().unwrap();
-        assert_eq!(w, n("*.example.com"));
-        assert!(w.is_wildcard());
+        assert!(n("*.example.com").is_wildcard());
         assert!(!n("www.example.com").is_wildcard());
-        assert!(Name::root().to_wildcard().is_none());
+        assert!(!Name::root().is_wildcard());
     }
 
     /// The example ordering of RFC 4034 §6.1, in full.
@@ -946,10 +929,6 @@ mod tests {
                     (np, op) = (n, o);
                 }
                 assert_eq!(new.ancestor(old.labels.len() + 1), None);
-                match (new.to_wildcard(), old.to_wildcard()) {
-                    (Some(n), Some(o)) => assert_same(&n, &o),
-                    (n, o) => assert_eq!(n.is_none(), o.is_none()),
-                }
                 let label = gen_label(g);
                 assert_same_result(new.child(&label), old.child(&label));
                 // Presentation format round-trips, whatever the case.

@@ -148,14 +148,6 @@ impl RecordType {
         })
     }
 
-    /// True for meta/pseudo types that never appear in zone data.
-    pub fn is_meta(self) -> bool {
-        matches!(
-            self,
-            RecordType::OPT | RecordType::ANY | RecordType::IXFR | RecordType::AXFR
-        )
-    }
-
     /// True for DNSSEC-specific record types.
     pub fn is_dnssec(self) -> bool {
         matches!(
@@ -555,9 +547,6 @@ mod tests {
 
     #[test]
     fn meta_and_dnssec_classification() {
-        assert!(RecordType::OPT.is_meta());
-        assert!(RecordType::ANY.is_meta());
-        assert!(!RecordType::A.is_meta());
         assert!(RecordType::RRSIG.is_dnssec());
         assert!(RecordType::DNSKEY.is_dnssec());
         assert!(!RecordType::NS.is_dnssec());

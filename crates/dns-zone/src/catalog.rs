@@ -34,11 +34,6 @@ impl Catalog {
         self.zones.insert(zone.origin().clone(), Arc::new(zone));
     }
 
-    /// Add an already-shared zone.
-    pub fn insert_arc(&mut self, zone: Arc<Zone>) {
-        self.zones.insert(zone.origin().clone(), zone);
-    }
-
     /// The zone with exactly this origin.
     pub fn get(&self, origin: &Name) -> Option<&Arc<Zone>> {
         self.zones.get(origin)
@@ -66,11 +61,6 @@ impl Catalog {
     /// True if no zones are loaded.
     pub fn is_empty(&self) -> bool {
         self.zones.is_empty()
-    }
-
-    /// Iterate zones in canonical origin order.
-    pub fn iter(&self) -> impl Iterator<Item = &Arc<Zone>> {
-        self.zones.values()
     }
 
     /// Zone origins.

@@ -85,16 +85,15 @@ pub fn key_tag(flags: u16, protocol: u8, algorithm: u8, public_key: &[u8]) -> u1
 }
 
 /// One synthetic signing key.
-#[derive(Debug, Clone)]
-pub struct SigningKey {
+struct SigningKey {
     /// 256 = ZSK, 257 = KSK.
-    pub flags: u16,
+    flags: u16,
     /// Modulus bits.
-    pub bits: u32,
+    bits: u32,
     /// Synthetic public key bytes.
-    pub public_key: Vec<u8>,
+    public_key: Vec<u8>,
     /// RFC 4034 key tag.
-    pub tag: u16,
+    tag: u16,
 }
 
 impl SigningKey {
@@ -110,7 +109,7 @@ impl SigningKey {
     }
 
     /// The DNSKEY RDATA for this key.
-    pub fn to_rdata(&self) -> RData {
+    fn to_rdata(&self) -> RData {
         RData::Dnskey {
             flags: self.flags,
             protocol: 3,
@@ -120,15 +119,11 @@ impl SigningKey {
     }
 }
 
-/// The result of signing: the signed zone plus the keys used.
+/// The result of signing.
 #[derive(Debug, Clone)]
 pub struct SignedZone {
     /// The signed zone (DNSKEY, RRSIG, NSEC added).
     pub zone: Zone,
-    /// Active zone-signing keys (two during rollover).
-    pub zsks: Vec<SigningKey>,
-    /// The key-signing key.
-    pub ksk: SigningKey,
 }
 
 /// Sign `zone` per `config`, producing DNSKEY at the apex, RRSIGs over
@@ -252,11 +247,7 @@ pub fn sign_zone(zone: &Zone, config: SignConfig) -> SignedZone {
         out.insert(rec).expect("signing records are in-zone");
     }
 
-    SignedZone {
-        zone: out,
-        zsks,
-        ksk,
-    }
+    SignedZone { zone: out }
 }
 
 /// DNSKEY RRsets are signed by the KSK; everything else by the ZSK(s).
@@ -410,8 +401,17 @@ mod tests {
                 }
             }
             // ZSK DNSKEY size.
-            let zsk = &signed.zsks[0];
-            assert_eq!(zsk.public_key.len(), bits as usize / 8 + 4);
+            let apex = signed.zone.node(signed.zone.origin()).unwrap();
+            let dnskeys = &apex.get(RecordType::DNSKEY).unwrap().rdatas;
+            let zsk_len = dnskeys.iter().find_map(|rd| match rd {
+                RData::Dnskey {
+                    flags: 256,
+                    public_key,
+                    ..
+                } => Some(public_key.len()),
+                _ => None,
+            });
+            assert_eq!(zsk_len, Some(bits as usize / 8 + 4));
         }
     }
 
@@ -427,8 +427,6 @@ mod tests {
     fn rollover_publishes_two_zsks_and_double_signs() {
         let normal = sign_zone(&base_zone(), SignConfig::with_zsk_bits(2048));
         let roll = sign_zone(&base_zone(), SignConfig::with_zsk_bits(2048).rollover());
-        assert_eq!(normal.zsks.len(), 1);
-        assert_eq!(roll.zsks.len(), 2);
         let dnskeys = |s: &SignedZone| {
             s.zone
                 .node(s.zone.origin())

@@ -62,15 +62,8 @@ impl Default for Answer {
 }
 
 impl Answer {
-    /// Render into a response message for `query`, including DNSSEC
-    /// records only when the query set the DO bit.
-    pub fn into_message(mut self, query: &Message) -> Message {
-        let mut resp = Message::default();
-        self.render_into(query, &mut resp);
-        resp
-    }
-
-    /// [`Answer::into_message`] written over `resp`, whatever it held.
+    /// Render as the response to `query` over `resp`, whatever it held,
+    /// including DNSSEC records only when the query set the DO bit.
     /// The sections change hands by swap, so this answer is left
     /// holding `resp`'s old storage for the next [`lookup_into`] and
     /// neither side allocates once both are warm.
@@ -1023,12 +1016,18 @@ mod tests {
         assert_eq!(got.additionals, want.additionals, "{question}");
     }
 
+    fn into_message(mut a: Answer, query: &Message) -> Message {
+        let mut resp = Message::default();
+        a.render_into(query, &mut resp);
+        resp
+    }
+
     #[test]
     fn into_message_sets_flags() {
         let z = test_zone();
         let query = Message::query(77, n("www.example.com"), RecordType::A);
         let a = lookup(&z, &q("www.example.com", RecordType::A));
-        let msg = a.into_message(&query);
+        let msg = into_message(a, &query);
         assert_eq!(msg.id, 77);
         assert!(msg.flags.response);
         assert!(msg.flags.authoritative);
@@ -1057,11 +1056,11 @@ mod tests {
         assert_eq!(a.answers.len(), 2, "A + RRSIG gathered");
 
         let mut query = Message::query(1, n("www.example.com"), RecordType::A);
-        let plain = lookup(&z, &q("www.example.com", RecordType::A)).into_message(&query);
+        let plain = into_message(lookup(&z, &q("www.example.com", RecordType::A)), &query);
         assert_eq!(plain.answers.len(), 1, "no DO → RRSIG stripped");
 
         query.set_dnssec_ok(true);
-        let signed = lookup(&z, &q("www.example.com", RecordType::A)).into_message(&query);
+        let signed = into_message(lookup(&z, &q("www.example.com", RecordType::A)), &query);
         assert_eq!(signed.answers.len(), 2, "DO → RRSIG included");
     }
 }

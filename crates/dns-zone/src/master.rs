@@ -198,7 +198,7 @@ fn resolve_name(tok: &str, origin: &Name) -> Result<Name, String> {
 }
 
 /// Parse a TTL: plain seconds or BIND duration units (1h30m, 2d, 1w).
-pub fn parse_ttl(tok: &str) -> Option<u32> {
+fn parse_ttl(tok: &str) -> Option<u32> {
     if let Ok(v) = tok.parse::<u32>() {
         return Some(v);
     }

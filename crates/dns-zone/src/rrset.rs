@@ -78,11 +78,6 @@ impl RRset {
         self.records().collect()
     }
 
-    /// Materialize with a different owner name (wildcard synthesis).
-    pub fn to_records_as(&self, owner: &Name) -> Vec<Record> {
-        self.records_as(owner).collect()
-    }
-
     /// The total wire size of all members, uncompressed (used by the
     /// bandwidth accounting in the DNSSEC experiment).
     pub fn wire_len(&self) -> usize {
@@ -125,7 +120,7 @@ mod tests {
     #[test]
     fn to_records_as_rewrites_owner() {
         let set = RRset::from_record(a("*.example.com", 60, "9.9.9.9"));
-        let recs = set.to_records_as(&n("foo.example.com"));
+        let recs: Vec<Record> = set.records_as(&n("foo.example.com")).collect();
         assert_eq!(recs[0].name, n("foo.example.com"));
     }
 

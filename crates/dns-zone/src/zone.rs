@@ -59,23 +59,9 @@ impl Node {
         self.rrsets.get(&rtype.to_u16())
     }
 
-    /// True if the node carries an NS RRset (a delegation point when not
-    /// the apex).
-    pub fn has_ns(&self) -> bool {
-        self.get(RecordType::NS).is_some()
-    }
-
     /// All RRsets at this node.
     pub fn iter(&self) -> impl Iterator<Item = &RRset> {
         self.rrsets.values()
-    }
-
-    /// The record types present (for NSEC synthesis).
-    pub fn types(&self) -> Vec<RecordType> {
-        self.rrsets
-            .keys()
-            .map(|&t| RecordType::from_u16(t))
-            .collect()
     }
 }
 
@@ -437,9 +423,10 @@ mod tests {
     fn insert_and_lookup() {
         let z = example_zone();
         assert!(z.validate().is_ok());
+        let www = z.node(&n("www.example.com")).unwrap();
         assert_eq!(
-            z.node(&n("www.example.com")).unwrap().types(),
-            vec![RecordType::A]
+            www.iter().map(|set| set.rtype).collect::<Vec<_>>(),
+            [RecordType::A]
         );
         assert!(z.node(&n("nothere.example.com")).is_none());
         assert!(z.soa().is_some());

@@ -101,23 +101,12 @@ impl AdmissionController {
         self.in_flight = 0;
     }
 
-    /// Queries currently holding slots.
-    pub fn in_flight(&self) -> usize {
-        self.in_flight
-    }
-
     /// Total admission *grants* so far. A query re-offered after a
     /// crash ([`AdmissionController::reset_in_flight`]) is granted —
     /// and counted — again, so this can exceed the number of distinct
     /// admitted seqs.
     pub fn admitted(&self) -> u64 {
         self.admitted
-    }
-
-    /// Distinct seqs shed so far, in first-shed order (a seq re-shed
-    /// after a crash re-offer appears once).
-    pub fn shed_seqs(&self) -> &[u64] {
-        &self.shed
     }
 
     /// Count of distinct shed queries.
@@ -142,7 +131,7 @@ mod tests {
         let mut ac = tiny();
         assert_eq!(ac.offer(0, 100, 50), Admission::Admit);
         assert_eq!(ac.offer(1, 100, 50), Admission::Admit);
-        assert_eq!(ac.in_flight(), 2);
+        assert_eq!(ac.in_flight, 2);
         // On time, window full: caller should yield and re-offer.
         assert_eq!(ac.offer(2, 100, 50), Admission::Busy);
         assert_eq!(ac.shed_count(), 0);
@@ -154,7 +143,7 @@ mod tests {
         ac.offer(0, 100, 50);
         ac.offer(1, 100, 50);
         ac.complete();
-        assert_eq!(ac.in_flight(), 1);
+        assert_eq!(ac.in_flight, 1);
         assert_eq!(ac.offer(2, 100, 50), Admission::Admit);
         assert_eq!(ac.admitted(), 3);
     }
@@ -167,10 +156,10 @@ mod tests {
         // deadline 100, allowance 1000: at t=1101 it's past the limit.
         assert_eq!(ac.offer(7, 100, 1_101), Admission::Shed);
         assert_eq!(ac.offer(8, 100, 2_000), Admission::Shed);
-        assert_eq!(ac.shed_seqs(), &[7, 8]);
+        assert_eq!(ac.shed, [7, 8]);
         assert_eq!(ac.shed_count(), 2);
         // Shedding never consumed a slot.
-        assert_eq!(ac.in_flight(), 2);
+        assert_eq!(ac.in_flight, 2);
     }
 
     #[test]
@@ -206,7 +195,7 @@ mod tests {
         assert_eq!(ac.offer(0, 100, 6_000), Admission::Admit);
         assert_eq!(ac.offer(1, 100, 6_000), Admission::Admit);
         assert_eq!(ac.offer(7, 100, 6_000), Admission::Shed);
-        assert_eq!(ac.shed_seqs(), &[7], "one entry per distinct seq");
+        assert_eq!(ac.shed, [7], "one entry per distinct seq");
         assert_eq!(ac.shed_count(), 1);
         // `admitted` counts grants: 0 and 1 were each granted twice.
         assert_eq!(ac.admitted(), 4);
@@ -228,7 +217,7 @@ mod tests {
             verdicts,
             vec![Admission::Admit, Admission::Admit, Admission::Busy]
         );
-        assert_eq!(ac.in_flight(), 2);
+        assert_eq!(ac.in_flight, 2);
         assert_eq!(ac.shed_count(), 0);
     }
 
@@ -236,6 +225,6 @@ mod tests {
     fn complete_never_underflows() {
         let mut ac = tiny();
         ac.complete();
-        assert_eq!(ac.in_flight(), 0);
+        assert_eq!(ac.in_flight, 0);
     }
 }

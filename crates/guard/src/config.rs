@@ -136,7 +136,7 @@ pub struct GuardConfig {
 
 impl GuardConfig {
     /// A configuration with every protection off — the pre-guard
-    /// behavior, used as the hotpath-bench baseline. (The reconnect
+    /// behavior. (The reconnect
     /// budget keeps its default bounds: "off" would mean the old
     /// uncapped loop, which is the bug the budget fixes.)
     pub fn disabled() -> Self {

@@ -57,7 +57,7 @@ impl InflightStatus {
     }
 
     /// Parse a grammar keyword.
-    pub fn from_str_opt(s: &str) -> Option<InflightStatus> {
+    fn from_str_opt(s: &str) -> Option<InflightStatus> {
         match s {
             "inflight" => Some(InflightStatus::InFlight),
             "parked" => Some(InflightStatus::Parked),

@@ -18,7 +18,7 @@ use crate::rules::Diagnostic;
 
 /// One parsed allowlist entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AllowEntry {
+pub(crate) struct AllowEntry {
     /// Rule id this entry suppresses (any id in `crate::rules::CATALOG`).
     pub rule: String,
     /// Path suffix the entry applies to.

@@ -8,7 +8,7 @@ use crate::rules::{analyze_source, Diagnostic};
 
 /// Outcome of a full `check` run.
 #[derive(Debug, Default)]
-pub struct CheckReport {
+pub(crate) struct CheckReport {
     /// Diagnostics that survived the allowlist.
     pub errors: Vec<Diagnostic>,
     /// Diagnostics suppressed by the allowlist.
@@ -22,7 +22,7 @@ pub struct CheckReport {
 impl CheckReport {
     /// Process exit code for this report: 1 on any diagnostic, and on
     /// any unused allowlist entry, so `ldp-lint.allow` cannot rot.
-    pub fn exit_code(&self) -> i32 {
+    fn exit_code(&self) -> i32 {
         if self.errors.is_empty() && self.unused_allows.is_empty() {
             0
         } else {
@@ -35,7 +35,7 @@ impl CheckReport {
 const SKIP_DIRS: &[&str] = &[".git", "target", "node_modules"];
 
 /// Recursively collect `.rs` files under `root`, sorted for stable output.
-pub fn collect_rs_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
+fn collect_rs_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();
     let mut stack = vec![root.to_path_buf()];
     while let Some(dir) = stack.pop() {

@@ -42,7 +42,7 @@ pub struct Diagnostic {
 /// `rules` listing, `explain <RULE>`, the allowlist's rule-id
 /// validation and the DESIGN.md §7 table all derive from.
 #[derive(Debug, Clone, Copy)]
-pub struct RuleInfo {
+pub(crate) struct RuleInfo {
     /// Rule id (`D1` … `S1`).
     pub id: &'static str,
     /// One-line statement of the invariant.
@@ -95,7 +95,7 @@ pub const CATALOG: &[RuleInfo] = &[
         id: "P1",
         summary: "no unwrap/expect/panic!/unreachable!/todo!/unimplemented! in hot \
                   paths (crates/dns-wire/src, crates/proxy/src, crates/guard/src, \
-                  dns-server/src/{engine,template,scratch,sim_server}.rs, \
+                  dns-server/src/{engine,scratch,sim_server}.rs, \
                   dns-zone/src/{lookup,zone,catalog,view}.rs, replay/src/core.rs, \
                   dns-resolver/src/{core,sim_resolver}.rs)",
         rationale: "A malformed packet must never panic the server: decode and dispatch \
@@ -146,7 +146,7 @@ pub fn rule_info(id: &str) -> Option<&'static RuleInfo> {
 
 /// Path-derived scope of a file, controlling which rules apply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FileScope {
+pub(crate) struct FileScope {
     /// Test/bench/example/fixture code: no rules at all.
     pub exempt: bool,
     /// Real-clock module (D1 does not apply):
@@ -166,7 +166,7 @@ pub struct FileScope {
     /// Panic-safety hot path (P1 applies): `crates/dns-wire/src/**`,
     /// `crates/proxy/src/**`, `crates/cache/src/**` (every resolver
     /// query crosses the cache), `crates/dns-server/src/engine.rs`,
-    /// `template.rs`, `scratch.rs` and `sim_server.rs` there and
+    /// `scratch.rs` and `sim_server.rs` there and
     /// `crates/dns-zone/src/{lookup,zone,catalog,view}.rs` (every
     /// authoritative query crosses them), `crates/shard/src/**` (a
     /// worker-thread panic aborts the whole windowed drive),
@@ -225,7 +225,7 @@ pub fn classify(path: &str) -> FileScope {
         || p.contains("crates/cache/src/")
         || p.contains("crates/guard/src/")
         || shard_path
-        || ["engine", "template", "scratch", "sim_server"]
+        || ["engine", "scratch", "sim_server"]
             .iter()
             .any(|f| p.ends_with(&format!("crates/dns-server/src/{f}.rs")))
         || ["lookup", "zone", "catalog", "view"]
@@ -920,12 +920,11 @@ mod tests {
             .iter()
             .any(|d| d.rule == "P1"));
         // Everything an authoritative query crosses on its way through
-        // the simulated server: the engine, the template fast path and
-        // the scratch it answers in, the netsim host around them, and
-        // the zone structures the lookup walks.
+        // the simulated server: the engine and the scratch it answers
+        // in, the netsim host around them, and the zone structures the
+        // lookup walks.
         for path in [
             "crates/dns-server/src/engine.rs",
-            "crates/dns-server/src/template.rs",
             "crates/dns-server/src/scratch.rs",
             "crates/dns-server/src/sim_server.rs",
             "crates/dns-zone/src/lookup.rs",
@@ -1143,7 +1142,7 @@ mod tests {
         // (hash iteration) and P1 (panic discipline) both cover it.
         let hash = r#"
             use std::collections::HashMap;
-            pub struct C { pub entries: HashMap<u64, u32> }
+            struct C { pub entries: HashMap<u64, u32> }
             impl C { pub fn f(&self) { for x in self.entries.values() { let _ = x; } } }
         "#;
         assert!(analyze_source("crates/cache/src/store.rs", hash)

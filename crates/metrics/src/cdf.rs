@@ -31,7 +31,7 @@ impl Cdf {
     }
 
     /// Fraction of samples ≤ `x`.
-    pub fn fraction_at(&self, x: f64) -> f64 {
+    fn fraction_at(&self, x: f64) -> f64 {
         // partition_point: count of samples <= x.
         let cnt = self.sorted.partition_point(|&v| v <= x);
         cnt as f64 / self.sorted.len() as f64

@@ -57,7 +57,8 @@ impl LogHistogram {
     }
 
     /// Iterate `(bin_lower_bound, count)` for non-empty bins.
-    pub fn nonzero_bins(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
+    #[cfg(test)]
+    fn nonzero_bins(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
         self.counts.iter().enumerate().filter_map(move |(i, &c)| {
             if c == 0 {
                 None

@@ -12,7 +12,7 @@ pub mod cdf;
 pub mod histogram;
 pub mod rate;
 pub mod summary;
-pub mod timeseries;
+mod timeseries;
 
 pub use cdf::Cdf;
 pub use histogram::LogHistogram;

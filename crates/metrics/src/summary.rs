@@ -54,11 +54,6 @@ impl Summary {
         })
     }
 
-    /// Interquartile range.
-    pub fn iqr(&self) -> f64 {
-        self.q3 - self.q1
-    }
-
     /// One-line rendering used by the experiment binaries.
     pub fn render(&self, unit: &str) -> String {
         format!(
@@ -80,7 +75,7 @@ impl Summary {
 /// Quantile of an ascending-sorted slice with linear interpolation.
 ///
 /// `q` is clamped to `[0, 1]`. Panics on an empty slice.
-pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
+fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     assert!(!sorted.is_empty(), "quantile of empty slice");
     let q = q.clamp(0.0, 1.0);
     let pos = q * (sorted.len() - 1) as f64;
@@ -161,7 +156,7 @@ mod tests {
     fn iqr() {
         let v: Vec<f64> = (1..=5).map(|i| i as f64).collect();
         let s = Summary::of(&v).unwrap();
-        assert_eq!(s.iqr(), 2.0);
+        assert_eq!(s.q3 - s.q1, 2.0);
     }
 
     #[test]

@@ -69,7 +69,8 @@ impl TimeSeries {
     /// Time at which the series first reaches `frac` (0..1) of its final
     /// value and stays within `tolerance` of it — how long until steady
     /// state.
-    pub fn settle_time(&self, tolerance: f64) -> Option<f64> {
+    #[cfg(test)]
+    fn settle_time(&self, tolerance: f64) -> Option<f64> {
         let last = self.last_value()?;
         let band = (last.abs() * tolerance).max(f64::EPSILON);
         // Find the earliest sample after which all values stay in band.
@@ -85,7 +86,8 @@ impl TimeSeries {
     }
 
     /// Downsample to about `n` evenly spaced samples (for plotting).
-    pub fn downsample(&self, n: usize) -> Vec<(f64, f64)> {
+    #[cfg(test)]
+    fn downsample(&self, n: usize) -> Vec<(f64, f64)> {
         if self.samples.len() <= n || n == 0 {
             return self.samples.clone();
         }

@@ -92,7 +92,7 @@ impl Default for CpuModel {
 
 impl CpuModel {
     /// Total CPU cost in seconds for the work recorded in `stats`.
-    pub fn cost_seconds(&self, stats: &HostStats) -> f64 {
+    fn cost_seconds(&self, stats: &HostStats) -> f64 {
         (stats.udp_rx as f64 * self.udp_query_us
             + stats.tcp_rx as f64 * self.tcp_query_us
             + stats.tls_rx as f64 * self.tls_query_us
@@ -110,7 +110,8 @@ impl CpuModel {
     }
 
     /// Percent CPU over an interval, given stats at its start and end.
-    pub fn percent_delta(&self, start: &HostStats, end: &HostStats, wall_seconds: f64) -> f64 {
+    #[cfg(test)]
+    fn percent_delta(&self, start: &HostStats, end: &HostStats, wall_seconds: f64) -> f64 {
         let delta = HostStats {
             udp_rx: end.udp_rx - start.udp_rx,
             tcp_rx: end.tcp_rx - start.tcp_rx,

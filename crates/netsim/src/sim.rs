@@ -360,11 +360,6 @@ impl<'a> Ctx<'a> {
         self.now
     }
 
-    /// The id of the host this callback runs on.
-    pub fn host_id(&self) -> HostId {
-        self.host
-    }
-
     /// Send a UDP datagram. Accepts anything convertible to the shared
     /// [`PacketBytes`] buffer (`Vec<u8>`, `&[u8]`, or an existing
     /// `PacketBytes` which is forwarded without copying).
@@ -650,17 +645,6 @@ impl Simulator {
         self.add_host_with_lane(addrs, host, lane)
     }
 
-    /// The global lane of a registered host.
-    pub fn lane_of(&self, host: HostId) -> u64 {
-        self.lanes[host]
-    }
-
-    /// Attach an additional address to an existing host.
-    pub fn add_address(&mut self, host: HostId, addr: IpAddr) {
-        let prev = self.addr_map.insert(addr, host);
-        assert!(prev.is_none(), "address {addr} already registered");
-    }
-
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -812,14 +796,6 @@ impl Simulator {
                 payload: Payload::Udp(r.data),
             }),
         );
-    }
-
-    /// Credit a UDP transmission to a host's counters without sending
-    /// anything (the `ldp-shard` front-end resolves injected sends
-    /// itself, then routes the sender-side bookkeeping here).
-    pub fn credit_udp_tx(&mut self, host: HostId, bytes: u64) {
-        self.stats[host].udp_tx += 1;
-        self.stats[host].udp_tx_bytes += bytes;
     }
 
     /// Swap this simulator's driver-lane key counter and RNG stream

@@ -115,11 +115,6 @@ impl Topology {
         self.set_pair(b, a, cfg);
     }
 
-    /// The default path configuration.
-    pub fn default_path(&self) -> PathConfig {
-        self.default
-    }
-
     /// The minimum one-way propagation latency over every configured
     /// path (default + per-pair + per-source overrides) — the
     /// conservative lookahead bound for sharded simulation

@@ -14,7 +14,7 @@
 #![warn(missing_docs)]
 
 pub mod rewrite;
-pub mod sim_proxy;
+mod sim_proxy;
 
 pub use rewrite::{rewrite_inbound, rewrite_outbound, Flow, FlowTable};
 pub use sim_proxy::{ProxyStats, SimProxy};

@@ -48,11 +48,6 @@ impl SimProxy {
             stats: ProxyStats::default(),
         }
     }
-
-    /// Outstanding (unanswered) flows.
-    pub fn live_flows(&self) -> usize {
-        self.flows.len()
-    }
 }
 
 impl Host for SimProxy {

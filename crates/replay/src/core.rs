@@ -815,7 +815,7 @@ mod reference {
 
     /// An admission verdict, chosen by the test.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum Verdict {
+    pub(super) enum Verdict {
         Admit,
         Busy,
         Shed,
@@ -823,7 +823,7 @@ mod reference {
 
     /// What a client does that the rest of the simulation can see.
     #[derive(Debug, Clone, PartialEq, Eq)]
-    pub enum Effect {
+    pub(super) enum Effect {
         /// Armed the re-offer timer of a parked seq.
         AdmitTimer(u64),
         /// Armed a UDP retransmit timer (seq, delay µs).
@@ -841,7 +841,7 @@ mod reference {
     }
 
     #[derive(Debug, Clone)]
-    pub struct RefClient {
+    pub(super) struct RefClient {
         /// In-flight queries by wire key.
         pending: BTreeMap<u64, Pending>,
         reconnect: bool,
@@ -849,8 +849,8 @@ mod reference {
         /// Live retry chains: seq → (original send time, attempts so far).
         retrying: BTreeMap<u64, (u64, u32)>,
         records: Vec<String>,
-        pub sent: u64,
-        pub retries: u64,
+        pub(super) sent: u64,
+        pub(super) retries: u64,
         completed: BTreeSet<u64>,
         cursor: u64,
         parked: BTreeSet<u64>,
@@ -859,11 +859,11 @@ mod reference {
         retx_seed: u64,
         retx_state: RetransmitState,
         epoch: u32,
-        pub restarts: u64,
+        pub(super) restarts: u64,
     }
 
     impl RefClient {
-        pub fn new(
+        pub(super) fn new(
             udp_retransmit: Option<RetransmitConfig>,
             retx_seed: u64,
             reconnect: bool,
@@ -889,15 +889,21 @@ mod reference {
             }
         }
 
-        pub fn is_done(&self, seq: u64) -> bool {
+        pub(super) fn is_done(&self, seq: u64) -> bool {
             self.completed.contains(&seq)
         }
 
-        pub fn pending_seqs(&self) -> BTreeMap<u64, u64> {
+        pub(super) fn pending_seqs(&self) -> BTreeMap<u64, u64> {
             self.pending.iter().map(|(&k, p)| (k, p.seq)).collect()
         }
 
-        pub fn try_admit(&mut self, seq: u64, verdict: Verdict, now: u64, out: &mut Vec<Effect>) {
+        pub(super) fn try_admit(
+            &mut self,
+            seq: u64,
+            verdict: Verdict,
+            now: u64,
+            out: &mut Vec<Effect>,
+        ) {
             if self.completed.contains(&seq) {
                 return;
             }
@@ -934,13 +940,19 @@ mod reference {
             }
         }
 
-        pub fn admit_timer(&mut self, seq: u64, verdict: Verdict, now: u64, out: &mut Vec<Effect>) {
+        pub(super) fn admit_timer(
+            &mut self,
+            seq: u64,
+            verdict: Verdict,
+            now: u64,
+            out: &mut Vec<Effect>,
+        ) {
             if self.parked.remove(&seq) {
                 self.try_admit(seq, verdict, now, out);
             }
         }
 
-        pub fn retx_timer(&mut self, seq: u64, now: u64, out: &mut Vec<Effect>) {
+        pub(super) fn retx_timer(&mut self, seq: u64, now: u64, out: &mut Vec<Effect>) {
             if self.completed.contains(&seq) {
                 return;
             }
@@ -957,7 +969,7 @@ mod reference {
             self.dispatch(seq, Some(sent_ns), now, out);
         }
 
-        pub fn retry_timer(&mut self, seq: u64, now: u64, out: &mut Vec<Effect>) {
+        pub(super) fn retry_timer(&mut self, seq: u64, now: u64, out: &mut Vec<Effect>) {
             let Some(&(sent_ns, _)) = self.retrying.get(&seq) else {
                 return;
             };
@@ -967,7 +979,7 @@ mod reference {
         }
 
         /// The connection `seq` is pending on died.
-        pub fn closed(&mut self, seq: u64, out: &mut Vec<Effect>) {
+        pub(super) fn closed(&mut self, seq: u64, out: &mut Vec<Effect>) {
             let key = seq % super::tests::KEYS;
             if self.pending.get(&key).is_none_or(|p| p.seq != seq) {
                 return;
@@ -989,7 +1001,7 @@ mod reference {
         }
 
         /// A reply arrived for wire key `key`.
-        pub fn reply(&mut self, key: u64, out: &mut Vec<Effect>) {
+        pub(super) fn reply(&mut self, key: u64, out: &mut Vec<Effect>) {
             let Some(p) = self.pending.remove(&key) else {
                 return;
             };
@@ -1017,7 +1029,7 @@ mod reference {
             out
         }
 
-        pub fn take_fuzzy_checkpoint(&mut self, taken_ns: u64) -> Checkpoint {
+        pub(super) fn take_fuzzy_checkpoint(&mut self, taken_ns: u64) -> Checkpoint {
             self.epoch += 1;
             let outstanding = self.outstanding_seqs();
             let mut cursor = self.advance_cursor();
@@ -1060,7 +1072,7 @@ mod reference {
             }
         }
 
-        pub fn crash(&mut self) {
+        pub(super) fn crash(&mut self) {
             self.pending.clear();
             self.retrying.clear();
             self.parked.clear();

@@ -57,7 +57,8 @@ impl TimingTracker {
     /// send immediately without a timer (paper: "if the input
     /// processing falls behind (ΔTᵢ ≤ 0), LDplayer sends the query
     /// immediately").
-    pub fn delay_from(&self, trace_us: u64, now_us: u64) -> Option<u64> {
+    #[cfg(test)]
+    fn delay_from(&self, trace_us: u64, now_us: u64) -> Option<u64> {
         let deadline = self.deadline_us(trace_us);
         deadline.checked_sub(now_us)
     }

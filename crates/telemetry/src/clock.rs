@@ -13,7 +13,7 @@
 //! this file is allowlisted in `ldp-lint.allow`.
 
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
 /// A monotonically non-decreasing nanosecond timestamp source.
@@ -94,17 +94,15 @@ pub fn publish_virtual_now(t_ns: u64) {
 
 /// The last virtual time published *on this thread*, in nanoseconds.
 #[inline]
-pub fn virtual_now() -> u64 {
+fn virtual_now() -> u64 {
     VIRTUAL_NOW.with(|v| v.get())
 }
 
 const MODE_ZERO: u8 = 0;
 const MODE_VIRTUAL: u8 = 1;
-const MODE_WALL: u8 = 2;
 const MODE_CUSTOM: u8 = 3;
 
 static MODE: AtomicU8 = AtomicU8::new(MODE_ZERO);
-static WALL: OnceLock<WallClockSource> = OnceLock::new();
 static CUSTOM: RwLock<Option<Arc<dyn ClockSource>>> = RwLock::new(None);
 
 /// Every clocked record is stamped 0 ns (the default; deterministic
@@ -117,12 +115,6 @@ pub fn use_zero_clock() {
 /// [`publish_virtual_now`].
 pub fn use_virtual_clock() {
     MODE.store(MODE_VIRTUAL, Ordering::Relaxed);
-}
-
-/// Clocked records read real monotonic time (origin = first use).
-pub fn use_wall_clock() {
-    let _ = WALL.set(WallClockSource::new());
-    MODE.store(MODE_WALL, Ordering::Relaxed);
 }
 
 /// Clocked records read `source` — e.g. the replay engine's
@@ -139,7 +131,6 @@ pub fn install_clock(source: Arc<dyn ClockSource>) {
 pub fn now_ns() -> u64 {
     match MODE.load(Ordering::Relaxed) {
         MODE_VIRTUAL => virtual_now(),
-        MODE_WALL => WALL.get_or_init(WallClockSource::new).now_ns(),
         MODE_CUSTOM => match CUSTOM.read() {
             Ok(slot) => slot.as_ref().map(|c| c.now_ns()).unwrap_or(0),
             Err(_) => 0,

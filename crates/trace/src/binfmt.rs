@@ -54,7 +54,7 @@ fn put_addr(out: &mut Vec<u8>, addr: SocketAddr) {
 }
 
 /// Append one record to `out`.
-pub fn append_record(out: &mut Vec<u8>, entry: &TraceEntry) {
+fn append_record(out: &mut Vec<u8>, entry: &TraceEntry) {
     let msg = entry.message.encode();
     let kind: u8 = match (entry.src.ip(), entry.dst.ip()) {
         (IpAddr::V4(_), IpAddr::V4(_)) => 4,
@@ -125,7 +125,7 @@ impl<'a> BinReader<'a> {
     }
 
     /// Decode the next record, or `None` at a clean end of stream.
-    pub fn next_record(&mut self) -> Result<Option<TraceEntry>, BinError> {
+    fn next_record(&mut self) -> Result<Option<TraceEntry>, BinError> {
         if self.remaining() == 0 {
             return Ok(None);
         }
@@ -174,7 +174,7 @@ impl<'a> BinReader<'a> {
     }
 
     /// Decode every record.
-    pub fn read_all(&mut self) -> Result<Vec<TraceEntry>, BinError> {
+    fn read_all(&mut self) -> Result<Vec<TraceEntry>, BinError> {
         let mut out = Vec::new();
         while let Some(e) = self.next_record()? {
             out.push(e);
@@ -219,7 +219,7 @@ impl<R: std::io::Read> StreamReader<R> {
     }
 
     /// Read the next record; `Ok(None)` at clean end of stream.
-    pub fn next_record(&mut self) -> Result<Option<TraceEntry>, BinError> {
+    fn next_record(&mut self) -> Result<Option<TraceEntry>, BinError> {
         let mut len_buf = [0u8; 2];
         // Distinguish clean EOF (no bytes) from a torn record.
         match self.inner.read(&mut len_buf[..1]) {

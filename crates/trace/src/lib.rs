@@ -30,7 +30,7 @@ pub mod entry;
 pub mod mutate;
 pub mod pcap;
 pub mod stats;
-pub mod textfmt;
+mod textfmt;
 
 pub use binfmt::{parse_binary, write_binary, BinError, BinReader, StreamReader};
 pub use entry::{Trace, TraceEntry};

@@ -52,12 +52,6 @@ impl Mutator {
         }
     }
 
-    /// Override the RNG seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Apply all mutations, in order, to `trace`.
     pub fn apply(&self, trace: &mut Vec<TraceEntry>) {
         for m in &self.mutations {

@@ -135,7 +135,7 @@ fn build_ipv4(src: Ipv4Addr, dst: Ipv4Addr, transport: Transport, l4: &[u8]) -> 
 }
 
 /// RFC 1071 internet checksum over an IPv4 header.
-pub fn ipv4_checksum(header: &[u8]) -> u16 {
+fn ipv4_checksum(header: &[u8]) -> u16 {
     let mut sum: u32 = 0;
     for chunk in header.chunks(2) {
         let word = if chunk.len() == 2 {

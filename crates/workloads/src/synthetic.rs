@@ -50,7 +50,7 @@ impl SyntheticTraceSpec {
     }
 
     /// Number of queries this spec will produce.
-    pub fn query_count(&self) -> usize {
+    fn query_count(&self) -> usize {
         (self.duration_secs / self.interarrival_secs).round() as usize
     }
 

@@ -48,7 +48,8 @@ impl Zipf {
     }
 
     /// The probability mass of the top `k` ranks.
-    pub fn top_k_mass(&self, k: usize) -> f64 {
+    #[cfg(test)]
+    fn top_k_mass(&self, k: usize) -> f64 {
         if k == 0 {
             0.0
         } else {
