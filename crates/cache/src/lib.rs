@@ -8,9 +8,10 @@
 //! live or die on:
 //!
 //! * **[`ResolverCache`]** — a capacity-bounded TTL store with
-//!   pluggable deterministic eviction policies behind one trait
-//!   ([`EvictionPolicy`]): [`policy::Lru`], [`policy::LfuLite`] and the
-//!   aggregate-delay-aware [`policy::DelayAware`] that ranks entries by
+//!   deterministic eviction policies named by one enum and ranked by
+//!   one function ([`PolicyKind::rank`]): [`PolicyKind::Lru`],
+//!   [`PolicyKind::LfuLite`] and the aggregate-delay-aware
+//!   [`PolicyKind::DelayAware`] that ranks entries by
 //!   (expected miss latency × arrival rate) rather than recency. TTLs
 //!   are clamped per RFC 2181 §8 and expired sets are never inserted.
 //! * **[`OutstandingTable`]** — the in-flight query aggregation table:
@@ -44,7 +45,7 @@ pub mod store;
 
 pub use negative::negative_ttl;
 pub use outstanding::{Completed, OutstandingStats, OutstandingTable, WaiterSlot};
-pub use policy::{EvictionPolicy, PolicyKind};
+pub use policy::PolicyKind;
 pub use store::{CacheStats, CachedAnswer, EntryMeta, FillInfo, PutOutcome, ResolverCache};
 
 /// Prefetch-before-expiry knobs.

@@ -1,4 +1,4 @@
-//! Deterministic eviction policies behind one trait.
+//! Deterministic eviction policies: one enum, one rank function.
 //!
 //! A policy maps an entry's bookkeeping ([`EntryMeta`]) to a `u128`
 //! *rank*; the store keeps a `(rank, slot)` ordered index and always
@@ -11,83 +11,23 @@
 
 use crate::store::EntryMeta;
 
-/// An eviction policy: smaller rank ⇒ evicted sooner.
-pub trait EvictionPolicy: Send + std::fmt::Debug {
-    /// Short label for transcripts and figure legends.
-    fn label(&self) -> &'static str;
-
-    /// Eviction rank of an entry with bookkeeping `meta` at time `now`
-    /// (seconds, same epoch as the store's `now` parameters). The
-    /// minimum-ranked entry is evicted first.
-    fn rank(&self, meta: &EntryMeta, now: f64) -> u128;
-}
-
-/// Least-recently-used: rank is the global access sequence number of
-/// the entry's last touch.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Lru;
-
-impl EvictionPolicy for Lru {
-    fn label(&self) -> &'static str {
-        "lru"
-    }
-
-    fn rank(&self, meta: &EntryMeta, _now: f64) -> u128 {
-        meta.last_access_seq as u128
-    }
-}
-
-/// Frequency-first ("LFU-lite"): rank orders by lifetime request count,
-/// breaking ties by recency. "Lite" because counts are per-generation
-/// accumulations, not a decayed sketch — deterministic and cheap.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LfuLite;
-
-impl EvictionPolicy for LfuLite {
-    fn label(&self) -> &'static str {
-        "lfu-lite"
-    }
-
-    fn rank(&self, meta: &EntryMeta, _now: f64) -> u128 {
-        ((meta.requests as u128) << 64) | meta.last_access_seq as u128
-    }
-}
-
-/// Aggregate-delay-aware (MAD-style): rank by the delay an eviction
-/// would reintroduce — (expected miss latency) × (arrival rate) — so
-/// the store prefers to keep entries whose misses are expensive *and*
-/// frequent, not merely recent. Under in-flight aggregation a miss for
-/// a popular name delays every coalesced waiter, which is exactly the
-/// product this score estimates.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DelayAware;
-
-impl EvictionPolicy for DelayAware {
-    fn label(&self) -> &'static str {
-        "delay-aware"
-    }
-
-    fn rank(&self, meta: &EntryMeta, now: f64) -> u128 {
-        // Arrival rate over the entry's observed lifetime, floored at a
-        // 1 s window so a brand-new entry's rate is just its aggregated
-        // request count (the waiters that piled up during its fill).
-        let age = (now - meta.first_seen).max(1.0);
-        let rate = meta.requests as f64 / age;
-        let score = (meta.fill_latency.max(0.0) * rate).max(0.0);
-        // Non-negative f64 bit patterns sort like the floats they
-        // encode, so the score is order-preserved; recency breaks ties.
-        ((score.to_bits() as u128) << 64) | meta.last_access_seq as u128
-    }
-}
-
-/// The built-in policies, as a config-friendly enum.
+/// An eviction policy: smaller [`PolicyKind::rank`] ⇒ evicted sooner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PolicyKind {
-    /// [`Lru`].
+    /// Least-recently-used: rank is the global access sequence number
+    /// of the entry's last touch.
     Lru,
-    /// [`LfuLite`].
+    /// Frequency-first ("LFU-lite"): rank orders by lifetime request
+    /// count, breaking ties by recency. "Lite" because counts are
+    /// per-generation accumulations, not a decayed sketch —
+    /// deterministic and cheap.
     LfuLite,
-    /// [`DelayAware`].
+    /// Aggregate-delay-aware (MAD-style): rank by the delay an eviction
+    /// would reintroduce — (expected miss latency) × (arrival rate) — so
+    /// the store prefers to keep entries whose misses are expensive
+    /// *and* frequent, not merely recent. Under in-flight aggregation a
+    /// miss for a popular name delays every coalesced waiter, which is
+    /// exactly the product this score estimates.
     DelayAware,
 }
 
@@ -98,18 +38,33 @@ impl PolicyKind {
     /// The policy's transcript/legend label.
     pub fn label(self) -> &'static str {
         match self {
-            PolicyKind::Lru => Lru.label(),
-            PolicyKind::LfuLite => LfuLite.label(),
-            PolicyKind::DelayAware => DelayAware.label(),
+            PolicyKind::Lru => "lru",
+            PolicyKind::LfuLite => "lfu-lite",
+            PolicyKind::DelayAware => "delay-aware",
         }
     }
 
-    /// Instantiate the policy.
-    pub fn build(self) -> Box<dyn EvictionPolicy> {
+    /// Eviction rank of an entry with bookkeeping `meta` at time `now`
+    /// (seconds, same epoch as the store's `now` parameters). The
+    /// minimum-ranked entry is evicted first.
+    pub fn rank(self, meta: &EntryMeta, now: f64) -> u128 {
+        let recency = meta.last_access_seq as u128;
         match self {
-            PolicyKind::Lru => Box::new(Lru),
-            PolicyKind::LfuLite => Box::new(LfuLite),
-            PolicyKind::DelayAware => Box::new(DelayAware),
+            PolicyKind::Lru => recency,
+            PolicyKind::LfuLite => ((meta.requests as u128) << 64) | recency,
+            PolicyKind::DelayAware => {
+                // Arrival rate over the entry's observed lifetime,
+                // floored at a 1 s window so a brand-new entry's rate
+                // is just its aggregated request count (the waiters
+                // that piled up during its fill).
+                let age = (now - meta.first_seen).max(1.0);
+                let rate = meta.requests as f64 / age;
+                let score = (meta.fill_latency.max(0.0) * rate).max(0.0);
+                // Non-negative f64 bit patterns sort like the floats
+                // they encode, so the score is order-preserved; recency
+                // breaks ties.
+                ((score.to_bits() as u128) << 64) | recency
+            }
         }
     }
 }
@@ -130,13 +85,13 @@ mod tests {
 
     #[test]
     fn lru_orders_by_recency() {
-        let p = Lru;
+        let p = PolicyKind::Lru;
         assert!(p.rank(&meta(1, 100, 0.0, 9.0), 10.0) < p.rank(&meta(2, 1, 0.0, 0.0), 10.0));
     }
 
     #[test]
     fn lfu_orders_by_frequency_then_recency() {
-        let p = LfuLite;
+        let p = PolicyKind::LfuLite;
         assert!(p.rank(&meta(9, 1, 0.0, 0.0), 10.0) < p.rank(&meta(1, 2, 0.0, 0.0), 10.0));
         // Same frequency: older access evicts first.
         assert!(p.rank(&meta(1, 2, 0.0, 0.0), 10.0) < p.rank(&meta(5, 2, 0.0, 0.0), 10.0));
@@ -144,7 +99,7 @@ mod tests {
 
     #[test]
     fn delay_aware_keeps_expensive_frequent_entries() {
-        let p = DelayAware;
+        let p = PolicyKind::DelayAware;
         // Cheap-and-rare evicts before expensive-and-frequent.
         let cheap = meta(1, 2, 0.0, 0.010);
         let costly = meta(2, 200, 0.0, 0.200);
@@ -157,15 +112,8 @@ mod tests {
 
     #[test]
     fn delay_aware_rank_is_deterministic() {
-        let p = DelayAware;
+        let p = PolicyKind::DelayAware;
         let m = meta(7, 42, 1.5, 0.123);
         assert_eq!(p.rank(&m, 50.0), p.rank(&m, 50.0));
-    }
-
-    #[test]
-    fn kind_builds_matching_policy() {
-        for kind in PolicyKind::ALL {
-            assert_eq!(kind.build().label(), kind.label());
-        }
     }
 }

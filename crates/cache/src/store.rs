@@ -18,8 +18,7 @@ use std::collections::{btree_map, BTreeMap, BTreeSet};
 
 use dns_wire::{Name, Rcode, Record, RecordType};
 
-use crate::policy::EvictionPolicy;
-use crate::{CacheConfig, PrefetchConfig};
+use crate::{CacheConfig, PolicyKind, PrefetchConfig};
 
 /// A cached outcome for a (name, type) question.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -144,7 +143,7 @@ impl PrefetchBudget {
 #[derive(Debug)]
 pub struct ResolverCache {
     config: CacheConfig,
-    policy: Box<dyn EvictionPolicy>,
+    policy: PolicyKind,
     /// name → qtype → entry; two levels so lookups borrow the qname.
     entries: BTreeMap<Name, BTreeMap<u16, Entry>>,
     /// Eviction order: minimum `(rank, slot)` is evicted first.
@@ -163,7 +162,7 @@ impl ResolverCache {
     pub fn new(config: CacheConfig) -> Self {
         let budget = PrefetchBudget::new(&config.prefetch.unwrap_or_default());
         ResolverCache {
-            policy: config.policy.build(),
+            policy: config.policy,
             config,
             entries: BTreeMap::new(),
             by_rank: BTreeSet::new(),
@@ -456,7 +455,6 @@ fn clamp_rfc2181(ttl: u32) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::PolicyKind;
     use dns_wire::RData;
 
     fn n(s: &str) -> Name {

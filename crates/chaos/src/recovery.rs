@@ -150,15 +150,6 @@ fn mk_trace(cfg: &RecoveryConfig) -> Vec<TraceEntry> {
         .collect()
 }
 
-/// Serialize a record exactly as the checkpoint `rec` lines do —
-/// `{:?}` f64s round-trip exactly, so transcripts compare byte-wise.
-fn record_line(r: &LatencyRecord) -> String {
-    format!(
-        "{} {:?} {:?} {:?} {} {}",
-        r.seq, r.sent_s, r.replied_s, r.transport, r.source, r.response_bytes
-    )
-}
-
 /// Drain this thread's telemetry ring, keeping only `q.*` lifecycle
 /// events. Guard-side marks (`replay.shed` / `replay.resumed` /
 /// `replay.restarted`) are deliberately excluded: they describe the
@@ -190,7 +181,7 @@ fn outcome(
         cfg.rtt.as_nanos()
     ));
     for r in &records {
-        t.push_str(&record_line(r));
+        t.push_str(&r.to_line());
         t.push('\n');
     }
     RecoveryOutcome {
@@ -607,6 +598,10 @@ mod tests {
             "kill lands mid-run, cursor {}",
             cp.cursor
         );
+        // One writer: the cut's `rec` lines are what the transcript
+        // says of the same completions, in the same order.
+        let body: Vec<&str> = killed.transcript.lines().skip(2).collect();
+        assert_eq!(cp.records, body[..cp.records.len()]);
         let resumed = run_resumed(&cfg, &cp);
         assert_eq!(
             resumed.transcript.lines().skip(2).collect::<Vec<_>>(),

@@ -401,7 +401,7 @@ mod tests {
         );
         assert!(tcp.established.max_value().unwrap() > 0.0);
         // After the run + timeout horizon, connections drained.
-        assert_eq!(tcp.established.last_value().unwrap(), 0.0);
+        assert_eq!(tcp.established.samples().last().unwrap().1, 0.0);
         // Latency collected for every query.
         assert_eq!(tcp.latency.len() as u64, tcp.queries_sent);
     }

@@ -390,8 +390,7 @@ fn hostile_names_are_rejected_before_any_allocation() {
     ] {
         let (allocs, got) = allocations(|| {
             let mut r = WireReader::new(buf);
-            r.seek(at);
-            r.get_name()
+            r.get_bytes(at).and_then(|_| r.get_name())
         });
         assert_eq!(got, Err(want));
         assert_eq!(allocs, 0);

@@ -41,30 +41,6 @@ impl Default for RrlConfig {
     }
 }
 
-impl RrlConfig {
-    /// Build the concrete limiter configuration from guard's policy
-    /// knobs ([`ldp_guard::OverloadConfig`]), so the sim and socket
-    /// servers share one configuration surface. Returns `None` when
-    /// the policy disables rate limiting (`responses_per_second` 0).
-    ///
-    /// Guard expresses burst as a bucket depth in *responses*; RRL
-    /// stores it as a window in seconds, so the depth is rounded up to
-    /// the next whole multiple of the rate.
-    pub fn from_overload(overload: &ldp_guard::OverloadConfig) -> Option<RrlConfig> {
-        if !overload.enabled() {
-            return None;
-        }
-        let rps = (overload.responses_per_second.ceil() as u32).max(1);
-        let window_secs = ((overload.burst / rps as f64).ceil() as u32).max(1);
-        Some(RrlConfig {
-            responses_per_second: rps,
-            window_secs,
-            slip: overload.slip,
-            ..RrlConfig::default()
-        })
-    }
-}
-
 /// The rate-limiter's verdict for one response.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RrlAction {
@@ -191,14 +167,10 @@ impl RateLimiter {
         self.buckets.clear();
     }
 
-    /// Number of live buckets.
-    pub fn bucket_count(&self) -> usize {
+    /// Number of live buckets: what the tests bound.
+    #[cfg(test)]
+    pub(crate) fn bucket_count(&self) -> usize {
         self.buckets.len()
-    }
-
-    /// The configuration this limiter was built with.
-    pub fn config(&self) -> &RrlConfig {
-        &self.config
     }
 }
 
@@ -440,35 +412,6 @@ mod tests {
         assert_eq!(never_swept.bucket_count(), per_sec * window * 12 + 1);
         assert_eq!(verdicts[0], verdicts[1]);
         assert_eq!(verdicts[0], [RrlAction::Send; 100]);
-    }
-
-    #[test]
-    fn from_overload_rounds_burst_up_and_respects_disable() {
-        let off = ldp_guard::OverloadConfig::default();
-        assert!(RrlConfig::from_overload(&off).is_none(), "rps 0 = disabled");
-
-        let on = ldp_guard::OverloadConfig {
-            responses_per_second: 10.0,
-            burst: 15.0,
-            slip: 3,
-        };
-        let cfg = RrlConfig::from_overload(&on).unwrap();
-        assert_eq!(cfg.responses_per_second, 10);
-        // Depth 15 at 10 rps rounds up to a 2 s window (depth 20).
-        assert_eq!(cfg.window_secs, 2);
-        assert_eq!(cfg.slip, 3);
-
-        let fractional = ldp_guard::OverloadConfig {
-            responses_per_second: 0.4,
-            burst: 1.0,
-            slip: 0,
-        };
-        let cfg = RrlConfig::from_overload(&fractional).unwrap();
-        assert_eq!(
-            cfg.responses_per_second, 1,
-            "fractional rates round up to 1"
-        );
-        assert_eq!(cfg.window_secs, 1);
     }
 
     fn encoded_reply(qname: &str, rcode: dns_wire::Rcode) -> Vec<u8> {

@@ -13,7 +13,7 @@ use ldp_telemetry as tel;
 use netsim::{ConnId, Ctx, Host, PacketBytes, SimDuration, TcpEvent};
 
 use crate::engine::ServerEngine;
-use crate::rrl::{RateLimiter, RrlAction, RrlBank, RrlConfig};
+use crate::rrl::{RrlAction, RrlBank, RrlConfig};
 use crate::scratch::AnswerScratch;
 
 /// Interned lifecycle marks for the simulated server. These are
@@ -49,7 +49,7 @@ pub struct SimDnsServer {
     /// deployed): one limiter per view plus a catch-all, so overload
     /// on one level of the emulated hierarchy never spends another
     /// level's budget.
-    pub rrl: Option<RrlBank>,
+    rrl: Option<RrlBank>,
     /// Total queries answered (all transports).
     pub queries_handled: u64,
     /// Every answer is built here and sent from here: the host is one
@@ -80,21 +80,11 @@ impl SimDnsServer {
 
     /// Enable response rate limiting on UDP answers: every view (and
     /// the catch-all for unmatched clients) gets its own limiter built
-    /// from `limiter`'s configuration.
-    pub fn with_rrl(mut self, limiter: RateLimiter) -> Self {
+    /// from `config`, as [`crate::ServerConfig::rrl`] does for the
+    /// socket server.
+    pub fn with_rrl(mut self, config: RrlConfig) -> Self {
         let views = self.engine.views().len();
-        self.rrl = Some(RrlBank::new(*limiter.config(), views));
-        self
-    }
-
-    /// Enable response rate limiting from guard's policy knobs — the
-    /// shared configuration surface with the socket server. A disabled
-    /// policy (`responses_per_second` 0) leaves RRL off.
-    pub fn with_overload(mut self, overload: &ldp_guard::OverloadConfig) -> Self {
-        if let Some(cfg) = RrlConfig::from_overload(overload) {
-            let views = self.engine.views().len();
-            self.rrl = Some(RrlBank::new(cfg, views));
-        }
+        self.rrl = Some(RrlBank::new(config, views));
         self
     }
 
@@ -364,7 +354,7 @@ mod tests {
     #[test]
     fn crash_drops_connection_state() {
         let mut s = SimDnsServer::new(engine(), "10.0.0.1:53".parse().unwrap(), None)
-            .with_rrl(RateLimiter::new(crate::rrl::RrlConfig::default()));
+            .with_rrl(RrlConfig::default());
         s.conns.insert(
             ConnId(7),
             (FrameBuffer::new(), "10.0.0.2:5000".parse().unwrap()),
@@ -385,9 +375,10 @@ mod tests {
         );
     }
 
-    /// Guard's `OverloadConfig` builds a per-view bank: a flood aimed
-    /// at one view's budget leaves another view's clients untouched,
-    /// and `with_overload` with a disabled policy leaves RRL off.
+    /// The overload response's one configuration, `with_rrl`, builds a
+    /// per-view bank: a flood aimed at one view's budget leaves another
+    /// view's clients untouched, and a server built without it has RRL
+    /// off.
     #[test]
     fn overload_config_builds_per_view_bank() {
         use dns_zone::{ClientMatch, View, ViewSet};
@@ -427,17 +418,17 @@ mod tests {
         views.push(View::new("rest", vec![ClientMatch::Any], mk_cat()));
         let engine = Arc::new(ServerEngine::with_views(views));
 
-        let off = SimDnsServer::new(engine.clone(), "10.0.0.9:53".parse().unwrap(), None)
-            .with_overload(&ldp_guard::OverloadConfig::default());
-        assert!(off.rrl.is_none(), "disabled policy leaves RRL off");
+        let off = SimDnsServer::new(engine.clone(), "10.0.0.9:53".parse().unwrap(), None);
+        assert!(off.rrl.is_none(), "RRL is off unless asked for");
 
-        let policy = ldp_guard::OverloadConfig {
-            responses_per_second: 1.0,
-            burst: 1.0,
+        let policy = RrlConfig {
+            responses_per_second: 1,
+            window_secs: 1,
             slip: 0,
+            ..RrlConfig::default()
         };
         let mut on = SimDnsServer::new(engine.clone(), "10.0.0.9:53".parse().unwrap(), None)
-            .with_overload(&policy);
+            .with_rrl(policy);
         let bank = on.rrl.as_mut().unwrap();
         assert_eq!(bank.limiters().len(), 3, "two views + catch-all");
 

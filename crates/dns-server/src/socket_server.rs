@@ -54,11 +54,10 @@ pub struct ServerConfig {
     pub udp_workers: usize,
     /// Idle timeout after which the server closes a TCP connection.
     pub tcp_idle_timeout: Duration,
-    /// Server-side overload response: per-view response rate limiting
-    /// on UDP answers, built from guard's policy knobs (the same
-    /// configuration surface [`crate::SimDnsServer::with_overload`]
-    /// uses). The default policy is disabled.
-    pub overload: ldp_guard::OverloadConfig,
+    /// Per-view response rate limiting on UDP answers (what
+    /// [`crate::SimDnsServer::with_rrl`] takes). `None`, the default,
+    /// leaves it off.
+    pub rrl: Option<RrlConfig>,
 }
 
 impl Default for ServerConfig {
@@ -68,7 +67,7 @@ impl Default for ServerConfig {
             tcp_addr: SocketAddr::from(([127, 0, 0, 1], 0)),
             udp_workers: 4,
             tcp_idle_timeout: Duration::from_secs(20),
-            overload: ldp_guard::OverloadConfig::default(),
+            rrl: None,
         }
     }
 }
@@ -140,7 +139,8 @@ pub fn spawn(engine: Arc<ServerEngine>, config: ServerConfig) -> std::io::Result
     // One shared per-view limiter bank across the UDP workers; the
     // wall clock feeds the buckets the same seconds the simulator's
     // virtual clock feeds `SimDnsServer`'s.
-    let rrl: Option<Arc<Mutex<RrlBank>>> = RrlConfig::from_overload(&config.overload)
+    let rrl: Option<Arc<Mutex<RrlBank>>> = config
+        .rrl
         .map(|cfg| Arc::new(Mutex::new(RrlBank::new(cfg, engine.views().len()))));
     let epoch = Instant::now();
     // Every fallible step comes before the first thread starts, so an
@@ -448,11 +448,12 @@ mod tests {
     fn udp_rrl_limits_flood_with_tc_slip() {
         let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         let config = ServerConfig {
-            overload: ldp_guard::OverloadConfig {
-                responses_per_second: 1.0,
-                burst: 2.0,
+            rrl: Some(RrlConfig {
+                responses_per_second: 1,
+                window_secs: 2,
                 slip: 2,
-            },
+                ..RrlConfig::default()
+            }),
             ..Default::default()
         };
         let server = spawn(engine(), config).unwrap();

@@ -1040,7 +1040,7 @@ mod tests {
         let buf = w.into_bytes();
         let rdlength = buf.len() - rdata_start;
         let mut r = WireReader::new(&buf);
-        r.seek(rdata_start);
+        r.get_bytes(rdata_start).unwrap();
         let rd = RData::decode(RecordType::NS, rdlength, &mut r).unwrap();
         assert_eq!(rd, RData::Ns(n("ns1.example.com")));
     }

@@ -224,11 +224,6 @@ impl<'a> WireReader<'a> {
         self.pos
     }
 
-    /// Move the cursor (used to re-parse sections).
-    pub fn seek(&mut self, pos: usize) {
-        self.pos = pos;
-    }
-
     /// Bytes remaining after the cursor.
     pub fn remaining(&self) -> usize {
         self.buf.len().saturating_sub(self.pos)
@@ -407,7 +402,6 @@ mod tests {
         // Pointer to itself.
         let buf = [0xc0u8, 0x00];
         let mut r = WireReader::new(&buf);
-        r.seek(0);
         assert_eq!(r.get_name(), Err(WireError::BadPointer));
     }
 

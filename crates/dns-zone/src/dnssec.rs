@@ -474,7 +474,7 @@ mod tests {
             }
             cur = next;
         }
-        assert_eq!(seen.len(), z.name_count());
+        assert_eq!(seen.len(), z.names().count());
     }
 
     #[test]

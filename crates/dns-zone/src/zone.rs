@@ -262,11 +262,6 @@ impl Zone {
             .flat_map(|node| node.iter().flat_map(|set| set.to_records()))
     }
 
-    /// Number of nodes (owner names).
-    pub fn name_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Number of records.
     pub fn record_count(&self) -> usize {
         self.nodes
@@ -578,7 +573,7 @@ mod tests {
     #[test]
     fn counts() {
         let z = example_zone();
-        assert_eq!(z.name_count(), 6);
+        assert_eq!(z.names().count(), 6);
         assert_eq!(z.record_count(), 7);
         assert_eq!(z.records().count(), 7);
     }

@@ -8,6 +8,8 @@
 //! transcript and the `replay.shed` counter account for every dropped
 //! query) instead of blocking the dispatch loop.
 
+use std::collections::BTreeSet;
+
 /// Admission policy knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdmissionConfig {
@@ -48,7 +50,10 @@ pub struct AdmissionController {
     cfg: AdmissionConfig,
     in_flight: usize,
     admitted: u64,
-    shed: Vec<u64>,
+    /// Distinct seqs shed so far. A set: under overload every late
+    /// offer checks it, and no per-query step may scan a table
+    /// (DESIGN §7).
+    shed: BTreeSet<u64>,
 }
 
 impl AdmissionController {
@@ -58,7 +63,7 @@ impl AdmissionController {
             cfg,
             in_flight: 0,
             admitted: 0,
-            shed: Vec::new(),
+            shed: BTreeSet::new(),
         }
     }
 
@@ -74,9 +79,7 @@ impl AdmissionController {
             // Shedding is idempotent per seq: a query re-offered after
             // a querier crash (its park timer died with the process)
             // must not be reported shed twice.
-            if !self.shed.contains(&seq) {
-                self.shed.push(seq);
-            }
+            self.shed.insert(seq);
             return Admission::Shed;
         }
         Admission::Busy
@@ -156,7 +159,7 @@ mod tests {
         // deadline 100, allowance 1000: at t=1101 it's past the limit.
         assert_eq!(ac.offer(7, 100, 1_101), Admission::Shed);
         assert_eq!(ac.offer(8, 100, 2_000), Admission::Shed);
-        assert_eq!(ac.shed, [7, 8]);
+        assert_eq!(ac.shed, BTreeSet::from([7, 8]));
         assert_eq!(ac.shed_count(), 2);
         // Shedding never consumed a slot.
         assert_eq!(ac.in_flight, 2);
@@ -181,6 +184,10 @@ mod tests {
             assert_eq!(ac.offer(seq, 0, u64::MAX), Admission::Admit);
         }
         assert_eq!(ac.shed_count(), 0);
+        assert!(
+            AdmissionConfig::default().max_in_flight > 0,
+            "off is asked for: the default window is on"
+        );
     }
 
     #[test]
@@ -195,10 +202,30 @@ mod tests {
         assert_eq!(ac.offer(0, 100, 6_000), Admission::Admit);
         assert_eq!(ac.offer(1, 100, 6_000), Admission::Admit);
         assert_eq!(ac.offer(7, 100, 6_000), Admission::Shed);
-        assert_eq!(ac.shed, [7], "one entry per distinct seq");
+        assert_eq!(ac.shed, BTreeSet::from([7]), "one entry per distinct seq");
         assert_eq!(ac.shed_count(), 1);
         // `admitted` counts grants: 0 and 1 were each granted twice.
         assert_eq!(ac.admitted(), 4);
+    }
+
+    /// The post-crash path at overload scale: every shed seq is offered
+    /// a second time. With the seqs in a `Vec` each late offer scanned
+    /// all of them (2 × 10⁸ comparisons here); the count must come out
+    /// the same.
+    #[test]
+    fn reoffering_twenty_thousand_shed_seqs_counts_each_once() {
+        let mut ac = tiny();
+        ac.offer(0, 100, 50);
+        ac.offer(1, 100, 50);
+        for round in 0..2 {
+            for seq in 2..20_002u64 {
+                assert_eq!(ac.offer(seq, 100, 10_000), Admission::Shed, "{round}");
+            }
+            ac.reset_in_flight();
+            ac.offer(0, 100, 50);
+            ac.offer(1, 100, 50);
+        }
+        assert_eq!(ac.shed_count(), 20_000);
     }
 
     #[test]

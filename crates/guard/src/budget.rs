@@ -1,11 +1,13 @@
 //! Bounded retries with capped decorrelated-jitter backoff.
 //!
-//! Every retry loop in the replay stack (querier reconnects, UDP
-//! retransmits, resolver failover escalation) shares this one
-//! type, so "how many times and how fast do we hammer a struggling
-//! peer" is a single auditable policy rather than per-call-site
-//! constants. An exhausted budget is a *terminal* answer — callers
-//! must surface it (a `Dead` outcome, a `GiveUp` action), never spin.
+//! The socket engine's querier reconnects and the replay core's UDP
+//! retransmit chains share this one type, so "how many times and how
+//! fast do we hammer a struggling peer" is one policy for them. (The
+//! resolver's failover escalation — `next_timeout` in `dns-resolver`'s
+//! `sim_resolver.rs` — and the sim client's TCP redial grow a delay
+//! under a counter of their own.) An exhausted budget is a *terminal*
+//! answer — callers must surface it (a `Dead` outcome, a query left
+//! pending), never spin.
 
 use ldp_rng::SplitMix64;
 
@@ -64,11 +66,6 @@ impl RetryBudget {
         self.used
     }
 
-    /// Whether the next [`RetryBudget::next_delay_us`] returns `None`.
-    pub fn exhausted(&self) -> bool {
-        self.used >= self.max_attempts
-    }
-
     /// Refill the budget after a confirmed recovery (e.g. a successful
     /// reconnect) so the next incident starts from a full allowance.
     /// The jitter stream is *not* rewound — determinism is per-run,
@@ -94,8 +91,12 @@ impl RetryBudget {
     /// Rewind this budget to a captured snapshot. The subsequent
     /// delay stream is identical to what the snapshotted budget would
     /// have produced — the property that lets a resumed run continue a
-    /// half-spent retry chain instead of restarting it.
-    pub fn restore(&mut self, snap: &BudgetSnapshot) {
+    /// half-spent retry chain instead of restarting it. No driver
+    /// resumes that way (a resumed run re-executes a carried query from
+    /// its first send), so this is the tests' check that the snapshot
+    /// holds the whole dynamic state.
+    #[cfg(test)]
+    fn restore(&mut self, snap: &BudgetSnapshot) {
         self.used = snap.used;
         self.prev_us = snap.prev_us.max(self.base_us);
         self.rng = SplitMix64::from_state(snap.rng_state);
@@ -126,7 +127,6 @@ mod tests {
         for _ in 0..3 {
             assert!(b.next_delay_us().is_some());
         }
-        assert!(b.exhausted());
         assert_eq!(b.next_delay_us(), None);
         assert_eq!(b.next_delay_us(), None, "stays exhausted");
         assert_eq!(b.remaining(), 0);
@@ -167,7 +167,7 @@ mod tests {
         let mut b = RetryBudget::new(2, 100, 1000, 5);
         let first = b.next_delay_us();
         b.next_delay_us();
-        assert!(b.exhausted());
+        assert_eq!(b.remaining(), 0);
         b.reset();
         assert_eq!(b.remaining(), 2);
         // Fresh allowance, but the RNG has advanced: a replayed first
@@ -215,7 +215,7 @@ mod tests {
     #[test]
     fn zero_budget_never_grants() {
         let mut b = RetryBudget::new(0, 100, 1000, 1);
-        assert!(b.exhausted());
+        assert_eq!(b.remaining(), 0);
         assert_eq!(b.next_delay_us(), None);
     }
 }

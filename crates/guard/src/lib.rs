@@ -7,9 +7,13 @@
 //! accident:
 //!
 //! - [`budget`]: [`RetryBudget`] — bounded retry attempts with
-//!   capped decorrelated-jitter backoff, shared by every reconnect /
-//!   restart loop in the workspace (lint rule R1 enforces that no
-//!   retry loop runs without one).
+//!   capped decorrelated-jitter backoff, under the socket engine's
+//!   querier reconnect loop and the replay core's per-query UDP
+//!   retransmit chains (lint rule R1 asks every connect / reconnect
+//!   loop for a visible bound). The resolver's failover escalation
+//!   (`next_timeout` in `dns-resolver`'s `sim_resolver.rs`, its own
+//!   jitter under `max_retries`) and the sim client's TCP redial
+//!   doubling (under `MAX_RECONNECTS`) do not go through it.
 //! - [`checkpoint`]: [`Checkpoint`] — a compact line-based snapshot
 //!   of replay progress (trace cursor, completed records, counters,
 //!   virtual-time epoch) with an exact text round-trip, so a killed
@@ -23,7 +27,7 @@
 //! - [`admission`]: [`AdmissionController`] — a bounded in-flight
 //!   window with deadline-aware shedding that records dropped seqs
 //!   instead of stalling the replay clock.
-//! - [`config`]: [`GuardConfig`] — every knob in one place.
+//! - [`config`]: [`RetransmitConfig`] — the UDP retransmission policy.
 //!
 //! Everything here is pure logic over explicit `now` parameters — no
 //! clocks, no threads, no I/O — so the whole crate unit-tests without
@@ -41,7 +45,5 @@ pub mod inflight;
 pub use admission::{Admission, AdmissionConfig, AdmissionController};
 pub use budget::{BudgetSnapshot, RetryBudget};
 pub use checkpoint::{Checkpoint, CheckpointParseError};
-pub use config::{
-    GuardConfig, OverloadConfig, ReconnectConfig, RetransmitConfig, SupervisorConfig,
-};
+pub use config::RetransmitConfig;
 pub use inflight::{InflightEntry, InflightStatus};

@@ -83,7 +83,7 @@ pub const CATALOG: &[RuleInfo] = &[
     RuleInfo {
         id: "D4",
         summary: "a simulator-path file names no wall-clock type (Instant, SystemTime, \
-                  WallClock, WallClockSource) and no real-clock module as a path segment \
+                  WallClock) and no real-clock module as a path segment \
                   (socket_server::, capture::)",
         rationale: "D1 sees only direct reads; a helper one hop away (in real-clock-exempt \
                     socket_server.rs or capture.rs) or a stored Instant still leaks wall \
@@ -115,8 +115,8 @@ pub const CATALOG: &[RuleInfo] = &[
         summary: "no Instant::now/SystemTime::now inside crates/telemetry — timestamps \
                   go through the ClockSource abstraction",
         rationale: "Telemetry must be a pure observer: under virtual time it records \
-                    simulator timestamps, and the only sanctioned wall-clock read is \
-                    the WallClockSource impl behind the trait (allowlisted by file).",
+                    simulator timestamps, and a run against the wall clock installs \
+                    its own ClockSource from outside the crate.",
     },
     RuleInfo {
         id: "R1",
@@ -183,9 +183,8 @@ pub(crate) struct FileScope {
     /// replay, proxy — the crates that dial, redial and resend — plus
     /// guard, which owns the retry budgets themselves.
     pub channel_scope: bool,
-    /// Telemetry crate source (T1 applies instead of D1): the only
-    /// sanctioned raw-clock read is `ClockSource`'s wall impl, which is
-    /// allowlisted explicitly.
+    /// Telemetry crate source (T1 applies instead of D1): the crate
+    /// reads no raw clock at all.
     pub telemetry_path: bool,
     /// Sharded-simulator source (S1 applies): `crates/shard/src/**` —
     /// cross-shard sends must flow through `exchange.rs`.
@@ -334,9 +333,9 @@ fn is_clock_read(toks: &[Token], i: usize) -> bool {
 
 /// D1 / T1 — wall-clock reads. The same read is D1 in virtual-time
 /// code and T1 inside the telemetry crate, where every timestamp goes
-/// through the `ClockSource` abstraction; the one wall-clock
-/// implementation behind each abstraction is allowlisted by file in
-/// `ldp-lint.allow`.
+/// through the `ClockSource` abstraction, which has no wall-clock
+/// implementation inside the crate; replay's one (`WallClock`, behind
+/// `ReplayClock`) is allowlisted by file in `ldp-lint.allow`.
 fn rule_clock_read(
     rule: &'static str,
     why: &str,
@@ -380,7 +379,7 @@ fn rule_d2(path: &str, toks: &[Token], diags: &mut Vec<Diagnostic>) {
 }
 
 /// Types whose only use is to hold or read wall-clock time.
-const WALL_CLOCK_TYPES: &[&str] = &["Instant", "SystemTime", "WallClock", "WallClockSource"];
+const WALL_CLOCK_TYPES: &[&str] = &["Instant", "SystemTime", "WallClock"];
 
 /// Modules that D1 lets read the wall clock (see [`classify`]).
 const REAL_CLOCK_MODULES: &[&str] = &["socket_server", "capture"];

@@ -47,18 +47,6 @@ impl Cdf {
         self.sorted[idx]
     }
 
-    /// Evaluate at `n` evenly spaced probability points, yielding
-    /// `(value, probability)` pairs — what a gnuplot-ready CDF dump needs.
-    pub fn points(&self, n: usize) -> Vec<(f64, f64)> {
-        let n = n.max(2);
-        (0..n)
-            .map(|i| {
-                let p = (i + 1) as f64 / n as f64;
-                (self.value_at(p), p)
-            })
-            .collect()
-    }
-
     /// All steps of the CDF: `(sample, cumulative fraction)` per sample.
     pub fn steps(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
         let n = self.sorted.len() as f64;
@@ -145,16 +133,5 @@ mod tests {
         let a = Cdf::of(&[1.0, 5.0, 9.0]).unwrap();
         let b = Cdf::of(&[2.0, 5.0, 8.0, 11.0]).unwrap();
         assert!((a.ks_distance(&b) - b.ks_distance(&a)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn points_are_monotone() {
-        let c = Cdf::of(&[5.0, 1.0, 3.0, 2.0, 4.0]).unwrap();
-        let pts = c.points(10);
-        for w in pts.windows(2) {
-            assert!(w[0].0 <= w[1].0);
-            assert!(w[0].1 < w[1].1);
-        }
-        assert_eq!(pts.last().unwrap().1, 1.0);
     }
 }

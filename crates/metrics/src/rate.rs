@@ -42,14 +42,6 @@ impl RateSeries {
         &self.counts
     }
 
-    /// Rates (events per second) per bucket.
-    pub fn rates(&self) -> Vec<f64> {
-        self.counts
-            .iter()
-            .map(|&c| c as f64 / self.window)
-            .collect()
-    }
-
     /// Total events recorded.
     pub fn total(&self) -> u64 {
         self.counts.iter().sum()
@@ -112,7 +104,6 @@ mod tests {
         r.record(0.05);
         r.record(0.15);
         assert_eq!(r.counts(), &[2, 1]);
-        assert_eq!(r.rates(), vec![20.0, 10.0]);
     }
 
     #[test]

@@ -37,11 +37,6 @@ impl TimeSeries {
         self.samples.is_empty()
     }
 
-    /// Last value, if any.
-    pub fn last_value(&self) -> Option<f64> {
-        self.samples.last().map(|&(_, v)| v)
-    }
-
     /// Mean of values with `t >= from` — the "steady state" statistic
     /// (the paper waits ~5 minutes for steady state, then reports).
     pub fn steady_state_mean(&self, from: f64) -> Option<f64> {
@@ -71,7 +66,7 @@ impl TimeSeries {
     /// state.
     #[cfg(test)]
     fn settle_time(&self, tolerance: f64) -> Option<f64> {
-        let last = self.last_value()?;
+        let last = self.samples.last()?.1;
         let band = (last.abs() * tolerance).max(f64::EPSILON);
         // Find the earliest sample after which all values stay in band.
         let mut settle = None;
@@ -116,7 +111,7 @@ mod tests {
     fn push_and_read() {
         let ts = ramp();
         assert_eq!(ts.len(), 21);
-        assert_eq!(ts.last_value(), Some(100.0));
+        assert_eq!(ts.samples().last(), Some(&(20.0, 100.0)));
         assert_eq!(ts.max_value(), Some(100.0));
     }
 

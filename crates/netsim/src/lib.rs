@@ -423,6 +423,17 @@ mod tests {
         assert!(sim.idle());
     }
 
+    /// `run` makes the check `run_until` and `run_window` make: a timer
+    /// scheduled behind the clock is a driver bug, not an event.
+    #[test]
+    #[should_panic(expected = "time went backwards")]
+    fn run_refuses_an_event_behind_the_clock() {
+        let (mut sim, _s, _c, _, client) = build("udp", 3, false);
+        sim.run_until(SimTime::from_millis(500));
+        sim.schedule_timer(client, SimTime::from_millis(100), 1);
+        sim.run();
+    }
+
     #[test]
     fn rtt_override_per_pair() {
         let (mut sim, _s, clog, _, _) = build("udp", 10, false);

@@ -655,8 +655,9 @@ impl Simulator {
         self.stats[host]
     }
 
-    /// Mutable access to the topology (for mid-run RTT changes).
-    pub fn topology_mut(&mut self) -> &mut Topology {
+    /// Mutable access to the topology: a test's mid-run RTT change.
+    #[cfg(test)]
+    pub(crate) fn topology_mut(&mut self) -> &mut Topology {
         &mut self.topology
     }
 
@@ -710,36 +711,35 @@ impl Simulator {
         self.apply_command(cmd);
     }
 
-    /// Run until the event queue drains or `deadline` passes. Returns
-    /// the number of events processed (control-lane timer dispatches
-    /// excluded; see [`Simulator::add_control_host`]).
-    pub fn run_until(&mut self, deadline: SimTime) -> u64 {
+    /// Dispatch queued events in key order for as long as `within`
+    /// admits the next one's time. Returns the number processed,
+    /// control-lane timer dispatches excluded (see
+    /// [`Simulator::event_counted`]). The one loop under `run`,
+    /// `run_until` and `run_window`, which differ only in the bound.
+    fn drain(&mut self, within: impl Fn(SimTime) -> bool) -> u64 {
         let mut n = 0;
-        while let Some(t) = self.queue.peek_time() {
-            if t > deadline {
-                break;
-            }
+        while self.queue.peek_time().is_some_and(&within) {
             let (t, event) = self.queue.pop().expect("peeked above");
             assert!(t >= self.now, "time went backwards");
             self.now = t;
             n += u64::from(self.event_counted(&event));
             self.dispatch(event);
         }
-        if self.now < deadline {
-            self.now = deadline;
-        }
+        n
+    }
+
+    /// Run until the event queue drains or `deadline` passes. Returns
+    /// the number of events processed (control-lane timer dispatches
+    /// excluded; see [`Simulator::add_control_host`]).
+    pub fn run_until(&mut self, deadline: SimTime) -> u64 {
+        let n = self.drain(|t| t <= deadline);
+        self.advance_now_to(deadline);
         n
     }
 
     /// Run until the queue drains completely.
     pub fn run(&mut self) -> u64 {
-        let mut n = 0;
-        while let Some((t, event)) = self.queue.pop() {
-            self.now = t;
-            n += u64::from(self.event_counted(&event));
-            self.dispatch(event);
-        }
-        n
+        self.drain(|_| true)
     }
 
     /// Process every event strictly before `end` (one conservative
@@ -748,18 +748,7 @@ impl Simulator {
     /// the last dispatched event so in-window sends keep their exact
     /// timestamps.
     pub fn run_window(&mut self, end: SimTime) -> u64 {
-        let mut n = 0;
-        while let Some(t) = self.queue.peek_time() {
-            if t >= end {
-                break;
-            }
-            let (t, event) = self.queue.pop().expect("peeked above");
-            assert!(t >= self.now, "time went backwards");
-            self.now = t;
-            n += u64::from(self.event_counted(&event));
-            self.dispatch(event);
-        }
-        n
+        self.drain(|t| t < end)
     }
 
     /// The time of the earliest pending event, if any (the sharded
@@ -768,8 +757,8 @@ impl Simulator {
         self.queue.peek_time()
     }
 
-    /// Move the clock forward to `t` without processing anything (end
-    /// of a bounded sharded run; mirrors the tail of `run_until`).
+    /// Move the clock forward to `t` without processing anything (the
+    /// tail of `run_until`, and the end of a bounded sharded run).
     pub fn advance_now_to(&mut self, t: SimTime) {
         if self.now < t {
             self.now = t;

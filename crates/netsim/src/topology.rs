@@ -69,9 +69,11 @@ fn tx_ns_wide(bytes: usize, bps: u64) -> u64 {
 }
 
 /// The topology: a default path plus per-(src,dst) overrides. Lookups
-/// try (src,dst), then per-src, then the default, so experiments can
-/// give each client a different RTT to the server (Figure 15's RTT
-/// sweep uses exactly this).
+/// try (src,dst), then per-src, then the default, so an experiment can
+/// give each client a different RTT to the server. No study in the tree
+/// does yet — Figure 15's RTT sweep builds one uniform topology per
+/// RTT — so the overrides are exercised by the determinism and
+/// shard-placement tests alone.
 #[derive(Debug, Clone, Default)]
 pub struct Topology {
     default: PathConfig,

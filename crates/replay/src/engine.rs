@@ -17,7 +17,7 @@ use std::time::Duration;
 
 use dns_wire::framing::frame_into;
 use dns_wire::{EncodeScratch, Transport};
-use ldp_guard::{Checkpoint, GuardConfig, RetryBudget};
+use ldp_guard::{Checkpoint, RetryBudget};
 use ldp_telemetry as tel;
 use ldp_trace::TraceEntry;
 
@@ -79,11 +79,19 @@ pub struct ReplayConfig {
     pub channel_capacity: usize,
     /// Warm-up offset before the first query is due.
     pub warmup: Duration,
-    /// Overload-and-recovery knobs (shedding, reconnect budgets,
-    /// failover, checkpoint cadence).
-    pub guard: GuardConfig,
+    /// Timed mode sheds (skips) a query whose deadline is already this
+    /// many µs in the past, recording the seq instead of stalling
+    /// behind it. `0` disables shedding, which a run on a shared
+    /// virtual clock needs: there a querier looks seconds "late" purely
+    /// from thread interleaving. Fast mode has no deadlines and never
+    /// sheds.
+    pub shed_lateness_us: u64,
+    /// Commit a checkpoint every this much replay-clock time, on the
+    /// grid `k·cadence` from the clock's origin. `None` disables
+    /// checkpointing.
+    pub checkpoint_cadence: Option<Duration>,
     /// Where the collector publishes checkpoints when
-    /// `guard.checkpoint_cadence` is set: the latest one replaces its
+    /// `checkpoint_cadence` is set: the latest one replaces its
     /// predecessor under the mutex (a resume only ever wants the
     /// newest cut).
     pub checkpoint_out: Option<Arc<Mutex<Option<Checkpoint>>>>,
@@ -103,7 +111,8 @@ impl Default for ReplayConfig {
             fast_mode: false,
             channel_capacity: 4096,
             warmup: Duration::from_millis(50),
-            guard: GuardConfig::default(),
+            shed_lateness_us: 250_000,
+            checkpoint_cadence: None,
             checkpoint_out: None,
             resume_from: None,
         }
@@ -131,15 +140,7 @@ struct QuerierConfig {
     target_udp: SocketAddr,
     target_tcp: SocketAddr,
     fast_mode: bool,
-    /// Timed mode sheds (skips) a query whose deadline is already this
-    /// many µs in the past, recording the seq instead of stalling
-    /// behind it. `0` disables shedding. Fast mode has no deadlines
-    /// and never sheds.
     shed_lateness_us: u64,
-    /// TCP reconnect budget (attempts, base/cap backoff µs).
-    reconnect: ldp_guard::ReconnectConfig,
-    /// Seed for this querier's reconnect jitter stream.
-    seed: u64,
 }
 
 impl From<&ReplayConfig> for QuerierConfig {
@@ -148,9 +149,7 @@ impl From<&ReplayConfig> for QuerierConfig {
             target_udp: c.target_udp,
             target_tcp: c.target_tcp,
             fast_mode: c.fast_mode,
-            shed_lateness_us: c.guard.admission.max_lateness_us,
-            reconnect: c.guard.reconnect,
-            seed: c.guard.supervisor.seed,
+            shed_lateness_us: c.shed_lateness_us,
         }
     }
 }
@@ -268,13 +267,9 @@ pub fn replay_with_clock(
 
     // Distributor threads: receive from the controller, sticky-route to
     // their queriers, failing over to surviving siblings when one dies.
-    // The retained-window redispatch only runs when a restart budget
-    // exists — without one there is nobody to hand the span to twice.
-    let window = if config.guard.supervisor.max_restarts > 0 {
-        config.channel_capacity
-    } else {
-        0
-    };
+    // A querier holds at most a channel's worth of unsent jobs, so that
+    // is the window a distributor retains for it.
+    let window = config.channel_capacity;
     let mut dist_txs: Vec<Sender<QueryJob>> = Vec::with_capacity(n_d);
     let mut dist_handles = Vec::with_capacity(n_d);
     for (d, txs) in querier_txs.iter().enumerate() {
@@ -306,7 +301,6 @@ pub fn replay_with_clock(
     // can only change at a completion: that is where the collector
     // asks whether a tick of the cadence grid has passed on the clock.
     let cadence_ns = config
-        .guard
         .checkpoint_cadence
         .map(|d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
     let mut next_tick_ns = cadence_ns.map_or(0, |c| ReplayCore::next_tick_ns(0, c, 0));
@@ -505,12 +499,21 @@ enum SendOutcome {
 const STALL_YIELDS: u32 = 32;
 const STALL_LIMIT: u32 = 512;
 
+/// The querier's TCP reconnect budget: backoff sleeps before it gives
+/// up (connect attempts are one more: an eager dial, then one per
+/// sleep), and the base and cap of the jittered backoff (µs).
+const RECONNECT_ATTEMPTS: u32 = 3;
+const RECONNECT_BASE_US: u64 = 200;
+const RECONNECT_CAP_US: u64 = 5_000;
+/// Seed of the reconnect jitter streams; each querier adds its slot.
+const RECONNECT_JITTER_SEED: u64 = 0x6a2d_5eed;
+
 /// Dial `target` under the querier's [`RetryBudget`]. A dead TCP path
 /// (server restarting, listen queue overflowing under load) often heals
 /// within a millisecond; giving up on the first refused connect drops
 /// every queued query for that source. But the budget is shared across
 /// the querier's whole run, so a target that is *permanently* down
-/// costs at most `max_attempts` backoff sleeps total — after that each
+/// costs at most [`RECONNECT_ATTEMPTS`] backoff sleeps total — after that each
 /// call makes one eager probe and returns `None` immediately instead
 /// of re-spinning the backoff for every queued job. A successful
 /// connect refills the budget (the path healed).
@@ -588,10 +591,10 @@ fn querier_loop(
     // One reconnect budget for the querier's whole run, jittered
     // per-slot so a thundering herd of reconnects decorrelates.
     let mut reconnect_budget = RetryBudget::new(
-        cfg.reconnect.max_attempts,
-        cfg.reconnect.base_us,
-        cfg.reconnect.cap_us,
-        cfg.seed.wrapping_add(idx as u64),
+        RECONNECT_ATTEMPTS,
+        RECONNECT_BASE_US,
+        RECONNECT_CAP_US,
+        RECONNECT_JITTER_SEED.wrapping_add(idx as u64),
     );
     let mut scrap = vec![0u8; 65536];
     // Reused across jobs: one framing buffer per querier, not one
@@ -1003,7 +1006,7 @@ mod tests {
             // "late" purely from thread interleaving (another sleeper
             // already dragged the clock forward), so sim-style runs
             // disable it.
-            guard: ldp_guard::GuardConfig::disabled(),
+            shed_lateness_us: 0,
             ..Default::default()
         };
         let wall = std::time::Instant::now();
@@ -1174,7 +1177,7 @@ mod tests {
         let mut budget = RetryBudget::new(2, 10, 50, 7);
         let t0 = std::time::Instant::now();
         assert!(reconnect_with_backoff(refused, &mut budget).is_none());
-        assert!(budget.exhausted(), "budget drained by the dead target");
+        assert_eq!(budget.remaining(), 0, "budget drained by the dead target");
         assert_eq!(budget.used(), 2, "exactly max_attempts backoff draws");
         // Subsequent calls are one eager probe each — no backoff spin.
         for _ in 0..20 {
@@ -1188,7 +1191,7 @@ mod tests {
         // A healed path refills the budget.
         let live = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         assert!(reconnect_with_backoff(live.local_addr().unwrap(), &mut budget).is_some());
-        assert!(!budget.exhausted(), "successful connect resets the budget");
+        assert_eq!(budget.used(), 0, "successful connect resets the budget");
     }
 
     #[test]
@@ -1256,13 +1259,7 @@ mod tests {
             // One buffered job: the distributor is blocked on the dead
             // querier's channel when it closes, whatever the timing.
             channel_capacity: 1,
-            guard: GuardConfig {
-                admission: ldp_guard::AdmissionConfig {
-                    max_in_flight: 0,
-                    max_lateness_us: 0,
-                },
-                ..GuardConfig::default()
-            },
+            shed_lateness_us: 0,
             ..Default::default()
         };
         let clock = PoisonedClock {
@@ -1300,10 +1297,8 @@ mod tests {
         let mut config = ReplayConfig {
             target_udp: addr,
             target_tcp: addr,
-            guard: GuardConfig {
-                checkpoint_cadence: Some(Duration::from_millis(60)),
-                ..GuardConfig::disabled()
-            },
+            shed_lateness_us: 0,
+            checkpoint_cadence: Some(Duration::from_millis(60)),
             checkpoint_out: Some(cp_out.clone()),
             ..Default::default()
         };

@@ -83,6 +83,19 @@ impl LatencyRecord {
     pub fn latency(&self) -> f64 {
         self.replied_s - self.sent_s
     }
+
+    /// The record as one line of text: a checkpoint `rec` line, and a
+    /// line of the recovery studies' transcripts. `{:?}` prints the
+    /// shortest f64 representation that round-trips exactly, so a
+    /// resumed log is byte-identical to the uninterrupted one.
+    pub fn to_line(&self) -> String {
+        #[cfg(test)]
+        tests::LINES_SERIALISED.with(|n| n.set(n.get() + 1));
+        format!(
+            "{} {:?} {:?} {:?} {} {}",
+            self.seq, self.sent_s, self.replied_s, self.transport, self.source, self.response_bytes
+        )
+    }
 }
 
 /// Shared output log.
@@ -123,24 +136,19 @@ const CP_TOKEN_BIT: u64 = 1 << 60;
 /// Poll gap between admission re-offers of a parked query (µs, virtual).
 const ADMIT_POLL_US: u64 = 1_000;
 
-/// Serialize a [`LatencyRecord`] as one checkpoint `rec` line. `{:?}`
-/// prints the shortest f64 representation that round-trips exactly, so
-/// a resumed log is byte-identical to the uninterrupted one.
-fn record_to_line(r: &LatencyRecord) -> String {
-    #[cfg(test)]
-    tests::LINES_SERIALISED.with(|n| n.set(n.get() + 1));
-    format!(
-        "{} {:?} {:?} {:?} {} {}",
-        r.seq, r.sent_s, r.replied_s, r.transport, r.source, r.response_bytes
-    )
-}
+/// Reconnect-with-backoff for queries orphaned when their connection
+/// dies (server crash, fault-injected kill, refusal): the delay before
+/// the first resend (ms, virtual), doubling per attempt, and the resend
+/// budget per query across connection deaths.
+const RECONNECT_BACKOFF_MS: u64 = 100;
+const MAX_RECONNECTS: u32 = 3;
 
 /// The seq a checkpoint `rec` line leads with.
 fn record_seq(line: &str) -> Option<u64> {
     line.split_ascii_whitespace().next()?.parse().ok()
 }
 
-/// Parse a checkpoint `rec` line written by [`record_to_line`].
+/// Parse a checkpoint `rec` line written by [`LatencyRecord::to_line`].
 fn record_from_line(line: &str) -> Option<LatencyRecord> {
     let seq = record_seq(line)?;
     let mut it = line.split_ascii_whitespace().skip(1);
@@ -226,14 +234,6 @@ pub struct SimReplayClient {
     pending_udp: BTreeMap<(IpAddr, u16), u64>,
     /// The trace seq in flight under each (connection, DNS id).
     pending_tcp: BTreeMap<(ConnId, u16), u64>,
-    /// Reconnect-with-backoff for queries orphaned when their
-    /// connection dies (server crash, fault-injected kill, refusal):
-    /// base delay before the first resend, doubling per attempt.
-    /// `None` disables recovery — orphans are simply lost, the
-    /// pre-fault behavior.
-    pub reconnect_backoff: Option<netsim::SimDuration>,
-    /// Resend budget per query across connection deaths.
-    pub max_reconnects: u32,
     /// Where every completed query/response pair is pushed, in
     /// completion order; shared with whoever built the client.
     log: LatencyLog,
@@ -247,9 +247,6 @@ pub struct SimReplayClient {
     core: ReplayCore,
     /// Dispatch-side admission window (`None` = unguarded dispatch).
     pub admission: Option<AdmissionController>,
-    /// Mirror of the shed seqs for callers that need them after the
-    /// client has been moved into the simulator.
-    pub shed_out: Option<Arc<Mutex<Vec<u64>>>>,
     /// Commit a checkpoint every this much virtual time, on an
     /// absolute grid anchored at [`SimReplayClient::origin`] (ticks at
     /// `origin + k·cadence`), whatever is in flight. `None` disables
@@ -299,15 +296,12 @@ impl SimReplayClient {
             frame_bufs: BTreeMap::new(),
             pending_udp: BTreeMap::new(),
             pending_tcp: BTreeMap::new(),
-            reconnect_backoff: Some(netsim::SimDuration::from_millis(100)),
-            max_reconnects: 3,
             log,
             sent: 0,
             connects: 0,
             retries: 0,
             core,
             admission: None,
-            shed_out: None,
             checkpoint_cadence: None,
             udp_retransmit: None,
             retx_seed: 0,
@@ -490,9 +484,6 @@ impl SimReplayClient {
                     let late = now_us.saturating_sub(deadline_us);
                     tel::mark_at(ctx.now().as_nanos(), g_kinds().shed, seq, late);
                 }
-                if let Some(out) = &self.shed_out {
-                    out.lock().unwrap().push(seq);
-                }
             }
         }
     }
@@ -635,7 +626,7 @@ impl SimReplayClient {
         if records.len() > log.len() {
             records.clear();
         }
-        records.extend(log[records.len()..].iter().map(record_to_line));
+        records.extend(log[records.len()..].iter().map(LatencyRecord::to_line));
         #[cfg(test)]
         let from_scratch = reference::commit(&log, &cut);
         let cp = Checkpoint { records, ..cut };
@@ -716,17 +707,14 @@ impl Host for SimReplayClient {
                 }
                 self.frame_bufs.remove(&conn);
                 // Queries that died with the connection are resent with
-                // exponential backoff rather than silently lost; with
-                // recovery disabled there is no budget to resend on.
-                let budget = self.reconnect_backoff.map_or(0, |_| self.max_reconnects);
+                // exponential backoff rather than silently lost.
                 let orphans: Vec<(ConnId, u16)> = self.pending_on(conn).collect();
                 for key in orphans {
                     let Some(seq) = self.pending_tcp.remove(&key) else {
                         continue;
                     };
-                    let attempt = self.core.orphan(seq, budget);
-                    if let (Some(base), Some(n)) = (self.reconnect_backoff, attempt) {
-                        let delay = base.times(1u64 << (n - 1).min(16));
+                    if let Some(n) = self.core.orphan(seq, MAX_RECONNECTS) {
+                        let delay = SimDuration::from_millis(RECONNECT_BACKOFF_MS << (n - 1));
                         ctx.set_timer(delay, RETRY_TOKEN_BIT | seq);
                     }
                 }
@@ -863,7 +851,7 @@ mod tests {
     use netsim::{PathConfig, SimConfig, Simulator, Topology};
 
     thread_local! {
-        /// Lines [`record_to_line`] has serialised on this thread.
+        /// Lines [`LatencyRecord::to_line`] has serialised on this thread.
         pub(super) static LINES_SERIALISED: Cell<u64> = const { Cell::new(0) };
     }
 
@@ -1042,10 +1030,9 @@ mod tests {
     }
 
     /// Crash the server while a query is in flight on an established
-    /// connection, restart it shortly after: with reconnect-with-backoff
-    /// the orphaned query is resent on a fresh connection and answered,
-    /// and its logged latency spans the whole outage it lived through.
-    fn run_crash(backoff: Option<SimDuration>) -> Vec<LatencyRecord> {
+    /// connection and restart it at `restart_at_s`: the orphaned query
+    /// is redialed with backoff, [`MAX_RECONNECTS`] times at most.
+    fn run_crash(restart_at_s: f64) -> Vec<LatencyRecord> {
         // One source, TCP: q0 at t=0 establishes the connection; q1 at
         // t=0.5 s is in flight when the server dies at t=0.52 s.
         let trace = mk_trace(2, 500_000, 1);
@@ -1069,13 +1056,12 @@ mod tests {
         let log: LatencyLog = Arc::new(Mutex::new(vec![]));
         let mut client = SimReplayClient::new(trace.clone(), server_addr, log.clone());
         client.transport_override = Some(Transport::Tcp);
-        client.reconnect_backoff = backoff;
         let srcs = client.source_addrs();
         let client_id = sim.add_host(&srcs, Box::new(client));
         SimReplayClient::schedule(&mut sim, client_id, &trace, SimTime::ZERO);
         sim.run_until(SimTime::from_secs_f64(0.52));
         sim.crash_now(server_addr.ip());
-        sim.run_until(SimTime::from_secs_f64(0.70));
+        sim.run_until(SimTime::from_secs_f64(restart_at_s));
         sim.restart_now(server_addr.ip());
         sim.run_until(SimTime::from_secs_f64(10.0));
         let mut out = log.lock().unwrap().clone();
@@ -1085,7 +1071,7 @@ mod tests {
 
     #[test]
     fn reconnect_with_backoff_recovers_query_lost_to_a_crash() {
-        let log = run_crash(Some(SimDuration::from_millis(100)));
+        let log = run_crash(0.70);
         assert_eq!(
             log.len(),
             2,
@@ -1107,9 +1093,13 @@ mod tests {
         );
     }
 
+    /// No redial gets through: the three of them, 100, 200 and 400 ms
+    /// after each refusal, are over before 1.5 s, and a server still
+    /// down then has cost the orphan its whole budget — coming back
+    /// later does not revive it.
     #[test]
     fn without_reconnect_the_orphaned_query_is_lost() {
-        let log = run_crash(None);
+        let log = run_crash(5.0);
         assert_eq!(log.len(), 1, "only the pre-crash query completes: {log:?}");
         assert_eq!(log[0].seq, 0);
     }
@@ -1331,7 +1321,12 @@ mod tests {
         let client_id = sim.add_host(&srcs, Box::new(client));
         SimReplayClient::schedule(&mut sim, client_id, &trace, SimTime::ZERO);
         sim.run_until(SimTime::from_secs_f64(kill_at_s.unwrap_or(30.0)));
-        let lines = log.lock().unwrap().iter().map(record_to_line).collect();
+        let lines = log
+            .lock()
+            .unwrap()
+            .iter()
+            .map(LatencyRecord::to_line)
+            .collect();
         let cp = cp_out.lock().unwrap().clone();
         (lines, cp)
     }
@@ -1367,7 +1362,12 @@ mod tests {
         SimReplayClient::schedule_resume(&mut sim, client_id, &trace, SimTime::ZERO, &cp);
         sim.run_until(SimTime::from_secs_f64(30.0));
 
-        let resumed: Vec<String> = log.lock().unwrap().iter().map(record_to_line).collect();
+        let resumed: Vec<String> = log
+            .lock()
+            .unwrap()
+            .iter()
+            .map(LatencyRecord::to_line)
+            .collect();
         assert_eq!(resumed, uninterrupted, "resumed transcript diverged");
     }
 
@@ -1377,6 +1377,10 @@ mod tests {
     /// the replay clock never stalls waiting for them.
     #[test]
     fn overloaded_window_sheds_late_queries_instead_of_stalling() {
+        // The shed seqs are read off the `replay.shed` marks: the
+        // recording switch is process-wide, so no wall-clock test runs
+        // beside this one.
+        let _serial = crate::wall_clock_test();
         let trace = mk_trace(10, 0, 2); // burst: all due at t = 0
         let mut sim = Simulator::new(
             Topology::uniform(PathConfig {
@@ -1396,20 +1400,25 @@ mod tests {
             )),
         );
         let log: LatencyLog = Arc::new(Mutex::new(vec![]));
-        let shed_out = Arc::new(Mutex::new(Vec::new()));
         let mut client = SimReplayClient::new(trace.clone(), server_addr, log.clone());
         client.admission = Some(AdmissionController::new(ldp_guard::AdmissionConfig {
             max_in_flight: 1,
             max_lateness_us: 5_000,
         }));
-        client.shed_out = Some(shed_out.clone());
         let srcs = client.source_addrs();
         let client_id = sim.add_host(&srcs, Box::new(client));
         SimReplayClient::schedule(&mut sim, client_id, &trace, SimTime::ZERO);
+        tel::drain_local();
+        tel::set_enabled(true);
         sim.run_until(SimTime::from_secs_f64(5.0));
+        tel::set_enabled(false);
 
         let answered = log.lock().unwrap().len();
-        let mut shed = shed_out.lock().unwrap().clone();
+        let mut shed: Vec<u64> = tel::drain_local()
+            .iter()
+            .filter(|e| e.kind == g_kinds().shed)
+            .map(|e| e.a)
+            .collect();
         shed.sort_unstable();
         assert_eq!(answered, 1, "only the admitted query is answered");
         assert_eq!(
@@ -1770,7 +1779,12 @@ mod tests {
             }
         }
         sim.run_until(until);
-        let lines = log.lock().unwrap().iter().map(record_to_line).collect();
+        let lines = log
+            .lock()
+            .unwrap()
+            .iter()
+            .map(LatencyRecord::to_line)
+            .collect();
         let cp = cp_out.lock().unwrap().clone();
         (lines, cp)
     }

@@ -7,14 +7,12 @@
 //! under the simulator stays deterministic even when it records
 //! through the clocked API.
 //!
-//! `WallClockSource` below is the **only** sanctioned
-//! `std::time::Instant` read in this crate — ldp-lint rule T1 forbids
-//! raw wall-clock reads anywhere else under `crates/telemetry/` and
-//! this file is allowlisted in `ldp-lint.allow`.
+//! Nothing in this crate reads real time (ldp-lint rule T1): a run
+//! against the wall clock installs its own [`ClockSource`], as the
+//! socket replay engine does with its `ReplayClock`.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, RwLock};
-use std::time::Instant;
 
 /// A monotonically non-decreasing nanosecond timestamp source.
 ///
@@ -23,53 +21,6 @@ use std::time::Instant;
 pub trait ClockSource: Send + Sync {
     /// Current time in nanoseconds since an arbitrary origin.
     fn now_ns(&self) -> u64;
-}
-
-/// Real monotonic time, relative to construction.
-///
-/// The single sanctioned `Instant` site in this crate (T1).
-pub struct WallClockSource {
-    origin: Instant,
-}
-
-impl WallClockSource {
-    /// A wall clock whose origin is "now".
-    pub fn new() -> Self {
-        WallClockSource {
-            origin: Instant::now(),
-        }
-    }
-}
-
-impl Default for WallClockSource {
-    fn default() -> Self {
-        WallClockSource::new()
-    }
-}
-
-impl ClockSource for WallClockSource {
-    fn now_ns(&self) -> u64 {
-        // u64 nanoseconds covers ~584 years of process uptime.
-        self.origin.elapsed().as_nanos() as u64
-    }
-}
-
-/// The last simulator time published via [`publish_virtual_now`].
-pub struct VirtualClockSource;
-
-impl ClockSource for VirtualClockSource {
-    fn now_ns(&self) -> u64 {
-        virtual_now()
-    }
-}
-
-/// A constant time; useful in tests.
-pub struct FixedClockSource(pub u64);
-
-impl ClockSource for FixedClockSource {
-    fn now_ns(&self) -> u64 {
-        self.0
-    }
 }
 
 thread_local! {
@@ -158,7 +109,6 @@ mod tests {
     fn virtual_clock_tracks_published_time() {
         let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         publish_virtual_now(42_000);
-        assert_eq!(VirtualClockSource.now_ns(), 42_000);
         use_virtual_clock();
         assert_eq!(now_ns(), 42_000);
         publish_virtual_now(43_000);
@@ -167,17 +117,15 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_is_monotonic_nonzero_origin_relative() {
-        let w = WallClockSource::new();
-        let a = w.now_ns();
-        let b = w.now_ns();
-        assert!(b >= a);
-    }
-
-    #[test]
     fn custom_clock_is_read_through_the_trait() {
+        struct Fixed(u64);
+        impl ClockSource for Fixed {
+            fn now_ns(&self) -> u64 {
+                self.0
+            }
+        }
         let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-        install_clock(Arc::new(FixedClockSource(7_700)));
+        install_clock(Arc::new(Fixed(7_700)));
         assert_eq!(now_ns(), 7_700);
         use_zero_clock();
         assert_eq!(now_ns(), 0);

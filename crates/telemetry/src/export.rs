@@ -53,98 +53,6 @@ pub fn dump_binary(events: &[RawEvent]) -> Vec<u8> {
     out
 }
 
-/// Parse a [`dump_binary`] buffer back into events. Kind ids are
-/// returned as stored; they resolve to names via [`kind_name`] only in
-/// a process whose registration order matches the producer's —
-/// cross-process readers should consult the embedded table via
-/// [`dump_kind_table`] instead.
-pub fn load_binary(bytes: &[u8]) -> Result<Vec<RawEvent>, String> {
-    let (events_at, _) = parse_dump_header(bytes)?;
-    let mut at = events_at;
-    let n = read_u64(bytes, &mut at)?;
-    let mut events = Vec::with_capacity(n.min(1 << 24) as usize);
-    for i in 0..n {
-        let t_ns = read_u64(bytes, &mut at).map_err(|e| format!("event {i}: {e}"))?;
-        let a = read_u64(bytes, &mut at).map_err(|e| format!("event {i}: {e}"))?;
-        let b = read_u64(bytes, &mut at).map_err(|e| format!("event {i}: {e}"))?;
-        let kind = KindId(read_u16(bytes, &mut at).map_err(|e| format!("event {i}: {e}"))?);
-        let op = match bytes.get(at) {
-            Some(0) => Op::SpanEnter,
-            Some(1) => Op::SpanExit,
-            Some(2) => Op::Counter,
-            Some(3) => Op::Mark,
-            Some(x) => return Err(format!("event {i}: bad op byte {x}")),
-            None => return Err(format!("event {i}: truncated")),
-        };
-        at += 1;
-        events.push(RawEvent {
-            t_ns,
-            a,
-            b,
-            kind,
-            op,
-        });
-    }
-    if at != bytes.len() {
-        return Err(format!(
-            "{} trailing bytes after the last event",
-            bytes.len() - at
-        ));
-    }
-    Ok(events)
-}
-
-/// The kind-name table embedded in a [`dump_binary`] buffer, in
-/// kind-id order.
-pub fn dump_kind_table(bytes: &[u8]) -> Result<Vec<String>, String> {
-    let (_, table) = parse_dump_header(bytes)?;
-    Ok(table)
-}
-
-/// Validate the magic and read the kind table; returns the offset of
-/// the event-count field and the table.
-fn parse_dump_header(bytes: &[u8]) -> Result<(usize, Vec<String>), String> {
-    if bytes.len() < 8 || &bytes[..8] != DUMP_MAGIC {
-        return Err("not an LDPTEL1 dump (bad magic)".to_string());
-    }
-    let mut at = 8usize;
-    let n_kinds = read_u16(bytes, &mut at)?;
-    let mut table = Vec::with_capacity(n_kinds as usize);
-    for i in 0..n_kinds {
-        let len = read_u16(bytes, &mut at)? as usize;
-        let end = at.checked_add(len).filter(|&e| e <= bytes.len());
-        let Some(end) = end else {
-            return Err(format!("kind {i}: name truncated"));
-        };
-        let name = std::str::from_utf8(&bytes[at..end])
-            .map_err(|_| format!("kind {i}: name is not UTF-8"))?;
-        table.push(name.to_string());
-        at = end;
-    }
-    Ok((at, table))
-}
-
-fn read_u16(bytes: &[u8], at: &mut usize) -> Result<u16, String> {
-    let end = *at + 2;
-    if end > bytes.len() {
-        return Err("truncated u16".to_string());
-    }
-    let v = u16::from_le_bytes([bytes[*at], bytes[*at + 1]]);
-    *at = end;
-    Ok(v)
-}
-
-fn read_u64(bytes: &[u8], at: &mut usize) -> Result<u64, String> {
-    let end = *at + 8;
-    if end > bytes.len() {
-        return Err("truncated u64".to_string());
-    }
-    let mut buf = [0u8; 8];
-    buf.copy_from_slice(&bytes[*at..end]);
-    *at = end;
-    Ok(u64::from_le_bytes(buf))
-}
-
 /// Compare two drained logs event-by-event. Returns `None` when they
 /// are identical, otherwise a one-line human description of the first
 /// divergence — the assertion message for checkpoint-resume
@@ -443,8 +351,13 @@ mod tests {
         );
     }
 
+    /// The kind-table length a dump declares after its magic.
+    fn kinds_in(dump: &[u8]) -> u16 {
+        u16::from_le_bytes([dump[8], dump[9]])
+    }
+
     #[test]
-    fn binary_dump_round_trips_exactly() {
+    fn binary_dump_is_self_describing_and_stable() {
         let k1 = register_kind("test.exp.bin1");
         let k2 = register_kind("test.exp.bin2");
         let events = vec![
@@ -454,12 +367,19 @@ mod tests {
             ev(u64::MAX, k1, Op::Counter, u64::MAX, u64::MAX),
         ];
         let dump = dump_binary(&events);
-        assert_eq!(load_binary(&dump).unwrap(), events);
-        // Self-describing: the kind table resolves ids without the
-        // producer's process-local registry.
-        let table = dump_kind_table(&dump).unwrap();
-        assert_eq!(table[k1.0 as usize], "test.exp.bin1");
-        assert_eq!(table[k2.0 as usize], "test.exp.bin2");
+        assert_eq!(&dump[..8], DUMP_MAGIC);
+        // Self-describing: the kind table carries the names, so ids
+        // resolve without the producer's process-local registry.
+        assert_eq!(kinds_in(&dump), k1.0.max(k2.0) + 1);
+        for name in ["test.exp.bin1", "test.exp.bin2"] {
+            let named = dump.windows(name.len()).any(|w| w == name.as_bytes());
+            assert!(named, "{name} is in the table");
+        }
+        // Fixed-width records: the last 27 bytes are the last event.
+        let last = &dump[dump.len() - 27..];
+        assert_eq!(last[..24], [0xff; 24], "t_ns, a, b");
+        assert_eq!(last[24..26], k1.0.to_le_bytes());
+        assert_eq!(last[26], Op::Counter as u8);
         // Equal logs dump to byte-identical buffers.
         assert_eq!(dump, dump_binary(&events));
     }
@@ -474,26 +394,8 @@ mod tests {
         let before = dump_binary(&events);
         register_kind("test.exp.registered-between-dumps");
         assert_eq!(before, dump_binary(&events));
-        assert_eq!(dump_kind_table(&before).unwrap().len(), k.0 as usize + 1);
-        assert_eq!(dump_kind_table(&dump_binary(&[])).unwrap().len(), 0);
-    }
-
-    #[test]
-    fn binary_load_rejects_corruption() {
-        let k = register_kind("test.exp.bin3");
-        let dump = dump_binary(&[ev(7, k, Op::Mark, 0, 0)]);
-        assert!(load_binary(b"nonsense").is_err(), "bad magic");
-        assert!(
-            load_binary(&dump[..dump.len() - 1]).is_err(),
-            "truncated event"
-        );
-        let mut extended = dump.clone();
-        extended.push(0);
-        assert!(load_binary(&extended).is_err(), "trailing bytes");
-        let mut bad_op = dump.clone();
-        let last = bad_op.len() - 1;
-        bad_op[last] = 9;
-        assert!(load_binary(&bad_op).is_err(), "bad op byte");
+        assert_eq!(kinds_in(&before), k.0 + 1);
+        assert_eq!(kinds_in(&dump_binary(&[])), 0);
     }
 
     #[test]

@@ -10,24 +10,21 @@
 //! Design constraints (DESIGN.md §8):
 //!
 //! * **Zero allocation on the hot path.** A record is one relaxed
-//!   atomic load (the packed enabled/sampling word), a thread-local
+//!   atomic load (the enabled flag), a thread-local
 //!   borrow, and a 32-byte slot write into a preallocated ring. Event
 //!   kinds are interned [`KindId`]s registered up front
 //!   ([`register_kind`]); names are resolved only at drain time.
 //! * **Determinism.** Virtual-time code stamps events explicitly with
 //!   [`record_at`] (the simulator's own `SimTime`), so two same-seed
 //!   runs drain byte-identical logs and recording can never perturb
-//!   event order. Transport-agnostic code uses [`record_now`], which
-//!   reads the process-wide [`clock`] — `Zero` (the default, always
-//!   0 ns), `Virtual` (the last published simulator time) or `Wall`
-//!   (the single sanctioned monotonic clock; see ldp-lint rule T1).
-//! * **Disabled cost is a branch.** The `telemetry-off` cargo feature
-//!   folds every record call to an immediate return at compile time;
-//!   at runtime, disabled recording (the default) costs one relaxed
-//!   load and a predictable branch. The sampling knob
-//!   ([`set_sampling_shift`]) thins recording by the event's `a` key
-//!   (the query/lifecycle sequence number), so whole lifecycles are
-//!   kept or dropped together and sampling itself is deterministic.
+//!   event order. Transport-agnostic code opens a [`span`], which
+//!   reads the process-wide [`clock`] — zero (the default, always
+//!   0 ns), virtual (the last published simulator time) or one the
+//!   run installs ([`clock::install_clock`]); nothing in this crate
+//!   reads real time (ldp-lint rule T1).
+//! * **Disabled cost is a branch.** Disabled recording (the default)
+//!   costs one relaxed load and a predictable branch;
+//!   [`set_enabled`] is the only switch.
 //!
 //! ## Quick example
 //!
@@ -53,14 +50,13 @@ mod event;
 mod export;
 mod recorder;
 
-pub use clock::{ClockSource, FixedClockSource, VirtualClockSource, WallClockSource};
+pub use clock::ClockSource;
 pub use event::{kind_name, register_kind, registered_kinds, KindId, Op, RawEvent};
 pub use export::{
-    canonical_order, count_by_kind, diff_logs, dump_binary, dump_kind_table, folded_stacks,
-    load_binary, render_timeline, stage_breakdown, StageBreakdown, StageStat,
+    canonical_order, count_by_kind, diff_logs, dump_binary, folded_stacks, render_timeline,
+    stage_breakdown, StageBreakdown, StageStat,
 };
 pub use recorder::{
-    counter_at, drain_all, drain_flushed, drain_local, enabled, flush_thread, mark, mark_at,
-    record_at, record_now, sampling_shift, set_enabled, set_sampling_shift, span, span_enter,
-    span_enter_at, span_exit, span_exit_at, SpanGuard, ThreadLog,
+    counter_at, drain_all, drain_flushed, drain_local, enabled, flush_thread, mark_at, record_at,
+    set_enabled, span, SpanGuard, ThreadLog,
 };

@@ -1,7 +1,7 @@
 //! The hot path: per-thread ring buffers and the record functions.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use crate::clock;
@@ -12,71 +12,19 @@ use crate::event::{KindId, Op, RawEvent};
 /// a drain always returns the most recent window (DESIGN.md §8 sizing).
 const RING_CAP: usize = 1 << 16;
 
-/// Packed runtime config: bit 31 = enabled, low 6 bits = sampling
-/// shift. One relaxed load decides everything on the hot path.
-static CONFIG: AtomicU32 = AtomicU32::new(0);
-const ENABLED_BIT: u32 = 1 << 31;
-const SHIFT_MASK: u32 = 0x3f;
+/// The one switch: whether record calls record. One relaxed load
+/// decides everything on the hot path.
+static ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// Turn recording on or off (off is the default).
 pub fn set_enabled(on: bool) {
-    let mut cur = CONFIG.load(Ordering::Relaxed);
-    loop {
-        let next = if on {
-            cur | ENABLED_BIT
-        } else {
-            cur & !ENABLED_BIT
-        };
-        match CONFIG.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return,
-            Err(now) => cur = now,
-        }
-    }
+    ENABLED.store(on, Ordering::Relaxed);
 }
 
-/// Whether recording is currently enabled. With the `telemetry-off`
-/// feature this is a compile-time `false`.
+/// Whether recording is currently enabled.
 #[inline]
 pub fn enabled() -> bool {
-    if cfg!(feature = "telemetry-off") {
-        return false;
-    }
-    CONFIG.load(Ordering::Relaxed) & ENABLED_BIT != 0
-}
-
-/// Deterministic sampling knob: an event is kept iff
-/// `a & ((1 << shift) - 1) == 0`. Shift 0 (default) keeps everything;
-/// shift 4 keeps every 16th lifecycle. Keying on `a` (the query seq)
-/// keeps whole lifecycles together and makes sampling run-invariant.
-pub fn set_sampling_shift(shift: u8) {
-    let shift = u32::from(shift).min(SHIFT_MASK);
-    let mut cur = CONFIG.load(Ordering::Relaxed);
-    loop {
-        let next = (cur & !SHIFT_MASK) | shift;
-        match CONFIG.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return,
-            Err(now) => cur = now,
-        }
-    }
-}
-
-/// Current sampling shift.
-pub fn sampling_shift() -> u8 {
-    (CONFIG.load(Ordering::Relaxed) & SHIFT_MASK) as u8
-}
-
-/// Gate shared by every record call: enabled + sampled-in.
-#[inline]
-fn admitted(a: u64) -> bool {
-    if cfg!(feature = "telemetry-off") {
-        return false;
-    }
-    let cfg = CONFIG.load(Ordering::Relaxed);
-    if cfg & ENABLED_BIT == 0 {
-        return false;
-    }
-    let mask = (1u64 << (cfg & SHIFT_MASK)) - 1;
-    a & mask == 0
+    ENABLED.load(Ordering::Relaxed)
 }
 
 /// Registration order of recording threads, for stable drain order.
@@ -177,7 +125,7 @@ fn push_event(ev: RawEvent) {
 /// never reads a clock and drained logs are bit-deterministic.
 #[inline]
 pub fn record_at(t_ns: u64, kind: KindId, op: Op, a: u64, b: u64) {
-    if !admitted(a) {
+    if !enabled() {
         return;
     }
     push_event(RawEvent {
@@ -189,19 +137,19 @@ pub fn record_at(t_ns: u64, kind: KindId, op: Op, a: u64, b: u64) {
     });
 }
 
-/// Record an event stamped by the process-wide [`clock`].
+/// Record an event stamped by the process-wide [`clock`]: what a
+/// [`span`] does on entry and exit.
 #[inline]
-pub fn record_now(kind: KindId, op: Op, a: u64, b: u64) {
-    if !admitted(a) {
-        return;
+fn record_now(kind: KindId, op: Op, a: u64) {
+    if enabled() {
+        push_event(RawEvent {
+            t_ns: clock::now_ns(),
+            a,
+            b: 0,
+            kind,
+            op,
+        });
     }
-    push_event(RawEvent {
-        t_ns: clock::now_ns(),
-        a,
-        b,
-        kind,
-        op,
-    });
 }
 
 /// Lifecycle mark at an explicit time.
@@ -210,40 +158,10 @@ pub fn mark_at(t_ns: u64, kind: KindId, a: u64, b: u64) {
     record_at(t_ns, kind, Op::Mark, a, b);
 }
 
-/// Lifecycle mark at the process-wide clock's time.
-#[inline]
-pub fn mark(kind: KindId, a: u64, b: u64) {
-    record_now(kind, Op::Mark, a, b);
-}
-
 /// Counter increment (`b` = delta) at an explicit time.
 #[inline]
 pub fn counter_at(t_ns: u64, kind: KindId, a: u64, delta: u64) {
     record_at(t_ns, kind, Op::Counter, a, delta);
-}
-
-/// Span enter at an explicit time.
-#[inline]
-pub fn span_enter_at(t_ns: u64, kind: KindId, a: u64) {
-    record_at(t_ns, kind, Op::SpanEnter, a, 0);
-}
-
-/// Span exit at an explicit time.
-#[inline]
-pub fn span_exit_at(t_ns: u64, kind: KindId, a: u64) {
-    record_at(t_ns, kind, Op::SpanExit, a, 0);
-}
-
-/// Span enter at the process-wide clock's time.
-#[inline]
-pub fn span_enter(kind: KindId, a: u64) {
-    record_now(kind, Op::SpanEnter, a, 0);
-}
-
-/// Span exit at the process-wide clock's time.
-#[inline]
-pub fn span_exit(kind: KindId, a: u64) {
-    record_now(kind, Op::SpanExit, a, 0);
 }
 
 /// RAII span over the process-wide clock: records enter on
@@ -255,14 +173,14 @@ pub struct SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        span_exit(self.kind, self.a);
+        record_now(self.kind, Op::SpanExit, self.a);
     }
 }
 
 /// Open a clocked span; close it by dropping the guard.
 #[inline]
 pub fn span(kind: KindId, a: u64) -> SpanGuard {
-    span_enter(kind, a);
+    record_now(kind, Op::SpanEnter, a);
     SpanGuard { kind, a }
 }
 
@@ -348,8 +266,8 @@ mod tests {
         set_enabled(true);
         mark_at(10, k1, 1, 100);
         counter_at(20, k2, 1, 5);
-        span_enter_at(30, k1, 2);
-        span_exit_at(40, k1, 2);
+        record_at(30, k1, Op::SpanEnter, 2, 0);
+        record_at(40, k1, Op::SpanExit, 2, 0);
         set_enabled(false);
         let evs: Vec<RawEvent> = drain_local()
             .into_iter()
@@ -386,32 +304,13 @@ mod tests {
     }
 
     #[test]
-    fn sampling_keys_on_a_and_keeps_lifecycles_whole() {
-        let _s = serial();
-        let k = register_kind("test.rec.sample");
-        set_enabled(true);
-        set_sampling_shift(2); // keep a % 4 == 0
-        drain_local();
-        for a in 0..8u64 {
-            mark_at(a, k, a, 0); // e.g. per-query send
-            mark_at(a + 100, k, a, 1); // matching response
-        }
-        set_sampling_shift(0);
-        set_enabled(false);
-        let evs: Vec<RawEvent> = drain_local().into_iter().filter(|e| e.kind == k).collect();
-        // Only a ∈ {0, 4} admitted — both marks of each lifecycle.
-        let keys: Vec<u64> = evs.iter().map(|e| e.a).collect();
-        assert_eq!(keys, vec![0, 0, 4, 4]);
-    }
-
-    #[test]
     fn span_guard_records_enter_and_exit() {
         let _s = serial();
         let k = register_kind("test.rec.guard");
         set_enabled(true);
         {
             let _g = span(k, 3);
-            mark(k, 3, 1);
+            mark_at(0, k, 3, 1);
         }
         set_enabled(false);
         let evs: Vec<RawEvent> = drain_local().into_iter().filter(|e| e.kind == k).collect();

@@ -200,54 +200,6 @@ pub fn parse_binary(buf: &[u8]) -> Result<Vec<TraceEntry>, BinError> {
     BinReader::new(buf).read_all()
 }
 
-/// A streaming reader over any [`std::io::Read`] source: full-scale
-/// traces (B-Root-17a is ~14 GB in this format) never need to fit in
-/// memory — this is the Reader process of the paper's Figure 4, which
-/// "pre-loads a window of queries to avoid falling behind real time".
-pub struct StreamReader<R: std::io::Read> {
-    inner: R,
-    buf: Vec<u8>,
-}
-
-impl<R: std::io::Read> StreamReader<R> {
-    /// Wrap a byte source.
-    pub fn new(inner: R) -> Self {
-        StreamReader {
-            inner,
-            buf: Vec::with_capacity(512),
-        }
-    }
-
-    /// Read the next record; `Ok(None)` at clean end of stream.
-    fn next_record(&mut self) -> Result<Option<TraceEntry>, BinError> {
-        let mut len_buf = [0u8; 2];
-        // Distinguish clean EOF (no bytes) from a torn record.
-        match self.inner.read(&mut len_buf[..1]) {
-            Ok(0) => return Ok(None),
-            Ok(1) => {}
-            Ok(_) => unreachable!(),
-            Err(_) => return Err(BinError::Truncated),
-        }
-        self.inner
-            .read_exact(&mut len_buf[1..])
-            .map_err(|_| BinError::Truncated)?;
-        let len = u16::from_be_bytes(len_buf) as usize;
-        self.buf.clear();
-        self.buf.resize(2 + len, 0);
-        self.buf[..2].copy_from_slice(&len_buf);
-        self.inner
-            .read_exact(&mut self.buf[2..])
-            .map_err(|_| BinError::Truncated)?;
-        let mut reader = BinReader::new(&self.buf);
-        reader.next_record()
-    }
-
-    /// Iterate records, stopping at the first error (reported once).
-    pub fn iter(&mut self) -> impl Iterator<Item = Result<TraceEntry, BinError>> + '_ {
-        std::iter::from_fn(move || self.next_record().transpose())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -328,40 +280,6 @@ mod tests {
     #[test]
     fn empty_stream_is_empty_trace() {
         assert_eq!(parse_binary(&[]).unwrap().len(), 0);
-    }
-
-    #[test]
-    fn stream_reader_from_io() {
-        let entries: Vec<TraceEntry> = (0..20).map(sample).collect();
-        let buf = write_binary(&entries);
-        let cursor = std::io::Cursor::new(buf);
-        let mut sr = StreamReader::new(cursor);
-        let got: Result<Vec<_>, _> = sr.iter().collect();
-        assert_eq!(got.unwrap(), entries);
-    }
-
-    #[test]
-    fn stream_reader_clean_eof_vs_torn_record() {
-        let entries: Vec<TraceEntry> = (0..3).map(sample).collect();
-        let buf = write_binary(&entries);
-        // Clean EOF.
-        let mut sr = StreamReader::new(std::io::Cursor::new(buf.clone()));
-        while sr.next_record().unwrap().is_some() {}
-        // Torn record: cut mid-way.
-        let mut sr = StreamReader::new(std::io::Cursor::new(buf[..buf.len() - 4].to_vec()));
-        let mut saw_err = false;
-        loop {
-            match sr.next_record() {
-                Ok(Some(_)) => {}
-                Ok(None) => break,
-                Err(BinError::Truncated) => {
-                    saw_err = true;
-                    break;
-                }
-                Err(e) => panic!("unexpected {e}"),
-            }
-        }
-        assert!(saw_err, "torn tail must be reported");
     }
 
     #[test]

@@ -39,11 +39,6 @@ impl TraceEntry {
         }
     }
 
-    /// Capture time in floating-point seconds.
-    pub fn time_secs(&self) -> f64 {
-        self.time_us as f64 / 1e6
-    }
-
     /// True if this entry is a query (QR = 0).
     pub fn is_query(&self) -> bool {
         !self.message.flags.response
@@ -54,9 +49,6 @@ impl TraceEntry {
         self.message.question().map(|q| &q.name)
     }
 }
-
-/// A whole trace: entries in capture order.
-pub type Trace = Vec<TraceEntry>;
 
 #[cfg(test)]
 mod tests {
@@ -74,7 +66,6 @@ mod tests {
         );
         assert!(e.is_query());
         assert_eq!(e.transport, Transport::Udp);
-        assert!((e.time_secs() - 1_461_234_567.012345).abs() < 1e-6);
         assert_eq!(e.qname().unwrap().to_string(), "example.com.");
     }
 }

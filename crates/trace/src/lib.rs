@@ -32,8 +32,8 @@ pub mod pcap;
 pub mod stats;
 mod textfmt;
 
-pub use binfmt::{parse_binary, write_binary, BinError, BinReader, StreamReader};
-pub use entry::{Trace, TraceEntry};
+pub use binfmt::{parse_binary, write_binary, BinError, BinReader};
+pub use entry::TraceEntry;
 pub use mutate::{Mutation, Mutator};
 pub use pcap::{parse_pcap, write_pcap, PcapError};
 pub use stats::TraceStats;

@@ -193,7 +193,7 @@ mod tests {
         let attack_times: Vec<f64> = merged
             .iter()
             .filter(|e| e.src.ip().to_string().starts_with("172."))
-            .map(|e| e.time_secs())
+            .map(|e| e.time_us as f64 / 1e6)
             .collect();
         assert!(attack_times.iter().all(|&t| (3.0..7.1).contains(&t)));
     }

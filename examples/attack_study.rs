@@ -9,7 +9,7 @@ use std::sync::{Arc, Mutex};
 
 use ldplayer::netsim::{PathConfig, SimConfig, SimDuration, SimTime, Simulator, Topology};
 use ldplayer::replay::{LatencyLog, SimReplayClient};
-use ldplayer::server::{RateLimiter, RrlConfig, ServerEngine, SimDnsServer};
+use ldplayer::server::{RrlConfig, ServerEngine, SimDnsServer};
 use ldplayer::trace::TraceEntry;
 use ldplayer::wire::{RData, Record, RecordType, Soa};
 use ldplayer::workloads::{AttackKind, AttackSpec};
@@ -98,12 +98,12 @@ fn main() {
         let server_addr: std::net::SocketAddr = "10.99.0.1:53".parse().unwrap();
         let mut server = SimDnsServer::new(engine, server_addr, Some(SimDuration::from_secs(20)));
         if rrl_on {
-            server = server.with_rrl(RateLimiter::new(RrlConfig {
+            server = server.with_rrl(RrlConfig {
                 responses_per_second: 20,
                 window_secs: 10,
                 slip: 2,
                 ..Default::default()
-            }));
+            });
         }
         let mut sim = Simulator::new(
             Topology::uniform(PathConfig::with_rtt(SimDuration::from_millis(10))),

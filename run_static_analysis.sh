@@ -1,12 +1,12 @@
 #!/bin/sh
-# The gate: formatting, clippy, the ldp-lint determinism/panic-safety
-# pass (DESIGN.md "Correctness invariants"), the whole test suite, the
-# scan gate, the four deterministic studies compared against their
-# committed results/, and the end-to-end benchmark's self-check. Every
-# step decides for itself: nothing here judges a time or compares runs.
-# Everything is built by cargo from this checkout; every output goes
-# under target/, so a run leaves `git status` clean. Run before sending
-# a PR.
+# The gate: formatting, clippy, rustdoc's link check, the ldp-lint
+# determinism/panic-safety pass (DESIGN.md "Correctness invariants"),
+# the whole test suite, the scan gate, the four deterministic studies
+# compared against their committed results/, and the end-to-end
+# benchmark's self-check. Every step decides for itself: nothing here
+# judges a time or compares runs. Everything is built by cargo from
+# this checkout; every output goes under target/, so a run leaves
+# `git status` clean. Run before sending a PR.
 set -u
 
 root=$(CDPATH= cd -- "$(dirname -- "$0")" && pwd)
@@ -28,6 +28,10 @@ step "cargo fmt --check" cargo fmt --all --check
 step "cargo clippy (denies unwrap/expect/panic in hot-path crates)" \
     cargo clippy --workspace --all-targets -- -D warnings
 step "cargo build --release" cargo build --release --workspace -q
+# An intra-doc link to a deleted item turns the gate red instead of
+# rotting.
+step "cargo doc (broken intra-doc links are errors)" \
+    env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
 step "ldp-lint" "$bin/ldp-lint" check
 

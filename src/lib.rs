@@ -35,6 +35,8 @@
 //! - [`chaos`] — deterministic fault injection: declarative fault plans
 //!   (loss bursts, delay spikes, link cuts, server crash/restart)
 //!   scheduled in virtual time, plus the root-letter outage study.
+//! - [`guard`] — overload and recovery for replay: retry budgets, the
+//!   admission window, checkpoints and the in-flight state they carry.
 //! - [`telemetry`] — always-on, virtual-time-aware tracing: per-thread
 //!   ring buffers of compact events, per-query lifecycle marks
 //!   (enqueue→send→retx→response→match), stage-latency breakdowns and
@@ -59,6 +61,7 @@ pub use dns_zone as zone;
 pub use ldp_cache as cache;
 pub use ldp_chaos as chaos;
 pub use ldp_core as core;
+pub use ldp_guard as guard;
 pub use ldp_metrics as metrics;
 pub use ldp_proxy as proxy;
 pub use ldp_replay as replay;
