@@ -27,6 +27,10 @@ fn main() {
 
 /// 1. The ΔTᵢ = Δt̄ᵢ − Δtᵢ re-anchoring vs a naive replayer that sleeps
 ///    each inter-arrival gap: per-send overhead accumulates into drift.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "D1: the naive replayer sends on the wall clock"
+)]
 fn ablation_timing() {
     println!("══ Ablation 1: timing catch-up vs naive gap-sleeping ══\n");
     let seconds = arg_f64("--seconds", 5.0);

@@ -23,6 +23,10 @@ use ldp_trace::TraceEntry;
 use netsim::{PathConfig, SimConfig, SimDuration, SimTime, Simulator, Topology};
 
 /// Steps per second over the fastest of three passes of `steps` steps.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "D1: the gate times a step on the wall clock"
+)]
 fn rate(steps: u64, mut pass: impl FnMut()) -> f64 {
     let fastest = (0..3)
         .map(|_| {

@@ -33,10 +33,16 @@
 //! seconds parameter (any epoch), there is no ambient clock and no
 //! ambient randomness, and all internal iteration is over ordered
 //! containers — two same-seed simulator runs using this cache produce
-//! byte-identical transcripts (ldp-lint rules D1–D4 and P1 apply to
-//! this crate; see DESIGN.md §7 and §11).
+//! byte-identical transcripts (`clippy::disallowed_methods`,
+//! `disallowed_types` and the panic lints are denied in this crate;
+//! see DESIGN.md §7 and §11).
 
 #![warn(missing_docs)]
+// Simulator path: no hash collection, no wall-clock type (DESIGN.md §7).
+#![deny(clippy::disallowed_types)]
+// Hot path: bad input is an error, never a panic (DESIGN.md §7).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 pub mod negative;
 pub mod outstanding;

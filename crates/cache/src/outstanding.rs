@@ -11,7 +11,8 @@
 //! The table is generic over the waiter payload `W` (whatever the
 //! resolver needs to answer a client: source address, original query,
 //! …). Keys are kept in an ordered map so iteration order — and thus
-//! any transcript derived from it — is deterministic (ldp-lint D2).
+//! any transcript derived from it — is deterministic
+//! (`clippy::disallowed_types`).
 
 use std::collections::BTreeMap;
 

@@ -5,7 +5,8 @@
 //! containers are ordered (`BTreeMap`/`BTreeSet`) and every eviction
 //! decision ties-break on insertion slots, so a given access sequence
 //! produces the same residency set — and therefore the same simulator
-//! transcript — in every run (ldp-lint rule D2 applies to this crate).
+//! transcript — in every run (`clippy::disallowed_types` is denied in
+//! this crate).
 //!
 //! Layout: entries live in a `name → qtype → Entry` two-level ordered
 //! map (lookups borrow the caller's [`Name`], no per-get clone), and a

@@ -40,6 +40,8 @@
 //!   [`plan::FaultEvent::QuerierCrash`], and the crash storm.
 
 #![warn(missing_docs)]
+// Simulator path: no hash collection, no wall-clock type (DESIGN.md §7).
+#![deny(clippy::disallowed_types)]
 
 pub mod agent;
 pub mod delayed;

@@ -17,6 +17,12 @@
 //! can cause are bounded by a function of those three constants and the
 //! driver's retry budget.
 
+// Simulator path: no hash collection, no wall-clock type (DESIGN.md §7).
+#![deny(clippy::disallowed_types)]
+// Hot path: bad input is an error, never a panic (DESIGN.md §7).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use std::collections::BTreeMap;
 use std::net::IpAddr;
 use std::sync::Arc;
@@ -897,6 +903,10 @@ mod tests {
 /// reference of the property that the core walks as it did wherever
 /// the policies were already the same.
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_types,
+    reason = "test-only reference kept verbatim; its maps are keyed, never iterated"
+)]
 mod reference {
     use std::collections::HashMap;
     use std::net::IpAddr;

@@ -20,6 +20,12 @@
 //! for the nameserver's address, through the same outstanding table, so
 //! concurrent lookups of one nameserver coalesce like stub queries do.
 
+// Simulator path: no hash collection, no wall-clock type (DESIGN.md §7).
+#![deny(clippy::disallowed_types)]
+// Hot path: bad input is an error, never a panic (DESIGN.md §7).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use std::collections::BTreeMap;
 use std::net::{IpAddr, SocketAddr};
 use std::sync::{Arc, Mutex};

@@ -15,6 +15,9 @@
 //! [`AnswerScratch`] they own, one per receive loop.
 
 #![warn(missing_docs)]
+// Hot path: bad input is an error, never a panic (DESIGN.md §7).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 pub mod engine;
 pub mod rrl;

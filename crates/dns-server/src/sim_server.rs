@@ -3,6 +3,9 @@
 //! idle-timeout control — the server side of the §5.2 resource and
 //! latency experiments.
 
+// Simulator path: no hash collection, no wall-clock type (DESIGN.md §7).
+#![deny(clippy::disallowed_types)]
+
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::sync::Arc;

@@ -142,6 +142,10 @@ pub fn spawn(engine: Arc<ServerEngine>, config: ServerConfig) -> std::io::Result
     let rrl: Option<Arc<Mutex<RrlBank>>> = config
         .rrl
         .map(|cfg| Arc::new(Mutex::new(RrlBank::new(cfg, engine.views().len()))));
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "D1: RRL seconds are wall time here"
+    )]
     let epoch = Instant::now();
     // Every fallible step comes before the first thread starts, so an
     // error never leaves half a server running.
@@ -254,6 +258,10 @@ impl UdpWorker {
     }
 }
 
+#[allow(
+    clippy::disallowed_methods,
+    reason = "D1: the idle timeout is wall time here"
+)]
 fn serve_tcp_conn(
     mut stream: TcpStream,
     peer: SocketAddr,
@@ -445,6 +453,10 @@ mod tests {
     }
 
     #[test]
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "a wall-clock deadline for the flood"
+    )]
     fn udp_rrl_limits_flood_with_tc_slip() {
         let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         let config = ServerConfig {

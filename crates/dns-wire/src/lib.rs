@@ -19,6 +19,9 @@
 //! ```
 
 #![warn(missing_docs)]
+// Hot path: bad input is an error, never a panic (DESIGN.md §7).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 pub mod edns;
 pub mod encoding;

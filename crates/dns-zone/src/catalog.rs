@@ -1,6 +1,10 @@
 //! A catalog of zones served by one authoritative server, with
 //! closest-enclosing-zone selection.
 
+// Hot path: bad input is an error, never a panic (DESIGN.md §7).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use std::collections::BTreeMap;
 use std::sync::Arc;
 

@@ -6,6 +6,10 @@
 //! preserve so a recursive resolver walks root → TLD → SLD exactly as it
 //! would against independent servers (paper §2.4).
 
+// Hot path: bad input is an error, never a panic (DESIGN.md §7).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use dns_wire::{Message, Name, Question, RData, Rcode, Record, RecordType};
 
 use crate::zone::Zone;

@@ -15,6 +15,10 @@
 //! of that short list, cut off at the exact hit; the lower index of the
 //! two wins, which is first-match-wins.
 
+// Hot path: bad input is an error, never a panic (DESIGN.md §7).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use std::collections::BTreeMap;
 use std::net::IpAddr;
 

@@ -10,6 +10,10 @@
 //! and not taken at all in an unsigned one, which the zone knows from a
 //! count of its NSEC-holding nodes.
 
+// Hot path: bad input is an error, never a panic (DESIGN.md §7).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use std::collections::BTreeMap;
 use std::ops::Bound;
 

@@ -35,6 +35,9 @@
 //! and the socket engine's wall time.
 
 #![warn(missing_docs)]
+// Hot path: bad input is an error, never a panic (DESIGN.md §7).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 pub mod admission;
 pub mod budget;

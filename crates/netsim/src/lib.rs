@@ -16,6 +16,8 @@
 //! paper §2.1.
 
 #![warn(missing_docs)]
+// Simulator path: no hash collection, no wall-clock type (DESIGN.md §7).
+#![deny(clippy::disallowed_types)]
 
 pub mod driver;
 pub mod fault;

@@ -12,6 +12,9 @@
 //! all public NS addresses.
 
 #![warn(missing_docs)]
+// Hot path: bad input is an error, never a panic (DESIGN.md §7).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 pub mod rewrite;
 mod sim_proxy;

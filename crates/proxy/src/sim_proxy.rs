@@ -11,6 +11,9 @@
 //! One host therefore performs both §2.4 rewrites, faithfully producing
 //! the packet sequence of the paper's Figure 2.
 
+// Simulator path: no hash collection, no wall-clock type (DESIGN.md §7).
+#![deny(clippy::disallowed_types)]
+
 use std::net::SocketAddr;
 
 use netsim::{Ctx, Host, PacketBytes, TcpEvent};

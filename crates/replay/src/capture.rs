@@ -50,6 +50,10 @@ impl CaptureServer {
     /// Bind and start receiving on `workers` threads. If `engine` is
     /// given, every parsed query is answered (so replays against a real
     /// responding server can be captured too).
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "D1: arrivals are stamped in wall time (paper §4.2)"
+    )]
     pub fn start(
         workers: usize,
         engine: Option<Arc<ServerEngine>>,

@@ -3,9 +3,9 @@
 //! Every read of "now" in the replay engine flows through
 //! [`ReplayClock`], so the same engine runs against the wall clock
 //! ([`WallClock`]) or fully virtual time ([`VirtualClock`]) — and
-//! sim-mode replay can never accidentally observe real time. This file
+//! sim-mode replay can never accidentally observe real time. `WallClock`
 //! is the one place in the replay crate allowed to call
-//! `Instant::now()` (see `ldp-lint.allow`).
+//! `Instant::now()` (its `#[allow(clippy::disallowed_methods)]`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -34,6 +34,10 @@ pub struct WallClock {
     origin: Instant,
 }
 
+#[allow(
+    clippy::disallowed_methods,
+    reason = "D1: WallClock is the real clock behind ReplayClock"
+)]
 impl WallClock {
     /// A wall clock whose origin is the moment of the call.
     pub fn start() -> Self {
@@ -43,6 +47,10 @@ impl WallClock {
     }
 }
 
+#[allow(
+    clippy::disallowed_methods,
+    reason = "D1: WallClock is the real clock behind ReplayClock"
+)]
 impl ReplayClock for WallClock {
     fn now_us(&self) -> u64 {
         Instant::now()
@@ -115,6 +123,10 @@ mod tests {
     }
 
     #[test]
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "measures that virtual time costs no wall time"
+    )]
     fn virtual_clock_jumps_instead_of_waiting() {
         let clock = VirtualClock::new();
         assert_eq!(clock.now_us(), 0);

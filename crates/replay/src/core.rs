@@ -23,6 +23,12 @@
 //! slot, lost to a crash) stays in the table: a cut still carries it,
 //! so a resumed run re-executes it.
 
+// Simulator path: no hash collection, no wall-clock type (DESIGN.md §7).
+#![deny(clippy::disallowed_types)]
+// Hot path: bad input is an error, never a panic (DESIGN.md §7).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use std::collections::{BTreeMap, BTreeSet};
 
 use ldp_guard::{Checkpoint, InflightEntry, InflightStatus, RetransmitConfig, RetryBudget};

@@ -9,7 +9,7 @@
 //! per-source socket ownership are the same.
 
 use std::collections::{HashMap, VecDeque};
-use std::net::{IpAddr, SocketAddr, TcpStream, UdpSocket};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpStream, UdpSocket};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel as bounded, Receiver, SyncSender as Sender};
 use std::sync::{Arc, Mutex};
@@ -588,6 +588,12 @@ fn querier_loop(
     // server sees a stable set of (addr, port) pairs per source.
     let mut udp_socks: HashMap<IpAddr, UdpSocket> = HashMap::new();
     let mut tcp_conns: HashMap<IpAddr, TcpStream> = HashMap::new();
+    // The unspecified address of the target's family: a socket bound to
+    // loopback cannot send to a routable address, nor v4 to v6.
+    let udp_bind: SocketAddr = match cfg.target_udp {
+        SocketAddr::V4(_) => (Ipv4Addr::UNSPECIFIED, 0).into(),
+        SocketAddr::V6(_) => (Ipv6Addr::UNSPECIFIED, 0).into(),
+    };
     // One reconnect budget for the querier's whole run, jittered
     // per-slot so a thundering herd of reconnects decorrelates.
     let mut reconnect_budget = RetryBudget::new(
@@ -652,7 +658,7 @@ fn querier_loop(
             let ok = match job.transport {
                 Transport::Udp => {
                     let sock = udp_socks.entry(job.source).or_insert_with(|| {
-                        let s = UdpSocket::bind("127.0.0.1:0").expect("bind querier socket");
+                        let s = UdpSocket::bind(udp_bind).expect("bind querier socket");
                         s.set_nonblocking(true).expect("nonblocking");
                         s
                     });
@@ -783,6 +789,26 @@ mod tests {
         let mut seqs: Vec<u64> = report.sent.iter().map(|r| r.seq).collect();
         seqs.sort_unstable();
         assert_eq!(seqs, (0..200).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn replays_to_an_ipv6_target() {
+        let _serial = crate::wall_clock_test();
+        let sink = UdpSocket::bind("[::1]:0").unwrap();
+        sink.set_read_timeout(Some(Duration::from_millis(500)))
+            .unwrap();
+        let addr = sink.local_addr().unwrap();
+        let config = ReplayConfig {
+            target_udp: addr,
+            target_tcp: addr,
+            fast_mode: true,
+            ..Default::default()
+        };
+        let report = replay(&mk_trace(20, 1000), &config);
+        assert_eq!((report.total_sent, report.errors), (20, 0));
+        let mut buf = [0u8; 512];
+        let arrived = (0..20).filter(|_| sink.recv(&mut buf).is_ok()).count();
+        assert_eq!(arrived, 20, "every query reached [::1]");
     }
 
     #[test]
@@ -988,6 +1014,10 @@ mod tests {
     }
 
     #[test]
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "measures that virtual time costs no wall time"
+    )]
     fn virtual_clock_replay_never_waits_on_wall_time() {
         let _serial = crate::wall_clock_test();
         // A timed (non-fast) replay of a trace nominally lasting 100
@@ -1166,6 +1196,10 @@ mod tests {
     }
 
     #[test]
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "measures that a spent budget stops sleeping"
+    )]
     fn reconnect_budget_exhaustion_is_bounded_not_a_spin_loop() {
         let _serial = crate::wall_clock_test();
         // A port that refuses connections: bind, learn the port, drop

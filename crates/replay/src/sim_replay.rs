@@ -3,6 +3,9 @@
 //! logs per-query latency — the client side of the §5.2 experiments
 //! (memory, CPU, and the latency-vs-RTT Figures 15a/15b).
 
+// Simulator path: no hash collection, no wall-clock type (DESIGN.md §7).
+#![deny(clippy::disallowed_types)]
+
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::{IpAddr, SocketAddr};
 use std::sync::{Arc, Mutex};

@@ -14,6 +14,9 @@
 //! The draw functions are frozen: every committed transcript, figure
 //! and checkpoint depends on their exact bits.
 
+// Simulator path: no hash collection, no wall-clock type (DESIGN.md §7).
+#![deny(clippy::disallowed_types)]
+
 pub mod check;
 
 /// A seeded SplitMix64 generator.

@@ -7,10 +7,10 @@
 //! a function of the workload alone, never of thread scheduling.
 //!
 //! This module is the **only** sanctioned caller of
-//! [`Simulator::enqueue_remote`] (ldp-lint rule S1): all cross-shard
-//! traffic flows through the exchange, where the conservative-
-//! lookahead invariant (`arrival ≥ window end`) is asserted on every
-//! packet.
+//! [`Simulator::enqueue_remote`] (`clippy::disallowed_methods`, rule
+//! S1): all cross-shard traffic flows through the exchange, where the
+//! conservative-lookahead invariant (`arrival ≥ window end`) is
+//! asserted on every packet.
 
 use std::collections::BTreeMap;
 use std::net::IpAddr;
@@ -76,6 +76,10 @@ impl Exchange {
     /// `(time, lane, seq)`, so the batch's vector order is irrelevant —
     /// delivery order is independent of thread scheduling by
     /// construction.
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "S1: the exchange is the one sanctioned cross-shard enqueue"
+    )]
     pub fn deliver(sim: &mut Simulator, batch: impl IntoIterator<Item = RemoteUdp>) {
         for r in batch {
             sim.enqueue_remote(r);

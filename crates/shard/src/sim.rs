@@ -400,9 +400,14 @@ impl ShardedSimulator {
         let mut aborted: Option<Box<dyn Any + Send>> = None;
 
         std::thread::scope(|scope| {
+            #[allow(
+                clippy::disallowed_methods,
+                reason = "A1: one reply per worker per round"
+            )]
             let (reply_tx, reply_rx) = std::sync::mpsc::channel::<Reply>();
             let mut cmd_txs: Vec<Sender<WorkerCmd>> = Vec::new();
             for (i, sim) in workers.iter_mut().enumerate() {
+                #[allow(clippy::disallowed_methods, reason = "A1: one command per round")]
                 let (tx, rx) = std::sync::mpsc::channel::<WorkerCmd>();
                 cmd_txs.push(tx);
                 let reply = reply_tx.clone();

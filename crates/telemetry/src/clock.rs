@@ -7,9 +7,10 @@
 //! under the simulator stays deterministic even when it records
 //! through the clocked API.
 //!
-//! Nothing in this crate reads real time (ldp-lint rule T1): a run
-//! against the wall clock installs its own [`ClockSource`], as the
-//! socket replay engine does with its `ReplayClock`.
+//! Nothing in this crate reads real time (`clippy::disallowed_methods`,
+//! rule T1): a run against the wall clock installs its own
+//! [`ClockSource`], as the socket replay engine does with its
+//! `ReplayClock`.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, RwLock};

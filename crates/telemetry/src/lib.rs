@@ -21,7 +21,7 @@
 //!   reads the process-wide [`clock`] — zero (the default, always
 //!   0 ns), virtual (the last published simulator time) or one the
 //!   run installs ([`clock::install_clock`]); nothing in this crate
-//!   reads real time (ldp-lint rule T1).
+//!   reads real time (`clippy::disallowed_methods`, rule T1).
 //! * **Disabled cost is a branch.** Disabled recording (the default)
 //!   costs one relaxed load and a predictable branch;
 //!   [`set_enabled`] is the only switch.
@@ -44,6 +44,9 @@
 //! ```
 
 #![warn(missing_docs)]
+// Hot path: bad input is an error, never a panic (DESIGN.md §7).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 pub mod clock;
 mod event;

@@ -24,7 +24,8 @@ pub enum Mutation {
         /// Prefix text; the entry index is appended.
         tag: String,
     },
-    /// Scale all inter-arrival gaps by a factor (2.0 = half the rate).
+    /// Scale every entry's offset from the first entry by a factor
+    /// (2.0 = half the rate); a time that would fall below 0 is 0.
     ScaleTime(f64),
     /// Keep only queries (drop responses).
     QueriesOnly,
@@ -90,9 +91,12 @@ impl Mutator {
             }
             Mutation::ScaleTime(factor) => {
                 if let Some(first) = trace.first().map(|e| e.time_us) {
+                    // Signed: the parsers never sort, so an entry may
+                    // precede the first.
                     for e in trace.iter_mut() {
-                        let delta = e.time_us - first;
-                        e.time_us = first + (delta as f64 * factor).round() as u64;
+                        let delta = e.time_us.wrapping_sub(first) as i64;
+                        let scaled = (delta as f64 * factor).round() as i64;
+                        e.time_us = first.saturating_add_signed(scaled);
                     }
                 }
             }
@@ -180,6 +184,17 @@ mod tests {
         assert_eq!(t[0].time_us, 1_000_000);
         assert_eq!(t[1].time_us, 1_020_000);
         assert_eq!(t[2].time_us, 1_040_000);
+    }
+
+    #[test]
+    fn scale_time_scales_an_entry_before_the_first_and_clamps_at_zero() {
+        let mut t = trace(3);
+        t[1].time_us = 900_000;
+        Mutator::new(vec![Mutation::ScaleTime(2.0)]).apply(&mut t);
+        let times: Vec<u64> = t.iter().map(|e| e.time_us).collect();
+        assert_eq!(times, [1_000_000, 800_000, 1_040_000]);
+        Mutator::new(vec![Mutation::ScaleTime(10.0)]).apply(&mut t);
+        assert_eq!(t[1].time_us, 0, "clamped, not wrapped");
     }
 
     #[test]

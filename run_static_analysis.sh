@@ -1,9 +1,9 @@
 #!/bin/sh
-# The gate: formatting, clippy, rustdoc's link check, the ldp-lint
-# determinism/panic-safety pass (DESIGN.md "Correctness invariants"),
-# the whole test suite, the scan gate, the four deterministic studies
-# compared against their committed results/, and the end-to-end
-# benchmark's self-check. Every step decides for itself: nothing here
+# The gate: formatting, clippy (which holds the determinism and
+# panic-safety invariants, DESIGN.md §7), rustdoc's link check, a
+# registry-free Cargo.lock, the whole test suite, the scan gate, the
+# four deterministic studies compared against their committed
+# results/, and the end-to-end benchmark's self-check. Every step decides for itself: nothing here
 # judges a time or compares runs. Everything is built by cargo from
 # this checkout; every output goes under target/, so a run leaves
 # `git status` clean. Run before sending a PR.
@@ -25,7 +25,7 @@ step() {
 }
 
 step "cargo fmt --check" cargo fmt --all --check
-step "cargo clippy (denies unwrap/expect/panic in hot-path crates)" \
+step "cargo clippy (DESIGN §7: wall clock, hash order, unbounded channels, panics)" \
     cargo clippy --workspace --all-targets -- -D warnings
 step "cargo build --release" cargo build --release --workspace -q
 # An intra-doc link to a deleted item turns the gate red instead of
@@ -33,7 +33,11 @@ step "cargo build --release" cargo build --release --workspace -q
 step "cargo doc (broken intra-doc links are errors)" \
     env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
-step "ldp-lint" "$bin/ldp-lint" check
+# No registry package, so no ambient-entropy crate (rule D3): every
+# Cargo.lock entry is a path package, and a path package has no
+# `source =` line.
+step "Cargo.lock has no registry package" \
+    sh -c '! grep -n "^source = " Cargo.lock'
 
 # The full output is kept, so a one-off failure leaves its name behind;
 # through a file and not a pipe into `tee`, so the status is cargo's.

@@ -77,6 +77,27 @@ fn has_flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
 
+/// `name`'s value when the flag is given: a number `ok` accepts (a NaN
+/// fails every comparison, so no check admits it), or why not.
+fn flag_f64(
+    args: &[String],
+    name: &str,
+    ok: fn(f64) -> bool,
+    want: &str,
+) -> Result<Option<f64>, String> {
+    let Some(v) = flag_value(args, name) else {
+        return Ok(None);
+    };
+    match v.parse::<f64>() {
+        Ok(x) if ok(x) => Ok(Some(x)),
+        _ => Err(format!("bad {name} {v:?}: want {want}")),
+    }
+}
+
+fn positive(x: f64) -> bool {
+    x.is_finite() && x > 0.0
+}
+
 /// Load a trace, dispatching on the file extension.
 fn load_trace(path: &str) -> Result<Vec<TraceEntry>, String> {
     let data = std::fs::read(path).map_err(|e| format!("read {path}: {e}"))?;
@@ -172,12 +193,12 @@ fn cmd_mutate(args: &[String]) -> Result<(), String> {
     if has_flag(args, "--all-udp") {
         mutations.push(Mutation::SetTransport(Transport::Udp));
     }
-    if let Some(f) = flag_value(args, "--do-fraction") {
-        let f: f64 = f.parse().map_err(|_| "bad --do-fraction")?;
+    let fraction = |x| (0.0..=1.0).contains(&x);
+    if let Some(f) = flag_f64(args, "--do-fraction", fraction, "0 to 1")? {
         mutations.push(Mutation::SetDnssecFraction(f));
     }
-    if let Some(f) = flag_value(args, "--scale-time") {
-        let f: f64 = f.parse().map_err(|_| "bad --scale-time")?;
+    let factor = |x: f64| x.is_finite() && x >= 0.0;
+    if let Some(f) = flag_f64(args, "--scale-time", factor, "a finite factor >= 0")? {
         mutations.push(Mutation::ScaleTime(f));
     }
     if let Some(tag) = flag_value(args, "--tag") {
@@ -204,6 +225,7 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
         .ok_or("replay needs --target IP:PORT")?
         .parse()
         .map_err(|e| format!("bad --target: {e}"))?;
+    let speed = flag_f64(args, "--speed", positive, "a finite speed > 0")?.unwrap_or(1.0);
     let trace = load_trace(input)?;
     if trace.is_empty() {
         return Err("empty trace".into());
@@ -212,10 +234,7 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
         target_udp: target,
         target_tcp: target,
         fast_mode: has_flag(args, "--fast"),
-        speed: flag_value(args, "--speed")
-            .map(|s| s.parse().map_err(|_| "bad --speed"))
-            .transpose()?
-            .unwrap_or(1.0),
+        speed,
         distributors: flag_value(args, "--distributors")
             .map(|s| s.parse().map_err(|_| "bad --distributors"))
             .transpose()?
@@ -295,20 +314,14 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
     use ldplayer::workloads::{BRootSpec, RecursiveSpec, SyntheticTraceSpec};
     let kind = flag_value(args, "--kind").ok_or("generate needs --kind broot|rec|syn")?;
     let out = flag_value(args, "--out").ok_or("generate needs --out <file>")?;
-    let seconds: f64 = flag_value(args, "--seconds")
-        .map(|s| s.parse().map_err(|_| "bad --seconds"))
-        .transpose()?
-        .unwrap_or(60.0);
+    let seconds = flag_f64(args, "--seconds", positive, "seconds > 0")?.unwrap_or(60.0);
     let seed: u64 = flag_value(args, "--seed")
         .map(|s| s.parse().map_err(|_| "bad --seed"))
         .transpose()?
         .unwrap_or(1);
     let trace = match kind {
         "broot" => {
-            let rate: f64 = flag_value(args, "--rate")
-                .map(|s| s.parse().map_err(|_| "bad --rate"))
-                .transpose()?
-                .unwrap_or(2000.0);
+            let rate = flag_f64(args, "--rate", positive, "queries/s > 0")?.unwrap_or(2000.0);
             let clients: usize = flag_value(args, "--clients")
                 .map(|s| s.parse().map_err(|_| "bad --clients"))
                 .transpose()?
@@ -327,10 +340,7 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
         }
         .generate(seed),
         "syn" => {
-            let ia: f64 = flag_value(args, "--interarrival")
-                .map(|s| s.parse().map_err(|_| "bad --interarrival"))
-                .transpose()?
-                .unwrap_or(0.001);
+            let ia = flag_f64(args, "--interarrival", positive, "seconds > 0")?.unwrap_or(0.001);
             SyntheticTraceSpec::fixed_interarrival(ia, seconds).generate(seed)
         }
         other => return Err(format!("unknown --kind {other}")),

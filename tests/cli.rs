@@ -134,6 +134,43 @@ fn bad_usage_fails_cleanly() {
 }
 
 #[test]
+fn out_of_range_numbers_are_refused_with_a_message() {
+    let bin = tmp("t3.bin");
+    let out = tmp("t3-out.bin");
+    let (bin, out) = (bin.to_str().unwrap(), out.to_str().unwrap());
+    run_ok(ldplayer().args(["generate", "--kind", "syn", "--seconds", "1", "--out", bin]));
+    let cases: [&[&str]; 9] = [
+        &[
+            "generate",
+            "--kind",
+            "syn",
+            "--out",
+            out,
+            "--interarrival",
+            "0",
+        ],
+        &["generate", "--kind", "broot", "--out", out, "--rate", "nan"],
+        &["replay", bin, "--target", "127.0.0.1:9", "--speed", "0"],
+        &["replay", bin, "--target", "127.0.0.1:9", "--speed", "-1"],
+        &["replay", bin, "--target", "127.0.0.1:9", "--speed", "nan"],
+        &["mutate", bin, out, "--scale-time", "-2"],
+        &["mutate", bin, out, "--scale-time", "nan"],
+        &["mutate", bin, out, "--do-fraction", "5"],
+        &["mutate", bin, out, "--do-fraction", "nan"],
+    ];
+    for args in cases {
+        let res = ldplayer().args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&res.stderr);
+        assert_eq!(res.status.code(), Some(1), "{args:?}: {stderr}");
+        let flag = args[args.len() - 2];
+        assert!(
+            stderr.contains(&format!("bad {flag}")),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn help_prints_usage() {
     let out = run_ok(ldplayer().args(["--help"]));
     assert!(out.contains("usage:"));
