@@ -118,8 +118,8 @@ fn a_referral_stays_within_its_budget() {
         assert_eq!(reply.authorities.len(), 2, "{reply}");
         assert_eq!(reply.additionals.len(), 2, "{reply}");
     });
-    // The qname and the returned `Vec`.
-    assert!(allocs <= 2, "a referral made {allocs} allocations");
+    // The returned `Vec`: the qname is decoded into the last one's buffer.
+    assert!(allocs <= 1, "a referral made {allocs} allocations");
 }
 
 #[test]
@@ -128,7 +128,7 @@ fn an_nxdomain_stays_within_its_budget() {
         assert_eq!(reply.rcode, dns_wire::Rcode::NxDomain);
         assert_eq!(reply.authorities.len(), 1, "{reply}");
     });
-    assert!(allocs <= 2, "an NXDOMAIN made {allocs} allocations");
+    assert!(allocs <= 1, "an NXDOMAIN made {allocs} allocations");
 }
 
 #[test]
@@ -150,17 +150,22 @@ fn hostile_datagrams_cost_at_most_the_reply() {
 }
 
 /// The in-tree mirror of the benchmark's `allocs_per_query` on
-/// `broot_auth`: a B-Root-shaped UDP trace through `SimReplayClient →
-/// Simulator → SimDnsServer`. Per query the server makes two
-/// allocations (qname, reply packet) and the client one (query packet);
-/// the rest of the budget is amortised growth of maps and queues.
+/// `broot_auth`: a B-Root-shaped trace, 3 % of it over TCP, through
+/// `SimReplayClient → Simulator → SimDnsServer`. Neither packet nor the
+/// server's qname allocates: both packets are pooled and the qname is
+/// decoded in place. Measured 922 allocations for 1,693 queries; the
+/// client's bookkeeping makes 723 of them (`BTreeMap` nodes of the
+/// replay core's in-flight and done sets and the pending table), the
+/// TCP queries' connections 80 (frame buffers, Nagle queues, the
+/// connection tables), the pool's first buffers and their growth 91,
+/// the compression interner's growth 26, and one qname outgrew its
+/// buffer.
 #[test]
 fn a_udp_replay_stays_within_its_whole_path_budget() {
     const QUERIES: usize = 2000;
     const WARM_UP: usize = 400;
     let spec = BRootSpec {
         duration_secs: 2.0,
-        tcp_fraction: 0.0,
         ..BRootSpec::b_root_17a().scaled(20.0)
     };
     let mut trace = spec.generate(11);
@@ -189,7 +194,7 @@ fn a_udp_replay_stays_within_its_whole_path_budget() {
     let counted = (answered - answered_warm) as u64;
     assert!(counted >= (QUERIES - WARM_UP) as u64);
     assert!(
-        allocs <= 4 * counted,
+        allocs <= counted,
         "{allocs} allocations for {counted} queries"
     );
 }
@@ -311,11 +316,11 @@ fn resolver_hit_budget(label: &str, want: (Rcode, u16)) -> (u64, u64) {
 
 /// The in-tree mirror of the benchmark's `allocs_per_query` on
 /// `rec_hot`, where ≈ 98 % of stub queries are cache hits: a hit costs
-/// the resolver the qname it decodes and the reply packet netsim takes
-/// (the cached records are read where they lie and the stub here sends
-/// shared packets); the quarter on top is amortised and, measured, all the
-/// cache's: the eviction index moves one key per hit from the front of
-/// a `BTreeSet` to its growing end, where a leaf splits every seventh
+/// the resolver nothing of its own — the qname is decoded in place, the
+/// cached records are read where they lie, the reply packet is pooled
+/// and the stub here sends shared packets. What is left is the cache's:
+/// the eviction index moves one key per hit from the front of a
+/// `BTreeSet` to its growing end, where a leaf splits every seventh
 /// insert (457 node allocations in 3,200 hits; the event queue and the
 /// resolver's maps add none once warm).
 #[test]
@@ -323,7 +328,7 @@ fn a_warmed_cache_hit_stays_within_its_budget() {
     let (allocs, hits) = resolver_hit_budget("h", (Rcode::NoError, 1));
     assert!(hits >= 3000);
     assert!(
-        4 * allocs <= 9 * hits,
+        4 * allocs <= hits,
         "{allocs} allocations for {hits} positive hits"
     );
 }
@@ -333,7 +338,7 @@ fn a_negative_cache_hit_stays_within_its_budget() {
     let (allocs, hits) = resolver_hit_budget("junk", (Rcode::NxDomain, 0));
     assert!(hits >= 3000);
     assert!(
-        4 * allocs <= 9 * hits,
+        4 * allocs <= hits,
         "{allocs} allocations for {hits} negative hits"
     );
 }
@@ -359,11 +364,12 @@ fn decoding_a_query_allocates_per_message_not_per_label() {
         let (allocs, query) = allocations(|| Message::decode(&wire));
         assert_eq!(query.unwrap().question().unwrap().name.label_count(), 8);
         assert!(allocs <= 3, "decode made {allocs} allocations");
-        // Into a message that has held this shape before: the qname.
+        // Into a message that has held this shape before: nothing, the
+        // qname included (it is decoded into the last one's buffer).
         warmed.decode_into(&wire).unwrap();
         let (allocs, again) = allocations(|| warmed.decode_into(&wire));
         assert_eq!(again, Ok(()));
-        assert!(allocs <= 1, "decode_into made {allocs} allocations");
+        assert_eq!(allocs, 0, "decode_into made {allocs} allocations");
     }
 }
 

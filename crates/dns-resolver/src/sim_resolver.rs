@@ -767,6 +767,10 @@ impl SimResolver {
 
 impl Host for SimResolver {
     fn on_udp(&mut self, ctx: &mut Ctx<'_>, from: SocketAddr, _to: SocketAddr, data: PacketBytes) {
+        // The last packet built holds a clone of a qname — the last stub
+        // reply's, often the inbound one's: let it go, so the inbound
+        // message decodes its qname into that buffer.
+        self.scratch.outbound.questions.clear();
         if self.scratch.inbound.decode_into(&data).is_err() {
             return;
         }

@@ -75,9 +75,10 @@ impl ServerEngine {
     /// Over UDP the reply honours the advertised payload limit with
     /// TC-bit truncation (RFC 6891 / RFC 2181), and a datagram that
     /// does not parse is answered FORMERR if at least its header is
-    /// readable. A stream has no size limit, and an unparseable body
-    /// yields `None` either way (drop — real servers cannot reply
-    /// without a readable header).
+    /// readable. Over a stream the limit is what a two-byte length
+    /// prefix can frame (RFC 7766 §8), truncated the same way past it,
+    /// and an unparseable body yields `None` either way (drop — real
+    /// servers cannot reply without a readable header).
     pub fn answer_into<'s>(
         &self,
         src: IpAddr,
@@ -90,6 +91,9 @@ impl ServerEngine {
             parsed,
             assembly,
         } = scratch;
+        // The last reply's question is a clone of the last query's name:
+        // let it go, so the query decodes its name into that buffer.
+        assembly.response.questions.clear();
         *parsed = {
             let _parse_span = tel::span(stages().parse, parse_span_key(data));
             query.decode_into(data).is_ok()
@@ -119,7 +123,7 @@ impl ServerEngine {
         assembly: &'a mut Assembly,
     ) -> (&'a [u8], bool) {
         let limit = if transport.is_connection_oriented() {
-            usize::MAX
+            usize::from(u16::MAX)
         } else {
             self.udp_limit(query)
         };
@@ -402,7 +406,7 @@ mod tests {
         assert!(!tc);
         assert!(bytes.len() > 512);
 
-        // Stream transport never truncates.
+        // A stream truncates only past what its length prefix frames.
         let mut scratch = AnswerScratch::new();
         let body = engine.answer_into(ip("1.1.1.1"), &q.encode(), Transport::Tcp, &mut scratch);
         assert!(!Message::decode(body.unwrap()).unwrap().flags.truncated);

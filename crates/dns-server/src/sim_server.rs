@@ -542,6 +542,104 @@ mod tests {
         assert_eq!(got, want);
     }
 
+    /// Dials at its timer, sends one framed query once connected, and
+    /// keeps every reply body it reads off the stream.
+    struct StreamClient {
+        me: SocketAddr,
+        server: SocketAddr,
+        query: Vec<u8>,
+        frames: FrameBuffer,
+        replies: Arc<Mutex<Vec<Vec<u8>>>>,
+    }
+
+    impl Host for StreamClient {
+        fn on_udp(&mut self, _: &mut Ctx<'_>, _: SocketAddr, _: SocketAddr, _: PacketBytes) {}
+        fn on_tcp_event(&mut self, ctx: &mut Ctx<'_>, event: TcpEvent) {
+            match event {
+                TcpEvent::Connected { conn } => ctx.tcp_send(conn, frame(&self.query)),
+                TcpEvent::Data { data, .. } => {
+                    self.frames.extend(&data);
+                    while let Some(body) = self.frames.next_message() {
+                        self.replies.lock().unwrap().push(body);
+                    }
+                }
+                _ => {}
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
+            ctx.tcp_connect(self.me, self.server, false);
+        }
+    }
+
+    /// A stream reply is framed behind a two-byte length, so one past
+    /// 65,535 bytes is truncated with TC, as a datagram past its payload
+    /// limit is — not a panic in the framing. 400 TXT records of 200
+    /// bytes at one name come to about 85 kB.
+    #[test]
+    fn a_stream_reply_past_the_frame_limit_is_truncated() {
+        let mut z = Zone::new(n("example"));
+        z.insert(Record::new(
+            n("example"),
+            60,
+            RData::Soa(Soa {
+                mname: n("ns1.example"),
+                rname: n("admin.example"),
+                serial: 1,
+                refresh: 1,
+                retry: 1,
+                expire: 1,
+                minimum: 60,
+            }),
+        ))
+        .unwrap();
+        for i in 0..400 {
+            let mut text = format!("record {i:03} ").into_bytes();
+            text.resize(200, b'x');
+            z.insert(Record::new(n("big.example"), 60, RData::Txt(vec![text])))
+                .unwrap();
+        }
+        let mut cat = Catalog::new();
+        cat.insert(z);
+        let engine = Arc::new(ServerEngine::with_catalog(cat));
+        let full = engine
+            .answer(
+                "10.0.0.2".parse().unwrap(),
+                &Message::query(9, n("big.example"), RecordType::TXT),
+            )
+            .encode();
+        assert!(full.len() > usize::from(u16::MAX), "{} bytes", full.len());
+
+        let mut sim = Simulator::new(
+            Topology::uniform(PathConfig::with_rtt(SimDuration::from_millis(10))),
+            SimConfig::default(),
+        );
+        let server_addr: SocketAddr = "10.0.0.1:53".parse().unwrap();
+        sim.add_host(
+            &[server_addr.ip()],
+            Box::new(SimDnsServer::new(engine, server_addr, None)),
+        );
+        let replies = Arc::new(Mutex::new(vec![]));
+        let client = sim.add_host(
+            &["10.0.0.2".parse().unwrap()],
+            Box::new(StreamClient {
+                me: "10.0.0.2:5000".parse().unwrap(),
+                server: server_addr,
+                query: Message::query(9, n("big.example"), RecordType::TXT).encode(),
+                frames: FrameBuffer::new(),
+                replies: replies.clone(),
+            }),
+        );
+        sim.schedule_timer(client, SimTime::ZERO, 0);
+        sim.run_until(SimTime::from_secs_f64(5.0));
+        let replies = replies.lock().unwrap();
+        assert_eq!(replies.len(), 1, "one reply");
+        let reply = Message::decode(&replies[0]).unwrap();
+        assert!(reply.flags.truncated);
+        assert_eq!(reply.id, 9);
+        assert!(!reply.answers.is_empty() && reply.answers.len() < 400);
+        assert!(replies[0].len() <= usize::from(u16::MAX));
+    }
+
     #[test]
     fn idle_timeout_reaps_connections() {
         let mut sim = Simulator::new(

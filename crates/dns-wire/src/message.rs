@@ -420,11 +420,20 @@ impl Message {
         let ar = r.get_u16()? as usize;
         // `reserve_exact`: a fresh message gets the capacity
         // `with_capacity` would give it, a warm one keeps what it has.
-        self.questions.clear();
+        // The first question's name is decoded over the last one, in its
+        // buffer when nothing else holds that (`Name::assign`).
+        let mut last = self.questions.drain(..).next().map(|q| q.name);
         self.questions.reserve_exact(qd.min(16));
         for _ in 0..qd {
+            let name = match last.take() {
+                Some(mut name) => {
+                    r.get_name_into(&mut name)?;
+                    name
+                }
+                None => r.get_name()?,
+            };
             self.questions.push(Question {
-                name: r.get_name()?,
+                name,
                 qtype: RecordType::from_u16(r.get_u16()?),
                 qclass: RecordClass::from_u16(r.get_u16()?),
             });

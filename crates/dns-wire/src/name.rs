@@ -145,10 +145,22 @@ impl NameBuilder {
     }
 
     pub(crate) fn finish(&self) -> Result<Name, NameError> {
-        if self.wire_len > MAX_NAME_LEN {
-            return Err(NameError::NameTooLong(self.wire_len));
-        }
+        self.check()?;
         Ok(Name::from_canonical(&self.buf[self.start..], self.count))
+    }
+
+    /// [`NameBuilder::finish`] over `name` (see [`Name::assign`]).
+    pub(crate) fn finish_into(&self, name: &mut Name) -> Result<(), NameError> {
+        self.check()?;
+        name.assign(&self.buf[self.start..], self.count);
+        Ok(())
+    }
+
+    fn check(&self) -> Result<(), NameError> {
+        match self.wire_len {
+            len if len > MAX_NAME_LEN => Err(NameError::NameTooLong(len)),
+            _ => Ok(()),
+        }
     }
 }
 
@@ -172,6 +184,23 @@ impl Name {
             buf: Some(Arc::from(bytes)),
             len: bytes.len() as u16,
             count,
+        }
+    }
+
+    /// Become the name whose canonical bytes are `bytes` (`count`
+    /// labels): written over this name's own buffer when nothing else
+    /// holds it and it is big enough, else copied into a new one. A
+    /// warm decode target therefore decodes without allocating, and a
+    /// clone kept elsewhere never sees its bytes change.
+    pub(crate) fn assign(&mut self, bytes: &[u8], count: u8) {
+        let own = self.buf.as_mut().and_then(Arc::get_mut);
+        match own.and_then(|buf| buf.get_mut(..bytes.len())) {
+            Some(prefix) => {
+                prefix.copy_from_slice(bytes);
+                self.len = bytes.len() as u16;
+                self.count = count;
+            }
+            None => *self = Name::from_canonical(bytes, count),
         }
     }
 

@@ -280,6 +280,22 @@ impl<'a> WireReader<'a> {
     /// limit is rejected without touching the heap.
     pub fn get_name(&mut self) -> Result<Name, WireError> {
         let mut name = NameBuilder::new();
+        self.read_name(&mut name)?;
+        name.finish().map_err(|_| WireError::BadName)
+    }
+
+    /// [`WireReader::get_name`] over `name`, reusing its buffer when
+    /// `name` holds the only reference to one big enough; on `Err`,
+    /// `name` is left as it was.
+    pub fn get_name_into(&mut self, name: &mut Name) -> Result<(), WireError> {
+        let mut builder = NameBuilder::new();
+        self.read_name(&mut builder)?;
+        builder.finish_into(name).map_err(|_| WireError::BadName)
+    }
+
+    /// Gather the name at the cursor into `name` and move the cursor
+    /// past it.
+    fn read_name(&mut self, name: &mut NameBuilder) -> Result<(), WireError> {
         let mut pos = self.pos;
         let mut jumped = false;
         let mut hops = 0usize;
@@ -291,7 +307,7 @@ impl<'a> WireReader<'a> {
                         if !jumped {
                             self.pos = pos + 1;
                         }
-                        return name.finish().map_err(|_| WireError::BadName);
+                        return Ok(());
                     }
                     let l = len as usize;
                     let label = self

@@ -327,16 +327,30 @@ fn scratch_encode_matches_wrapper() {
     });
 }
 
+/// What `Eq` on a name does not read: its text, label count and wire
+/// length.
+fn name_view(name: &Name) -> (String, usize, usize) {
+    (name.to_string(), name.label_count(), name.wire_len())
+}
+
+fn qname_views(m: &Message) -> Vec<(String, usize, usize)> {
+    m.questions.iter().map(|q| name_view(&q.name)).collect()
+}
+
 /// `decode_into` over a message that already holds another decode —
 /// whole, or cut off wherever a hostile packet stopped it — gives what
 /// `decode` gives on a fresh one, `Ok` and `Err` alike: nothing of the
 /// earlier packets survives (not an `edns`, not an additional record,
-/// not an extended `rcode`).
+/// not an extended `rcode`, not the length or label count of a qname).
+/// The qname is decoded into the last one's buffer when nothing else
+/// holds it — names grow and shrink from step to step, the root among
+/// them — and some steps keep a clone of it, which must never change.
 #[test]
 fn decode_into_a_dirty_message_matches_a_fresh_decode() {
     check(256, |g| {
         let mut reused = Message::default();
-        for _ in 0..g.size(2..=6) {
+        let mut kept: Vec<(Name, (String, usize, usize))> = Vec::new();
+        for _ in 0..g.size(2..=8) {
             let mut msg = arb_message(g);
             if msg.edns.is_some() && g.bool() {
                 msg.rcode = Rcode::BadVers; // extended bits live in the OPT
@@ -345,8 +359,25 @@ fn decode_into_a_dirty_message_matches_a_fresh_decode() {
                 0 => g.corrupt(msg.encode()),
                 _ => msg.encode(),
             };
+            match g.below(3) {
+                0 => kept.extend(
+                    reused
+                        .questions
+                        .first()
+                        .map(|q| (q.name.clone(), name_view(&q.name))),
+                ),
+                1 => kept.clear(),
+                _ => {}
+            }
             let again = reused.decode_into(&wire).map(|()| reused.clone());
-            assert_eq!(again, Message::decode(&wire));
+            let fresh = Message::decode(&wire);
+            assert_eq!(again, fresh);
+            if let (Ok(again), Ok(fresh)) = (&again, &fresh) {
+                assert_eq!(qname_views(again), qname_views(fresh));
+            }
+            for (name, view) in &kept {
+                assert_eq!(&name_view(name), view, "a kept qname changed");
+            }
         }
     });
 }

@@ -9,7 +9,8 @@
 use std::net::{IpAddr, SocketAddr};
 
 use crate::fault::FaultInjector;
-use crate::host::{Host, PacketBytes};
+use crate::host::Host;
+use crate::pool::IntoPacket;
 use crate::sim::{HostStats, Simulator};
 use crate::time::SimTime;
 
@@ -40,7 +41,7 @@ pub trait SimDriver {
     fn schedule_control_timer(&mut self, ctrl: usize, at: SimTime, token: u64);
 
     /// Inject a UDP datagram from outside.
-    fn inject_udp(&mut self, from: SocketAddr, to: SocketAddr, data: impl Into<PacketBytes>);
+    fn inject_udp(&mut self, from: SocketAddr, to: SocketAddr, data: impl IntoPacket);
 
     /// Crash the host owning `addr` now. No-op for unknown addresses.
     fn crash_now(&mut self, addr: IpAddr);
@@ -85,7 +86,7 @@ impl SimDriver for Simulator {
         Simulator::schedule_timer(self, ctrl, at, token);
     }
 
-    fn inject_udp(&mut self, from: SocketAddr, to: SocketAddr, data: impl Into<PacketBytes>) {
+    fn inject_udp(&mut self, from: SocketAddr, to: SocketAddr, data: impl IntoPacket) {
         Simulator::inject_udp(self, from, to, data);
     }
 

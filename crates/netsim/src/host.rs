@@ -3,18 +3,9 @@
 //! timers.
 
 use std::net::SocketAddr;
-use std::sync::Arc;
 
+use crate::pool::PacketBytes;
 use crate::sim::{ConnId, Ctx};
-
-/// A shared, immutable packet payload.
-///
-/// Payloads travel the simulator as reference-counted buffers so that
-/// send → queue → deliver never copies the bytes (DESIGN.md
-/// "Performance invariants"). `Vec<u8>` and `&[u8]` convert into it
-/// (one copy at the boundary); forwarding an existing `PacketBytes` is
-/// free.
-pub type PacketBytes = Arc<[u8]>;
 
 /// Events delivered to a host about its TCP (or emulated-TLS)
 /// connections.
@@ -42,7 +33,7 @@ pub enum TcpEvent {
     Data {
         /// Connection id.
         conn: ConnId,
-        /// The received bytes (shared with the sender — zero-copy).
+        /// The received bytes (shared with the sender, not copied).
         data: PacketBytes,
     },
     /// The connection is closed (peer close, idle timeout or local

@@ -22,6 +22,7 @@
 pub mod driver;
 pub mod fault;
 pub mod host;
+pub mod pool;
 pub mod queue;
 pub mod resources;
 pub mod sim;
@@ -30,7 +31,8 @@ pub mod topology;
 
 pub use driver::SimDriver;
 pub use fault::{FaultInjector, FnInjector, PacketFate, WireKind};
-pub use host::{Host, PacketBytes, TcpEvent};
+pub use host::{Host, TcpEvent};
+pub use pool::{IntoPacket, PacketBytes, PoolStats, POOL_BUFFERS, POOL_BUFFER_BYTES};
 pub use queue::{EventQueue, QueueKind};
 pub use resources::{CpuModel, MemoryModel};
 pub use sim::{

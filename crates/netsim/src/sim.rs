@@ -7,8 +7,9 @@
 //! Hot-path invariants (see DESIGN.md "Performance invariants"):
 //! the event queue is a binary heap over `(time, lane, seq)` —
 //! a strict total order, so event ordering never depends on heap
-//! layout; packet payloads are shared [`PacketBytes`] buffers that are
-//! never copied between send and delivery.
+//! layout; packet payloads are [`PacketBytes`] handles onto buffers
+//! from the simulator's own [`PacketPool`], copied once when a host
+//! hands bytes over and never again between send and delivery.
 //!
 //! Sharding invariants (see DESIGN.md §10 "Sharded DES"): every event
 //! key, random draw, and connection id is attributed to a *lane* — the
@@ -25,7 +26,8 @@ use ldp_rng::SplitMix64;
 use ldp_telemetry as tel;
 
 use crate::fault::{FaultInjector, WireKind};
-use crate::host::{Host, PacketBytes, TcpEvent};
+use crate::host::{Host, TcpEvent};
+use crate::pool::{IntoPacket, PacketBytes, PacketPool, PoolStats};
 use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
@@ -352,6 +354,8 @@ pub struct Ctx<'a> {
     /// The host's dial counter (low half of its next [`ConnId`]).
     dials: &'a mut u64,
     commands: &'a mut Vec<Command>,
+    /// Where the bytes a host sends are copied to.
+    pool: &'a PacketPool,
 }
 
 impl<'a> Ctx<'a> {
@@ -360,14 +364,14 @@ impl<'a> Ctx<'a> {
         self.now
     }
 
-    /// Send a UDP datagram. Accepts anything convertible to the shared
-    /// [`PacketBytes`] buffer (`Vec<u8>`, `&[u8]`, or an existing
-    /// `PacketBytes` which is forwarded without copying).
-    pub fn send_udp(&mut self, from: SocketAddr, to: SocketAddr, data: impl Into<PacketBytes>) {
+    /// Send a UDP datagram: bytes (`&[u8]`, `Vec<u8>`) are copied into
+    /// a pooled buffer, an existing [`PacketBytes`] is forwarded without
+    /// a copy (see [`IntoPacket`]).
+    pub fn send_udp(&mut self, from: SocketAddr, to: SocketAddr, data: impl IntoPacket) {
         self.commands.push(Command::SendUdp {
             from,
             to,
-            data: data.into(),
+            data: data.into_packet(self.pool),
         });
     }
 
@@ -391,11 +395,12 @@ impl<'a> Ctx<'a> {
     }
 
     /// Send application data on a connection (queued until the
-    /// connection is ready if the handshake is still in flight).
-    pub fn tcp_send(&mut self, conn: ConnId, data: impl Into<PacketBytes>) {
+    /// connection is ready if the handshake is still in flight). Takes
+    /// what [`Ctx::send_udp`] takes.
+    pub fn tcp_send(&mut self, conn: ConnId, data: impl IntoPacket) {
         self.commands.push(Command::TcpSend {
             conn,
-            data: data.into(),
+            data: data.into_packet(self.pool),
             sender: self.host,
         });
     }
@@ -525,6 +530,8 @@ pub struct Simulator {
     /// `DISPATCH_BATCH`); only advanced while telemetry is enabled.
     /// Batches are per-lane so the counter stream is shard-invariant.
     dispatch_pending: Vec<[u64; 3]>,
+    /// The buffers every packet sent in this simulator lives in.
+    pool: PacketPool,
 }
 
 /// Dispatches per recorded counter event for the high-frequency kinds
@@ -566,6 +573,7 @@ impl Simulator {
             outbox: Vec::new(),
             kinds: SimKinds::get(),
             dispatch_pending: Vec::new(),
+            pool: PacketPool::new(),
         }
     }
 
@@ -655,6 +663,11 @@ impl Simulator {
         self.stats[host]
     }
 
+    /// The packet pool's free list and counters.
+    pub fn pool_stats(&self) -> PoolStats {
+        self.pool.stats()
+    }
+
     /// Mutable access to the topology: a test's mid-run RTT change.
     #[cfg(test)]
     pub(crate) fn topology_mut(&mut self) -> &mut Topology {
@@ -702,11 +715,11 @@ impl Simulator {
 
     /// Inject a UDP datagram from outside (used by drivers).
     /// Loss/fault draws come from the driver lane's RNG stream.
-    pub fn inject_udp(&mut self, from: SocketAddr, to: SocketAddr, data: impl Into<PacketBytes>) {
+    pub fn inject_udp(&mut self, from: SocketAddr, to: SocketAddr, data: impl IntoPacket) {
         let cmd = Command::SendUdp {
             from,
             to,
-            data: data.into(),
+            data: data.into_packet(&self.pool),
         };
         self.apply_command(cmd);
     }
@@ -952,6 +965,7 @@ impl Simulator {
                 lane: self.lanes[host],
                 dials: &mut self.dials[host],
                 commands: &mut commands,
+                pool: &self.pool,
             };
             f(boxed.as_mut(), &mut ctx);
         }
@@ -1485,8 +1499,8 @@ impl Simulator {
 
     /// Flush the Nagle buffer of a direction, coalescing all pending
     /// writes into one segment (the "many replies reassembled into a
-    /// large TCP message" effect the paper observed). A single pending
-    /// write is forwarded as-is — zero-copy.
+    /// large TCP message" effect the paper observed) in a pooled buffer.
+    /// A single pending write is forwarded as-is, without a copy.
     fn flush_pending(&mut self, conn_id: ConnId, dir: usize) {
         let Some(conn) = self.conns.get_mut(&conn_id.0) else {
             return;
@@ -1494,16 +1508,14 @@ impl Simulator {
         if !matches!(conn.state, ConnState::Established) {
             return;
         }
-        let coalesced: PacketBytes = match conn.dirs[dir].pending.len() {
+        let pending = &mut conn.dirs[dir].pending;
+        let coalesced = match pending.len() {
             0 => return,
-            1 => conn.dirs[dir].pending.pop().expect("len checked"),
+            1 => pending.pop().expect("len checked"),
             _ => {
-                let total: usize = conn.dirs[dir].pending.iter().map(|p| p.len()).sum();
-                let mut buf = Vec::with_capacity(total);
-                for chunk in conn.dirs[dir].pending.drain(..) {
-                    buf.extend_from_slice(&chunk);
-                }
-                buf.into()
+                let buf = self.pool.concat(pending);
+                pending.clear();
+                buf
             }
         };
         self.transmit_data(conn_id, dir, coalesced);

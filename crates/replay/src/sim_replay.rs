@@ -10,7 +10,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::net::{IpAddr, SocketAddr};
 use std::sync::{Arc, Mutex};
 
-use dns_wire::framing::{frame, FrameBuffer};
+use dns_wire::framing::{frame_into, FrameBuffer};
 use dns_wire::{peek_id, EncodeScratch, Transport};
 use ldp_guard::{
     Admission, AdmissionController, Checkpoint, CheckpointParseError, InflightStatus,
@@ -282,6 +282,11 @@ pub struct SimReplayClient {
     pub restarts: u32,
     /// Reusable encode buffer + compression interner for dispatch.
     scratch: EncodeScratch,
+    /// The query being sent as it goes on the wire: the encoded
+    /// message, length-prefixed for a stream.
+    wire: Vec<u8>,
+    /// The (seq, reply bytes) of the queries one stream read answered.
+    tcp_done: Vec<(u64, usize)>,
 }
 
 impl SimReplayClient {
@@ -314,6 +319,8 @@ impl SimReplayClient {
             origin: SimTime::ZERO,
             restarts: 0,
             scratch: EncodeScratch::new(),
+            wire: Vec::new(),
+            tcp_done: Vec::new(),
         }
     }
 
@@ -509,22 +516,31 @@ impl SimReplayClient {
         let src = entry.src;
         let id = entry.message.id;
         let udp_key = udp_key(entry);
-        // Encoded into the reusable scratch, then one copy straight
-        // into the refcounted packet buffer the simulator shares.
-        let payload: PacketBytes = entry.message.encode_into(&mut self.scratch).into();
+        // Encoded into the reusable scratch and put in the client's own
+        // wire buffer (framed, for a stream); the simulator copies that
+        // into a pooled packet.
+        let message = entry.message.encode_into(&mut self.scratch);
+        let bytes = message.len();
+        match transport {
+            Transport::Udp => {
+                self.wire.clear();
+                self.wire.extend_from_slice(message);
+            }
+            Transport::Tcp | Transport::Tls => frame_into(message, &mut self.wire),
+        }
         let now_ns = ctx.now().as_nanos();
         self.sent += 1;
         self.core.note_send(seq, now_ns, resend);
         if tel::enabled() {
             let k = q_kinds();
             let kind = if resend { k.retx } else { k.send };
-            tel::mark_at(now_ns, kind, seq, payload.len() as u64);
+            tel::mark_at(now_ns, kind, seq, bytes as u64);
         }
         match transport {
             Transport::Udp => {
                 let earlier = self.pending_udp.insert(udp_key, seq);
                 self.displaced(earlier, seq);
-                ctx.send_udp(src, self.server, payload);
+                ctx.send_udp(src, self.server, self.wire.as_slice());
                 // Arm the next retransmit from this query's own
                 // deterministic budget; exhaustion is terminal (the
                 // query stays pending, carried by any cut).
@@ -556,7 +572,7 @@ impl SimReplayClient {
                 };
                 let earlier = self.pending_tcp.insert((conn, id), seq);
                 self.displaced(earlier, seq);
-                ctx.tcp_send(conn, frame(&payload));
+                ctx.tcp_send(conn, self.wire.as_slice());
             }
         }
     }
@@ -681,18 +697,20 @@ impl Host for SimReplayClient {
                     return;
                 };
                 fb.extend(&data);
-                let mut done = Vec::new();
-                while let Some(body) = fb.next_message() {
-                    if let Some(id) = peek_id(&body) {
-                        if let Some(seq) = self.pending_tcp.remove(&(conn, id)) {
-                            done.push((seq, body.len()));
-                        }
+                // Replies are matched where they lie in the frame buffer
+                // and completed after, from a reused list.
+                let mut done = std::mem::take(&mut self.tcp_done);
+                while let Some(body) = fb.next_frame() {
+                    let pending = peek_id(body).and_then(|id| self.pending_tcp.remove(&(conn, id)));
+                    if let Some(seq) = pending {
+                        done.push((seq, body.len()));
                     }
                 }
                 let any_done = !done.is_empty();
-                for (seq, bytes) in done {
+                for (seq, bytes) in done.drain(..) {
                     self.complete(seq, ctx.now(), bytes);
                 }
+                self.tcp_done = done;
                 // No-reuse ablation: close as soon as the (single)
                 // outstanding query on this throwaway connection is
                 // answered.
@@ -848,6 +866,7 @@ mod tests {
     use std::cell::Cell;
 
     use dns_server::{ServerEngine, SimDnsServer};
+    use dns_wire::framing::frame;
     use dns_wire::{Name, RData, Record, RecordType, Soa};
     use dns_zone::{Catalog, Zone};
     use ldp_trace::{Mutation, Mutator};

@@ -40,7 +40,7 @@ use std::sync::mpsc::{Receiver, Sender};
 use ldp_rng::SplitMix64;
 use ldp_telemetry as tel;
 use netsim::{
-    stream_seed, FaultInjector, Host, HostStats, PacketBytes, RemoteUdp, SimConfig, SimDriver,
+    stream_seed, FaultInjector, Host, HostStats, IntoPacket, RemoteUdp, SimConfig, SimDriver,
     SimDuration, SimTime, Simulator, Topology, DRIVER_LANE,
 };
 
@@ -272,7 +272,7 @@ impl ShardedSimulator {
     /// (for stats credit and fault draws) under the lent global driver
     /// stream; if the destination lives elsewhere the datagram crosses
     /// through the exchange immediately.
-    pub fn inject_udp(&mut self, from: SocketAddr, to: SocketAddr, data: impl Into<PacketBytes>) {
+    pub fn inject_udp(&mut self, from: SocketAddr, to: SocketAddr, data: impl IntoPacket) {
         self.refresh_views();
         let shard = match self
             .owner
@@ -521,7 +521,7 @@ impl SimDriver for ShardedSimulator {
         ShardedSimulator::schedule_control_timer(self, ctrl, at, token);
     }
 
-    fn inject_udp(&mut self, from: SocketAddr, to: SocketAddr, data: impl Into<PacketBytes>) {
+    fn inject_udp(&mut self, from: SocketAddr, to: SocketAddr, data: impl IntoPacket) {
         ShardedSimulator::inject_udp(self, from, to, data);
     }
 
