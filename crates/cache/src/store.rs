@@ -8,12 +8,16 @@
 //! transcript — in every run (`clippy::disallowed_types` is denied in
 //! this crate).
 //!
-//! Layout: entries live in a `name → qtype → Entry` two-level ordered
-//! map (lookups borrow the caller's [`Name`], no per-get clone), and a
-//! `(rank, slot)` ordered index realizes the eviction order; `slot` is
-//! a monotone insertion counter that makes ranks unique and resolves
-//! back to the owning key through a side map. Hits, inserts and
-//! evictions are all O(log n); there is no O(capacity) scan anywhere.
+//! Layout: entries live in one `(name, qtype) → Entry` ordered map (a
+//! probe clones the caller's [`Name`], a reference count, and the key an
+//! insert keeps is a view of the caller's buffer), and a `(rank, slot)`
+//! ordered index realizes the eviction order; `slot` is a monotone
+//! insertion counter that makes ranks unique and resolves back to the
+//! owning key through a side map. Hits, inserts and evictions are all
+//! O(log n); there is no O(capacity) scan anywhere. The two-level
+//! `name → qtype → Entry` map this replaced — whose inner map spent a
+//! whole B-tree leaf on one entry per name — is `reference`, the
+//! oracle of `matches_the_two_level_store_on_generated_scripts`.
 
 use std::collections::{btree_map, BTreeMap, BTreeSet};
 
@@ -145,8 +149,8 @@ impl PrefetchBudget {
 pub struct ResolverCache {
     config: CacheConfig,
     policy: PolicyKind,
-    /// name → qtype → entry; two levels so lookups borrow the qname.
-    entries: BTreeMap<Name, BTreeMap<u16, Entry>>,
+    /// (name, qtype) → entry.
+    entries: BTreeMap<(Name, u16), Entry>,
     /// Eviction order: minimum `(rank, slot)` is evicted first.
     by_rank: BTreeSet<(u128, u64)>,
     /// slot → key, to resolve an eviction victim back to its entry.
@@ -205,14 +209,15 @@ impl ResolverCache {
         qtype: RecordType,
         now: f64,
     ) -> Option<(&CachedAnswer, bool)> {
-        let t = qtype.to_u16();
-        // The name's slot as a handle, not a borrow: the borrow a hit
-        // returns keeps `entries` borrowed on every path out of here,
-        // and the handle can still drop an expired entry, and the name
-        // with its last type, on the path that returns nothing.
-        if let btree_map::Entry::Occupied(mut types) = self.entries.entry(name.clone()) {
-            if types.get().get(&t).is_some_and(|e| e.expires > now) {
-                let e = types.into_mut().get_mut(&t)?;
+        // The entry as a handle, not a borrow: the borrow a hit returns
+        // keeps `entries` borrowed on every path out of here, and the
+        // handle can still drop an expired entry on the path that
+        // returns nothing.
+        if let btree_map::Entry::Occupied(entry) =
+            self.entries.entry((name.clone(), qtype.to_u16()))
+        {
+            if entry.get().expires > now {
+                let e = entry.into_mut();
                 self.seq += 1;
                 e.meta.last_access_seq = self.seq;
                 e.meta.requests = e.meta.requests.saturating_add(1);
@@ -226,15 +231,11 @@ impl ResolverCache {
                 });
                 return Some((&e.answer, in_window));
             }
-            if let Some(e) = types.get_mut().remove(&t) {
-                if types.get().is_empty() {
-                    types.remove();
-                }
-                self.by_rank.remove(&(e.rank, e.slot));
-                self.slot_key.remove(&e.slot);
-                self.count = self.count.saturating_sub(1);
-                self.stats.expired += 1;
-            }
+            let e = entry.remove();
+            self.by_rank.remove(&(e.rank, e.slot));
+            self.slot_key.remove(&e.slot);
+            self.count = self.count.saturating_sub(1);
+            self.stats.expired += 1;
         }
         self.stats.misses += 1;
         None
@@ -295,8 +296,7 @@ impl ResolverCache {
         let Some(pf) = self.config.prefetch else {
             return false;
         };
-        let t = qtype.to_u16();
-        let Some(e) = self.entries.get_mut(name).and_then(|m| m.get_mut(&t)) else {
+        let Some(e) = self.entries.get_mut(&(name.clone(), qtype.to_u16())) else {
             return false;
         };
         if e.meta.prefetch_armed || e.expires <= now {
@@ -387,8 +387,8 @@ impl ResolverCache {
         let rank = self.policy.rank(&meta, now);
         let slot = self.next_slot;
         self.next_slot += 1;
-        self.entries.entry(name.clone()).or_default().insert(
-            t,
+        self.entries.insert(
+            (name.clone(), t),
             Entry {
                 answer,
                 expires: now + ttl as f64,
@@ -412,11 +412,7 @@ impl ResolverCache {
     /// Remove the entry for (name, t) if present, returning its meta
     /// (for refresh carry-over).
     fn remove_key(&mut self, name: &Name, t: u16) -> Option<EntryMeta> {
-        let types = self.entries.get_mut(name)?;
-        let e = types.remove(&t)?;
-        if types.is_empty() {
-            self.entries.remove(name);
-        }
+        let e = self.entries.remove(&(name.clone(), t))?;
         self.by_rank.remove(&(e.rank, e.slot));
         self.slot_key.remove(&e.slot);
         self.count = self.count.saturating_sub(1);
@@ -429,15 +425,10 @@ impl ResolverCache {
             return false;
         };
         self.by_rank.remove(&(rank, slot));
-        let Some((name, t)) = self.slot_key.remove(&slot) else {
+        let Some(key) = self.slot_key.remove(&slot) else {
             return false;
         };
-        if let Some(types) = self.entries.get_mut(&name) {
-            types.remove(&t);
-            if types.is_empty() {
-                self.entries.remove(&name);
-            }
-        }
+        self.entries.remove(&key);
         self.count = self.count.saturating_sub(1);
         true
     }
@@ -450,6 +441,262 @@ fn clamp_rfc2181(ttl: u32) -> u32 {
         0
     } else {
         ttl
+    }
+}
+
+/// The store as it was before the one-map layout: `name → qtype →
+/// Entry` in two levels, everything else as it is. Kept as the oracle of
+/// `matches_the_two_level_store_on_generated_scripts` (and for nothing
+/// else).
+#[cfg(test)]
+pub(crate) mod reference {
+    use std::collections::{btree_map, BTreeMap, BTreeSet};
+
+    use dns_wire::{Name, Rcode, Record, RecordType};
+
+    use super::{
+        clamp_rfc2181, CacheStats, CachedAnswer, Entry, EntryMeta, FillInfo, PrefetchBudget,
+        PutOutcome,
+    };
+    use crate::{CacheConfig, PolicyKind};
+
+    #[derive(Debug)]
+    pub struct ResolverCache {
+        config: CacheConfig,
+        policy: PolicyKind,
+        entries: BTreeMap<Name, BTreeMap<u16, Entry>>,
+        pub by_rank: BTreeSet<(u128, u64)>,
+        pub slot_key: BTreeMap<u64, (Name, u16)>,
+        count: usize,
+        seq: u64,
+        next_slot: u64,
+        budget: PrefetchBudget,
+        stats: CacheStats,
+    }
+
+    impl ResolverCache {
+        pub fn new(config: CacheConfig) -> Self {
+            let budget = PrefetchBudget::new(&config.prefetch.unwrap_or_default());
+            ResolverCache {
+                policy: config.policy,
+                config,
+                entries: BTreeMap::new(),
+                by_rank: BTreeSet::new(),
+                slot_key: BTreeMap::new(),
+                count: 0,
+                seq: 0,
+                next_slot: 0,
+                budget,
+                stats: CacheStats::default(),
+            }
+        }
+
+        pub fn lookup(
+            &mut self,
+            name: &Name,
+            qtype: RecordType,
+            now: f64,
+        ) -> Option<(&CachedAnswer, bool)> {
+            let t = qtype.to_u16();
+            if let btree_map::Entry::Occupied(mut types) = self.entries.entry(name.clone()) {
+                if types.get().get(&t).is_some_and(|e| e.expires > now) {
+                    let e = types.into_mut().get_mut(&t)?;
+                    self.seq += 1;
+                    e.meta.last_access_seq = self.seq;
+                    e.meta.requests = e.meta.requests.saturating_add(1);
+                    let new_rank = self.policy.rank(&e.meta, now);
+                    self.by_rank.remove(&(e.rank, e.slot));
+                    self.by_rank.insert((new_rank, e.slot));
+                    e.rank = new_rank;
+                    self.stats.hits += 1;
+                    let in_window = self.config.prefetch.is_some_and(|pf| {
+                        !e.meta.prefetch_armed
+                            && e.expires - now <= pf.trigger_fraction * e.ttl as f64
+                    });
+                    return Some((&e.answer, in_window));
+                }
+                if let Some(e) = types.get_mut().remove(&t) {
+                    if types.get().is_empty() {
+                        types.remove();
+                    }
+                    self.by_rank.remove(&(e.rank, e.slot));
+                    self.slot_key.remove(&e.slot);
+                    self.count = self.count.saturating_sub(1);
+                    self.stats.expired += 1;
+                }
+            }
+            self.stats.misses += 1;
+            None
+        }
+
+        pub fn put_positive(
+            &mut self,
+            name: &Name,
+            qtype: RecordType,
+            records: Vec<Record>,
+            now: f64,
+            fill: FillInfo,
+        ) -> PutOutcome {
+            let Some(raw) = records.iter().map(|r| r.ttl).min() else {
+                self.stats.rejected += 1;
+                return PutOutcome::default();
+            };
+            let bounded = clamp_rfc2181(raw);
+            let ttl = if bounded == 0 {
+                0
+            } else {
+                bounded.clamp(self.config.min_ttl.max(1), self.config.max_ttl)
+            };
+            if ttl == 0 {
+                self.stats.rejected += 1;
+                return PutOutcome::default();
+            }
+            self.insert(name, qtype, CachedAnswer::Positive(records), ttl, now, fill)
+        }
+
+        pub fn put_negative(
+            &mut self,
+            name: &Name,
+            qtype: RecordType,
+            rcode: Rcode,
+            soa_ttl: Option<u32>,
+            now: f64,
+            fill: FillInfo,
+        ) -> PutOutcome {
+            let raw = soa_ttl.unwrap_or(self.config.neg_ttl_default);
+            let ttl = clamp_rfc2181(raw).min(self.config.neg_ttl_cap);
+            if ttl == 0 {
+                self.stats.rejected += 1;
+                return PutOutcome::default();
+            }
+            self.insert(name, qtype, CachedAnswer::Negative(rcode), ttl, now, fill)
+        }
+
+        pub fn prefetch_due(&mut self, name: &Name, qtype: RecordType, now: f64) -> bool {
+            let Some(pf) = self.config.prefetch else {
+                return false;
+            };
+            let t = qtype.to_u16();
+            let Some(e) = self.entries.get_mut(name).and_then(|m| m.get_mut(&t)) else {
+                return false;
+            };
+            if e.meta.prefetch_armed || e.expires <= now {
+                return false;
+            }
+            let remaining = e.expires - now;
+            if remaining > pf.trigger_fraction * e.ttl as f64 {
+                return false;
+            }
+            if !self.budget.try_take(now, &pf) {
+                return false;
+            }
+            e.meta.prefetch_armed = true;
+            self.stats.prefetch_grants += 1;
+            true
+        }
+
+        pub fn len(&self) -> usize {
+            self.count
+        }
+
+        pub fn stats(&self) -> CacheStats {
+            self.stats
+        }
+
+        pub fn clear(&mut self) {
+            self.entries.clear();
+            self.by_rank.clear();
+            self.slot_key.clear();
+            self.count = 0;
+        }
+
+        fn insert(
+            &mut self,
+            name: &Name,
+            qtype: RecordType,
+            answer: CachedAnswer,
+            ttl: u32,
+            now: f64,
+            fill: FillInfo,
+        ) -> PutOutcome {
+            if self.config.capacity == 0 {
+                self.stats.rejected += 1;
+                return PutOutcome::default();
+            }
+            let t = qtype.to_u16();
+            let carried = self.remove_key(name, t);
+            let mut evicted = 0;
+            while self.count >= self.config.capacity {
+                if !self.evict_one() {
+                    break;
+                }
+                evicted += 1;
+            }
+            self.seq += 1;
+            let meta = EntryMeta {
+                first_seen: carried.map(|m| m.first_seen).unwrap_or(now),
+                requests: carried
+                    .map(|m| m.requests)
+                    .unwrap_or(0)
+                    .saturating_add(fill.requests.max(1)),
+                last_access_seq: self.seq,
+                fill_latency: fill.latency.max(0.0),
+                prefetch_armed: false,
+            };
+            let rank = self.policy.rank(&meta, now);
+            let slot = self.next_slot;
+            self.next_slot += 1;
+            self.entries.entry(name.clone()).or_default().insert(
+                t,
+                Entry {
+                    answer,
+                    expires: now + ttl as f64,
+                    ttl,
+                    slot,
+                    rank,
+                    meta,
+                },
+            );
+            self.by_rank.insert((rank, slot));
+            self.slot_key.insert(slot, (name.clone(), t));
+            self.count += 1;
+            self.stats.inserts += 1;
+            self.stats.evictions += evicted as u64;
+            PutOutcome {
+                inserted: true,
+                evicted,
+            }
+        }
+
+        fn remove_key(&mut self, name: &Name, t: u16) -> Option<EntryMeta> {
+            let types = self.entries.get_mut(name)?;
+            let e = types.remove(&t)?;
+            if types.is_empty() {
+                self.entries.remove(name);
+            }
+            self.by_rank.remove(&(e.rank, e.slot));
+            self.slot_key.remove(&e.slot);
+            self.count = self.count.saturating_sub(1);
+            Some(e.meta)
+        }
+
+        fn evict_one(&mut self) -> bool {
+            let Some(&(rank, slot)) = self.by_rank.iter().next() else {
+                return false;
+            };
+            self.by_rank.remove(&(rank, slot));
+            let Some((name, t)) = self.slot_key.remove(&slot) else {
+                return false;
+            };
+            if let Some(types) = self.entries.get_mut(&name) {
+                types.remove(&t);
+                if types.is_empty() {
+                    self.entries.remove(&name);
+                }
+            }
+            self.count = self.count.saturating_sub(1);
+            true
+        }
     }
 }
 
@@ -849,6 +1096,74 @@ mod tests {
                             (answer, in_window && new.prefetch_due(&n(name), qtype, now))
                         });
                         assert_eq!(got, want);
+                    }
+                }
+                assert_eq!(new.stats(), old.stats());
+                assert_eq!(new.len(), old.len());
+                assert_eq!(new.by_rank, old.by_rank);
+                assert_eq!(new.slot_key, old.slot_key);
+            }
+        });
+    }
+
+    /// One map is the two-level store: over generated scripts of fills,
+    /// lookups, prefetch asks, clock steps and clears, on every policy
+    /// and capacity 1–8, with several types per name and names that
+    /// nest, the one-map store gives what [`reference`] gives — answer,
+    /// prefetch verdict, put outcome (evictions included), `len`,
+    /// counters — and holds the same eviction index and slot map.
+    #[test]
+    fn matches_the_two_level_store_on_generated_scripts() {
+        ldp_rng::check::check(256, |g| {
+            let config = CacheConfig {
+                capacity: g.size(1..=8),
+                policy: *g.pick(&PolicyKind::ALL),
+                prefetch: g.option(|g| PrefetchConfig {
+                    trigger_fraction: g.f64(0.0, 1.0),
+                    rate_per_sec: g.f64(0.0, 2.0),
+                    burst: g.f64(0.0, 3.0),
+                }),
+                ..CacheConfig::default()
+            };
+            let mut old = reference::ResolverCache::new(config);
+            let mut new = ResolverCache::new(config);
+            let mut now = 0.0;
+            for _ in 0..g.size(1..=64) {
+                if g.bool() {
+                    now += g.f64(0.0, 40.0);
+                }
+                let name = n(g.pick::<&str>(&["a.", "b.a.", "c.b.a.", "x.", "b.x.", "."]));
+                let qtype = *g.pick(&[RecordType::A, RecordType::AAAA, RecordType::MX]);
+                let fill = FillInfo {
+                    latency: g.f64(0.0, 2.0),
+                    requests: g.range(1..=5),
+                };
+                match g.below(12) {
+                    0..=2 => {
+                        let ttl = *g.pick(&[0, 5, 30, 60, 0x8000_0001]);
+                        let records = g.vec(0..=2, |_| a_rec("a.", ttl));
+                        let out = old.put_positive(&name, qtype, records.clone(), now, fill);
+                        assert_eq!(new.put_positive(&name, qtype, records, now, fill), out);
+                    }
+                    3 | 4 => {
+                        let ttl = g.option(|g| *g.pick(&[0, 7, 50]));
+                        let rcode = *g.pick(&[Rcode::NxDomain, Rcode::NoError]);
+                        let out = old.put_negative(&name, qtype, rcode, ttl, now, fill);
+                        let got = new.put_negative(&name, qtype, rcode, ttl, now, fill);
+                        assert_eq!(got, out);
+                    }
+                    5 | 6 => {
+                        let want = old.prefetch_due(&name, qtype, now);
+                        assert_eq!(new.prefetch_due(&name, qtype, now), want);
+                    }
+                    7 => {
+                        old.clear();
+                        new.clear();
+                    }
+                    _ => {
+                        let want = old.lookup(&name, qtype, now).map(|(a, w)| (a.clone(), w));
+                        let got = new.lookup(&name, qtype, now).map(|(a, w)| (a.clone(), w));
+                        assert_eq!(got, want, "{name} {qtype}");
                     }
                 }
                 assert_eq!(new.stats(), old.stats());

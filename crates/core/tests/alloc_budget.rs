@@ -1,6 +1,7 @@
 //! Allocation budgets for the authoritative answer path and the
-//! resolver's cache-hit path, as exact counts: the same on every machine and at every optimisation level,
-//! so a regression here is a code change, never noise.
+//! resolver's cache-hit and miss paths, as exact counts: the same on
+//! every machine and at every optimisation level, so a regression here
+//! is a code change, never noise.
 //!
 //! The counter is per thread, so the tests of this file can run side by
 //! side; each warms the path it measures first (the thread-local answer
@@ -341,6 +342,196 @@ fn a_negative_cache_hit_stays_within_its_budget() {
         4 * allocs <= hits,
         "{allocs} allocations for {hits} negative hits"
     );
+}
+
+/// A zone at `origin`: an SOA (negative answers cached for an hour)
+/// and `records`.
+fn zone_of(origin: &str, records: Vec<Record>) -> Zone {
+    let soa = Soa {
+        mname: n("ns.invalid"),
+        rname: n("host.invalid"),
+        serial: 1,
+        refresh: 7200,
+        retry: 900,
+        expire: 1_209_600,
+        minimum: 3600,
+    };
+    let mut zone = Zone::new(n(origin));
+    zone.insert(Record::new(n(origin), 3600, RData::Soa(soa)))
+        .unwrap();
+    for record in records {
+        zone.insert(record).unwrap();
+    }
+    zone
+}
+
+fn catalog_of(zones: Vec<Zone>) -> Catalog {
+    let mut catalog = Catalog::new();
+    for zone in zones {
+        catalog.insert(zone);
+    }
+    catalog
+}
+
+fn ns(owner: &str, target: &str) -> Record {
+    Record::new(n(owner), 3600, RData::Ns(n(target)))
+}
+
+fn a(owner: &str, ip: [u8; 4]) -> Record {
+    Record::new(n(owner), 3600, RData::A(ip.into()))
+}
+
+/// Allocations per cold miss through `stub → Simulator → SimResolver`
+/// and a three-level hierarchy, as (allocations, misses): the root at
+/// 10.0.0.1 refers `tld.` and `net.` to 10.0.0.2, which refers each
+/// `z<i>.tld.` (with glue) and `gl.tld.` (without: its nameserver is
+/// `ns.host.net.`) to 10.0.0.3. Every stub query asks a name nobody
+/// asked before: `h<j>.z<i>.tld.` for four hosts of
+/// each of `ZONES` zones — the first of a zone a referral from the TLD
+/// server and an answer, the others an answer — and the four hosts of
+/// `gl.tld.` among them, whose first parks on a lookup of
+/// `ns.host.net.`. The first `WARM` zones warm the resolver, the pool
+/// and the scratches; the counter runs over the rest.
+fn resolver_miss_budget() -> (u64, u64) {
+    const ZONES: usize = 64;
+    const WARM: usize = 8;
+    const HOSTS: usize = 4;
+    let (tld_ip, zone_ip) = ([10, 0, 0, 2], [10, 0, 0, 3]);
+    let mut tld = vec![ns("gl.tld", "ns.host.net")];
+    let mut glueless = vec![ns("gl.tld", "ns.host.net")];
+    let mut zones = Vec::new();
+    let mut questions = Vec::new();
+    for i in 0..ZONES {
+        let origin = format!("z{i}.tld");
+        let server = format!("ns.{origin}");
+        tld.extend([ns(&origin, &server), a(&server, zone_ip)]);
+        let mut records = vec![ns(&origin, &server), a(&server, zone_ip)];
+        for j in 0..HOSTS {
+            let host = format!("h{j}.{origin}");
+            records.push(a(&host, [192, 0, 2, j as u8]));
+            questions.push(host);
+        }
+        zones.push(zone_of(&origin, records));
+        if i == ZONES / 2 {
+            for j in 0..HOSTS {
+                let host = format!("h{j}.gl.tld");
+                glueless.push(a(&host, [198, 51, 100, j as u8]));
+                questions.push(host);
+            }
+        }
+    }
+    zones.push(zone_of("gl.tld", glueless));
+    let root = vec![
+        ns("tld", "ns.tld"),
+        a("ns.tld", tld_ip),
+        ns("net", "ns.net"),
+        a("ns.net", tld_ip),
+    ];
+    let net = vec![a("ns.host.net", zone_ip)];
+    let servers = [
+        ([10, 0, 0, 1], catalog_of(vec![zone_of(".", root)])),
+        (
+            tld_ip,
+            catalog_of(vec![zone_of("tld", tld), zone_of("net", net)]),
+        ),
+        (zone_ip, catalog_of(zones)),
+    ];
+
+    let resolver: SocketAddr = "10.1.0.1:53".parse().unwrap();
+    let stub: SocketAddr = "10.2.0.1:5353".parse().unwrap();
+    let mut sim = Simulator::new(Topology::default(), SimConfig::default());
+    for (ip, catalog) in servers {
+        let addr = SocketAddr::new(IpAddr::from(ip), 53);
+        let engine = Arc::new(ServerEngine::with_catalog(catalog));
+        sim.add_host(
+            &[addr.ip()],
+            Box::new(SimDnsServer::new(engine, addr, None)),
+        );
+    }
+    let mut host = SimResolver::new(resolver, vec!["10.0.0.1".parse().unwrap()]);
+    let snapshot = Arc::new(Mutex::new(ResolverSnapshot::default()));
+    host.set_stats_out(snapshot.clone());
+    sim.add_host(&[resolver.ip()], Box::new(host));
+    let tally = Arc::new(Mutex::new((0, 0)));
+    let queries = (questions.iter().enumerate())
+        .map(|(i, qname)| {
+            let query = Message::query(i as u16, n(qname), RecordType::A);
+            query.encode().into()
+        })
+        .collect();
+    let stub = sim.add_host(
+        &[stub.ip()],
+        Box::new(TallyStub {
+            addr: stub,
+            resolver,
+            queries,
+            want: (Rcode::NoError.low_bits(), 1),
+            tally: tally.clone(),
+        }),
+    );
+    // Four milliseconds apart, so no walk overlaps the next (a round
+    // trip is 0.5 ms): the warm-up from t = 0, the counted misses from
+    // t = 1 s.
+    let warm = WARM * HOSTS;
+    for i in 0..questions.len() {
+        let at = 4 * i as u64 + if i < warm { 0 } else { 1000 };
+        sim.schedule_timer(stub, SimTime::from_millis(at), i as u64);
+    }
+    sim.run_until(SimTime::from_millis(1000));
+    assert_eq!(*tally.lock().unwrap(), (warm as u64, 0), "warm-up replies");
+    let (allocs, _events) = allocations(|| sim.run_until(SimTime::from_secs_f64(10.0)));
+    assert_eq!(*tally.lock().unwrap(), (questions.len() as u64, 0));
+    let stats = snapshot.lock().unwrap().stats;
+    assert_eq!(stats.cache_hits, 0);
+    assert_eq!(stats.failures, 0);
+    // Root, TLD and zone for the first name; the TLD and the zone for
+    // the first of each other zone; the zone for every other host; and
+    // `gl.tld.`'s first asks the TLD, then the root and the TLD server
+    // for its nameserver, then the zone.
+    let walks = 3 + 2 * (ZONES - 1) + (HOSTS - 1) * (ZONES + 1) + 4;
+    assert_eq!(stats.upstream_queries, walks as u64);
+    (allocs, (questions.len() - warm) as u64)
+}
+
+/// The in-tree mirror of the benchmark's `allocs_per_query` on
+/// `rec_wide`, whose misses walk the emulated hierarchy: 2,013
+/// allocations for 228 cold misses (8.83 each) while a resolution kept
+/// whatever names its messages decoded; 983 (4.31) now that it keeps one
+/// copy of its question. What is left: per miss, that copy
+/// (`Name::unshared`, 228), the outstanding entry's waiter `Vec` (229
+/// with the nameserver lookup's), the walk's answer `Vec` the cache
+/// keeps (229) and the cache's index nodes (113); per zone, the
+/// referral's NS target (58 names; its glue's owner is a view of it) and
+/// the zone's server set (59 `Arc`s, 8 delegation-table nodes); and the
+/// compression interners learning new labels (50), six qnames that
+/// outgrew their buffer and three of a server's section `Vec`s growing.
+#[test]
+fn a_cold_miss_stays_within_its_budget() {
+    let (allocs, misses) = resolver_miss_budget();
+    assert_eq!(misses, 228);
+    assert!(allocs <= 983, "{allocs} allocations for {misses} misses");
+}
+
+/// A warmed `decode_into` of a referral — the question, the zone's NS
+/// set, its glue — takes a buffer for each NS target's name and for
+/// nothing else: the zone is an ancestor of the question and a glue
+/// owner is an NS target, so both are views.
+#[test]
+fn decoding_a_referral_allocates_only_its_nameservers() {
+    let mut referral = Message::query(7, n("www.z5.tld"), RecordType::A).response_to();
+    for (i, ip) in [[10, 0, 0, 3], [10, 0, 0, 4]].into_iter().enumerate() {
+        let server = format!("ns{i}.z5.tld");
+        referral.authorities.push(ns("z5.tld", &server));
+        referral.additionals.push(a(&server, ip));
+    }
+    referral.edns = Some(Edns::default());
+    let wire = referral.encode();
+    let mut warmed = Message::default();
+    warmed.decode_into(&wire).unwrap();
+    let (allocs, again) = allocations(|| warmed.decode_into(&wire));
+    assert_eq!(again, Ok(()));
+    assert_eq!(warmed, referral);
+    assert_eq!(allocs, 2, "decode_into made {allocs} allocations");
 }
 
 #[test]

@@ -15,7 +15,12 @@
 //! resolved for such a target; and nameserver-address lookups nest at
 //! most [`MAX_NS_DEPTH`] deep, so the upstream queries one stub query
 //! can cause are bounded by a function of those three constants and the
-//! driver's retry budget.
+//! driver's retry budget. A referral counts only inside the bailiwick
+//! of the servers that gave it: its zone contains the walk's question
+//! and lies strictly below the zone those servers were asked as (the
+//! walk's `cut`), so one server cannot teach the delegation table
+//! anything about a name it is not an ancestor's server for, and every
+//! zone in that table is an ancestor of a question some walk asked.
 
 // Simulator path: no hash collection, no wall-clock type (DESIGN.md §7).
 #![deny(clippy::disallowed_types)]
@@ -61,12 +66,20 @@ impl std::fmt::Display for ResolveError {
 impl std::error::Error for ResolveError {}
 
 /// One resolution in progress: the question being asked upstream right
-/// now (it moves along CNAMEs), the answer chain so far, and how much of
-/// each bound is spent.
+/// now (it moves along CNAMEs), the zone whose servers are being asked,
+/// the answer chain so far, and how much of each bound is spent.
+///
+/// Every name the walk keeps of its own is a view of `qname`'s buffer:
+/// the zone it asks, the zones it learns, the owners of answers at
+/// `qname`. A driver hands it a `qname` of its own
+/// ([`Name::unshared`]), never a view of a message it decodes into.
 #[derive(Debug)]
 pub(crate) struct Walk {
     pub qname: Name,
     pub qtype: RecordType,
+    /// The zone the servers being asked serve: set by
+    /// [`ResolveCore::start`] and by each referral followed.
+    cut: Name,
     /// Answer records, CNAME chain included, in the order received.
     pub answers: Vec<Record>,
     cname_hops: u8,
@@ -80,6 +93,7 @@ impl Walk {
         Walk {
             qname,
             qtype,
+            cut: Name::root(),
             answers: Vec::new(),
             cname_hops: 0,
             referrals: 0,
@@ -163,17 +177,33 @@ impl ResolveCore {
         self.delegations.clear();
     }
 
-    /// The closest enclosing zone's servers known for `qname`, else the
-    /// root hints: where a walk for it starts.
-    pub fn best_servers(&self, qname: &Name) -> Arc<[IpAddr]> {
+    /// The closest enclosing zone known for `qname` — a view of it — and
+    /// its servers; else the root and the root hints.
+    fn closest(&self, qname: &Name) -> (Name, Arc<[IpAddr]>) {
         let mut cur = Some(qname.clone());
         while let Some(name) = cur {
             if let Some(addrs) = self.delegations.get(&name) {
-                return addrs.clone();
+                return (name, addrs.clone());
             }
             cur = name.parent();
         }
-        self.root_hints.clone()
+        (Name::root(), self.root_hints.clone())
+    }
+
+    /// The closest enclosing zone's servers known for `qname`, else the
+    /// root hints: where a walk for it starts.
+    #[cfg(test)]
+    pub fn best_servers(&self, qname: &Name) -> Arc<[IpAddr]> {
+        self.closest(qname).1
+    }
+
+    /// Start (or, after a CNAME, restart) `walk` at the closest
+    /// enclosing zone known for its question: that zone becomes the
+    /// walk's cut, and its servers are the set to ask.
+    pub fn start(&self, walk: &mut Walk) -> Arc<[IpAddr]> {
+        let (cut, servers) = self.closest(&walk.qname);
+        walk.cut = cut;
+        servers
     }
 
     /// Classify `resp`, an upstream's response to the walk's current
@@ -203,6 +233,14 @@ impl ResolveCore {
                 RData::Cname(t) => Some(t.clone()),
                 _ => None,
             });
+            // An owner that is the question is a view of the decoded
+            // message's qname, which the next decode writes over unless
+            // something keeps it: it becomes a view of the walk's.
+            for rec in &mut resp.answers {
+                if rec.name == walk.qname {
+                    rec.name = walk.qname.clone();
+                }
+            }
             // Moved, not cloned, and sized to fit: a cache keeps this
             // `Vec` for the entry's lifetime.
             walk.answers.reserve_exact(resp.answers.len());
@@ -221,9 +259,8 @@ impl ResolveCore {
             if walk.cname_hops > MAX_CNAME_HOPS {
                 return Step::Fail(ResolveError::TooDeep);
             }
-            let servers = self.best_servers(&target);
             walk.qname = target;
-            return Step::Ask(servers);
+            return Step::Ask(self.start(walk));
         }
         let referral = resp.authorities.iter().find_map(|r| match &r.rdata {
             RData::Ns(target) if !resp.flags.authoritative => Some((&r.name, target)),
@@ -236,6 +273,16 @@ impl ResolveCore {
                 rcode: Rcode::NoError,
                 neg_ttl,
             };
+        };
+        // In bailiwick: the zone encloses the question and lies strictly
+        // below the zone this server was asked as. Anything else — a
+        // self-referral, a referral upwards or sideways — is a lame
+        // answer. The zone kept is the question's ancestor, a view of
+        // the walk's name, not of the message's.
+        let below_cut =
+            |ancestor: &Name| ancestor == zone && ancestor.is_proper_subdomain_of(&walk.cut);
+        let Some(zone) = walk.qname.ancestor(zone.label_count()).filter(below_cut) else {
+            return Step::NextServer;
         };
         walk.referrals += 1;
         if walk.referrals > MAX_REFERRALS {
@@ -254,16 +301,17 @@ impl ResolveCore {
             RData::Aaaa(ip) if is_ns_target(&rec.name) => Some(IpAddr::V6(ip)),
             _ => None,
         }));
+        walk.cut = zone.clone();
         if !glue.is_empty() {
             let servers: Arc<[IpAddr]> = Arc::from(glue.as_slice());
-            self.delegations.insert(zone.clone(), servers.clone());
+            self.delegations.insert(zone, servers.clone());
             return Step::Ask(servers);
         }
         if walk.depth >= MAX_NS_DEPTH {
             return Step::Fail(ResolveError::TooDeep);
         }
         Step::ResolveNs {
-            zone: zone.clone(),
+            zone,
             ns: first_ns.clone(),
         }
     }
@@ -689,6 +737,7 @@ mod tests {
             ],
         );
         let want = ips(&["10.0.0.2", "2001:db8::1", "10.0.0.1"]);
+        let mut again = resp.clone();
         match core.step(&mut walk, &mut resp, &mut Vec::new()) {
             Step::Ask(servers) => assert_eq!(*servers, *want),
             other => panic!("{other:?}"),
@@ -698,8 +747,14 @@ mod tests {
             *core.best_servers(&name("example.org.")),
             *ips(&["198.41.0.4"])
         );
+        // The same referral from the servers it named refers the walk to
+        // where it is: lame.
+        let step = core.step(&mut walk, &mut again, &mut Vec::new());
+        assert!(matches!(step, Step::NextServer), "{step:?}");
 
         // Addresses, but none an NS target owns: resolve the first NS.
+        // (A new walk, asking at the root like the first.)
+        let mut walk = Walk::new(name("www.example."), RecordType::A);
         resp = response(
             "www.example.",
             vec![rec("example.", RData::Ns(name("ns1.example.")))],
@@ -733,26 +788,86 @@ mod tests {
         assert!(core.ns_resolved(name("example."), &[cname]).is_err());
     }
 
+    /// A server asked about one zone's name cannot teach the walk where
+    /// a sibling zone is: the referral is lame, and the sibling's
+    /// servers stay the ones its own parent names.
+    #[test]
+    fn a_referral_to_another_zone_poisons_nothing() {
+        let hints = ips(&["198.41.0.4"]);
+        let mut core = ResolveCore::new(hints.clone());
+        let mut walk = Walk::new(name("www.a.example."), RecordType::A);
+        let mut resp = response(
+            "www.a.example.",
+            vec![rec("b.example.", RData::Ns(name("ns.evil.")))],
+            vec![a("ns.evil.", "203.0.113.66")],
+        );
+        let step = core.step(&mut walk, &mut resp, &mut Vec::new());
+        assert!(matches!(step, Step::NextServer), "{step:?}");
+        assert_eq!(*core.best_servers(&name("mail.b.example.")), *hints);
+    }
+
+    /// Nor can any server refer a walk to the root: that would name the
+    /// servers of every later walk.
+    #[test]
+    fn a_referral_to_the_root_poisons_nothing() {
+        let hints = ips(&["198.41.0.4"]);
+        let mut core = ResolveCore::new(hints.clone());
+        let mut walk = Walk::new(name("www.example."), RecordType::A);
+        let mut resp = response(
+            "www.example.",
+            vec![rec(".", RData::Ns(name("ns.evil.")))],
+            vec![a("ns.evil.", "203.0.113.66")],
+        );
+        let step = core.step(&mut walk, &mut resp, &mut Vec::new());
+        assert!(matches!(step, Step::NextServer), "{step:?}");
+        assert_eq!(*core.best_servers(&name("www.org.")), *hints);
+    }
+
+    /// A referral for `qname` to `zone`, whose one server `ns.<zone>`
+    /// has glue.
+    fn referral(qname: &str, zone: &Name) -> Message {
+        let ns = zone.child(b"ns").unwrap().to_string();
+        let authority = Record::new(zone.clone(), 300, RData::Ns(name(&ns)));
+        response(qname, vec![authority], vec![a(&ns, "10.9.9.9")])
+    }
+
+    /// A question `MAX_REFERRALS + 1` labels deep, so a walk can be
+    /// referred one label further down that many times.
+    fn deep_qname() -> String {
+        (0..=MAX_REFERRALS).map(|i| format!("l{i}.")).collect()
+    }
+
     #[test]
     fn a_referral_loop_and_a_cname_loop_end_at_their_bounds() {
         let mut core = ResolveCore::new(ips(&["198.41.0.4"]));
+        // A server that refers the walk to the zone it was asked as, or
+        // above it, is lame: the walk moves on instead of going round.
         let mut walk = Walk::new(name("x.loop.example."), RecordType::A);
-        let refer = || {
-            response(
-                "x.loop.example.",
-                vec![rec("loop.example.", RData::Ns(name("ns.loop.example.")))],
-                vec![a("ns.loop.example.", "10.9.9.9")],
-            )
+        let mut refer = |zone: &str| {
+            let mut resp = referral("x.loop.example.", &name(zone));
+            core.step(&mut walk, &mut resp, &mut Vec::new())
         };
-        for _ in 0..MAX_REFERRALS {
-            let step = core.step(&mut walk, &mut refer(), &mut Vec::new());
-            assert!(matches!(step, Step::Ask(_)), "{step:?}");
+        let step = refer("loop.example.");
+        assert!(matches!(step, Step::Ask(_)), "{step:?}");
+        for zone in ["loop.example.", "example.", ".", "other.example."] {
+            let step = refer(zone);
+            assert!(matches!(step, Step::NextServer), "{zone}: {step:?}");
         }
-        let step = core.step(&mut walk, &mut refer(), &mut Vec::new());
-        assert!(
-            matches!(step, Step::Fail(ResolveError::TooDeep)),
-            "{step:?}"
-        );
+        // Ever deeper is no loop, but it ends, at the bound.
+        let qname = deep_qname();
+        let mut walk = Walk::new(name(&qname), RecordType::A);
+        for labels in 1..=usize::from(MAX_REFERRALS) + 1 {
+            let zone = walk.qname.ancestor(labels).unwrap();
+            let step = core.step(&mut walk, &mut referral(&qname, &zone), &mut Vec::new());
+            if labels <= usize::from(MAX_REFERRALS) {
+                assert!(matches!(step, Step::Ask(_)), "{step:?}");
+            } else {
+                assert!(
+                    matches!(step, Step::Fail(ResolveError::TooDeep)),
+                    "{step:?}"
+                );
+            }
+        }
 
         let mut walk = Walk::new(name("a.example."), RecordType::A);
         for hop in 0..=MAX_CNAME_HOPS {

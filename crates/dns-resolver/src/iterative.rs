@@ -109,7 +109,7 @@ impl IterativeResolver {
         }
         let mut glue = Vec::new();
         let mut queries = 0;
-        let mut servers = self.core.best_servers(&key);
+        let mut servers = self.core.start(&mut walk);
         let mut next = 0;
         loop {
             let server = *servers.get(next).ok_or(ResolveError::Unreachable)?;
@@ -483,7 +483,9 @@ mod tests {
 
     #[test]
     fn a_referral_loop_is_too_deep_not_a_hang() {
-        // The only upstream refers every query to itself.
+        // The only upstream refers every query to itself: as the root,
+        // to `loop.example`, then as `loop.example`, to `loop.example`
+        // again — a lame answer, and there is no other server to ask.
         let mut asked = 0;
         let mut refer_to_self = |server: IpAddr, query: &Message| {
             asked += 1;
@@ -503,6 +505,33 @@ mod tests {
         let mut r = IterativeResolver::new(vec![ip("198.41.0.4")]);
         let err = r
             .resolve(&mut refer_to_self, &n("x.loop.example"), RecordType::A, 0.0)
+            .unwrap_err();
+        assert_eq!(err, ResolveError::Unreachable);
+        assert_eq!(asked, 2, "the hint, then the zone's server once");
+
+        // One that refers each query a label further down the question,
+        // to itself, never repeats a zone: the referral bound ends it.
+        let qname: Name = (0..40)
+            .map(|i| format!("l{i}."))
+            .collect::<String>()
+            .parse()
+            .unwrap();
+        let mut asked = 0;
+        let mut refer_deeper = |server: IpAddr, query: &Message| {
+            asked += 1;
+            let (IpAddr::V4(me), true) = (server, asked <= 100) else {
+                return None;
+            };
+            let mut resp = query.response_to();
+            let zone = resp.question()?.name.ancestor(asked)?;
+            let ns = zone.child(b"ns").ok()?;
+            resp.authorities
+                .push(Record::new(zone, 60, RData::Ns(ns.clone())));
+            resp.additionals.push(Record::new(ns, 60, RData::A(me)));
+            Some(resp)
+        };
+        let err = r
+            .resolve(&mut refer_deeper, &qname, RecordType::A, 0.0)
             .unwrap_err();
         assert_eq!(err, ResolveError::TooDeep);
         assert_eq!(asked, 33, "the hint, then 32 referrals");

@@ -30,7 +30,11 @@ use std::collections::BTreeMap;
 use std::net::{IpAddr, SocketAddr};
 use std::sync::{Arc, Mutex};
 
-use dns_wire::{EncodeScratch, Message, Name, Rcode, Record, RecordType};
+use dns_wire::edns::DEFAULT_UDP_PAYLOAD;
+use dns_wire::{
+    Edns, EncodeScratch, Flags, Message, Name, Opcode, Question, Rcode, Record, RecordClass,
+    RecordType,
+};
 use ldp_cache::{
     CacheConfig, CacheStats, CachedAnswer, FillInfo, OutstandingStats, OutstandingTable,
     ResolverCache, WaiterSlot,
@@ -77,16 +81,69 @@ fn rsv_kinds() -> &'static RsvKinds {
 /// Who is parked on an in-flight resolution.
 #[derive(Debug, Clone)]
 enum Waiter {
-    /// A client: where to send its answer, and the reply as
-    /// [`Message::response_to`] starts it from the query — id, opcode,
-    /// RD, the questions, the DO bit: all a reply copies — built when
-    /// the client parks, because the inbound message it arrived in is
-    /// refilled by the next packet. A waiter never sees a later query's
-    /// id, flags or question.
-    Stub { stub: SocketAddr, reply: Message },
+    /// A client: where to send its answer, and what the reply copies
+    /// from its query.
+    Stub { stub: SocketAddr, head: StubHead },
     /// A task whose referral to `zone` came without glue: the
     /// resolution's A records are that zone's servers.
     Parent { task: u64, zone: Name },
+}
+
+/// What a stub reply copies from its query besides the question's name
+/// and type: the id, RD, the opcode, the question's class and the DO bit
+/// (`None` without EDNS). Taken when the client parks, because the
+/// inbound message it arrived in is refilled by the next packet, so a
+/// waiter never sees a later query's id or flags; the question is the
+/// task's key, so a waiter holds no name and nothing on the heap.
+#[derive(Debug, Clone, Copy)]
+struct StubHead {
+    id: u16,
+    recursion_desired: bool,
+    opcode: Opcode,
+    qclass: RecordClass,
+    dnssec_ok: Option<bool>,
+}
+
+impl StubHead {
+    fn of(query: &Message) -> StubHead {
+        StubHead {
+            id: query.id,
+            recursion_desired: query.flags.recursion_desired,
+            opcode: query.opcode,
+            qclass: query.question().map_or(RecordClass::IN, |q| q.qclass),
+            dnssec_ok: query.edns.as_ref().map(|e| e.dnssec_ok),
+        }
+    }
+
+    /// [`Message::response_into`] of the query this head was taken
+    /// from, with `question` as its one question (none for a query
+    /// without one): every field of `resp` is set.
+    fn response_into(&self, question: Option<(&Name, RecordType)>, resp: &mut Message) {
+        resp.id = self.id;
+        resp.flags = Flags {
+            response: true,
+            recursion_desired: self.recursion_desired,
+            ..Flags::default()
+        };
+        resp.opcode = self.opcode;
+        resp.rcode = Rcode::NoError;
+        resp.questions.clear();
+        resp.questions.reserve_exact(1);
+        resp.questions
+            .extend(question.map(|(name, qtype)| Question {
+                name: name.clone(),
+                qtype,
+                qclass: self.qclass,
+            }));
+        resp.answers.clear();
+        resp.authorities.clear();
+        resp.additionals.clear();
+        resp.edns = self.dnssec_ok.map(|dnssec_ok| Edns {
+            udp_payload: DEFAULT_UDP_PAYLOAD,
+            dnssec_ok,
+            ..Edns::default()
+        });
+    }
 }
 
 /// One scratch per receive path (DESIGN §7), the resolver's: the packet
@@ -108,19 +165,21 @@ struct ResolveScratch {
 }
 
 impl ResolveScratch {
-    /// The one place a stub reply is built: the response to the stub
-    /// query in `inbound` — or to a parked one, restarted from the
-    /// reply its waiter kept (`response_into` of a response is that
-    /// response) — with RA, rcode and the answer section set, encoded.
+    /// The one place a stub reply is built: the response to the query
+    /// `head` was taken from, about `question` — the query's own, or the
+    /// key of the task it parked on — with RA, rcode and the answer
+    /// section set, encoded. A query with two questions is answered
+    /// about its first.
     fn stub_reply(
         &mut self,
-        parked: Option<&Message>,
+        head: &StubHead,
+        question: Option<(&Name, RecordType)>,
         recursion_available: bool,
         rcode: Rcode,
         answers: &[Record],
     ) -> &[u8] {
         let resp = &mut self.outbound;
-        parked.unwrap_or(&self.inbound).response_into(resp);
+        head.response_into(question, resp);
         resp.flags.recursion_available = recursion_available;
         resp.rcode = rcode;
         resp.answers.extend_from_slice(answers);
@@ -132,7 +191,8 @@ impl ResolveScratch {
 /// flight.
 #[derive(Debug)]
 struct Task {
-    /// The cache/aggregation key: the clients' original question.
+    /// The cache/aggregation key: the clients' original question, a
+    /// view of the walk's own copy of it.
     key_name: Name,
     walk: Walk,
     /// DO bit of the lead query, propagated upstream.
@@ -393,8 +453,17 @@ impl SimResolver {
 
     /// Launch the resolution of `walk`'s question as task `next_task`:
     /// in the outstanding table with `lead` waiting on it — nobody, for
-    /// a prefetch refresh — and its first upstream attempt sent.
-    fn start_task(&mut self, ctx: &mut Ctx<'_>, walk: Walk, dnssec_ok: bool, lead: Option<Waiter>) {
+    /// a prefetch refresh — and its first upstream attempt sent. The
+    /// walk's name is the one copy of the question the resolution keeps:
+    /// the task key, the outstanding key and the cache key are views of
+    /// it.
+    fn start_task(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        mut walk: Walk,
+        dnssec_ok: bool,
+        lead: Option<Waiter>,
+    ) {
         let task_id = self.next_task;
         self.next_task += 1;
         let (name, qtype, now) = (&walk.qname, walk.qtype, ctx.now().as_secs_f64());
@@ -403,7 +472,7 @@ impl SimResolver {
             Some(lead) => self.outstanding.begin(name, qtype, task_id, lead, now),
             None => self.outstanding.begin_prefetch(name, qtype, task_id, now),
         }
-        let servers = self.core.best_servers(&walk.qname);
+        let servers = self.core.start(&mut walk);
         let task = Task {
             key_name: walk.qname.clone(),
             walk,
@@ -428,13 +497,18 @@ impl SimResolver {
             tel::mark_at(ctx.now().as_nanos(), rsv_kinds().stub, self.next_task, 0);
         }
         let query = &self.scratch.inbound;
+        let head = StubHead::of(query);
         let Some(q) = query.question() else {
-            let reply = self.scratch.stub_reply(None, false, Rcode::FormErr, &[]);
+            let reply = self
+                .scratch
+                .stub_reply(&head, None, false, Rcode::FormErr, &[]);
             ctx.send_udp(self.addr, from, reply);
             return;
         };
+        // A view of the inbound message's qname, which the next packet
+        // is decoded into: nothing keeps it past this call.
         let (qname, qtype) = (q.name.clone(), q.qtype);
-        let (qid, dnssec_ok) = (query.id, query.dnssec_ok());
+        let dnssec_ok = head.dnssec_ok == Some(true);
         let now = ctx.now().as_secs_f64();
         // Cache hit answers immediately, from the entry where it lies.
         if let Some((hit, in_prefetch_window)) = self.cache.lookup(&qname, qtype, now) {
@@ -451,9 +525,12 @@ impl SimResolver {
                 CachedAnswer::Positive(records) => (Rcode::NoError, records.as_slice()),
                 CachedAnswer::Negative(rcode) => (*rcode, &[][..]),
             };
-            let reply = self.scratch.stub_reply(None, true, rcode, answers);
+            let question = Some((&qname, qtype));
+            let reply = self
+                .scratch
+                .stub_reply(&head, question, true, rcode, answers);
             ctx.send_udp(self.addr, from, reply);
-            self.answered(ctx.now().as_nanos(), qid, AnswerClass::Hit, 0);
+            self.answered(ctx.now().as_nanos(), head.id, AnswerClass::Hit, 0);
             // Hot-name refresh: if this entry is inside its prefetch
             // window and the budget allows, resolve it again in the
             // background before it expires.
@@ -466,21 +543,22 @@ impl SimResolver {
                     let t = ctx.now().as_nanos();
                     tel::mark_at(t, rsv_kinds().prefetch, self.next_task, 0);
                 }
-                self.start_task(ctx, Walk::new(qname, qtype), dnssec_ok, None);
+                let walk = Walk::new(qname.unshared(), qtype);
+                self.start_task(ctx, walk, dnssec_ok, None);
             }
             self.publish_snapshot();
             return;
         }
         // Miss: coalesce onto an in-flight resolution for the same key,
         // or become the lead and launch one.
-        let waiter = Waiter::Stub {
-            stub: from,
-            reply: query.response_to(),
-        };
+        let waiter = Waiter::Stub { stub: from, head };
         match self.outstanding.join(&qname, qtype, waiter, now) {
             // Delayed hit: the answer fans out on completion.
             Ok(_pos) => self.stats.delayed_hits += 1,
-            Err(lead) => self.start_task(ctx, Walk::new(qname, qtype), dnssec_ok, Some(lead)),
+            Err(lead) => {
+                let walk = Walk::new(qname.unshared(), qtype);
+                self.start_task(ctx, walk, dnssec_ok, Some(lead));
+            }
         }
     }
 
@@ -551,31 +629,33 @@ impl SimResolver {
     /// *delayed hit*, charged exactly the residual wait from its own
     /// arrival (counted in `delayed_hits` at join time). A failed
     /// resolution answers them all SERVFAIL. A parked task goes on with
-    /// the addresses in `answers`, or fails with the resolution.
+    /// the addresses in `answers`, or fails with the resolution. Each
+    /// reply's question is the task's key.
     fn fan_out(
         &mut self,
         ctx: &mut Ctx<'_>,
         task_id: u64,
-        prefetch: bool,
+        task: &Task,
         waiters: &[WaiterSlot<Waiter>],
         rcode: Rcode,
         answers: &[Record],
     ) {
         let now = ctx.now().as_secs_f64();
         let now_ns = ctx.now().as_nanos();
+        let question = Some((&task.key_name, task.walk.qtype));
         for (i, slot) in waiters.iter().enumerate() {
-            let (stub, reply) = match &slot.waiter {
-                Waiter::Stub { stub, reply } => (*stub, reply),
-                Waiter::Parent { task, zone } => {
+            let (stub, head) = match &slot.waiter {
+                Waiter::Stub { stub, head } => (*stub, head),
+                Waiter::Parent { task: parent, zone } => {
                     let found = self.core.ns_resolved(zone.clone(), answers);
-                    self.ask(ctx, *task, found);
+                    self.ask(ctx, *parent, found);
                     continue;
                 }
             };
             let waited_ns = (((now - slot.arrived).max(0.0)) * 1e9) as u64;
             let class = if rcode == Rcode::ServFail {
                 AnswerClass::ServFail
-            } else if i == 0 && !prefetch {
+            } else if i == 0 && !task.prefetch {
                 AnswerClass::Miss
             } else {
                 AnswerClass::DelayedHit
@@ -583,9 +663,11 @@ impl SimResolver {
             if class == AnswerClass::DelayedHit && tel::enabled() {
                 tel::mark_at(now_ns, rsv_kinds().delayed_hit, task_id, waited_ns);
             }
-            let bytes = self.scratch.stub_reply(Some(reply), true, rcode, answers);
+            let bytes = self
+                .scratch
+                .stub_reply(head, question, true, rcode, answers);
             ctx.send_udp(self.addr, stub, bytes);
-            self.answered(now_ns, reply.id, class, waited_ns);
+            self.answered(now_ns, head.id, class, waited_ns);
         }
     }
 
@@ -617,7 +699,7 @@ impl SimResolver {
             .complete(&task.key_name, task.walk.qtype)
             .map(|c| c.waiters)
             .unwrap_or_default();
-        self.fan_out(ctx, task_id, task.prefetch, &waiters, Rcode::ServFail, &[]);
+        self.fan_out(ctx, task_id, &task, &waiters, Rcode::ServFail, &[]);
         self.publish_snapshot();
     }
 
@@ -646,14 +728,7 @@ impl SimResolver {
                 u64::from(rcode.to_u16()),
             );
         }
-        self.fan_out(
-            ctx,
-            task_id,
-            task.prefetch,
-            &waiters,
-            rcode,
-            &task.walk.answers,
-        );
+        self.fan_out(ctx, task_id, &task, &waiters, rcode, &task.walk.answers);
         let out = task
             .walk
             .into_cache(&mut self.cache, &task.key_name, rcode, neg_ttl, now, fill);
@@ -767,9 +842,12 @@ impl SimResolver {
 
 impl Host for SimResolver {
     fn on_udp(&mut self, ctx: &mut Ctx<'_>, from: SocketAddr, _to: SocketAddr, data: PacketBytes) {
-        // The last packet built holds a clone of a qname — the last stub
-        // reply's, often the inbound one's: let it go, so the inbound
-        // message decodes its qname into that buffer.
+        // The last packet built holds a clone of a qname — a hit's reply,
+        // the inbound one's: let it go, so the inbound message decodes
+        // its qname into that buffer. Nothing else keeps that buffer:
+        // a task keeps a copy of its own (`Name::unshared`), a waiter a
+        // `StubHead`, and the core rewrites what it keeps as views of
+        // the task's copy.
         self.scratch.outbound.questions.clear();
         if self.scratch.inbound.decode_into(&data).is_err() {
             return;
@@ -1442,9 +1520,9 @@ mod tests {
 
     /// The stub-facing mix: names that hit, miss, coalesce, chase a
     /// CNAME across a zone cut, do not exist, exist without the type,
-    /// or hang off a glue-less delegation; with and without EDNS and
-    /// DO; and now and then no question, two questions, or an opcode
-    /// that is not a query.
+    /// or hang off a glue-less delegation; with and without RD, EDNS and
+    /// DO; and now and then no question, two questions, a class that is
+    /// not IN, or an opcode that is not a query.
     fn gen_stub_query(g: &mut Gen) -> Message {
         let qname = *g.pick(&[
             "www.example.",
@@ -1469,9 +1547,22 @@ mod tests {
                 .questions
                 .push(Question::new(name("w2.example."), RecordType::A)),
             2 => q.opcode = Opcode::Notify,
+            3 => q.questions[0].qclass = RecordClass::CH,
             _ => {}
         }
         q
+    }
+
+    /// What a reply copies from its query — id, opcode, RD, the first
+    /// question, EDNS and its DO bit — as `response_to` copies it.
+    fn assert_replies_to(reply: &Message, query: &Message) {
+        let mut head = reply.clone();
+        head.rcode = Rcode::NoError;
+        head.flags.recursion_available = false;
+        head.answers.clear();
+        let mut want = query.response_to();
+        want.questions.truncate(1);
+        assert_eq!(head, want, "{reply}");
     }
 
     /// `example.` on one server — a short-lived name, a CNAME into the
@@ -1514,7 +1605,9 @@ mod tests {
     /// upstreams, through a resolver that keeps its scratch and through
     /// one handed a fresh scratch before every packet and timer: every
     /// datagram the resolver sends (stub replies and upstream queries)
-    /// equal byte for byte, and the counters equal.
+    /// equal byte for byte, and the counters equal. Every reply, a
+    /// parked client's with the rest, starts as its query's response
+    /// would: its id, RD, opcode, question (class included) and DO bit.
     #[test]
     fn one_long_lived_resolver_scratch_answers_like_a_fresh_one() {
         ldp_rng::check::check(96, |g| {
@@ -1530,10 +1623,14 @@ mod tests {
             let sub_ip = std::net::Ipv4Addr::new(10, 0, 0, upstreams.len() as u8 + 2);
             upstreams.extend(hierarchy(sub_ip).map(Some));
             let mut at = 0.0;
-            let sends: Vec<(SimTime, Message)> = g.vec(1..=24, |g| {
+            let mut sends: Vec<(SimTime, Message)> = g.vec(1..=24, |g| {
                 at += *g.pick(&[0.0, 0.0, 0.000_1, 0.3, 4.0, 70.0]);
                 (SimTime::from_secs_f64(at), gen_stub_query(g))
             });
+            // Ids that name the query a reply answers.
+            for (id, (_, query)) in sends.iter_mut().enumerate() {
+                query.id = id as u16;
+            }
             let max_retries = g.size(0..=3);
             let rotate_servers = g.bool();
             let backoff = g.bool();
@@ -1554,6 +1651,9 @@ mod tests {
                     r.set_cache_config(cache);
                 });
                 rig.sim.run();
+                for reply in rig.got.lock().expect("capture lock").iter() {
+                    assert_replies_to(reply, &sends[usize::from(reply.id)].1);
+                }
                 let wire = std::mem::take(&mut *rig.wire.lock().expect("wire log"));
                 let snapshot = *rig.snapshot.lock().expect("snapshot");
                 (wire, snapshot)
@@ -1568,21 +1668,22 @@ mod tests {
         });
     }
 
-    /// A waiter keeps the reply its query starts, and the fan-out
-    /// restarts the outbound message from that: over whatever the
-    /// outbound message held, the result is the response the query
-    /// itself starts.
+    /// A waiter keeps its query's `StubHead`, and the fan-out restarts
+    /// the outbound message from that and the task's question: over
+    /// whatever the outbound message held, the result is the response
+    /// the query itself starts, about its first question.
     #[test]
     fn a_parked_reply_restarts_the_response_its_query_would() {
         ldp_rng::check::check(256, |g| {
             let query = gen_stub_query(g);
-            let mut want = gen_stub_query(g);
-            want.rcode = *g.pick(&[Rcode::NoError, Rcode::ServFail, Rcode::NxDomain]);
-            want.answers = g.vec(0..=2, |_| soa_rec("example.", 60));
-            let mut got = want.clone();
-            query.response_into(&mut want);
-            query.response_to().response_into(&mut got);
-            assert_eq!(got, want);
+            let mut got = gen_stub_query(g);
+            got.rcode = *g.pick(&[Rcode::NoError, Rcode::ServFail, Rcode::NxDomain]);
+            got.answers = g.vec(0..=2, |_| soa_rec("example.", 60));
+            let question = query.question().map(|q| (&q.name, q.qtype));
+            StubHead::of(&query).response_into(question, &mut got);
+            assert_replies_to(&got, &query);
+            assert_eq!(got.rcode, Rcode::NoError);
+            assert!(got.answers.is_empty());
         });
     }
 
@@ -1745,7 +1846,9 @@ mod tests {
 
     #[test]
     fn a_referral_loop_ends_in_servfail() {
-        // The only upstream refers every query to itself.
+        // The only upstream refers every query to itself: as the root, to
+        // `loop.example`; then, as `loop.example`, to `loop.example` — a
+        // lame answer each time, until the retries are spent.
         let refer_to_self = |_server: IpAddr, query: &Message| {
             let mut resp = query.response_to();
             let ns = ns_rec("loop.example.", "ns.loop.example.");
@@ -1754,20 +1857,51 @@ mod tests {
                 .push(a_rec("ns.loop.example.", upstream_ip(0)));
             Some(resp)
         };
-        let hosts: Vec<Option<Box<dyn Host>>> = vec![Some(Box::new(Answering(refer_to_self)))];
-        let mut rig = rig_of_hosts(hosts, Vec::new(), false, |_| {});
-        ask(&mut rig, 67, "x.loop.example.");
-        // Not `run()`: a walk that never ends must fail this, not hang it.
-        rig.sim.run_until(SimTime::from_secs_f64(10.0));
-        let got = rig.got.lock().expect("capture lock");
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].rcode, Rcode::ServFail);
-        let snap = rig.snapshot.lock().expect("snapshot");
-        assert_eq!(
-            snap.stats.upstream_queries, 33,
-            "the hint, then 32 referrals"
-        );
-        books_are_empty(&rig);
+        // One that refers each query a label further down the question,
+        // to itself, never repeats a zone: the referral bound ends it.
+        let mut asked = 0;
+        let refer_deeper = move |_server: IpAddr, query: &Message| {
+            asked += 1;
+            let mut resp = query.response_to();
+            let zone = resp.question()?.name.ancestor(asked)?;
+            let ns = zone.child(b"ns").ok()?;
+            resp.authorities
+                .push(Record::new(zone, 3600, RData::Ns(ns.clone())));
+            resp.additionals.push(Record::new(
+                ns,
+                3600,
+                RData::A(std::net::Ipv4Addr::new(10, 0, 0, 1)),
+            ));
+            Some(resp)
+        };
+        let deep: String = (0..40).map(|i| format!("l{i}.")).collect();
+        let max_retries = SimResolver::new("10.1.0.1:53".parse().unwrap(), vec![]).max_retries;
+        let upstream: [(Box<dyn Host>, &str, usize, &str); 2] = [
+            (
+                Box::new(Answering(refer_to_self)),
+                "x.loop.example.",
+                2 + max_retries,
+                "the hint, then the zone's server and its retries",
+            ),
+            (
+                Box::new(Answering(refer_deeper)),
+                &deep,
+                33,
+                "the hint, then 32 referrals",
+            ),
+        ];
+        for (server, qname, want, why) in upstream {
+            let mut rig = rig_of_hosts(vec![Some(server)], Vec::new(), false, |_| {});
+            ask(&mut rig, 67, qname);
+            // Not `run()`: a walk that never ends must fail this, not hang it.
+            rig.sim.run_until(SimTime::from_secs_f64(10.0));
+            let got = rig.got.lock().expect("capture lock");
+            assert_eq!(got.len(), 1);
+            assert_eq!(got[0].rcode, Rcode::ServFail);
+            let snap = rig.snapshot.lock().expect("snapshot");
+            assert_eq!(snap.stats.upstream_queries, want as u64, "{why}");
+            books_are_empty(&rig);
+        }
     }
 
     #[test]

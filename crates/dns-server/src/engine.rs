@@ -91,9 +91,14 @@ impl ServerEngine {
             parsed,
             assembly,
         } = scratch;
-        // The last reply's question is a clone of the last query's name:
-        // let it go, so the query decodes its name into that buffer.
-        assembly.response.questions.clear();
+        // The last reply's question is a clone of the last query's name,
+        // and so is the owner of every record answered at it: let them
+        // go, so the query decodes its name into that buffer.
+        let response = &mut assembly.response;
+        response.questions.clear();
+        response.answers.clear();
+        response.authorities.clear();
+        response.additionals.clear();
         *parsed = {
             let _parse_span = tel::span(stages().parse, parse_span_key(data));
             query.decode_into(data).is_ok()

@@ -397,8 +397,12 @@ impl Message {
     /// Decode `buf` over this message, whatever it held: every field is
     /// overwritten and the section `Vec`s are refilled in place, so a
     /// message that is decoded into again and again stops allocating
-    /// for its sections. On `Err` the contents are unspecified (some
-    /// prefix of `buf`), and the next `decode_into` starts over.
+    /// for its sections. A record name whose canonical bytes are the
+    /// first question's name, an ancestor's of it, or those of a name
+    /// decoded before it in the message is a view of that name, not a
+    /// buffer of its own; a query remembers no name. On `Err` the
+    /// contents are unspecified (some prefix of `buf`), and the next
+    /// `decode_into` starts over.
     pub fn decode_into(&mut self, buf: &[u8]) -> Result<(), WireError> {
         let mut r = WireReader::new(buf);
         self.id = r.get_u16()?;
@@ -421,7 +425,11 @@ impl Message {
         // `reserve_exact`: a fresh message gets the capacity
         // `with_capacity` would give it, a warm one keeps what it has.
         // The first question's name is decoded over the last one, in its
-        // buffer when nothing else holds that (`Name::assign`).
+        // buffer when nothing else holds that (`Name::assign`) — the last
+        // message's records may be views of it, so they go first.
+        self.answers.clear();
+        self.authorities.clear();
+        self.additionals.clear();
         let mut last = self.questions.drain(..).next().map(|q| q.name);
         self.questions.reserve_exact(qd.min(16));
         for _ in 0..qd {
@@ -438,8 +446,14 @@ impl Message {
                 qclass: RecordClass::from_u16(r.get_u16()?),
             });
         }
+        // A response's records are mostly about the qname and its
+        // ancestors: they become views of it. A query (no answer or
+        // authority records; its additional section is the OPT record)
+        // remembers nothing.
+        if let Some(q) = self.questions.first().filter(|_| an + ns > 0) {
+            r.remember(&q.name);
+        }
         let mut read_section = |count: usize, recs: &mut Vec<Record>| -> Result<(), WireError> {
-            recs.clear();
             recs.reserve_exact(count.min(64));
             for _ in 0..count {
                 recs.push(Record::decode(&mut r)?);

@@ -149,6 +149,26 @@ impl NameBuilder {
         Ok(Name::from_canonical(&self.buf[self.start..], self.count))
     }
 
+    /// [`NameBuilder::finish`] as a view of the first of `seen` whose
+    /// canonical bytes start with the built ones — the name itself or
+    /// one of its ancestors — with the built label count; `None` when
+    /// no such name was seen.
+    pub(crate) fn finish_shared(&self, seen: &[Name]) -> Result<Option<Name>, NameError> {
+        self.check()?;
+        let bytes = &self.buf[self.start..];
+        if bytes.is_empty() {
+            return Ok(Some(Name::root()));
+        }
+        let view = |name: &Name| {
+            name.as_bytes().starts_with(bytes).then(|| Name {
+                buf: name.buf.clone(),
+                len: bytes.len() as u16,
+                count: self.count,
+            })
+        };
+        Ok(seen.iter().find_map(view))
+    }
+
     /// [`NameBuilder::finish`] over `name` (see [`Name::assign`]).
     pub(crate) fn finish_into(&self, name: &mut Name) -> Result<(), NameError> {
         self.check()?;
@@ -166,12 +186,19 @@ impl NameBuilder {
 
 impl Name {
     /// The root name (zero labels).
-    pub fn root() -> Self {
+    pub const fn root() -> Self {
         Name {
             buf: None,
             len: 0,
             count: 0,
         }
+    }
+
+    /// This name in a buffer of its own, shared with nothing: the one
+    /// copy to take of a name that is kept while the buffer it is a
+    /// view of is written over (a decoded qname, DESIGN §7).
+    pub fn unshared(&self) -> Name {
+        Name::from_canonical(self.as_bytes(), self.count)
     }
 
     /// A name owning a copy of `bytes`, which hold `count` labels in

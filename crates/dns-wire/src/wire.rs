@@ -207,16 +207,41 @@ impl Default for WireWriter {
 pub struct WireReader<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// Names a later name may be a view of ([`WireReader::remember`]);
+    /// the first `seen_len` are live.
+    seen: [Name; SEEN_NAMES],
+    seen_len: usize,
 }
 
 /// Upper bound on pointer-chain hops while decoding one name; real
 /// messages need at most a handful, so this is purely loop protection.
 const MAX_POINTER_HOPS: usize = 64;
 
+/// Names a reader remembers: the qname and the first names decoded
+/// after it that are not views of it (a referral's zone and NS target).
+const SEEN_NAMES: usize = 4;
+
 impl<'a> WireReader<'a> {
     /// New reader positioned at the start of `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
-        WireReader { buf, pos: 0 }
+        WireReader {
+            buf,
+            pos: 0,
+            seen: [const { Name::root() }; SEEN_NAMES],
+            seen_len: 0,
+        }
+    }
+
+    /// From here on, a name this reader decodes whose canonical bytes
+    /// are `name`'s, an ancestor's of it, or those of a name decoded
+    /// since, is a view of that name rather than a buffer of its own.
+    /// A name that is none of these takes a buffer and is remembered
+    /// in turn, while there is room.
+    pub(crate) fn remember(&mut self, name: &Name) {
+        if let Some(slot) = self.seen.get_mut(self.seen_len) {
+            *slot = name.clone();
+            self.seen_len += 1;
+        }
     }
 
     /// Current cursor position.
@@ -276,12 +301,26 @@ impl<'a> WireReader<'a> {
     /// The cursor advances past the name's in-place representation; the
     /// targets of compression pointers are visited without moving it.
     /// The labels are gathered, case-folded, on the stack and the name
-    /// is allocated once, after the terminator: a name that breaks a
-    /// limit is rejected without touching the heap.
+    /// is allocated once, after the terminator — or not at all, when it
+    /// is a view of a name this reader remembers (a response's qname and
+    /// the names decoded after it, see [`crate::Message::decode_into`]):
+    /// a name that breaks a limit is rejected without touching the heap.
     pub fn get_name(&mut self) -> Result<Name, WireError> {
-        let mut name = NameBuilder::new();
-        self.read_name(&mut name)?;
-        name.finish().map_err(|_| WireError::BadName)
+        let mut builder = NameBuilder::new();
+        self.read_name(&mut builder)?;
+        let seen = &self.seen[..self.seen_len];
+        if seen.is_empty() {
+            return builder.finish().map_err(|_| WireError::BadName);
+        }
+        if let Some(view) = builder
+            .finish_shared(seen)
+            .map_err(|_| WireError::BadName)?
+        {
+            return Ok(view);
+        }
+        let name = builder.finish().map_err(|_| WireError::BadName)?;
+        self.remember(&name);
+        Ok(name)
     }
 
     /// [`WireReader::get_name`] over `name`, reusing its buffer when

@@ -434,3 +434,122 @@ fn canonical_order_total() {
         assert_eq!(a.canonical_cmp(&a), Ordering::Equal);
     });
 }
+
+/// A name for a response about `pool[0]` (its qname): the qname, one of
+/// its ancestors or of another name drawn before (an NS target, then its
+/// glue's owner), such a name itself, a child of one, or an unrelated
+/// name. Whatever is drawn joins the pool.
+fn related_name(g: &mut Gen, pool: &mut Vec<Name>) -> Name {
+    let base = g.pick(pool).clone();
+    let name = match g.below(6) {
+        0 => pool[0].clone(),
+        1 => base.ancestor(g.size(0..=base.label_count())).unwrap(),
+        2 => base,
+        3 => base.child(&g.bytes(1..=8)).unwrap_or_else(|_| arb_name(g)),
+        _ => arb_name(g),
+    };
+    pool.push(name.clone());
+    name
+}
+
+/// A response whose names are [`related_name`]s of its qname: answers,
+/// a referral's NS set with glue, an SOA, in any mix.
+fn arb_response(g: &mut Gen) -> Message {
+    let mut pool = vec![arb_name(g)];
+    let mut msg = Message::query(g.u16(), pool[0].clone(), RecordType::A).response_to();
+    let mut record = |g: &mut Gen| {
+        let owner = related_name(g, &mut pool);
+        let rdata = match g.below(6) {
+            0 => RData::Ns(related_name(g, &mut pool)),
+            1 => RData::Cname(related_name(g, &mut pool)),
+            2 => RData::Mx {
+                preference: g.u16(),
+                exchange: related_name(g, &mut pool),
+            },
+            3 => RData::Soa(Soa {
+                mname: related_name(g, &mut pool),
+                rname: related_name(g, &mut pool),
+                serial: g.u32(),
+                refresh: g.u32(),
+                retry: g.u32(),
+                expire: g.u32(),
+                minimum: g.u32(),
+            }),
+            _ => RData::A(g.array::<4>().into()),
+        };
+        Record::new(owner, g.u32(), rdata)
+    };
+    msg.answers = g.vec(0..=4, &mut record);
+    msg.authorities = g.vec(0..=4, &mut record);
+    msg.additionals = g.vec(0..=4, &mut record);
+    if msg.answers.is_empty() && msg.authorities.is_empty() {
+        msg.authorities.push(record(g));
+    }
+    msg
+}
+
+/// Every name a message holds: questions, owners, names in RDATA.
+fn names_of(m: &Message) -> Vec<Name> {
+    let mut names: Vec<Name> = m.questions.iter().map(|q| q.name.clone()).collect();
+    for rec in m.answers.iter().chain(&m.authorities).chain(&m.additionals) {
+        names.push(rec.name.clone());
+        match &rec.rdata {
+            RData::Ns(n) | RData::Cname(n) => names.push(n.clone()),
+            RData::Mx { exchange, .. } => names.push(exchange.clone()),
+            RData::Soa(soa) => names.extend([soa.mname.clone(), soa.rname.clone()]),
+            _ => {}
+        }
+    }
+    names
+}
+
+fn hash_of(name: &Name) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    name.hash(&mut h);
+    h.finish()
+}
+
+/// A decoded name and the same name parsed from its text agree on every
+/// observation.
+fn assert_rebuilt(name: &Name, rebuilt: &Name) {
+    assert_eq!(name_view(name), name_view(rebuilt));
+    assert_eq!(name, rebuilt);
+    assert_eq!(name.cmp(rebuilt), std::cmp::Ordering::Equal, "{name}");
+    assert_eq!(hash_of(name), hash_of(rebuilt), "{name}");
+}
+
+/// A response decodes its names as views of the qname, of its ancestors
+/// and of each other where it can; each is the name its text parses to —
+/// text, label count, wire length, `Eq`, `Ord` and `Hash` — and keeps
+/// being that name while later responses are decoded into the same
+/// message and clones of it are kept.
+#[test]
+fn shared_names_are_the_names_rebuilt_from_text() {
+    check(256, |g| {
+        let mut reused = Message::default();
+        let mut kept: Vec<(Name, Name)> = Vec::new();
+        for _ in 0..g.size(1..=6) {
+            let msg = arb_response(g);
+            reused.decode_into(&msg.encode()).unwrap();
+            assert_eq!(reused, msg);
+            let names = names_of(&reused);
+            let rebuilt: Vec<Name> = names
+                .iter()
+                .map(|n| n.to_string().parse().unwrap())
+                .collect();
+            for (name, fresh) in names.iter().zip(&rebuilt) {
+                assert_rebuilt(name, fresh);
+                for (other, other_fresh) in names.iter().zip(&rebuilt) {
+                    assert_eq!(name.cmp(other), fresh.cmp(other_fresh), "{name} {other}");
+                }
+            }
+            if g.bool() {
+                kept.extend(names.into_iter().zip(rebuilt));
+            }
+            for (name, fresh) in &kept {
+                assert_rebuilt(name, fresh);
+            }
+        }
+    });
+}
