@@ -36,8 +36,11 @@ struct Inflight<W> {
     token: u64,
     /// When the lead miss launched the resolution.
     started: f64,
-    /// Lead waiter first, coalesced joiners after, in arrival order.
-    waiters: Vec<WaiterSlot<W>>,
+    /// The lead waiter, held inline: a resolution nobody joins
+    /// allocates nothing for its waiters. `None` for a prefetch.
+    lead: Option<WaiterSlot<W>>,
+    /// Coalesced joiners, in arrival order.
+    joiners: Vec<WaiterSlot<W>>,
 }
 
 /// A completed resolution, returned by [`OutstandingTable::complete`].
@@ -47,9 +50,28 @@ pub struct Completed<W> {
     pub token: u64,
     /// When the lead miss launched it.
     pub started: f64,
-    /// Everyone owed an answer, lead first, in arrival order. Empty for
-    /// prefetch refreshes (no client is waiting).
-    pub waiters: Vec<WaiterSlot<W>>,
+    /// The lead miss; `None` for a prefetch refresh (no client launched
+    /// it).
+    pub lead: Option<WaiterSlot<W>>,
+    /// Everyone who coalesced onto it since, in arrival order.
+    pub joiners: Vec<WaiterSlot<W>>,
+}
+
+impl<W> Completed<W> {
+    /// Everyone owed an answer, lead first, in arrival order.
+    pub fn waiters(&self) -> impl Iterator<Item = &WaiterSlot<W>> {
+        self.lead.iter().chain(&self.joiners)
+    }
+
+    /// How many are owed an answer.
+    pub fn len(&self) -> usize {
+        usize::from(self.lead.is_some()) + self.joiners.len()
+    }
+
+    /// True if nobody is owed an answer (a prefetch nobody joined).
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
 }
 
 /// Cumulative aggregation counters.
@@ -108,12 +130,12 @@ impl<W> OutstandingTable<W> {
     ) -> Result<usize, W> {
         match self.inflight.get_mut(&Self::key(name, qtype)) {
             Some(f) => {
-                f.waiters.push(WaiterSlot {
+                f.joiners.push(WaiterSlot {
                     arrived: now,
                     waiter,
                 });
                 self.stats.coalesced += 1;
-                Ok(f.waiters.len() - 1)
+                Ok(usize::from(f.lead.is_some()) + f.joiners.len() - 1)
             }
             None => Err(waiter),
         }
@@ -129,10 +151,11 @@ impl<W> OutstandingTable<W> {
             Inflight {
                 token,
                 started: now,
-                waiters: vec![WaiterSlot {
+                lead: Some(WaiterSlot {
                     arrived: now,
                     waiter,
-                }],
+                }),
+                joiners: Vec::new(),
             },
         );
         self.stats.leads += 1;
@@ -147,7 +170,8 @@ impl<W> OutstandingTable<W> {
             Inflight {
                 token,
                 started: now,
-                waiters: Vec::new(),
+                lead: None,
+                joiners: Vec::new(),
             },
         );
         self.stats.leads += 1;
@@ -160,7 +184,8 @@ impl<W> OutstandingTable<W> {
         Some(Completed {
             token: f.token,
             started: f.started,
-            waiters: f.waiters,
+            lead: f.lead,
+            joiners: f.joiners,
         })
     }
 
@@ -210,9 +235,9 @@ mod tests {
         let done = t.complete(&n("x."), RecordType::A).unwrap();
         assert_eq!(done.token, 42);
         assert_eq!(done.started, 1.0);
-        let who: Vec<_> = done.waiters.iter().map(|w| w.waiter).collect();
+        let who: Vec<_> = done.waiters().map(|w| w.waiter).collect();
         assert_eq!(who, ["lead", "second", "third"]);
-        let arrived: Vec<_> = done.waiters.iter().map(|w| w.arrived).collect();
+        let arrived: Vec<_> = done.waiters().map(|w| w.arrived).collect();
         assert_eq!(arrived, [1.0, 1.5, 2.0]);
         assert!(t.is_empty());
         assert_eq!(
@@ -243,8 +268,42 @@ mod tests {
         // A real miss arriving during the refresh becomes a delayed hit.
         assert_eq!(t.join(&n("hot."), RecordType::A, "late", 5.5), Ok(0));
         let done = t.complete(&n("hot."), RecordType::A).unwrap();
-        assert_eq!(done.waiters.len(), 1);
-        assert_eq!(done.waiters[0].waiter, "late");
+        assert!(done.lead.is_none());
+        let who: Vec<_> = done.waiters().map(|w| w.waiter).collect();
+        assert_eq!(who, ["late"]);
+    }
+
+    /// Whoever launched a resolution comes first and the rest in the
+    /// order they joined, whether nobody, one or many joined — and for
+    /// a prefetch, which nobody launched, the joiners alone, in order;
+    /// `join` reports each one's place in that order.
+    #[test]
+    fn waiters_are_lead_first_then_arrival_order() {
+        for joiners in [0, 1, 2, 7] {
+            for prefetch in [false, true] {
+                let mut t: OutstandingTable<u32> = OutstandingTable::new();
+                let mut want = Vec::new();
+                if prefetch {
+                    t.begin_prefetch(&n("x."), RecordType::A, 9, 0.0);
+                } else {
+                    assert_eq!(t.join(&n("x."), RecordType::A, 100, 0.0), Err(100));
+                    t.begin(&n("x."), RecordType::A, 9, 100, 0.0);
+                    want.push((100, 0.0));
+                }
+                for i in 0..joiners {
+                    let arrived = 1.0 + f64::from(i);
+                    let place = t.join(&n("x."), RecordType::A, i, arrived);
+                    assert_eq!(place, Ok(want.len()));
+                    want.push((i, arrived));
+                }
+                let done = t.complete(&n("x."), RecordType::A).unwrap();
+                assert_eq!(done.lead.is_none(), prefetch);
+                assert_eq!(done.len(), want.len());
+                assert_eq!(done.is_empty(), want.is_empty());
+                let got: Vec<_> = done.waiters().map(|w| (w.waiter, w.arrived)).collect();
+                assert_eq!(got, want, "{joiners} joiners, prefetch {prefetch}");
+            }
+        }
     }
 
     #[test]

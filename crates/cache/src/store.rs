@@ -14,7 +14,12 @@
 //! ordered index realizes the eviction order; `slot` is a monotone
 //! insertion counter that makes ranks unique and resolves back to the
 //! owning key through a side map. Hits, inserts and evictions are all
-//! O(log n); there is no O(capacity) scan anywhere. The two-level
+//! O(log n); there is no O(capacity) scan anywhere but the one that
+//! builds the index. Every entry keeps its own `(rank, slot)` up to
+//! date, so the index is only built — from the entries — the first time
+//! the store is full, and kept from then on: a cache that never fills
+//! (the unbounded ones the resolvers and zone construction use) never
+//! pays for an order nobody reads. The two-level
 //! `name → qtype → Entry` map this replaced — whose inner map spent a
 //! whole B-tree leaf on one entry per name — is `reference`, the
 //! oracle of `matches_the_two_level_store_on_generated_scripts`.
@@ -144,6 +149,33 @@ impl PrefetchBudget {
     }
 }
 
+/// The eviction order of a store that has filled up: the entries'
+/// `(rank, slot)` pairs, and where each slot's entry is.
+#[derive(Debug, Default, PartialEq)]
+struct EvictionIndex {
+    /// Eviction order: minimum `(rank, slot)` is evicted first.
+    by_rank: BTreeSet<(u128, u64)>,
+    /// slot → key, to resolve an eviction victim back to its entry.
+    slot_key: BTreeMap<u64, (Name, u16)>,
+}
+
+impl EvictionIndex {
+    /// The index of `entries` as they stand.
+    fn of(entries: &BTreeMap<(Name, u16), Entry>) -> Self {
+        let mut index = EvictionIndex::default();
+        for (key, e) in entries {
+            index.by_rank.insert((e.rank, e.slot));
+            index.slot_key.insert(e.slot, key.clone());
+        }
+        index
+    }
+
+    fn forget(&mut self, e: &Entry) {
+        self.by_rank.remove(&(e.rank, e.slot));
+        self.slot_key.remove(&e.slot);
+    }
+}
+
 /// The capacity-bounded, TTL-aware resolver cache.
 #[derive(Debug)]
 pub struct ResolverCache {
@@ -151,10 +183,8 @@ pub struct ResolverCache {
     policy: PolicyKind,
     /// (name, qtype) → entry.
     entries: BTreeMap<(Name, u16), Entry>,
-    /// Eviction order: minimum `(rank, slot)` is evicted first.
-    by_rank: BTreeSet<(u128, u64)>,
-    /// slot → key, to resolve an eviction victim back to its entry.
-    slot_key: BTreeMap<u64, (Name, u16)>,
+    /// The eviction index, once the store has been full.
+    index: Option<EvictionIndex>,
     count: usize,
     seq: u64,
     next_slot: u64,
@@ -170,8 +200,7 @@ impl ResolverCache {
             policy: config.policy,
             config,
             entries: BTreeMap::new(),
-            by_rank: BTreeSet::new(),
-            slot_key: BTreeMap::new(),
+            index: None,
             count: 0,
             seq: 0,
             next_slot: 0,
@@ -222,8 +251,10 @@ impl ResolverCache {
                 e.meta.last_access_seq = self.seq;
                 e.meta.requests = e.meta.requests.saturating_add(1);
                 let new_rank = self.policy.rank(&e.meta, now);
-                self.by_rank.remove(&(e.rank, e.slot));
-                self.by_rank.insert((new_rank, e.slot));
+                if let Some(index) = &mut self.index {
+                    index.by_rank.remove(&(e.rank, e.slot));
+                    index.by_rank.insert((new_rank, e.slot));
+                }
                 e.rank = new_rank;
                 self.stats.hits += 1;
                 let in_window = self.config.prefetch.is_some_and(|pf| {
@@ -232,8 +263,9 @@ impl ResolverCache {
                 return Some((&e.answer, in_window));
             }
             let e = entry.remove();
-            self.by_rank.remove(&(e.rank, e.slot));
-            self.slot_key.remove(&e.slot);
+            if let Some(index) = &mut self.index {
+                index.forget(&e);
+            }
             self.count = self.count.saturating_sub(1);
             self.stats.expired += 1;
         }
@@ -334,8 +366,7 @@ impl ResolverCache {
     /// requires cold-cache walks, paper §2.3). Counters survive.
     pub fn clear(&mut self) {
         self.entries.clear();
-        self.by_rank.clear();
-        self.slot_key.clear();
+        self.index = None;
         self.count = 0;
     }
 
@@ -367,6 +398,9 @@ impl ResolverCache {
         // Refresh: drop the old generation but keep its lifetime stats.
         let carried = self.remove_key(name, t);
         let mut evicted = 0;
+        if self.count >= self.config.capacity && self.index.is_none() {
+            self.index = Some(EvictionIndex::of(&self.entries));
+        }
         while self.count >= self.config.capacity {
             if !self.evict_one() {
                 break;
@@ -398,8 +432,10 @@ impl ResolverCache {
                 meta,
             },
         );
-        self.by_rank.insert((rank, slot));
-        self.slot_key.insert(slot, (name.clone(), t));
+        if let Some(index) = &mut self.index {
+            index.by_rank.insert((rank, slot));
+            index.slot_key.insert(slot, (name.clone(), t));
+        }
         self.count += 1;
         self.stats.inserts += 1;
         self.stats.evictions += evicted as u64;
@@ -413,24 +449,34 @@ impl ResolverCache {
     /// (for refresh carry-over).
     fn remove_key(&mut self, name: &Name, t: u16) -> Option<EntryMeta> {
         let e = self.entries.remove(&(name.clone(), t))?;
-        self.by_rank.remove(&(e.rank, e.slot));
-        self.slot_key.remove(&e.slot);
+        if let Some(index) = &mut self.index {
+            index.forget(&e);
+        }
         self.count = self.count.saturating_sub(1);
         Some(e.meta)
     }
 
-    /// Evict the minimum-ranked entry; false if the store is empty.
+    /// Evict the minimum-ranked entry; false if the store is empty (or
+    /// has never been full, so has no index).
     fn evict_one(&mut self) -> bool {
-        let Some(&(rank, slot)) = self.by_rank.iter().next() else {
+        let Some(index) = &mut self.index else {
             return false;
         };
-        self.by_rank.remove(&(rank, slot));
-        let Some(key) = self.slot_key.remove(&slot) else {
+        let Some((_, slot)) = index.by_rank.pop_first() else {
+            return false;
+        };
+        let Some(key) = index.slot_key.remove(&slot) else {
             return false;
         };
         self.entries.remove(&key);
         self.count = self.count.saturating_sub(1);
         true
+    }
+
+    /// The eviction index held, next to the one the entries make.
+    #[cfg(test)]
+    fn index_and_derived(&self) -> (Option<&EvictionIndex>, EvictionIndex) {
+        (self.index.as_ref(), EvictionIndex::of(&self.entries))
     }
 }
 
@@ -1100,23 +1146,30 @@ mod tests {
                 }
                 assert_eq!(new.stats(), old.stats());
                 assert_eq!(new.len(), old.len());
-                assert_eq!(new.by_rank, old.by_rank);
-                assert_eq!(new.slot_key, old.slot_key);
+                assert_eq!(new.index, old.index);
             }
         });
     }
 
     /// One map is the two-level store: over generated scripts of fills,
-    /// lookups, prefetch asks, clock steps and clears, on every policy
-    /// and capacity 1–8, with several types per name and names that
-    /// nest, the one-map store gives what [`reference`] gives — answer,
-    /// prefetch verdict, put outcome (evictions included), `len`,
-    /// counters — and holds the same eviction index and slot map.
+    /// lookups, prefetch asks, clock steps and clears, on every policy,
+    /// capacity 1–16 (so some scripts run a while before the store
+    /// first fills) and unbounded, with several types per name and names
+    /// that nest, the one-map store gives what [`reference`] gives —
+    /// answer, prefetch verdict, put outcome (evictions included), `len`,
+    /// counters. The reference keeps its eviction index and slot map on
+    /// every step; the entries' own `(rank, slot)` make the same index
+    /// at every step, and the index the store holds once it has been
+    /// full is that one.
     #[test]
     fn matches_the_two_level_store_on_generated_scripts() {
         ldp_rng::check::check(256, |g| {
             let config = CacheConfig {
-                capacity: g.size(1..=8),
+                capacity: if g.below(4) == 0 {
+                    usize::MAX
+                } else {
+                    g.size(1..=16)
+                },
                 policy: *g.pick(&PolicyKind::ALL),
                 prefetch: g.option(|g| PrefetchConfig {
                     trigger_fraction: g.f64(0.0, 1.0),
@@ -1168,8 +1221,15 @@ mod tests {
                 }
                 assert_eq!(new.stats(), old.stats());
                 assert_eq!(new.len(), old.len());
-                assert_eq!(new.by_rank, old.by_rank);
-                assert_eq!(new.slot_key, old.slot_key);
+                let (held, derived) = new.index_and_derived();
+                assert_eq!(derived.by_rank, old.by_rank);
+                assert_eq!(derived.slot_key, old.slot_key);
+                if let Some(held) = held {
+                    assert_eq!(*held, derived);
+                }
+                if config.capacity == usize::MAX {
+                    assert!(held.is_none(), "an unbounded store built an index");
+                }
             }
         });
     }

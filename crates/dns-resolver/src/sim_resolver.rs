@@ -36,7 +36,7 @@ use dns_wire::{
     RecordType,
 };
 use ldp_cache::{
-    CacheConfig, CacheStats, CachedAnswer, FillInfo, OutstandingStats, OutstandingTable,
+    CacheConfig, CacheStats, CachedAnswer, Completed, FillInfo, OutstandingStats, OutstandingTable,
     ResolverCache, WaiterSlot,
 };
 use ldp_rng::SplitMix64;
@@ -631,19 +631,19 @@ impl SimResolver {
     /// resolution answers them all SERVFAIL. A parked task goes on with
     /// the addresses in `answers`, or fails with the resolution. Each
     /// reply's question is the task's key.
-    fn fan_out(
+    fn fan_out<'w>(
         &mut self,
         ctx: &mut Ctx<'_>,
         task_id: u64,
         task: &Task,
-        waiters: &[WaiterSlot<Waiter>],
+        waiters: impl Iterator<Item = &'w WaiterSlot<Waiter>>,
         rcode: Rcode,
         answers: &[Record],
     ) {
         let now = ctx.now().as_secs_f64();
         let now_ns = ctx.now().as_nanos();
         let question = Some((&task.key_name, task.walk.qtype));
-        for (i, slot) in waiters.iter().enumerate() {
+        for (i, slot) in waiters.enumerate() {
             let (stub, head) = match &slot.waiter {
                 Waiter::Stub { stub, head } => (*stub, head),
                 Waiter::Parent { task: parent, zone } => {
@@ -694,12 +694,9 @@ impl SimResolver {
                 u64::from(task.retries),
             );
         }
-        let waiters = self
-            .outstanding
-            .complete(&task.key_name, task.walk.qtype)
-            .map(|c| c.waiters)
-            .unwrap_or_default();
-        self.fan_out(ctx, task_id, &task, &waiters, Rcode::ServFail, &[]);
+        let done = self.outstanding.complete(&task.key_name, task.walk.qtype);
+        let waiters = done.iter().flat_map(Completed::waiters);
+        self.fan_out(ctx, task_id, &task, waiters, Rcode::ServFail, &[]);
         self.publish_snapshot();
     }
 
@@ -712,13 +709,10 @@ impl SimResolver {
         };
         let now = ctx.now().as_secs_f64();
         let done = self.outstanding.complete(&task.key_name, task.walk.qtype);
-        let (started, waiters) = match done {
-            Some(c) => (c.started, c.waiters),
-            None => (now, Vec::new()),
-        };
+        let started = done.as_ref().map_or(now, |c| c.started);
         let fill = FillInfo {
             latency: (now - started).max(0.0),
-            requests: (waiters.len() as u64).max(1),
+            requests: (done.as_ref().map_or(0, Completed::len) as u64).max(1),
         };
         if tel::enabled() {
             tel::mark_at(
@@ -728,7 +722,8 @@ impl SimResolver {
                 u64::from(rcode.to_u16()),
             );
         }
-        self.fan_out(ctx, task_id, &task, &waiters, rcode, &task.walk.answers);
+        let waiters = done.iter().flat_map(Completed::waiters);
+        self.fan_out(ctx, task_id, &task, waiters, rcode, &task.walk.answers);
         let out = task
             .walk
             .into_cache(&mut self.cache, &task.key_name, rcode, neg_ttl, now, fill);

@@ -2,12 +2,12 @@
 //!
 //! The paper's querier is one algorithm — schedule at the trace
 //! deadline, send, match, account, recover (§2.6, §3). This module owns
-//! its state: the schedule ([`TimingTracker`]), one table of live
-//! queries, one done-set with its monotone cursor, the running sums the
-//! live queries contribute to the run counters, the checkpoint epoch,
-//! the cadence grid checkpoints commit on
-//! ([`ReplayCore::next_tick_ns`]) and the one [`ReplayCore::cut`] that
-//! writes a checkpoint. The
+//! its state: the schedule ([`TimingTracker`]), one window over the
+//! trace's seqs that says of each whether it is untouched, live or done
+//! (with the monotone cursor it starts at), the running sums the live
+//! queries contribute to the run counters, the checkpoint epoch, the
+//! cadence grid checkpoints commit on ([`ReplayCore::next_tick_ns`])
+//! and the one [`ReplayCore::cut`] that writes a checkpoint. The
 //! drivers — [`crate::sim_replay`] on the simulator, [`crate::engine`]
 //! on sockets and threads — own the wire: sockets, connections, timer
 //! tokens, pending tables keyed by what a reply carries. A driver tells
@@ -17,11 +17,18 @@
 //! Like `ldp-guard`, everything here is pure logic over explicit `now`
 //! arguments: no clock, no simulator, no socket, no thread.
 //!
-//! A live query's entry exists from its first offer to its completion
-//! and is the single source of its status. An entry whose query nothing
+//! A live query's slot exists from its first offer to its completion
+//! and is the single source of its status. A slot whose query nothing
 //! in this run will move again (given up, displaced from its pending
-//! slot, lost to a crash) stays in the table: a cut still carries it,
-//! so a resumed run re-executes it.
+//! slot, lost to a crash) stays live: a cut still carries it, so a
+//! resumed run re-executes it.
+//!
+//! The window is one ring of slots, indexed by `seq − cursor`, so every
+//! per-query step is index arithmetic and, once the ring has grown to
+//! the run's widest span of unfinished seqs, allocates nothing. A query
+//! that is never answered pins the cursor, and the ring then spans
+//! every seq offered since — as the done-set it replaced grew by every
+//! later completion.
 
 // Simulator path: no hash collection, no wall-clock type (DESIGN.md §7).
 #![deny(clippy::disallowed_types)]
@@ -29,15 +36,26 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::VecDeque;
 
 use ldp_guard::{Checkpoint, InflightEntry, InflightStatus, RetransmitConfig, RetryBudget};
 
 use crate::timing::TimingTracker;
 
-/// One query between its first offer and its completion. The table
-/// allocates a node per handful of entries, so the entry holds what
-/// every query has; what only a recovering one has is boxed.
+/// Where one seq of the window stands.
+#[derive(Debug)]
+enum Slot {
+    /// Not offered yet, or forgotten (shed, or lost to a crash, before
+    /// a send left).
+    Open,
+    Live(Live),
+    /// Answered (by this run or the one it resumed from).
+    Done,
+}
+
+/// One query between its first offer and its completion. Every seq of
+/// the window has a slot, so the entry holds what every query has; what
+/// only a recovering one has is boxed.
 #[derive(Debug)]
 struct Live {
     status: InflightStatus,
@@ -96,14 +114,20 @@ fn derive_seed(seed: u64, seq: u64) -> u64 {
     seed ^ seq.wrapping_mul(0x9e37_79b9_7f4a_7c15)
 }
 
-/// Transport-agnostic replay state: schedule, live queries, done-set,
-/// counters' live share, epoch and checkpoint writer.
+/// Transport-agnostic replay state: schedule, the seq window, counters'
+/// live share, epoch and checkpoint writer.
+///
+/// A done seq is never live again: the drivers ask
+/// [`ReplayCore::is_done`] before they offer a seq, and the core
+/// ignores a park or a send of one.
 #[derive(Debug)]
 pub struct ReplayCore {
     tracker: TimingTracker,
-    /// Offered-or-sent, uncompleted queries by seq. Iteration order is
-    /// the order of a checkpoint's `inflight` lines.
-    live: BTreeMap<u64, Live>,
+    /// The slot of every seq from `cursor` on: `window[i]` is seq
+    /// `cursor + i`, the front is never `Done`, and a seq past the back
+    /// is `Open`. Iteration order is seq order, the order of a
+    /// checkpoint's `inflight` lines.
+    window: VecDeque<Slot>,
     /// What the live entries contribute to the run's `sent` and
     /// `retries` counters — the part a cut carries instead of commits.
     live_sends: u64,
@@ -111,8 +135,6 @@ pub struct ReplayCore {
     /// The first seq not completed: everything below it is done — by
     /// this run, or by the one it resumed from.
     cursor: u64,
-    /// Seqs completed ahead of the cursor.
-    done: BTreeSet<u64>,
     epoch: u32,
 }
 
@@ -121,11 +143,10 @@ impl ReplayCore {
     pub fn new(tracker: TimingTracker) -> Self {
         ReplayCore {
             tracker,
-            live: BTreeMap::new(),
+            window: VecDeque::new(),
             live_sends: 0,
             live_retx: 0,
             cursor: 0,
-            done: BTreeSet::new(),
             epoch: 0,
         }
     }
@@ -147,16 +168,52 @@ impl ReplayCore {
         core
     }
 
+    /// Where `seq` sits in the window; `None` below the cursor.
+    fn index(&self, seq: u64) -> Option<usize> {
+        usize::try_from(seq.checked_sub(self.cursor)?).ok()
+    }
+
+    /// The slot of `seq`; `None` below the cursor (done) and past the
+    /// window's back (open).
+    fn slot(&self, seq: u64) -> Option<&Slot> {
+        self.window.get(self.index(seq)?)
+    }
+
+    fn slot_mut(&mut self, seq: u64) -> Option<&mut Slot> {
+        let at = self.index(seq)?;
+        self.window.get_mut(at)
+    }
+
+    /// The entry of `seq`, if it is live.
+    fn live_mut(&mut self, seq: u64) -> Option<&mut Live> {
+        match self.slot_mut(seq)? {
+            Slot::Live(e) => Some(e),
+            _ => None,
+        }
+    }
+
+    /// The slot of `seq`, the window grown to hold it; `None` below the
+    /// cursor.
+    fn grow_to(&mut self, seq: u64) -> Option<&mut Slot> {
+        let at = self.index(seq)?;
+        if at >= self.window.len() {
+            self.window.resize_with(at + 1, || Slot::Open);
+        }
+        self.window.get_mut(at)
+    }
+
     /// Record `seq` as completed, keeping the cursor on the first seq
-    /// that is not.
-    fn mark_done(&mut self, seq: u64) {
-        if seq > self.cursor {
-            self.done.insert(seq);
-        } else if seq == self.cursor {
+    /// that is not, and hand back its entry if it was live.
+    fn mark_done(&mut self, seq: u64) -> Option<Live> {
+        let slot = self.grow_to(seq)?;
+        let was = std::mem::replace(slot, Slot::Done);
+        while let Some(Slot::Done) = self.window.front() {
+            self.window.pop_front();
             self.cursor += 1;
-            while self.done.remove(&self.cursor) {
-                self.cursor += 1;
-            }
+        }
+        match was {
+            Slot::Live(e) => Some(e),
+            _ => None,
         }
     }
 
@@ -168,29 +225,47 @@ impl ReplayCore {
     /// Whether `seq` has been answered (in this run or the one resumed
     /// from).
     pub fn is_done(&self, seq: u64) -> bool {
-        seq < self.cursor || self.done.contains(&seq)
+        seq < self.cursor || matches!(self.slot(seq), Some(Slot::Done))
     }
 
     /// Where `seq` stands, if it is live.
     pub fn status(&self, seq: u64) -> Option<InflightStatus> {
-        self.live.get(&seq).map(|e| e.status)
+        match self.slot(seq)? {
+            Slot::Live(e) => Some(e.status),
+            _ => None,
+        }
+    }
+
+    /// The entry of `seq`, made live with `status` if it was open;
+    /// `None` if it is done.
+    fn offer(&mut self, seq: u64, status: InflightStatus) -> Option<&mut Live> {
+        let slot = self.grow_to(seq)?;
+        if let Slot::Open = slot {
+            *slot = Slot::Live(Live::new(status));
+        }
+        match slot {
+            Slot::Live(e) => Some(e),
+            _ => None,
+        }
     }
 
     /// Admission said `Busy`: `seq` waits for a re-offer.
     pub fn park(&mut self, seq: u64) {
-        self.live
-            .entry(seq)
-            .or_insert_with(|| Live::new(InflightStatus::Parked))
-            .status = InflightStatus::Parked;
+        if let Some(e) = self.offer(seq, InflightStatus::Parked) {
+            e.status = InflightStatus::Parked;
+        }
     }
 
     /// Admission shed `seq`. A query that never left is forgotten; one
     /// that did (before a crash) stays carried.
     pub fn shed(&mut self, seq: u64) {
-        if let Some(e) = self.live.get_mut(&seq) {
+        let Some(slot) = self.slot_mut(seq) else {
+            return;
+        };
+        if let Slot::Live(e) = slot {
             e.abandon();
             if e.sends == 0 {
-                self.live.remove(&seq);
+                *slot = Slot::Open;
             }
         }
     }
@@ -199,20 +274,19 @@ impl ReplayCore {
     /// retransmit within the current lifecycle; anything else starts
     /// the lifecycle the logged latency spans from.
     pub fn note_send(&mut self, seq: u64, now_ns: u64, resend: bool) {
-        let e = self
-            .live
-            .entry(seq)
-            .or_insert_with(|| Live::new(InflightStatus::InFlight));
+        let Some(e) = self.offer(seq, InflightStatus::InFlight) else {
+            return;
+        };
         if e.status == InflightStatus::Parked {
             e.status = InflightStatus::InFlight;
         }
         if resend {
             e.recovery().retx += 1;
-            self.live_retx += 1;
         } else {
             e.first_sent_ns = now_ns;
         }
         e.sends += 1;
+        self.live_retx += u64::from(resend);
         self.live_sends += 1;
     }
 
@@ -226,8 +300,7 @@ impl ReplayCore {
         cfg: &RetransmitConfig,
         seed: u64,
     ) -> Option<u64> {
-        self.live
-            .get_mut(&seq)?
+        self.live_mut(seq)?
             .recovery()
             .budget
             .get_or_insert_with(|| {
@@ -246,7 +319,7 @@ impl ReplayCore {
     /// backoff for `n`. `None`: `max_reconnects` is spent and the query
     /// is given up.
     pub fn orphan(&mut self, seq: u64, max_reconnects: u32) -> Option<u32> {
-        let e = self.live.get_mut(&seq)?;
+        let e = self.live_mut(seq)?;
         let spent = e.recovery.as_ref().map_or(0, |r| r.reconnects);
         if spent >= max_reconnects {
             e.abandon();
@@ -260,7 +333,7 @@ impl ReplayCore {
     /// The driver no longer holds anything for `seq` (a later query
     /// took its pending slot over).
     pub fn abandon(&mut self, seq: u64) {
-        if let Some(e) = self.live.get_mut(&seq) {
+        if let Some(e) = self.live_mut(seq) {
             e.abandon();
         }
     }
@@ -269,8 +342,7 @@ impl ReplayCore {
     /// Returns when its current lifecycle's first send left, if it was
     /// live.
     pub fn complete(&mut self, seq: u64) -> Option<u64> {
-        self.mark_done(seq);
-        let e = self.live.remove(&seq)?;
+        let e = self.mark_done(seq)?;
         self.live_sends -= u64::from(e.sends);
         self.live_retx -= u64::from(e.retx());
         Some(e.first_sent_ns)
@@ -281,13 +353,19 @@ impl ReplayCore {
     /// (those packets really left) and stay carried until a restart
     /// re-dispatches them; queries that never left are forgotten.
     pub fn crash(&mut self) {
-        for e in self.live.values_mut() {
+        for slot in &mut self.window {
+            let Slot::Live(e) = slot else {
+                continue;
+            };
+            if e.sends == 0 {
+                *slot = Slot::Open;
+                continue;
+            }
             e.abandon();
             if let Some(r) = &mut e.recovery {
                 r.budget = None;
             }
         }
-        self.live.retain(|_, e| e.sends > 0);
     }
 
     /// The checkpoint policy: a cut commits at every instant of the
@@ -320,12 +398,10 @@ impl ReplayCore {
         self.epoch += 1;
         // The written cursor also passes over live queries (their
         // `inflight` lines carry them), which may yet be shed, so this
-        // walk is redone at every cut: the in-flight window, not the
-        // trace.
-        let mut cursor = self.cursor;
-        while self.done.contains(&cursor) || self.live.contains_key(&cursor) {
-            cursor += 1;
-        }
+        // walk is redone at every cut: up to the window's first open
+        // seq, not over the trace.
+        let passed = self.window.iter().position(|s| matches!(s, Slot::Open));
+        let cursor = self.cursor + passed.unwrap_or(self.window.len()) as u64;
         let counters = counters
             .iter()
             .map(|&(name, total)| {
@@ -337,10 +413,16 @@ impl ReplayCore {
                 (name.to_string(), total.saturating_sub(live))
             })
             .collect();
-        let inflight = self
-            .live
+        let live = self
+            .window
             .iter()
-            .map(|(&seq, e)| InflightEntry {
+            .zip(self.cursor..)
+            .filter_map(|(slot, seq)| match slot {
+                Slot::Live(e) => Some((seq, e)),
+                _ => None,
+            });
+        let inflight = live
+            .map(|(seq, e)| InflightEntry {
                 seq,
                 deadline_ns: deadline_ns(seq),
                 sends: e.sends,
@@ -369,6 +451,7 @@ mod tests {
     use super::reference::{Effect, RefClient, Verdict};
     use super::*;
     use ldp_rng::check::{check, Gen};
+    use std::collections::BTreeMap;
 
     fn tracker() -> TimingTracker {
         TimingTracker::start(0, 0)
@@ -463,6 +546,15 @@ mod tests {
         assert_eq!((cp.epoch, cp.cursor), (5, 6));
     }
 
+    /// A query that is never answered pins the cursor, and from then on
+    /// the window holds a slot for every later seq: a slot stays well
+    /// under the trace entry it stands for.
+    #[test]
+    fn a_slot_is_at_most_32_bytes() {
+        let size = std::mem::size_of::<Slot>();
+        assert!(size <= 32, "a slot is {size} bytes");
+    }
+
     #[test]
     fn ticks_sit_on_the_grid_strictly_after_now() {
         let next = ReplayCore::next_tick_ns;
@@ -475,10 +567,6 @@ mod tests {
         assert_eq!(next(0, u64::MAX, u64::MAX), u64::MAX, "saturates");
     }
 
-    /// The wire key a seq is pending under: a few keys, so later
-    /// queries do take earlier ones' slots over.
-    pub(super) const KEYS: u64 = 5;
-
     pub(super) fn is_tcp(seq: u64) -> bool {
         seq.is_multiple_of(3)
     }
@@ -489,9 +577,11 @@ mod tests {
 
     /// What `sim_replay.rs` does around the core, minus the simulator:
     /// the pending table, the run counters and the log a commit
-    /// carries.
+    /// carries. A seq is pending under wire key `seq % keys`: with few
+    /// keys, later queries take earlier ones' slots over.
     struct CoreClient {
         core: ReplayCore,
+        keys: u64,
         pending: BTreeMap<u64, u64>,
         sent: u64,
         retries: u64,
@@ -525,7 +615,7 @@ mod tests {
         fn dispatch(&mut self, seq: u64, resend: bool, now: u64, out: &mut Vec<Effect>) {
             self.sent += 1;
             self.core.note_send(seq, now, resend);
-            if let Some(earlier) = self.pending.insert(seq % KEYS, seq) {
+            if let Some(earlier) = self.pending.insert(seq % self.keys, seq) {
                 if earlier != seq {
                     self.core.abandon(earlier);
                 }
@@ -546,7 +636,7 @@ mod tests {
         }
 
         fn retx_timer(&mut self, seq: u64, now: u64, out: &mut Vec<Effect>) {
-            if self.pending.get(&(seq % KEYS)) == Some(&seq) {
+            if self.pending.get(&(seq % self.keys)) == Some(&seq) {
                 self.retries += 1;
                 self.dispatch(seq, true, now, out);
             }
@@ -560,10 +650,10 @@ mod tests {
         }
 
         fn closed(&mut self, seq: u64, out: &mut Vec<Effect>) {
-            if self.pending.get(&(seq % KEYS)) != Some(&seq) {
+            if self.pending.get(&(seq % self.keys)) != Some(&seq) {
                 return;
             }
-            self.pending.remove(&(seq % KEYS));
+            self.pending.remove(&(seq % self.keys));
             let budget = if self.reconnect {
                 self.max_reconnects
             } else {
@@ -620,11 +710,24 @@ mod tests {
     /// restarts, cuts at random steps — driven through the core (as
     /// `sim_replay.rs` drives it) and through the bookkeeping it
     /// replaced: same timers armed, same completions, same counters,
-    /// and the same checkpoint at every cut.
+    /// and the same checkpoint at every cut. Half the runs are a few
+    /// hundred seqs offered and answered far out of order, with the
+    /// odd query that is never answered, so the window grows, wraps
+    /// around its ring and stays pinned; some start from a resumed
+    /// cursor and done-set.
     #[test]
     fn core_matches_the_bookkeeping_it_replaced() {
         check(512, |g| {
-            let n = g.range(1..=10);
+            let wide = g.bool();
+            let n = if wide {
+                g.range(100..=400)
+            } else {
+                g.range(1..=10)
+            };
+            let keys = *g.pick(&[5, 16, 64]);
+            // One crash in this many draws of the crash arm; the rest
+            // are replies.
+            let crash_odds = if wide { 16 } else { 1 };
             let udp_retransmit = g.bool().then(|| RetransmitConfig {
                 max_retx: g.range(0..=3) as u32,
                 base_us: 1_000,
@@ -633,8 +736,25 @@ mod tests {
             let retx_seed = g.u64();
             let reconnect = g.below(4) != 0;
             let max_reconnects = g.range(0..=2) as u32;
+            let resumed = g.option(|g| {
+                // The sim driver resumes at 0, the socket one past
+                // the checkpoint's cursor.
+                let cursor = if g.bool() { 0 } else { g.range(0..=n) };
+                let done: Vec<u64> = (cursor..n).filter(|_| g.below(4) == 0).collect();
+                (g.range(1..=9) as u32, cursor, done)
+            });
+            let old = RefClient::new(keys, udp_retransmit, retx_seed, reconnect, max_reconnects);
+            let (core, mut old) = match &resumed {
+                None => (ReplayCore::new(tracker()), old),
+                Some((epoch, cursor, done)) => {
+                    let done = done.iter().copied();
+                    let core = ReplayCore::resume(tracker(), *epoch, *cursor, done.clone());
+                    (core, old.resumed(*epoch, (0..*cursor).chain(done)))
+                }
+            };
             let mut new = CoreClient {
-                core: ReplayCore::new(tracker()),
+                core,
+                keys,
                 pending: BTreeMap::new(),
                 sent: 0,
                 retries: 0,
@@ -646,11 +766,10 @@ mod tests {
                 reconnect,
                 max_reconnects,
             };
-            let mut old = RefClient::new(udp_retransmit, retx_seed, reconnect, max_reconnects);
             // Armed timers by kind; a crash drops them all.
-            let mut trace: Vec<u64> = (0..n).collect();
+            let mut trace: Vec<u64> = (0..n).filter(|&seq| !old.is_done(seq)).collect();
             let (mut admit, mut retx, mut retry) = (Vec::new(), Vec::new(), Vec::new());
-            for step in 0..g.size(0..=60) {
+            for step in 0..g.size(0..=(8 * n as usize).max(60)) {
                 let now = 10 * (step as u64 + 1);
                 let (mut a, mut b) = (Vec::new(), Vec::new());
                 match g.below(10) {
@@ -686,7 +805,12 @@ mod tests {
                         old.closed(seq, &mut b);
                     }
                     6 | 7 => {
-                        let key = g.below(KEYS);
+                        let key = g.below(keys);
+                        new.reply(key, &mut a);
+                        old.reply(key, &mut b);
+                    }
+                    8 if g.below(crash_odds) != 0 => {
+                        let key = g.below(keys);
                         new.reply(key, &mut a);
                         old.reply(key, &mut b);
                     }
@@ -848,6 +972,9 @@ mod reference {
 
     #[derive(Debug, Clone)]
     pub(super) struct RefClient {
+        /// How many wire keys there are: a seq is pending under
+        /// `seq % keys`.
+        keys: u64,
         /// In-flight queries by wire key.
         pending: BTreeMap<u64, Pending>,
         reconnect: bool,
@@ -870,12 +997,14 @@ mod reference {
 
     impl RefClient {
         pub(super) fn new(
+            keys: u64,
             udp_retransmit: Option<RetransmitConfig>,
             retx_seed: u64,
             reconnect: bool,
             max_reconnects: u32,
         ) -> Self {
             RefClient {
+                keys,
                 pending: BTreeMap::new(),
                 reconnect,
                 max_reconnects,
@@ -893,6 +1022,14 @@ mod reference {
                 epoch: 0,
                 restarts: 0,
             }
+        }
+
+        /// The client a resume built: `done` completed, `epoch` the
+        /// checkpoint's.
+        pub(super) fn resumed(mut self, epoch: u32, done: impl IntoIterator<Item = u64>) -> Self {
+            self.epoch = epoch;
+            self.completed.extend(done);
+            self
         }
 
         pub(super) fn is_done(&self, seq: u64) -> bool {
@@ -936,7 +1073,14 @@ mod reference {
             };
             self.sent += 1;
             self.retx_state.note_send(seq);
-            self.pending.insert(seq % super::tests::KEYS, pending);
+            let earlier = self.pending.insert(seq % self.keys, pending);
+            // The core's one departure from these bodies: a query whose
+            // pending slot a later one took over is given up, and a
+            // retry chain it was in ends with it (these bodies left it
+            // reading `Retrying` though nothing would move it again).
+            if let Some(earlier) = earlier.filter(|p| p.seq != seq) {
+                self.retrying.remove(&earlier.seq);
+            }
             if !super::tests::is_tcp(seq) {
                 if let Some(cfg) = self.udp_retransmit {
                     if let Some(d) = self.retx_state.next_delay_us(seq, &cfg, self.retx_seed) {
@@ -964,7 +1108,7 @@ mod reference {
             }
             let Some(sent_ns) = self
                 .pending
-                .get(&(seq % super::tests::KEYS))
+                .get(&(seq % self.keys))
                 .filter(|p| p.seq == seq)
                 .map(|p| p.sent_ns)
             else {
@@ -986,7 +1130,7 @@ mod reference {
 
         /// The connection `seq` is pending on died.
         pub(super) fn closed(&mut self, seq: u64, out: &mut Vec<Effect>) {
-            let key = seq % super::tests::KEYS;
+            let key = seq % self.keys;
             if self.pending.get(&key).is_none_or(|p| p.seq != seq) {
                 return;
             }

@@ -21,6 +21,7 @@ use ldp_trace::TraceEntry;
 use netsim::{ConnId, Ctx, Host, HostId, PacketBytes, SimDriver, SimDuration, SimTime, TcpEvent};
 
 use crate::core::ReplayCore;
+use crate::pending::{PendingKey, PendingTable};
 use crate::timing::TimingTracker;
 
 /// Interned per-query lifecycle marks (enqueue → send → retx →
@@ -179,10 +180,16 @@ fn record_from_line(line: &str) -> Option<LatencyRecord> {
 }
 
 /// The `pending_udp` key of a trace entry. A function of the entry
-/// alone, so a resend lands on the slot of the first send and the
-/// retransmit timer finds it without a search.
-fn udp_key(entry: &TraceEntry) -> (IpAddr, u16) {
+/// alone, so a resend lands on the slot of the first send, the
+/// retransmit timer finds it without a search, and the table need not
+/// keep a copy of it.
+fn udp_key(entry: &TraceEntry) -> PendingKey {
     (entry.src.ip(), entry.message.id)
+}
+
+/// The `pending_udp` key of each seq of `trace`.
+fn udp_key_of(trace: &[TraceEntry]) -> impl Fn(u64) -> PendingKey + '_ {
+    |seq| udp_key(&trace[seq as usize])
 }
 
 /// The schedule of `trace`: offsets from its first entry, which is due
@@ -233,8 +240,9 @@ pub struct SimReplayClient {
     conns: BTreeMap<IpAddr, ConnId>,
     conn_sources: BTreeMap<ConnId, IpAddr>,
     frame_bufs: BTreeMap<ConnId, FrameBuffer>,
-    /// The trace seq in flight under each (source, DNS id).
-    pending_udp: BTreeMap<(IpAddr, u16), u64>,
+    /// The trace seq in flight under each (source, DNS id): keyed
+    /// access only, so a hash table.
+    pending_udp: PendingTable,
     /// The trace seq in flight under each (connection, DNS id).
     pending_tcp: BTreeMap<(ConnId, u16), u64>,
     /// Where every completed query/response pair is pushed, in
@@ -302,7 +310,7 @@ impl SimReplayClient {
             conns: BTreeMap::new(),
             conn_sources: BTreeMap::new(),
             frame_bufs: BTreeMap::new(),
-            pending_udp: BTreeMap::new(),
+            pending_udp: PendingTable::new(),
             pending_tcp: BTreeMap::new(),
             log,
             sent: 0,
@@ -342,9 +350,10 @@ impl SimReplayClient {
     ///
     /// A checkpoint is text from outside the program, so what it says
     /// of the trace is checked against the trace: a cursor, record or
-    /// in-flight seq outside it, a seq recorded twice or both recorded
-    /// and in flight, and a counter its field cannot hold are errors
-    /// naming the line (as [`Checkpoint::to_text`] numbers them).
+    /// in-flight seq outside it, a seq recorded twice, in flight twice
+    /// or both recorded and in flight, and a counter its field cannot
+    /// hold are errors naming the line (as [`Checkpoint::to_text`]
+    /// numbers them).
     pub fn resume(
         trace: Vec<TraceEntry>,
         server: SocketAddr,
@@ -378,6 +387,7 @@ impl SimReplayClient {
             seeded.push(r);
         }
         let first_inflight = first_rec + cp.records.len();
+        let mut carried = BTreeSet::new();
         for (i, e) in cp.inflight.iter().enumerate() {
             if e.seq >= queries {
                 let msg = format!("seq {} in flight, outside the {queries}-query trace", e.seq);
@@ -385,6 +395,10 @@ impl SimReplayClient {
             }
             if done.contains(&e.seq) {
                 let msg = format!("seq {} is both recorded and in flight", e.seq);
+                return Err(err(first_inflight + i, msg));
+            }
+            if !carried.insert(e.seq) {
+                let msg = format!("seq {} is in flight twice", e.seq);
                 return Err(err(first_inflight + i, msg));
             }
         }
@@ -515,7 +529,6 @@ impl SimReplayClient {
         let transport = self.transport_override.unwrap_or(entry.transport);
         let src = entry.src;
         let id = entry.message.id;
-        let udp_key = udp_key(entry);
         // Encoded into the reusable scratch and put in the client's own
         // wire buffer (framed, for a stream); the simulator copies that
         // into a pooled packet.
@@ -538,7 +551,7 @@ impl SimReplayClient {
         }
         match transport {
             Transport::Udp => {
-                let earlier = self.pending_udp.insert(udp_key, seq);
+                let earlier = self.pending_udp.insert(seq, udp_key_of(&self.trace));
                 self.displaced(earlier, seq);
                 ctx.send_udp(src, self.server, self.wire.as_slice());
                 // Arm the next retransmit from this query's own
@@ -685,7 +698,10 @@ impl Host for SimReplayClient {
         let Some(id) = peek_id(&data) else {
             return;
         };
-        if let Some(seq) = self.pending_udp.remove(&(to.ip(), id)) {
+        let seq = self
+            .pending_udp
+            .remove(&(to.ip(), id), udp_key_of(&self.trace));
+        if let Some(seq) = seq {
             self.complete(seq, ctx.now(), data.len());
         }
     }
@@ -772,7 +788,11 @@ impl Host for SimReplayClient {
             let Some(entry) = self.trace.get(idx) else {
                 return;
             };
-            if self.pending_udp.get(&udp_key(entry)) == Some(&seq) {
+            if self
+                .pending_udp
+                .get(&udp_key(entry), udp_key_of(&self.trace))
+                == Some(seq)
+            {
                 self.retries += 1;
                 self.dispatch(ctx, idx, true);
             }
@@ -1684,6 +1704,46 @@ mod tests {
             let named = text.lines().nth(line - 1).unwrap();
             assert_ne!(Some(named), good.to_text().unwrap().lines().nth(line - 1));
         }
+    }
+
+    /// Two `inflight` lines for one seq would re-arm the query at
+    /// whichever deadline came last: `resume` refuses the second line,
+    /// by number, as it does a seq recorded twice.
+    #[test]
+    fn resume_rejects_a_seq_in_flight_twice() {
+        let trace = mk_trace(4, 50_000, 1);
+        let carried = |seq: u64, deadline_ns: u64| ldp_guard::InflightEntry {
+            seq,
+            deadline_ns,
+            sends: 1,
+            retx: 0,
+            status: InflightStatus::InFlight,
+            budget: None,
+        };
+        // Lines: header, epoch, taken_ns, cursor (4), the counter (5),
+        // the record (6), the in-flight entries (7, 8, 9).
+        let cp = Checkpoint {
+            epoch: 1,
+            taken_ns: 100_000_000,
+            cursor: 3,
+            counters: vec![("sent".into(), 1)],
+            records: vec!["0 0.0 0.04 Udp 10.1.0.1 45".into()],
+            inflight: vec![
+                carried(1, 50_000_000),
+                carried(2, 100_000_000),
+                carried(1, 150_000_000),
+            ],
+        };
+        // The document parses; it is `resume`, which checks it against
+        // the trace, that refuses it.
+        let text = cp.to_text().unwrap();
+        assert_eq!(Checkpoint::from_text(&text).unwrap(), cp);
+        assert!(text.lines().nth(8).unwrap().contains("150000000"));
+        let server = "10.9.0.1:53".parse().unwrap();
+        let e = SimReplayClient::resume(trace, server, LatencyLog::default(), &cp)
+            .err()
+            .expect("a seq carried twice is refused");
+        assert_eq!(e, "checkpoint line 9: seq 1 is in flight twice");
     }
 
     /// Commit cost is what changed: over a guarded run of 2,400
