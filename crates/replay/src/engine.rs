@@ -294,7 +294,7 @@ pub fn replay_with_clock(
     // trace larger than the combined channel capacity would fill
     // record_tx and deadlock the whole tree. It doubles as the
     // checkpointer: it is the only thread that sees completions, so
-    // the replay core — here a done-set, its contiguous cursor and the
+    // the replay core — here a seq window, its contiguous cursor and the
     // checkpoint writer; a sent query is a completed one — lives here.
     let start_seq = config.resume_from.as_ref().map_or(0, |c| c.cursor);
     // A sent query is done and nothing is carried, so a checkpoint
