@@ -47,11 +47,13 @@
 pub mod negative;
 pub mod outstanding;
 pub mod policy;
+pub mod records;
 pub mod store;
 
 pub use negative::negative_ttl;
 pub use outstanding::{Completed, OutstandingStats, OutstandingTable, WaiterSlot};
 pub use policy::PolicyKind;
+pub use records::RecordList;
 pub use store::{CacheStats, CachedAnswer, EntryMeta, FillInfo, PutOutcome, ResolverCache};
 
 /// Prefetch-before-expiry knobs.

@@ -33,7 +33,7 @@ use std::net::IpAddr;
 use std::sync::Arc;
 
 use dns_wire::{Message, Name, RData, Rcode, Record, RecordType};
-use ldp_cache::{negative_ttl, FillInfo, PutOutcome, ResolverCache};
+use ldp_cache::{negative_ttl, FillInfo, PutOutcome, RecordList, ResolverCache};
 
 /// Referrals one walk follows; the next one is a loop.
 pub(crate) const MAX_REFERRALS: u8 = 32;
@@ -69,10 +69,11 @@ impl std::error::Error for ResolveError {}
 /// now (it moves along CNAMEs), the zone whose servers are being asked,
 /// the answer chain so far, and how much of each bound is spent.
 ///
-/// Every name the walk keeps of its own is a view of `qname`'s buffer:
-/// the zone it asks, the zones it learns, the owners of answers at
-/// `qname`. A driver hands it a `qname` of its own
-/// ([`Name::unshared`]), never a view of a message it decodes into.
+/// Every name the walk keeps of its own is a copy of `qname` or, when
+/// that is long, a view of its buffer: the zone it asks, the zones it
+/// learns, the owners of answers at `qname`. A driver hands it a
+/// `qname` of its own ([`Name::unshared`]), never a view of a message it
+/// decodes into.
 #[derive(Debug)]
 pub(crate) struct Walk {
     pub qname: Name,
@@ -80,8 +81,9 @@ pub(crate) struct Walk {
     /// The zone the servers being asked serve: set by
     /// [`ResolveCore::start`] and by each referral followed.
     cut: Name,
-    /// Answer records, CNAME chain included, in the order received.
-    pub answers: Vec<Record>,
+    /// Answer records, CNAME chain included, in the order received: the
+    /// list a cache entry keeps.
+    pub answers: RecordList,
     cname_hops: u8,
     referrals: u8,
     depth: u8,
@@ -94,7 +96,7 @@ impl Walk {
             qname,
             qtype,
             cut: Name::root(),
-            answers: Vec::new(),
+            answers: RecordList::new(),
             cname_hops: 0,
             referrals: 0,
             depth: 0,
@@ -177,8 +179,9 @@ impl ResolveCore {
         self.delegations.clear();
     }
 
-    /// The closest enclosing zone known for `qname` — a view of it — and
-    /// its servers; else the root and the root hints.
+    /// The closest enclosing zone known for `qname` — a copy of its
+    /// ancestor, or a view when that is long — and its servers; else the
+    /// root and the root hints.
     fn closest(&self, qname: &Name) -> (Name, Arc<[IpAddr]>) {
         let mut cur = Some(qname.clone());
         while let Some(name) = cur {
@@ -233,7 +236,7 @@ impl ResolveCore {
                 RData::Cname(t) => Some(t.clone()),
                 _ => None,
             });
-            // An owner that is the question is a view of the decoded
+            // A long owner that is the question is a view of the decoded
             // message's qname, which the next decode writes over unless
             // something keeps it: it becomes a view of the walk's.
             for rec in &mut resp.answers {
@@ -241,9 +244,8 @@ impl ResolveCore {
                     rec.name = walk.qname.clone();
                 }
             }
-            // Moved, not cloned, and sized to fit: a cache keeps this
-            // `Vec` for the entry's lifetime.
-            walk.answers.reserve_exact(resp.answers.len());
+            // Moved, not cloned: a cache keeps this list for the entry's
+            // lifetime, one record in place, more sized to fit.
             walk.answers.append(&mut resp.answers);
             let Some(target) =
                 cname_target.filter(|_| !has_final && walk.qtype != RecordType::CNAME)
@@ -277,8 +279,8 @@ impl ResolveCore {
         // In bailiwick: the zone encloses the question and lies strictly
         // below the zone this server was asked as. Anything else — a
         // self-referral, a referral upwards or sideways — is a lame
-        // answer. The zone kept is the question's ancestor, a view of
-        // the walk's name, not of the message's.
+        // answer. The zone kept is the question's ancestor, a copy or a
+        // view of the walk's name, not a view of the message's.
         let below_cut =
             |ancestor: &Name| ancestor == zone && ancestor.is_proper_subdomain_of(&walk.cut);
         let Some(zone) = walk.qname.ancestor(zone.label_count()).filter(below_cut) else {
@@ -1093,7 +1095,7 @@ mod reference {
                 return Ok(match hit {
                     CachedAnswer::Positive(answers) => Resolution {
                         rcode: Rcode::NoError,
-                        answers,
+                        answers: answers.into_vec(),
                         upstream_queries: 0,
                         from_cache: true,
                     },

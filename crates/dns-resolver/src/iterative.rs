@@ -97,7 +97,7 @@ impl IterativeResolver {
         let key = walk.qname.clone();
         if let Some(hit) = self.cache.get(&key, walk.qtype, now) {
             let (rcode, answers) = match hit {
-                CachedAnswer::Positive(answers) => (Rcode::NoError, answers),
+                CachedAnswer::Positive(answers) => (Rcode::NoError, answers.into_vec()),
                 CachedAnswer::Negative(rcode) => (rcode, vec![]),
             };
             return Ok(Resolution {
@@ -132,7 +132,7 @@ impl IterativeResolver {
                     next = 0;
                 }
                 Step::Done { rcode, neg_ttl } => {
-                    let answers = walk.answers.clone();
+                    let answers = walk.answers.to_vec();
                     let fill = FillInfo::default();
                     walk.into_cache(&mut self.cache, &key, rcode, neg_ttl, now, fill);
                     return Ok(Resolution {

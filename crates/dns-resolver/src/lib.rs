@@ -18,6 +18,6 @@ pub mod sim_resolver;
 pub use iterative::{IterativeResolver, Resolution, ResolveError, Upstream};
 pub use ldp_cache::{
     negative_ttl, CacheConfig, CacheStats, CachedAnswer, FillInfo, PolicyKind, PrefetchConfig,
-    PutOutcome, ResolverCache,
+    PutOutcome, RecordList, ResolverCache,
 };
 pub use sim_resolver::{AnswerClass, AnswerEvent, ResolverSnapshot, ResolverStats, SimResolver};

@@ -192,7 +192,7 @@ impl ResolveScratch {
 #[derive(Debug)]
 struct Task {
     /// The cache/aggregation key: the clients' original question, a
-    /// view of the walk's own copy of it.
+    /// copy (or, when long, a view) of the walk's own copy of it.
     key_name: Name,
     walk: Walk,
     /// DO bit of the lead query, propagated upstream.
@@ -443,20 +443,28 @@ impl SimResolver {
         self.addr
     }
 
-    fn fresh_id(&mut self) -> u16 {
-        self.next_id = self.next_id.wrapping_add(1);
-        if self.next_id == 0 {
-            self.next_id = 1;
+    /// The next upstream query id after the last one handed out (0 is
+    /// never used) that no attempt in flight holds; `None` when all
+    /// 65,535 are held. The counter wraps at 16 bits: reissuing an id
+    /// still in flight would let the older attempt's timer take the
+    /// newer attempt off the books, and route the older attempt's reply
+    /// to the newer task.
+    fn fresh_id(&mut self) -> Option<u16> {
+        for _ in 0..u16::MAX {
+            self.next_id = self.next_id.checked_add(1).unwrap_or(1);
+            if !self.upstream_map.contains_key(&self.next_id) {
+                return Some(self.next_id);
+            }
         }
-        self.next_id
+        None
     }
 
     /// Launch the resolution of `walk`'s question as task `next_task`:
     /// in the outstanding table with `lead` waiting on it — nobody, for
     /// a prefetch refresh — and its first upstream attempt sent. The
     /// walk's name is the one copy of the question the resolution keeps:
-    /// the task key, the outstanding key and the cache key are views of
-    /// it.
+    /// the task key, the outstanding key and the cache key are copies of
+    /// it when it is short and views of it when it is long.
     fn start_task(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -563,7 +571,9 @@ impl SimResolver {
     }
 
     fn send_upstream(&mut self, ctx: &mut Ctx<'_>, task_id: u64) {
-        let id = self.fresh_id();
+        let Some(id) = self.fresh_id() else {
+            return self.fail(ctx, task_id);
+        };
         let Some(task) = self.tasks.get_mut(&task_id) else {
             return;
         };
@@ -838,11 +848,11 @@ impl SimResolver {
 impl Host for SimResolver {
     fn on_udp(&mut self, ctx: &mut Ctx<'_>, from: SocketAddr, _to: SocketAddr, data: PacketBytes) {
         // The last packet built holds a clone of a qname — a hit's reply,
-        // the inbound one's: let it go, so the inbound message decodes
-        // its qname into that buffer. Nothing else keeps that buffer:
-        // a task keeps a copy of its own (`Name::unshared`), a waiter a
-        // `StubHead`, and the core rewrites what it keeps as views of
-        // the task's copy.
+        // the inbound one's: let it go, so the inbound message decodes a
+        // long qname into that buffer (a short one is held by value).
+        // Nothing else keeps that buffer: a task keeps a copy of its own
+        // (`Name::unshared`), a waiter a `StubHead`, and the core rewrites
+        // what it keeps as views of the task's copy.
         self.scratch.outbound.questions.clear();
         if self.scratch.inbound.decode_into(&data).is_err() {
             return;
@@ -943,6 +953,8 @@ mod tests {
         /// Fail any task parked on a nameserver lookup before the next
         /// packet is handled.
         kill_parked: bool,
+        /// Wind the upstream id counter to this before the next event.
+        next_id: Option<u16>,
     }
 
     /// The resolver under test, its books published after every event;
@@ -958,6 +970,9 @@ mod tests {
         fn before(&mut self, ctx: &mut Ctx<'_>) {
             if self.fresh_scratch {
                 self.resolver.scratch = ResolveScratch::default();
+            }
+            if let Some(id) = self.books.lock().expect("books").next_id.take() {
+                self.resolver.next_id = id;
             }
             let parked =
                 |(id, t): (&u64, &Task)| matches!(t.waiting, Waiting::Lookup(_)).then_some(*id);
@@ -1933,6 +1948,60 @@ mod tests {
 
     fn query_src() -> IpAddr {
         "10.1.0.1".parse().unwrap()
+    }
+
+    /// An id that comes round again while an attempt still holds it is
+    /// skipped. Here the counter is wound back under a stalled attempt
+    /// (id 2, to an upstream that never answers `slow.example.`), so the
+    /// next attempt would get id 2 again, just before the stalled one
+    /// times out: that timer would take the newer attempt off the books,
+    /// and the answer to it would be dropped as unknown.
+    #[test]
+    fn an_id_still_in_flight_is_not_handed_out_again() {
+        let engine = good_engine();
+        let stall_slow = move |_server: IpAddr, query: &Message| {
+            let stalled = query.question()?.name == name("slow.example.");
+            (!stalled).then(|| engine.answer(query_src(), query))
+        };
+        let ask_at = |secs: f64, id: u16, qname: &str| {
+            let at = SimTime::from_secs_f64(secs);
+            (at, Message::query(id, name(qname), RecordType::A))
+        };
+        // The stalled attempt times out 2 s after it is sent; the second
+        // is sent 0.1 ms before that and answered 0.5 ms after it.
+        let sends = vec![
+            ask_at(0.0, 70, "slow.example."),
+            ask_at(1.9999, 71, "www.example."),
+        ];
+        let hosts: Vec<Option<Box<dyn Host>>> = vec![Some(Box::new(Answering(stall_slow)))];
+        let mut rig = rig_of_hosts(hosts, sends, false, |r| r.max_retries = 0);
+        rig.sim.run_until(SimTime::from_secs_f64(1.0));
+        rig.books.lock().expect("books").next_id = Some(1);
+        rig.sim.run();
+        let got = rig.got.lock().expect("capture lock");
+        let replies: Vec<(u16, Rcode)> = got.iter().map(|m| (m.id, m.rcode)).collect();
+        assert_eq!(replies, [(70, Rcode::ServFail), (71, Rcode::NoError)]);
+        books_are_empty(&rig);
+    }
+
+    /// With every id held by an attempt in flight there is none to send
+    /// with: the task fails at once, and nothing goes upstream.
+    #[test]
+    fn a_task_finding_every_id_in_flight_servfails() {
+        let mut rig = rig(&[Some(good_engine())], |r| {
+            r.upstream_map = (1..=u16::MAX).map(|id| (id, u64::MAX)).collect();
+        });
+        ask(&mut rig, 72, "www.example.");
+        rig.sim.run();
+        let got = rig.got.lock().expect("capture lock");
+        let replies: Vec<(u16, Rcode)> = got.iter().map(|m| (m.id, m.rcode)).collect();
+        assert_eq!(replies, [(72, Rcode::ServFail)]);
+        let snap = rig.snapshot.lock().expect("snapshot");
+        assert_eq!((snap.stats.upstream_queries, snap.stats.failures), (0, 1));
+        assert_eq!(
+            rig.books.lock().expect("books").upstream_map,
+            usize::from(u16::MAX)
+        );
     }
 
     /// A stub's reply with the upstream questions it took.

@@ -397,10 +397,11 @@ impl Message {
     /// Decode `buf` over this message, whatever it held: every field is
     /// overwritten and the section `Vec`s are refilled in place, so a
     /// message that is decoded into again and again stops allocating
-    /// for its sections. A record name whose canonical bytes are the
-    /// first question's name, an ancestor's of it, or those of a name
-    /// decoded before it in the message is a view of that name, not a
-    /// buffer of its own; a query remembers no name. On `Err` the
+    /// for its sections. A name short enough is held by value; a long
+    /// record name whose canonical bytes are the first question's name,
+    /// an ancestor's of it, or those of a name decoded before it in the
+    /// message is a view of that name, not a buffer of its own; a query
+    /// remembers no name. On `Err` the
     /// contents are unspecified (some prefix of `buf`), and the next
     /// `decode_into` starts over.
     pub fn decode_into(&mut self, buf: &[u8]) -> Result<(), WireError> {

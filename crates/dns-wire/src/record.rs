@@ -101,6 +101,15 @@ mod tests {
         s.parse().unwrap()
     }
 
+    /// A record is at most 128 bytes: zones, messages and cache entries
+    /// hold records by value, so a type that grows fails here before it
+    /// moves a benchmark's heap.
+    #[test]
+    fn a_record_is_at_most_128_bytes() {
+        let size = std::mem::size_of::<Record>();
+        assert!(size <= 128, "a record is {size} bytes");
+    }
+
     #[test]
     fn record_wire_round_trip() {
         let rec = Record::new(

@@ -195,7 +195,8 @@ impl Zone {
             return None;
         }
         // Probed from just below the apex down to `qname`: the highest
-        // cut shadows the rest. Each ancestor is a view of `qname`.
+        // cut shadows the rest. Each ancestor is a view of `qname` (a
+        // copy, when it is short).
         (self.origin.label_count() + 1..=qname.label_count()).find_map(|labels| {
             let (name, node) = self.nodes.get_key_value(&qname.ancestor(labels)?)?;
             Some((name, node.get(RecordType::NS)?))
