@@ -318,6 +318,49 @@ impl Host for TallyStub {
     }
 }
 
+/// The event queue under a pre-scheduled trace: 100,000 driver-lane
+/// timers 10 µs apart, each sending one datagram from a stub to a sink
+/// 40 ms away, so about 4,000 deliveries are in flight behind the
+/// timers. The timers are the queue's sorted run and the deliveries its
+/// heap, in one buffer: a delivery takes a slot that a popped timer
+/// freed, so after the first timer (the simulator's command buffer) the
+/// run allocates nothing. A heap kept apart from the run grows to its
+/// in-flight peak here, which the benchmark's count repetition would
+/// see.
+#[test]
+fn a_pre_scheduled_trace_runs_without_growing_the_event_queue() {
+    const TIMERS: u64 = 100_000;
+    let stub: SocketAddr = "10.2.0.1:5353".parse().unwrap();
+    let sink: SocketAddr = "10.3.0.1:53".parse().unwrap();
+    let mut sim = Simulator::new(
+        Topology::uniform(PathConfig::with_rtt(SimDuration::from_millis(80))),
+        SimConfig::default(),
+    );
+    let received = Arc::new(Mutex::new((0, 0)));
+    let tally_stub = |addr, to, queries| TallyStub {
+        addr,
+        resolver: to,
+        queries,
+        want: (0, 0),
+        tally: received.clone(),
+    };
+    sim.add_host(&[sink.ip()], Box::new(tally_stub(sink, stub, Vec::new())));
+    let header = PacketBytes::from(vec![0u8; 12]);
+    let sender = sim.add_host(&[stub.ip()], Box::new(tally_stub(stub, sink, vec![header])));
+    for i in 0..TIMERS {
+        sim.schedule_timer(sender, SimTime::from_micros(10 * i), 0);
+    }
+    let warm = sim.run_until(SimTime::ZERO);
+    let (allocs, events) = allocations(|| sim.run_until(SimTime::from_secs_f64(10.0)));
+    assert_eq!(warm + events, 2 * TIMERS);
+    assert_eq!(
+        *received.lock().unwrap(),
+        (TIMERS, 0),
+        "every datagram arrived"
+    );
+    assert_eq!(allocs, 0, "the run allocated {allocs} times");
+}
+
 /// Allocations per warmed cache hit through `stub → Simulator →
 /// SimResolver`, as (allocations, hits): `NAMES` names under
 /// `example.` are resolved once each against a server that has a `h<i>`

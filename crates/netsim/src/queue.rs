@@ -1,12 +1,23 @@
 //! The deterministic event queue for the simulator hot path.
 //!
-//! A binary heap over `(time, lane, seq)`: O(log n) push/pop with
-//! contiguous storage and no per-operation node allocation. Because the
-//! key is a *strict total order* (`(lane, seq)` is unique — `seq` is a
-//! per-lane counter), the pop sequence is fully determined by the
-//! pushed keys — the heap's internal layout can never leak into event
-//! order (rule D2, `tests/determinism.rs`). The test module checks that
-//! against a sorted-map model of the same key on generated scripts.
+//! One `VecDeque` of slots in two regions: a *sorted run* at the front
+//! and a binary min-heap behind it, both over `(time, lane, seq)`. A
+//! push joins the run when the heap region is empty and its key is
+//! above the run's last one — what scheduling one driver-lane timer per
+//! trace entry in trace order does, so a pre-scheduled trace costs O(1)
+//! per push and pop instead of a sift through a heap as deep as the
+//! trace. Every other push goes to the heap, which only ever holds what
+//! is in flight. `pop` takes the smaller of the run's front and the
+//! heap's top. The run's freed front slots are reused by the heap's
+//! pushes at the back, so the queue never holds more storage than its
+//! peak length needs, as one binary heap would.
+//!
+//! Because the key is a *strict total order* (`(lane, seq)` is unique —
+//! `seq` is a per-lane counter), the pop sequence is fully determined by
+//! the pushed keys — which region an item sits in, and the heap's
+//! layout, can never leak into event order (rule D2,
+//! `tests/determinism.rs`). The test module checks that against a
+//! sorted-map model of the same key on generated scripts.
 //!
 //! The *lane* component is what makes the order shard-invariant
 //! (`ldp-shard`): a lane is the global id of the host whose processing
@@ -16,8 +27,7 @@
 //! every event regardless of how hosts are partitioned across shards —
 //! a single-shard run and an N-shard run pop the same global sequence.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
 use crate::time::SimTime;
 
@@ -28,12 +38,12 @@ use crate::time::SimTime;
 /// both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueueKind {
-    /// Binary heap ordered by `(time, lane, seq)`.
+    /// The one backend: a sorted run plus a binary heap over
+    /// `(time, lane, seq)` (see [the module doc](self)).
     Heap,
 }
 
-/// One scheduled item; ordered so that `BinaryHeap` (a max-heap) pops
-/// the *smallest* `(time, lane, seq)` first.
+/// One scheduled item under its key.
 struct Slot<T> {
     at: SimTime,
     lane: u64,
@@ -41,29 +51,9 @@ struct Slot<T> {
     item: T,
 }
 
-impl<T> PartialEq for Slot<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.lane == other.lane && self.seq == other.seq
-    }
-}
-
-impl<T> Eq for Slot<T> {}
-
-impl<T> PartialOrd for Slot<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<T> Ord for Slot<T> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed on all fields: earliest time wins, then lowest lane,
-        // then FIFO within a lane.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.lane.cmp(&self.lane))
-            .then_with(|| other.seq.cmp(&self.seq))
+impl<T> Slot<T> {
+    fn key(&self) -> (SimTime, u64, u64) {
+        (self.at, self.lane, self.seq)
     }
 }
 
@@ -72,13 +62,17 @@ impl<T> Ord for Slot<T> {
 /// assignment; `(lane, seq)` pairs must be unique per queue (the
 /// simulator keeps one `seq` counter per lane).
 pub struct EventQueue<T> {
-    heap: BinaryHeap<Slot<T>>,
+    /// `slots[..run]` ascending by key; `slots[run..]` a min-heap
+    /// (heap index `i` is `slots[run + i]`).
+    slots: VecDeque<Slot<T>>,
+    run: usize,
 }
 
 impl<T> Default for EventQueue<T> {
     fn default() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
+            slots: VecDeque::new(),
+            run: 0,
         }
     }
 }
@@ -91,38 +85,121 @@ impl<T> EventQueue<T> {
 
     /// Schedule `item` under the explicit key `(at, lane, seq)`.
     pub fn push(&mut self, at: SimTime, lane: u64, seq: u64, item: T) {
-        self.heap.push(Slot {
+        let slot = Slot {
             at,
             lane,
             seq,
             item,
-        });
+        };
+        let joins_run = self.run == self.slots.len()
+            && self.slots.back().is_none_or(|last| last.key() < slot.key());
+        self.slots.push_back(slot);
+        if joins_run {
+            self.run += 1;
+        } else {
+            self.sift_up();
+        }
     }
 
     /// The time of the earliest scheduled item, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.at)
+        self.first().map(|i| self.slots[i].at)
     }
 
     /// Remove and return the earliest item with its scheduled time.
     pub fn pop(&mut self) -> Option<(SimTime, T)> {
-        self.heap.pop().map(|s| (s.at, s.item))
+        self.pop_if(|_| true)
+    }
+
+    /// Remove and return the earliest item if `admit` accepts its time:
+    /// a bounded run's `peek_time` + `pop` in one lookup.
+    pub fn pop_if(&mut self, admit: impl FnOnce(SimTime) -> bool) -> Option<(SimTime, T)> {
+        let i = self.first()?;
+        if !admit(self.slots[i].at) {
+            return None;
+        }
+        let slot = if i < self.run {
+            self.run -= 1;
+            self.slots.pop_front()
+        } else {
+            let last = self.slots.len() - 1;
+            self.slots.swap(i, last);
+            let top = self.slots.pop_back();
+            self.sift_down();
+            top
+        };
+        slot.map(|s| (s.at, s.item))
     }
 
     /// Number of scheduled items.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.slots.len()
     }
 
     /// True if nothing is scheduled.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.slots.is_empty()
+    }
+
+    /// The index of the earliest item: the run's front (`0`) or the
+    /// heap's top (`run`), whichever key is smaller.
+    fn first(&self) -> Option<usize> {
+        if self.run == 0 {
+            return (!self.slots.is_empty()).then_some(0);
+        }
+        match self.slots.get(self.run) {
+            Some(top) if top.key() < self.slots[0].key() => Some(self.run),
+            _ => Some(0),
+        }
+    }
+
+    /// The key of heap index `i`.
+    fn heap_key(&self, i: usize) -> (SimTime, u64, u64) {
+        self.slots[self.run + i].key()
+    }
+
+    /// Move the heap's last slot up to its place.
+    fn sift_up(&mut self) {
+        let mut i = self.slots.len() - 1 - self.run;
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if self.heap_key(parent) < self.heap_key(i) {
+                break;
+            }
+            self.slots.swap(self.run + parent, self.run + i);
+            i = parent;
+        }
+    }
+
+    /// Move the heap's top slot down to its place.
+    fn sift_down(&mut self) {
+        let n = self.slots.len() - self.run;
+        let mut i = 0;
+        loop {
+            let left = 2 * i + 1;
+            if left >= n {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < n && self.heap_key(right) < self.heap_key(left) {
+                right
+            } else {
+                left
+            };
+            if self.heap_key(i) < self.heap_key(child) {
+                break;
+            }
+            self.slots.swap(self.run + i, self.run + child);
+            i = child;
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::DRIVER_LANE;
+    use ldp_rng::check::Gen;
     use std::collections::BTreeMap;
 
     fn t(ns: u64) -> SimTime {
@@ -196,50 +273,144 @@ mod tests {
         );
     }
 
-    /// The queue against its reference, a `BTreeMap` over the same key:
-    /// on generated scripts of pushes and pops, `pop`, `peek_time` and
-    /// `len` agree after every operation. Scripts are simulator-shaped:
-    /// times are offsets from a clock that pops advance, with frequent
-    /// exact ties and occasional far-future timers, and `(lane, seq)`
-    /// arrives in any order, as the shard exchange delivers it.
+    /// A queue and its reference, a `BTreeMap` over the same key, driven
+    /// in step: every `pop` is checked against the model, and `len`,
+    /// `is_empty` and `peek_time` after every operation. `now` is the
+    /// time of the last item popped.
+    #[derive(Default)]
+    struct Twin {
+        queue: EventQueue<u64>,
+        model: BTreeMap<(SimTime, u64, u64), u64>,
+        now: u64,
+        items: u64,
+    }
+
+    impl Twin {
+        fn push(&mut self, at: u64, lane: u64, seq: u64) {
+            self.queue.push(t(at), lane, seq, self.items);
+            self.model.insert((t(at), lane, seq), self.items);
+            self.items += 1;
+            self.check();
+        }
+
+        /// `(lane, seq)` is unique per queue: a drawn pair that is
+        /// still scheduled must not be pushed again.
+        fn holds(&self, lane: u64, seq: u64) -> bool {
+            self.model.keys().any(|k| (k.1, k.2) == (lane, seq))
+        }
+
+        fn pop(&mut self) {
+            let expect = self.model.pop_first().map(|((at, _, _), v)| (at, v));
+            assert_eq!(self.queue.pop(), expect);
+            if let Some((at, _)) = expect {
+                self.now = at.as_nanos();
+            }
+            self.check();
+        }
+
+        /// Pop everything, then once more from the empty queue.
+        fn drain(&mut self) {
+            while !self.model.is_empty() {
+                self.pop();
+            }
+            self.pop();
+        }
+
+        fn check(&self) {
+            assert_eq!(self.queue.len(), self.model.len());
+            assert_eq!(self.queue.is_empty(), self.model.is_empty());
+            let first = self.model.first_key_value().map(|(k, _)| k.0);
+            assert_eq!(self.queue.peek_time(), first);
+        }
+    }
+
+    /// The queue against its model on generated scripts of pushes and
+    /// pops. Scripts are simulator-shaped: times are offsets from a
+    /// clock that pops advance, with frequent exact ties and occasional
+    /// far-future timers, and `(lane, seq)` arrives in any order, as the
+    /// shard exchange delivers it.
     #[test]
     fn matches_sorted_map_model_on_generated_scripts() {
         ldp_rng::check::check(256, |g| {
-            let mut queue = EventQueue::default();
-            let mut model: BTreeMap<(SimTime, u64, u64), u64> = BTreeMap::new();
-            let mut now = 0u64;
-            let mut item = 0u64;
+            let mut twin = Twin::default();
             for _ in 0..g.size(0..=200) {
                 if g.below(3) == 0 {
-                    let expect = model.pop_first().map(|((at, _, _), v)| (at, v));
-                    assert_eq!(queue.pop(), expect);
-                    if let Some((at, _)) = expect {
-                        now = at.as_nanos();
-                    }
-                } else {
-                    let jitter = match g.below(8) {
-                        0 => 0,
-                        7 => g.below(1 << 40),
-                        _ => g.below(4),
-                    };
-                    let key = (t(now + jitter), g.below(5), g.below(64));
-                    // `(lane, seq)` is unique per queue: a drawn pair
-                    // that is still scheduled is not pushed again.
-                    if model.keys().any(|k| (k.1, k.2) == (key.1, key.2)) {
-                        continue;
-                    }
-                    queue.push(key.0, key.1, key.2, item);
-                    model.insert(key, item);
-                    item += 1;
+                    twin.pop();
+                    continue;
                 }
-                assert_eq!(queue.len(), model.len());
-                assert_eq!(queue.is_empty(), model.is_empty());
-                assert_eq!(queue.peek_time(), model.first_key_value().map(|(k, _)| k.0));
+                let jitter = match g.below(8) {
+                    0 => 0,
+                    7 => g.below(1 << 40),
+                    _ => g.below(4),
+                };
+                let (at, lane, seq) = (twin.now + jitter, g.below(5), g.below(64));
+                if !twin.holds(lane, seq) {
+                    twin.push(at, lane, seq);
+                }
             }
-            while let Some(((at, _, _), v)) = model.pop_first() {
-                assert_eq!(queue.pop(), Some((at, v)));
+            twin.drain();
+        });
+    }
+
+    /// The run and the heap against the model on trace-shaped scripts.
+    /// A driver-lane batch is pre-scheduled in trace order, as
+    /// `schedule_timer` does it: equal-time ties, and now and then a
+    /// straggler behind the batch's last key. Then rounds interleave
+    /// pops, host-lane pushes from the popped clock (often tying a
+    /// pre-scheduled timer's time), `enqueue_remote`-style pushes under
+    /// keys drawn out of order, drains to empty, and fresh in-order
+    /// driver appends, which must land in the run again.
+    #[test]
+    fn run_and_heap_match_the_model_on_trace_shaped_scripts() {
+        const HOST_LANES: u64 = 4;
+        ldp_rng::check::check(256, |g| {
+            let mut twin = Twin::default();
+            let mut driver = (0u64, 0u64); // (last time, next seq)
+            let mut host_seqs = [0u64; HOST_LANES as usize];
+            // A driver-lane timer in trace order (time steps of 0–2 ns),
+            // or, if `straggle` draws it, up to 7 ns behind the last.
+            let append = |twin: &mut Twin, driver: &mut (u64, u64), g: &mut Gen, straggle: bool| {
+                let at = if straggle && g.below(8) == 0 {
+                    driver.0.saturating_sub(g.below(8))
+                } else {
+                    driver.0 += g.below(3);
+                    driver.0
+                };
+                twin.push(at, DRIVER_LANE, driver.1);
+                driver.1 += 1;
+            };
+            for _ in 0..g.size(0..=300) {
+                append(&mut twin, &mut driver, g, true);
             }
-            assert_eq!(queue.pop(), None);
+            for _ in 0..g.size(0..=300) {
+                match g.below(8) {
+                    0..=2 => twin.pop(),
+                    3 | 4 => {
+                        let lane = g.below(HOST_LANES);
+                        let at = twin.now + g.below(4);
+                        twin.push(at, lane, host_seqs[lane as usize]);
+                        host_seqs[lane as usize] += 1;
+                    }
+                    5 => {
+                        // A remote lane's key, assigned on another shard:
+                        // any seq not scheduled yet.
+                        let (lane, seq) = (HOST_LANES + g.below(2), g.below(64));
+                        if !twin.holds(lane, seq) {
+                            twin.push(twin.now + g.below(6), lane, seq);
+                        }
+                    }
+                    6 => {
+                        twin.drain();
+                        driver.0 = driver.0.max(twin.now);
+                        for _ in 0..g.size(1..=20) {
+                            append(&mut twin, &mut driver, g, false);
+                        }
+                        assert_eq!(twin.queue.run, twin.queue.len(), "appends join the run");
+                    }
+                    _ => append(&mut twin, &mut driver, g, true),
+                }
+            }
+            twin.drain();
         });
     }
 }

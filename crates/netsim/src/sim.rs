@@ -5,11 +5,13 @@
 //! accounting (Figures 11, 13, 14, 15).
 //!
 //! Hot-path invariants (see DESIGN.md "Performance invariants"):
-//! the event queue is a binary heap over `(time, lane, seq)` —
-//! a strict total order, so event ordering never depends on heap
-//! layout; packet payloads are [`PacketBytes`] handles onto buffers
-//! from the simulator's own [`PacketPool`], copied once when a host
-//! hands bytes over and never again between send and delivery.
+//! the event queue is a sorted run of pre-scheduled timers plus a
+//! binary heap of what is in flight, both over `(time, lane, seq)` —
+//! a strict total order, so event ordering never depends on which
+//! region holds an event or on heap layout; packet payloads are
+//! [`PacketBytes`] handles onto buffers from the simulator's own
+//! [`PacketPool`], copied once when a host hands bytes over and never
+//! again between send and delivery.
 //!
 //! Sharding invariants (see DESIGN.md §10 "Sharded DES"): every event
 //! key, random draw, and connection id is attributed to a *lane* — the
@@ -731,8 +733,7 @@ impl Simulator {
     /// `run_until` and `run_window`, which differ only in the bound.
     fn drain(&mut self, within: impl Fn(SimTime) -> bool) -> u64 {
         let mut n = 0;
-        while self.queue.peek_time().is_some_and(&within) {
-            let (t, event) = self.queue.pop().expect("peeked above");
+        while let Some((t, event)) = self.queue.pop_if(&within) {
             assert!(t >= self.now, "time went backwards");
             self.now = t;
             n += u64::from(self.event_counted(&event));
