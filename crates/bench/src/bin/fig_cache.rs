@@ -16,8 +16,8 @@
 
 use dns_resolver::sim_resolver::AnswerClass;
 use ldp_bench::{arg_u64, cdf_rows, identical, ok_fail, reject_unknown_flags};
-use ldp_chaos::delayed::{run, DelayedConfig, DelayedOutcome, PolicyKind};
-use ldp_telemetry as tel;
+use ldp_chaos::delayed::{self, run, DelayedConfig, DelayedOutcome, PolicyKind};
+use ldp_chaos::scenario;
 use netsim::{SimDuration, SimTime};
 
 fn cap_label(capacity: usize) -> String {
@@ -65,11 +65,9 @@ fn main() {
     // a pure observer).
     let first = run(&shape);
     let rerun_ok = first.transcript == run(&shape).transcript;
-    tel::set_enabled(true);
-    let _ = tel::drain_all();
-    let telem_on = run(&shape);
-    let _ = tel::drain_all();
-    tel::set_enabled(false);
+    let mut sim = scenario::simulator(scenario::wan_rtt(), shape.seed);
+    sim.set_recording(true);
+    let telem_on = delayed::run_on(&shape, &mut sim);
     let telem_ok = first.transcript == telem_on.transcript;
     println!(
         "determinism: same-seed rerun {} ({} transcript bytes), telemetry on/off {}",

@@ -80,7 +80,11 @@ fn resume_gate(
     let mut base_events = base.q_events.clone();
     tel::canonical_order(&mut base_events);
     let tel_diff = tel::diff_logs(&spliced, &base_events);
-    let tel_ok = tel_diff.is_none() && tel::dump_binary(&spliced) == tel::dump_binary(&base_events);
+    // A full ring overwrites events: nothing to compare then.
+    let lost = base.lost + killed.lost + resumed.lost;
+    let tel_ok = lost == 0
+        && tel_diff.is_none()
+        && tel::dump_binary(&spliced) == tel::dump_binary(&base_events);
     println!(
         "gate: {what} from epoch {} ({} records, {} inflight at the cut) — transcript {}, telemetry {} ({} events)",
         cp.epoch,
@@ -92,6 +96,9 @@ fn resume_gate(
     );
     if let Some(d) = &tel_diff {
         println!("  telemetry divergence: {d}");
+    }
+    if lost != 0 {
+        println!("  telemetry lost {lost} events to a full ring");
     }
     (transcript_ok && tel_ok).then_some(cp)
 }

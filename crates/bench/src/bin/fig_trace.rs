@@ -29,7 +29,7 @@ use dns_wire::{Name, RData, Record, Soa};
 use dns_zone::{Catalog, Zone};
 use ldp_bench::{arg_f64, arg_u64, cdf_rows, identical, ok_fail, reject_unknown_flags};
 use ldp_replay::{LatencyLog, SimReplayClient};
-use ldp_telemetry as tel;
+use ldp_telemetry::{self as tel, Kind};
 use ldp_trace::TraceEntry;
 use netsim::{PathConfig, SimConfig, SimDuration, SimTime, Simulator, Topology};
 use workloads::broot::BRootSpec;
@@ -72,17 +72,14 @@ fn root_engine() -> Arc<ServerEngine> {
 
 /// One replay of `trace` through the simulator. Returns the latency
 /// log rendered as deterministic text (the transcript the gates
-/// compare) and, when telemetry is enabled, the drained events.
+/// compare) and what the simulator recorded (nothing unless
+/// `telemetry`).
 fn run_once(
     trace: &[TraceEntry],
     server_addr: SocketAddr,
     horizon_s: f64,
     telemetry: bool,
-) -> (String, Vec<tel::RawEvent>) {
-    tel::set_enabled(false);
-    let _ = tel::drain_all(); // discard any leftovers from a prior run
-    tel::set_enabled(telemetry);
-
+) -> (String, tel::Log) {
     let mut sim = Simulator::new(
         Topology::uniform(PathConfig {
             rtt: SimDuration::from_millis(40),
@@ -91,6 +88,7 @@ fn run_once(
         }),
         SimConfig::default(),
     );
+    sim.set_recording(telemetry);
     sim.add_host(
         &[server_addr.ip()],
         Box::new(SimDnsServer::new(
@@ -116,13 +114,7 @@ fn run_once(
             r.seq, r.sent_s, r.replied_s, r.response_bytes
         );
     }
-    let events = if telemetry {
-        tel::drain_all()
-    } else {
-        Vec::new()
-    };
-    tel::set_enabled(false);
-    (transcript, events)
+    (transcript, sim.drain_recording())
 }
 
 fn main() {
@@ -148,19 +140,16 @@ fn main() {
         trace.len()
     );
 
-    // Timestamps recorded through spans follow the simulator's
-    // published virtual time, so reruns drain identical logs.
-    tel::clock::use_virtual_clock();
-
-    // Determinism gates (ISSUE 4 acceptance criteria).
-    let (lat_on_a, events) = run_once(&trace, server_addr, horizon, true);
-    let (lat_on_b, events_b) = run_once(&trace, server_addr, horizon, true);
-    let (lat_off, _) = run_once(&trace, server_addr, horizon, false);
-    tel::clock::use_zero_clock();
+    // Determinism gates: every event carries the simulator's virtual
+    // time, so reruns drain identical logs.
+    let (lat_on_a, log) = run_once(&trace, server_addr, horizon, true);
+    let (lat_on_b, log_b) = run_once(&trace, server_addr, horizon, true);
+    let (lat_off, log_off) = run_once(&trace, server_addr, horizon, false);
+    let events = log.events;
 
     let log_a = tel::render_timeline(&events);
-    let rerun_ok = log_a == tel::render_timeline(&events_b);
-    let onoff_ok = lat_on_a == lat_off && lat_on_a == lat_on_b;
+    let rerun_ok = log_a == tel::render_timeline(&log_b.events);
+    let onoff_ok = lat_on_a == lat_off && lat_on_a == lat_on_b && log_off.events.is_empty();
     let _ = writeln!(
         out,
         "determinism: event logs rerun {} ({} events), latency on/off {}",
@@ -171,6 +160,12 @@ fn main() {
     failed |= !rerun_ok || !onoff_ok;
     if events.is_empty() {
         let _ = writeln!(out, "gate: FAIL — telemetry-enabled run drained no events");
+        failed = true;
+    }
+    // A full ring would have overwritten the oldest events: every
+    // count below would be short.
+    if log.lost != 0 {
+        let _ = writeln!(out, "gate: FAIL — the ring lost {} events", log.lost);
         failed = true;
     }
     // The telemetry budget, as a count: a UDP query records 11 events
@@ -188,12 +183,7 @@ fn main() {
     failed |= !budget_ok;
 
     // Per-query lifecycle breakdown.
-    let chain = [
-        tel::register_kind("q.enqueue"),
-        tel::register_kind("q.send"),
-        tel::register_kind("q.response"),
-        tel::register_kind("q.match"),
-    ];
+    let chain = [Kind::QEnqueue, Kind::QSend, Kind::QResponse, Kind::QMatch];
     let breakdown = tel::stage_breakdown(&events, &chain);
     let _ = writeln!(out, "\nper-stage latency (s), first-send lifecycles:");
     for stage in &breakdown.stages {

@@ -235,15 +235,11 @@ pub fn run(cfg: &DelayedConfig) -> DelayedOutcome {
     run_on(cfg, &mut scenario::simulator(scenario::wan_rtt(), cfg.seed))
 }
 
-/// [`run`] on a [`ldp_shard::ShardedSimulator`] with `shards`
-/// round-robin worker shards; the transcript is byte-identical to
-/// [`run`]'s for the same config.
-pub fn run_sharded(cfg: &DelayedConfig, shards: u32) -> DelayedOutcome {
-    let mut sim = scenario::sharded_simulator(scenario::wan_rtt(), cfg.seed, shards);
-    run_on(cfg, &mut sim)
-}
-
-fn run_on<S: SimDriver>(cfg: &DelayedConfig, sim: &mut S) -> DelayedOutcome {
+/// [`run`] on a simulator the caller built and owns — a
+/// [`netsim::Simulator`], or a [`ldp_shard::ShardedSimulator`] whose
+/// transcript is byte-identical for the same config — so the caller can
+/// switch its recording on and drain it afterwards.
+pub fn run_on<S: SimDriver>(cfg: &DelayedConfig, sim: &mut S) -> DelayedOutcome {
     // The authoritative servers all serve one study zone: an SOA at the
     // apex (MINIMUM 30 s drives the negative TTLs, RFC 2308) plus one A
     // record per existing rank.

@@ -224,16 +224,11 @@ pub fn run(cfg: &OutageConfig) -> OutageOutcome {
     run_on(cfg, &mut scenario::simulator(scenario::wan_rtt(), cfg.seed))
 }
 
-/// [`run`] on a [`ldp_shard::ShardedSimulator`] with `shards`
-/// round-robin worker shards. Produces a transcript byte-identical to
-/// [`run`]'s for the same config — the shard-equivalence property the
-/// integration tests pin down across shard counts.
-pub fn run_sharded(cfg: &OutageConfig, shards: u32) -> OutageOutcome {
-    let mut sim = scenario::sharded_simulator(scenario::wan_rtt(), cfg.seed, shards);
-    run_on(cfg, &mut sim)
-}
-
-fn run_on<S: SimDriver>(cfg: &OutageConfig, sim: &mut S) -> OutageOutcome {
+/// [`run`] on a simulator the caller built and owns — a
+/// [`netsim::Simulator`], or a [`ldp_shard::ShardedSimulator`] whose
+/// transcript is byte-identical for the same config — so the caller can
+/// switch its recording on and drain it afterwards.
+pub fn run_on<S: SimDriver>(cfg: &OutageConfig, sim: &mut S) -> OutageOutcome {
     // The letters all serve one root zone: an SOA at the apex plus one
     // A record per query name, so every query has a real answer.
     let root_zone = scenario::soa_zone(

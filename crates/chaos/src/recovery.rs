@@ -103,9 +103,12 @@ pub struct RecoveryOutcome {
     pub records: Vec<LatencyRecord>,
     /// Deterministic text transcript of the whole run.
     pub transcript: String,
-    /// This thread's drained telemetry, filtered to per-query `q.*`
+    /// The run's drained telemetry, filtered to per-query `q.*`
     /// lifecycle events.
     pub q_events: Vec<tel::RawEvent>,
+    /// Events the run's recorder overwrote before the drain (0 unless
+    /// its ring overflowed).
+    pub lost: u64,
     /// The last checkpoint the run committed, if any.
     pub checkpoint: Option<Checkpoint>,
 }
@@ -150,23 +153,24 @@ fn mk_trace(cfg: &RecoveryConfig) -> Vec<TraceEntry> {
         .collect()
 }
 
-/// Drain this thread's telemetry ring, keeping only `q.*` lifecycle
-/// events. Guard-side marks (`replay.shed` / `replay.resumed` /
-/// `replay.restarted`) are deliberately excluded: they describe the
-/// *recovery machinery*, not the replayed workload, and must never
-/// break transcript equality.
-fn drain_q_events() -> Vec<tel::RawEvent> {
-    tel::drain_local()
-        .into_iter()
-        .filter(|ev| tel::kind_name(ev.kind).starts_with("q."))
-        .collect()
+/// A drained recording, keeping only `q.*` lifecycle events.
+/// Guard-side marks (`replay.shed` / `replay.restarted`) are
+/// deliberately excluded: they describe the *recovery machinery*, not
+/// the replayed workload, and must never break transcript equality.
+fn q_events(recording: tel::Log) -> tel::Log {
+    let mut events = recording.events;
+    events.retain(|ev| ev.kind.name().starts_with("q."));
+    tel::Log {
+        events,
+        lost: recording.lost,
+    }
 }
 
 fn outcome(
     cfg: &RecoveryConfig,
     label: &str,
     log: &LatencyLog,
-    q_events: Vec<tel::RawEvent>,
+    recording: tel::Log,
     checkpoint: Option<Checkpoint>,
 ) -> RecoveryOutcome {
     let records = log.lock().unwrap_or_else(|e| e.into_inner()).clone();
@@ -187,7 +191,8 @@ fn outcome(
     RecoveryOutcome {
         records,
         transcript: t,
-        q_events,
+        q_events: recording.events,
+        lost: recording.lost,
         checkpoint,
     }
 }
@@ -223,8 +228,7 @@ fn run_leg_on<S: SimDriver>(
     resume_from: Option<&Checkpoint>,
     sim: &mut S,
 ) -> StormOutcome {
-    tel::set_enabled(true);
-    let _ = tel::drain_local(); // clear residue from earlier runs
+    sim.set_recording(true);
     let trace = mk_trace(cfg);
     let server: SocketAddr = SERVER_ADDR.parse().expect("valid addr");
     // An apex SOA plus a wildcard A, so every `q{i}.example` query has
@@ -256,7 +260,7 @@ fn run_leg_on<S: SimDriver>(
             Err(e) => {
                 // A corrupt checkpoint yields an empty outcome whose
                 // gates all fail loudly rather than a panic mid-study.
-                let mut out = outcome(cfg, leg.label, &log, Vec::new(), None);
+                let mut out = outcome(cfg, leg.label, &log, tel::Log::default(), None);
                 out.transcript.push_str(&format!("resume-error {e}\n"));
                 return StormOutcome {
                     outcome: out,
@@ -283,7 +287,7 @@ fn run_leg_on<S: SimDriver>(
     let cp = cp_out.lock().unwrap_or_else(|e| e.into_inner()).clone();
     let stamps = stamps.lock().unwrap_or_else(|e| e.into_inner()).clone();
     StormOutcome {
-        outcome: outcome(cfg, leg.label, &log, drain_q_events(), cp),
+        outcome: outcome(cfg, leg.label, &log, q_events(sim.drain_recording()), cp),
         stamps,
     }
 }
@@ -319,28 +323,34 @@ pub fn run_resumed(cfg: &RecoveryConfig, cp: &Checkpoint) -> RecoveryOutcome {
 }
 
 /// A kill → resume pair, each leg on a [`ldp_shard::ShardedSimulator`]
-/// with `shards` round-robin worker shards. (Telemetry is per-thread,
-/// so `q_events` only holds what the calling thread's shard saw.)
-/// `None` when the kill came before the first checkpoint.
+/// with `shards` round-robin worker shards: the killed outcome, then
+/// the resumed one. Each leg's `q_events` are its shards' logs merged
+/// in canonical order. `None` when the kill came before the first
+/// checkpoint.
 fn killed_and_resumed_sharded(
     cfg: &RecoveryConfig,
     shards: u32,
     killed: Leg,
     resumed: Leg,
-) -> Option<RecoveryOutcome> {
+) -> Option<(RecoveryOutcome, RecoveryOutcome)> {
     let mut sim = scenario::sharded_simulator(cfg.rtt, cfg.seed, shards);
-    let cp = run_leg_on(cfg, killed, None, &mut sim).outcome.checkpoint?;
+    let killed = run_leg_on(cfg, killed, None, &mut sim).outcome;
+    let cp = killed.checkpoint.clone()?;
     let mut sim = scenario::sharded_simulator(cfg.rtt, cfg.seed, shards);
-    Some(run_leg_on(cfg, resumed, Some(&cp), &mut sim).outcome)
+    Some((
+        killed,
+        run_leg_on(cfg, resumed, Some(&cp), &mut sim).outcome,
+    ))
 }
 
 /// [`run_killed`] then [`run_resumed`] from its last checkpoint on
-/// `shards` shards: the resumed transcript, byte-identical to the plain
-/// pair's.
+/// `shards` shards: the killed and the resumed outcome. The resumed
+/// transcript, and the pair's [`spliced_q_events`], are byte-identical
+/// to the plain pair's.
 pub fn run_killed_and_resumed_sharded(
     cfg: &RecoveryConfig,
     shards: u32,
-) -> Option<RecoveryOutcome> {
+) -> Option<(RecoveryOutcome, RecoveryOutcome)> {
     let killed = calm(cfg, "killed", cfg.kill_at);
     killed_and_resumed_sharded(cfg, shards, killed, calm(cfg, "resumed", cfg.horizon()))
 }
@@ -526,12 +536,13 @@ pub fn run_storm_resumed(cfg: &StormConfig, cp: &Checkpoint) -> StormOutcome {
 }
 
 /// [`run_storm_killed`] then [`run_storm_resumed`] from its last
-/// checkpoint on `shards` shards: the resumed transcript, its body
-/// byte-identical to the plain pair's and the storm baseline's.
+/// checkpoint on `shards` shards: the killed and the resumed outcome.
+/// The resumed transcript body, and the pair's [`spliced_q_events`],
+/// are byte-identical to the plain pair's and the storm baseline's.
 pub fn run_storm_killed_and_resumed_sharded(
     cfg: &StormConfig,
     shards: u32,
-) -> Option<RecoveryOutcome> {
+) -> Option<(RecoveryOutcome, RecoveryOutcome)> {
     let killed = cfg.leg("storm_killed", cfg.base.kill_at);
     let resumed = cfg.leg("storm_resumed", cfg.base.horizon());
     killed_and_resumed_sharded(&cfg.base, shards, killed, resumed)

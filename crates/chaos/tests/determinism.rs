@@ -6,17 +6,16 @@
 //! different one changes the transcript *body* (the header lines carry
 //! `seed=` and are skipped). And telemetry must be a pure observer: on
 //! rows that can run with it off, the transcript is byte-identical on
-//! vs off, and two telemetry-on runs drain equal event logs.
-//!
-//! Everything lives in ONE `#[test]` because the telemetry enable flag
-//! and the flushed-event store are process-global: the harness runs
-//! `#[test]` fns on parallel threads, and a second test toggling the
-//! flag mid-run would race.
+//! vs off, and two telemetry-on runs drain equal event logs. Each
+//! simulator owns its recording, so two runs on two threads record side
+//! by side, each into its own log.
 
 use ldp_chaos::delayed::{self, DelayedConfig, PolicyKind};
 use ldp_chaos::outage::{self, OutageConfig, RetryPolicy};
 use ldp_chaos::recovery::{self, RecoveryConfig, StormConfig};
+use ldp_chaos::scenario;
 use ldp_telemetry as tel;
+use netsim::Simulator;
 
 struct Row {
     name: &'static str,
@@ -24,9 +23,16 @@ struct Row {
     run: fn(u64) -> String,
     /// What the leg draws from its seed, if anything.
     draws: Option<&'static str>,
-    /// Whether the leg honours the telemetry flag (the recovery legs
-    /// force it on, so they have no off run to compare with).
-    telemetry_optional: bool,
+    /// Run the leg for a seed on a simulator that records; return its
+    /// transcript and the simulator (the recovery legs switch their own
+    /// recording on, so they have no off run to compare with).
+    recorded: Option<fn(u64) -> (String, Simulator)>,
+}
+
+fn recording(seed: u64) -> Simulator {
+    let mut sim = scenario::simulator(scenario::wan_rtt(), seed);
+    sim.set_recording(true);
+    sim
 }
 
 const ROWS: [Row; 4] = [
@@ -34,7 +40,11 @@ const ROWS: [Row; 4] = [
         name: "outage (smoke, full policy)",
         run: |seed| outage::run(&OutageConfig::smoke(RetryPolicy::full(), seed)).transcript,
         draws: Some("the loss burst"),
-        telemetry_optional: true,
+        recorded: Some(|seed| {
+            let mut sim = recording(seed);
+            let cfg = OutageConfig::smoke(RetryPolicy::full(), seed);
+            (outage::run_on(&cfg, &mut sim).transcript, sim)
+        }),
     },
     Row {
         name: "delayed (smoke, capacity 24, delay-aware)",
@@ -42,13 +52,17 @@ const ROWS: [Row; 4] = [
             delayed::run(&DelayedConfig::smoke(24, PolicyKind::DelayAware, seed)).transcript
         },
         draws: Some("the Zipf ranks"),
-        telemetry_optional: true,
+        recorded: Some(|seed| {
+            let mut sim = recording(seed);
+            let cfg = DelayedConfig::smoke(24, PolicyKind::DelayAware, seed);
+            (delayed::run_on(&cfg, &mut sim).transcript, sim)
+        }),
     },
     Row {
         name: "recovery (smoke, querier crash)",
         run: |seed| recovery::run_querier_crash(&RecoveryConfig::smoke(seed)).transcript,
         draws: None,
-        telemetry_optional: false,
+        recorded: None,
     },
     Row {
         name: "recovery (smoke, storm baseline)",
@@ -58,7 +72,7 @@ const ROWS: [Row; 4] = [
                 .transcript
         },
         draws: Some("the storm's loss"),
-        telemetry_optional: false,
+        recorded: None,
     },
 ];
 
@@ -72,20 +86,18 @@ fn body(transcript: &str) -> &str {
     rest
 }
 
-/// Drain every flushed + thread-local event into the deterministic
-/// text rendering (virtual timestamps and interned kind names only, so
-/// equal runs must render equal logs).
-fn drain_rendered() -> String {
-    tel::render_timeline(&tel::drain_all())
+/// A recorded run's drain in the deterministic text rendering (virtual
+/// timestamps and kind names only, so equal runs render equal logs).
+fn drain_rendered(sim: &mut Simulator) -> String {
+    let log = sim.drain_recording();
+    assert_eq!(log.lost, 0, "the ring held the whole run");
+    tel::render_timeline(&log.events)
 }
 
 #[test]
 fn every_study_leg_is_deterministic_seed_sensitive_and_unobserved() {
     for row in &ROWS {
         let name = row.name;
-        tel::set_enabled(false);
-        let _ = drain_rendered();
-
         let first = (row.run)(11);
         assert!(first.contains("seed=11"), "{name}: header names the seed");
         assert_eq!(first, (row.run)(11), "{name}: same-seed rerun diverged");
@@ -98,13 +110,10 @@ fn every_study_leg_is_deterministic_seed_sensitive_and_unobserved() {
             );
         }
 
-        if row.telemetry_optional {
-            assert!(drain_rendered().is_empty(), "{name}: recorded while off");
-            tel::set_enabled(true);
-            let on1 = (row.run)(11);
-            let log1 = drain_rendered();
-            let on2 = (row.run)(11);
-            let log2 = drain_rendered();
+        if let Some(recorded) = row.recorded {
+            let (on1, mut sim1) = recorded(11);
+            let (on2, mut sim2) = recorded(11);
+            let (log1, log2) = (drain_rendered(&mut sim1), drain_rendered(&mut sim2));
             assert_eq!(first, on1, "{name}: telemetry changed the transcript");
             assert_eq!(on1, on2, "{name}: telemetry-on runs diverged");
             assert!(
@@ -114,5 +123,23 @@ fn every_study_leg_is_deterministic_seed_sensitive_and_unobserved() {
             assert_eq!(log1, log2, "{name}: telemetry-on runs drained unequal logs");
         }
     }
-    tel::set_enabled(false);
+}
+
+/// Two different-seed outage runs on two threads at once, no lock: each
+/// drains its own log, byte-identical to that seed's run alone.
+#[test]
+fn two_simulations_record_side_by_side() {
+    let dump = |seed: u64| {
+        let (_, mut sim) = (ROWS[0].recorded.expect("outage records"))(seed);
+        tel::dump_binary(&sim.drain_recording().events)
+    };
+    let seeds = [11, 12];
+    let solo = seeds.map(dump);
+    assert_ne!(solo[0], solo[1], "the seeds record different runs");
+    let side_by_side = std::thread::scope(|scope| {
+        seeds
+            .map(|seed| scope.spawn(move || dump(seed)))
+            .map(|run| run.join().expect("a run thread"))
+    });
+    assert_eq!(side_by_side, solo);
 }

@@ -15,13 +15,8 @@ use ldp_guard::Checkpoint;
 use ldp_rng::check::check;
 use ldp_telemetry as tel;
 
-/// The storm runs share the process-wide telemetry enable flag and
-/// flushed store, so the tests of this file run one at a time.
-static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 #[test]
 fn v2_fuzzy_cuts_commit_through_the_storm_with_live_state() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let cfg = StormConfig::smoke(47);
     let killed = run_storm_killed(&cfg);
     let (from, to) = cfg.storm_window();
@@ -49,7 +44,6 @@ fn v2_fuzzy_cuts_commit_through_the_storm_with_live_state() {
 
 #[test]
 fn storm_kill_resume_is_byte_identical() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let cfg = StormConfig::smoke(53);
     let base = run_storm_baseline(&cfg);
     assert_eq!(
@@ -95,7 +89,6 @@ fn storm_kill_resume_is_byte_identical() {
 /// the trace exactly once — never a panic, never a seq twice.
 #[test]
 fn a_damaged_mid_storm_checkpoint_is_refused_or_resumes_every_seq_once() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let cfg = StormConfig::smoke(47);
     let cp = run_storm_killed(&cfg).outcome.checkpoint.expect("a cut");
     assert!(!cp.inflight.is_empty() && !cp.records.is_empty());

@@ -9,9 +9,17 @@
 //! commands no-oping off-shard.
 
 use ldp_chaos::delayed::{self, DelayedConfig, PolicyKind};
-use ldp_chaos::outage::{run, run_sharded, OutageConfig, Phase, RetryPolicy};
-use ldp_chaos::recovery::{self, RecoveryConfig, StormConfig};
+use ldp_chaos::outage::{self, run, OutageConfig, OutageOutcome, Phase, RetryPolicy};
+use ldp_chaos::recovery::{self, RecoveryConfig, RecoveryOutcome, StormConfig};
+use ldp_chaos::scenario;
+use ldp_telemetry as tel;
 use netsim::{SimDuration, SimTime};
+
+/// The outage study on `shards` round-robin shards.
+fn run_sharded(cfg: &OutageConfig, shards: u32) -> OutageOutcome {
+    let mut sim = scenario::sharded_simulator(scenario::wan_rtt(), cfg.seed, shards);
+    outage::run_on(cfg, &mut sim)
+}
 
 /// {1, 2, 8} shards, each against the single-shard run: full-transcript
 /// equality.
@@ -76,11 +84,12 @@ fn delayed_matrix_1_2_8() {
     faulty.crash = Some(window);
     faulty.delay_spike = Some((window.0, window.1, SimDuration::from_millis(100)));
     for cfg in [faulty, DelayedConfig::burst(8, 7)] {
+        let sim = |shards| scenario::sharded_simulator(scenario::wan_rtt(), cfg.seed, shards);
         let single = delayed::run(&cfg);
         assert!(single.ok_fraction() >= 1.0, "the workload still answers");
         for shards in [1u32, 2, 8] {
             assert_eq!(
-                delayed::run_sharded(&cfg, shards).transcript,
+                delayed::run_on(&cfg, &mut sim(shards)).transcript,
                 single.transcript,
                 "delayed sharded({shards}) transcript drifted from single-shard"
             );
@@ -92,30 +101,53 @@ fn delayed_matrix_1_2_8() {
     assert!(out.snapshot.stats.upstream_queries > out.upstream_rx);
 }
 
+/// A sharded kill → resume pair against the plain pair and the
+/// uninterrupted run: the resumed transcript bodies are equal, and so
+/// are the spliced `q.*` telemetry dumps.
+fn assert_pair_matches(
+    shards: u32,
+    (killed, resumed): (RecoveryOutcome, RecoveryOutcome),
+    plain: &RecoveryOutcome,
+    uninterrupted: &RecoveryOutcome,
+) {
+    let body = |t: &str| t.lines().skip(2).map(str::to_owned).collect::<Vec<_>>();
+    assert_eq!(
+        body(&resumed.transcript),
+        body(&plain.transcript),
+        "{shards} shards"
+    );
+    assert_eq!(body(&resumed.transcript), body(&uninterrupted.transcript));
+    let mut base = uninterrupted.q_events.clone();
+    tel::canonical_order(&mut base);
+    let spliced = recovery::spliced_q_events(&killed, &resumed);
+    assert_eq!(tel::diff_logs(&spliced, &base), None, "{shards} shards");
+    assert_eq!(tel::dump_binary(&spliced), tel::dump_binary(&base));
+    assert_eq!(killed.lost + resumed.lost, 0);
+}
+
 /// The recovery study's calm kill → resume pair under sharding: the
 /// replay client is scheduled and re-armed through the driver trait, so
-/// a killed run and its resumed continuation on two shards replay the
-/// transcript of the plain pair — and of the uninterrupted run.
+/// a killed run and its resumed continuation on {1, 2, 8} shards replay
+/// the transcript of the plain pair and of the uninterrupted run, and
+/// their telemetry splices to the uninterrupted run's.
 #[test]
 fn recovery_kill_resume_matches_under_sharding() {
     let cfg = RecoveryConfig::smoke(23);
     let cp = recovery::run_killed(&cfg).checkpoint.expect("a cut");
     let plain = recovery::run_resumed(&cfg, &cp);
     assert_eq!(plain.records.len(), cfg.queries);
-    let sharded = recovery::run_killed_and_resumed_sharded(&cfg, 2).expect("a cut");
-    assert_eq!(sharded.transcript, plain.transcript);
-    let body = |t: &str| t.lines().skip(2).map(str::to_owned).collect::<Vec<_>>();
-    assert_eq!(
-        body(&sharded.transcript),
-        body(&recovery::run_uninterrupted(&cfg).transcript)
-    );
+    let base = recovery::run_uninterrupted(&cfg);
+    for shards in [1u32, 2, 8] {
+        let pair = recovery::run_killed_and_resumed_sharded(&cfg, shards).expect("a cut");
+        assert_eq!(pair.1.transcript, plain.transcript);
+        assert_pair_matches(shards, pair, &plain, &base);
+    }
 }
 
 /// The storm kill → resume pair under sharding: the fault plan
 /// replicates per shard and the cut carries live queries, yet the pair
-/// on two shards resumes to the transcript body of the plain pair — and
-/// of the uninterrupted storm baseline. (Transcripts only: telemetry is
-/// per-thread.)
+/// on {1, 2, 8} shards resumes to the transcript body and the spliced
+/// telemetry of the uninterrupted storm baseline.
 #[test]
 fn storm_kill_resume_matches_under_sharding() {
     let cfg = StormConfig::smoke(53);
@@ -124,11 +156,9 @@ fn storm_kill_resume_matches_under_sharding() {
     assert!(!cp.inflight.is_empty(), "the kill lands mid-storm");
     let plain = recovery::run_storm_resumed(&cfg, &cp).outcome;
     assert_eq!(plain.records.len(), cfg.base.queries);
-    let sharded = recovery::run_storm_killed_and_resumed_sharded(&cfg, 2).expect("a cut");
-    let body = |t: &str| t.lines().skip(2).map(str::to_owned).collect::<Vec<_>>();
-    assert_eq!(body(&sharded.transcript), body(&plain.transcript));
-    assert_eq!(
-        body(&sharded.transcript),
-        body(&recovery::run_storm_baseline(&cfg).outcome.transcript)
-    );
+    let base = recovery::run_storm_baseline(&cfg).outcome;
+    for shards in [1u32, 2, 8] {
+        let pair = recovery::run_storm_killed_and_resumed_sharded(&cfg, shards).expect("a cut");
+        assert_pair_matches(shards, pair, &plain, &base);
+    }
 }

@@ -9,7 +9,6 @@ use dns_server::ServerEngine;
 use dns_zone::Catalog;
 use ldp_metrics::{Cdf, RateSeries, Summary};
 use ldp_replay::{replay, Arrival, CaptureServer, ReplayConfig};
-use ldp_telemetry as tel;
 use ldp_trace::{Mutation, Mutator, TraceEntry};
 
 /// Fidelity metrics from one replay (paper §4.2).
@@ -31,13 +30,6 @@ pub struct FidelityReport {
     pub sent: u64,
     /// Queries matched between original and replay.
     pub matched: usize,
-    /// Server-side per-stage latency breakdown (parse → lookup →
-    /// encode, paired per query by DNS message id), computed from the
-    /// telemetry drained at the end of the session. `None` when
-    /// process-wide telemetry was disabled. Draining consumes the
-    /// process-wide telemetry buffers, including rings parked by
-    /// worker threads that exited during the session.
-    pub stages: Option<tel::StageBreakdown>,
 }
 
 impl FidelityReport {
@@ -114,28 +106,7 @@ pub fn run_fidelity_session(trace: &[TraceEntry], config: &SessionConfig) -> Fid
     std::thread::sleep(std::time::Duration::from_millis(200));
     let arrivals = capture.finish();
 
-    let mut fidelity = analyze(trace, &arrivals, report.total_sent, config.skip_secs);
-    fidelity.stages = session_stage_breakdown();
-    fidelity
-}
-
-/// Drain the telemetry accumulated during the session (the capture
-/// workers' and querier threads' rings were parked when those threads
-/// exited) and break the server's processing pipeline into per-query
-/// stage latencies. Returns `None` when telemetry is off.
-fn session_stage_breakdown() -> Option<tel::StageBreakdown> {
-    if !tel::enabled() {
-        return None;
-    }
-    // Same interned names the server engine registers; registration
-    // dedups, so these resolve to the engine's kind ids.
-    let chain = [
-        tel::register_kind("srv.parse"),
-        tel::register_kind("srv.lookup"),
-        tel::register_kind("srv.encode"),
-    ];
-    let events = tel::drain_all();
-    Some(tel::stage_breakdown(&events, &chain))
+    analyze(trace, &arrivals, report.total_sent, config.skip_secs)
 }
 
 /// Compare captured arrivals against the original trace timestamps.
@@ -213,7 +184,6 @@ pub fn analyze(
         rate_differences,
         sent,
         matched: matched.len(),
-        stages: None,
     }
 }
 
@@ -222,13 +192,8 @@ mod tests {
     use super::*;
     use workloads::SyntheticTraceSpec;
 
-    /// The loopback sessions assert wall-clock timing and share the
-    /// process-wide telemetry flag, so they run one at a time.
-    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     #[test]
     fn fidelity_session_small_synthetic() {
-        let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         // 2 s of 10 ms inter-arrivals (syn-2-like, shortened).
         let trace = SyntheticTraceSpec::fixed_interarrival(0.01, 2.0).generate(1);
         let config = SessionConfig {
@@ -259,35 +224,6 @@ mod tests {
         );
         let spread = replayed.value_at(0.9) - replayed.value_at(0.1);
         assert!(spread < 0.01, "replayed inter-arrival spread {spread}");
-    }
-
-    #[test]
-    fn session_report_includes_stage_breakdown_when_telemetry_on() {
-        let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-        // Enable process-wide telemetry and leave it on (rings are
-        // per-thread, so parallel tests are unaffected; disabling
-        // mid-run would race a concurrent session).
-        tel::set_enabled(true);
-        let _ = tel::drain_all(); // discard residue from earlier tests
-
-        let trace = SyntheticTraceSpec::fixed_interarrival(0.01, 0.5).generate(1);
-        let config = SessionConfig {
-            answer_from: Some("example.com".into()),
-            ..Default::default()
-        };
-        let report = run_fidelity_session(&trace, &config);
-        let stages = report.stages.expect("telemetry on → breakdown present");
-        assert_eq!(stages.stages.len(), 2, "parse→lookup and lookup→encode");
-        let samples: usize = stages.stages.iter().map(|s| s.samples_secs.len()).sum();
-        assert!(samples > 0, "answered queries produced stage samples");
-        assert!(
-            stages
-                .stages
-                .iter()
-                .flat_map(|s| s.samples_secs.iter())
-                .all(|d| *d >= 0.0),
-            "stage latencies are non-negative"
-        );
     }
 
     #[test]

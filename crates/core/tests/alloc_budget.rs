@@ -5,8 +5,8 @@
 //!
 //! The counter is per thread, so the tests of this file can run side by
 //! side; each warms the path it measures first (the thread-local answer
-//! and encode scratches and the telemetry kind table are built on first
-//! use, and a scratch sizes its buffers on its first few answers).
+//! and encode scratches are built on first use, and a scratch sizes its
+//! buffers on its first few answers).
 
 #![allow(unsafe_code)]
 

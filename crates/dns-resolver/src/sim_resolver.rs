@@ -40,43 +40,10 @@ use ldp_cache::{
     ResolverCache, WaiterSlot,
 };
 use ldp_rng::SplitMix64;
-use ldp_telemetry as tel;
+use ldp_telemetry::Kind;
 use netsim::{Ctx, Host, PacketBytes, SimDuration, TcpEvent};
 
 use crate::core::{ResolveCore, ResolveError, Step, Walk, MAX_NS_DEPTH};
-
-/// Interned per-attempt lifecycle marks for the resolver. The `a` key
-/// is the task id, so a whole resolution chain (stub → upstream
-/// attempts → failovers → answer/servfail) is kept or dropped together
-/// under sampling, and stamped with the simulator's `ctx.now()`.
-struct RsvKinds {
-    stub: tel::KindId,
-    cache_hit: tel::KindId,
-    delayed_hit: tel::KindId,
-    upstream: tel::KindId,
-    timeout: tel::KindId,
-    failover: tel::KindId,
-    servfail: tel::KindId,
-    answer: tel::KindId,
-    evict: tel::KindId,
-    prefetch: tel::KindId,
-}
-
-fn rsv_kinds() -> &'static RsvKinds {
-    static K: std::sync::OnceLock<RsvKinds> = std::sync::OnceLock::new();
-    K.get_or_init(|| RsvKinds {
-        stub: tel::register_kind("rsv.stub"),
-        cache_hit: tel::register_kind("rsv.cache_hit"),
-        delayed_hit: tel::register_kind("rsv.delayed_hit"),
-        upstream: tel::register_kind("rsv.upstream"),
-        timeout: tel::register_kind("rsv.timeout"),
-        failover: tel::register_kind("rsv.failover"),
-        servfail: tel::register_kind("rsv.servfail"),
-        answer: tel::register_kind("rsv.answer"),
-        evict: tel::register_kind("rsv.evict"),
-        prefetch: tel::register_kind("rsv.prefetch"),
-    })
-}
 
 /// Who is parked on an in-flight resolution.
 #[derive(Debug, Clone)]
@@ -499,11 +466,9 @@ impl SimResolver {
     /// The stub query in `scratch.inbound`, from `from`.
     fn handle_stub_query(&mut self, ctx: &mut Ctx<'_>, from: SocketAddr) {
         self.stats.stub_queries += 1;
-        if tel::enabled() {
-            // `next_task` is the id this query gets if it misses the
-            // cache, tying the stub mark to the rest of its chain.
-            tel::mark_at(ctx.now().as_nanos(), rsv_kinds().stub, self.next_task, 0);
-        }
+        // `next_task` is the id this query gets if it misses the
+        // cache, tying the stub mark to the rest of its chain.
+        ctx.mark(Kind::RsvStub, self.next_task, 0);
         let query = &self.scratch.inbound;
         let head = StubHead::of(query);
         let Some(q) = query.question() else {
@@ -521,14 +486,7 @@ impl SimResolver {
         // Cache hit answers immediately, from the entry where it lies.
         if let Some((hit, in_prefetch_window)) = self.cache.lookup(&qname, qtype, now) {
             self.stats.cache_hits += 1;
-            if tel::enabled() {
-                tel::mark_at(
-                    ctx.now().as_nanos(),
-                    rsv_kinds().cache_hit,
-                    self.next_task,
-                    0,
-                );
-            }
+            ctx.mark(Kind::RsvCacheHit, self.next_task, 0);
             let (rcode, answers) = match hit {
                 CachedAnswer::Positive(records) => (Rcode::NoError, records.as_slice()),
                 CachedAnswer::Negative(rcode) => (*rcode, &[][..]),
@@ -547,10 +505,7 @@ impl SimResolver {
                 && !self.outstanding.contains(&qname, qtype)
             {
                 self.stats.prefetches += 1;
-                if tel::enabled() {
-                    let t = ctx.now().as_nanos();
-                    tel::mark_at(t, rsv_kinds().prefetch, self.next_task, 0);
-                }
+                ctx.mark(Kind::RsvPrefetch, self.next_task, 0);
                 let walk = Walk::new(qname.unshared(), qtype);
                 self.start_task(ctx, walk, dnssec_ok, None);
             }
@@ -592,14 +547,7 @@ impl SimResolver {
         let attempt_timeout = task.cur_timeout;
         self.upstream_map.insert(id, task_id);
         self.stats.upstream_queries += 1;
-        if tel::enabled() {
-            tel::mark_at(
-                ctx.now().as_nanos(),
-                rsv_kinds().upstream,
-                task_id,
-                server_slot as u64,
-            );
-        }
+        ctx.mark(Kind::RsvUpstream, task_id, server_slot as u64);
         ctx.send_udp(
             self.addr,
             SocketAddr::new(server, 53),
@@ -623,10 +571,7 @@ impl SimResolver {
             self.fail(ctx, task_id);
             return;
         }
-        if tel::enabled() {
-            let retries = u64::from(task.retries);
-            tel::mark_at(ctx.now().as_nanos(), rsv_kinds().failover, task_id, retries);
-        }
+        ctx.mark(Kind::RsvFailover, task_id, u64::from(task.retries));
         let (base, cap) = (self.timeout, self.backoff_cap);
         task.cur_timeout = next_timeout(base, cap, &mut self.rng, task.cur_timeout);
         self.send_upstream(ctx, task_id);
@@ -670,8 +615,8 @@ impl SimResolver {
             } else {
                 AnswerClass::DelayedHit
             };
-            if class == AnswerClass::DelayedHit && tel::enabled() {
-                tel::mark_at(now_ns, rsv_kinds().delayed_hit, task_id, waited_ns);
+            if class == AnswerClass::DelayedHit {
+                ctx.mark(Kind::RsvDelayedHit, task_id, waited_ns);
             }
             let bytes = self
                 .scratch
@@ -696,14 +641,7 @@ impl SimResolver {
             return;
         };
         self.stats.failures += 1;
-        if tel::enabled() {
-            tel::mark_at(
-                ctx.now().as_nanos(),
-                rsv_kinds().servfail,
-                task_id,
-                u64::from(task.retries),
-            );
-        }
+        ctx.mark(Kind::RsvServfail, task_id, u64::from(task.retries));
         let done = self.outstanding.complete(&task.key_name, task.walk.qtype);
         let waiters = done.iter().flat_map(Completed::waiters);
         self.fan_out(ctx, task_id, &task, waiters, Rcode::ServFail, &[]);
@@ -724,14 +662,7 @@ impl SimResolver {
             latency: (now - started).max(0.0),
             requests: (done.as_ref().map_or(0, Completed::len) as u64).max(1),
         };
-        if tel::enabled() {
-            tel::mark_at(
-                ctx.now().as_nanos(),
-                rsv_kinds().answer,
-                task_id,
-                u64::from(rcode.to_u16()),
-            );
-        }
+        ctx.mark(Kind::RsvAnswer, task_id, u64::from(rcode.to_u16()));
         let waiters = done.iter().flat_map(Completed::waiters);
         self.fan_out(ctx, task_id, &task, waiters, rcode, &task.walk.answers);
         let out = task
@@ -739,14 +670,7 @@ impl SimResolver {
             .into_cache(&mut self.cache, &task.key_name, rcode, neg_ttl, now, fill);
         if out.evicted > 0 {
             self.stats.evictions += out.evicted as u64;
-            if tel::enabled() {
-                tel::mark_at(
-                    ctx.now().as_nanos(),
-                    rsv_kinds().evict,
-                    task_id,
-                    out.evicted as u64,
-                );
-            }
+            ctx.mark(Kind::RsvEvict, task_id, out.evicted as u64);
         }
         self.publish_snapshot();
     }
@@ -877,10 +801,7 @@ impl Host for SimResolver {
                 // That exact attempt timed out.
                 task.waiting = Waiting::Nothing;
                 self.upstream_map.remove(&attempt_id);
-                if tel::enabled() {
-                    let t = ctx.now().as_nanos();
-                    tel::mark_at(t, rsv_kinds().timeout, task_id, u64::from(attempt_id));
-                }
+                ctx.mark(Kind::RsvTimeout, task_id, u64::from(attempt_id));
             }
             _ => return, // answered, superseded or gone
         }

@@ -12,29 +12,9 @@ use std::net::IpAddr;
 use dns_wire::edns::{CLASSIC_UDP_LIMIT, DEFAULT_UDP_PAYLOAD};
 use dns_wire::{peek_id, Message, Opcode, Rcode, Transport};
 use dns_zone::{lookup_into, Catalog, ClientMatch, View, ViewSet};
-use ldp_telemetry as tel;
+use ldp_telemetry::{Kind, Recorder};
 
 use crate::scratch::{AnswerScratch, Assembly};
-
-/// Interned span kinds for the engine's processing stages
-/// (parse → lookup → encode), shared by every transport front-end.
-/// Registered once; span recording costs one relaxed load when
-/// telemetry is disabled. Timestamps come from the process-wide
-/// telemetry clock: zero by default, virtual time under the simulator.
-struct Stages {
-    parse: tel::KindId,
-    lookup: tel::KindId,
-    encode: tel::KindId,
-}
-
-fn stages() -> &'static Stages {
-    static S: std::sync::OnceLock<Stages> = std::sync::OnceLock::new();
-    S.get_or_init(|| Stages {
-        parse: tel::register_kind("srv.parse"),
-        lookup: tel::register_kind("srv.lookup"),
-        encode: tel::register_kind("srv.encode"),
-    })
-}
 
 /// The authoritative answering engine.
 #[derive(Debug, Clone)]
@@ -72,6 +52,11 @@ impl ServerEngine {
     /// next use; nothing else of the query outlives the call. Every
     /// other entry point of the engine is an adaptor over this one.
     ///
+    /// The three stages are `srv.parse` / `srv.lookup` / `srv.encode`
+    /// spans in `rec`, stamped `now_ns` (the simulator passes its
+    /// recorder and `ctx.now()`; a caller with no run to record into
+    /// passes one that is switched off).
+    ///
     /// Over UDP the reply honours the advertised payload limit with
     /// TC-bit truncation (RFC 6891 / RFC 2181), and a datagram that
     /// does not parse is answered FORMERR if at least its header is
@@ -85,6 +70,8 @@ impl ServerEngine {
         data: &[u8],
         transport: Transport,
         scratch: &'s mut AnswerScratch,
+        rec: &mut Recorder,
+        now_ns: u64,
     ) -> Option<&'s [u8]> {
         let AnswerScratch {
             query,
@@ -99,12 +86,11 @@ impl ServerEngine {
         response.answers.clear();
         response.authorities.clear();
         response.additionals.clear();
-        *parsed = {
-            let _parse_span = tel::span(stages().parse, parse_span_key(data));
+        *parsed = rec.span(now_ns, Kind::SrvParse, parse_span_key(data), || {
             query.decode_into(data).is_ok()
-        };
+        });
         if *parsed {
-            return Some(self.respond(src, query, transport, assembly).0);
+            return Some(self.respond(src, query, transport, assembly, rec, now_ns).0);
         }
         if transport.is_connection_oriented() {
             return None;
@@ -126,18 +112,24 @@ impl ServerEngine {
         query: &Message,
         transport: Transport,
         assembly: &'a mut Assembly,
+        rec: &mut Recorder,
+        now_ns: u64,
     ) -> (&'a [u8], bool) {
         let limit = if transport.is_connection_oriented() {
             usize::from(u16::MAX)
         } else {
             self.udp_limit(query)
         };
-        self.assemble(src, query, assembly);
-        let _encode_span = tel::span(stages().encode, u64::from(query.id));
+        let id = u64::from(query.id);
+        rec.span(now_ns, Kind::SrvLookup, id, || {
+            self.assemble(src, query, assembly)
+        });
         let Assembly {
             response, encode, ..
         } = assembly;
-        response.encode_udp_into(limit, encode)
+        rec.span(now_ns, Kind::SrvEncode, id, move || {
+            response.encode_udp_into(limit, encode)
+        })
     }
 
     /// Build the response to `query` as asked by a client at `src` in
@@ -145,7 +137,6 @@ impl ServerEngine {
     /// silent in our model; real servers may drop, which the transport
     /// layer can emulate).
     fn assemble(&self, src: IpAddr, query: &Message, assembly: &mut Assembly) {
-        let _lookup_span = tel::span(stages().lookup, u64::from(query.id));
         let Assembly {
             answer, response, ..
         } = assembly;
@@ -194,7 +185,9 @@ impl ServerEngine {
     /// was truncated.
     pub fn answer_udp(&self, src: IpAddr, query: &Message) -> (Vec<u8>, bool) {
         with_thread_scratch(|scratch| {
-            let (bytes, tc) = self.respond(src, query, Transport::Udp, &mut scratch.assembly);
+            let rec = &mut Recorder::new();
+            let (bytes, tc) =
+                self.respond(src, query, Transport::Udp, &mut scratch.assembly, rec, 0);
             (bytes.to_vec(), tc)
         })
     }
@@ -203,7 +196,7 @@ impl ServerEngine {
     /// that hold no scratch.
     pub fn handle_udp_bytes(&self, src: IpAddr, data: &[u8]) -> Option<Vec<u8>> {
         with_thread_scratch(|scratch| {
-            self.answer_into(src, data, Transport::Udp, scratch)
+            self.answer_into(src, data, Transport::Udp, scratch, &mut Recorder::new(), 0)
                 .map(<[u8]>::to_vec)
         })
     }
@@ -413,7 +406,14 @@ mod tests {
 
         // A stream truncates only past what its length prefix frames.
         let mut scratch = AnswerScratch::new();
-        let body = engine.answer_into(ip("1.1.1.1"), &q.encode(), Transport::Tcp, &mut scratch);
+        let body = engine.answer_into(
+            ip("1.1.1.1"),
+            &q.encode(),
+            Transport::Tcp,
+            &mut scratch,
+            &mut Recorder::new(),
+            0,
+        );
         assert!(!Message::decode(body.unwrap()).unwrap().flags.truncated);
     }
 
@@ -445,7 +445,14 @@ mod tests {
         assert_eq!(resp, old.encode());
         // A stream peer gets nothing for the same bytes.
         let mut scratch = AnswerScratch::new();
-        let body = engine.answer_into(ip("198.41.0.4"), &garbage, Transport::Tcp, &mut scratch);
+        let body = engine.answer_into(
+            ip("198.41.0.4"),
+            &garbage,
+            Transport::Tcp,
+            &mut scratch,
+            &mut Recorder::new(),
+            0,
+        );
         assert_eq!(body, None);
     }
 
@@ -502,7 +509,14 @@ mod tests {
             let wire = query.encode();
             let src = ip("216.239.32.10");
             assert!(engine
-                .answer_into(src, &wire, Transport::Udp, &mut scratch)
+                .answer_into(
+                    src,
+                    &wire,
+                    Transport::Udp,
+                    &mut scratch,
+                    &mut Recorder::new(),
+                    0
+                )
                 .is_some());
             let slip = scratch.slip_reply().map(<[u8]>::to_vec);
             assert_eq!(slip, old_slip_reply(&wire));
@@ -514,7 +528,14 @@ mod tests {
         let garbage = garbage_with_header();
         let src = ip("216.239.32.10");
         assert!(engine
-            .answer_into(src, &garbage, Transport::Udp, &mut scratch)
+            .answer_into(
+                src,
+                &garbage,
+                Transport::Udp,
+                &mut scratch,
+                &mut Recorder::new(),
+                0
+            )
             .is_some());
         assert_eq!(scratch.slip_reply(), None);
         assert_eq!(old_slip_reply(&garbage), None);
@@ -680,8 +701,10 @@ mod tests {
                 let src = ip(g.pick::<&str>(&[VIEW_A, VIEW_A, VIEW_B, "10.9.9.9"]));
                 let transport = *g.pick(&[Transport::Udp, Transport::Udp, Transport::Tcp]);
                 let mut fresh = AnswerScratch::new();
-                let want = engine.answer_into(src, &wire, transport, &mut fresh);
-                let got = engine.answer_into(src, &wire, transport, &mut reused);
+                let want =
+                    engine.answer_into(src, &wire, transport, &mut fresh, &mut Recorder::new(), 0);
+                let got =
+                    engine.answer_into(src, &wire, transport, &mut reused, &mut Recorder::new(), 0);
                 assert_eq!(got, want, "{transport} from {src}: {wire:02x?}");
                 assert_eq!(reused.slip_reply(), old_slip_reply(&wire).as_deref());
                 // The adaptors run on the thread's own long-lived
@@ -690,11 +713,25 @@ mod tests {
                     continue;
                 };
                 let mut one_shot = AnswerScratch::new();
-                let udp = engine.respond(src, &query, Transport::Udp, &mut one_shot.assembly);
+                let udp = engine.respond(
+                    src,
+                    &query,
+                    Transport::Udp,
+                    &mut one_shot.assembly,
+                    &mut Recorder::new(),
+                    0,
+                );
                 let udp = (udp.0.to_vec(), udp.1);
                 assert_eq!(engine.answer_udp(src, &query), udp);
                 let response = engine.answer(src, &query);
-                let stream = engine.respond(src, &query, Transport::Tcp, &mut one_shot.assembly);
+                let stream = engine.respond(
+                    src,
+                    &query,
+                    Transport::Tcp,
+                    &mut one_shot.assembly,
+                    &mut Recorder::new(),
+                    0,
+                );
                 assert_eq!(stream.0, response.encode());
             }
         });

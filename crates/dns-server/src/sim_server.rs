@@ -12,32 +12,12 @@ use std::sync::Arc;
 
 use dns_wire::framing::{frame_into, FrameBuffer};
 use dns_wire::Transport;
-use ldp_telemetry as tel;
+use ldp_telemetry::Kind;
 use netsim::{ConnId, Ctx, Host, PacketBytes, SimDuration, TcpEvent};
 
 use crate::engine::ServerEngine;
 use crate::rrl::{RrlAction, RrlBank, RrlConfig};
 use crate::scratch::AnswerScratch;
-
-/// Interned lifecycle marks for the simulated server. These are
-/// stamped with the simulator's own `ctx.now()`, so they are exact
-/// virtual timestamps regardless of the process-wide telemetry clock.
-struct SrvKinds {
-    udp_query: tel::KindId,
-    tcp_query: tel::KindId,
-    rrl_drop: tel::KindId,
-    rrl_slip: tel::KindId,
-}
-
-fn srv_kinds() -> &'static SrvKinds {
-    static K: std::sync::OnceLock<SrvKinds> = std::sync::OnceLock::new();
-    K.get_or_init(|| SrvKinds {
-        udp_query: tel::register_kind("srv.query.udp"),
-        tcp_query: tel::register_kind("srv.query.tcp"),
-        rrl_drop: tel::register_kind("srv.rrl.drop"),
-        rrl_slip: tel::register_kind("srv.rrl.slip"),
-    })
-}
 
 /// A simulated DNS server host.
 pub struct SimDnsServer {
@@ -99,21 +79,20 @@ impl SimDnsServer {
 
 impl Host for SimDnsServer {
     fn on_udp(&mut self, ctx: &mut Ctx<'_>, from: SocketAddr, to: SocketAddr, data: PacketBytes) {
-        let engine = &self.engine;
-        let Some(reply) = engine.answer_into(from.ip(), &data, Transport::Udp, &mut self.scratch)
-        else {
+        let (engine, now_ns) = (&self.engine, ctx.now().as_nanos());
+        let rec = ctx.recorder();
+        let Some(reply) = engine.answer_into(
+            from.ip(),
+            &data,
+            Transport::Udp,
+            &mut self.scratch,
+            rec,
+            now_ns,
+        ) else {
             return;
         };
         self.queries_handled += 1;
-        if tel::enabled() {
-            let t = ctx.now().as_nanos();
-            tel::mark_at(
-                t,
-                srv_kinds().udp_query,
-                self.queries_handled,
-                reply.len() as u64,
-            );
-        }
+        ctx.mark(Kind::SrvQueryUdp, self.queries_handled, reply.len() as u64);
         if let Some(rrl) = &mut self.rrl {
             // The view that answered is the one whose budget this
             // response spends (grouping itself — BIND's qname/SOA
@@ -123,17 +102,9 @@ impl Host for SimDnsServer {
             let verdict = rrl.check_udp_reply(view, from.ip(), reply, ctx.now().as_secs_f64());
             match verdict {
                 RrlAction::Send => ctx.send_udp(to, from, reply),
-                RrlAction::Drop => {
-                    if tel::enabled() {
-                        let t = ctx.now().as_nanos();
-                        tel::mark_at(t, srv_kinds().rrl_drop, self.queries_handled, slot);
-                    }
-                }
+                RrlAction::Drop => ctx.mark(Kind::SrvRrlDrop, self.queries_handled, slot),
                 RrlAction::Slip => {
-                    if tel::enabled() {
-                        let t = ctx.now().as_nanos();
-                        tel::mark_at(t, srv_kinds().rrl_slip, self.queries_handled, slot);
-                    }
+                    ctx.mark(Kind::SrvRrlSlip, self.queries_handled, slot);
                     // Minimal truncated response: the client may retry
                     // over TCP (which RRL does not limit).
                     if let Some(tc) = self.scratch.slip_reply() {
@@ -156,26 +127,20 @@ impl Host for SimDnsServer {
                 let Some((buf, peer)) = self.conns.get_mut(&conn) else {
                     return;
                 };
-                let (peer, engine) = (*peer, &self.engine);
+                let (peer, engine, now_ns) = (*peer, &self.engine, ctx.now().as_nanos());
                 buf.extend(&data);
                 // Each message is answered where it lies in the frame
                 // buffer and sent before the next is looked at.
                 while let Some(msg) = buf.next_frame() {
+                    let rec = ctx.recorder();
+                    let scratch = &mut self.scratch;
                     let Some(reply) =
-                        engine.answer_into(peer.ip(), msg, Transport::Tcp, &mut self.scratch)
+                        engine.answer_into(peer.ip(), msg, Transport::Tcp, scratch, rec, now_ns)
                     else {
                         continue;
                     };
                     self.queries_handled += 1;
-                    if tel::enabled() {
-                        let t = ctx.now().as_nanos();
-                        tel::mark_at(
-                            t,
-                            srv_kinds().tcp_query,
-                            self.queries_handled,
-                            reply.len() as u64,
-                        );
-                    }
+                    ctx.mark(Kind::SrvQueryTcp, self.queries_handled, reply.len() as u64);
                     frame_into(reply, &mut self.framed);
                     ctx.tcp_send(conn, self.framed.as_slice());
                 }

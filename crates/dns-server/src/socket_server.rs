@@ -25,6 +25,7 @@ use std::time::{Duration, Instant};
 
 use dns_wire::framing::{frame_into, FrameBuffer};
 use dns_wire::Transport;
+use ldp_telemetry::Recorder;
 
 use crate::engine::ServerEngine;
 use crate::rrl::{RrlAction, RrlBank, RrlConfig};
@@ -222,7 +223,10 @@ impl UdpWorker {
                 Err(_) => break,
             };
             let (engine, query) = (&self.engine, &buf[..len]);
-            let Some(reply) = engine.answer_into(peer.ip(), query, Transport::Udp, &mut scratch)
+            // Real sockets record nothing: the recorder stays off.
+            let off = &mut Recorder::new();
+            let Some(reply) =
+                engine.answer_into(peer.ip(), query, Transport::Udp, &mut scratch, off, 0)
             else {
                 continue;
             };
@@ -298,7 +302,10 @@ fn serve_tcp_conn(
         last_activity = Instant::now();
         fb.extend(&buf[..n]);
         while let Some(msg) = fb.next_frame() {
-            if let Some(reply) = engine.answer_into(peer.ip(), msg, Transport::Tcp, &mut scratch) {
+            let off = &mut Recorder::new();
+            if let Some(reply) =
+                engine.answer_into(peer.ip(), msg, Transport::Tcp, &mut scratch, off, 0)
+            {
                 counters.tcp_queries.fetch_add(1, Ordering::Relaxed);
                 frame_into(reply, &mut framed);
                 stream.write_all(&framed)?;

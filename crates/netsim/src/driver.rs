@@ -8,6 +8,8 @@
 
 use std::net::{IpAddr, SocketAddr};
 
+use ldp_telemetry::Log;
+
 use crate::fault::FaultInjector;
 use crate::host::Host;
 use crate::pool::IntoPacket;
@@ -57,6 +59,14 @@ pub trait SimDriver {
 
     /// Counters for a host.
     fn stats(&self, host: usize) -> HostStats;
+
+    /// Switch the run's telemetry on or off (off by default; every
+    /// shard's on a sharded run).
+    fn set_recording(&mut self, on: bool);
+
+    /// Take what the run recorded since the last drain: on a sharded
+    /// run, the shards' logs merged in `ldp_telemetry::canonical_order`.
+    fn drain_recording(&mut self) -> Log;
 }
 
 // `Simulator::name` paths resolve to the inherent methods, which take
@@ -108,5 +118,13 @@ impl SimDriver for Simulator {
 
     fn stats(&self, host: usize) -> HostStats {
         Simulator::stats(self, host)
+    }
+
+    fn set_recording(&mut self, on: bool) {
+        Simulator::set_recording(self, on);
+    }
+
+    fn drain_recording(&mut self) -> Log {
+        Simulator::drain_recording(self)
     }
 }

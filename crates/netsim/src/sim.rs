@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 use std::net::{IpAddr, SocketAddr};
 
 use ldp_rng::SplitMix64;
-use ldp_telemetry as tel;
+use ldp_telemetry::{Kind, Log, Recorder};
 
 use crate::fault::{FaultInjector, WireKind};
 use crate::host::{Host, TcpEvent};
@@ -61,38 +61,6 @@ fn splitmix64(mut x: u64) -> u64 {
 /// in or on other hosts' draws.
 pub fn stream_seed(master: u64, lane: u64) -> u64 {
     splitmix64(master ^ lane.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-}
-
-/// Interned telemetry kinds for the simulator, registered on first
-/// use (a `OnceLock`, so registration never runs on a per-event
-/// basis). Recording is a pure observation: it never changes event
-/// order, so same-seed transcripts stay byte-identical with telemetry
-/// enabled or disabled.
-struct SimKinds {
-    deliver: tel::KindId,
-    host_timer: tel::KindId,
-    conn_timer: tel::KindId,
-    tcp_established: tel::KindId,
-    tcp_killed: tel::KindId,
-    tcp_refused: tel::KindId,
-    fault_drop_udp: tel::KindId,
-    fault_drop_seg: tel::KindId,
-}
-
-impl SimKinds {
-    fn get() -> &'static SimKinds {
-        static KINDS: std::sync::OnceLock<SimKinds> = std::sync::OnceLock::new();
-        KINDS.get_or_init(|| SimKinds {
-            deliver: tel::register_kind("sim.deliver"),
-            host_timer: tel::register_kind("sim.host_timer"),
-            conn_timer: tel::register_kind("sim.conn_timer"),
-            tcp_established: tel::register_kind("sim.tcp.established"),
-            tcp_killed: tel::register_kind("sim.tcp.killed"),
-            tcp_refused: tel::register_kind("sim.tcp.refused"),
-            fault_drop_udp: tel::register_kind("sim.fault.drop_udp"),
-            fault_drop_seg: tel::register_kind("sim.fault.drop_segment"),
-        })
-    }
 }
 
 /// Identifies a registered host.
@@ -358,12 +326,27 @@ pub struct Ctx<'a> {
     commands: &'a mut Vec<Command>,
     /// Where the bytes a host sends are copied to.
     pool: &'a PacketPool,
+    /// The simulator's telemetry, lent for the callback.
+    rec: &'a mut Recorder,
 }
 
 impl<'a> Ctx<'a> {
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.now
+    }
+
+    /// Record a telemetry mark at [`Ctx::now`] (a no-op while the
+    /// simulator's recorder is off).
+    #[inline]
+    pub fn mark(&mut self, kind: Kind, a: u64, b: u64) {
+        self.rec.mark(self.now.as_nanos(), kind, a, b);
+    }
+
+    /// The simulator's recorder, for records [`Ctx::mark`] does not
+    /// cover (spans, explicit timestamps).
+    pub fn recorder(&mut self) -> &mut Recorder {
+        self.rec
     }
 
     /// Send a UDP datagram: bytes (`&[u8]`, `Vec<u8>`) are copied into
@@ -524,12 +507,12 @@ pub struct Simulator {
     /// Outbound cross-shard datagrams accumulated during a window
     /// (sharded-worker mode only); drained by the exchange.
     outbox: Vec<RemoteUdp>,
-    /// Interned telemetry kinds, resolved once at construction so the
-    /// dispatch hot path never touches the registry's `OnceLock`.
-    kinds: &'static SimKinds,
+    /// This simulation's telemetry: off unless switched on
+    /// ([`Simulator::set_recording`]); hosts record through [`Ctx`].
+    rec: Recorder,
     /// Dispatches since the last batched counter event, per host and
     /// high-frequency kind: `[deliver, host_timer, conn_timer]` (see
-    /// `DISPATCH_BATCH`); only advanced while telemetry is enabled.
+    /// `DISPATCH_BATCH`); only advanced while recording.
     /// Batches are per-lane so the counter stream is shard-invariant.
     dispatch_pending: Vec<[u64; 3]>,
     /// The buffers every packet sent in this simulator lives in.
@@ -573,7 +556,7 @@ impl Simulator {
             controls: 0,
             shard_view: None,
             outbox: Vec::new(),
-            kinds: SimKinds::get(),
+            rec: Recorder::from_default(),
             dispatch_pending: Vec::new(),
             pool: PacketPool::new(),
         }
@@ -660,6 +643,17 @@ impl Simulator {
         self.now
     }
 
+    /// Switch this simulation's telemetry on or off (off by default).
+    /// Recording observes and never changes event order.
+    pub fn set_recording(&mut self, on: bool) {
+        self.rec.set_on(on);
+    }
+
+    /// Take what this simulation recorded since the last drain.
+    pub fn drain_recording(&mut self) -> Log {
+        self.rec.drain()
+    }
+
     /// Counters for a host.
     pub fn stats(&self, host: HostId) -> HostStats {
         self.stats[host]
@@ -739,6 +733,7 @@ impl Simulator {
             n += u64::from(self.event_counted(&event));
             self.dispatch(event);
         }
+        self.rec.hand_off();
         n
     }
 
@@ -868,9 +863,9 @@ impl Simulator {
         self.dispatch_pending[host][which] += 1;
         if self.dispatch_pending[host][which] == DISPATCH_BATCH {
             self.dispatch_pending[host][which] = 0;
-            let k = self.kinds;
-            let kind = [k.deliver, k.host_timer, k.conn_timer][which];
-            tel::counter_at(t_ns, kind, self.lanes[host], DISPATCH_BATCH);
+            let kind = [Kind::SimDeliver, Kind::SimHostTimer, Kind::SimConnTimer][which];
+            self.rec
+                .counter(t_ns, kind, self.lanes[host], DISPATCH_BATCH);
         }
     }
 
@@ -898,12 +893,8 @@ impl Simulator {
             Some(h) => CurLane::Host(h),
             None => CurLane::Driver,
         };
-        if tel::enabled() {
-            // Publish virtual "now" so clocked records made from inside
-            // host callbacks (e.g. the server engine's spans) carry
-            // virtual timestamps; then mark the dispatch itself.
+        if self.rec.is_on() {
             let t = self.now.as_nanos();
-            tel::clock::publish_virtual_now(t);
             // Batched counters: see `DISPATCH_BATCH`. Lane-less
             // dispatches (target gone) and control-lane replicas are
             // not counted — both would make the counter stream depend
@@ -936,10 +927,9 @@ impl Simulator {
                 if self.down[host] || self.epochs[host] != epoch {
                     return;
                 }
-                if tel::enabled() {
-                    let t = self.now.as_nanos();
-                    tel::mark_at(t, self.kinds.tcp_refused, conn.0, self.lanes[host]);
-                }
+                let t = self.now.as_nanos();
+                self.rec
+                    .mark(t, Kind::SimTcpRefused, conn.0, self.lanes[host]);
                 self.with_host(host, |h, ctx| {
                     h.on_tcp_event(ctx, TcpEvent::Closed { conn })
                 });
@@ -967,6 +957,7 @@ impl Simulator {
                 dials: &mut self.dials[host],
                 commands: &mut commands,
                 pool: &self.pool,
+                rec: &mut self.rec,
             };
             f(boxed.as_mut(), &mut ctx);
         }
@@ -992,10 +983,9 @@ impl Simulator {
                     None => crate::fault::PacketFate::DELIVER,
                 };
                 if fate.drop {
-                    if tel::enabled() {
-                        let t = self.now.as_nanos();
-                        tel::mark_at(t, self.kinds.fault_drop_udp, 0, data.len() as u64);
-                    }
+                    let t = self.now.as_nanos();
+                    self.rec
+                        .mark(t, Kind::SimFaultDropUdp, 0, data.len() as u64);
                     return; // injected loss / link down
                 }
                 if let Some(&h) = self.addr_map.get(&from.ip()) {
@@ -1170,10 +1160,9 @@ impl Simulator {
             None => crate::fault::PacketFate::DELIVER,
         };
         if fate.drop {
-            if tel::enabled() {
-                let t = self.now.as_nanos();
-                tel::mark_at(t, self.kinds.fault_drop_seg, conn.0, size as u64);
-            }
+            let t = self.now.as_nanos();
+            self.rec
+                .mark(t, Kind::SimFaultDropSegment, conn.0, size as u64);
             // This TCP model has no retransmission, so a dropped segment
             // is fatal to the connection (the stack would hit its retry
             // limit). The kill is deferred to its own event: callers may
@@ -1378,15 +1367,13 @@ impl Simulator {
             (conn.server_host, conn.client, conn.server, conn.tls)
         };
         self.stats[host].established += 1;
-        if tel::enabled() {
-            let t = self.now.as_nanos();
-            tel::mark_at(
-                t,
-                self.kinds.tcp_established,
-                conn_id.0,
-                u64::from(client_side),
-            );
-        }
+        let t = self.now.as_nanos();
+        self.rec.mark(
+            t,
+            Kind::SimTcpEstablished,
+            conn_id.0,
+            u64::from(client_side),
+        );
         if !client_side {
             self.stats[host].tcp_accepts += u64::from(!tls);
             self.stats[host].tls_accepts += u64::from(tls);
@@ -1625,9 +1612,8 @@ impl Simulator {
         let Some(conn) = self.conns.remove(&conn_id.0) else {
             return; // already gone (duplicate kill, late event)
         };
-        if tel::enabled() {
-            tel::mark_at(self.now.as_nanos(), self.kinds.tcp_killed, conn_id.0, 0);
-        }
+        let t = self.now.as_nanos();
+        self.rec.mark(t, Kind::SimTcpKilled, conn_id.0, 0);
         // If the active closer already entered TIME_WAIT, its pending
         // TimeWaitDone event will find the conn gone and never decrement
         // the counter — do it here.

@@ -18,47 +18,12 @@ use std::time::Duration;
 use dns_wire::framing::frame_into;
 use dns_wire::{EncodeScratch, Transport};
 use ldp_guard::{Checkpoint, RetryBudget};
-use ldp_telemetry as tel;
 use ldp_trace::TraceEntry;
 
 use crate::clock::{ReplayClock, WallClock};
 use crate::core::ReplayCore;
 use crate::sticky::StickyRouter;
 use crate::timing::TimingTracker;
-
-/// Interned telemetry kinds for the real-socket engine. `replay.sent`
-/// carries the signed send-time error (µs, two's complement in `b`) —
-/// the paper's Figure 6 quantity, accounted at the source instead of
-/// reconstructed from the report afterwards. `replay.shed` marks a
-/// query dropped by deadline-aware load shedding; `replay.restarted`
-/// marks a querier slot found dead and its span re-dispatched.
-struct ReplayKinds {
-    sent: tel::KindId,
-    error: tel::KindId,
-    shed: tel::KindId,
-    restarted: tel::KindId,
-}
-
-fn replay_kinds() -> &'static ReplayKinds {
-    static K: std::sync::OnceLock<ReplayKinds> = std::sync::OnceLock::new();
-    K.get_or_init(|| ReplayKinds {
-        sent: tel::register_kind("replay.sent"),
-        error: tel::register_kind("replay.send_error"),
-        shed: tel::register_kind("replay.shed"),
-        restarted: tel::register_kind("replay.restarted"),
-    })
-}
-
-/// Adapts a [`ReplayClock`] into the telemetry [`tel::ClockSource`],
-/// so clocked records elsewhere in the process share the replay
-/// timebase (wall or virtual) during a run.
-struct ReplayClockSource(Arc<dyn ReplayClock>);
-
-impl tel::ClockSource for ReplayClockSource {
-    fn now_ns(&self) -> u64 {
-        self.0.now_us().saturating_mul(1_000)
-    }
-}
 
 /// Replay configuration.
 #[derive(Debug, Clone)]
@@ -227,12 +192,6 @@ pub fn replay_with_clock(
     assert!(!trace.is_empty(), "cannot replay an empty trace");
     let origin_us = config.warmup.as_micros() as u64;
     let tracker = TimingTracker::start(trace[0].time_us, origin_us).with_speed(config.speed);
-    if tel::enabled() {
-        // Route clocked records through the replay timebase for the
-        // duration of the run (restored to zero-clock by whoever set
-        // the process clock; installing is idempotent per run).
-        tel::clock::install_clock(Arc::new(ReplayClockSource(clock.clone())));
-    }
 
     let errors = Arc::new(AtomicU64::new(0));
     let shed = Arc::new(Mutex::new(Vec::<u64>::new()));
@@ -275,13 +234,12 @@ pub fn replay_with_clock(
     for (d, txs) in querier_txs.iter().enumerate() {
         let (tx, rx): (Sender<QueryJob>, Receiver<QueryJob>) = bounded(config.channel_capacity);
         let txs = txs.clone();
-        let clock = clock.clone();
         let redispatched = redispatched.clone();
         let errors = errors.clone();
         let slot_base = d * n_q;
         dist_handles.push(std::thread::spawn(move || {
             // Returning drops txs, which ends the queriers.
-            distribute(rx, &txs, window, slot_base, &clock, &redispatched, &errors)
+            distribute(rx, &txs, window, slot_base, &redispatched, &errors)
         }));
         dist_txs.push(tx);
     }
@@ -410,7 +368,6 @@ fn distribute(
     txs: &[Sender<QueryJob>],
     window: usize,
     slot_base: usize,
-    clock: &Arc<dyn ReplayClock>,
     redispatched: &AtomicU64,
     errors: &AtomicU64,
 ) -> Vec<usize> {
@@ -451,18 +408,8 @@ fn distribute(
                 }
                 Err(dead) => {
                     alive[child] = false;
-                    let slot = slot_base + child;
                     let orphans = std::mem::take(&mut recent[child]);
                     let n_orphans = orphans.len();
-                    if tel::enabled() {
-                        let k = replay_kinds();
-                        tel::mark_at(
-                            clock.now_us().saturating_mul(1_000),
-                            k.restarted,
-                            slot as u64,
-                            n_orphans as u64 + 1,
-                        );
-                    }
                     // Re-queue the retained window (oldest first) then
                     // the failed job, ahead of new controller jobs.
                     for (i, o) in orphans.into_iter().enumerate() {
@@ -636,15 +583,6 @@ fn querier_loop(
                 if cfg.shed_lateness_us > 0
                     && clock.now_us() > deadline_us.saturating_add(cfg.shed_lateness_us)
                 {
-                    if tel::enabled() {
-                        let k = replay_kinds();
-                        tel::mark_at(
-                            clock.now_us().saturating_mul(1_000),
-                            k.shed,
-                            job.seq,
-                            clock.now_us().saturating_sub(deadline_us),
-                        );
-                    }
                     if let Ok(mut s) = shed.lock() {
                         s.push(job.seq);
                     }
@@ -721,14 +659,6 @@ fn querier_loop(
                 }
             };
             let sent_us = clock.now_us().saturating_sub(origin_us);
-            if tel::enabled() {
-                let k = replay_kinds();
-                // Signed µs error vs the trace deadline, at the source.
-                let deadline_us = tracker.deadline_us(job.trace_us).saturating_sub(origin_us);
-                let err_us = sent_us as i64 - deadline_us as i64;
-                let kind = if ok { k.sent } else { k.error };
-                tel::mark_at(sent_us.saturating_mul(1_000), kind, job.seq, err_us as u64);
-            }
             if ok {
                 let _ = record_tx.send(SentRecord {
                     seq: job.seq,
@@ -1393,11 +1323,10 @@ mod tests {
                 .unwrap();
         }
         drop(ctl_tx);
-        let clock: Arc<dyn ReplayClock> = Arc::new(crate::clock::VirtualClock::new());
         let redispatched = AtomicU64::new(0);
         let errors = AtomicU64::new(0);
         let txs = [tx0, tx1];
-        let dead = distribute(ctl_rx, &txs, 64, 0, &clock, &redispatched, &errors);
+        let dead = distribute(ctl_rx, &txs, 64, 0, &redispatched, &errors);
         drop(txs);
         let mut got: Vec<u64> = rx1.iter().map(|j| j.seq).collect();
         got.sort_unstable();

@@ -16,54 +16,13 @@ use ldp_guard::{
     Admission, AdmissionController, Checkpoint, CheckpointParseError, InflightStatus,
     RetransmitConfig,
 };
-use ldp_telemetry as tel;
+use ldp_telemetry::Kind;
 use ldp_trace::TraceEntry;
 use netsim::{ConnId, Ctx, Host, HostId, PacketBytes, SimDriver, SimDuration, SimTime, TcpEvent};
 
 use crate::core::ReplayCore;
 use crate::pending::{PendingKey, PendingTable};
 use crate::timing::TimingTracker;
-
-/// Interned per-query lifecycle marks (enqueue → send → retx →
-/// response → match), keyed by the trace sequence number so sampling
-/// keeps or drops a whole lifecycle together. All marks are stamped
-/// with the simulator's `ctx.now()` — exact virtual time.
-struct QKinds {
-    enqueue: tel::KindId,
-    send: tel::KindId,
-    retx: tel::KindId,
-    response: tel::KindId,
-    matched: tel::KindId,
-}
-
-fn q_kinds() -> &'static QKinds {
-    static K: std::sync::OnceLock<QKinds> = std::sync::OnceLock::new();
-    K.get_or_init(|| QKinds {
-        enqueue: tel::register_kind("q.enqueue"),
-        send: tel::register_kind("q.send"),
-        retx: tel::register_kind("q.retx"),
-        response: tel::register_kind("q.response"),
-        matched: tel::register_kind("q.match"),
-    })
-}
-
-/// Guard lifecycle marks. Deliberately outside the `q.*` namespace:
-/// checkpoint-resume equality compares only per-query `q.*` events, so
-/// shed/resume/restart accounting never breaks transcript equality.
-struct GKinds {
-    shed: tel::KindId,
-    resumed: tel::KindId,
-    restarted: tel::KindId,
-}
-
-fn g_kinds() -> &'static GKinds {
-    static K: std::sync::OnceLock<GKinds> = std::sync::OnceLock::new();
-    K.get_or_init(|| GKinds {
-        shed: tel::register_kind("replay.shed"),
-        resumed: tel::register_kind("replay.resumed"),
-        restarted: tel::register_kind("replay.restarted"),
-    })
-}
 
 /// One completed query/response pair.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -462,7 +421,6 @@ impl SimReplayClient {
         let carried: BTreeMap<u64, u64> =
             cp.inflight.iter().map(|e| (e.seq, e.deadline_ns)).collect();
         let tracker = tracker_of(trace);
-        let mut rearmed = 0u64;
         for (i, e) in trace.iter().enumerate() {
             if done.contains(&(i as u64)) {
                 continue;
@@ -472,10 +430,6 @@ impl SimReplayClient {
                 None => deadline(&tracker, start, e),
             };
             sim.schedule_timer(host, at, i as u64);
-            rearmed += 1;
-        }
-        if tel::enabled() {
-            tel::mark_at(cp.taken_ns, g_kinds().resumed, rearmed, done.len() as u64);
         }
     }
 
@@ -504,10 +458,7 @@ impl SimReplayClient {
             }
             Admission::Shed => {
                 self.core.shed(seq);
-                if tel::enabled() {
-                    let late = now_us.saturating_sub(deadline_us);
-                    tel::mark_at(ctx.now().as_nanos(), g_kinds().shed, seq, late);
-                }
+                ctx.mark(Kind::ReplayShed, seq, now_us.saturating_sub(deadline_us));
             }
         }
     }
@@ -544,11 +495,8 @@ impl SimReplayClient {
         let now_ns = ctx.now().as_nanos();
         self.sent += 1;
         self.core.note_send(seq, now_ns, resend);
-        if tel::enabled() {
-            let k = q_kinds();
-            let kind = if resend { k.retx } else { k.send };
-            tel::mark_at(now_ns, kind, seq, bytes as u64);
-        }
+        let kind = if resend { Kind::QRetx } else { Kind::QSend };
+        ctx.mark(kind, seq, bytes as u64);
         match transport {
             Transport::Udp => {
                 let earlier = self.pending_udp.insert(seq, udp_key_of(&self.trace));
@@ -590,19 +538,20 @@ impl SimReplayClient {
         }
     }
 
-    /// A `bytes`-long reply matched to `seq` arrived at `now`; the
-    /// caller took the query's only pending entry out of its table.
-    fn complete(&mut self, seq: u64, now: SimTime, bytes: usize) {
+    /// A `bytes`-long reply matched to `seq` arrived now; the caller
+    /// took the query's only pending entry out of its table.
+    fn complete(&mut self, ctx: &mut Ctx<'_>, seq: u64, bytes: usize) {
         // A pending entry without a live query cannot exist.
         let Some(first_sent_ns) = self.core.complete(seq) else {
             return;
         };
-        let now_s = now.as_secs_f64();
-        if tel::enabled() {
-            let k = q_kinds();
-            tel::mark_at(now.as_nanos(), k.response, seq, bytes as u64);
-            tel::mark_at((now_s * 1e9) as u64, k.matched, seq, bytes as u64);
-        }
+        let now_s = ctx.now().as_secs_f64();
+        ctx.mark(Kind::QResponse, seq, bytes as u64);
+        // Matched at the latency log's time, which went through
+        // seconds: a nanosecond under `now` for some instants.
+        let matched_ns = (now_s * 1e9) as u64;
+        ctx.recorder()
+            .mark(matched_ns, Kind::QMatch, seq, bytes as u64);
         let entry = &self.trace[seq as usize];
         self.log.lock().unwrap().push(LatencyRecord {
             seq,
@@ -702,7 +651,7 @@ impl Host for SimReplayClient {
             .pending_udp
             .remove(&(to.ip(), id), udp_key_of(&self.trace));
         if let Some(seq) = seq {
-            self.complete(seq, ctx.now(), data.len());
+            self.complete(ctx, seq, data.len());
         }
     }
 
@@ -724,7 +673,7 @@ impl Host for SimReplayClient {
                 }
                 let any_done = !done.is_empty();
                 for (seq, bytes) in done.drain(..) {
-                    self.complete(seq, ctx.now(), bytes);
+                    self.complete(ctx, seq, bytes);
                 }
                 self.tcp_done = done;
                 // No-reuse ablation: close as soon as the (single)
@@ -816,9 +765,7 @@ impl Host for SimReplayClient {
         }
         let idx = token as usize;
         if idx < self.trace.len() {
-            if tel::enabled() {
-                tel::mark_at(ctx.now().as_nanos(), q_kinds().enqueue, idx as u64, 0);
-            }
+            ctx.mark(Kind::QEnqueue, idx as u64, 0);
             self.try_admit(ctx, idx);
         }
     }
@@ -863,14 +810,7 @@ impl Host for SimReplayClient {
                 future.push((i, at_ns));
             }
         }
-        if tel::enabled() {
-            tel::mark_at(
-                now_ns,
-                g_kinds().restarted,
-                due.len() as u64,
-                future.len() as u64,
-            );
-        }
+        ctx.mark(Kind::ReplayRestarted, due.len() as u64, future.len() as u64);
         for i in due {
             self.try_admit(ctx, i);
         }
@@ -1419,10 +1359,7 @@ mod tests {
     /// the replay clock never stalls waiting for them.
     #[test]
     fn overloaded_window_sheds_late_queries_instead_of_stalling() {
-        // The shed seqs are read off the `replay.shed` marks: the
-        // recording switch is process-wide, so no wall-clock test runs
-        // beside this one.
-        let _serial = crate::wall_clock_test();
+        // The shed seqs are read off the `replay.shed` marks.
         let trace = mk_trace(10, 0, 2); // burst: all due at t = 0
         let mut sim = Simulator::new(
             Topology::uniform(PathConfig {
@@ -1450,15 +1387,15 @@ mod tests {
         let srcs = client.source_addrs();
         let client_id = sim.add_host(&srcs, Box::new(client));
         SimReplayClient::schedule(&mut sim, client_id, &trace, SimTime::ZERO);
-        tel::drain_local();
-        tel::set_enabled(true);
+        sim.set_recording(true);
         sim.run_until(SimTime::from_secs_f64(5.0));
-        tel::set_enabled(false);
 
         let answered = log.lock().unwrap().len();
-        let mut shed: Vec<u64> = tel::drain_local()
+        let mut shed: Vec<u64> = sim
+            .drain_recording()
+            .events
             .iter()
-            .filter(|e| e.kind == g_kinds().shed)
+            .filter(|e| e.kind == Kind::ReplayShed)
             .map(|e| e.a)
             .collect();
         shed.sort_unstable();

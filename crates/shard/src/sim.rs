@@ -38,7 +38,7 @@ use std::net::{IpAddr, SocketAddr};
 use std::sync::mpsc::{Receiver, Sender};
 
 use ldp_rng::SplitMix64;
-use ldp_telemetry as tel;
+use ldp_telemetry::{canonical_order, Log};
 use netsim::{
     stream_seed, FaultInjector, Host, HostStats, IntoPacket, RemoteUdp, SimConfig, SimDriver,
     SimDuration, SimTime, Simulator, Topology, DRIVER_LANE,
@@ -107,11 +107,6 @@ fn worker_loop(shard: usize, sim: &mut Simulator, rx: &Receiver<WorkerCmd>, tx: 
             WorkerCmd::Flush { inbox } => Exchange::deliver(sim, inbox),
         }
     }
-    // Park this thread's telemetry ring while the closure is still
-    // running: `thread::scope` may unblock before TLS destructors do,
-    // so relying on the recorder's exit-time flush would race the
-    // coordinator's post-run `drain_all`.
-    tel::flush_thread();
 }
 
 fn min_time(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
@@ -340,6 +335,27 @@ impl ShardedSimulator {
         self.workers[shard as usize].host_mut(local)
     }
 
+    /// Switch every shard's telemetry on or off (off by default).
+    pub fn set_recording(&mut self, on: bool) {
+        for w in &mut self.workers {
+            w.set_recording(on);
+        }
+    }
+
+    /// Take what the shards recorded since the last drain, merged in
+    /// [`canonical_order`]: the single-shard run's log, sorted the same
+    /// way, is byte-identical.
+    pub fn drain_recording(&mut self) -> Log {
+        let mut merged = Log::default();
+        for w in &mut self.workers {
+            let log = w.drain_recording();
+            merged.events.extend(log.events);
+            merged.lost += log.lost;
+        }
+        canonical_order(&mut merged.events);
+        merged
+    }
+
     /// Run until every queue drains. Returns the number of events
     /// processed (control-replica timers excluded), equal to the
     /// single-shard run's count.
@@ -543,5 +559,13 @@ impl SimDriver for ShardedSimulator {
 
     fn stats(&self, host: usize) -> HostStats {
         ShardedSimulator::stats(self, host)
+    }
+
+    fn set_recording(&mut self, on: bool) {
+        ShardedSimulator::set_recording(self, on);
+    }
+
+    fn drain_recording(&mut self) -> Log {
+        ShardedSimulator::drain_recording(self)
     }
 }

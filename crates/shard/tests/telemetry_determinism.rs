@@ -1,14 +1,9 @@
-//! Satellite 2 of ISSUE 8: the telemetry stream is deterministic under
-//! sharding. For the same seed and workload, the canonically ordered
-//! drain ([`ldp_telemetry::canonical_order`]) is **identical** across
-//! shard counts 1/2/8 and to the single-shard run — worker threads
-//! record into their own rings, rings are parked at scope exit, and
-//! the content sort erases the nondeterministic thread interleaving.
-//! And recording itself never perturbs results: the merged transcript
-//! is byte-identical with telemetry on and off.
-//!
-//! One test function on purpose: the telemetry enable flag and flushed
-//! store are process-wide, so the phases must run serially.
+//! The telemetry stream is deterministic under sharding. For the same
+//! seed and workload, a sharded run's drain — its shards' own logs,
+//! merged in [`ldp_telemetry::canonical_order`] — is **identical**
+//! across shard counts 1/2/8 and to the single-shard run's, sorted the
+//! same way. Recording itself never perturbs results: the merged
+//! transcript is byte-identical with telemetry on and off.
 
 use std::net::{IpAddr, SocketAddr};
 use std::sync::{Arc, Mutex};
@@ -38,6 +33,8 @@ impl Host for Relay {
                 data.len()
             ));
         }
+        // A host's own record, through its ctx on whichever shard.
+        ctx.mark(tel::Kind::QResponse, data.len() as u64, 0);
         if data.len() > 1 {
             ctx.send_udp(self.me, self.next, vec![0u8; data.len() - 1]);
         }
@@ -79,10 +76,10 @@ fn mix(x: u64) -> u64 {
     z ^ (z >> 27)
 }
 
-/// Drive the workload on either simulator; return the host
-/// transcript. Telemetry events accumulate in the process-wide rings
-/// for the caller to drain.
-fn run(mut sim: impl SimDriver) -> String {
+/// Drive the workload on either simulator, recording if `record`;
+/// return the host transcript and the simulator's drain.
+fn run(mut sim: impl SimDriver, record: bool) -> (String, Vec<tel::RawEvent>) {
+    sim.set_recording(record);
     let logs: Vec<Log> = (0..N)
         .map(|_| Arc::new(Mutex::new(String::new())))
         .collect();
@@ -116,45 +113,37 @@ fn run(mut sim: impl SimDriver) -> String {
             out.push_str(&log);
         }
     }
-    out
+    let recording = sim.drain_recording();
+    assert_eq!(recording.lost, 0, "the ring held the whole run");
+    (out, recording.events)
 }
 
-fn drain_canonical() -> Vec<tel::RawEvent> {
-    let mut events = tel::drain_all();
-    tel::canonical_order(&mut events);
-    events
+fn plain() -> Simulator {
+    Simulator::new(topology(), config())
 }
 
 #[test]
-fn canonical_drain_identical_across_shard_counts_and_on_off() {
-    // Phase 0: telemetry off — the reference transcript.
-    let _ = tel::drain_all(); // clear leftovers from other tests
-    tel::set_enabled(false);
-    let quiet = run(Simulator::new(topology(), config()));
+fn a_run_with_recording_off_records_nothing() {
+    let (quiet, events) = run(plain(), false);
     assert!(quiet.contains("rx"), "workload delivered traffic");
-    assert!(
-        tel::drain_all().is_empty(),
-        "disabled recording stays silent"
-    );
+    assert!(events.is_empty(), "disabled recording stays silent");
+}
 
-    // Phase 1: single-shard with telemetry on.
-    tel::set_enabled(true);
-    let single = run(Simulator::new(topology(), config()));
-    tel::set_enabled(false);
-    let reference = drain_canonical();
+#[test]
+fn recording_does_not_perturb_the_transcript() {
+    let (quiet, _) = run(plain(), false);
+    let (single, events) = run(plain(), true);
     assert_eq!(single, quiet, "recording must not perturb the transcript");
-    assert!(!reference.is_empty(), "simulator emitted telemetry");
+    assert!(!events.is_empty(), "simulator emitted telemetry");
+}
 
-    // Phase 2: sharded runs, every shard count.
+#[test]
+fn canonical_drain_identical_across_shard_counts() {
+    let (quiet, mut reference) = run(plain(), true);
+    tel::canonical_order(&mut reference);
     for shards in [1u32, 2, 8] {
-        tel::set_enabled(true);
-        let got = run(ShardedSimulator::new(
-            topology(),
-            config(),
-            ShardPlan::round_robin(shards),
-        ));
-        tel::set_enabled(false);
-        let events = drain_canonical();
+        let plan = ShardPlan::round_robin(shards);
+        let (got, events) = run(ShardedSimulator::new(topology(), config(), plan), true);
         assert_eq!(
             got, quiet,
             "sharded({shards}) transcript drifted under telemetry"

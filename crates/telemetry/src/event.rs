@@ -1,11 +1,103 @@
-//! Compact binary events and the interned kind registry.
+//! Compact binary events and the closed set of event kinds.
 
-use std::sync::Mutex;
+/// Declares [`Kind`], its [`Kind::ALL`] table and [`Kind::name`] from
+/// one list, so the three cannot disagree.
+macro_rules! kinds {
+    ($($(#[$doc:meta])* $variant:ident => $name:literal,)*) => {
+        /// What an event is about: one closed set, known at compile
+        /// time. 2 bytes in every event; the discriminant is the kind's
+        /// position in [`Kind::ALL`], which is also its id in a
+        /// [`crate::dump_binary`] table and its rank in
+        /// [`crate::count_by_kind`].
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        #[repr(u16)]
+        pub enum Kind {
+            $($(#[$doc])* $variant,)*
+        }
 
-/// Interned id of a registered event kind. 2 bytes in every event;
-/// the name is resolved only at drain time via [`kind_name`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct KindId(pub u16);
+        impl Kind {
+            /// Every kind, in id order.
+            pub const ALL: &'static [Kind] = &[$(Kind::$variant),*];
+
+            /// The kind's dotted name, as timelines and dumps print it.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Kind::$variant => $name,)*
+                }
+            }
+        }
+    };
+}
+
+// Ids are positions in this list, and `count_by_kind` and
+// `dump_binary` order by id: keep the simulator, lifecycle and server
+// kinds first and in this order, so printed tables stay as they were.
+kinds! {
+    /// Batched UDP/TCP deliveries (`b` = the batch).
+    SimDeliver => "sim.deliver",
+    /// Batched host-timer dispatches.
+    SimHostTimer => "sim.host_timer",
+    /// Batched connection-timer dispatches.
+    SimConnTimer => "sim.conn_timer",
+    /// A TCP side established (`b` = 1 on the client side).
+    SimTcpEstablished => "sim.tcp.established",
+    /// A connection killed abortively.
+    SimTcpKilled => "sim.tcp.killed",
+    /// A dial to a down or absent host refused.
+    SimTcpRefused => "sim.tcp.refused",
+    /// A datagram dropped by the fault injector (`b` = bytes).
+    SimFaultDropUdp => "sim.fault.drop_udp",
+    /// A TCP segment dropped by the fault injector (`b` = bytes).
+    SimFaultDropSegment => "sim.fault.drop_segment",
+    /// A trace query came due (`a` = its seq).
+    QEnqueue => "q.enqueue",
+    /// A query's first send (`b` = bytes).
+    QSend => "q.send",
+    /// A retry or retransmit.
+    QRetx => "q.retx",
+    /// A reply arrived for the query.
+    QResponse => "q.response",
+    /// The reply was matched and logged.
+    QMatch => "q.match",
+    /// Server span: decoding the query.
+    SrvParse => "srv.parse",
+    /// Server span: finding the answer.
+    SrvLookup => "srv.lookup",
+    /// Server span: encoding the reply.
+    SrvEncode => "srv.encode",
+    /// A UDP query answered (`b` = reply bytes).
+    SrvQueryUdp => "srv.query.udp",
+    /// A stream query answered (`b` = reply bytes).
+    SrvQueryTcp => "srv.query.tcp",
+    /// A reply dropped by response rate limiting.
+    SrvRrlDrop => "srv.rrl.drop",
+    /// A reply slipped (sent truncated) by response rate limiting.
+    SrvRrlSlip => "srv.rrl.slip",
+    /// A query shed by the admission window (`b` = µs late).
+    ReplayShed => "replay.shed",
+    /// A querier restarted (`a` = due now, `b` = re-armed).
+    ReplayRestarted => "replay.restarted",
+    /// A stub query reached the resolver.
+    RsvStub => "rsv.stub",
+    /// Answered from the cache.
+    RsvCacheHit => "rsv.cache_hit",
+    /// Answered by joining a resolution in flight (`b` = ns waited).
+    RsvDelayedHit => "rsv.delayed_hit",
+    /// A query sent upstream (`b` = server slot).
+    RsvUpstream => "rsv.upstream",
+    /// An upstream attempt timed out.
+    RsvTimeout => "rsv.timeout",
+    /// Moved on to the next server (`b` = retries so far).
+    RsvFailover => "rsv.failover",
+    /// A resolution failed.
+    RsvServfail => "rsv.servfail",
+    /// A resolution ended (`b` = rcode).
+    RsvAnswer => "rsv.answer",
+    /// Cache entries evicted by a fill (`b` = how many).
+    RsvEvict => "rsv.evict",
+    /// A hot entry refreshed ahead of expiry.
+    RsvPrefetch => "rsv.prefetch",
+}
 
 /// What an event records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -35,56 +127,22 @@ impl Op {
 
 /// One recorded event: 32 bytes, `Copy`, no pointers.
 ///
-/// `a` doubles as the sampling key — lifecycle events use the query
-/// sequence number so a whole lifecycle is kept or dropped together.
-/// `b` is free payload (byte counts, attempt numbers, signed timing
-/// error in two's complement, …) interpreted per kind at drain time.
+/// `a` is the lifecycle key — lifecycle events use the query sequence
+/// number, so [`crate::stage_breakdown`] pairs a query's marks. `b` is
+/// free payload (byte counts, attempt numbers, …) interpreted per kind
+/// at drain time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RawEvent {
-    /// Timestamp, nanoseconds (virtual or clock time; see [`crate::clock`]).
+    /// Virtual timestamp, nanoseconds.
     pub t_ns: u64,
-    /// Primary key (query seq / conn id / event ordinal); sampling key.
+    /// Primary key (query seq / conn id / event ordinal).
     pub a: u64,
     /// Per-kind payload.
     pub b: u64,
-    /// Interned kind.
-    pub kind: KindId,
+    /// What the event is about.
+    pub kind: Kind,
     /// Event operation.
     pub op: Op,
-}
-
-/// The kind registry. Registration happens at setup time (host /
-/// engine construction), never on the hot path, so a mutex is fine.
-static KINDS: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
-
-/// Intern `name`, returning its [`KindId`]. Registering the same name
-/// twice returns the same id. Names must be `'static` so the hot path
-/// never copies strings.
-pub fn register_kind(name: &'static str) -> KindId {
-    let mut table = KINDS.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(i) = table.iter().position(|n| *n == name) {
-        return KindId(i as u16);
-    }
-    if table.len() >= u16::MAX as usize {
-        // Registry full (unreachable in practice: kinds are static).
-        return KindId(u16::MAX - 1);
-    }
-    table.push(name);
-    KindId((table.len() - 1) as u16)
-}
-
-/// Resolve a kind's name (drain time only).
-pub fn kind_name(kind: KindId) -> &'static str {
-    let table = KINDS.lock().unwrap_or_else(|e| e.into_inner());
-    table
-        .get(kind.0 as usize)
-        .copied()
-        .unwrap_or("<unregistered>")
-}
-
-/// Snapshot of all registered kinds, in id order.
-pub fn registered_kinds() -> Vec<&'static str> {
-    KINDS.lock().unwrap_or_else(|e| e.into_inner()).clone()
 }
 
 #[cfg(test)]
@@ -92,19 +150,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn registration_interns_and_dedups() {
-        let a = register_kind("test.event.alpha");
-        let b = register_kind("test.event.beta");
-        let a2 = register_kind("test.event.alpha");
-        assert_eq!(a, a2);
-        assert_ne!(a, b);
-        assert_eq!(kind_name(a), "test.event.alpha");
-        assert_eq!(kind_name(b), "test.event.beta");
-    }
-
-    #[test]
-    fn unknown_kind_resolves_to_placeholder() {
-        assert_eq!(kind_name(KindId(u16::MAX)), "<unregistered>");
+    fn kind_ids_are_positions_and_names_are_unique() {
+        for (i, kind) in Kind::ALL.iter().enumerate() {
+            assert_eq!(*kind as usize, i);
+        }
+        let mut names: Vec<&str> = Kind::ALL.iter().map(|k| k.name()).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), Kind::ALL.len());
+        assert_eq!(Kind::QSend.name(), "q.send");
     }
 
     #[test]

@@ -9,36 +9,33 @@ use std::fmt::Write as _;
 
 use ldp_metrics::{Cdf, LogHistogram, Summary};
 
-use crate::event::{kind_name, registered_kinds, KindId, Op, RawEvent};
+use crate::event::{Kind, Op, RawEvent};
 
 /// Magic prefix of the binary event-log dump format (version 1).
 const DUMP_MAGIC: &[u8; 8] = b"LDPTEL1\n";
 
 /// Serialize a drained event log into the compact binary dump format:
 /// an 8-byte magic, the kind-name table (so the dump is
-/// self-describing across processes), then one fixed-width 27-byte
+/// self-describing across builds), then one fixed-width 27-byte
 /// little-endian record per event. Two same-seed runs that drain
 /// identical logs produce byte-identical dumps — the checkpoint-resume
 /// equivalence tests compare these directly, with no string rendering
 /// in the loop.
 ///
-/// The table is the registry prefix up to the highest kind id the
-/// events reference (ids stay table positions), not the whole
-/// process-wide registry: a kind some other thread registers between
-/// two dumps of equal logs must not change the bytes.
+/// The table is the prefix of [`Kind::ALL`] up to the highest kind the
+/// events use (ids stay table positions), not the whole list.
 pub fn dump_binary(events: &[RawEvent]) -> Vec<u8> {
-    let mut kinds = registered_kinds();
-    kinds.truncate(
-        events
-            .iter()
-            .map(|ev| ev.kind.0 as usize + 1)
-            .max()
-            .unwrap_or(0),
-    );
+    let used = events
+        .iter()
+        .map(|ev| ev.kind as usize + 1)
+        .max()
+        .unwrap_or(0);
+    let kinds = &Kind::ALL[..used];
     let mut out = Vec::with_capacity(8 + 2 + kinds.len() * 16 + 8 + events.len() * 27);
     out.extend_from_slice(DUMP_MAGIC);
     out.extend_from_slice(&(kinds.len() as u16).to_le_bytes());
-    for name in kinds {
+    for kind in kinds {
+        let name = kind.name();
         out.extend_from_slice(&(name.len() as u16).to_le_bytes());
         out.extend_from_slice(name.as_bytes());
     }
@@ -47,7 +44,7 @@ pub fn dump_binary(events: &[RawEvent]) -> Vec<u8> {
         out.extend_from_slice(&ev.t_ns.to_le_bytes());
         out.extend_from_slice(&ev.a.to_le_bytes());
         out.extend_from_slice(&ev.b.to_le_bytes());
-        out.extend_from_slice(&ev.kind.0.to_le_bytes());
+        out.extend_from_slice(&(ev.kind as u16).to_le_bytes());
         out.push(ev.op as u8);
     }
     out
@@ -65,12 +62,12 @@ pub fn diff_logs(a: &[RawEvent], b: &[RawEvent]) -> Option<String> {
                  left t={} kind={} op={} a={} b={} / \
                  right t={} kind={} op={} a={} b={}",
                 x.t_ns,
-                kind_name(x.kind),
+                x.kind.name(),
                 x.op.label().trim_end(),
                 x.a,
                 x.b,
                 y.t_ns,
-                kind_name(y.kind),
+                y.kind.name(),
                 y.op.label().trim_end(),
                 y.a,
                 y.b
@@ -87,18 +84,17 @@ pub fn diff_logs(a: &[RawEvent], b: &[RawEvent]) -> Option<String> {
     None
 }
 
-/// Sort a drained log into its canonical cross-thread order: by
-/// `(virtual time, kind, op, a, b)` — content only, no thread ids.
+/// Sort a drained log into its canonical order: by
+/// `(virtual time, kind, op, a, b)` — content only.
 ///
-/// `drain_all` concatenates per-thread rings in thread-registration
-/// order, which is first-record-wins and therefore scheduler-dependent
-/// once shard workers record concurrently. A sharded run produces the
-/// *same multiset* of events as the single-shard run (every record is
-/// attributed to shard-invariant lanes), so sorting by content alone
-/// yields one canonical log that is byte-identical across shard counts
-/// and thread schedules. The sort is stable; exact duplicates (e.g.
-/// two identical batched counters at one instant) stay adjacent and
-/// compare equal, so their relative order cannot matter.
+/// A sharded run's shards each drain their own recorder, and the
+/// shards' logs concatenate in no meaningful order. The run produces
+/// the *same multiset* of events as the single-shard run (every record
+/// is attributed to shard-invariant lanes), so sorting by content alone
+/// yields one canonical log that is byte-identical across shard counts.
+/// The sort is stable; exact duplicates (e.g. two identical batched
+/// counters at one instant) stay adjacent and compare equal, so their
+/// relative order cannot matter.
 pub fn canonical_order(events: &mut [RawEvent]) {
     events.sort_by_key(|e| (e.t_ns, e.kind, e.op, e.a, e.b));
 }
@@ -113,7 +109,7 @@ pub fn render_timeline(events: &[RawEvent]) -> String {
             "[{:>14.6}s] {} {:<24} a={} b={}",
             ev.t_ns as f64 / 1e9,
             ev.op.label(),
-            kind_name(ev.kind),
+            ev.kind.name(),
             ev.a,
             ev.b
         );
@@ -124,14 +120,14 @@ pub fn render_timeline(events: &[RawEvent]) -> String {
 /// Event totals per kind, in kind-id order: `(name, events, sum_of_b)`.
 /// For `Counter` events the `b` sum is the counter total.
 pub fn count_by_kind(events: &[RawEvent]) -> Vec<(&'static str, u64, u64)> {
-    let mut agg: BTreeMap<KindId, (u64, u64)> = BTreeMap::new();
+    let mut agg: BTreeMap<Kind, (u64, u64)> = BTreeMap::new();
     for ev in events {
         let slot = agg.entry(ev.kind).or_insert((0, 0));
         slot.0 += 1;
         slot.1 = slot.1.wrapping_add(ev.b);
     }
     agg.into_iter()
-        .map(|(k, (n, b))| (kind_name(k), n, b))
+        .map(|(k, (n, b))| (k.name(), n, b))
         .collect()
 }
 
@@ -139,9 +135,9 @@ pub fn count_by_kind(events: &[RawEvent]) -> Vec<(&'static str, u64, u64)> {
 #[derive(Debug, Clone)]
 pub struct StageStat {
     /// Stage start kind.
-    pub from: KindId,
+    pub from: Kind,
     /// Stage end kind.
-    pub to: KindId,
+    pub to: Kind,
     /// Per-lifecycle deltas between the first `from` and first `to`
     /// timestamp sharing a key, in seconds.
     pub samples_secs: Vec<f64>,
@@ -152,7 +148,7 @@ pub struct StageStat {
 impl StageStat {
     /// `from→to` label for tables.
     pub fn label(&self) -> String {
-        format!("{}→{}", kind_name(self.from), kind_name(self.to))
+        format!("{}→{}", self.from.name(), self.to.name())
     }
 
     /// Five-number summary of the stage latency (None when empty).
@@ -190,7 +186,7 @@ pub struct StageBreakdown {
 /// seq); for every consecutive pair of chain kinds both present in a
 /// lifecycle, the delta between their *first* occurrences becomes one
 /// sample. Marks and span-enters both qualify as stage timestamps.
-pub fn stage_breakdown(events: &[RawEvent], chain: &[KindId]) -> StageBreakdown {
+pub fn stage_breakdown(events: &[RawEvent], chain: &[Kind]) -> StageBreakdown {
     let mut per_key: BTreeMap<u64, Vec<Option<u64>>> = BTreeMap::new();
     for ev in events {
         if !matches!(ev.op, Op::Mark | Op::SpanEnter) {
@@ -235,7 +231,7 @@ pub fn stage_breakdown(events: &[RawEvent], chain: &[KindId]) -> StageBreakdown 
 /// until the matching kind.
 pub fn folded_stacks(events: &[RawEvent]) -> String {
     // (kind, enter_t, child_ns)
-    let mut stack: Vec<(KindId, u64, u64)> = Vec::new();
+    let mut stack: Vec<(Kind, u64, u64)> = Vec::new();
     let mut agg: BTreeMap<String, u64> = BTreeMap::new();
     for ev in events {
         match ev.op {
@@ -245,10 +241,10 @@ pub fn folded_stacks(events: &[RawEvent]) -> String {
                     let total = ev.t_ns.saturating_sub(t0);
                     let mut path = String::new();
                     for (anc, _, _) in &stack {
-                        path.push_str(kind_name(*anc));
+                        path.push_str(anc.name());
                         path.push(';');
                     }
-                    path.push_str(kind_name(kind));
+                    path.push_str(kind.name());
                     if let Some(parent) = stack.last_mut() {
                         parent.2 += total;
                     }
@@ -271,9 +267,8 @@ pub fn folded_stacks(events: &[RawEvent]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::register_kind;
 
-    fn ev(t_ns: u64, kind: KindId, op: Op, a: u64, b: u64) -> RawEvent {
+    fn ev(t_ns: u64, kind: Kind, op: Op, a: u64, b: u64) -> RawEvent {
         RawEvent {
             t_ns,
             a,
@@ -285,32 +280,26 @@ mod tests {
 
     #[test]
     fn timeline_resolves_names_and_orders_lines() {
-        let k = register_kind("test.exp.mark");
-        let text = render_timeline(&[ev(1_234_000, k, Op::Mark, 42, 512)]);
-        assert!(text.contains("test.exp.mark"), "{text}");
+        let text = render_timeline(&[ev(1_234_000, Kind::QSend, Op::Mark, 42, 512)]);
+        assert!(text.contains("q.send"), "{text}");
         assert!(text.contains("a=42 b=512"), "{text}");
         assert!(text.contains("0.001234s"), "{text}");
     }
 
     #[test]
     fn count_by_kind_totals_events_and_payload() {
-        let k1 = register_kind("test.exp.c1");
-        let k2 = register_kind("test.exp.c2");
         let events = [
-            ev(0, k1, Op::Counter, 0, 2),
-            ev(1, k1, Op::Counter, 0, 3),
-            ev(2, k2, Op::Mark, 0, 9),
+            ev(0, Kind::SimDeliver, Op::Counter, 0, 2),
+            ev(1, Kind::SimDeliver, Op::Counter, 0, 3),
+            ev(2, Kind::QMatch, Op::Mark, 0, 9),
         ];
         let counts = count_by_kind(&events);
-        assert!(counts.contains(&("test.exp.c1", 2, 5)));
-        assert!(counts.contains(&("test.exp.c2", 1, 9)));
+        assert_eq!(counts, vec![("sim.deliver", 2, 5), ("q.match", 1, 9)]);
     }
 
     #[test]
     fn stage_breakdown_pairs_marks_by_lifecycle_key() {
-        let send = register_kind("test.exp.send");
-        let resp = register_kind("test.exp.resp");
-        let done = register_kind("test.exp.done");
+        let (send, resp, done) = (Kind::QSend, Kind::QResponse, Kind::QMatch);
         let events = [
             // Lifecycle 1: full chain, 2 ms then 1 ms.
             ev(1_000_000, send, Op::Mark, 1, 0),
@@ -326,7 +315,7 @@ mod tests {
         assert_eq!(bd.stages[0].samples_secs, vec![0.002]);
         assert_eq!(bd.stages[0].unfinished, 1);
         assert_eq!(bd.stages[1].samples_secs, vec![0.001]);
-        assert_eq!(bd.stages[0].label(), "test.exp.send→test.exp.resp");
+        assert_eq!(bd.stages[0].label(), "q.send→q.response");
         let s = bd.stages[0].summary().expect("one sample");
         assert!((s.median - 0.002).abs() < 1e-12);
         assert_eq!(bd.stages[0].histogram().total(), 1);
@@ -334,8 +323,7 @@ mod tests {
 
     #[test]
     fn folded_stacks_attribute_self_time() {
-        let outer = register_kind("test.exp.outer");
-        let inner = register_kind("test.exp.inner");
+        let (outer, inner) = (Kind::SrvParse, Kind::SrvLookup);
         let events = [
             ev(0, outer, Op::SpanEnter, 0, 0),
             ev(10, inner, Op::SpanEnter, 0, 0),
@@ -346,7 +334,7 @@ mod tests {
         let lines: Vec<&str> = folded.lines().collect();
         assert_eq!(
             lines,
-            vec!["test.exp.outer 70", "test.exp.outer;test.exp.inner 30"],
+            vec!["srv.parse 70", "srv.parse;srv.lookup 30"],
             "{folded}"
         );
     }
@@ -358,8 +346,7 @@ mod tests {
 
     #[test]
     fn binary_dump_is_self_describing_and_stable() {
-        let k1 = register_kind("test.exp.bin1");
-        let k2 = register_kind("test.exp.bin2");
+        let (k1, k2) = (Kind::QSend, Kind::SrvParse);
         let events = vec![
             ev(0, k1, Op::Mark, 1, 2),
             ev(1_000, k2, Op::SpanEnter, 3, 0),
@@ -369,53 +356,45 @@ mod tests {
         let dump = dump_binary(&events);
         assert_eq!(&dump[..8], DUMP_MAGIC);
         // Self-describing: the kind table carries the names, so ids
-        // resolve without the producer's process-local registry.
-        assert_eq!(kinds_in(&dump), k1.0.max(k2.0) + 1);
-        for name in ["test.exp.bin1", "test.exp.bin2"] {
+        // resolve without this build's `Kind`.
+        assert_eq!(kinds_in(&dump), k2 as u16 + 1);
+        for name in ["q.send", "srv.parse"] {
             let named = dump.windows(name.len()).any(|w| w == name.as_bytes());
             assert!(named, "{name} is in the table");
         }
         // Fixed-width records: the last 27 bytes are the last event.
         let last = &dump[dump.len() - 27..];
         assert_eq!(last[..24], [0xff; 24], "t_ns, a, b");
-        assert_eq!(last[24..26], k1.0.to_le_bytes());
+        assert_eq!(last[24..26], (k1 as u16).to_le_bytes());
         assert_eq!(last[26], Op::Counter as u8);
         // Equal logs dump to byte-identical buffers.
         assert_eq!(dump, dump_binary(&events));
     }
 
     #[test]
-    fn binary_dump_ignores_kinds_registered_between_dumps() {
-        // Regression: the dump used to embed the whole process-wide
-        // registry as of the call, so equal logs dumped differently
-        // whenever any thread registered a kind in between.
-        let k = register_kind("test.exp.stable");
-        let events = vec![ev(1, k, Op::Mark, 0, 0)];
-        let before = dump_binary(&events);
-        register_kind("test.exp.registered-between-dumps");
-        assert_eq!(before, dump_binary(&events));
-        assert_eq!(kinds_in(&before), k.0 + 1);
+    fn binary_dump_table_ends_at_the_highest_kind_used() {
+        let events = vec![ev(1, Kind::QEnqueue, Op::Mark, 0, 0)];
+        assert_eq!(kinds_in(&dump_binary(&events)), Kind::QEnqueue as u16 + 1);
         assert_eq!(kinds_in(&dump_binary(&[])), 0);
     }
 
     #[test]
     fn diff_logs_reports_first_divergence() {
-        let k = register_kind("test.exp.diff");
+        let k = Kind::QMatch;
         let a = vec![ev(0, k, Op::Mark, 1, 0), ev(5, k, Op::Mark, 2, 0)];
         assert_eq!(diff_logs(&a, &a), None);
         let mut b = a.clone();
         b[1].b = 99;
         let msg = diff_logs(&a, &b).expect("divergence detected");
         assert!(msg.contains("event 1"), "{msg}");
-        assert!(msg.contains("test.exp.diff"), "{msg}");
+        assert!(msg.contains("q.match"), "{msg}");
         let msg = diff_logs(&a, &a[..1]).expect("length mismatch detected");
         assert!(msg.contains("2 vs 1"), "{msg}");
     }
 
     #[test]
     fn folded_stacks_tolerate_mismatched_exits() {
-        let a = register_kind("test.exp.ma");
-        let b = register_kind("test.exp.mb");
+        let (a, b) = (Kind::SrvParse, Kind::SrvLookup);
         let events = [
             ev(0, a, Op::SpanEnter, 0, 0),
             ev(5, b, Op::SpanEnter, 0, 0),
@@ -423,7 +402,7 @@ mod tests {
             ev(20, a, Op::SpanExit, 0, 0),
         ];
         let folded = folded_stacks(&events);
-        assert!(folded.contains("test.exp.ma;test.exp.mb 15"), "{folded}");
-        assert!(folded.contains("test.exp.ma 5"), "{folded}");
+        assert!(folded.contains("srv.parse;srv.lookup 15"), "{folded}");
+        assert!(folded.contains("srv.parse 5"), "{folded}");
     }
 }

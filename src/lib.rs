@@ -37,8 +37,8 @@
 //!   scheduled in virtual time, plus the root-letter outage study.
 //! - [`guard`] — overload and recovery for replay: retry budgets, the
 //!   admission window, checkpoints and the in-flight state they carry.
-//! - [`telemetry`] — always-on, virtual-time-aware tracing: per-thread
-//!   ring buffers of compact events, per-query lifecycle marks
+//! - [`telemetry`] — virtual-time tracing into a recorder each
+//!   simulator owns: compact events, per-query lifecycle marks
 //!   (enqueue→send→retx→response→match), stage-latency breakdowns and
 //!   folded-stack flamegraph dumps.
 //!
