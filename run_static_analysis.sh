@@ -4,7 +4,8 @@
 # registry-free Cargo.lock, the whole test suite, the scan gate, the
 # four deterministic studies compared against their committed
 # results/, and the end-to-end benchmark's self-check. Every step decides for itself: nothing here
-# judges a time or compares runs. Everything is built by cargo from
+# judges a time or compares runs. Last it prints the tree's two sizes,
+# which decide nothing. Everything is built by cargo from
 # this checkout; every output goes under target/, so a run leaves
 # `git status` clean. Run before sending a PR.
 set -u
@@ -67,6 +68,20 @@ study fig_trace
 
 step "benchmark self-check (smoke scale: outputs verified, no bounds)" \
     sh benchmark/selfcheck.sh --quick
+
+# Information only, never a failure: the two sizes a change reports.
+# `crates/*/src` code lines are the lines before a file's first
+# `#[cfg(test)]` that are neither blank nor `//`; the other is every
+# `.rs` line outside build directories.
+note "size (information only)"
+src_lines=$(find crates/*/src -name '*.rs' -exec awk '
+    FNR == 1 { skip = 0 }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { skip = 1 }
+    !skip && !/^[[:space:]]*$/ && !/^[[:space:]]*\/\// { n++ }
+    END { print n + 0 }' {} + | awk '{ s += $1 } END { print s + 0 }')
+rust_lines=$(find . \( -name target -o -name .git -o -name .bench_build \) -prune -o \
+    -name '*.rs' -exec cat {} + | wc -l)
+printf 'crates/*/src code lines: %s\nall Rust lines: %s\n' "$src_lines" "$rust_lines"
 
 [ "$fail" = 0 ] && note "static analysis OK" || note "static analysis FAILED"
 exit "$fail"
