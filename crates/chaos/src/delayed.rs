@@ -236,7 +236,7 @@ pub fn run(cfg: &DelayedConfig) -> DelayedOutcome {
 }
 
 /// [`run`] on a simulator the caller built and owns — a
-/// [`netsim::Simulator`], or a [`ldp_shard::ShardedSimulator`] whose
+/// [`netsim::Simulator`], or an `ldp-shard` `ShardedSimulator` whose
 /// transcript is byte-identical for the same config — so the caller can
 /// switch its recording on and drain it afterwards.
 pub fn run_on<S: SimDriver>(cfg: &DelayedConfig, sim: &mut S) -> DelayedOutcome {

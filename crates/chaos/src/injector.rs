@@ -32,6 +32,11 @@ const THROTTLE_UNIT_NS: f64 = 1_000_000.0;
 /// Spacing between a duplicated datagram and its copy (500 µs).
 const DUPLICATE_GAP_NS: u64 = 500_000;
 
+/// The latest instant a packet's extra delay may carry it to. A packet
+/// the plan would delay past it is dropped instead: no run gets there,
+/// and the simulator's `now + path delay + extra` must not overflow.
+const LATEST_NS: u64 = u64::MAX / 2;
+
 /// SplitMix64 finalizer: the mixing core of the stateless draws.
 fn mix(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -188,27 +193,29 @@ impl FaultInjector for PlanInjector {
             ^ mix(bytes as u64);
 
         let mut fate = PacketFate::DELIVER;
-        let mut extra_ns: u64 = 0;
+        // The summed extra delay; `None` once a sum overflows.
+        let mut extra_ns = Some(0u64);
+        let mut add = |ns: u64| extra_ns = extra_ns.and_then(|sum| sum.checked_add(ns));
 
         if let Some((rate, until)) = self.loss {
             if now < until && self.frac(key, SITE_LOSS) < rate {
                 match kind {
                     WireKind::Udp => return PacketFate::DROP,
-                    WireKind::Tcp => extra_ns += TCP_LOSS_PENALTY_NS,
+                    WireKind::Tcp => add(TCP_LOSS_PENALTY_NS),
                 }
             }
         }
         if let Some((extra, jitter, until)) = self.spike {
             if now < until {
-                extra_ns += extra.as_nanos();
+                add(extra.as_nanos());
                 if jitter > SimDuration::ZERO {
-                    extra_ns += (jitter.as_nanos() as f64 * self.frac(key, SITE_JITTER)) as u64;
+                    add((jitter.as_nanos() as f64 * self.frac(key, SITE_JITTER)) as u64);
                 }
             }
         }
         if let Some((rate, window, until)) = self.reorder {
             if now < until && self.frac(key, SITE_REORDER) < rate {
-                extra_ns += (window.as_nanos() as f64 * self.frac(key, SITE_REORDER_WINDOW)) as u64;
+                add((window.as_nanos() as f64 * self.frac(key, SITE_REORDER_WINDOW)) as u64);
             }
         }
         if let Some((rate, until)) = self.duplicate {
@@ -218,11 +225,19 @@ impl FaultInjector for PlanInjector {
         }
         if let Some(&(factor, until)) = self.throttle.get(&dst.ip()) {
             if now < until {
-                extra_ns += (factor * THROTTLE_UNIT_NS) as u64;
+                add((factor * THROTTLE_UNIT_NS) as u64);
             }
         }
 
-        fate.extra_delay = SimDuration::from_nanos(extra_ns);
+        let arrives = |ns: &u64| {
+            now.as_nanos()
+                .checked_add(*ns)
+                .is_some_and(|t| t <= LATEST_NS)
+        };
+        let Some(ns) = extra_ns.filter(arrives) else {
+            return PacketFate::DROP;
+        };
+        fate.extra_delay = SimDuration::from_nanos(ns);
         fate
     }
 }

@@ -16,9 +16,9 @@
 //! The pieces:
 //! - [`scenario`]: the one testbed the studies below are
 //!   parameterisations of — address plan, SOA-plus-records zone
-//!   builder, shared-engine server farm, uniform-RTT seeded simulator
-//!   (plain or sharded), the [`scenario::StubSwarm`] host, the query
-//!   schedule and the install-iff-non-empty plan rule — generic over
+//!   builder, shared-engine server farm, uniform-RTT seeded simulator,
+//!   the [`scenario::StubSwarm`] host, the query schedule and the
+//!   install-iff-non-empty plan rule — generic over
 //!   [`netsim::SimDriver`], so a study written on it runs on either
 //!   engine,
 //! - [`plan`]: the declarative [`FaultPlan`] (+ a line-based text

@@ -9,7 +9,7 @@
 //! tests drive this module, so the experiment that produces the
 //! figures is exactly the code the test suite pins down.
 
-use netsim::{SimDriver, SimDuration, SimTime};
+use netsim::{SimDuration, SimTime};
 
 use crate::plan::{FaultEvent, FaultPlan};
 use crate::scenario::{self, ns_or_dash, server_addr, StubSwarm};
@@ -221,14 +221,7 @@ fn qname(i: usize) -> dns_wire::Name {
 /// Everything inside is virtual-time and plan-seeded, so two calls with
 /// an equal `cfg` produce byte-identical transcripts.
 pub fn run(cfg: &OutageConfig) -> OutageOutcome {
-    run_on(cfg, &mut scenario::simulator(scenario::wan_rtt(), cfg.seed))
-}
-
-/// [`run`] on a simulator the caller built and owns — a
-/// [`netsim::Simulator`], or a [`ldp_shard::ShardedSimulator`] whose
-/// transcript is byte-identical for the same config — so the caller can
-/// switch its recording on and drain it afterwards.
-pub fn run_on<S: SimDriver>(cfg: &OutageConfig, sim: &mut S) -> OutageOutcome {
+    let sim = &mut scenario::simulator(scenario::wan_rtt(), cfg.seed);
     // The letters all serve one root zone: an SOA at the apex plus one
     // A record per query name, so every query has a real answer.
     let root_zone = scenario::soa_zone(

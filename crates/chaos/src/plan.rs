@@ -241,7 +241,15 @@ impl FaultPlan {
                 .map(SimTime::from_nanos)
                 .map_err(|_| bad("bad time"))?;
             let ip = |s: &str| s.parse::<IpAddr>().map_err(|_| bad("bad address"));
-            let f64_of = |s: &str| s.parse::<f64>().map_err(|_| bad("bad rate/factor"));
+            // A rate is a probability; a throttle factor scales a delay.
+            let rate = |s: &str| match s.parse::<f64>() {
+                Ok(r) if (0.0..=1.0).contains(&r) => Ok(r),
+                _ => Err(bad("rate must be a number in [0, 1]")),
+            };
+            let factor = |s: &str| match s.parse::<f64>() {
+                Ok(f) if f.is_finite() && f >= 0.0 => Ok(f),
+                _ => Err(bad("factor must be a finite number ≥ 0")),
+            };
             let dur = |s: &str| {
                 s.parse::<u64>()
                     .map(SimDuration::from_nanos)
@@ -276,7 +284,7 @@ impl FaultPlan {
                 "loss_burst" => {
                     kw(4, "until")?;
                     FaultEvent::LossBurst {
-                        rate: f64_of(arg(3)?)?,
+                        rate: rate(arg(3)?)?,
                         until: time(arg(5)?)?,
                     }
                 }
@@ -293,7 +301,7 @@ impl FaultPlan {
                     kw(4, "window")?;
                     kw(6, "until")?;
                     FaultEvent::Reorder {
-                        rate: f64_of(arg(3)?)?,
+                        rate: rate(arg(3)?)?,
                         window: dur(arg(5)?)?,
                         until: time(arg(7)?)?,
                     }
@@ -301,7 +309,7 @@ impl FaultPlan {
                 "duplicate" => {
                     kw(4, "until")?;
                     FaultEvent::Duplicate {
-                        rate: f64_of(arg(3)?)?,
+                        rate: rate(arg(3)?)?,
                         until: time(arg(5)?)?,
                     }
                 }
@@ -318,7 +326,7 @@ impl FaultPlan {
                     kw(5, "until")?;
                     FaultEvent::CpuThrottle {
                         addr: ip(arg(3)?)?,
-                        factor: f64_of(arg(4)?)?,
+                        factor: factor(arg(4)?)?,
                         until: time(arg(6)?)?,
                     }
                 }
@@ -447,6 +455,18 @@ mod tests {
         let e = FaultPlan::from_text("faultplan v1\nseed 1\nat 5 loss_burst 0.1\n")
             .expect_err("truncated");
         assert_eq!(e.line, 3);
+        // A rate outside [0, 1] and a negative or non-finite factor.
+        for bad in [
+            "loss_burst NaN until 9",
+            "loss_burst 1.5 until 9",
+            "reorder -0.1 window 3 until 9",
+            "duplicate inf until 9",
+            "cpu_throttle 10.0.0.1 -5.0 until 9",
+            "cpu_throttle 10.0.0.1 NaN until 9",
+        ] {
+            let e = FaultPlan::from_text(&format!("faultplan v1\nseed 1\nat 5 {bad}\n"));
+            assert_eq!(e.map_err(|e| e.line), Err(3), "{bad}");
+        }
     }
 
     #[test]

@@ -32,7 +32,7 @@ use ldp_guard::{Checkpoint, RetransmitConfig};
 use ldp_replay::sim_replay::{CheckpointStamp, LatencyLog, LatencyRecord, SimReplayClient};
 use ldp_telemetry as tel;
 use ldp_trace::TraceEntry;
-use netsim::{SimDriver, SimDuration, SimTime};
+use netsim::{SimDuration, SimTime};
 
 use crate::plan::{FaultEvent, FaultPlan};
 use crate::scenario;
@@ -218,16 +218,7 @@ struct Leg {
 /// must match, or host ids — and with them the deterministic event
 /// order — would drift.
 fn run_leg(cfg: &RecoveryConfig, leg: Leg, resume_from: Option<&Checkpoint>) -> StormOutcome {
-    let mut sim = scenario::simulator(cfg.rtt, cfg.seed);
-    run_leg_on(cfg, leg, resume_from, &mut sim)
-}
-
-fn run_leg_on<S: SimDriver>(
-    cfg: &RecoveryConfig,
-    leg: Leg,
-    resume_from: Option<&Checkpoint>,
-    sim: &mut S,
-) -> StormOutcome {
+    let sim = &mut scenario::simulator(cfg.rtt, cfg.seed);
     sim.set_recording(true);
     let trace = mk_trace(cfg);
     let server: SocketAddr = SERVER_ADDR.parse().expect("valid addr");
@@ -320,39 +311,6 @@ pub fn run_killed(cfg: &RecoveryConfig) -> RecoveryOutcome {
 /// part — [`spliced_q_events`] joins them with the killed run's.
 pub fn run_resumed(cfg: &RecoveryConfig, cp: &Checkpoint) -> RecoveryOutcome {
     run_leg(cfg, calm(cfg, "resumed", cfg.horizon()), Some(cp)).outcome
-}
-
-/// A kill → resume pair, each leg on a [`ldp_shard::ShardedSimulator`]
-/// with `shards` round-robin worker shards: the killed outcome, then
-/// the resumed one. Each leg's `q_events` are its shards' logs merged
-/// in canonical order. `None` when the kill came before the first
-/// checkpoint.
-fn killed_and_resumed_sharded(
-    cfg: &RecoveryConfig,
-    shards: u32,
-    killed: Leg,
-    resumed: Leg,
-) -> Option<(RecoveryOutcome, RecoveryOutcome)> {
-    let mut sim = scenario::sharded_simulator(cfg.rtt, cfg.seed, shards);
-    let killed = run_leg_on(cfg, killed, None, &mut sim).outcome;
-    let cp = killed.checkpoint.clone()?;
-    let mut sim = scenario::sharded_simulator(cfg.rtt, cfg.seed, shards);
-    Some((
-        killed,
-        run_leg_on(cfg, resumed, Some(&cp), &mut sim).outcome,
-    ))
-}
-
-/// [`run_killed`] then [`run_resumed`] from its last checkpoint on
-/// `shards` shards: the killed and the resumed outcome. The resumed
-/// transcript, and the pair's [`spliced_q_events`], are byte-identical
-/// to the plain pair's.
-pub fn run_killed_and_resumed_sharded(
-    cfg: &RecoveryConfig,
-    shards: u32,
-) -> Option<(RecoveryOutcome, RecoveryOutcome)> {
-    let killed = calm(cfg, "killed", cfg.kill_at);
-    killed_and_resumed_sharded(cfg, shards, killed, calm(cfg, "resumed", cfg.horizon()))
 }
 
 /// The querier-crash run: a [`FaultEvent::QuerierCrash`] power-cycles
@@ -533,19 +491,6 @@ pub fn run_storm_killed(cfg: &StormConfig) -> StormOutcome {
 pub fn run_storm_resumed(cfg: &StormConfig, cp: &Checkpoint) -> StormOutcome {
     let leg = cfg.leg("storm_resumed", cfg.base.horizon());
     run_leg(&cfg.base, leg, Some(cp))
-}
-
-/// [`run_storm_killed`] then [`run_storm_resumed`] from its last
-/// checkpoint on `shards` shards: the killed and the resumed outcome.
-/// The resumed transcript body, and the pair's [`spliced_q_events`],
-/// are byte-identical to the plain pair's and the storm baseline's.
-pub fn run_storm_killed_and_resumed_sharded(
-    cfg: &StormConfig,
-    shards: u32,
-) -> Option<(RecoveryOutcome, RecoveryOutcome)> {
-    let killed = cfg.leg("storm_killed", cfg.base.kill_at);
-    let resumed = cfg.leg("storm_resumed", cfg.base.horizon());
-    killed_and_resumed_sharded(&cfg.base, shards, killed, resumed)
 }
 
 /// Telemetry of an interrupted lineage, in canonical order.

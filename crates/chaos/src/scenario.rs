@@ -7,9 +7,8 @@
 //! It owns what the studies share: the address plan (server farm
 //! `10.13.0.{i+1}`, resolver, stub, chaos agent), the SOA-plus-records
 //! zone builder, the shared-engine server farm, the uniform-RTT seeded
-//! simulator (plain or sharded), the [`StubSwarm`] host with its query
-//! schedule, and the rule that a chaos agent is installed iff the plan
-//! has faults. Everything that adds hosts or timers is generic over
+//! simulator, the [`StubSwarm`] host with its query schedule, and the
+//! rule that a chaos agent is installed iff the plan has faults. Everything that adds hosts or timers is generic over
 //! [`SimDriver`], so a study written on it runs on either engine.
 //!
 //! A study keeps only what is specific to it: its config and presets,
@@ -26,7 +25,6 @@ use dns_wire::record::Record;
 use dns_wire::{Message, Name, RData, Rcode, RecordType};
 use dns_zone::catalog::Catalog;
 use dns_zone::zone::Zone;
-use ldp_shard::{ShardPlan, ShardedSimulator};
 use netsim::{
     Ctx, Host, PacketBytes, PathConfig, SimConfig, SimDriver, SimDuration, SimTime, Simulator,
     TcpEvent, Topology,
@@ -38,7 +36,7 @@ use crate::plan::FaultPlan;
 /// The recursive resolver's address.
 pub const RESOLVER: SocketAddr = SocketAddr::new(IpAddr::V4(Ipv4Addr::new(10, 1, 0, 1)), 53);
 /// The stub swarm's address.
-const STUB: SocketAddr = SocketAddr::new(IpAddr::V4(Ipv4Addr::new(10, 2, 0, 1)), 5353);
+pub const STUB: SocketAddr = SocketAddr::new(IpAddr::V4(Ipv4Addr::new(10, 2, 0, 1)), 5353);
 /// The chaos agent's address; no workload host may use it.
 pub const AGENT: IpAddr = IpAddr::V4(Ipv4Addr::new(10, 255, 0, 1));
 
@@ -70,28 +68,14 @@ pub fn wan_rtt() -> SimDuration {
     SimDuration::from_millis(40)
 }
 
-fn shape(rtt: SimDuration, seed: u64) -> (Topology, SimConfig) {
-    (
-        Topology::uniform(PathConfig::with_rtt(rtt)),
-        SimConfig {
-            seed,
-            ..SimConfig::default()
-        },
-    )
-}
-
 /// A seeded simulator over a uniform star: every path `rtt` at the
 /// default link rate.
 pub fn simulator(rtt: SimDuration, seed: u64) -> Simulator {
-    let (topology, config) = shape(rtt, seed);
-    Simulator::new(topology, config)
-}
-
-/// [`simulator`] as a [`ShardedSimulator`] over `shards` round-robin
-/// worker shards.
-pub fn sharded_simulator(rtt: SimDuration, seed: u64, shards: u32) -> ShardedSimulator {
-    let (topology, config) = shape(rtt, seed);
-    ShardedSimulator::new(topology, config, ShardPlan::round_robin(shards))
+    let config = SimConfig {
+        seed,
+        ..SimConfig::default()
+    };
+    Simulator::new(Topology::uniform(PathConfig::with_rtt(rtt)), config)
 }
 
 /// A zone with an apex SOA (TTL `soa_ttl`; `minimum` drives negative

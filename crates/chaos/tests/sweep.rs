@@ -1,0 +1,723 @@
+//! The scenario sweep: one seeded property over whole experiment cells
+//! (DESIGN.md §12). LDplayer's value is controlled experimentation —
+//! the same trace replayed under varied conditions, reproducibly (paper
+//! §2.2, §5) — and that rests on byte-determinism per seed. Each case
+//! draws a cell from the scenario harness's parts and a
+//! [`SimReplayClient`]: a farm of 1–13 servers; a [`StubSwarm`] through
+//! a `SimResolver`, or a trace from 1–4 sources with a UDP/TCP mix and
+//! optional retransmission; a topology whose fastest link sets the
+//! lookahead; a [`FaultPlan`] over the cell's addresses using all ten
+//! [`FaultEvent`] kinds; driver injections between two run phases, one
+//! from an unregistered source and one to an unrouted address; 1–8
+//! shards with every host pinned; a kill instant or an admission
+//! window. Paths, query times, retransmit delays and half the faults
+//! sit on a millisecond grid, so events from different hosts tie. It
+//! holds (1) a same-seed rerun, (2) the placed run, on a second thread
+//! at once, and (3) a run with recording off to the plain run's
+//! transcript, per-host stats, per-phase event counts, checkpoint
+//! commits and telemetry; (4) a kill → resume to the uninterrupted transcript and
+//! spliced `q.*` telemetry, plain and placed; (5) query conservation:
+//! no seq answered twice, and the last checkpoint accounts for each
+//! seq once, with no `inflight` line unless the cell can lose a query
+//! for good (no retransmit left after a loss, a crash, admission).
+//!
+//! **Left out of the draw, and why.** Kill cells have no admission
+//! window (a resumed window starts emptier than the original was at
+//! the cut: [`ldp_chaos::StormConfig`]'s doc), no path loss (netsim
+//! draws it from each lane's RNG stream, whose position depends on
+//! every earlier send, and a resumed client has sent less; the plan's
+//! injector hashes the packet instead) and no TCP connection reuse (a
+//! resumed client has no connection a completed query opened, so a
+//! later query pays a handshake the original did not). The replay
+//! client crashes only by [`FaultEvent::QuerierCrash`], which restarts
+//! it: one that never restarts never finishes its trace. Query ids are
+//! the seq, so no two queries share a (source, id) slot.
+//!
+//! The case count is fixed. A run prints one coverage line whose counts
+//! must all be non-zero, the last showing that the simulator seed
+//! reaches the loss model. A failure prints its shrunk choice sequence
+//! and the cell's fault plan: check both in below as a [`rerun`].
+
+use std::cell::RefCell;
+use std::collections::BTreeSet;
+use std::net::{IpAddr, Ipv4Addr, SocketAddr};
+use std::sync::{Arc, Mutex};
+
+use dns_wire::{Message, Name, RecordType, Transport};
+use ldp_chaos::recovery::{self, RecoveryOutcome};
+use ldp_chaos::scenario::{self, StubSwarm, RESOLVER, STUB};
+use ldp_chaos::{FaultEvent, FaultPlan, PlannedFault};
+use ldp_guard::{AdmissionConfig, AdmissionController, Checkpoint, RetransmitConfig};
+use ldp_replay::sim_replay::{LatencyLog, SimReplayClient};
+use ldp_rng::check::{check, rerun, Gen};
+use ldp_shard::{ShardPlan, ShardedSimulator};
+use ldp_telemetry::{self as tel, Kind};
+use ldp_trace::TraceEntry;
+use netsim::{PathConfig, SimConfig, SimDriver, SimDuration, SimTime, Simulator, Topology};
+
+const CASES: u64 = 256;
+
+fn ms(ms: u64) -> SimDuration {
+    SimDuration::from_millis(ms)
+}
+
+/// `q{i}.` has an A record in the farm's zone; `nx{i}.` does not exist.
+fn name(i: usize, nx: bool) -> Name {
+    let label = if nx { "nx" } else { "q" };
+    format!("{label}{i}.").parse().unwrap()
+}
+
+fn source(i: usize) -> SocketAddr {
+    SocketAddr::new(IpAddr::V4(Ipv4Addr::new(10, 3, 0, i as u8 + 1)), 5000)
+}
+
+struct Stub {
+    queries: Vec<(Name, bool)>,
+    attempts: u32,
+    retry_gap: SimDuration,
+    first_at: SimTime,
+    gap: SimDuration,
+    max_retries: usize,
+    rotate: bool,
+    backoff_cap: Option<SimDuration>,
+}
+
+struct Replay {
+    trace: Vec<TraceEntry>,
+    target: usize,
+    reuse: bool,
+    retransmit: Option<(RetransmitConfig, u64)>,
+    cadence: SimDuration,
+    admission: Option<AdmissionConfig>,
+    /// Kill here and resume from the last checkpoint.
+    kill: Option<SimTime>,
+}
+
+enum Work {
+    Stub(Stub),
+    Replay(Replay),
+}
+
+struct Cell {
+    servers: usize,
+    work: Work,
+    /// Every host's addresses, in host-id order: the farm, then the
+    /// resolver and the swarm, or the replay client.
+    hosts: Vec<Vec<IpAddr>>,
+    topology: Topology,
+    /// Whether some path loses packets.
+    lossy_path: bool,
+    plan: FaultPlan,
+    /// Between the two run phases; the stranger's query goes to host
+    /// `stray_to`, and host `void_from` sends into the void.
+    mid: SimTime,
+    stray_to: usize,
+    void_from: usize,
+    shards: u32,
+    placement: Vec<u32>,
+    seed: u64,
+    horizon: SimTime,
+}
+
+/// A path; `lossy` lets it drop packets.
+fn path(g: &mut Gen, fast: bool, lossy: bool) -> PathConfig {
+    // On a 0.5 ms grid, as are the workload's instants: ties are drawn.
+    let rtt_us = if fast {
+        g.range(1..=8) * 500
+    } else {
+        g.range(1..=30) * 2_000
+    };
+    let rtt = SimDuration::from_micros(rtt_us);
+    let bandwidth_bps = g.option(|g| g.range(1_000_000..=1_000_000_000));
+    let loss = (lossy && g.below(4) == 1).then(|| g.f64(0.0, 0.3));
+    PathConfig {
+        rtt,
+        bandwidth_bps,
+        loss: loss.unwrap_or(0.0),
+    }
+}
+
+fn draw_stub(g: &mut Gen) -> Stub {
+    let nx = g.vec(1..=32, |g| g.below(4) == 1).into_iter().enumerate();
+    Stub {
+        queries: nx.map(|(i, nx)| (name(i, nx), nx)).collect(),
+        attempts: g.range(1..=3) as u32,
+        retry_gap: ms(g.range(300..=3_000)),
+        first_at: SimTime::ZERO + ms(g.range(0..=500)),
+        gap: ms(g.range(0..=80)),
+        max_retries: g.size(0..=6),
+        rotate: g.bool(),
+        backoff_cap: g.option(|g| ms(g.range(100..=4_000))),
+    }
+}
+
+fn draw_replay(g: &mut Gen, servers: usize) -> Replay {
+    let sources = g.size(1..=4);
+    let tcp_share = g.below(3);
+    let mut time_us = 0;
+    let entries = g.vec(1..=32, |g| {
+        time_us += g.range(0..=60) * 1_000;
+        let src = g.size(0..=sources - 1);
+        let tcp = tcp_share == 2 || tcp_share == 1 && g.bool();
+        (time_us, src, tcp, g.below(4) == 1)
+    });
+    let target = g.size(0..=servers - 1);
+    let server = SocketAddr::new(scenario::server_addr(target), 53);
+    let trace: Vec<TraceEntry> = (entries.into_iter().enumerate())
+        .map(|(i, (time_us, src, tcp, nx))| TraceEntry {
+            time_us,
+            src: source(src),
+            dst: server,
+            transport: if tcp { Transport::Tcp } else { Transport::Udp },
+            message: Message::query(i as u16, name(i, nx), RecordType::A),
+        })
+        .collect();
+    let retransmit = g.option(|g| {
+        let base_us = g.range(1..=100) * 2_000;
+        let max_retx = g.range(1..=6) as u32;
+        let cap_us = base_us + g.range(0..=8) * 100_000;
+        (
+            RetransmitConfig {
+                max_retx,
+                base_us,
+                cap_us,
+            },
+            g.u64(),
+        )
+    });
+    let cadence = ms(g.range(20..=800));
+    let span = trace.last().map_or(0, |e| e.time_us);
+    let (mut admission, mut kill) = (None, None);
+    if g.bool() {
+        admission = g.option(|g| AdmissionConfig {
+            max_in_flight: g.size(1..=8),
+            max_lateness_us: g.range(0..=400_000),
+        });
+    } else {
+        // Anywhere in the run, or just after a query's send: in its
+        // handshake, or early in its retransmit chain.
+        let kill_us = match g.below(2) {
+            0 => g.range(0..=span + 3_000_000),
+            _ => g.pick(&trace).time_us + g.range(0..=60) * 1_000,
+        };
+        kill = Some(SimTime::from_micros(kill_us));
+    }
+    let reuse = g.bool() && kill.is_none();
+    Replay {
+        trace,
+        target,
+        reuse,
+        retransmit,
+        cadence,
+        admission,
+        kill,
+    }
+}
+
+/// One line of a fault plan's text, over the cell's addresses.
+/// Half the faults start at an instant a workload query is due.
+fn draw_fault(
+    g: &mut Gen,
+    instants: &[u64],
+    crashable: &[IpAddr],
+    querier: IpAddr,
+    cell: &[IpAddr],
+) -> String {
+    let span_ms = instants.last().map_or(0, |ns| ns / 1_000_000);
+    let at = match g.below(2) {
+        1 => *g.pick(instants),
+        _ => g.range(0..=span_ms + 2_000) * 1_000_000,
+    };
+    let until = |g: &mut Gen| at + g.range(0..=4_000) * 1_000_000;
+    let fault = match g.below(10) {
+        0 => format!(
+            "cpu_throttle {} {:?} until {}",
+            g.pick(cell),
+            g.f64(0.0, 20.0),
+            until(g)
+        ),
+        1 => {
+            // Now and then any u64, or one within a second of the top.
+            let extra = match g.below(8) {
+                1 => g.u64(),
+                2 => u64::MAX - g.below(1 << 30),
+                _ => g.range(0..=300) * 1_000_000,
+            };
+            let jitter = g.range(0..=50_000) * 1_000;
+            format!("delay_spike {extra} jitter {jitter} until {}", until(g))
+        }
+        2 => {
+            let (rate, window) = (g.f64(0.0, 1.0), g.range(0..=100_000) * 1_000);
+            format!("reorder {rate:?} window {window} until {}", until(g))
+        }
+        3 => format!("duplicate {:?} until {}", g.f64(0.0, 1.0), until(g)),
+        4 => format!("loss_burst {:?} until {}", g.f64(0.0, 1.0), until(g)),
+        5 => format!("link_down {} {}", g.pick(cell), g.pick(cell)),
+        6 => format!("link_up {} {}", g.pick(cell), g.pick(cell)),
+        7 => format!("server_crash {}", g.pick(crashable)),
+        8 => format!("server_restart {}", g.pick(crashable)),
+        _ => format!(
+            "querier_crash {querier} down {}",
+            g.range(0..=2_000) * 1_000_000
+        ),
+    };
+    format!("at {at} {fault}\n")
+}
+
+impl Cell {
+    fn draw(g: &mut Gen) -> Cell {
+        let servers = g.size(1..=13);
+        let work = if g.bool() {
+            Work::Replay(draw_replay(g, servers))
+        } else {
+            Work::Stub(draw_stub(g))
+        };
+        let mut hosts: Vec<Vec<IpAddr>> = scenario::server_addrs(servers)
+            .into_iter()
+            .map(|a| vec![a])
+            .collect();
+        let (instants, lossy): (Vec<u64>, _) = match &work {
+            Work::Stub(s) => {
+                hosts.extend([vec![RESOLVER.ip()], vec![STUB.ip()]]);
+                let due =
+                    (0..s.queries.len()).map(|i| (s.first_at + s.gap.times(i as u64)).as_nanos());
+                (due.collect(), true)
+            }
+            Work::Replay(r) => {
+                let sources: BTreeSet<IpAddr> = r.trace.iter().map(|e| e.src.ip()).collect();
+                hosts.push(sources.into_iter().collect());
+                let first = r.trace[0].time_us;
+                let due = r.trace.iter().map(|e| (e.time_us - first) * 1_000);
+                (due.collect(), r.kill.is_none())
+            }
+        };
+        let span = SimTime::from_nanos(*instants.last().unwrap());
+        let cell: Vec<IpAddr> = hosts.iter().flatten().copied().collect();
+        // The farm (and the resolver) crash; the querier, the swarm or
+        // the client's first source, power-cycles.
+        let (crashable, querier) = match &work {
+            Work::Stub(_) => (cell[..=servers].to_vec(), STUB.ip()),
+            Work::Replay(_) => (cell[..servers].to_vec(), cell[servers]),
+        };
+        let default_path = path(g, false, lossy);
+        let mut topology = Topology::uniform(default_path);
+        let mut lossy_path = default_path.loss > 0.0;
+        for (src, dst, link) in g.vec(0..=3, |g| {
+            (*g.pick(&cell), *g.pick(&cell), path(g, true, lossy))
+        }) {
+            topology.set_pair(src, dst, link);
+            lossy_path |= link.loss > 0.0;
+        }
+        let seed = g.u64();
+        let faults = g.vec(0..=6, |g| {
+            draw_fault(g, &instants, &crashable, querier, &cell)
+        });
+        let plan = FaultPlan::from_text(&format!("faultplan v1\nseed {seed}\n{}", faults.concat()));
+        let plan = plan.unwrap();
+        // Anywhere, or just after a planned fault: a driver action
+        // straight after a crash meets the crashed host's stale timers.
+        let mid = match g.below(2) {
+            1 if !plan.faults.is_empty() => g.pick(&plan.faults).at + ms(g.range(0..=200)),
+            _ => SimTime::ZERO + ms(g.range(0..=span.as_nanos() / 1_000_000 + 1_000)),
+        };
+        let stray_to = g.size(0..=hosts.len() - 1);
+        let void_from = g.size(0..=hosts.len() - 1);
+        let shards = g.range(1..=8) as u32;
+        let mut placement: Vec<u32> = hosts
+            .iter()
+            .map(|_| g.below(u64::from(shards)) as u32)
+            .collect();
+        if let Work::Replay(r) = &work {
+            if r.trace.iter().any(|e| e.transport == Transport::Tcp) {
+                placement[servers] = placement[r.target];
+            }
+        }
+        let seed = g.u64();
+        // Past every fault's end (≤ 4 s after it starts) and every
+        // phase, with room for retransmit chains, retries and resends.
+        let ends = plan.faults.iter().map(|pf| pf.at + ms(4_000));
+        let horizon = ends.chain([span, mid]).max().unwrap_or(span) + ms(20_000);
+        Cell {
+            servers,
+            work,
+            hosts,
+            topology,
+            lossy_path,
+            plan,
+            mid,
+            stray_to,
+            void_from,
+            shards,
+            placement,
+            seed,
+            horizon,
+        }
+    }
+
+    fn config(seed: u64) -> SimConfig {
+        SimConfig {
+            seed,
+            ..SimConfig::default()
+        }
+    }
+
+    fn plain(&self, seed: u64) -> Simulator {
+        Simulator::new(self.topology.clone(), Cell::config(seed))
+    }
+
+    fn placed(&self) -> ShardedSimulator {
+        let mut plan = ShardPlan::round_robin(self.shards);
+        for (host, &shard) in self.placement.iter().enumerate() {
+            plan.pin(host, shard);
+        }
+        ShardedSimulator::new(self.topology.clone(), Cell::config(self.seed), plan)
+    }
+
+    /// Whether anything in the cell can lose a query for good.
+    fn can_lose(&self) -> bool {
+        let lossy_fault = self.plan.faults.iter().any(|pf| match pf.fault {
+            FaultEvent::DelaySpike { extra, .. } => extra > SimDuration::from_secs(1),
+            FaultEvent::LossBurst { .. }
+            | FaultEvent::LinkDown { .. }
+            | FaultEvent::ServerCrash { .. }
+            | FaultEvent::QuerierCrash { .. } => true,
+            _ => false,
+        });
+        let admission = matches!(&self.work, Work::Replay(r) if r.admission.is_some());
+        self.lossy_path || lossy_fault || admission
+    }
+}
+
+/// What one run of a cell left behind.
+struct Run {
+    /// One line per stub query, or per replay completion.
+    transcript: String,
+    /// Per-host stats, per-phase event counts and checkpoint commits.
+    stats: String,
+    log: tel::Log,
+    checkpoint: Option<Checkpoint>,
+    /// Whether the datagram into the void left its sender.
+    void_left: bool,
+}
+
+impl Run {
+    fn outcome(&self) -> RecoveryOutcome {
+        let mut q_events = self.log.events.clone();
+        q_events.retain(|ev| ev.kind.name().starts_with("q."));
+        RecoveryOutcome {
+            records: Vec::new(),
+            transcript: self.transcript.clone(),
+            q_events,
+            lost: self.log.lost,
+            checkpoint: self.checkpoint.clone(),
+        }
+    }
+}
+
+/// Run `cell` on `sim` through `until` (a kill, or the horizon),
+/// recording if `record`; the replay client resumes from `resume`.
+fn run<S: SimDriver>(
+    cell: &Cell,
+    mut sim: S,
+    record: bool,
+    until: SimTime,
+    resume: Option<&Checkpoint>,
+) -> Run {
+    sim.set_recording(record);
+    let servers = scenario::server_addrs(cell.servers);
+    let records = (0..32).map(|i| scenario::a_record(name(i, false), 300, i));
+    let zone = scenario::soa_zone(".", 3600, "ns.", "hostmaster.", 1, 60, records);
+    scenario::server_farm(&mut sim, zone, &servers);
+    let log: LatencyLog = Arc::new(Mutex::new(Vec::new()));
+    let checkpoint = Arc::new(Mutex::new(resume.cloned()));
+    let stamps = Arc::new(Mutex::new(Vec::new()));
+    let mut stub = None;
+    match &cell.work {
+        Work::Stub(s) => {
+            let mut resolver = scenario::resolver(servers);
+            resolver.max_retries = s.max_retries;
+            resolver.rotate_servers = s.rotate;
+            resolver.backoff_cap = s.backoff_cap;
+            sim.add_host(&[RESOLVER.ip()], Box::new(resolver));
+            let (queries, n, gap) = (s.queries.clone(), s.attempts, s.retry_gap);
+            stub = Some(StubSwarm::spawn(&mut sim, queries, n, gap, s.first_at, s.gap).1);
+        }
+        Work::Replay(r) => {
+            let (trace, server) = (r.trace.clone(), SocketAddr::new(servers[r.target], 53));
+            let mut client = match resume {
+                None => SimReplayClient::new(trace, server, log.clone()),
+                Some(cp) => SimReplayClient::resume(trace, server, log.clone(), cp).unwrap(),
+            };
+            client.reuse_connections = r.reuse;
+            client.checkpoint_cadence = Some(r.cadence);
+            client.checkpoint_out = Some(checkpoint.clone());
+            client.checkpoint_stamps = Some(stamps.clone());
+            if let Some((cfg, seed)) = r.retransmit {
+                client.udp_retransmit = Some(cfg);
+                client.retx_seed = seed;
+            }
+            client.admission = r.admission.map(AdmissionController::new);
+            let id = sim.add_host(&client.source_addrs(), Box::new(client));
+            match resume {
+                None => SimReplayClient::schedule(&mut sim, id, &r.trace, SimTime::ZERO),
+                Some(cp) => {
+                    SimReplayClient::schedule_resume(&mut sim, id, &r.trace, SimTime::ZERO, cp)
+                }
+            }
+        }
+    }
+    scenario::install_plan(&mut sim, &cell.plan);
+
+    let mut counts = Vec::new();
+    let mut void_left = false;
+    if until > cell.mid {
+        counts.push(sim.run_until(cell.mid));
+        let query = Message::query(0, name(0, false), RecordType::A).encode();
+        let to = SocketAddr::new(cell.hosts[cell.stray_to][0], 53);
+        sim.inject_udp("192.0.2.77:9999".parse().unwrap(), to, query);
+        let from = SocketAddr::new(cell.hosts[cell.void_from][0], 53);
+        let sent = sim.stats(cell.void_from).udp_tx;
+        sim.inject_udp(from, "198.51.100.7:53".parse().unwrap(), vec![0u8; 12]);
+        void_left = sim.stats(cell.void_from).udp_tx > sent;
+    }
+    counts.push(sim.run_until(until));
+
+    let transcript = match stub {
+        Some(stub) => format!("{:#?}", stub.lock().unwrap()),
+        None => log
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|r| r.to_line() + "\n")
+            .collect(),
+    };
+    let mut stats: String = (0..cell.hosts.len())
+        .map(|h| format!("{h}: {:?}\n", sim.stats(h)))
+        .collect();
+    stats.push_str(&format!("counts {counts:?}\n"));
+    stats.push_str(&format!("commits {:?}\n", stamps.lock().unwrap()));
+    let log = sim.drain_recording();
+    let checkpoint = checkpoint.lock().unwrap().clone();
+    Run {
+        transcript,
+        stats,
+        log,
+        checkpoint,
+        void_left,
+    }
+}
+
+/// `b` gave `a`'s transcript, stats and counts, and drained `a`'s
+/// telemetry — in canonical order if `b` ran on shards, whose drain
+/// merges in that order.
+fn same(what: &str, a: &Run, b: &Run, sharded: bool) {
+    assert_eq!(a.transcript, b.transcript, "{what}: transcripts differ");
+    assert_eq!(a.stats, b.stats, "{what}: stats or event counts differ");
+    let mut events = a.log.events.clone();
+    if sharded {
+        tel::canonical_order(&mut events);
+    }
+    let same_log = tel::dump_binary(&events) == tel::dump_binary(&b.log.events);
+    assert!(same_log, "{what}: telemetry differs");
+}
+
+/// Whether the kill falls inside a retransmit chain (a query sent at or
+/// before it and resent after it) or a TCP handshake (a dial at or
+/// before it, established after it). Kill cells dial once per TCP send,
+/// so the client's `k`-th TCP send is its connection `k`.
+fn kill_inside(r: &Replay, client: usize, kill: SimTime, events: &[tel::RawEvent]) -> bool {
+    let kill = kill.as_nanos();
+    let is_send = |e: &&tel::RawEvent| matches!(e.kind, Kind::QSend | Kind::QRetx);
+    let sends = || events.iter().filter(is_send);
+    let sent: BTreeSet<u64> = sends().filter(|e| e.t_ns <= kill).map(|e| e.a).collect();
+    let chain = sends().any(|e| e.kind == Kind::QRetx && e.t_ns > kill && sent.contains(&e.a));
+    let tcp = sends().filter(|e| r.trace[e.a as usize].transport == Transport::Tcp);
+    let handshake = tcp.enumerate().any(|(k, dial)| {
+        let conn = ((client as u64) << 32) | k as u64;
+        let up = events.iter().find(|e| {
+            e.a == conn
+                && (e.kind == Kind::SimTcpEstablished && e.b == 1
+                    || matches!(e.kind, Kind::SimTcpRefused | Kind::SimTcpKilled))
+        });
+        dial.t_ns <= kill && up.is_none_or(|e| e.t_ns > kill)
+    });
+    chain || handshake
+}
+
+fn killed_and_resumed(cell: &Cell, kill: SimTime, placed: bool) -> (Run, Run) {
+    let leg = |until, cp: Option<&Checkpoint>| match placed {
+        true => run(cell, cell.placed(), true, until, cp),
+        false => run(cell, cell.plain(cell.seed), true, until, cp),
+    };
+    let killed = leg(kill, None);
+    let resumed = leg(cell.horizon, killed.checkpoint.as_ref());
+    (killed, resumed)
+}
+
+/// Properties 4 and 5 on a replay cell.
+fn check_replay(cell: &Cell, r: &Replay, whole: &Run, cov: &mut Coverage) {
+    let seq = |line: &str| line.split(' ').next().unwrap().parse().unwrap();
+    let answered: BTreeSet<u64> = whole.transcript.lines().map(seq).collect();
+    let n = whole.transcript.lines().count();
+    assert_eq!(answered.len(), n, "a seq was answered twice");
+    let cp = whole.checkpoint.as_ref().unwrap();
+    assert_eq!(cp.records.len(), n, "the last cut holds every answer");
+    let carried: BTreeSet<u64> = cp.inflight.iter().map(|e| e.seq).collect();
+    let shed: BTreeSet<u64> = (whole.log.events.iter())
+        .filter(|e| e.kind == Kind::ReplayShed)
+        .map(|e| e.a)
+        .collect();
+    for seq in 0..r.trace.len() as u64 {
+        let fates = [answered.contains(&seq), carried.contains(&seq)];
+        let once = fates != [true, true] && (fates.contains(&true) || shed.contains(&seq));
+        assert!(once, "seq {seq}: {fates:?}, shed {shed:?}");
+    }
+    let cursor_ok = !shed.is_empty() || cp.cursor == r.trace.len() as u64;
+    assert!(cursor_ok, "the last cut's cursor is {}", cp.cursor);
+    let carried_ok = cell.can_lose() || cp.inflight.is_empty();
+    assert!(carried_ok, "a lossless cell carries {:?}", cp.inflight);
+
+    let Some(kill) = r.kill else {
+        return;
+    };
+    cov[2] += u64::from(kill_inside(r, cell.servers, kill, &whole.log.events));
+    let (plain, placed) = std::thread::scope(|scope| {
+        let plain = scope.spawn(|| killed_and_resumed(cell, kill, false));
+        let placed = killed_and_resumed(cell, kill, true);
+        (plain.join().expect("the plain pair"), placed)
+    });
+    cov[3] += u64::from(plain.0.checkpoint.is_some());
+    let mut base = whole.outcome().q_events;
+    tel::canonical_order(&mut base);
+    for (what, (killed, resumed)) in [("plain", plain), ("placed", placed)] {
+        assert_eq!(resumed.transcript, whole.transcript, "{what}: resumed");
+        let spliced = recovery::spliced_q_events(&killed.outcome(), &resumed.outcome());
+        assert_eq!(tel::diff_logs(&spliced, &base), None, "{what}: spliced");
+        let dumps_equal = tel::dump_binary(&spliced) == tel::dump_binary(&base);
+        assert!(dumps_equal, "{what}: spliced dumps");
+    }
+}
+
+/// Cells counted per entry of [`COVERED`].
+type Coverage = [u64; 7];
+
+const COVERED: [&str; 7] = [
+    "with TCP",
+    "with a crash",
+    "killed inside a retransmit chain or a handshake",
+    "resumed from a cut",
+    "on more than one shard",
+    "injecting into the void",
+    "whose re-drawn seed changed a lossy transcript",
+];
+
+/// The five properties on one drawn cell.
+fn sweep(cell: &Cell, coverage: &RefCell<Coverage>) {
+    let _plan = ShowPlanOnFailure(&cell.plan);
+    let (whole, placed) = std::thread::scope(|scope| {
+        let plain = scope.spawn(|| run(cell, cell.plain(cell.seed), true, cell.horizon, None));
+        let placed = run(cell, cell.placed(), true, cell.horizon, None);
+        (plain.join().expect("the plain run"), placed)
+    });
+    assert_eq!(whole.log.lost, 0, "the ring held the whole run");
+    same("placement", &whole, &placed, true);
+    let rerun = run(cell, cell.plain(cell.seed), true, cell.horizon, None);
+    same("rerun", &whole, &rerun, false);
+    let quiet = run(cell, cell.plain(cell.seed), false, cell.horizon, None);
+    assert_eq!(quiet.transcript, whole.transcript, "recording off");
+    assert_eq!(quiet.stats, whole.stats, "recording off");
+    assert!(quiet.log.events.is_empty(), "recording off drains nothing");
+
+    let mut cov = coverage.borrow_mut();
+    if let Work::Replay(r) = &cell.work {
+        check_replay(cell, r, &whole, &mut cov);
+    }
+    // The seed must reach the loss model.
+    if cell.lossy_path {
+        let reseeded = run(cell, cell.plain(cell.seed ^ 1), false, cell.horizon, None);
+        cov[6] += u64::from(reseeded.transcript != whole.transcript);
+    }
+    let tcp = |r: &Replay| r.trace.iter().any(|e| e.transport == Transport::Tcp);
+    let crash = |pf: &PlannedFault| {
+        matches!(
+            pf.fault,
+            FaultEvent::ServerCrash { .. } | FaultEvent::QuerierCrash { .. }
+        )
+    };
+    let shards: BTreeSet<u32> = cell.placement.iter().copied().collect();
+    cov[0] += u64::from(matches!(&cell.work, Work::Replay(r) if tcp(r)));
+    cov[1] += u64::from(cell.plan.faults.iter().any(crash));
+    cov[4] += u64::from(shards.len() > 1);
+    cov[5] += u64::from(whole.void_left);
+}
+
+/// Prints the cell's fault plan when a property fails.
+struct ShowPlanOnFailure<'a>(&'a FaultPlan);
+
+impl Drop for ShowPlanOnFailure<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            eprintln!("the cell's fault plan:\n{}", self.0.to_text());
+        }
+    }
+}
+
+#[test]
+fn drawn_cells_are_deterministic_placement_free_resumable_and_conserving() {
+    let coverage = RefCell::default();
+    check(CASES, |g| sweep(&Cell::draw(g), &coverage));
+    let c: Coverage = coverage.into_inner();
+    let counts: [String; 7] = std::array::from_fn(|i| format!("{} {}", c[i], COVERED[i]));
+    println!("sweep coverage, of {CASES} cases: {}", counts.join(", "));
+    for (what, n) in COVERED.iter().zip(c) {
+        assert!(n > 0, "no case {what}: {c:?}");
+    }
+}
+
+/// Rerun the sweep on a checked-in choice sequence, as the harness
+/// prints it, whose cell has the fault plan `plan`.
+fn regression(choices: &str, plan: &str) {
+    let choices = choices.trim_matches(['[', ']']).split(", ");
+    let choices: Vec<u64> = choices.map(|c| c.parse().unwrap()).collect();
+    rerun(&choices, |g| {
+        let cell = Cell::draw(g);
+        assert_eq!(
+            cell.plan.to_text(),
+            plan,
+            "the draw moved: re-derive the case"
+        );
+        sweep(&cell, &RefCell::default());
+    });
+}
+
+/// A delay spike within a second of `u64::MAX` overflowed the packet's
+/// arrival instant; the injector now drops a packet it would delay past
+/// `u64::MAX / 2` ns.
+#[test]
+fn a_spike_near_the_last_instant_drops_instead_of_overflowing() {
+    let choices = "[0, 1, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, \
+                   0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, \
+                   0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, \
+                   0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, \
+                   0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, \
+                   0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 2, 0, 0, 48, 0, 0, 0, 0, 0, 0, \
+                   0, 0, 0, 0]";
+    let plan = "faultplan v1\nseed 0\n\
+                at 0 delay_spike 18446744073709551615 jitter 0 until 48000000\n";
+    regression(choices, plan);
+}
+
+/// A driver injection right after a crashed host's stale timer was
+/// keyed and loss-drawn on that host's lane, not the driver's: which
+/// host that was depends on placement.
+#[test]
+fn a_driver_injection_after_a_stale_timer_draws_on_the_driver_lane() {
+    let choices = "[0, 0, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, \
+                   1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, \
+                   0, 1, 825300305420865, 0, 0, 0, 1, 0, 0, 3, 0, 0, 1, 1, 18, 9, 0, 1, 0, 0, \
+                   3, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 1, 4, 0, 0, 1, 0, 0, 1, 0, 0]";
+    let plan = "faultplan v1\nseed 0\nat 0 duplicate 0.0 until 0\n\
+                at 72000000 querier_crash 10.2.0.1 down 0\nat 0 duplicate 0.0 until 0\n\
+                at 0 cpu_throttle 10.13.0.1 0.0 until 0\n";
+    regression(choices, plan);
+}

@@ -15,9 +15,10 @@
 //! Because the key is a *strict total order* (`(lane, seq)` is unique —
 //! `seq` is a per-lane counter), the pop sequence is fully determined by
 //! the pushed keys — which region an item sits in, and the heap's
-//! layout, can never leak into event order (rule D2,
-//! `tests/determinism.rs`). The test module checks that against a
-//! sorted-map model of the same key on generated scripts.
+//! layout, can never leak into event order (rule D2; `ldp-chaos`'s
+//! scenario sweep reruns every generated cell and compares). The test
+//! module checks that against a sorted-map model of the same key on
+//! generated scripts.
 //!
 //! The *lane* component is what makes the order shard-invariant
 //! (`ldp-shard`): a lane is the global id of the host whose processing

@@ -916,25 +916,26 @@ impl Simulator {
             Event::HostTimer { host, token, epoch } => {
                 // A crashed host loses its timers; a timer armed before
                 // the crash is stale forever (epoch mismatch).
-                if self.down[host] || self.epochs[host] != epoch {
-                    return;
+                if !self.down[host] && self.epochs[host] == epoch {
+                    self.with_host(host, |h, ctx| h.on_timer(ctx, token));
                 }
-                self.with_host(host, |h, ctx| h.on_timer(ctx, token));
             }
             Event::ConnTimer { conn, kind } => self.conn_timer(conn, kind),
             Event::KillConn { conn } => self.kill_conn(conn),
             Event::ConnRefused { conn, host, epoch } => {
-                if self.down[host] || self.epochs[host] != epoch {
-                    return;
+                if !self.down[host] && self.epochs[host] == epoch {
+                    let t = self.now.as_nanos();
+                    self.rec
+                        .mark(t, Kind::SimTcpRefused, conn.0, self.lanes[host]);
+                    self.with_host(host, |h, ctx| {
+                        h.on_tcp_event(ctx, TcpEvent::Closed { conn })
+                    });
                 }
-                let t = self.now.as_nanos();
-                self.rec
-                    .mark(t, Kind::SimTcpRefused, conn.0, self.lanes[host]);
-                self.with_host(host, |h, ctx| {
-                    h.on_tcp_event(ctx, TcpEvent::Closed { conn })
-                });
             }
         }
+        // Every dispatch ends on the driver lane: an injection or crash
+        // the driver issues between runs draws and keys there, not on
+        // the lane of whichever host's stale timer came last.
         self.current = CurLane::Driver;
     }
 

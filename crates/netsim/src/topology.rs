@@ -72,8 +72,8 @@ fn tx_ns_wide(bytes: usize, bps: u64) -> u64 {
 /// try (src,dst), then per-src, then the default, so an experiment can
 /// give each client a different RTT to the server. No study in the tree
 /// does yet — Figure 15's RTT sweep builds one uniform topology per
-/// RTT — so the overrides are exercised by the determinism and
-/// shard-placement tests alone.
+/// RTT — so the overrides are exercised by `ldp-chaos`'s scenario
+/// sweep alone, which draws per-pair paths for every cell.
 #[derive(Debug, Clone, Default)]
 pub struct Topology {
     default: PathConfig,

@@ -21,8 +21,9 @@
 //!
 //! The merged transcript (host observations) and the canonically
 //! ordered telemetry drain are therefore byte-identical to the
-//! single-shard run for the same seed — the property the equivalence
-//! suite locks in across `{1, 2, 8}` shards.
+//! single-shard run for the same seed — the property `ldp-chaos`'s
+//! scenario sweep (`crates/chaos/tests/sweep.rs`) holds on every
+//! generated cell, at 1–8 shards under a drawn placement.
 //!
 //! ## What doesn't shard
 //!
@@ -567,5 +568,51 @@ impl SimDriver for ShardedSimulator {
 
     fn drain_recording(&mut self) -> Log {
         ShardedSimulator::drain_recording(self)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use netsim::{Ctx, PacketBytes, PathConfig, TcpEvent};
+
+    use super::*;
+
+    /// A host that dials `(from, to)` when its timer fires, if given one.
+    struct Dialer(Option<(SocketAddr, SocketAddr)>);
+
+    impl Host for Dialer {
+        fn on_udp(&mut self, _: &mut Ctx<'_>, _: SocketAddr, _: SocketAddr, _: PacketBytes) {}
+        fn on_tcp_event(&mut self, _: &mut Ctx<'_>, _: TcpEvent) {}
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _: u64) {
+            if let Some((from, to)) = self.0 {
+                ctx.tcp_connect(from, to, false);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cross-shard TCP is unsupported")]
+    fn cross_shard_tcp_dial_is_rejected() {
+        let topology = Topology::uniform(PathConfig::with_rtt(SimDuration::from_millis(10)));
+        let mut sim =
+            ShardedSimulator::new(topology, SimConfig::default(), ShardPlan::round_robin(2));
+        let server: SocketAddr = "10.0.0.1:53".parse().unwrap();
+        let client: SocketAddr = "10.0.0.2:5300".parse().unwrap();
+        sim.add_host(&[server.ip()], Box::new(Dialer(None)));
+        sim.add_host(&[client.ip()], Box::new(Dialer(Some((client, server)))));
+        sim.schedule_timer(1, SimTime::from_millis(1), 0);
+        sim.run_until(SimTime::from_millis(100));
+    }
+
+    #[test]
+    fn zero_latency_topology_is_rejected() {
+        let caught = std::panic::catch_unwind(|| {
+            ShardedSimulator::new(
+                Topology::uniform(PathConfig::with_rtt(SimDuration::ZERO)),
+                SimConfig::default(),
+                ShardPlan::round_robin(2),
+            )
+        });
+        assert!(caught.is_err(), "zero lookahead must be refused");
     }
 }

@@ -69,9 +69,10 @@ study fig_trace
 step "benchmark self-check (smoke scale: outputs verified, no bounds)" \
     sh benchmark/selfcheck.sh --quick
 
-# Information only, never a failure: the two sizes a change reports.
+# Information only, never a failure: the sizes a change reports.
 # `crates/*/src` code lines are the lines before a file's first
-# `#[cfg(test)]` that are neither blank nor `//`; the other is every
+# `#[cfg(test)]` that are neither blank nor `//`; test lines are every
+# `.rs` line under `crates/*/tests` and `tests/`; the last is every
 # `.rs` line outside build directories.
 note "size (information only)"
 src_lines=$(find crates/*/src -name '*.rs' -exec awk '
@@ -79,9 +80,11 @@ src_lines=$(find crates/*/src -name '*.rs' -exec awk '
     /^[[:space:]]*#\[cfg\(test\)\]/ { skip = 1 }
     !skip && !/^[[:space:]]*$/ && !/^[[:space:]]*\/\// { n++ }
     END { print n + 0 }' {} + | awk '{ s += $1 } END { print s + 0 }')
+test_lines=$(find crates/*/tests tests -name '*.rs' -exec cat {} + | wc -l)
 rust_lines=$(find . \( -name target -o -name .git -o -name .bench_build \) -prune -o \
     -name '*.rs' -exec cat {} + | wc -l)
-printf 'crates/*/src code lines: %s\nall Rust lines: %s\n' "$src_lines" "$rust_lines"
+printf 'crates/*/src code lines: %s\ntest lines: %s\nall Rust lines: %s\n' \
+    "$src_lines" "$test_lines" "$rust_lines"
 
 [ "$fail" = 0 ] && note "static analysis OK" || note "static analysis FAILED"
 exit "$fail"
