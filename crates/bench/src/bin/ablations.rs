@@ -6,19 +6,20 @@
 //! 3. split-horizon meta-server vs one server process per zone;
 //! 4. two-level distribution vs direct controller→querier fan-out.
 //!
-//! `cargo run --release -p ldp-bench --bin ablations`
+//! `cargo run --release -p ldp-bench --bin ablations [-- --seconds 5]`
 
 use std::net::UdpSocket;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use dns_wire::Transport;
-use ldp_bench::arg_f64;
+use ldp_bench::{arg_f64, reject_unknown_flags};
 use ldp_metrics::Summary;
 use ldp_replay::{replay, LatencyLog, ReplayConfig, SimReplayClient};
 use workloads::{RecursiveSpec, SyntheticTraceSpec};
 
 fn main() {
+    reject_unknown_flags(&["--seconds"]);
     ablation_timing();
     ablation_connection_reuse();
     ablation_meta_server_memory();
@@ -29,7 +30,7 @@ fn main() {
 ///    each inter-arrival gap: per-send overhead accumulates into drift.
 #[allow(
     clippy::disallowed_methods,
-    reason = "D1: the naive replayer sends on the wall clock"
+    reason = "D1/T2: the naive replayer sleeps each gap and sends on the wall clock"
 )]
 fn ablation_timing() {
     println!("══ Ablation 1: timing catch-up vs naive gap-sleeping ══\n");

@@ -8,6 +8,7 @@
 //! `cargo run --release -p ldp-bench --bin calibrate_broot`
 
 fn main() {
+    ldp_bench::reject_unknown_flags(&[]);
     use std::collections::{HashMap, HashSet};
     let scale = 40.0;
     let spec = workloads::BRootSpec {

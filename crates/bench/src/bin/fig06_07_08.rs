@@ -6,16 +6,17 @@
 //! - **Figure 8** — CDF of per-second query-rate relative difference
 //!   across repeated B-Root-like replays.
 //!
-//! `cargo run --release -p ldp-bench --bin fig06_07_08 [-- --seconds 30 --trials 5]`
+//! `cargo run --release -p ldp-bench --bin fig06_07_08 [-- --seconds 30 --trials 5 --broot-rate 2000]`
 
-use ldp_bench::{arg_f64, boxplot_row, cdf_rows};
+use ldp_bench::{arg_f64, arg_u64, boxplot_row, cdf_rows, reject_unknown_flags};
 use ldp_core::{run_fidelity_session, SessionConfig};
 use ldp_metrics::Cdf;
 use workloads::{BRootSpec, SyntheticTraceSpec};
 
 fn main() {
+    reject_unknown_flags(&["--seconds", "--trials", "--broot-rate"]);
     let seconds = arg_f64("--seconds", 30.0);
-    let trials = arg_f64("--trials", 5.0) as usize;
+    let trials = arg_u64("--trials", 5);
     let broot_rate = arg_f64("--broot-rate", 2000.0);
 
     println!("== Figure 6: query-time error in replay (skip first 10% as startup) ==\n");

@@ -3,19 +3,20 @@
 //! (paper §4.3: 87 k q/s ≈ 2× a root letter's normal load, ~60 Mb/s,
 //! with 1 distributor + 6 queriers on one 4-core host).
 //!
-//! `cargo run --release -p ldp-bench --bin fig09 [-- --seconds 20]`
+//! `cargo run --release -p ldp-bench --bin fig09 [-- --seconds 20 --queriers 6]`
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use ldp_bench::arg_f64;
+use ldp_bench::{arg_f64, arg_u64, reject_unknown_flags};
 use ldp_core::wildcard_zone;
 use ldp_replay::{replay, ReplayConfig};
 use workloads::SyntheticTraceSpec;
 
 fn main() {
+    reject_unknown_flags(&["--seconds", "--queriers"]);
     let seconds = arg_f64("--seconds", 20.0);
-    let queriers = arg_f64("--queriers", 6.0) as usize;
+    let queriers = arg_u64("--queriers", 6) as usize;
 
     // A real answering server on loopback, like the paper's
     // authoritative host with the example.com wildcard zone.

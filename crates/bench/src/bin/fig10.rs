@@ -5,11 +5,12 @@
 //!
 //! `cargo run --release -p ldp-bench --bin fig10 [-- --scale 20]`
 
-use ldp_bench::{arg_f64, boxplot_row};
+use ldp_bench::{arg_f64, boxplot_row, reject_unknown_flags};
 use ldp_core::{dnssec_bandwidth, synthetic_root_zone};
 use workloads::BRootSpec;
 
 fn main() {
+    reject_unknown_flags(&["--scale"]);
     let scale = arg_f64("--scale", 20.0);
     let spec = BRootSpec {
         duration_secs: 120.0,

@@ -6,19 +6,20 @@
 //! ~18 GB (TLS), ~60 k established, ~120 k TIME_WAIT, steady state in
 //! ~5 minutes; UDP baseline ~2 GB.
 //!
-//! `cargo run --release -p ldp-bench --bin fig13_14 [-- --scale 40]`
+//! `cargo run --release -p ldp-bench --bin fig13_14 [-- --scale 40 --minutes 20]`
 
 use std::sync::Arc;
 
 use dns_server::ServerEngine;
 use dns_wire::Transport;
 use dns_zone::Catalog;
-use ldp_bench::arg_f64;
+use ldp_bench::{arg_f64, reject_unknown_flags};
 use ldp_core::{synthetic_root_zone, transport_experiment, TransportExperiment};
 use netsim::SimDuration;
 use workloads::BRootSpec;
 
 fn main() {
+    reject_unknown_flags(&["--scale", "--minutes"]);
     let scale = arg_f64("--scale", 40.0);
     let minutes = arg_f64("--minutes", 20.0);
     let spec = BRootSpec {

@@ -13,12 +13,13 @@ use std::sync::Arc;
 use dns_server::ServerEngine;
 use dns_wire::Transport;
 use dns_zone::Catalog;
-use ldp_bench::{arg_f64, boxplot_row, cdf_rows};
+use ldp_bench::{arg_f64, boxplot_row, cdf_rows, reject_unknown_flags};
 use ldp_core::{synthetic_root_zone, transport_experiment, TransportExperiment};
 use netsim::SimDuration;
 use workloads::BRootSpec;
 
 fn main() {
+    reject_unknown_flags(&["--scale"]);
     let scale = arg_f64("--scale", 40.0);
     let spec = BRootSpec {
         duration_secs: 300.0,

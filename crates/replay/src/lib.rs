@@ -26,16 +26,6 @@ pub mod sim_replay;
 pub mod sticky;
 pub mod timing;
 
-/// Held by the unit tests that assert wall-clock send timing or flood
-/// loopback sockets: side by side they steal each other's CPU and the
-/// timing assertions flake, so they run one at a time.
-#[cfg(test)]
-pub(crate) fn wall_clock_test() -> std::sync::MutexGuard<'static, ()> {
-    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    // A failed test poisons the lock; the next one still runs alone.
-    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 pub use crate::core::ReplayCore;
 pub use capture::{parse_tag_seq, Arrival, CaptureServer};
 pub use clock::{ReplayClock, VirtualClock, WallClock};

@@ -44,6 +44,7 @@ fn main() {
         report.total_sent, report.elapsed, rate, report.errors
     );
 
+    #[allow(clippy::disallowed_methods, reason = "T2: waits out the drain")]
     std::thread::sleep(Duration::from_millis(300));
     let answered = server
         .counters

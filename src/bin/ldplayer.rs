@@ -33,18 +33,28 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
     let rest = &args[1..];
-    let result = match cmd.as_str() {
-        "stats" => cmd_stats(rest),
-        "convert" => cmd_convert(rest),
-        "mutate" => cmd_mutate(rest),
-        "replay" => cmd_replay(rest),
-        "serve" => cmd_serve(rest),
-        "generate" => cmd_generate(rest),
+    let run: fn(&[String]) -> Result<(), String> = match cmd.as_str() {
+        "stats" => cmd_stats,
+        "convert" => cmd_convert,
+        "mutate" => cmd_mutate,
+        "replay" => cmd_replay,
+        "serve" => cmd_serve,
+        "generate" => cmd_generate,
         "--help" | "-h" | "help" => {
             println!("{USAGE}");
-            Ok(())
+            return ExitCode::SUCCESS;
         }
-        other => Err(format!("unknown command {other:?}\n{USAGE}")),
+        other => {
+            eprintln!("ldplayer: unknown command {other:?}\n{USAGE}");
+            return ExitCode::FAILURE;
+        }
+    };
+    // A subcommand knows the flags its usage lines name.
+    let usage = usage_of(cmd);
+    let known = |a: &str| usage.split(['[', ']', '|', ' ', '\n']).any(|w| w == a);
+    let result = match rest.iter().find(|a| a.starts_with("--") && !known(a)) {
+        Some(flag) => Err(format!("unknown flag {flag:?}\nusage:\n{usage}")),
+        None => run(rest),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -65,6 +75,18 @@ const USAGE: &str = "usage:
   ldplayer serve    --zone <master-file> --origin <name> [--udp IP:PORT] [--timeout SECS]
   ldplayer generate --kind broot|rec|syn [--seconds S] [--rate R]
                     [--interarrival S] [--clients N] [--seed N] --out <file>";
+
+/// `cmd`'s lines of [`USAGE`]: its own and the continuation lines under
+/// it.
+fn usage_of(cmd: &str) -> String {
+    let head = format!("ldplayer {cmd} ");
+    let mut lines = USAGE
+        .lines()
+        .skip_while(|l| !l.trim_start().starts_with(&head));
+    let first = lines.next().into_iter();
+    let rest = lines.take_while(|l| !l.contains("ldplayer "));
+    first.chain(rest).collect::<Vec<_>>().join("\n")
+}
 
 fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
     args.iter()

@@ -116,21 +116,32 @@ fn replay_fast_against_sink() {
 
 #[test]
 fn bad_usage_fails_cleanly() {
-    let out = ldplayer().args(["bogus-subcommand"]).output().unwrap();
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command"));
-
-    let out = ldplayer()
-        .args(["stats", "/nonexistent/file.bin"])
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-
-    let out = ldplayer()
-        .args(["convert", "/nonexistent/in.weird", "/tmp/out.bin"])
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
+    let out = tmp("t4.bin");
+    let out = out.to_str().unwrap();
+    let cases: [(&[&str], &str); 5] = [
+        (&["bogus-subcommand"], "unknown command"),
+        (&["stats", "/nonexistent/file.bin"], "read /nonexistent"),
+        (
+            &["convert", "/nonexistent/in.weird", out],
+            "read /nonexistent",
+        ),
+        // A flag the subcommand does not know: refused, with its usage.
+        (
+            &["stats", "t.txt", "--nonsense"],
+            "usage:\n  ldplayer stats",
+        ),
+        (
+            &["generate", "--kind", "syn", "--out", out, "--bogus", "1"],
+            "usage:\n  ldplayer generate",
+        ),
+    ];
+    for (args, says) in cases {
+        let res = ldplayer().args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&res.stderr);
+        assert_eq!(res.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(says), "{args:?}: {stderr}");
+        assert!(res.stdout.is_empty(), "{args:?} ran");
+    }
 }
 
 #[test]
