@@ -1,12 +1,13 @@
 //! The scan gate: no per-query step may iterate a whole table
-//! (DESIGN.md §7). Three steps — an NXDOMAIN answer, a view selection,
-//! a sim-replay completion — each run over a small and a large table
-//! in this one process, so machine noise cancels in the ratio. A tree
-//! probe costs about 3× more over the large table (log 4096 / log 16;
-//! measured ratios 0.25–0.8), a scan 200× or more (the pre-PR-15 code:
-//! 0.002, 0.004, 0.03), so the large-table rate must stay above a tenth
-//! of the small-table one. Prints one line per pair and exits 1 if any
-//! falls below; no absolute rate is judged and nothing is written.
+//! (DESIGN.md §7). Four steps — an NXDOMAIN answer, a view selection,
+//! a sim-replay completion, a name compressed into a message — each run
+//! over a small and a large table in this one process, so machine noise
+//! cancels in the ratio. A tree probe costs about 3× more over the large
+//! table (log 4096 / log 16; measured ratios 0.25–0.8), a scan 200× or
+//! more (the pre-PR-15 code: 0.002, 0.004, 0.03), so the large-table
+//! rate must stay above a tenth of the small-table one. Prints one line
+//! per pair and exits 1 if any falls below; no absolute rate is judged
+//! and nothing is written.
 //!
 //! `cargo run --release -p ldp-bench --bin scan_gate`
 
@@ -16,7 +17,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use dns_server::{ServerEngine, SimDnsServer};
-use dns_wire::{Message, Name, RData, Rcode, Record, RecordType, Soa};
+use dns_wire::{EncodeScratch, Message, Name, RData, Rcode, Record, RecordType, Soa};
 use dns_zone::{Catalog, ClientMatch, View, ViewSet, Zone};
 use ldp_replay::{LatencyLog, SimReplayClient};
 use ldp_trace::TraceEntry;
@@ -157,6 +158,34 @@ fn sim_complete_rate(in_flight: usize) -> f64 {
     })
 }
 
+/// Names/sec encoded into one response holding `names` A records with
+/// distinct owners under one zone, through one reused scratch. Each
+/// owner, `a.b.c.h<i>.bench.example`, is four searches among the
+/// suffixes the message has written (its four new ones miss); owners
+/// past offset 0x3fff are searched but not recorded. A search that walks
+/// what the message holds shows here: 1,500 names fill a 43 KB response,
+/// as a TCP answer may, and about 2,300 suffixes are recorded.
+fn compress_rate(names: usize) -> f64 {
+    let mut msg =
+        Message::query(1, "h0.bench.example".parse().expect("qname"), RecordType::A).response_to();
+    for i in 0..names {
+        msg.answers.push(Record::new(
+            format!("a.b.c.h{i}.bench.example").parse().expect("owner"),
+            60,
+            RData::A([10, 1, (i / 256) as u8, (i % 256) as u8].into()),
+        ));
+    }
+    let mut scratch = EncodeScratch::new();
+    let wire = msg.encode_into(&mut scratch).to_vec();
+    assert_eq!(Message::decode(&wire).expect("decodes"), msg);
+    let encodes = 200_000 / names;
+    rate((encodes * names) as u64, || {
+        for _ in 0..encodes {
+            black_box(black_box(&msg).encode_into(&mut scratch).len());
+        }
+    })
+}
+
 fn main() {
     ldp_bench::reject_unknown_flags(&[]);
     let pairs = [
@@ -171,6 +200,10 @@ fn main() {
         (
             "sim replay completion, 16 / 32768 in flight",
             [16, 32_768].map(sim_complete_rate),
+        ),
+        (
+            "name compression, 16 / 1,500 distinct names in one message",
+            [16, 1500].map(compress_rate),
         ),
     ];
     let mut all_ok = true;

@@ -185,8 +185,8 @@ impl Message {
     /// Serialize, compressing names, with no size limit (TCP semantics).
     ///
     /// Thin wrapper over [`Message::encode_into`] using a thread-local
-    /// [`EncodeScratch`], so the interned compression tables stay warm
-    /// across calls even for callers that never hold a scratch.
+    /// [`EncodeScratch`], so its buffers keep their capacity across calls
+    /// even for callers that never hold a scratch.
     pub fn encode(&self) -> Vec<u8> {
         self.encode_with_thread_scratch(usize::MAX).0
     }

@@ -5,7 +5,6 @@
 //! cursor that follows compression pointers with loop protection.
 
 use crate::name::{Name, NameBuilder};
-use crate::scratch::{CompressMap, ROOT_SID};
 
 /// Errors produced while decoding wire data.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,17 +41,17 @@ impl std::error::Error for WireError {}
 
 /// Serializer with optional name compression.
 ///
-/// Compression offsets are remembered per (suffix → offset) through the
-/// interned tables in [`crate::scratch`]; only offsets that fit in 14
-/// bits are eligible as pointer targets, per the RFC. The writer is
-/// reusable: [`WireWriter::reset`] clears the output and invalidates the
-/// per-message offsets in O(1) while keeping the interners (and all
-/// their capacity) warm across messages.
+/// Compression state is per message: a table of where each suffix this
+/// message wrote as labels sits, for the offsets a pointer can hold (14
+/// bits, per the RFC). The writer is reusable:
+/// [`WireWriter::reset`] clears the output and empties the table in time
+/// proportional to what the last message wrote, keeping the capacity of
+/// both, so a writer holds what its largest message needed and no more.
 #[derive(Debug)]
 pub struct WireWriter {
     buf: Vec<u8>,
-    /// Interned suffix → offset state (epoch-invalidated per message).
-    compress_map: CompressMap,
+    /// Suffix → offset, for this message only.
+    suffixes: Suffixes,
     /// Whether to emit compression pointers at all.
     compress: bool,
 }
@@ -62,17 +61,17 @@ impl WireWriter {
     pub fn new() -> Self {
         WireWriter {
             buf: Vec::with_capacity(512),
-            compress_map: CompressMap::new(),
+            suffixes: Suffixes::default(),
             compress: true,
         }
     }
 
-    /// Clear the output buffer and start a fresh compression epoch,
-    /// keeping allocated capacity. Called between messages when the
-    /// writer is reused via [`crate::EncodeScratch`].
+    /// Clear the output buffer and the compression table, keeping
+    /// allocated capacity. Called between messages when the writer is
+    /// reused via [`crate::EncodeScratch`].
     pub fn reset(&mut self) {
         self.buf.clear();
-        self.compress_map.reset();
+        self.suffixes.clear();
     }
 
     /// The bytes written so far, without consuming the writer.
@@ -138,48 +137,40 @@ impl WireWriter {
     /// Append a domain name, emitting a compression pointer when a suffix
     /// of the name was already written at a pointer-representable offset.
     ///
-    /// Allocation-free in steady state: labels are interned to integer
-    /// ids, suffixes to (label, parent-suffix) pairs, and the per-message
-    /// offset lookup is an epoch-checked array read — no `Name` clones,
-    /// no per-label `Vec`s, no hashing of whole names.
+    /// The suffixes are hashed right to left, then probed longest first;
+    /// a slot whose hash matches is taken only once the labels at its
+    /// offset are the suffix's. The cost is O(labels) however much the
+    /// message already holds, and nothing allocates once the table has
+    /// the capacity of the largest message.
     pub fn put_name(&mut self, name: &Name) {
-        if name.is_root() {
-            self.buf.push(0);
-            return;
-        }
-        if !self.compress {
+        if !self.compress || name.is_root() {
             self.put_name_uncompressed(name);
             return;
         }
-        // Intern every suffix right-to-left; stack[i] holds the suffix id
-        // for the name starting at label (count-1-i).
-        let mut stack = std::mem::take(&mut self.compress_map.sid_stack);
-        stack.clear();
-        let mut sid = ROOT_SID;
-        for label in name.labels().rev() {
-            let lid = self.compress_map.intern_label(label);
-            sid = self.compress_map.intern_suffix(lid, sid);
-            stack.push(sid);
+        // keys[i]: the key of the suffix that starts at label i.
+        let mut keys = [0u64; MAX_LABELS];
+        let mut key = 0;
+        let suffixes = keys.iter_mut().take(name.label_count()).rev();
+        for (slot, label) in suffixes.zip(name.labels().rev()) {
+            key = suffix_key(key, label);
+            *slot = key;
         }
-        // Emit left-to-right: pointer on the first suffix already written
-        // this message, otherwise record the offset and write the label.
-        let mut pointed = false;
-        for (&sid, label) in stack.iter().rev().zip(name.labels()) {
-            if let Some(off) = self.compress_map.get_offset(sid) {
-                self.buf.extend_from_slice(&(0xc000 | off).to_be_bytes());
-                pointed = true;
-                break;
+        for (i, (label, &key)) in name.labels().zip(&keys).enumerate() {
+            let buf = &self.buf;
+            let hit = self
+                .suffixes
+                .find(key, |at| written_at(buf, at, name.labels().skip(i)));
+            if let Some(at) = hit {
+                self.put_u16(0xc000 | at);
+                return;
             }
-            if self.buf.len() <= 0x3fff {
-                self.compress_map.set_offset(sid, self.buf.len() as u16);
+            if self.buf.len() <= MAX_POINTER {
+                self.suffixes.insert(key, self.buf.len() as u16);
             }
             self.buf.push(label.len() as u8);
             self.buf.extend_from_slice(label);
         }
-        if !pointed {
-            self.buf.push(0);
-        }
-        self.compress_map.sid_stack = stack;
+        self.buf.push(0);
     }
 
     /// Append a name without creating or using compression pointers,
@@ -198,6 +189,135 @@ impl Default for WireWriter {
     fn default() -> Self {
         WireWriter::new()
     }
+}
+
+/// Labels in the longest name (255 octets, one-octet labels).
+const MAX_LABELS: usize = 128;
+/// The largest offset a compression pointer can hold.
+const MAX_POINTER: usize = 0x3fff;
+/// Set in every filled [`Suffixes`] slot.
+const FILLED: u64 = 1 << 16;
+
+/// One message's compression table: open addressing over `u64` slots,
+/// each a suffix key's top 32 bits, [`FILLED`] and the 16-bit offset
+/// where the suffix was written as labels; 0 is free. Kept at most half
+/// full, so at most 16 Ki slots (128 KiB) for the ≤ 8 Ki label offsets a
+/// pointer can reach.
+#[derive(Debug, Default)]
+struct Suffixes {
+    /// Empty until the first insert, then a power of two long.
+    slots: Vec<u64>,
+    /// Indices of the filled slots, so emptying costs what was written.
+    filled: Vec<u32>,
+}
+
+impl Suffixes {
+    /// The offset of the first slot on `key`'s probe path whose hash
+    /// matches and whose offset `is_it` accepts.
+    fn find(&self, key: u64, mut is_it: impl FnMut(usize) -> bool) -> Option<u16> {
+        let mask = self.slots.len().checked_sub(1)?;
+        let mut i = (key >> 32) as usize & mask;
+        loop {
+            let slot = *self.slots.get(i)?;
+            if slot == 0 {
+                return None;
+            }
+            let at = slot as u16;
+            if (slot ^ key) >> 32 == 0 && is_it(usize::from(at)) {
+                return Some(at);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Record that the suffix of `key` was written at `at`.
+    fn insert(&mut self, key: u64, at: u16) {
+        if self.filled.len() * 2 >= self.slots.len() {
+            self.grow();
+        }
+        let i = self.place((key >> 32 << 32) | FILLED | u64::from(at));
+        self.filled.push(i);
+    }
+
+    /// Put a filled slot at the first free index of its probe path, and
+    /// return that index.
+    fn place(&mut self, slot: u64) -> u32 {
+        let mask = self.slots.len() - 1;
+        let mut i = (slot >> 32) as usize & mask;
+        while self.slots.get(i).is_some_and(|&s| s != 0) {
+            i = (i + 1) & mask;
+        }
+        if let Some(free) = self.slots.get_mut(i) {
+            *free = slot;
+        }
+        i as u32
+    }
+
+    /// Double the table (64 slots the first time) and re-place its slots.
+    fn grow(&mut self) {
+        let len = (self.slots.len() * 2).max(64);
+        let old = std::mem::replace(&mut self.slots, vec![0; len]);
+        let mut filled = std::mem::take(&mut self.filled);
+        for i in &mut filled {
+            if let Some(&slot) = old.get(*i as usize) {
+                *i = self.place(slot);
+            }
+        }
+        self.filled = filled;
+    }
+
+    /// Free every filled slot.
+    fn clear(&mut self) {
+        for &i in &self.filled {
+            if let Some(slot) = self.slots.get_mut(i as usize) {
+                *slot = 0;
+            }
+        }
+        self.filled.clear();
+    }
+}
+
+/// The key of the suffix `label.parent` from the key of `parent` (0 for
+/// the root).
+fn suffix_key(parent: u64, label: &[u8]) -> u64 {
+    let mut h = parent ^ label.len() as u64;
+    for chunk in label.chunks(8) {
+        let mut word = [0u8; 8];
+        if let Some(head) = word.get_mut(..chunk.len()) {
+            head.copy_from_slice(chunk);
+        }
+        h = (h ^ u64::from_le_bytes(word)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+    // splitmix64's finaliser: every bit of `h` reaches the top 32.
+    h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    h ^ (h >> 31)
+}
+
+/// Whether the name written in `buf` at `at`, pointers followed, is
+/// `labels` and then the root. Pointers must lead strictly backwards.
+fn written_at<'a>(buf: &[u8], mut at: usize, labels: impl Iterator<Item = &'a [u8]>) -> bool {
+    for label in labels {
+        let Some(mut len) = buf.get(at).copied() else {
+            return false;
+        };
+        while len & 0xc0 == 0xc0 {
+            let Some(&low) = buf.get(at + 1) else {
+                return false;
+            };
+            let target = (usize::from(len & 0x3f) << 8) | usize::from(low);
+            match buf.get(target) {
+                Some(&next) if target < at => (at, len) = (target, next),
+                _ => return false,
+            }
+        }
+        let end = at + 1 + usize::from(len);
+        if buf.get(at + 1..end) != Some(label) {
+            return false;
+        }
+        at = end;
+    }
+    buf.get(at) == Some(&0)
 }
 
 /// Bounds-checked decoding cursor over a full DNS message buffer.

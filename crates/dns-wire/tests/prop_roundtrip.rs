@@ -129,13 +129,9 @@ fn arb_message(g: &mut Gen) -> Message {
     }
 }
 
-/// Reference implementation of the pre-rewrite encoder: encode with
-/// explicit section counts, cloning the EDNS block to patch the extended
-/// RCODE. Kept verbatim so the offset-slicing truncation can be proven
-/// byte-identical to the old drop-and-reencode loop.
-fn ref_encode_with_counts(m: &Message, an: usize, ns: usize, ar: usize, tc: bool) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.put_u16(m.id);
+/// The 12-byte header of `m` with `an`/`ns`/`ar` records (and OPT) kept
+/// and TC set when `tc`.
+fn ref_header(m: &Message, an: usize, ns: usize, ar: usize, tc: bool) -> Vec<u8> {
     let mut f: u16 = 0;
     if m.flags.response {
         f |= 0x8000;
@@ -160,12 +156,23 @@ fn ref_encode_with_counts(m: &Message, an: usize, ns: usize, ar: usize, tc: bool
         f |= 0x0010;
     }
     f |= m.rcode.low_bits() as u16;
-    w.put_u16(f);
-    w.put_u16(m.questions.len() as u16);
-    w.put_u16(an as u16);
-    w.put_u16(ns as u16);
     let opt_count = usize::from(m.edns.is_some());
-    w.put_u16((ar + opt_count) as u16);
+    let counts = [m.questions.len(), an, ns, ar + opt_count];
+    [m.id, f]
+        .into_iter()
+        .chain(counts.map(|c| c as u16))
+        .flat_map(u16::to_be_bytes)
+        .collect()
+}
+
+/// Reference implementation of the pre-rewrite encoder: encode with
+/// explicit section counts, cloning the EDNS block to patch the extended
+/// RCODE. Kept so the offset-slicing truncation can be proven
+/// byte-identical to the old drop-and-reencode loop; its header is
+/// [`ref_header`], shared with [`ref_compressed`].
+fn ref_encode_with_counts(m: &Message, an: usize, ns: usize, ar: usize, tc: bool) -> Vec<u8> {
+    let mut w = WireWriter::new();
+    w.put_bytes(&ref_header(m, an, ns, ar, tc));
     for q in &m.questions {
         w.put_name(&q.name);
         w.put_u16(q.qtype.to_u16());
@@ -188,9 +195,17 @@ fn ref_encode_with_counts(m: &Message, an: usize, ns: usize, ar: usize, tc: bool
     w.into_bytes()
 }
 
-/// The old drop-and-reencode UDP truncation loop, verbatim.
-fn ref_encode_udp(m: &Message, limit: usize) -> (Vec<u8>, bool) {
-    let full = ref_encode_with_counts(
+/// A message encoder with `an`/`ns`/`ar` records kept and TC as given.
+type EncodeWithCounts = fn(&Message, usize, usize, usize, bool) -> Vec<u8>;
+
+/// The old drop-and-reencode UDP truncation loop, verbatim, over
+/// `encode_with_counts`.
+fn ref_encode_udp(
+    m: &Message,
+    limit: usize,
+    encode_with_counts: EncodeWithCounts,
+) -> (Vec<u8>, bool) {
+    let full = encode_with_counts(
         m,
         m.answers.len(),
         m.authorities.len(),
@@ -211,9 +226,9 @@ fn ref_encode_udp(m: &Message, limit: usize) -> (Vec<u8>, bool) {
         } else if an > 0 {
             an -= 1;
         } else {
-            return (ref_encode_with_counts(m, 0, 0, 0, true), true);
+            return (encode_with_counts(m, 0, 0, 0, true), true);
         }
-        let buf = ref_encode_with_counts(m, an, ns, ar, true);
+        let buf = encode_with_counts(m, an, ns, ar, true);
         if buf.len() <= limit {
             return (buf, true);
         }
@@ -299,7 +314,7 @@ fn truncation_byte_identical_to_reference() {
         // result, the offset-slicing rewrite must reproduce it exactly;
         // where the old loop overshot (its header+question+OPT fallback),
         // the rewrite must clamp instead.
-        let (old, old_tc) = ref_encode_udp(&msg, limit);
+        let (old, old_tc) = ref_encode_udp(&msg, limit, ref_encode_with_counts);
         let (new, new_tc) = msg.encode_udp(limit);
         assert!(new.len() <= limit);
         if old.len() <= limit {
@@ -324,6 +339,154 @@ fn scratch_encode_matches_wrapper() {
         let (wrapper, wrapper_tc) = msg.encode_udp(limit);
         assert_eq!(b, wrapper);
         assert_eq!(tc, wrapper_tc);
+    });
+}
+
+/// RFC 1035 §4.1.4 compression, written plainly: the suffixes this
+/// message wrote as labels at an offset a pointer can hold, in order; a
+/// name points at the first one it ends with.
+#[derive(Default)]
+struct RefCompressor {
+    out: Vec<u8>,
+    written: Vec<(Name, u16)>,
+}
+
+impl RefCompressor {
+    fn put_name(&mut self, name: &Name) {
+        let mut suffix = name.clone();
+        while let Some(label) = suffix.leftmost() {
+            if let Some(&(_, at)) = self.written.iter().find(|(n, _)| *n == suffix) {
+                self.out.extend_from_slice(&(0xc000 | at).to_be_bytes());
+                return;
+            }
+            if self.out.len() <= 0x3fff {
+                self.written.push((suffix.clone(), self.out.len() as u16));
+            }
+            self.out.push(label.len() as u8);
+            self.out.extend_from_slice(label);
+            suffix = suffix.parent().unwrap();
+        }
+        self.out.push(0);
+    }
+}
+
+/// `m` with `an`/`ns`/`ar` records kept, its questions and owners
+/// compressed by [`RefCompressor`] and everything after an owner as an
+/// uncompressing writer puts it (RDATA names are never compressed).
+fn ref_compressed(m: &Message, an: usize, ns: usize, ar: usize, tc: bool) -> Vec<u8> {
+    let mut c = RefCompressor {
+        out: ref_header(m, an, ns, ar, tc),
+        ..Default::default()
+    };
+    for q in &m.questions {
+        c.put_name(&q.name);
+        c.out.extend(q.qtype.to_u16().to_be_bytes());
+        c.out.extend(q.qclass.to_u16().to_be_bytes());
+    }
+    let opt = m.edns.as_ref().map(|edns| {
+        let mut e = edns.clone();
+        e.ext_rcode_high = m.rcode.high_bits();
+        e.to_record()
+    });
+    let kept = (m.answers.iter().take(an))
+        .chain(m.authorities.iter().take(ns))
+        .chain(m.additionals.iter().take(ar));
+    for rec in kept.chain(&opt) {
+        c.put_name(&rec.name);
+        let mut w = WireWriter::new_uncompressed();
+        rec.encode(&mut w);
+        c.out.extend_from_slice(&w.bytes()[rec.name.wire_len()..]);
+    }
+    c.out
+}
+
+/// A name from a small tree: up to four labels, two choices at each
+/// depth, so names share suffixes at every depth and often have the
+/// same length (which lines one message's offsets up with the next's).
+/// A label is sometimes upper-cased, and one in eight is long enough to
+/// take the name past 29 canonical bytes.
+fn tree_name(g: &mut Gen) -> Name {
+    let mut labels: Vec<Vec<u8>> = (0..g.size(0..=4))
+        .map(|depth| match g.below(8) {
+            0 => b"a-label-long-enough-to-share".to_vec(),
+            k => {
+                let label = [b'a' + (k % 2) as u8, b'0' + depth as u8];
+                match g.bool() {
+                    true => label.to_ascii_uppercase(),
+                    false => label.to_vec(),
+                }
+            }
+        })
+        .collect();
+    labels.reverse();
+    Name::from_labels(labels).unwrap()
+}
+
+/// A message of [`tree_name`]s: owners and questions (compressed), NS,
+/// RRSIG and NSEC names in RDATA (written whole), and now and then one
+/// opaque record of 15.5–16 KiB that pushes the names after it past
+/// 0x3fff, or to either side of it.
+fn arb_compressible(g: &mut Gen) -> Message {
+    let mut record = |g: &mut Gen| {
+        let rdata = match g.below(12) {
+            0..=2 => RData::Ns(tree_name(g)),
+            3..=5 => RData::A(g.array::<4>().into()),
+            6 | 7 => {
+                let RData::Rrsig(sig) = arb_rrsig(g) else {
+                    panic!("arb_rrsig draws an RRSIG")
+                };
+                let signer_name = tree_name(g);
+                RData::Rrsig(Rrsig { signer_name, ..sig })
+            }
+            8 | 9 => RData::Nsec {
+                next: tree_name(g),
+                types: vec![RecordType::A, RecordType::NS],
+            },
+            10 => RData::Unknown {
+                rtype: 65_280,
+                data: vec![0; g.size(0x3e00..=0x4000)],
+            },
+            _ => RData::Cname(tree_name(g)),
+        };
+        Record::new(tree_name(g), 60, rdata)
+    };
+    Message {
+        id: g.u16(),
+        questions: g.vec(0..=2, |g| Question::new(tree_name(g), RecordType::A)),
+        answers: g.vec(0..=5, &mut record),
+        authorities: g.vec(0..=4, &mut record),
+        additionals: g.vec(0..=4, &mut record),
+        edns: g.option(|_| Edns::default()),
+        ..Message::default()
+    }
+}
+
+/// One long-lived scratch compresses every message as the plain RFC
+/// reference does, with no limit and under UDP limits that truncate: a
+/// pointer goes to the first place in this message a suffix was written
+/// as labels at an offset ≤ 0x3fff, and to nothing an earlier message
+/// wrote.
+#[test]
+fn compression_matches_the_rfc_reference_across_messages() {
+    check(256, |g| {
+        let mut scratch = dns_wire::EncodeScratch::new();
+        for _ in 0..g.size(1..=6) {
+            let msg = arb_compressible(g);
+            let full = msg.encode_into(&mut scratch).to_vec();
+            let (an, ns, ar) = (
+                msg.answers.len(),
+                msg.authorities.len(),
+                msg.additionals.len(),
+            );
+            assert_eq!(full, ref_compressed(&msg, an, ns, ar, false));
+            assert_eq!(Message::decode(&full).unwrap(), msg);
+            let limit = g.size(12..=full.len() + 16);
+            let (udp, tc) = msg.encode_udp_into(limit, &mut scratch);
+            let (want, want_tc) = ref_encode_udp(&msg, limit, ref_compressed);
+            if want.len() <= limit {
+                assert_eq!((udp, tc), (&want[..], want_tc));
+            }
+        }
     });
 }
 

@@ -305,7 +305,7 @@ pub fn replay_with_clock(
     // past the checkpoint cursor are dispatched.
     let mut controller_router = StickyRouter::new(n_d);
     // One scratch for the whole pre-encode pass: the output buffer and
-    // the name-compression interner are reused across every entry, so
+    // the compression table keep their capacity across every entry, so
     // the only per-query allocation is the shared payload itself.
     let mut scratch = EncodeScratch::new();
     for (seq, entry) in trace.iter().enumerate() {

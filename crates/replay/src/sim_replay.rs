@@ -247,7 +247,7 @@ pub struct SimReplayClient {
     pub origin: SimTime,
     /// Times this host was power-cycled by the simulator.
     pub restarts: u32,
-    /// Reusable encode buffer + compression interner for dispatch.
+    /// Reusable encode buffer + compression table for dispatch.
     scratch: EncodeScratch,
     /// The query being sent as it goes on the wire: the encoded
     /// message, length-prefixed for a stream.

@@ -22,11 +22,19 @@ use dns_wire::{Message, Transport};
 
 use crate::entry::TraceEntry;
 
-/// Errors decoding the binary stream.
+/// Errors writing or decoding the binary stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BinError {
     /// The stream ended mid-record.
     Truncated,
+    /// Entry `index`'s message encodes to `bytes` bytes, more than its
+    /// record's u16 length can count (65,511 for IPv4, 65,487 for IPv6).
+    TooLong {
+        /// The entry's position in the trace.
+        index: usize,
+        /// Its encoded message's length.
+        bytes: usize,
+    },
     /// A field held an invalid value.
     Invalid(&'static str),
     /// The embedded DNS message failed to parse.
@@ -37,6 +45,10 @@ impl std::fmt::Display for BinError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             BinError::Truncated => write!(f, "binary stream truncated"),
+            BinError::TooLong { index, bytes } => write!(
+                f,
+                "entry {index}: a {bytes}-byte message does not fit a binary record"
+            ),
             BinError::Invalid(what) => write!(f, "invalid field: {what}"),
             BinError::BadMessage(e) => write!(f, "bad DNS message: {e}"),
         }
@@ -53,8 +65,9 @@ fn put_addr(out: &mut Vec<u8>, addr: SocketAddr) {
     out.extend_from_slice(&addr.port().to_be_bytes());
 }
 
-/// Append one record to `out`.
-fn append_record(out: &mut Vec<u8>, entry: &TraceEntry) {
+/// Append entry `index` to `out`, or refuse it when its record would be
+/// longer than the record's u16 length field counts.
+fn append_record(out: &mut Vec<u8>, entry: &TraceEntry, index: usize) -> Result<(), BinError> {
     let msg = entry.message.encode();
     let kind: u8 = match (entry.src.ip(), entry.dst.ip()) {
         (IpAddr::V4(_), IpAddr::V4(_)) => 4,
@@ -68,7 +81,11 @@ fn append_record(out: &mut Vec<u8>, entry: &TraceEntry) {
     };
     let addr_len = if kind == 4 { 4 } else { 16 };
     let record_len = 8 + 1 + 2 * (addr_len + 2) + 1 + 2 + msg.len();
-    out.extend_from_slice(&(record_len as u16).to_be_bytes());
+    let record_len = u16::try_from(record_len).map_err(|_| BinError::TooLong {
+        index,
+        bytes: msg.len(),
+    })?;
+    out.extend_from_slice(&record_len.to_be_bytes());
     out.extend_from_slice(&entry.time_us.to_be_bytes());
     out.push(kind);
     put_addr(out, src);
@@ -80,6 +97,7 @@ fn append_record(out: &mut Vec<u8>, entry: &TraceEntry) {
     });
     out.extend_from_slice(&(msg.len() as u16).to_be_bytes());
     out.extend_from_slice(&msg);
+    Ok(())
 }
 
 fn promote(addr: SocketAddr) -> SocketAddr {
@@ -89,13 +107,14 @@ fn promote(addr: SocketAddr) -> SocketAddr {
     }
 }
 
-/// Serialize a whole trace.
-pub fn write_binary(entries: &[TraceEntry]) -> Vec<u8> {
+/// Serialize a whole trace, refusing it if an entry's message is too
+/// long for its record ([`BinError::TooLong`]).
+pub fn write_binary(entries: &[TraceEntry]) -> Result<Vec<u8>, BinError> {
     let mut out = Vec::with_capacity(entries.len() * 96);
-    for e in entries {
-        append_record(&mut out, e);
+    for (index, e) in entries.iter().enumerate() {
+        append_record(&mut out, e, index)?;
     }
-    out
+    Ok(out)
 }
 
 /// A streaming reader over the binary format.
@@ -226,7 +245,7 @@ mod tests {
     #[test]
     fn round_trip_many() {
         let entries: Vec<TraceEntry> = (0..50).map(sample).collect();
-        let buf = write_binary(&entries);
+        let buf = write_binary(&entries).unwrap();
         let back = parse_binary(&buf).unwrap();
         assert_eq!(back, entries);
     }
@@ -235,7 +254,7 @@ mod tests {
     fn ipv6_and_mixed_families() {
         let mut e = sample(1);
         e.src = "[2001:db8::1]:5353".parse().unwrap();
-        let buf = write_binary(&[e.clone()]);
+        let buf = write_binary(&[e.clone()]).unwrap();
         let back = parse_binary(&buf).unwrap();
         assert_eq!(back[0].src, e.src);
         // v4 dst was promoted to a mapped v6 address.
@@ -248,7 +267,7 @@ mod tests {
     #[test]
     fn streaming_reader_yields_in_order() {
         let entries: Vec<TraceEntry> = (0..5).map(sample).collect();
-        let buf = write_binary(&entries);
+        let buf = write_binary(&entries).unwrap();
         let mut reader = BinReader::new(&buf);
         for want in &entries {
             let got = reader.next_record().unwrap().unwrap();
@@ -259,7 +278,7 @@ mod tests {
 
     #[test]
     fn truncated_stream_rejected() {
-        let buf = write_binary(&[sample(0)]);
+        let buf = write_binary(&[sample(0)]).unwrap();
         for cut in 1..buf.len() {
             let r = parse_binary(&buf[..cut]);
             assert!(r.is_err(), "cut at {cut} must fail");
@@ -268,7 +287,7 @@ mod tests {
 
     #[test]
     fn garbage_transport_rejected() {
-        let mut buf = write_binary(&[sample(1)]);
+        let mut buf = write_binary(&[sample(1)]).unwrap();
         // transport byte is at: 2 + 8 + 1 + (4+2)*2 = 23.
         buf[23] = 9;
         assert!(matches!(
@@ -295,8 +314,52 @@ mod tests {
             RData::A("1.2.3.4".parse().unwrap()),
         ));
         e.message = resp;
-        let back = parse_binary(&write_binary(&[e.clone()])).unwrap();
+        let back = parse_binary(&write_binary(&[e.clone()]).unwrap()).unwrap();
         assert_eq!(back[0].message.answers.len(), 1);
         assert_eq!(back[0], e);
+    }
+
+    /// An entry between `src` and `dst` whose message encodes to `len`
+    /// bytes: a query padded by one answer of opaque RDATA.
+    fn entry_of_len([src, dst]: [&str; 2], len: usize) -> TraceEntry {
+        use dns_wire::{RData, Record};
+        let mut e = sample(1);
+        (e.src, e.dst) = (src.parse().unwrap(), dst.parse().unwrap());
+        let padded = |bytes: usize| {
+            let mut m = e.message.clone();
+            m.answers.push(Record::new(
+                "q1.example.com".parse().unwrap(),
+                60,
+                RData::Unknown {
+                    rtype: 65_280,
+                    data: vec![0; bytes],
+                },
+            ));
+            m
+        };
+        let bare = padded(0).encode().len();
+        e.message = padded(len - bare);
+        assert_eq!(e.message.encode().len(), len);
+        e
+    }
+
+    #[test]
+    fn a_message_longer_than_its_record_can_count_is_refused() {
+        let v4 = ["10.0.0.1:5301", "10.0.0.9:53"];
+        let v6 = ["[2001:db8::1]:5353", "[2001:db8::9]:53"];
+        for (ends, most) in [(v4, 65_511), (v6, 65_487)] {
+            let fits = [sample(0), entry_of_len(ends, most)];
+            assert!(parse_binary(&write_binary(&fits).unwrap()).unwrap() == fits);
+            let over = [sample(0), entry_of_len(ends, most + 1)];
+            let refused = write_binary(&over).unwrap_err();
+            assert_eq!(
+                refused,
+                BinError::TooLong {
+                    index: 1,
+                    bytes: most + 1
+                }
+            );
+            assert!(refused.to_string().starts_with("entry 1: "), "{refused}");
+        }
     }
 }

@@ -19,7 +19,7 @@
 //! assert_eq!(trace[0].transport, Transport::Tcp);
 //!
 //! // Lossless binary round trip (the replay engine's input format).
-//! let bin = ldp_trace::write_binary(&trace);
+//! let bin = ldp_trace::write_binary(&trace).unwrap();
 //! assert_eq!(ldp_trace::parse_binary(&bin).unwrap(), trace);
 //! ```
 
@@ -80,7 +80,7 @@ mod tests {
             .all(|e| e.transport == dns_wire::Transport::Tcp));
 
         // entries → binary → entries.
-        let bin = write_binary(&mutated);
+        let bin = write_binary(&mutated).unwrap();
         let from_bin = parse_binary(&bin).unwrap();
         mutated
             .iter()

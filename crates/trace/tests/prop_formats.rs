@@ -38,7 +38,7 @@ fn arb_entry(g: &mut Gen) -> TraceEntry {
 fn binary_round_trip() {
     check(256, |g| {
         let entries = g.vec(0..=19, arb_entry);
-        let bin = write_binary(&entries);
+        let bin = write_binary(&entries).unwrap();
         assert_eq!(parse_binary(&bin).unwrap(), entries);
     });
 }
@@ -95,7 +95,7 @@ fn binary_parser_never_panics() {
         let _ = parse_binary(&g.bytes(0..=255));
     });
     check(256, |g| {
-        let valid = write_binary(&g.vec(1..=5, arb_entry));
+        let valid = write_binary(&g.vec(1..=5, arb_entry)).unwrap();
         let _ = parse_binary(&g.corrupt(valid));
     });
 }
@@ -162,7 +162,7 @@ fn message_embedding_is_lossless_for_responses() {
             ));
         }
         e.message = resp;
-        let bin = write_binary(std::slice::from_ref(&e));
+        let bin = write_binary(std::slice::from_ref(&e)).unwrap();
         let back = parse_binary(&bin).unwrap();
         assert_eq!(back[0], e);
         assert_eq!(back[0].message.answers.len(), answers);

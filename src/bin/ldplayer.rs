@@ -153,7 +153,7 @@ fn save_trace(path: &str, trace: &[TraceEntry]) -> Result<(), String> {
             data
         }
         "txt" | "text" => write_text(trace).into_bytes(),
-        "bin" => write_binary(trace),
+        "bin" => write_binary(trace).map_err(|e| format!("write {path}: {e}"))?,
         other => return Err(format!("unknown output extension .{other}")),
     };
     std::fs::write(path, bytes).map_err(|e| format!("write {path}: {e}"))

@@ -37,7 +37,7 @@ fn engine() -> Arc<ServerEngine> {
 fn dnssec_whatif_through_binary_format() {
     let original = trace();
     // Round-trip through the replay input format first.
-    let bin = write_binary(&original);
+    let bin = write_binary(&original).expect("binary write");
     let mut restored = parse_binary(&bin).expect("binary round trip");
     assert_eq!(restored, original);
 
