@@ -20,6 +20,10 @@ use std::sync::{Arc, Mutex};
 
 use dns_resolver::sim_resolver::{AnswerClass, AnswerEvent, ResolverSnapshot};
 use ldp_cache::{CacheConfig, PrefetchConfig};
+#[allow(
+    clippy::disallowed_types,
+    reason = "D6: the workload's ranks are drawn before the run, from one stream the simulator never sees"
+)]
 use ldp_rng::SplitMix64;
 use netsim::{SimDriver, SimDuration, SimTime};
 use workloads::Zipf;
@@ -141,6 +145,10 @@ impl DelayedConfig {
 
     /// The deterministic per-query name ranks: Zipf draws from a rng
     /// seeded only by `seed`, independent of the simulator.
+    #[allow(
+        clippy::disallowed_types,
+        reason = "D6: the workload's ranks are drawn before the run, from one stream the simulator never sees"
+    )]
     pub fn ranks(&self) -> Vec<usize> {
         let zipf = Zipf::new(self.names, self.zipf_s);
         let mut rng = SplitMix64::seed_from_u64(self.seed ^ 0x5eed_cafe);

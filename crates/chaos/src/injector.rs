@@ -5,17 +5,18 @@
 //! simulator consults it — events with `at <= now` are applied in plan
 //! order, so its window state at any consult is a pure function of the
 //! consult time. Randomness is **stateless**: every draw is a hash of
-//! `(plan seed, now, src, dst, bytes, draw site)`, never a stream
-//! position. That makes the injector's decisions placement-invariant:
-//! the per-shard replicas a sharded run installs (`ldp-shard`) each see
-//! only their own shard's packets, yet compute exactly the fates the
-//! single injector of a single-shard run computes — same seed →
-//! byte-identical transcripts at any shard count.
+//! `(plan seed, now, src, dst, bytes, draw site)` ([`packet_draw`]),
+//! never a stream position. That makes the injector's decisions
+//! placement-invariant: the per-shard replicas a sharded run installs
+//! (`ldp-shard`) each see only their own shard's packets, yet compute
+//! exactly the fates the single injector of a single-shard run
+//! computes — same seed → byte-identical transcripts at any shard
+//! count.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::{IpAddr, SocketAddr};
 
-use netsim::{FaultInjector, PacketFate, SimDuration, SimTime, WireKind};
+use netsim::{packet_draw, FaultInjector, PacketFate, SimDuration, SimTime, WireKind};
 
 use crate::plan::{FaultEvent, FaultPlan};
 
@@ -36,32 +37,6 @@ const DUPLICATE_GAP_NS: u64 = 500_000;
 /// the plan would delay past it is dropped instead: no run gets there,
 /// and the simulator's `now + path delay + extra` must not overflow.
 const LATEST_NS: u64 = u64::MAX / 2;
-
-/// SplitMix64 finalizer: the mixing core of the stateless draws.
-fn mix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn mix_ip(ip: IpAddr) -> u64 {
-    match ip {
-        IpAddr::V4(v4) => u64::from(u32::from(v4)),
-        IpAddr::V6(v6) => {
-            let o = v6.octets();
-            let mut h = 0u64;
-            for chunk in o.chunks(8) {
-                let mut w = 0u64;
-                for &b in chunk {
-                    w = (w << 8) | u64::from(b);
-                }
-                h = mix(h ^ w);
-            }
-            h
-        }
-    }
-}
 
 /// A [`FaultInjector`] executing one [`FaultPlan`].
 pub struct PlanInjector {
@@ -152,18 +127,11 @@ impl PlanInjector {
             self.next += 1;
         }
     }
-
-    /// One stateless uniform draw in `[0, 1)`: a hash of the packet
-    /// `key` and the draw `site`, independent of every other packet
-    /// ever consulted — so shard replicas that each see a subset of
-    /// the traffic still agree with the single-shard injector.
-    fn frac(&self, key: u64, site: u64) -> f64 {
-        (mix(key ^ mix(self.seed ^ site)) >> 11) as f64 / (1u64 << 53) as f64
-    }
 }
 
 /// Distinct draw sites, so one packet's loss, jitter, reorder and
-/// duplicate draws are independent of each other.
+/// duplicate draws are independent of each other (and of netsim's
+/// path-loss draw, site 6).
 const SITE_LOSS: u64 = 1;
 const SITE_JITTER: u64 = 2;
 const SITE_REORDER: u64 = 3;
@@ -186,11 +154,11 @@ impl FaultInjector for PlanInjector {
             return PacketFate::DROP;
         }
 
-        // Packet identity for the stateless draws below.
-        let key = mix(now.as_nanos())
-            ^ mix(mix_ip(src.ip()) ^ (u64::from(src.port()) << 32))
-            ^ mix(mix_ip(dst.ip()).rotate_left(17) ^ u64::from(dst.port()))
-            ^ mix(bytes as u64);
+        // One stateless draw per site, independent of every other
+        // packet ever consulted — so shard replicas that each see a
+        // subset of the traffic still agree with the single-shard
+        // injector.
+        let frac = |site| packet_draw(self.seed, site, now, src, dst, bytes);
 
         let mut fate = PacketFate::DELIVER;
         // The summed extra delay; `None` once a sum overflows.
@@ -198,7 +166,7 @@ impl FaultInjector for PlanInjector {
         let mut add = |ns: u64| extra_ns = extra_ns.and_then(|sum| sum.checked_add(ns));
 
         if let Some((rate, until)) = self.loss {
-            if now < until && self.frac(key, SITE_LOSS) < rate {
+            if now < until && frac(SITE_LOSS) < rate {
                 match kind {
                     WireKind::Udp => return PacketFate::DROP,
                     WireKind::Tcp => add(TCP_LOSS_PENALTY_NS),
@@ -209,17 +177,17 @@ impl FaultInjector for PlanInjector {
             if now < until {
                 add(extra.as_nanos());
                 if jitter > SimDuration::ZERO {
-                    add((jitter.as_nanos() as f64 * self.frac(key, SITE_JITTER)) as u64);
+                    add((jitter.as_nanos() as f64 * frac(SITE_JITTER)) as u64);
                 }
             }
         }
         if let Some((rate, window, until)) = self.reorder {
-            if now < until && self.frac(key, SITE_REORDER) < rate {
-                add((window.as_nanos() as f64 * self.frac(key, SITE_REORDER_WINDOW)) as u64);
+            if now < until && frac(SITE_REORDER) < rate {
+                add((window.as_nanos() as f64 * frac(SITE_REORDER_WINDOW)) as u64);
             }
         }
         if let Some((rate, until)) = self.duplicate {
-            if kind == WireKind::Udp && now < until && self.frac(key, SITE_DUPLICATE) < rate {
+            if kind == WireKind::Udp && now < until && frac(SITE_DUPLICATE) < rate {
                 fate.duplicate = Some(SimDuration::from_nanos(DUPLICATE_GAP_NS));
             }
         }

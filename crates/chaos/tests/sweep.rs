@@ -6,14 +6,16 @@
 //! [`SimReplayClient`]: a farm of 1–13 servers; a [`StubSwarm`] through
 //! a `SimResolver`, or a trace from 1–4 sources with a UDP/TCP mix and
 //! optional retransmission, replayed by 1–4 queriers on one server
-//! (the others from sources of their own); a topology whose fastest link sets the
-//! lookahead; a [`FaultPlan`] over the cell's addresses using all ten
-//! [`FaultEvent`] kinds; driver injections between two run phases, one
+//! (the others from sources of their own), half the time through rate
+//! limiting whose buckets they share; a topology whose fastest link
+//! sets the lookahead; a [`FaultPlan`] over the cell's addresses using
+//! all ten [`FaultEvent`] kinds; driver injections between two run phases, one
 //! from an unregistered source and one to an unrouted address; 1–8
 //! shards with every host pinned; a kill instant or an admission
 //! window. Paths, query times, retransmit delays and half the faults
 //! sit on a millisecond grid, so events from different hosts tie; queriers
-//! replaying one trace tie on `(time, seq)` as well, in different lanes. It
+//! replaying one trace tie on `(time, seq)` as well, in different lanes,
+//! and shared buckets make the order the server takes them in visible. It
 //! holds (1) a same-seed rerun, (2) the placed run, on a second thread
 //! at once, and (3) a run with recording off to the plain run's
 //! transcript, per-host stats, per-phase event counts, checkpoint
@@ -21,32 +23,35 @@
 //! spliced `q.*` telemetry, plain and placed; (5) query conservation:
 //! no seq answered twice, and the last checkpoint accounts for each
 //! seq once, with no `inflight` line unless the cell can lose a query
-//! for good (no retransmit left after a loss, a crash, admission).
+//! for good (no retransmit left after a loss, a crash, admission, rate
+//! limiting).
 //!
 //! **Left out of the draw, and why.** Kill cells have no admission
 //! window (a resumed window starts emptier than the original was at
-//! the cut: [`ldp_chaos::StormConfig`]'s doc), no path loss (netsim
-//! draws it from each lane's RNG stream, whose position depends on
-//! every earlier send, and a resumed client has sent less; the plan's
-//! injector hashes the packet instead) and no TCP connection reuse (a
-//! resumed client has no connection a completed query opened, so a
+//! the cut: [`ldp_chaos::StormConfig`]'s doc), no TCP connection reuse
+//! (a resumed client has no connection a completed query opened, so a
 //! later query pays a handshake the original did not), and only one
-//! querier (a resume restores one client). The replay
+//! querier (a resume restores one client). They do draw path loss:
+//! netsim hashes each datagram for it, so a resumed client re-draws
+//! the fates of what it re-sends. The replay
 //! client crashes only by [`FaultEvent::QuerierCrash`], which restarts
 //! it: one that never restarts never finishes its trace. Query ids are
 //! the seq, so no two queries share a (source, id) slot.
 //!
 //! The case count is fixed. A run prints one coverage line whose counts
-//! must all be non-zero, the last showing that the simulator seed
-//! reaches the loss model. A failure prints its shrunk choice sequence
-//! and the cell's fault plan: check both in below as a [`rerun`].
+//! must all be non-zero: one shows that the simulator seed reaches the
+//! loss model, another that kill cells resume on lossy paths. A failure
+//! prints its shrunk choice sequence and the cell's fault plan: check
+//! both in below as a [`rerun`].
 
 use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::net::{IpAddr, Ipv4Addr, SocketAddr};
 use std::sync::{Arc, Mutex};
 
+use dns_server::{RrlConfig, ServerEngine, SimDnsServer};
 use dns_wire::{Message, Name, RecordType, Transport};
+use dns_zone::Catalog;
 use ldp_chaos::recovery::{self, RecoveryOutcome};
 use ldp_chaos::scenario::{self, StubSwarm, RESOLVER, STUB};
 use ldp_chaos::{FaultEvent, FaultPlan, PlannedFault};
@@ -96,6 +101,10 @@ struct Replay {
     retransmit: Option<(RetransmitConfig, u64)>,
     cadence: SimDuration,
     admission: Option<AdmissionConfig>,
+    /// Response rate limiting on the farm, in buckets the queriers
+    /// share: which querier's answer a bucket drops depends on the order
+    /// the server takes their tied queries in.
+    rrl: Option<RrlConfig>,
     /// Kill here and resume from the last checkpoint.
     kill: Option<SimTime>,
 }
@@ -136,11 +145,19 @@ fn path(g: &mut Gen, fast: bool, lossy: bool) -> PathConfig {
     };
     let rtt = SimDuration::from_micros(rtt_us);
     let bandwidth_bps = g.option(|g| g.range(1_000_000..=1_000_000_000));
-    let loss = (lossy && g.below(4) == 1).then(|| g.f64(0.0, 0.3));
     PathConfig {
         rtt,
         bandwidth_bps,
-        loss: loss.unwrap_or(0.0),
+        loss: if lossy { loss(g) } else { 0.0 },
+    }
+}
+
+/// A path's loss: none three times in four.
+fn loss(g: &mut Gen) -> f64 {
+    if g.below(4) == 1 {
+        g.f64(0.0, 0.3)
+    } else {
+        0.0
     }
 }
 
@@ -218,6 +235,7 @@ fn draw_replay(g: &mut Gen, servers: usize) -> Replay {
         retransmit,
         cadence,
         admission,
+        rrl: None,
         kill,
     }
 }
@@ -301,7 +319,8 @@ impl Cell {
             .into_iter()
             .map(|a| vec![a])
             .collect();
-        let (instants, lossy): (Vec<u64>, _) = match &work {
+        // Kill cells draw their paths' loss last (below).
+        let (instants, loss_now): (Vec<u64>, _) = match &work {
             Work::Stub(s) => {
                 hosts.extend([vec![RESOLVER.ip()], vec![STUB.ip()]]);
                 let due =
@@ -323,15 +342,10 @@ impl Cell {
             Work::Stub(_) => (cell[..=servers].to_vec(), STUB.ip()),
             Work::Replay(_) => (cell[..servers].to_vec(), cell[servers]),
         };
-        let default_path = path(g, false, lossy);
-        let mut topology = Topology::uniform(default_path);
-        let mut lossy_path = default_path.loss > 0.0;
-        for (src, dst, link) in g.vec(0..=3, |g| {
-            (*g.pick(&cell), *g.pick(&cell), path(g, true, lossy))
-        }) {
-            topology.set_pair(src, dst, link);
-            lossy_path |= link.loss > 0.0;
-        }
+        let mut default_path = path(g, false, loss_now);
+        let mut links = g.vec(0..=3, |g| {
+            (*g.pick(&cell), *g.pick(&cell), path(g, true, loss_now))
+        });
         let seed = g.u64();
         let faults = g.vec(0..=6, |g| {
             draw_fault(g, &instants, &crashable, querier, &cell)
@@ -369,7 +383,29 @@ impl Cell {
                     let shard = g.below(u64::from(shards)) as u32;
                     placement.push(if tcp { placement[r.target] } else { shard });
                 }
+                if r.queriers.len() > 1 {
+                    r.rrl = g.option(|g| RrlConfig {
+                        responses_per_second: g.range(1..=20) as u32,
+                        window_secs: 1,
+                        slip: g.range(0..=2) as u32,
+                        ipv4_prefix_len: 16,
+                        ipv6_prefix_len: 56,
+                    });
+                }
             }
+        }
+        // A kill cell's path loss, drawn last for the same reason.
+        if !loss_now {
+            default_path.loss = loss(g);
+            for (_, _, link) in &mut links {
+                link.loss = loss(g);
+            }
+        }
+        let mut topology = Topology::uniform(default_path);
+        let mut lossy_path = default_path.loss > 0.0;
+        for (src, dst, link) in links {
+            topology.set_pair(src, dst, link);
+            lossy_path |= link.loss > 0.0;
         }
         // Past every fault's end (≤ 4 s after it starts) and every
         // phase, with room for retransmit chains, retries and resends.
@@ -421,8 +457,9 @@ impl Cell {
             | FaultEvent::QuerierCrash { .. } => true,
             _ => false,
         });
-        let admission = matches!(&self.work, Work::Replay(r) if r.admission.is_some());
-        self.lossy_path || lossy_fault || admission
+        let guarded =
+            matches!(&self.work, Work::Replay(r) if r.admission.is_some() || r.rrl.is_some());
+        self.lossy_path || lossy_fault || guarded
     }
 }
 
@@ -465,7 +502,21 @@ fn run<S: SimDriver>(
     let servers = scenario::server_addrs(cell.servers);
     let records = (0..32).map(|i| scenario::a_record(name(i, false), 300, i));
     let zone = scenario::soa_zone(".", 3600, "ns.", "hostmaster.", 1, 60, records);
-    scenario::server_farm(&mut sim, zone, &servers);
+    match &cell.work {
+        // `scenario::server_farm`, each server rate-limiting.
+        Work::Replay(Replay { rrl: Some(rrl), .. }) => {
+            let mut catalog = Catalog::new();
+            catalog.insert(zone);
+            let engine = Arc::new(ServerEngine::with_catalog(catalog));
+            for &addr in &servers {
+                let server = SimDnsServer::new(engine.clone(), SocketAddr::new(addr, 53), None);
+                sim.add_host(&[addr], Box::new(server.with_rrl(*rrl)));
+            }
+        }
+        _ => {
+            scenario::server_farm(&mut sim, zone, &servers);
+        }
+    }
     let log: LatencyLog = Arc::new(Mutex::new(Vec::new()));
     let checkpoint = Arc::new(Mutex::new(resume.cloned()));
     let stamps = Arc::new(Mutex::new(Vec::new()));
@@ -639,6 +690,7 @@ fn check_replay(cell: &Cell, r: &Replay, whole: &Run, cov: &mut Coverage) {
         (plain.join().expect("the plain pair"), placed)
     });
     cov[3] += u64::from(plain.0.checkpoint.is_some());
+    cov[8] += u64::from(cell.lossy_path);
     let mut base = whole.outcome().q_events;
     tel::canonical_order(&mut base);
     for (what, (killed, resumed)) in [("plain", plain), ("placed", placed)] {
@@ -651,9 +703,9 @@ fn check_replay(cell: &Cell, r: &Replay, whole: &Run, cov: &mut Coverage) {
 }
 
 /// Cells counted per entry of [`COVERED`].
-type Coverage = [u64; 8];
+type Coverage = [u64; 10];
 
-const COVERED: [&str; 8] = [
+const COVERED: [&str; 10] = [
     "with TCP",
     "with a crash",
     "killed inside a retransmit chain or a handshake",
@@ -662,6 +714,8 @@ const COVERED: [&str; 8] = [
     "injecting into the void",
     "whose re-drawn seed changed a lossy transcript",
     "with 2-4 queriers on one server",
+    "killed on a lossy path",
+    "whose queriers share rate-limit buckets",
 ];
 
 /// The five properties on one drawn cell.
@@ -703,6 +757,7 @@ fn sweep(cell: &Cell, coverage: &RefCell<Coverage>) {
     cov[4] += u64::from(shards.len() > 1);
     cov[5] += u64::from(whole.void_left);
     cov[7] += u64::from(matches!(&cell.work, Work::Replay(r) if r.queriers.len() > 1));
+    cov[9] += u64::from(matches!(&cell.work, Work::Replay(r) if r.rrl.is_some()));
 }
 
 /// Prints the cell's fault plan when a property fails.
@@ -721,7 +776,7 @@ fn drawn_cells_are_deterministic_placement_free_resumable_and_conserving() {
     let coverage = RefCell::default();
     check(CASES, |g| sweep(&Cell::draw(g), &coverage));
     let c: Coverage = coverage.into_inner();
-    let counts: [String; 8] = std::array::from_fn(|i| format!("{} {}", c[i], COVERED[i]));
+    let counts: [String; 10] = std::array::from_fn(|i| format!("{} {}", c[i], COVERED[i]));
     println!("sweep coverage, of {CASES} cases: {}", counts.join(", "));
     for (what, n) in COVERED.iter().zip(c) {
         assert!(n > 0, "no case {what}: {c:?}");

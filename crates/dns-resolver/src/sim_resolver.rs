@@ -39,6 +39,10 @@ use ldp_cache::{
     CacheConfig, CacheStats, CachedAnswer, Completed, FillInfo, OutstandingStats, OutstandingTable,
     ResolverCache, WaiterSlot,
 };
+#[allow(
+    clippy::disallowed_types,
+    reason = "D6: backoff jitter is one host's stream: placement cannot move it, and a resolver is never resumed"
+)]
 use ldp_rng::SplitMix64;
 use ldp_telemetry::Kind;
 use netsim::{Ctx, Host, PacketBytes, SimDuration, TcpEvent};
@@ -279,6 +283,10 @@ pub struct ResolverSnapshot {
 }
 
 /// The simulated recursive resolver host.
+#[allow(
+    clippy::disallowed_types,
+    reason = "D6: backoff jitter is one host's stream: placement cannot move it, and a resolver is never resumed"
+)]
 pub struct SimResolver {
     addr: SocketAddr,
     core: ResolveCore,
@@ -315,6 +323,10 @@ pub struct SimResolver {
 
 /// A task's timeout for its next attempt: decorrelated jitter over
 /// `prev` when backoff is on (`cap`), else the fixed `base`.
+#[allow(
+    clippy::disallowed_types,
+    reason = "D6: backoff jitter is one host's stream: placement cannot move it, and a resolver is never resumed"
+)]
 fn next_timeout(
     base: SimDuration,
     cap: Option<SimDuration>,
@@ -336,6 +348,10 @@ impl SimResolver {
     /// the legacy shape (unbounded LRU, no prefetch); use
     /// [`set_cache_config`](Self::set_cache_config) before traffic to
     /// bound it.
+    #[allow(
+        clippy::disallowed_types,
+        reason = "D6: backoff jitter is one host's stream: placement cannot move it, and a resolver is never resumed"
+    )]
     pub fn new(addr: SocketAddr, root_hints: Vec<IpAddr>) -> Self {
         SimResolver {
             addr,

@@ -6,16 +6,19 @@
 //! delay, or duplication. What faults exist, when they are active and
 //! which paths they match is entirely the injector's business; the
 //! `ldp-chaos` crate provides the declarative, virtual-time-scheduled
-//! implementation (`FaultPlan`-driven), and tests can install ad-hoc
-//! closures via [`FnInjector`].
+//! implementation (`FaultPlan`-driven). [`packet_draw`] is the
+//! stateless per-packet draw both that injector and the simulator's
+//! own path loss use.
 //!
 //! Determinism contract: the injector is consulted in event order (the
 //! same total order the event queue guarantees across backends), so an
-//! injector whose decisions depend only on its own seeded RNG and the
+//! injector whose decisions depend only on its own seed and the
 //! arguments it receives keeps same-seed runs byte-identical (rules
-//! D2/D3, see `crates/chaos/tests/determinism_faults.rs`).
+//! D2/D3/D6; `crates/chaos/tests/sweep.rs` holds it).
 
-use std::net::SocketAddr;
+use std::net::{IpAddr, SocketAddr};
+
+use ldp_rng::mix;
 
 use crate::time::{SimDuration, SimTime};
 
@@ -108,22 +111,45 @@ pub trait FaultInjector: Send {
     ) -> PacketFate;
 }
 
-/// Adapter so tests can install a closure as an injector.
-pub struct FnInjector<F>(pub F);
+/// One stateless uniform draw in `[0, 1)` for one packet: a hash of
+/// `seed`, the draw `site` and the packet's identity — the instant it is
+/// sent, both endpoints and its length — never a stream position. So a
+/// packet's draw is independent of every other packet: a resumed run
+/// re-draws the fates of the sends it re-executes, and shard replicas
+/// that each see a subset of the traffic draw what one simulator
+/// draws. Packets identical in all four share their draws. Path loss
+/// ([`crate::PathConfig::loss`]) draws here under its own site, and so
+/// does `ldp-chaos`'s `PlanInjector`, under sites 1–5.
+pub fn packet_draw(
+    seed: u64,
+    site: u64,
+    now: SimTime,
+    src: SocketAddr,
+    dst: SocketAddr,
+    bytes: usize,
+) -> f64 {
+    let key = mix(now.as_nanos())
+        ^ mix(mix_ip(src.ip()) ^ (u64::from(src.port()) << 32))
+        ^ mix(mix_ip(dst.ip()).rotate_left(17) ^ u64::from(dst.port()))
+        ^ mix(bytes as u64);
+    (mix(key ^ mix(seed ^ site)) >> 11) as f64 / (1u64 << 53) as f64
+}
 
-impl<F> FaultInjector for FnInjector<F>
-where
-    F: FnMut(SimTime, SocketAddr, SocketAddr, WireKind, usize) -> PacketFate + Send,
-{
-    fn fate(
-        &mut self,
-        now: SimTime,
-        src: SocketAddr,
-        dst: SocketAddr,
-        kind: WireKind,
-        bytes: usize,
-    ) -> PacketFate {
-        (self.0)(now, src, dst, kind, bytes)
+fn mix_ip(ip: IpAddr) -> u64 {
+    match ip {
+        IpAddr::V4(v4) => u64::from(u32::from(v4)),
+        IpAddr::V6(v6) => {
+            let o = v6.octets();
+            let mut h = 0u64;
+            for chunk in o.chunks(8) {
+                let mut w = 0u64;
+                for &b in chunk {
+                    w = (w << 8) | u64::from(b);
+                }
+                h = mix(h ^ w);
+            }
+            h
+        }
     }
 }
 
@@ -145,21 +171,5 @@ mod tests {
         let d = PacketFate::delayed(SimDuration::from_millis(5));
         assert_eq!(d.extra_delay, SimDuration::from_millis(5));
         assert!(!d.drop);
-    }
-
-    #[test]
-    fn fn_injector_adapts_closures() {
-        let mut inj = FnInjector(|_, _, _, kind, bytes| {
-            if kind == WireKind::Udp && bytes > 100 {
-                PacketFate::DROP
-            } else {
-                PacketFate::DELIVER
-            }
-        });
-        let a: SocketAddr = "10.0.0.1:1".parse().expect("addr");
-        let b: SocketAddr = "10.0.0.2:1".parse().expect("addr");
-        assert!(inj.fate(SimTime::ZERO, a, b, WireKind::Udp, 200).drop);
-        assert!(!inj.fate(SimTime::ZERO, a, b, WireKind::Tcp, 200).drop);
-        assert!(!inj.fate(SimTime::ZERO, a, b, WireKind::Udp, 50).drop);
     }
 }

@@ -10,10 +10,12 @@
 //! models ([`resources`]).
 //!
 //! Determinism: same inputs → byte-identical event order (the queue
-//! breaks time ties by `(lane, seq)`, and all randomness comes from
-//! per-lane streams of one seed), which is what makes replay
+//! breaks time ties by `(lane, seq)`), which is what makes replay
 //! experiments repeatable — design requirement "repeatability" in
-//! paper §2.1.
+//! paper §2.1. The simulator holds no RNG state: its one random
+//! decision, path loss, is a hash of the seed and the packet
+//! ([`fault::packet_draw`]), so it depends on no earlier send, on no
+//! shard placement and on no resume point.
 
 #![warn(missing_docs)]
 // Simulator path: no hash collection, no wall-clock type (DESIGN.md §7).
@@ -30,14 +32,13 @@ pub mod time;
 pub mod topology;
 
 pub use driver::SimDriver;
-pub use fault::{FaultInjector, FnInjector, PacketFate, WireKind};
+pub use fault::{packet_draw, FaultInjector, PacketFate, WireKind};
 pub use host::{Host, TcpEvent};
 pub use pool::{IntoPacket, PacketBytes, PoolStats, POOL_BUFFERS, POOL_BUFFER_BYTES};
 pub use queue::{EventQueue, QueueKind};
 pub use resources::{CpuModel, MemoryModel};
 pub use sim::{
-    stream_seed, ConnId, Ctx, HostId, HostStats, RemoteUdp, SimConfig, Simulator,
-    CONTROL_LANE_BASE, DRIVER_LANE,
+    ConnId, Ctx, HostId, HostStats, RemoteUdp, SimConfig, Simulator, CONTROL_LANE_BASE, DRIVER_LANE,
 };
 pub use time::{SimDuration, SimTime};
 pub use topology::{PathConfig, Topology};

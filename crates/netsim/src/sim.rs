@@ -14,20 +14,20 @@
 //! again between send and delivery.
 //!
 //! Sharding invariants (see DESIGN.md §10 "Sharded DES"): every event
-//! key, random draw, and connection id is attributed to a *lane* — the
-//! global id of the host whose processing produced it (or a control /
-//! driver lane). Lanes are shard-placement-invariant, so an N-shard
-//! run (`ldp-shard`) pops, draws, and names exactly what the
-//! single-shard run does, and transcripts stay byte-identical across
-//! shard counts.
+//! key and connection id is attributed to a *lane* — the global id of
+//! the host whose processing produced it (or a control / driver lane).
+//! Lanes are shard-placement-invariant, so an N-shard run (`ldp-shard`)
+//! pops and names exactly what the single-shard run does. Random draws
+//! need no lane: path loss is a hash of the packet
+//! ([`crate::fault::packet_draw`]), so transcripts stay byte-identical
+//! across shard counts and a resumed run re-draws what it re-sends.
 
 use std::collections::BTreeMap;
 use std::net::{IpAddr, SocketAddr};
 
-use ldp_rng::SplitMix64;
 use ldp_telemetry::{Kind, Log, Recorder};
 
-use crate::fault::{FaultInjector, WireKind};
+use crate::fault::{packet_draw, FaultInjector, WireKind};
 use crate::host::{Host, TcpEvent};
 use crate::pool::{IntoPacket, PacketBytes, PacketPool, PoolStats};
 use crate::queue::EventQueue;
@@ -46,22 +46,10 @@ pub const CONTROL_LANE_BASE: u64 = 1 << 48;
 /// at equal times.
 pub const DRIVER_LANE: u64 = u64::MAX;
 
-/// SplitMix64 finalizer — the standard stream splitter.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Derive the RNG seed for one lane's independent stream from the
-/// master seed (SplitMix-style). A host's random history depends only
-/// on `(master seed, its global lane)` — never on which shard it runs
-/// in or on other hosts' draws.
-pub fn stream_seed(master: u64, lane: u64) -> u64 {
-    splitmix64(master ^ lane.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-}
+/// [`packet_draw`]'s site for path loss: distinct from the sites
+/// `ldp-chaos`'s injector draws at (1–5), so a plan seeded like the
+/// simulator draws independently of it.
+const SITE_PATH_LOSS: u64 = 6;
 
 /// Identifies a registered host.
 pub type HostId = usize;
@@ -83,10 +71,10 @@ pub struct SimConfig {
     /// Whether Nagle's algorithm is enabled by default on new
     /// connections (the paper disables it on clients, §5.2.1).
     pub default_nagle: bool,
-    /// Master RNG seed. Each lane (host / driver) draws from its own
-    /// SplitMix-derived stream ([`stream_seed`]), so one host's loss
-    /// draws never depend on another host's activity or on shard
-    /// placement.
+    /// Seed of the path-loss draws. A datagram's loss is a hash of this
+    /// seed and the datagram ([`packet_draw`]: the instant it is sent,
+    /// both endpoints and its length), so it never depends on another
+    /// packet, on shard placement or on where a resumed run started.
     pub seed: u64,
 }
 
@@ -430,7 +418,7 @@ impl<'a> Ctx<'a> {
     }
 }
 
-/// Whose processing is currently attributing event keys and RNG draws.
+/// Whose processing is currently attributing event keys.
 #[derive(Debug, Clone, Copy)]
 enum CurLane {
     /// Inside a host's dispatch/callback: local host index.
@@ -482,13 +470,9 @@ pub struct Simulator {
     seqs: Vec<u64>,
     /// Per-host dial counters (low half of dialed `ConnId`s).
     dials: Vec<u64>,
-    /// Per-lane RNG streams (index = local `HostId`); see [`stream_seed`].
-    host_rngs: Vec<SplitMix64>,
-    /// Driver-lane stream (external `inject_udp` loss draws).
-    driver_rng: SplitMix64,
     /// Driver-lane seq counter.
     driver_seq: u64,
-    /// Lane currently attributing keys/draws (set per dispatch).
+    /// Lane currently attributing keys (set per dispatch).
     current: CurLane,
     commands: Vec<Command>,
     /// Installed fault injector (None = no faults). Consulted once per
@@ -545,8 +529,6 @@ impl Simulator {
             lanes: Vec::new(),
             seqs: Vec::new(),
             dials: Vec::new(),
-            host_rngs: Vec::new(),
-            driver_rng: SplitMix64::seed_from_u64(stream_seed(config.seed, DRIVER_LANE)),
             driver_seq: 0,
             current: CurLane::Driver,
             commands: Vec::new(),
@@ -617,10 +599,6 @@ impl Simulator {
         self.lanes.push(lane);
         self.seqs.push(0);
         self.dials.push(0);
-        self.host_rngs.push(SplitMix64::seed_from_u64(stream_seed(
-            self.config.seed,
-            lane,
-        )));
         self.dispatch_pending.push([0; 3]);
         id
     }
@@ -709,8 +687,8 @@ impl Simulator {
         );
     }
 
-    /// Inject a UDP datagram from outside (used by drivers).
-    /// Loss/fault draws come from the driver lane's RNG stream.
+    /// Inject a UDP datagram from outside (used by drivers), keyed on
+    /// the driver lane.
     pub fn inject_udp(&mut self, from: SocketAddr, to: SocketAddr, data: impl IntoPacket) {
         let cmd = Command::SendUdp {
             from,
@@ -796,16 +774,14 @@ impl Simulator {
         );
     }
 
-    /// Swap this simulator's driver-lane key counter and RNG stream
-    /// with the caller's. The `ldp-shard` front-end owns the *global*
-    /// driver stream — there is exactly one in the whole simulation,
-    /// as in a single-shard run — and lends it to whichever worker
-    /// executes a driver-side action (`inject_udp`, `crash_now`), then
-    /// takes it back. This keeps driver-lane keys globally unique and
-    /// the loss-draw sequence identical to the single-shard run.
-    pub fn swap_driver_stream(&mut self, seq: &mut u64, rng: &mut SplitMix64) {
+    /// Swap this simulator's driver-lane key counter with the caller's.
+    /// The `ldp-shard` front-end owns the *global* driver seq — there is
+    /// exactly one in the whole simulation, as in a single-shard run —
+    /// and lends it to whichever worker executes a driver-side action
+    /// (`inject_udp`, `crash_now`), then takes it back. This keeps
+    /// driver-lane keys globally unique and in the single-shard order.
+    pub fn swap_driver_seq(&mut self, seq: &mut u64) {
         std::mem::swap(&mut self.driver_seq, seq);
-        std::mem::swap(&mut self.driver_rng, rng);
     }
 
     /// True if no events remain.
@@ -837,14 +813,6 @@ impl Simulator {
                 self.driver_seq += 1;
                 (DRIVER_LANE, seq)
             }
-        }
-    }
-
-    /// The RNG stream of the currently attributed lane.
-    fn lane_rng(&mut self) -> &mut SplitMix64 {
-        match self.current {
-            CurLane::Host(h) => &mut self.host_rngs[h],
-            CurLane::Driver => &mut self.driver_rng,
         }
     }
 
@@ -934,14 +902,14 @@ impl Simulator {
             }
         }
         // Every dispatch ends on the driver lane: an injection or crash
-        // the driver issues between runs draws and keys there, not on
-        // the lane of whichever host's stale timer came last.
+        // the driver issues between runs is keyed there, not on the
+        // lane of whichever host's stale timer came last.
         self.current = CurLane::Driver;
     }
 
     /// Run a host callback with a command-collecting ctx, then apply.
-    /// Keys and draws produced by the callback (and by applying its
-    /// commands) are attributed to the host's lane.
+    /// Keys produced by the callback (and by applying its commands) are
+    /// attributed to the host's lane.
     fn with_host<F>(&mut self, host: HostId, f: F)
     where
         F: FnOnce(&mut dyn Host, &mut Ctx<'_>),
@@ -976,8 +944,11 @@ impl Simulator {
         match cmd {
             Command::SendUdp { from, to, data } => {
                 let path = self.topology.path(from.ip(), to.ip());
-                if path.loss > 0.0 && self.lane_rng().gen::<f64>() < path.loss {
-                    return; // dropped
+                if path.loss > 0.0 {
+                    let (seed, n) = (self.config.seed, data.len());
+                    if packet_draw(seed, SITE_PATH_LOSS, self.now, from, to, n) < path.loss {
+                        return; // dropped
+                    }
                 }
                 let fate = match &mut self.injector {
                     Some(inj) => inj.fate(self.now, from, to, WireKind::Udp, data.len()),

@@ -17,7 +17,12 @@ pub struct PathConfig {
     /// Link rate in bits per second used for transmission delay
     /// (serialization); `None` disables transmission delay.
     pub bandwidth_bps: Option<u64>,
-    /// Independent per-packet drop probability (failure injection).
+    /// Per-datagram drop probability (failure injection; TCP segments
+    /// are not dropped). Each datagram's draw is a hash of
+    /// `SimConfig::seed` and the datagram — the instant it is sent, both
+    /// endpoints and its length ([`crate::packet_draw`]) — so draws are
+    /// independent of one another and of any earlier send, and datagrams
+    /// identical in instant, endpoints and length share a fate.
     pub loss: f64,
 }
 

@@ -7,12 +7,11 @@
 //! (with the monotone cursor it starts at), the running sums the live
 //! queries contribute to the run counters, the checkpoint epoch, the
 //! cadence grid checkpoints commit on ([`ReplayCore::next_tick_ns`])
-//! and the one [`ReplayCore::cut`] that writes a checkpoint. The
-//! drivers — [`crate::sim_replay`] on the simulator, [`crate::engine`]
-//! on sockets and threads — own the wire: sockets, connections, timer
-//! tokens, pending tables keyed by what a reply carries. A driver tells
-//! the core what happened and acts on the verdicts and delays it
-//! returns.
+//! and the one [`ReplayCore::cut`] that writes a checkpoint. Its
+//! driver, [`crate::sim_replay`] on the simulator, owns the wire:
+//! connections, timer tokens, pending tables keyed by what a reply
+//! carries. It tells the core what happened and acts on the verdicts
+//! and delays the core returns.
 //!
 //! Like `ldp-guard`, everything here is pure logic over explicit `now`
 //! arguments: no clock, no simulator, no socket, no thread.
@@ -151,17 +150,11 @@ impl ReplayCore {
         }
     }
 
-    /// Continue a checkpoint's lineage: its `epoch`, with every seq
-    /// below `cursor` and every seq in `done` already completed.
-    pub fn resume(
-        tracker: TimingTracker,
-        epoch: u32,
-        cursor: u64,
-        done: impl IntoIterator<Item = u64>,
-    ) -> Self {
+    /// Continue a checkpoint's lineage: its `epoch`, with every seq in
+    /// `done` already completed.
+    pub fn resume(tracker: TimingTracker, epoch: u32, done: impl IntoIterator<Item = u64>) -> Self {
         let mut core = ReplayCore::new(tracker);
         core.epoch = epoch;
-        core.cursor = cursor;
         for seq in done {
             core.mark_done(seq);
         }
@@ -538,7 +531,7 @@ mod tests {
 
     #[test]
     fn resumed_cursor_and_done_set_decide_what_is_done() {
-        let mut core = ReplayCore::resume(tracker(), 4, 3, [5, 3]);
+        let mut core = ReplayCore::resume(tracker(), 4, [0, 1, 2, 5, 3]);
         assert!(core.is_done(2) && core.is_done(3) && core.is_done(5));
         assert!(!core.is_done(4) && !core.is_done(6));
         core.complete(4);
@@ -714,7 +707,7 @@ mod tests {
     /// hundred seqs offered and answered far out of order, with the
     /// odd query that is never answered, so the window grows, wraps
     /// around its ring and stays pinned; some start from a resumed
-    /// cursor and done-set.
+    /// done-set.
     #[test]
     fn core_matches_the_bookkeeping_it_replaced() {
         check(512, |g| {
@@ -737,19 +730,19 @@ mod tests {
             let reconnect = g.below(4) != 0;
             let max_reconnects = g.range(0..=2) as u32;
             let resumed = g.option(|g| {
-                // The sim driver resumes at 0, the socket one past
-                // the checkpoint's cursor.
+                // A done prefix, then the odd done seq past it.
                 let cursor = if g.bool() { 0 } else { g.range(0..=n) };
-                let done: Vec<u64> = (cursor..n).filter(|_| g.below(4) == 0).collect();
-                (g.range(1..=9) as u32, cursor, done)
+                let later = (cursor..n).filter(|_| g.below(4) == 0);
+                let done: Vec<u64> = (0..cursor).chain(later).collect();
+                (g.range(1..=9) as u32, done)
             });
             let old = RefClient::new(keys, udp_retransmit, retx_seed, reconnect, max_reconnects);
             let (core, mut old) = match &resumed {
                 None => (ReplayCore::new(tracker()), old),
-                Some((epoch, cursor, done)) => {
+                Some((epoch, done)) => {
                     let done = done.iter().copied();
-                    let core = ReplayCore::resume(tracker(), *epoch, *cursor, done.clone());
-                    (core, old.resumed(*epoch, (0..*cursor).chain(done)))
+                    let core = ReplayCore::resume(tracker(), *epoch, done.clone());
+                    (core, old.resumed(*epoch, done))
                 }
             };
             let mut new = CoreClient {

@@ -17,11 +17,10 @@ use std::time::Duration;
 
 use dns_wire::framing::frame_into;
 use dns_wire::{EncodeScratch, Transport};
-use ldp_guard::{Checkpoint, RetryBudget};
+use ldp_guard::RetryBudget;
 use ldp_trace::TraceEntry;
 
 use crate::clock::{ReplayClock, WallClock};
-use crate::core::ReplayCore;
 use crate::sticky::StickyRouter;
 use crate::timing::TimingTracker;
 
@@ -42,18 +41,6 @@ pub struct ReplayConfig {
     pub fast_mode: bool,
     /// Warm-up offset before the first query is due.
     pub warmup: Duration,
-    /// Commit a checkpoint every this much replay-clock time, on the
-    /// grid `k·cadence` from the clock's origin. `None` disables
-    /// checkpointing.
-    pub checkpoint_cadence: Option<Duration>,
-    /// Where the collector publishes checkpoints when
-    /// `checkpoint_cadence` is set: the latest one replaces its
-    /// predecessor under the mutex (a resume only ever wants the
-    /// newest cut).
-    pub checkpoint_out: Option<Arc<Mutex<Option<Checkpoint>>>>,
-    /// Resume a killed run: skip every trace seq below the
-    /// checkpoint's cursor and continue its epoch/counter lineage.
-    pub resume_from: Option<Checkpoint>,
 }
 
 impl Default for ReplayConfig {
@@ -66,9 +53,6 @@ impl Default for ReplayConfig {
             speed: 1.0,
             fast_mode: false,
             warmup: Duration::from_millis(50),
-            checkpoint_cadence: None,
-            checkpoint_out: None,
-            resume_from: None,
         }
     }
 }
@@ -155,9 +139,6 @@ pub struct ReplayReport {
     /// Querier slots whose thread died mid-run (their distributor
     /// found the channel closed), ascending.
     pub dead_queriers: Vec<usize>,
-    /// First trace seq of this run (> 0 when resumed from a
-    /// checkpoint; everything below it was sent by the killed run).
-    pub resumed_from: u64,
 }
 
 impl ReplayReport {
@@ -251,58 +232,10 @@ pub fn replay_with_clock(
     // Collect send records while queriers run. The collector MUST be
     // draining before the controller starts pushing: with it absent, a
     // trace larger than the combined channel capacity would fill
-    // record_tx and deadlock the whole tree. It doubles as the
-    // checkpointer: it is the only thread that sees completions, so
-    // the replay core — here a seq window, its contiguous cursor and the
-    // checkpoint writer; a sent query is a completed one — lives here.
-    let start_seq = config.resume_from.as_ref().map_or(0, |c| c.cursor);
-    // A sent query is done and nothing is carried, so a checkpoint
-    // can only change at a completion: that is where the collector
-    // asks whether a tick of the cadence grid has passed on the clock.
-    let cadence_ns = config
-        .checkpoint_cadence
-        .map(|d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
-    let mut next_tick_ns = cadence_ns.map_or(0, |c| ReplayCore::next_tick_ns(0, c, 0));
-    let cp_out = config.checkpoint_out.clone();
-    let mut core = match &config.resume_from {
-        Some(cp) => ReplayCore::resume(tracker, cp.epoch, cp.cursor, []),
-        None => ReplayCore::new(tracker),
-    };
-    let collector = {
-        let clock = clock.clone();
-        let errors = errors.clone();
-        std::thread::spawn(move || {
-            let mut sent = Vec::new();
-            for rec in record_rx.iter() {
-                sent.push(rec);
-                let Some(cadence_ns) = cadence_ns else {
-                    continue;
-                };
-                core.complete(rec.seq);
-                let now_ns = clock.now_us().saturating_mul(1_000);
-                if now_ns < next_tick_ns {
-                    continue;
-                }
-                next_tick_ns = ReplayCore::next_tick_ns(0, cadence_ns, now_ns);
-                let counters = [
-                    ("sent", sent.len() as u64),
-                    ("errors", errors.load(Ordering::Relaxed)),
-                ];
-                let cp = core.cut(now_ns, &counters, |_| 0);
-                if let Some(out) = &cp_out {
-                    if let Ok(mut slot) = out.lock() {
-                        *slot = Some(cp);
-                    }
-                }
-            }
-            sent
-        })
-    };
+    // record_tx and deadlock the whole tree.
+    let collector = std::thread::spawn(move || record_rx.iter().collect::<Vec<_>>());
 
     // Controller: Reader (pre-encode) + Postman (sticky distribution).
-    // On resume, sources are replayed through the router from seq 0 so
-    // sticky assignments match the original run, but only jobs at or
-    // past the checkpoint cursor are dispatched.
     let mut controller_router = StickyRouter::new(n_d);
     // One scratch for the whole pre-encode pass: the output buffer and
     // the compression table keep their capacity across every entry, so
@@ -310,9 +243,6 @@ pub fn replay_with_clock(
     let mut scratch = EncodeScratch::new();
     for (seq, entry) in trace.iter().enumerate() {
         let d = controller_router.route(entry.src.ip());
-        if (seq as u64) < start_seq {
-            continue;
-        }
         let payload: Arc<[u8]> = entry.message.encode_into(&mut scratch).into();
         let job = QueryJob {
             seq: seq as u64,
@@ -350,7 +280,6 @@ pub fn replay_with_clock(
         shed,
         redispatched: redispatched.load(Ordering::Relaxed),
         dead_queriers,
-        resumed_from: start_seq,
     }
 }
 
@@ -1229,57 +1158,6 @@ mod tests {
         seqs.retain(|&s| s != 0);
         assert_eq!(seqs, (1..n).collect::<Vec<_>>());
         assert!(report.sent.iter().all(|r| r.querier == 1));
-    }
-
-    #[test]
-    fn resume_from_a_published_checkpoint_sends_exactly_the_remainder() {
-        let (_sink, addr) = sink_socket();
-        // Deadlines 50 ms (the warm-up) to 149 ms; ticks at 60, 120 and
-        // 180 ms. A record reaches the collector after its deadline, so
-        // the 30 due from 120 ms on are all seen with the second tick
-        // passed: some cut is made, and the last one no later than the
-        // 71st record — the standing checkpoint is mid-run however the
-        // threads interleave.
-        let trace = mk_trace(100, 1_000);
-        let cp_out = Arc::new(Mutex::new(None));
-        let mut config = ReplayConfig {
-            checkpoint_cadence: Some(Duration::from_millis(60)),
-            checkpoint_out: Some(cp_out.clone()),
-            ..one_querier(addr)
-        };
-        let first = replay_with_clock(&trace, &config, Arc::new(VirtualClock::new()));
-        assert_eq!((first.total_sent, first.resumed_from), (100, 0));
-
-        let published = cp_out.lock().unwrap().take().expect("a checkpoint");
-        let text = published.to_text().expect("serializes");
-        let cp = Checkpoint::from_text(&text).expect("parses back");
-        assert_eq!(cp, published);
-        assert!(cp.inflight.is_empty() && cp.records.is_empty());
-        let sent = cp.counter("sent").expect("a sent counter") as usize;
-        assert!((1..=71).contains(&sent), "cut at record {sent}");
-        // The cursor is the contiguous prefix of the records seen by
-        // then (short, when a querier's thread ran late).
-        assert!(cp.cursor <= sent as u64, "cursor {}", cp.cursor);
-        let mut early: Vec<u64> = first.sent[..sent].iter().map(|r| r.seq).collect();
-        early.sort_unstable();
-        assert!((0..cp.cursor).all(|s| early.binary_search(&s).is_ok()));
-
-        config.resume_from = Some(cp.clone());
-        let second = replay_with_clock(&trace, &config, Arc::new(VirtualClock::new()));
-        assert_eq!(second.resumed_from, cp.cursor);
-        let mut seqs: Vec<u64> = second.sent.iter().map(|r| r.seq).collect();
-        seqs.sort_unstable();
-        assert_eq!(seqs, (cp.cursor..100).collect::<Vec<_>>());
-        // The resumed run continues the lineage.
-        let last = cp_out
-            .lock()
-            .unwrap()
-            .take()
-            .expect("the resumed run cut too");
-        assert!(
-            last.epoch > cp.epoch && last.cursor >= cp.cursor,
-            "{last:?}"
-        );
     }
 
     #[test]

@@ -7,13 +7,13 @@
 //! each query is sent at ΔTᵢ = Δt̄ᵢ − Δtᵢ, re-anchored continuously so
 //! pipeline delay never accumulates — or immediately in fast mode.
 //!
-//! One [`core`] — the schedule, the seq window (per-query state and
-//! what is done, from the cursor on), and the checkpoint writer — under
-//! two drivers that own the wire:
+//! Two replayers own the wire:
 //! - [`engine`] — real sockets and threads (replay fidelity and
-//!   throughput experiments, paper §4);
-//! - [`sim_replay`] — a simulator host with per-source connection reuse
-//!   and latency logging (the §5.2 what-if experiments).
+//!   throughput experiments, paper §4), on the [`timing`] schedule;
+//! - [`sim_replay`] — a simulator host with per-source connection reuse,
+//!   latency logging and kill → resume (the §5.2 what-if experiments),
+//!   over one [`core`]: the schedule, the seq window (per-query state
+//!   and what is done, from the cursor on), and the checkpoint writer.
 
 #![warn(missing_docs)]
 

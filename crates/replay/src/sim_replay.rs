@@ -369,7 +369,7 @@ impl SimReplayClient {
         let mut client = SimReplayClient::new(trace, server, log);
         // The cursor restarts at 0: a cut's cursor passed over carried
         // queries, which this run has yet to answer.
-        client.core = ReplayCore::resume(*client.core.tracker(), cp.epoch, 0, done);
+        client.core = ReplayCore::resume(*client.core.tracker(), cp.epoch, done);
         client.log.lock().unwrap().extend(seeded);
         client.sent = cp.counter("sent").unwrap_or(0);
         client.connects = cp.counter("connects").unwrap_or(0);
@@ -1293,7 +1293,7 @@ mod tests {
     /// `kill -9` on the replay process.
     fn checkpointed_run(kill_at_s: Option<f64>) -> (Vec<String>, Option<Checkpoint>) {
         let trace = mk_trace(40, 50_000, 4);
-        let (mut sim, server_addr) = sim_with_server(SimDuration::from_millis(40));
+        let (mut sim, server_addr) = sim_with_server(SimDuration::from_millis(40), 0.0);
         let log: LatencyLog = Arc::new(Mutex::new(vec![]));
         let cp_out = Arc::new(Mutex::new(None));
         let mut client = SimReplayClient::new(trace.clone(), server_addr, log.clone());
@@ -1336,7 +1336,7 @@ mod tests {
         let cp = Checkpoint::from_text(&cp.to_text().unwrap()).unwrap();
 
         let trace = mk_trace(40, 50_000, 4);
-        let (mut sim, server_addr) = sim_with_server(SimDuration::from_millis(40));
+        let (mut sim, server_addr) = sim_with_server(SimDuration::from_millis(40), 0.0);
         let log: LatencyLog = Arc::new(Mutex::new(vec![]));
         let client = SimReplayClient::resume(trace.clone(), server_addr, log.clone(), &cp).unwrap();
         let srcs = client.source_addrs();
@@ -1509,7 +1509,7 @@ mod tests {
         // Gap 50 ms, RTT 40 ms, cadence 25 ms: every odd grid tick
         // lands while a query is on the wire.
         let trace = mk_trace(40, 50_000, 4);
-        let (mut sim, server_addr) = sim_with_server(SimDuration::from_millis(40));
+        let (mut sim, server_addr) = sim_with_server(SimDuration::from_millis(40), 0.0);
         let log: LatencyLog = Arc::new(Mutex::new(vec![]));
         let cp_out = Arc::new(Mutex::new(None));
         let stamps = Arc::new(Mutex::new(Vec::new()));
@@ -1559,12 +1559,12 @@ mod tests {
 
     /// A fresh simulator with the wildcard server behind a uniform
     /// `rtt` path.
-    fn sim_with_server(rtt: SimDuration) -> (Simulator, SocketAddr) {
+    fn sim_with_server(rtt: SimDuration, loss: f64) -> (Simulator, SocketAddr) {
         let mut sim = Simulator::new(
             Topology::uniform(PathConfig {
                 rtt,
                 bandwidth_bps: None,
-                loss: 0.0,
+                loss,
             }),
             SimConfig::default(),
         );
@@ -1692,7 +1692,7 @@ mod tests {
         // Replies land 40.5 ms after whole milliseconds: never on the
         // 250 ms grid, so which side of a tick a completion falls on
         // is not a matter of event order.
-        let (mut sim, server_addr) = sim_with_server(SimDuration::from_micros(40_500));
+        let (mut sim, server_addr) = sim_with_server(SimDuration::from_micros(40_500), 0.0);
         let trace = mk_trace(2_400, 1_000, 16);
         let log = LatencyLog::default();
         let mut client = SimReplayClient::new(trace.clone(), server_addr, log.clone());
@@ -1746,22 +1746,11 @@ mod tests {
         resume_from: Option<&Checkpoint>,
         until: SimTime,
     ) -> (Vec<String>, Option<Checkpoint>) {
-        let (mut sim, server_addr) = sim_with_server(SimDuration::from_millis(40));
-        // Packet fates are a function of the packet, not of a stream
+        // netsim's path loss is a hash of the packet, not a stream
         // position, so a resumed run re-draws the fates of the queries
         // it re-executes.
-        let loss = shape.loss;
-        sim.set_fault_injector(Box::new(netsim::FnInjector(
-            move |now: SimTime, src: SocketAddr, dst: SocketAddr, _, bytes: usize| {
-                let packet = now.as_nanos() ^ u64::from(src.port()) << 48 ^ (bytes as u64) << 32;
-                let mut draw = ldp_rng::SplitMix64::seed_from_u64(packet ^ u64::from(dst.port()));
-                if draw.next_u64() % 1_000 < loss {
-                    netsim::PacketFate::DROP
-                } else {
-                    netsim::PacketFate::DELIVER
-                }
-            },
-        )));
+        let loss = shape.loss as f64 / 1_000.0;
+        let (mut sim, server_addr) = sim_with_server(SimDuration::from_millis(40), loss);
         let log = LatencyLog::default();
         let cp_out = Arc::new(Mutex::new(resume_from.cloned()));
         let mut client = match resume_from {

@@ -17,6 +17,10 @@
 use std::ops::RangeInclusive;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+#[allow(
+    clippy::disallowed_types,
+    reason = "D6: a property's inputs are one seeded stream, replayed whole from its seed or choice sequence"
+)]
 use crate::SplitMix64;
 
 /// Upper bound on property replays spent shrinking one failure.
@@ -24,6 +28,10 @@ const SHRINK_REPLAYS: usize = 4000;
 
 /// The source of a property's inputs: a seeded stream, or a replayed
 /// choice sequence.
+#[allow(
+    clippy::disallowed_types,
+    reason = "D6: a property's inputs are one seeded stream, replayed whole from its seed or choice sequence"
+)]
 pub struct Gen {
     rng: SplitMix64,
     replayed: Option<Vec<u64>>,
@@ -31,6 +39,10 @@ pub struct Gen {
 }
 
 impl Gen {
+    #[allow(
+        clippy::disallowed_types,
+        reason = "D6: a property's inputs are one seeded stream, replayed whole from its seed or choice sequence"
+    )]
     fn new(rng_seed: u64, replayed: Option<&[u64]>) -> Gen {
         Gen {
             rng: SplitMix64::seed_from_u64(rng_seed),

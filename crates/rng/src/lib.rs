@@ -4,10 +4,12 @@
 //!
 //! SplitMix64 (Steele, Lea & Flood) has 64 bits of state, full period,
 //! and is completely determined by its seed, which is the property
-//! everything here relies on: workload generators, simulator loss and
-//! jitter draws and guard's backoff all flow through [`SplitMix64`], so
-//! two runs with equal seeds make identical decisions (lint rule D3: no
-//! ambient entropy anywhere). The whole state is one counter-like word,
+//! everything here relies on: workload generators, the resolver's
+//! backoff jitter and guard's backoff all flow through [`SplitMix64`],
+//! so two runs with equal seeds make identical decisions (lint rule D3:
+//! no ambient entropy anywhere). A decision inside a simulation is not
+//! drawn from a stream but hashed with [`mix`] from what it decides
+//! (rule D6: a stream's position depends on every earlier draw). The whole state is one counter-like word,
 //! so [`SplitMix64::state`] / [`SplitMix64::from_state`] checkpoint a
 //! stream exactly (`budget <used> <prev_us> <rng_state>` lines).
 //!
@@ -19,12 +21,35 @@
 
 pub mod check;
 
+/// SplitMix64's increment, the golden ratio in 64 bits.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// SplitMix64's output function: the word after `x` in a stream,
+/// finalized. A stream's `n`-th draw is `mix(state + n·GAMMA)`; on its
+/// own it is the workspace's one 64-bit hash, the core of every
+/// stateless draw (a packet's fate is a `mix` of what identifies it).
+#[inline]
+pub fn mix(x: u64) -> u64 {
+    let mut z = x.wrapping_add(GAMMA);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// A seeded SplitMix64 generator.
+#[allow(
+    clippy::disallowed_types,
+    reason = "D6: the stream type itself; its users sanction each stream at theirs"
+)]
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SplitMix64 {
     state: u64,
 }
 
+#[allow(
+    clippy::disallowed_types,
+    reason = "D6: the stream type itself; its users sanction each stream at theirs"
+)]
 impl SplitMix64 {
     /// A generator for `seed`. The seed is whitened first, so small
     /// consecutive seeds start far apart in the state space.
@@ -47,11 +72,9 @@ impl SplitMix64 {
 
     /// The next 64 uniform bits.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        let z = mix(self.state);
+        self.state = self.state.wrapping_add(GAMMA);
+        z
     }
 
     /// A uniform value of `T` from one draw: the top bits for the
@@ -125,6 +148,10 @@ macro_rules! impl_uniform {
 impl_uniform!(usize, u64, u32, u16, u8, i64, i32);
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_types,
+    reason = "D6: the tests of the stream type itself"
+)]
 mod tests {
     use super::*;
 

@@ -38,11 +38,10 @@ use std::collections::BTreeMap;
 use std::net::{IpAddr, SocketAddr};
 use std::sync::mpsc::{Receiver, Sender};
 
-use ldp_rng::SplitMix64;
 use ldp_telemetry::{canonical_order, Log};
 use netsim::{
-    stream_seed, FaultInjector, Host, HostStats, IntoPacket, RemoteUdp, SimConfig, SimDriver,
-    SimDuration, SimTime, Simulator, Topology, DRIVER_LANE,
+    FaultInjector, Host, HostStats, IntoPacket, RemoteUdp, SimConfig, SimDriver, SimDuration,
+    SimTime, Simulator, Topology,
 };
 
 use crate::exchange::Exchange;
@@ -134,10 +133,9 @@ pub struct ShardedSimulator {
     /// boundary faster than the fastest link's one-way latency.
     lookahead: SimDuration,
     now: SimTime,
-    /// The one global driver-lane stream (keys for external timers and
+    /// The one global driver-lane seq (keys for external timers and
     /// injections), lent to workers for driver-side actions.
     driver_seq: u64,
-    driver_rng: SplitMix64,
     /// Global host id → (shard, worker-local id).
     hosts: Vec<(u32, usize)>,
     /// Control id → worker-local id of the replica on each shard.
@@ -172,7 +170,6 @@ impl ShardedSimulator {
             lookahead,
             now: SimTime::ZERO,
             driver_seq: 0,
-            driver_rng: SplitMix64::seed_from_u64(stream_seed(config.seed, DRIVER_LANE)),
             hosts: Vec::new(),
             controls: Vec::new(),
             owner: BTreeMap::new(),
@@ -279,9 +276,9 @@ impl ShardedSimulator {
             None => 0,
         };
         let w = &mut self.workers[shard as usize];
-        w.swap_driver_stream(&mut self.driver_seq, &mut self.driver_rng);
+        w.swap_driver_seq(&mut self.driver_seq);
         w.inject_udp(from, to, data);
-        w.swap_driver_stream(&mut self.driver_seq, &mut self.driver_rng);
+        w.swap_driver_seq(&mut self.driver_seq);
         let out = w.take_outbox();
         if !out.is_empty() {
             self.exchange.route(out, self.now);
@@ -294,9 +291,9 @@ impl ShardedSimulator {
     pub fn crash_now(&mut self, addr: IpAddr) {
         if let Some(&shard) = self.owner.get(&addr) {
             let w = &mut self.workers[shard as usize];
-            w.swap_driver_stream(&mut self.driver_seq, &mut self.driver_rng);
+            w.swap_driver_seq(&mut self.driver_seq);
             w.crash_now(addr);
-            w.swap_driver_stream(&mut self.driver_seq, &mut self.driver_rng);
+            w.swap_driver_seq(&mut self.driver_seq);
         }
     }
 
@@ -304,9 +301,9 @@ impl ShardedSimulator {
     pub fn restart_now(&mut self, addr: IpAddr) {
         if let Some(&shard) = self.owner.get(&addr) {
             let w = &mut self.workers[shard as usize];
-            w.swap_driver_stream(&mut self.driver_seq, &mut self.driver_rng);
+            w.swap_driver_seq(&mut self.driver_seq);
             w.restart_now(addr);
-            w.swap_driver_stream(&mut self.driver_seq, &mut self.driver_rng);
+            w.swap_driver_seq(&mut self.driver_seq);
         }
     }
 
