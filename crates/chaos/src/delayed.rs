@@ -296,7 +296,7 @@ pub fn run_on<S: SimDriver>(cfg: &DelayedConfig, sim: &mut S) -> DelayedOutcome 
         cfg.query_gap,
     );
 
-    // Wire in the fault plan (delay shaping + crash/restart agent).
+    // Wire in the fault plan (delay shaping + crash/restart events).
     scenario::install_plan(sim, &cfg.plan());
 
     let events = sim.run();

@@ -60,8 +60,8 @@ pub struct PlanInjector {
 
 impl PlanInjector {
     /// Injector for `plan`. Crash/restart events are ignored here —
-    /// [`crate::agent::install`] schedules those through a
-    /// [`crate::agent::ChaosAgent`]; the injector only shapes packets.
+    /// [`crate::scenario::install`] schedules those as the simulator's
+    /// own host-fault events; the injector only shapes packets.
     pub fn new(plan: &FaultPlan) -> Self {
         let mut timeline: Vec<(SimTime, FaultEvent)> = plan
             .faults
@@ -118,8 +118,8 @@ impl PlanInjector {
                 } => {
                     self.throttle.insert(*addr, (*factor, *until));
                 }
-                // Crash/restart are host-level, not packet-level: the
-                // ChaosAgent delivers them via Ctx::crash_host.
+                // Crash/restart are host-level, not packet-level: they
+                // are host-fault events in the simulator's queue.
                 FaultEvent::ServerCrash { .. }
                 | FaultEvent::ServerRestart { .. }
                 | FaultEvent::QuerierCrash { .. } => {}

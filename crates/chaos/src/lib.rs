@@ -17,17 +17,17 @@
 //! - [`scenario`]: the one testbed the studies below are
 //!   parameterisations of — address plan, SOA-plus-records zone
 //!   builder, shared-engine server farm, uniform-RTT seeded simulator,
-//!   the [`scenario::StubSwarm`] host, the query schedule and the
-//!   install-iff-non-empty plan rule — generic over
+//!   the [`scenario::StubSwarm`] host, the query schedule and
+//!   [`scenario::install`], which wires a plan into either simulator:
+//!   an injector per shard for the packet faults, and each crash or
+//!   restart as a host-fault event in the simulator's own queue
+//!   ([`netsim::SimDriver::schedule_host_fault`]) — generic over
 //!   [`netsim::SimDriver`], so a study written on it runs on either
 //!   engine,
 //! - [`plan`]: the declarative [`FaultPlan`] (+ a line-based text
 //!   format that round-trips exactly),
 //! - [`injector`]: [`PlanInjector`], the packet-level executor wired
 //!   into `netsim`'s delivery path,
-//! - [`agent`]: [`ChaosAgent`] and [`agent::install`], the one generic
-//!   function that wires a plan into either simulator and delivers the
-//!   host-level crash/restart events on schedule,
 //! - [`outage`]: the root-letter outage study (the `fig_outage`
 //!   scenario): resolver retry policies under a loss burst plus letter
 //!   crashes,
@@ -43,7 +43,6 @@
 // Simulator path: no hash collection, no wall-clock type (DESIGN.md §7).
 #![deny(clippy::disallowed_types)]
 
-pub mod agent;
 pub mod delayed;
 pub mod injector;
 pub mod outage;
@@ -51,7 +50,6 @@ pub mod plan;
 pub mod recovery;
 pub mod scenario;
 
-pub use agent::{install, ChaosAgent};
 pub use delayed::{DelayedConfig, DelayedOutcome};
 pub use injector::PlanInjector;
 pub use plan::{FaultEvent, FaultPlan, PlanParseError, PlannedFault};

@@ -253,7 +253,7 @@ pub fn run(cfg: &OutageConfig) -> OutageOutcome {
         cfg.query_gap,
     );
 
-    // Wire in the fault plan (packet shaping + crash/restart agent).
+    // Wire in the fault plan (packet shaping + crash/restart events).
     scenario::install_plan(sim, &cfg.plan());
 
     let events = sim.run();

@@ -202,7 +202,7 @@ fn outcome(
 struct Leg {
     /// The transcript header's `mode=`.
     label: &'static str,
-    /// Faults to install (none: no agent, no injector).
+    /// Faults to install (none: no injector, no host-fault events).
     plan: FaultPlan,
     /// UDP retransmission policy and its run-level jitter seed.
     retransmit: Option<(RetransmitConfig, u64)>,
@@ -212,11 +212,10 @@ struct Leg {
 }
 
 /// Run one leg in a fresh simulator, the client rebuilt from
-/// `resume_from` if given: server, then client, then (iff
-/// the plan has faults) the chaos agent. That host add order is part
-/// of the replayed shape: a killed run and its resumed continuation
-/// must match, or host ids — and with them the deterministic event
-/// order — would drift.
+/// `resume_from` if given: server, then client. That host add order is
+/// part of the replayed shape: a killed run and its resumed
+/// continuation must match, or host ids — and with them the
+/// deterministic event order — would drift.
 fn run_leg(cfg: &RecoveryConfig, leg: Leg, resume_from: Option<&Checkpoint>) -> StormOutcome {
     let sim = &mut scenario::simulator(cfg.rtt, cfg.seed);
     sim.set_recording(true);

@@ -5,10 +5,11 @@
 //! nodes are composed from parameters, not rebuilt per experiment.
 //!
 //! It owns what the studies share: the address plan (server farm
-//! `10.13.0.{i+1}`, resolver, stub, chaos agent), the SOA-plus-records
-//! zone builder, the shared-engine server farm, the uniform-RTT seeded
+//! `10.13.0.{i+1}`, resolver, stub), the SOA-plus-records zone
+//! builder, the shared-engine server farm, the uniform-RTT seeded
 //! simulator, the [`StubSwarm`] host with its query schedule, and the
-//! rule that a chaos agent is installed iff the plan has faults. Everything that adds hosts or timers is generic over
+//! plan's wiring ([`install`], applied iff the plan has faults).
+//! Everything that adds hosts, timers or faults is generic over
 //! [`SimDriver`], so a study written on it runs on either engine.
 //!
 //! A study keeps only what is specific to it: its config and presets,
@@ -26,19 +27,17 @@ use dns_wire::{Message, Name, RData, Rcode, RecordType};
 use dns_zone::catalog::Catalog;
 use dns_zone::zone::Zone;
 use netsim::{
-    Ctx, Host, PacketBytes, PathConfig, SimConfig, SimDriver, SimDuration, SimTime, Simulator,
-    TcpEvent, Topology,
+    Ctx, Host, HostFault, PacketBytes, PathConfig, SimConfig, SimDriver, SimDuration, SimTime,
+    Simulator, TcpEvent, Topology,
 };
 
-use crate::agent;
-use crate::plan::FaultPlan;
+use crate::injector::PlanInjector;
+use crate::plan::{FaultEvent, FaultPlan};
 
 /// The recursive resolver's address.
 pub const RESOLVER: SocketAddr = SocketAddr::new(IpAddr::V4(Ipv4Addr::new(10, 1, 0, 1)), 53);
 /// The stub swarm's address.
 pub const STUB: SocketAddr = SocketAddr::new(IpAddr::V4(Ipv4Addr::new(10, 2, 0, 1)), 5353);
-/// The chaos agent's address; no workload host may use it.
-pub const AGENT: IpAddr = IpAddr::V4(Ipv4Addr::new(10, 255, 0, 1));
 
 /// The farm's host octets are 1..=254.
 const MAX_SERVERS: usize = 254;
@@ -286,14 +285,39 @@ impl Host for StubSwarm {
     }
 }
 
-/// Wire `plan` into `sim` ([`agent::install`] at [`AGENT`]) iff it has
-/// faults. A fault-free run carries no agent and no injector, so host
-/// ids and event counts are those of the bare workload. Call it after
-/// every workload host is added: the agent's position in the host
-/// order is part of a run's replayable shape.
+/// Wire `plan` into `sim` — a plain [`Simulator`] or an `ldp-shard`
+/// `ShardedSimulator`: a [`PlanInjector`] per shard for the
+/// packet-level faults (its draws are stateless, see
+/// [`crate::injector`]), and each crash or restart as one host-fault
+/// event, scheduled in the plan's time order. A querier power-cycle is
+/// one plan line but two events: the kill and the comeback.
+pub fn install<S: SimDriver>(sim: &mut S, plan: &FaultPlan) {
+    sim.set_fault_injectors(|_shard| Box::new(PlanInjector::new(plan)));
+    let mut faults = Vec::new();
+    for pf in &plan.faults {
+        match pf.fault {
+            FaultEvent::ServerCrash { addr } => faults.push((pf.at, addr, HostFault::Crash)),
+            FaultEvent::ServerRestart { addr } => faults.push((pf.at, addr, HostFault::Restart)),
+            FaultEvent::QuerierCrash { addr, down_for } => {
+                faults.push((pf.at, addr, HostFault::Crash));
+                faults.push((pf.at + down_for, addr, HostFault::Restart));
+            }
+            _ => {}
+        }
+    }
+    faults.sort_by_key(|&(at, ..)| at);
+    for (at, addr, fault) in faults {
+        sim.schedule_host_fault(at, addr, fault);
+    }
+}
+
+/// [`install`] `plan` iff it has faults: a fault-free run carries no
+/// injector and no fault events, so its event counts are those of the
+/// bare workload. It adds no host, so it may come before or after the
+/// workload hosts.
 pub fn install_plan<S: SimDriver>(sim: &mut S, plan: &FaultPlan) {
     if !plan.faults.is_empty() {
-        agent::install(sim, plan, AGENT);
+        install(sim, plan);
     }
 }
 

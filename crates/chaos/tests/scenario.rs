@@ -1,12 +1,15 @@
 //! The shared testbed's own contracts: the set-up bounds that keep
-//! ids and addresses from aliasing, and the [`StubSwarm`] semantics the
-//! outage (retrying) and delayed-hits (`max_attempts = 1`) studies
-//! both rely on.
+//! ids and addresses from aliasing, a plan's crashes firing on
+//! schedule, and the [`StubSwarm`] semantics the outage (retrying) and
+//! delayed-hits (`max_attempts = 1`) studies both rely on.
 
 use std::net::{IpAddr, SocketAddr};
 
 use dns_wire::{Message, Name, Rcode, RecordType};
-use ldp_chaos::scenario::{a_record, server_addrs, simulator, StubRecord, StubSwarm, RESOLVER};
+use dns_zone::zone::Zone;
+use ldp_chaos::scenario::{self, a_record, server_addrs, simulator, StubRecord, StubSwarm};
+use ldp_chaos::scenario::{install, RESOLVER};
+use ldp_chaos::{FaultEvent, FaultPlan};
 use netsim::{Ctx, Host, HostStats, PacketBytes, SimDuration, SimTime, TcpEvent};
 
 fn name(s: &str) -> Name {
@@ -28,6 +31,26 @@ fn swarm_rejects_more_queries_than_message_ids() {
     let mut sim = simulator(SimDuration::from_millis(10), 1);
     let (gap, at) = (SimDuration::ZERO, SimTime::ZERO);
     StubSwarm::spawn(&mut sim, queries, 1, gap, at, gap);
+}
+
+/// The plan is installed before the server it crashes is added: a
+/// host fault resolves its address when it fires.
+#[test]
+fn crash_and_restart_fire_on_schedule() {
+    let mut sim = simulator(SimDuration::from_millis(10), 0);
+    let target = scenario::server_addr(0);
+    let at = SimTime::from_secs_f64;
+    let plan = FaultPlan::new(1)
+        .at(at(1.0), FaultEvent::ServerCrash { addr: target })
+        .at(at(2.0), FaultEvent::ServerRestart { addr: target });
+    install(&mut sim, &plan);
+    scenario::server_farm(&mut sim, Zone::new(Name::root()), &[target]);
+
+    assert!(!sim.host_is_down(target));
+    sim.run_until(at(1.5));
+    assert!(sim.host_is_down(target), "crash fired at t=1s");
+    sim.run_until(at(2.5));
+    assert!(!sim.host_is_down(target), "restart fired at t=2s");
 }
 
 /// A server scripted by query name: answers, SERVFAILs, NXDOMAINs, or

@@ -9,7 +9,8 @@
 //! (the others from sources of their own), half the time through rate
 //! limiting whose buckets they share; a topology whose fastest link
 //! sets the lookahead; a [`FaultPlan`] over the cell's addresses using
-//! all ten [`FaultEvent`] kinds; driver injections between two run phases, one
+//! all ten [`FaultEvent`] kinds, installed before or after the workload
+//! hosts; driver injections between two run phases, one
 //! from an unregistered source and one to an unrouted address; 1–8
 //! shards with every host pinned; a kill instant or an admission
 //! window. Paths, query times, retransmit delays and half the faults
@@ -124,6 +125,8 @@ struct Cell {
     /// Whether some path loses packets.
     lossy_path: bool,
     plan: FaultPlan,
+    /// Install the plan before the workload hosts are added, not after.
+    plan_first: bool,
     /// Between the two run phases; the stranger's query goes to host
     /// `stray_to`, and host `void_from` sends into the void.
     mid: SimTime,
@@ -411,6 +414,8 @@ impl Cell {
         // phase, with room for retransmit chains, retries and resends.
         let ends = plan.faults.iter().map(|pf| pf.at + ms(4_000));
         let horizon = ends.chain([span, mid]).max().unwrap_or(span) + ms(20_000);
+        // Drawn last for the same reason: a spent sequence installs after.
+        let plan_first = g.bool();
         Cell {
             servers,
             work,
@@ -418,6 +423,7 @@ impl Cell {
             topology,
             lossy_path,
             plan,
+            plan_first,
             mid,
             stray_to,
             void_from,
@@ -499,6 +505,9 @@ fn run<S: SimDriver>(
     resume: Option<&Checkpoint>,
 ) -> Run {
     sim.set_recording(record);
+    if cell.plan_first {
+        scenario::install_plan(&mut sim, &cell.plan);
+    }
     let servers = scenario::server_addrs(cell.servers);
     let records = (0..32).map(|i| scenario::a_record(name(i, false), 300, i));
     let zone = scenario::soa_zone(".", 3600, "ns.", "hostmaster.", 1, 60, records);
@@ -569,7 +578,9 @@ fn run<S: SimDriver>(
             }
         }
     }
-    scenario::install_plan(&mut sim, &cell.plan);
+    if !cell.plan_first {
+        scenario::install_plan(&mut sim, &cell.plan);
+    }
 
     let mut counts = Vec::new();
     let mut void_left = false;
@@ -703,9 +714,9 @@ fn check_replay(cell: &Cell, r: &Replay, whole: &Run, cov: &mut Coverage) {
 }
 
 /// Cells counted per entry of [`COVERED`].
-type Coverage = [u64; 10];
+type Coverage = [u64; 11];
 
-const COVERED: [&str; 10] = [
+const COVERED: [&str; 11] = [
     "with TCP",
     "with a crash",
     "killed inside a retransmit chain or a handshake",
@@ -716,6 +727,7 @@ const COVERED: [&str; 10] = [
     "with 2-4 queriers on one server",
     "killed on a lossy path",
     "whose queriers share rate-limit buckets",
+    "with faults installed before the workload hosts",
 ];
 
 /// The five properties on one drawn cell.
@@ -758,6 +770,7 @@ fn sweep(cell: &Cell, coverage: &RefCell<Coverage>) {
     cov[5] += u64::from(whole.void_left);
     cov[7] += u64::from(matches!(&cell.work, Work::Replay(r) if r.queriers.len() > 1));
     cov[9] += u64::from(matches!(&cell.work, Work::Replay(r) if r.rrl.is_some()));
+    cov[10] += u64::from(cell.plan_first && !cell.plan.faults.is_empty());
 }
 
 /// Prints the cell's fault plan when a property fails.
@@ -776,7 +789,7 @@ fn drawn_cells_are_deterministic_placement_free_resumable_and_conserving() {
     let coverage = RefCell::default();
     check(CASES, |g| sweep(&Cell::draw(g), &coverage));
     let c: Coverage = coverage.into_inner();
-    let counts: [String; 10] = std::array::from_fn(|i| format!("{} {}", c[i], COVERED[i]));
+    let counts: [String; 11] = std::array::from_fn(|i| format!("{} {}", c[i], COVERED[i]));
     println!("sweep coverage, of {CASES} cases: {}", counts.join(", "));
     for (what, n) in COVERED.iter().zip(c) {
         assert!(n > 0, "no case {what}: {c:?}");
@@ -828,5 +841,17 @@ fn a_driver_injection_after_a_stale_timer_draws_on_the_driver_lane() {
     let plan = "faultplan v1\nseed 0\nat 0 duplicate 0.0 until 0\n\
                 at 72000000 querier_crash 10.2.0.1 down 0\nat 0 duplicate 0.0 until 0\n\
                 at 0 cpu_throttle 10.13.0.1 0.0 until 0\n";
+    regression(choices, plan);
+}
+
+/// A plan installed before the workload hosts moved every plain-engine
+/// lane by one (the host that once delivered crashes took host id 0
+/// there, and no id on shards): the placed run's stats and lane-valued
+/// telemetry differed from the plain run's. A plan adds no host now.
+#[test]
+fn a_plan_installed_before_the_workload_hosts_moves_no_lane() {
+    let choices = "[0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 3, 0, \
+                   0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1]";
+    let plan = "faultplan v1\nseed 0\nat 0 duplicate 0.0 until 0\n";
     regression(choices, plan);
 }

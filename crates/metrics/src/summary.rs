@@ -54,23 +54,6 @@ impl Summary {
             stddev: var.sqrt(),
         })
     }
-
-    /// One-line rendering used by the experiment binaries.
-    pub fn render(&self, unit: &str) -> String {
-        format!(
-            "n={} min={:.3}{u} p5={:.3}{u} q1={:.3}{u} med={:.3}{u} q3={:.3}{u} p95={:.3}{u} max={:.3}{u} mean={:.3}{u}",
-            self.count,
-            self.min,
-            self.p5,
-            self.q1,
-            self.median,
-            self.q3,
-            self.p95,
-            self.max,
-            self.mean,
-            u = unit
-        )
-    }
 }
 
 /// Quantile of an ascending-sorted slice with linear interpolation.
@@ -158,13 +141,5 @@ mod tests {
         let v: Vec<f64> = (1..=5).map(|i| i as f64).collect();
         let s = Summary::of(&v).unwrap();
         assert_eq!(s.q3 - s.q1, 2.0);
-    }
-
-    #[test]
-    fn render_contains_fields() {
-        let s = Summary::of(&[1.0, 2.0, 3.0]).unwrap();
-        let r = s.render("ms");
-        assert!(r.contains("med=2.000ms"));
-        assert!(r.contains("n=3"));
     }
 }

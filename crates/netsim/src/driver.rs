@@ -2,15 +2,17 @@
 //! `ShardedSimulator` share, as one trait: a scenario written once,
 //! generic over `S: SimDriver`, issues the identical call sequence to
 //! either engine, so a transcript difference is the engine's, never the
-//! harness's. Ids are plain `usize` on both sides; the two
-//! replica-building methods take the sharded `make(shard)` form, and a
-//! [`Simulator`] is shard 0 of 1.
+//! harness's. Ids are plain `usize` on both sides; the
+//! replica-building method takes the sharded `make(shard)` form, and a
+//! [`Simulator`] is shard 0 of 1. A crash or restart is an event in the
+//! simulator's own queue ([`SimDriver::schedule_host_fault`]), keyed
+//! on the driver lane like a timer: no host is added to drive it.
 
 use std::net::{IpAddr, SocketAddr};
 
 use ldp_telemetry::Log;
 
-use crate::fault::FaultInjector;
+use crate::fault::{FaultInjector, HostFault};
 use crate::host::Host;
 use crate::pool::IntoPacket;
 use crate::sim::{HostStats, Simulator};
@@ -23,14 +25,6 @@ pub trait SimDriver {
     /// index, also its event lane).
     fn add_host(&mut self, addrs: &[IpAddr], host: Box<dyn Host>) -> usize;
 
-    /// Register a control host (chaos agent), one `make(shard)` replica
-    /// per shard; its timer dispatches are excluded from event counts.
-    fn add_control_host(
-        &mut self,
-        addrs: &[IpAddr],
-        make: impl FnMut(u32) -> Box<dyn Host>,
-    ) -> usize;
-
     /// Install a fault injector, one `make(shard)` replica per shard —
     /// so its decisions must be stateless in the packet stream.
     fn set_fault_injectors(&mut self, make: impl FnMut(u32) -> Box<dyn FaultInjector>);
@@ -38,18 +32,14 @@ pub trait SimDriver {
     /// Schedule a host timer from outside (one driver-lane key).
     fn schedule_timer(&mut self, host: usize, at: SimTime, token: u64);
 
-    /// Schedule a timer on a control host (one driver-lane key, every
-    /// replica armed).
-    fn schedule_control_timer(&mut self, ctrl: usize, at: SimTime, token: u64);
+    /// Schedule a crash or restart of the host owning `addr` (one
+    /// driver-lane key, used up even if no host owns it). Resolved when
+    /// it fires, so the call may come before the host is added; left
+    /// out of event counts.
+    fn schedule_host_fault(&mut self, at: SimTime, addr: IpAddr, fault: HostFault);
 
     /// Inject a UDP datagram from outside.
     fn inject_udp(&mut self, from: SocketAddr, to: SocketAddr, data: impl IntoPacket);
-
-    /// Crash the host owning `addr` now. No-op for unknown addresses.
-    fn crash_now(&mut self, addr: IpAddr);
-
-    /// Restart a crashed host now.
-    fn restart_now(&mut self, addr: IpAddr);
 
     /// Run until every queue drains; returns the events processed.
     fn run(&mut self) -> u64;
@@ -76,14 +66,6 @@ impl SimDriver for Simulator {
         Simulator::add_host(self, addrs, host)
     }
 
-    fn add_control_host(
-        &mut self,
-        addrs: &[IpAddr],
-        mut make: impl FnMut(u32) -> Box<dyn Host>,
-    ) -> usize {
-        Simulator::add_control_host(self, addrs, make(0))
-    }
-
     fn set_fault_injectors(&mut self, mut make: impl FnMut(u32) -> Box<dyn FaultInjector>) {
         self.set_fault_injector(make(0));
     }
@@ -92,20 +74,12 @@ impl SimDriver for Simulator {
         Simulator::schedule_timer(self, host, at, token);
     }
 
-    fn schedule_control_timer(&mut self, ctrl: usize, at: SimTime, token: u64) {
-        Simulator::schedule_timer(self, ctrl, at, token);
+    fn schedule_host_fault(&mut self, at: SimTime, addr: IpAddr, fault: HostFault) {
+        Simulator::schedule_host_fault(self, at, addr, fault);
     }
 
     fn inject_udp(&mut self, from: SocketAddr, to: SocketAddr, data: impl IntoPacket) {
         Simulator::inject_udp(self, from, to, data);
-    }
-
-    fn crash_now(&mut self, addr: IpAddr) {
-        Simulator::crash_now(self, addr);
-    }
-
-    fn restart_now(&mut self, addr: IpAddr) {
-        Simulator::restart_now(self, addr);
     }
 
     fn run(&mut self) -> u64 {

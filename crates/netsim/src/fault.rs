@@ -8,7 +8,8 @@
 //! `ldp-chaos` crate provides the declarative, virtual-time-scheduled
 //! implementation (`FaultPlan`-driven). [`packet_draw`] is the
 //! stateless per-packet draw both that injector and the simulator's
-//! own path loss use.
+//! own path loss use. Crashes and restarts act on hosts, not packets:
+//! they are [`HostFault`] events in the simulator's own queue.
 //!
 //! Determinism contract: the injector is consulted in event order (the
 //! same total order the event queue guarantees across backends), so an
@@ -87,6 +88,21 @@ impl Default for PacketFate {
     fn default() -> Self {
         PacketFate::DELIVER
     }
+}
+
+/// A host-level fault, scheduled by a driver
+/// ([`crate::SimDriver::schedule_host_fault`]) as an event of its own:
+/// it acts on the host owning an address, not on a packet.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HostFault {
+    /// Crash the host: every connection it participates in dies
+    /// abortively (peers see `Closed`, no TIME_WAIT), inbound packets
+    /// and pending timers are dropped, and no callbacks run on it until
+    /// a restart ([`crate::Host::on_crash`]). No-op if it is down.
+    Crash,
+    /// Bring a crashed host back ([`crate::Host::on_restart`]). No-op
+    /// if it is not down.
+    Restart,
 }
 
 /// Decides the fate of every packet the simulator sends.

@@ -7,7 +7,9 @@
 //! three-way handshakes, Nagle coalescing + delayed ACKs, server idle
 //! timeouts, TIME_WAIT accounting and an emulated TLS session layer
 //! (+2 RTT handshake). Per-host counters feed calibrated memory and CPU
-//! models ([`resources`]).
+//! models ([`resources`]). Hosts crash and restart by [`HostFault`]
+//! events a driver schedules into the same queue
+//! ([`SimDriver::schedule_host_fault`]); no host is added to drive them.
 //!
 //! Determinism: same inputs → byte-identical event order (the queue
 //! breaks time ties by `(lane, seq)`), which is what makes replay
@@ -32,14 +34,12 @@ pub mod time;
 pub mod topology;
 
 pub use driver::SimDriver;
-pub use fault::{packet_draw, FaultInjector, PacketFate, WireKind};
+pub use fault::{packet_draw, FaultInjector, HostFault, PacketFate, WireKind};
 pub use host::{Host, TcpEvent};
 pub use pool::{IntoPacket, PacketBytes, PoolStats, POOL_BUFFERS, POOL_BUFFER_BYTES};
 pub use queue::{EventQueue, QueueKind};
 pub use resources::{CpuModel, MemoryModel};
-pub use sim::{
-    ConnId, Ctx, HostId, HostStats, RemoteUdp, SimConfig, Simulator, CONTROL_LANE_BASE, DRIVER_LANE,
-};
+pub use sim::{ConnId, Ctx, HostId, HostStats, RemoteUdp, SimConfig, Simulator, DRIVER_LANE};
 pub use time::{SimDuration, SimTime};
 pub use topology::{PathConfig, Topology};
 

@@ -22,7 +22,7 @@
 //!
 //! The *lane* component is what makes the order shard-invariant
 //! (`ldp-shard`): a lane is the global id of the host whose processing
-//! scheduled the event (or a control/driver lane), and `seq` counts
+//! scheduled the event (or the driver lane), and `seq` counts
 //! pushes within that lane. Host behaviour is deterministic per host,
 //! so the same workload produces the same `(time, lane, seq)` key for
 //! every event regardless of how hosts are partitioned across shards —

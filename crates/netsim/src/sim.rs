@@ -15,7 +15,7 @@
 //!
 //! Sharding invariants (see DESIGN.md §10 "Sharded DES"): every event
 //! key and connection id is attributed to a *lane* — the global id of
-//! the host whose processing produced it (or a control / driver lane).
+//! the host whose processing produced it (or the driver lane).
 //! Lanes are shard-placement-invariant, so an N-shard run (`ldp-shard`)
 //! pops and names exactly what the single-shard run does. Random draws
 //! need no lane: path loss is a hash of the packet
@@ -27,23 +27,16 @@ use std::net::{IpAddr, SocketAddr};
 
 use ldp_telemetry::{Kind, Log, Recorder};
 
-use crate::fault::{packet_draw, FaultInjector, WireKind};
+use crate::fault::{packet_draw, FaultInjector, HostFault, WireKind};
 use crate::host::{Host, TcpEvent};
 use crate::pool::{IntoPacket, PacketBytes, PacketPool, PoolStats};
 use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
 
-/// First lane reserved for control hosts (chaos agents and other
-/// experiment machinery that is *replicated* across shards). Control
-/// lanes order after every real host lane at equal times, and their
-/// timer dispatches are excluded from event counts so replicas don't
-/// skew the count under sharding.
-pub const CONTROL_LANE_BASE: u64 = 1 << 48;
-
 /// Lane for events scheduled from outside any host callback (driver
-/// APIs: `schedule_timer`, `inject_udp`). Orders after everything else
-/// at equal times.
+/// APIs: `schedule_timer`, `schedule_host_fault`, `inject_udp`).
+/// Orders after everything else at equal times.
 pub const DRIVER_LANE: u64 = u64::MAX;
 
 /// [`packet_draw`]'s site for path loss: distinct from the sites
@@ -243,6 +236,13 @@ enum Event {
         conn: ConnId,
         kind: ConnTimer,
     },
+    /// A driver-scheduled crash or restart of the host owning `addr`,
+    /// resolved when it fires: a no-op where no host owns `addr` (on a
+    /// sharded run, every shard but the owner's).
+    HostFault {
+        addr: IpAddr,
+        fault: HostFault,
+    },
     /// Deferred abortive kill (fault injection / crash): processed as
     /// its own event so a drop decided mid-delivery never invalidates
     /// connection state the current dispatch still holds.
@@ -293,12 +293,6 @@ enum Command {
         host: HostId,
         delay: SimDuration,
         token: u64,
-    },
-    Crash {
-        addr: IpAddr,
-    },
-    Restart {
-        addr: IpAddr,
     },
 }
 
@@ -354,7 +348,7 @@ impl<'a> Ctx<'a> {
         // The id is `(dialer lane << 32) | per-host dial counter`:
         // stable immediately, never reused, and independent of shard
         // placement (unlike a shared slab index).
-        debug_assert!(self.lane < (1 << 32), "control/driver lanes do not dial");
+        debug_assert!(self.lane < (1 << 32), "a dialer's lane fits in 32 bits");
         let id = ConnId((self.lane << 32) | *self.dials);
         *self.dials += 1;
         self.commands.push(Command::TcpConnect {
@@ -400,21 +394,6 @@ impl<'a> Ctx<'a> {
             delay,
             token,
         });
-    }
-
-    /// Crash the host owning `addr`: every connection it participates
-    /// in dies abortively (peers see `Closed`, no TIME_WAIT), inbound
-    /// packets and pending timers are dropped, and no callbacks run on
-    /// it until [`Ctx::restart_host`]. Used by fault-injection agents
-    /// (`ldp-chaos`).
-    pub fn crash_host(&mut self, addr: IpAddr) {
-        self.commands.push(Command::Crash { addr });
-    }
-
-    /// Bring a crashed host back; it receives `on_restart` to re-arm
-    /// timers and rebuild state. No-op if the host is not down.
-    pub fn restart_host(&mut self, addr: IpAddr) {
-        self.commands.push(Command::Restart { addr });
     }
 }
 
@@ -483,8 +462,6 @@ pub struct Simulator {
     /// Per-host crash generation; bumped on crash so timers armed
     /// before the crash are stale after a restart.
     epochs: Vec<u64>,
-    /// Number of control hosts registered (control lane allocator).
-    controls: u64,
     /// Sharded-worker view: the global address→shard map and this
     /// worker's shard id. `None` means single-shard (plain) mode.
     shard_view: Option<(BTreeMap<IpAddr, u32>, u32)>,
@@ -535,7 +512,6 @@ impl Simulator {
             injector: None,
             down: Vec::new(),
             epochs: Vec::new(),
-            controls: 0,
             shard_view: None,
             outbox: Vec::new(),
             rec: Recorder::from_default(),
@@ -573,14 +549,19 @@ impl Simulator {
     /// Register a host owning `addrs`. Panics if an address is taken.
     /// The host's lane is its registration index — identical to the
     /// global host id when every host lives in one simulator.
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "S2: one simulator's lanes are its host ids"
+    )]
     pub fn add_host(&mut self, addrs: &[IpAddr], host: Box<dyn Host>) -> HostId {
         let lane = self.hosts.len() as u64;
         self.add_host_with_lane(addrs, host, lane)
     }
 
-    /// Register a host under an explicit global `lane` (used by
-    /// `ldp-shard`, where a worker holds a subset of hosts but lanes
-    /// must stay the global host ids). Panics if an address is taken.
+    /// Register a host under an explicit global `lane`. Only
+    /// `ldp-shard` may call this (lint rule S2): a worker holds a subset
+    /// of hosts, but lanes must stay the global host ids. Panics if an
+    /// address is taken.
     pub fn add_host_with_lane(
         &mut self,
         addrs: &[IpAddr],
@@ -601,19 +582,6 @@ impl Simulator {
         self.dials.push(0);
         self.dispatch_pending.push([0; 3]);
         id
-    }
-
-    /// Register a *control host* (chaos agent or similar experiment
-    /// machinery). Control hosts get lanes above [`CONTROL_LANE_BASE`]
-    /// — ordering after every real host at equal times — and their
-    /// timer dispatches are excluded from event counts, so a sharded
-    /// run (which replicates control hosts per shard) reports the same
-    /// count as the single-shard run. Control hosts must not receive
-    /// traffic or dial connections.
-    pub fn add_control_host(&mut self, addrs: &[IpAddr], host: Box<dyn Host>) -> HostId {
-        let lane = CONTROL_LANE_BASE + self.controls;
-        self.controls += 1;
-        self.add_host_with_lane(addrs, host, lane)
     }
 
     /// Current simulated time.
@@ -660,23 +628,26 @@ impl Simulator {
         self.hosts[id].as_deref_mut().expect("host is checked in")
     }
 
-    /// Schedule a host timer externally (before the run starts).
-    /// Attributed to the driver lane.
+    /// Schedule a host timer from outside any host, on the driver lane
+    /// (between runs, the lane every key is attributed to).
     pub fn schedule_timer(&mut self, host: HostId, at: SimTime, token: u64) {
         let epoch = self.epochs[host];
-        let seq = self.driver_seq;
-        self.driver_seq += 1;
-        self.queue.push(
-            at,
-            DRIVER_LANE,
-            seq,
-            Event::HostTimer { host, token, epoch },
-        );
+        self.push_event(at, Event::HostTimer { host, token, epoch });
     }
 
-    /// Schedule a host timer under an explicit driver-lane `seq` (the
-    /// `ldp-shard` front-end owns the global driver counter and routes
-    /// each timer to the shard holding the host).
+    /// Schedule a crash or restart of the host owning `addr` at `at`, on
+    /// the driver lane. The address is resolved when the event fires,
+    /// so the host may be added later; an address no host owns makes it
+    /// a no-op. Left out of event counts and telemetry, like every
+    /// dispatch that belongs to no host's lane.
+    pub fn schedule_host_fault(&mut self, at: SimTime, addr: IpAddr, fault: HostFault) {
+        self.push_event(at, Event::HostFault { addr, fault });
+    }
+
+    /// Schedule a host timer under an explicit driver-lane `seq`. Only
+    /// `ldp-shard` may call this (lint rule S2): its front-end owns the
+    /// global driver counter and routes each timer to the shard holding
+    /// the host.
     pub fn schedule_timer_keyed(&mut self, host: HostId, at: SimTime, token: u64, seq: u64) {
         let epoch = self.epochs[host];
         self.queue.push(
@@ -685,6 +656,20 @@ impl Simulator {
             seq,
             Event::HostTimer { host, token, epoch },
         );
+    }
+
+    /// [`Simulator::schedule_host_fault`] under an explicit driver-lane
+    /// `seq`. Only `ldp-shard` may call this (lint rule S2), which
+    /// queues the fault on every shard under the one global key.
+    pub fn schedule_host_fault_keyed(
+        &mut self,
+        at: SimTime,
+        addr: IpAddr,
+        fault: HostFault,
+        seq: u64,
+    ) {
+        self.queue
+            .push(at, DRIVER_LANE, seq, Event::HostFault { addr, fault });
     }
 
     /// Inject a UDP datagram from outside (used by drivers), keyed on
@@ -699,16 +684,17 @@ impl Simulator {
     }
 
     /// Dispatch queued events in key order for as long as `within`
-    /// admits the next one's time. Returns the number processed,
-    /// control-lane timer dispatches excluded (see
-    /// [`Simulator::event_counted`]). The one loop under `run`,
-    /// `run_until` and `run_window`, which differ only in the bound.
+    /// admits the next one's time. Returns the number processed, host
+    /// faults excluded: a sharded run queues each on every shard, so
+    /// counting them would make its counts differ from the plain run's.
+    /// The one loop under `run`, `run_until` and `run_window`, which
+    /// differ only in the bound.
     fn drain(&mut self, within: impl Fn(SimTime) -> bool) -> u64 {
         let mut n = 0;
         while let Some((t, event)) = self.queue.pop_if(&within) {
             assert!(t >= self.now, "time went backwards");
             self.now = t;
-            n += u64::from(self.event_counted(&event));
+            n += u64::from(!matches!(event, Event::HostFault { .. }));
             self.dispatch(event);
         }
         self.rec.hand_off();
@@ -716,8 +702,8 @@ impl Simulator {
     }
 
     /// Run until the event queue drains or `deadline` passes. Returns
-    /// the number of events processed (control-lane timer dispatches
-    /// excluded; see [`Simulator::add_control_host`]).
+    /// the number of events processed (host faults excluded; see
+    /// [`Simulator::schedule_host_fault`]).
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         let n = self.drain(|t| t <= deadline);
         self.advance_now_to(deadline);
@@ -778,7 +764,7 @@ impl Simulator {
     /// The `ldp-shard` front-end owns the *global* driver seq — there is
     /// exactly one in the whole simulation, as in a single-shard run —
     /// and lends it to whichever worker executes a driver-side action
-    /// (`inject_udp`, `crash_now`), then takes it back. This keeps
+    /// (`inject_udp`), then takes it back. This keeps
     /// driver-lane keys globally unique and in the single-shard order.
     pub fn swap_driver_seq(&mut self, seq: &mut u64) {
         std::mem::swap(&mut self.driver_seq, seq);
@@ -787,16 +773,6 @@ impl Simulator {
     /// True if no events remain.
     pub fn idle(&self) -> bool {
         self.queue.is_empty()
-    }
-
-    /// Control-lane timer dispatches don't count: control hosts are
-    /// replicated per shard, and the replicas' no-op timers would
-    /// otherwise make sharded event counts diverge from single-shard.
-    fn event_counted(&self, event: &Event) -> bool {
-        match event {
-            Event::HostTimer { host, .. } => self.lanes[*host] < CONTROL_LANE_BASE,
-            _ => true,
-        }
     }
 
     /// Consume the next `(lane, seq)` key component for the currently
@@ -852,6 +828,7 @@ impl Simulator {
                 self.conns.get(&conn.0).map(|c| c.client_host)
             }
             Event::ConnRefused { host, .. } => Some(*host),
+            Event::HostFault { .. } => None,
         }
     }
 
@@ -864,18 +841,18 @@ impl Simulator {
         if self.rec.is_on() {
             let t = self.now.as_nanos();
             // Batched counters: see `DISPATCH_BATCH`. Lane-less
-            // dispatches (target gone) and control-lane replicas are
-            // not counted — both would make the counter stream depend
-            // on shard placement.
+            // dispatches (target gone, host faults) are not counted —
+            // they would make the counter stream depend on shard
+            // placement.
             if let Some(h) = lane_host {
-                if self.lanes[h] < CONTROL_LANE_BASE {
-                    match &event {
-                        Event::Deliver(_) => self.batched_dispatch_counter(t, h, 0),
-                        Event::HostTimer { .. } => self.batched_dispatch_counter(t, h, 1),
-                        Event::ConnTimer { .. } => self.batched_dispatch_counter(t, h, 2),
-                        // Kill/refused get richer marks at their sites.
-                        Event::KillConn { .. } | Event::ConnRefused { .. } => {}
-                    }
+                match &event {
+                    Event::Deliver(_) => self.batched_dispatch_counter(t, h, 0),
+                    Event::HostTimer { .. } => self.batched_dispatch_counter(t, h, 1),
+                    Event::ConnTimer { .. } => self.batched_dispatch_counter(t, h, 2),
+                    // Kill/refused get richer marks at their sites.
+                    Event::KillConn { .. }
+                    | Event::ConnRefused { .. }
+                    | Event::HostFault { .. } => {}
                 }
             }
         }
@@ -890,6 +867,10 @@ impl Simulator {
             }
             Event::ConnTimer { conn, kind } => self.conn_timer(conn, kind),
             Event::KillConn { conn } => self.kill_conn(conn),
+            Event::HostFault { addr, fault } => match fault {
+                HostFault::Crash => self.crash(addr),
+                HostFault::Restart => self.restart(addr),
+            },
             Event::ConnRefused { conn, host, epoch } => {
                 if !self.down[host] && self.epochs[host] == epoch {
                     let t = self.now.as_nanos();
@@ -901,8 +882,8 @@ impl Simulator {
                 }
             }
         }
-        // Every dispatch ends on the driver lane: an injection or crash
-        // the driver issues between runs is keyed there, not on the
+        // Every dispatch ends on the driver lane: an injection, timer or
+        // fault the driver issues between runs is keyed there, not on the
         // lane of whichever host's stale timer came last.
         self.current = CurLane::Driver;
     }
@@ -1110,8 +1091,6 @@ impl Simulator {
                 let epoch = self.epochs[host];
                 self.push_event(at, Event::HostTimer { host, token, epoch });
             }
-            Command::Crash { addr } => self.do_crash(addr),
-            Command::Restart { addr } => self.do_restart(addr),
         }
     }
 
@@ -1613,17 +1592,8 @@ impl Simulator {
         }
     }
 
-    /// Crash the host owning `addr` (see [`Ctx::crash_host`]).
-    pub fn crash_now(&mut self, addr: IpAddr) {
-        self.do_crash(addr);
-    }
-
-    /// Restart a crashed host (see [`Ctx::restart_host`]).
-    pub fn restart_now(&mut self, addr: IpAddr) {
-        self.do_restart(addr);
-    }
-
-    fn do_crash(&mut self, addr: IpAddr) {
+    /// [`HostFault::Crash`] of the host owning `addr`.
+    fn crash(&mut self, addr: IpAddr) {
         let Some(&id) = self.addr_map.get(&addr) else {
             return;
         };
@@ -1653,7 +1623,8 @@ impl Simulator {
         }
     }
 
-    fn do_restart(&mut self, addr: IpAddr) {
+    /// [`HostFault::Restart`] of the host owning `addr`.
+    fn restart(&mut self, addr: IpAddr) {
         let Some(&id) = self.addr_map.get(&addr) else {
             return;
         };

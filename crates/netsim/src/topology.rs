@@ -74,8 +74,8 @@ fn tx_ns_wide(bytes: usize, bps: u64) -> u64 {
 }
 
 /// The topology: a default path plus per-(src,dst) overrides. Lookups
-/// try (src,dst), then per-src, then the default, so an experiment can
-/// give each client a different RTT to the server. No study in the tree
+/// try (src,dst), then the default, so an experiment can give each
+/// client a different RTT to the server. No study in the tree
 /// does yet — Figure 15's RTT sweep builds one uniform topology per
 /// RTT — so the overrides are exercised by `ldp-chaos`'s scenario
 /// sweep alone, which draws per-pair paths for every cell.
@@ -83,7 +83,6 @@ fn tx_ns_wide(bytes: usize, bps: u64) -> u64 {
 pub struct Topology {
     default: PathConfig,
     per_pair: BTreeMap<(IpAddr, IpAddr), PathConfig>,
-    per_src: BTreeMap<IpAddr, PathConfig>,
 }
 
 impl Topology {
@@ -100,20 +99,12 @@ impl Topology {
         self.per_pair.insert((src, dst), cfg);
     }
 
-    /// Override every path *from* a given source host.
-    pub fn set_from(&mut self, src: IpAddr, cfg: PathConfig) {
-        self.per_src.insert(src, cfg);
-    }
-
     /// Resolve the path config for a packet from `src` to `dst`.
     pub fn path(&self, src: IpAddr, dst: IpAddr) -> PathConfig {
-        if let Some(cfg) = self.per_pair.get(&(src, dst)) {
-            return *cfg;
-        }
-        if let Some(cfg) = self.per_src.get(&src) {
-            return *cfg;
-        }
-        self.default
+        self.per_pair
+            .get(&(src, dst))
+            .copied()
+            .unwrap_or(self.default)
     }
 
     /// Make paths symmetric for a pair (sets both directions).
@@ -123,7 +114,7 @@ impl Topology {
     }
 
     /// The minimum one-way propagation latency over every configured
-    /// path (default + per-pair + per-source overrides) — the
+    /// path (default + per-pair overrides) — the
     /// conservative lookahead bound for sharded simulation
     /// (`ldp-shard`): no packet sent at time `t` can arrive anywhere
     /// before `t + min_one_way_latency()`, so shards may safely
@@ -133,7 +124,7 @@ impl Topology {
     /// valid for any packet size.
     pub fn min_one_way_latency(&self) -> SimDuration {
         let mut min = self.default.rtt.half();
-        for cfg in self.per_pair.values().chain(self.per_src.values()) {
+        for cfg in self.per_pair.values() {
             let half = cfg.rtt.half();
             if half < min {
                 min = half;
@@ -193,10 +184,6 @@ mod tests {
     #[test]
     fn lookup_precedence() {
         let mut topo = Topology::uniform(PathConfig::with_rtt(SimDuration::from_millis(1)));
-        topo.set_from(
-            ip("10.0.0.1"),
-            PathConfig::with_rtt(SimDuration::from_millis(20)),
-        );
         topo.set_pair(
             ip("10.0.0.1"),
             ip("10.0.0.9"),
@@ -208,8 +195,9 @@ mod tests {
             SimDuration::from_millis(100)
         );
         assert_eq!(
-            topo.path(ip("10.0.0.1"), ip("10.0.0.2")).rtt,
-            SimDuration::from_millis(20)
+            topo.path(ip("10.0.0.9"), ip("10.0.0.1")).rtt,
+            SimDuration::from_millis(1),
+            "a pair is one direction"
         );
         assert_eq!(
             topo.path(ip("10.0.0.3"), ip("10.0.0.2")).rtt,

@@ -7,8 +7,8 @@ use std::net::SocketAddr;
 use std::sync::{Arc, Mutex};
 
 use netsim::{
-    ConnId, Ctx, Host, PacketBytes, PathConfig, SimConfig, SimDuration, SimTime, Simulator,
-    TcpEvent, Topology,
+    ConnId, Ctx, Host, HostFault, PacketBytes, PathConfig, SimConfig, SimDuration, SimTime,
+    Simulator, TcpEvent, Topology,
 };
 
 type Log = Arc<Mutex<Vec<String>>>;
@@ -293,7 +293,7 @@ fn dial_to_dead_address_is_refused() {
             server: sa("10.0.0.1:53"),
         }),
     );
-    sim.crash_now("10.0.0.1".parse().unwrap());
+    sim.schedule_host_fault(SimTime::ZERO, "10.0.0.1".parse().unwrap(), HostFault::Crash);
     sim.schedule_timer(client, SimTime::ZERO, 0);
     sim.schedule_timer(client, SimTime::ZERO, 1);
     sim.run_until(SimTime::from_secs_f64(2.0));

@@ -830,7 +830,7 @@ mod tests {
     use dns_wire::{Name, RData, Record, RecordType, Soa};
     use dns_zone::{Catalog, Zone};
     use ldp_trace::{Mutation, Mutator};
-    use netsim::{PathConfig, SimConfig, Simulator, Topology};
+    use netsim::{HostFault, PathConfig, SimConfig, Simulator, Topology};
 
     thread_local! {
         /// Lines [`LatencyRecord::to_line`] has serialised on this thread.
@@ -1041,11 +1041,10 @@ mod tests {
         let srcs = client.source_addrs();
         let client_id = sim.add_host(&srcs, Box::new(client));
         SimReplayClient::schedule(&mut sim, client_id, &trace, SimTime::ZERO);
-        sim.run_until(SimTime::from_secs_f64(0.52));
-        sim.crash_now(server_addr.ip());
-        sim.run_until(SimTime::from_secs_f64(restart_at_s));
-        sim.restart_now(server_addr.ip());
-        sim.run_until(SimTime::from_secs_f64(10.0));
+        let (at, ip) = (SimTime::from_secs_f64, server_addr.ip());
+        sim.schedule_host_fault(at(0.52), ip, HostFault::Crash);
+        sim.schedule_host_fault(at(restart_at_s), ip, HostFault::Restart);
+        sim.run_until(at(10.0));
         let mut out = log.lock().unwrap().clone();
         out.sort_by_key(|r| r.seq);
         out
@@ -1272,10 +1271,9 @@ mod tests {
             mk_trace(2, 500_000, 1),
             |c| c.transport_override = Some(Transport::Tcp),
             |sim| {
-                sim.run_until(SimTime::from_secs_f64(0.52));
-                sim.crash_now(server_ip);
-                sim.run_until(SimTime::from_secs_f64(0.70));
-                sim.restart_now(server_ip);
+                let at = SimTime::from_secs_f64;
+                sim.schedule_host_fault(at(0.52), server_ip, HostFault::Crash);
+                sim.schedule_host_fault(at(0.70), server_ip, HostFault::Restart);
             },
         );
         log.sort_by_key(|r| r.seq);
@@ -1439,11 +1437,10 @@ mod tests {
         SimReplayClient::schedule(&mut sim, client_id, &trace, SimTime::ZERO);
         // q4 (sent at 0.20 s) is in flight when the querier dies at
         // 0.23 s; timers for q5..q7 are dropped by the crash.
-        sim.run_until(SimTime::from_secs_f64(0.23));
-        sim.crash_now(src_ip);
-        sim.run_until(SimTime::from_secs_f64(0.40));
-        sim.restart_now(src_ip);
-        sim.run_until(SimTime::from_secs_f64(30.0));
+        let at = SimTime::from_secs_f64;
+        sim.schedule_host_fault(at(0.23), src_ip, HostFault::Crash);
+        sim.schedule_host_fault(at(0.40), src_ip, HostFault::Restart);
+        sim.run_until(at(30.0));
 
         let mut seqs: Vec<u64> = log.lock().unwrap().iter().map(|r| r.seq).collect();
         seqs.sort_unstable();
@@ -1777,14 +1774,8 @@ mod tests {
             ),
         }
         if let Some((down, up)) = shape.crash {
-            if down <= until {
-                sim.run_until(down);
-                sim.crash_now(srcs[0]);
-            }
-            if up <= until {
-                sim.run_until(up);
-                sim.restart_now(srcs[0]);
-            }
+            sim.schedule_host_fault(down, srcs[0], HostFault::Crash);
+            sim.schedule_host_fault(up, srcs[0], HostFault::Restart);
         }
         sim.run_until(until);
         let lines = log
@@ -1885,11 +1876,10 @@ mod tests {
         let client_id = sim.add_host(&srcs, Box::new(client));
         SimReplayClient::schedule(&mut sim, client_id, &trace, SimTime::ZERO);
         // q0 in flight, q1..q3 parked when the querier dies.
-        sim.run_until(SimTime::from_secs_f64(0.01));
-        sim.crash_now(src_ip);
-        sim.run_until(SimTime::from_secs_f64(0.02));
-        sim.restart_now(src_ip);
-        sim.run_until(SimTime::from_secs_f64(30.0));
+        let at = SimTime::from_secs_f64;
+        sim.schedule_host_fault(at(0.01), src_ip, HostFault::Crash);
+        sim.schedule_host_fault(at(0.02), src_ip, HostFault::Restart);
+        sim.run_until(at(30.0));
 
         let order: Vec<u64> = log.lock().unwrap().iter().map(|r| r.seq).collect();
         assert_eq!(order, vec![0, 1, 2, 3], "deterministic seq-order re-entry");

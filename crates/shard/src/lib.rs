@@ -33,4 +33,4 @@ pub mod sim;
 
 pub use exchange::Exchange;
 pub use plan::ShardPlan;
-pub use sim::{ControlId, GlobalHostId, ShardedSimulator};
+pub use sim::{GlobalHostId, ShardedSimulator};

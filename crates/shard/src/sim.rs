@@ -29,9 +29,10 @@
 //!
 //! * TCP connections must have both endpoints on one shard
 //!   ([`ShardPlan::pin`]); the conservative exchange carries only UDP.
-//! * Control hosts (chaos agents) are replicated on every shard; their
-//!   replicas' timer dispatches are excluded from event counts and
-//!   telemetry by `netsim`'s control-lane discipline.
+//! * A host fault ([`ShardedSimulator::schedule_host_fault`]) is queued
+//!   on every shard under its one driver key, and only the shard that
+//!   owns the address acts; fault events are left out of event counts
+//!   and telemetry on both engines.
 
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -40,8 +41,8 @@ use std::sync::mpsc::{Receiver, Sender};
 
 use ldp_telemetry::{canonical_order, Log};
 use netsim::{
-    FaultInjector, Host, HostStats, IntoPacket, RemoteUdp, SimConfig, SimDriver, SimDuration,
-    SimTime, Simulator, Topology,
+    FaultInjector, Host, HostFault, HostStats, IntoPacket, RemoteUdp, SimConfig, SimDriver,
+    SimDuration, SimTime, Simulator, Topology,
 };
 
 use crate::exchange::Exchange;
@@ -50,9 +51,6 @@ use crate::plan::ShardPlan;
 /// A host id in the sharded simulation: the host's registration index,
 /// which is also its event-lane id on whichever worker holds it.
 pub type GlobalHostId = usize;
-
-/// Handle to a control host (replicated on every shard).
-pub type ControlId = usize;
 
 /// What the coordinator asks of a worker each round.
 enum WorkerCmd {
@@ -138,9 +136,7 @@ pub struct ShardedSimulator {
     driver_seq: u64,
     /// Global host id → (shard, worker-local id).
     hosts: Vec<(u32, usize)>,
-    /// Control id → worker-local id of the replica on each shard.
-    controls: Vec<Vec<usize>>,
-    /// Global address → owning shard (control addresses excluded).
+    /// Global address → owning shard.
     owner: BTreeMap<IpAddr, u32>,
     /// Owner map changed since the workers' shard views were pushed.
     views_dirty: bool,
@@ -171,7 +167,6 @@ impl ShardedSimulator {
             now: SimTime::ZERO,
             driver_seq: 0,
             hosts: Vec::new(),
-            controls: Vec::new(),
             owner: BTreeMap::new(),
             views_dirty: false,
         }
@@ -196,6 +191,10 @@ impl ShardedSimulator {
     /// Returns the global host id — which is also the host's event
     /// lane, making keys identical to the single-shard run where
     /// global id = registration index.
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "S2: the global host id is the lane"
+    )]
     pub fn add_host(&mut self, addrs: &[IpAddr], host: Box<dyn Host>) -> GlobalHostId {
         let id = self.hosts.len();
         let shard = self.plan.shard_for(id);
@@ -207,25 +206,6 @@ impl ShardedSimulator {
         self.hosts.push((shard, local));
         self.views_dirty = true;
         id
-    }
-
-    /// Register a control host (chaos agent), replicated on every
-    /// shard: `make(shard)` builds the replica for each worker. The
-    /// replicas all see the same timers and issue the same commands;
-    /// commands that target hosts on other shards are natural no-ops
-    /// there. Control addresses stay out of the global owner map, so
-    /// control hosts must not receive traffic or dial connections.
-    pub fn add_control_host(
-        &mut self,
-        addrs: &[IpAddr],
-        mut make: impl FnMut(u32) -> Box<dyn Host>,
-    ) -> ControlId {
-        let mut locals = Vec::with_capacity(self.workers.len());
-        for (i, w) in self.workers.iter_mut().enumerate() {
-            locals.push(w.add_control_host(addrs, make(i as u32)));
-        }
-        self.controls.push(locals);
-        self.controls.len() - 1
     }
 
     /// Install a fault injector on every worker: `make(shard)` builds
@@ -241,6 +221,7 @@ impl ShardedSimulator {
 
     /// Schedule a host timer externally, as [`Simulator::schedule_timer`]
     /// does: one global driver-lane key, routed to the host's shard.
+    #[allow(clippy::disallowed_methods, reason = "S2: the global driver seq")]
     pub fn schedule_timer(&mut self, host: GlobalHostId, at: SimTime, token: u64) {
         let (shard, local) = self.hosts[host];
         let seq = self.driver_seq;
@@ -248,15 +229,18 @@ impl ShardedSimulator {
         self.workers[shard as usize].schedule_timer_keyed(local, at, token, seq);
     }
 
-    /// Schedule a timer on a control host: consumes ONE driver-lane
-    /// key (matching the single-shard run) and arms every replica with
-    /// the same key.
-    pub fn schedule_control_timer(&mut self, ctrl: ControlId, at: SimTime, token: u64) {
+    /// Schedule a crash or restart of the host owning `addr`, as
+    /// [`Simulator::schedule_host_fault`] does: one global driver-lane
+    /// key, used up whether or not any shard owns `addr`. Every shard
+    /// queues the fault under that key and resolves `addr` when it
+    /// fires, so only the owner acts, and the owner may be added after
+    /// this call as on the plain engine.
+    #[allow(clippy::disallowed_methods, reason = "S2: the global driver seq")]
+    pub fn schedule_host_fault(&mut self, at: SimTime, addr: IpAddr, fault: HostFault) {
         let seq = self.driver_seq;
         self.driver_seq += 1;
-        for (i, w) in self.workers.iter_mut().enumerate() {
-            let local = self.controls[ctrl][i];
-            w.schedule_timer_keyed(local, at, token, seq);
+        for w in &mut self.workers {
+            w.schedule_host_fault_keyed(at, addr, fault, seq);
         }
     }
 
@@ -283,27 +267,6 @@ impl ShardedSimulator {
         if !out.is_empty() {
             self.exchange.route(out, self.now);
             self.deliver_exchange();
-        }
-    }
-
-    /// Crash the host owning `addr` immediately (driver-side), as
-    /// [`Simulator::crash_now`] does. No-op for unknown addresses.
-    pub fn crash_now(&mut self, addr: IpAddr) {
-        if let Some(&shard) = self.owner.get(&addr) {
-            let w = &mut self.workers[shard as usize];
-            w.swap_driver_seq(&mut self.driver_seq);
-            w.crash_now(addr);
-            w.swap_driver_seq(&mut self.driver_seq);
-        }
-    }
-
-    /// Restart a crashed host (driver-side).
-    pub fn restart_now(&mut self, addr: IpAddr) {
-        if let Some(&shard) = self.owner.get(&addr) {
-            let w = &mut self.workers[shard as usize];
-            w.swap_driver_seq(&mut self.driver_seq);
-            w.restart_now(addr);
-            w.swap_driver_seq(&mut self.driver_seq);
         }
     }
 
@@ -355,7 +318,7 @@ impl ShardedSimulator {
     }
 
     /// Run until every queue drains. Returns the number of events
-    /// processed (control-replica timers excluded), equal to the
+    /// processed (host faults excluded), equal to the
     /// single-shard run's count.
     pub fn run(&mut self) -> u64 {
         self.drive(None)
@@ -515,14 +478,6 @@ impl SimDriver for ShardedSimulator {
         ShardedSimulator::add_host(self, addrs, host)
     }
 
-    fn add_control_host(
-        &mut self,
-        addrs: &[IpAddr],
-        make: impl FnMut(u32) -> Box<dyn Host>,
-    ) -> usize {
-        ShardedSimulator::add_control_host(self, addrs, make)
-    }
-
     fn set_fault_injectors(&mut self, make: impl FnMut(u32) -> Box<dyn FaultInjector>) {
         ShardedSimulator::set_fault_injectors(self, make);
     }
@@ -531,20 +486,12 @@ impl SimDriver for ShardedSimulator {
         ShardedSimulator::schedule_timer(self, host, at, token);
     }
 
-    fn schedule_control_timer(&mut self, ctrl: usize, at: SimTime, token: u64) {
-        ShardedSimulator::schedule_control_timer(self, ctrl, at, token);
+    fn schedule_host_fault(&mut self, at: SimTime, addr: IpAddr, fault: HostFault) {
+        ShardedSimulator::schedule_host_fault(self, at, addr, fault);
     }
 
     fn inject_udp(&mut self, from: SocketAddr, to: SocketAddr, data: impl IntoPacket) {
         ShardedSimulator::inject_udp(self, from, to, data);
-    }
-
-    fn crash_now(&mut self, addr: IpAddr) {
-        ShardedSimulator::crash_now(self, addr);
-    }
-
-    fn restart_now(&mut self, addr: IpAddr) {
-        ShardedSimulator::restart_now(self, addr);
     }
 
     fn run(&mut self) -> u64 {
@@ -599,6 +546,44 @@ mod tests {
         sim.add_host(&[client.ip()], Box::new(Dialer(Some((client, server)))));
         sim.schedule_timer(1, SimTime::from_millis(1), 0);
         sim.run_until(SimTime::from_millis(100));
+    }
+
+    /// A fault at an address no host owns is a no-op on both engines
+    /// that still uses up its driver key: the timer scheduled after it
+    /// gets key 1, plain and at 1–4 shards, and neither is counted
+    /// twice although every shard queues the fault.
+    #[test]
+    fn a_fault_at_an_unowned_address_is_a_no_op_that_uses_its_key() {
+        let topology = Topology::uniform(PathConfig::with_rtt(SimDuration::from_millis(10)));
+        let owned: IpAddr = "10.0.0.1".parse().unwrap();
+        let stray: IpAddr = "10.0.0.99".parse().unwrap();
+        let at = SimTime::from_millis(5);
+
+        let mut plain = Simulator::new(topology.clone(), SimConfig::default());
+        let id = plain.add_host(&[owned], Box::new(Dialer(None)));
+        plain.schedule_host_fault(at, stray, HostFault::Crash);
+        let mut key = 0;
+        plain.swap_driver_seq(&mut key); // read the next key ...
+        assert_eq!(key, 1, "the timer's key");
+        plain.swap_driver_seq(&mut key); // ... and put it back
+        plain.schedule_timer(id, at, 0);
+        assert_eq!(plain.run(), 1, "the timer alone is counted");
+        assert!(!plain.host_is_down(owned));
+
+        for shards in 1..=4 {
+            let plan = ShardPlan::round_robin(shards);
+            let mut sim = ShardedSimulator::new(topology.clone(), SimConfig::default(), plan);
+            let id = sim.add_host(&[owned], Box::new(Dialer(None)));
+            sim.schedule_host_fault(at, stray, HostFault::Crash);
+            assert_eq!(sim.driver_seq, 1, "the timer's key at {shards} shards");
+            sim.schedule_timer(id, at, 0);
+            assert_eq!(
+                sim.run(),
+                1,
+                "the timer alone is counted at {shards} shards"
+            );
+            assert!(!sim.host_is_down(owned));
+        }
     }
 
     #[test]

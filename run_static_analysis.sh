@@ -4,7 +4,7 @@
 # registry-free Cargo.lock, the whole test suite, the scan gate, the
 # four deterministic studies compared against their committed
 # results/, and the end-to-end benchmark's self-check. Every step decides for itself: nothing here
-# judges a time or compares runs. Last it prints the tree's two sizes,
+# judges a time or compares runs. Last it prints the tree's three sizes,
 # which decide nothing. Everything is built by cargo from
 # this checkout; every output goes under target/, so a run leaves
 # `git status` clean. Run before sending a PR.
