@@ -1,11 +1,12 @@
 //! The scan gate: no per-query step may iterate a whole table
-//! (DESIGN.md §7). Four steps — an NXDOMAIN answer, a view selection,
-//! a sim-replay completion, a name compressed into a message — each run
-//! over a small and a large table in this one process, so machine noise
-//! cancels in the ratio. A tree probe costs about 3× more over the large
-//! table (log 4096 / log 16; measured ratios 0.25–0.8), a scan 200× or
-//! more (the pre-PR-15 code: 0.002, 0.004, 0.03), so the large-table
-//! rate must stay above a tenth of the small-table one. Prints one line
+//! (DESIGN.md §7). Five steps — an NXDOMAIN answer, a referral with
+//! glue, a view selection, a sim-replay completion, a name compressed
+//! into a message — each run over a small and a large table in this one
+//! process, so machine noise cancels in the ratio. A tree probe costs
+//! about 3× more over the large table (log 4096 / log 16; measured
+//! ratios 0.25–0.8), a scan 200× or more (the scans these steps
+//! replaced read 0.002, 0.004 and 0.03), so the large-table rate must
+//! stay above a tenth of the small-table one. Prints one line
 //! per pair and exits 1 if any falls below; no absolute rate is judged
 //! and nothing is written.
 //!
@@ -41,6 +42,31 @@ fn rate(steps: u64, mut pass: impl FnMut()) -> f64 {
 
 /// An authoritative engine over one unsigned zone of `names` A records.
 fn server_engine(names: usize) -> ServerEngine {
+    engine((0..names).map(|i| {
+        Record::new(
+            format!("h{i}.bench.example").parse().expect("name"),
+            60,
+            RData::A(format!("10.1.{}.{}", i / 256, i % 256).parse().expect("a")),
+        )
+    }))
+}
+
+/// An authoritative engine over one unsigned zone of `cuts`
+/// delegations, `d<i>.bench.example`, each with one glued nameserver.
+fn delegating_engine(cuts: usize) -> ServerEngine {
+    engine((0..cuts).flat_map(|i| {
+        let cut: Name = format!("d{i}.bench.example").parse().expect("cut");
+        let ns = cut.child(b"ns").expect("ns");
+        let glue = RData::A([10, 3, (i / 256) as u8, (i % 256) as u8].into());
+        [
+            Record::new(cut, 60, RData::Ns(ns.clone())),
+            Record::new(ns, 60, glue),
+        ]
+    }))
+}
+
+/// An authoritative engine over one unsigned zone: an SOA and `records`.
+fn engine(records: impl Iterator<Item = Record>) -> ServerEngine {
     let origin: Name = "bench.example".parse().expect("origin");
     let mut zone = Zone::new(origin.clone());
     zone.insert(Record::new(
@@ -57,13 +83,8 @@ fn server_engine(names: usize) -> ServerEngine {
         }),
     ))
     .expect("soa");
-    for i in 0..names {
-        zone.insert(Record::new(
-            format!("h{i}.bench.example").parse().expect("name"),
-            60,
-            RData::A(format!("10.1.{}.{}", i / 256, i % 256).parse().expect("a")),
-        ))
-        .expect("record");
+    for record in records {
+        zone.insert(record).expect("record");
     }
     let mut cat = Catalog::new();
     cat.insert(zone);
@@ -73,17 +94,37 @@ fn server_engine(names: usize) -> ServerEngine {
 /// NXDOMAIN answers/sec through `answer_udp` over a zone of `names`
 /// names: a walk over the zone on the negative-answer path shows here.
 fn nxdomain_rate(names: usize) -> f64 {
-    let engine = server_engine(names);
+    let qname = |i| format!("missing{i}.bench.example");
+    answer_rate(server_engine(names), qname, |response| {
+        assert_eq!(response.rcode, Rcode::NxDomain, "the row measures NXDOMAIN");
+    })
+}
+
+/// Referrals/sec through `answer_udp` from a zone of `cuts`
+/// delegations, each answer an NS record and its glue: a cut search or
+/// a glue search that walks the zone shows here.
+fn referral_rate(cuts: usize) -> f64 {
+    let qname = |i| format!("www.d{}.bench.example", i * cuts / 64);
+    answer_rate(delegating_engine(cuts), qname, |response| {
+        assert!(!response.flags.authoritative, "the row measures a referral");
+        let glued = [response.authorities.len(), response.additionals.len()];
+        assert_eq!(glued, [1, 1], "one NS record and its glue");
+    })
+}
+
+/// Answers/sec through `engine.answer_udp` to 64 A queries for
+/// `qname(0..64)`, once `check` has read the first response.
+fn answer_rate(
+    engine: ServerEngine,
+    qname: impl Fn(usize) -> String,
+    check: impl FnOnce(Message),
+) -> f64 {
     let src: IpAddr = "10.2.0.1".parse().expect("src");
     let queries: Vec<Message> = (0..64)
-        .map(|i| {
-            let qname = format!("missing{i}.bench.example");
-            Message::query(i as u16, qname.parse().expect("qname"), RecordType::A)
-        })
+        .map(|i| Message::query(i as u16, qname(i).parse().expect("qname"), RecordType::A))
         .collect();
     let (bytes, _) = engine.answer_udp(src, &queries[0]);
-    let rcode = Message::decode(&bytes).expect("decodes").rcode;
-    assert_eq!(rcode, Rcode::NxDomain, "the row measures NXDOMAIN");
+    check(Message::decode(&bytes).expect("decodes"));
     // A pass of ≈ 50 ms on the tree; under a zone walk, ten minutes
     // for the run, where 200 k steps made it a hundred.
     let steps = 20_000;
@@ -192,6 +233,10 @@ fn main() {
         (
             "NXDOMAIN answer, 100 / 20000 names",
             [100, 20_000].map(nxdomain_rate),
+        ),
+        (
+            "referral with glue, 100 / 20000 delegations",
+            [100, 20_000].map(referral_rate),
         ),
         (
             "view selection, 16 / 4096 views",

@@ -24,4 +24,4 @@ pub use lookup::{lookup, lookup_into, Answer, AnswerKind};
 pub use master::{parse_records, parse_zone, write_zone, MasterError};
 pub use rrset::RRset;
 pub use view::{ClientMatch, View, ViewSet};
-pub use zone::{Node, Zone, ZoneError};
+pub use zone::{Node, Walk, Zone, ZoneError};

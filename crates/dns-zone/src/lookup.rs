@@ -12,7 +12,7 @@
 
 use dns_wire::{Message, Name, Question, RData, Rcode, Record, RecordType};
 
-use crate::zone::Zone;
+use crate::zone::{Walk, Zone};
 
 /// The semantic category of an authoritative answer, before rendering
 /// into a message. Exposed so tests and the resolver can assert on
@@ -117,34 +117,31 @@ pub fn lookup_into(zone: &Zone, question: &Question, out: &mut Answer) {
     out.answers.clear();
     out.authorities.clear();
     out.additionals.clear();
-    if !question.name.is_subdomain_of(zone.origin()) {
-        return out.head(AnswerKind::NxDomain, Rcode::Refused, false);
-    }
-
-    // Referral check first: a cut between apex and qname shadows
-    // everything below it.
-    if let Some((cut, ns)) = zone.find_zone_cut(&question.name) {
-        out.authorities.extend(ns.records());
-        // DS at the cut proves (un)signed delegation when present.
-        if let Some(node) = zone.node(cut) {
-            if let Some(ds) = node.get(RecordType::DS) {
-                out.authorities.extend(ds.records());
+    // One walk per name asked about: it finds a cut that shadows the
+    // name, the name's node, or where the match stops.
+    let mut walk = match zone.walk(&question.name) {
+        None => return out.head(AnswerKind::NxDomain, Rcode::Refused, false),
+        Some(Walk::Cut { cut, node, ns }) => {
+            out.authorities.extend(ns.records());
+            // DS at the cut proves (un)signed delegation when present.
+            for ty in [RecordType::DS, RecordType::RRSIG] {
+                if let Some(set) = node.get(ty) {
+                    out.authorities.extend(set.records());
+                }
             }
-            if let Some(sig) = node.get(RecordType::RRSIG) {
-                out.authorities.extend(sig.records());
-            }
+            glue_for(zone, &out.authorities, &mut out.additionals);
+            let cut = cut.clone();
+            return out.head(AnswerKind::Referral { cut }, Rcode::NoError, false);
         }
-        glue_for(zone, &out.authorities, &mut out.additionals);
-        let cut = cut.clone();
-        return out.head(AnswerKind::Referral { cut }, Rcode::NoError, false);
-    }
+        Some(walk) => walk,
+    };
 
     let mut current = question.name.clone();
     let mut chased = false;
 
     for _ in 0..MAX_CNAME_HOPS {
         let answers = &mut out.answers;
-        match answer_at_name(zone, &current, question.qtype, &question.name, answers) {
+        match answer_at_name(zone, walk, &current, question, answers) {
             NodeResult::Found => {
                 glue_for(zone, &out.answers, &mut out.additionals);
                 let kind = if chased {
@@ -156,9 +153,10 @@ pub fn lookup_into(zone: &Zone, question: &Question, out: &mut Answer) {
             }
             NodeResult::Cname(target) => {
                 chased = true;
-                if !target.is_subdomain_of(zone.origin()) || zone.find_zone_cut(&target).is_some() {
+                match zone.walk(&target) {
                     // Chain leaves our authority: return what we have.
-                    break;
+                    None | Some(Walk::Cut { .. }) => break,
+                    Some(next) => walk = next,
                 }
                 current = target;
             }
@@ -187,25 +185,27 @@ enum NodeResult {
     NxDomain,
 }
 
-/// Try to answer `qtype` at `name`, appending to `answers`. `owner`
-/// overrides the record owner for wildcard synthesis on the first hop.
+/// Try to answer `question`'s type at `name`, where `walk` ended,
+/// appending to `answers`. The question's name is the owner of records
+/// synthesized from a wildcard on the first hop.
 fn answer_at_name(
     zone: &Zone,
+    walk: Walk<'_>,
     name: &Name,
-    qtype: RecordType,
-    original_qname: &Name,
+    question: &Question,
     answers: &mut Vec<Record>,
 ) -> NodeResult {
-    if let Some(node) = zone.node(name) {
-        return answer_at_node(node, qtype, name, answers);
-    }
-    // Empty non-terminal: the name "exists" but holds no data.
-    if zone.has_names_below(name) {
-        return NodeResult::NoData;
-    }
+    let (qtype, original_qname) = (question.qtype, &question.name);
+    let encloser = match walk {
+        Walk::Node(node) => return answer_at_node(node, qtype, name, answers),
+        Walk::Missing { encloser } => encloser,
+        // An empty non-terminal: the name "exists" but holds no data
+        // (a cut never gets here: it is a referral or ends the chain).
+        Walk::Empty | Walk::Cut { .. } => return NodeResult::NoData,
+    };
     // Wildcard: *.closest-encloser, with the original qname as owner.
-    if let Some(node) = zone
-        .closest_encloser(name)
+    if let Some(node) = name
+        .ancestor(encloser)
         .and_then(|encloser| zone.wildcard_below(&encloser))
     {
         // Only the first hop synthesizes at the original qname;
@@ -283,17 +283,18 @@ fn append_covering_rrsig(
 /// The authority section of a negative (NoData/NXDOMAIN) answer about
 /// `qname`: SOA, plus NSEC when present.
 fn negative(zone: &Zone, qname: &Name, authorities: &mut Vec<Record>) {
-    if let Some(soa) = zone.soa_rrset() {
-        // Negative TTL is min(SOA TTL, SOA.minimum) per RFC 2308.
-        let neg_ttl = zone
-            .soa()
-            .map(|s| s.minimum.min(soa.ttl))
-            .unwrap_or(soa.ttl);
-        authorities.extend(soa.records().map(|rec| Record {
-            ttl: neg_ttl,
-            ..rec
-        }));
-        if let Some(apex) = zone.node(zone.origin()) {
+    // The SOA, its TTL and its signature all come from one apex probe.
+    if let Some(apex) = zone.node(zone.origin()) {
+        if let Some(soa) = apex.get(RecordType::SOA) {
+            // Negative TTL is min(SOA TTL, SOA.minimum) per RFC 2308.
+            let neg_ttl = match soa.rdatas.first() {
+                Some(RData::Soa(fields)) => fields.minimum.min(soa.ttl),
+                _ => soa.ttl,
+            };
+            authorities.extend(soa.records().map(|rec| Record {
+                ttl: neg_ttl,
+                ..rec
+            }));
             append_covering_rrsig(apex, RecordType::SOA, zone.origin(), authorities);
         }
     }
@@ -933,9 +934,34 @@ mod tests {
         }
     }
 
+    /// Where `Zone::walk` must end, from the linear primitives: the
+    /// highest cut, else the node, an empty non-terminal or the closest
+    /// encloser (the apex when nothing exists at or below it).
+    fn linear_walk<'z>(zone: &'z Zone, name: &Name) -> Option<Walk<'z>> {
+        use crate::zone::reference as linear;
+        if !name.is_subdomain_of(zone.origin()) {
+            return None;
+        }
+        if let Some((cut, ns)) = linear::find_zone_cut(zone, name) {
+            let node = zone.node(cut).unwrap();
+            return Some(Walk::Cut { cut, node, ns });
+        }
+        Some(match zone.node(name) {
+            Some(node) => Walk::Node(node),
+            None if linear::has_names_below(zone, name) => Walk::Empty,
+            None => Walk::Missing {
+                encloser: linear::closest_encloser(zone, name)
+                    .map_or(zone.origin().label_count(), |e| e.label_count()),
+            },
+        })
+    }
+
     /// Generated zones × generated names: the probing primitives and the
     /// `lookup` built on them agree with the linear reference, field by
-    /// field.
+    /// field. `lookup` and `reference::lookup` take different roads —
+    /// one walk per name against a cut search, a node probe, an
+    /// empty-non-terminal probe and an encloser search — to the same
+    /// answer.
     #[test]
     fn lookup_matches_the_linear_reference_on_generated_zones() {
         use crate::zone::reference as linear;
@@ -943,21 +969,7 @@ mod tests {
             let zone = gen_zone(g);
             for _ in 0..g.size(1..=12) {
                 let name = gen_qname(g, &zone);
-                assert_eq!(
-                    zone.has_names_below(&name),
-                    linear::has_names_below(&zone, &name),
-                    "has_names_below({name})"
-                );
-                assert_eq!(
-                    zone.closest_encloser(&name),
-                    linear::closest_encloser(&zone, &name),
-                    "closest_encloser({name})"
-                );
-                assert_eq!(
-                    zone.find_zone_cut(&name),
-                    linear::find_zone_cut(&zone, &name),
-                    "find_zone_cut({name})"
-                );
+                assert_eq!(zone.walk(&name), linear_walk(&zone, &name), "walk({name})");
                 assert_eq!(
                     zone.covering_nsec(&name),
                     linear::covering_nsec(&zone, &name),

@@ -3,19 +3,21 @@
 //!
 //! Canonical order (RFC 4034 §6.1) is what keeps every per-query
 //! question about the tree a probe, not a scan. The subdomains of a
-//! name are the run of nodes directly after it, so "does anything
-//! exist below this name" reads one successor. The NSEC that denies a
-//! name is owned by the last NSEC holder at or before it, so the search
-//! is a reverse range walk from the name — one step in a signed zone,
-//! and not taken at all in an unsigned one, which the zone knows from a
-//! count of its NSEC-holding nodes.
+//! name are the run of nodes directly after it, so one ordered probe
+//! says whether a name holds data, is an empty non-terminal, or has
+//! nothing at or below it: [`Zone::walk`] matches a query name down
+//! from the apex with one such probe per label and stops at the name,
+//! at the first cut or at the first label that does not match. The
+//! NSEC that denies a name is owned by the last NSEC holder at or
+//! before it, so the search is a reverse range walk from the name —
+//! one step in a signed zone, and not taken at all in an unsigned one,
+//! which the zone knows from a count of its NSEC-holding nodes.
 
 // Hot path: bad input is an error, never a panic (DESIGN.md §7).
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 use std::collections::BTreeMap;
-use std::ops::Bound;
 
 use dns_wire::{Name, RData, Record, RecordType, Soa};
 
@@ -69,13 +71,39 @@ impl Node {
     }
 }
 
+/// Where [`Zone::walk`]'s match down the zone towards a name ends.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Walk<'z> {
+    /// A delegation at or above the name, below the apex: the highest
+    /// one, its node and its NS RRset.
+    Cut {
+        /// The cut's owner name.
+        cut: &'z Name,
+        /// The node at the cut (its DS and RRSIG go into a referral).
+        node: &'z Node,
+        /// The NS RRset at the cut.
+        ns: &'z RRset,
+    },
+    /// The name holds data.
+    Node(&'z Node),
+    /// The name is an empty non-terminal: it holds nothing, but names
+    /// exist below it.
+    Empty,
+    /// Nothing exists at or below the name.
+    Missing {
+        /// The label count of the closest encloser, the deepest
+        /// ancestor that exists (the apex in an empty zone).
+        encloser: usize,
+    },
+}
+
 /// An authoritative zone: origin name and the node tree.
 ///
 /// Nodes are kept in canonical DNS order ([`Name`]'s `Ord`), which makes
-/// closest-encloser walks and NSEC chains straightforward (module docs):
-/// [`Zone::has_names_below`], [`Zone::closest_encloser`],
-/// [`Zone::covering_nsec`] and [`Zone::find_zone_cut`] are each a
-/// bounded number of `BTreeMap` probes, never a walk of the zone.
+/// the match down to a name and NSEC chains straightforward (module
+/// docs): [`Zone::walk`] is one `BTreeMap` probe per label below the
+/// apex, [`Zone::covering_nsec`] and [`Zone::wildcard_below`] one probe
+/// each, never a walk of the zone.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Zone {
     origin: Name,
@@ -181,43 +209,55 @@ impl Zone {
         Ok(())
     }
 
-    /// Walk from the apex towards `qname` and return the first
-    /// delegation point strictly between apex and `qname` (exclusive of
-    /// the apex, inclusive of `qname`'s ancestors *and* `qname` itself).
+    /// Match down the zone from just below the apex to `qname`, one
+    /// ordered probe per label (RFC 1034 §4.3.2 step 3), and say where
+    /// the match ends; `None` when `qname` is outside the zone.
     ///
-    /// Returns the cut name and its NS RRset. A query at or below a cut
-    /// must be answered with a referral, not an authoritative answer —
-    /// this is exactly the behaviour that forces naive single-server
-    /// hierarchies to give wrong answers (paper §2.4) and that our
-    /// split-horizon emulation preserves.
-    pub fn find_zone_cut(&self, qname: &Name) -> Option<(&Name, &RRset)> {
+    /// Each probe reads the first node at or after an ancestor: the
+    /// ancestor itself, a name below it (canonical order puts a name's
+    /// subtree directly after it: an empty non-terminal), or neither,
+    /// which ends the walk. The apex is taken to exist and is probed
+    /// only when it is `qname`.
+    pub fn walk(&self, qname: &Name) -> Option<Walk<'_>> {
         if !qname.is_subdomain_of(&self.origin) {
             return None;
         }
-        // Probed from just below the apex down to `qname`: the highest
-        // cut shadows the rest. Each ancestor is a view of `qname` (a
-        // copy, when it is short).
-        (self.origin.label_count() + 1..=qname.label_count()).find_map(|labels| {
-            let (name, node) = self.nodes.get_key_value(&qname.ancestor(labels)?)?;
-            Some((name, node.get(RecordType::NS)?))
-        })
+        let (top, last) = (self.origin.label_count(), qname.label_count());
+        let mut labels = (top + 1).min(last);
+        loop {
+            let name = qname.ancestor(labels)?;
+            let exists = match self.nodes.range::<Name, _>(&name..).next() {
+                Some((cut, node)) if *cut == name => match node.get(RecordType::NS) {
+                    // The highest cut shadows everything below it.
+                    Some(ns) if labels > top => return Some(Walk::Cut { cut, node, ns }),
+                    _ if labels == last => return Some(Walk::Node(node)),
+                    _ => true,
+                },
+                Some((below, _)) => below.is_subdomain_of(&name),
+                None => false,
+            };
+            match (exists, labels == last) {
+                (true, false) => labels += 1,
+                // No node at `qname` (that returned above), but names below it.
+                (true, true) => return Some(Walk::Empty),
+                (false, _) => {
+                    let encloser = labels.saturating_sub(1).max(top);
+                    return Some(Walk::Missing { encloser });
+                }
+            }
+        }
     }
 
-    /// Find the closest encloser: the longest existing ancestor name of
-    /// `qname` (used for wildcard lookup and NXDOMAIN proofs).
-    pub fn closest_encloser(&self, qname: &Name) -> Option<Name> {
-        let mut cur = qname.parent()?;
-        loop {
-            // A name "exists" if it holds records or is an empty
-            // non-terminal (names exist below it) — both make it a valid
-            // closest encloser for wildcard matching (RFC 4592 §3.3.1).
-            if self.nodes.contains_key(&cur) || self.has_names_below(&cur) {
-                return Some(cur);
-            }
-            if cur == self.origin {
-                return None;
-            }
-            cur = cur.parent()?;
+    /// The highest delegation point at or above `qname` and below the
+    /// apex, with its NS RRset: [`Zone::walk`]'s [`Walk::Cut`]. A query
+    /// at or below a cut is answered with a referral, not an
+    /// authoritative answer — the behaviour that forces naive
+    /// single-server hierarchies to give wrong answers (paper §2.4) and
+    /// that the split-horizon emulation preserves.
+    pub fn find_zone_cut(&self, qname: &Name) -> Option<(&Name, &RRset)> {
+        match self.walk(qname)? {
+            Walk::Cut { cut, ns, .. } => Some((cut, ns)),
+            _ => None,
         }
     }
 
@@ -225,19 +265,6 @@ impl Zone {
     /// the zone has one.
     pub fn wildcard_below(&self, encloser: &Name) -> Option<&Node> {
         self.nodes.get(self.wildcards.get(encloser)?)
-    }
-
-    /// Whether any node exists strictly below `name` (an "empty
-    /// non-terminal" check: `b.example` has no records but exists when
-    /// `a.b.example` does).
-    ///
-    /// Canonical order keeps a name's subdomains contiguous and directly
-    /// after it, so the node that follows `name` decides the answer.
-    pub fn has_names_below(&self, name: &Name) -> bool {
-        self.nodes
-            .range::<Name, _>((Bound::Excluded(name), Bound::Unbounded))
-            .next()
-            .is_some_and(|(next, _)| next.is_subdomain_of(name))
     }
 
     /// The node that carries the NSEC covering `qname`, with its owner
@@ -469,27 +496,25 @@ mod tests {
     #[test]
     fn closest_encloser_walks_up() {
         let z = example_zone();
-        assert_eq!(
-            z.closest_encloser(&n("x.y.www.example.com")).unwrap(),
-            n("www.example.com")
-        );
-        assert_eq!(
-            z.closest_encloser(&n("zzz.example.com")).unwrap(),
-            n("example.com")
-        );
+        let encloser = |q: &str| match z.walk(&n(q)) {
+            Some(Walk::Missing { encloser }) => n(q).ancestor(encloser),
+            _ => None,
+        };
+        assert_eq!(encloser("x.y.www.example.com"), Some(n("www.example.com")));
+        assert_eq!(encloser("zzz.example.com"), Some(n("example.com")));
         // Empty non-terminal is a valid encloser.
-        assert_eq!(
-            z.closest_encloser(&n("x.b.example.com")).unwrap(),
-            n("b.example.com")
-        );
+        assert_eq!(encloser("x.b.example.com"), Some(n("b.example.com")));
+        assert_eq!(encloser("www.example.com"), None, "the name exists");
     }
 
     #[test]
     fn empty_non_terminal_detected() {
         let z = example_zone();
         assert!(z.node(&n("b.example.com")).is_none());
-        assert!(z.has_names_below(&n("b.example.com")));
-        assert!(!z.has_names_below(&n("www.example.com")));
+        assert_eq!(z.walk(&n("b.example.com")), Some(Walk::Empty));
+        let www = z.node(&n("www.example.com")).unwrap();
+        assert_eq!(z.walk(&n("www.example.com")), Some(Walk::Node(www)));
+        assert_eq!(z.walk(&n("example.org")), None, "out of zone");
     }
 
     fn nsec_rec(name: &str, next: &str) -> Record {

@@ -765,7 +765,8 @@ impl Simulator {
     /// exactly one in the whole simulation, as in a single-shard run —
     /// and lends it to whichever worker executes a driver-side action
     /// (`inject_udp`), then takes it back. This keeps
-    /// driver-lane keys globally unique and in the single-shard order.
+    /// driver-lane keys globally unique and in the single-shard order;
+    /// no other crate may call it (rule S2, `clippy.toml`).
     pub fn swap_driver_seq(&mut self, seq: &mut u64) {
         std::mem::swap(&mut self.driver_seq, seq);
     }

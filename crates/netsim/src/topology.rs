@@ -113,24 +113,24 @@ impl Topology {
         self.set_pair(b, a, cfg);
     }
 
-    /// The minimum one-way propagation latency over every configured
-    /// path (default + per-pair overrides) — the
-    /// conservative lookahead bound for sharded simulation
-    /// (`ldp-shard`): no packet sent at time `t` can arrive anywhere
-    /// before `t + min_one_way_latency()`, so shards may safely
-    /// process `[t, t + lookahead)` in parallel.
+    /// The minimum one-way propagation latency over the default path
+    /// and the per-pair overrides for which `counts(src, dst)` holds —
+    /// the conservative lookahead bound for sharded simulation
+    /// (`ldp-shard`, which counts the pairs whose hosts sit on
+    /// different shards): no packet sent at time `t` can cross before
+    /// `t + min_one_way_latency(..)`, so shards may safely process
+    /// `[t, t + lookahead)` in parallel.
     ///
     /// Serialization delay is excluded (zero-byte bound): the result is
     /// valid for any packet size.
-    pub fn min_one_way_latency(&self) -> SimDuration {
-        let mut min = self.default.rtt.half();
-        for cfg in self.per_pair.values() {
-            let half = cfg.rtt.half();
-            if half < min {
-                min = half;
-            }
-        }
-        min
+    pub fn min_one_way_latency(&self, counts: impl Fn(IpAddr, IpAddr) -> bool) -> SimDuration {
+        let overrides = self
+            .per_pair
+            .iter()
+            .filter(|((src, dst), _)| counts(*src, *dst));
+        overrides
+            .map(|(_, cfg)| cfg.rtt.half())
+            .fold(self.default.rtt.half(), SimDuration::min)
     }
 }
 

@@ -3,7 +3,7 @@
 //! A sharded, multi-core front-end for [`netsim`]: hosts are
 //! partitioned across N worker simulators, each advancing on its own
 //! thread, synchronized by conservative lookahead windows sized by the
-//! topology's minimum one-way link latency. Cross-shard datagrams
+//! minimum one-way link latency between shards. Cross-shard datagrams
 //! travel through a deterministic exchange carrying their exact
 //! single-shard event keys, so the merged transcript — and the
 //! canonically ordered telemetry drain — are **byte-identical** to the

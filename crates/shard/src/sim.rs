@@ -13,11 +13,14 @@
 //! on the owning shard at the same position the single-shard queue
 //! would have held them.
 //!
-//! Windows make that safe: with lookahead `L` = the topology's minimum
-//! one-way latency, a window `[start, start + L)` can only produce
-//! arrivals at `≥ start + L`, so no shard ever needs an event another
-//! shard hasn't exported yet. The exchange asserts this invariant on
-//! every routed packet.
+//! Windows make that safe: with lookahead `L` = the minimum one-way
+//! latency between hosts on different shards, a window
+//! `[start, start + L)` can only produce cross-shard arrivals at
+//! `≥ start + L`, so no shard ever needs an event another shard hasn't
+//! exported yet. The exchange asserts this invariant on every routed
+//! packet. A link between two hosts on one shard never crosses, so it
+//! does not bound `L`: a zero-latency pair runs sharded when it is
+//! co-located.
 //!
 //! The merged transcript (host observations) and the canonically
 //! ordered telemetry drain are therefore byte-identical to the
@@ -127,8 +130,12 @@ pub struct ShardedSimulator {
     workers: Vec<Simulator>,
     plan: ShardPlan,
     exchange: Exchange,
+    /// The workers' topology, kept to size the window from where the
+    /// hosts sit.
+    topology: Topology,
     /// The conservative window length: no packet can cross a shard
-    /// boundary faster than the fastest link's one-way latency.
+    /// boundary faster than the fastest inter-shard link's one-way
+    /// latency. Set again whenever hosts are placed.
     lookahead: SimDuration,
     now: SimTime,
     /// The one global driver-lane seq (keys for external timers and
@@ -144,17 +151,12 @@ pub struct ShardedSimulator {
 
 impl ShardedSimulator {
     /// New sharded simulator over `topology` with protocol `config`,
-    /// partitioned per `plan`.
-    ///
-    /// Panics if the topology's minimum one-way latency is zero: a
-    /// zero-latency link admits no conservative lookahead window.
+    /// partitioned per `plan`. A run refuses a zero-latency link between
+    /// hosts on different shards (see [`ShardedSimulator::lookahead`]).
     pub fn new(topology: Topology, config: SimConfig, plan: ShardPlan) -> Self {
-        let lookahead = topology.min_one_way_latency();
-        assert!(
-            lookahead > SimDuration::ZERO,
-            "sharded simulation needs a nonzero minimum link latency for lookahead \
-             (a zero-RTT path admits no conservative window)"
-        );
+        // Before any host is placed every endpoint is unowned, so every
+        // path counts.
+        let lookahead = topology.min_one_way_latency(|_, _| true);
         let shards = plan.shards();
         let workers: Vec<Simulator> = (0..shards)
             .map(|_| Simulator::new(topology.clone(), config))
@@ -163,6 +165,7 @@ impl ShardedSimulator {
             workers,
             plan,
             exchange: Exchange::new(shards, BTreeMap::new()),
+            topology,
             lookahead,
             now: SimTime::ZERO,
             driver_seq: 0,
@@ -177,7 +180,10 @@ impl ShardedSimulator {
         self.plan.shards()
     }
 
-    /// The conservative window length in use.
+    /// The conservative window length in use: the minimum one-way
+    /// latency over the default path and the per-pair overrides whose
+    /// endpoints sit on different shards (an endpoint no host owns
+    /// counts as remote), as of the last placement.
     pub fn lookahead(&self) -> SimDuration {
         self.lookahead
     }
@@ -249,6 +255,10 @@ impl ShardedSimulator {
     /// (for stats credit and fault draws) under the lent global driver
     /// stream; if the destination lives elsewhere the datagram crosses
     /// through the exchange immediately.
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "S2: the global driver seq, lent for one injection"
+    )]
     pub fn inject_udp(&mut self, from: SocketAddr, to: SocketAddr, data: impl IntoPacket) {
         self.refresh_views();
         let shard = match self
@@ -345,6 +355,14 @@ impl ShardedSimulator {
             w.set_shard_view(self.owner.clone(), i as u32);
         }
         self.exchange = Exchange::new(self.workers.len() as u32, self.owner.clone());
+        let owner = &self.owner;
+        self.lookahead = self.topology.min_one_way_latency(|src, dst| {
+            match (owner.get(&src), owner.get(&dst)) {
+                (Some(a), Some(b)) => a != b,
+                // An endpoint no host owns counts as remote.
+                _ => true,
+            }
+        });
     }
 
     /// Hand every pending exchange packet to its owning worker's queue
@@ -366,6 +384,12 @@ impl ShardedSimulator {
     fn drive(&mut self, deadline: Option<SimTime>) -> u64 {
         self.refresh_views();
         let lookahead = self.lookahead;
+        assert!(
+            lookahead > SimDuration::ZERO,
+            "sharded simulation needs a nonzero one-way latency between shards for lookahead \
+             (a zero-RTT path between hosts on different shards admits no conservative \
+             window: co-locate them)"
+        );
         let mut nexts: Vec<Option<SimTime>> = self
             .workers
             .iter()
@@ -553,6 +577,10 @@ mod tests {
     /// gets key 1, plain and at 1–4 shards, and neither is counted
     /// twice although every shard queues the fault.
     #[test]
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "S2: reads the plain engine's driver seq and puts it back"
+    )]
     fn a_fault_at_an_unowned_address_is_a_no_op_that_uses_its_key() {
         let topology = Topology::uniform(PathConfig::with_rtt(SimDuration::from_millis(10)));
         let owned: IpAddr = "10.0.0.1".parse().unwrap();
@@ -586,15 +614,77 @@ mod tests {
         }
     }
 
+    /// A host that sends one datagram `(from, to)` when its timer
+    /// fires, if given one.
+    struct Pinger(Option<(SocketAddr, SocketAddr)>);
+
+    impl Host for Pinger {
+        fn on_udp(&mut self, _: &mut Ctx<'_>, _: SocketAddr, _: SocketAddr, _: PacketBytes) {}
+        fn on_tcp_event(&mut self, _: &mut Ctx<'_>, _: TcpEvent) {}
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _: u64) {
+            if let Some((from, to)) = self.0 {
+                ctx.send_udp(from, to, b"ping".as_slice());
+            }
+        }
+    }
+
+    /// Hosts at `.1`, `.2` and `.3` (shards 0, 1, 0 under a two-shard
+    /// round robin); `.1` pings `.3` and `.2` pings `.1`. Returns the
+    /// event count and each host's datagrams received.
+    fn ping(sim: &mut impl SimDriver) -> (u64, Vec<u64>) {
+        let at = |last: u8| SocketAddr::from(([10, 0, 0, last], 53));
+        for (me, to) in [(1, Some(3)), (2, Some(1)), (3, None)] {
+            let pinger = Pinger(to.map(|to| (at(me), at(to))));
+            sim.add_host(&[at(me).ip()], Box::new(pinger));
+        }
+        sim.schedule_timer(0, SimTime::from_millis(1), 0);
+        sim.schedule_timer(1, SimTime::from_millis(1), 0);
+        let events = sim.run();
+        (events, (0..3).map(|h| sim.stats(h).udp_rx).collect())
+    }
+
+    /// 10 ms paths, with a zero-RTT pair between `.1` and `.{other}`.
+    fn with_zero_rtt_pair(other: u8) -> Topology {
+        let mut topology = Topology::uniform(PathConfig::with_rtt(SimDuration::from_millis(10)));
+        let zero = PathConfig::with_rtt(SimDuration::ZERO);
+        let ip = |last: u8| IpAddr::from([10, 0, 0, last]);
+        topology.set_symmetric(ip(1), ip(other), zero);
+        topology
+    }
+
+    /// Only a link between shards bounds the window: a zero-RTT pair on
+    /// one shard runs at two shards, as on the plain engine, and the
+    /// window is the 10 ms default's one-way half.
+    #[test]
+    fn a_co_located_zero_rtt_pair_runs_at_two_shards() {
+        let topology = with_zero_rtt_pair(3);
+        let mut plain = Simulator::new(topology.clone(), SimConfig::default());
+        let want = ping(&mut plain);
+        assert_eq!(want, (4, vec![1, 0, 1]), "two timers, two deliveries");
+        let plan = ShardPlan::round_robin(2);
+        let mut sim = ShardedSimulator::new(topology, SimConfig::default(), plan);
+        assert_eq!(ping(&mut sim), want);
+        assert_eq!(sim.lookahead(), SimDuration::from_millis(5));
+    }
+
+    /// The same pair split across the two shards is refused before the
+    /// first window.
+    #[test]
+    #[should_panic(expected = "nonzero one-way latency between shards")]
+    fn a_zero_rtt_pair_across_shards_is_refused() {
+        let plan = ShardPlan::round_robin(2);
+        let mut sim = ShardedSimulator::new(with_zero_rtt_pair(2), SimConfig::default(), plan);
+        ping(&mut sim);
+    }
+
+    /// A zero-RTT default path joins every pair of shards: refused when
+    /// the hosts are placed and the run starts, not at construction.
     #[test]
     fn zero_latency_topology_is_rejected() {
-        let caught = std::panic::catch_unwind(|| {
-            ShardedSimulator::new(
-                Topology::uniform(PathConfig::with_rtt(SimDuration::ZERO)),
-                SimConfig::default(),
-                ShardPlan::round_robin(2),
-            )
-        });
+        let topology = Topology::uniform(PathConfig::with_rtt(SimDuration::ZERO));
+        let plan = ShardPlan::round_robin(2);
+        let mut sim = ShardedSimulator::new(topology, SimConfig::default(), plan);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ping(&mut sim)));
         assert!(caught.is_err(), "zero lookahead must be refused");
     }
 }
