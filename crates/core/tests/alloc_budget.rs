@@ -318,24 +318,30 @@ impl Host for TallyStub {
     }
 }
 
-/// The event queue under a pre-scheduled trace: 100,000 driver-lane
-/// timers 10 µs apart, each sending one datagram from a stub to a sink
-/// 40 ms away, so about 4,000 deliveries are in flight behind the
-/// timers. The timers are the queue's sorted run and the deliveries its
-/// heap, in one buffer: a delivery takes a slot that a popped timer
-/// freed, so after the first timer (the simulator's command buffer) the
-/// run allocates nothing. A heap kept apart from the run grows to its
-/// in-flight peak here, which the benchmark's count repetition would
-/// see.
-#[test]
-fn a_pre_scheduled_trace_runs_without_growing_the_event_queue() {
+/// Allocations in `run_until` under a pre-scheduled trace: 100,000
+/// driver-lane timers 10 µs apart, timer `i` making stub `i % n` send
+/// one datagram to its own sink over a path of `rtts_ms[i % n]`, so
+/// thousands of deliveries are in flight behind the timers. The timers
+/// are one of the queue's sorted runs, each path's deliveries another,
+/// all in one slab: a delivery takes a slot that a popped timer freed,
+/// so after the first timer (the simulator's command buffer) the run
+/// allocates nothing. A run or a heap kept in storage of its own grows
+/// to its in-flight peak here, which the benchmark's count repetition
+/// would see.
+fn pre_scheduled_trace_allocations(rtts_ms: &[u64]) -> u64 {
     const TIMERS: u64 = 100_000;
-    let stub: SocketAddr = "10.2.0.1:5353".parse().unwrap();
-    let sink: SocketAddr = "10.3.0.1:53".parse().unwrap();
-    let mut sim = Simulator::new(
-        Topology::uniform(PathConfig::with_rtt(SimDuration::from_millis(80))),
-        SimConfig::default(),
-    );
+    let pairs: Vec<(SocketAddr, SocketAddr)> = (1..=rtts_ms.len())
+        .map(|k| {
+            let stub = format!("10.2.0.{k}:5353").parse().unwrap();
+            (stub, format!("10.3.0.{k}:53").parse().unwrap())
+        })
+        .collect();
+    let mut topology = Topology::default();
+    for (&(stub, sink), &rtt) in pairs.iter().zip(rtts_ms) {
+        let path = PathConfig::with_rtt(SimDuration::from_millis(rtt));
+        topology.set_pair(stub.ip(), sink.ip(), path);
+    }
+    let mut sim = Simulator::new(topology, SimConfig::default());
     let received = Arc::new(Mutex::new((0, 0)));
     let tally_stub = |addr, to, queries| TallyStub {
         addr,
@@ -344,10 +350,17 @@ fn a_pre_scheduled_trace_runs_without_growing_the_event_queue() {
         want: (0, 0),
         tally: received.clone(),
     };
-    sim.add_host(&[sink.ip()], Box::new(tally_stub(sink, stub, Vec::new())));
     let header = PacketBytes::from(vec![0u8; 12]);
-    let sender = sim.add_host(&[stub.ip()], Box::new(tally_stub(stub, sink, vec![header])));
+    let senders: Vec<_> = pairs
+        .iter()
+        .map(|&(stub, sink)| {
+            sim.add_host(&[sink.ip()], Box::new(tally_stub(sink, stub, Vec::new())));
+            let queries = vec![header.clone()];
+            sim.add_host(&[stub.ip()], Box::new(tally_stub(stub, sink, queries)))
+        })
+        .collect();
     for i in 0..TIMERS {
+        let sender = senders[i as usize % senders.len()];
         sim.schedule_timer(sender, SimTime::from_micros(10 * i), 0);
     }
     let warm = sim.run_until(SimTime::ZERO);
@@ -358,6 +371,21 @@ fn a_pre_scheduled_trace_runs_without_growing_the_event_queue() {
         (TIMERS, 0),
         "every datagram arrived"
     );
+    allocs
+}
+
+/// About 4,000 deliveries over one 80 ms path behind the trace.
+#[test]
+fn a_pre_scheduled_trace_runs_without_growing_the_event_queue() {
+    let allocs = pre_scheduled_trace_allocations(&[80]);
+    assert_eq!(allocs, 0, "the run allocated {allocs} times");
+}
+
+/// About 4,300 deliveries over three paths (20, 80 and 160 ms) behind
+/// the trace: four sorted runs, none of them in storage of its own.
+#[test]
+fn deliveries_over_three_paths_beside_a_trace_allocate_nothing() {
+    let allocs = pre_scheduled_trace_allocations(&[20, 80, 160]);
     assert_eq!(allocs, 0, "the run allocated {allocs} times");
 }
 

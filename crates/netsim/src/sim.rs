@@ -5,10 +5,11 @@
 //! accounting (Figures 11, 13, 14, 15).
 //!
 //! Hot-path invariants (see DESIGN.md "Performance invariants"):
-//! the event queue is a sorted run of pre-scheduled timers plus a
-//! binary heap of what is in flight, both over `(time, lane, seq)` —
-//! a strict total order, so event ordering never depends on which
-//! region holds an event or on heap layout; packet payloads are
+//! the event queue is a few sorted runs (the pre-scheduled trace, each
+//! fixed-delay class of what is in flight) plus a binary heap for what
+//! fits no run, in one slab, all over `(time, lane, seq)` — a strict
+//! total order, so event ordering never depends on which run or the
+//! heap holds an event, or on heap layout; packet payloads are
 //! [`PacketBytes`] handles onto buffers from the simulator's own
 //! [`PacketPool`], copied once when a host hands bytes over and never
 //! again between send and delivery.
