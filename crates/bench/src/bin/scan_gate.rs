@@ -1,8 +1,9 @@
 //! The scan gate: no per-query step may iterate a whole table
-//! (DESIGN.md §7). Five steps — an NXDOMAIN answer, a referral with
+//! (DESIGN.md §7). Six steps — an NXDOMAIN answer, a referral with
 //! glue, a view selection, a sim-replay completion, a name compressed
-//! into a message — each run over a small and a large table in this one
-//! process, so machine noise cancels in the ratio. A tree probe costs
+//! into a message, a resolver-cache hit — each run over a small and a
+//! large table in this one process, so machine noise cancels in the
+//! ratio. A tree probe costs
 //! about 3× more over the large table (log 4096 / log 16; measured
 //! ratios 0.25–0.8), a scan 200× or more (the scans these steps
 //! replaced read 0.002, 0.004 and 0.03), so the large-table rate must
@@ -20,6 +21,7 @@ use std::time::Instant;
 use dns_server::{ServerEngine, SimDnsServer};
 use dns_wire::{EncodeScratch, Message, Name, RData, Rcode, Record, RecordType, Soa};
 use dns_zone::{Catalog, ClientMatch, View, ViewSet, Zone};
+use ldp_cache::{FillInfo, ResolverCache};
 use ldp_replay::{LatencyLog, SimReplayClient};
 use ldp_trace::TraceEntry;
 use netsim::{PathConfig, SimConfig, SimDuration, SimTime, Simulator, Topology};
@@ -227,6 +229,36 @@ fn compress_rate(names: usize) -> f64 {
     })
 }
 
+/// `ResolverCache::lookup` hits/sec over a cache of `entries` resident
+/// answers, cycling through 64 of them spread over the whole cache: a
+/// walk of the entries on the hit path shows here.
+fn cache_hit_rate(entries: usize) -> f64 {
+    let name = |i: usize| -> Name { format!("h{i}.bench.example").parse().expect("name") };
+    let mut cache = ResolverCache::unbounded();
+    for i in 0..entries {
+        let record = Record::new(name(i), 3600, RData::A([10, 4, 0, 1].into()));
+        let out = cache.put_positive(
+            &name(i),
+            RecordType::A,
+            vec![record],
+            0.0,
+            FillInfo::default(),
+        );
+        assert!(out.inserted, "an answer is cached");
+    }
+    let probes: Vec<Name> = (0..64).map(|i| name(i * entries / 64)).collect();
+    // A pass of ≈ 25 ms on the table; a scan of the entries makes the
+    // large side's three passes take minutes.
+    let steps = 500_000;
+    rate(steps, || {
+        for i in 0..steps as usize {
+            let q = &probes[i % probes.len()];
+            let hit = cache.lookup(black_box(q), RecordType::A, 1.0);
+            black_box(hit.is_some());
+        }
+    })
+}
+
 fn main() {
     ldp_bench::reject_unknown_flags(&[]);
     let pairs = [
@@ -249,6 +281,10 @@ fn main() {
         (
             "name compression, 16 / 1,500 distinct names in one message",
             [16, 1500].map(compress_rate),
+        ),
+        (
+            "cache hit, 100 / 20,000 resident entries",
+            [100, 20_000].map(cache_hit_rate),
         ),
     ];
     let mut all_ok = true;

@@ -28,12 +28,12 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
-use std::collections::BTreeMap;
 use std::net::IpAddr;
 use std::sync::Arc;
 
 use dns_wire::{Message, Name, RData, Rcode, Record, RecordType};
 use ldp_cache::{negative_ttl, FillInfo, PutOutcome, RecordList, ResolverCache};
+use ldp_rng::KeyTable;
 
 /// Referrals one walk follows; the next one is a loop.
 pub(crate) const MAX_REFERRALS: u8 = 32;
@@ -162,15 +162,16 @@ pub(crate) enum Step {
 pub(crate) struct ResolveCore {
     root_hints: Arc<[IpAddr]>,
     /// One shared set per referral; a driver asking a zone's servers
-    /// holds the same `Arc`.
-    delegations: BTreeMap<Name, Arc<[IpAddr]>>,
+    /// holds the same `Arc`. Read one zone at a time (a probe per
+    /// ancestor of a question), so a hash table (`ldp_rng::table`).
+    delegations: KeyTable<Name, Arc<[IpAddr]>>,
 }
 
 impl ResolveCore {
     pub fn new(root_hints: Vec<IpAddr>) -> Self {
         ResolveCore {
             root_hints: root_hints.into(),
-            delegations: BTreeMap::new(),
+            delegations: KeyTable::new(),
         }
     }
 

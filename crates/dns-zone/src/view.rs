@@ -11,18 +11,19 @@
 //! view per zone (thousands), nearly all matched by [`ClientMatch::Exact`]
 //! addresses, so a [`ViewSet`] indexes, as views are pushed, the first
 //! view each exact address selects, and lists apart the few views that
-//! carry a prefix or match-all. A lookup is one map probe plus a walk
-//! of that short list, cut off at the exact hit; the lower index of the
-//! two wins, which is first-match-wins.
+//! carry a prefix or match-all. A lookup is one probe of that index — a
+//! [`KeyTable`], the workspace's one hash table, O(1) expected — plus a
+//! walk of that short list, cut off at the exact hit; the lower index of
+//! the two wins, which is first-match-wins.
 
 // Hot path: bad input is an error, never a panic (DESIGN.md §7).
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
-use std::collections::BTreeMap;
 use std::net::IpAddr;
 
 use dns_wire::Name;
+use ldp_rng::{ByAddr, KeyTable};
 
 use crate::catalog::Catalog;
 
@@ -95,7 +96,7 @@ impl View {
 pub struct ViewSet {
     views: Vec<View>,
     /// The first view each [`ClientMatch::Exact`] address selects.
-    exact: BTreeMap<IpAddr, usize>,
+    exact: KeyTable<IpAddr, usize, ByAddr>,
     /// Views with at least one matcher that is not `Exact`, ascending.
     inexact: Vec<usize>,
 }
@@ -113,7 +114,9 @@ impl ViewSet {
         for m in &view.match_clients {
             match m {
                 ClientMatch::Exact(addr) => {
-                    self.exact.entry(*addr).or_insert(index);
+                    if !self.exact.contains_key(addr) {
+                        self.exact.insert(*addr, index);
+                    }
                 }
                 ClientMatch::PrefixV4 { .. } | ClientMatch::Any => inexact = true,
             }

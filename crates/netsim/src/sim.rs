@@ -26,6 +26,7 @@
 use std::collections::BTreeMap;
 use std::net::{IpAddr, SocketAddr};
 
+use ldp_rng::{ByAddr, KeyTable};
 use ldp_telemetry::{Kind, Log, Recorder};
 
 use crate::fault::{packet_draw, FaultInjector, HostFault, WireKind};
@@ -436,7 +437,9 @@ pub struct Simulator {
     /// heap-layout-dependent (rule D2). See [`crate::queue`].
     queue: EventQueue<Event>,
     hosts: Vec<Option<Box<dyn Host>>>,
-    addr_map: BTreeMap<IpAddr, HostId>,
+    /// Address → owning host, read one address at a time (twice per
+    /// datagram), so a hash table (`ldp_rng::table`) and not a tree.
+    addr_map: KeyTable<IpAddr, HostId, ByAddr>,
     topology: Topology,
     config: SimConfig,
     /// Live connections keyed by raw [`ConnId`] — ids encode
@@ -499,7 +502,7 @@ impl Simulator {
             now: SimTime::ZERO,
             queue: EventQueue::default(),
             hosts: Vec::new(),
-            addr_map: BTreeMap::new(),
+            addr_map: KeyTable::new(),
             topology,
             config,
             conns: BTreeMap::new(),

@@ -1,6 +1,7 @@
 //! The workspace's one source of randomness: a seeded SplitMix64
 //! generator, plus ([`check`]) a small property-check harness built on
-//! it.
+//! it; and ([`table`]) the workspace's one hash table, [`KeyTable`],
+//! whose fixed hash is finished with [`mix`].
 //!
 //! SplitMix64 (Steele, Lea & Flood) has 64 bits of state, full period,
 //! and is completely determined by its seed, which is the property
@@ -20,6 +21,9 @@
 #![deny(clippy::disallowed_types)]
 
 pub mod check;
+pub mod table;
+
+pub use table::{ByAddr, ByHash, KeyHash, KeyTable, Probe};
 
 /// SplitMix64's increment, the golden ratio in 64 bits.
 const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
