@@ -32,7 +32,9 @@
 //! Everything is virtual-time-friendly: time is an explicit `f64`
 //! seconds parameter (any epoch), there is no ambient clock and no
 //! ambient randomness, and all internal iteration is over ordered
-//! containers — two same-seed simulator runs using this cache produce
+//! containers or, to build the eviction index, over the entry table in
+//! entry order, which the operations alone decide — two same-seed
+//! simulator runs using this cache produce
 //! byte-identical transcripts (`clippy::disallowed_methods`,
 //! `disallowed_types` and the panic lints are denied in this crate;
 //! see DESIGN.md §7 and §11).
