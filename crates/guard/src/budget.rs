@@ -9,14 +9,16 @@
 //! answer — callers must surface it (a `Dead` outcome, a query left
 //! pending), never spin.
 
-use ldp_rng::SplitMix64;
+use ldp_rng::SampleUniform;
 
 /// A bounded, jittered retry allowance.
 ///
 /// Delays follow the decorrelated-jitter scheme (AWS architecture
 /// blog): each delay is uniform in `[base, 3 × previous)`, clamped to
-/// `cap`, which spreads concurrent retriers apart while staying fully
-/// deterministic for a given seed.
+/// `cap`, which spreads concurrent retriers apart. Attempt `n` takes
+/// the draw [`ldp_rng::nth`]`(seed, n)`, so a delay is a pure function
+/// of the seed, the attempt and the delay before it: the budget carries
+/// no stream.
 #[derive(Debug, Clone)]
 pub struct RetryBudget {
     max_attempts: u32,
@@ -24,7 +26,7 @@ pub struct RetryBudget {
     base_us: u64,
     cap_us: u64,
     prev_us: u64,
-    rng: SplitMix64,
+    seed: u64,
 }
 
 impl RetryBudget {
@@ -38,7 +40,7 @@ impl RetryBudget {
             base_us,
             cap_us: cap_us.max(base_us),
             prev_us: base_us,
-            rng: SplitMix64::from_state(seed),
+            seed,
         }
     }
 
@@ -49,9 +51,10 @@ impl RetryBudget {
         if self.used >= self.max_attempts {
             return None;
         }
+        let draw = ldp_rng::nth(self.seed, u64::from(self.used));
         self.used += 1;
         let hi = self.prev_us.saturating_mul(3).max(self.base_us + 1);
-        let delay = self.rng.gen_range(self.base_us..hi).min(self.cap_us);
+        let delay = u64::from_range(self.base_us, hi, draw).min(self.cap_us);
         self.prev_us = delay.max(self.base_us);
         Some(delay)
     }
@@ -67,53 +70,13 @@ impl RetryBudget {
     }
 
     /// Refill the budget after a confirmed recovery (e.g. a successful
-    /// reconnect) so the next incident starts from a full allowance.
-    /// The jitter stream is *not* rewound — determinism is per-run,
-    /// not per-incident.
+    /// reconnect) so the next incident starts from a full allowance —
+    /// and from the first delay again: the next incident's delays are
+    /// a fresh budget's.
     pub fn reset(&mut self) {
         self.used = 0;
         self.prev_us = self.base_us;
     }
-
-    /// Capture the budget's dynamic state — attempts spent, the
-    /// previous delay the decorrelated-jitter recurrence feeds on, and
-    /// the RNG stream position — for a fuzzy-cut checkpoint. The
-    /// static policy (`max_attempts`, `base_us`, `cap_us`) is the
-    /// caller's configuration and is not part of the snapshot.
-    pub fn snapshot(&self) -> BudgetSnapshot {
-        BudgetSnapshot {
-            used: self.used,
-            prev_us: self.prev_us,
-            rng_state: self.rng.state(),
-        }
-    }
-
-    /// Rewind this budget to a captured snapshot. The subsequent
-    /// delay stream is identical to what the snapshotted budget would
-    /// have produced — the property that lets a resumed run continue a
-    /// half-spent retry chain instead of restarting it. No driver
-    /// resumes that way (a resumed run re-executes a carried query from
-    /// its first send), so this is the tests' check that the snapshot
-    /// holds the whole dynamic state.
-    #[cfg(test)]
-    fn restore(&mut self, snap: &BudgetSnapshot) {
-        self.used = snap.used;
-        self.prev_us = snap.prev_us.max(self.base_us);
-        self.rng = SplitMix64::from_state(snap.rng_state);
-    }
-}
-
-/// The dynamic state of a [`RetryBudget`] at one instant, as carried
-/// on a checkpoint `inflight` line. Small, `Copy`, and exact: restoring
-/// it reproduces the remaining delay stream bit-for-bit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BudgetSnapshot {
-    /// Attempts already spent.
-    pub used: u32,
-    /// Previous delay (µs) — the decorrelated-jitter recurrence input.
-    pub prev_us: u64,
-    /// SplitMix64 stream position.
-    pub rng_state: u64,
 }
 
 #[cfg(test)]
@@ -162,54 +125,35 @@ mod tests {
         );
     }
 
+    /// The first five delays of the storm policy `fig_recovery` runs,
+    /// as the budget drew them from a `SplitMix64` stream: every
+    /// retransmit chain in a committed figure and transcript.
+    const STORM_FIRST_FIVE: [u64; 5] = [216_052, 317_285, 403_911, 244_420, 337_273];
+
+    fn storm() -> RetryBudget {
+        RetryBudget::new(12, 200_000, 1_500_000, 0x5eed)
+    }
+
     #[test]
-    fn reset_refills_but_does_not_rewind_jitter() {
-        let mut b = RetryBudget::new(2, 100, 1000, 5);
-        let first = b.next_delay_us();
-        b.next_delay_us();
-        assert_eq!(b.remaining(), 0);
+    fn storm_delays_are_pinned() {
+        let mut b = storm();
+        let first: Vec<u64> = (0..5).filter_map(|_| b.next_delay_us()).collect();
+        assert_eq!(first, STORM_FIRST_FIVE);
+    }
+
+    #[test]
+    fn reset_refills_and_restarts_the_delays() {
+        let mut b = storm();
+        for _ in 0..3 {
+            b.next_delay_us();
+        }
         b.reset();
-        assert_eq!(b.remaining(), 2);
-        // Fresh allowance, but the RNG has advanced: a replayed first
-        // draw would only match by coincidence, not by construction.
-        assert!(b.next_delay_us().is_some());
-        let _ = first;
-    }
-
-    #[test]
-    fn snapshot_restore_continues_the_identical_delay_stream() {
-        let mut a = RetryBudget::new(12, 100, 50_000, 4242);
-        for _ in 0..5 {
-            a.next_delay_us();
-        }
-        let snap = a.snapshot();
-        assert_eq!(snap.used, 5);
-
-        // A fresh budget with the same *policy* but a different seed:
-        // restore overwrites the dynamic state, so from here on it
-        // must shadow `a` exactly.
-        let mut b = RetryBudget::new(12, 100, 50_000, 1);
-        b.restore(&snap);
-        assert_eq!(b.used(), 5);
-        assert_eq!(b.remaining(), 7);
-        loop {
-            let (da, db) = (a.next_delay_us(), b.next_delay_us());
-            assert_eq!(da, db);
-            if da.is_none() {
-                break;
-            }
-        }
-    }
-
-    #[test]
-    fn snapshot_is_passive() {
-        let mut a = RetryBudget::new(3, 100, 1000, 7);
-        let before = a.snapshot();
-        let _ = a.snapshot();
-        a.next_delay_us();
-        let after = a.snapshot();
-        assert_eq!(before.used + 1, after.used);
-        assert_ne!(before.rng_state, after.rng_state);
+        assert_eq!(b.remaining(), 12);
+        let again: Vec<u64> = (0..5).filter_map(|_| b.next_delay_us()).collect();
+        assert_eq!(
+            again, STORM_FIRST_FIVE,
+            "a reset budget draws as a fresh one"
+        );
     }
 
     #[test]

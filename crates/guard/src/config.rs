@@ -3,10 +3,11 @@
 //! guarded variant takes the default).
 
 /// UDP retransmission policy for a replay client: each query gets its
-/// own [`crate::RetryBudget`] (seeded per-seq, so retransmit jitter is
-/// deterministic and checkpointable per query). Unlike the TCP
-/// reconnect chain — which rides connection-death events — UDP loss is
-/// silent, so retransmits are timer-driven from dispatch. Exhaustion
+/// own [`crate::RetryBudget`], seeded per seq, so each retransmit
+/// delay is a function of the run's seed, the seq and the attempt,
+/// whatever else is in flight. Unlike the TCP reconnect chain — which
+/// rides connection-death events — UDP loss is silent, so retransmits
+/// are timer-driven from dispatch. Exhaustion
 /// is terminal: the query stays pending (and is carried on a
 /// checkpoint `inflight` line) but is never sent again.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -12,27 +12,24 @@
 //! - elapsed send/retransmit counts, so committed counters plus the
 //!   carried in-flight contributions reconstruct the uninterrupted
 //!   run's totals;
-//! - a [`BudgetSnapshot`] of the query's `RetryBudget` (attempts spent
-//!   plus next-backoff RNG position), making the entry self-describing
-//!   for engines that continue a half-spent chain in place;
 //! - the admission status (in flight / parked / retrying), so parked
 //!   queries re-enter admission instead of being silently dropped.
 //!
 //! The line grammar (one line per entry):
 //!
 //! ```text
-//! inflight <seq> deadline <ns> sends <n> retx <n> status <s> budget <used> <prev_us> <rng_state>
-//! inflight <seq> deadline <ns> sends <n> retx <n> status <s> budget -
+//! inflight <seq> deadline <ns> sends <n> retx <n> status <s>
 //! ```
 //!
-//! where `<s>` is `inflight`, `parked`, or `retrying`, and `budget -`
-//! marks a query with no retransmit budget (e.g. TCP queries whose
-//! retries ride the connection-death chain). Serialization is exact:
-//! parse ∘ serialize is the identity on well-formed lines.
+//! where `<s>` is `inflight`, `parked`, or `retrying`. No retry budget
+//! rides on the line: a resumed run re-executes a carried query from
+//! its first send, and a budget's delays are a function of its seed
+//! and attempt, so there is no stream position to carry.
+//! Serialization is exact: parse ∘ serialize is the identity on
+//! well-formed lines.
 
 use std::fmt::Write as _;
 
-use crate::budget::BudgetSnapshot;
 use crate::checkpoint::CheckpointParseError;
 
 /// Where an uncompleted query stood at the instant of the cut.
@@ -83,8 +80,6 @@ pub struct InflightEntry {
     pub retx: u32,
     /// Admission status at the cut.
     pub status: InflightStatus,
-    /// Snapshot of the query's retransmit budget, if it has one.
-    pub budget: Option<BudgetSnapshot>,
 }
 
 impl InflightEntry {
@@ -94,19 +89,13 @@ impl InflightEntry {
         let mut out = String::with_capacity(64);
         let _ = write!(
             out,
-            "inflight {} deadline {} sends {} retx {} status {} budget ",
+            "inflight {} deadline {} sends {} retx {} status {}",
             self.seq,
             self.deadline_ns,
             self.sends,
             self.retx,
             self.status.as_str(),
         );
-        match &self.budget {
-            Some(b) => {
-                let _ = write!(out, "{} {} {}", b.used, b.prev_us, b.rng_state);
-            }
-            None => out.push('-'),
-        }
         out
     }
 
@@ -160,31 +149,6 @@ impl InflightEntry {
             .next()
             .and_then(InflightStatus::from_str_opt)
             .ok_or_else(|| err(ln, "expected status `inflight`, `parked`, or `retrying`"))?;
-        kw(&mut it, ln, "budget")?;
-        let budget = match it.next() {
-            Some("-") => None,
-            Some(used) => {
-                let used = used.parse::<u32>().map_err(|_| {
-                    err(
-                        ln,
-                        "expected `budget <used> <prev_us> <rng_state>` or `budget -`",
-                    )
-                })?;
-                let prev_us = num(&mut it, ln, "budget <prev_us>")?;
-                let rng_state = num(&mut it, ln, "budget <rng_state>")?;
-                Some(BudgetSnapshot {
-                    used,
-                    prev_us,
-                    rng_state,
-                })
-            }
-            None => {
-                return Err(err(
-                    ln,
-                    "inflight line truncated: expected budget fields or `-`",
-                ))
-            }
-        };
         if it.next().is_some() {
             return Err(err(ln, "trailing tokens after inflight entry"));
         }
@@ -194,7 +158,6 @@ impl InflightEntry {
             sends,
             retx,
             status,
-            budget,
         })
     }
 }
@@ -210,11 +173,6 @@ mod tests {
             sends: 3,
             retx: 2,
             status: InflightStatus::InFlight,
-            budget: Some(BudgetSnapshot {
-                used: 2,
-                prev_us: 450,
-                rng_state: 0xdead_beef,
-            }),
         }
     }
 
@@ -228,7 +186,6 @@ mod tests {
                 sends: 0,
                 retx: 0,
                 status: InflightStatus::Parked,
-                budget: None,
             },
             InflightEntry {
                 status: InflightStatus::Retrying,
@@ -257,25 +214,15 @@ mod tests {
 
     #[test]
     fn malformed_fields_rejected() {
-        assert!(InflightEntry::from_line(
-            "inflight x deadline 1 sends 0 retx 0 status parked budget -",
-            1
-        )
-        .is_err());
-        assert!(InflightEntry::from_line(
-            "inflight 1 deadline 1 sends 0 retx 0 status lost budget -",
-            1
-        )
-        .is_err());
-        assert!(InflightEntry::from_line(
-            "inflight 1 deadline 1 sends 0 retx 0 status parked budget - extra",
-            1
-        )
-        .is_err());
-        assert!(InflightEntry::from_line(
-            "inflight 1 deadline 1 sends 99999999999 retx 0 status parked budget -",
-            1
-        )
-        .is_err());
+        for line in [
+            "inflight x deadline 1 sends 0 retx 0 status parked",
+            "inflight 1 deadline 1 sends 0 retx 0 status lost",
+            "inflight 1 deadline 1 sends 0 retx 0 status parked extra",
+            "inflight 1 deadline 1 sends 99999999999 retx 0 status parked",
+            // A `v2` line: the retry budget's fields are trailing tokens.
+            "inflight 1 deadline 1 sends 1 retx 0 status inflight budget 1 450 99",
+        ] {
+            assert!(InflightEntry::from_line(line, 1).is_err(), "{line}");
+        }
     }
 }

@@ -7,7 +7,8 @@
 //! accident:
 //!
 //! - [`budget`]: [`RetryBudget`] — bounded retry attempts with
-//!   capped decorrelated-jitter backoff, under the socket engine's
+//!   capped decorrelated-jitter backoff, each delay a hash of the
+//!   budget's seed and the attempt, under the socket engine's
 //!   querier reconnect loop and the replay core's per-query UDP
 //!   retransmit chains (lint rule R1 asks every connect / reconnect
 //!   loop for a visible bound). The resolver's failover escalation
@@ -22,8 +23,7 @@
 //!   per-query in-flight state.
 //! - [`inflight`]: [`InflightEntry`] — the per-query state a
 //!   checkpoint carries for each outstanding query (original send
-//!   deadline, elapsed retransmits, retry-budget snapshot, admission
-//!   status).
+//!   deadline, elapsed sends and retransmits, admission status).
 //! - [`admission`]: [`AdmissionController`] — a bounded in-flight
 //!   window with deadline-aware shedding that records dropped seqs
 //!   instead of stalling the replay clock.
@@ -35,6 +35,9 @@
 //! and the socket engine's wall time.
 
 #![warn(missing_docs)]
+// Simulator path: no hash collection, no wall-clock type, no random
+// stream (DESIGN.md §7).
+#![deny(clippy::disallowed_types)]
 // Hot path: bad input is an error, never a panic (DESIGN.md §7).
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
@@ -46,7 +49,7 @@ pub mod config;
 pub mod inflight;
 
 pub use admission::{Admission, AdmissionConfig, AdmissionController};
-pub use budget::{BudgetSnapshot, RetryBudget};
+pub use budget::RetryBudget;
 pub use checkpoint::{Checkpoint, CheckpointParseError};
 pub use config::RetransmitConfig;
 pub use inflight::{InflightEntry, InflightStatus};

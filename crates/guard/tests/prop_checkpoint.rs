@@ -3,7 +3,7 @@
 //! arbitrary in-flight entries, and the serializer is a fixed point
 //! (re-encoding the parse changes nothing).
 
-use ldp_guard::{BudgetSnapshot, Checkpoint, InflightEntry, InflightStatus};
+use ldp_guard::{Checkpoint, InflightEntry, InflightStatus};
 use ldp_rng::check::{check, Gen};
 
 /// Counter names: non-empty, whitespace-free (the serializer rejects
@@ -58,14 +58,6 @@ fn arb_record(g: &mut Gen) -> String {
     }
 }
 
-fn arb_budget(g: &mut Gen) -> Option<BudgetSnapshot> {
-    g.option(|g| BudgetSnapshot {
-        used: g.u32(),
-        prev_us: g.u64(),
-        rng_state: g.u64(),
-    })
-}
-
 fn arb_inflight_entry(g: &mut Gen) -> InflightEntry {
     InflightEntry {
         seq: g.u64(),
@@ -77,7 +69,6 @@ fn arb_inflight_entry(g: &mut Gen) -> InflightEntry {
             InflightStatus::Parked,
             InflightStatus::Retrying,
         ]),
-        budget: arb_budget(g),
     }
 }
 
@@ -95,7 +86,7 @@ fn arb_checkpoint(g: &mut Gen) -> Checkpoint {
 }
 
 #[test]
-fn v2_text_round_trip_is_exact() {
+fn text_round_trip_is_exact() {
     check(256, |g| {
         let cp = arb_checkpoint(g);
         let text = cp.to_text().expect("well-formed checkpoint serializes");

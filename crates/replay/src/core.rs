@@ -107,8 +107,8 @@ impl Live {
 }
 
 /// The retransmit-budget seed of one query: the run-level seed mixed
-/// with the seq, so per-query jitter streams are decorrelated but a
-/// resumed run that re-executes the query re-draws the identical chain.
+/// with the seq, so per-query jitter is decorrelated but a resumed run
+/// that re-executes the query re-draws the identical chain.
 fn derive_seed(seed: u64, seq: u64) -> u64 {
     seed ^ seq.wrapping_mul(0x9e37_79b9_7f4a_7c15)
 }
@@ -421,11 +421,6 @@ impl ReplayCore {
                 sends: e.sends,
                 retx: e.retx(),
                 status: e.status,
-                budget: e
-                    .recovery
-                    .as_ref()
-                    .and_then(|r| r.budget.as_ref())
-                    .map(RetryBudget::snapshot),
             })
             .collect();
         Checkpoint {
@@ -466,7 +461,7 @@ mod tests {
             core.note_send(7, 0, false);
             core.note_send(8, 0, false);
         }
-        // Interleave draws differently across seqs: per-seq streams
+        // Interleave draws differently across seqs: per-seq chains
         // must not care.
         let a7: Vec<_> = (0..3)
             .map(|_| a.next_retx_delay_us(7, &cfg(), 99))
@@ -524,7 +519,7 @@ mod tests {
         let cp = core.cut(1, &[("sent", 1)], |_| 0);
         assert_eq!(cp.inflight.len(), 1, "the parked offer is forgotten");
         let e = cp.inflight[0];
-        assert_eq!((e.seq, e.sends, e.budget), (5, 1, None), "sends survive");
+        assert_eq!((e.seq, e.sends), (5, 1), "sends survive");
         // A fresh chain after restart re-draws from the seed.
         assert_eq!(core.next_retx_delay_us(5, &cfg(), 42), first);
     }
@@ -862,9 +857,7 @@ mod tests {
 mod reference {
     use std::collections::{BTreeMap, BTreeSet};
 
-    use ldp_guard::{
-        BudgetSnapshot, Checkpoint, InflightEntry, InflightStatus, RetransmitConfig, RetryBudget,
-    };
+    use ldp_guard::{Checkpoint, InflightEntry, InflightStatus, RetransmitConfig, RetryBudget};
 
     fn derive_seed(seed: u64, seq: u64) -> u64 {
         seed ^ seq.wrapping_mul(0x9e37_79b9_7f4a_7c15)
@@ -901,10 +894,6 @@ mod reference {
                     )
                 })
                 .next_delay_us()
-        }
-
-        fn budget_snapshot(&self, seq: u64) -> Option<BudgetSnapshot> {
-            self.budgets.get(&seq).map(RetryBudget::snapshot)
         }
 
         fn sends_of(&self, seq: u64) -> u32 {
@@ -1196,7 +1185,6 @@ mod reference {
                         sends: self.retx_state.sends_of(seq),
                         retx: self.retx_state.retx_of(seq),
                         status,
-                        budget: self.retx_state.budget_snapshot(seq),
                     }
                 })
                 .collect();

@@ -227,7 +227,8 @@ pub struct SimReplayClient {
     /// own deterministic `RetryBudget` seeded from
     /// (`retx_seed`, seq).
     pub udp_retransmit: Option<RetransmitConfig>,
-    /// Run-level seed for the per-query retransmit jitter streams.
+    /// Run-level seed of the per-query retransmit budgets: a query's
+    /// `n`-th retransmit delay is drawn from this, its seq and `n`.
     pub retx_seed: u64,
     /// Whether the cadence tick chain is currently armed (re-armed
     /// lazily after construction and after a querier crash).
@@ -1591,7 +1592,6 @@ mod tests {
                 sends: 1,
                 retx: 0,
                 status: InflightStatus::InFlight,
-                budget: None,
             }],
         };
         let resume = |cp: &Checkpoint| {
@@ -1652,7 +1652,6 @@ mod tests {
             sends: 1,
             retx: 0,
             status: InflightStatus::InFlight,
-            budget: None,
         };
         // Lines: header, epoch, taken_ns, cursor (4), the counter (5),
         // the record (6), the in-flight entries (7, 8, 9).

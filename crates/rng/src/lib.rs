@@ -5,14 +5,14 @@
 //!
 //! SplitMix64 (Steele, Lea & Flood) has 64 bits of state, full period,
 //! and is completely determined by its seed, which is the property
-//! everything here relies on: workload generators, the resolver's
-//! backoff jitter and guard's backoff all flow through [`SplitMix64`],
-//! so two runs with equal seeds make identical decisions (lint rule D3:
-//! no ambient entropy anywhere). A decision inside a simulation is not
-//! drawn from a stream but hashed with [`mix`] from what it decides
-//! (rule D6: a stream's position depends on every earlier draw). The whole state is one counter-like word,
-//! so [`SplitMix64::state`] / [`SplitMix64::from_state`] checkpoint a
-//! stream exactly (`budget <used> <prev_us> <rng_state>` lines).
+//! everything here relies on: workload generators, trace mutation and
+//! the property checks flow through [`SplitMix64`], so two runs with
+//! equal seeds make identical decisions (lint rule D3: no ambient
+//! entropy anywhere). A decision inside a simulation is not drawn from
+//! a stream but hashed with [`mix`] from what it decides (rule D6: a
+//! stream's position depends on every earlier draw): a retry budget's
+//! `n`-th delay takes [`nth`]`(seed, n)`, and the resolver's jitter is
+//! a hash of the attempt.
 //!
 //! The draw functions are frozen: every committed transcript, figure
 //! and checkpoint depends on their exact bits.
@@ -40,6 +40,13 @@ pub fn mix(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The `n`-th draw (0-based) of the stream that starts at `state`:
+/// `mix(state + n·GAMMA)`, with no stream to carry.
+#[inline]
+pub fn nth(state: u64, n: u64) -> u64 {
+    mix(state.wrapping_add(n.wrapping_mul(GAMMA)))
+}
+
 /// A seeded SplitMix64 generator.
 #[allow(
     clippy::disallowed_types,
@@ -63,20 +70,14 @@ impl SplitMix64 {
         }
     }
 
-    /// A generator resumed at a stream position previously returned by
-    /// [`SplitMix64::state`] (or started at a raw, unwhitened state).
+    /// A generator started at a raw, unwhitened state.
     pub fn from_state(state: u64) -> Self {
         SplitMix64 { state }
     }
 
-    /// The current stream position.
-    pub fn state(&self) -> u64 {
-        self.state
-    }
-
     /// The next 64 uniform bits.
     pub fn next_u64(&mut self) -> u64 {
-        let z = mix(self.state);
+        let z = nth(self.state, 0);
         self.state = self.state.wrapping_add(GAMMA);
         z
     }
@@ -188,14 +189,12 @@ mod tests {
     }
 
     #[test]
-    fn state_round_trip_resumes_stream_exactly() {
-        let mut a = SplitMix64::from_state(99);
-        for _ in 0..17 {
-            a.next_u64();
-        }
-        let mut b = SplitMix64::from_state(a.state());
-        for _ in 0..100 {
-            assert_eq!(a.next_u64(), b.next_u64());
+    fn nth_is_the_streams_nth_draw() {
+        for state in [0, 99, u64::MAX - 3, 0x5eed] {
+            let mut stream = SplitMix64::from_state(state);
+            for n in 0..100 {
+                assert_eq!(nth(state, n), stream.next_u64(), "state {state}, draw {n}");
+            }
         }
     }
 
