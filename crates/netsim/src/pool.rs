@@ -10,9 +10,12 @@
 //!   (`Arc::get_mut` is the test), so a handle a host keeps never sees
 //!   its bytes change;
 //! - a reused buffer is cleared before it is filled;
-//! - a buffer dropped on another shard's thread goes back to its home
-//!   pool (a `Weak` reference and a lock), or is freed if that pool is
-//!   gone — which memory a packet sits in never touches event order;
+//! - a buffer goes back to its home pool through a `Weak` reference
+//!   and a lock, or is freed if that pool is gone — which memory a
+//!   packet sits in never touches event order. No sharded run drops a
+//!   buffer on another shard's thread (a datagram crossing shards is
+//!   copied into the receiver's pool, and the sender drops its own),
+//!   but a handle a host or driver keeps may outlive its simulator;
 //! - the free list is bounded: at most [`POOL_BUFFERS`] buffers of at
 //!   most [`POOL_BUFFER_BYTES`] bytes each; anything beyond is freed.
 

@@ -466,9 +466,9 @@ pub struct Simulator {
     /// Per-host crash generation; bumped on crash so timers armed
     /// before the crash are stale after a restart.
     epochs: Vec<u64>,
-    /// Sharded-worker view: the global address→shard map and this
-    /// worker's shard id. `None` means single-shard (plain) mode.
-    shard_view: Option<(BTreeMap<IpAddr, u32>, u32)>,
+    /// Sharded-worker view: the global address→shard map. `None`
+    /// means single-shard (plain) mode.
+    shard_view: Option<BTreeMap<IpAddr, u32>>,
     /// Outbound cross-shard datagrams accumulated during a window
     /// (sharded-worker mode only); drained by the exchange.
     outbox: Vec<RemoteUdp>,
@@ -526,12 +526,12 @@ impl Simulator {
 
     /// Put this simulator into sharded-worker mode: `global` maps every
     /// address in the whole (multi-shard) simulation to its owning
-    /// shard, and `my_shard` is this worker's id. UDP sends to
+    /// shard. UDP sends to
     /// addresses owned by other shards are diverted to the
     /// [`Simulator::take_outbox`] buffer instead of the local queue,
     /// carrying their already-assigned `(time, lane, seq)` key.
-    pub fn set_shard_view(&mut self, global: BTreeMap<IpAddr, u32>, my_shard: u32) {
-        self.shard_view = Some((global, my_shard));
+    pub fn set_shard_view(&mut self, global: BTreeMap<IpAddr, u32>) {
+        self.shard_view = Some(global);
     }
 
     /// Install a fault injector consulted for every packet the
@@ -728,8 +728,8 @@ impl Simulator {
         self.drain(|t| t < end)
     }
 
-    /// The time of the earliest pending event, if any (the sharded
-    /// coordinator's window-planning input).
+    /// The time of the earliest pending event, if any (what a shard
+    /// posts to plan the next window).
     pub fn next_event_time(&self) -> Option<SimTime> {
         self.queue.peek_time()
     }
@@ -743,15 +743,18 @@ impl Simulator {
     }
 
     /// Drain the cross-shard datagrams accumulated since the last call
-    /// (sharded-worker mode).
-    pub fn take_outbox(&mut self) -> Vec<RemoteUdp> {
-        std::mem::take(&mut self.outbox)
+    /// (sharded-worker mode); the outbox keeps its room.
+    pub fn take_outbox(&mut self) -> std::vec::Drain<'_, RemoteUdp> {
+        self.outbox.drain(..)
     }
 
     /// Enqueue a datagram that crossed the shard boundary, under the
-    /// explicit key assigned on the sending shard. Only `ldp-shard`'s
-    /// exchange may call this (lint rule S1).
-    pub fn enqueue_remote(&mut self, r: RemoteUdp) {
+    /// explicit key assigned on the sending shard. The bytes are copied
+    /// into this simulator's own pool, so the sender's buffer stays with
+    /// the sender. Only `ldp-shard`'s exchange may call this (lint rule
+    /// S1).
+    pub fn enqueue_remote(&mut self, r: &RemoteUdp) {
+        let data = self.pool.copy(&r.data);
         self.queue.push(
             r.at,
             r.lane,
@@ -759,7 +762,7 @@ impl Simulator {
             Event::Deliver(Packet {
                 src: r.src,
                 dst: r.dst,
-                payload: Payload::Udp(r.data),
+                payload: Payload::Udp(data),
             }),
         );
     }
@@ -958,7 +961,7 @@ impl Simulator {
                 // nobody's map stays local and dies unroutable, exactly
                 // as in the single-shard run.)
                 let remote = match &self.shard_view {
-                    Some((global, _)) if !self.addr_map.contains_key(&to.ip()) => {
+                    Some(global) if !self.addr_map.contains_key(&to.ip()) => {
                         global.contains_key(&to.ip())
                     }
                     _ => false,
@@ -1014,7 +1017,7 @@ impl Simulator {
             } => {
                 let listener = self.addr_map.get(&to.ip()).copied();
                 if listener.is_none() {
-                    if let Some((global, _)) = &self.shard_view {
+                    if let Some(global) = &self.shard_view {
                         // The conservative exchange only carries UDP:
                         // TCP's bidirectional segment FIFO would need
                         // cross-shard state. Both endpoints of a dial

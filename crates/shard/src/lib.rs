@@ -1,14 +1,15 @@
 //! # ldp-shard
 //!
 //! A sharded, multi-core front-end for [`netsim`]: hosts are
-//! partitioned across N worker simulators, each advancing on its own
-//! thread, synchronized by conservative lookahead windows sized by the
-//! minimum one-way link latency between shards. Cross-shard datagrams
-//! travel through a deterministic exchange carrying their exact
-//! single-shard event keys, so the merged transcript — and the
-//! canonically ordered telemetry drain — are **byte-identical** to the
-//! single-shard run for the same seed, for any shard count
-//! (DESIGN.md §10).
+//! partitioned across N worker simulators, synchronized by
+//! conservative lookahead windows sized by the minimum one-way link
+//! latency between shards. The caller's thread runs shard 0 and scoped
+//! threads run the rest; one barrier separates the windows, with no
+//! coordinator. Cross-shard datagrams carry their exact single-shard
+//! event keys and are copied into the receiver's own packet pool, so
+//! the merged transcript — and the canonically ordered telemetry drain
+//! — are **byte-identical** to the single-shard run for the same seed,
+//! for any shard count (DESIGN.md §10).
 //!
 //! ```
 //! use ldp_shard::{ShardPlan, ShardedSimulator};
@@ -27,10 +28,9 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
-pub mod exchange;
+mod exchange;
 pub mod plan;
 pub mod sim;
 
-pub use exchange::Exchange;
 pub use plan::ShardPlan;
 pub use sim::{GlobalHostId, ShardedSimulator};

@@ -1,5 +1,6 @@
-//! The sharded coordinator: N `netsim` workers on N threads, advanced
-//! in conservative lookahead windows.
+//! The sharded engine: N `netsim` workers, shard 0 on the caller's
+//! thread and the rest on scoped threads, advanced in conservative
+//! lookahead windows with no coordinator.
 //!
 //! ## How equivalence works
 //!
@@ -9,9 +10,9 @@
 //! its worker under the same global lane, so every event carries
 //! exactly the key it would have carried in the single-shard run —
 //! keys never mention shards or threads. Cross-shard datagrams travel
-//! through the [`Exchange`] with their keys attached and are enqueued
-//! on the owning shard at the same position the single-shard queue
-//! would have held them.
+//! through the exchange (`exchange.rs`) with their keys attached and
+//! are enqueued on the owning shard at the same position the
+//! single-shard queue would have held them.
 //!
 //! Windows make that safe: with lookahead `L` = the minimum one-way
 //! latency between hosts on different shards, a window
@@ -21,6 +22,15 @@
 //! packet. A link between two hosts on one shard never crosses, so it
 //! does not bound `L`: a zero-latency pair runs sharded when it is
 //! co-located.
+//!
+//! Each shard has one post: its next event time, what it sent in its
+//! last window (one row per destination shard) and a caught panic. A
+//! window is two waits on one `Barrier`. After the first, every shard
+//! reads all posts, so every shard plans the same window (or the same
+//! stop), and copies its own column of rows into its queue and pool.
+//! After the second, each shard clears its own rows — a sender's
+//! buffers are dropped on the sender's thread — runs the window inside
+//! `catch_unwind`, routes its outbox into its rows and posts again.
 //!
 //! The merged transcript (host observations) and the canonically
 //! ordered telemetry drain are therefore byte-identical to the
@@ -37,84 +47,79 @@
 //!   owns the address acts; fault events are left out of event counts
 //!   and telemetry on both engines.
 
-use std::any::Any;
 use std::collections::BTreeMap;
 use std::net::{IpAddr, SocketAddr};
-use std::sync::mpsc::{Receiver, Sender};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Barrier, Mutex};
 
 use ldp_telemetry::{canonical_order, Log};
 use netsim::{
-    FaultInjector, Host, HostFault, HostStats, IntoPacket, RemoteUdp, SimConfig, SimDriver,
-    SimDuration, SimTime, Simulator, Topology,
+    FaultInjector, Host, HostFault, HostStats, IntoPacket, SimConfig, SimDriver, SimDuration,
+    SimTime, Simulator, Topology,
 };
 
-use crate::exchange::Exchange;
+use crate::exchange::{self, lock, Post};
 use crate::plan::ShardPlan;
 
 /// A host id in the sharded simulation: the host's registration index,
 /// which is also its event-lane id on whichever worker holds it.
 pub type GlobalHostId = usize;
 
-/// What the coordinator asks of a worker each round.
-enum WorkerCmd {
-    /// Deliver `inbox`, then process every event strictly before `end`.
-    Advance { inbox: Vec<RemoteUdp>, end: SimTime },
-    /// Deliver `inbox` only (left-over in-flight packets at the end of
-    /// a bounded run); no reply expected.
-    Flush { inbox: Vec<RemoteUdp> },
+/// What the shards of one drive share.
+struct Lockstep<'a> {
+    posts: &'a [Mutex<Post>],
+    barrier: Barrier,
+    owner: &'a BTreeMap<IpAddr, u32>,
+    lookahead: SimDuration,
+    deadline: Option<SimTime>,
 }
 
-/// One worker's answer to an `Advance`.
-struct Reply {
-    shard: usize,
-    count: u64,
-    outbox: Vec<RemoteUdp>,
-    next: Option<SimTime>,
-    /// A panic caught inside the worker (e.g. the cross-shard-TCP
-    /// assert); the coordinator re-raises it after the scope unwinds.
-    panic: Option<Box<dyn Any + Send>>,
-}
-
-fn worker_loop(shard: usize, sim: &mut Simulator, rx: &Receiver<WorkerCmd>, tx: &Sender<Reply>) {
-    'cmds: while let Ok(cmd) = rx.recv() {
-        match cmd {
-            WorkerCmd::Advance { inbox, end } => {
-                let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    Exchange::deliver(sim, inbox);
-                    let count = sim.run_window(end);
-                    (count, sim.take_outbox(), sim.next_event_time())
-                }));
-                let reply = match ran {
-                    Ok((count, outbox, next)) => Reply {
-                        shard,
-                        count,
-                        outbox,
-                        next,
-                        panic: None,
-                    },
-                    Err(payload) => Reply {
-                        shard,
-                        count: 0,
-                        outbox: Vec::new(),
-                        next: None,
-                        panic: Some(payload),
-                    },
-                };
-                let dead = reply.panic.is_some();
-                if tx.send(reply).is_err() || dead {
-                    break 'cmds;
-                }
+impl Lockstep<'_> {
+    /// One shard's side of a drive: windows until every shard stops on
+    /// the same one. Returns the events this shard processed.
+    fn shard(&self, me: usize, sim: &mut Simulator) -> u64 {
+        let mut count = 0;
+        loop {
+            // First wait: every post is written. Every shard reads the
+            // same posts, so every shard plans the same window.
+            self.barrier.wait();
+            let mut start: Option<SimTime> = None;
+            let mut panicked = false;
+            for post in self.posts {
+                let post = lock(post);
+                panicked |= post.panic.is_some();
+                start = start.into_iter().chain(post.next).min();
+                exchange::deliver(sim, &post.rows[me]);
             }
-            WorkerCmd::Flush { inbox } => Exchange::deliver(sim, inbox),
+            let end = match (start, self.deadline) {
+                _ if panicked => None,
+                (Some(s), Some(d)) if s > d => None,
+                // Events at exactly the deadline are in scope (run_until
+                // semantics), so the cap is d + 1 ns.
+                (Some(s), Some(d)) => {
+                    Some((s + self.lookahead).min(d + SimDuration::from_nanos(1)))
+                }
+                (s, _) => s.map(|s| s + self.lookahead),
+            };
+            // Second wait: every column is copied, so each sender drops
+            // its own buffers. A bounded run's packets beyond the
+            // deadline are in their owners' queues for the next drive.
+            self.barrier.wait();
+            let mut post = lock(&self.posts[me]);
+            post.rows.iter_mut().for_each(Vec::clear);
+            let Some(end) = end else { return count };
+            let ran = catch_unwind(AssertUnwindSafe(|| {
+                let n = sim.run_window(end);
+                exchange::route(&mut post.rows, self.owner, sim.take_outbox(), end);
+                n
+            }));
+            match ran {
+                Ok(n) => count += n,
+                Err(payload) => post.panic = Some(payload),
+            }
+            let arrivals = post.rows.iter().flatten().map(|r| r.at);
+            post.next = sim.next_event_time().into_iter().chain(arrivals).min();
         }
-    }
-}
-
-fn min_time(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
-    match (a, b) {
-        (Some(x), Some(y)) => Some(x.min(y)),
-        (x, None) => x,
-        (None, y) => y,
     }
 }
 
@@ -129,7 +134,9 @@ fn min_time(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
 pub struct ShardedSimulator {
     workers: Vec<Simulator>,
     plan: ShardPlan,
-    exchange: Exchange,
+    /// One post per shard (see `exchange.rs`); its rows are empty
+    /// between drives.
+    posts: Vec<Mutex<Post>>,
     /// The workers' topology, kept to size the window from where the
     /// hosts sit.
     topology: Topology,
@@ -164,7 +171,7 @@ impl ShardedSimulator {
         ShardedSimulator {
             workers,
             plan,
-            exchange: Exchange::new(shards, BTreeMap::new()),
+            posts: (0..shards).map(|_| Post::new(shards as usize)).collect(),
             topology,
             lookahead,
             now: SimTime::ZERO,
@@ -273,10 +280,11 @@ impl ShardedSimulator {
         w.swap_driver_seq(&mut self.driver_seq);
         w.inject_udp(from, to, data);
         w.swap_driver_seq(&mut self.driver_seq);
-        let out = w.take_outbox();
-        if !out.is_empty() {
-            self.exchange.route(out, self.now);
-            self.deliver_exchange();
+        let mut post = lock(&self.posts[shard as usize]);
+        exchange::route(&mut post.rows, &self.owner, w.take_outbox(), self.now);
+        for (sim, row) in self.workers.iter_mut().zip(&mut post.rows) {
+            exchange::deliver(sim, row);
+            row.clear();
         }
     }
 
@@ -340,21 +348,16 @@ impl ShardedSimulator {
         self.drive(Some(deadline))
     }
 
-    /// Push the owner map to the workers' shard views (and rebuild the
-    /// exchange's routing table) if hosts were added since last time.
+    /// Push the owner map to the workers' shard views if hosts were
+    /// added since last time.
     fn refresh_views(&mut self) {
         if !self.views_dirty {
             return;
         }
         self.views_dirty = false;
-        debug_assert!(
-            self.exchange.is_empty(),
-            "exchange drains before view changes"
-        );
-        for (i, w) in self.workers.iter_mut().enumerate() {
-            w.set_shard_view(self.owner.clone(), i as u32);
+        for w in &mut self.workers {
+            w.set_shard_view(self.owner.clone());
         }
-        self.exchange = Exchange::new(self.workers.len() as u32, self.owner.clone());
         let owner = &self.owner;
         self.lookahead = self.topology.min_one_way_latency(|src, dst| {
             match (owner.get(&src), owner.get(&dst)) {
@@ -365,111 +368,48 @@ impl ShardedSimulator {
         });
     }
 
-    /// Hand every pending exchange packet to its owning worker's queue
-    /// (between windows / outside the threaded scope).
-    fn deliver_exchange(&mut self) {
-        for i in 0..self.workers.len() {
-            let batch = self.exchange.take(i as u32);
-            Exchange::deliver(&mut self.workers[i], batch);
-        }
-    }
-
-    /// The windowed parallel loop. Workers live for the duration of
-    /// one drive; each round every worker receives its exchange inbox
-    /// and a window end, processes events strictly before it, and
-    /// reports its outbox and next event time. The window end is
-    /// `min(next event anywhere) + lookahead`, so every cross-shard
-    /// arrival lands at or beyond the end of the window that produced
-    /// it — asserted per packet by the exchange.
+    /// The windowed parallel loop: shards 1..N run on scoped threads
+    /// for the length of one drive and shard 0 on the caller's. Each
+    /// window is `min(next event anywhere) + lookahead`, so every
+    /// cross-shard arrival lands at or beyond the end of the window
+    /// that produced it — asserted per packet by the exchange. A panic
+    /// on any shard stops every shard; the lowest-numbered shard's is
+    /// re-raised here.
     fn drive(&mut self, deadline: Option<SimTime>) -> u64 {
         self.refresh_views();
-        let lookahead = self.lookahead;
         assert!(
-            lookahead > SimDuration::ZERO,
+            self.lookahead > SimDuration::ZERO,
             "sharded simulation needs a nonzero one-way latency between shards for lookahead \
              (a zero-RTT path between hosts on different shards admits no conservative \
              window: co-locate them)"
         );
-        let mut nexts: Vec<Option<SimTime>> = self
-            .workers
-            .iter()
-            .map(Simulator::next_event_time)
-            .collect();
-        let workers = &mut self.workers;
-        let exchange = &mut self.exchange;
-        let mut total: u64 = 0;
-        let mut aborted: Option<Box<dyn Any + Send>> = None;
-
-        std::thread::scope(|scope| {
-            #[allow(
-                clippy::disallowed_methods,
-                reason = "A1: one reply per worker per round"
-            )]
-            let (reply_tx, reply_rx) = std::sync::mpsc::channel::<Reply>();
-            let mut cmd_txs: Vec<Sender<WorkerCmd>> = Vec::new();
-            for (i, sim) in workers.iter_mut().enumerate() {
-                #[allow(clippy::disallowed_methods, reason = "A1: one command per round")]
-                let (tx, rx) = std::sync::mpsc::channel::<WorkerCmd>();
-                cmd_txs.push(tx);
-                let reply = reply_tx.clone();
-                scope.spawn(move || worker_loop(i, sim, &rx, &reply));
+        for (post, w) in self.posts.iter().zip(&self.workers) {
+            lock(post).next = w.next_event_time();
+        }
+        let lockstep = Lockstep {
+            posts: &self.posts,
+            barrier: Barrier::new(self.workers.len()),
+            owner: &self.owner,
+            lookahead: self.lookahead,
+            deadline,
+        };
+        let lockstep = &lockstep;
+        let total = std::thread::scope(|scope| {
+            let mut shards = self.workers.iter_mut().enumerate();
+            let caller = shards.next();
+            let spawned: Vec<_> = shards
+                .map(|(me, sim)| scope.spawn(move || lockstep.shard(me, sim)))
+                .collect();
+            let mut total = caller.map_or(0, |(me, sim)| lockstep.shard(me, sim));
+            for handle in spawned {
+                total += handle
+                    .join()
+                    .unwrap_or_else(|payload| resume_unwind(payload));
             }
-            drop(reply_tx);
-
-            'rounds: loop {
-                let mut next = exchange.next_arrival();
-                for n in &nexts {
-                    next = min_time(next, *n);
-                }
-                let Some(start) = next else { break };
-                if let Some(d) = deadline {
-                    if start > d {
-                        break;
-                    }
-                }
-                let mut end = start + lookahead;
-                if let Some(d) = deadline {
-                    // Events at exactly the deadline are in scope
-                    // (run_until semantics), so the cap is d + 1 ns.
-                    let cap = d + SimDuration::from_nanos(1);
-                    if end > cap {
-                        end = cap;
-                    }
-                }
-                for (i, tx) in cmd_txs.iter().enumerate() {
-                    let inbox = exchange.take(i as u32);
-                    if tx.send(WorkerCmd::Advance { inbox, end }).is_err() {
-                        break 'rounds; // worker gone; its panic is in flight
-                    }
-                }
-                for _ in 0..cmd_txs.len() {
-                    let Ok(reply) = reply_rx.recv() else {
-                        break 'rounds;
-                    };
-                    total += reply.count;
-                    exchange.route(reply.outbox, end);
-                    nexts[reply.shard] = reply.next;
-                    if reply.panic.is_some() {
-                        aborted = reply.panic;
-                        break 'rounds;
-                    }
-                }
-            }
-
-            // A bounded run can leave packets in flight beyond the
-            // deadline: park them in the owning workers' queues so the
-            // next drive (or a longer deadline) picks them up.
-            for (i, tx) in cmd_txs.iter().enumerate() {
-                let inbox = exchange.take(i as u32);
-                if !inbox.is_empty() {
-                    let _ = tx.send(WorkerCmd::Flush { inbox });
-                }
-            }
-            drop(cmd_txs); // workers exit; scope joins them
+            total
         });
-
-        if let Some(payload) = aborted {
-            std::panic::resume_unwind(payload);
+        if let Some(payload) = self.posts.iter().find_map(|post| lock(post).panic.take()) {
+            resume_unwind(payload);
         }
 
         match deadline {
@@ -569,6 +509,23 @@ mod tests {
         sim.add_host(&[server.ip()], Box::new(Dialer(None)));
         sim.add_host(&[client.ip()], Box::new(Dialer(Some((client, server)))));
         sim.schedule_timer(1, SimTime::from_millis(1), 0);
+        sim.run_until(SimTime::from_millis(100));
+    }
+
+    /// The dialer registered first sits on shard 0, which the caller's
+    /// thread runs: its panic is caught there while shard 1 waits at
+    /// the barrier, both shards stop, and the payload reaches the caller.
+    #[test]
+    #[should_panic(expected = "cross-shard TCP is unsupported")]
+    fn a_panic_on_the_callers_shard_reaches_the_caller() {
+        let topology = Topology::uniform(PathConfig::with_rtt(SimDuration::from_millis(10)));
+        let mut sim =
+            ShardedSimulator::new(topology, SimConfig::default(), ShardPlan::round_robin(2));
+        let server: SocketAddr = "10.0.0.1:53".parse().unwrap();
+        let client: SocketAddr = "10.0.0.2:5300".parse().unwrap();
+        sim.add_host(&[client.ip()], Box::new(Dialer(Some((client, server)))));
+        sim.add_host(&[server.ip()], Box::new(Dialer(None)));
+        sim.schedule_timer(0, SimTime::from_millis(1), 0);
         sim.run_until(SimTime::from_millis(100));
     }
 

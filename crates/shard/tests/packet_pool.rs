@@ -6,8 +6,9 @@
 //! received handles kept across callbacks — run three ways: with
 //! `PacketBytes::from(Vec)` at every send (no pool involved), pooled on
 //! one `Simulator`, and pooled on a 2-shard `ShardedSimulator`, where a
-//! datagram is dropped on another shard's thread than its pool's. All
-//! three must log the same deliveries, byte for byte.
+//! datagram that crosses shards is copied into the receiver's pool and
+//! its original dropped on the sender's thread. All three must log the
+//! same deliveries, byte for byte.
 //!
 //! A reused buffer that was not cleared changes what is delivered. A
 //! buffer recycled while another handle still reads it cannot be written
