@@ -12,7 +12,6 @@ use std::net::IpAddr;
 use dns_wire::edns::{CLASSIC_UDP_LIMIT, DEFAULT_UDP_PAYLOAD};
 use dns_wire::{peek_id, Message, Opcode, Rcode, Transport};
 use dns_zone::{lookup_into, Catalog, ClientMatch, View, ViewSet};
-use ldp_telemetry::{Kind, Recorder};
 
 use crate::scratch::{AnswerScratch, Assembly};
 
@@ -51,11 +50,8 @@ impl ServerEngine {
     /// serialize. The reply is a view of the scratch, good until its
     /// next use; nothing else of the query outlives the call. Every
     /// other entry point of the engine is an adaptor over this one.
-    ///
-    /// The three stages are `srv.parse` / `srv.lookup` / `srv.encode`
-    /// spans in `rec`, stamped `now_ns` (the simulator passes its
-    /// recorder and `ctx.now()`; a caller with no run to record into
-    /// passes one that is switched off).
+    /// The engine records nothing: the simulated server marks each
+    /// reply it sends (`srv.query.*`) in its own telemetry.
     ///
     /// Over UDP the reply honours the advertised payload limit with
     /// TC-bit truncation (RFC 6891 / RFC 2181), and a datagram that
@@ -70,8 +66,6 @@ impl ServerEngine {
         data: &[u8],
         transport: Transport,
         scratch: &'s mut AnswerScratch,
-        rec: &mut Recorder,
-        now_ns: u64,
     ) -> Option<&'s [u8]> {
         let AnswerScratch {
             query,
@@ -86,11 +80,9 @@ impl ServerEngine {
         response.answers.clear();
         response.authorities.clear();
         response.additionals.clear();
-        *parsed = rec.span(now_ns, Kind::SrvParse, parse_span_key(data), || {
-            query.decode_into(data).is_ok()
-        });
+        *parsed = query.decode_into(data).is_ok();
         if *parsed {
-            return Some(self.respond(src, query, transport, assembly, rec, now_ns).0);
+            return Some(self.respond(src, query, transport, assembly).0);
         }
         if transport.is_connection_oriented() {
             return None;
@@ -112,24 +104,17 @@ impl ServerEngine {
         query: &Message,
         transport: Transport,
         assembly: &'a mut Assembly,
-        rec: &mut Recorder,
-        now_ns: u64,
     ) -> (&'a [u8], bool) {
         let limit = if transport.is_connection_oriented() {
             usize::from(u16::MAX)
         } else {
             self.udp_limit(query)
         };
-        let id = u64::from(query.id);
-        rec.span(now_ns, Kind::SrvLookup, id, || {
-            self.assemble(src, query, assembly)
-        });
+        self.assemble(src, query, assembly);
         let Assembly {
             response, encode, ..
         } = assembly;
-        rec.span(now_ns, Kind::SrvEncode, id, move || {
-            response.encode_udp_into(limit, encode)
-        })
+        response.encode_udp_into(limit, encode)
     }
 
     /// Build the response to `query` as asked by a client at `src` in
@@ -185,9 +170,7 @@ impl ServerEngine {
     /// was truncated.
     pub fn answer_udp(&self, src: IpAddr, query: &Message) -> (Vec<u8>, bool) {
         with_thread_scratch(|scratch| {
-            let rec = &mut Recorder::new();
-            let (bytes, tc) =
-                self.respond(src, query, Transport::Udp, &mut scratch.assembly, rec, 0);
+            let (bytes, tc) = self.respond(src, query, Transport::Udp, &mut scratch.assembly);
             (bytes.to_vec(), tc)
         })
     }
@@ -196,7 +179,7 @@ impl ServerEngine {
     /// that hold no scratch.
     pub fn handle_udp_bytes(&self, src: IpAddr, data: &[u8]) -> Option<Vec<u8>> {
         with_thread_scratch(|scratch| {
-            self.answer_into(src, data, Transport::Udp, scratch, &mut Recorder::new(), 0)
+            self.answer_into(src, data, Transport::Udp, scratch)
                 .map(<[u8]>::to_vec)
         })
     }
@@ -219,15 +202,6 @@ fn with_thread_scratch<R>(f: impl FnOnce(&mut AnswerScratch) -> R) -> R {
     let out = f(&mut scratch);
     let _ = SCRATCH.try_with(|cell| cell.set(Some(scratch)));
     out
-}
-
-/// The parse span's key: the message id straight from the wire header
-/// (0 if the packet is too short to carry one). Read before decoding so
-/// the parse span shares the lifecycle key the lookup/encode spans use —
-/// that is what lets `ldp_telemetry::stage_breakdown` pair the three
-/// stages per query.
-fn parse_span_key(data: &[u8]) -> u64 {
-    peek_id(data).map_or(0, u64::from)
 }
 
 #[cfg(test)]
@@ -406,14 +380,7 @@ mod tests {
 
         // A stream truncates only past what its length prefix frames.
         let mut scratch = AnswerScratch::new();
-        let body = engine.answer_into(
-            ip("1.1.1.1"),
-            &q.encode(),
-            Transport::Tcp,
-            &mut scratch,
-            &mut Recorder::new(),
-            0,
-        );
+        let body = engine.answer_into(ip("1.1.1.1"), &q.encode(), Transport::Tcp, &mut scratch);
         assert!(!Message::decode(body.unwrap()).unwrap().flags.truncated);
     }
 
@@ -445,14 +412,7 @@ mod tests {
         assert_eq!(resp, old.encode());
         // A stream peer gets nothing for the same bytes.
         let mut scratch = AnswerScratch::new();
-        let body = engine.answer_into(
-            ip("198.41.0.4"),
-            &garbage,
-            Transport::Tcp,
-            &mut scratch,
-            &mut Recorder::new(),
-            0,
-        );
+        let body = engine.answer_into(ip("198.41.0.4"), &garbage, Transport::Tcp, &mut scratch);
         assert_eq!(body, None);
     }
 
@@ -509,14 +469,7 @@ mod tests {
             let wire = query.encode();
             let src = ip("216.239.32.10");
             assert!(engine
-                .answer_into(
-                    src,
-                    &wire,
-                    Transport::Udp,
-                    &mut scratch,
-                    &mut Recorder::new(),
-                    0
-                )
+                .answer_into(src, &wire, Transport::Udp, &mut scratch,)
                 .is_some());
             let slip = scratch.slip_reply().map(<[u8]>::to_vec);
             assert_eq!(slip, old_slip_reply(&wire));
@@ -528,14 +481,7 @@ mod tests {
         let garbage = garbage_with_header();
         let src = ip("216.239.32.10");
         assert!(engine
-            .answer_into(
-                src,
-                &garbage,
-                Transport::Udp,
-                &mut scratch,
-                &mut Recorder::new(),
-                0
-            )
+            .answer_into(src, &garbage, Transport::Udp, &mut scratch,)
             .is_some());
         assert_eq!(scratch.slip_reply(), None);
         assert_eq!(old_slip_reply(&garbage), None);
@@ -701,10 +647,8 @@ mod tests {
                 let src = ip(g.pick::<&str>(&[VIEW_A, VIEW_A, VIEW_B, "10.9.9.9"]));
                 let transport = *g.pick(&[Transport::Udp, Transport::Udp, Transport::Tcp]);
                 let mut fresh = AnswerScratch::new();
-                let want =
-                    engine.answer_into(src, &wire, transport, &mut fresh, &mut Recorder::new(), 0);
-                let got =
-                    engine.answer_into(src, &wire, transport, &mut reused, &mut Recorder::new(), 0);
+                let want = engine.answer_into(src, &wire, transport, &mut fresh);
+                let got = engine.answer_into(src, &wire, transport, &mut reused);
                 assert_eq!(got, want, "{transport} from {src}: {wire:02x?}");
                 assert_eq!(reused.slip_reply(), old_slip_reply(&wire).as_deref());
                 // The adaptors run on the thread's own long-lived
@@ -713,25 +657,11 @@ mod tests {
                     continue;
                 };
                 let mut one_shot = AnswerScratch::new();
-                let udp = engine.respond(
-                    src,
-                    &query,
-                    Transport::Udp,
-                    &mut one_shot.assembly,
-                    &mut Recorder::new(),
-                    0,
-                );
+                let udp = engine.respond(src, &query, Transport::Udp, &mut one_shot.assembly);
                 let udp = (udp.0.to_vec(), udp.1);
                 assert_eq!(engine.answer_udp(src, &query), udp);
                 let response = engine.answer(src, &query);
-                let stream = engine.respond(
-                    src,
-                    &query,
-                    Transport::Tcp,
-                    &mut one_shot.assembly,
-                    &mut Recorder::new(),
-                    0,
-                );
+                let stream = engine.respond(src, &query, Transport::Tcp, &mut one_shot.assembly);
                 assert_eq!(stream.0, response.encode());
             }
         });

@@ -10,7 +10,11 @@
 //! "leak" through as truncated (TC=1) replies so legitimate clients can
 //! retry over TCP (the slip mechanism).
 
-use std::collections::HashMap;
+// Simulator path (`SimDnsServer::with_rrl`): no hash collection, no
+// wall-clock type (DESIGN.md §7).
+#![deny(clippy::disallowed_types)]
+
+use std::collections::BTreeMap;
 use std::net::IpAddr;
 
 /// RRL configuration (defaults follow common operator practice).
@@ -80,7 +84,7 @@ struct Bucket {
 #[derive(Debug)]
 pub struct RateLimiter {
     config: RrlConfig,
-    buckets: HashMap<(u128, u64), Bucket>,
+    buckets: BTreeMap<(u128, u64), Bucket>,
     /// When idle buckets were last swept out.
     swept: f64,
     /// Live counters.
@@ -92,7 +96,7 @@ impl RateLimiter {
     pub fn new(config: RrlConfig) -> Self {
         RateLimiter {
             config,
-            buckets: HashMap::new(),
+            buckets: BTreeMap::new(),
             swept: f64::NEG_INFINITY,
             stats: RrlStats::default(),
         }

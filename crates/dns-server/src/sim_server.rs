@@ -79,16 +79,11 @@ impl SimDnsServer {
 
 impl Host for SimDnsServer {
     fn on_udp(&mut self, ctx: &mut Ctx<'_>, from: SocketAddr, to: SocketAddr, data: PacketBytes) {
-        let (engine, now_ns) = (&self.engine, ctx.now().as_nanos());
-        let rec = ctx.recorder();
-        let Some(reply) = engine.answer_into(
-            from.ip(),
-            &data,
-            Transport::Udp,
-            &mut self.scratch,
-            rec,
-            now_ns,
-        ) else {
+        let scratch = &mut self.scratch;
+        let Some(reply) = self
+            .engine
+            .answer_into(from.ip(), &data, Transport::Udp, scratch)
+        else {
             return;
         };
         self.queries_handled += 1;
@@ -127,15 +122,13 @@ impl Host for SimDnsServer {
                 let Some((buf, peer)) = self.conns.get_mut(&conn) else {
                     return;
                 };
-                let (peer, engine, now_ns) = (*peer, &self.engine, ctx.now().as_nanos());
+                let (peer, engine) = (*peer, &self.engine);
                 buf.extend(&data);
                 // Each message is answered where it lies in the frame
                 // buffer and sent before the next is looked at.
                 while let Some(msg) = buf.next_frame() {
-                    let rec = ctx.recorder();
                     let scratch = &mut self.scratch;
-                    let Some(reply) =
-                        engine.answer_into(peer.ip(), msg, Transport::Tcp, scratch, rec, now_ns)
+                    let Some(reply) = engine.answer_into(peer.ip(), msg, Transport::Tcp, scratch)
                     else {
                         continue;
                     };
@@ -174,6 +167,7 @@ mod tests {
     use dns_wire::framing::frame;
     use dns_wire::{Message, Name, RData, Rcode, Record, RecordType, Soa};
     use dns_zone::{Catalog, Zone};
+    use ldp_telemetry::RawEvent;
     use netsim::{PathConfig, SimConfig, SimTime, Simulator, Topology};
     use std::sync::Mutex;
 
@@ -263,10 +257,17 @@ mod tests {
     }
 
     fn run(tcp: bool, tls: bool) -> Vec<Message> {
+        run_recorded(tcp, tls, false).0
+    }
+
+    /// The replies the test client got, and what the simulator recorded
+    /// (nothing unless `record`).
+    fn run_recorded(tcp: bool, tls: bool, record: bool) -> (Vec<Message>, Vec<RawEvent>) {
         let mut sim = Simulator::new(
             Topology::uniform(PathConfig::with_rtt(SimDuration::from_millis(10))),
             SimConfig::default(),
         );
+        sim.set_recording(record);
         let server_addr: SocketAddr = "10.0.0.1:53".parse().unwrap();
         let replies: Replies = Arc::new(Mutex::new(vec![]));
         sim.add_host(
@@ -290,7 +291,26 @@ mod tests {
         sim.schedule_timer(client, SimTime::ZERO, 0);
         sim.run_until(SimTime::from_secs_f64(5.0));
         let out = replies.lock().unwrap().clone();
-        out
+        (out, sim.drain_recording().events)
+    }
+
+    /// Recording on, the server's part of the log is one `srv.query.*`
+    /// mark per reply it sends, numbered by `queries_handled`, and
+    /// nothing else: answering is not timed inside the callback, where
+    /// virtual time stands still. (`sim.*` events are the simulator's.)
+    #[test]
+    fn records_one_query_mark_per_reply_and_nothing_else() {
+        for (tcp, kind) in [(false, Kind::SrvQueryUdp), (true, Kind::SrvQueryTcp)] {
+            let (replies, events) = run_recorded(tcp, false, true);
+            let server: Vec<(Kind, u64)> = events
+                .iter()
+                .filter(|e| !e.kind.name().starts_with("sim."))
+                .map(|e| (e.kind, e.a))
+                .collect();
+            let want: Vec<(Kind, u64)> = (1..=replies.len() as u64).map(|a| (kind, a)).collect();
+            assert_eq!(replies.len(), if tcp { 2 } else { 1 });
+            assert_eq!(server, want, "tcp: {tcp}");
+        }
     }
 
     #[test]

@@ -25,7 +25,6 @@ use std::time::{Duration, Instant};
 
 use dns_wire::framing::{frame_into, FrameBuffer};
 use dns_wire::Transport;
-use ldp_telemetry::Recorder;
 
 use crate::engine::ServerEngine;
 use crate::rrl::{RrlAction, RrlBank, RrlConfig};
@@ -223,10 +222,7 @@ impl UdpWorker {
                 Err(_) => break,
             };
             let (engine, query) = (&self.engine, &buf[..len]);
-            // Real sockets record nothing: the recorder stays off.
-            let off = &mut Recorder::new();
-            let Some(reply) =
-                engine.answer_into(peer.ip(), query, Transport::Udp, &mut scratch, off, 0)
+            let Some(reply) = engine.answer_into(peer.ip(), query, Transport::Udp, &mut scratch)
             else {
                 continue;
             };
@@ -302,10 +298,7 @@ fn serve_tcp_conn(
         last_activity = Instant::now();
         fb.extend(&buf[..n]);
         while let Some(msg) = fb.next_frame() {
-            let off = &mut Recorder::new();
-            if let Some(reply) =
-                engine.answer_into(peer.ip(), msg, Transport::Tcp, &mut scratch, off, 0)
-            {
+            if let Some(reply) = engine.answer_into(peer.ip(), msg, Transport::Tcp, &mut scratch) {
                 counters.tcp_queries.fetch_add(1, Ordering::Relaxed);
                 frame_into(reply, &mut framed);
                 stream.write_all(&framed)?;

@@ -497,8 +497,9 @@ impl Message {
 /// The transaction id of the message in `buf`, read from the 12-byte
 /// header alone: `None` when `buf` is shorter than a header, otherwise
 /// the big-endian id whatever the rest of the bytes hold. Matching a
-/// response to its query needs nothing else, so the replay client and
-/// the server's parse span use this instead of [`Message::decode`].
+/// response to its query needs nothing else, so the replay client uses
+/// this instead of [`Message::decode`], and the server's FORMERR reply
+/// to a body that does not decode echoes it.
 pub fn peek_id(buf: &[u8]) -> Option<u16> {
     match buf {
         [hi, lo, ..] if buf.len() >= 12 => Some(u16::from_be_bytes([*hi, *lo])),

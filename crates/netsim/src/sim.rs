@@ -327,8 +327,9 @@ impl<'a> Ctx<'a> {
         self.rec.mark(self.now.as_nanos(), kind, a, b);
     }
 
-    /// The simulator's recorder, for records [`Ctx::mark`] does not
-    /// cover (spans, explicit timestamps).
+    /// The simulator's recorder, for a mark stamped other than
+    /// [`Ctx::now`] (the replay client's `q.match` is stamped at the
+    /// latency log's time).
     pub fn recorder(&mut self) -> &mut Recorder {
         self.rec
     }
@@ -488,8 +489,8 @@ pub struct Simulator {
 /// (`sim.deliver`, `sim.host_timer`, `sim.conn_timer`). Per-dispatch
 /// marks for these would dominate the recording cost — together they
 /// are nearly every event the simulator processes — so they are
-/// batched: one counter event with `b = DISPATCH_BATCH` per batch
-/// (`count_by_kind` sums `b`, so drained totals stay meaningful). The
+/// batched: one event with `b = DISPATCH_BATCH` per batch (timelines
+/// label these kinds `count`; `count_by_kind` sums `b`). The
 /// rare, informative marks (TCP established/killed/refused, fault
 /// drops) remain per-event. A partial tail batch is not flushed —
 /// drained totals undercount by at most `DISPATCH_BATCH - 1` per kind.
@@ -816,8 +817,7 @@ impl Simulator {
         if self.dispatch_pending[host][which] == DISPATCH_BATCH {
             self.dispatch_pending[host][which] = 0;
             let kind = [Kind::SimDeliver, Kind::SimHostTimer, Kind::SimConnTimer][which];
-            self.rec
-                .counter(t_ns, kind, self.lanes[host], DISPATCH_BATCH);
+            self.rec.mark(t_ns, kind, self.lanes[host], DISPATCH_BATCH);
         }
     }
 

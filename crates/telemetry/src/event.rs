@@ -59,12 +59,6 @@ kinds! {
     QResponse => "q.response",
     /// The reply was matched and logged.
     QMatch => "q.match",
-    /// Server span: decoding the query.
-    SrvParse => "srv.parse",
-    /// Server span: finding the answer.
-    SrvLookup => "srv.lookup",
-    /// Server span: encoding the reply.
-    SrvEncode => "srv.encode",
     /// A UDP query answered (`b` = reply bytes).
     SrvQueryUdp => "srv.query.udp",
     /// A stream query answered (`b` = reply bytes).
@@ -99,29 +93,15 @@ kinds! {
     RsvPrefetch => "rsv.prefetch",
 }
 
-/// What an event records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[repr(u8)]
-pub enum Op {
-    /// Start of a span (paired with [`Op::SpanExit`] of the same kind).
-    SpanEnter = 0,
-    /// End of a span.
-    SpanExit = 1,
-    /// A counter increment; the delta rides in `b`.
-    Counter = 2,
-    /// A point-in-time lifecycle mark.
-    Mark = 3,
-}
-
-impl Op {
-    /// Short fixed-width label for timeline rendering.
-    pub fn label(self) -> &'static str {
-        match self {
-            Op::SpanEnter => "enter",
-            Op::SpanExit => "exit ",
-            Op::Counter => "count",
-            Op::Mark => "mark ",
-        }
+impl Kind {
+    /// Whether events of this kind count (`b` = a batch of dispatches)
+    /// rather than mark one moment: the three batched `sim.*` kinds.
+    /// Timelines label them `count` and dumps carry it as their op byte.
+    pub(crate) fn is_counter(self) -> bool {
+        matches!(
+            self,
+            Kind::SimDeliver | Kind::SimHostTimer | Kind::SimConnTimer
+        )
     }
 }
 
@@ -141,8 +121,6 @@ pub struct RawEvent {
     pub b: u64,
     /// What the event is about.
     pub kind: Kind,
-    /// Event operation.
-    pub op: Op,
 }
 
 #[cfg(test)]

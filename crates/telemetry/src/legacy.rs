@@ -34,7 +34,7 @@ pub(crate) fn accept(log: Log) {
     let mut sink = SINK.lock().unwrap_or_else(|e| e.into_inner());
     sink.set_on(true);
     for ev in log.events {
-        sink.record(ev.t_ns, ev.kind, ev.op, ev.a, ev.b);
+        sink.mark(ev.t_ns, ev.kind, ev.a, ev.b);
     }
 }
 

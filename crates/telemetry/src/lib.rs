@@ -1,12 +1,17 @@
 //! # ldp-telemetry
 //!
-//! Virtual-time event tracing for LDplayer's simulated hot paths:
-//! per-query lifecycle marks (enqueue → send → retx → response →
-//! match), span enter/exit pairs around server stages, and counters —
-//! recorded into a fixed-size ring of compact binary events that the
-//! run's owner holds, then drained offline into text timelines,
-//! per-stage latency breakdowns (via [`ldp_metrics`]) and folded-stacks
-//! flamegraph dumps.
+//! Virtual-time event tracing for LDplayer's simulated hot paths: one
+//! event is `(t_ns, kind, a, b)` — a per-query lifecycle mark (enqueue
+//! → send → retx → response → match), a server, resolver or transport
+//! mark, or one of the simulator's batched dispatch counters — recorded
+//! into a fixed-size ring of compact binary events that the run's owner
+//! holds, then drained offline into text timelines, per-stage latency
+//! breakdowns (via [`ldp_metrics`]), per-kind counts and binary dumps.
+//!
+//! There are no spans: virtual time stands still inside one host
+//! callback, so anything timed within one reads 0 ns. A stage is timed
+//! between the marks at its two ends, as the querier times a query
+//! between its send and its reply.
 //!
 //! Design constraints (DESIGN.md §8):
 //!
@@ -53,10 +58,10 @@ mod export;
 pub mod legacy;
 mod recorder;
 
-pub use event::{Kind, Op, RawEvent};
+pub use event::{Kind, RawEvent};
 pub use export::{
-    canonical_order, count_by_kind, diff_logs, dump_binary, folded_stacks, render_timeline,
-    stage_breakdown, StageBreakdown, StageStat,
+    canonical_order, count_by_kind, diff_logs, dump_binary, render_timeline, stage_breakdown,
+    StageBreakdown, StageStat,
 };
 pub use legacy::{clock, drain_all, set_enabled};
 pub use recorder::{Log, Recorder, RING_CAP};

@@ -1,6 +1,6 @@
 //! The hot path: one owner's ring buffer and the record calls.
 
-use crate::event::{Kind, Op, RawEvent};
+use crate::event::{Kind, RawEvent};
 use crate::legacy;
 
 /// Events per ring: 64 Ki events × 32 B = 2 MiB per recording owner.
@@ -73,41 +73,13 @@ impl Recorder {
         self.on
     }
 
-    /// Record an event at virtual time `t_ns` (a no-op while off).
-    #[inline]
-    pub fn record(&mut self, t_ns: u64, kind: Kind, op: Op, a: u64, b: u64) {
-        if self.on {
-            self.push(RawEvent {
-                t_ns,
-                a,
-                b,
-                kind,
-                op,
-            });
-        }
-    }
-
-    /// A lifecycle mark at `t_ns`.
+    /// Record a `kind` event at virtual time `t_ns` (a no-op while
+    /// off).
     #[inline]
     pub fn mark(&mut self, t_ns: u64, kind: Kind, a: u64, b: u64) {
-        self.record(t_ns, kind, Op::Mark, a, b);
-    }
-
-    /// A counter increment (`b` = `delta`) at `t_ns`.
-    #[inline]
-    pub fn counter(&mut self, t_ns: u64, kind: Kind, a: u64, delta: u64) {
-        self.record(t_ns, kind, Op::Counter, a, delta);
-    }
-
-    /// Run `f` inside a `kind` span: an enter before it and an exit
-    /// after it, both at `t_ns` (virtual time stands still inside one
-    /// callback).
-    #[inline]
-    pub fn span<R>(&mut self, t_ns: u64, kind: Kind, a: u64, f: impl FnOnce() -> R) -> R {
-        self.record(t_ns, kind, Op::SpanEnter, a, 0);
-        let out = f();
-        self.record(t_ns, kind, Op::SpanExit, a, 0);
-        out
+        if self.on {
+            self.push(RawEvent { t_ns, a, b, kind });
+        }
     }
 
     fn push(&mut self, ev: RawEvent) {
@@ -167,22 +139,15 @@ mod tests {
     fn record_drain_roundtrip_preserves_order_and_payload() {
         let mut rec = on();
         rec.mark(10, Kind::QSend, 1, 100);
-        rec.counter(20, Kind::SimDeliver, 1, 5);
-        rec.record(30, Kind::SrvParse, Op::SpanEnter, 2, 0);
-        rec.record(40, Kind::SrvParse, Op::SpanExit, 2, 0);
+        rec.mark(20, Kind::SimDeliver, 1, 5);
         let log = rec.drain();
         let evs = &log.events;
-        assert_eq!((evs.len(), log.lost), (4, 0));
+        assert_eq!((evs.len(), log.lost), (2, 0));
         assert_eq!(
-            (evs[0].t_ns, evs[0].a, evs[0].b, evs[0].op),
-            (10, 1, 100, Op::Mark)
+            (evs[0].t_ns, evs[0].kind, evs[0].a, evs[0].b),
+            (10, Kind::QSend, 1, 100)
         );
-        assert_eq!(
-            (evs[1].kind, evs[1].op, evs[1].b),
-            (Kind::SimDeliver, Op::Counter, 5)
-        );
-        assert_eq!(evs[2].op, Op::SpanEnter);
-        assert_eq!(evs[3].op, Op::SpanExit);
+        assert_eq!((evs[1].kind, evs[1].b), (Kind::SimDeliver, 5));
         // Drain resets the ring, not the switch.
         assert!(rec.drain().events.is_empty());
         assert!(rec.is_on());
@@ -204,22 +169,5 @@ mod tests {
         assert_eq!(evs[RING_CAP - 1].b, RING_CAP as u64 + 9);
         assert!(evs.windows(2).all(|w| w[0].b < w[1].b));
         assert_eq!(rec.drain().lost, 0, "a drain resets the count");
-    }
-
-    #[test]
-    fn span_guard_records_enter_and_exit() {
-        let mut rec = on();
-        let out = rec.span(7, Kind::SrvLookup, 3, || 42);
-        rec.mark(7, Kind::SrvQueryUdp, 3, 1);
-        assert_eq!(out, 42);
-        let ops: Vec<(Kind, Op)> = rec.drain().events.iter().map(|e| (e.kind, e.op)).collect();
-        assert_eq!(
-            ops,
-            vec![
-                (Kind::SrvLookup, Op::SpanEnter),
-                (Kind::SrvLookup, Op::SpanExit),
-                (Kind::SrvQueryUdp, Op::Mark)
-            ]
-        );
     }
 }
