@@ -3,7 +3,7 @@
 //! 2048, 2048-rollover} ZSK; the headline deltas are 72.3→100 % DO at
 //! 2048-bit ⇒ +31 %, and the 1024→2048 rollover ⇒ +32 %.
 //!
-//! `cargo run --release -p ldp-bench --bin fig10 [-- --scale 20]`
+//! `cargo run --release -p ldp-bench --bin fig10 [-- --scale 40]`
 
 use ldp_bench::{arg_f64, boxplot_row, reject_unknown_flags};
 use ldp_core::{dnssec_bandwidth, synthetic_root_zone};
@@ -11,7 +11,7 @@ use workloads::BRootSpec;
 
 fn main() {
     reject_unknown_flags(&["--scale"]);
-    let scale = arg_f64("--scale", 20.0);
+    let scale = arg_f64("--scale", 40.0);
     let spec = BRootSpec {
         duration_secs: 120.0,
         ..BRootSpec::b_root_16_like().scaled(scale)

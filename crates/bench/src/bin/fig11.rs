@@ -4,7 +4,7 @@
 //! ≈ 10 % (NIC offload!) and all-TLS ≈ 9–10 %, slightly higher at the
 //! 5 s timeout from extra handshakes.
 //!
-//! `cargo run --release -p ldp-bench --bin fig11 [-- --scale 40]`
+//! `cargo run --release -p ldp-bench --bin fig11 [-- --scale 80]`
 
 use std::sync::Arc;
 
@@ -18,7 +18,7 @@ use workloads::BRootSpec;
 
 fn main() {
     reject_unknown_flags(&["--scale"]);
-    let scale = arg_f64("--scale", 40.0);
+    let scale = arg_f64("--scale", 80.0);
     let spec = BRootSpec {
         duration_secs: 300.0,
         ..BRootSpec::b_root_17a().scaled(scale)

@@ -6,7 +6,7 @@
 //! ~18 GB (TLS), ~60 k established, ~120 k TIME_WAIT, steady state in
 //! ~5 minutes; UDP baseline ~2 GB.
 //!
-//! `cargo run --release -p ldp-bench --bin fig13_14 [-- --scale 40 --minutes 20]`
+//! `cargo run --release -p ldp-bench --bin fig13_14 [-- --scale 80 --minutes 10]`
 
 use std::sync::Arc;
 
@@ -20,8 +20,8 @@ use workloads::BRootSpec;
 
 fn main() {
     reject_unknown_flags(&["--scale", "--minutes"]);
-    let scale = arg_f64("--scale", 40.0);
-    let minutes = arg_f64("--minutes", 20.0);
+    let scale = arg_f64("--scale", 80.0);
+    let minutes = arg_f64("--minutes", 10.0);
     let spec = BRootSpec {
         duration_secs: minutes * 60.0,
         ..BRootSpec::b_root_17a().scaled(scale)

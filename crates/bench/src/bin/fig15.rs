@@ -6,7 +6,7 @@
 //! clients (connection reuse weighted by busy clients) but ~2 RTT for
 //! non-busy clients; TLS 2→4 RTT nonlinearly; long asymmetric tails.
 //!
-//! `cargo run --release -p ldp-bench --bin fig15 [-- --scale 40]`
+//! `cargo run --release -p ldp-bench --bin fig15 [-- --scale 80]`
 
 use std::sync::Arc;
 
@@ -20,7 +20,7 @@ use workloads::BRootSpec;
 
 fn main() {
     reject_unknown_flags(&["--scale"]);
-    let scale = arg_f64("--scale", 40.0);
+    let scale = arg_f64("--scale", 80.0);
     let spec = BRootSpec {
         duration_secs: 300.0,
         ..BRootSpec::b_root_17b().scaled(scale)
