@@ -2,8 +2,9 @@
 # The gate: formatting, clippy (which holds the determinism and
 # panic-safety invariants, DESIGN.md §7), rustdoc's link check, a
 # registry-free Cargo.lock, the whole test suite, the scan gate, the
-# four deterministic studies compared against their committed
-# results/, and the end-to-end benchmark's self-check. Every step decides for itself: nothing here
+# four deterministic studies and the paper's five deterministic figures
+# compared against their committed results/, and the end-to-end
+# benchmark's self-check. Every step decides for itself: nothing here
 # judges a time or compares runs. Last it prints the tree's three sizes,
 # which decide nothing. Everything is built by cargo from
 # this checkout; every output goes under target/, so a run leaves
@@ -65,6 +66,14 @@ study fig_outage
 study fig_cache
 study fig_recovery
 study fig_trace
+# The paper's deterministic figures, each at the scale its file was made
+# at (the binaries' defaults). fig11, fig13_14 and fig15 run the server
+# engine over UDP, TCP and TLS with DO, so they also hold its replies.
+study table1
+study fig10
+study fig11
+study fig13_14
+study fig15
 
 step "benchmark self-check (smoke scale: outputs verified, no bounds)" \
     sh benchmark/selfcheck.sh --quick
