@@ -10,8 +10,8 @@ use std::cell::Cell;
 use std::net::IpAddr;
 
 use dns_wire::edns::{CLASSIC_UDP_LIMIT, DEFAULT_UDP_PAYLOAD};
-use dns_wire::{peek_id, Message, Opcode, Rcode, Transport};
-use dns_zone::{lookup_into, Catalog, ClientMatch, View, ViewSet};
+use dns_wire::{peek_id, Message, Opcode, Question, Rcode, Transport};
+use dns_zone::{lookup_walk_into, pick_tail, Catalog, ClientMatch, View, ViewSet, Walk, Zone};
 
 use crate::scratch::{AnswerScratch, Assembly};
 
@@ -97,7 +97,11 @@ impl ServerEngine {
         Some(raw)
     }
 
-    /// The reply to a decoded `query` and whether it was truncated.
+    /// The reply to a decoded `query` and whether it was truncated: a
+    /// referral or name error from the zone's precompiled tail when one
+    /// writes it byte for byte ([`pick_tail`], [`dns_wire::Tail::reply_into`]),
+    /// anything else — and every reply the tail declines — rendered and
+    /// encoded from the same walk.
     fn respond<'a>(
         &self,
         src: IpAddr,
@@ -110,41 +114,65 @@ impl ServerEngine {
         } else {
             self.udp_limit(query)
         };
-        self.assemble(src, query, assembly);
+        let selected = self.select(src, query);
+        assembly.from_tail = false;
+        if let Ok((zone, question, Some(walk))) = selected {
+            if let Some(tail) = pick_tail(zone, walk, question, query.dnssec_ok()) {
+                if tail.reply_into(query, limit, &mut assembly.encode) {
+                    assembly.from_tail = true;
+                    return (assembly.encode.written(), false);
+                }
+            }
+        }
+        Self::render(query, selected, assembly);
         let Assembly {
             response, encode, ..
         } = assembly;
         response.encode_udp_into(limit, encode)
     }
 
-    /// Build the response to `query` as asked by a client at `src` in
-    /// `assembly.response`. Always produces one (servers never stay
-    /// silent in our model; real servers may drop, which the transport
-    /// layer can emulate).
-    fn assemble(&self, src: IpAddr, query: &Message, assembly: &mut Assembly) {
+    /// The zone that answers `query` from `src`, its question and where
+    /// the zone's one walk towards the qname ends; or the rcode that
+    /// refuses the query.
+    fn select<'s, 'q>(
+        &'s self,
+        src: IpAddr,
+        query: &'q Message,
+    ) -> Result<(&'s Zone, &'q Question, Option<Walk<'s>>), Rcode> {
+        if query.opcode != Opcode::Query {
+            return Err(Rcode::NotImp);
+        }
+        let question = query.question().ok_or(Rcode::FormErr)?;
+        if query.edns.as_ref().is_some_and(|e| e.version != 0) {
+            return Err(Rcode::BadVers);
+        }
+        let view = self.views.select(src).ok_or(Rcode::Refused)?;
+        let zone = view.catalog.find(&question.name).ok_or(Rcode::Refused)?;
+        Ok((zone, question, zone.walk(&question.name)))
+    }
+
+    /// Render the generic response to `query` from what
+    /// [`ServerEngine::select`] found into `assembly.response`. There is
+    /// always one (servers never stay silent in our model; real servers
+    /// may drop, which the transport layer can emulate).
+    fn render(
+        query: &Message,
+        selected: Result<(&Zone, &Question, Option<Walk<'_>>), Rcode>,
+        assembly: &mut Assembly,
+    ) {
         let Assembly {
             answer, response, ..
         } = assembly;
-        let refuse = if query.opcode != Opcode::Query {
-            Rcode::NotImp
-        } else if let Some(question) = query.question() {
-            if query.edns.as_ref().is_some_and(|e| e.version != 0) {
-                Rcode::BadVers
-            } else if let Some(zone) = self
-                .views
-                .select(src)
-                .and_then(|view| view.catalog.find(&question.name))
-            {
-                lookup_into(zone, question, answer);
-                return answer.render_into(query, response);
-            } else {
-                Rcode::Refused
+        match selected {
+            Ok((zone, question, walk)) => {
+                lookup_walk_into(zone, walk, question, answer);
+                answer.render_into(query, response);
             }
-        } else {
-            Rcode::FormErr
-        };
-        query.response_into(response);
-        response.rcode = refuse;
+            Err(rcode) => {
+                query.response_into(response);
+                response.rcode = rcode;
+            }
+        }
     }
 
     /// The effective UDP payload limit for `query` (RFC 6891
@@ -161,7 +189,7 @@ impl ServerEngine {
     /// The response message to `query` as asked by a client at `src`.
     pub fn answer(&self, src: IpAddr, query: &Message) -> Message {
         with_thread_scratch(|scratch| {
-            self.assemble(src, query, &mut scratch.assembly);
+            Self::render(query, self.select(src, query), &mut scratch.assembly);
             scratch.assembly.response.clone()
         })
     }

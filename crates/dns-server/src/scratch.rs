@@ -33,16 +33,27 @@ pub(crate) struct Assembly {
     pub(crate) answer: Answer,
     /// The response message under assembly.
     pub(crate) response: Message,
+    /// The encoder state the response is encoded in; a reply copied
+    /// from a zone's precompiled tail is written into its buffer too.
     pub(crate) encode: EncodeScratch,
-    /// The one reply that is written rather than encoded: the bare
-    /// FORMERR header.
+    /// The one reply that is written rather than encoded or copied: the
+    /// bare FORMERR header.
     pub(crate) raw: Vec<u8>,
+    /// Whether the last reply was copied from a precompiled tail.
+    pub(crate) from_tail: bool,
 }
 
 impl AnswerScratch {
     /// An empty scratch; the first few answers size its buffers.
     pub fn new() -> Self {
         AnswerScratch::default()
+    }
+
+    /// Whether the reply last answered through this scratch was copied
+    /// from a zone's precompiled tail (a referral or a name error)
+    /// rather than rendered and encoded.
+    pub fn served_from_tail(&self) -> bool {
+        self.parsed && self.assembly.from_tail
     }
 
     /// The RRL "slip" reply to the query last answered through this

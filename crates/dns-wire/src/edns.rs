@@ -55,6 +55,16 @@ impl Edns {
         }
     }
 
+    /// The EDNS of a response to a query that carries this one: this
+    /// server's payload size, version 0, the query's DO bit, no options.
+    pub(crate) fn answering(&self) -> Edns {
+        Edns {
+            udp_payload: DEFAULT_UDP_PAYLOAD,
+            dnssec_ok: self.dnssec_ok,
+            ..Default::default()
+        }
+    }
+
     /// Render this EDNS state as the OPT record that carries it.
     pub fn to_record(&self) -> Record {
         let ttl = ((self.ext_rcode_high as u32) << 24)

@@ -31,6 +31,7 @@ pub mod name;
 pub mod rdata;
 pub mod record;
 pub mod scratch;
+pub mod tail;
 pub mod text;
 pub mod types;
 pub mod wire;
@@ -41,5 +42,6 @@ pub use name::{Name, NameError};
 pub use rdata::{RData, Rrsig, Soa};
 pub use record::Record;
 pub use scratch::EncodeScratch;
+pub use tail::Tail;
 pub use types::{Opcode, Rcode, RecordClass, RecordType, Transport};
 pub use wire::{WireError, WireReader, WireWriter};

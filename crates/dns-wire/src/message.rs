@@ -156,11 +156,7 @@ impl Message {
         resp.answers.clear();
         resp.authorities.clear();
         resp.additionals.clear();
-        resp.edns = self.edns.as_ref().map(|e| Edns {
-            udp_payload: crate::edns::DEFAULT_UDP_PAYLOAD,
-            dnssec_ok: e.dnssec_ok,
-            ..Default::default()
-        });
+        resp.edns = self.edns.as_ref().map(Edns::answering);
     }
 
     /// The first (usually only) question.

@@ -31,6 +31,11 @@ impl EncodeScratch {
             q_ends: Vec::new(),
         }
     }
+
+    /// The bytes of the message last written into this scratch.
+    pub fn written(&self) -> &[u8] {
+        self.w.bytes()
+    }
 }
 
 impl Default for EncodeScratch {

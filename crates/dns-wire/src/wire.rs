@@ -54,6 +54,9 @@ pub struct WireWriter {
     suffixes: Suffixes,
     /// Whether to emit compression pointers at all.
     compress: bool,
+    /// Where each compression pointer was written, while a tail is
+    /// compiled ([`crate::Tail`]); `None` everywhere else.
+    pointers: Option<Vec<u16>>,
 }
 
 impl WireWriter {
@@ -63,7 +66,33 @@ impl WireWriter {
             buf: Vec::with_capacity(512),
             suffixes: Suffixes::default(),
             compress: true,
+            pointers: None,
         }
+    }
+
+    /// From here on, note the offset of every compression pointer
+    /// written, for [`WireWriter::take_pointers`].
+    pub(crate) fn log_pointers(&mut self) {
+        self.pointers = Some(Vec::new());
+    }
+
+    /// The offsets of the pointers written since
+    /// [`WireWriter::log_pointers`], in order; logging stops.
+    pub(crate) fn take_pointers(&mut self) -> Vec<u16> {
+        self.pointers.take().unwrap_or_default()
+    }
+
+    /// The offsets this message's compression table holds: where each
+    /// suffix a later name may point at begins, in no order.
+    pub(crate) fn suffix_offsets(&self) -> impl Iterator<Item = usize> + '_ {
+        let slots = &self.suffixes.slots;
+        let slot = move |&i: &u32| slots.get(i as usize).map(|&s| usize::from(s as u16));
+        self.suffixes.filled.iter().filter_map(slot)
+    }
+
+    /// Whether the name written at `at`, pointers followed, is `name`.
+    pub(crate) fn holds_at(&self, at: usize, name: &Name) -> bool {
+        written_at(&self.buf, at, name.labels())
     }
 
     /// Clear the output buffer and the compression table, keeping
@@ -161,6 +190,9 @@ impl WireWriter {
                 .suffixes
                 .find(key, |at| written_at(buf, at, name.labels().skip(i)));
             if let Some(at) = hit {
+                if let Some(log) = &mut self.pointers {
+                    log.push(self.buf.len() as u16);
+                }
                 self.put_u16(0xc000 | at);
                 return;
             }

@@ -33,8 +33,10 @@ impl Catalog {
         Catalog::default()
     }
 
-    /// Add (or replace) a zone.
-    pub fn insert(&mut self, zone: Zone) {
+    /// Add (or replace) a zone, loaded for serving: its reply tails are
+    /// compiled here, once ([`crate::tail`]).
+    pub fn insert(&mut self, mut zone: Zone) {
+        zone.compile_tails();
         self.zones.insert(zone.origin().clone(), Arc::new(zone));
     }
 

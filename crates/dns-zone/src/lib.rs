@@ -15,13 +15,15 @@ pub mod dnssec;
 pub mod lookup;
 pub mod master;
 pub mod rrset;
+pub mod tail;
 pub mod view;
 pub mod zone;
 
 pub use catalog::Catalog;
 pub use dnssec::{sign_zone, SignConfig, SignedZone};
-pub use lookup::{lookup, lookup_into, Answer, AnswerKind};
+pub use lookup::{lookup, lookup_into, lookup_walk_into, Answer, AnswerKind};
 pub use master::{parse_records, parse_zone, write_zone, MasterError};
 pub use rrset::RRset;
+pub use tail::pick_tail;
 pub use view::{ClientMatch, View, ViewSet};
 pub use zone::{Node, Walk, Zone, ZoneError};

@@ -12,7 +12,8 @@
 
 use dns_wire::{Message, Name, Question, RData, Rcode, Record, RecordType};
 
-use crate::zone::{Walk, Zone};
+use crate::rrset::RRset;
+use crate::zone::{Node, Walk, Zone};
 
 /// The semantic category of an authoritative answer, before rendering
 /// into a message. Exposed so tests and the resolver can assert on
@@ -114,22 +115,27 @@ pub fn lookup(zone: &Zone, question: &Question) -> Answer {
 /// and the three sections are refilled in place, so an `Answer` that is
 /// looked up into again and again stops allocating for them.
 pub fn lookup_into(zone: &Zone, question: &Question, out: &mut Answer) {
+    lookup_walk_into(zone, zone.walk(&question.name), question, out);
+}
+
+/// [`lookup_into`] from `walk`, what [`Zone::walk`] returned for the
+/// question's name: a caller that has walked already (the server, to
+/// pick a precompiled tail) does not walk again.
+pub fn lookup_walk_into(
+    zone: &Zone,
+    walk: Option<Walk<'_>>,
+    question: &Question,
+    out: &mut Answer,
+) {
     out.answers.clear();
     out.authorities.clear();
     out.additionals.clear();
     // One walk per name asked about: it finds a cut that shadows the
     // name, the name's node, or where the match stops.
-    let mut walk = match zone.walk(&question.name) {
+    let mut walk = match walk {
         None => return out.head(AnswerKind::NxDomain, Rcode::Refused, false),
         Some(Walk::Cut { cut, node, ns }) => {
-            out.authorities.extend(ns.records());
-            // DS at the cut proves (un)signed delegation when present.
-            for ty in [RecordType::DS, RecordType::RRSIG] {
-                if let Some(set) = node.get(ty) {
-                    out.authorities.extend(set.records());
-                }
-            }
-            glue_for(zone, &out.authorities, &mut out.additionals);
+            referral(zone, node, ns, &mut out.authorities, &mut out.additionals);
             let cut = cut.clone();
             return out.head(AnswerKind::Referral { cut }, Rcode::NoError, false);
         }
@@ -221,7 +227,7 @@ fn answer_at_name(
 }
 
 fn answer_at_node(
-    node: &crate::zone::Node,
+    node: &Node,
     qtype: RecordType,
     owner: &Name,
     answers: &mut Vec<Record>,
@@ -263,7 +269,7 @@ fn answer_at_node(
 
 /// Attach the RRSIG covering `covered` at this node, if present.
 fn append_covering_rrsig(
-    node: &crate::zone::Node,
+    node: &Node,
     covered: RecordType,
     owner: &Name,
     answers: &mut Vec<Record>,
@@ -280,9 +286,28 @@ fn append_covering_rrsig(
     }
 }
 
+/// The sections of a referral to the cut at `node`: its NS RRset, then
+/// DS and RRSIG when present (DS proves a signed delegation), and the
+/// glue for in-zone NS targets.
+pub(crate) fn referral(
+    zone: &Zone,
+    node: &Node,
+    ns: &RRset,
+    authorities: &mut Vec<Record>,
+    additionals: &mut Vec<Record>,
+) {
+    authorities.extend(ns.records());
+    for ty in [RecordType::DS, RecordType::RRSIG] {
+        if let Some(set) = node.get(ty) {
+            authorities.extend(set.records());
+        }
+    }
+    glue_for(zone, authorities, additionals);
+}
+
 /// The authority section of a negative (NoData/NXDOMAIN) answer about
 /// `qname`: SOA, plus NSEC when present.
-fn negative(zone: &Zone, qname: &Name, authorities: &mut Vec<Record>) {
+pub(crate) fn negative(zone: &Zone, qname: &Name, authorities: &mut Vec<Record>) {
     // The SOA, its TTL and its signature all come from one apex probe.
     if let Some(apex) = zone.node(zone.origin()) {
         if let Some(soa) = apex.get(RecordType::SOA) {

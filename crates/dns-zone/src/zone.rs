@@ -22,6 +22,7 @@ use std::collections::BTreeMap;
 use dns_wire::{Name, RData, Record, RecordType, Soa};
 
 use crate::rrset::RRset;
+use crate::tail::Tails;
 
 /// Errors constructing a zone.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,11 +54,23 @@ impl std::fmt::Display for ZoneError {
 impl std::error::Error for ZoneError {}
 
 /// All RRsets at one owner name.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 pub struct Node {
     /// RRsets keyed by type.
     pub rrsets: BTreeMap<u16, RRset>,
+    /// At a zone cut, the index of its referral's tails in the zone's
+    /// compiled [`Tails`]; 0 elsewhere (slot 0 is the name error's).
+    pub(crate) tail: u32,
 }
+
+/// Equal RRsets: the tail index is derived from them.
+impl PartialEq for Node {
+    fn eq(&self, other: &Self) -> bool {
+        self.rrsets == other.rrsets
+    }
+}
+
+impl Eq for Node {}
 
 impl Node {
     /// RRset of `rtype` at this node, if present.
@@ -104,21 +117,36 @@ pub enum Walk<'z> {
 /// docs): [`Zone::walk`] is one `BTreeMap` probe per label below the
 /// apex, [`Zone::covering_nsec`] and [`Zone::wildcard_below`] one probe
 /// each, never a walk of the zone.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Zone {
     origin: Name,
-    nodes: BTreeMap<Name, Node>,
+    pub(crate) nodes: BTreeMap<Name, Node>,
     /// How many nodes hold an NSEC RRset. A function of `nodes` (kept
-    /// by `insert` and `strip_dnssec`), so the derived `PartialEq` is
-    /// still equality of contents; zero lets an unsigned zone skip the
-    /// covering-NSEC search altogether.
-    nsec_nodes: usize,
+    /// by `insert` and `strip_dnssec`), so equality need not compare
+    /// it; zero lets an unsigned zone skip the covering-NSEC search
+    /// altogether.
+    pub(crate) nsec_nodes: usize,
     /// Each name with a `*` child, mapped to that child's owner name.
     /// A function of `nodes` like `nsec_nodes`, kept by the same two
     /// methods: the wildcard probe is a lookup by the closest encloser,
     /// and a zone without wildcards answers it from the empty map.
     wildcards: BTreeMap<Name, Name>,
+    /// The compiled reply tails ([`Zone::compile_tails`]): slot 0 the
+    /// name error's, then one per zone cut, found from the cut's node.
+    /// Emptied by every edit, so a tail never outlives the records it
+    /// was compiled from.
+    pub(crate) tails: Vec<Tails>,
 }
+
+/// Equal contents: the NSEC count, the wildcard map and the tails are
+/// all derived from them.
+impl PartialEq for Zone {
+    fn eq(&self, other: &Self) -> bool {
+        self.origin == other.origin && self.nodes == other.nodes
+    }
+}
+
+impl Eq for Zone {}
 
 impl Zone {
     /// Empty zone rooted at `origin`.
@@ -128,6 +156,7 @@ impl Zone {
             nodes: BTreeMap::new(),
             nsec_nodes: 0,
             wildcards: BTreeMap::new(),
+            tails: Vec::new(),
         }
     }
 
@@ -143,6 +172,7 @@ impl Zone {
                 name: rec.name.to_string(),
             });
         }
+        self.tails.clear();
         let rtype = rec.rdata.record_type();
         let node = self.nodes.entry(rec.name.clone()).or_default();
         // CNAME exclusivity (RFC 1034 §3.6.2); DNSSEC types may coexist.
@@ -306,6 +336,7 @@ impl Zone {
     /// *kept*: they are delegation data owned by this zone's operator,
     /// not an artifact of signing, and re-signing must preserve them.
     pub fn strip_dnssec(&mut self) {
+        self.tails.clear();
         for node in self.nodes.values_mut() {
             node.rrsets.retain(|&t, _| {
                 let ty = RecordType::from_u16(t);
