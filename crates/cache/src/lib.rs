@@ -46,12 +46,14 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
+pub mod answer;
 pub mod negative;
 pub mod outstanding;
 pub mod policy;
 pub mod records;
 pub mod store;
 
+pub use answer::AnswerBytes;
 pub use negative::negative_ttl;
 pub use outstanding::{Completed, OutstandingStats, OutstandingTable, WaiterSlot};
 pub use policy::PolicyKind;

@@ -17,8 +17,9 @@
 //! order is read from the table: it is only ever asked one key at a
 //! time, and the eviction index is built from a walk of its entries in
 //! entry order into sets. An entry holds a positive
-//! answer as a [`RecordList`]: one record in the entry itself, two or
-//! more in a `Vec`. The table's length is the resident count. A
+//! answer in wire form, an [`AnswerBytes`] encoded after the entry's
+//! key: a reply copies it, and a short one sits in the entry itself.
+//! The table's length is the resident count. A
 //! `(rank, slot)` ordered index realizes the eviction order; `slot` is a monotone
 //! insertion counter that makes ranks unique and resolves back to the
 //! owning key through a side map. A probe of the entries is O(1)
@@ -35,17 +36,17 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use dns_wire::{Name, Rcode, RecordType};
+use dns_wire::{EncodeScratch, Name, Rcode, Record, RecordType};
 use ldp_rng::{KeyTable, Probe};
 
-use crate::{CacheConfig, PolicyKind, PrefetchConfig, RecordList};
+use crate::{AnswerBytes, CacheConfig, PolicyKind, PrefetchConfig};
 
 /// A cached outcome for a (name, type) question.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CachedAnswer {
-    /// Positive answer records (answer-section records, CNAMEs included),
-    /// one of them held in the entry itself.
-    Positive(RecordList),
+    /// Positive answer records (answer-section records, CNAMEs included)
+    /// in wire form, encoded after a question about the entry's key.
+    Positive(AnswerBytes),
     /// Negative result with the rcode to reproduce (NXDOMAIN or NODATA
     /// as NoError-with-no-answers).
     Negative(Rcode),
@@ -213,6 +214,9 @@ pub struct ResolverCache {
     next_slot: u64,
     budget: PrefetchBudget,
     stats: CacheStats,
+    /// What [`ResolverCache::put_positive`] encodes with, made at its
+    /// first use.
+    encode: Option<EncodeScratch>,
 }
 
 impl ResolverCache {
@@ -228,6 +232,7 @@ impl ResolverCache {
             next_slot: 0,
             budget,
             stats: CacheStats::default(),
+            encode: None,
         }
     }
 
@@ -295,26 +300,45 @@ impl ResolverCache {
     /// Insert a positive answer; the effective TTL is the minimum
     /// record TTL, clamped per RFC 2181 §8 (31-bit bound → 0, then the
     /// configured `[min_ttl, max_ttl]` window). Empty or already-expired
-    /// sets (effective TTL 0) are rejected, never inserted.
+    /// sets (effective TTL 0) are rejected, never inserted. The records
+    /// are encoded after a question about `name` and kept in that form.
     pub fn put_positive(
         &mut self,
         name: &Name,
         qtype: RecordType,
-        records: impl Into<RecordList>,
+        records: impl AsRef<[Record]>,
         now: f64,
         fill: FillInfo,
     ) -> PutOutcome {
-        let records = records.into();
-        let Some(raw) = records.iter().map(|r| r.ttl).min() else {
+        let records = records.as_ref();
+        let ttl = records.iter().map(|r| r.ttl).min();
+        let Some(ttl) = ttl.filter(|&ttl| self.clamp_positive_ttl(ttl) > 0) else {
             self.stats.rejected += 1;
             return PutOutcome::default();
         };
-        let ttl = self.clamp_positive_ttl(raw);
-        if ttl == 0 {
+        let scratch = self.encode.get_or_insert_with(EncodeScratch::new);
+        let answer = AnswerBytes::compile(name, records, scratch);
+        self.put_answer(name, qtype, answer, ttl, now, fill)
+    }
+
+    /// [`put_positive`](Self::put_positive) of records already encoded
+    /// after a question about `name` ([`AnswerBytes::compile`]), the
+    /// least of whose TTLs is `min_ttl`.
+    pub fn put_answer(
+        &mut self,
+        name: &Name,
+        qtype: RecordType,
+        answer: AnswerBytes,
+        min_ttl: u32,
+        now: f64,
+        fill: FillInfo,
+    ) -> PutOutcome {
+        let ttl = self.clamp_positive_ttl(min_ttl);
+        if answer.count() == 0 || ttl == 0 {
             self.stats.rejected += 1;
             return PutOutcome::default();
         }
-        self.insert(name, qtype, CachedAnswer::Positive(records), ttl, now, fill)
+        self.insert(name, qtype, CachedAnswer::Positive(answer), ttl, now, fill)
     }
 
     /// Insert a negative answer (RFC 2308). `soa_ttl` is the TTL
@@ -514,13 +538,13 @@ fn clamp_rfc2181(ttl: u32) -> u32 {
 pub(crate) mod reference {
     use std::collections::{btree_map, BTreeMap, BTreeSet};
 
-    use dns_wire::{Name, Rcode, Record, RecordType};
+    use dns_wire::{EncodeScratch, Name, Rcode, Record, RecordType};
 
     use super::{
         clamp_rfc2181, CacheStats, CachedAnswer, Entry, EntryMeta, FillInfo, PrefetchBudget,
         PutOutcome,
     };
-    use crate::{CacheConfig, PolicyKind};
+    use crate::{AnswerBytes, CacheConfig, PolicyKind};
 
     #[derive(Debug)]
     pub struct ResolverCache {
@@ -613,8 +637,8 @@ pub(crate) mod reference {
                 self.stats.rejected += 1;
                 return PutOutcome::default();
             }
-            let records = CachedAnswer::Positive(records.into());
-            self.insert(name, qtype, records, ttl, now, fill)
+            let answer = AnswerBytes::compile(name, &records, &mut EncodeScratch::new());
+            self.insert(name, qtype, CachedAnswer::Positive(answer), ttl, now, fill)
         }
 
         pub fn put_negative(

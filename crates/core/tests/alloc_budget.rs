@@ -15,10 +15,11 @@ use std::cell::Cell;
 use std::net::{IpAddr, SocketAddr};
 use std::sync::{Arc, Mutex};
 
-use dns_resolver::{ResolverSnapshot, SimResolver};
+use dns_resolver::{AnswerBytes, FillInfo, ResolverCache, ResolverSnapshot, SimResolver};
 use dns_server::{AnswerScratch, ServerEngine, SimDnsServer};
 use dns_wire::{
-    Edns, Message, Name, RData, Rcode, Record, RecordType, Soa, Transport, WireError, WireReader,
+    Edns, EncodeScratch, Message, Name, RData, Rcode, Record, RecordType, Soa, Transport,
+    WireError, WireReader,
 };
 use dns_zone::{Catalog, Zone};
 use ldp_core::synthetic_root_zone;
@@ -357,6 +358,31 @@ impl Host for TallyStub {
     }
 }
 
+/// A trace's timers scheduled after `reserve_events` of their count
+/// grow no queue: the slab is sized once, not doubled up to the trace
+/// (16 allocations for 100,000 timers without the reserve).
+#[test]
+fn a_reserved_trace_schedules_without_growing_the_event_queue() {
+    const TIMERS: usize = 100_000;
+    let mut sim = Simulator::new(Topology::default(), SimConfig::default());
+    let addr: SocketAddr = "10.9.0.1:53".parse().unwrap();
+    let stub = TallyStub {
+        addr,
+        resolver: addr,
+        queries: Vec::new(),
+        want: (0, 0),
+        tally: Arc::new(Mutex::new((0, 0))),
+    };
+    let host = sim.add_host(&[addr.ip()], Box::new(stub));
+    sim.reserve_events(TIMERS);
+    let (allocs, ()) = allocations(|| {
+        for i in 0..TIMERS {
+            sim.schedule_timer(host, SimTime::from_micros(10 * i as u64), i as u64);
+        }
+    });
+    assert_eq!(allocs, 0, "scheduling {TIMERS} reserved timers allocated");
+}
+
 /// Allocations in `run_until` under a pre-scheduled trace: 100,000
 /// driver-lane timers 10 µs apart, timer `i` making stub `i % n` send
 /// one datagram to its own sink over a path of `rtts_ms[i % n]`, so
@@ -431,7 +457,8 @@ fn deliveries_over_three_paths_beside_a_trace_allocate_nothing() {
 /// Allocations per warmed cache hit through `stub → Simulator →
 /// SimResolver`, as (allocations, hits): `NAMES` names under
 /// `example.` are resolved once each against a server that has a `h<i>`
-/// address for each (so `junk<i>` is NXDOMAIN, cached for the SOA's
+/// address for each, three addresses for each `m<i>` and an alias
+/// `c<i>` of each `h<i>` (so `junk<i>` is NXDOMAIN, cached for the SOA's
 /// hour), then asked `HITS` more times in rotation while the counter
 /// runs. `want` is the reply every hit must be.
 fn resolver_hit_budget(label: &str, want: (Rcode, u16)) -> (u64, u64) {
@@ -452,6 +479,14 @@ fn resolver_hit_budget(label: &str, want: (Rcode, u16)) -> (u64, u64) {
     for i in 0..NAMES {
         let addr = RData::A([192, 0, 2, i as u8].into());
         zone.insert(Record::new(n(&format!("h{i}.example")), 3600, addr))
+            .unwrap();
+        for j in 0..3 {
+            let addr = RData::A([198, 51, j, i as u8].into());
+            zone.insert(Record::new(n(&format!("m{i}.example")), 3600, addr))
+                .unwrap();
+        }
+        let alias = RData::Cname(n(&format!("h{i}.example")));
+        zone.insert(Record::new(n(&format!("c{i}.example")), 3600, alias))
             .unwrap();
     }
     let mut catalog = Catalog::new();
@@ -506,10 +541,10 @@ fn resolver_hit_budget(label: &str, want: (Rcode, u16)) -> (u64, u64) {
 
 /// The in-tree mirror of the benchmark's `allocs_per_query` on
 /// `rec_hot`, where ≈ 98 % of stub queries are cache hits: a hit
-/// allocates nothing — the qname is decoded in place, the cached
-/// records are read where they lie, the reply packet is pooled, the
-/// stub here sends shared packets, and the cache, which is unbounded,
-/// never builds an eviction index to reorder (457 allocations in these
+/// allocates nothing — the qname is decoded in place, the entry's
+/// wire-form answer is copied into the reply, the reply packet is
+/// pooled, the stub here sends shared packets, and the cache, which is
+/// unbounded, never builds an eviction index to reorder (457 allocations in these
 /// 3,200 hits when it kept one from the start).
 #[test]
 fn a_warmed_cache_hit_stays_within_its_budget() {
@@ -523,6 +558,38 @@ fn a_negative_cache_hit_stays_within_its_budget() {
     let (allocs, hits) = resolver_hit_budget("junk", (Rcode::NxDomain, 0));
     assert_eq!(hits, 3_200);
     assert_eq!(allocs, 0, "{allocs} allocations for {hits} negative hits");
+}
+
+/// A hit on an entry of three addresses, or on an alias and the address
+/// it leads to, is written from the entry's wire form like a one-record
+/// hit: it allocates nothing. Compiling a one- or two-record answer into
+/// a warmed scratch, and putting it over the entry it refreshes, takes
+/// no heap block either: the bytes sit in the entry.
+#[test]
+fn hits_on_multi_record_and_cname_entries_and_a_one_record_put_allocate_nothing() {
+    for (label, answers) in [("m", 3), ("c", 2)] {
+        let (allocs, hits) = resolver_hit_budget(label, (Rcode::NoError, answers));
+        assert_eq!(hits, 3_200);
+        assert_eq!(allocs, 0, "{allocs} allocations for {hits} `{label}` hits");
+    }
+    let key = n("h1.example");
+    let address = Record::new(key.clone(), 300, RData::A([192, 0, 2, 1].into()));
+    let alias = Record::new(key.clone(), 300, RData::Cname(n("h2.example")));
+    let aliased = Record::new(n("h2.example"), 300, RData::A([192, 0, 2, 2].into()));
+    let mut cache = ResolverCache::unbounded();
+    let mut scratch = EncodeScratch::new();
+    let fill = FillInfo::default();
+    for records in [vec![address], vec![alias, aliased]] {
+        let warm = AnswerBytes::compile(&key, &records, &mut scratch);
+        cache.put_answer(&key, RecordType::A, warm, 300, 0.0, fill);
+        let (allocs, out) = allocations(|| {
+            let answer = AnswerBytes::compile(&key, &records, &mut scratch);
+            assert!(answer.is_inline());
+            cache.put_answer(&key, RecordType::A, answer, 300, 1.0, fill)
+        });
+        assert!(out.inserted);
+        assert_eq!(allocs, 0, "a {}-record put allocated", records.len());
+    }
 }
 
 /// A zone at `origin`: an SOA (negative answers cached for an hour)

@@ -82,7 +82,7 @@ pub(crate) struct Walk {
     /// [`ResolveCore::start`] and by each referral followed.
     cut: Name,
     /// Answer records, CNAME chain included, in the order received: the
-    /// list a cache entry keeps.
+    /// records a cache entry is encoded from.
     pub answers: RecordList,
     cname_hops: u8,
     referrals: u8,
@@ -1096,7 +1096,7 @@ mod reference {
                 return Ok(match hit {
                     CachedAnswer::Positive(answers) => Resolution {
                         rcode: Rcode::NoError,
-                        answers: answers.into_vec(),
+                        answers: answers.records(qname).unwrap(),
                         upstream_queries: 0,
                         from_cache: true,
                     },

@@ -97,7 +97,11 @@ impl IterativeResolver {
         let key = walk.qname.clone();
         if let Some(hit) = self.cache.get(&key, walk.qtype, now) {
             let (rcode, answers) = match hit {
-                CachedAnswer::Positive(answers) => (Rcode::NoError, answers.into_vec()),
+                CachedAnswer::Positive(answers) => {
+                    let records = answers.records(&key);
+                    let records = records.map_err(|_| ResolveError::Lame("a cached answer"))?;
+                    (Rcode::NoError, records)
+                }
                 CachedAnswer::Negative(rcode) => (rcode, vec![]),
             };
             return Ok(Resolution {

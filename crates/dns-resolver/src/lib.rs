@@ -17,7 +17,9 @@ pub mod sim_resolver;
 
 pub use iterative::{IterativeResolver, Resolution, ResolveError, Upstream};
 pub use ldp_cache::{
-    negative_ttl, CacheConfig, CacheStats, CachedAnswer, FillInfo, PolicyKind, PrefetchConfig,
-    PutOutcome, RecordList, ResolverCache,
+    negative_ttl, AnswerBytes, CacheConfig, CacheStats, CachedAnswer, FillInfo, PolicyKind,
+    PrefetchConfig, PutOutcome, RecordList, ResolverCache,
 };
-pub use sim_resolver::{AnswerClass, AnswerEvent, ResolverSnapshot, ResolverStats, SimResolver};
+pub use sim_resolver::{
+    AnswerClass, AnswerEvent, ResolverSnapshot, ResolverStats, SimResolver, StubHead,
+};

@@ -36,8 +36,8 @@ use dns_wire::{
     RecordType,
 };
 use ldp_cache::{
-    CacheConfig, CacheStats, CachedAnswer, Completed, FillInfo, OutstandingStats, OutstandingTable,
-    ResolverCache, WaiterSlot,
+    AnswerBytes, CacheConfig, CacheStats, CachedAnswer, Completed, FillInfo, OutstandingStats,
+    OutstandingTable, ResolverCache, WaiterSlot,
 };
 use ldp_rng::{ByHash, KeyHash, SampleUniform};
 use ldp_telemetry::Kind;
@@ -63,7 +63,7 @@ enum Waiter {
 /// waiter never sees a later query's id or flags; the question is the
 /// task's key, so a waiter holds no name and nothing on the heap.
 #[derive(Debug, Clone, Copy)]
-struct StubHead {
+pub struct StubHead {
     id: u16,
     recursion_desired: bool,
     opcode: Opcode,
@@ -72,7 +72,8 @@ struct StubHead {
 }
 
 impl StubHead {
-    fn of(query: &Message) -> StubHead {
+    /// The head of `query`.
+    pub fn of(query: &Message) -> StubHead {
         StubHead {
             id: query.id,
             recursion_desired: query.flags.recursion_desired,
@@ -105,11 +106,67 @@ impl StubHead {
         resp.answers.clear();
         resp.authorities.clear();
         resp.additionals.clear();
-        resp.edns = self.dnssec_ok.map(|dnssec_ok| Edns {
+        resp.edns = self.edns();
+    }
+
+    /// The EDNS of a reply to the query: this resolver's payload size
+    /// and the query's DO bit, when the query has EDNS.
+    fn edns(&self) -> Option<Edns> {
+        self.dnssec_ok.map(|dnssec_ok| Edns {
             udp_payload: DEFAULT_UDP_PAYLOAD,
             dnssec_ok,
             ..Edns::default()
-        });
+        })
+    }
+
+    /// The reply to a cache hit on `qname` and `qtype`, the hit's own
+    /// question: [`StubHead::write_reply`] of the entry.
+    pub fn write_hit<'s>(
+        &self,
+        qname: &Name,
+        qtype: RecordType,
+        hit: &CachedAnswer,
+        scratch: &'s mut EncodeScratch,
+    ) -> &'s [u8] {
+        let (rcode, answers) = match hit {
+            CachedAnswer::Positive(answers) => (Rcode::NoError, Some(answers)),
+            CachedAnswer::Negative(rcode) => (*rcode, None),
+        };
+        self.write_reply(qname, qtype, rcode, answers, scratch)
+    }
+
+    /// The reply `ResolveScratch::stub_reply` builds for the query this
+    /// head was taken from, about `qname` and `qtype`, with RA, `rcode`
+    /// and `answers`, written from their wire form: the header, the
+    /// question, the bytes `answers` were compiled to after a question
+    /// about `qname` (so their pointers hold as they are) and the OPT
+    /// record. No message is built and no compression table is kept.
+    pub fn write_reply<'s>(
+        &self,
+        qname: &Name,
+        qtype: RecordType,
+        rcode: Rcode,
+        answers: Option<&AnswerBytes>,
+        scratch: &'s mut EncodeScratch,
+    ) -> &'s [u8] {
+        let (count, bytes) = answers.map_or((0, &[][..]), |a| (a.count(), a.bytes()));
+        let opt = self.edns();
+        let w = scratch.writer();
+        w.put_u16(self.id);
+        let opcode = u16::from(self.opcode.to_u8()) << 11;
+        let rd = u16::from(self.recursion_desired) << 8;
+        w.put_u16(0x8000 | opcode | rd | 0x0080 | u16::from(rcode.low_bits()));
+        for count in [1, count, 0, u16::from(opt.is_some())] {
+            w.put_u16(count);
+        }
+        w.put_name_uncompressed(qname);
+        w.put_u16(qtype.to_u16());
+        w.put_u16(self.qclass.to_u16());
+        w.put_bytes(bytes);
+        if let Some(edns) = opt {
+            edns.encode_opt(w, rcode.high_bits());
+        }
+        scratch.written()
     }
 }
 
@@ -132,11 +189,13 @@ struct ResolveScratch {
 }
 
 impl ResolveScratch {
-    /// The one place a stub reply is built: the response to the query
-    /// `head` was taken from, about `question` — the query's own, or the
-    /// key of the task it parked on — with RA, rcode and the answer
-    /// section set, encoded. A query with two questions is answered
-    /// about its first.
+    /// The generic stub reply: the response to the query `head` was
+    /// taken from, about `question` — the query's own, or the key of the
+    /// task it parked on — with RA, rcode and the answer section set,
+    /// encoded. A query with two questions is answered about its first.
+    /// A query without a question is answered from here; every other
+    /// reply is written from wire form ([`StubHead::write_reply`]) and
+    /// held to this one byte for byte.
     fn stub_reply(
         &mut self,
         head: &StubHead,
@@ -485,14 +544,7 @@ impl SimResolver {
         if let Some((hit, in_prefetch_window)) = self.cache.lookup(&qname, qtype, now) {
             self.stats.cache_hits += 1;
             ctx.mark(Kind::RsvCacheHit, self.next_task, 0);
-            let (rcode, answers) = match hit {
-                CachedAnswer::Positive(records) => (Rcode::NoError, records.as_slice()),
-                CachedAnswer::Negative(rcode) => (*rcode, &[][..]),
-            };
-            let question = Some((&qname, qtype));
-            let reply = self
-                .scratch
-                .stub_reply(&head, question, true, rcode, answers);
+            let reply = head.write_hit(&qname, qtype, hit, &mut self.scratch.encode);
             ctx.send_udp(self.addr, from, reply);
             self.answered(ctx.now().as_nanos(), head.id, AnswerClass::Hit, 0);
             // Hot-name refresh: if this entry is inside its prefetch
@@ -583,7 +635,9 @@ impl SimResolver {
     /// arrival (counted in `delayed_hits` at join time). A failed
     /// resolution answers them all SERVFAIL. A parked task goes on with
     /// the addresses in `answers`, or fails with the resolution. Each
-    /// reply's question is the task's key.
+    /// reply's question is the task's key, and its answer section is
+    /// `answers` compiled once after it, as a cache entry holds them:
+    /// returned, for the cache.
     fn fan_out<'w>(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -592,10 +646,12 @@ impl SimResolver {
         waiters: impl Iterator<Item = &'w WaiterSlot<Waiter>>,
         rcode: Rcode,
         answers: &[Record],
-    ) {
+    ) -> Option<AnswerBytes> {
         let now = ctx.now().as_secs_f64();
         let now_ns = ctx.now().as_nanos();
-        let question = Some((&task.key_name, task.walk.qtype));
+        let (key, qtype) = (&task.key_name, task.walk.qtype);
+        let compiled = (!answers.is_empty())
+            .then(|| AnswerBytes::compile(key, answers, &mut self.scratch.encode));
         for (i, slot) in waiters.enumerate() {
             let (stub, head) = match &slot.waiter {
                 Waiter::Stub { stub, head } => (*stub, head),
@@ -616,12 +672,12 @@ impl SimResolver {
             if class == AnswerClass::DelayedHit {
                 ctx.mark(Kind::RsvDelayedHit, task_id, waited_ns);
             }
-            let bytes = self
-                .scratch
-                .stub_reply(head, question, true, rcode, answers);
+            let encode = &mut self.scratch.encode;
+            let bytes = head.write_reply(key, qtype, rcode, compiled.as_ref(), encode);
             ctx.send_udp(self.addr, stub, bytes);
             self.answered(now_ns, head.id, class, waited_ns);
         }
+        compiled
     }
 
     /// Take a task that is over, and its attempt's id, off the books.
@@ -647,8 +703,8 @@ impl SimResolver {
     }
 
     /// The resolution completed: fan the answer out to every waiter,
-    /// then fill the cache with it — the cache takes the walk's records,
-    /// nobody gets a copy.
+    /// then fill the cache with it — the cache takes the answer section
+    /// the replies were written from.
     fn finish(&mut self, ctx: &mut Ctx<'_>, task_id: u64, rcode: Rcode, neg_ttl: Option<u32>) {
         let Some(task) = self.retire(task_id) else {
             return;
@@ -662,10 +718,19 @@ impl SimResolver {
         };
         ctx.mark(Kind::RsvAnswer, task_id, u64::from(rcode.to_u16()));
         let waiters = done.iter().flat_map(Completed::waiters);
-        self.fan_out(ctx, task_id, &task, waiters, rcode, &task.walk.answers);
-        let out = task
-            .walk
-            .into_cache(&mut self.cache, &task.key_name, rcode, neg_ttl, now, fill);
+        let answers = &task.walk.answers;
+        let compiled = self.fan_out(ctx, task_id, &task, waiters, rcode, answers);
+        let (key, qtype) = (&task.key_name, task.walk.qtype);
+        let out = match compiled.filter(|_| rcode == Rcode::NoError) {
+            Some(answer) => {
+                let min_ttl = answers.iter().map(|r| r.ttl).min().unwrap_or(0);
+                self.cache
+                    .put_answer(key, qtype, answer, min_ttl, now, fill)
+            }
+            None => self
+                .cache
+                .put_negative(key, qtype, rcode, neg_ttl, now, fill),
+        };
         if out.evicted > 0 {
             self.stats.evictions += out.evicted as u64;
             ctx.mark(Kind::RsvEvict, task_id, out.evicted as u64);
@@ -713,10 +778,10 @@ impl SimResolver {
         let now = ctx.now().as_secs_f64();
         if let Some((hit, _)) = self.cache.lookup(&ns, RecordType::A, now) {
             let answers = match hit {
-                CachedAnswer::Positive(records) => records.as_slice(),
-                CachedAnswer::Negative(_) => &[],
+                CachedAnswer::Positive(answers) => answers.records(&ns).unwrap_or_default(),
+                CachedAnswer::Negative(_) => Vec::new(),
             };
-            let found = self.core.ns_resolved(zone, answers);
+            let found = self.core.ns_resolved(zone, &answers);
             return self.ask(ctx, parent, found);
         }
         let inflight = self.outstanding.token_of(&ns, RecordType::A);
@@ -2104,5 +2169,187 @@ mod tests {
                 }
             }
         });
+    }
+
+    /// The branches the hit-bytes property must each reach.
+    const HIT_BRANCHES: [&str; 13] = [
+        "one record",
+        "several records",
+        "a CNAME chain",
+        "an owner not the key",
+        "a qname longer than 29 canonical bytes",
+        "NXDOMAIN",
+        "NODATA",
+        "DO on",
+        "DO off",
+        "no EDNS",
+        "a class other than IN",
+        "two questions",
+        "a mixed-case qname",
+    ];
+
+    /// An entry's records for `key`: an address, several, a CNAME chain
+    /// to an address (its owners the key, then each target), or records
+    /// whose owner is not the key; each kind named in `seen`.
+    fn gen_entry_records(g: &mut Gen, key: &Name, seen: &mut Vec<&'static str>) -> Vec<Record> {
+        let addr = |g: &mut Gen, owner: &Name| {
+            let rdata = match g.below(3) {
+                0 => RData::Aaaa(
+                    [0x20, 1, 0xd, 0xb8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, g.u8()].into(),
+                ),
+                _ => RData::A([192, 0, 2, g.u8()].into()),
+            };
+            Record::new(owner.clone(), g.range(1..=7200) as u32, rdata)
+        };
+        let records = match g.below(4) {
+            0 => vec![addr(g, key)],
+            1 => (0..g.size(2..=4)).map(|_| addr(g, key)).collect(),
+            2 => {
+                seen.push("a CNAME chain");
+                let targets = ["cdn.example.net.", "edge.cdn.example.net.", "www.example."];
+                let hops = g.size(1..=3);
+                let mut owner = key.clone();
+                let mut chain = Vec::new();
+                for target in &targets[..hops] {
+                    let target = name(target);
+                    chain.push(Record::new(owner, 300, RData::Cname(target.clone())));
+                    owner = target;
+                }
+                chain.push(addr(g, &owner));
+                chain
+            }
+            _ => {
+                seen.push("an owner not the key");
+                let owners = ["elsewhere.example.", "example.", "cdn.example.net."];
+                let n = g.size(1..=4);
+                (0..n)
+                    .map(|_| {
+                        let owner = name(g.pick::<&str>(&owners));
+                        addr(g, &owner)
+                    })
+                    .collect()
+            }
+        };
+        seen.push(if records.len() == 1 {
+            "one record"
+        } else {
+            "several records"
+        });
+        records
+    }
+
+    /// Every reply written from an entry's wire form — a cache hit, or
+    /// a resolution's fan-out — is byte for byte the generic
+    /// `stub_reply` for the same head, question and records, over
+    /// generated queries and entries: 1–4 records, CNAME chains, owners
+    /// other than the key, qnames either side of the 29 canonical bytes
+    /// a name holds by value (the long ones shared views), NXDOMAIN and
+    /// NODATA entries, NXDOMAIN after a CNAME (a fan-out only), DO on,
+    /// off and absent, classes other than IN, two-question queries and
+    /// qnames whose case the wire mixes. One scratch writes every reply
+    /// and compiles every entry, as the resolver's does. Each branch is
+    /// taken at least five times.
+    #[test]
+    fn replies_from_wire_form_are_the_generic_replies() {
+        let tally = std::cell::RefCell::new(BTreeMap::<&str, u32>::new());
+        let scratch = std::cell::RefCell::new(ResolveScratch::default());
+        ldp_rng::check::check(256, |g| {
+            let mut seen = Vec::new();
+            let qname = *g.pick(&[
+                "www.example.",
+                "h7.example.",
+                "a-label-long-enough.to-be-shared.example.",
+                "x.y.z.w.deeper-than-a-name-holds-by-value.example.",
+            ]);
+            if qname.len() > 32 {
+                seen.push("a qname longer than 29 canonical bytes");
+            }
+            let qtype = *g.pick(&[RecordType::A, RecordType::AAAA, RecordType::MX]);
+            let mut query = Message::query(g.u16(), name(qname), qtype);
+            query.flags.recursion_desired = g.bool();
+            query.edns = match g.below(3) {
+                0 => None,
+                1 => Some(Edns::default()),
+                _ => Some(Edns::with_do()),
+            };
+            seen.push(match &query.edns {
+                None => "no EDNS",
+                Some(e) if e.dnssec_ok => "DO on",
+                Some(_) => "DO off",
+            });
+            if g.below(4) == 0 {
+                query.questions[0].qclass = *g.pick(&[RecordClass::CH, RecordClass::Unknown(7)]);
+                seen.push("a class other than IN");
+            }
+            if g.below(4) == 0 {
+                let second = Question::new(name("second.example."), RecordType::A);
+                query.questions.push(second);
+                seen.push("two questions");
+            }
+            let mut wire = query.encode();
+            if g.below(3) == 0 {
+                // Upper-case some of the qname's letters on the wire.
+                for b in wire.iter_mut().skip(12).take(qname.len()) {
+                    if b.is_ascii_lowercase() && g.bool() {
+                        b.make_ascii_uppercase();
+                    }
+                }
+                seen.push("a mixed-case qname");
+            }
+            let mut scratch = scratch.borrow_mut();
+            scratch.inbound.decode_into(&wire).unwrap();
+            let head = StubHead::of(&scratch.inbound);
+            let q = scratch.inbound.questions[0].clone();
+            // The entry's key is its own copy of the name, as a task's is.
+            let key = name(qname);
+            let (rcode, records) = match g.below(4) {
+                0 => {
+                    seen.push("NXDOMAIN");
+                    (Rcode::NxDomain, Vec::new())
+                }
+                1 => {
+                    seen.push("NODATA");
+                    (Rcode::NoError, Vec::new())
+                }
+                _ => (Rcode::NoError, gen_entry_records(g, &key, &mut seen)),
+            };
+            let question = Some((&q.name, q.qtype));
+            let want = scratch
+                .stub_reply(&head, question, true, rcode, &records)
+                .to_vec();
+            let entry = match records.is_empty() {
+                true => CachedAnswer::Negative(rcode),
+                false => CachedAnswer::Positive(AnswerBytes::compile(
+                    &key,
+                    &records,
+                    &mut scratch.encode,
+                )),
+            };
+            let got = head.write_hit(&q.name, q.qtype, &entry, &mut scratch.encode);
+            assert_eq!(got, &want[..], "{}", Message::decode(&want).unwrap());
+            // A fan-out: NXDOMAIN after the CNAME chain that led to it.
+            if let (CachedAnswer::Positive(answers), true) = (&entry, g.bool()) {
+                let want = scratch
+                    .stub_reply(&head, question, true, Rcode::NxDomain, &records)
+                    .to_vec();
+                let got = head.write_reply(
+                    &q.name,
+                    q.qtype,
+                    Rcode::NxDomain,
+                    Some(answers),
+                    &mut scratch.encode,
+                );
+                assert_eq!(got, &want[..]);
+            }
+            let mut tally = tally.borrow_mut();
+            for branch in seen {
+                *tally.entry(branch).or_default() += 1;
+            }
+        });
+        let tally = tally.into_inner();
+        for branch in HIT_BRANCHES {
+            let n = tally.get(branch).copied().unwrap_or(0);
+            assert!(n >= 5, "{branch}: {n} cases in {tally:?}");
+        }
     }
 }

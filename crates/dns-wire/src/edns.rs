@@ -118,37 +118,49 @@ impl Edns {
         if rec.rtype() != RecordType::OPT {
             return Err(WireError::Invalid("not an OPT record"));
         }
-        if !rec.name.is_root() {
-            return Err(WireError::Invalid("OPT owner must be root"));
-        }
-        let udp_payload = rec.class.to_u16();
-        let ttl = rec.ttl;
         let data = match &rec.rdata {
             RData::Unknown { data, .. } => data.as_slice(),
             _ => &[],
         };
-        let mut options = Vec::new();
-        let mut rest = data;
-        while !rest.is_empty() {
-            if rest.len() < 4 {
-                return Err(WireError::Truncated);
-            }
-            let code = u16::from_be_bytes([rest[0], rest[1]]);
-            let len = u16::from_be_bytes([rest[2], rest[3]]) as usize;
-            if rest.len() < 4 + len {
-                return Err(WireError::Truncated);
-            }
-            options.push((code, rest[4..4 + len].to_vec()));
-            rest = &rest[4 + len..];
+        let mut edns = Edns::default();
+        edns.read_opt(&rec.name, rec.class.to_u16(), rec.ttl, data)?;
+        Ok(edns)
+    }
+
+    /// Overwrite this state with an OPT record's owner, CLASS, TTL and
+    /// RDATA, read where they lie in a message: the options go into the
+    /// storage the last ones left. `Err` exactly where
+    /// [`Edns::from_record`] of the same record is; the state is then
+    /// unspecified.
+    pub(crate) fn read_opt(
+        &mut self,
+        owner: &Name,
+        udp_payload: u16,
+        ttl: u32,
+        data: &[u8],
+    ) -> Result<(), WireError> {
+        if !owner.is_root() {
+            return Err(WireError::Invalid("OPT owner must be root"));
         }
-        Ok(Edns {
-            udp_payload,
-            ext_rcode_high: (ttl >> 24) as u8,
-            version: (ttl >> 16) as u8,
-            dnssec_ok: ttl & 0x8000 != 0,
-            z: (ttl & 0x7fff) as u16,
-            options,
-        })
+        self.udp_payload = udp_payload;
+        self.ext_rcode_high = (ttl >> 24) as u8;
+        self.version = (ttl >> 16) as u8;
+        self.dnssec_ok = ttl & 0x8000 != 0;
+        self.z = (ttl & 0x7fff) as u16;
+        self.options.clear();
+        let mut rest = data;
+        while let [c0, c1, l0, l1, tail @ ..] = rest {
+            let len = usize::from(u16::from_be_bytes([*l0, *l1]));
+            let value = tail.get(..len).ok_or(WireError::Truncated)?;
+            self.options
+                .push((u16::from_be_bytes([*c0, *c1]), value.to_vec()));
+            rest = &tail[len..];
+        }
+        if rest.is_empty() {
+            Ok(())
+        } else {
+            Err(WireError::Truncated)
+        }
     }
 }
 

@@ -459,23 +459,38 @@ impl Message {
         };
         read_section(an, &mut self.answers)?;
         read_section(ns, &mut self.authorities)?;
-        read_section(ar, &mut self.additionals)?;
-        // Lift OPT out of additionals.
-        self.edns = None;
-        if let Some(idx) = self
-            .additionals
-            .iter()
-            .position(|rec| rec.rtype() == RecordType::OPT)
-        {
-            let opt = self.additionals.remove(idx);
-            self.edns = Some(Edns::from_record(&opt)?);
-            if self
-                .additionals
-                .iter()
-                .any(|rec| rec.rtype() == RecordType::OPT)
-            {
+        // The additional section: an OPT record is read straight into
+        // `edns`, over the options storage the last one left; the rest
+        // are records. What the first OPT holds is judged once every
+        // record has decoded, and a second OPT after that — the errors,
+        // in the order, of decoding OPT as a record and lifting it out.
+        let mut edns = self.edns.take().unwrap_or_default();
+        let mut first_opt = None;
+        let mut opts = 0;
+        self.additionals.reserve_exact(ar.min(64));
+        for _ in 0..ar {
+            let name = r.get_name()?;
+            let rtype = RecordType::from_u16(r.get_u16()?);
+            if rtype != RecordType::OPT {
+                let rec = Record::decode_body(name, rtype, &mut r)?;
+                self.additionals.push(rec);
+                continue;
+            }
+            let udp_payload = r.get_u16()?;
+            let ttl = r.get_u32()?;
+            let rdlength = usize::from(r.get_u16()?);
+            let data = r.get_bytes(rdlength)?;
+            opts += 1;
+            if opts == 1 {
+                first_opt = Some(edns.read_opt(&name, udp_payload, ttl, data));
+            }
+        }
+        if let Some(verdict) = first_opt {
+            verdict?;
+            if opts > 1 {
                 return Err(WireError::Invalid("multiple OPT records"));
             }
+            self.edns = Some(edns);
         }
         self.rcode = Rcode::from_parts(
             rcode_low,
@@ -1031,6 +1046,226 @@ mod tests {
             let (b, tc_b) = m.encode_udp(limit);
             assert_eq!(a, b);
             assert_eq!(tc_a, tc_b);
+        }
+    }
+
+    /// The decode the in-place OPT read replaced: every additional
+    /// record decoded as a `Record`, then the first OPT lifted out and
+    /// interpreted, then a second one refused.
+    fn reference_decode(buf: &[u8]) -> Result<Message, WireError> {
+        let mut r = WireReader::new(buf);
+        let mut m = Message {
+            id: r.get_u16()?,
+            ..Message::default()
+        };
+        let f = r.get_u16()?;
+        m.flags = Flags {
+            response: f & 0x8000 != 0,
+            authoritative: f & 0x0400 != 0,
+            truncated: f & 0x0200 != 0,
+            recursion_desired: f & 0x0100 != 0,
+            recursion_available: f & 0x0080 != 0,
+            authentic_data: f & 0x0020 != 0,
+            checking_disabled: f & 0x0010 != 0,
+        };
+        m.opcode = Opcode::from_u8((f >> 11) as u8 & 0x0f);
+        let counts = [r.get_u16()?, r.get_u16()?, r.get_u16()?, r.get_u16()?];
+        for _ in 0..counts[0] {
+            m.questions.push(Question {
+                name: r.get_name()?,
+                qtype: RecordType::from_u16(r.get_u16()?),
+                qclass: RecordClass::from_u16(r.get_u16()?),
+            });
+        }
+        for (count, section) in counts[1..].iter().zip([0, 1, 2]) {
+            for _ in 0..*count {
+                let rec = Record::decode(&mut r)?;
+                [&mut m.answers, &mut m.authorities, &mut m.additionals][section].push(rec);
+            }
+        }
+        if let Some(idx) = m
+            .additionals
+            .iter()
+            .position(|rec| rec.rtype() == RecordType::OPT)
+        {
+            let opt = m.additionals.remove(idx);
+            if !opt.name.is_root() {
+                return Err(WireError::Invalid("OPT owner must be root"));
+            }
+            let RData::Unknown { data, .. } = &opt.rdata else {
+                panic!("OPT decodes as unknown data")
+            };
+            let mut options = Vec::new();
+            let mut rest = &data[..];
+            while !rest.is_empty() {
+                if rest.len() < 4 {
+                    return Err(WireError::Truncated);
+                }
+                let code = u16::from_be_bytes([rest[0], rest[1]]);
+                let len = u16::from_be_bytes([rest[2], rest[3]]) as usize;
+                if rest.len() < 4 + len {
+                    return Err(WireError::Truncated);
+                }
+                options.push((code, rest[4..4 + len].to_vec()));
+                rest = &rest[4 + len..];
+            }
+            m.edns = Some(Edns {
+                udp_payload: opt.class.to_u16(),
+                ext_rcode_high: (opt.ttl >> 24) as u8,
+                version: (opt.ttl >> 16) as u8,
+                dnssec_ok: opt.ttl & 0x8000 != 0,
+                z: (opt.ttl & 0x7fff) as u16,
+                options,
+            });
+            if m.additionals
+                .iter()
+                .any(|rec| rec.rtype() == RecordType::OPT)
+            {
+                return Err(WireError::Invalid("multiple OPT records"));
+            }
+        }
+        let high = m.edns.as_ref().map_or(0, |e| e.ext_rcode_high);
+        m.rcode = Rcode::from_parts((f & 0x0f) as u8, high);
+        Ok(m)
+    }
+
+    /// The adversarial shapes the OPT property must each reach.
+    const OPT_BRANCHES: [&str; 7] = [
+        "root owner as a pointer",
+        "an owner other than the root",
+        "two OPTs",
+        "a truncated OPT",
+        "OPT among other additionals",
+        "OPT in the answer section",
+        "options",
+    ];
+
+    /// An OPT record at the writer's end, in one of the shapes `seen`
+    /// names: owner the root, a pointer to the question's root octet, or
+    /// another name; zero to three options, the last one cut short or
+    /// its length past the RDATA; RDLENGTH right or past the message.
+    fn put_opt(
+        g: &mut ldp_rng::check::Gen,
+        w: &mut WireWriter,
+        root_at: u16,
+        seen: &mut Vec<&str>,
+    ) {
+        match g.below(6) {
+            0 => {
+                w.put_u16(0xc000 | root_at);
+                seen.push("root owner as a pointer");
+            }
+            1 => {
+                w.put_name_uncompressed(&n("opt.example"));
+                seen.push("an owner other than the root");
+            }
+            _ => w.put_u8(0),
+        }
+        w.put_u16(RecordType::OPT.to_u16());
+        w.put_u16(g.u16());
+        w.put_u32(g.u32());
+        let mut rdata = Vec::new();
+        for _ in 0..g.size(0..=3) {
+            seen.push("options");
+            let value = g.bytes(0..=6);
+            rdata.extend_from_slice(&g.u16().to_be_bytes());
+            rdata.extend_from_slice(&(value.len() as u16).to_be_bytes());
+            rdata.extend_from_slice(&value);
+        }
+        match g.below(6) {
+            0 => {
+                rdata.truncate(rdata.len().saturating_sub(g.size(1..=3)));
+                seen.push("a truncated OPT");
+            }
+            1 => {
+                rdata.extend_from_slice(&[0, 9, 0, 40, 1]);
+                seen.push("a truncated OPT");
+            }
+            _ => {}
+        }
+        let past = if g.below(8) == 0 {
+            seen.push("a truncated OPT");
+            g.size(1..=4)
+        } else {
+            0
+        };
+        w.put_u16((rdata.len() + past) as u16);
+        w.put_bytes(&rdata);
+    }
+
+    /// Reading OPT in place decodes every message as the record path did:
+    /// the same message, or the same error. Over generated messages —
+    /// OPT records whose owner is the root, a pointer to a root octet or
+    /// another name, none, one or two of them among other additionals
+    /// and sometimes one in the answer section, options well formed, cut
+    /// short or longer than the RDATA, RDLENGTH past the end — each
+    /// also corrupted or cut at random half the time; decoded fresh and
+    /// into one long-lived message. Each adversarial shape is reached at
+    /// least five times.
+    #[test]
+    fn decode_into_reads_opt_in_place_as_the_record_path_did() {
+        let tally = std::cell::RefCell::new(std::collections::BTreeMap::<&str, u32>::new());
+        let warm = std::cell::RefCell::new(Message::default());
+        ldp_rng::check::check(512, |g| {
+            let mut seen = Vec::new();
+            let mut w = WireWriter::new();
+            let qname = n(g.pick::<&str>(&["www.example", "x.y.example.com", "."]));
+            let answers = g.size(0..=2);
+            let adds = g.size(0..=4);
+            w.put_u16(g.u16());
+            w.put_u16(g.u16() & 0xff8f);
+            for count in [1, answers, 0, adds] {
+                w.put_u16(count as u16);
+            }
+            w.put_name_uncompressed(&qname);
+            let root_at = w.len() as u16 - 1;
+            w.put_u16(1);
+            w.put_u16(1);
+            let address = Record::new(qname.clone(), 60, RData::A([192, 0, 2, 1].into()));
+            for _ in 0..answers {
+                if g.below(6) == 0 {
+                    put_opt(g, &mut w, root_at, &mut seen);
+                    seen.push("OPT in the answer section");
+                } else {
+                    address.encode(&mut w);
+                }
+            }
+            let mut opts = 0;
+            for _ in 0..adds {
+                if g.below(3) == 0 {
+                    put_opt(g, &mut w, root_at, &mut seen);
+                    opts += 1;
+                } else {
+                    address.encode(&mut w);
+                }
+            }
+            if opts > 1 {
+                seen.push("two OPTs");
+            }
+            if opts > 0 && adds > opts {
+                seen.push("OPT among other additionals");
+            }
+            let mut wire = w.into_bytes();
+            if g.bool() {
+                wire = g.corrupt(wire);
+            }
+            let want = reference_decode(&wire);
+            assert_eq!(Message::decode(&wire), want, "{wire:?}");
+            let mut warm = warm.borrow_mut();
+            let got = warm.decode_into(&wire);
+            assert_eq!(got, want.as_ref().map(|_| ()).map_err(Clone::clone));
+            if let Ok(want) = &want {
+                assert_eq!(*warm, *want);
+            }
+            let mut tally = tally.borrow_mut();
+            for shape in seen {
+                *tally.entry(shape).or_default() += 1;
+            }
+        });
+        let tally = tally.into_inner();
+        for shape in OPT_BRANCHES {
+            let n = tally.get(shape).copied().unwrap_or(0);
+            assert!(n >= 5, "{shape}: {n} cases in {tally:?}");
         }
     }
 }

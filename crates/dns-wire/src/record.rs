@@ -57,6 +57,16 @@ impl Record {
     pub fn decode(r: &mut WireReader<'_>) -> Result<Record, WireError> {
         let name = r.get_name()?;
         let rtype = RecordType::from_u16(r.get_u16()?);
+        Record::decode_body(name, rtype, r)
+    }
+
+    /// The rest of [`Record::decode`] once the owner and the type have
+    /// been read.
+    pub(crate) fn decode_body(
+        name: Name,
+        rtype: RecordType,
+        r: &mut WireReader<'_>,
+    ) -> Result<Record, WireError> {
         let class = RecordClass::from_u16(r.get_u16()?);
         let ttl = r.get_u32()?;
         let rdlength = r.get_u16()? as usize;

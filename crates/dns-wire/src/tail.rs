@@ -71,11 +71,7 @@ impl Tail {
             return None;
         }
         let w = &mut scratch.w;
-        w.reset();
-        w.put_bytes(&[0; 12]);
-        w.put_name(reference);
-        w.put_u32(0);
-        let start = w.len();
+        let start = w.start_after_question(reference);
         w.log_pointers();
         for rec in authorities.iter().chain(additionals) {
             rec.encode(w);

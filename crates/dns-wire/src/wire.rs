@@ -95,6 +95,21 @@ impl WireWriter {
         written_at(&self.buf, at, name.labels())
     }
 
+    /// Start a message whose one question is `qname`: the output is
+    /// cleared, a zeroed header, `qname` and a zeroed type and class are
+    /// written, and the offset after them returned. What is encoded next
+    /// is what any message with `qname` as its question at offset 12
+    /// holds at that offset: its pointers reach only the question's
+    /// suffixes and what follows them ([`crate::Tail`],
+    /// [`crate::EncodeScratch::encode_after_question`]).
+    pub(crate) fn start_after_question(&mut self, qname: &Name) -> usize {
+        self.reset();
+        self.put_bytes(&[0; 12]);
+        self.put_name(qname);
+        self.put_u32(0);
+        self.len()
+    }
+
     /// Clear the output buffer and the compression table, keeping
     /// allocated capacity. Called between messages when the writer is
     /// reused via [`crate::EncodeScratch`].

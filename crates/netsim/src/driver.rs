@@ -29,6 +29,11 @@ pub trait SimDriver {
     /// so its decisions must be stateless in the packet stream.
     fn set_fault_injectors(&mut self, make: impl FnMut(u32) -> Box<dyn FaultInjector>);
 
+    /// Make room for `additional` more events, about to be scheduled
+    /// (a trace's timers), so that scheduling them grows no queue. A
+    /// hint: an engine may ignore it.
+    fn reserve_events(&mut self, additional: usize);
+
     /// Schedule a host timer from outside (one driver-lane key).
     fn schedule_timer(&mut self, host: usize, at: SimTime, token: u64);
 
@@ -68,6 +73,10 @@ impl SimDriver for Simulator {
 
     fn set_fault_injectors(&mut self, mut make: impl FnMut(u32) -> Box<dyn FaultInjector>) {
         self.set_fault_injector(make(0));
+    }
+
+    fn reserve_events(&mut self, additional: usize) {
+        Simulator::reserve_events(self, additional);
     }
 
     fn schedule_timer(&mut self, host: usize, at: SimTime, token: u64) {

@@ -185,6 +185,15 @@ impl<T> EventQueue<T> {
         slot.item.take().map(|item| (key.0, item))
     }
 
+    /// Make room for `additional` more items than the queue holds now,
+    /// so that pushing them grows nothing: the slab is sized once, to
+    /// what a caller knows it will hold (a pre-scheduled trace), rather
+    /// than by doubling up to it.
+    pub fn reserve(&mut self, additional: usize) {
+        let needed = (self.len + additional).saturating_sub(self.slab.len());
+        self.slab.reserve_exact(needed);
+    }
+
     /// Number of scheduled items.
     pub fn len(&self) -> usize {
         self.len

@@ -633,6 +633,12 @@ impl Simulator {
         self.hosts[id].as_deref_mut().expect("host is checked in")
     }
 
+    /// Make room in the event queue for `additional` more events than
+    /// it holds, so that scheduling them grows nothing.
+    pub fn reserve_events(&mut self, additional: usize) {
+        self.queue.reserve(additional);
+    }
+
     /// Schedule a host timer from outside any host, on the driver lane
     /// (between runs, the lane every key is attributed to).
     pub fn schedule_timer(&mut self, host: HostId, at: SimTime, token: u64) {

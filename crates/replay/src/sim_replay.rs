@@ -391,6 +391,7 @@ impl SimReplayClient {
     /// fires at `start`.
     pub fn schedule(sim: &mut impl SimDriver, host: HostId, trace: &[TraceEntry], start: SimTime) {
         let tracker = tracker_of(trace);
+        sim.reserve_events(trace.len());
         for (i, e) in trace.iter().enumerate() {
             sim.schedule_timer(host, deadline(&tracker, start, e), i as u64);
         }

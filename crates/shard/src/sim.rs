@@ -446,6 +446,10 @@ impl SimDriver for ShardedSimulator {
         ShardedSimulator::set_fault_injectors(self, make);
     }
 
+    /// Ignored: the timers go to whichever shards hold their hosts,
+    /// and each shard's queue grows as it must.
+    fn reserve_events(&mut self, _additional: usize) {}
+
     fn schedule_timer(&mut self, host: usize, at: SimTime, token: u64) {
         ShardedSimulator::schedule_timer(self, host, at, token);
     }
