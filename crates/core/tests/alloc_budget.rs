@@ -23,6 +23,7 @@ use dns_wire::{
 };
 use dns_zone::{Catalog, Zone};
 use ldp_core::synthetic_root_zone;
+use ldp_guard::RetransmitConfig;
 use ldp_replay::{PendingTable, ReplayCore, SimReplayClient, TimingTracker};
 use netsim::{
     Ctx, Host, PacketBytes, PathConfig, SimConfig, SimDuration, SimTime, Simulator, TcpEvent,
@@ -218,6 +219,28 @@ fn hostile_datagrams_cost_at_most_the_reply() {
 /// list growing once).
 #[test]
 fn a_udp_replay_stays_within_its_whole_path_budget() {
+    let (counted, allocs) = whole_path_allocations(None);
+    assert_eq!(counted, 1_693);
+    assert!(allocs <= 184, "{allocs} allocations for {counted} queries");
+}
+
+/// The same replay with UDP retransmit armed on every send, as the
+/// benchmark's guard side runs it: a retry chain is a count in the
+/// query's window slot, so arming one allocates nothing and the leg
+/// costs exactly what the plain one does (1,740 allocations when each
+/// armed query boxed its retry budget).
+#[test]
+fn a_retransmit_armed_replay_allocates_what_a_plain_one_does() {
+    let (plain_counted, plain) = whole_path_allocations(None);
+    let retx = Some(RetransmitConfig::default());
+    let (counted, allocs) = whole_path_allocations(retx);
+    assert_eq!((counted, plain_counted), (1_693, 1_693));
+    assert_eq!(allocs, plain, "{allocs} allocations with retransmit armed");
+}
+
+/// The whole-path leg: counted queries and the allocations made while
+/// they were answered, with `udp_retransmit` as given.
+fn whole_path_allocations(udp_retransmit: Option<RetransmitConfig>) -> (u64, u64) {
     const QUERIES: usize = 2000;
     const WARM_UP: usize = 400;
     let spec = BRootSpec {
@@ -237,7 +260,8 @@ fn a_udp_replay_stays_within_its_whole_path_budget() {
     let server = SimDnsServer::new(Arc::new(root_engine()), spec.server, None);
     sim.add_host(&[spec.server.ip()], Box::new(server));
     let log = Arc::new(Mutex::new(Vec::with_capacity(QUERIES)));
-    let client = SimReplayClient::new(trace.clone(), spec.server, log.clone());
+    let mut client = SimReplayClient::new(trace.clone(), spec.server, log.clone());
+    client.udp_retransmit = udp_retransmit;
     let sources = client.source_addrs();
     let client = sim.add_host(&sources, Box::new(client));
     SimReplayClient::schedule(&mut sim, client, &trace, SimTime::ZERO);
@@ -247,9 +271,7 @@ fn a_udp_replay_stays_within_its_whole_path_budget() {
     let (allocs, _events) = allocations(|| sim.run_until(SimTime::from_secs_f64(10.0)));
     let answered = log.lock().unwrap().len();
     assert_eq!(answered, QUERIES, "every query answered");
-    let counted = (answered - answered_warm) as u64;
-    assert_eq!(counted, 1_693);
-    assert!(allocs <= 184, "{allocs} allocations for {counted} queries");
+    ((answered - answered_warm) as u64, allocs)
 }
 
 /// The replay core's window when seq 0 is never answered: the cursor

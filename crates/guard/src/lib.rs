@@ -6,15 +6,17 @@
 //! behavior an explicit, testable state machine instead of an
 //! accident:
 //!
-//! - [`budget`]: [`RetryBudget`] — bounded retry attempts with
-//!   capped decorrelated-jitter backoff, each delay a hash of the
-//!   budget's seed and the attempt, under the socket engine's
-//!   querier reconnect loop and the replay core's per-query UDP
-//!   retransmit chains (lint rule R1 asks every connect / reconnect
-//!   loop for a visible bound). The resolver's failover escalation
-//!   (`next_timeout` in `dns-resolver`'s `sim_resolver.rs`, its own
-//!   jitter under `max_retries`) and the sim client's TCP redial
-//!   doubling (under `MAX_RECONNECTS`) do not go through it.
+//! - [`budget`]: [`RetransmitConfig`] — bounded retries with capped
+//!   decorrelated-jitter backoff, the `n`-th delay a fold of `n + 1`
+//!   [`ldp_rng::backoff_step`]s drawn from the chain's seed, so a
+//!   chain is a count: the replay core's per-query UDP retransmits
+//!   and the socket engine's querier reconnect loop each keep one
+//!   (lint rule R1 asks every connect / reconnect loop for a visible
+//!   bound). The resolver's failover escalation (`next_timeout` in
+//!   `dns-resolver`'s `sim_resolver.rs`) steps the same jitter under
+//!   `max_retries` and its own normalisation; the sim client's TCP
+//!   redial is a fixed doubling (`RECONNECT_BACKOFF_MS` under
+//!   `MAX_RECONNECTS`) and does not go through it.
 //! - [`checkpoint`]: [`Checkpoint`] — a compact line-based snapshot
 //!   of replay progress (trace cursor, completed records, counters,
 //!   virtual-time epoch) with an exact text round-trip, so a killed
@@ -27,7 +29,6 @@
 //! - [`admission`]: [`AdmissionController`] — a bounded in-flight
 //!   window with deadline-aware shedding that records dropped seqs
 //!   instead of stalling the replay clock.
-//! - [`config`]: [`RetransmitConfig`] — the UDP retransmission policy.
 //!
 //! Everything here is pure logic over explicit `now` parameters — no
 //! clocks, no threads, no I/O — so the whole crate unit-tests without
@@ -45,11 +46,9 @@
 pub mod admission;
 pub mod budget;
 pub mod checkpoint;
-pub mod config;
 pub mod inflight;
 
 pub use admission::{Admission, AdmissionConfig, AdmissionController};
-pub use budget::RetryBudget;
+pub use budget::RetransmitConfig;
 pub use checkpoint::{Checkpoint, CheckpointParseError};
-pub use config::RetransmitConfig;
 pub use inflight::{InflightEntry, InflightStatus};

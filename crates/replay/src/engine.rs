@@ -17,7 +17,7 @@ use std::time::Duration;
 
 use dns_wire::framing::frame_into;
 use dns_wire::{EncodeScratch, Transport};
-use ldp_guard::RetryBudget;
+use ldp_guard::RetransmitConfig;
 use ldp_trace::TraceEntry;
 
 use crate::clock::{ReplayClock, WallClock};
@@ -373,38 +373,45 @@ enum SendOutcome {
 const STALL_YIELDS: u32 = 32;
 const STALL_LIMIT: u32 = 512;
 
-/// The querier's TCP reconnect budget: backoff sleeps before it gives
-/// up (connect attempts are one more: an eager dial, then one per
-/// sleep), and the base and cap of the jittered backoff (µs).
-const RECONNECT_ATTEMPTS: u32 = 3;
-const RECONNECT_BASE_US: u64 = 200;
-const RECONNECT_CAP_US: u64 = 5_000;
+/// The querier's TCP reconnect policy: backoff sleeps before it gives
+/// up (`max_retx`; connect attempts are one more: an eager dial, then
+/// one per sleep), and the base and cap of the jittered backoff (µs).
+const RECONNECT: RetransmitConfig = RetransmitConfig {
+    max_retx: 3,
+    base_us: 200,
+    cap_us: 5_000,
+};
 /// Seed of the reconnect jitter; each querier adds its slot.
 const RECONNECT_JITTER_SEED: u64 = 0x6a2d_5eed;
 
-/// Dial `target` under the querier's [`RetryBudget`]. A dead TCP path
-/// (server restarting, listen queue overflowing under load) often heals
-/// within a millisecond; giving up on the first refused connect drops
-/// every queued query for that source. But the budget is shared across
-/// the querier's whole run, so a target that is *permanently* down
-/// costs at most [`RECONNECT_ATTEMPTS`] backoff sleeps total — after that each
-/// call makes one eager probe and returns `None` immediately instead
-/// of re-spinning the backoff for every queued job. A successful
-/// connect refills the budget (the path healed).
+/// Dial `target` under the querier's reconnect chain: `policy`, `seed`
+/// and `attempts`, the backoff sleeps spent. A dead TCP path (server
+/// restarting, listen queue overflowing under load) often heals within
+/// a millisecond; giving up on the first refused connect drops every
+/// queued query for that source. But the count is kept across the
+/// querier's whole run, so a target that is *permanently* down costs at
+/// most `policy.max_retx` backoff sleeps total — after that each call
+/// makes one eager probe and returns `None` immediately instead of
+/// re-spinning the backoff for every queued job. A successful connect
+/// resets the count (the path healed).
 #[allow(clippy::disallowed_methods, reason = "T2: the backoff is the wait")]
-fn reconnect_with_backoff(target: SocketAddr, budget: &mut RetryBudget) -> Option<TcpStream> {
+fn reconnect_with_backoff(
+    target: SocketAddr,
+    policy: &RetransmitConfig,
+    seed: u64,
+    attempts: &mut u32,
+) -> Option<TcpStream> {
     loop {
-        // Loop bound: `budget` (lint R1) — `next_delay_us` returns
-        // `None` after `max_attempts` draws.
+        // Loop bound: `attempts` (lint R1) — `delay_us` returns `None`
+        // from `max_retx` on.
         if let Ok(s) = TcpStream::connect(target) {
             s.set_nodelay(true).ok();
-            budget.reset();
+            *attempts = 0;
             return Some(s);
         }
-        match budget.next_delay_us() {
-            Some(delay_us) => std::thread::sleep(Duration::from_micros(delay_us)),
-            None => return None,
-        }
+        let delay_us = policy.delay_us(seed, *attempts)?;
+        *attempts += 1;
+        std::thread::sleep(Duration::from_micros(delay_us));
     }
 }
 
@@ -470,14 +477,10 @@ fn querier_loop(
         SocketAddr::V4(_) => (Ipv4Addr::UNSPECIFIED, 0).into(),
         SocketAddr::V6(_) => (Ipv6Addr::UNSPECIFIED, 0).into(),
     };
-    // One reconnect budget for the querier's whole run, jittered
+    // One reconnect chain for the querier's whole run, jittered
     // per-slot so a thundering herd of reconnects decorrelates.
-    let mut reconnect_budget = RetryBudget::new(
-        RECONNECT_ATTEMPTS,
-        RECONNECT_BASE_US,
-        RECONNECT_CAP_US,
-        RECONNECT_JITTER_SEED.wrapping_add(idx as u64),
-    );
+    let reconnect_seed = RECONNECT_JITTER_SEED.wrapping_add(idx as u64);
+    let mut reconnects = 0;
     let mut scrap = vec![0u8; 65536];
     // Reused across jobs: one framing buffer per querier, not one
     // allocation per query.
@@ -536,8 +539,12 @@ fn querier_loop(
                 Transport::Tcp | Transport::Tls => {
                     let stream = match tcp_conns.get_mut(&job.source) {
                         Some(s) => Some(s),
-                        None => match reconnect_with_backoff(cfg.target_tcp, &mut reconnect_budget)
-                        {
+                        None => match reconnect_with_backoff(
+                            cfg.target_tcp,
+                            &RECONNECT,
+                            reconnect_seed,
+                            &mut reconnects,
+                        ) {
                             Some(s) => {
                                 s.set_nonblocking(true).ok();
                                 tcp_conns.insert(job.source, s);
@@ -567,7 +574,9 @@ fn querier_loop(
                                     tcp_conns.remove(&job.source);
                                     match reconnect_with_backoff(
                                         cfg.target_tcp,
-                                        &mut reconnect_budget,
+                                        &RECONNECT,
+                                        reconnect_seed,
+                                        &mut reconnects,
                                     ) {
                                         Some(mut ns) => {
                                             let ok = send_framed(&mut ns, &frame_buf)
@@ -1068,20 +1077,25 @@ mod tests {
             let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
             l.local_addr().unwrap()
         };
-        let mut budget = RetryBudget::new(2, 10, 50, 7);
-        assert!(reconnect_with_backoff(refused, &mut budget).is_none());
-        assert_eq!(budget.remaining(), 0, "budget drained by the dead target");
-        assert_eq!(budget.used(), 2, "exactly max_attempts backoff draws");
+        let policy = RetransmitConfig {
+            max_retx: 2,
+            base_us: 10,
+            cap_us: 50,
+        };
+        let mut attempts = 0;
+        assert!(reconnect_with_backoff(refused, &policy, 7, &mut attempts).is_none());
+        assert_eq!(attempts, 2, "exactly max_retx backoff draws");
         // Subsequent calls are one eager probe each: a backoff sleep
-        // only follows a draw, and the spent budget draws nothing.
+        // only follows a draw, and the spent chain draws nothing.
         for _ in 0..20 {
-            assert!(reconnect_with_backoff(refused, &mut budget).is_none());
+            assert!(reconnect_with_backoff(refused, &policy, 7, &mut attempts).is_none());
         }
-        assert_eq!(budget.used(), 2, "no draw, so no sleep");
-        // A healed path refills the budget.
+        assert_eq!(attempts, 2, "no draw, so no sleep");
+        // A healed path restarts the chain.
         let live = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        assert!(reconnect_with_backoff(live.local_addr().unwrap(), &mut budget).is_some());
-        assert_eq!(budget.used(), 0, "successful connect resets the budget");
+        let healed = reconnect_with_backoff(live.local_addr().unwrap(), &policy, 7, &mut attempts);
+        assert!(healed.is_some());
+        assert_eq!(attempts, 0, "successful connect resets the count");
     }
 
     #[test]

@@ -102,9 +102,11 @@ const ADMIT_POLL_US: u64 = 1_000;
 /// Reconnect-with-backoff for queries orphaned when their connection
 /// dies (server crash, fault-injected kill, refusal): the delay before
 /// the first resend (ms, virtual), doubling per attempt, and the resend
-/// budget per query across connection deaths.
+/// budget per query across connection deaths. A fixed doubling, not a
+/// jittered [`RetransmitConfig`] chain: `fig_recovery`'s kill rows are
+/// drawn from it.
 const RECONNECT_BACKOFF_MS: u64 = 100;
-const MAX_RECONNECTS: u32 = 3;
+const MAX_RECONNECTS: u16 = 3;
 
 /// The seq a checkpoint `rec` line leads with.
 fn record_seq(line: &str) -> Option<u64> {
@@ -223,11 +225,11 @@ pub struct SimReplayClient {
     /// checkpointing.
     pub checkpoint_cadence: Option<netsim::SimDuration>,
     /// UDP retransmission policy (`None` = no retransmits: a lost UDP
-    /// query is lost, the historical behavior). Each query draws its
-    /// own deterministic `RetryBudget` seeded from
-    /// (`retx_seed`, seq).
+    /// query is lost, the historical behavior). Each query's `n`-th
+    /// retransmit delay is [`RetransmitConfig::delay_us`] of a seed
+    /// derived from (`retx_seed`, seq) and `n`: the core keeps a count.
     pub udp_retransmit: Option<RetransmitConfig>,
-    /// Run-level seed of the per-query retransmit budgets: a query's
+    /// Run-level seed of the per-query retransmit chains: a query's
     /// `n`-th retransmit delay is drawn from this, its seq and `n`.
     pub retx_seed: u64,
     /// Whether the cadence tick chain is currently armed (re-armed
@@ -505,7 +507,7 @@ impl SimReplayClient {
                 self.displaced(earlier, seq);
                 ctx.send_udp(src, self.server, self.wire.as_slice());
                 // Arm the next retransmit from this query's own
-                // deterministic budget; exhaustion is terminal (the
+                // deterministic chain; exhaustion is terminal (the
                 // query stays pending, carried by any cut).
                 if let Some(cfg) = self.udp_retransmit {
                     if let Some(d) = self.core.next_retx_delay_us(seq, &cfg, self.retx_seed) {

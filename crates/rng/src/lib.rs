@@ -10,9 +10,9 @@
 //! equal seeds make identical decisions (lint rule D3: no ambient
 //! entropy anywhere). A decision inside a simulation is not drawn from
 //! a stream but hashed with [`mix`] from what it decides (rule D6: a
-//! stream's position depends on every earlier draw): a retry budget's
+//! stream's position depends on every earlier draw): a retry chain's
 //! `n`-th delay takes [`nth`]`(seed, n)`, and the resolver's jitter is
-//! a hash of the attempt.
+//! a hash of the attempt; both step the one [`backoff_step`].
 //!
 //! The draw functions are frozen: every committed transcript, figure
 //! and checkpoint depends on their exact bits.
@@ -45,6 +45,19 @@ pub fn mix(x: u64) -> u64 {
 #[inline]
 pub fn nth(state: u64, n: u64) -> u64 {
     mix(state.wrapping_add(n.wrapping_mul(GAMMA)))
+}
+
+/// One step of capped decorrelated-jitter backoff (AWS architecture
+/// blog): a delay uniform in `[base, max(3·prev, base + 1))` by `draw`,
+/// clamped to `cap`, which spreads concurrent retriers apart. The
+/// workspace's one copy of the step: `ldp-guard`'s retry chains fold it
+/// from `prev = base` with `cap` raised to `base`, and the resolver's
+/// failover backoff steps it from its current timeout with `cap` as
+/// given, so a cap below `base` caps the delay below `base` too.
+#[inline]
+pub fn backoff_step(base: u64, cap: u64, prev: u64, draw: u64) -> u64 {
+    let hi = prev.saturating_mul(3).max(base.saturating_add(1));
+    u64::from_range(base, hi, draw).min(cap)
 }
 
 /// A seeded SplitMix64 generator.

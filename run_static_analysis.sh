@@ -80,13 +80,14 @@ step "benchmark self-check (smoke scale: outputs verified, no bounds)" \
 
 # Information only, never a failure: the sizes a change reports.
 # `crates/*/src` code lines are the lines before a file's first
-# `#[cfg(test)]` that are neither blank nor `//`; test lines are every
-# `.rs` line under `crates/*/tests` and `tests/`; the last is every
-# `.rs` line outside build directories.
+# column-0 `#[cfg(test)]` (a test module; an indented one marks a
+# test-only item inside product code) that are neither blank nor `//`;
+# test lines are every `.rs` line under `crates/*/tests` and `tests/`;
+# the last is every `.rs` line outside build directories.
 note "size (information only)"
 src_lines=$(find crates/*/src -name '*.rs' -exec awk '
     FNR == 1 { skip = 0 }
-    /^[[:space:]]*#\[cfg\(test\)\]/ { skip = 1 }
+    /^#\[cfg\(test\)\]/ { skip = 1 }
     !skip && !/^[[:space:]]*$/ && !/^[[:space:]]*\/\// { n++ }
     END { print n + 0 }' {} + | awk '{ s += $1 } END { print s + 0 }')
 test_lines=$(find crates/*/tests tests -name '*.rs' -exec cat {} + | wc -l)
