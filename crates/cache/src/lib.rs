@@ -4,8 +4,9 @@
 //! The paper's what-if methodology (recursive trace replay against an
 //! emulated hierarchy, §2.3/§5) stands or falls on resolver cache
 //! fidelity; this crate replaces the first-generation unbounded TTL map
-//! with the three mechanisms real resolvers under heavy-tailed load
-//! live or die on:
+//! with two pieces real resolvers under heavy-tailed load live or die
+//! on (in-flight aggregation of concurrent misses is the resolver's
+//! own: `dns_resolver::SimResolver`'s tasks):
 //!
 //! * **[`ResolverCache`]** — a capacity-bounded TTL store with
 //!   deterministic eviction policies named by one enum and ranked by
@@ -14,20 +15,15 @@
 //!   [`PolicyKind::DelayAware`] that ranks entries by
 //!   (expected miss latency × arrival rate) rather than recency. TTLs
 //!   are clamped per RFC 2181 §8 and expired sets are never inserted.
-//! * **[`OutstandingTable`]** — the in-flight query aggregation table:
-//!   concurrent misses for one (qname, qtype) coalesce onto a single
-//!   upstream resolution, and the answer fans out to every waiter — the
-//!   *delayed hit* path, with per-waiter arrival times recorded so the
-//!   extra latency each coalesced request paid is accountable.
+//!   Hot names are refreshed before expiry when their remaining TTL
+//!   drops under a configurable fraction
+//!   ([`PrefetchConfig::trigger_fraction`]), rate-budgeted by a
+//!   deterministic virtual-time token bucket so a popular-name storm
+//!   cannot turn the refresh path into its own query flood.
 //! * **[`negative_ttl`]** — RFC 2308 negative caching: the negative TTL
 //!   is derived from the authority-section SOA (min of the SOA record
 //!   TTL and its MINIMUM field) instead of a hardcoded constant, with a
 //!   named config fallback ([`CacheConfig::neg_ttl_default`]) and a cap.
-//! * **Prefetch-before-expiry** — hot names are refreshed when their
-//!   remaining TTL drops under a configurable fraction
-//!   ([`PrefetchConfig::trigger_fraction`]), rate-budgeted by a
-//!   deterministic virtual-time token bucket so a popular-name storm
-//!   cannot turn the refresh path into its own query flood.
 //!
 //! Everything is virtual-time-friendly: time is an explicit `f64`
 //! seconds parameter (any epoch), there is no ambient clock and no
@@ -48,14 +44,12 @@
 
 pub mod answer;
 pub mod negative;
-pub mod outstanding;
 pub mod policy;
 pub mod records;
 pub mod store;
 
 pub use answer::AnswerBytes;
 pub use negative::negative_ttl;
-pub use outstanding::{Completed, OutstandingStats, OutstandingTable, WaiterSlot};
 pub use policy::PolicyKind;
 pub use records::RecordList;
 pub use store::{CacheStats, CachedAnswer, EntryMeta, FillInfo, PutOutcome, ResolverCache};

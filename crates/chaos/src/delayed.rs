@@ -297,7 +297,7 @@ pub fn run_on<S: SimDriver>(cfg: &DelayedConfig, sim: &mut S) -> DelayedOutcome 
     );
 
     // Wire in the fault plan (delay shaping + crash/restart events).
-    scenario::install_plan(sim, &cfg.plan());
+    scenario::install(sim, &cfg.plan());
 
     let events = sim.run();
 

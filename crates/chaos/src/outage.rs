@@ -254,7 +254,7 @@ pub fn run(cfg: &OutageConfig) -> OutageOutcome {
     );
 
     // Wire in the fault plan (packet shaping + crash/restart events).
-    scenario::install_plan(sim, &cfg.plan());
+    scenario::install(sim, &cfg.plan());
 
     let events = sim.run();
 

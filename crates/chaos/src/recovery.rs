@@ -272,7 +272,7 @@ fn run_leg(cfg: &RecoveryConfig, leg: Leg, resume_from: Option<&Checkpoint>) -> 
         None => SimReplayClient::schedule(sim, client_id, &trace, SimTime::ZERO),
         Some(cp) => SimReplayClient::schedule_resume(sim, client_id, &trace, SimTime::ZERO, cp),
     }
-    scenario::install_plan(sim, &leg.plan);
+    scenario::install(sim, &leg.plan);
     sim.run_until(leg.run_until);
     let cp = cp_out.lock().unwrap_or_else(|e| e.into_inner()).clone();
     let stamps = stamps.lock().unwrap_or_else(|e| e.into_inner()).clone();

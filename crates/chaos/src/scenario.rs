@@ -290,8 +290,15 @@ impl Host for StubSwarm {
 /// packet-level faults (its draws are stateless, see
 /// [`crate::injector`]), and each crash or restart as one host-fault
 /// event, scheduled in the plan's time order. A querier power-cycle is
-/// one plan line but two events: the kill and the comeback.
+/// one plan line but two events: the kill and the comeback. A plan
+/// without faults installs nothing, so a fault-free run carries no
+/// injector and no fault events and its event counts are those of the
+/// bare workload. It adds no host, so it may come before or after the
+/// workload hosts.
 pub fn install<S: SimDriver>(sim: &mut S, plan: &FaultPlan) {
+    if plan.faults.is_empty() {
+        return;
+    }
     sim.set_fault_injectors(|_shard| Box::new(PlanInjector::new(plan)));
     let mut faults = Vec::new();
     for pf in &plan.faults {
@@ -308,16 +315,6 @@ pub fn install<S: SimDriver>(sim: &mut S, plan: &FaultPlan) {
     faults.sort_by_key(|&(at, ..)| at);
     for (at, addr, fault) in faults {
         sim.schedule_host_fault(at, addr, fault);
-    }
-}
-
-/// [`install`] `plan` iff it has faults: a fault-free run carries no
-/// injector and no fault events, so its event counts are those of the
-/// bare workload. It adds no host, so it may come before or after the
-/// workload hosts.
-pub fn install_plan<S: SimDriver>(sim: &mut S, plan: &FaultPlan) {
-    if !plan.faults.is_empty() {
-        install(sim, plan);
     }
 }
 

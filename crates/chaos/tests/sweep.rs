@@ -506,7 +506,7 @@ fn run<S: SimDriver>(
 ) -> Run {
     sim.set_recording(record);
     if cell.plan_first {
-        scenario::install_plan(&mut sim, &cell.plan);
+        scenario::install(&mut sim, &cell.plan);
     }
     let servers = scenario::server_addrs(cell.servers);
     let records = (0..32).map(|i| scenario::a_record(name(i, false), 300, i));
@@ -579,7 +579,7 @@ fn run<S: SimDriver>(
         }
     }
     if !cell.plan_first {
-        scenario::install_plan(&mut sim, &cell.plan);
+        scenario::install(&mut sim, &cell.plan);
     }
 
     let mut counts = Vec::new();

@@ -651,25 +651,17 @@ fn a(owner: &str, ip: [u8; 4]) -> Record {
     Record::new(n(owner), 3600, RData::A(ip.into()))
 }
 
-/// Allocations per cold miss through `stub → Simulator → SimResolver`
-/// and a three-level hierarchy, as (allocations, misses): the root at
+const ZONES: usize = 64;
+const HOSTS: usize = 4;
+
+/// A three-level hierarchy, as each server's address and catalog, and
+/// the questions [`resolver_miss_budget`] asks of it: the root at
 /// 10.0.0.1 refers `tld.` and `net.` to 10.0.0.2, which refers each
 /// `z<i>.tld.` (with glue) and `gl.tld.` (without: its nameserver is
-/// `ns.host.net.`) to 10.0.0.3. Every stub query asks a name nobody
-/// asked before: `h<j>.z<i>.tld.` for four hosts of
-/// each of `ZONES` zones — the first of a zone a referral from the TLD
-/// server and an answer, the others an answer — and the four hosts of
-/// `gl.tld.` among them, whose first parks on a lookup of
-/// `ns.host.net.`; each host label ends in `pad`. The first `WARM` zones
-/// warm the resolver, the pool and the scratches; the counter runs over
-/// the rest. Referrals are copied from tails, so the first `WARM` zones
-/// would leave the TLD server's generic half cold until `ns.host.net.`'s
-/// answer: a first question, `www.tld.`, answered by the TLD server
-/// itself, warms it.
-fn resolver_miss_budget(pad: &str) -> (u64, u64) {
-    const ZONES: usize = 64;
-    const WARM: usize = 8;
-    const HOSTS: usize = 4;
+/// `ns.host.net.`) to 10.0.0.3. The questions are `www.tld.`, then
+/// `h<j>.z<i>.tld.` for `HOSTS` hosts of each of `ZONES` zones, with
+/// the hosts of `gl.tld.` among them; each host label ends in `pad`.
+fn miss_hierarchy(pad: &str) -> (Vec<([u8; 4], Catalog)>, Vec<String>) {
     let (tld_ip, zone_ip) = ([10, 0, 0, 2], [10, 0, 0, 3]);
     let mut tld = vec![ns("gl.tld", "ns.host.net"), a("www.tld", [192, 0, 2, 80])];
     let mut glueless = vec![ns("gl.tld", "ns.host.net")];
@@ -702,7 +694,7 @@ fn resolver_miss_budget(pad: &str) -> (u64, u64) {
         a("ns.net", tld_ip),
     ];
     let net = vec![a("ns.host.net", zone_ip)];
-    let servers = [
+    let servers = vec![
         ([10, 0, 0, 1], catalog_of(vec![zone_of(".", root)])),
         (
             tld_ip,
@@ -710,9 +702,12 @@ fn resolver_miss_budget(pad: &str) -> (u64, u64) {
         ),
         (zone_ip, catalog_of(zones)),
     ];
+    (servers, questions)
+}
 
-    let resolver: SocketAddr = "10.1.0.1:53".parse().unwrap();
-    let stub: SocketAddr = "10.2.0.1:5353".parse().unwrap();
+/// A simulator running a server per `(address, catalog)`, and a
+/// resolver at 10.1.0.1 hinted at the first, the root.
+fn hierarchy_sim(servers: Vec<([u8; 4], Catalog)>) -> (Simulator, SimResolver) {
     let mut sim = Simulator::new(Topology::default(), SimConfig::default());
     for (ip, catalog) in servers {
         let addr = SocketAddr::new(IpAddr::from(ip), 53);
@@ -722,7 +717,25 @@ fn resolver_miss_budget(pad: &str) -> (u64, u64) {
             Box::new(SimDnsServer::new(engine, addr, None)),
         );
     }
-    let mut host = SimResolver::new(resolver, vec!["10.0.0.1".parse().unwrap()]);
+    let hints = vec!["10.0.0.1".parse().unwrap()];
+    (sim, SimResolver::new("10.1.0.1:53".parse().unwrap(), hints))
+}
+
+/// Allocations per cold miss through `stub → Simulator → SimResolver`
+/// and [`miss_hierarchy`], as (allocations, misses). Every stub query
+/// asks a name nobody asked before: of a zone's hosts, the first is a
+/// referral from the TLD server and an answer, the others an answer,
+/// and the first of `gl.tld.` parks on a lookup of `ns.host.net.`. The
+/// first `WARM` zones warm the resolver, the pool and the scratches;
+/// the counter runs over the rest. Referrals are copied from tails, so
+/// the first `WARM` zones would leave the TLD server's generic half cold
+/// until `ns.host.net.`'s answer: the first question, `www.tld.`,
+/// answered by the TLD server itself, warms it.
+fn resolver_miss_budget(pad: &str) -> (u64, u64) {
+    const WARM: usize = 8;
+    let (servers, questions) = miss_hierarchy(pad);
+    let (mut sim, mut host) = hierarchy_sim(servers);
+    let (resolver, stub) = (host.addr(), SocketAddr::from(([10, 2, 0, 1], 5353)));
     let snapshot = Arc::new(Mutex::new(ResolverSnapshot::default()));
     host.set_stats_out(snapshot.clone());
     sim.add_host(&[resolver.ip()], Box::new(host));
@@ -808,6 +821,95 @@ fn a_cold_miss_of_a_long_name_copies_it_once() {
     let (long, misses) = resolver_miss_budget("-with-a-label-long-enough");
     assert_eq!(misses, 228);
     assert_eq!(long, short + misses + 6, "{long} against {short}");
+}
+
+/// The resolver's books, as [`SimResolver::books`] reads them: the most
+/// it held after any event, and what it holds after the latest.
+type Books = ((usize, usize, usize), (usize, usize, usize));
+
+/// A [`SimResolver`] that notes its books after every event.
+struct Watched {
+    resolver: SimResolver,
+    books: Arc<Mutex<Books>>,
+}
+
+impl Watched {
+    fn note(&self) {
+        let now = self.resolver.books();
+        let mut books = self.books.lock().unwrap();
+        let peak = books.0;
+        books.0 = (peak.0.max(now.0), peak.1.max(now.1), peak.2.max(now.2));
+        books.1 = now;
+    }
+}
+
+impl Host for Watched {
+    fn on_udp(&mut self, ctx: &mut Ctx<'_>, from: SocketAddr, to: SocketAddr, data: PacketBytes) {
+        self.resolver.on_udp(ctx, from, to, data);
+        self.note();
+    }
+    fn on_tcp_event(&mut self, _ctx: &mut Ctx<'_>, _event: TcpEvent) {}
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+        self.resolver.on_timer(ctx, token);
+        self.note();
+    }
+}
+
+/// A cold burst of 1,000 stub queries for one name through
+/// [`miss_hierarchy`] is one resolution: the resolver holds one task,
+/// one in-flight key and one upstream attempt at most, and nothing once
+/// everyone is answered. A second burst, for a name of another zone,
+/// allocates no more than the first: the joiners' `Vec` goes with its
+/// task.
+#[test]
+fn a_cold_burst_for_one_name_holds_one_task_and_leaves_nothing() {
+    const BURST: u64 = 1_000;
+    let (servers, _) = miss_hierarchy("");
+    let (mut sim, mut host) = hierarchy_sim(servers);
+    let (resolver, stub) = (host.addr(), SocketAddr::from(([10, 2, 0, 1], 5353)));
+    let snapshot = Arc::new(Mutex::new(ResolverSnapshot::default()));
+    host.set_stats_out(snapshot.clone());
+    let books = Arc::new(Mutex::new(Books::default()));
+    let watched = Watched {
+        resolver: host,
+        books: books.clone(),
+    };
+    sim.add_host(&[resolver.ip()], Box::new(watched));
+    let tally = Arc::new(Mutex::new((0, 0)));
+    let queries = ["h0.z1.tld", "h0.z2.tld"]
+        .map(|qname| Message::query(7, n(qname), RecordType::A).encode().into())
+        .to_vec();
+    let stub = sim.add_host(
+        &[stub.ip()],
+        Box::new(TallyStub {
+            addr: stub,
+            resolver,
+            queries,
+            want: (Rcode::NoError.low_bits(), 1),
+            tally: tally.clone(),
+        }),
+    );
+    for (token, at) in [(0, 0), (1, 1000)] {
+        for _ in 0..BURST {
+            sim.schedule_timer(stub, SimTime::from_millis(at), token);
+        }
+    }
+    let mut burst = |until_ms: u64| {
+        let (allocs, _events) = allocations(|| sim.run_until(SimTime::from_millis(until_ms)));
+        (allocs, std::mem::take(&mut *books.lock().unwrap()))
+    };
+    let (first, first_books) = burst(999);
+    let (second, second_books) = burst(1999);
+    for books in [first_books, second_books] {
+        assert_eq!(books, ((1, 1, 1), (0, 0, 0)), "(tasks, keys, attempts)");
+    }
+    assert_eq!(*tally.lock().unwrap(), (2 * BURST, 0));
+    let outstanding = snapshot.lock().unwrap().outstanding;
+    assert_eq!(
+        (outstanding.leads, outstanding.coalesced),
+        (2, 2 * (BURST - 1))
+    );
+    assert!(second <= first, "{second} allocations against {first}");
 }
 
 /// A referral for `qname` from the zone of its last two labels: 13 NS

@@ -1,8 +1,8 @@
 //! # dns-resolver
 //!
 //! Recursive DNS resolution for the LDplayer reproduction: the
-//! [`ldp_cache`]-backed resolver cache (capacity-bounded, with in-flight
-//! query aggregation) and one resolution core (`core.rs`: the
+//! [`ldp_cache`]-backed resolver cache (capacity-bounded) and one
+//! resolution core (`core.rs`: the
 //! delegation table and the step function that classifies every
 //! upstream response) under two drivers — a synchronous iterative
 //! resolver (used by the zone constructor's one-time cold-cache walks,
@@ -21,5 +21,6 @@ pub use ldp_cache::{
     PrefetchConfig, PutOutcome, RecordList, ResolverCache,
 };
 pub use sim_resolver::{
-    AnswerClass, AnswerEvent, ResolverSnapshot, ResolverStats, SimResolver, StubHead,
+    AnswerClass, AnswerEvent, OutstandingStats, ResolverSnapshot, ResolverStats, SimResolver,
+    StubHead,
 };

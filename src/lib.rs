@@ -14,11 +14,11 @@
 //! - [`zone`] — zone files, authoritative lookup semantics, split-horizon
 //!   views, DNSSEC size simulation.
 //! - [`server`] — the authoritative server engine (meta-DNS-server).
-//! - [`resolver`] — a recursive resolver with cache.
+//! - [`resolver`] — a recursive resolver with cache and in-flight query
+//!   aggregation (delayed hits).
 //! - [`cache`] — the resolver cache subsystem: capacity-bounded store
 //!   with pluggable deterministic eviction (LRU / LFU-lite /
-//!   delay-aware), in-flight query aggregation (delayed hits), RFC 2308
-//!   negative caching and rate-budgeted prefetch.
+//!   delay-aware), RFC 2308 negative caching and rate-budgeted prefetch.
 //! - [`netsim`] — the deterministic network simulator (UDP/TCP/TLS
 //!   cost models) used by the resource and latency experiments.
 //! - [`trace`] — pcap/text/binary trace formats, converters and the
@@ -71,3 +71,8 @@ pub use ldp_trace as trace;
 pub use netsim;
 pub use workloads;
 pub use zone_construct;
+
+/// The README's Rust examples, compiled and run as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
