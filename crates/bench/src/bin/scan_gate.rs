@@ -265,7 +265,7 @@ fn cache_hit_rate(entries: usize) -> f64 {
         for i in 0..steps as usize {
             let q = &probes[i % probes.len()];
             let hit = cache.lookup(black_box(q), RecordType::A, 1.0);
-            let reply = hit.map(|(hit, _)| head.write_hit(q, RecordType::A, hit, &mut scratch));
+            let reply = hit.map(|hit| head.write_hit(q, RecordType::A, hit, &mut scratch));
             black_box(reply.map_or(0, <[u8]>::len));
         }
     })

@@ -15,11 +15,6 @@
 //!   [`PolicyKind::DelayAware`] that ranks entries by
 //!   (expected miss latency × arrival rate) rather than recency. TTLs
 //!   are clamped per RFC 2181 §8 and expired sets are never inserted.
-//!   Hot names are refreshed before expiry when their remaining TTL
-//!   drops under a configurable fraction
-//!   ([`PrefetchConfig::trigger_fraction`]), rate-budgeted by a
-//!   deterministic virtual-time token bucket so a popular-name storm
-//!   cannot turn the refresh path into its own query flood.
 //! * **[`negative_ttl`]** — RFC 2308 negative caching: the negative TTL
 //!   is derived from the authority-section SOA (min of the SOA record
 //!   TTL and its MINIMUM field) instead of a hardcoded constant, with a
@@ -54,28 +49,6 @@ pub use policy::PolicyKind;
 pub use records::RecordList;
 pub use store::{CacheStats, CachedAnswer, EntryMeta, FillInfo, PutOutcome, ResolverCache};
 
-/// Prefetch-before-expiry knobs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PrefetchConfig {
-    /// Refresh when the remaining TTL drops to this fraction of the
-    /// original TTL (0.1 = refresh inside the last 10% of lifetime).
-    pub trigger_fraction: f64,
-    /// Sustained refresh budget, in refreshes per (virtual) second.
-    pub rate_per_sec: f64,
-    /// Token-bucket burst: refreshes that may fire back-to-back.
-    pub burst: f64,
-}
-
-impl Default for PrefetchConfig {
-    fn default() -> Self {
-        PrefetchConfig {
-            trigger_fraction: 0.1,
-            rate_per_sec: 10.0,
-            burst: 4.0,
-        }
-    }
-}
-
 /// Configuration of a [`ResolverCache`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheConfig {
@@ -97,8 +70,6 @@ pub struct CacheConfig {
     /// Cap on SOA-derived negative TTLs (RFC 2308 suggests resolvers
     /// bound negative caching; 3 hours is BIND's default cap).
     pub neg_ttl_cap: u32,
-    /// Prefetch-before-expiry; `None` disables the refresh path.
-    pub prefetch: Option<PrefetchConfig>,
 }
 
 impl Default for CacheConfig {
@@ -110,7 +81,6 @@ impl Default for CacheConfig {
             max_ttl: 604_800,
             neg_ttl_default: 30,
             neg_ttl_cap: 10_800,
-            prefetch: None,
         }
     }
 }
@@ -136,7 +106,6 @@ mod tests {
         let cfg = CacheConfig::default();
         assert_eq!(cfg.capacity, usize::MAX);
         assert_eq!(cfg.policy, PolicyKind::Lru);
-        assert!(cfg.prefetch.is_none());
         assert_eq!(cfg.neg_ttl_default, 30);
     }
 

@@ -79,7 +79,6 @@ mod tests {
             requests,
             last_access_seq: seq,
             fill_latency,
-            prefetch_armed: false,
         }
     }
 

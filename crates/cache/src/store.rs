@@ -39,7 +39,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use dns_wire::{EncodeScratch, Name, Rcode, Record, RecordType};
 use ldp_rng::{KeyTable, Probe};
 
-use crate::{AnswerBytes, CacheConfig, PolicyKind, PrefetchConfig};
+use crate::{AnswerBytes, CacheConfig, PolicyKind};
 
 /// A cached outcome for a (name, type) question.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,10 +66,6 @@ pub struct EntryMeta {
     /// Observed upstream latency of the most recent fill, seconds —
     /// what a miss for this key is expected to cost again.
     pub fill_latency: f64,
-    /// A prefetch was already triggered for this generation of the
-    /// entry (reset on refresh, so each TTL window refreshes at most
-    /// once).
-    pub prefetch_armed: bool,
 }
 
 /// What a fill observed, fed back into the store at insert time so the
@@ -118,16 +114,12 @@ pub struct CacheStats {
     /// Inserts rejected (empty record set, zero/overflowed TTL, or
     /// capacity 0).
     pub rejected: u64,
-    /// Prefetch triggers granted by [`ResolverCache::prefetch_due`].
-    pub prefetch_grants: u64,
 }
 
 #[derive(Debug)]
 struct Entry {
     answer: CachedAnswer,
     expires: f64,
-    /// Effective (clamped) TTL this generation was stored with.
-    ttl: u32,
     slot: u64,
     rank: u128,
     meta: EntryMeta,
@@ -142,34 +134,6 @@ struct Question<'a>(&'a Name, u16);
 impl Probe<(Name, u16)> for Question<'_> {
     fn is(&self, key: &(Name, u16)) -> bool {
         key.1 == self.1 && key.0 == *self.0
-    }
-}
-
-/// Deterministic virtual-time token bucket for the prefetch budget.
-#[derive(Debug, Clone, Copy)]
-struct PrefetchBudget {
-    tokens: f64,
-    last: f64,
-}
-
-impl PrefetchBudget {
-    fn new(cfg: &PrefetchConfig) -> Self {
-        PrefetchBudget {
-            tokens: cfg.burst,
-            last: 0.0,
-        }
-    }
-
-    fn try_take(&mut self, now: f64, cfg: &PrefetchConfig) -> bool {
-        let elapsed = (now - self.last).max(0.0);
-        self.tokens = (self.tokens + elapsed * cfg.rate_per_sec).min(cfg.burst);
-        self.last = now;
-        if self.tokens >= 1.0 {
-            self.tokens -= 1.0;
-            true
-        } else {
-            false
-        }
     }
 }
 
@@ -212,7 +176,6 @@ pub struct ResolverCache {
     index: Option<EvictionIndex>,
     seq: u64,
     next_slot: u64,
-    budget: PrefetchBudget,
     stats: CacheStats,
     /// What [`ResolverCache::put_positive`] encodes with, made at its
     /// first use.
@@ -222,7 +185,6 @@ pub struct ResolverCache {
 impl ResolverCache {
     /// A cache with the given configuration.
     pub fn new(config: CacheConfig) -> Self {
-        let budget = PrefetchBudget::new(&config.prefetch.unwrap_or_default());
         ResolverCache {
             policy: config.policy,
             config,
@@ -230,41 +192,26 @@ impl ResolverCache {
             index: None,
             seq: 0,
             next_slot: 0,
-            budget,
             stats: CacheStats::default(),
             encode: None,
         }
     }
 
-    /// The legacy shape: unbounded, LRU-ranked, no prefetch.
+    /// The legacy shape: unbounded, LRU-ranked.
     pub fn unbounded() -> Self {
         ResolverCache::new(CacheConfig::default())
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &CacheConfig {
-        &self.config
     }
 
     /// Look up a question at time `now`. Expired entries miss and are
     /// evicted lazily; hits refresh the entry's recency/frequency
     /// bookkeeping (and thus its eviction rank).
     pub fn get(&mut self, name: &Name, qtype: RecordType, now: f64) -> Option<CachedAnswer> {
-        self.lookup(name, qtype, now)
-            .map(|(answer, _)| answer.clone())
+        self.lookup(name, qtype, now).cloned()
     }
 
     /// [`get`](Self::get) without the copy, for a caller that only
-    /// reads the answer: the entry is handed out borrowed. The flag
-    /// says, from the same walk of the map, whether the entry is inside
-    /// its prefetch window and not yet refreshed — whether
-    /// [`prefetch_due`](Self::prefetch_due) is worth asking.
-    pub fn lookup(
-        &mut self,
-        name: &Name,
-        qtype: RecordType,
-        now: f64,
-    ) -> Option<(&CachedAnswer, bool)> {
+    /// reads the answer: the entry is handed out borrowed.
+    pub fn lookup(&mut self, name: &Name, qtype: RecordType, now: f64) -> Option<&CachedAnswer> {
         // The entry as a handle, not a borrow: the borrow a hit returns
         // keeps `entries` borrowed on every path out of here, and the
         // handle can still drop an expired entry on the path that
@@ -282,10 +229,7 @@ impl ResolverCache {
                 }
                 e.rank = new_rank;
                 self.stats.hits += 1;
-                let in_window = self.config.prefetch.is_some_and(|pf| {
-                    !e.meta.prefetch_armed && e.expires - now <= pf.trigger_fraction * e.ttl as f64
-                });
-                return Some((&e.answer, in_window));
+                return Some(&e.answer);
             }
             let e = entry.remove();
             if let Some(index) = &mut self.index {
@@ -363,33 +307,6 @@ impl ResolverCache {
         self.insert(name, qtype, CachedAnswer::Negative(rcode), ttl, now, fill)
     }
 
-    /// True if a fresh entry for the key should be refreshed now:
-    /// prefetch is configured, the entry's remaining TTL is inside the
-    /// trigger window, this generation hasn't already been refreshed,
-    /// and the rate budget grants a token. Granting arms the entry so
-    /// the caller is the only one who sees `true` for this generation.
-    pub fn prefetch_due(&mut self, name: &Name, qtype: RecordType, now: f64) -> bool {
-        let Some(pf) = self.config.prefetch else {
-            return false;
-        };
-        let Some(e) = self.entries.get_mut(&Question(name, qtype.to_u16())) else {
-            return false;
-        };
-        if e.meta.prefetch_armed || e.expires <= now {
-            return false;
-        }
-        let remaining = e.expires - now;
-        if remaining > pf.trigger_fraction * e.ttl as f64 {
-            return false;
-        }
-        if !self.budget.try_take(now, &pf) {
-            return false;
-        }
-        e.meta.prefetch_armed = true;
-        self.stats.prefetch_grants += 1;
-        true
-    }
-
     /// Entries currently resident (including not-yet-evicted expired
     /// ones).
     pub fn len(&self) -> usize {
@@ -459,7 +376,6 @@ impl ResolverCache {
                 .saturating_add(fill.requests.max(1)),
             last_access_seq: self.seq,
             fill_latency: fill.latency.max(0.0),
-            prefetch_armed: false,
         };
         let rank = self.policy.rank(&meta, now);
         let slot = self.next_slot;
@@ -469,7 +385,6 @@ impl ResolverCache {
             Entry {
                 answer,
                 expires: now + ttl as f64,
-                ttl,
                 slot,
                 rank,
                 meta,
@@ -540,10 +455,7 @@ pub(crate) mod reference {
 
     use dns_wire::{EncodeScratch, Name, Rcode, Record, RecordType};
 
-    use super::{
-        clamp_rfc2181, CacheStats, CachedAnswer, Entry, EntryMeta, FillInfo, PrefetchBudget,
-        PutOutcome,
-    };
+    use super::{clamp_rfc2181, CacheStats, CachedAnswer, Entry, EntryMeta, FillInfo, PutOutcome};
     use crate::{AnswerBytes, CacheConfig, PolicyKind};
 
     #[derive(Debug)]
@@ -556,13 +468,11 @@ pub(crate) mod reference {
         count: usize,
         seq: u64,
         next_slot: u64,
-        budget: PrefetchBudget,
         stats: CacheStats,
     }
 
     impl ResolverCache {
         pub fn new(config: CacheConfig) -> Self {
-            let budget = PrefetchBudget::new(&config.prefetch.unwrap_or_default());
             ResolverCache {
                 policy: config.policy,
                 config,
@@ -572,7 +482,6 @@ pub(crate) mod reference {
                 count: 0,
                 seq: 0,
                 next_slot: 0,
-                budget,
                 stats: CacheStats::default(),
             }
         }
@@ -582,7 +491,7 @@ pub(crate) mod reference {
             name: &Name,
             qtype: RecordType,
             now: f64,
-        ) -> Option<(&CachedAnswer, bool)> {
+        ) -> Option<&CachedAnswer> {
             let t = qtype.to_u16();
             if let btree_map::Entry::Occupied(mut types) = self.entries.entry(name.clone()) {
                 if types.get().get(&t).is_some_and(|e| e.expires > now) {
@@ -595,11 +504,7 @@ pub(crate) mod reference {
                     self.by_rank.insert((new_rank, e.slot));
                     e.rank = new_rank;
                     self.stats.hits += 1;
-                    let in_window = self.config.prefetch.is_some_and(|pf| {
-                        !e.meta.prefetch_armed
-                            && e.expires - now <= pf.trigger_fraction * e.ttl as f64
-                    });
-                    return Some((&e.answer, in_window));
+                    return Some(&e.answer);
                 }
                 if let Some(e) = types.get_mut().remove(&t) {
                     if types.get().is_empty() {
@@ -659,29 +564,6 @@ pub(crate) mod reference {
             self.insert(name, qtype, CachedAnswer::Negative(rcode), ttl, now, fill)
         }
 
-        pub fn prefetch_due(&mut self, name: &Name, qtype: RecordType, now: f64) -> bool {
-            let Some(pf) = self.config.prefetch else {
-                return false;
-            };
-            let t = qtype.to_u16();
-            let Some(e) = self.entries.get_mut(name).and_then(|m| m.get_mut(&t)) else {
-                return false;
-            };
-            if e.meta.prefetch_armed || e.expires <= now {
-                return false;
-            }
-            let remaining = e.expires - now;
-            if remaining > pf.trigger_fraction * e.ttl as f64 {
-                return false;
-            }
-            if !self.budget.try_take(now, &pf) {
-                return false;
-            }
-            e.meta.prefetch_armed = true;
-            self.stats.prefetch_grants += 1;
-            true
-        }
-
         pub fn len(&self) -> usize {
             self.count
         }
@@ -728,7 +610,6 @@ pub(crate) mod reference {
                     .saturating_add(fill.requests.max(1)),
                 last_access_seq: self.seq,
                 fill_latency: fill.latency.max(0.0),
-                prefetch_armed: false,
             };
             let rank = self.policy.rank(&meta, now);
             let slot = self.next_slot;
@@ -738,7 +619,6 @@ pub(crate) mod reference {
                 Entry {
                     answer,
                     expires: now + ttl as f64,
-                    ttl,
                     slot,
                     rank,
                     meta,
@@ -1065,81 +945,16 @@ mod tests {
         assert_eq!(c.stats().inserts, 2);
     }
 
-    #[test]
-    fn prefetch_due_fires_once_in_window_and_respects_budget() {
-        let cfg = CacheConfig {
-            prefetch: Some(PrefetchConfig {
-                trigger_fraction: 0.2,
-                rate_per_sec: 0.0, // no refill: only the burst is spendable
-                burst: 1.0,
-            }),
-            ..CacheConfig::default()
-        };
-        let mut c = ResolverCache::new(cfg);
-        put(&mut c, "hot.", 100, 0.0);
-        put(&mut c, "hot2.", 100, 0.0);
-        assert!(
-            !c.prefetch_due(&n("hot."), RecordType::A, 50.0),
-            "outside window"
-        );
-        assert!(
-            c.prefetch_due(&n("hot."), RecordType::A, 85.0),
-            "inside last 20%"
-        );
-        assert!(
-            !c.prefetch_due(&n("hot."), RecordType::A, 86.0),
-            "armed: one refresh per generation"
-        );
-        assert!(
-            !c.prefetch_due(&n("hot2."), RecordType::A, 85.0),
-            "budget of 1 token spent"
-        );
-        // A refresh re-arms the entry.
-        put(&mut c, "hot.", 100, 90.0);
-        assert!(!c.prefetch_due(&n("hot."), RecordType::A, 100.0));
-        assert_eq!(c.stats().prefetch_grants, 1);
-    }
-
-    #[test]
-    fn prefetch_budget_refills_over_time() {
-        let cfg = CacheConfig {
-            prefetch: Some(PrefetchConfig {
-                trigger_fraction: 1.0, // whole lifetime is the window
-                rate_per_sec: 1.0,
-                burst: 1.0,
-            }),
-            ..CacheConfig::default()
-        };
-        let mut c = ResolverCache::new(cfg);
-        put(&mut c, "a.", 1000, 0.0);
-        put(&mut c, "b.", 1000, 0.0);
-        assert!(c.prefetch_due(&n("a."), RecordType::A, 1.0));
-        assert!(
-            !c.prefetch_due(&n("b."), RecordType::A, 1.1),
-            "bucket empty"
-        );
-        assert!(
-            c.prefetch_due(&n("b."), RecordType::A, 3.0),
-            "refilled at 1/s"
-        );
-    }
-
     /// The adaptor and the borrowing core are one cache: over a
     /// generated script of fills, lookups and clock steps, `lookup`
-    /// (and `prefetch_due` only when it says so) gives what `get` then
-    /// `prefetch_due` give — answer, prefetch verdict, counters, lazy
-    /// expiry, and the eviction order the next fills will follow.
+    /// gives what `get` gives — answer, counters, lazy expiry, and the
+    /// eviction order the next fills will follow.
     #[test]
     fn lookup_is_get_without_the_copy() {
         ldp_rng::check::check(256, |g| {
             let config = CacheConfig {
                 capacity: *g.pick(&[0, 1, 2, 3, usize::MAX]),
                 policy: *g.pick(&PolicyKind::ALL),
-                prefetch: g.option(|g| PrefetchConfig {
-                    trigger_fraction: g.f64(0.0, 1.0),
-                    rate_per_sec: g.f64(0.0, 2.0),
-                    burst: g.f64(0.0, 3.0),
-                }),
                 ..CacheConfig::default()
             };
             let (mut old, mut new) = (ResolverCache::new(config), ResolverCache::new(config));
@@ -1170,19 +985,8 @@ mod tests {
                         assert_eq!(got, out);
                     }
                     _ => {
-                        // The caller's sequence before the core, and
-                        // with it: `prefetch_due` asked on every hit,
-                        // or only when the hit says it is worth it.
-                        let want = old
-                            .get(&n(name), qtype, now)
-                            .map(|answer| (answer, old.prefetch_due(&n(name), qtype, now)));
-                        let got = new
-                            .lookup(&n(name), qtype, now)
-                            .map(|(answer, in_window)| (answer.clone(), in_window));
-                        let got = got.map(|(answer, in_window)| {
-                            (answer, in_window && new.prefetch_due(&n(name), qtype, now))
-                        });
-                        assert_eq!(got, want);
+                        let want = old.get(&n(name), qtype, now);
+                        assert_eq!(new.lookup(&n(name), qtype, now).cloned(), want);
                     }
                 }
                 assert_eq!(new.stats(), old.stats());
@@ -1193,11 +997,11 @@ mod tests {
     }
 
     /// One map is the two-level store: over generated scripts of fills,
-    /// lookups, prefetch asks, clock steps and clears, on every policy,
+    /// lookups, clock steps and clears, on every policy,
     /// capacity 1–16 (so some scripts run a while before the store
     /// first fills) and unbounded, with several types per name and names
     /// that nest, the one-map store gives what [`reference`] gives —
-    /// answer, prefetch verdict, put outcome (evictions included), `len`,
+    /// answer, put outcome (evictions included), `len`,
     /// counters. The reference keeps its eviction index and slot map on
     /// every step; the entries' own `(rank, slot)` make the same index
     /// at every step, and the index the store holds once it has been
@@ -1212,11 +1016,6 @@ mod tests {
                     g.size(1..=16)
                 },
                 policy: *g.pick(&PolicyKind::ALL),
-                prefetch: g.option(|g| PrefetchConfig {
-                    trigger_fraction: g.f64(0.0, 1.0),
-                    rate_per_sec: g.f64(0.0, 2.0),
-                    burst: g.f64(0.0, 3.0),
-                }),
                 ..CacheConfig::default()
             };
             let mut old = reference::ResolverCache::new(config);
@@ -1246,17 +1045,13 @@ mod tests {
                         let got = new.put_negative(&name, qtype, rcode, ttl, now, fill);
                         assert_eq!(got, out);
                     }
-                    5 | 6 => {
-                        let want = old.prefetch_due(&name, qtype, now);
-                        assert_eq!(new.prefetch_due(&name, qtype, now), want);
-                    }
-                    7 => {
+                    5 => {
                         old.clear();
                         new.clear();
                     }
                     _ => {
-                        let want = old.lookup(&name, qtype, now).map(|(a, w)| (a.clone(), w));
-                        let got = new.lookup(&name, qtype, now).map(|(a, w)| (a.clone(), w));
+                        let want = old.lookup(&name, qtype, now).cloned();
+                        let got = new.lookup(&name, qtype, now).cloned();
                         assert_eq!(got, want, "{name} {qtype}");
                     }
                 }
@@ -1273,6 +1068,14 @@ mod tests {
                 }
             }
         });
+    }
+
+    /// What a resident answer costs beside its key: the answer, its
+    /// expiry, its slot and rank in the eviction order, and what the
+    /// policies rank on. A field added here shows as a change.
+    #[test]
+    fn an_entry_is_112_bytes() {
+        assert_eq!(std::mem::size_of::<Entry>(), 112);
     }
 
     #[test]

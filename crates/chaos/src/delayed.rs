@@ -19,7 +19,7 @@
 use std::sync::{Arc, Mutex};
 
 use dns_resolver::sim_resolver::{AnswerClass, AnswerEvent, ResolverSnapshot};
-use ldp_cache::{CacheConfig, PrefetchConfig};
+use ldp_cache::CacheConfig;
 #[allow(
     clippy::disallowed_types,
     reason = "D6: the workload's ranks are drawn before the run, from one stream the simulator never sees"
@@ -54,8 +54,6 @@ pub struct DelayedConfig {
     pub capacity: usize,
     /// Eviction policy under study.
     pub policy: PolicyKind,
-    /// Enable prefetch-before-expiry (fixed study knobs).
-    pub prefetch: bool,
     /// Authoritative servers (all serve the same zone).
     pub servers: usize,
     /// Optional delay spike `(start, until, extra one-way delay)` on
@@ -83,7 +81,6 @@ impl DelayedConfig {
             nx_every: 7,
             capacity,
             policy,
-            prefetch: false,
             servers: 4,
             delay_spike: None,
             crash: None,
@@ -272,7 +269,6 @@ pub fn run_on<S: SimDriver>(cfg: &DelayedConfig, sim: &mut S) -> DelayedOutcome 
     resolver.set_cache_config(CacheConfig {
         capacity: cfg.capacity,
         policy: cfg.policy,
-        prefetch: cfg.prefetch.then(PrefetchConfig::default),
         ..CacheConfig::default()
     });
     let answers: Arc<Mutex<Vec<AnswerEvent>>> = Arc::new(Mutex::new(Vec::new()));
@@ -330,11 +326,14 @@ pub fn run_on<S: SimDriver>(cfg: &DelayedConfig, sim: &mut S) -> DelayedOutcome 
     // Deterministic transcript: config, per-query outcomes, counters.
     let mut t = String::new();
     t.push_str("fig_cache v1\n");
+    // `fig_cache v1` was committed while the cache could refresh
+    // entries before expiry (prefetch): its header's `prefetch=0`, the
+    // resolver line's `prefetches: 0` and `prefetch_grants: 0` are kept
+    // as literals, so the committed transcript reads as it did.
     t.push_str(&format!(
-        "policy={} capacity={} prefetch={} seed={} names={} queries={} ttl={}s nx_every={} spike={:?} crash={:?}\n",
+        "policy={} capacity={} prefetch=0 seed={} names={} queries={} ttl={}s nx_every={} spike={:?} crash={:?}\n",
         cfg.policy.label(),
         if cfg.capacity == usize::MAX { "inf".to_string() } else { cfg.capacity.to_string() },
-        u8::from(cfg.prefetch),
         cfg.seed,
         cfg.names,
         cfg.queries,
@@ -360,21 +359,26 @@ pub fn run_on<S: SimDriver>(cfg: &DelayedConfig, sim: &mut S) -> DelayedOutcome 
     // when `fig_cache v1` was committed: a counter `ResolverStats` has
     // gained since (`mismatched_responses`, which no upstream of this
     // study can move) does not reword a committed transcript.
-    let s = &snapshot.stats;
+    let (s, c) = (&snapshot.stats, &snapshot.cache);
     t.push_str(&format!(
         "resolver ResolverSnapshot {{ stats: ResolverStats {{ stub_queries: {}, \
          stub_answers: {}, upstream_queries: {}, cache_hits: {}, delayed_hits: {}, \
-         evictions: {}, prefetches: {}, failures: {} }}, cache: {:?}, outstanding: {:?}, \
-         cache_len: {} }}\n",
+         evictions: {}, prefetches: 0, failures: {} }}, cache: CacheStats {{ hits: {}, \
+         misses: {}, expired: {}, inserts: {}, evictions: {}, rejected: {}, \
+         prefetch_grants: 0 }}, outstanding: {:?}, cache_len: {} }}\n",
         s.stub_queries,
         s.stub_answers,
         s.upstream_queries,
         s.cache_hits,
         s.delayed_hits,
         s.evictions,
-        s.prefetches,
         s.failures,
-        snapshot.cache,
+        c.hits,
+        c.misses,
+        c.expired,
+        c.inserts,
+        c.evictions,
+        c.rejected,
         snapshot.outstanding,
         snapshot.cache_len,
     ));

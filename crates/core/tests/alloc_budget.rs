@@ -793,17 +793,25 @@ fn resolver_miss_budget(pad: &str) -> (u64, u64) {
 /// message instead of interners learning every new label (50); 76
 /// (0.33) once the cache's entries and the delegation table moved off
 /// B-trees into `ldp_rng::KeyTable`s (31: their 37 and 8 tree nodes
-/// became 14 chunks and index doublings); 74 (0.32) once `www.tld.` was
-/// answered in the warm-up, with or without referral tails: two of the
-/// section `Vec`s that grew in the counted window were the TLD server's
-/// first answer growing them. What is left: per zone, the zone's server
-/// set (59 `Arc`s); the two tables' chunks and index doublings (14); and
-/// one of a server's section `Vec`s growing.
+/// became 14 chunks and index doublings); 72 (0.32) once `www.tld.` was
+/// answered in the warm-up: two of the section `Vec`s that grew in the
+/// counted window were the TLD server's first answer growing them, and
+/// the warm-up's extra entry took one chunk and one index doubling of
+/// the cache's table out of the window (the bound then read 74); 69
+/// (0.30) once a cache entry held its answer in wire form (a 48-byte
+/// `CachedAnswer` where a `RecordList` held a 128-byte `Record`), so a
+/// chunk holds more entries: two chunks and one growth of the chunk
+/// list fewer. The 128 → 112-byte entry that dropped prefetch's TTL copy
+/// and armed flag still takes five chunks here. Each step was read by a
+/// per-site tally of the counted window at its commit. What is left:
+/// per zone, the zone's server set (59 `Arc`s); the cache table's five
+/// chunks, one growth of its chunk list and three index doublings (9);
+/// and one of a server's section `Vec`s growing.
 #[test]
 fn a_cold_miss_stays_within_its_budget() {
     let (allocs, misses) = resolver_miss_budget("");
     assert_eq!(misses, 228);
-    assert!(allocs <= 74, "{allocs} allocations for {misses} misses");
+    assert!(allocs <= 69, "{allocs} allocations for {misses} misses");
 }
 
 /// The same misses with every question longer than a name holds by

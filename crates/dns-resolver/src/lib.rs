@@ -18,7 +18,7 @@ pub mod sim_resolver;
 pub use iterative::{IterativeResolver, Resolution, ResolveError, Upstream};
 pub use ldp_cache::{
     negative_ttl, AnswerBytes, CacheConfig, CacheStats, CachedAnswer, FillInfo, PolicyKind,
-    PrefetchConfig, PutOutcome, RecordList, ResolverCache,
+    PutOutcome, RecordList, ResolverCache,
 };
 pub use sim_resolver::{
     AnswerClass, AnswerEvent, OutstandingStats, ResolverSnapshot, ResolverStats, SimResolver,

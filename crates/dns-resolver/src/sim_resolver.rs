@@ -9,9 +9,8 @@
 //! upstream answer fans out to every waiter (*delayed hits*, with
 //! per-waiter latency accounting). The cache is [`ldp_cache`]'s:
 //! capacity-bounded with pluggable deterministic eviction
-//! ([`CacheConfig`]), negative TTLs derived from the authority-section
-//! SOA per RFC 2308, and hot names refreshed before expiry
-//! (rate-budgeted prefetch).
+//! ([`CacheConfig`]), and negative TTLs derived from the
+//! authority-section SOA per RFC 2308.
 //!
 //! What a response means is the resolution core's to say
 //! (`core.rs`, shared with [`crate::IterativeResolver`]); this driver
@@ -224,8 +223,8 @@ struct Task {
     /// When the resolution launched (seconds): the lead's arrival.
     started: f64,
     /// Whoever launched it, held inline: a resolution nobody joins
-    /// allocates nothing for its waiters. `None` for a prefetch refresh.
-    lead: Option<Waiter>,
+    /// allocates nothing for its waiters.
+    lead: Waiter,
     /// Everyone who coalesced onto it since, with their arrival
     /// (seconds), in arrival order.
     joiners: Vec<(f64, Waiter)>,
@@ -277,8 +276,6 @@ pub struct ResolverStats {
     pub delayed_hits: u64,
     /// Entries evicted by the cache capacity bound.
     pub evictions: u64,
-    /// Prefetch refreshes launched before expiry.
-    pub prefetches: u64,
     /// Resolutions that failed (SERVFAIL to the stub).
     pub failures: u64,
     /// Upstream responses ignored because they carried the id of an
@@ -329,7 +326,8 @@ pub struct AnswerEvent {
 /// Cumulative aggregation counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OutstandingStats {
-    /// Resolutions launched (lead misses + prefetch refreshes).
+    /// Resolutions launched, one per lead: a stub's miss or a
+    /// nameserver lookup.
     pub leads: u64,
     /// Requests that coalesced onto an already-in-flight resolution
     /// instead of launching their own (the delayed-hit count).
@@ -407,7 +405,7 @@ fn next_timeout(
 
 impl SimResolver {
     /// New resolver at `addr` using `root_hints`. The cache starts in
-    /// the legacy shape (unbounded LRU, no prefetch); use
+    /// the legacy shape (unbounded LRU); use
     /// [`set_cache_config`](Self::set_cache_config) before traffic to
     /// bound it.
     pub fn new(addr: SocketAddr, root_hints: Vec<IpAddr>) -> Self {
@@ -508,18 +506,12 @@ impl SimResolver {
     }
 
     /// Launch the resolution of `walk`'s question as task `next_task`:
-    /// indexed by its question, with `lead` waiting on it — nobody, for
-    /// a prefetch refresh — and its first upstream attempt sent. The
-    /// walk's name is the one copy of the question the resolution keeps:
-    /// the task key, the index key and the cache key are copies of it
-    /// when it is short and views of it when it is long.
-    fn start_task(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        mut walk: Walk,
-        dnssec_ok: bool,
-        lead: Option<Waiter>,
-    ) {
+    /// indexed by its question, with `lead` waiting on it and its first
+    /// upstream attempt sent. The walk's name is the one copy of the
+    /// question the resolution keeps: the task key, the index key and
+    /// the cache key are copies of it when it is short and views of it
+    /// when it is long.
+    fn start_task(&mut self, ctx: &mut Ctx<'_>, mut walk: Walk, dnssec_ok: bool, lead: Waiter) {
         let task_id = self.next_task;
         self.next_task += 1;
         let key = (walk.qname.clone(), walk.qtype.to_u16());
@@ -590,24 +582,12 @@ impl SimResolver {
         let dnssec_ok = head.dnssec_ok == Some(true);
         let now = ctx.now().as_secs_f64();
         // Cache hit answers immediately, from the entry where it lies.
-        if let Some((hit, in_prefetch_window)) = self.cache.lookup(&qname, qtype, now) {
+        if let Some(hit) = self.cache.lookup(&qname, qtype, now) {
             self.stats.cache_hits += 1;
             ctx.mark(Kind::RsvCacheHit, self.next_task, 0);
             let reply = head.write_hit(&qname, qtype, hit, &mut self.scratch.encode);
             ctx.send_udp(self.addr, from, reply);
             self.answered(ctx.now().as_nanos(), head.id, AnswerClass::Hit, 0);
-            // Hot-name refresh: if this entry is inside its prefetch
-            // window and the budget allows, resolve it again in the
-            // background before it expires.
-            if in_prefetch_window
-                && self.cache.prefetch_due(&qname, qtype, now)
-                && self.task_of(&qname, qtype).is_none()
-            {
-                self.stats.prefetches += 1;
-                ctx.mark(Kind::RsvPrefetch, self.next_task, 0);
-                let walk = Walk::new(qname.unshared(), qtype);
-                self.start_task(ctx, walk, dnssec_ok, None);
-            }
             self.publish_snapshot();
             return;
         }
@@ -619,7 +599,7 @@ impl SimResolver {
             Ok(()) => self.stats.delayed_hits += 1,
             Err(lead) => {
                 let walk = Walk::new(qname.unshared(), qtype);
-                self.start_task(ctx, walk, dnssec_ok, Some(lead));
+                self.start_task(ctx, walk, dnssec_ok, lead);
             }
         }
     }
@@ -677,9 +657,8 @@ impl SimResolver {
     }
 
     /// Answer everyone parked on a resolution that just ended, lead
-    /// first. The lead of a client-launched task is the miss, charged
-    /// the full resolution latency; everyone else (including anyone who
-    /// joined a prefetch refresh) coalesced mid-flight and is a
+    /// first. The lead is the miss, charged the full resolution
+    /// latency; everyone else coalesced mid-flight and is a
     /// *delayed hit*, charged exactly the residual wait from its own
     /// arrival (counted in `delayed_hits` at join time). A failed
     /// resolution answers them all SERVFAIL. A parked task goes on with
@@ -700,9 +679,9 @@ impl SimResolver {
         let (key, qtype) = (&task.key_name, task.walk.qtype);
         let compiled = (!answers.is_empty())
             .then(|| AnswerBytes::compile(key, answers, &mut self.scratch.encode));
-        let lead = (task.lead.iter()).map(|w| (task.started, w, AnswerClass::Miss));
+        let lead = (task.started, &task.lead, AnswerClass::Miss);
         let joiners = (task.joiners.iter()).map(|(at, w)| (*at, w, AnswerClass::DelayedHit));
-        for (arrived, waiter, class) in lead.chain(joiners) {
+        for (arrived, waiter, class) in std::iter::once(lead).chain(joiners) {
             let (stub, head) = match waiter {
                 Waiter::Stub { stub, head } => (*stub, head),
                 Waiter::Parent { task: parent, zone } => {
@@ -759,10 +738,9 @@ impl SimResolver {
             return;
         };
         let now = ctx.now().as_secs_f64();
-        let waiters = usize::from(task.lead.is_some()) + task.joiners.len();
         let fill = FillInfo {
             latency: (now - task.started).max(0.0),
-            requests: (waiters as u64).max(1),
+            requests: 1 + task.joiners.len() as u64,
         };
         ctx.mark(Kind::RsvAnswer, task_id, u64::from(rcode.to_u16()));
         let answers = &task.walk.answers;
@@ -823,7 +801,7 @@ impl SimResolver {
     /// it — the one in flight, or a child task.
     fn resolve_ns(&mut self, ctx: &mut Ctx<'_>, parent: u64, zone: Name, ns: Name) {
         let now = ctx.now().as_secs_f64();
-        if let Some((hit, _)) = self.cache.lookup(&ns, RecordType::A, now) {
+        if let Some(hit) = self.cache.lookup(&ns, RecordType::A, now) {
             let answers = match hit {
                 CachedAnswer::Positive(answers) => answers.records(&ns).unwrap_or_default(),
                 CachedAnswer::Negative(_) => Vec::new(),
@@ -844,7 +822,7 @@ impl SimResolver {
         let (walk, dnssec_ok) = (task.walk.for_nameserver(ns.clone()), task.dnssec_ok);
         let waiter = Waiter::Parent { task: parent, zone };
         if let Err(lead) = self.join(&ns, RecordType::A, waiter, now) {
-            self.start_task(ctx, walk, dnssec_ok, Some(lead));
+            self.start_task(ctx, walk, dnssec_ok, lead);
         }
     }
 
@@ -931,7 +909,7 @@ mod tests {
     use dns_wire::{Edns, Opcode, Question, RData, Soa};
     use dns_zone::catalog::Catalog;
     use dns_zone::zone::Zone;
-    use ldp_cache::{PolicyKind, PrefetchConfig};
+    use ldp_cache::PolicyKind;
     use ldp_rng::check::Gen;
     use netsim::{SimConfig, SimTime, Simulator, Topology};
 
@@ -1585,41 +1563,6 @@ mod tests {
         books_are_empty(&rig);
     }
 
-    /// A miss arriving while a prefetch refresh of its question is in
-    /// flight — the entry expired after the refresh launched — joins the
-    /// refresh, which nobody launched, as a delayed hit.
-    #[test]
-    fn a_miss_during_a_refresh_joins_it() {
-        // The entry is filled at 750 µs (a 250 µs hop to the resolver,
-        // a 500 µs round trip upstream), so it expires 3,600 s later;
-        // the hit arrives 200 µs before that, the miss 100 µs after.
-        let sends = vec![
-            sent_at(0, 30, "www.example.", RecordType::A),
-            sent_at(3_600_000_300, 31, "www.example.", RecordType::A),
-            sent_at(3_600_000_600, 32, "www.example.", RecordType::A),
-        ];
-        let mut rig = scheduled_rig(&[Some(good_engine())], sends, |r| {
-            r.set_cache_config(CacheConfig {
-                prefetch: Some(PrefetchConfig {
-                    trigger_fraction: 0.5,
-                    rate_per_sec: 1.0,
-                    burst: 2.0,
-                }),
-                ..CacheConfig::default()
-            });
-        });
-        rig.sim.run();
-        assert_eq!(rig.sim.stats(rig.server_ids[0]).udp_rx, 2, "miss + refresh");
-        let want = vec![
-            (30, AnswerClass::Miss),
-            (31, AnswerClass::Hit),
-            (32, AnswerClass::DelayedHit),
-        ];
-        assert_eq!(answered(&rig), (want, (2, 1)));
-        assert_eq!(rig.snapshot.lock().expect("snapshot").stats.prefetches, 1);
-        books_are_empty(&rig);
-    }
-
     /// An entry's request count starts at everyone its fill answered:
     /// under LFU-lite with room for two, the name three misses coalesced
     /// on outranks a later name asked once, so a third name evicts the
@@ -1685,47 +1628,6 @@ mod tests {
             classes,
             vec![AnswerClass::Miss, AnswerClass::Hit, AnswerClass::Miss]
         );
-    }
-
-    #[test]
-    fn prefetch_refreshes_hot_name_before_expiry() {
-        // www.example has TTL 3600; with a 0.5 trigger fraction a hit
-        // at t=2000 (remaining 1600 < 1800) must launch a background
-        // refresh: 2 upstream queries total, yet both client answers
-        // are {Miss, Hit} — the refresh is invisible to clients.
-        let sends = vec![
-            (
-                SimTime::from_secs_f64(0.0),
-                Message::query(30, name("www.example."), RecordType::A),
-            ),
-            (
-                SimTime::from_secs_f64(2000.0),
-                Message::query(31, name("www.example."), RecordType::A),
-            ),
-        ];
-        let mut rig = scheduled_rig(&[Some(good_engine())], sends, |r| {
-            r.set_cache_config(CacheConfig {
-                prefetch: Some(PrefetchConfig {
-                    trigger_fraction: 0.5,
-                    rate_per_sec: 1.0,
-                    burst: 2.0,
-                }),
-                ..CacheConfig::default()
-            });
-        });
-        rig.sim.run();
-        let got = rig.got.lock().expect("capture lock");
-        assert_eq!(got.len(), 2, "clients see only their two answers");
-        assert_eq!(
-            rig.sim.stats(rig.server_ids[0]).udp_rx,
-            2,
-            "miss + prefetch"
-        );
-        let snap = rig.snapshot.lock().expect("snapshot");
-        assert_eq!(snap.stats.prefetches, 1);
-        let log = rig.answers.lock().expect("answer log");
-        let classes: Vec<AnswerClass> = log.iter().map(|e| e.class).collect();
-        assert_eq!(classes, vec![AnswerClass::Miss, AnswerClass::Hit]);
     }
 
     #[test]
@@ -1947,10 +1849,6 @@ mod tests {
             let backoff = g.bool();
             let cache = CacheConfig {
                 capacity: *g.pick(&[2, usize::MAX]),
-                prefetch: g.option(|_| PrefetchConfig {
-                    trigger_fraction: 0.9,
-                    ..PrefetchConfig::default()
-                }),
                 ..CacheConfig::default()
             };
             let run = |fresh_scratch: bool| {

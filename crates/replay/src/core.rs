@@ -309,7 +309,7 @@ impl ReplayCore {
         }
     }
 
-    /// `seq` was answered (or, for a fire-and-forget driver, sent).
+    /// `seq` was answered.
     /// Returns when its current lifecycle's first send left, if it was
     /// live.
     pub fn complete(&mut self, seq: u64) -> Option<u64> {

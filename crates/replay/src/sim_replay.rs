@@ -1289,6 +1289,56 @@ mod tests {
         assert!(nothing_live(&client, 2), "no retry chain left");
     }
 
+    /// The client's stream state is bounded by the connections it has
+    /// open: over TCP and TLS, with reuse on and off, with and without
+    /// a server crash mid-run, once every connection has closed (the
+    /// server's 30 s idle timeout, or the client's own close after the
+    /// answer) the per-source connection map, its reverse map, the
+    /// frame buffers and the pending table are empty, and every query
+    /// was answered exactly once.
+    #[test]
+    fn stream_state_is_empty_once_every_connection_closed() {
+        let trace = mk_trace(24, 50_000, 4);
+        for transport in [Transport::Tcp, Transport::Tls] {
+            for reuse in [true, false] {
+                for crash in [false, true] {
+                    let (mut sim, server_addr) = sim_with_server(SimDuration::from_millis(40), 0.0);
+                    let server_ip = server_addr.ip();
+                    let log: LatencyLog = Arc::new(Mutex::new(vec![]));
+                    let mut client = SimReplayClient::new(trace.clone(), server_addr, log.clone());
+                    client.transport_override = Some(transport);
+                    client.reuse_connections = reuse;
+                    let srcs = client.source_addrs();
+                    let client = Arc::new(Mutex::new(client));
+                    let client_id = sim.add_host(&srcs, Box::new(Shared(client.clone())));
+                    SimReplayClient::schedule(&mut sim, client_id, &trace, SimTime::ZERO);
+                    if crash {
+                        let at = SimTime::from_secs_f64;
+                        sim.schedule_host_fault(at(0.52), server_ip, HostFault::Crash);
+                        sim.schedule_host_fault(at(0.70), server_ip, HostFault::Restart);
+                    }
+                    sim.run_until(SimTime::from_secs_f64(40.0));
+                    let case = format!("{transport:?} reuse={reuse} crash={crash}");
+                    assert_eq!(sim.stats(client_id).established, 0, "{case}: all closed");
+                    let mut seqs: Vec<u64> = log.lock().unwrap().iter().map(|r| r.seq).collect();
+                    seqs.sort_unstable();
+                    assert_eq!(seqs, (0..24).collect::<Vec<u64>>(), "{case}: once each");
+                    let client = client.lock().unwrap();
+                    assert_eq!(
+                        client.retries > 0,
+                        crash,
+                        "{case}: the crash orphaned queries"
+                    );
+                    assert!(client.conns.is_empty(), "{case}: {:?}", client.conns);
+                    assert!(client.conn_sources.is_empty(), "{case}");
+                    assert!(client.frame_bufs.is_empty(), "{case}");
+                    assert!(client.pending_tcp.is_empty(), "{case}");
+                    assert!(nothing_live(&client, 24), "{case}");
+                }
+            }
+        }
+    }
+
     /// One full checkpointed run: returns (transcript lines, last
     /// committed checkpoint). When `kill_at_s` is set the simulator is
     /// abandoned at that virtual time — the moral equivalent of

@@ -89,8 +89,6 @@ kinds! {
     RsvAnswer => "rsv.answer",
     /// Cache entries evicted by a fill (`b` = how many).
     RsvEvict => "rsv.evict",
-    /// A hot entry refreshed ahead of expiry.
-    RsvPrefetch => "rsv.prefetch",
 }
 
 impl Kind {

@@ -18,7 +18,7 @@
 //!   aggregation (delayed hits).
 //! - [`cache`] — the resolver cache subsystem: capacity-bounded store
 //!   with pluggable deterministic eviction (LRU / LFU-lite /
-//!   delay-aware), RFC 2308 negative caching and rate-budgeted prefetch.
+//!   delay-aware) and RFC 2308 negative caching.
 //! - [`netsim`] — the deterministic network simulator (UDP/TCP/TLS
 //!   cost models) used by the resource and latency experiments.
 //! - [`trace`] — pcap/text/binary trace formats, converters and the
