@@ -18,7 +18,7 @@
 //! * **[`negative_ttl`]** — RFC 2308 negative caching: the negative TTL
 //!   is derived from the authority-section SOA (min of the SOA record
 //!   TTL and its MINIMUM field) instead of a hardcoded constant, with a
-//!   named config fallback ([`CacheConfig::neg_ttl_default`]) and a cap.
+//!   named fallback ([`NEG_TTL_DEFAULT`]) and a cap ([`NEG_TTL_CAP`]).
 //!
 //! Everything is virtual-time-friendly: time is an explicit `f64`
 //! seconds parameter (any epoch), there is no ambient clock and no
@@ -49,7 +49,20 @@ pub use policy::PolicyKind;
 pub use records::RecordList;
 pub use store::{CacheStats, CachedAnswer, EntryMeta, FillInfo, PutOutcome, ResolverCache};
 
-/// Configuration of a [`ResolverCache`].
+/// Cap on a positive TTL (seconds): RFC 2181 §8 bounds TTL to 31
+/// bits, and operationally a week is the common upper clamp.
+pub const MAX_TTL: u32 = 604_800;
+
+/// Negative TTL used when the response carried no SOA to derive one
+/// from (RFC 2308 §5): the named fallback replacing the old hardcoded
+/// constant.
+pub const NEG_TTL_DEFAULT: u32 = 30;
+
+/// Cap on SOA-derived negative TTLs (RFC 2308 suggests resolvers bound
+/// negative caching; 3 hours is BIND's default cap).
+pub const NEG_TTL_CAP: u32 = 10_800;
+
+/// Configuration of a [`ResolverCache`]: what the cache studies vary.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheConfig {
     /// Maximum resident entries; `usize::MAX` means unbounded (the
@@ -57,19 +70,6 @@ pub struct CacheConfig {
     pub capacity: usize,
     /// Eviction policy applied when the store is full.
     pub policy: PolicyKind,
-    /// Positive-TTL clamp floor (seconds). Left at 0, TTLs are taken
-    /// as-is; raising it protects the store from 1-second TTL churn.
-    pub min_ttl: u32,
-    /// Positive-TTL clamp cap (seconds): RFC 2181 §8 bounds TTL to 31
-    /// bits, and operationally a week is the common upper clamp.
-    pub max_ttl: u32,
-    /// Negative TTL used when the response carried no SOA to derive one
-    /// from (RFC 2308 §5) — the named fallback replacing the old
-    /// hardcoded constant.
-    pub neg_ttl_default: u32,
-    /// Cap on SOA-derived negative TTLs (RFC 2308 suggests resolvers
-    /// bound negative caching; 3 hours is BIND's default cap).
-    pub neg_ttl_cap: u32,
 }
 
 impl Default for CacheConfig {
@@ -77,23 +77,14 @@ impl Default for CacheConfig {
         CacheConfig {
             capacity: usize::MAX,
             policy: PolicyKind::Lru,
-            min_ttl: 0,
-            max_ttl: 604_800,
-            neg_ttl_default: 30,
-            neg_ttl_cap: 10_800,
         }
     }
 }
 
 impl CacheConfig {
-    /// A bounded cache with `capacity` entries under `policy`, other
-    /// knobs at their defaults.
+    /// A bounded cache with `capacity` entries under `policy`.
     pub fn bounded(capacity: usize, policy: PolicyKind) -> Self {
-        CacheConfig {
-            capacity,
-            policy,
-            ..CacheConfig::default()
-        }
+        CacheConfig { capacity, policy }
     }
 }
 
@@ -106,7 +97,6 @@ mod tests {
         let cfg = CacheConfig::default();
         assert_eq!(cfg.capacity, usize::MAX);
         assert_eq!(cfg.policy, PolicyKind::Lru);
-        assert_eq!(cfg.neg_ttl_default, 30);
     }
 
     #[test]
@@ -114,6 +104,5 @@ mod tests {
         let cfg = CacheConfig::bounded(128, PolicyKind::DelayAware);
         assert_eq!(cfg.capacity, 128);
         assert_eq!(cfg.policy, PolicyKind::DelayAware);
-        assert_eq!(cfg.max_ttl, 604_800);
     }
 }

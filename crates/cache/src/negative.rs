@@ -5,8 +5,8 @@ use dns_wire::{RData, Record};
 /// Derive the negative-caching TTL from a response's authority section
 /// per RFC 2308 §3/§5: the TTL of the negative answer is the minimum of
 /// the SOA record's own TTL and its MINIMUM field. Returns `None` when
-/// no SOA is present (the caller falls back to its named config
-/// default, [`crate::CacheConfig::neg_ttl_default`]).
+/// no SOA is present (the caller falls back to the named default,
+/// [`crate::NEG_TTL_DEFAULT`]).
 pub fn negative_ttl(authorities: &[Record]) -> Option<u32> {
     authorities.iter().find_map(|r| match &r.rdata {
         RData::Soa(soa) => Some(r.ttl.min(soa.minimum)),

@@ -39,7 +39,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use dns_wire::{EncodeScratch, Name, Rcode, Record, RecordType};
 use ldp_rng::{KeyTable, Probe};
 
-use crate::{AnswerBytes, CacheConfig, PolicyKind};
+use crate::{AnswerBytes, CacheConfig, MAX_TTL, NEG_TTL_CAP, NEG_TTL_DEFAULT};
 
 /// A cached outcome for a (name, type) question.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -169,7 +169,6 @@ impl EvictionIndex {
 #[derive(Debug)]
 pub struct ResolverCache {
     config: CacheConfig,
-    policy: PolicyKind,
     /// (name, qtype) → entry.
     entries: KeyTable<(Name, u16), Entry>,
     /// The eviction index, once the store has been full.
@@ -186,7 +185,6 @@ impl ResolverCache {
     /// A cache with the given configuration.
     pub fn new(config: CacheConfig) -> Self {
         ResolverCache {
-            policy: config.policy,
             config,
             entries: KeyTable::new(),
             index: None,
@@ -222,7 +220,7 @@ impl ResolverCache {
                 self.seq += 1;
                 e.meta.last_access_seq = self.seq;
                 e.meta.requests = e.meta.requests.saturating_add(1);
-                let new_rank = self.policy.rank(&e.meta, now);
+                let new_rank = self.config.policy.rank(&e.meta, now);
                 if let Some(index) = &mut self.index {
                     index.by_rank.remove(&(e.rank, e.slot));
                     index.by_rank.insert((new_rank, e.slot));
@@ -242,8 +240,8 @@ impl ResolverCache {
     }
 
     /// Insert a positive answer; the effective TTL is the minimum
-    /// record TTL, clamped per RFC 2181 §8 (31-bit bound → 0, then the
-    /// configured `[min_ttl, max_ttl]` window). Empty or already-expired
+    /// record TTL, clamped per RFC 2181 §8 (31-bit bound → 0, then
+    /// capped at [`MAX_TTL`]). Empty or already-expired
     /// sets (effective TTL 0) are rejected, never inserted. The records
     /// are encoded after a question about `name` and kept in that form.
     pub fn put_positive(
@@ -256,7 +254,7 @@ impl ResolverCache {
     ) -> PutOutcome {
         let records = records.as_ref();
         let ttl = records.iter().map(|r| r.ttl).min();
-        let Some(ttl) = ttl.filter(|&ttl| self.clamp_positive_ttl(ttl) > 0) else {
+        let Some(ttl) = ttl.filter(|&ttl| clamp_positive_ttl(ttl) > 0) else {
             self.stats.rejected += 1;
             return PutOutcome::default();
         };
@@ -277,7 +275,7 @@ impl ResolverCache {
         now: f64,
         fill: FillInfo,
     ) -> PutOutcome {
-        let ttl = self.clamp_positive_ttl(min_ttl);
+        let ttl = clamp_positive_ttl(min_ttl);
         if answer.count() == 0 || ttl == 0 {
             self.stats.rejected += 1;
             return PutOutcome::default();
@@ -287,8 +285,8 @@ impl ResolverCache {
 
     /// Insert a negative answer (RFC 2308). `soa_ttl` is the TTL
     /// derived from the authority-section SOA ([`crate::negative_ttl`]);
-    /// `None` falls back to the named [`CacheConfig::neg_ttl_default`].
-    /// Either way the value is capped at [`CacheConfig::neg_ttl_cap`].
+    /// `None` falls back to the named [`NEG_TTL_DEFAULT`]. Either way the
+    /// value is capped at [`NEG_TTL_CAP`].
     pub fn put_negative(
         &mut self,
         name: &Name,
@@ -298,8 +296,7 @@ impl ResolverCache {
         now: f64,
         fill: FillInfo,
     ) -> PutOutcome {
-        let raw = soa_ttl.unwrap_or(self.config.neg_ttl_default);
-        let ttl = clamp_rfc2181(raw).min(self.config.neg_ttl_cap);
+        let ttl = clamp_negative_ttl(soa_ttl);
         if ttl == 0 {
             self.stats.rejected += 1;
             return PutOutcome::default();
@@ -328,17 +325,6 @@ impl ResolverCache {
     pub fn clear(&mut self) {
         self.entries.clear();
         self.index = None;
-    }
-
-    /// RFC 2181 §8 bound, then the configured clamp window. A TTL of 0
-    /// stays 0 ("do not cache") — the window only applies to cacheable
-    /// answers.
-    fn clamp_positive_ttl(&self, raw: u32) -> u32 {
-        let bounded = clamp_rfc2181(raw);
-        if bounded == 0 {
-            return 0;
-        }
-        bounded.clamp(self.config.min_ttl.max(1), self.config.max_ttl)
     }
 
     fn insert(
@@ -377,7 +363,7 @@ impl ResolverCache {
             last_access_seq: self.seq,
             fill_latency: fill.latency.max(0.0),
         };
-        let rank = self.policy.rank(&meta, now);
+        let rank = self.config.policy.rank(&meta, now);
         let slot = self.next_slot;
         self.next_slot += 1;
         self.entries.insert(
@@ -445,6 +431,18 @@ fn clamp_rfc2181(ttl: u32) -> u32 {
     }
 }
 
+/// A positive TTL as stored: the RFC 2181 §8 bound, then [`MAX_TTL`].
+/// A TTL of 0 stays 0 ("do not cache").
+fn clamp_positive_ttl(raw: u32) -> u32 {
+    clamp_rfc2181(raw).min(MAX_TTL)
+}
+
+/// A negative TTL as stored: the SOA-derived one or [`NEG_TTL_DEFAULT`],
+/// bounded per RFC 2181 §8 and capped at [`NEG_TTL_CAP`].
+fn clamp_negative_ttl(soa_ttl: Option<u32>) -> u32 {
+    clamp_rfc2181(soa_ttl.unwrap_or(NEG_TTL_DEFAULT)).min(NEG_TTL_CAP)
+}
+
 /// The store as it was before the one-map layout: `name → qtype →
 /// Entry` in two levels, everything else as it is. Kept as the oracle of
 /// `matches_the_two_level_store_on_generated_scripts` (and for nothing
@@ -455,13 +453,13 @@ pub(crate) mod reference {
 
     use dns_wire::{EncodeScratch, Name, Rcode, Record, RecordType};
 
-    use super::{clamp_rfc2181, CacheStats, CachedAnswer, Entry, EntryMeta, FillInfo, PutOutcome};
-    use crate::{AnswerBytes, CacheConfig, PolicyKind};
+    use super::{clamp_negative_ttl, clamp_positive_ttl};
+    use super::{CacheStats, CachedAnswer, Entry, EntryMeta, FillInfo, PutOutcome};
+    use crate::{AnswerBytes, CacheConfig};
 
     #[derive(Debug)]
     pub struct ResolverCache {
         config: CacheConfig,
-        policy: PolicyKind,
         entries: BTreeMap<Name, BTreeMap<u16, Entry>>,
         pub by_rank: BTreeSet<(u128, u64)>,
         pub slot_key: BTreeMap<u64, (Name, u16)>,
@@ -474,7 +472,6 @@ pub(crate) mod reference {
     impl ResolverCache {
         pub fn new(config: CacheConfig) -> Self {
             ResolverCache {
-                policy: config.policy,
                 config,
                 entries: BTreeMap::new(),
                 by_rank: BTreeSet::new(),
@@ -499,7 +496,7 @@ pub(crate) mod reference {
                     self.seq += 1;
                     e.meta.last_access_seq = self.seq;
                     e.meta.requests = e.meta.requests.saturating_add(1);
-                    let new_rank = self.policy.rank(&e.meta, now);
+                    let new_rank = self.config.policy.rank(&e.meta, now);
                     self.by_rank.remove(&(e.rank, e.slot));
                     self.by_rank.insert((new_rank, e.slot));
                     e.rank = new_rank;
@@ -532,12 +529,7 @@ pub(crate) mod reference {
                 self.stats.rejected += 1;
                 return PutOutcome::default();
             };
-            let bounded = clamp_rfc2181(raw);
-            let ttl = if bounded == 0 {
-                0
-            } else {
-                bounded.clamp(self.config.min_ttl.max(1), self.config.max_ttl)
-            };
+            let ttl = clamp_positive_ttl(raw);
             if ttl == 0 {
                 self.stats.rejected += 1;
                 return PutOutcome::default();
@@ -555,8 +547,7 @@ pub(crate) mod reference {
             now: f64,
             fill: FillInfo,
         ) -> PutOutcome {
-            let raw = soa_ttl.unwrap_or(self.config.neg_ttl_default);
-            let ttl = clamp_rfc2181(raw).min(self.config.neg_ttl_cap);
+            let ttl = clamp_negative_ttl(soa_ttl);
             if ttl == 0 {
                 self.stats.rejected += 1;
                 return PutOutcome::default();
@@ -611,7 +602,7 @@ pub(crate) mod reference {
                 last_access_seq: self.seq,
                 fill_latency: fill.latency.max(0.0),
             };
-            let rank = self.policy.rank(&meta, now);
+            let rank = self.config.policy.rank(&meta, now);
             let slot = self.next_slot;
             self.next_slot += 1;
             self.entries.entry(name.clone()).or_default().insert(
@@ -670,6 +661,7 @@ pub(crate) mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PolicyKind;
     use dns_wire::{RData, Record};
 
     fn n(s: &str) -> Name {
@@ -729,26 +721,11 @@ mod tests {
 
     #[test]
     fn absurd_ttl_clamped_to_max() {
-        let mut c = ResolverCache::new(CacheConfig {
-            max_ttl: 3600,
-            ..CacheConfig::default()
-        });
+        let mut c = ResolverCache::unbounded();
         put(&mut c, "x.", 2_000_000, 0.0);
-        assert!(c.get(&n("x."), RecordType::A, 3599.0).is_some());
-        assert!(c.get(&n("x."), RecordType::A, 3601.0).is_none());
-    }
-
-    #[test]
-    fn min_ttl_clamp_raises_short_ttls() {
-        let mut c = ResolverCache::new(CacheConfig {
-            min_ttl: 10,
-            ..CacheConfig::default()
-        });
-        put(&mut c, "x.", 1, 0.0);
-        assert!(
-            c.get(&n("x."), RecordType::A, 9.0).is_some(),
-            "raised to 10s"
-        );
+        let cap = MAX_TTL as f64;
+        assert!(c.get(&n("x."), RecordType::A, cap - 1.0).is_some());
+        assert!(c.get(&n("x."), RecordType::A, cap + 1.0).is_none());
     }
 
     #[test]
@@ -955,7 +932,6 @@ mod tests {
             let config = CacheConfig {
                 capacity: *g.pick(&[0, 1, 2, 3, usize::MAX]),
                 policy: *g.pick(&PolicyKind::ALL),
-                ..CacheConfig::default()
             };
             let (mut old, mut new) = (ResolverCache::new(config), ResolverCache::new(config));
             let mut now = 0.0;
@@ -1005,7 +981,11 @@ mod tests {
     /// counters. The reference keeps its eviction index and slot map on
     /// every step; the entries' own `(rank, slot)` make the same index
     /// at every step, and the index the store holds once it has been
-    /// full is that one.
+    /// full is that one. And nothing is served past its TTL: a hit at
+    /// `now` comes before the time its answer was stored plus its TTL
+    /// clamped to [`MAX_TTL`] (positive; past the cap in some draws) or
+    /// its SOA TTL or [`NEG_TTL_DEFAULT`] clamped to [`NEG_TTL_CAP`]
+    /// (negative), with clock steps that land on those ends exactly.
     #[test]
     fn matches_the_two_level_store_on_generated_scripts() {
         ldp_rng::check::check(256, |g| {
@@ -1016,14 +996,19 @@ mod tests {
                     g.size(1..=16)
                 },
                 policy: *g.pick(&PolicyKind::ALL),
-                ..CacheConfig::default()
             };
             let mut old = reference::ResolverCache::new(config);
             let mut new = ResolverCache::new(config);
             let mut now = 0.0;
+            // (name, qtype) → the end of the stored answer's TTL.
+            let mut ends: BTreeMap<(Name, RecordType), f64> = BTreeMap::new();
+            let caps = [NEG_TTL_CAP as f64, MAX_TTL as f64];
             for _ in 0..g.size(1..=64) {
-                if g.bool() {
-                    now += g.f64(0.0, 40.0);
+                match g.below(8) {
+                    0 | 1 => now += g.f64(0.0, 40.0),
+                    2 | 3 => now += *g.pick(&[1.0, 5.0, 7.0, 30.0, 50.0]),
+                    4 => now += *g.pick(&caps),
+                    _ => {}
                 }
                 let name = n(g.pick::<&str>(&["a.", "b.a.", "c.b.a.", "x.", "b.x.", "."]));
                 let qtype = *g.pick(&[RecordType::A, RecordType::AAAA, RecordType::MX]);
@@ -1033,26 +1018,39 @@ mod tests {
                 };
                 match g.below(12) {
                     0..=2 => {
-                        let ttl = *g.pick(&[0, 5, 30, 60, 0x8000_0001]);
+                        let ttls = [0, 5, 30, 60, 1_000_000, 0x7fff_ffff, 0x8000_0001];
+                        let ttl = *g.pick(&ttls);
                         let records = g.vec(0..=2, |_| a_rec("a.", ttl));
                         let out = old.put_positive(&name, qtype, records.clone(), now, fill);
                         assert_eq!(new.put_positive(&name, qtype, records, now, fill), out);
+                        if out.inserted {
+                            ends.insert((name, qtype), now + ttl.min(MAX_TTL) as f64);
+                        }
                     }
                     3 | 4 => {
-                        let ttl = g.option(|g| *g.pick(&[0, 7, 50]));
+                        let ttl = g.option(|g| *g.pick(&[0, 7, 50, 20_000, 0x7fff_ffff]));
                         let rcode = *g.pick(&[Rcode::NxDomain, Rcode::NoError]);
                         let out = old.put_negative(&name, qtype, rcode, ttl, now, fill);
                         let got = new.put_negative(&name, qtype, rcode, ttl, now, fill);
                         assert_eq!(got, out);
+                        if out.inserted {
+                            let ttl = ttl.unwrap_or(NEG_TTL_DEFAULT).min(NEG_TTL_CAP);
+                            ends.insert((name, qtype), now + ttl as f64);
+                        }
                     }
                     5 => {
                         old.clear();
                         new.clear();
+                        ends.clear();
                     }
                     _ => {
                         let want = old.lookup(&name, qtype, now).cloned();
                         let got = new.lookup(&name, qtype, now).cloned();
                         assert_eq!(got, want, "{name} {qtype}");
+                        if got.is_some() {
+                            let end = ends[&(name.clone(), qtype)];
+                            assert!(now < end, "{name} {qtype} served at {now}, TTL ended {end}");
+                        }
                     }
                 }
                 assert_eq!(new.stats(), old.stats());

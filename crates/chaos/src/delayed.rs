@@ -265,12 +265,7 @@ pub fn run_on<S: SimDriver>(cfg: &DelayedConfig, sim: &mut S) -> DelayedOutcome 
     // The recursive resolver under the cache configuration being
     // studied.
     let mut resolver = scenario::resolver(server_addrs);
-    resolver.max_retries = 6;
-    resolver.set_cache_config(CacheConfig {
-        capacity: cfg.capacity,
-        policy: cfg.policy,
-        ..CacheConfig::default()
-    });
+    resolver.set_cache_config(CacheConfig::bounded(cfg.capacity, cfg.policy));
     let answers: Arc<Mutex<Vec<AnswerEvent>>> = Arc::new(Mutex::new(Vec::new()));
     let snapshot = Arc::new(Mutex::new(ResolverSnapshot::default()));
     resolver.set_answer_log(Arc::clone(&answers));

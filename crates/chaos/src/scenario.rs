@@ -130,12 +130,10 @@ pub fn server_farm<S: SimDriver>(sim: &mut S, zone: Zone, addrs: &[IpAddr]) -> V
 }
 
 /// The recursive resolver at [`RESOLVER`], hinted at `servers`, with
-/// the studies' 2 s per-attempt timeout. The study sets its own retry
-/// and cache knobs before adding it to the simulator.
+/// the resolver's own 2 s per-attempt timeout. The study sets its own
+/// retry and cache knobs before adding it to the simulator.
 pub fn resolver(servers: Vec<IpAddr>) -> SimResolver {
-    let mut resolver = SimResolver::new(RESOLVER, servers);
-    resolver.timeout = SimDuration::from_secs(2);
-    resolver
+    SimResolver::new(RESOLVER, servers)
 }
 
 /// Outcome of one stub query.

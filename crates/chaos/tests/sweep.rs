@@ -392,7 +392,6 @@ impl Cell {
                         window_secs: 1,
                         slip: g.range(0..=2) as u32,
                         ipv4_prefix_len: 16,
-                        ipv6_prefix_len: 56,
                     });
                 }
             }

@@ -1847,10 +1847,7 @@ mod tests {
             let max_retries = g.size(0..=3);
             let rotate_servers = g.bool();
             let backoff = g.bool();
-            let cache = CacheConfig {
-                capacity: *g.pick(&[2, usize::MAX]),
-                ..CacheConfig::default()
-            };
+            let cache = CacheConfig::bounded(*g.pick(&[2, usize::MAX]), PolicyKind::Lru);
             let run = |fresh_scratch: bool| {
                 let hosts = upstreams.iter().enumerate().map(serve).collect();
                 let mut rig = rig_of_hosts(hosts, sends.clone(), fresh_scratch, |r| {
@@ -2260,12 +2257,7 @@ mod tests {
     fn both_drivers_walk_alike() {
         ldp_rng::check::check(256, |g| {
             let mut case = gen_case(g, false);
-            let cache = CacheConfig {
-                neg_ttl_default: 3600,
-                ..CacheConfig::default()
-            };
             let mut blocking = IterativeResolver::new(case.net.hints.clone());
-            blocking.cache = ResolverCache::new(cache);
             let want: Vec<_> = (case.questions.iter())
                 .map(|(qname, qtype)| {
                     let res = blocking.resolve(&mut case.net, qname, *qtype, 0.0);
@@ -2292,7 +2284,6 @@ mod tests {
             sim.add_host(&addrs, Box::new(Answering(logging)));
             let resolver_addr: SocketAddr = "10.1.0.1:53".parse().unwrap();
             let mut resolver = SimResolver::new(resolver_addr, hints);
-            resolver.set_cache_config(cache);
             resolver.timeout = SimDuration::from_millis(5);
             resolver.max_retries = 200;
             sim.add_host(&[resolver_addr.ip()], Box::new(resolver));

@@ -29,9 +29,11 @@ pub struct RrlConfig {
     pub slip: u32,
     /// IPv4 prefix length used to aggregate clients (commonly /24).
     pub ipv4_prefix_len: u8,
-    /// IPv6 prefix length (commonly /56).
-    pub ipv6_prefix_len: u8,
 }
+
+/// IPv6 prefix length used to aggregate clients: the common /56, which
+/// no study or sweep cell varies.
+const IPV6_PREFIX_LEN: u32 = 56;
 
 impl Default for RrlConfig {
     fn default() -> Self {
@@ -40,7 +42,6 @@ impl Default for RrlConfig {
             window_secs: 15,
             slip: 2,
             ipv4_prefix_len: 24,
-            ipv6_prefix_len: 56,
         }
     }
 }
@@ -113,12 +114,7 @@ impl RateLimiter {
             }
             IpAddr::V6(v6) => {
                 let bits = u128::from(v6);
-                let len = self.config.ipv6_prefix_len.min(128) as u32;
-                let mask = if len == 0 {
-                    0
-                } else {
-                    u128::MAX << (128 - len)
-                };
+                let mask = u128::MAX << (128 - IPV6_PREFIX_LEN);
                 // Distinguish from v4 space by setting a high marker bit.
                 (bits & mask) | (1u128 << 127)
             }

@@ -63,8 +63,7 @@ impl SimDnsServer {
 
     /// Enable response rate limiting on UDP answers: every view (and
     /// the catch-all for unmatched clients) gets its own limiter built
-    /// from `config`, as [`crate::ServerConfig::rrl`] does for the
-    /// socket server.
+    /// from `config`.
     pub fn with_rrl(mut self, config: RrlConfig) -> Self {
         let views = self.engine.views().len();
         self.rrl = Some(RrlBank::new(config, views));
@@ -236,11 +235,11 @@ mod tests {
                 TcpEvent::Data { data, .. } => {
                     let mut fb = FrameBuffer::new();
                     fb.extend(&data);
-                    while let Some(msg) = fb.next_message() {
+                    while let Some(msg) = fb.next_frame() {
                         self.replies
                             .lock()
                             .unwrap()
-                            .push(Message::decode(&msg).unwrap());
+                            .push(Message::decode(msg).unwrap());
                     }
                 }
                 _ => {}
@@ -544,8 +543,8 @@ mod tests {
                 TcpEvent::Connected { conn } => ctx.tcp_send(conn, frame(&self.query)),
                 TcpEvent::Data { data, .. } => {
                     self.frames.extend(&data);
-                    while let Some(body) = self.frames.next_message() {
-                        self.replies.lock().unwrap().push(body);
+                    while let Some(body) = self.frames.next_frame() {
+                        self.replies.lock().unwrap().push(body.to_vec());
                     }
                 }
                 _ => {}

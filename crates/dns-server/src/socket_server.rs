@@ -27,7 +27,6 @@ use dns_wire::framing::{frame_into, FrameBuffer};
 use dns_wire::Transport;
 
 use crate::engine::ServerEngine;
-use crate::rrl::{RrlAction, RrlBank, RrlConfig};
 use crate::scratch::AnswerScratch;
 
 /// How often a blocked UDP worker wakes to look at the stop flag.
@@ -54,10 +53,6 @@ pub struct ServerConfig {
     pub udp_workers: usize,
     /// Idle timeout after which the server closes a TCP connection.
     pub tcp_idle_timeout: Duration,
-    /// Per-view response rate limiting on UDP answers (what
-    /// [`crate::SimDnsServer::with_rrl`] takes). `None`, the default,
-    /// leaves it off.
-    pub rrl: Option<RrlConfig>,
 }
 
 impl Default for ServerConfig {
@@ -67,7 +62,6 @@ impl Default for ServerConfig {
             tcp_addr: SocketAddr::from(([127, 0, 0, 1], 0)),
             udp_workers: 4,
             tcp_idle_timeout: Duration::from_secs(20),
-            rrl: None,
         }
     }
 }
@@ -83,10 +77,6 @@ pub struct ServerCounters {
     pub tcp_accepts: AtomicU64,
     /// TCP connections closed by idle timeout.
     pub idle_closes: AtomicU64,
-    /// UDP responses dropped by RRL.
-    pub rrl_dropped: AtomicU64,
-    /// UDP responses sent truncated (TC=1) by RRL slip.
-    pub rrl_slipped: AtomicU64,
 }
 
 /// Handle to a running server; dropping it does *not* stop the server —
@@ -136,17 +126,6 @@ pub fn spawn(engine: Arc<ServerEngine>, config: ServerConfig) -> std::io::Result
     let counters = Arc::new(ServerCounters::default());
     let stop = Arc::new(AtomicBool::new(false));
 
-    // One shared per-view limiter bank across the UDP workers; the
-    // wall clock feeds the buckets the same seconds the simulator's
-    // virtual clock feeds `SimDnsServer`'s.
-    let rrl: Option<Arc<Mutex<RrlBank>>> = config
-        .rrl
-        .map(|cfg| Arc::new(Mutex::new(RrlBank::new(cfg, engine.views().len()))));
-    #[allow(
-        clippy::disallowed_methods,
-        reason = "D1: RRL seconds are wall time here"
-    )]
-    let epoch = Instant::now();
     // Every fallible step comes before the first thread starts, so an
     // error never leaves half a server running.
     let worker_socks = (0..config.udp_workers.max(1))
@@ -159,9 +138,7 @@ pub fn spawn(engine: Arc<ServerEngine>, config: ServerConfig) -> std::io::Result
             sock,
             engine: engine.clone(),
             counters: counters.clone(),
-            rrl: rrl.clone(),
             stop: stop.clone(),
-            epoch,
         };
         threads.push(std::thread::spawn(move || worker.run()));
     }
@@ -206,9 +183,7 @@ struct UdpWorker {
     sock: UdpSocket,
     engine: Arc<ServerEngine>,
     counters: Arc<ServerCounters>,
-    rrl: Option<Arc<Mutex<RrlBank>>>,
     stop: Arc<AtomicBool>,
-    epoch: Instant,
 }
 
 impl UdpWorker {
@@ -227,34 +202,8 @@ impl UdpWorker {
                 continue;
             };
             self.counters.udp_queries.fetch_add(1, Ordering::Relaxed);
-            match self.rrl_verdict(peer, reply) {
-                RrlAction::Send => {
-                    let _ = self.sock.send_to(reply, peer);
-                }
-                RrlAction::Drop => {
-                    self.counters.rrl_dropped.fetch_add(1, Ordering::Relaxed);
-                }
-                RrlAction::Slip => {
-                    self.counters.rrl_slipped.fetch_add(1, Ordering::Relaxed);
-                    // Minimal truncated reply: the client may retry
-                    // over TCP, which RRL does not limit.
-                    if let Some(tc) = scratch.slip_reply() {
-                        let _ = self.sock.send_to(tc, peer);
-                    }
-                }
-            }
+            let _ = self.sock.send_to(reply, peer);
         }
-    }
-
-    fn rrl_verdict(&self, peer: SocketAddr, reply: &[u8]) -> RrlAction {
-        let Some(bank) = &self.rrl else {
-            return RrlAction::Send;
-        };
-        let view = self.engine.views().select_index(peer.ip());
-        // A worker that panicked mid-check poisons the lock; the bank's
-        // buckets are still consistent (plain counters), so keep going.
-        let mut bank = bank.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-        bank.check_udp_reply(view, peer.ip(), reply, self.epoch.elapsed().as_secs_f64())
     }
 }
 
@@ -397,8 +346,8 @@ mod tests {
             let n = stream.read(&mut buf).unwrap();
             assert!(n > 0, "server closed early");
             fb.extend(&buf[..n]);
-            while let Some(msg) = fb.next_message() {
-                got.push(Message::decode(&msg).unwrap());
+            while let Some(msg) = fb.next_frame() {
+                got.push(Message::decode(msg).unwrap());
             }
         }
         assert_eq!(got[0].id, 1);
@@ -440,53 +389,6 @@ mod tests {
             assert_eq!(resp.answers.len(), 1, "wildcard answered query {i}");
             assert_eq!(resp.answers[0].name, n(&format!("unique{i}.example")));
         }
-        server.shutdown();
-    }
-
-    #[test]
-    fn udp_rrl_limits_flood_with_tc_slip() {
-        let config = ServerConfig {
-            // One worker answers in arrival order.
-            udp_workers: 1,
-            rrl: Some(RrlConfig {
-                responses_per_second: 1,
-                window_secs: 2,
-                slip: 2,
-                ..RrlConfig::default()
-            }),
-            ..Default::default()
-        };
-        let server = spawn(engine(), config).unwrap();
-        let sock = client();
-        // Flood the same qname from one client: the budget is a couple
-        // of responses, so the rest are dropped or slipped. A last query
-        // for another name has a bucket of its own; its reply says the
-        // worker has judged the whole flood.
-        for i in 0..30u16 {
-            let q = Message::query(i, n("www.example"), RecordType::A);
-            sock.send_to(&q.encode(), server.udp_addr).unwrap();
-        }
-        let last = Message::query(30, n("last.example"), RecordType::A);
-        sock.send_to(&last.encode(), server.udp_addr).unwrap();
-        let (mut full, mut truncated) = (0, 0);
-        let mut buf = [0u8; 4096];
-        loop {
-            let (len, _) = sock.recv_from(&mut buf).expect("the last reply came back");
-            let reply = Message::decode(&buf[..len]).unwrap();
-            match reply.id {
-                30 => break,
-                _ if reply.flags.truncated => truncated += 1,
-                _ => full += 1,
-            }
-        }
-        let counters = &server.counters;
-        let dropped = counters.rrl_dropped.load(Ordering::Relaxed);
-        let slipped = counters.rrl_slipped.load(Ordering::Relaxed);
-        assert_eq!(counters.udp_queries.load(Ordering::Relaxed), 31);
-        // Every verdict is accounted for, and each slip was one TC reply.
-        assert_eq!(truncated, slipped, "one truncated reply per slip");
-        assert_eq!(full + slipped + dropped, 30, "{full} sent in full");
-        assert!(dropped >= 1 && slipped >= 1, "the flood was limited");
         server.shutdown();
     }
 

@@ -113,8 +113,11 @@ impl Edns {
         w.patch_u16(len_pos, rdlength.min(u16::MAX as usize) as u16);
     }
 
-    /// Interpret an OPT record from the additional section.
-    pub fn from_record(rec: &Record) -> Result<Edns, WireError> {
+    /// Interpret an OPT record from the additional section: the
+    /// decode-as-a-record path the in-place read replaced, kept as the
+    /// reference its tests compare with.
+    #[cfg(test)]
+    pub(crate) fn from_record(rec: &Record) -> Result<Edns, WireError> {
         if rec.rtype() != RecordType::OPT {
             return Err(WireError::Invalid("not an OPT record"));
         }
@@ -130,7 +133,7 @@ impl Edns {
     /// Overwrite this state with an OPT record's owner, CLASS, TTL and
     /// RDATA, read where they lie in a message: the options go into the
     /// storage the last ones left. `Err` exactly where
-    /// [`Edns::from_record`] of the same record is; the state is then
+    /// `Edns::from_record` of the same record is; the state is then
     /// unspecified.
     pub(crate) fn read_opt(
         &mut self,

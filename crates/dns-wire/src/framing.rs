@@ -57,13 +57,9 @@ impl FrameBuffer {
         self.buf.extend_from_slice(data);
     }
 
-    /// Pop the next complete message, if one has fully arrived.
-    pub fn next_message(&mut self) -> Option<Vec<u8>> {
-        self.next_frame().map(<[u8]>::to_vec)
-    }
-
-    /// [`FrameBuffer::next_message`] without the copy: the popped body
-    /// is a view of the buffer, good until the next `extend`.
+    /// Pop the next complete message, if one has fully arrived: the
+    /// popped body is a view of the buffer, good until the next
+    /// `extend`.
     pub fn next_frame(&mut self) -> Option<&[u8]> {
         let pending = self.buf.get(self.start..)?;
         let (prefix, rest) = pending.split_first_chunk::<2>()?;
@@ -114,8 +110,8 @@ mod tests {
     fn reassembles_single_message() {
         let mut fb = FrameBuffer::new();
         fb.extend(&frame(b"hello"));
-        assert_eq!(fb.next_message().unwrap(), b"hello");
-        assert!(fb.next_message().is_none());
+        assert_eq!(fb.next_frame().unwrap(), b"hello");
+        assert!(fb.next_frame().is_none());
         assert!(fb.is_empty());
     }
 
@@ -126,7 +122,7 @@ mod tests {
         for chunk in framed.chunks(3) {
             fb.extend(chunk);
         }
-        assert_eq!(fb.next_message().unwrap(), b"split message");
+        assert_eq!(fb.next_frame().unwrap(), b"split message");
     }
 
     #[test]
@@ -134,10 +130,10 @@ mod tests {
         let framed = frame(b"x");
         let mut fb = FrameBuffer::new();
         for &b in &framed {
-            assert!(fb.next_message().is_none());
+            assert!(fb.next_frame().is_none());
             fb.extend(&[b]);
         }
-        assert_eq!(fb.next_message().unwrap(), b"x");
+        assert_eq!(fb.next_frame().unwrap(), b"x");
     }
 
     #[test]
@@ -147,21 +143,21 @@ mod tests {
         data.extend(frame(b"three"));
         let mut fb = FrameBuffer::new();
         fb.extend(&data);
-        assert_eq!(fb.next_message().unwrap(), b"one");
-        assert_eq!(fb.next_message().unwrap(), b"two");
-        assert_eq!(fb.next_message().unwrap(), b"three");
-        assert!(fb.next_message().is_none());
+        assert_eq!(fb.next_frame().unwrap(), b"one");
+        assert_eq!(fb.next_frame().unwrap(), b"two");
+        assert_eq!(fb.next_frame().unwrap(), b"three");
+        assert!(fb.next_frame().is_none());
     }
 
     #[test]
     fn partial_length_prefix_waits() {
         let mut fb = FrameBuffer::new();
         fb.extend(&[0]);
-        assert!(fb.next_message().is_none());
+        assert!(fb.next_frame().is_none());
         fb.extend(&[2]);
-        assert!(fb.next_message().is_none());
+        assert!(fb.next_frame().is_none());
         fb.extend(b"ab");
-        assert_eq!(fb.next_message().unwrap(), b"ab");
+        assert_eq!(fb.next_frame().unwrap(), b"ab");
     }
 
     #[test]
@@ -175,9 +171,9 @@ mod tests {
             // buffered across every pop.
             fb.extend(&framed);
             fb.extend(&framed[..51]);
-            assert!(fb.next_message().is_some());
+            assert!(fb.next_frame().is_some());
             fb.extend(&framed[51..]);
-            assert!(fb.next_message().is_some());
+            assert!(fb.next_frame().is_some());
             assert!(fb.is_empty());
         }
         assert!(
@@ -192,6 +188,6 @@ mod tests {
         let mut fb = FrameBuffer::new();
         fb.extend(&[0, 5, b'a']);
         assert_eq!(fb.pending_len(), 3);
-        assert!(fb.next_message().is_none());
+        assert!(fb.next_frame().is_none());
     }
 }

@@ -915,7 +915,7 @@ mod tests {
         // The overshoot regression: every limit, including those below
         // header+question+OPT (and below the header itself), must be
         // respected to the byte.
-        let mut rng = SplitMix64::from_state(7);
+        let mut rng = SplitMix64::seed_from_u64(7);
         for _ in 0..40 {
             let m = gen_message(&mut rng);
             let full = m.encode().len();
@@ -931,7 +931,7 @@ mod tests {
     fn truncation_byte_identical_to_old_algorithm() {
         // Wherever the old drop-and-reencode loop produced a result that
         // fit, the offset-slicing path must reproduce it byte-for-byte.
-        let mut rng = SplitMix64::from_state(99);
+        let mut rng = SplitMix64::seed_from_u64(99);
         for _ in 0..40 {
             let m = gen_message(&mut rng);
             let full = m.encode().len();
@@ -1014,7 +1014,7 @@ mod tests {
 
     #[test]
     fn tc_bit_set_on_every_truncated_variant() {
-        let mut rng = SplitMix64::from_state(1234);
+        let mut rng = SplitMix64::seed_from_u64(1234);
         for _ in 0..20 {
             let m = gen_message(&mut rng);
             let full = m.encode().len();
@@ -1031,7 +1031,7 @@ mod tests {
 
     #[test]
     fn scratch_reuse_is_byte_identical_to_fresh_encodes() {
-        let mut rng = SplitMix64::from_state(42);
+        let mut rng = SplitMix64::seed_from_u64(42);
         let mut scratch = crate::EncodeScratch::new();
         for _ in 0..60 {
             let m = gen_message(&mut rng);

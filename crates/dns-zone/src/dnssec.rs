@@ -4,7 +4,7 @@
 //! on the presence and **size** of DNSKEY/RRSIG/NSEC records, not on the
 //! cryptographic validity of the signatures. This signer therefore
 //! produces records that are bit-for-bit shaped like RSA/SHA-256 output —
-//! key and signature lengths derived from the configured ZSK/KSK sizes,
+//! key and signature lengths derived from the ZSK and KSK sizes,
 //! real key tags, valid NSEC chains — with deterministic pseudo-random
 //! payload bytes. Substitution documented in DESIGN.md §2.
 
@@ -14,23 +14,28 @@ use dns_wire::{Name, RData, Record, RecordType, Rrsig};
 
 use crate::zone::Zone;
 
-/// DNSSEC signing configuration.
+/// Key-signing key modulus size in bits (the root's).
+const KSK_BITS: u32 = 2048;
+
+/// RRSIG validity window in seconds.
+const VALIDITY_SECS: u32 = 14 * 86400;
+
+/// Signature inception (UNIX seconds), fixed for reproducibility.
+const INCEPTION: u32 = 1_460_000_000;
+
+/// Seed of the key and signature bytes.
+const SIGN_SEED: u64 = 0x1d91a7e5;
+
+/// DNSSEC signing configuration: what Figs 10–11 vary. The KSK, the
+/// signature window and the byte seed are the root's and fixed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SignConfig {
     /// Zone-signing key modulus size in bits (1024, 2048, 4096, ...).
     pub zsk_bits: u32,
-    /// Key-signing key modulus size in bits (the root uses 2048).
-    pub ksk_bits: u32,
     /// Dual-sign rollover: also publish and sign with an *old* ZSK of
     /// this size (the root's 1024→2048 upgrade dual-signed with both
     /// keys during the transition — the "rollover" bars in Figure 10).
     pub rollover_old_bits: Option<u32>,
-    /// RRSIG validity window in seconds.
-    pub validity: u32,
-    /// Signature inception (UNIX seconds) — fixed for reproducibility.
-    pub inception: u32,
-    /// RNG seed for key/signature bytes.
-    pub seed: u64,
 }
 
 impl SignConfig {
@@ -38,11 +43,7 @@ impl SignConfig {
     pub fn with_zsk_bits(zsk_bits: u32) -> Self {
         SignConfig {
             zsk_bits,
-            ksk_bits: 2048,
             rollover_old_bits: None,
-            validity: 14 * 86400,
-            inception: 1_460_000_000,
-            seed: 0x1d91a7e5,
         }
     }
 
@@ -133,8 +134,8 @@ pub struct SignedZone {
 /// signers: the child holds authority; the parent serves only unsigned NS
 /// plus signed DS.
 pub fn sign_zone(zone: &Zone, config: SignConfig) -> SignedZone {
-    let mut rng = SplitMix64::seed_from_u64(config.seed);
-    let ksk = SigningKey::generate(257, config.ksk_bits, &mut rng);
+    let mut rng = SplitMix64::seed_from_u64(SIGN_SEED);
+    let ksk = SigningKey::generate(257, KSK_BITS, &mut rng);
     let mut zsks = vec![SigningKey::generate(256, config.zsk_bits, &mut rng)];
     if let Some(old_bits) = config.rollover_old_bits {
         zsks.push(SigningKey::generate(256, old_bits, &mut rng));
@@ -163,7 +164,7 @@ pub fn sign_zone(zone: &Zone, config: SignConfig) -> SignedZone {
         })
         .collect();
 
-    let expiration = config.inception.wrapping_add(config.validity);
+    let expiration = INCEPTION.wrapping_add(VALIDITY_SECS);
     let mut to_insert: Vec<Record> = Vec::new();
 
     // Names strictly below a zone cut are glue: not authoritative, never
@@ -194,14 +195,7 @@ pub fn sign_zone(zone: &Zone, config: SignConfig) -> SignedZone {
                     name.clone(),
                     ttl,
                     RData::Rrsig(make_rrsig(
-                        rtype,
-                        name,
-                        &origin,
-                        ttl,
-                        expiration,
-                        config.inception,
-                        zsk,
-                        &mut rng,
+                        rtype, name, &origin, ttl, expiration, INCEPTION, zsk, &mut rng,
                     )),
                 ));
             }
@@ -235,7 +229,7 @@ pub fn sign_zone(zone: &Zone, config: SignConfig) -> SignedZone {
                     &origin,
                     nsec_ttl,
                     expiration,
-                    config.inception,
+                    INCEPTION,
                     zsk,
                     &mut rng,
                 )),
@@ -481,11 +475,7 @@ mod tests {
     fn deterministic_given_seed() {
         let a = sign_zone(&base_zone(), SignConfig::with_zsk_bits(1024));
         let b = sign_zone(&base_zone(), SignConfig::with_zsk_bits(1024));
-        assert_eq!(a.zone, b.zone);
-        let mut cfg = SignConfig::with_zsk_bits(1024);
-        cfg.seed = 999;
-        let c = sign_zone(&base_zone(), cfg);
-        assert_ne!(a.zone, c.zone);
+        assert_eq!(a.zone, b.zone, "the bytes come from SIGN_SEED alone");
     }
 
     #[test]

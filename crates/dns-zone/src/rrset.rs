@@ -29,16 +29,6 @@ impl RRset {
         }
     }
 
-    /// Build an RRset from one record.
-    pub fn from_record(rec: Record) -> Self {
-        RRset {
-            name: rec.name,
-            rtype: rec.rdata.record_type(),
-            ttl: rec.ttl,
-            rdatas: vec![rec.rdata],
-        }
-    }
-
     /// Add a record's data. Duplicate RDATA is ignored; TTL becomes the
     /// minimum of the set. Panics if type or name mismatch (callers
     /// group records before inserting).
@@ -98,9 +88,16 @@ mod tests {
         Record::new(n(name), ttl, RData::A(ip.parse().unwrap()))
     }
 
+    /// A set holding one record.
+    fn set_of(rec: Record) -> RRset {
+        let mut set = RRset::new(rec.name.clone(), rec.rtype(), rec.ttl);
+        set.push(rec);
+        set
+    }
+
     #[test]
     fn push_dedups_and_min_ttl() {
-        let mut set = RRset::from_record(a("www.example.com", 300, "1.1.1.1"));
+        let mut set = set_of(a("www.example.com", 300, "1.1.1.1"));
         set.push(a("www.example.com", 60, "2.2.2.2"));
         set.push(a("www.example.com", 600, "1.1.1.1")); // dup rdata
         assert_eq!(set.len(), 2);
@@ -109,7 +106,7 @@ mod tests {
 
     #[test]
     fn to_records_share_ttl() {
-        let mut set = RRset::from_record(a("x.example", 100, "1.1.1.1"));
+        let mut set = set_of(a("x.example", 100, "1.1.1.1"));
         set.push(a("x.example", 50, "2.2.2.2"));
         for rec in set.to_records() {
             assert_eq!(rec.ttl, 50);
@@ -119,7 +116,7 @@ mod tests {
 
     #[test]
     fn to_records_as_rewrites_owner() {
-        let set = RRset::from_record(a("*.example.com", 60, "9.9.9.9"));
+        let set = set_of(a("*.example.com", 60, "9.9.9.9"));
         let recs: Vec<Record> = set.records_as(&n("foo.example.com")).collect();
         assert_eq!(recs[0].name, n("foo.example.com"));
     }
@@ -127,20 +124,20 @@ mod tests {
     #[test]
     #[should_panic(expected = "type mismatch")]
     fn type_mismatch_panics() {
-        let mut set = RRset::from_record(a("x.example", 60, "1.1.1.1"));
+        let mut set = set_of(a("x.example", 60, "1.1.1.1"));
         set.push(Record::new(n("x.example"), 60, RData::Ns(n("ns.example"))));
     }
 
     #[test]
     #[should_panic(expected = "owner mismatch")]
     fn owner_mismatch_panics() {
-        let mut set = RRset::from_record(a("x.example", 60, "1.1.1.1"));
+        let mut set = set_of(a("x.example", 60, "1.1.1.1"));
         set.push(a("y.example", 60, "1.1.1.1"));
     }
 
     #[test]
     fn wire_len_sums_members() {
-        let mut set = RRset::from_record(a("x.example", 60, "1.1.1.1"));
+        let mut set = set_of(a("x.example", 60, "1.1.1.1"));
         let one = set.wire_len();
         set.push(a("x.example", 60, "2.2.2.2"));
         assert_eq!(set.wire_len(), 2 * one);

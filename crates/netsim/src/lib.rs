@@ -442,15 +442,14 @@ mod tests {
     #[test]
     fn rtt_override_per_pair() {
         let (mut sim, _s, clog, _, _) = build("udp", 10, false);
-        sim.topology_mut().set_symmetric(
-            "10.0.0.2".parse().unwrap(),
-            "10.0.0.1".parse().unwrap(),
-            PathConfig {
-                rtt: SimDuration::from_millis(100),
-                bandwidth_bps: None,
-                loss: 0.0,
-            },
-        );
+        let (client, server) = ("10.0.0.2".parse().unwrap(), "10.0.0.1".parse().unwrap());
+        let path = PathConfig {
+            rtt: SimDuration::from_millis(100),
+            bandwidth_bps: None,
+            loss: 0.0,
+        };
+        sim.topology_mut().set_pair(client, server, path);
+        sim.topology_mut().set_pair(server, client, path);
         sim.run();
         let c = clog.lock().unwrap();
         assert!(

@@ -46,6 +46,9 @@ pub const DRIVER_LANE: u64 = u64::MAX;
 /// simulator draws independently of it.
 const SITE_PATH_LOSS: u64 = 6;
 
+/// Delayed-ACK timer (Linux: up to 40 ms).
+const DELAYED_ACK: SimDuration = SimDuration::from_millis(40);
+
 /// Identifies a registered host.
 pub type HostId = usize;
 
@@ -58,8 +61,6 @@ pub struct ConnId(pub u64);
 pub struct SimConfig {
     /// TIME_WAIT residence time for the close initiator (Linux: 60 s).
     pub time_wait: SimDuration,
-    /// Delayed-ACK timer (Linux: up to 40 ms).
-    pub delayed_ack: SimDuration,
     /// Default server-side idle timeout for incoming connections; hosts
     /// may override per connection.
     pub default_idle_timeout: Option<SimDuration>,
@@ -77,7 +78,6 @@ impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
             time_wait: SimDuration::from_secs(60),
-            delayed_ack: SimDuration::from_millis(40),
             default_idle_timeout: Some(SimDuration::from_secs(20)),
             default_nagle: false,
             seed: 0xd15ea5e,
@@ -1239,7 +1239,7 @@ impl Simulator {
                     false
                 };
                 if need_ack_timer {
-                    let at = self.now + self.config.delayed_ack;
+                    let at = self.now + DELAYED_ACK;
                     self.push_event(
                         at,
                         Event::ConnTimer {

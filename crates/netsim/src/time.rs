@@ -73,7 +73,7 @@ impl SimDuration {
     }
 
     /// From milliseconds.
-    pub fn from_millis(ms: u64) -> Self {
+    pub const fn from_millis(ms: u64) -> Self {
         SimDuration(ms * 1_000_000)
     }
 

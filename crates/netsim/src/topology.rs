@@ -107,12 +107,6 @@ impl Topology {
             .unwrap_or(self.default)
     }
 
-    /// Make paths symmetric for a pair (sets both directions).
-    pub fn set_symmetric(&mut self, a: IpAddr, b: IpAddr, cfg: PathConfig) {
-        self.set_pair(a, b, cfg);
-        self.set_pair(b, a, cfg);
-    }
-
     /// The minimum one-way propagation latency over the default path
     /// and the per-pair overrides for which `counts(src, dst)` holds —
     /// the conservative lookahead bound for sharded simulation
@@ -202,24 +196,6 @@ mod tests {
         assert_eq!(
             topo.path(ip("10.0.0.3"), ip("10.0.0.2")).rtt,
             SimDuration::from_millis(1)
-        );
-    }
-
-    #[test]
-    fn symmetric_sets_both() {
-        let mut topo = Topology::default();
-        topo.set_symmetric(
-            ip("1.1.1.1"),
-            ip("2.2.2.2"),
-            PathConfig::with_rtt(SimDuration::from_millis(40)),
-        );
-        assert_eq!(
-            topo.path(ip("1.1.1.1"), ip("2.2.2.2")).rtt,
-            SimDuration::from_millis(40)
-        );
-        assert_eq!(
-            topo.path(ip("2.2.2.2"), ip("1.1.1.1")).rtt,
-            SimDuration::from_millis(40)
         );
     }
 }

@@ -860,7 +860,7 @@ mod tests {
                                 break;
                             }
                             fb.extend(&buf[..n]);
-                            while fb.next_message().is_some() {
+                            while fb.next_frame().is_some() {
                                 let _ = msg_tx.send(());
                             }
                         }

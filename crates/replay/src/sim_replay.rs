@@ -682,10 +682,10 @@ impl Host for SimReplayClient {
                 self.tcp_done = done;
                 // No-reuse ablation: close as soon as the (single)
                 // outstanding query on this throwaway connection is
-                // answered.
+                // answered. The `Closed` the close brings back drops
+                // the frame buffer.
                 if !self.reuse_connections && any_done && self.pending_on(conn).next().is_none() {
                     ctx.tcp_close(conn);
-                    self.frame_bufs.remove(&conn);
                 }
             }
             TcpEvent::Closed { conn } => {
@@ -1144,8 +1144,8 @@ mod tests {
             if let TcpEvent::Data { conn, data } = event {
                 let fb = self.frames.entry(conn).or_default();
                 fb.extend(&data);
-                while let Some(query) = fb.next_message() {
-                    for reply in (self.replies)(peek_id(&query).unwrap()) {
+                while let Some(query) = fb.next_frame() {
+                    for reply in (self.replies)(peek_id(query).unwrap()) {
                         ctx.tcp_send(conn, frame(&reply));
                     }
                 }
@@ -1337,6 +1337,33 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A half-closed connection: without reuse the client closes its
+    /// half as soon as the one query on it is answered, and the
+    /// server's second copy of that answer arrives after the close.
+    /// The copy completes nothing, the `Closed` that the close brings
+    /// back drops the connection's frame buffer, and nothing is left.
+    #[test]
+    fn a_reply_after_the_clients_close_leaves_nothing_behind() {
+        let server = Scripted::new(0, |id| vec![undecodable_reply(id), undecodable_reply(id)]);
+        let (client, log) = run_against(
+            Box::new(server),
+            mk_trace(6, 50_000, 2),
+            |c| {
+                c.transport_override = Some(Transport::Tcp);
+                c.reuse_connections = false;
+            },
+            |_| {},
+        );
+        let mut seqs: Vec<u64> = log.iter().map(|r| r.seq).collect();
+        seqs.sort_unstable();
+        assert_eq!(seqs, (0..6).collect::<Vec<u64>>(), "once each");
+        let client = client.lock().unwrap();
+        assert_eq!(client.connects, 6, "one connection per query");
+        assert!(client.frame_bufs.is_empty(), "{:?}", client.frame_bufs);
+        assert!(client.conns.is_empty() && client.pending_tcp.is_empty());
+        assert!(nothing_live(&client, 6));
     }
 
     /// One full checkpointed run: returns (transcript lines, last

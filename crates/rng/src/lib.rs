@@ -83,11 +83,6 @@ impl SplitMix64 {
         }
     }
 
-    /// A generator started at a raw, unwhitened state.
-    pub fn from_state(state: u64) -> Self {
-        SplitMix64 { state }
-    }
-
     /// The next 64 uniform bits.
     pub fn next_u64(&mut self) -> u64 {
         let z = nth(self.state, 0);
@@ -190,7 +185,7 @@ mod tests {
     /// committed transcript and checkpoint was produced from.
     #[test]
     fn streams_are_pinned() {
-        let mut raw = SplitMix64::from_state(0);
+        let mut raw = SplitMix64 { state: 0 };
         assert_eq!(raw.next_u64(), 0xE220_A839_7B1D_CDAF);
         assert_eq!(raw.next_u64(), 0x6E78_9E6A_A1B9_65F4);
         let mut seeded = SplitMix64::seed_from_u64(0xA076_1D64_78BD_642F);
@@ -204,7 +199,7 @@ mod tests {
     #[test]
     fn nth_is_the_streams_nth_draw() {
         for state in [0, 99, u64::MAX - 3, 0x5eed] {
-            let mut stream = SplitMix64::from_state(state);
+            let mut stream = SplitMix64 { state };
             for n in 0..100 {
                 assert_eq!(nth(state, n), stream.next_u64(), "state {state}, draw {n}");
             }

@@ -609,7 +609,8 @@ mod tests {
         let mut topology = Topology::uniform(PathConfig::with_rtt(SimDuration::from_millis(10)));
         let zero = PathConfig::with_rtt(SimDuration::ZERO);
         let ip = |last: u8| IpAddr::from([10, 0, 0, last]);
-        topology.set_symmetric(ip(1), ip(other), zero);
+        topology.set_pair(ip(1), ip(other), zero);
+        topology.set_pair(ip(other), ip(1), zero);
         topology
     }
 

@@ -16,8 +16,6 @@ pub enum Mutation {
     /// Set the EDNS DO bit on a deterministic fraction of queries
     /// (0.0–1.0); the paper's §5.1 sweeps 72.3 % → 100 %.
     SetDnssecFraction(f64),
-    /// Clear the DO bit everywhere.
-    ClearDnssec,
     /// Prepend a unique per-query label to each qname (e.g. `q0042.`),
     /// the paper's trick for matching replayed queries to originals.
     UniquePrefix {
@@ -29,8 +27,6 @@ pub enum Mutation {
     ScaleTime(f64),
     /// Keep only queries (drop responses).
     QueriesOnly,
-    /// Rewrite every destination to one server address.
-    RetargetServer(std::net::SocketAddr),
 }
 
 /// Applies an ordered list of mutations to a trace.
@@ -74,11 +70,6 @@ impl Mutator {
                     e.message.set_dnssec_ok(on);
                 }
             }
-            Mutation::ClearDnssec => {
-                for e in trace.iter_mut() {
-                    e.message.set_dnssec_ok(false);
-                }
-            }
             Mutation::UniquePrefix { tag } => {
                 for (i, e) in trace.iter_mut().enumerate() {
                     if let Some(q) = e.message.questions.first_mut() {
@@ -102,11 +93,6 @@ impl Mutator {
             }
             Mutation::QueriesOnly => {
                 trace.retain(|e| e.is_query());
-            }
-            Mutation::RetargetServer(addr) => {
-                for e in trace.iter_mut() {
-                    e.dst = *addr;
-                }
             }
         }
     }
@@ -157,8 +143,6 @@ mod tests {
         let mut t = trace(100);
         Mutator::new(vec![Mutation::SetDnssecFraction(1.0)]).apply(&mut t);
         assert!(t.iter().all(|e| e.message.dnssec_ok()));
-        Mutator::new(vec![Mutation::ClearDnssec]).apply(&mut t);
-        assert!(t.iter().all(|e| !e.message.dnssec_ok()));
     }
 
     #[test]
@@ -204,14 +188,6 @@ mod tests {
         Mutator::new(vec![Mutation::QueriesOnly]).apply(&mut t);
         assert_eq!(t.len(), 3);
         assert!(t.iter().all(|e| e.is_query()));
-    }
-
-    #[test]
-    fn retarget_server() {
-        let mut t = trace(3);
-        let new: std::net::SocketAddr = "127.0.0.1:5353".parse().unwrap();
-        Mutator::new(vec![Mutation::RetargetServer(new)]).apply(&mut t);
-        assert!(t.iter().all(|e| e.dst == new));
     }
 
     #[test]

@@ -1,37 +1,19 @@
 //! Attack workloads: the paper motivates LDplayer with "how does the
 //! current server operate under the stress of a DoS attack?" (§1, §5's
-//! future applications). This module generates the classic attack
-//! shapes against DNS infrastructure, to be mixed over a base trace:
-//!
-//! - **random-subdomain (water-torture) floods**: unique junk labels
-//!   under a victim zone, defeating caches and hitting the
-//!   authoritative with NXDOMAINs;
-//! - **direct query floods** from a spoofed-source botnet;
-//! - **connection floods** (TCP SYN-heavy: many fresh connections, one
-//!   query each).
+//! future applications). This module generates a random-subdomain
+//! (water-torture) flood from a spoofed-source botnet, to be mixed over
+//! a base trace: unique junk labels under a victim zone, defeating
+//! caches and hitting the authoritative with NXDOMAINs.
 
 use std::net::{IpAddr, Ipv4Addr, SocketAddr};
 
-use dns_wire::{RecordType, Transport};
+use dns_wire::RecordType;
 use ldp_rng::SplitMix64;
 use ldp_trace::TraceEntry;
-
-/// The attack flavor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AttackKind {
-    /// Unique random labels under `victim_zone` (cache-busting).
-    RandomSubdomain,
-    /// Repeated identical queries (amplification-style senders).
-    QueryFlood,
-    /// One query per fresh TCP connection (connection exhaustion).
-    ConnectionFlood,
-}
 
 /// Specification of an attack trace.
 #[derive(Debug, Clone)]
 pub struct AttackSpec {
-    /// Attack flavor.
-    pub kind: AttackKind,
     /// Queries per second during the attack.
     pub rate: f64,
     /// Attack duration, seconds.
@@ -49,7 +31,6 @@ pub struct AttackSpec {
 impl Default for AttackSpec {
     fn default() -> Self {
         AttackSpec {
-            kind: AttackKind::RandomSubdomain,
             rate: 10_000.0,
             duration_secs: 60.0,
             start_secs: 0.0,
@@ -83,27 +64,16 @@ impl AttackSpec {
                 )),
                 1024 + (bot % 60_000) as u16,
             );
-            let qname = match self.kind {
-                AttackKind::RandomSubdomain => {
-                    // Unique label every time: no cache can help.
-                    format!("x{:016x}.{}", rng.gen::<u64>(), self.victim_zone)
-                }
-                AttackKind::QueryFlood | AttackKind::ConnectionFlood => {
-                    format!("www.{}", self.victim_zone)
-                }
-            };
-            let mut entry = TraceEntry::query(
+            // Unique label every time: no cache can help.
+            let qname = format!("x{:016x}.{}", rng.gen::<u64>(), self.victim_zone);
+            out.push(TraceEntry::query(
                 (t * 1e6) as u64,
                 src,
                 self.server,
                 (i & 0xffff) as u16,
                 qname.parse().expect("valid name"),
                 RecordType::A,
-            );
-            if self.kind == AttackKind::ConnectionFlood {
-                entry.transport = Transport::Tcp;
-            }
-            out.push(entry);
+            ));
             i += 1;
         }
         out
@@ -137,31 +107,6 @@ mod tests {
         let names: HashSet<String> = t.iter().map(|e| e.qname().unwrap().to_string()).collect();
         assert_eq!(names.len(), t.len(), "every attack name unique");
         assert!(names.iter().all(|n| n.ends_with("example.com.")));
-    }
-
-    #[test]
-    fn query_flood_repeats_one_name() {
-        let spec = AttackSpec {
-            kind: AttackKind::QueryFlood,
-            rate: 500.0,
-            duration_secs: 1.0,
-            ..Default::default()
-        };
-        let t = spec.generate(2);
-        let names: HashSet<String> = t.iter().map(|e| e.qname().unwrap().to_string()).collect();
-        assert_eq!(names.len(), 1);
-    }
-
-    #[test]
-    fn connection_flood_is_tcp() {
-        let spec = AttackSpec {
-            kind: AttackKind::ConnectionFlood,
-            rate: 500.0,
-            duration_secs: 1.0,
-            ..Default::default()
-        };
-        let t = spec.generate(3);
-        assert!(t.iter().all(|e| e.transport == Transport::Tcp));
     }
 
     #[test]

@@ -10,9 +10,8 @@
 //!   9, 10, 11, 13, 14, 15).
 //! - [`recursive`] — Rec-17-like department-resolver traffic across
 //!   ~549 zones (hierarchy-emulation experiments).
-//! - [`attack`] — DoS attack overlays (random-subdomain floods, query
-//!   floods, connection floods), the stress-testing application the
-//!   paper motivates.
+//! - [`attack`] — DoS attack overlays (random-subdomain floods), the
+//!   stress-testing application the paper motivates.
 //! - [`zipf`] — the heavy-tail sampler underlying the above.
 
 #![warn(missing_docs)]
@@ -23,7 +22,7 @@ pub mod recursive;
 pub mod synthetic;
 pub mod zipf;
 
-pub use attack::{AttackKind, AttackSpec};
+pub use attack::AttackSpec;
 pub use broot::{client_addr, BRootSpec};
 pub use recursive::RecursiveSpec;
 pub use synthetic::SyntheticTraceSpec;

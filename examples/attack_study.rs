@@ -12,7 +12,7 @@ use ldplayer::replay::{LatencyLog, SimReplayClient};
 use ldplayer::server::{RrlConfig, ServerEngine, SimDnsServer};
 use ldplayer::trace::TraceEntry;
 use ldplayer::wire::{RData, Record, RecordType, Soa};
-use ldplayer::workloads::{AttackKind, AttackSpec};
+use ldplayer::workloads::AttackSpec;
 use ldplayer::zone::{Catalog, Zone};
 
 /// The victim zone: real names only, no wildcard — junk gets NXDOMAIN.
@@ -75,7 +75,6 @@ fn main() {
 
     // Attack: 5 k q/s random-subdomain flood for 20 s, starting at t=20.
     let attack = AttackSpec {
-        kind: AttackKind::RandomSubdomain,
         rate: 5_000.0,
         duration_secs: 20.0,
         start_secs: 20.0,
