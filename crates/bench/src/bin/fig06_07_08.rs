@@ -51,7 +51,6 @@ fn main() {
         .chain(std::iter::once(("B-Root", &broot)))
     {
         let config = SessionConfig {
-            answer_from: Some("example.com".into()),
             skip_secs: seconds * 0.1,
             ..Default::default()
         };
@@ -90,11 +89,7 @@ fn main() {
     println!("== Figure 8: per-second rate difference, {trials} B-Root replays ==\n");
     let mut all_diffs = Vec::new();
     for trial in 0..trials {
-        let config = SessionConfig {
-            answer_from: Some("example.com".into()),
-            ..Default::default()
-        };
-        let report = run_fidelity_session(&broot, &config);
+        let report = run_fidelity_session(&broot, &SessionConfig::default());
         let within: usize = report
             .rate_differences
             .iter()

@@ -1,15 +1,15 @@
-//! Real-socket replay sessions: tie the threaded query engine to a
-//! capture server on loopback and compute the paper's §4 fidelity
-//! metrics (query-time error, inter-arrival distributions, per-second
-//! rate differences).
+//! Real-socket replay sessions: tie the threaded query engine to the
+//! socket server on loopback, which stamps every arrival, and compute
+//! the paper's §4 fidelity metrics (query-time error, inter-arrival
+//! distributions, per-second rate differences).
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use dns_server::ServerEngine;
+use dns_server::{Arrival, ServerConfig, ServerEngine};
 use dns_zone::Catalog;
 use ldp_metrics::{RateSeries, Summary};
-use ldp_replay::{replay, Arrival, CaptureServer, ReplayConfig};
+use ldp_replay::{replay, ReplayConfig};
 use ldp_trace::{Mutation, Mutator, TraceEntry};
 
 /// Fidelity metrics from one replay (paper §4.2).
@@ -27,7 +27,7 @@ pub struct FidelityReport {
     pub replayed_interarrivals: Vec<f64>,
     /// Per-second rate relative differences — Figure 8's x-axis.
     pub rate_differences: Vec<f64>,
-    /// Queries sent / captured.
+    /// Queries sent.
     pub sent: u64,
     /// Queries matched between original and replay.
     pub matched: usize,
@@ -39,11 +39,8 @@ pub struct SessionConfig {
     /// Replay engine configuration (targets are filled in by the
     /// session).
     pub replay: ReplayConfig,
-    /// Capture server worker threads.
+    /// The server's UDP worker threads, which stamp the arrivals.
     pub capture_workers: usize,
-    /// Answer captured queries from this wildcard zone origin, or none
-    /// (pure sink).
-    pub answer_from: Option<String>,
     /// Skip this many seconds at the start when computing metrics (the
     /// paper ignores the first 20 s to avoid startup transients).
     pub skip_secs: f64,
@@ -54,18 +51,21 @@ impl Default for SessionConfig {
         SessionConfig {
             replay: ReplayConfig::default(),
             capture_workers: 2,
-            answer_from: None,
             skip_secs: 0.0,
         }
     }
 }
 
-/// How long a session waits for the last datagrams to reach the capture
-/// server once every query is sent.
+/// How long a session waits for the last datagrams to reach the server
+/// once every query is sent.
 const DRAIN_GUARD: Duration = Duration::from_secs(5);
 
-/// Replay `trace` over UDP loopback against a capture server and
-/// compare arrival timing against the original trace.
+/// The origin of the wildcard zone the server answers every tagged
+/// query from.
+const ORIGIN: &str = "example.com";
+
+/// Replay `trace` over UDP loopback against the socket server and
+/// compare its arrival stamps against the original trace.
 ///
 /// The trace gets the unique-prefix tag the paper uses for
 /// query/response matching; arrivals are matched back by that tag.
@@ -81,28 +81,33 @@ pub fn run_fidelity_session(trace: &[TraceEntry], config: &SessionConfig) -> Fid
     ])
     .apply(&mut tagged);
 
-    let engine = config.answer_from.as_ref().map(|origin| {
-        let mut catalog = Catalog::new();
-        catalog.insert(crate::experiment::wildcard_zone(origin));
-        Arc::new(ServerEngine::with_catalog(catalog))
-    });
-    let capture = CaptureServer::start(config.capture_workers, engine).expect("bind capture");
-    let addr = capture.addr;
+    let mut catalog = Catalog::new();
+    catalog.insert(crate::experiment::wildcard_zone(ORIGIN));
+    let server_config = ServerConfig {
+        udp_workers: config.capture_workers,
+        record_arrivals: true,
+        ..Default::default()
+    };
+    let engine = Arc::new(ServerEngine::with_catalog(catalog));
+    let server = dns_server::spawn(engine, server_config).expect("bind the server");
 
-    let mut replay_config = config.replay.clone();
-    replay_config.target_udp = addr;
-    replay_config.target_tcp = addr;
+    let replay_config = ReplayConfig {
+        target_udp: server.udp_addr,
+        target_tcp: server.tcp_addr,
+        ..config.replay
+    };
     let report = replay(&tagged, &replay_config);
 
     // Let in-flight datagrams land; one lost on the way costs the
     // guard once, and the report's `matched` shows it.
-    capture.wait_for(report.total_sent as usize, DRAIN_GUARD);
-    let arrivals = capture.finish();
+    server.wait_for(report.total_sent as usize, DRAIN_GUARD);
+    server.shutdown();
+    let arrivals = server.arrivals();
 
     analyze(trace, &arrivals, report.total_sent, config.skip_secs)
 }
 
-/// Compare captured arrivals against the original trace timestamps.
+/// Compare recorded arrivals against the original trace timestamps.
 pub fn analyze(
     original: &[TraceEntry],
     arrivals: &[Arrival],
@@ -181,11 +186,7 @@ mod tests {
         // How close the arrival times come is what `fig06_07_08`
         // measures; this checks delivery only.
         let trace = SyntheticTraceSpec::fixed_interarrival(0.01, 2.0).generate(1);
-        let config = SessionConfig {
-            answer_from: Some("example.com".into()),
-            ..Default::default()
-        };
-        let report = run_fidelity_session(&trace, &config);
+        let report = run_fidelity_session(&trace, &SessionConfig::default());
         assert_eq!((report.sent, report.matched), (200, 200));
         assert_eq!(report.time_errors_ms.len(), 200);
     }

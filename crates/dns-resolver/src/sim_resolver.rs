@@ -361,12 +361,10 @@ pub struct SimResolver {
     upstream_map: BTreeMap<u16, u64>,
     next_task: u64,
     next_id: u16,
-    /// Upstream query timeout (the base timeout when backoff is on).
-    pub timeout: SimDuration,
     /// Max retries across servers before SERVFAIL.
     pub max_retries: usize,
     /// Exponential backoff with decorrelated jitter: when set, each
-    /// retry's timeout is drawn uniformly from `[timeout, 3 × prev]`
+    /// retry's timeout is drawn uniformly from `[UPSTREAM_TIMEOUT, 3 × prev]`
     /// and capped here (AWS-style decorrelated jitter — desynchronizes
     /// retry storms during an outage). `None` keeps a fixed per-attempt
     /// timeout.
@@ -383,6 +381,9 @@ pub struct SimResolver {
     answer_log: Option<Arc<Mutex<Vec<AnswerEvent>>>>,
     stats_out: Option<Arc<Mutex<ResolverSnapshot>>>,
 }
+
+/// Upstream query timeout (the base timeout when backoff is on).
+const UPSTREAM_TIMEOUT: SimDuration = SimDuration::from_millis(2_000);
 
 /// A task's timeout for its next attempt: one
 /// [`ldp_rng::backoff_step`] over `prev` when backoff is on (`cap`),
@@ -419,7 +420,6 @@ impl SimResolver {
             upstream_map: BTreeMap::new(),
             next_task: 0,
             next_id: 1,
-            timeout: SimDuration::from_secs(2),
             max_retries: 6,
             backoff_cap: None,
             rotate_servers: false,
@@ -529,7 +529,7 @@ impl SimResolver {
             servers,
             retries: 0,
             waiting: Waiting::Nothing,
-            cur_timeout: self.timeout,
+            cur_timeout: UPSTREAM_TIMEOUT,
         };
         self.tasks.insert(task_id, task);
         self.send_upstream(ctx, task_id);
@@ -652,7 +652,12 @@ impl SimResolver {
         }
         ctx.mark(Kind::RsvFailover, task_id, u64::from(task.retries));
         let attempt = (self.addr, &task.walk.qname, task.walk.qtype, task.retries);
-        task.cur_timeout = next_timeout(self.timeout, self.backoff_cap, task.cur_timeout, attempt);
+        task.cur_timeout = next_timeout(
+            UPSTREAM_TIMEOUT,
+            self.backoff_cap,
+            task.cur_timeout,
+            attempt,
+        );
         self.send_upstream(ctx, task_id);
     }
 
@@ -1309,11 +1314,11 @@ mod tests {
         );
         let r = SimResolver::new("10.1.0.1:53".parse().unwrap(), vec![]);
         let (cap, qname) = (Some(SimDuration::from_secs(60)), name("www.example."));
-        let mut want = vec![r.timeout];
+        let mut want = vec![UPSTREAM_TIMEOUT];
         for retries in 1..5 {
             let prev = want[want.len() - 1];
             let attempt = (r.addr, &qname, RecordType::A, retries);
-            want.push(next_timeout(r.timeout, cap, prev, attempt));
+            want.push(next_timeout(UPSTREAM_TIMEOUT, cap, prev, attempt));
         }
         let want: Vec<u64> = want.iter().map(|t| t.as_nanos()).collect();
         assert_eq!(
@@ -1344,7 +1349,7 @@ mod tests {
     fn backoff_draws_stay_within_bounds_and_grow() {
         let r = SimResolver::new("10.1.0.1:53".parse().unwrap(), vec![]);
         let cap = SimDuration::from_secs(8);
-        let (base, qname) = (r.timeout, name("www.example."));
+        let (base, qname) = (UPSTREAM_TIMEOUT, name("www.example."));
         let mut prev = base;
         let mut grew = false;
         for retries in 1..=64 {
@@ -1410,7 +1415,7 @@ mod tests {
     #[test]
     fn fixed_timeout_without_backoff() {
         let r = SimResolver::new("10.1.0.1:53".parse().unwrap(), vec![]);
-        let (base, qname) = (r.timeout, name("www.example."));
+        let (base, qname) = (UPSTREAM_TIMEOUT, name("www.example."));
         let attempt = (r.addr, &qname, RecordType::A, 1);
         assert_eq!(next_timeout(base, None, base, attempt), base);
         let long = SimDuration::from_secs(30);
@@ -2284,7 +2289,6 @@ mod tests {
             sim.add_host(&addrs, Box::new(Answering(logging)));
             let resolver_addr: SocketAddr = "10.1.0.1:53".parse().unwrap();
             let mut resolver = SimResolver::new(resolver_addr, hints);
-            resolver.timeout = SimDuration::from_millis(5);
             resolver.max_retries = 200;
             sim.add_host(&[resolver_addr.ip()], Box::new(resolver));
             let got = Arc::new(Mutex::new(Vec::new()));
@@ -2297,7 +2301,11 @@ mod tests {
             };
             let stub = sim.add_host(&["10.2.0.1".parse().unwrap()], Box::new(stub));
             sim.schedule_timer(stub, SimTime::ZERO, 0);
-            sim.run_until(SimTime::from_secs_f64(600.0));
+            // An unanswered attempt waits the 2 s upstream timeout, so
+            // a walk that spends its 200 retries on silent servers takes
+            // 402 s; the horizon holds four such questions and the
+            // nameserver lookups they wait on many times over.
+            sim.run_until(SimTime::from_secs_f64(20_000.0));
 
             let got = got.lock().expect("got");
             assert_eq!(got.len(), want.len(), "a question never answered");

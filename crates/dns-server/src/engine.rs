@@ -214,7 +214,7 @@ impl ServerEngine {
 }
 
 /// Run `f` on this thread's scratch, for the entry points whose callers
-/// hold none (`benchmark/`, `scan_gate`, the capture server). The scratch
+/// hold none (`benchmark/`, `scan_gate`). The scratch
 /// is taken out for the call and put back after it, so a re-entrant
 /// call or a thread being torn down finds nothing and works on a fresh
 /// one instead of panicking.

@@ -29,4 +29,6 @@ pub use engine::ServerEngine;
 pub use rrl::{RateLimiter, RrlAction, RrlBank, RrlConfig, RrlStats};
 pub use scratch::AnswerScratch;
 pub use sim_server::SimDnsServer;
-pub use socket_server::{spawn, RunningServer, ServerConfig, ServerCounters};
+pub use socket_server::{
+    parse_tag_seq, spawn, Arrival, RunningServer, ServerConfig, ServerCounters,
+};

@@ -1,15 +1,18 @@
 //! The authoritative server over real sockets: UDP worker threads on
 //! one shared socket plus a TCP accept thread with one small-stack
 //! thread per connection and idle timeouts — plain blocking `std::net`,
-//! the same shape as `ldp-replay`'s capture server and querier engine
-//! (and, per ZDNS, how a DNS tool reaches its throughput: many blocking
-//! workers over reused sockets, no async runtime).
+//! the same shape as `ldp-replay`'s querier engine (and, per ZDNS, how
+//! a DNS tool reaches its throughput: many blocking workers over reused
+//! sockets, no async runtime).
 //!
 //! This path backs the replay-fidelity and throughput experiments
 //! (paper §4): queries arrive over loopback at up to ~100 k q/s, and
 //! each UDP worker and TCP connection thread answers in an
 //! [`AnswerScratch`] of its own, so a query costs its qname and nothing
-//! else.
+//! else. Asked to ([`ServerConfig::record_arrivals`]), the UDP workers
+//! also stamp every datagram's arrival with the sequence of its unique
+//! query-name tag, which is what the fidelity experiments compare with
+//! the trace (§4.2, Figures 6–8).
 //!
 //! Limit, stated once: a thread per TCP connection serves loopback
 //! testbeds — hundreds to low thousands of concurrent connections. The
@@ -19,7 +22,7 @@
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -29,8 +32,13 @@ use dns_wire::Transport;
 use crate::engine::ServerEngine;
 use crate::scratch::AnswerScratch;
 
-/// How often a blocked UDP worker wakes to look at the stop flag.
+/// How often a blocked UDP worker wakes to look at the stop flag (and
+/// to publish the arrivals it holds).
 const STOP_POLL: Duration = Duration::from_millis(20);
+
+/// A recording UDP worker publishes its arrivals once it holds this
+/// many, or when its socket has been idle for [`STOP_POLL`].
+const FLUSH_AT: usize = 4096;
 
 /// The same for a TCP connection thread: coarser, because a testbed
 /// holds many mostly-idle connections open.
@@ -53,6 +61,10 @@ pub struct ServerConfig {
     pub udp_workers: usize,
     /// Idle timeout after which the server closes a TCP connection.
     pub tcp_idle_timeout: Duration,
+    /// Stamp every UDP datagram's arrival for [`RunningServer::arrivals`]
+    /// (the fidelity sessions). Off for a server that runs unbounded
+    /// (`ldplayer serve`), whose log would only grow.
+    pub record_arrivals: bool,
 }
 
 impl Default for ServerConfig {
@@ -62,6 +74,7 @@ impl Default for ServerConfig {
             tcp_addr: SocketAddr::from(([127, 0, 0, 1], 0)),
             udp_workers: 4,
             tcp_idle_timeout: Duration::from_secs(20),
+            record_arrivals: false,
         }
     }
 }
@@ -79,6 +92,72 @@ pub struct ServerCounters {
     pub idle_closes: AtomicU64,
 }
 
+/// One datagram's arrival at a recording server.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Arrival {
+    /// Sequence parsed from the unique query-name tag, if present.
+    pub seq: Option<u64>,
+    /// Arrival time, µs since the server was spawned.
+    pub recv_us: u64,
+    /// Datagram size in bytes.
+    pub bytes: usize,
+}
+
+/// Extract the sequence from a first label like `q123` / `ldp42`: the
+/// first run of digits in it.
+pub fn parse_tag_seq(label: &[u8]) -> Option<u64> {
+    let start = label.iter().position(u8::is_ascii_digit)?;
+    let run = &label[start..];
+    let end = run.iter().position(|b| !b.is_ascii_digit());
+    std::str::from_utf8(&run[..end.unwrap_or(run.len())])
+        .ok()?
+        .parse()
+        .ok()
+}
+
+/// The arrivals the UDP workers have published.
+struct ArrivalLog {
+    /// The instant every `recv_us` counts from: the server's spawn.
+    epoch: Instant,
+    published: Mutex<Vec<Arrival>>,
+    /// Notified at every publish, for [`RunningServer::wait_for`].
+    grew: Condvar,
+}
+
+impl ArrivalLog {
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "D1: arrivals are stamped in wall time (paper §4.2)"
+    )]
+    fn new() -> ArrivalLog {
+        ArrivalLog {
+            epoch: Instant::now(),
+            published: Mutex::new(Vec::new()),
+            grew: Condvar::new(),
+        }
+    }
+
+    /// µs since the epoch: an arrival's stamp.
+    fn stamp(&self) -> u64 {
+        self.epoch.elapsed().as_micros() as u64
+    }
+
+    /// The published arrivals. Every update is one `append` of plain
+    /// values, so a lock poisoned by a panicking worker still guards a
+    /// whole log.
+    fn lock(&self) -> MutexGuard<'_, Vec<Arrival>> {
+        self.published.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Move a worker's batch into the log and wake the waiters.
+    fn publish(&self, batch: &mut Vec<Arrival>) {
+        if !batch.is_empty() {
+            self.lock().append(batch);
+            self.grew.notify_all();
+        }
+    }
+}
+
 /// Handle to a running server; dropping it does *not* stop the server —
 /// call [`RunningServer::shutdown`].
 pub struct RunningServer {
@@ -91,6 +170,9 @@ pub struct RunningServer {
     stop: Arc<AtomicBool>,
     /// The UDP workers and the accept thread, until `shutdown` joins them.
     threads: Mutex<Vec<JoinHandle<()>>>,
+    /// What the UDP workers recorded; empty unless
+    /// [`ServerConfig::record_arrivals`] was set.
+    arrivals: Arc<ArrivalLog>,
 }
 
 impl RunningServer {
@@ -107,6 +189,27 @@ impl RunningServer {
             // A worker that panicked has already stopped serving.
             let _ = t.join();
         }
+    }
+
+    /// Wait until `n` arrivals are recorded or `guard` has passed, and
+    /// say whether all `n` came. A worker publishes what it received
+    /// once its socket has been idle for 20 ms (or 4,096 have piled
+    /// up), so this returns about that long after the last arrival.
+    pub fn wait_for(&self, n: usize, guard: Duration) -> bool {
+        let log = self.arrivals.lock();
+        let waited = self
+            .arrivals
+            .grew
+            .wait_timeout_while(log, guard, |a| a.len() < n);
+        waited.is_ok_and(|(log, _)| log.len() >= n)
+    }
+
+    /// The arrivals published so far, sorted by time; after
+    /// [`RunningServer::shutdown`], every arrival.
+    pub fn arrivals(&self) -> Vec<Arrival> {
+        let mut arrivals = self.arrivals.lock().clone();
+        arrivals.sort_by_key(|a| a.recv_us);
+        arrivals
     }
 }
 
@@ -125,6 +228,7 @@ pub fn spawn(engine: Arc<ServerEngine>, config: ServerConfig) -> std::io::Result
     udp.set_read_timeout(Some(STOP_POLL))?;
     let counters = Arc::new(ServerCounters::default());
     let stop = Arc::new(AtomicBool::new(false));
+    let arrivals = Arc::new(ArrivalLog::new());
 
     // Every fallible step comes before the first thread starts, so an
     // error never leaves half a server running.
@@ -139,6 +243,7 @@ pub fn spawn(engine: Arc<ServerEngine>, config: ServerConfig) -> std::io::Result
             engine: engine.clone(),
             counters: counters.clone(),
             stop: stop.clone(),
+            arrivals: config.record_arrivals.then(|| arrivals.clone()),
         };
         threads.push(std::thread::spawn(move || worker.run()));
     }
@@ -175,6 +280,7 @@ pub fn spawn(engine: Arc<ServerEngine>, config: ServerConfig) -> std::io::Result
         counters,
         stop,
         threads: Mutex::new(threads),
+        arrivals,
     })
 }
 
@@ -184,27 +290,58 @@ struct UdpWorker {
     engine: Arc<ServerEngine>,
     counters: Arc<ServerCounters>,
     stop: Arc<AtomicBool>,
+    /// Where this worker records arrivals, if the server records them.
+    arrivals: Option<Arc<ArrivalLog>>,
 }
 
 impl UdpWorker {
     fn run(self) {
         let mut buf = vec![0u8; 65535];
         let mut scratch = AnswerScratch::new();
+        let mut batch = Vec::new();
         while !self.stop.load(Ordering::Relaxed) {
             let (len, peer) = match self.sock.recv_from(&mut buf) {
                 Ok(got) => got,
-                Err(e) if timed_out(&e) => continue,
+                Err(e) if timed_out(&e) => {
+                    self.publish(&mut batch);
+                    continue;
+                }
                 Err(_) => break,
             };
+            let recv_us = self.arrivals.as_ref().map(|log| log.stamp());
             let (engine, query) = (&self.engine, &buf[..len]);
-            let Some(reply) = engine.answer_into(peer.ip(), query, Transport::Udp, &mut scratch)
-            else {
-                continue;
-            };
-            self.counters.udp_queries.fetch_add(1, Ordering::Relaxed);
-            let _ = self.sock.send_to(reply, peer);
+            if let Some(reply) = engine.answer_into(peer.ip(), query, Transport::Udp, &mut scratch)
+            {
+                self.counters.udp_queries.fetch_add(1, Ordering::Relaxed);
+                let _ = self.sock.send_to(reply, peer);
+            }
+            if let Some(recv_us) = recv_us {
+                let seq = tag_seq(&scratch);
+                batch.push(Arrival {
+                    seq,
+                    recv_us,
+                    bytes: len,
+                });
+                if batch.len() >= FLUSH_AT {
+                    self.publish(&mut batch);
+                }
+            }
+        }
+        self.publish(&mut batch);
+    }
+
+    fn publish(&self, batch: &mut Vec<Arrival>) {
+        if let Some(log) = &self.arrivals {
+            log.publish(batch);
         }
     }
+}
+
+/// The tag's sequence of the query last answered in `scratch`, read
+/// from the decode the answer already made; `None` if it did not decode.
+fn tag_seq(scratch: &AnswerScratch) -> Option<u64> {
+    let question = scratch.query.question().filter(|_| scratch.parsed)?;
+    parse_tag_seq(question.name.leftmost()?)
 }
 
 #[allow(
@@ -390,6 +527,88 @@ mod tests {
             assert_eq!(resp.answers[0].name, n(&format!("unique{i}.example")));
         }
         server.shutdown();
+    }
+
+    #[test]
+    fn parse_tag_variants() {
+        assert_eq!(parse_tag_seq(b"q123"), Some(123));
+        assert_eq!(parse_tag_seq(b"ldp42"), Some(42));
+        assert_eq!(parse_tag_seq(b"u0"), Some(0));
+        assert_eq!(parse_tag_seq(b"www"), None);
+        assert_eq!(parse_tag_seq(b"abc12x99"), Some(12), "first run wins");
+    }
+
+    /// A server on `workers` UDP workers that records arrivals.
+    fn recording(workers: usize) -> RunningServer {
+        let config = ServerConfig {
+            udp_workers: workers,
+            record_arrivals: true,
+            ..Default::default()
+        };
+        spawn(engine(), config).unwrap()
+    }
+
+    fn tagged(i: u16) -> Vec<u8> {
+        Message::query(i, n(&format!("q{i}.example")), RecordType::A).encode()
+    }
+
+    #[test]
+    fn records_arrivals_in_order() {
+        let server = recording(2);
+        let sock = client();
+        let mut buf = [0u8; 512];
+        for i in 0..20 {
+            sock.send_to(&tagged(i), server.udp_addr).unwrap();
+            sock.recv(&mut buf).expect("the reply came back");
+        }
+        assert!(server.wait_for(20, HANG_GUARD));
+        let arrivals = server.arrivals();
+        server.shutdown();
+        assert_eq!(arrivals.len(), 20);
+        // Sorted by time; seqs decoded.
+        let seqs: Vec<u64> = arrivals.iter().filter_map(|a| a.seq).collect();
+        assert_eq!(seqs, (0..20).collect::<Vec<_>>());
+        assert!(arrivals.windows(2).all(|w| w[0].recv_us <= w[1].recv_us));
+    }
+
+    #[test]
+    fn non_dns_noise_recorded_without_seq() {
+        // One worker takes the noise, then the query.
+        let server = recording(1);
+        let sock = client();
+        sock.send_to(b"not dns at all", server.udp_addr).unwrap();
+        sock.send_to(&tagged(7), server.udp_addr).unwrap();
+        // The noise is answered too (FORMERR): wait for id 7's reply.
+        let mut buf = [0u8; 512];
+        loop {
+            let len = sock.recv(&mut buf).expect("the reply came back");
+            if Message::decode(&buf[..len]).is_ok_and(|m| m.id == 7) {
+                break;
+            }
+        }
+        assert!(server.wait_for(2, HANG_GUARD));
+        let arrivals = server.arrivals();
+        server.shutdown();
+        let seqs: Vec<Option<u64>> = arrivals.iter().map(|a| a.seq).collect();
+        assert_eq!(seqs, [None, Some(7)]);
+        assert_eq!(arrivals[0].bytes, 14);
+    }
+
+    /// `ldplayer serve` runs unbounded, so a server spawned without the
+    /// log must keep nothing per query.
+    #[test]
+    fn a_server_without_the_log_records_nothing() {
+        let server = spawn(engine(), ServerConfig::default()).unwrap();
+        let sock = client();
+        let mut buf = [0u8; 512];
+        for i in 0..50 {
+            sock.send_to(&tagged(i), server.udp_addr).unwrap();
+            sock.recv(&mut buf).expect("the reply came back");
+        }
+        // Joining the workers publishes whatever they held.
+        server.shutdown();
+        assert_eq!(server.counters.udp_queries.load(Ordering::Relaxed), 50);
+        assert_eq!(server.arrivals(), []);
     }
 
     #[test]

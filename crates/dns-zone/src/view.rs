@@ -11,7 +11,7 @@
 //! view per zone (thousands), nearly all matched by [`ClientMatch::Exact`]
 //! addresses, so a [`ViewSet`] indexes, as views are pushed, the first
 //! view each exact address selects, and lists apart the few views that
-//! carry a prefix or match-all. A lookup is one probe of that index — a
+//! carry a match-all. A lookup is one probe of that index — a
 //! [`KeyTable`], the workspace's one hash table, O(1) expected — plus a
 //! walk of that short list, cut off at the exact hit; the lower index of
 //! the two wins, which is first-match-wins.
@@ -27,18 +27,11 @@ use ldp_rng::{ByAddr, KeyTable};
 
 use crate::catalog::Catalog;
 
-/// A client matcher: exact address, prefix, or match-all.
+/// A client matcher: exact address or match-all.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ClientMatch {
     /// Matches one exact source address.
     Exact(IpAddr),
-    /// Matches a v4 prefix of the given length.
-    PrefixV4 {
-        /// Network address.
-        net: std::net::Ipv4Addr,
-        /// Prefix length (0–32).
-        len: u8,
-    },
     /// Matches every client (the "default" view).
     Any,
 }
@@ -48,17 +41,6 @@ impl ClientMatch {
     pub fn matches(&self, addr: IpAddr) -> bool {
         match self {
             ClientMatch::Exact(a) => *a == addr,
-            ClientMatch::PrefixV4 { net, len } => match addr {
-                IpAddr::V4(v4) => {
-                    let l = u32::from(*len).min(32);
-                    if l == 0 {
-                        return true;
-                    }
-                    let mask = u32::MAX << (32 - l);
-                    (u32::from(v4) & mask) == (u32::from(*net) & mask)
-                }
-                IpAddr::V6(_) => false,
-            },
             ClientMatch::Any => true,
         }
     }
@@ -97,7 +79,7 @@ pub struct ViewSet {
     views: Vec<View>,
     /// The first view each [`ClientMatch::Exact`] address selects.
     exact: KeyTable<IpAddr, usize, ByAddr>,
-    /// Views with at least one matcher that is not `Exact`, ascending.
+    /// Views with a match-all matcher, ascending.
     inexact: Vec<usize>,
 }
 
@@ -118,7 +100,7 @@ impl ViewSet {
                         self.exact.insert(*addr, index);
                     }
                 }
-                ClientMatch::PrefixV4 { .. } | ClientMatch::Any => inexact = true,
+                ClientMatch::Any => inexact = true,
             }
         }
         if inexact {
@@ -232,22 +214,6 @@ mod tests {
     }
 
     #[test]
-    fn prefix_match() {
-        let m = ClientMatch::PrefixV4 {
-            net: "10.1.0.0".parse().unwrap(),
-            len: 16,
-        };
-        assert!(m.matches(ip("10.1.2.3")));
-        assert!(!m.matches(ip("10.2.0.1")));
-        assert!(!m.matches(ip("2001:db8::1")));
-        let all = ClientMatch::PrefixV4 {
-            net: "0.0.0.0".parse().unwrap(),
-            len: 0,
-        };
-        assert!(all.matches(ip("9.9.9.9")));
-    }
-
-    #[test]
     fn first_view_wins() {
         let mut set = ViewSet::new();
         set.push(View::new(
@@ -313,9 +279,8 @@ mod tests {
     }
 
     /// Generated view sets — exact addresses drawn from a pool small
-    /// enough that views share them, v4 prefixes of every length, a
-    /// match-all in the middle — select the view the linear scan does,
-    /// for v4 and v6 probes.
+    /// enough that views share them, a match-all in the middle — select
+    /// the view the linear scan does, for v4 and v6 probes.
     #[test]
     fn select_matches_the_linear_scan_on_generated_view_sets() {
         let pool: Vec<IpAddr> = [
@@ -335,13 +300,6 @@ mod tests {
             for i in 0..g.size(0..=12) {
                 let matchers = g.vec(0..=3, |g| match g.below(8) {
                     0 => ClientMatch::Any,
-                    1 | 2 => ClientMatch::PrefixV4 {
-                        net: match g.pick(&pool) {
-                            IpAddr::V4(v4) => *v4,
-                            IpAddr::V6(_) => g.u32().into(),
-                        },
-                        len: g.range(0..=32) as u8,
-                    },
                     _ => ClientMatch::Exact(*g.pick(&pool)),
                 });
                 set.push(View::new(format!("v{i}"), matchers, Catalog::new()));

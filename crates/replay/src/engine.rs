@@ -25,7 +25,7 @@ use crate::sticky::StickyRouter;
 use crate::timing::TimingTracker;
 
 /// Replay configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct ReplayConfig {
     /// Number of distributor threads ("client instances").
     pub distributors: usize,
@@ -81,26 +81,6 @@ struct QueryJob {
     source: IpAddr,
     transport: Transport,
     payload: Arc<[u8]>,
-}
-
-/// The few fields of [`ReplayConfig`] a querier thread actually reads.
-/// Copying this per thread replaces cloning the whole config (which
-/// the queriers used to do, once per thread, for three fields).
-#[derive(Debug, Clone, Copy)]
-struct QuerierConfig {
-    target_udp: SocketAddr,
-    target_tcp: SocketAddr,
-    fast_mode: bool,
-}
-
-impl From<&ReplayConfig> for QuerierConfig {
-    fn from(c: &ReplayConfig) -> Self {
-        QuerierConfig {
-            target_udp: c.target_udp,
-            target_tcp: c.target_tcp,
-            fast_mode: c.fast_mode,
-        }
-    }
 }
 
 /// What a querier recorded about one sent query.
@@ -190,7 +170,7 @@ pub fn replay_with_clock(
         let mut txs = Vec::with_capacity(n_q);
         for q in 0..n_q {
             let (tx, rx) = bounded::<QueryJob>(CHANNEL_CAPACITY);
-            let cfg = QuerierConfig::from(config);
+            let cfg = *config;
             let errors = errors.clone();
             let shed = shed.clone();
             let record_tx = record_tx.clone();
@@ -459,7 +439,7 @@ fn send_framed<W: std::io::Write>(w: &mut W, framed: &[u8]) -> SendOutcome {
 fn querier_loop(
     idx: usize,
     rx: Receiver<QueryJob>,
-    cfg: QuerierConfig,
+    cfg: ReplayConfig,
     tracker: TimingTracker,
     clock: Arc<dyn ReplayClock>,
     origin_us: u64,

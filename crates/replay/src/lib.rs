@@ -9,7 +9,9 @@
 //!
 //! Two replayers own the wire:
 //! - [`engine`] — real sockets and threads (replay fidelity and
-//!   throughput experiments, paper §4), on the [`timing`] schedule;
+//!   throughput experiments, paper §4), on the [`timing`] schedule,
+//!   against `dns_server`'s socket server, which stamps the arrivals
+//!   the fidelity figures compare;
 //! - [`sim_replay`] — a simulator host with per-source connection reuse,
 //!   latency logging and kill → resume (the §5.2 what-if experiments),
 //!   over one [`core`]: the schedule, the seq window (per-query state
@@ -17,7 +19,6 @@
 
 #![warn(missing_docs)]
 
-pub mod capture;
 pub mod clock;
 pub mod core;
 pub mod engine;
@@ -27,7 +28,6 @@ pub mod sticky;
 pub mod timing;
 
 pub use crate::core::ReplayCore;
-pub use capture::{parse_tag_seq, Arrival, CaptureServer};
 pub use clock::{ReplayClock, VirtualClock, WallClock};
 pub use engine::{replay, replay_with_clock, ReplayConfig, ReplayReport, SentRecord};
 pub use pending::PendingTable;
