@@ -316,9 +316,8 @@ impl UdpWorker {
                 let _ = self.sock.send_to(reply, peer);
             }
             if let Some(recv_us) = recv_us {
-                let seq = tag_seq(&scratch);
                 batch.push(Arrival {
-                    seq,
+                    seq: tag_seq(&scratch),
                     recv_us,
                     bytes: len,
                 });
