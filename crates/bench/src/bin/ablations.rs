@@ -193,8 +193,8 @@ fn ablation_distribution_levels() {
         let report = replay(&trace, &config);
         println!(
             "{label:<18} {:>8.0} q/s  ({} queries in {:.2?})",
-            report.total_sent as f64 / report.elapsed.as_secs_f64(),
-            report.total_sent,
+            report.sent.len() as f64 / report.elapsed.as_secs_f64(),
+            report.sent.len(),
             report.elapsed
         );
     }

@@ -100,11 +100,11 @@ pub fn run_fidelity_session(trace: &[TraceEntry], config: &SessionConfig) -> Fid
 
     // Let in-flight datagrams land; one lost on the way costs the
     // guard once, and the report's `matched` shows it.
-    server.wait_for(report.total_sent as usize, DRAIN_GUARD);
+    server.wait_for(report.sent.len(), DRAIN_GUARD);
     server.shutdown();
     let arrivals = server.arrivals();
 
-    analyze(trace, &arrivals, report.total_sent, config.skip_secs)
+    analyze(trace, &arrivals, report.sent.len() as u64, config.skip_secs)
 }
 
 /// Compare recorded arrivals against the original trace timestamps.

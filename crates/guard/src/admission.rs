@@ -10,6 +10,13 @@
 
 use std::collections::BTreeSet;
 
+/// How far past its deadline a query may be before it is hopelessly
+/// late (µs): sending it would only push every later query later
+/// still, so it is shed instead. The default of
+/// [`AdmissionConfig::max_lateness_us`], and the socket engine's
+/// bound.
+pub const MAX_LATENESS_US: u64 = 250_000;
+
 /// Admission policy knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdmissionConfig {
@@ -25,7 +32,7 @@ impl Default for AdmissionConfig {
     fn default() -> Self {
         AdmissionConfig {
             max_in_flight: 4096,
-            max_lateness_us: 250_000,
+            max_lateness_us: MAX_LATENESS_US,
         }
     }
 }

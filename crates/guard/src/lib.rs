@@ -48,7 +48,7 @@ pub mod budget;
 pub mod checkpoint;
 pub mod inflight;
 
-pub use admission::{Admission, AdmissionConfig, AdmissionController};
+pub use admission::{Admission, AdmissionConfig, AdmissionController, MAX_LATENESS_US};
 pub use budget::RetransmitConfig;
 pub use checkpoint::{Checkpoint, CheckpointParseError};
 pub use inflight::{InflightEntry, InflightStatus};

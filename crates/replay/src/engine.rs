@@ -6,18 +6,26 @@
 //!
 //! In-process threads play the roles the paper implements as processes;
 //! the channel topology, sticky source routing, timing algebra and
-//! per-source socket ownership are the same.
+//! per-source socket ownership are the same. Queriers share nothing but
+//! the clock: each keeps its own log of what it sent and shed and hands
+//! it back when it is joined, and the report is built from those logs.
+//! Delivery is at most once. A query is not sent again when its socket
+//! fails or its querier dies; the report counts it as an error.
 
-use std::collections::{HashMap, VecDeque};
+// Hot path: a socket that fails costs its query, never the run (DESIGN.md §7).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
+use std::collections::hash_map::{Entry, HashMap};
+use std::io::{ErrorKind, Read};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpStream, UdpSocket};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel as bounded, Receiver, SyncSender as Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use dns_wire::framing::frame_into;
 use dns_wire::{EncodeScratch, Transport};
-use ldp_guard::RetransmitConfig;
+use ldp_guard::{RetransmitConfig, MAX_LATENESS_US};
 use ldp_trace::TraceEntry;
 
 use crate::clock::{ReplayClock, WallClock};
@@ -45,11 +53,12 @@ pub struct ReplayConfig {
 
 impl Default for ReplayConfig {
     fn default() -> Self {
+        let loopback = SocketAddr::from(([127, 0, 0, 1], 53));
         ReplayConfig {
             distributors: 2,
             queriers_per_distributor: 3,
-            target_udp: "127.0.0.1:53".parse().unwrap(),
-            target_tcp: "127.0.0.1:53".parse().unwrap(),
+            target_udp: loopback,
+            target_tcp: loopback,
             speed: 1.0,
             fast_mode: false,
             warmup: Duration::from_millis(50),
@@ -57,30 +66,19 @@ impl Default for ReplayConfig {
     }
 }
 
-/// Capacity of every bounded channel in the tree — the Reader's
-/// pre-load window — and so also the window a distributor retains per
-/// querier for failover.
+/// Capacity of every bounded channel in the tree: the Reader's
+/// pre-load window.
 const CHANNEL_CAPACITY: usize = 4096;
 
-/// Timed mode sheds (skips) a query whose deadline is already this many
-/// µs in the past, recording the seq instead of stalling behind it.
-/// Lateness is read on the replay clock, so a virtual clock shared by
-/// several queriers (each sleeper drags it forward) shows lateness that
-/// is only thread interleaving. Fast mode has no deadlines and never
-/// sheds.
-const SHED_LATENESS_US: u64 = 250_000;
-
 /// One query handed down the distribution tree: pre-encoded, so the
-/// querier's work at the deadline is just a socket write. The payload
-/// is a shared slice — cloning the job down the tree copies a pointer,
-/// never the bytes.
-#[derive(Debug, Clone)]
+/// querier's work at the deadline is just a socket write.
+#[derive(Debug)]
 struct QueryJob {
     seq: u64,
     trace_us: u64,
     source: IpAddr,
     transport: Transport,
-    payload: Arc<[u8]>,
+    payload: Box<[u8]>,
 }
 
 /// What a querier recorded about one sent query.
@@ -98,15 +96,16 @@ pub struct SentRecord {
     pub transport: Transport,
 }
 
-/// The outcome of a replay run.
+/// The outcome of a replay run. Every query of the trace is sent, shed
+/// or an error, exactly one of the three:
+/// `sent.len() + shed.len() + errors` is the trace's length.
 #[derive(Debug)]
 pub struct ReplayReport {
-    /// Per-query send records, in send order per querier (globally
-    /// unsorted; sort by `seq` or `sent_us` as needed).
+    /// Per-query send records, querier by querier, each querier's in
+    /// send order (sort by `seq` or `sent_us` as needed).
     pub sent: Vec<SentRecord>,
-    /// Total queries sent successfully.
-    pub total_sent: u64,
-    /// Send errors (socket failures).
+    /// Queries neither sent nor shed: a socket that could not be
+    /// opened or written, or a querier that died.
     pub errors: u64,
     /// Distinct original sources seen by the controller.
     pub distinct_sources: usize,
@@ -114,10 +113,8 @@ pub struct ReplayReport {
     pub elapsed: Duration,
     /// Trace seqs dropped by deadline-aware shedding, ascending.
     pub shed: Vec<u64>,
-    /// Jobs re-dispatched to surviving queriers after a slot died.
-    pub redispatched: u64,
-    /// Querier slots whose thread died mid-run (their distributor
-    /// found the channel closed), ascending.
+    /// Querier slots whose thread died mid-run (its join failed),
+    /// ascending. Everything routed to such a slot counts as an error.
     pub dead_queriers: Vec<usize>,
 }
 
@@ -153,184 +150,84 @@ pub fn replay_with_clock(
     clock: Arc<dyn ReplayClock>,
 ) -> ReplayReport {
     assert!(!trace.is_empty(), "cannot replay an empty trace");
-    let origin_us = config.warmup.as_micros() as u64;
-    let tracker = TimingTracker::start(trace[0].time_us, origin_us).with_speed(config.speed);
+    let tracker = TimingTracker::start(trace[0].time_us, config.warmup.as_micros() as u64)
+        .with_speed(config.speed);
 
-    let errors = Arc::new(AtomicU64::new(0));
-    let shed = Arc::new(Mutex::new(Vec::<u64>::new()));
-    let redispatched = Arc::new(AtomicU64::new(0));
-    let (record_tx, record_rx) = bounded::<SentRecord>(65536);
-
-    // Build querier threads.
+    // The tree: each distributor owns the sending ends of its queriers'
+    // channels, so its return closes them and ends those queriers.
     let n_d = config.distributors.max(1);
     let n_q = config.queriers_per_distributor.max(1);
-    let mut querier_txs: Vec<Vec<Sender<QueryJob>>> = Vec::with_capacity(n_d);
-    let mut handles = Vec::new();
-    for d in 0..n_d {
+    let mut queriers = Vec::with_capacity(n_d * n_q);
+    let mut distributors = Vec::with_capacity(n_d);
+    let mut dist_txs: Vec<Sender<QueryJob>> = Vec::with_capacity(n_d);
+    for _ in 0..n_d {
         let mut txs = Vec::with_capacity(n_q);
-        for q in 0..n_q {
-            let (tx, rx) = bounded::<QueryJob>(CHANNEL_CAPACITY);
-            let cfg = *config;
-            let errors = errors.clone();
-            let shed = shed.clone();
-            let record_tx = record_tx.clone();
-            let clock = clock.clone();
-            let idx = d * n_q + q;
-            handles.push(std::thread::spawn(move || {
-                querier_loop(
-                    idx, rx, cfg, tracker, clock, origin_us, errors, shed, record_tx,
-                )
+        for _ in 0..n_q {
+            let (tx, rx) = bounded(CHANNEL_CAPACITY);
+            let slot = queriers.len();
+            let (cfg, clock) = (*config, clock.clone());
+            queriers.push(std::thread::spawn(move || {
+                querier_loop(slot, &rx, &cfg, tracker, &*clock)
             }));
             txs.push(tx);
         }
-        querier_txs.push(txs);
-    }
-    drop(record_tx);
-
-    // Distributor threads: receive from the controller, sticky-route to
-    // their queriers, failing over to surviving siblings when one dies.
-    // A querier holds at most a channel's worth of unsent jobs, so that
-    // is the window a distributor retains for it.
-    let mut dist_txs: Vec<Sender<QueryJob>> = Vec::with_capacity(n_d);
-    let mut dist_handles = Vec::with_capacity(n_d);
-    for (d, txs) in querier_txs.iter().enumerate() {
-        let (tx, rx): (Sender<QueryJob>, Receiver<QueryJob>) = bounded(CHANNEL_CAPACITY);
-        let txs = txs.clone();
-        let redispatched = redispatched.clone();
-        let errors = errors.clone();
-        let slot_base = d * n_q;
-        dist_handles.push(std::thread::spawn(move || {
-            // Returning drops txs, which ends the queriers.
-            distribute(rx, &txs, slot_base, &redispatched, &errors)
-        }));
+        let (tx, rx) = bounded(CHANNEL_CAPACITY);
+        distributors.push(std::thread::spawn(move || distribute(&rx, &txs)));
         dist_txs.push(tx);
     }
-    // The distributor threads hold the only live clones now; without
-    // this drop the querier channels never close and join deadlocks.
-    drop(querier_txs);
-
-    // Collect send records while queriers run. The collector MUST be
-    // draining before the controller starts pushing: with it absent, a
-    // trace larger than the combined channel capacity would fill
-    // record_tx and deadlock the whole tree.
-    let collector = std::thread::spawn(move || record_rx.iter().collect::<Vec<_>>());
 
     // Controller: Reader (pre-encode) + Postman (sticky distribution).
     let mut controller_router = StickyRouter::new(n_d);
     // One scratch for the whole pre-encode pass: the output buffer and
     // the compression table keep their capacity across every entry, so
-    // the only per-query allocation is the shared payload itself.
+    // the only per-query allocation is the payload itself.
     let mut scratch = EncodeScratch::new();
     for (seq, entry) in trace.iter().enumerate() {
         let d = controller_router.route(entry.src.ip());
-        let payload: Arc<[u8]> = entry.message.encode_into(&mut scratch).into();
         let job = QueryJob {
             seq: seq as u64,
             trace_us: entry.time_us,
             source: entry.src.ip(),
             transport: entry.transport,
-            payload,
+            payload: entry.message.encode_into(&mut scratch).into(),
         };
-        if dist_txs[d].send(job).is_err() {
-            break;
-        }
+        let _ = dist_txs[d].send(job);
     }
     let distinct_sources = controller_router.sources();
     drop(dist_txs);
 
-    // A querier that panicked is reported by its distributor below.
-    for h in handles {
-        let _ = h.join();
+    for d in distributors {
+        let _ = d.join();
     }
-    let mut dead_queriers: Vec<usize> = dist_handles
-        .into_iter()
-        .flat_map(|h| h.join().expect("distributor joins"))
-        .collect();
-    dead_queriers.sort_unstable();
-    let sent = collector.join().expect("collector joins");
-    let total_sent = sent.len() as u64;
-    let mut shed = std::mem::take(&mut *shed.lock().expect("shed lock"));
+    let (mut sent, mut shed, mut dead_queriers) = (Vec::new(), Vec::new(), Vec::new());
+    for (slot, q) in queriers.into_iter().enumerate() {
+        match q.join() {
+            Ok(log) => {
+                sent.extend(log.sent);
+                shed.extend(log.shed);
+            }
+            Err(_) => dead_queriers.push(slot),
+        }
+    }
     shed.sort_unstable();
     ReplayReport {
+        errors: (trace.len() - sent.len() - shed.len()) as u64,
         sent,
-        total_sent,
-        errors: errors.load(Ordering::Relaxed),
         distinct_sources,
         elapsed: Duration::from_micros(clock.now_us()),
         shed,
-        redispatched: redispatched.load(Ordering::Relaxed),
         dead_queriers,
     }
 }
 
-/// One distributor's routing loop: sticky-route jobs from the
-/// controller to the querier channels in `txs`. This is the engine's
-/// whole supervision: a send to a closed channel (the querier thread
-/// died) marks that child dead for the rest of the run and
-/// re-dispatches the failed job plus the child's retained window — its
-/// last [`CHANNEL_CAPACITY`] jobs, an upper bound on what it had received
-/// but not yet sent — to surviving siblings. Returns the slots found dead.
-/// Delivery is at-least-once across a failover: a job the dead querier
-/// already sent may be retained and sent again by its sibling, which
-/// replay tolerates (duplicate queries happen in real traces too).
-fn distribute(
-    rx: Receiver<QueryJob>,
-    txs: &[Sender<QueryJob>],
-    slot_base: usize,
-    redispatched: &AtomicU64,
-    errors: &AtomicU64,
-) -> Vec<usize> {
+/// One distributor: sticky-route each job from the controller to the
+/// querier that owns its source. A job for a querier that died is
+/// dropped, as the controller drops one for a distributor that died.
+fn distribute(rx: &Receiver<QueryJob>, txs: &[Sender<QueryJob>]) {
     let mut router = StickyRouter::new(txs.len());
-    let mut alive = vec![true; txs.len()];
-    // Per-child retained window, oldest first.
-    let mut recent: Vec<VecDeque<QueryJob>> = (0..txs.len()).map(|_| VecDeque::new()).collect();
-    // Jobs awaiting (re-)delivery ahead of anything new from the
-    // controller; the bool marks a redispatch.
-    let mut queue: VecDeque<(QueryJob, bool)> = VecDeque::new();
     for job in rx.iter() {
-        queue.push_back((job, false));
-        while let Some((job, is_redispatch)) = queue.pop_front() {
-            let mut child = router.route(job.source);
-            if !alive[child] {
-                match alive.iter().position(|a| *a) {
-                    Some(c) => child = c,
-                    None => {
-                        // Every querier of this distributor is gone.
-                        errors.fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    }
-                }
-            }
-            let retained = job.clone();
-            match txs[child].send(job) {
-                Ok(()) => {
-                    if is_redispatch {
-                        redispatched.fetch_add(1, Ordering::Relaxed);
-                    }
-                    let w = &mut recent[child];
-                    w.push_back(retained);
-                    if w.len() > CHANNEL_CAPACITY {
-                        w.pop_front();
-                    }
-                }
-                Err(dead) => {
-                    alive[child] = false;
-                    let orphans = std::mem::take(&mut recent[child]);
-                    let n_orphans = orphans.len();
-                    // Re-queue the retained window (oldest first) then
-                    // the failed job, ahead of new controller jobs.
-                    for (i, o) in orphans.into_iter().enumerate() {
-                        queue.insert(i, (o, true));
-                    }
-                    queue.insert(n_orphans, (dead.0, true));
-                }
-            }
-        }
+        let _ = txs[router.route(job.source)].send(job);
     }
-    (0..txs.len())
-        .filter(|&c| !alive[c])
-        .map(|c| slot_base + c)
-        .collect()
 }
 
 /// How a non-blocking framed send ended.
@@ -373,7 +270,8 @@ const RECONNECT_JITTER_SEED: u64 = 0x6a2d_5eed;
 /// most `policy.max_retx` backoff sleeps total — after that each call
 /// makes one eager probe and returns `None` immediately instead of
 /// re-spinning the backoff for every queued job. A successful connect
-/// resets the count (the path healed).
+/// resets the count (the path healed). The stream it returns is
+/// non-blocking, so draining replies never waits.
 #[allow(clippy::disallowed_methods, reason = "T2: the backoff is the wait")]
 fn reconnect_with_backoff(
     target: SocketAddr,
@@ -384,7 +282,8 @@ fn reconnect_with_backoff(
     loop {
         // Loop bound: `attempts` (lint R1) — `delay_us` returns `None`
         // from `max_retx` on.
-        if let Ok(s) = TcpStream::connect(target) {
+        let dialed = TcpStream::connect(target).and_then(|s| s.set_nonblocking(true).map(|()| s));
+        if let Ok(s) = dialed {
             s.set_nodelay(true).ok();
             *attempts = 0;
             return Some(s);
@@ -412,8 +311,8 @@ fn send_framed<W: std::io::Write>(w: &mut W, framed: &[u8]) -> SendOutcome {
                 written += n;
                 stalls = 0;
             }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {
                 stalls += 1;
                 if stalls > STALL_LIMIT {
                     return if written == 0 {
@@ -435,18 +334,41 @@ fn send_framed<W: std::io::Write>(w: &mut W, framed: &[u8]) -> SendOutcome {
     SendOutcome::Sent
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Read and discard what the server sent back on `s`, then write
+/// `framed`. End of stream means the server has closed the connection:
+/// a write into it would still succeed and the query would be lost, so
+/// the connection is reported dead instead.
+fn drain_then_send(s: &mut TcpStream, framed: &[u8], scrap: &mut [u8]) -> SendOutcome {
+    loop {
+        match s.read(scrap) {
+            Ok(0) => return SendOutcome::Dead,
+            Ok(_) => {}
+            Err(e) if e.kind() == ErrorKind::WouldBlock => return send_framed(s, framed),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(_) => return SendOutcome::Dead,
+        }
+    }
+}
+
+/// What one querier did with the jobs routed to it, handed back when
+/// its thread is joined.
+#[derive(Debug, Default)]
+struct QuerierLog {
+    sent: Vec<SentRecord>,
+    shed: Vec<u64>,
+}
+
+/// One querier, slot `slot` of the tree: send each job from `rx` at its
+/// deadline on its source's socket, until the distributor closes the
+/// channel.
 fn querier_loop(
-    idx: usize,
-    rx: Receiver<QueryJob>,
-    cfg: ReplayConfig,
+    slot: usize,
+    rx: &Receiver<QueryJob>,
+    cfg: &ReplayConfig,
     tracker: TimingTracker,
-    clock: Arc<dyn ReplayClock>,
-    origin_us: u64,
-    errors: Arc<AtomicU64>,
-    shed: Arc<Mutex<Vec<u64>>>,
-    record_tx: Sender<SentRecord>,
-) {
+    clock: &dyn ReplayClock,
+) -> QuerierLog {
+    let origin_us = cfg.warmup.as_micros() as u64;
     // Per-source sockets: same original source → same socket, so the
     // server sees a stable set of (addr, port) pairs per source.
     let mut udp_socks: HashMap<IpAddr, UdpSocket> = HashMap::new();
@@ -459,12 +381,13 @@ fn querier_loop(
     };
     // One reconnect chain for the querier's whole run, jittered
     // per-slot so a thundering herd of reconnects decorrelates.
-    let reconnect_seed = RECONNECT_JITTER_SEED.wrapping_add(idx as u64);
+    let reconnect_seed = RECONNECT_JITTER_SEED.wrapping_add(slot as u64);
     let mut reconnects = 0;
     let mut scrap = vec![0u8; 65536];
     // Reused across jobs: one framing buffer per querier, not one
     // allocation per query.
     let mut frame_buf: Vec<u8> = Vec::with_capacity(4096);
+    let mut log = QuerierLog::default();
 
     // Fast mode drains bursts: one blocking recv, then opportunistic
     // try_recv up to the batch cap, so a hot querier pays the channel's
@@ -491,11 +414,12 @@ fn querier_loop(
                 // Deadline-aware shedding: a query already hopelessly
                 // late would only push every later query later still;
                 // record the seq and move on instead of stalling the
-                // schedule behind it.
-                if clock.now_us() > deadline_us.saturating_add(SHED_LATENESS_US) {
-                    if let Ok(mut s) = shed.lock() {
-                        s.push(job.seq);
-                    }
+                // schedule behind it. Lateness is read on the replay
+                // clock, so on a virtual clock shared by several
+                // queriers (each sleeper drags it forward) it can be
+                // only thread interleaving. Fast mode never sheds.
+                if clock.now_us() > deadline_us.saturating_add(MAX_LATENESS_US) {
+                    log.shed.push(job.seq);
                     continue;
                 }
                 // Behind schedule (a past deadline) returns immediately —
@@ -503,98 +427,83 @@ fn querier_loop(
                 // clock's sleep contract.
                 clock.sleep_until_us(deadline_us);
             }
-            let ok = match job.transport {
+            let sent = match job.transport {
                 Transport::Udp => {
-                    let sock = udp_socks.entry(job.source).or_insert_with(|| {
-                        let s = UdpSocket::bind(udp_bind).expect("bind querier socket");
-                        s.set_nonblocking(true).expect("nonblocking");
-                        s
-                    });
-                    // Drain any buffered responses so the kernel buffer
-                    // never fills (responses are measured at the server for
-                    // the fidelity experiments).
-                    while let Ok(_n) = sock.recv(&mut scrap) {}
-                    sock.send_to(&job.payload, cfg.target_udp).is_ok()
+                    // A socket that cannot be opened costs this query;
+                    // the source's next query tries again.
+                    let sock = match udp_socks.entry(job.source) {
+                        Entry::Occupied(e) => Some(e.into_mut()),
+                        Entry::Vacant(e) => UdpSocket::bind(udp_bind)
+                            .and_then(|s| s.set_nonblocking(true).map(|()| s))
+                            .ok()
+                            .map(|s| e.insert(s)),
+                    };
+                    sock.is_some_and(|s| {
+                        // Drain any buffered responses so the kernel
+                        // buffer never fills (responses are measured at
+                        // the server for the fidelity experiments).
+                        while s.recv(&mut scrap).is_ok() {}
+                        s.send_to(&job.payload, cfg.target_udp).is_ok()
+                    })
                 }
                 Transport::Tcp | Transport::Tls => {
-                    let stream = match tcp_conns.get_mut(&job.source) {
-                        Some(s) => Some(s),
-                        None => match reconnect_with_backoff(
-                            cfg.target_tcp,
-                            &RECONNECT,
-                            reconnect_seed,
-                            &mut reconnects,
-                        ) {
-                            Some(s) => {
-                                s.set_nonblocking(true).ok();
-                                tcp_conns.insert(job.source, s);
-                                tcp_conns.get_mut(&job.source)
+                    frame_into(&job.payload, &mut frame_buf);
+                    // The source's connection, or one dialled when it
+                    // has none; a dead one (idle-closed by the server,
+                    // or the server restarted) is dropped and dialled
+                    // again, once.
+                    let mut sent = false;
+                    for _ in 0..2 {
+                        let stream = match tcp_conns.entry(job.source) {
+                            Entry::Occupied(e) => e.into_mut(),
+                            Entry::Vacant(e) => match reconnect_with_backoff(
+                                cfg.target_tcp,
+                                &RECONNECT,
+                                reconnect_seed,
+                                &mut reconnects,
+                            ) {
+                                Some(s) => e.insert(s),
+                                None => break,
+                            },
+                        };
+                        match drain_then_send(stream, &frame_buf, &mut scrap) {
+                            SendOutcome::Sent => {
+                                sent = true;
+                                break;
                             }
-                            None => None,
-                        },
-                    };
-                    match stream {
-                        Some(s) => {
-                            use std::io::Read;
-                            while let Ok(n) = s.read(&mut scrap) {
-                                if n == 0 {
-                                    break;
-                                }
-                            }
-                            frame_into(&job.payload, &mut frame_buf);
-                            match send_framed(s, &frame_buf) {
-                                SendOutcome::Sent => true,
-                                // Backpressure exhausted the budget but the
-                                // connection is intact — keep it.
-                                SendOutcome::Stalled => false,
-                                SendOutcome::Dead => {
-                                    // Connection died (idle-closed by the
-                                    // server, or the server restarted):
-                                    // reconnect with backoff and resend.
-                                    tcp_conns.remove(&job.source);
-                                    match reconnect_with_backoff(
-                                        cfg.target_tcp,
-                                        &RECONNECT,
-                                        reconnect_seed,
-                                        &mut reconnects,
-                                    ) {
-                                        Some(mut ns) => {
-                                            let ok = send_framed(&mut ns, &frame_buf)
-                                                == SendOutcome::Sent;
-                                            ns.set_nonblocking(true).ok();
-                                            tcp_conns.insert(job.source, ns);
-                                            ok
-                                        }
-                                        None => false,
-                                    }
-                                }
+                            // Backpressure spent the budget, but the
+                            // connection is intact: keep it.
+                            SendOutcome::Stalled => break,
+                            SendOutcome::Dead => {
+                                tcp_conns.remove(&job.source);
                             }
                         }
-                        None => false,
                     }
+                    sent
                 }
             };
-            let sent_us = clock.now_us().saturating_sub(origin_us);
-            if ok {
-                let _ = record_tx.send(SentRecord {
+            if sent {
+                log.sent.push(SentRecord {
                     seq: job.seq,
                     trace_us: job.trace_us,
-                    sent_us,
-                    querier: idx,
+                    sent_us: clock.now_us().saturating_sub(origin_us),
+                    querier: slot,
                     transport: job.transport,
                 });
-            } else {
-                errors.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
+    log
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::clock::VirtualClock;
+    use dns_wire::framing::FrameBuffer;
     use dns_wire::RecordType;
+    use std::net::TcpListener;
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
     fn mk_trace(n: u64, gap_us: u64) -> Vec<TraceEntry> {
         (0..n)
@@ -632,6 +541,31 @@ mod tests {
             target_tcp: addr,
             ..Default::default()
         }
+    }
+
+    /// The report's books: every query of a trace of `queries` is sent,
+    /// shed or counted as an error, and no seq is both sent and shed or
+    /// sent twice.
+    fn accounted(report: ReplayReport, queries: usize) -> ReplayReport {
+        assert_eq!(
+            report.sent.len() + report.shed.len() + report.errors as usize,
+            queries,
+            "sent + shed + errors is the trace"
+        );
+        let mut seqs: Vec<u64> = report.sent.iter().map(|r| r.seq).collect();
+        seqs.extend(&report.shed);
+        seqs.sort_unstable();
+        seqs.dedup();
+        assert_eq!(
+            seqs.len(),
+            report.sent.len() + report.shed.len(),
+            "at most once"
+        );
+        assert!(
+            seqs.iter().all(|&s| s < queries as u64),
+            "seqs of the trace"
+        );
+        report
     }
 
     /// `(seq, sent_us)` of every send, in seq order.
@@ -680,8 +614,8 @@ mod tests {
             fast_mode: true,
             ..Default::default()
         };
-        let report = replay(&trace, &config);
-        assert_eq!(report.total_sent, 200);
+        let report = accounted(replay(&trace, &config), trace.len());
+        assert_eq!(report.sent.len(), 200);
         assert_eq!(report.errors, 0);
         assert_eq!(report.distinct_sources, 50);
         // Every seq present exactly once.
@@ -701,8 +635,8 @@ mod tests {
             fast_mode: true,
             ..Default::default()
         };
-        let report = replay(&mk_trace(20, 1000), &config);
-        assert_eq!((report.total_sent, report.errors), (20, 0));
+        let report = accounted(replay(&mk_trace(20, 1000), &config), 20);
+        assert_eq!((report.sent.len(), report.errors), (20, 0));
         let mut buf = [0u8; 512];
         let arrived = (0..20).filter(|_| sink.recv(&mut buf).is_ok()).count();
         assert_eq!(arrived, 20, "every query reached [::1]");
@@ -720,6 +654,7 @@ mod tests {
             cost_us: 300,
         };
         let report = replay_with_clock(&trace, &one_querier(addr), Arc::new(clock));
+        let report = accounted(report, trace.len());
         let want: Vec<(u64, u64)> = (0..50).map(|i| (i, i * 5_000 + 300)).collect();
         assert_eq!(sends(&report), want);
         assert_eq!(report.elapsed, Duration::from_micros(50_000 + 245_300));
@@ -738,7 +673,7 @@ mod tests {
             ..Default::default()
         };
         let clock = NoSleepClock(VirtualClock::new());
-        let report = replay_with_clock(&trace, &config, Arc::new(clock));
+        let report = accounted(replay_with_clock(&trace, &config, Arc::new(clock)), 1000);
         assert_eq!(
             report.dead_queriers,
             Vec::<usize>::new(),
@@ -759,6 +694,7 @@ mod tests {
             ..one_querier(addr)
         };
         let report = replay_with_clock(&trace, &config, Arc::new(VirtualClock::new()));
+        let report = accounted(report, trace.len());
         let want: Vec<(u64, u64)> = (0..20).map(|i| (i, i * 5_000)).collect();
         assert_eq!(sends(&report), want);
         assert_eq!(report.elapsed, Duration::from_millis(10 + 95));
@@ -803,8 +739,8 @@ mod tests {
             seen.entry(i % 2).or_default().insert(from);
             got += 1;
         }
-        let report = handle.join().unwrap();
-        assert_eq!(report.total_sent, 40);
+        let report = accounted(handle.join().unwrap(), 40);
+        assert_eq!(report.sent.len(), 40);
         assert_eq!(got, 40, "sink saw everything");
         for (src, ports) in &seen {
             assert_eq!(ports.len(), 1, "source {src} used one socket: {ports:?}");
@@ -861,8 +797,8 @@ mod tests {
             queriers_per_distributor: 1,
             ..Default::default()
         };
-        let report = replay(&trace, &config);
-        assert_eq!(report.total_sent, 30);
+        let report = accounted(replay(&trace, &config), trace.len());
+        assert_eq!(report.sent.len(), 30);
         for i in 0..30 {
             msg_rx
                 .recv_timeout(HANG_GUARD)
@@ -874,9 +810,8 @@ mod tests {
 
     #[test]
     fn large_trace_exceeding_channel_capacity_completes() {
-        // Regression: with the collector spawned after the controller,
-        // traces bigger than record_tx + all stage channels (~100k)
-        // deadlocked the distribution tree.
+        // More queries than every channel of the tree holds: the tree
+        // drains as it fills, and each querier's log grows with it.
         let (_sink, addr) = sink_socket();
         let trace = mk_trace(120_000, 10);
         let config = ReplayConfig {
@@ -885,8 +820,8 @@ mod tests {
             fast_mode: true,
             ..Default::default()
         };
-        let report = replay(&trace, &config);
-        assert_eq!(report.total_sent, 120_000);
+        let report = accounted(replay(&trace, &config), trace.len());
+        assert_eq!(report.sent.len(), 120_000);
     }
 
     #[test]
@@ -904,6 +839,7 @@ mod tests {
         let (_sink, addr) = sink_socket();
         let trace = mk_trace(100, 1_000_000); // 1 s apart
         let report = replay_with_clock(&trace, &one_querier(addr), Arc::new(VirtualClock::new()));
+        let report = accounted(report, trace.len());
         let want: Vec<(u64, u64)> = (0..100).map(|i| (i, i * 1_000_000)).collect();
         assert_eq!(sends(&report), want);
         assert_eq!(report.elapsed, Duration::from_micros(50_000 + 99_000_000));
@@ -1089,7 +1025,7 @@ mod tests {
         let trace = mk_trace(600, 1_000);
         let clock = Arc::new(VirtualClock::new());
         clock.advance_to(450_000);
-        let report = replay_with_clock(&trace, &one_querier(addr), clock);
+        let report = accounted(replay_with_clock(&trace, &one_querier(addr), clock), 600);
         assert_eq!(report.errors, 0, "shed is not an error");
         assert_eq!(report.shed, (0..150).collect::<Vec<_>>());
         let want: Vec<(u64, u64)> = (150..600).map(|i| (i, (i * 1_000).max(400_000))).collect();
@@ -1101,7 +1037,7 @@ mod tests {
     struct PoisonedClock {
         inner: VirtualClock,
         poison_us: u64,
-        spent: std::sync::atomic::AtomicBool,
+        spent: AtomicBool,
     }
 
     impl ReplayClock for PoisonedClock {
@@ -1120,13 +1056,12 @@ mod tests {
     fn replay_reports_the_querier_that_died() {
         let (_sink, addr) = sink_socket();
         // Two sources, so the one distributor's two queriers each own
-        // one: slot 0 gets the even seqs, and dies on seq 0. It is
-        // sent more jobs than its channel holds, so the distributor is
-        // blocked on that channel when it closes, whatever the timing.
-        // The trace spans 100 ms: however far the survivor has pushed
-        // the shared clock, no moved job is late enough to be shed.
-        let n = 2 * (CHANNEL_CAPACITY as u64 + 1000);
-        let mut trace = mk_trace(n, 100_000 / n);
+        // one: slot 0 gets the even seqs, and dies on seq 0. The trace
+        // spans 100 ms: however far slot 1 has pushed the shared clock,
+        // slot 0 finds seq 0 less than 250 ms late, so it sleeps on it
+        // and dies, and slot 1 is never late.
+        let n = 200;
+        let mut trace = mk_trace(n, 500);
         for (i, e) in trace.iter_mut().enumerate() {
             e.src = format!("10.0.0.{}:999", 1 + i % 2).parse().unwrap();
         }
@@ -1139,56 +1074,89 @@ mod tests {
             poison_us: config.warmup.as_micros() as u64,
             spent: false.into(),
         };
-        let report = replay_with_clock(&trace, &config, Arc::new(clock));
+        let report = accounted(
+            replay_with_clock(&trace, &config, Arc::new(clock)),
+            trace.len(),
+        );
         assert_eq!(report.dead_queriers, vec![0], "slot 0 died, slot 1 did not");
-        assert!(report.redispatched >= 1, "its retained window moved over");
-        // Seq 0 died with its querier (unless it was still in the
-        // retained window); everything after it was sent, by slot 1
-        // once slot 0 was gone.
+        // Slot 0's queries went with it: at most once, nothing moves
+        // to slot 1, and each counts as an error.
         let mut seqs: Vec<u64> = report.sent.iter().map(|r| r.seq).collect();
         seqs.sort_unstable();
-        seqs.dedup(); // failover is at-least-once
-        seqs.retain(|&s| s != 0);
-        assert_eq!(seqs, (1..n).collect::<Vec<_>>());
+        assert_eq!(seqs, (1..n).step_by(2).collect::<Vec<_>>());
         assert!(report.sent.iter().all(|r| r.querier == 1));
+        assert_eq!(report.errors, n / 2);
+        assert!(report.shed.is_empty());
+    }
+
+    /// A virtual clock that holds the sleeper for one deadline until the
+    /// server takes a token from `gate`, a rendezvous channel.
+    struct GatedClock {
+        inner: VirtualClock,
+        gate_us: u64,
+        gate: Sender<()>,
+    }
+
+    impl ReplayClock for GatedClock {
+        fn now_us(&self) -> u64 {
+            self.inner.now_us()
+        }
+        fn sleep_until_us(&self, deadline_us: u64) {
+            if deadline_us == self.gate_us {
+                // Fails at once if the server has gone.
+                let _ = self.gate.send(());
+            }
+            self.inner.sleep_until_us(deadline_us);
+        }
     }
 
     #[test]
-    fn distributor_fails_over_to_surviving_querier() {
-        // Two querier channels; child 0's receiver is dropped (the
-        // querier "crashed"). Every job must still arrive, via child 1,
-        // and the death must be reported.
-        let (tx0, rx0) = bounded::<QueryJob>(64);
-        let (tx1, rx1) = bounded::<QueryJob>(64);
-        drop(rx0);
-        let (ctl_tx, ctl_rx) = bounded::<QueryJob>(64);
-        let payload: Arc<[u8]> = vec![0u8; 4].into();
-        for seq in 0..20u64 {
-            ctl_tx
-                .send(QueryJob {
-                    seq,
-                    trace_us: 0,
-                    source: format!("10.9.0.{}", 1 + seq % 10).parse().unwrap(),
-                    transport: Transport::Udp,
-                    payload: payload.clone(),
-                })
-                .unwrap();
+    fn a_query_after_the_server_closed_its_connection_goes_on_a_new_one() {
+        // The server reads one frame per connection and closes it, and
+        // only then lets the clock reach the second query's deadline.
+        // The querier's connection is at end of stream by then: a write
+        // into it would succeed and be lost.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (frame_tx, frame_rx) = bounded::<usize>(4);
+        let (gate_tx, gate_rx) = bounded::<()>(0);
+        let server = std::thread::spawn(move || {
+            for (conn, stream) in listener.incoming().take(2).enumerate() {
+                let mut stream = stream.unwrap();
+                stream.set_read_timeout(Some(HANG_GUARD)).unwrap();
+                let mut fb = FrameBuffer::new();
+                let mut buf = [0u8; 4096];
+                while fb.next_frame().is_none() {
+                    let n = stream.read(&mut buf).unwrap();
+                    assert!(n > 0, "connection {conn} closed before its frame");
+                    fb.extend(&buf[..n]);
+                }
+                drop(stream);
+                frame_tx.send(conn).unwrap();
+                if conn == 0 {
+                    gate_rx.recv_timeout(HANG_GUARD).unwrap();
+                }
+            }
+        });
+        let mut trace = mk_trace(2, 1_000);
+        for e in trace.iter_mut() {
+            e.transport = Transport::Tcp;
+            e.src = "10.0.0.7:999".parse().unwrap();
         }
-        drop(ctl_tx);
-        let redispatched = AtomicU64::new(0);
-        let errors = AtomicU64::new(0);
-        let txs = [tx0, tx1];
-        let dead = distribute(ctl_rx, &txs, 0, &redispatched, &errors);
-        drop(txs);
-        let mut got: Vec<u64> = rx1.iter().map(|j| j.seq).collect();
-        got.sort_unstable();
-        got.dedup(); // failover is at-least-once
-        assert_eq!(got, (0..20).collect::<Vec<_>>(), "child 1 saw every job");
-        assert_eq!(errors.load(Ordering::Relaxed), 0, "no jobs lost");
-        assert!(
-            redispatched.load(Ordering::Relaxed) >= 1,
-            "failed jobs re-dispatched"
-        );
-        assert_eq!(dead, vec![0], "slot 0 was reported dead, slot 1 was not");
+        let config = one_querier(addr);
+        let clock = GatedClock {
+            inner: VirtualClock::new(),
+            gate_us: config.warmup.as_micros() as u64 + 1_000,
+            gate: gate_tx,
+        };
+        let report = accounted(replay_with_clock(&trace, &config, Arc::new(clock)), 2);
+        assert_eq!((report.sent.len(), report.errors), (2, 0));
+        for want in 0..2 {
+            let conn = frame_rx
+                .recv_timeout(HANG_GUARD)
+                .unwrap_or_else(|e| panic!("query {want} never arrived: {e}"));
+            assert_eq!(conn, want, "query {want} on connection {want}");
+        }
+        server.join().unwrap();
     }
 }

@@ -11,7 +11,9 @@
 //! - [`engine`] — real sockets and threads (replay fidelity and
 //!   throughput experiments, paper §4), on the [`timing`] schedule,
 //!   against `dns_server`'s socket server, which stamps the arrivals
-//!   the fidelity figures compare;
+//!   the fidelity figures compare; each querier keeps its own log of
+//!   what it sent and shed, and the report is built when they are
+//!   joined;
 //! - [`sim_replay`] — a simulator host with per-source connection reuse,
 //!   latency logging and kill → resume (the §5.2 what-if experiments),
 //!   over one [`core`]: the schedule, the seq window (per-query state

@@ -38,10 +38,13 @@ fn main() {
         ..Default::default()
     };
     let report = replay(&trace, &config);
-    let rate = report.total_sent as f64 / report.elapsed.as_secs_f64();
+    let rate = report.sent.len() as f64 / report.elapsed.as_secs_f64();
     println!(
         "sent {} queries in {:.2?} → {:.0} q/s sustained ({} errors)",
-        report.total_sent, report.elapsed, rate, report.errors
+        report.sent.len(),
+        report.elapsed,
+        rate,
+        report.errors
     );
 
     #[allow(clippy::disallowed_methods, reason = "T2: waits out the drain")]
@@ -52,7 +55,7 @@ fn main() {
         .load(std::sync::atomic::Ordering::Relaxed);
     println!(
         "server answered {answered} ({:.1}% of sent) — paper's reference point: 87k q/s on one host",
-        100.0 * answered as f64 / report.total_sent as f64
+        100.0 * answered as f64 / report.sent.len() as f64
     );
     server.shutdown();
 }

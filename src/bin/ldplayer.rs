@@ -273,10 +273,13 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
         if config.fast_mode { "fast" } else { "timed" }
     );
     let report = replay(&trace, &config);
-    let rate = report.total_sent as f64 / report.elapsed.as_secs_f64();
+    let rate = report.sent.len() as f64 / report.elapsed.as_secs_f64();
     println!(
         "sent {} ({} errors) in {:.2?} → {rate:.0} q/s from {} sources",
-        report.total_sent, report.errors, report.elapsed, report.distinct_sources
+        report.sent.len(),
+        report.errors,
+        report.elapsed,
+        report.distinct_sources
     );
     let errs = report.timing_errors_us(trace[0].time_us, config.speed);
     if !config.fast_mode {
